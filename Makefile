@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench soak
+.PHONY: all build test race bench soak hwbench-test
 
 all: build test
 
@@ -12,6 +12,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# hwbench-test vets and tests the benchmark harness. bench/ is a module of
+# its own (BENCHMARK.json runs it through bench/run.sh), so `build` and
+# `test` above never compile it: a change to a signature the harness pins
+# (Table.Cap, Table.Snapshot, DB.Select, hwdb.Parse, ...) passes them and
+# breaks the benchmark. Offline, ~15 s.
+hwbench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # soak runs the time-compressed chaos soak gate under the race detector:
 # two simulated days of scheduled faults over a 16-home fleet with the

@@ -26,9 +26,18 @@ type conformKit struct {
 
 // conformScenario populates one web host per home so steps generate
 // rows; small and fixed so cross-implementation runs are comparable.
+//
+// The rate is half a 1200-byte packet per 0.25 s tick, which puts the SYN
+// alone in its tick and one request in every second tick after it: no
+// frame shares a tick with the first frame of its flow, so none can reach
+// the datapath ahead of that flow's flow-mod and punt where a luckier run
+// would have matched. At a rate of several packets per tick how many do is
+// a goroutine race, and Flows, Packets, Bytes, Rows and Delivered move
+// with it (bench/README.md, "What is and is not deterministic") — about
+// one run in 75 of the comparisons below.
 var conformScenario = Scenario{
 	HostsPerHome: 1,
-	AppMix:       []AppMix{{App: "web", RateBps: 40_000, Weight: 1}},
+	AppMix:       []AppMix{{App: "web", RateBps: 2_400, Weight: 1}},
 }
 
 func newConformEngine() (*engine.Engine, *clock.Simulated) {
@@ -257,7 +266,8 @@ func TestConformanceCrossImplementation(t *testing.T) {
 	if !reflect.DeepEqual(local, remote) {
 		t.Fatalf("transport changed the simulation:\n engine   %+v\n shardrpc %+v", local, remote)
 	}
-	if local.Homes != 1 || local.Steps != 5 {
-		t.Fatalf("script sanity: %+v, want 1 home, 5 steps", local)
+	t.Logf("both transports: %+v", local)
+	if local.Homes != 1 || local.Steps != 5 || local.Totals.Flows == 0 || local.Totals.Bytes == 0 {
+		t.Fatalf("script sanity: %+v, want 1 home, 5 steps and measured traffic", local)
 	}
 }

@@ -1,7 +1,9 @@
 package hwdb
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -76,22 +78,19 @@ func (db *DB) Select(sel *SelectStmt) (*Result, error) {
 	if err := validateExpr(schema, sel.Where); err != nil {
 		return nil, err
 	}
-	// Source the rows: live ring for ordinary queries, retained history
-	// for time travel. AS OF also re-anchors window evaluation at the
-	// requested instant, so `[RANGE n] AS OF @t` reads relative to t.
-	now := db.clk.Now()
+	// Source the rows: the window's slice of the live ring for ordinary
+	// queries, retained history for time travel. AS OF also re-anchors
+	// window evaluation at the requested instant, so `[RANGE n] AS OF @t`
+	// reads relative to t.
 	var rows []Row
 	switch {
 	case sel.HasAsOf:
-		rows = db.historyRows(t, time.Time{}, sel.AsOf)
-		now = sel.AsOf
+		rows = applyWindow(db.historyRows(t, time.Time{}, sel.AsOf), sel.Win, sel.AsOf)
 	case sel.HasHist:
-		rows = db.historyRows(t, sel.HistFrom, sel.HistTo)
-		now = sel.HistTo
+		rows = applyWindow(db.historyRows(t, sel.HistFrom, sel.HistTo), sel.Win, sel.HistTo)
 	default:
-		rows = t.Snapshot()
+		rows = t.window(sel.Win, db.clk.Now())
 	}
-	rows = applyWindow(rows, sel.Win, now)
 
 	// Filter.
 	if sel.Where != nil {
@@ -253,31 +252,40 @@ func aggregate(schema *Schema, sel *SelectStmt, rows []Row) (*Result, error) {
 		}
 	}
 
+	// Resolve each aggregate's input column once, not once per row.
+	aggIdx := make([]int, len(sel.Items))
+	for i, it := range sel.Items {
+		if it.Agg == AggNone || it.Col == "*" {
+			continue
+		}
+		ci, ok := schema.Index(it.Col)
+		if !ok {
+			return nil, fmt.Errorf("hwdb: unknown column %q", it.Col)
+		}
+		aggIdx[i] = ci
+	}
+
 	type group struct {
 		key  []Value
 		aggs []aggState
 	}
 	groups := map[string]*group{}
-	var order []string
-
-	keyOf := func(r Row) (string, []Value) {
-		key := make([]Value, len(groupIdx))
-		var sb strings.Builder
-		for i, gi := range groupIdx {
-			key[i] = r.Vals[gi]
-			sb.WriteString(key[i].String())
-			sb.WriteByte('|')
-		}
-		return sb.String(), key
-	}
+	var order []*group // first-seen
+	var keyBuf []byte  // reused for every row: only a new group allocates
 
 	for _, row := range rows {
-		ks, key := keyOf(row)
-		g := groups[ks]
+		keyBuf = keyBuf[:0]
+		for _, gi := range groupIdx {
+			keyBuf = appendGroupKey(keyBuf, schema.Cols[gi].Type, row.Vals[gi])
+		}
+		g := groups[string(keyBuf)]
 		if g == nil {
-			g = &group{key: key, aggs: make([]aggState, len(sel.Items))}
-			groups[ks] = g
-			order = append(order, ks)
+			g = &group{key: make([]Value, len(groupIdx)), aggs: make([]aggState, len(sel.Items))}
+			for i, gi := range groupIdx {
+				g.key[i] = row.Vals[gi]
+			}
+			groups[string(keyBuf)] = g
+			order = append(order, g)
 		}
 		for i, it := range sel.Items {
 			if it.Agg == AggNone {
@@ -288,11 +296,7 @@ func aggregate(schema *Schema, sel *SelectStmt, rows []Row) (*Result, error) {
 			if it.Col == "*" {
 				continue
 			}
-			ci, ok := schema.Index(it.Col)
-			if !ok {
-				return nil, fmt.Errorf("hwdb: unknown column %q", it.Col)
-			}
-			v := row.Vals[ci]
+			v := row.Vals[aggIdx[i]]
 			st.sum += v.AsFloat()
 			if !st.seen || v.Less(st.min) {
 				st.min = v
@@ -308,8 +312,7 @@ func aggregate(schema *Schema, sel *SelectStmt, rows []Row) (*Result, error) {
 	for _, it := range sel.Items {
 		res.Cols = append(res.Cols, it.Name)
 	}
-	for _, ks := range order {
-		g := groups[ks]
+	for _, g := range order {
 		out := make([]Value, len(sel.Items))
 		for i, it := range sel.Items {
 			switch it.Agg {
@@ -355,6 +358,24 @@ func aggregate(schema *Schema, sel *SelectStmt, rows []Row) (*Result, error) {
 		res.Rows = append(res.Rows, out)
 	}
 	return res, nil
+}
+
+// appendGroupKey appends one GROUP BY cell to a group key. The cells of a
+// column share its type (Schema.Validate), so the column picks the
+// encoding: eight bytes per fixed-width cell, length-prefixed bytes per
+// string, and two keys are equal bytes exactly when the cells are equal. A
+// real column keys on the bits of AsFloat, so an integer stored in it
+// (Validate widens ints to reals) groups with the equal real; 0.0 and -0.0
+// stay apart, as they did when the key was the cells' rendering.
+func appendGroupKey(key []byte, col ColType, v Value) []byte {
+	switch col {
+	case TString:
+		key = binary.LittleEndian.AppendUint64(key, uint64(len(v.Str)))
+		return append(key, v.Str...)
+	case TReal:
+		return binary.LittleEndian.AppendUint64(key, math.Float64bits(v.AsFloat()))
+	}
+	return binary.LittleEndian.AppendUint64(key, uint64(v.Int))
 }
 
 func orderRows(res *Result, order []OrderBy) error {

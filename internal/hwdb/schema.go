@@ -1,5 +1,5 @@
 // Package hwdb implements the Homework Database: an active ephemeral stream
-// database that stores events into fixed-size in-memory ring buffers, links
+// database that stores events into fixed-capacity in-memory ring buffers, links
 // them into tables, and supports queries via a CQL variant able to express
 // temporal and relational operations. Applications subscribe to query
 // results over a simple UDP-based RPC (see rpc.go) and persist output as

@@ -16,13 +16,28 @@ import (
 // are forgotten.
 const DefaultRingSize = 65536
 
-// Table is one ephemeral event stream: a schema plus a fixed-size ring
-// buffer of timestamped rows.
-type Table struct {
-	name   string
-	schema *Schema
+// initialRingSlots is how many slots a new table allocates; the ring
+// doubles from there, on demand, up to its capacity.
+const initialRingSlots = 256
 
-	mu      sync.RWMutex
+// Table is one ephemeral event stream: a schema plus a ring buffer of
+// timestamped rows. The capacity is fixed at construction; the memory
+// behind it is not: the ring holds min(rows inserted, capacity) slots
+// rounded up to a power of two (never fewer than initialRingSlots, never
+// more than the capacity), so an idle table costs a few kilobytes and
+// "fixed-memory" is the ceiling, not the floor.
+//
+// Rows are assumed to arrive in non-decreasing timestamp order (every
+// insert is stamped from one clock): RANGE windows and RowsBetween binary
+// search the ring on that order.
+type Table struct {
+	name     string
+	schema   *Schema
+	capacity int
+
+	mu sync.RWMutex
+	// ring has len(ring) <= capacity slots. Until it has grown to capacity
+	// it never wraps: slot i holds the i-th oldest row and head == count.
 	ring    []Row
 	head    int // position of next insert
 	count   int // rows currently held (<= len(ring))
@@ -37,7 +52,7 @@ func NewTable(name string, schema *Schema, ringSize int) *Table {
 	if ringSize <= 0 {
 		ringSize = DefaultRingSize
 	}
-	return &Table{name: name, schema: schema, ring: make([]Row, ringSize)}
+	return &Table{name: name, schema: schema, capacity: ringSize, ring: make([]Row, min(ringSize, initialRingSlots))}
 }
 
 // Name returns the table name.
@@ -46,8 +61,8 @@ func (t *Table) Name() string { return t.name }
 // Schema returns the table schema.
 func (t *Table) Schema() *Schema { return t.schema }
 
-// Cap returns the ring capacity.
-func (t *Table) Cap() int { return len(t.ring) }
+// Cap returns the ring capacity: the most rows the table retains.
+func (t *Table) Cap() int { return t.capacity }
 
 // Len returns the number of rows currently retained.
 func (t *Table) Len() int {
@@ -71,6 +86,9 @@ func (t *Table) Insert(ts time.Time, vals []Value) error {
 	}
 	row := Row{TS: ts, Vals: vals}
 	t.mu.Lock()
+	if t.count == len(t.ring) && len(t.ring) < t.capacity {
+		t.grow()
+	}
 	if t.count == len(t.ring) {
 		t.dropped++
 	} else {
@@ -87,6 +105,15 @@ func (t *Table) Insert(ts time.Time, vals []Value) error {
 	return nil
 }
 
+// grow doubles a full ring that is still below capacity. The size is
+// computed, not left to append, so it lands exactly on the capacity and
+// never past it. The caller holds the write lock.
+func (t *Table) grow() {
+	ring := make([]Row, min(2*len(t.ring), t.capacity))
+	copy(ring, t.ring) // not yet wrapped: already oldest-first from slot 0
+	t.ring, t.head = ring, t.count
+}
+
 // OnInsert registers fn to run for every inserted row. Used by the in-
 // process subscription path (the artifact's DHCP-flash mode, for example).
 func (t *Table) OnInsert(fn func(Row)) {
@@ -95,20 +122,42 @@ func (t *Table) OnInsert(fn func(Row)) {
 	t.mu.Unlock()
 }
 
+// slot returns the ring index of the i-th oldest retained row. The caller
+// holds the lock.
+func (t *Table) slot(i int) int {
+	i += t.head - t.count
+	if i < 0 {
+		i += len(t.ring)
+	}
+	return i
+}
+
+// copyRange returns a fresh slice of the lo-th to (hi-1)-th oldest rows:
+// the one place a read pays for rows, and it pays for hi-lo of them. Row
+// values are shared (rows are never mutated after insert). The caller
+// holds the lock.
+func (t *Table) copyRange(lo, hi int) []Row {
+	out := make([]Row, hi-lo)
+	n := copy(out, t.ring[t.slot(lo):])
+	copy(out[n:], t.ring) // what of the range wrapped past the ring's end
+	return out
+}
+
+// firstAt returns how many retained rows fail ok, given that ok is false
+// for a prefix of the rows (oldest-first) and true for the rest — which,
+// for a bound on TS, is the monotone-timestamp assumption. O(log count),
+// on the ring itself. The caller holds the lock.
+func (t *Table) firstAt(ok func(ts time.Time) bool) int {
+	return sort.Search(t.count, func(i int) bool { return ok(t.ring[t.slot(i)].TS) })
+}
+
 // Snapshot returns the retained rows oldest-first. The returned slice is
-// fresh; row values are shared (rows are never mutated after insert).
+// fresh; row values are shared (rows are never mutated after insert). It
+// copies the whole ring: reads that want a window use a windowed select.
 func (t *Table) Snapshot() []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]Row, 0, t.count)
-	start := t.head - t.count
-	if start < 0 {
-		start += len(t.ring)
-	}
-	for i := 0; i < t.count; i++ {
-		out = append(out, t.ring[(start+i)%len(t.ring)])
-	}
-	return out
+	return t.copyRange(0, t.count)
 }
 
 // Tail returns, oldest-first, the rows inserted after the first `after`
@@ -130,15 +179,7 @@ func (t *Table) Tail(after uint64) (rows []Row, inserts uint64, lost uint64) {
 		lost = missed - uint64(t.count)
 		n = t.count
 	}
-	out := make([]Row, 0, n)
-	start := t.head - n
-	if start < 0 {
-		start += len(t.ring)
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, t.ring[(start+i)%len(t.ring)])
-	}
-	return out, inserts, lost
+	return t.copyRange(t.count-n, t.count), inserts, lost
 }
 
 // RowsBetween returns the retained rows with from <= TS <= to,
@@ -146,16 +187,36 @@ func (t *Table) Tail(after uint64) (rows []Row, inserts uint64, lost uint64) {
 // "everything up to to", the ring-local evaluation of AS OF. History
 // older than the ring is gone here — a HistorySource widens the horizon.
 func (t *Table) RowsBetween(from, to time.Time) []Row {
-	rows := t.Snapshot()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	lo, hi := 0, t.count
 	if !from.IsZero() {
-		i := sort.Search(len(rows), func(i int) bool { return !rows[i].TS.Before(from) })
-		rows = rows[i:]
+		lo = t.firstAt(func(ts time.Time) bool { return !ts.Before(from) })
 	}
 	if !to.IsZero() {
-		i := sort.Search(len(rows), func(i int) bool { return rows[i].TS.After(to) })
-		rows = rows[:i]
+		hi = max(lo, t.firstAt(func(ts time.Time) bool { return ts.After(to) }))
 	}
-	return rows
+	return t.copyRange(lo, hi)
+}
+
+// window returns the retained rows a window specification selects,
+// oldest-first, with now anchoring RANGE windows: applyWindow(Snapshot(),
+// w, now), except that the window is resolved to an index range on the
+// ring and only that range is copied.
+func (t *Table) window(w Window, now time.Time) []Row {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	lo := 0
+	switch w.Kind {
+	case WindowRows:
+		lo = max(0, t.count-w.N)
+	case WindowRange:
+		cutoff := now.Add(-w.Dur)
+		lo = t.firstAt(func(ts time.Time) bool { return !ts.Before(cutoff) })
+	case WindowNow:
+		lo = max(0, t.count-1)
+	}
+	return t.copyRange(lo, t.count)
 }
 
 // applyWindow selects rows by a window specification, oldest-first. now

@@ -356,10 +356,7 @@ func (h *Host) handleDNS(d *packet.Decoded) {
 // handleData feeds inbound transport packets to the apps (for echo-style
 // protocols) — the default host simply absorbs them.
 func (h *Host) handleData(d *packet.Decoded) {
-	h.mu.Lock()
-	apps := append([]*App(nil), h.apps...)
-	h.mu.Unlock()
-	for _, a := range apps {
+	for _, a := range h.appsSnapshot() {
 		a.deliver(d)
 	}
 }

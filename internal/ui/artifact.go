@@ -101,16 +101,12 @@ func (a *Artifact) WatchLeases() {
 	})
 }
 
-// rssi reads the artifact's latest signal strength from Links.
+// rssi reads the artifact's latest signal strength from Links: its newest
+// sample among the last 200, so a station that has gone quiet reads as
+// absent rather than at its stale level.
 func (a *Artifact) rssi() (int, bool) {
-	q := fmt.Sprintf("SELECT rssi FROM Links [ROWS 200] WHERE mac = %s ORDER BY rssi LIMIT 200", a.MAC)
+	q := fmt.Sprintf("SELECT rssi FROM Links [ROWS 200] WHERE mac = %s", a.MAC)
 	res, err := a.DB.Query(q)
-	if err != nil || len(res.Rows) == 0 {
-		return 0, false
-	}
-	// Use the most recent sample: rows come ordered by rssi from the
-	// query above, so re-query narrowly for the latest.
-	res, err = a.DB.Query(fmt.Sprintf("SELECT rssi FROM Links WHERE mac = %s", a.MAC))
 	if err != nil || len(res.Rows) == 0 {
 		return 0, false
 	}

@@ -14,6 +14,7 @@
 package ui
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -98,14 +99,14 @@ func (v *BandwidthView) Rows() ([]BandwidthRow, error) {
 	}
 
 	rows := make([]BandwidthRow, 0, len(agg))
-	for k, bytes := range agg {
+	for k, n := range agg {
 		name := names[k.mac]
 		if name == "" {
 			name = k.mac.String()
 		}
 		rows = append(rows, BandwidthRow{
 			Device: name, MAC: k.mac, Service: k.service,
-			Bytes: bytes, BytesPer: float64(bytes) / secs,
+			Bytes: n, BytesPer: float64(n) / secs,
 		})
 	}
 	// Order: devices by total desc, then services by bytes desc.
@@ -119,7 +120,7 @@ func (v *BandwidthView) Rows() ([]BandwidthRow, error) {
 			return ti > tj
 		}
 		if rows[i].MAC != rows[j].MAC {
-			return rows[i].MAC.String() < rows[j].MAC.String()
+			return bytes.Compare(rows[i].MAC[:], rows[j].MAC[:]) < 0
 		}
 		return rows[i].Bytes > rows[j].Bytes
 	})

@@ -124,6 +124,33 @@ func TestArtifactSignalMode(t *testing.T) {
 	}
 }
 
+// TestArtifactSignalReadsNewestOfLast200: the artifact shows its newest
+// link sample, not its strongest or weakest, and only while that sample is
+// among the table's last 200 — a station that has stopped reporting goes
+// dark instead of holding its last level.
+func TestArtifactSignalReadsNewestOfLast200(t *testing.T) {
+	db := hwdb.NewHomework(clock.NewSimulated(), 1024)
+	a := NewArtifact(db, phoneMAC)
+	if _, ok := a.rssi(); ok {
+		t.Fatal("a reading from an empty Links table")
+	}
+	for _, rssi := range []int{-85, -45, -60} {
+		_ = db.InsertLink(phoneMAC, rssi, 0, 54)
+		for i := 0; i < 60; i++ {
+			_ = db.InsertLink(laptopMAC, -50, 0, 54)
+		}
+	}
+	if got, ok := a.rssi(); !ok || got != -60 {
+		t.Fatalf("rssi = %d, %v; want the newest sample, -60", got, ok)
+	}
+	for i := 0; i < 140; i++ {
+		_ = db.InsertLink(laptopMAC, -50, 0, 54)
+	}
+	if got, ok := a.rssi(); ok {
+		t.Fatalf("rssi = %d from a station silent for 200 samples", got)
+	}
+}
+
 func TestArtifactSignalLEDMapping(t *testing.T) {
 	a := NewArtifact(hwdb.NewHomework(clock.NewSimulated(), 64), phoneMAC)
 	if a.SignalLEDs(-30) != a.NumLEDs {
