@@ -320,7 +320,8 @@ func (f *Forwarder) installDrop(ev *nox.PacketInEvent) {
 	f.mu.Lock()
 	f.installed[installedKey{m, PriorityDrop}] = struct{}{}
 	f.mu.Unlock()
-	_ = ev.Switch.InstallFlow(m, PriorityDrop, f.DropIdleTimeout, 0, nil, nox.WithFlowRemoved())
+	_ = ev.Switch.InstallFlow(m, PriorityDrop, f.DropIdleTimeout, 0, nil,
+		nox.WithBuffer(ev.Msg.BufferID), nox.WithFlowRemoved())
 }
 
 func (f *Forwarder) sendEchoReply(ev *nox.PacketInEvent) {

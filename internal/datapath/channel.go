@@ -228,12 +228,10 @@ func (dp *Datapath) handleFlowMod(m *openflow.FlowMod) {
 			dp.sendError(m, openflow.ErrTypeFlowModFailed, openflow.FlowModOverlap)
 			return
 		}
-		// If the flow-mod references a buffered packet, run it through the
-		// new rule immediately.
+		// If the flow-mod references a buffered packet, run it and the
+		// frames held behind it through the new rule immediately.
 		if m.BufferID != openflow.NoBuffer {
-			if frame, inPort, ok := dp.takeBuffer(m.BufferID); ok {
-				dp.execute(inPort, frame, m.Actions)
-			}
+			dp.releaseAll(m.BufferID, m.Actions)
 		}
 	case openflow.FlowModModify, openflow.FlowModModifyStrict:
 		strict := m.Command == openflow.FlowModModifyStrict
@@ -274,7 +272,7 @@ func (dp *Datapath) handlePacketOut(m *openflow.PacketOut) {
 	frame := m.Data
 	inPort := m.InPort
 	if m.BufferID != openflow.NoBuffer {
-		if f, ip, ok := dp.takeBuffer(m.BufferID); ok {
+		if f, ip, ok := dp.releaseHead(m.BufferID); ok {
 			frame = f
 			if inPort == openflow.PortNone {
 				inPort = ip
@@ -308,7 +306,9 @@ func (dp *Datapath) handleStats(m *openflow.StatsRequest) {
 			DPDesc:    dp.desc,
 		}
 	case openflow.StatsFlow:
-		for _, e := range dp.table.Entries(&m.Flow.Match, m.Flow.OutPort) {
+		entries := dp.table.Entries(&m.Flow.Match, m.Flow.OutPort)
+		rep.Flows = make([]openflow.FlowStats, 0, len(entries))
+		for _, e := range entries {
 			dur := now.Sub(e.Installed)
 			rep.Flows = append(rep.Flows, openflow.FlowStats{
 				TableID: 0, Match: e.Match,
@@ -338,7 +338,9 @@ func (dp *Datapath) handleStats(m *openflow.StatsRequest) {
 			LookupCount: lookups, MatchedCount: matched,
 		}}
 	case openflow.StatsPort:
-		for _, p := range dp.Ports() {
+		ports := dp.Ports()
+		rep.Ports = make([]openflow.PortStats, 0, len(ports))
+		for _, p := range ports {
 			if m.Port.PortNo != openflow.PortNone && m.Port.PortNo != p.No {
 				continue
 			}

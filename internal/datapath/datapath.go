@@ -1,6 +1,7 @@
 package datapath
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -107,11 +108,21 @@ type Datapath struct {
 	connMu sync.Mutex
 	tr     oftransport.Transport
 
-	bufMu    sync.Mutex
-	buffers  map[uint32][]byte
-	bufPorts map[uint32]uint16
-	nextBuf  uint32
-	nBuffers int
+	// bufMu guards the packet-in buffer. buffers holds every punt the
+	// controller has not referenced yet, by buffer id; byKey finds the
+	// latest table-miss punt of a flow, so that further misses of the flow
+	// at the same clock reading queue behind it instead of punting again
+	// (docs/CONTROL_PLANE.md, P2). Ids are handed out in sequence and
+	// oldest trails the lowest id still buffered: a full buffer reclaims
+	// its slots oldest-first. heldFrames counts the frames queued behind
+	// all punts, bounded by nBuffers like the slots themselves.
+	bufMu      sync.Mutex
+	buffers    map[uint32]*puntBuffer
+	byKey      map[openflow.Match]uint32
+	nextBuf    uint32
+	oldest     uint32
+	heldFrames int
+	nBuffers   int
 
 	missSendLen atomic.Uint32
 	configFlags atomic.Uint32
@@ -166,8 +177,8 @@ func New(cfg Config) *Datapath {
 		clk:      cfg.Clock,
 		ports:    make(map[uint16]*Port),
 		table:    NewFlowTable(),
-		buffers:  make(map[uint32][]byte),
-		bufPorts: make(map[uint32]uint16),
+		buffers:  make(map[uint32]*puntBuffer),
+		byKey:    make(map[openflow.Match]uint32),
 		nBuffers: cfg.NBuffers,
 		desc:     cfg.Description,
 		started:  cfg.Clock.Now(),
@@ -277,12 +288,16 @@ func (dp *Datapath) ReceiveBatch(inPort uint16, fb *packet.FrameBatch) {
 }
 
 // receiveDecoded looks a decoded frame up in the flow table and executes
-// or punts it; receive accounting has already been charged.
+// it, or takes it down the miss path; receive accounting has already been
+// charged.
 func (dp *Datapath) receiveDecoded(p *Port, inPort uint16, frame []byte, d *packet.Decoded, now time.Time) {
-	entry := dp.table.Lookup(d, inPort, len(frame), now)
+	key := openflow.MatchFromFrame(d, inPort)
+	nanos := now.UnixNano()
+	entry := dp.table.lookup(&key, d, len(frame), nanos)
 	if entry == nil {
-		dp.punt(inPort, frame, openflow.PacketInReasonNoMatch, p, int(dp.missSendLen.Load()))
-		return
+		if entry = dp.miss(p, frame, d, &key, nanos); entry == nil {
+			return
+		}
 	}
 	dp.execute(inPort, frame, entry.Actions)
 }
@@ -361,11 +376,7 @@ func (dp *Datapath) executeFast(inPort uint16, frame []byte, actions []openflow.
 func (dp *Datapath) dispatch(inPort uint16, frame []byte, pn uint16, maxLen int) {
 	switch pn {
 	case openflow.PortController:
-		if p, ok := dp.Port(inPort); ok {
-			dp.punt(inPort, frame, openflow.PacketInReasonAction, p, maxLen)
-		} else {
-			dp.punt(inPort, frame, openflow.PacketInReasonAction, nil, maxLen)
-		}
+		dp.punt(inPort, frame, maxLen)
 	case openflow.PortFlood, openflow.PortAll:
 		dp.flood(inPort, frame, pn == openflow.PortAll)
 	case openflow.PortInPort:
@@ -429,22 +440,119 @@ func (dp *Datapath) flood(inPort uint16, frame []byte, includeNoFlood bool) {
 	}
 }
 
-// punt sends a packet-in to the controller, buffering the full frame.
-func (dp *Datapath) punt(inPort uint16, frame []byte, reason uint8, p *Port, maxLen int) {
-	if p != nil && p.Config&openflow.PortConfigNoPacketIn != 0 {
+// puntBuffer is one buffered packet-in: the punted frame and, for a
+// table-miss punt, the later frames of its flow held behind it.
+type puntBuffer struct {
+	key    openflow.Match // the flow, for a table-miss punt; zero for an action punt
+	at     int64          // clock reading of the punt (UnixNano)
+	inPort uint16
+	head   []byte // the punted frame; the packet-in's data aliases it
+	held   holdQueue
+}
+
+// holdQueue is the frames held behind one punt, in arrival order. A frame
+// is stored as a 4-byte length and its bytes in the newest chunk, or in a
+// new chunk when that one is full: an arena that grows with the flow's
+// burst without copying what it already holds or rounding it up to a power
+// of two, and garbage as soon as the punt is answered.
+type holdQueue struct {
+	chunks [][]byte
+	n      int
+}
+
+// holdChunk is the size of a hold-queue chunk: ten full-size Ethernet
+// frames an allocation, and within the allocator's small size classes.
+const holdChunk = 16 << 10
+
+func (q *holdQueue) push(frame []byte) {
+	need := 4 + len(frame)
+	last := len(q.chunks) - 1
+	if last < 0 || cap(q.chunks[last])-len(q.chunks[last]) < need {
+		q.chunks = append(q.chunks, make([]byte, 0, max(need, holdChunk)))
+		last++
+	}
+	c := binary.BigEndian.AppendUint32(q.chunks[last], uint32(len(frame)))
+	q.chunks[last] = append(c, frame...)
+	q.n++
+}
+
+// pop removes and returns the oldest held frame. The bytes stay valid: a
+// chunk is only ever appended to.
+func (q *holdQueue) pop() []byte {
+	for len(q.chunks[0]) == 0 {
+		q.chunks = q.chunks[1:]
+	}
+	c := q.chunks[0]
+	end := 4 + int(binary.BigEndian.Uint32(c))
+	q.chunks[0] = c[end:]
+	q.n--
+	return c[4:end:end]
+}
+
+// miss handles a frame no entry matched. The first miss of a flow is
+// punted: buffered, counted and sent to the controller as a packet-in.
+// Later misses of the flow at the same clock reading, while that punt is
+// unanswered, are copied into its hold queue and leave when the
+// controller's answer references the buffer. A frame that arrives after
+// the clock has moved punts afresh, which is what heals a lost answer.
+// miss returns an entry only when the flow's rule landed between the
+// caller's lookup and here; the caller executes it.
+func (dp *Datapath) miss(p *Port, frame []byte, d *packet.Decoded, key *openflow.Match, nanos int64) *FlowEntry {
+	if p.Config&openflow.PortConfigNoPacketIn != 0 {
+		return nil
+	}
+	dp.bufMu.Lock()
+	if id, ok := dp.byKey[*key]; ok && dp.heldFrames < dp.nBuffers {
+		if b := dp.buffers[id]; b.at == nanos {
+			b.held.push(frame)
+			dp.heldFrames++
+			dp.bufMu.Unlock()
+			return nil
+		}
+	}
+	// A flow-mod installs its entry before it takes the buffer, so with no
+	// punt of this flow left to queue behind, the entry is visible if it
+	// exists. Without this second look a frame caught between the lookup
+	// and the release would punt a flow that already has its rule.
+	if e := dp.table.match(key, d, len(frame), nanos); e != nil {
+		dp.bufMu.Unlock()
+		return e
+	}
+	head := append([]byte(nil), frame...)
+	id := dp.bufferLocked(&puntBuffer{key: *key, at: nanos, inPort: key.InPort, head: head})
+	dp.byKey[*key] = id
+	dp.bufMu.Unlock()
+	dp.sendPacketIn(id, key.InPort, head, openflow.PacketInReasonNoMatch, int(dp.missSendLen.Load()))
+	return nil
+}
+
+// punt sends the controller a frame that matched an OUTPUT:CONTROLLER
+// action, buffering it whole. Action punts are never held behind one
+// another: each is a message for a controller module (DHCP, DNS), not a
+// flow waiting for its rule.
+func (dp *Datapath) punt(inPort uint16, frame []byte, maxLen int) {
+	if p, ok := dp.Port(inPort); ok && p.Config&openflow.PortConfigNoPacketIn != 0 {
 		return
 	}
-	bufID := dp.buffer(inPort, frame)
-	data := frame
-	if bufID != openflow.NoBuffer && maxLen < len(frame) {
-		data = frame[:maxLen]
+	head := append([]byte(nil), frame...)
+	dp.bufMu.Lock()
+	id := dp.bufferLocked(&puntBuffer{inPort: inPort, head: head})
+	dp.bufMu.Unlock()
+	dp.sendPacketIn(id, inPort, head, openflow.PacketInReasonAction, maxLen)
+}
+
+// sendPacketIn counts a buffered punt and sends its packet-in. The data is
+// a view of the buffered copy, which nothing writes to.
+func (dp *Datapath) sendPacketIn(id uint32, inPort uint16, head []byte, reason uint8, maxLen int) {
+	if maxLen > len(head) {
+		maxLen = len(head)
 	}
 	msg := &openflow.PacketIn{
-		BufferID: bufID,
-		TotalLen: uint16(len(frame)),
+		BufferID: id,
+		TotalLen: uint16(len(head)),
 		InPort:   inPort,
 		Reason:   reason,
-		Data:     append([]byte(nil), data...),
+		Data:     head[:maxLen:maxLen],
 	}
 	dp.quiesce.Punt()
 	dp.tracer.Punt()
@@ -459,30 +567,81 @@ func (dp *Datapath) PuntCount() uint64 { return dp.quiesce.Punted() }
 // punt has been dispatched; see docs/CONTROL_PLANE.md for the protocol.
 func (dp *Datapath) Quiesce() *quiesce.Epoch { return dp.quiesce }
 
-func (dp *Datapath) buffer(inPort uint16, frame []byte) uint32 {
-	dp.bufMu.Lock()
-	defer dp.bufMu.Unlock()
-	if len(dp.buffers) >= dp.nBuffers {
-		return openflow.NoBuffer
+// bufferLocked stores a punt under the next buffer id. A full buffer gives
+// up its oldest punts first, so a controller that never references some
+// ids (or whose answers are lost) cannot exhaust it; a late answer to a
+// reclaimed id simply misses in takeLocked.
+func (dp *Datapath) bufferLocked(b *puntBuffer) uint32 {
+	for len(dp.buffers) >= dp.nBuffers {
+		dp.oldest++
+		dp.takeLocked(dp.oldest)
 	}
 	dp.nextBuf++
-	id := dp.nextBuf
-	dp.buffers[id] = append([]byte(nil), frame...)
-	dp.bufPorts[id] = inPort
-	return id
+	dp.buffers[dp.nextBuf] = b
+	return dp.nextBuf
 }
 
-func (dp *Datapath) takeBuffer(id uint32) ([]byte, uint16, bool) {
-	dp.bufMu.Lock()
-	defer dp.bufMu.Unlock()
-	f, ok := dp.buffers[id]
+// takeLocked removes a punt from the buffer, with the frames held behind
+// it.
+func (dp *Datapath) takeLocked(id uint32) (*puntBuffer, bool) {
+	b, ok := dp.buffers[id]
 	if !ok {
+		return nil, false
+	}
+	delete(dp.buffers, id)
+	dp.heldFrames -= b.held.n
+	// The zero key of an action punt is never in byKey, and a flow's key
+	// may have moved on to a later punt.
+	if cur, ok := dp.byKey[b.key]; ok && cur == id {
+		delete(dp.byKey, b.key)
+	}
+	return b, true
+}
+
+// releaseAll answers a buffered punt with an action list (a flow-mod that
+// references the buffer): the punted frame, then every frame held behind
+// it, in arrival order. Like the punted frame itself, the held frames were
+// misses when they arrived, so they are not charged to the new entry.
+func (dp *Datapath) releaseAll(id uint32, actions []openflow.Action) {
+	dp.bufMu.Lock()
+	b, ok := dp.takeLocked(id)
+	dp.bufMu.Unlock()
+	if !ok {
+		return
+	}
+	dp.execute(b.inPort, b.head, actions)
+	for b.held.n > 0 {
+		dp.execute(b.inPort, b.held.pop(), actions)
+	}
+}
+
+// releaseHead answers a buffered punt for its own frame only (a packet-out
+// that references the buffer) and returns that frame. A packet-out decides
+// nothing about the flow's later frames, so they go back down the miss
+// path: the oldest is punted under a new buffer id with the rest still
+// held behind it, in the same critical section, so a frame of the flow
+// arriving meanwhile queues behind them and not ahead.
+func (dp *Datapath) releaseHead(id uint32) (frame []byte, inPort uint16, ok bool) {
+	dp.bufMu.Lock()
+	b, ok := dp.takeLocked(id)
+	if !ok {
+		dp.bufMu.Unlock()
 		return nil, 0, false
 	}
-	inPort := dp.bufPorts[id]
-	delete(dp.buffers, id)
-	delete(dp.bufPorts, id)
-	return f, inPort, true
+	frame, inPort = b.head, b.inPort
+	var next []byte
+	if b.held.n > 0 {
+		next = b.held.pop()
+		b.head, b.at = next, dp.clk.Now().UnixNano()
+		id = dp.bufferLocked(b)
+		dp.byKey[b.key] = id
+		dp.heldFrames += b.held.n
+	}
+	dp.bufMu.Unlock()
+	if next != nil {
+		dp.sendPacketIn(id, inPort, next, openflow.PacketInReasonNoMatch, int(dp.missSendLen.Load()))
+	}
+	return frame, inPort, true
 }
 
 // send writes a message up the secure channel if connected. The transport

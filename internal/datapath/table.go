@@ -11,10 +11,13 @@
 // table are guarded by read-write locks with atomic counters on the
 // lookup path, so frames may be received on many ports at once while the
 // secure-channel goroutine applies flow-mods; anything retained from a
-// caller's buffer (punt buffers, packet-in data) is copied first. Every
-// punt is counted on the datapath's quiesce.Epoch before it is sent, the
-// producer half of the control plane's event-driven settle protocol
-// (docs/CONTROL_PLANE.md).
+// caller's buffer (a punted frame, which its packet-in's data is a view
+// of, and the frames held behind it) is copied first. Every punt is
+// counted on the datapath's quiesce.Epoch before it is sent, the producer
+// half of the control plane's event-driven settle protocol. A new flow
+// costs one packet-in: further misses of the flow at the same clock
+// reading wait behind that punt and leave, in order, when the controller's
+// answer references its buffer (docs/CONTROL_PLANE.md, P1 and P2).
 package datapath
 
 import (
@@ -110,17 +113,27 @@ func (t *FlowTable) Counters() (lookups, matched uint64) {
 // — so the per-packet path never serializes ports behind a single mutex.
 func (t *FlowTable) Lookup(d *packet.Decoded, inPort uint16, frameLen int, now time.Time) *FlowEntry {
 	key := openflow.MatchFromFrame(d, inPort)
-	nanos := now.UnixNano()
+	return t.lookup(&key, d, frameLen, now.UnixNano())
+}
+
+// lookup is Lookup for a caller that has the frame's exact-match key.
+func (t *FlowTable) lookup(key *openflow.Match, d *packet.Decoded, frameLen int, nanos int64) *FlowEntry {
 	t.lookups.Add(1)
+	return t.match(key, d, frameLen, nanos)
+}
+
+// match finds and charges a frame's entry without counting a lookup: the
+// datapath's second look at a frame whose lookup already missed.
+func (t *FlowTable) match(key *openflow.Match, d *packet.Decoded, frameLen int, nanos int64) *FlowEntry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if e, ok := t.exact[key]; ok {
+	if e, ok := t.exact[*key]; ok {
 		t.matched.Add(1)
 		e.touch(frameLen, nanos)
 		return e
 	}
 	for _, e := range t.wild {
-		if e.Match.Matches(d, inPort) {
+		if e.Match.Matches(d, key.InPort) {
 			t.matched.Add(1)
 			e.touch(frameLen, nanos)
 			return e
@@ -331,26 +344,23 @@ func (t *FlowTable) Expire(now time.Time) (removed []*FlowEntry, reasons []uint8
 func (t *FlowTable) Entries(m *openflow.Match, outPort uint16) []*FlowEntry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var out []*FlowEntry
-	for _, e := range t.allLocked() {
+	out := make([]*FlowEntry, 0, len(t.exact)+len(t.wild))
+	keep := func(e *FlowEntry) {
 		if m != nil && !m.Subsumes(&e.Match) {
-			continue
+			return
 		}
 		if outPort != openflow.PortNone && !outputsTo(e.Actions, outPort) {
-			continue
+			return
 		}
 		out = append(out, e)
 	}
-	return out
-}
-
-func (t *FlowTable) allLocked() []*FlowEntry {
-	all := make([]*FlowEntry, 0, len(t.exact)+len(t.wild))
 	for _, e := range t.exact {
-		all = append(all, e)
+		keep(e)
 	}
-	all = append(all, t.wild...)
-	return all
+	for _, e := range t.wild {
+		keep(e)
+	}
+	return out
 }
 
 func (t *FlowTable) removeLocked(k flowKey) {

@@ -6,6 +6,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/datapath"
+	"repro/internal/oftransport"
+	"repro/internal/openflow"
 	"repro/internal/packet"
 )
 
@@ -195,14 +197,34 @@ func TestReverseLookupFollowsZoneChanges(t *testing.T) {
 }
 
 // Network.Step must hand each host's tick of traffic to the datapath as
-// one batch with the same per-frame outcome as frame-by-frame receive.
+// one batch: port counters charged for the whole batch, every frame looked
+// up once, and — the batch being one flow on an empty table — a single
+// packet-in with the other 49 frames held behind it, all 50 delivered in
+// the order the app sent them once the flow-mod references the buffer.
 func TestStepBatchesHostTraffic(t *testing.T) {
-	dp := datapath.New(datapath.Config{ID: 1})
+	dp := datapath.New(datapath.Config{ID: 1, MissSendLen: 0xffff})
 	n := New(dp, DefaultWireless(1))
 	h, err := n.AddHost("gen", packet.MustMAC("02:aa:00:00:00:01"), false, Pos{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var delivered []uint32 // TCP sequence numbers, in delivery order
+	_ = dp.AddPort(&datapath.Port{No: 9, Out: func(f []byte) {
+		var d packet.Decoded
+		if err := d.Decode(f); err != nil || !d.HasTCP {
+			t.Errorf("delivered frame does not decode: %v", err)
+			return
+		}
+		delivered = append(delivered, d.TCP.Seq)
+	}})
+	ctl, dpEnd := oftransport.Pair(0)
+	go func() { _ = dp.ConnectTransport(dpEnd) }()
+	defer dp.Stop()
+	if _, err := ctl.Recv(); err != nil { // the datapath's HELLO
+		t.Fatal(err)
+	}
+	_ = ctl.Send(&openflow.Hello{})
+
 	gwMAC := packet.MustMAC("02:01:00:00:00:01")
 	h.mu.Lock()
 	h.state = dhcpBound
@@ -212,21 +234,64 @@ func TestStepBatchesHostTraffic(t *testing.T) {
 	h.arp[h.gw] = gwMAC
 	h.mu.Unlock()
 
-	a := NewApp(AppVoIP, "10.0.0.9", 16000)
+	// A SYN and 49 data segments of 1200 bytes in half a second.
+	a := NewApp(AppWeb, "10.0.0.9", 49*1200*2)
 	h.AddApp(a)
 	n.Step(0) // resolve the literal target
 	n.Step(0.5)
 
-	// Every emitted frame reached the (empty-table) datapath and punted;
-	// port counters were charged for the whole batch.
+	const wantFrames = 50
 	p, _ := dp.Port(1)
-	stats := p.Stats()
-	wantFrames := uint64(a.SentBytes())/160 + 0 // 160-byte VoIP packets
-	if stats.RxPackets == 0 || stats.RxPackets != wantFrames {
+	if stats := p.Stats(); stats.RxPackets != wantFrames {
 		t.Errorf("rx packets = %d, want %d", stats.RxPackets, wantFrames)
 	}
-	if dp.PuntCount() != wantFrames {
-		t.Errorf("punts = %d, want %d", dp.PuntCount(), wantFrames)
+	if lookups, matched := dp.Table().Counters(); lookups != wantFrames || matched != 0 {
+		t.Errorf("lookups %d matched %d, want %d and 0", lookups, matched, wantFrames)
+	}
+	if dp.PuntCount() != 1 {
+		t.Errorf("punts = %d, want 1", dp.PuntCount())
+	}
+	msg, err := ctl.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi, ok := msg.(*openflow.PacketIn)
+	if !ok {
+		t.Fatalf("expected the packet-in, got %T", msg)
+	}
+	var syn packet.Decoded
+	if err := syn.Decode(pi.Data); err != nil || !syn.HasTCP || syn.TCP.Flags&packet.TCPSyn == 0 {
+		t.Fatalf("packet-in is not the SYN: %+v (%v)", syn.TCP, err)
+	}
+	if len(delivered) != 0 {
+		t.Fatalf("%d frames delivered before the controller answered", len(delivered))
+	}
+
+	_ = ctl.Send(&openflow.FlowMod{
+		Match: openflow.MatchFromFrame(&syn, pi.InPort), Command: openflow.FlowModAdd, Priority: 10,
+		BufferID: pi.BufferID, OutPort: openflow.PortNone,
+		Actions: []openflow.Action{&openflow.ActionOutput{Port: 9}},
+	})
+	_ = ctl.Send(&openflow.BarrierRequest{})
+	for {
+		msg, err := ctl.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := msg.(*openflow.PacketIn); ok {
+			t.Fatal("a second packet-in for the same flow")
+		}
+		if _, ok := msg.(*openflow.BarrierReply); ok {
+			break
+		}
+	}
+	if len(delivered) != wantFrames {
+		t.Fatalf("%d frames delivered on release, want %d", len(delivered), wantFrames)
+	}
+	for i, seq := range delivered[1:] { // delivered[0] is the SYN
+		if seq != uint32(i*1200) {
+			t.Fatalf("data segment %d delivered with seq %d, want %d", i, seq, i*1200)
+		}
 	}
 }
 

@@ -18,7 +18,12 @@
 // with each other, but handlers for different datapaths do. An event and
 // its Decoded view are valid only for the duration of the dispatch call;
 // a handler that wants to keep anything must copy it out (the batched
-// loop reuses the decode state across the batch). Handler registration
+// loop reuses the decode state across the batch). A handler answers a
+// buffered packet-in within the dispatch, with a flow-mod or packet-out
+// that references the buffer; one that no handler referenced is discarded
+// by the read loop when the chain returns, so every buffered packet-in is
+// answered exactly once and the datapath never keeps frames waiting
+// behind a punt the controller has finished with. Handler registration
 // (On*) and Register are safe at any time from any goroutine. After each
 // drained batch the controller credits the quiescence epoch attached
 // with SetQuiesce, which is how Router.Settle blocks — event-driven, no

@@ -1,6 +1,7 @@
 package nox
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -73,16 +74,38 @@ func TestEchoAndBarrier(t *testing.T) {
 	}
 }
 
-func TestPacketInAndReactiveInstall(t *testing.T) {
-	ctl := NewController()
-	gotPI := make(chan *PacketInEvent, 1)
+// packetInSeen is what the reactive-install tests copy out of a borrowed
+// packet-in event before the dispatch returns.
+type packetInSeen struct {
+	inPort     uint16
+	reason     uint8
+	tcpDstPort uint16
+	installErr error
+}
+
+// installOnPacketIn registers a handler that answers every packet-in the
+// way a reactive module must: within the dispatch, with a flow-mod that
+// references the buffer (a buffer no handler references is discarded when
+// the chain returns). It reports each packet-in on the returned channel.
+func installOnPacketIn(ctl *Controller, opts ...FlowOpt) <-chan packetInSeen {
+	seen := make(chan packetInSeen, 4) // room for a repeat the tests assert never comes
 	ctl.OnPacketIn(func(ev *PacketInEvent) Disposition {
+		m := openflow.MatchFromFrame(ev.Decoded, ev.Msg.InPort)
+		err := ev.Switch.InstallFlow(m, 10, 30, 0,
+			[]openflow.Action{&openflow.ActionOutput{Port: 2}},
+			append([]FlowOpt{WithBuffer(ev.Msg.BufferID)}, opts...)...)
 		select {
-		case gotPI <- ev:
+		case seen <- packetInSeen{ev.Msg.InPort, ev.Msg.Reason, ev.Decoded.TCP.DstPort, err}:
 		default:
 		}
 		return Stop
 	})
+	return seen
+}
+
+func TestPacketInAndReactiveInstall(t *testing.T) {
+	ctl := NewController()
+	gotPI := installOnPacketIn(ctl, WithCookie(7))
 	rig := newRig(t, ctl)
 
 	frame := packet.NewTCPFrame(
@@ -91,27 +114,21 @@ func TestPacketInAndReactiveInstall(t *testing.T) {
 		40000, 80, packet.TCPSyn, 1, nil).Bytes()
 	rig.dp.Receive(1, frame)
 
-	var ev *PacketInEvent
+	// The handler installed a flow reactively and released the buffered
+	// packet.
+	var pi packetInSeen
 	select {
-	case ev = <-gotPI:
+	case pi = <-gotPI:
 	case <-time.After(5 * time.Second):
 		t.Fatal("no packet-in")
 	}
-	if ev.Msg.InPort != 1 || ev.Msg.Reason != openflow.PacketInReasonNoMatch {
-		t.Errorf("packet-in = %+v", ev.Msg)
+	if pi.inPort != 1 || pi.reason != openflow.PacketInReasonNoMatch || pi.tcpDstPort != 80 {
+		t.Errorf("packet-in = %+v", pi)
 	}
-	if !ev.Decoded.HasTCP || ev.Decoded.TCP.DstPort != 80 {
-		t.Errorf("decoded = %+v", ev.Decoded)
+	if pi.installErr != nil {
+		t.Fatal(pi.installErr)
 	}
-
-	// Install a flow reactively and release the buffered packet.
-	m := openflow.MatchFromFrame(ev.Decoded, ev.Msg.InPort)
-	if err := ev.Switch.InstallFlow(m, 10, 30, 0,
-		[]openflow.Action{&openflow.ActionOutput{Port: 2}},
-		WithBuffer(ev.Msg.BufferID), WithCookie(7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ev.Switch.Barrier(); err != nil {
+	if err := rig.sw.Barrier(); err != nil {
 		t.Fatal(err)
 	}
 	if rig.dp.Table().Len() != 1 {
@@ -415,14 +432,7 @@ func newInprocRig(t *testing.T, ctl *Controller) *testRig {
 // controller semantics as TCP, minus the framing.
 func TestInProcessTransportRig(t *testing.T) {
 	ctl := NewController()
-	gotPI := make(chan *PacketInEvent, 1)
-	ctl.OnPacketIn(func(ev *PacketInEvent) Disposition {
-		select {
-		case gotPI <- ev:
-		default:
-		}
-		return Stop
-	})
+	gotPI := installOnPacketIn(ctl)
 	rig := newInprocRig(t, ctl)
 
 	if rig.sw.DPID() != 0xdead0002 {
@@ -444,22 +454,19 @@ func TestInProcessTransportRig(t *testing.T) {
 		40000, 80, packet.TCPSyn, 1, nil).Bytes()
 	rig.dp.Receive(1, frame)
 
-	var ev *PacketInEvent
+	var pi packetInSeen
 	select {
-	case ev = <-gotPI:
+	case pi = <-gotPI:
 	case <-time.After(5 * time.Second):
 		t.Fatal("no packet-in")
 	}
-	if !ev.Decoded.HasTCP || ev.Decoded.TCP.DstPort != 80 {
-		t.Errorf("decoded = %+v", ev.Decoded)
+	if pi.tcpDstPort != 80 {
+		t.Errorf("packet-in = %+v", pi)
 	}
-	m := openflow.MatchFromFrame(ev.Decoded, ev.Msg.InPort)
-	if err := ev.Switch.InstallFlow(m, 10, 30, 0,
-		[]openflow.Action{&openflow.ActionOutput{Port: 2}},
-		WithBuffer(ev.Msg.BufferID)); err != nil {
-		t.Fatal(err)
+	if pi.installErr != nil {
+		t.Fatal(pi.installErr)
 	}
-	if err := ev.Switch.Barrier(); err != nil {
+	if err := rig.sw.Barrier(); err != nil {
 		t.Fatal(err)
 	}
 	if rig.dp.Table().Len() != 1 {
@@ -518,5 +525,127 @@ func TestCloseWaitsForDispatch(t *testing.T) {
 	}
 	if err := dpEnd.Send(&openflow.Hello{}); err == nil {
 		t.Fatal("refused transport was left open")
+	}
+}
+
+// answerCounter is a controller-side transport that counts what the
+// controller sends in answer to packet-ins.
+type answerCounter struct {
+	oftransport.Transport
+	mu       sync.Mutex
+	discards int // action-less packet-outs that reference a buffer
+	flowMods int
+}
+
+func (a *answerCounter) Send(msg openflow.Message) error {
+	a.mu.Lock()
+	switch m := msg.(type) {
+	case *openflow.PacketOut:
+		if m.BufferID != openflow.NoBuffer && len(m.Actions) == 0 {
+			a.discards++
+		}
+	case *openflow.FlowMod:
+		a.flowMods++
+	}
+	a.mu.Unlock()
+	return a.Transport.Send(msg)
+}
+
+// Every buffered packet-in is answered exactly once: a handler chain that
+// returns without referencing the buffer has it discarded by the read
+// loop — which is what sends the frames the datapath holds behind the punt
+// back to be punted — and one that did reference it gets no discard on
+// top.
+func TestUnansweredBufferIsDiscarded(t *testing.T) {
+	ctl := NewController()
+	t.Cleanup(func() { ctl.Close() })
+	dp := datapath.New(datapath.Config{ID: 0xdead0003})
+	_ = dp.AddPort(&datapath.Port{No: 1})
+	_ = dp.AddPort(&datapath.Port{No: 2})
+	ctl.SetQuiesce(dp.Quiesce())
+
+	// Flows to port 80 are answered with a flow-mod; everything else is
+	// looked at and left alone.
+	var mu sync.Mutex
+	var seen []uint32 // TCP sequence number of each packet-in, in order
+	ctl.OnPacketIn(func(ev *PacketInEvent) Disposition {
+		mu.Lock()
+		seen = append(seen, ev.Decoded.TCP.Seq)
+		mu.Unlock()
+		if ev.Decoded.TCP.DstPort != 80 {
+			return Continue
+		}
+		_ = ev.Switch.InstallFlow(openflow.MatchFromFrame(ev.Decoded, ev.Msg.InPort), 10, 30, 0,
+			[]openflow.Action{&openflow.ActionOutput{Port: 2}}, WithBuffer(ev.Msg.BufferID))
+		return Stop
+	})
+	joined := make(chan *Switch, 1)
+	ctl.OnJoin(func(ev *JoinEvent) { joined <- ev.Switch })
+	ctlEnd, dpEnd := oftransport.Pair(0)
+	answers := &answerCounter{Transport: ctlEnd}
+	go func() { _ = ctl.ServeTransport(answers) }()
+	go func() { _ = dp.ConnectTransport(dpEnd) }()
+	t.Cleanup(dp.Stop)
+	var sw *Switch
+	select {
+	case sw = <-joined:
+	case <-time.After(5 * time.Second):
+		t.Fatal("datapath did not join")
+	}
+
+	frame := func(dstPort uint16, seq uint32) []byte {
+		return packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+			packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 40000, dstPort, packet.TCPAck, seq, nil).Bytes()
+	}
+	var fb packet.FrameBatch
+	for _, f := range [][]byte{frame(22, 100), frame(22, 101), frame(80, 200), frame(22, 102), frame(80, 201)} {
+		fb.Append(f)
+	}
+	dp.ReceiveBatch(1, &fb)
+
+	// Settle as core.Router does (W1-W3): flushing a discard punts the
+	// next held frame, which must be waited for in turn.
+	for q := dp.Quiesce(); ; {
+		if err := q.Wait(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		punted, done := q.Counts()
+		if done < punted {
+			continue
+		}
+		if err := sw.Barrier(); err != nil {
+			t.Fatal(err)
+		}
+		if q.Punted() == punted {
+			break
+		}
+	}
+
+	mu.Lock()
+	got := append([]uint32(nil), seen...)
+	mu.Unlock()
+	// The unanswered flow's frames each reach the handler, in order; the
+	// answered flow's second frame never does. How the two interleave is
+	// up to the scheduler.
+	var unanswered, answered []uint32
+	for _, seq := range got {
+		if seq < 200 {
+			unanswered = append(unanswered, seq)
+		} else {
+			answered = append(answered, seq)
+		}
+	}
+	if !slices.Equal(unanswered, []uint32{100, 101, 102}) || !slices.Equal(answered, []uint32{200}) {
+		t.Fatalf("packet-ins %v: want 100, 101, 102 of the unanswered flow and 200 of the answered one", got)
+	}
+	answers.mu.Lock()
+	discards, flowMods := answers.discards, answers.flowMods
+	answers.mu.Unlock()
+	if discards != 3 || flowMods != 1 {
+		t.Errorf("%d discards and %d flow-mods, want 3 and 1", discards, flowMods)
+	}
+	p2, _ := dp.Port(2)
+	if tx := p2.Stats().TxPackets; tx != 2 {
+		t.Errorf("answered flow: %d frames forwarded, want 2", tx)
 	}
 }

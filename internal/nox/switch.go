@@ -21,6 +21,11 @@ type Switch struct {
 
 	xid atomic.Uint32
 
+	// unanswered is the buffer id of the packet-in being dispatched until
+	// a flow-mod or packet-out that references it is sent, NoBuffer
+	// otherwise. Send may run on any goroutine, hence the atomic.
+	unanswered atomic.Uint32
+
 	pendingMu sync.Mutex
 	pending   map[uint32]chan openflow.Message
 
@@ -40,6 +45,12 @@ func (sw *Switch) close() { sw.closeOnce.Do(func() { _ = sw.tr.Close() }) }
 // Send writes one message to the datapath. Transports serialize
 // concurrent sends internally.
 func (sw *Switch) Send(msg openflow.Message) error {
+	switch m := msg.(type) {
+	case *openflow.FlowMod:
+		sw.unanswered.CompareAndSwap(m.BufferID, openflow.NoBuffer)
+	case *openflow.PacketOut:
+		sw.unanswered.CompareAndSwap(m.BufferID, openflow.NoBuffer)
+	}
 	return sw.tr.Send(msg)
 }
 
@@ -94,7 +105,15 @@ func (sw *Switch) readLoop() error {
 				tracer.BeginDispatch()
 				_ = d.Decode(m.Data) // partial decode is fine; handlers check Has*
 				ev = PacketInEvent{Switch: sw, Msg: m, Decoded: &d}
+				sw.unanswered.Store(m.BufferID)
 				dispatchPacketIn(handlers, &ev)
+				// Every buffered packet-in is answered exactly once: what
+				// no handler referenced is discarded with an action-less
+				// packet-out, so the datapath frees the slot and sends
+				// the frames it holds behind the punt back to be punted.
+				if id := sw.unanswered.Load(); id != openflow.NoBuffer {
+					_ = sw.ReleaseBuffer(id, m.InPort)
+				}
 				tracer.EndDispatch()
 				punts++
 			case *openflow.FlowRemoved:

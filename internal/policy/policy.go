@@ -16,6 +16,7 @@ package policy
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -110,21 +111,30 @@ type Policy struct {
 
 // Validate checks the policy for well-formedness.
 func (p *Policy) Validate() error {
+	_, err := p.validate()
+	return err
+}
+
+// validate is Validate, also returning the parsed device addresses.
+func (p *Policy) validate() ([]packet.MAC, error) {
 	if p.Name == "" {
-		return fmt.Errorf("policy: missing name")
+		return nil, fmt.Errorf("policy: missing name")
 	}
 	if len(p.Devices) == 0 {
-		return fmt.Errorf("policy %s: no devices", p.Name)
+		return nil, fmt.Errorf("policy %s: no devices", p.Name)
 	}
-	for _, d := range p.Devices {
-		if _, err := packet.ParseMAC(d); err != nil {
-			return fmt.Errorf("policy %s: %w", p.Name, err)
+	devices := make([]packet.MAC, len(p.Devices))
+	for i, d := range p.Devices {
+		mac, err := packet.ParseMAC(d)
+		if err != nil {
+			return nil, fmt.Errorf("policy %s: %w", p.Name, err)
 		}
+		devices[i] = mac
 	}
 	if _, err := p.Schedule.ActiveAt(time.Now()); err != nil {
-		return fmt.Errorf("policy %s: %w", p.Name, err)
+		return nil, fmt.Errorf("policy %s: %w", p.Name, err)
 	}
-	return nil
+	return devices, nil
 }
 
 // ParsePolicy decodes a policy from its JSON file form (the filesystem
@@ -178,9 +188,16 @@ type Engine struct {
 	clk clock.Clock
 
 	mu       sync.Mutex
-	policies map[string]*Policy
+	policies map[string]installed
 	keys     map[string]bool
 	watchers []func()
+}
+
+// installed is a policy with its device list parsed once, at Install, so
+// the per-punt access question compares 6-byte addresses, not strings.
+type installed struct {
+	*Policy
+	devices []packet.MAC
 }
 
 // NewEngine creates an empty engine.
@@ -190,7 +207,7 @@ func NewEngine(clk clock.Clock) *Engine {
 	}
 	return &Engine{
 		clk:      clk,
-		policies: make(map[string]*Policy),
+		policies: make(map[string]installed),
 		keys:     make(map[string]bool),
 	}
 }
@@ -213,11 +230,12 @@ func (e *Engine) notify() {
 
 // Install adds or replaces a policy.
 func (e *Engine) Install(p *Policy) error {
-	if err := p.Validate(); err != nil {
+	devices, err := p.validate()
+	if err != nil {
 		return err
 	}
 	e.mu.Lock()
-	e.policies[p.Name] = p
+	e.policies[p.Name] = installed{p, devices}
 	e.mu.Unlock()
 	e.notify()
 	return nil
@@ -241,7 +259,7 @@ func (e *Engine) Policies() []*Policy {
 	defer e.mu.Unlock()
 	out := make([]*Policy, 0, len(e.policies))
 	for _, p := range e.policies {
-		out = append(out, p)
+		out = append(out, p.Policy)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -278,7 +296,6 @@ func (e *Engine) AccessFor(mac packet.MAC) Access {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.clk.Now()
-	device := strings.ToLower(mac.String())
 
 	governed := false
 	granted := false
@@ -286,14 +303,7 @@ func (e *Engine) AccessFor(mac packet.MAC) Access {
 	var sites []string
 	var reason string
 	for _, p := range e.policies {
-		match := false
-		for _, d := range p.Devices {
-			if strings.EqualFold(d, device) {
-				match = true
-				break
-			}
-		}
-		if !match {
+		if !slices.Contains(p.devices, mac) {
 			continue
 		}
 		governed = true

@@ -153,6 +153,28 @@ func TestEngineUngovernedDevice(t *testing.T) {
 	}
 }
 
+// A policy file may spell a device's address in either case; the engine
+// compares the parsed address, and hands the policy back as it was given.
+func TestEngineDeviceAddressCase(t *testing.T) {
+	e, _ := engineAt(t)
+	p := kidsPolicy()
+	p.Devices = []string{"02:AA:00:00:00:01"}
+	p.RequireKey = ""
+	p.Schedule = Schedule{}
+	if err := e.Install(p); err != nil {
+		t.Fatal(err)
+	}
+	if acc := e.AccessFor(kidMAC); !acc.Governed || !acc.NetworkAllowed {
+		t.Errorf("upper-case device not governed: %+v", acc)
+	}
+	if acc := e.AccessFor(packet.MustMAC("02:aa:00:00:00:02")); acc.Governed {
+		t.Errorf("other device governed: %+v", acc)
+	}
+	if got := e.Policies(); len(got) != 1 || got[0] != p || got[0].Devices[0] != "02:AA:00:00:00:01" {
+		t.Errorf("policies = %+v", got)
+	}
+}
+
 func TestEngineKeyMediation(t *testing.T) {
 	e, _ := engineAt(t)
 	if err := e.Install(kidsPolicy()); err != nil {
