@@ -259,7 +259,7 @@ func TestTailCursor(t *testing.T) {
 	if len(rows) != 3 || cur != 3 || lost != 0 {
 		t.Fatalf("tail = %d rows, cur %d, lost %d", len(rows), cur, lost)
 	}
-	if rows[0].Vals[0].Int != 1 || rows[2].Vals[0].Int != 3 {
+	if rows[0].Int(0) != 1 || rows[2].Int(0) != 3 {
 		t.Fatalf("rows out of order: %v", rows)
 	}
 	// No new rows: same cursor returns nothing.
@@ -274,7 +274,7 @@ func TestTailCursor(t *testing.T) {
 	if len(rows) != 4 || cur2 != 9 || lost != 2 {
 		t.Fatalf("wrapped tail = %d rows, cur %d, lost %d; want 4, 9, 2", len(rows), cur2, lost)
 	}
-	if rows[0].Vals[0].Int != 6 || rows[3].Vals[0].Int != 9 {
+	if rows[0].Int(0) != 6 || rows[3].Int(0) != 9 {
 		t.Fatalf("wrapped rows = %v", rows)
 	}
 }

@@ -81,8 +81,9 @@ func (e *enc) byte(v byte) { e.b = append(e.b, v) }
 // length read is validated against the bytes actually remaining, so a
 // corrupt frame can neither over-read nor bait a huge allocation.
 type dec struct {
-	b   []byte
-	off int
+	b    []byte
+	off  int
+	vals []hwdb.Value // one decoded row's cells, reused row to row
 }
 
 func (d *dec) remaining() int { return len(d.b) - d.off }
@@ -444,9 +445,10 @@ func encodeDelta(e *enc, d telemetry.Delta) {
 	e.uvarint(d.Lost)
 	e.uvarint(uint64(len(d.Rows)))
 	for _, r := range d.Rows {
-		e.varint(r.TS.UnixNano())
-		e.uvarint(uint64(len(r.Vals)))
-		for _, v := range r.Vals {
+		e.varint(r.Time().UnixNano())
+		e.uvarint(uint64(r.NumCols()))
+		for i := 0; i < r.NumCols(); i++ {
+			v := r.Value(i)
 			e.byte(byte(v.Type))
 			switch v.Type {
 			case hwdb.TReal:
@@ -476,23 +478,20 @@ func decodeDelta(d *dec) (telemetry.Delta, error) {
 	if err != nil {
 		return out, err
 	}
-	if nrows > 0 {
-		out.Rows = make([]hwdb.Row, 0, nrows)
-	}
+	// The rows of a delta are one table's: the builder lays them out in
+	// one block, so decoding allocates per delta, not per row.
+	var rows hwdb.RowBuilder
+	rows.Expect(nrows)
 	for i := 0; i < nrows; i++ {
-		var row hwdb.Row
 		ns, err := d.varint()
 		if err != nil {
 			return out, err
 		}
-		row.TS = time.Unix(0, ns).UTC()
 		nvals, err := d.count(2) // type tag + one varint byte minimum
 		if err != nil {
 			return out, err
 		}
-		if nvals > 0 {
-			row.Vals = make([]hwdb.Value, 0, nvals)
-		}
+		d.vals = d.vals[:0]
 		for j := 0; j < nvals; j++ {
 			tag, err := d.byte()
 			if err != nil {
@@ -515,10 +514,11 @@ func decodeDelta(d *dec) (telemetry.Delta, error) {
 			default:
 				return out, frameErr("bad column type tag %d", tag)
 			}
-			row.Vals = append(row.Vals, v)
+			d.vals = append(d.vals, v)
 		}
-		out.Rows = append(out.Rows, row)
+		rows.Add(time.Unix(0, ns), d.vals)
 	}
+	out.Rows = rows.Rows()
 	return out, nil
 }
 

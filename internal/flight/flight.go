@@ -194,7 +194,8 @@ func (r *Recorder) ingest(id telemetry.SourceID, row hwdb.Row) {
 // append places row into its time bucket. Rows arrive oldest-first per
 // stream, so the target bucket is always the last window or a new one.
 func (r *Recorder) append(s *stream, row hwdb.Row) {
-	b := row.TS.UnixNano() / int64(r.cfg.Window)
+	ts := row.Time()
+	b := ts.UnixNano() / int64(r.cfg.Window)
 	n := len(s.windows)
 	if n == 0 || s.windows[n-1].bucket != b {
 		s.windows = append(s.windows, &windowBuf{bucket: b})
@@ -202,8 +203,8 @@ func (r *Recorder) append(s *stream, row hwdb.Row) {
 	}
 	w := s.windows[n-1]
 	w.rows = append(w.rows, row)
-	if row.TS.After(s.newest) {
-		s.newest = row.TS
+	if ts.After(s.newest) {
+		s.newest = ts
 	}
 }
 
@@ -248,10 +249,11 @@ func (r *Recorder) rows(home uint64, table string, from, to time.Time) ([]hwdb.R
 	var out []hwdb.Row
 	for _, w := range s.windows {
 		for _, row := range w.rows {
-			if !from.IsZero() && row.TS.Before(from) {
+			ts := row.Time()
+			if !from.IsZero() && ts.Before(from) {
 				continue
 			}
-			if !to.IsZero() && row.TS.After(to) {
+			if !to.IsZero() && ts.After(to) {
 				continue
 			}
 			out = append(out, row)
@@ -313,9 +315,11 @@ func (r *Recorder) Replay(home uint64, table string, from, to time.Time) (*hwdb.
 	}
 	res := &hwdb.Result{Cols: append([]string{"timestamp"}, schema.Names()...)}
 	for _, row := range rows {
-		out := make([]hwdb.Value, 0, len(row.Vals)+1)
-		out = append(out, hwdb.TimeVal(row.TS))
-		out = append(out, row.Vals...)
+		out := make([]hwdb.Value, 0, row.NumCols()+1)
+		out = append(out, hwdb.TimeVal(row.Time()))
+		for i := 0; i < row.NumCols(); i++ {
+			out = append(out, row.Value(i))
+		}
 		res.Rows = append(res.Rows, out)
 	}
 	return res, nil

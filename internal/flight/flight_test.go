@@ -85,7 +85,7 @@ func TestRecorderRetentionBooks(t *testing.T) {
 	if len(rows) != int(st.Stored) {
 		t.Fatalf("Rows = %d, stored = %d", len(rows), st.Stored)
 	}
-	if rows[len(rows)-1].Vals[0].Int != 19 {
+	if rows[len(rows)-1].Int(0) != 19 {
 		t.Fatalf("newest retained row = %v", rows[len(rows)-1])
 	}
 	// Replay projects a timestamp column ahead of the schema.

@@ -3,6 +3,7 @@ package health
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/hwdb"
@@ -180,7 +181,7 @@ func TestLossFold(t *testing.T) {
 		vals[m.pLost] = hwdb.Int64(lost)
 		return telemetry.Delta{
 			Source: telemetry.SourceID{Home: home, Table: hwdb.TableFlowPerf},
-			Rows:   []hwdb.Row{{Vals: vals}},
+			Rows:   []hwdb.Row{hwdb.NewRow(time.Time{}, vals...)},
 		}
 	}
 

@@ -162,8 +162,8 @@ func (m *Monitor) fold(d telemetry.Delta) {
 	}
 	var tx, lost uint64
 	for _, r := range d.Rows {
-		tx += uint64(r.Vals[m.pTx].Int)
-		lost += uint64(r.Vals[m.pLost].Int)
+		tx += uint64(r.Int(m.pTx))
+		lost += uint64(r.Int(m.pLost))
 	}
 	if tx == 0 && lost == 0 {
 		return

@@ -3,7 +3,6 @@ package hwdb
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -34,8 +33,9 @@ func (r *Result) Text() string {
 	return sb.String()
 }
 
-// Query parses and executes a SELECT statement.
-func (db *DB) Query(cql string) (*Result, error) {
+// ParseSelect parses one SELECT statement: what a caller that runs the
+// same query again and again holds on to, and hands to DB.Select.
+func ParseSelect(cql string) (*SelectStmt, error) {
 	st, err := Parse(cql)
 	if err != nil {
 		return nil, err
@@ -43,6 +43,15 @@ func (db *DB) Query(cql string) (*Result, error) {
 	sel, ok := st.(*SelectStmt)
 	if !ok {
 		return nil, fmt.Errorf("hwdb: not a SELECT: %s", cql)
+	}
+	return sel, nil
+}
+
+// Query parses and executes a SELECT statement.
+func (db *DB) Query(cql string) (*Result, error) {
+	sel, err := ParseSelect(cql)
+	if err != nil {
+		return nil, err
 	}
 	return db.Select(sel)
 }
@@ -68,7 +77,20 @@ func (db *DB) Exec(cql string) (*Result, error) {
 	return nil, fmt.Errorf("hwdb: unhandled statement")
 }
 
-// Select executes a parsed SELECT.
+// rowSink is the back half of a SELECT: it is fed the rows that passed
+// the window and WHERE, one at a time, and keeps only what the result
+// needs of each, so the rows themselves can be views that die with the
+// call.
+type rowSink interface {
+	add(Row)
+	result() *Result
+}
+
+// Select executes a parsed SELECT. Over a live table nothing is copied:
+// WHERE, GROUP BY and the projection are evaluated on the ring's own rows
+// under the table's read lock, so an insert into that table waits for the
+// window to be walked — microseconds for the windowed reads the displays
+// make, the whole ring for a window-less SELECT *.
 func (db *DB) Select(sel *SelectStmt) (*Result, error) {
 	t, ok := db.Table(sel.Table)
 	if !ok {
@@ -77,6 +99,26 @@ func (db *DB) Select(sel *SelectStmt) (*Result, error) {
 	schema := t.Schema()
 	if err := validateExpr(schema, sel.Where); err != nil {
 		return nil, err
+	}
+	var sink rowSink
+	var err error
+	if sel.aggregates() {
+		sink, err = newAggregation(schema, sel)
+	} else {
+		sink, err = newProjection(schema, sel)
+	}
+	if err != nil {
+		return nil, err
+	}
+	feed := func(r Row) error {
+		if sel.Where != nil {
+			ok, err := sel.Where.Eval(schema, r)
+			if err != nil || !ok {
+				return err
+			}
+		}
+		sink.add(r)
+		return nil
 	}
 	// Source the rows: the window's slice of the live ring for ordinary
 	// queries, retained history for time travel. AS OF also re-anchors
@@ -89,44 +131,16 @@ func (db *DB) Select(sel *SelectStmt) (*Result, error) {
 	case sel.HasHist:
 		rows = applyWindow(db.historyRows(t, sel.HistFrom, sel.HistTo), sel.Win, sel.HistTo)
 	default:
-		rows = t.window(sel.Win, db.clk.Now())
+		err = t.scan(sel.Win, db.clk.Now(), feed)
 	}
-
-	// Filter.
-	if sel.Where != nil {
-		kept := rows[:0:0]
-		for _, r := range rows {
-			ok, err := sel.Where.Eval(schema, r)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				kept = append(kept, r)
-			}
-		}
-		rows = kept
-	}
-
-	hasAgg := false
-	for _, it := range sel.Items {
-		if it.Agg != AggNone {
-			hasAgg = true
-			break
-		}
-	}
-
-	var res *Result
-	var err error
-	switch {
-	case hasAgg || len(sel.GroupBy) > 0:
-		res, err = aggregate(schema, sel, rows)
-	default:
-		res, err = project(schema, sel, rows)
+	for i := 0; i < len(rows) && err == nil; i++ {
+		err = feed(rows[i])
 	}
 	if err != nil {
 		return nil, err
 	}
 
+	res := sink.result()
 	if len(sel.Order) > 0 {
 		if err := orderRows(res, sel.Order); err != nil {
 			return nil, err
@@ -138,6 +152,17 @@ func (db *DB) Select(sel *SelectStmt) (*Result, error) {
 	return res, nil
 }
 
+// aggregates reports whether the statement groups or folds rows rather
+// than projecting them.
+func (sel *SelectStmt) aggregates() bool {
+	for _, it := range sel.Items {
+		if it.Agg != AggNone {
+			return true
+		}
+	}
+	return len(sel.GroupBy) > 0
+}
+
 // History is the programmatic form of `SELECT * FROM table HISTORY @from
 // @to`: the table's retained rows (HistorySource-widened when one is
 // attached) in the inclusive range, projected with the timestamp column.
@@ -147,13 +172,14 @@ func (db *DB) History(table string, from, to time.Time) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("hwdb: no such table %s", table)
 	}
-	sel := &SelectStmt{
-		Items:    []SelectItem{{Col: "*"}},
-		Table:    table,
-		HistFrom: from, HistTo: to, HasHist: true,
+	p, err := newProjection(t.Schema(), &SelectStmt{Items: []SelectItem{{Col: "*"}}})
+	if err != nil {
+		return nil, err
 	}
-	rows := db.historyRows(t, from, to)
-	return project(t.Schema(), sel, rows)
+	for _, row := range db.historyRows(t, from, to) {
+		p.add(row)
+	}
+	return p.result(), nil
 }
 
 // validateExpr checks that every column referenced by a WHERE expression
@@ -182,48 +208,53 @@ func validateExpr(schema *Schema, e Expr) error {
 	return nil
 }
 
-// project handles plain SELECT col,... (or *) without aggregation.
-func project(schema *Schema, sel *SelectStmt, rows []Row) (*Result, error) {
-	type colRef struct {
-		idx  int // -1 = timestamp pseudo-column
-		name string
+// projection is the rowSink of a plain SELECT col,... (or *) without
+// aggregation.
+type projection struct {
+	refs []int // column per output cell; -1 = the timestamp pseudo-column
+	res  *Result
+}
+
+func newProjection(schema *Schema, sel *SelectStmt) (*projection, error) {
+	p := &projection{res: &Result{}}
+	ref := func(idx int, name string) {
+		p.refs = append(p.refs, idx)
+		p.res.Cols = append(p.res.Cols, name)
 	}
-	var refs []colRef
 	for _, it := range sel.Items {
 		if it.Col == "*" {
-			refs = append(refs, colRef{-1, "timestamp"})
+			ref(-1, "timestamp")
 			for i, c := range schema.Cols {
-				refs = append(refs, colRef{i, c.Name})
+				ref(i, c.Name)
 			}
 			continue
 		}
 		if strings.EqualFold(it.Col, "timestamp") {
-			refs = append(refs, colRef{-1, it.Name})
+			ref(-1, it.Name)
 			continue
 		}
 		i, ok := schema.Index(it.Col)
 		if !ok {
 			return nil, fmt.Errorf("hwdb: unknown column %q", it.Col)
 		}
-		refs = append(refs, colRef{i, it.Name})
+		ref(i, it.Name)
 	}
-	res := &Result{}
-	for _, r := range refs {
-		res.Cols = append(res.Cols, r.name)
-	}
-	for _, row := range rows {
-		out := make([]Value, len(refs))
-		for i, r := range refs {
-			if r.idx < 0 {
-				out[i] = TimeVal(row.TS)
-			} else {
-				out[i] = row.Vals[r.idx]
-			}
-		}
-		res.Rows = append(res.Rows, out)
-	}
-	return res, nil
+	return p, nil
 }
+
+func (p *projection) add(row Row) {
+	out := make([]Value, len(p.refs))
+	for i, idx := range p.refs {
+		if idx < 0 {
+			out[i] = TimeVal(row.Time())
+		} else {
+			out[i] = row.Value(idx)
+		}
+	}
+	p.res.Rows = append(p.res.Rows, out)
+}
+
+func (p *projection) result() *Result { return p.res }
 
 type aggState struct {
 	count int64
@@ -233,96 +264,107 @@ type aggState struct {
 	seen  bool
 }
 
-// aggregate handles GROUP BY and aggregate select items.
-func aggregate(schema *Schema, sel *SelectStmt, rows []Row) (*Result, error) {
+type aggGroup struct {
+	key  []Value
+	aggs []aggState
+}
+
+// aggregation is the rowSink of GROUP BY and aggregate select items.
+type aggregation struct {
+	sel      *SelectStmt
+	groupIdx []int // GROUP BY columns
+	aggIdx   []int // per select item: the aggregate's input column
+	groups   map[string]*aggGroup
+	order    []*aggGroup // first-seen
+	keyBuf   []byte      // reused for every row: only a new group allocates
+}
+
+func newAggregation(schema *Schema, sel *SelectStmt) (*aggregation, error) {
+	a := &aggregation{sel: sel, groups: map[string]*aggGroup{}, groupIdx: make([]int, 0, len(sel.GroupBy))}
 	// Validate: non-aggregate items must appear in GROUP BY.
-	groupIdx := make([]int, 0, len(sel.GroupBy))
-	groupSet := map[string]bool{}
 	for _, g := range sel.GroupBy {
 		i, ok := schema.Index(g)
 		if !ok {
 			return nil, fmt.Errorf("hwdb: unknown GROUP BY column %q", g)
 		}
-		groupIdx = append(groupIdx, i)
-		groupSet[strings.ToLower(g)] = true
+		a.groupIdx = append(a.groupIdx, i)
 	}
-	for _, it := range sel.Items {
-		if it.Agg == AggNone && !groupSet[strings.ToLower(it.Col)] {
-			return nil, fmt.Errorf("hwdb: column %q must appear in GROUP BY", it.Col)
+	// Resolve each aggregate's input column once, not once per row.
+	a.aggIdx = make([]int, len(sel.Items))
+	for i, it := range sel.Items {
+		switch {
+		case it.Agg == AggNone:
+			if sel.groupCol(it.Col) < 0 {
+				return nil, fmt.Errorf("hwdb: column %q must appear in GROUP BY", it.Col)
+			}
+		case it.Col != "*":
+			ci, ok := schema.Index(it.Col)
+			if !ok {
+				return nil, fmt.Errorf("hwdb: unknown column %q", it.Col)
+			}
+			a.aggIdx[i] = ci
 		}
 	}
+	return a, nil
+}
 
-	// Resolve each aggregate's input column once, not once per row.
-	aggIdx := make([]int, len(sel.Items))
-	for i, it := range sel.Items {
-		if it.Agg == AggNone || it.Col == "*" {
+// groupCol returns the position of col in the GROUP BY list, or -1.
+func (sel *SelectStmt) groupCol(col string) int {
+	for j, g := range sel.GroupBy {
+		if strings.EqualFold(g, col) {
+			return j
+		}
+	}
+	return -1
+}
+
+func (a *aggregation) add(row Row) {
+	a.keyBuf = a.keyBuf[:0]
+	for _, gi := range a.groupIdx {
+		a.keyBuf = appendGroupKey(a.keyBuf, row, gi)
+	}
+	g := a.groups[string(a.keyBuf)]
+	if g == nil {
+		g = &aggGroup{key: make([]Value, len(a.groupIdx)), aggs: make([]aggState, len(a.sel.Items))}
+		for i, gi := range a.groupIdx {
+			g.key[i] = row.Value(gi)
+		}
+		a.groups[string(a.keyBuf)] = g
+		a.order = append(a.order, g)
+	}
+	for i, it := range a.sel.Items {
+		if it.Agg == AggNone {
 			continue
 		}
-		ci, ok := schema.Index(it.Col)
-		if !ok {
-			return nil, fmt.Errorf("hwdb: unknown column %q", it.Col)
+		st := &g.aggs[i]
+		st.count++
+		if it.Col == "*" {
+			continue
 		}
-		aggIdx[i] = ci
+		v := row.Value(a.aggIdx[i])
+		st.sum += v.AsFloat()
+		if !st.seen || v.Less(st.min) {
+			st.min = v
+		}
+		if !st.seen || st.max.Less(v) {
+			st.max = v
+		}
+		st.seen = true
 	}
+}
 
-	type group struct {
-		key  []Value
-		aggs []aggState
-	}
-	groups := map[string]*group{}
-	var order []*group // first-seen
-	var keyBuf []byte  // reused for every row: only a new group allocates
-
-	for _, row := range rows {
-		keyBuf = keyBuf[:0]
-		for _, gi := range groupIdx {
-			keyBuf = appendGroupKey(keyBuf, schema.Cols[gi].Type, row.Vals[gi])
-		}
-		g := groups[string(keyBuf)]
-		if g == nil {
-			g = &group{key: make([]Value, len(groupIdx)), aggs: make([]aggState, len(sel.Items))}
-			for i, gi := range groupIdx {
-				g.key[i] = row.Vals[gi]
-			}
-			groups[string(keyBuf)] = g
-			order = append(order, g)
-		}
-		for i, it := range sel.Items {
-			if it.Agg == AggNone {
-				continue
-			}
-			st := &g.aggs[i]
-			st.count++
-			if it.Col == "*" {
-				continue
-			}
-			v := row.Vals[aggIdx[i]]
-			st.sum += v.AsFloat()
-			if !st.seen || v.Less(st.min) {
-				st.min = v
-			}
-			if !st.seen || st.max.Less(v) {
-				st.max = v
-			}
-			st.seen = true
-		}
-	}
-
-	res := &Result{}
+func (a *aggregation) result() *Result {
+	sel := a.sel
+	res := &Result{Cols: make([]string, 0, len(sel.Items)), Rows: make([][]Value, 0, max(len(a.order), 1))}
 	for _, it := range sel.Items {
 		res.Cols = append(res.Cols, it.Name)
 	}
-	for _, g := range order {
+	for _, g := range a.order {
 		out := make([]Value, len(sel.Items))
 		for i, it := range sel.Items {
 			switch it.Agg {
 			case AggNone:
-				for j, gcol := range sel.GroupBy {
-					if strings.EqualFold(gcol, it.Col) {
-						out[i] = g.key[j]
-						break
-					}
-				}
+				out[i] = g.key[sel.groupCol(it.Col)]
 			case AggCount:
 				out[i] = Int64(g.aggs[i].count)
 			case AggSum:
@@ -357,25 +399,22 @@ func aggregate(schema *Schema, sel *SelectStmt, rows []Row) (*Result, error) {
 		}
 		res.Rows = append(res.Rows, out)
 	}
-	return res, nil
+	return res
 }
 
-// appendGroupKey appends one GROUP BY cell to a group key. The cells of a
-// column share its type (Schema.Validate), so the column picks the
-// encoding: eight bytes per fixed-width cell, length-prefixed bytes per
-// string, and two keys are equal bytes exactly when the cells are equal. A
-// real column keys on the bits of AsFloat, so an integer stored in it
-// (Validate widens ints to reals) groups with the equal real; 0.0 and -0.0
-// stay apart, as they did when the key was the cells' rendering.
-func appendGroupKey(key []byte, col ColType, v Value) []byte {
-	switch col {
-	case TString:
-		key = binary.LittleEndian.AppendUint64(key, uint64(len(v.Str)))
-		return append(key, v.Str...)
-	case TReal:
-		return binary.LittleEndian.AppendUint64(key, math.Float64bits(v.AsFloat()))
+// appendGroupKey appends column c of row to a group key: the eight bytes
+// of its cell, or length-prefixed bytes for a string, so two keys are equal
+// bytes exactly when the cells are equal. Everything a table stores in a
+// real column is a real (Insert widens integers), so equal numbers there
+// have equal bits; 0.0 and -0.0 stay apart, as they did when the key was
+// the cells' rendering.
+func appendGroupKey(key []byte, row Row, c int) []byte {
+	if row.b.shape.cols[c].typ == TString {
+		s := row.Str(c)
+		key = binary.LittleEndian.AppendUint64(key, uint64(len(s)))
+		return append(key, s...)
 	}
-	return binary.LittleEndian.AppendUint64(key, uint64(v.Int))
+	return binary.LittleEndian.AppendUint64(key, row.cell(c))
 }
 
 func orderRows(res *Result, order []OrderBy) error {

@@ -70,7 +70,7 @@ func TestRowsBetween(t *testing.T) {
 	}
 	// Inclusive on both ends.
 	rows := tbl.RowsBetween(stamps[1], stamps[3])
-	if len(rows) != 3 || rows[0].Vals[0].Int != 1 || rows[2].Vals[0].Int != 3 {
+	if len(rows) != 3 || rows[0].Int(0) != 1 || rows[2].Int(0) != 3 {
 		t.Fatalf("RowsBetween[1,3] = %v", rows)
 	}
 	if got := len(tbl.RowsBetween(stamps[4].Add(time.Hour), time.Time{})); got != 0 {
@@ -132,10 +132,10 @@ func (w *wideHistory) HistoryRows(table string, from, to time.Time) ([]Row, bool
 	}
 	var out []Row
 	for _, r := range w.rows {
-		if !from.IsZero() && r.TS.Before(from) {
+		if !from.IsZero() && r.Time().Before(from) {
 			continue
 		}
-		if !to.IsZero() && r.TS.After(to) {
+		if !to.IsZero() && r.Time().After(to) {
 			continue
 		}
 		out = append(out, r)

@@ -81,8 +81,8 @@ func TestRingBufferEviction(t *testing.T) {
 	}
 	rows := tbl.Snapshot()
 	for i, r := range rows {
-		if want := int64(6 + i); r.Vals[0].Int != want {
-			t.Errorf("row %d = %d, want %d (oldest-first after wrap)", i, r.Vals[0].Int, want)
+		if want := int64(6 + i); r.Int(0) != want {
+			t.Errorf("row %d = %d, want %d (oldest-first after wrap)", i, r.Int(0), want)
 		}
 	}
 }
@@ -90,7 +90,7 @@ func TestRingBufferEviction(t *testing.T) {
 func TestOnInsertSubscription(t *testing.T) {
 	tbl := NewTable("t", NewSchema(Column{"n", TInt}), 8)
 	var got []int64
-	tbl.OnInsert(func(r Row) { got = append(got, r.Vals[0].Int) })
+	tbl.OnInsert(func(r Row) { got = append(got, r.Int(0)) })
 	for i := 0; i < 3; i++ {
 		_ = tbl.Insert(time.Now(), []Value{Int64(int64(i))})
 	}
@@ -483,7 +483,7 @@ func TestRingInvariantQuick(t *testing.T) {
 			return false
 		}
 		for i, r := range rows {
-			if r.Vals[0].Int != int64(total-want+i) {
+			if r.Int(0) != int64(total-want+i) {
 				return false
 			}
 		}

@@ -129,11 +129,11 @@ func (e *CmpExpr) Eval(s *Schema, r Row) (bool, error) {
 	if !ok {
 		// "timestamp" pseudo-column compares against the row timestamp.
 		if strings.EqualFold(e.Col, "timestamp") {
-			return cmp(TimeVal(r.TS), e.Op, e.Lit), nil
+			return cmp(TimeVal(r.Time()), e.Op, e.Lit), nil
 		}
 		return false, fmt.Errorf("hwdb: unknown column %q", e.Col)
 	}
-	return cmp(r.Vals[i], e.Op, e.Lit), nil
+	return cmp(r.Value(i), e.Op, e.Lit), nil
 }
 
 func cmp(v Value, op CompareOp, lit Value) bool {

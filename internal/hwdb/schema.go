@@ -11,13 +11,17 @@
 //
 // Concurrency: tables synchronize internally with read-write locks, so
 // inserts, cursor reads (Tail) and queries may run concurrently from any
-// goroutine; OnInsert hooks fire synchronously on the inserting
-// goroutine and must not block. The UDP RPC server runs its own
-// goroutines and serves each subscription independently.
+// goroutine; OnInsert and Notify hooks fire synchronously on the inserting
+// goroutine, outside the table's lock, and must not block. A select over a
+// live table is evaluated under that table's read lock. Every Row a table
+// hands out views a copy made under the lock, so rows are immutable and
+// safe to retain. The UDP RPC server runs its own goroutines and serves
+// each subscription independently.
 package hwdb
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -210,13 +214,15 @@ type Column struct {
 
 // Schema is an ordered set of columns.
 type Schema struct {
-	Cols []Column
-	idx  map[string]int
+	Cols  []Column
+	idx   map[string]int
+	shape *rowShape
 }
 
 // NewSchema builds a schema from columns, indexing names case-insensitively.
 func NewSchema(cols ...Column) *Schema {
 	s := &Schema{Cols: cols, idx: make(map[string]int, len(cols))}
+	s.shape = newRowShape(len(cols), func(i int) ColType { return cols[i].Type })
 	for i, c := range cols {
 		s.idx[strings.ToLower(c.Name)] = i
 	}
@@ -238,11 +244,221 @@ func (s *Schema) Names() []string {
 	return out
 }
 
-// Row is one tuple plus the insertion timestamp assigned by the table.
+// Row is a read-only view of one tuple plus the insertion timestamp the
+// table assigned: row i of a rowBlock. Rows handed out by a table (Tail,
+// Snapshot, RowsBetween, OnInsert hooks) view a private copy and are safe
+// to retain; rows built outside a table come from NewRow or a RowBuilder.
+// Columns are numbered from 0 in schema order; an index out of range
+// panics, as it would on a slice.
 type Row struct {
-	TS   time.Time
-	Vals []Value
+	b *rowBlock
+	i int
 }
+
+// rowBlock is a run of rows in the flat layout the rings store: stride
+// eight-byte cells per row — cell 0 the insert time in Unix nanoseconds,
+// cell 1+c column c in the encoding its type fixes (the Int of an integer,
+// bool, MAC, IP or timestamp value; math.Float64bits of a real; unused for
+// a string) — and, for shapes with string columns, nstr strings per row
+// beside them. Pointer-free unless the shape has strings.
+type rowBlock struct {
+	shape *rowShape
+	cells []uint64
+	strs  []string
+}
+
+// rowShape is what a block knows of its columns.
+type rowShape struct {
+	cols   []shapeCol
+	stride int // cells per row: 1 + len(cols)
+	nstr   int // string columns per row
+}
+
+type shapeCol struct {
+	typ ColType
+	str int32 // a string column's position among the row's strings
+}
+
+// newRowShape lays out rows of n columns whose types typ(i) names.
+func newRowShape(n int, typ func(i int) ColType) *rowShape {
+	sh := &rowShape{cols: make([]shapeCol, n), stride: 1 + n}
+	for i := range sh.cols {
+		sh.cols[i].typ = typ(i)
+		if sh.cols[i].typ == TString {
+			sh.cols[i].str = int32(sh.nstr)
+			sh.nstr++
+		}
+	}
+	return sh
+}
+
+// newRowBlock allocates an all-zero block of n rows.
+func newRowBlock(sh *rowShape, n int) rowBlock {
+	b := rowBlock{shape: sh, cells: make([]uint64, n*sh.stride)}
+	if sh.nstr > 0 {
+		b.strs = make([]string, n*sh.nstr)
+	}
+	return b
+}
+
+// put encodes one tuple into row i. vals must already agree with the
+// shape (Schema.Validate); an integer in a real column is widened here, so
+// everything stored in a real column is a real.
+func (b *rowBlock) put(i int, ts time.Time, vals []Value) {
+	sh := b.shape
+	cells := b.cells[i*sh.stride : (i+1)*sh.stride]
+	cells[0] = uint64(ts.UnixNano())
+	for c, v := range vals {
+		switch col := sh.cols[c]; col.typ {
+		case TString:
+			cells[1+c] = 0
+			b.strs[i*sh.nstr+int(col.str)] = v.Str
+		case TReal:
+			cells[1+c] = math.Float64bits(v.AsFloat())
+		default:
+			cells[1+c] = uint64(v.Int)
+		}
+	}
+}
+
+// copyFrom copies n rows of src, starting at its row from, into b at row
+// at. The two blocks share a shape.
+func (b *rowBlock) copyFrom(at int, src *rowBlock, from, n int) {
+	sh := b.shape
+	copy(b.cells[at*sh.stride:], src.cells[from*sh.stride:(from+n)*sh.stride])
+	if sh.nstr > 0 {
+		copy(b.strs[at*sh.nstr:], src.strs[from*sh.nstr:(from+n)*sh.nstr])
+	}
+}
+
+// rows returns views of the block's first n rows.
+func (b *rowBlock) rows(n int) []Row {
+	out := make([]Row, n)
+	for i := range out {
+		out[i] = Row{b, i}
+	}
+	return out
+}
+
+// Time returns the insertion timestamp (zero for the zero Row).
+func (r Row) Time() time.Time {
+	if r.b == nil {
+		return time.Time{}
+	}
+	return time.Unix(0, int64(r.b.cells[r.i*r.b.shape.stride]))
+}
+
+// NumCols returns how many columns the row has.
+func (r Row) NumCols() int {
+	if r.b == nil {
+		return 0
+	}
+	return len(r.b.shape.cols)
+}
+
+func (r Row) cell(c int) uint64 { return r.b.cells[r.i*r.b.shape.stride+1+c] }
+
+// Int returns column c of an integer, bool, MAC, IP or timestamp column as
+// Value.Int holds it. It is undefined for real and string columns.
+func (r Row) Int(c int) int64 { return int64(r.cell(c)) }
+
+// Real returns a numeric view of column c, as Value.AsFloat does: the
+// value of a real column, the integer of any other converted.
+func (r Row) Real(c int) float64 {
+	if r.b.shape.cols[c].typ == TReal {
+		return math.Float64frombits(r.cell(c))
+	}
+	return float64(int64(r.cell(c)))
+}
+
+// Str returns column c of a string column, and "" for any other.
+func (r Row) Str(c int) string {
+	sh := r.b.shape
+	if col := sh.cols[c]; col.typ == TString {
+		return r.b.strs[r.i*sh.nstr+int(col.str)]
+	}
+	return ""
+}
+
+// Value returns column c as a typed cell.
+func (r Row) Value(c int) Value {
+	switch typ := r.b.shape.cols[c].typ; typ {
+	case TString:
+		return Value{Type: TString, Str: r.Str(c)}
+	case TReal:
+		return Value{Type: TReal, Real: math.Float64frombits(r.cell(c))}
+	default:
+		return Value{Type: typ, Int: int64(r.cell(c))}
+	}
+}
+
+// NewRow builds a standalone row from typed values, the column types
+// being the values' own: the constructor for rows that never lived in a
+// table (tests, decoders). Building many, use a RowBuilder.
+func NewRow(ts time.Time, vals ...Value) Row {
+	var b RowBuilder
+	b.Add(ts, vals)
+	return b.rows[0]
+}
+
+// RowBuilder accumulates rows outside a table in the tables' own layout:
+// consecutive rows whose values agree in type share one block, so a
+// thousand rows of one table cost a handful of allocations, not a
+// thousand. The zero value is ready to use.
+type RowBuilder struct {
+	rows   []Row
+	cur    *rowBlock
+	expect int
+}
+
+// maxBuilderReserve caps what Expect reserves ahead of the rows actually
+// arriving: the count usually comes off the wire.
+const maxBuilderReserve = 1024
+
+// Expect says n more rows are coming, so they can be reserved for at once.
+// It is a hint and is trusted only up to maxBuilderReserve rows.
+func (b *RowBuilder) Expect(n int) { b.expect = min(max(n, 0), maxBuilderReserve) }
+
+// Add appends one row. vals is not retained.
+func (b *RowBuilder) Add(ts time.Time, vals []Value) {
+	if b.cur == nil || !b.cur.shape.fits(vals) {
+		sh := newRowShape(len(vals), func(i int) ColType { return vals[i].Type })
+		b.cur = &rowBlock{shape: sh, cells: make([]uint64, 0, max(b.expect, 1)*sh.stride)}
+		if sh.nstr > 0 {
+			b.cur.strs = make([]string, 0, max(b.expect, 1)*sh.nstr)
+		}
+	}
+	if b.rows == nil {
+		b.rows = make([]Row, 0, max(b.expect, 1))
+	}
+	blk := b.cur
+	i := len(blk.cells) / blk.shape.stride
+	for range blk.shape.stride {
+		blk.cells = append(blk.cells, 0)
+	}
+	for range blk.shape.nstr {
+		blk.strs = append(blk.strs, "")
+	}
+	blk.put(i, ts, vals)
+	b.rows = append(b.rows, Row{blk, i})
+	b.expect = max(b.expect-1, 0)
+}
+
+// fits reports whether vals has exactly the shape's column types.
+func (sh *rowShape) fits(vals []Value) bool {
+	if len(vals) != len(sh.cols) {
+		return false
+	}
+	for i, v := range vals {
+		if v.Type != sh.cols[i].typ {
+			return false
+		}
+	}
+	return true
+}
+
+// Rows returns the rows added so far, in order.
+func (b *RowBuilder) Rows() []Row { return b.rows }
 
 // Validate checks vals against the schema.
 func (s *Schema) Validate(vals []Value) error {

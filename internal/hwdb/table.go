@@ -27,6 +27,10 @@ const initialRingSlots = 256
 // more than the capacity), so an idle table costs a few kilobytes and
 // "fixed-memory" is the ceiling, not the floor.
 //
+// The ring is one flat rowBlock: a slot is 1 + len(schema.Cols) eight-byte
+// cells and nothing else, so a table without string columns holds no
+// pointers for the collector to follow and an insert allocates nothing.
+//
 // Rows are assumed to arrive in non-decreasing timestamp order (every
 // insert is stamped from one clock): RANGE windows and RowsBetween binary
 // search the ring on that order.
@@ -36,15 +40,17 @@ type Table struct {
 	capacity int
 
 	mu sync.RWMutex
-	// ring has len(ring) <= capacity slots. Until it has grown to capacity
-	// it never wraps: slot i holds the i-th oldest row and head == count.
-	ring    []Row
+	// ring has slots <= capacity rows. Until it has grown to capacity it
+	// never wraps: slot i holds the i-th oldest row and head == count.
+	ring    rowBlock
+	slots   int
 	head    int // position of next insert
-	count   int // rows currently held (<= len(ring))
+	count   int // rows currently held (<= slots)
 	inserts uint64
 	dropped uint64
 
 	onInsert []func(Row)
+	notify   []func()
 }
 
 // NewTable creates a table with the given ring capacity.
@@ -52,7 +58,8 @@ func NewTable(name string, schema *Schema, ringSize int) *Table {
 	if ringSize <= 0 {
 		ringSize = DefaultRingSize
 	}
-	return &Table{name: name, schema: schema, capacity: ringSize, ring: make([]Row, min(ringSize, initialRingSlots))}
+	slots := min(ringSize, initialRingSlots)
+	return &Table{name: name, schema: schema, capacity: ringSize, ring: newRowBlock(schema.shape, slots), slots: slots}
 }
 
 // Name returns the table name.
@@ -79,28 +86,37 @@ func (t *Table) Stats() (inserts, dropped uint64) {
 }
 
 // Insert appends a row with timestamp ts, overwriting the oldest row when
-// the ring is full, then fires on-insert subscriptions outside the lock.
+// the ring is full, then fires the table's subscriptions outside the lock.
+// The values are encoded straight into the slot and vals is not retained.
 func (t *Table) Insert(ts time.Time, vals []Value) error {
 	if err := t.schema.Validate(vals); err != nil {
 		return err
 	}
-	row := Row{TS: ts, Vals: vals}
 	t.mu.Lock()
-	if t.count == len(t.ring) && len(t.ring) < t.capacity {
+	if t.count == t.slots && t.slots < t.capacity {
 		t.grow()
 	}
-	if t.count == len(t.ring) {
+	if t.count == t.slots {
 		t.dropped++
 	} else {
 		t.count++
 	}
-	t.ring[t.head] = row
-	t.head = (t.head + 1) % len(t.ring)
+	t.ring.put(t.head, ts, vals)
+	t.head = (t.head + 1) % t.slots
 	t.inserts++
-	subs := t.onInsert
+	subs, notify := t.onInsert, t.notify
+	var row Row
+	if len(subs) > 0 {
+		// The slot is the next insert's to overwrite once the lock drops
+		// (at capacity 1, the very next one): hooks get a copy.
+		row = Row{t.copyRange(t.count-1, t.count), 0}
+	}
 	t.mu.Unlock()
 	for _, fn := range subs {
 		fn(row)
+	}
+	for _, fn := range notify {
+		fn()
 	}
 	return nil
 }
@@ -109,16 +125,28 @@ func (t *Table) Insert(ts time.Time, vals []Value) error {
 // computed, not left to append, so it lands exactly on the capacity and
 // never past it. The caller holds the write lock.
 func (t *Table) grow() {
-	ring := make([]Row, min(2*len(t.ring), t.capacity))
-	copy(ring, t.ring) // not yet wrapped: already oldest-first from slot 0
-	t.ring, t.head = ring, t.count
+	slots := min(2*t.slots, t.capacity)
+	ring := newRowBlock(t.schema.shape, slots)
+	ring.copyFrom(0, &t.ring, 0, t.count) // not yet wrapped: already oldest-first from slot 0
+	t.ring, t.slots, t.head = ring, slots, t.count
 }
 
-// OnInsert registers fn to run for every inserted row. Used by the in-
-// process subscription path (the artifact's DHCP-flash mode, for example).
+// OnInsert registers fn to run for every inserted row, with a copy of the
+// row that is fn's to keep. Used by the in-process subscription path (the
+// artifact's DHCP-flash mode, for example). The copy is an allocation or
+// three per insert: a subscriber that only wants to know uses Notify.
 func (t *Table) OnInsert(fn func(Row)) {
 	t.mu.Lock()
 	t.onInsert = append(t.onInsert, fn)
+	t.mu.Unlock()
+}
+
+// Notify registers fn to run after every insert, without the row: the
+// doorbell a cursor reader (Tail) rings itself with. It costs the inserter
+// the call and nothing else.
+func (t *Table) Notify(fn func()) {
+	t.mu.Lock()
+	t.notify = append(t.notify, fn)
 	t.mu.Unlock()
 }
 
@@ -127,37 +155,43 @@ func (t *Table) OnInsert(fn func(Row)) {
 func (t *Table) slot(i int) int {
 	i += t.head - t.count
 	if i < 0 {
-		i += len(t.ring)
+		i += t.slots
 	}
 	return i
 }
 
-// copyRange returns a fresh slice of the lo-th to (hi-1)-th oldest rows:
-// the one place a read pays for rows, and it pays for hi-lo of them. Row
-// values are shared (rows are never mutated after insert). The caller
-// holds the lock.
-func (t *Table) copyRange(lo, hi int) []Row {
-	out := make([]Row, hi-lo)
-	n := copy(out, t.ring[t.slot(lo):])
-	copy(out[n:], t.ring) // what of the range wrapped past the ring's end
-	return out
+// copyRange returns a fresh block holding the lo-th to (hi-1)-th oldest
+// rows: the one place a read pays for rows, and it pays for hi-lo of them
+// in one piece, whatever their number. Nothing in the block is shared
+// with the ring, so its rows stay what they were when the ring moves on.
+// The caller holds the lock.
+func (t *Table) copyRange(lo, hi int) *rowBlock {
+	b := newRowBlock(t.schema.shape, hi-lo)
+	first := t.slot(lo)
+	n := min(hi-lo, t.slots-first)
+	b.copyFrom(0, &t.ring, first, n)
+	b.copyFrom(n, &t.ring, 0, hi-lo-n) // what of the range wrapped past the ring's end
+	return &b
 }
+
+// copyRows is copyRange as the row views callers get.
+func (t *Table) copyRows(lo, hi int) []Row { return t.copyRange(lo, hi).rows(hi - lo) }
 
 // firstAt returns how many retained rows fail ok, given that ok is false
 // for a prefix of the rows (oldest-first) and true for the rest — which,
-// for a bound on TS, is the monotone-timestamp assumption. O(log count),
-// on the ring itself. The caller holds the lock.
+// for a bound on the timestamp, is the monotone-timestamp assumption.
+// O(log count), on the ring itself. The caller holds the lock.
 func (t *Table) firstAt(ok func(ts time.Time) bool) int {
-	return sort.Search(t.count, func(i int) bool { return ok(t.ring[t.slot(i)].TS) })
+	return sort.Search(t.count, func(i int) bool { return ok(Row{&t.ring, t.slot(i)}.Time()) })
 }
 
-// Snapshot returns the retained rows oldest-first. The returned slice is
-// fresh; row values are shared (rows are never mutated after insert). It
-// copies the whole ring: reads that want a window use a windowed select.
+// Snapshot returns the retained rows oldest-first, copied out of the ring.
+// It copies the whole ring: reads that want a window use a windowed
+// select.
 func (t *Table) Snapshot() []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.copyRange(0, t.count)
+	return t.copyRows(0, t.count)
 }
 
 // Tail returns, oldest-first, the rows inserted after the first `after`
@@ -165,7 +199,8 @@ func (t *Table) Snapshot() []Row {
 // cursor read aggregators use: read Tail(cursor), process the rows, set
 // cursor to the returned count. Rows that wrapped out of the ring before
 // being read are lost (reported via lost); the next cursor still advances
-// past them. One lock acquisition per call, regardless of row count.
+// past them. One lock acquisition and one copy per call, regardless of row
+// count; the rows are the caller's to keep.
 func (t *Table) Tail(after uint64) (rows []Row, inserts uint64, lost uint64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -179,10 +214,10 @@ func (t *Table) Tail(after uint64) (rows []Row, inserts uint64, lost uint64) {
 		lost = missed - uint64(t.count)
 		n = t.count
 	}
-	return t.copyRange(t.count-n, t.count), inserts, lost
+	return t.copyRows(t.count-n, t.count), inserts, lost
 }
 
-// RowsBetween returns the retained rows with from <= TS <= to,
+// RowsBetween returns the retained rows with from <= timestamp <= to,
 // oldest-first. A zero bound is open: RowsBetween(time.Time{}, to) is
 // "everything up to to", the ring-local evaluation of AS OF. History
 // older than the ring is gone here — a HistorySource widens the horizon.
@@ -196,14 +231,16 @@ func (t *Table) RowsBetween(from, to time.Time) []Row {
 	if !to.IsZero() {
 		hi = max(lo, t.firstAt(func(ts time.Time) bool { return ts.After(to) }))
 	}
-	return t.copyRange(lo, hi)
+	return t.copyRows(lo, hi)
 }
 
-// window returns the retained rows a window specification selects,
+// scan calls fn with each retained row a window specification selects,
 // oldest-first, with now anchoring RANGE windows: applyWindow(Snapshot(),
 // w, now), except that the window is resolved to an index range on the
-// ring and only that range is copied.
-func (t *Table) window(w Window, now time.Time) []Row {
+// ring and nothing is copied. fn runs under the read lock (inserters wait
+// for it) and is handed views of the ring itself: a view is good until fn
+// returns and must not be kept. scan stops at fn's first error.
+func (t *Table) scan(w Window, now time.Time, fn func(Row) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	lo := 0
@@ -216,7 +253,12 @@ func (t *Table) window(w Window, now time.Time) []Row {
 	case WindowNow:
 		lo = max(0, t.count-1)
 	}
-	return t.copyRange(lo, t.count)
+	for i := lo; i < t.count; i++ {
+		if err := fn(Row{&t.ring, t.slot(i)}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // applyWindow selects rows by a window specification, oldest-first. now
@@ -234,7 +276,7 @@ func applyWindow(rows []Row, w Window, now time.Time) []Row {
 		return rows
 	case WindowRange:
 		cutoff := now.Add(-w.Dur)
-		i := sort.Search(len(rows), func(i int) bool { return !rows[i].TS.Before(cutoff) })
+		i := sort.Search(len(rows), func(i int) bool { return !rows[i].Time().Before(cutoff) })
 		return rows[i:]
 	case WindowNow:
 		if len(rows) == 0 {
@@ -259,7 +301,8 @@ type HistorySource interface {
 // DB is a named collection of tables with a clock for window evaluation.
 type DB struct {
 	mu      sync.RWMutex
-	tables  map[string]*Table
+	tables  map[string]*Table // by lower-cased name
+	exact   map[string]*Table // by the name as created: Table's no-fold path
 	clk     clock.Clock
 	history HistorySource
 }
@@ -270,7 +313,7 @@ func New(clk clock.Clock) *DB {
 	if clk == nil {
 		clk = clock.Real{}
 	}
-	return &DB{tables: make(map[string]*Table), clk: clk}
+	return &DB{tables: make(map[string]*Table), exact: make(map[string]*Table), clk: clk}
 }
 
 // Clock returns the database clock.
@@ -307,14 +350,19 @@ func (db *DB) CreateTable(name string, schema *Schema, ringSize int) (*Table, er
 		return nil, fmt.Errorf("hwdb: table %s already exists", name)
 	}
 	t := NewTable(name, schema, ringSize)
-	db.tables[key] = t
+	db.tables[key], db.exact[name] = t, t
 	return t, nil
 }
 
-// Table looks up a table by name (case-insensitive).
+// Table looks up a table by name (case-insensitive). A name spelled as it
+// was created — every insert's — is found without folding it, which
+// allocates.
 func (db *DB) Table(name string) (*Table, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	if t, ok := db.exact[name]; ok {
+		return t, true
+	}
 	t, ok := db.tables[strings.ToLower(name)]
 	return t, ok
 }

@@ -58,10 +58,10 @@ func TestTailWrapExactLoss(t *testing.T) {
 				t.Fatalf("inserts cursor = %d, want %d", inserts, tc.inserts)
 			}
 			if tc.wantRows > 0 {
-				if got := rows[0].Vals[0].Int; got != tc.wantFirst {
+				if got := rows[0].Int(0); got != tc.wantFirst {
 					t.Fatalf("first surviving row = %d, want %d", got, tc.wantFirst)
 				}
-				last := rows[len(rows)-1].Vals[0].Int
+				last := rows[len(rows)-1].Int(0)
 				if want := int64(tc.inserts); last != want {
 					t.Fatalf("last surviving row = %d, want %d", last, want)
 				}
@@ -104,7 +104,7 @@ func TestTailCursorContractAcrossWraps(t *testing.T) {
 		}
 		cursor = cur
 		for _, r := range rows {
-			seen = append(seen, r.Vals[0].Int)
+			seen = append(seen, r.Int(0))
 		}
 	}
 	if len(seen) != 50 {
@@ -132,8 +132,8 @@ func TestTailCursorContractAcrossWraps(t *testing.T) {
 	if cur != uint64(next-1) {
 		t.Fatalf("post-stall cursor = %d, want %d", cur, next-1)
 	}
-	if rows[len(rows)-1].Vals[0].Int != next-1 {
-		t.Fatalf("newest row = %d, want %d", rows[len(rows)-1].Vals[0].Int, next-1)
+	if rows[len(rows)-1].Int(0) != next-1 {
+		t.Fatalf("newest row = %d, want %d", rows[len(rows)-1].Int(0), next-1)
 	}
 	// Once caught up again, the loss is not re-reported.
 	if rows, _, lost := tbl.Tail(cur); len(rows) != 0 || lost != 0 {
@@ -274,7 +274,7 @@ func TestTailZeroAndNilSafety(t *testing.T) {
 	if len(rows) != 1 || cur != 7 || lost != 6 {
 		t.Fatalf("cap-1 tail = %d rows, cur %d, lost %d", len(rows), cur, lost)
 	}
-	if rows[0].Vals[0].Int != 7 {
+	if rows[0].Int(0) != 7 {
 		t.Fatalf("cap-1 survivor = %v", rows[0])
 	}
 }

@@ -14,18 +14,40 @@ import (
 	"repro/internal/packet"
 )
 
+// modelRow is a row as the model keeps it: the timestamp and the cells a
+// read must return. It is written against the contract, not the layout —
+// nothing here knows about cells, strides or blocks.
+type modelRow struct {
+	ts   time.Time
+	vals []Value
+}
+
 // ringModel is the reference every ring shortcut is compared against: all
 // rows ever inserted, in a plain slice, of which a table of capacity cap
 // retains the last cap.
 type ringModel struct {
 	cap  int
-	rows []Row
+	rows []modelRow
 }
 
-func (m *ringModel) held() []Row { return m.rows[max(0, len(m.rows)-m.cap):] }
+// insert records what a table holds after Insert(ts, vals) under schema:
+// the values as given, except that an integer in a real column is the
+// real it widened to.
+func (m *ringModel) insert(schema *Schema, ts time.Time, vals []Value) {
+	kept := make([]Value, len(vals))
+	for i, v := range vals {
+		if schema.Cols[i].Type == TReal && v.Type == TInt {
+			v = Float(float64(v.Int))
+		}
+		kept[i] = v
+	}
+	m.rows = append(m.rows, modelRow{ts, kept})
+}
+
+func (m *ringModel) held() []modelRow { return m.rows[max(0, len(m.rows)-m.cap):] }
 
 // tail is Table.Tail's contract written out over the model.
-func (m *ringModel) tail(after uint64) (rows []Row, inserts, lost uint64) {
+func (m *ringModel) tail(after uint64) (rows []modelRow, inserts, lost uint64) {
 	inserts = uint64(len(m.rows))
 	if after >= inserts {
 		return nil, inserts, 0
@@ -39,52 +61,166 @@ func (m *ringModel) tail(after uint64) (rows []Row, inserts, lost uint64) {
 
 // rowsBetweenRef is RowsBetween as it was defined before it searched the
 // ring: two binary searches over a copy of every retained row.
-func rowsBetweenRef(rows []Row, from, to time.Time) []Row {
+func rowsBetweenRef(rows []modelRow, from, to time.Time) []modelRow {
 	if !from.IsZero() {
-		i := sort.Search(len(rows), func(i int) bool { return !rows[i].TS.Before(from) })
+		i := sort.Search(len(rows), func(i int) bool { return !rows[i].ts.Before(from) })
 		rows = rows[i:]
 	}
 	if !to.IsZero() {
-		i := sort.Search(len(rows), func(i int) bool { return rows[i].TS.After(to) })
+		i := sort.Search(len(rows), func(i int) bool { return rows[i].ts.After(to) })
 		rows = rows[:i]
 	}
 	return rows
 }
 
-func sameRows(got, want []Row) error {
+// windowRef is a window specification applied to everything retained.
+func windowRef(rows []modelRow, w Window, now time.Time) []modelRow {
+	switch w.Kind {
+	case WindowRows:
+		return rows[max(0, len(rows)-w.N):]
+	case WindowRange:
+		cutoff := now.Add(-w.Dur)
+		return rows[sort.Search(len(rows), func(i int) bool { return !rows[i].ts.Before(cutoff) }):]
+	case WindowNow:
+		return rows[max(0, len(rows)-1):]
+	}
+	return rows
+}
+
+// sameCell reports whether two cells agree in every field, the sign of a
+// zero included.
+func sameCell(a, b Value) bool {
+	return a.Type == b.Type && a.Int == b.Int && math.Float64bits(a.Real) == math.Float64bits(b.Real) && a.Str == b.Str
+}
+
+// sameRows compares rows a table handed out with the model's, cell by
+// cell, through Value and through the typed accessors.
+func sameRows(got []Row, want []modelRow) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d rows, want %d", len(got), len(want))
 	}
-	for i := range got {
-		if !got[i].TS.Equal(want[i].TS) || got[i].Vals[0] != want[i].Vals[0] {
-			return fmt.Errorf("row %d = %v@%v, want %v@%v", i, got[i].Vals[0], got[i].TS, want[i].Vals[0], want[i].TS)
+	for i, r := range got {
+		w := want[i]
+		if !r.Time().Equal(w.ts) || r.NumCols() != len(w.vals) {
+			return fmt.Errorf("row %d = %d cells @%v, want %d @%v", i, r.NumCols(), r.Time(), len(w.vals), w.ts)
+		}
+		for c, wv := range w.vals {
+			if !sameCell(r.Value(c), wv) {
+				return fmt.Errorf("row %d cell %d = %v, want %v", i, c, r.Value(c), wv)
+			}
+			ok := r.Real(c) == wv.AsFloat() || wv.Type == TString
+			switch wv.Type {
+			case TString:
+				ok = ok && r.Str(c) == wv.Str
+			case TReal:
+				ok = ok && r.Str(c) == ""
+			default:
+				ok = ok && r.Int(c) == wv.Int && r.Str(c) == ""
+			}
+			if !ok {
+				return fmt.Errorf("row %d cell %d: Int %d Real %v Str %q, want %v", i, c, r.Int(c), r.Real(c), r.Str(c), wv)
+			}
 		}
 	}
 	return nil
 }
 
-// fillRandom inserts n rows (value = insert ordinal) into tbl and the
-// model, the simulated clock standing still for about a third of them so
-// several rows share a timestamp.
-func fillRandom(t *testing.T, rng *rand.Rand, clk *clock.Simulated, tbl *Table, m *ringModel, n int) {
+// copyOut turns the views a scan hands its callback into model rows while
+// they are still good.
+func copyOut(r Row) modelRow {
+	m := modelRow{ts: r.Time(), vals: make([]Value, r.NumCols())}
+	for c := range m.vals {
+		m.vals[c] = r.Value(c)
+	}
+	return m
+}
+
+// sameModel compares two runs of model rows.
+func sameModel(got, want []modelRow) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if !got[i].ts.Equal(want[i].ts) || len(got[i].vals) != len(want[i].vals) {
+			return fmt.Errorf("row %d @%v, want @%v", i, got[i].ts, want[i].ts)
+		}
+		for c := range got[i].vals {
+			if !sameCell(got[i].vals[c], want[i].vals[c]) {
+				return fmt.Errorf("row %d cell %d = %v, want %v", i, c, got[i].vals[c], want[i].vals[c])
+			}
+		}
+	}
+	return nil
+}
+
+// scanned is what Table.scan feeds a select for window w.
+func scanned(t *testing.T, tbl *Table, w Window, now time.Time) []modelRow {
+	t.Helper()
+	var out []modelRow
+	if err := tbl.scan(w, now, func(r Row) error { out = append(out, copyOut(r)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// A tableShape is a schema the differentials run over and a generator of
+// rows for it; vals(rng, n) is the n-th row ever inserted.
+type tableShape struct {
+	name   string
+	schema func(t *testing.T) *Schema
+	vals   func(rng *rand.Rand, n int) []Value
+}
+
+var hostnames = []string{"", "laptop", "tv", "it's-a-phone", "printer|2"}
+
+var tableShapes = []tableShape{
+	{"one integer", func(*testing.T) *Schema { return NewSchema(Column{Name: "v", Type: TInt}) },
+		func(_ *rand.Rand, n int) []Value { return []Value{Int64(int64(n))} }},
+	{"Leases", func(*testing.T) *Schema {
+		tbl, _ := NewHomework(clock.NewSimulated(), 1).Table(TableLeases)
+		return tbl.Schema()
+	}, func(rng *rand.Rand, n int) []Value {
+		return []Value{Str([]string{"add", "del", "upd"}[rng.Intn(3)]), MACVal(packet.MAC{2, 0, 0, byte(n >> 16), byte(n >> 8), byte(n)}),
+			IPVal(packet.IP4{192, 168, byte(n >> 8), byte(n)}), Str(hostnames[rng.Intn(len(hostnames))])}
+	}},
+	{"CREATE TABLE with varchars", func(t *testing.T) *Schema {
+		st, err := Parse("CREATE TABLE Notes (who varchar, n integer, score real, note varchar, ok boolean, at timestamp)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.(*CreateStmt).Schema
+	}, func(rng *rand.Rand, n int) []Value {
+		score := Float(float64(rng.Intn(7)) - 2.5)
+		if rng.Intn(2) == 0 {
+			score = Int64(int64(rng.Intn(7) - 3)) // an integer into the real column
+		}
+		return []Value{Str(hostnames[rng.Intn(len(hostnames))]), Int64(int64(n)), score,
+			Str(strings.Repeat("x", rng.Intn(4))), Bool(rng.Intn(2) == 0), TimeVal(time.Unix(int64(n), 0))}
+	}},
+}
+
+// fillRandom inserts n rows into tbl and the model, the simulated clock
+// standing still for about a third of them so several rows share a
+// timestamp.
+func fillRandom(t *testing.T, rng *rand.Rand, clk *clock.Simulated, tbl *Table, m *ringModel, shape tableShape, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		if rng.Intn(3) > 0 {
 			clk.Advance(time.Duration(1+rng.Intn(900)) * time.Millisecond)
 		}
-		vals := []Value{Int64(int64(len(m.rows)))}
+		vals := shape.vals(rng, len(m.rows))
 		if err := tbl.Insert(clk.Now(), vals); err != nil {
 			t.Fatal(err)
 		}
-		m.rows = append(m.rows, Row{TS: clk.Now(), Vals: vals})
+		m.insert(tbl.Schema(), clk.Now(), vals)
 	}
 }
 
 // TestWindowReadMatchesSnapshotThenWindow is the differential test for
 // window-first reads: over every ring state a table passes through and
-// every window kind, the range resolved on the ring equals
-// applyWindow over a copy of everything retained, RowsBetween equals its
-// old definition, and Snapshot itself equals the model.
+// every window kind, the range resolved on the ring equals the window
+// applied to everything retained, RowsBetween equals its old definition,
+// and Snapshot itself equals the model.
 func TestWindowReadMatchesSnapshotThenWindow(t *testing.T) {
 	const capacity = 600 // not a power of two: the ring grows 256 -> 512 -> 600
 	states := []struct {
@@ -101,17 +237,18 @@ func TestWindowReadMatchesSnapshotThenWindow(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 5; seed++ {
 		for _, st := range states {
+			shape := tableShapes[int(seed)%len(tableShapes)]
 			rng := rand.New(rand.NewSource(seed))
 			clk := clock.NewSimulated()
-			tbl := NewTable("T", NewSchema(Column{Name: "v", Type: TInt}), capacity)
+			tbl := NewTable("T", shape.schema(t), capacity)
 			m := &ringModel{cap: capacity}
-			fillRandom(t, rng, clk, tbl, m, st.inserts)
+			fillRandom(t, rng, clk, tbl, m, shape, st.inserts)
 			clk.Advance(time.Duration(rng.Intn(3)) * time.Second)
 			now, held := clk.Now(), m.held()
 			fail := func(what string, err error) {
 				t.Helper()
 				if err != nil {
-					t.Errorf("seed %d, %s, %s: %v", seed, st.name, what, err)
+					t.Errorf("seed %d, %s, %s, %s: %v", seed, shape.name, st.name, what, err)
 				}
 			}
 			fail("Snapshot", sameRows(tbl.Snapshot(), held))
@@ -121,9 +258,9 @@ func TestWindowReadMatchesSnapshotThenWindow(t *testing.T) {
 			// a third of the rows repeat their predecessor's) and between.
 			instants := []time.Time{now, now.Add(time.Hour), now.Add(-24 * time.Hour)}
 			if n := len(held); n > 0 {
-				instants = append(instants, held[0].TS, held[0].TS.Add(-time.Nanosecond), held[n-1].TS, held[n-1].TS.Add(time.Nanosecond))
+				instants = append(instants, held[0].ts, held[0].ts.Add(-time.Nanosecond), held[n-1].ts, held[n-1].ts.Add(time.Nanosecond))
 				for i := 0; i < 12; i++ {
-					ts := held[rng.Intn(n)].TS
+					ts := held[rng.Intn(n)].ts
 					instants = append(instants, ts, ts.Add(time.Nanosecond), ts.Add(-time.Nanosecond))
 				}
 			}
@@ -141,7 +278,7 @@ func TestWindowReadMatchesSnapshotThenWindow(t *testing.T) {
 				}
 			}
 			for _, w := range windows {
-				fail(w.String(), sameRows(tbl.window(w, now), applyWindow(held, w, now)))
+				fail(w.String(), sameModel(scanned(t, tbl, w, now), windowRef(held, w, now)))
 			}
 
 			instants = append(instants, time.Time{})
@@ -151,6 +288,159 @@ func TestWindowReadMatchesSnapshotThenWindow(t *testing.T) {
 						sameRows(tbl.RowsBetween(from, to), rowsBetweenRef(held, from, to)))
 				}
 			}
+		}
+	}
+}
+
+// TestFlatRingRandomOps drives a table and the model through random
+// sequences of inserts, cursor reads, snapshots, time-range reads and
+// windowed selects, across growth and several wraps, over every table
+// shape: at no point can a caller tell the flat ring from a slice of rows.
+// Rows read early are checked again at the end, after the ring has moved
+// on under them.
+func TestFlatRingRandomOps(t *testing.T) {
+	for _, shape := range tableShapes {
+		for seed := int64(1); seed <= 4; seed++ {
+			capacity := []int{1, 3, 300, 700}[seed-1]
+			rng := rand.New(rand.NewSource(seed))
+			clk := clock.NewSimulated()
+			db := New(clk)
+			tbl, err := db.CreateTable("T", shape.schema(t), capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := &ringModel{cap: capacity}
+			type kept struct {
+				what string
+				got  []Row
+				want []modelRow
+			}
+			var retained []kept
+			check := func(what string, got []Row, want []modelRow) {
+				t.Helper()
+				if err := sameRows(got, want); err != nil {
+					t.Fatalf("%s, seed %d, %d inserts, %s: %v", shape.name, seed, len(m.rows), what, err)
+				}
+				if len(got) > 0 && len(retained) < 200 {
+					retained = append(retained, kept{what, got, append([]modelRow(nil), want...)})
+				}
+			}
+			instant := func() time.Time {
+				if held := m.held(); len(held) > 0 && rng.Intn(4) > 0 {
+					return held[rng.Intn(len(held))].ts.Add(time.Duration(rng.Intn(3)-1) * time.Nanosecond)
+				}
+				if rng.Intn(3) == 0 {
+					return time.Time{}
+				}
+				return clk.Now().Add(time.Duration(rng.Intn(7)-3) * time.Second)
+			}
+			for len(m.rows) < 3*capacity+600 {
+				switch op := rng.Intn(10); {
+				case op < 4:
+					fillRandom(t, rng, clk, tbl, m, shape, 1+rng.Intn(40))
+				case op < 6:
+					after := uint64(rng.Intn(len(m.rows) + 2))
+					rows, inserts, lost := tbl.Tail(after)
+					wantRows, wantInserts, wantLost := m.tail(after)
+					if inserts != wantInserts || lost != wantLost {
+						t.Fatalf("%s, seed %d: Tail(%d) = _, %d, %d, want %d, %d", shape.name, seed, after, inserts, lost, wantInserts, wantLost)
+					}
+					check(fmt.Sprintf("Tail(%d)", after), rows, wantRows)
+				case op < 7:
+					check("Snapshot", tbl.Snapshot(), m.held())
+				case op < 8:
+					from, to := instant(), instant()
+					check(fmt.Sprintf("RowsBetween(%v, %v)", from, to), tbl.RowsBetween(from, to), rowsBetweenRef(m.held(), from, to))
+				default:
+					w := []Window{{Kind: WindowAll}, {Kind: WindowNow}, {Kind: WindowRows, N: rng.Intn(2 * capacity)},
+						{Kind: WindowRange, Dur: time.Duration(rng.Intn(20000)) * time.Millisecond}}[rng.Intn(4)]
+					res, err := db.Select(&SelectStmt{Items: []SelectItem{{Col: "*"}}, Table: "t", Win: w})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := windowRef(m.held(), w, clk.Now())
+					got := make([]modelRow, len(res.Rows))
+					for i, cells := range res.Rows {
+						got[i] = modelRow{cells[0].Time(), cells[1:]}
+					}
+					if err := sameModel(got, want); err != nil {
+						t.Fatalf("%s, seed %d, %d inserts, SELECT * %v: %v", shape.name, seed, len(m.rows), w, err)
+					}
+				}
+			}
+			for _, k := range retained {
+				if err := sameRows(k.got, k.want); err != nil {
+					t.Fatalf("%s, seed %d: rows from %s changed once the ring moved on: %v", shape.name, seed, k.what, err)
+				}
+			}
+		}
+	}
+}
+
+// TestTailRowsSurviveTwoWraps: rows a cursor read handed out are the
+// caller's — the ring wrapping twice past them changes nothing in them.
+func TestTailRowsSurviveTwoWraps(t *testing.T) {
+	for _, shape := range tableShapes {
+		const capacity = 64
+		rng := rand.New(rand.NewSource(7))
+		clk := clock.NewSimulated()
+		tbl := NewTable("T", shape.schema(t), capacity)
+		m := &ringModel{cap: capacity}
+		fillRandom(t, rng, clk, tbl, m, shape, capacity+capacity/2) // wrapped already
+		rows, _, _ := tbl.Tail(uint64(capacity))
+		want, _, _ := m.tail(uint64(capacity))
+		want = append([]modelRow(nil), want...)
+		if err := sameRows(rows, want); err != nil || len(rows) != capacity/2 {
+			t.Fatalf("%s: Tail: %d rows, %v", shape.name, len(rows), err)
+		}
+		fillRandom(t, rng, clk, tbl, m, shape, 2*capacity+1)
+		if _, dropped := tbl.Stats(); dropped < 2*capacity {
+			t.Fatalf("%s: ring dropped %d rows, want two wraps", shape.name, dropped)
+		}
+		if err := sameRows(rows, want); err != nil {
+			t.Errorf("%s: Tail rows after two more wraps: %v", shape.name, err)
+		}
+	}
+}
+
+// TestIntegerInRealColumn: an integer inserted into a real column is
+// stored as the real it equals, and reads, renders, groups and orders as
+// that number, beside the reals around it.
+func TestIntegerInRealColumn(t *testing.T) {
+	clk := clock.NewSimulated()
+	db := New(clk)
+	if _, err := db.CreateTable("T", NewSchema(Column{"k", TString}, Column{"r", TReal}), 16); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []Value{Int64(3), Float(3), Float(2.5), Int64(-3), Int64(0), Float(3), Int64(54), Int64(999999)} {
+		if err := db.Insert("T", Str("k"), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	text := func(cql string) string {
+		t.Helper()
+		res, err := db.Query(cql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Text()
+	}
+	if got, want := text("SELECT r FROM T"), "r\n3\n3\n2.5\n-3\n0\n3\n54\n999999\n"; got != want {
+		t.Errorf("rendered %q, want %q", got, want)
+	}
+	if got, want := text("SELECT r, count(*) AS n FROM T GROUP BY r"), "r\tn\n3\t3\n2.5\t1\n-3\t1\n0\t1\n54\t1\n999999\t1\n"; got != want {
+		t.Errorf("grouped %q, want %q", got, want)
+	}
+	if got, want := text("SELECT r FROM T WHERE r >= 3 ORDER BY r DESC LIMIT 3"), "r\n999999\n54\n3\n"; got != want {
+		t.Errorf("ordered %q, want %q", got, want)
+	}
+	if got, want := text("SELECT min(r) AS lo, max(r) AS hi, sum(r) AS s FROM T WHERE r < 100"), "lo\thi\ts\n-3\t54\t62.5\n"; got != want {
+		t.Errorf("aggregated %q, want %q", got, want)
+	}
+	tbl, _ := db.Table("T")
+	for i, r := range tbl.Snapshot() {
+		if v := r.Value(1); v.Type != TReal {
+			t.Errorf("row %d holds %v of type %v in the real column", i, v, v.Type)
 		}
 	}
 }
@@ -171,29 +461,28 @@ func wantSlots(inserted, capacity int) int {
 // boundary and two wraps: nothing a caller can observe differs, and the
 // slots held follow the memory contract.
 func TestRingGrowthMatchesPresizedRing(t *testing.T) {
-	for _, capacity := range []int{1, 2, 255, 256, 257, 600, 1000, 1024, 2048} {
+	for ci, capacity := range []int{1, 2, 255, 256, 257, 600, 1000, 1024, 2048} {
+		shape := tableShapes[ci%len(tableShapes)]
+		rng := rand.New(rand.NewSource(int64(capacity)))
 		clk := clock.NewSimulated()
-		tbl := NewTable("T", NewSchema(Column{Name: "v", Type: TInt}), capacity)
+		tbl := NewTable("T", shape.schema(t), capacity)
 		m := &ringModel{cap: capacity}
 		var hooked []Row
 		tbl.OnInsert(func(r Row) { hooked = append(hooked, r) })
-		if got := len(tbl.ring); got != wantSlots(0, capacity) {
+		slots := func() int { return len(tbl.ring.cells) / tbl.ring.shape.stride }
+		if got := slots(); got != wantSlots(0, capacity) {
 			t.Fatalf("cap %d: %d slots before the first insert, want %d", capacity, got, wantSlots(0, capacity))
 		}
 		cursor := uint64(0) // a reader that catches up every 97 inserts
 		for i := 1; i <= 2*capacity+3; i++ {
 			clk.Advance(time.Millisecond)
-			vals := []Value{Int64(int64(i))}
-			if err := tbl.Insert(clk.Now(), vals); err != nil {
-				t.Fatal(err)
-			}
-			m.rows = append(m.rows, Row{TS: clk.Now(), Vals: vals})
+			fillRandom(t, rng, clk, tbl, m, shape, 1)
 
 			if tbl.Cap() != capacity {
 				t.Fatalf("cap %d: Cap() = %d after %d inserts", capacity, tbl.Cap(), i)
 			}
-			if got := len(tbl.ring); got != wantSlots(i, capacity) {
-				t.Fatalf("cap %d: %d slots after %d inserts, want %d", capacity, got, i, wantSlots(i, capacity))
+			if got := slots(); got != wantSlots(i, capacity) || got != tbl.slots || len(tbl.ring.strs) != got*tbl.ring.shape.nstr {
+				t.Fatalf("cap %d: %d slots (%d strings) after %d inserts, want %d", capacity, got, len(tbl.ring.strs), i, wantSlots(i, capacity))
 			}
 			if got := tbl.Len(); got != len(m.held()) {
 				t.Fatalf("cap %d: Len() = %d after %d inserts, want %d", capacity, got, i, len(m.held()))
@@ -248,7 +537,7 @@ func TestNewHomeworkRingOfOne(t *testing.T) {
 // row, Value.String of every group cell joined with '|'. It returns, in
 // first-seen order, each group's first-seen key cells, row count and sum
 // of column sumCol.
-func groupByRef(rows []Row, groupIdx []int, sumCol int) [][]Value {
+func groupByRef(rows []modelRow, groupIdx []int, sumCol int) [][]Value {
 	type group struct {
 		key   []Value
 		count int64
@@ -260,7 +549,7 @@ func groupByRef(rows []Row, groupIdx []int, sumCol int) [][]Value {
 		var sb strings.Builder
 		key := make([]Value, len(groupIdx))
 		for i, gi := range groupIdx {
-			key[i] = r.Vals[gi]
+			key[i] = r.vals[gi]
 			sb.WriteString(key[i].String())
 			sb.WriteByte('|')
 		}
@@ -271,7 +560,7 @@ func groupByRef(rows []Row, groupIdx []int, sumCol int) [][]Value {
 			order = append(order, sb.String())
 		}
 		g.count++
-		g.sum += r.Vals[sumCol].AsFloat()
+		g.sum += r.vals[sumCol].AsFloat()
 	}
 	var out [][]Value
 	for _, ks := range order {
@@ -279,12 +568,6 @@ func groupByRef(rows []Row, groupIdx []int, sumCol int) [][]Value {
 		out = append(out, append(append([]Value(nil), g.key...), Int64(g.count), Float(g.sum)))
 	}
 	return out
-}
-
-// cellID renders a cell so that cells differing in any field, the sign of
-// a zero included, differ.
-func cellID(v Value) string {
-	return fmt.Sprintf("%d/%d/%x/%q", v.Type, v.Int, math.Float64bits(v.Real), v.Str)
 }
 
 // TestGroupByMatchesStringKeyedReference: the byte-keyed grouping forms
@@ -300,18 +583,20 @@ func TestGroupByMatchesStringKeyedReference(t *testing.T) {
 	sel := mustSelect(t, "SELECT s, u, r, i, m, b, count(*), sum(n) FROM T GROUP BY s, u, r, i, m, b")
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		rows := make([]Row, 400)
-		for i := range rows {
+		tbl := NewTable("T", schema, 400)
+		m := &ringModel{cap: 400}
+		for i := 0; i < 400; i++ {
 			vals := []Value{
 				Str(strs[rng.Intn(len(strs))]), Str(strs[rng.Intn(len(strs))]), reals[rng.Intn(len(reals))],
 				Int64(int64(rng.Intn(3) - 1)), MACVal(packet.MAC{2, byte(rng.Intn(2))}), Bool(rng.Intn(2) == 0),
 				Int64(int64(rng.Intn(1000))),
 			}
-			if err := schema.Validate(vals); err != nil {
+			if err := tbl.Insert(time.Unix(int64(i), 0), vals); err != nil {
 				t.Fatal(err)
 			}
-			rows[i] = Row{Vals: vals}
+			m.insert(schema, time.Unix(int64(i), 0), vals)
 		}
+		rows := tbl.Snapshot()
 		// Fewer grouping columns make bigger groups: both ends matter.
 		for _, s := range []*SelectStmt{sel, mustSelect(t, "SELECT r, count(*), sum(n) FROM T GROUP BY r"),
 			mustSelect(t, "SELECT s, u, count(*), sum(n) FROM T GROUP BY s, u")} {
@@ -324,19 +609,31 @@ func TestGroupByMatchesStringKeyedReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := groupByRef(rows, groupIdx, 6)
+			want := groupByRef(m.rows, groupIdx, 6)
 			if len(res.Rows) != len(want) {
 				t.Fatalf("seed %d, %v: %d groups, want %d", seed, s.GroupBy, len(res.Rows), len(want))
 			}
 			for i := range want {
 				for j := range want[i] {
-					if cellID(res.Rows[i][j]) != cellID(want[i][j]) {
+					if !sameCell(res.Rows[i][j], want[i][j]) {
 						t.Fatalf("seed %d, %v: group %d cell %d = %v, want %v", seed, s.GroupBy, i, j, res.Rows[i][j], want[i][j])
 					}
 				}
 			}
 		}
 	}
+}
+
+// aggregate runs rows through an aggregation in one call.
+func aggregate(schema *Schema, sel *SelectStmt, rows []Row) (*Result, error) {
+	a, err := newAggregation(schema, sel)
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
+		a.add(row)
+	}
+	return a.result(), nil
 }
 
 func mustSelect(t testing.TB, cql string) *SelectStmt {

@@ -277,10 +277,10 @@ func (f *Folder) consume(d Delta) {
 	switch d.Source.Table {
 	case hwdb.TableFlows:
 		for i := range d.Rows {
-			row := &d.Rows[i]
-			pk := uint64(row.Vals[f.fPkts].Int)
-			by := uint64(row.Vals[f.fBytes].Int)
-			mac := row.Vals[f.fMAC].Int
+			row := d.Rows[i]
+			pk := uint64(row.Int(f.fPkts))
+			by := uint64(row.Int(f.fBytes))
+			mac := row.Int(f.fMAC)
 			h.flows++
 			h.packets += pk
 			h.bytes += by
@@ -290,8 +290,9 @@ func (f *Folder) consume(d Delta) {
 				p.bytes += by
 				p.device(mac)
 			}
-			h.rate.add(row.TS, by, pk)
-			f.rate.add(row.TS, by, pk)
+			ts := row.Time()
+			h.rate.add(ts, by, pk)
+			f.rate.add(ts, by, pk)
 			dr := h.dev[mac]
 			if dr == nil {
 				if h.dev == nil {
@@ -300,14 +301,14 @@ func (f *Folder) consume(d Delta) {
 				dr = newRateRing(f.window, f.buckets)
 				h.dev[mac] = dr
 			}
-			dr.add(row.TS, by, pk)
+			dr.add(ts, by, pk)
 			f.fleet.Flows++
 			f.fleet.Packets += pk
 			f.fleet.Bytes += by
 		}
 	case hwdb.TableLinks:
 		for i := range d.Rows {
-			rssi := d.Rows[i].Vals[f.lRSSI].AsFloat()
+			rssi := d.Rows[i].Real(f.lRSSI)
 			h.links++
 			h.agg.links++
 			h.agg.rssiSum += rssi
@@ -320,15 +321,15 @@ func (f *Folder) consume(d Delta) {
 		f.fleet.Leases += uint64(len(d.Rows))
 	case hwdb.TableFlowPerf:
 		for i := range d.Rows {
-			row := &d.Rows[i]
-			tx := uint64(row.Vals[f.pTx].Int)
-			lost := uint64(row.Vals[f.pLost].Int)
+			row := d.Rows[i]
+			tx := uint64(row.Int(f.pTx))
+			lost := uint64(row.Int(f.pLost))
 			h.txPkts += tx
 			h.lostPkts += lost
 			f.fleet.PerfRows++
 			f.fleet.TxPkts += tx
 			f.fleet.LostPkts += lost
-			if us := row.Vals[f.pInstallUS].Int; us > 0 {
+			if us := row.Int(f.pInstallUS); us > 0 {
 				f.fleet.Installs++
 				f.fleet.InstallUSSum += uint64(us)
 			}

@@ -147,7 +147,7 @@ func (h *Hub) Watch(id SourceID, t *hwdb.Table) {
 	// channel send. No allocation, and the inserter never waits on any
 	// consumer — a slow subscriber costs accounted loss, not insert
 	// latency.
-	t.OnInsert(func(hwdb.Row) {
+	t.Notify(func() {
 		if s.gone.Load() {
 			return
 		}

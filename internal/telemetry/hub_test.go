@@ -42,7 +42,7 @@ func TestHubDeliversBatchedDeltas(t *testing.T) {
 		if d.Source != id || len(d.Rows) != 5 || d.Lost != 0 {
 			t.Fatalf("delta = %+v", d)
 		}
-		if d.Rows[0].Vals[0].Int != 0 || d.Rows[4].Vals[0].Int != 4 {
+		if d.Rows[0].Int(0) != 0 || d.Rows[4].Int(0) != 4 {
 			t.Fatalf("rows out of order: %v", d.Rows)
 		}
 	default:
@@ -96,7 +96,7 @@ func TestHubRingWrapLost(t *testing.T) {
 	if len(d.Rows) != 4 || d.Lost != 6 {
 		t.Fatalf("delta rows=%d lost=%d, want 4 lost 6", len(d.Rows), d.Lost)
 	}
-	if d.Rows[0].Vals[0].Int != 6 || d.Rows[3].Vals[0].Int != 9 {
+	if d.Rows[0].Int(0) != 6 || d.Rows[3].Int(0) != 9 {
 		t.Fatalf("surviving rows = %v", d.Rows)
 	}
 	st := hub.Stats()

@@ -11,10 +11,7 @@ import (
 func relayDelta(home uint64, n int, lost uint64) Delta {
 	rows := make([]hwdb.Row, n)
 	for i := range rows {
-		rows[i] = hwdb.Row{
-			TS:   time.Date(2011, 8, 15, 9, 0, i, 0, time.UTC),
-			Vals: []hwdb.Value{hwdb.Int64(int64(i))},
-		}
+		rows[i] = hwdb.NewRow(time.Date(2011, 8, 15, 9, 0, i, 0, time.UTC), hwdb.Int64(int64(i)))
 	}
 	return Delta{Source: SourceID{Home: home, Table: "T"}, Rows: rows, Lost: lost}
 }

@@ -58,7 +58,15 @@ type Artifact struct {
 	peak      float64 // peak bandwidth seen (bytes/s)
 	flash     LED     // pending flash colour for mode 3
 	flashLeft int     // remaining flash frames
+
+	rssiSel *hwdb.SelectStmt // the mode-1 read, parsed for rssiFor
+	rssiFor packet.MAC
 }
+
+var (
+	recentBytes   = mustSelect("SELECT sum(bytes) AS b FROM Flows [RANGE 2 SECONDS]")
+	recentRetries = mustSelect("SELECT avg(retries) AS r FROM Links [ROWS 20]")
+)
 
 // NewArtifact builds an artifact display. Register its DHCP interest with
 // WatchLeases to animate mode 3 from lease events.
@@ -92,7 +100,7 @@ func (a *Artifact) WatchLeases() {
 	tbl.OnInsert(func(r hwdb.Row) {
 		a.mu.Lock()
 		defer a.mu.Unlock()
-		switch r.Vals[actionIdx].Str {
+		switch r.Str(actionIdx) {
 		case "add":
 			a.flash, a.flashLeft = LEDGreen, 3
 		case "del":
@@ -105,8 +113,14 @@ func (a *Artifact) WatchLeases() {
 // sample among the last 200, so a station that has gone quiet reads as
 // absent rather than at its stale level.
 func (a *Artifact) rssi() (int, bool) {
-	q := fmt.Sprintf("SELECT rssi FROM Links [ROWS 200] WHERE mac = %s", a.MAC)
-	res, err := a.DB.Query(q)
+	a.mu.Lock()
+	if a.rssiSel == nil || a.rssiFor != a.MAC {
+		// A MAC always renders as a literal the parser takes.
+		a.rssiSel, a.rssiFor = mustSelect(fmt.Sprintf("SELECT rssi FROM Links [ROWS 200] WHERE mac = %s", a.MAC)), a.MAC
+	}
+	sel := a.rssiSel
+	a.mu.Unlock()
+	res, err := a.DB.Select(sel)
 	if err != nil || len(res.Rows) == 0 {
 		return 0, false
 	}
@@ -115,7 +129,7 @@ func (a *Artifact) rssi() (int, bool) {
 
 // totalBandwidth sums Flows bytes over the last second-ish window.
 func (a *Artifact) totalBandwidth() float64 {
-	res, err := a.DB.Query("SELECT sum(bytes) AS b FROM Flows [RANGE 2 SECONDS]")
+	res, err := a.DB.Select(recentBytes)
 	if err != nil || len(res.Rows) == 0 {
 		return 0
 	}
@@ -124,7 +138,7 @@ func (a *Artifact) totalBandwidth() float64 {
 
 // retryRate reads the recent average retry count per link sample.
 func (a *Artifact) retryRate() float64 {
-	res, err := a.DB.Query("SELECT avg(retries) AS r FROM Links [ROWS 20]")
+	res, err := a.DB.Select(recentRetries)
 	if err != nil || len(res.Rows) == 0 {
 		return 0
 	}

@@ -39,7 +39,22 @@ type BandwidthView struct {
 	DB *hwdb.DB
 	// Window is the temporal window shown (default 10 seconds).
 	Window time.Duration
+
+	flows    *hwdb.SelectStmt // the Figure-1 read, parsed for flowsFor
+	flowsFor time.Duration
 }
+
+// mustSelect parses one of the displays' own statements, once, so that a
+// refresh is a DB.Select and not a parse.
+func mustSelect(cql string) *hwdb.SelectStmt {
+	sel, err := hwdb.ParseSelect(cql)
+	if err != nil {
+		panic(err)
+	}
+	return sel
+}
+
+var leaseNames = mustSelect("SELECT mac, hostname, action FROM Leases")
 
 // NewBandwidthView builds a view over db.
 func NewBandwidthView(db *hwdb.DB) *BandwidthView {
@@ -49,7 +64,7 @@ func NewBandwidthView(db *hwdb.DB) *BandwidthView {
 // hostnames maps MAC -> latest hostname from the Leases table.
 func (v *BandwidthView) hostnames() map[packet.MAC]string {
 	out := make(map[packet.MAC]string)
-	res, err := v.DB.Query("SELECT mac, hostname, action FROM Leases")
+	res, err := v.DB.Select(leaseNames)
 	if err != nil {
 		return out
 	}
@@ -70,10 +85,16 @@ func (v *BandwidthView) Rows() ([]BandwidthRow, error) {
 		window = 10 * time.Second
 	}
 	secs := window.Seconds()
-	q := fmt.Sprintf(
-		"SELECT mac, proto, dport, sport, sum(bytes) AS bytes FROM Flows [RANGE %g SECONDS] GROUP BY mac, proto, dport, sport",
-		secs)
-	res, err := v.DB.Query(q)
+	if v.flows == nil || v.flowsFor != window {
+		sel, err := hwdb.ParseSelect(fmt.Sprintf(
+			"SELECT mac, proto, dport, sport, sum(bytes) AS bytes FROM Flows [RANGE %g SECONDS] GROUP BY mac, proto, dport, sport",
+			secs))
+		if err != nil {
+			return nil, err
+		}
+		v.flows, v.flowsFor = sel, window
+	}
+	res, err := v.DB.Select(v.flows)
 	if err != nil {
 		return nil, err
 	}

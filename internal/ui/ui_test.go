@@ -100,6 +100,42 @@ func TestBandwidthRenderAndWindow(t *testing.T) {
 	}
 }
 
+// TestDisplaysParseOncePerWindowAndMAC: a refresh reuses the parsed
+// statement, and a display whose window or MAC is changed under it reads
+// with the new one.
+func TestDisplaysParseOncePerWindowAndMAC(t *testing.T) {
+	clk := clock.NewSimulated()
+	db := seededDB(clk)
+	v := NewBandwidthView(db)
+	clk.Advance(8 * time.Second)
+	if rows, err := v.Rows(); err != nil || len(rows) == 0 {
+		t.Fatalf("10 s window, 8 s on: %d rows, %v", len(rows), err)
+	}
+	parsed := v.flows
+	if rows, err := v.Rows(); err != nil || len(rows) == 0 || v.flows != parsed {
+		t.Fatalf("second refresh: %d rows, %v, reparsed %v", len(rows), err, v.flows != parsed)
+	}
+	v.Window = 5 * time.Second
+	if rows, err := v.Rows(); err != nil || len(rows) != 0 {
+		t.Fatalf("5 s window, 8 s on: %d rows, %v; want none", len(rows), err)
+	}
+
+	_ = db.InsertLink(phoneMAC, -45, 0, 54)
+	_ = db.InsertLink(laptopMAC, -85, 0, 54)
+	a := NewArtifact(db, phoneMAC)
+	if rssi, ok := a.rssi(); !ok || rssi != -45 {
+		t.Fatalf("phone rssi = %d, %v", rssi, ok)
+	}
+	sel := a.rssiSel
+	if rssi, ok := a.rssi(); !ok || rssi != -45 || a.rssiSel != sel {
+		t.Fatalf("second read: %d, %v, reparsed %v", rssi, ok, a.rssiSel != sel)
+	}
+	a.MAC = laptopMAC
+	if rssi, ok := a.rssi(); !ok || rssi != -85 {
+		t.Fatalf("after the artifact changed hands: rssi = %d, %v, want the laptop's -85", rssi, ok)
+	}
+}
+
 func TestArtifactSignalMode(t *testing.T) {
 	clk := clock.NewSimulated()
 	db := hwdb.NewHomework(clk, 1024)
