@@ -36,7 +36,8 @@
 //
 // With -debug-addr (off by default), an HTTP debug endpoint serves
 // net/http/pprof profiles under /debug/pprof/ and expvar counters under
-// /debug/vars, with the live fleet trace summary published as the
+// /debug/vars in every mode, -worker and -workers processes included. A
+// scenario run also publishes the live fleet trace summary as the
 // "trace" expvar, the hub/federation loss books and folder totals as
 // "telemetry", and the flight recorder's retention books as "flight".
 //
@@ -236,6 +237,17 @@ func main() {
 	workers := flag.String("workers", "", "coordinator: comma-separated worker addresses to drive instead of in-process shards")
 	flag.Parse()
 
+	// Every mode below serves the debug endpoint, worker and remote
+	// coordinator processes included: pprof and the runtime's expvars need
+	// no fleet. The scenario runner adds its fleet's expvars in OnFleet.
+	if *debugAddr != "" {
+		go func() {
+			// DefaultServeMux carries the pprof and expvar handlers.
+			log.Printf("debug endpoint on http://%s/debug/pprof/ and /debug/vars", *debugAddr)
+			log.Fatal(http.ListenAndServe(*debugAddr, nil))
+		}()
+	}
+
 	if *chaosRun {
 		runChaosSoak(chaos.SoakConfig{
 			Homes:        *homes,
@@ -332,11 +344,6 @@ func main() {
 			if rec != nil {
 				expvar.Publish("flight", expvar.Func(func() any { return rec.Stats() }))
 			}
-			go func() {
-				// DefaultServeMux carries the pprof and expvar handlers.
-				log.Printf("debug endpoint on http://%s/debug/pprof/ and /debug/vars", *debugAddr)
-				log.Fatal(http.ListenAndServe(*debugAddr, nil))
-			}()
 		}
 	}
 

@@ -16,7 +16,7 @@ import (
 
 // startRouter brings up a full platform with auto-permit enabled unless
 // overridden by mutate.
-func startRouter(t *testing.T, mutate func(*Config)) *Router {
+func startRouter(t testing.TB, mutate func(*Config)) *Router {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.AutoPermit = true
@@ -35,7 +35,7 @@ func startRouter(t *testing.T, mutate func(*Config)) *Router {
 }
 
 // join adds a host and completes DHCP, failing the test if it can't bind.
-func join(t *testing.T, r *Router, name, mac string, wireless bool, pos netsim.Pos) *netsim.Host {
+func join(t testing.TB, r *Router, name, mac string, wireless bool, pos netsim.Pos) *netsim.Host {
 	t.Helper()
 	h, err := r.AddHost(name, mac, wireless, pos)
 	if err != nil {
@@ -48,7 +48,7 @@ func join(t *testing.T, r *Router, name, mac string, wireless bool, pos netsim.P
 	return h
 }
 
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
+func waitFor(t testing.TB, timeout time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for !cond() {

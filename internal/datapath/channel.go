@@ -306,21 +306,7 @@ func (dp *Datapath) handleStats(m *openflow.StatsRequest) {
 			DPDesc:    dp.desc,
 		}
 	case openflow.StatsFlow:
-		entries := dp.table.Entries(&m.Flow.Match, m.Flow.OutPort)
-		rep.Flows = make([]openflow.FlowStats, 0, len(entries))
-		for _, e := range entries {
-			dur := now.Sub(e.Installed)
-			rep.Flows = append(rep.Flows, openflow.FlowStats{
-				TableID: 0, Match: e.Match,
-				DurationSec:  uint32(dur / time.Second),
-				DurationNsec: uint32(dur % time.Second),
-				Priority:     e.Priority,
-				IdleTimeout:  e.IdleTimeout, HardTimeout: e.HardTimeout,
-				Cookie:      e.Cookie,
-				PacketCount: e.PacketCount(), ByteCount: e.ByteCount(),
-				Actions: e.Actions,
-			})
-		}
+		rep.Flows = dp.table.flowStats(openflow.FlowStatsBufs.Get(), &m.Flow.Match, m.Flow.OutPort, now)
 	case openflow.StatsAggregate:
 		var agg openflow.AggregateStats
 		for _, e := range dp.table.Entries(&m.Flow.Match, m.Flow.OutPort) {
@@ -338,9 +324,8 @@ func (dp *Datapath) handleStats(m *openflow.StatsRequest) {
 			LookupCount: lookups, MatchedCount: matched,
 		}}
 	case openflow.StatsPort:
-		ports := dp.Ports()
-		rep.Ports = make([]openflow.PortStats, 0, len(ports))
-		for _, p := range ports {
+		rep.Ports = openflow.PortStatsBufs.Get()
+		for _, p := range dp.Ports() {
 			if m.Port.PortNo != openflow.PortNone && m.Port.PortNo != p.No {
 				continue
 			}

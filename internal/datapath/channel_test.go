@@ -153,7 +153,7 @@ func TestChannelPacketOutViaTable(t *testing.T) {
 	rig := newPipeRig(t, clock.Real{})
 	delivered := make(chan []byte, 1)
 	p2, _ := rig.dp.Port(2)
-	p2.SetOut(func(f []byte) { delivered <- f })
+	p2.SetOut(func(f []byte) { delivered <- append([]byte(nil), f...) })
 
 	// Install a rule forwarding everything to port 2.
 	fm := &openflow.FlowMod{

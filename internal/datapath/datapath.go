@@ -16,7 +16,10 @@ import (
 )
 
 // Port is one switch port. Out delivers frames to whatever the port is
-// attached to (a simulated link, a test harness, the upstream "ISP").
+// attached to (a simulated link, a test harness, the upstream "ISP"). A
+// frame is the sink's for the call only: its bytes sit in a scratch buffer
+// or a hold-queue chunk the next frame, of any home, overwrites, so a sink
+// that keeps a frame copies it.
 type Port struct {
 	No     uint16
 	Name   string
@@ -450,43 +453,101 @@ type puntBuffer struct {
 	held   holdQueue
 }
 
-// holdQueue is the frames held behind one punt, in arrival order. A frame
-// is stored as a 4-byte length and its bytes in the newest chunk, or in a
-// new chunk when that one is full: an arena that grows with the flow's
-// burst without copying what it already holds or rounding it up to a power
-// of two, and garbage as soon as the punt is answered.
+// holdQueue is the frames held behind one punt, in arrival order: a list
+// of chunks, each frame stored as a 4-byte length and its bytes in the
+// newest chunk, or in a new one when that is full. It grows with the flow's
+// burst without copying what it already holds. Chunks come from holdChunks
+// and go back to it once drained, so a popped frame is valid only until the
+// next pop or drop: for the one execute it is passed to. The zero holdQueue
+// is empty.
 type holdQueue struct {
-	chunks [][]byte
-	n      int
+	head, tail *holdNode
+	n          int
 }
 
-// holdChunk is the size of a hold-queue chunk: ten full-size Ethernet
-// frames an allocation, and within the allocator's small size classes.
-const holdChunk = 16 << 10
+// holdChunk is the bytes a hold-queue chunk stores: ten full-size Ethernet
+// frames. With its link and marks a holdNode is one allocation of 16 KB
+// exactly, a size class of the allocator.
+const holdChunk = 16<<10 - 48
+
+// holdNode is one chunk of a hold queue: data[r:w] is what it still holds.
+// A frame that no chunk has room for (more than holdChunk-4 bytes) gets a
+// node to itself and a plain allocation, big, which is never reused.
+type holdNode struct {
+	next *holdNode
+	big  []byte
+	r, w int
+	data [holdChunk]byte
+}
+
+// holdChunks recycles hold-queue chunks across every datapath of the
+// process. A queue's chunks are garbage the moment its punt is answered and
+// the next flow wants as many, in this home or the next one its shard
+// steps: shared, the standing stock is what one flow setup has in flight
+// (seven chunks for a web page's request and reply, nine measured with
+// what a Pool strands per P), where a list per datapath would keep that
+// much in every home. Only chunks are pooled, never a punt's head: its
+// packet-in's data aliases it, and handlers read that after they have
+// answered.
+var holdChunks = sync.Pool{New: func() any { return new(holdNode) }}
 
 func (q *holdQueue) push(frame []byte) {
 	need := 4 + len(frame)
-	last := len(q.chunks) - 1
-	if last < 0 || cap(q.chunks[last])-len(q.chunks[last]) < need {
-		q.chunks = append(q.chunks, make([]byte, 0, max(need, holdChunk)))
-		last++
+	c := q.tail
+	if c == nil || c.big != nil || len(c.data)-c.w < need {
+		c = holdChunks.Get().(*holdNode)
+		if q.tail == nil {
+			q.head = c
+		} else {
+			q.tail.next = c
+		}
+		q.tail = c
 	}
-	c := binary.BigEndian.AppendUint32(q.chunks[last], uint32(len(frame)))
-	q.chunks[last] = append(c, frame...)
 	q.n++
+	if need > len(c.data) {
+		c.big = append([]byte(nil), frame...)
+		return
+	}
+	binary.BigEndian.PutUint32(c.data[c.w:], uint32(len(frame)))
+	copy(c.data[c.w+4:], frame)
+	c.w += need
 }
 
-// pop removes and returns the oldest held frame. The bytes stay valid: a
-// chunk is only ever appended to.
+// pop removes and returns the oldest held frame, handing back the chunks
+// drained before it. The frame lives in its chunk: see holdQueue.
 func (q *holdQueue) pop() []byte {
-	for len(q.chunks[0]) == 0 {
-		q.chunks = q.chunks[1:]
+	c := q.head
+	for c.big == nil && c.r == c.w {
+		q.head = c.next
+		c.recycle()
+		c = q.head
 	}
-	c := q.chunks[0]
-	end := 4 + int(binary.BigEndian.Uint32(c))
-	q.chunks[0] = c[end:]
 	q.n--
-	return c[4:end:end]
+	if c.big != nil {
+		frame := c.big
+		c.big = nil
+		return frame
+	}
+	end := c.r + 4 + int(binary.BigEndian.Uint32(c.data[c.r:]))
+	frame := c.data[c.r+4 : end : end]
+	c.r = end
+	return frame
+}
+
+// drop empties the queue and hands its chunks back. Nothing may still read
+// a frame pop returned.
+func (q *holdQueue) drop() {
+	for c := q.head; c != nil; {
+		next := c.next
+		c.recycle()
+		c = next
+	}
+	*q = holdQueue{}
+}
+
+func (c *holdNode) recycle() {
+	c.next, c.big, c.r, c.w = nil, nil, 0, 0
+	holdChunks.Put(c)
 }
 
 // miss handles a frame no entry matched. The first miss of a flow is
@@ -574,7 +635,9 @@ func (dp *Datapath) Quiesce() *quiesce.Epoch { return dp.quiesce }
 func (dp *Datapath) bufferLocked(b *puntBuffer) uint32 {
 	for len(dp.buffers) >= dp.nBuffers {
 		dp.oldest++
-		dp.takeLocked(dp.oldest)
+		if old, ok := dp.takeLocked(dp.oldest); ok {
+			old.held.drop()
+		}
 	}
 	dp.nextBuf++
 	dp.buffers[dp.nextBuf] = b
@@ -613,6 +676,7 @@ func (dp *Datapath) releaseAll(id uint32, actions []openflow.Action) {
 	for b.held.n > 0 {
 		dp.execute(b.inPort, b.held.pop(), actions)
 	}
+	b.held.drop()
 }
 
 // releaseHead answers a buffered punt for its own frame only (a packet-out
@@ -631,11 +695,16 @@ func (dp *Datapath) releaseHead(id uint32) (frame []byte, inPort uint16, ok bool
 	frame, inPort = b.head, b.inPort
 	var next []byte
 	if b.held.n > 0 {
-		next = b.held.pop()
+		// The new head leaves its chunk: the packet-in's data aliases a
+		// head for as long as a handler cares to read it.
+		next = append([]byte(nil), b.held.pop()...)
 		b.head, b.at = next, dp.clk.Now().UnixNano()
 		id = dp.bufferLocked(b)
 		dp.byKey[b.key] = id
 		dp.heldFrames += b.held.n
+	}
+	if b.held.n == 0 {
+		b.held.drop()
 	}
 	dp.bufMu.Unlock()
 	if next != nil {

@@ -194,7 +194,7 @@ func TestDatapathForwardAndCounters(t *testing.T) {
 	dp := New(Config{ID: 1, Clock: clk})
 	var got [][]byte
 	_ = dp.AddPort(&Port{No: 1, Name: "wlan0"})
-	_ = dp.AddPort(&Port{No: 2, Name: "eth0", Out: func(f []byte) { got = append(got, f) }})
+	_ = dp.AddPort(&Port{No: 2, Name: "eth0", Out: func(f []byte) { got = append(got, append([]byte(nil), f...)) }})
 
 	frame := tcpFrame(1, 2, 80)
 	m := exactMatchFor(t, frame, 1)

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -122,8 +124,16 @@ func (r *holdRig) lookups() (lookups, matched uint64) { return r.dp.Table().Coun
 
 // flowFrame is frame seq of flow: every frame of a flow has the same
 // exact-match key, and the payload says which one it is.
-func flowFrame(flow byte, seq int) []byte {
-	payload := make([]byte, 4+seq%7)
+func flowFrame(flow byte, seq int) []byte { return paddedFlowFrame(flow, seq, 4+seq%7) }
+
+// paddedFlowFrame is flowFrame with a payload of n bytes, every one of
+// which only this flow and sequence number produce: a frame that reads as
+// another's, whole or in part, is a chunk that was reused too early.
+func paddedFlowFrame(flow byte, seq, n int) []byte {
+	payload := make([]byte, n)
+	for i := range payload {
+		payload[i] = flow*31 + byte(seq)*7 + byte(i)
+	}
 	binary.BigEndian.PutUint32(payload, uint32(seq))
 	return packet.NewTCPFrame(
 		packet.MAC{2, 0, 0, 0, 0, flow}, packet.MAC{2, 0, 0, 0, 1, 1},
@@ -499,6 +509,26 @@ func (ref *puntEveryMiss) apply(frame []byte, actions []openflow.Action) {
 	}
 }
 
+// wantSame checks that each flow's frames left the datapath as they leave
+// the model: as many, the same bytes on the same port, in the same order.
+func (ref *puntEveryMiss) wantSame(t *testing.T, script map[byte]verdict, got map[byte][]sentFrame) {
+	t.Helper()
+	for flow := range script {
+		want, have := ref.out[flow], got[flow]
+		if len(want) != len(have) {
+			t.Errorf("flow %d (verdict %d): %d frames left, the model sends %d", flow, script[flow], len(have), len(want))
+			continue
+		}
+		for i := range want {
+			if want[i].port != have[i].port || !bytes.Equal(want[i].frame, have[i].frame) {
+				t.Errorf("flow %d (verdict %d) frame %d: left port %d as %.64x, the model sends port %d %.64x",
+					flow, script[flow], i, have[i].port, have[i].frame, want[i].port, want[i].frame)
+				break
+			}
+		}
+	}
+}
+
 // flowOf reads the flow number back out of a flowFrame, rewritten or not.
 func flowOf(frame []byte) byte { return frame[11] }
 
@@ -548,20 +578,7 @@ func TestHoldMatchesPuntEveryMiss(t *testing.T) {
 				}
 			}
 
-			for flow := range script {
-				want, have := ref.out[flow], got[flow]
-				if len(want) != len(have) {
-					t.Errorf("flow %d (verdict %d): %d frames left, the model sends %d", flow, script[flow], len(have), len(want))
-					continue
-				}
-				for i := range want {
-					if want[i].port != have[i].port || !bytes.Equal(want[i].frame, have[i].frame) {
-						t.Errorf("flow %d (verdict %d) frame %d: left port %d as %x, the model sends port %d %x",
-							flow, script[flow], i, have[i].port, have[i].frame, want[i].port, want[i].frame)
-						break
-					}
-				}
-			}
+			ref.wantSame(t, script, got)
 			if lookups, _ := r.lookups(); lookups != uint64(received) {
 				t.Errorf("lookups = %d for %d received frames", lookups, received)
 			}
@@ -569,5 +586,276 @@ func TestHoldMatchesPuntEveryMiss(t *testing.T) {
 				t.Errorf("buffered %d punts, %d held after every answer", punts, held)
 			}
 		})
+	}
+}
+
+// raceEnabled is set by race_test.go in a build with the race detector.
+var raceEnabled bool
+
+// chunksOf lists the hold-queue chunks of every buffered punt.
+func (r *holdRig) chunksOf() []*holdNode {
+	r.dp.bufMu.Lock()
+	defer r.dp.bufMu.Unlock()
+	var cs []*holdNode
+	for _, b := range r.dp.buffers {
+		for c := b.held.head; c != nil; c = c.next {
+			cs = append(cs, c)
+		}
+	}
+	return cs
+}
+
+// The recycling differential: forty flows, each a burst that fills several
+// chunks, each answered while the next flow's burst is being held, so the
+// datapath's goroutine hands a flow's chunks back while this one takes
+// chunks for the next. Later flows must be seen holding chunks earlier
+// flows held, and every frame must still leave as it leaves the
+// punt-every-miss model, which copies nothing and shares nothing.
+func TestHoldRecyclesChunksAcrossFlows(t *testing.T) {
+	// Room for every frame of the run: a packet-out verdict releases one
+	// frame per answer, and a flow that overflowed the bound would punt
+	// again and race its own queue.
+	r := newHoldRig(t, 40*31)
+	ref := &puntEveryMiss{rules: map[openflow.Match][]openflow.Action{}, out: map[byte][]sentFrame{}}
+	script := map[byte]verdict{}
+	got := map[byte][]sentFrame{}
+	seen := map[*holdNode]bool{}
+	reused, received := 0, 0
+	var unanswered []*openflow.PacketIn
+
+	answer := func() {
+		for _, pi := range unanswered {
+			m := exactMatchFor(t, pi.Data, pi.InPort)
+			for _, msg := range script[flowOf(pi.Data)].answer(m, pi.BufferID) {
+				r.send(msg)
+			}
+		}
+		unanswered = nil
+	}
+	collect := func() {
+		unanswered = append(unanswered, r.sync()...)
+		for _, s := range r.sent() {
+			got[flowOf(s.frame)] = append(got[flowOf(s.frame)], s)
+		}
+	}
+	for flow := byte(1); flow <= 40; flow++ {
+		script[flow] = verdict(int(flow) % int(verdicts))
+		frames := [][]byte{flowFrame(flow, 0)}
+		for seq := 1; seq <= 30; seq++ {
+			frames = append(frames, paddedFlowFrame(flow, seq, 1400-int(flow)))
+		}
+		received += len(frames)
+		ref.batch(t, frames, script)
+
+		answer() // no barrier: the release runs while the next burst arrives
+		r.receive(frames...)
+		collect()
+		for _, c := range r.chunksOf() {
+			if seen[c] {
+				reused++
+			}
+			seen[c] = true
+		}
+	}
+	for len(unanswered) > 0 {
+		answer()
+		collect()
+	}
+
+	if reused == 0 {
+		t.Errorf("no flow held a chunk an earlier flow had held (%d chunks seen)", len(seen))
+	}
+	ref.wantSame(t, script, got)
+	if lookups, _ := r.lookups(); lookups != uint64(received) {
+		t.Errorf("lookups = %d for %d received frames", lookups, received)
+	}
+	if punts, held := r.buffered(); punts != 0 || held != 0 {
+		t.Errorf("buffered %d punts, %d held after every answer", punts, held)
+	}
+}
+
+// A packet-out re-homes the oldest held frame as the head of a new punt,
+// and a handler may read that packet-in's data for as long as it likes:
+// after it has answered, and while later flows take the chunk the frame was
+// held in. Run with -race: a head still aliasing its chunk is a data race
+// with the next flow's push as well as wrong bytes.
+func TestRehomedHeadSurvivesRecycle(t *testing.T) {
+	r := newHoldRig(t, 0)
+	a := [][]byte{flowFrame(1, 0), paddedFlowFrame(1, 1, 1400), paddedFlowFrame(1, 2, 1400)}
+	r.receive(a...)
+	pis := r.sync()
+	if len(pis) != 1 {
+		t.Fatalf("%d packet-ins, want 1", len(pis))
+	}
+	r.send(packetOut(pis[0].BufferID, output(2)))
+	pis = r.sync()
+	if len(pis) != 1 || !bytes.Equal(pis[0].Data, a[1]) {
+		t.Fatalf("after the packet-out: packet-ins %+v", pis)
+	}
+	rehomed := pis[0]
+
+	stop, done := make(chan struct{}), make(chan bool)
+	go func() { // the handler that keeps its packet-in
+		intact := true
+		for {
+			select {
+			case <-stop:
+				done <- intact
+				return
+			default:
+				intact = intact && bytes.Equal(rehomed.Data, a[1])
+			}
+		}
+	}()
+	// Its answer hands the chunk back; forty more flows churn the pool.
+	r.send(addFlow(exactMatchFor(t, a[0], 1), rehomed.BufferID, output(2)))
+	for flow := byte(2); flow < 42; flow++ {
+		var burst [][]byte
+		for seq := 0; seq < 24; seq++ {
+			burst = append(burst, paddedFlowFrame(flow, seq, 1400))
+		}
+		r.receive(burst...)
+		for _, pi := range r.sync() {
+			r.send(addFlow(exactMatchFor(t, pi.Data, pi.InPort), pi.BufferID, output(3)))
+		}
+	}
+	r.sync()
+	close(stop)
+	if !<-done || !bytes.Equal(rehomed.Data, a[1]) {
+		t.Error("the re-homed packet-in's data changed under its reader")
+	}
+	var left [][]byte
+	for _, s := range r.sent() {
+		if s.port == 2 {
+			left = append(left, s.frame)
+		}
+	}
+	if len(left) != 3 || !bytes.Equal(left[0], a[0]) || !bytes.Equal(left[1], a[1]) || !bytes.Equal(left[2], a[2]) {
+		t.Errorf("flow 1 left as %d frames on port 2, want its three in order", len(left))
+	}
+}
+
+// A full buffer that reclaims its oldest punts hands back the chunks held
+// behind them; an answer that names a reclaimed id afterwards releases
+// nothing, and the buffer goes on serving new flows.
+func TestReclaimHandsChunksBack(t *testing.T) {
+	r := newHoldRig(t, 8)
+	var first []*openflow.PacketIn
+	var firstFrames [][]byte
+	for flow := byte(1); flow <= 4; flow++ {
+		f := paddedFlowFrame(flow, 0, 1000)
+		firstFrames = append(firstFrames, f)
+		r.receive(f, paddedFlowFrame(flow, 1, 1000))
+	}
+	first = r.sync()
+	if punts, held := r.buffered(); len(first) != 4 || punts != 4 || held != 4 {
+		t.Fatalf("%d packet-ins, buffered %d punts, %d held; want 4 each", len(first), punts, held)
+	}
+	r.dp.bufMu.Lock()
+	var old []*puntBuffer
+	for _, pi := range first {
+		old = append(old, r.dp.buffers[pi.BufferID])
+	}
+	r.dp.bufMu.Unlock()
+
+	for flow := byte(5); flow <= 12; flow++ { // eight more punts than there are slots left
+		r.receive(flowFrame(flow, 0))
+	}
+	r.sync()
+	if punts, held := r.buffered(); punts != 8 || held != 0 {
+		t.Errorf("after the reclaim: buffered %d punts, %d held; want the 8 newest and nothing held", punts, held)
+	}
+	for i, b := range old {
+		if b.held.head != nil || b.held.tail != nil || b.held.n != 0 {
+			t.Errorf("reclaimed punt %d still owns chunks: %+v", i, b.held)
+		}
+	}
+
+	r.send(addFlow(exactMatchFor(t, firstFrames[0], 1), first[0].BufferID, output(2)))
+	r.send(packetOut(first[1].BufferID, output(3)))
+	if more := r.sync(); len(more) != 0 {
+		t.Errorf("answers to reclaimed ids punted %d frames", len(more))
+	}
+	if got := r.sent(); len(got) != 0 {
+		t.Errorf("answers to reclaimed ids released %d frames", len(got))
+	}
+
+	burst := [][]byte{flowFrame(20, 0)}
+	for seq := 1; seq <= 7; seq++ {
+		burst = append(burst, paddedFlowFrame(20, seq, 1400))
+	}
+	r.receive(burst...)
+	pis := r.sync()
+	if len(pis) != 1 {
+		t.Fatalf("new flow: %d packet-ins, want 1", len(pis))
+	}
+	r.send(addFlow(exactMatchFor(t, burst[0], 1), pis[0].BufferID, output(2)))
+	r.sync()
+	wantSent(t, r.sent(), 2, burst)
+}
+
+// A frame no chunk has room for is held in an allocation of its own, in
+// its place in the queue.
+func TestHoldOversizeFrameKeepsItsPlace(t *testing.T) {
+	big := make([]byte, holdChunk)
+	for i := range big {
+		big[i] = byte(i)
+	}
+	var q holdQueue
+	frames := [][]byte{{1, 2, 3}, big, {4, 5}, big[:holdChunk-4], {6}}
+	for _, f := range frames {
+		q.push(f)
+	}
+	for i, want := range frames {
+		if got := q.pop(); !bytes.Equal(got, want) {
+			t.Fatalf("pop %d: %d bytes, want %d", i, len(got), len(want))
+		}
+	}
+	if q.n != 0 {
+		t.Errorf("n = %d after every pop", q.n)
+	}
+	q.drop()
+}
+
+// Once the pool is warm, a new flow's burst — the punt, 56 full-size frames
+// held behind it, the flow-mod that releases them all — costs the punted
+// frame's copy and its bookkeeping: no chunk is allocated.
+func TestWarmHoldAllocatesNoChunks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
+
+	dp := New(Config{Clock: clock.NewSimulated()})
+	_ = dp.AddPort(&Port{No: 1})
+	_ = dp.AddPort(&Port{No: 2, Out: func([]byte) {}})
+	var fb packet.FrameBatch
+	fb.Append(flowFrame(1, 0))
+	for seq := 1; seq <= 56; seq++ {
+		fb.Append(paddedFlowFrame(1, seq, 1400)) // 1 454 bytes on the wire
+	}
+	actions := []openflow.Action{output(2)}
+	round := func() {
+		dp.ReceiveBatch(1, &fb)
+		dp.releaseAll(dp.nextBuf, actions)
+	}
+	for i := 0; i < 10; i++ {
+		round()
+	}
+	p2, _ := dp.Port(2)
+	tx0 := p2.Stats().TxPackets
+
+	const rounds = 100
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&m1)
+	if tx := p2.Stats().TxPackets - tx0; tx != 57*rounds {
+		t.Fatalf("%d frames left in %d rounds, want 57 a round", tx, rounds)
+	}
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / rounds; per >= 2<<10 {
+		t.Errorf("a warm burst allocates %d bytes, want less than 2 KB (56 held frames are %d)", per, 56*1454)
 	}
 }

@@ -345,6 +345,41 @@ func (t *FlowTable) Entries(m *openflow.Match, outPort uint16) []*FlowEntry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	out := make([]*FlowEntry, 0, len(t.exact)+len(t.wild))
+	t.each(m, outPort, func(e *FlowEntry) { out = append(out, e) })
+	return out
+}
+
+// flowStats returns the flow-stats entry of every table entry
+// Entries(m, outPort) would return, in one walk of the table, built in buf
+// when that has room for the whole table.
+func (t *FlowTable) flowStats(buf []openflow.FlowStats, m *openflow.Match, outPort uint16, now time.Time) []openflow.FlowStats {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	// Room for the table and no more: buf is a recycled buffer that stays
+	// in the process's stock, where append's doubling would stay too.
+	dst := buf[:0]
+	if n := len(t.exact) + len(t.wild); cap(dst) < n {
+		dst = make([]openflow.FlowStats, 0, n)
+	}
+	t.each(m, outPort, func(e *FlowEntry) {
+		dur := now.Sub(e.Installed)
+		dst = append(dst, openflow.FlowStats{
+			TableID: 0, Match: e.Match,
+			DurationSec:  uint32(dur / time.Second),
+			DurationNsec: uint32(dur % time.Second),
+			Priority:     e.Priority,
+			IdleTimeout:  e.IdleTimeout, HardTimeout: e.HardTimeout,
+			Cookie:      e.Cookie,
+			PacketCount: e.PacketCount(), ByteCount: e.ByteCount(),
+			Actions: e.Actions,
+		})
+	})
+	return dst
+}
+
+// each calls fn for every entry matched by m (nil = all) that outputs to
+// outPort (PortNone = any). The caller holds the lock.
+func (t *FlowTable) each(m *openflow.Match, outPort uint16, fn func(*FlowEntry)) {
 	keep := func(e *FlowEntry) {
 		if m != nil && !m.Subsumes(&e.Match) {
 			return
@@ -352,7 +387,7 @@ func (t *FlowTable) Entries(m *openflow.Match, outPort uint16) []*FlowEntry {
 		if outPort != openflow.PortNone && !outputsTo(e.Actions, outPort) {
 			return
 		}
-		out = append(out, e)
+		fn(e)
 	}
 	for _, e := range t.exact {
 		keep(e)
@@ -360,7 +395,6 @@ func (t *FlowTable) Entries(m *openflow.Match, outPort uint16) []*FlowEntry {
 	for _, e := range t.wild {
 		keep(e)
 	}
-	return out
 }
 
 func (t *FlowTable) removeLocked(k flowKey) {

@@ -94,6 +94,7 @@ type Plane struct {
 	ports       map[uint16]uint64 // last cumulative rx-dropped per port
 	portsSeeded bool              // baseline taken (first round attributes nothing)
 	round       []roundFlow       // reused per-round scratch
+	portPkts    map[uint16]uint64 // reused per-round scratch: active packets per port
 }
 
 type flowIdent struct {
@@ -109,7 +110,12 @@ func New(cfg Config) *Plane {
 	if cfg.Interval == 0 {
 		cfg.Interval = time.Second
 	}
-	return &Plane{cfg: cfg, seen: make(map[flowIdent]*flowState), stop: make(chan struct{})}
+	return &Plane{
+		cfg:      cfg,
+		seen:     make(map[flowIdent]*flowState),
+		stop:     make(chan struct{}),
+		portPkts: make(map[uint16]uint64),
+	}
 }
 
 // Run polls sw until Stop; typically launched as a goroutine.
@@ -173,7 +179,8 @@ func (p *Plane) pollFlows(sw *nox.Switch) {
 	drops := p.portDrops(sw)
 
 	p.round = p.round[:0]
-	portPkts := make(map[uint16]uint64, 4)
+	portPkts := p.portPkts
+	clear(portPkts)
 	for _, fs := range stats {
 		ft, mac, ok := p.classify(&fs)
 		if !ok {
@@ -211,6 +218,7 @@ func (p *Plane) pollFlows(sw *nox.Switch) {
 		p.round = append(p.round, roundFlow{id: id, inPort: fs.Match.InPort, dp: dp, db: db, installUS: installUS})
 		portPkts[fs.Match.InPort] += dp
 	}
+	openflow.FlowStatsBufs.Put(stats) // the reply is ours and read
 
 	// FlowPerf: the two ends of the device's ingress hop seen from the
 	// controller. rx is what matched the flow table; a port's dropped
@@ -255,6 +263,7 @@ func (p *Plane) portDrops(sw *nox.Switch) map[uint16]uint64 {
 	if err != nil || len(ps) == 0 {
 		return nil
 	}
+	defer openflow.PortStatsBufs.Put(ps) // the reply is ours
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.ports == nil {

@@ -1,6 +1,10 @@
 package nox
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -647,5 +651,162 @@ func TestUnansweredBufferIsDiscarded(t *testing.T) {
 	p2, _ := dp.Port(2)
 	if tx := p2.Stats().TxPackets; tx != 2 {
 		t.Errorf("answered flow: %d frames forwarded, want 2", tx)
+	}
+}
+
+// fillTable installs n exact-match entries, each with an output action.
+func fillTable(t *testing.T, dp *datapath.Datapath, n int) {
+	t.Helper()
+	var d packet.Decoded
+	for i := 0; i < n; i++ {
+		f := packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+			packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, uint16(1024+i), 80, packet.TCPAck, 0, nil).Bytes()
+		if err := d.Decode(f); err != nil {
+			t.Fatal(err)
+		}
+		err := dp.Table().Add(&datapath.FlowEntry{
+			Match: openflow.MatchFromFrame(&d, 1), Priority: 10,
+			Actions: []openflow.Action{&openflow.ActionOutput{Port: 2}},
+		}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A warm flow-stats poll of a web_churn-sized table over the in-process
+// transport allocates its two messages and nothing the size of the table:
+// the reply is built in a buffer an earlier poll handed back, the table is
+// walked once, and the request waits on a recycled channel and timer.
+func TestWarmFlowStatsPollAllocatesNoReply(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the waiter pool
+	rig := newInprocRig(t, NewController())
+	const entries = 252
+	fillTable(t, rig.dp, entries)
+	poll := func() {
+		stats, err := rig.sw.FlowStats(openflow.MatchAll())
+		if err != nil || len(stats) != entries {
+			t.Fatalf("flow stats: %d entries, %v", len(stats), err)
+		}
+		openflow.FlowStatsBufs.Put(stats)
+	}
+	for i := 0; i < 10; i++ {
+		poll()
+	}
+	const rounds = 100
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < rounds; i++ {
+		poll()
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / rounds; per >= 2<<10 {
+		t.Errorf("a warm poll of %d entries allocates %d bytes, want less than 2 KB", entries, per)
+	}
+}
+
+// A reply belongs to its requester: one that is kept and not handed back
+// is not touched by the polls that follow, whose replies are handed back
+// and rebuilt over and over in the same buffers.
+func TestKeptStatsReplyStaysIntact(t *testing.T) {
+	rig := newInprocRig(t, NewController())
+	fillTable(t, rig.dp, 64)
+	kept, err := rig.sw.FlowStats(openflow.MatchAll())
+	if err != nil || len(kept) != 64 {
+		t.Fatalf("flow stats: %d entries, %v", len(kept), err)
+	}
+	keptPorts, err := rig.sw.PortStats(openflow.PortNone)
+	if err != nil || len(keptPorts) != 2 {
+		t.Fatalf("port stats: %d entries, %v", len(keptPorts), err)
+	}
+	want, wantPorts := slices.Clone(kept), slices.Clone(keptPorts)
+
+	hit := packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+		packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1024, 80, packet.TCPAck, 0, nil).Bytes()
+	for i := 0; i < 100; i++ {
+		rig.dp.Receive(1, hit) // counters move, so every reply differs from the kept one
+		stats, err := rig.sw.FlowStats(openflow.MatchAll())
+		if err != nil || len(stats) != 64 {
+			t.Fatalf("poll %d: %d entries, %v", i, len(stats), err)
+		}
+		openflow.FlowStatsBufs.Put(stats)
+		ports, err := rig.sw.PortStats(openflow.PortNone)
+		if err != nil || len(ports) != 2 {
+			t.Fatalf("poll %d: %d ports, %v", i, len(ports), err)
+		}
+		openflow.PortStatsBufs.Put(ports)
+	}
+	for i := range want {
+		if !reflect.DeepEqual(kept[i], want[i]) {
+			t.Fatalf("kept flow entry %d changed: %+v, was %+v", i, kept[i], want[i])
+		}
+	}
+	if !slices.Equal(keptPorts, wantPorts) {
+		t.Errorf("kept port stats changed: %+v, was %+v", keptPorts, wantPorts)
+	}
+}
+
+// A request that timed out leaves its waiter to the collector: the read
+// loop may have taken the channel just before the deadline and deliver the
+// late reply on it, which must not turn up as the answer to a later
+// request. Every other request here is answered right on its deadline, so
+// that both orders of reply and timeout happen.
+func TestReplyOnTheDeadlineAnswersNoLaterRequest(t *testing.T) {
+	ctl := NewController()
+	t.Cleanup(func() { ctl.Close() })
+	joined := make(chan *Switch, 1)
+	ctl.OnJoin(func(ev *JoinEvent) { joined <- ev.Switch })
+	ctlEnd, dpEnd := oftransport.Pair(0)
+	t.Cleanup(func() { _ = dpEnd.Close() })
+	go func() { _ = ctl.ServeTransport(ctlEnd) }()
+
+	// A scripted datapath: it answers the handshake, and every echo
+	// request after the delay the request names.
+	go func() {
+		_ = dpEnd.Send(&openflow.Hello{})
+		for {
+			msg, err := dpEnd.Recv()
+			if err != nil {
+				return
+			}
+			switch m := msg.(type) {
+			case *openflow.FeaturesRequest:
+				rep := &openflow.FeaturesReply{DatapathID: 7}
+				rep.Header.XID = m.Header.XID
+				_ = dpEnd.Send(rep)
+			case *openflow.EchoRequest:
+				if d, err := time.ParseDuration(string(m.Data)); err == nil {
+					time.Sleep(d)
+				}
+				rep := &openflow.EchoReply{Data: m.Data}
+				rep.Header.XID = m.Header.XID
+				_ = dpEnd.Send(rep)
+			}
+		}
+	}()
+	var sw *Switch
+	select {
+	case sw = <-joined:
+	case <-time.After(5 * time.Second):
+		t.Fatal("scripted datapath did not join")
+	}
+
+	const deadline = 2 * time.Millisecond
+	timeouts := 0
+	for i := 0; i < 100; i++ {
+		if _, err := sw.request(&openflow.EchoRequest{Data: []byte(deadline.String())}, deadline); err != nil {
+			timeouts++
+		}
+		want := fmt.Sprint("prompt ", i)
+		rep, err := sw.request(&openflow.EchoRequest{Data: []byte(want)}, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if er, ok := rep.(*openflow.EchoReply); !ok || string(er.Data) != want {
+			t.Fatalf("request %d was answered with %+v", i, rep)
+		}
+	}
+	if timeouts == 0 {
+		t.Error("no request timed out")
 	}
 }

@@ -133,12 +133,25 @@ func (sw *Switch) readLoop() error {
 	}
 }
 
-func (sw *Switch) addPending(xid uint32) chan openflow.Message {
-	ch := make(chan openflow.Message, 1)
+// waiter is what one synchronous request blocks on: the channel readLoop
+// delivers the reply on and the timer that bounds the wait. Waiters are
+// recycled across every switch of the process; the timer of a pooled one is
+// stopped and its channel empty.
+type waiter struct {
+	ch    chan openflow.Message
+	timer *time.Timer
+}
+
+var waiters = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &waiter{ch: make(chan openflow.Message, 1), timer: t}
+}}
+
+func (sw *Switch) addPending(xid uint32, ch chan openflow.Message) {
 	sw.pendingMu.Lock()
 	sw.pending[xid] = ch
 	sw.pendingMu.Unlock()
-	return ch
 }
 
 func (sw *Switch) takePending(xid uint32) chan openflow.Message {
@@ -164,21 +177,29 @@ func (sw *Switch) failPending(err error) {
 func (sw *Switch) request(msg openflow.Message, timeout time.Duration) (openflow.Message, error) {
 	xid := sw.nextXID()
 	msg.Hdr().XID = xid
-	ch := sw.addPending(xid)
+	w := waiters.Get().(*waiter)
+	sw.addPending(xid, w.ch)
 	if err := sw.Send(msg); err != nil {
 		sw.takePending(xid)
 		return nil, err
 	}
+	w.timer.Reset(timeout)
 	select {
-	case rep, ok := <-ch:
+	case rep, ok := <-w.ch:
 		if !ok {
 			return nil, errors.New("nox: connection closed")
 		}
+		// Only an answered waiter is reused: its channel has left the
+		// pending map and been drained, and a stopped timer (go 1.23 on)
+		// delivers nothing late. After a timeout or a close, readLoop may
+		// still hold the channel, so that waiter is left to the collector.
+		w.timer.Stop()
+		waiters.Put(w)
 		if em, isErr := rep.(*openflow.ErrorMsg); isErr {
 			return nil, em
 		}
 		return rep, nil
-	case <-time.After(timeout):
+	case <-w.timer.C:
 		sw.takePending(xid)
 		return nil, errors.New("nox: request timed out")
 	}

@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"encoding/binary"
+	"runtime"
 )
 
 // Stats types (ofp_stats_types).
@@ -291,6 +292,48 @@ type StatsReply struct {
 	Aggregate AggregateStats
 	Tables    []TableStats
 	Ports     []PortStats
+}
+
+// FlowStatsBufs and PortStatsBufs recycle the backing of StatsReply.Flows
+// and .Ports across every datapath of the process: a poll's reply is as
+// long as the flow table and dead once the requester has read it, and the
+// next poll, of this home or the next one its shard steps, wants as much.
+var (
+	FlowStatsBufs = make(statsBufs[FlowStats], runtime.GOMAXPROCS(0))
+	PortStatsBufs = make(statsBufs[PortStats], runtime.GOMAXPROCS(0))
+)
+
+// statsBufs is a free list of reply backings, with room for as many as
+// polls can run at once. It is a list and not a sync.Pool because the
+// datapath's goroutine takes and the requester's hands back: a Pool strands
+// what was put on one P out of reach of a Get on another, and was measured
+// holding three replies where one circulates.
+type statsBufs[T any] chan []T
+
+// Get returns an empty slice to build a stats reply's entries in, on
+// recycled backing when there is some.
+func (b statsBufs[T]) Get() []T {
+	select {
+	case s := <-b:
+		return s
+	default:
+		return nil
+	}
+}
+
+// Put hands the entries of a stats reply back for a later reply to be built
+// in, cleared so that no Actions keep a removed flow's alive. A reply
+// belongs to whoever requested it: only they may hand it back, once, when
+// nothing reads it any more. Not handing it back costs only the reuse.
+func (b statsBufs[T]) Put(s []T) {
+	if cap(s) == 0 {
+		return
+	}
+	clear(s)
+	select {
+	case b <- s[:0]:
+	default:
+	}
 }
 
 func (m *StatsReply) encodeBody(b []byte) []byte {
