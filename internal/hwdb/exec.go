@@ -1,8 +1,11 @@
 package hwdb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"sort"
 	"strings"
 	"time"
@@ -208,18 +211,77 @@ func validateExpr(schema *Schema, e Expr) error {
 	return nil
 }
 
+// rowSlab is where a select's result rows live: rows of width cells handed
+// out of chunks that double in size and never move. Chunk k holds
+// 1<<(shift+k) rows, so n rows cost about log2(n) chunk allocations, and
+// nothing is copied when the next chunk arrives — a grown slice would copy
+// every 40-byte cell it already held at each doubling.
+type rowSlab struct {
+	width  int
+	shift  uint // chunk 0 holds 1<<shift rows
+	n      int  // rows handed out
+	chunks [][]Value
+	inline [6][]Value // backs chunks until a seventh is needed
+}
+
+// slabShift makes chunk 0 four rows for a result that may hold many: that
+// is what a one-row result pays for, and four doublings later a chunk
+// holds 64.
+const slabShift = 2
+
+// locate finds row i: its chunk and its position among that chunk's rows.
+func (s *rowSlab) locate(i int) (k, at int) {
+	k = bits.Len(uint(i>>s.shift+1)) - 1
+	return k, i - (1<<k-1)<<s.shift
+}
+
+// row returns row i, its capacity cut to its own cells so that an append
+// to it reallocates rather than running into row i+1.
+func (s *rowSlab) row(i int) []Value {
+	k, at := s.locate(i)
+	return s.chunks[k][at*s.width : (at+1)*s.width : (at+1)*s.width]
+}
+
+// take hands out the next row, every cell zero.
+func (s *rowSlab) take() []Value {
+	if k, _ := s.locate(s.n); k == len(s.chunks) {
+		if s.chunks == nil {
+			s.chunks = s.inline[:0]
+		}
+		s.chunks = append(s.chunks, make([]Value, s.width<<(s.shift+uint(k))))
+	}
+	s.n++
+	return s.row(s.n - 1)
+}
+
+// rows cuts the slab into the rows handed out, in order.
+func (s *rowSlab) rows() [][]Value {
+	out := make([][]Value, s.n)
+	for i := range out {
+		out[i] = s.row(i)
+	}
+	return out
+}
+
 // projection is the rowSink of a plain SELECT col,... (or *) without
 // aggregation.
 type projection struct {
 	refs []int // column per output cell; -1 = the timestamp pseudo-column
-	res  *Result
+	cols []string
+	out  rowSlab
 }
 
 func newProjection(schema *Schema, sel *SelectStmt) (*projection, error) {
-	p := &projection{res: &Result{}}
+	n := len(sel.Items)
+	for _, it := range sel.Items {
+		if it.Col == "*" {
+			n += len(schema.Cols)
+		}
+	}
+	p := &projection{refs: make([]int, 0, n), cols: make([]string, 0, n)}
 	ref := func(idx int, name string) {
 		p.refs = append(p.refs, idx)
-		p.res.Cols = append(p.res.Cols, name)
+		p.cols = append(p.cols, name)
 	}
 	for _, it := range sel.Items {
 		if it.Col == "*" {
@@ -239,11 +301,12 @@ func newProjection(schema *Schema, sel *SelectStmt) (*projection, error) {
 		}
 		ref(i, it.Name)
 	}
+	p.out = rowSlab{width: n, shift: slabShift}
 	return p, nil
 }
 
 func (p *projection) add(row Row) {
-	out := make([]Value, len(p.refs))
+	out := p.out.take()
 	for i, idx := range p.refs {
 		if idx < 0 {
 			out[i] = TimeVal(row.Time())
@@ -251,59 +314,122 @@ func (p *projection) add(row Row) {
 			out[i] = row.Value(idx)
 		}
 	}
-	p.res.Rows = append(p.res.Rows, out)
 }
 
-func (p *projection) result() *Result { return p.res }
+func (p *projection) result() *Result { return &Result{Cols: p.cols, Rows: p.out.rows()} }
 
-type aggState struct {
-	count int64
-	sum   float64
-	min   Value
-	max   Value
-	seen  bool
+// groupIndex numbers the distinct GROUP BY keys of a select in the order
+// they first appear. Keys are the bytes appendGroupKey builds; every key
+// seen is kept once, back to back, in one arena, and an open-addressed
+// table of ordinals finds it again. Two keys are the same group exactly
+// when their bytes are equal — the hash only says where to look — so
+// ordinals, and with them the order of the result, do not depend on the
+// seed. Table and arena double together: growth costs two allocations per
+// doubling of the groups, and what is copied is four bytes a group and
+// the key bytes.
+type groupIndex struct {
+	seed     maphash.Seed
+	hashMask uint64   // all ones; a test narrows it to force collisions
+	slots    []uint32 // ordinal+1 of the group hashed there, 0 = free; a power of two long
+	ends     []uint32 // group o's key is keys[ends[o-1]:ends[o]]; shares slots' allocation
+	keys     []byte   // the arena
 }
 
-type aggGroup struct {
-	key  []Value
-	aggs []aggState
+func (x *groupIndex) key(o int) []byte {
+	lo := uint32(0)
+	if o > 0 {
+		lo = x.ends[o-1]
+	}
+	return x.keys[lo:x.ends[o]]
 }
 
-// aggregation is the rowSink of GROUP BY and aggregate select items.
+// slot returns where key's ordinal is, or the free slot where it belongs.
+func (x *groupIndex) slot(key []byte) int {
+	mask := len(x.slots) - 1
+	p := int(maphash.Bytes(x.seed, key)&x.hashMask) & mask
+	for x.slots[p] != 0 && !bytes.Equal(x.key(int(x.slots[p]-1)), key) {
+		p = (p + 1) & mask
+	}
+	return p
+}
+
+// grow doubles the table, keeping it at most half full: n slots and the
+// n/2 key ends that many slots admit, in one allocation, and an arena with
+// room for as many key bytes again as it holds, which is exact when no
+// GROUP BY column is a string. Every key moves to its new slot.
+func (x *groupIndex) grow() {
+	n := max(8, 2*len(x.slots))
+	table := make([]uint32, n+n/2)
+	x.slots, x.ends = table[:n:n], append(table[n:n], x.ends...)
+	if room := 2 * len(x.keys); cap(x.keys) < room {
+		x.keys = append(make([]byte, 0, room), x.keys...)
+	}
+	for o := range x.ends {
+		x.slots[x.slot(x.key(o))] = uint32(o + 1)
+	}
+}
+
+// ordinal returns key's group number, the next unused one if key is new.
+func (x *groupIndex) ordinal(key []byte) int {
+	if 2*(len(x.ends)+1) > len(x.slots) {
+		x.grow()
+	}
+	p := x.slot(key)
+	if x.slots[p] == 0 {
+		x.keys = append(x.keys, key...)
+		x.ends = append(x.ends, uint32(len(x.keys)))
+		x.slots[p] = uint32(len(x.ends))
+	}
+	return int(x.slots[p] - 1)
+}
+
+// aggregation is the rowSink of GROUP BY and aggregate select items. A
+// group is its result row and nothing else: GROUP BY cells are written
+// into the row when the group is first seen, and an aggregate accumulates
+// in its own cell — count in Int, sum in Real, avg in both, min and max as
+// the value so far — which result() then stamps with its type.
 type aggregation struct {
 	sel      *SelectStmt
 	groupIdx []int // GROUP BY columns
-	aggIdx   []int // per select item: the aggregate's input column
-	groups   map[string]*aggGroup
-	order    []*aggGroup // first-seen
-	keyBuf   []byte      // reused for every row: only a new group allocates
+	src      []int // per select item: the column it reads (unused for count(*))
+	idx      groupIndex
+	keyBuf   []byte // reused for every row
+	out      rowSlab
 }
 
 func newAggregation(schema *Schema, sel *SelectStmt) (*aggregation, error) {
-	a := &aggregation{sel: sel, groups: map[string]*aggGroup{}, groupIdx: make([]int, 0, len(sel.GroupBy))}
-	// Validate: non-aggregate items must appear in GROUP BY.
-	for _, g := range sel.GroupBy {
+	cols := make([]int, len(sel.GroupBy)+len(sel.Items))
+	a := &aggregation{sel: sel, groupIdx: cols[:len(sel.GroupBy)], src: cols[len(sel.GroupBy):]}
+	for j, g := range sel.GroupBy {
 		i, ok := schema.Index(g)
 		if !ok {
 			return nil, fmt.Errorf("hwdb: unknown GROUP BY column %q", g)
 		}
-		a.groupIdx = append(a.groupIdx, i)
+		a.groupIdx[j] = i
 	}
-	// Resolve each aggregate's input column once, not once per row.
-	a.aggIdx = make([]int, len(sel.Items))
+	// Resolve each item's column once, not once per row or per group.
 	for i, it := range sel.Items {
 		switch {
 		case it.Agg == AggNone:
-			if sel.groupCol(it.Col) < 0 {
+			// Non-aggregate items must appear in GROUP BY.
+			j := sel.groupCol(it.Col)
+			if j < 0 {
 				return nil, fmt.Errorf("hwdb: column %q must appear in GROUP BY", it.Col)
 			}
+			a.src[i] = a.groupIdx[j]
 		case it.Col != "*":
 			ci, ok := schema.Index(it.Col)
 			if !ok {
 				return nil, fmt.Errorf("hwdb: unknown column %q", it.Col)
 			}
-			a.aggIdx[i] = ci
+			a.src[i] = ci
 		}
+	}
+	a.out = rowSlab{width: len(sel.Items)} // chunk 0 one row: without GROUP BY there is one group
+	if len(sel.GroupBy) > 0 {
+		a.out.shift = slabShift
+		a.idx = groupIndex{seed: maphash.MakeSeed(), hashMask: ^uint64(0)}
+		a.keyBuf = make([]byte, 0, 8*len(sel.GroupBy))
 	}
 	return a, nil
 }
@@ -319,85 +445,73 @@ func (sel *SelectStmt) groupCol(col string) int {
 }
 
 func (a *aggregation) add(row Row) {
-	a.keyBuf = a.keyBuf[:0]
-	for _, gi := range a.groupIdx {
-		a.keyBuf = appendGroupKey(a.keyBuf, row, gi)
-	}
-	g := a.groups[string(a.keyBuf)]
-	if g == nil {
-		g = &aggGroup{key: make([]Value, len(a.groupIdx)), aggs: make([]aggState, len(a.sel.Items))}
-		for i, gi := range a.groupIdx {
-			g.key[i] = row.Value(gi)
+	o := 0
+	if len(a.groupIdx) > 0 {
+		a.keyBuf = a.keyBuf[:0]
+		for _, gi := range a.groupIdx {
+			a.keyBuf = appendGroupKey(a.keyBuf, row, gi)
 		}
-		a.groups[string(a.keyBuf)] = g
-		a.order = append(a.order, g)
+		o = a.idx.ordinal(a.keyBuf)
+	}
+	fresh := o == a.out.n // the row opens its group
+	var out []Value
+	if fresh {
+		out = a.out.take()
+	} else {
+		out = a.out.row(o)
 	}
 	for i, it := range a.sel.Items {
-		if it.Agg == AggNone {
-			continue
+		cell := &out[i]
+		switch it.Agg {
+		case AggNone:
+			if fresh {
+				*cell = row.Value(a.src[i])
+			}
+		case AggCount:
+			cell.Int++
+		case AggSum:
+			cell.Real += row.Real(a.src[i])
+		case AggAvg:
+			cell.Int++
+			cell.Real += row.Real(a.src[i])
+		case AggMin:
+			if v := row.Value(a.src[i]); fresh || v.Less(*cell) {
+				*cell = v
+			}
+		case AggMax:
+			if v := row.Value(a.src[i]); fresh || cell.Less(v) {
+				*cell = v
+			}
 		}
-		st := &g.aggs[i]
-		st.count++
-		if it.Col == "*" {
-			continue
-		}
-		v := row.Value(a.aggIdx[i])
-		st.sum += v.AsFloat()
-		if !st.seen || v.Less(st.min) {
-			st.min = v
-		}
-		if !st.seen || st.max.Less(v) {
-			st.max = v
-		}
-		st.seen = true
 	}
 }
 
 func (a *aggregation) result() *Result {
 	sel := a.sel
-	res := &Result{Cols: make([]string, 0, len(sel.Items)), Rows: make([][]Value, 0, max(len(a.order), 1))}
-	for _, it := range sel.Items {
-		res.Cols = append(res.Cols, it.Name)
+	if a.out.n == 0 && len(sel.GroupBy) == 0 {
+		// A bare aggregate over zero rows still yields one row: count and
+		// sum 0, min and max null.
+		a.out.take()
 	}
-	for _, g := range a.order {
-		out := make([]Value, len(sel.Items))
+	res := &Result{Cols: make([]string, len(sel.Items)), Rows: a.out.rows()}
+	for i, it := range sel.Items {
+		res.Cols[i] = it.Name
+	}
+	for _, out := range res.Rows {
 		for i, it := range sel.Items {
-			switch it.Agg {
-			case AggNone:
-				out[i] = g.key[sel.groupCol(it.Col)]
+			switch cell := &out[i]; it.Agg {
 			case AggCount:
-				out[i] = Int64(g.aggs[i].count)
+				*cell = Int64(cell.Int)
 			case AggSum:
-				out[i] = Float(g.aggs[i].sum)
+				*cell = Float(cell.Real)
 			case AggAvg:
-				if g.aggs[i].count == 0 {
-					out[i] = Float(0)
+				if cell.Int == 0 {
+					*cell = Float(0)
 				} else {
-					out[i] = Float(g.aggs[i].sum / float64(g.aggs[i].count))
+					*cell = Float(cell.Real / float64(cell.Int))
 				}
-			case AggMin:
-				out[i] = g.aggs[i].min
-			case AggMax:
-				out[i] = g.aggs[i].max
 			}
 		}
-		res.Rows = append(res.Rows, out)
-	}
-
-	// A bare aggregate over zero rows still yields one row (count = 0).
-	if len(res.Rows) == 0 && len(sel.GroupBy) == 0 {
-		out := make([]Value, len(sel.Items))
-		for i, it := range sel.Items {
-			switch it.Agg {
-			case AggCount:
-				out[i] = Int64(0)
-			case AggSum, AggAvg:
-				out[i] = Float(0)
-			default:
-				out[i] = Value{}
-			}
-		}
-		res.Rows = append(res.Rows, out)
 	}
 	return res
 }

@@ -42,7 +42,9 @@ type lexer struct {
 }
 
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	// About one token per three bytes of a statement: one allocation for
+	// the usual query, and append takes over for a denser one.
+	l := &lexer{src: src, toks: make([]token, 0, len(src)/3+2)}
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.src) {
@@ -200,7 +202,7 @@ func (l *lexer) lexSymbol() error {
 	switch c {
 	case '(', ')', ',', '=', '<', '>', '[', ']', '*', '+', '-', '/', '@':
 		l.pos++
-		l.emit(token{kind: tokSymbol, text: string(c), pos: start})
+		l.emit(token{kind: tokSymbol, text: l.src[start:l.pos], pos: start})
 		return nil
 	}
 	return fmt.Errorf("hwdb: unexpected character %q at %d", c, start)

@@ -285,7 +285,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 
 func (p *parser) parseSelect() (*SelectStmt, error) {
 	p.next() // SELECT
-	st := &SelectStmt{}
+	st := &SelectStmt{Items: make([]SelectItem, 0, p.listCap())}
 	for {
 		item, err := p.parseSelectItem()
 		if err != nil {
@@ -347,6 +347,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if _, err := p.expect(tokIdent, "by"); err != nil {
 			return nil, err
 		}
+		st.GroupBy = make([]string, 0, p.listCap())
 		for {
 			c, err := p.expect(tokIdent, "")
 			if err != nil {
@@ -393,6 +394,27 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	return st, nil
 }
 
+// listCap is how many entries the comma-separated list at the current
+// token can have at most: one more than the commas before the clause
+// keyword that ends it. It sizes the list once; nothing depends on it
+// being exact.
+func (p *parser) listCap() int {
+	n := 1
+	for _, t := range p.toks[p.pos:] {
+		switch t.kind {
+		case tokSymbol:
+			if t.text == "," {
+				n++
+			}
+		case tokIdent:
+			if strings.EqualFold(t.text, "from") || strings.EqualFold(t.text, "order") || strings.EqualFold(t.text, "limit") {
+				return n
+			}
+		}
+	}
+	return n
+}
+
 func (p *parser) parseSelectItem() (SelectItem, error) {
 	t, err := p.expect(tokIdent, "")
 	if err != nil {
@@ -411,15 +433,14 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 		if col.text == "*" && agg != AggCount {
 			return SelectItem{}, fmt.Errorf("hwdb: %s(*) is not valid", name)
 		}
-		label := fmt.Sprintf("%s(%s)", name, col.text)
 		if p.accept(tokIdent, "as") {
 			l, err := p.expect(tokIdent, "")
 			if err != nil {
 				return SelectItem{}, err
 			}
-			label = l.text
+			return SelectItem{Agg: agg, Col: col.text, Name: l.text}, nil
 		}
-		return SelectItem{Agg: agg, Col: col.text, Name: label}, nil
+		return SelectItem{Agg: agg, Col: col.text, Name: name + "(" + col.text + ")"}, nil
 	}
 	label := t.text
 	if p.accept(tokIdent, "as") {

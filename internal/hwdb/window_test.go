@@ -533,93 +533,292 @@ func TestNewHomeworkRingOfOne(t *testing.T) {
 	}
 }
 
-// groupByRef is GROUP BY as it was keyed before: one rendered string per
-// row, Value.String of every group cell joined with '|'. It returns, in
-// first-seen order, each group's first-seen key cells, row count and sum
-// of column sumCol.
-func groupByRef(rows []modelRow, groupIdx []int, sumCol int) [][]Value {
-	type group struct {
-		key   []Value
-		count int64
-		sum   float64
+// groupByRef is a grouped select as it was keyed before, written as plainly
+// as it can be: one rendered string per row — Value.String of every group
+// cell joined with '|' — into a Go map, each group the slice of its rows,
+// every aggregate folded from that slice afterwards, then ORDER BY and
+// LIMIT. It shares nothing with the executor's index, arena or slab.
+func groupByRef(t *testing.T, schema *Schema, sel *SelectStmt, rows []modelRow) [][]Value {
+	t.Helper()
+	col := func(name string) int {
+		i, ok := schema.Index(name)
+		if !ok {
+			t.Fatalf("reference: no column %q", name)
+		}
+		return i
 	}
-	groups := map[string]*group{}
+	groups := map[string][]modelRow{}
 	var order []string
 	for _, r := range rows {
 		var sb strings.Builder
-		key := make([]Value, len(groupIdx))
-		for i, gi := range groupIdx {
-			key[i] = r.vals[gi]
-			sb.WriteString(key[i].String())
+		for _, g := range sel.GroupBy {
+			sb.WriteString(r.vals[col(g)].String())
 			sb.WriteByte('|')
 		}
-		g := groups[sb.String()]
-		if g == nil {
-			g = &group{key: key}
-			groups[sb.String()] = g
+		if _, seen := groups[sb.String()]; !seen {
 			order = append(order, sb.String())
 		}
-		g.count++
-		g.sum += r.vals[sumCol].AsFloat()
+		groups[sb.String()] = append(groups[sb.String()], r)
+	}
+	if len(order) == 0 && len(sel.GroupBy) == 0 {
+		order = []string{""} // a bare aggregate over nothing is one row
 	}
 	var out [][]Value
 	for _, ks := range order {
-		g := groups[ks]
-		out = append(out, append(append([]Value(nil), g.key...), Int64(g.count), Float(g.sum)))
+		members := groups[ks]
+		cells := make([]Value, len(sel.Items))
+		for i, it := range sel.Items {
+			var sum float64
+			var lo, hi Value
+			for j, r := range members {
+				if it.Col == "*" {
+					break
+				}
+				v := r.vals[col(it.Col)]
+				sum += v.AsFloat()
+				if j == 0 || v.Less(lo) {
+					lo = v
+				}
+				if j == 0 || hi.Less(v) {
+					hi = v
+				}
+			}
+			switch it.Agg {
+			case AggNone:
+				cells[i] = members[0].vals[col(it.Col)]
+			case AggCount:
+				cells[i] = Int64(int64(len(members)))
+			case AggSum:
+				cells[i] = Float(sum)
+			case AggAvg:
+				cells[i] = Float(0)
+				if len(members) > 0 {
+					cells[i] = Float(sum / float64(len(members)))
+				}
+			case AggMin:
+				cells[i] = lo
+			case AggMax:
+				cells[i] = hi
+			}
+		}
+		out = append(out, cells)
+	}
+	if len(sel.Order) > 0 {
+		sort.SliceStable(out, func(a, b int) bool {
+			for _, ob := range sel.Order {
+				c := -1
+				for i, it := range sel.Items {
+					if strings.EqualFold(it.Name, ob.Col) {
+						c = i
+						break
+					}
+				}
+				if va, vb := out[a][c], out[b][c]; !va.Equal(vb) {
+					return va.Less(vb) != ob.Desc
+				}
+			}
+			return false
+		})
+	}
+	if sel.Limit > 0 && len(out) > sel.Limit {
+		out = out[:sel.Limit]
 	}
 	return out
 }
 
-// TestGroupByMatchesStringKeyedReference: the byte-keyed grouping forms
-// the groups the rendered-string key formed, in the same first-seen order
-// with the same first-seen key cells, over the cells that could tell the
-// two apart.
-func TestGroupByMatchesStringKeyedReference(t *testing.T) {
-	schema := NewSchema(
-		Column{"s", TString}, Column{"u", TString}, Column{"r", TReal},
-		Column{"i", TInt}, Column{"m", TMAC}, Column{"b", TBool}, Column{"n", TInt})
-	strs := []string{"", "|", "a", "a|", "|a", "''|''", "a'|'b", "A"}
-	reals := []Value{Float(0), Float(math.Copysign(0, -1)), Float(3), Int64(3), Float(2.5), Int64(0), Float(-3), Int64(-3)}
-	sel := mustSelect(t, "SELECT s, u, r, i, m, b, count(*), sum(n) FROM T GROUP BY s, u, r, i, m, b")
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		tbl := NewTable("T", schema, 400)
-		m := &ringModel{cap: 400}
-		for i := 0; i < 400; i++ {
-			vals := []Value{
-				Str(strs[rng.Intn(len(strs))]), Str(strs[rng.Intn(len(strs))]), reals[rng.Intn(len(reals))],
-				Int64(int64(rng.Intn(3) - 1)), MACVal(packet.MAC{2, byte(rng.Intn(2))}), Bool(rng.Intn(2) == 0),
-				Int64(int64(rng.Intn(1000))),
-			}
-			if err := tbl.Insert(time.Unix(int64(i), 0), vals); err != nil {
-				t.Fatal(err)
-			}
-			m.insert(schema, time.Unix(int64(i), 0), vals)
+// sameResult compares result rows with the reference's, cell by cell.
+func sameResult(got, want [][]Value) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			return fmt.Errorf("row %d has %d cells, want %d", i, len(got[i]), len(want[i]))
 		}
-		rows := tbl.Snapshot()
-		// Fewer grouping columns make bigger groups: both ends matter.
-		for _, s := range []*SelectStmt{sel, mustSelect(t, "SELECT r, count(*), sum(n) FROM T GROUP BY r"),
-			mustSelect(t, "SELECT s, u, count(*), sum(n) FROM T GROUP BY s, u")} {
-			var groupIdx []int
-			for _, g := range s.GroupBy {
-				gi, _ := schema.Index(g)
-				groupIdx = append(groupIdx, gi)
+		for j := range want[i] {
+			if !sameCell(got[i][j], want[i][j]) {
+				return fmt.Errorf("row %d cell %d = %#v, want %#v", i, j, got[i][j], want[i][j])
 			}
-			res, err := aggregate(schema, s, rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := groupByRef(m.rows, groupIdx, 6)
-			if len(res.Rows) != len(want) {
-				t.Fatalf("seed %d, %v: %d groups, want %d", seed, s.GroupBy, len(res.Rows), len(want))
-			}
-			for i := range want {
-				for j := range want[i] {
-					if !sameCell(res.Rows[i][j], want[i][j]) {
-						t.Fatalf("seed %d, %v: group %d cell %d = %v, want %v", seed, s.GroupBy, i, j, res.Rows[i][j], want[i][j])
+		}
+	}
+	return nil
+}
+
+// groupSchema has a column of every kind a key can be made of, a column to
+// fold (n) and one that fixes how many groups there are (g).
+var groupSchema = NewSchema(
+	Column{"s", TString}, Column{"u", TString}, Column{"r", TReal}, Column{"i", TInt},
+	Column{"m", TMAC}, Column{"b", TBool}, Column{"n", TInt}, Column{"g", TInt})
+
+// groupTable fills a table and the model with rows over the cells that
+// could tell a byte key from a rendered one — '|', quotes, NULs and the
+// empty string; integers in the real column beside the equal reals, and
+// both zeros — with g running over exactly groups values, each seen early.
+func groupTable(t *testing.T, seed int64, rows, groups int) (*DB, *clock.Simulated, *ringModel) {
+	t.Helper()
+	strs := []string{"", "|", "a", "a|", "|a", "''|''", "a'|'b", "A", "\x00", "a\x00", "\x00|\x00a"}
+	reals := []Value{Float(0), Float(math.Copysign(0, -1)), Float(3), Int64(3), Float(2.5), Int64(0), Float(-3), Int64(-3)}
+	rng := rand.New(rand.NewSource(seed))
+	clk := clock.NewSimulated()
+	db := New(clk)
+	tbl, err := db.CreateTable("T", groupSchema, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &ringModel{cap: rows}
+	for i := 0; i < rows; i++ {
+		g := i
+		if i >= groups {
+			g = rng.Intn(groups)
+		}
+		vals := []Value{
+			Str(strs[rng.Intn(len(strs))]), Str(strs[rng.Intn(len(strs))]), reals[rng.Intn(len(reals))],
+			Int64(int64(rng.Intn(3) - 1)), MACVal(packet.MAC{2, byte(rng.Intn(2)), byte(rng.Intn(3))}), Bool(rng.Intn(2) == 0),
+			Int64(int64(rng.Intn(1000))), Int64(int64(g)),
+		}
+		clk.Advance(time.Millisecond)
+		if err := tbl.Insert(clk.Now(), vals); err != nil {
+			t.Fatal(err)
+		}
+		m.insert(groupSchema, clk.Now(), vals)
+	}
+	return db, clk, m
+}
+
+// groupedSelects are the statements the differentials run: both ends of
+// group size, every aggregate, min and max over MAC, string and real
+// columns, GROUP BY columns the select list leaves out, and ORDER BY ...
+// LIMIT on top.
+var groupedSelects = []string{
+	"SELECT s, u, r, i, m, b, count(*), sum(n) FROM T GROUP BY s, u, r, i, m, b",
+	"SELECT r, count(*), sum(n) FROM T GROUP BY r",
+	"SELECT s, u, count(*), sum(n) FROM T GROUP BY s, u",
+	"SELECT g, count(*), count(s), sum(n), avg(n), min(n), max(n) FROM T GROUP BY g",
+	"SELECT s, min(m), max(m), min(u), max(u), min(r), max(r), avg(r) FROM T GROUP BY s",
+	"SELECT count(*), sum(n) FROM T GROUP BY s, b",
+	"SELECT b, max(s), count(*) FROM T GROUP BY u, b, i",
+	"SELECT s, u, sum(n) AS total, count(*) AS c FROM T GROUP BY s, u ORDER BY total DESC, s LIMIT 7",
+	"SELECT g, min(r) AS lo FROM T GROUP BY g ORDER BY lo, g DESC LIMIT 40",
+	"SELECT count(*), sum(r), avg(n), min(s), max(m) FROM T",
+}
+
+// TestGroupByMatchesStringKeyedReference: the indexed grouping forms the
+// groups the rendered-string key formed, in the same first-seen order with
+// the same first-seen key cells and the same aggregates, at one group, at
+// every slab chunk boundary and one row either side of it, and at 5 000
+// groups, several index doublings on. Each select runs twice — two hash
+// seeds — and must give the reference's order both times.
+func TestGroupByMatchesStringKeyedReference(t *testing.T) {
+	a, _ := newAggregation(groupSchema, mustSelect(t, groupedSelects[0]))
+	b, _ := newAggregation(groupSchema, mustSelect(t, groupedSelects[0]))
+	if a.idx.seed == b.idx.seed {
+		t.Fatal("two selects hash with one seed: running each twice would prove nothing about order")
+	}
+	sizes := []int{1, 2, 5007}
+	for k, end := 0, 0; k < 4; k++ {
+		end += 1 << (slabShift + k) // 4, 12, 28, 60
+		sizes = append(sizes, end-1, end, end+1)
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, groups := range sizes {
+			db, _, m := groupTable(t, seed, 2*groups+400, groups)
+			for _, cql := range groupedSelects {
+				sel := mustSelect(t, cql)
+				want := groupByRef(t, groupSchema, sel, m.rows)
+				if strings.Contains(cql, "GROUP BY g") && sel.Limit == 0 && len(want) != groups {
+					t.Fatalf("reference formed %d groups, want %d", len(want), groups)
+				}
+				for run := 0; run < 2; run++ {
+					res, err := db.Select(sel)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sameResult(res.Rows, want); err != nil {
+						t.Fatalf("seed %d, %d groups of g, run %d, %s: %v", seed, groups, run, cql, err)
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestGroupByEqualityIsByKeyBytes narrows the hash to three bits, so that
+// hundreds of groups share eight home slots and every probe walks past
+// keys that are not its own: the groups still come out as the reference's.
+func TestGroupByEqualityIsByKeyBytes(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		db, _, m := groupTable(t, seed, 1500, 300)
+		tbl, _ := db.Table("T")
+		for _, cql := range groupedSelects {
+			sel := mustSelect(t, cql)
+			if len(sel.Order) > 0 {
+				continue // ordering is Select's, not the sink's
+			}
+			a, err := newAggregation(groupSchema, sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.idx.hashMask = 7
+			for _, row := range tbl.Snapshot() {
+				a.add(row)
+			}
+			if err := sameResult(a.result().Rows, groupByRef(t, groupSchema, sel, m.rows)); err != nil {
+				t.Fatalf("seed %d, %s: %v", seed, cql, err)
+			}
+		}
+	}
+}
+
+// TestAggregateOverEmptyWindow: a bare aggregate over no rows is one row
+// of zero counts and sums and null extremes; a grouped one is no rows.
+func TestAggregateOverEmptyWindow(t *testing.T) {
+	db, clk, _ := groupTable(t, 1, 50, 5)
+	clk.Advance(time.Hour)
+	for _, cql := range []string{
+		"SELECT count(*), count(s), sum(n), avg(n), min(s), max(m) FROM T [RANGE 1 SECONDS]",
+		"SELECT g, count(*), min(n) FROM T [RANGE 1 SECONDS] GROUP BY g",
+		"SELECT count(*), min(n) FROM T [RANGE 1 SECONDS] GROUP BY g",
+	} {
+		sel := mustSelect(t, cql)
+		res, err := db.Select(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameResult(res.Rows, groupByRef(t, groupSchema, sel, nil)); err != nil {
+			t.Errorf("%s: %v", cql, err)
+		}
+	}
+}
+
+// TestResultRowsDoNotAlias: the rows of a result share chunks but not
+// cells. Appending to one row leaves the next intact, and a result stays
+// what it was while later selects build theirs.
+func TestResultRowsDoNotAlias(t *testing.T) {
+	db, _, _ := groupTable(t, 3, 700, 70)
+	for _, cql := range []string{"SELECT * FROM T", "SELECT s, n FROM T WHERE b = true", groupedSelects[3], groupedSelects[0]} {
+		sel := mustSelect(t, cql)
+		res, err := db.Select(sel)
+		if err != nil || len(res.Rows) < 2<<slabShift {
+			t.Fatalf("%s: %d rows, %v", cql, len(res.Rows), err)
+		}
+		want := make([][]Value, len(res.Rows))
+		for i, row := range res.Rows {
+			want[i] = append([]Value(nil), row...)
+		}
+		for i, row := range res.Rows {
+			if cap(row) != len(row) {
+				t.Fatalf("%s: row %d has %d cells and room for %d", cql, i, len(row), cap(row))
+			}
+			grown := append(row, Str("appended"))
+			grown[0] = Str("overwritten") // the copy's cell, not the result's
+		}
+		for range 3 {
+			if _, err := db.Select(sel); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sameResult(res.Rows, want); err != nil {
+			t.Errorf("%s: result changed under appends and later selects: %v", cql, err)
 		}
 	}
 }
@@ -650,12 +849,15 @@ const figure1Query = "SELECT mac, proto, dport, sport, sum(bytes) AS bytes FROM 
 
 // observeFlows inserts what the measurement plane writes: 6 devices x 5
 // flows every 600 ms of simulated time, for the given number of polls.
-func observeFlows(db *DB, clk *clock.Simulated, polls int) {
+func observeFlows(db *DB, clk *clock.Simulated, polls int) { observeDevices(db, clk, polls, 6) }
+
+// observeDevices is observeFlows for a home of any number of devices.
+func observeDevices(db *DB, clk *clock.Simulated, polls, devices int) {
 	for p := 0; p < polls; p++ {
-		for d := 0; d < 6; d++ {
+		for d := 0; d < devices; d++ {
 			for f := 0; f < 5; f++ {
-				_ = db.InsertFlow(packet.MAC{2, byte(d)},
-					packet.FiveTuple{Src: packet.IP4{192, 168, 1, byte(10 + d)}, Dst: packet.IP4{93, 184, 216, 34},
+				_ = db.InsertFlow(packet.MAC{2, byte(d >> 8), byte(d)},
+					packet.FiveTuple{Src: packet.IP4{192, 168, byte(1 + d>>8), byte(10 + d)}, Dst: packet.IP4{93, 184, 216, 34},
 						Proto: packet.ProtoTCP, SrcPort: uint16(40000 + f), DstPort: uint16(80 + f)}, 10, 15000)
 			}
 		}
@@ -699,28 +901,50 @@ func TestWindowedSelectBytesIndependentOfRingFill(t *testing.T) {
 	}
 }
 
-// TestAggregateAllocsFollowGroupsNotRows pins GROUP BY at O(groups)
-// allocations: ten times the rows in the same 30 groups allocate no more.
+// TestAggregateAllocsFollowGroupsNotRows pins what GROUP BY allocates: ten
+// times the rows in the same 30 groups allocate no more, and a hundred
+// times the groups cost one allocation per doubling of each of the three
+// things that grow with them — the row slab, the index table and the key
+// arena — not one per group.
 func TestAggregateAllocsFollowGroupsNotRows(t *testing.T) {
 	sel := mustSelect(t, figure1Query)
-	aggAllocs := func(polls int) float64 {
+	aggAllocs := func(polls, devices int) float64 {
 		clk := clock.NewSimulated()
 		db := NewHomework(clk, DefaultRingSize)
-		observeFlows(db, clk, polls)
+		observeDevices(db, clk, polls, devices)
 		flows, _ := db.Table(TableFlows)
 		rows := flows.Snapshot()
 		return testing.AllocsPerRun(20, func() {
-			if res, err := aggregate(flows.Schema(), sel, rows); err != nil || len(res.Rows) != 30 {
+			if res, err := aggregate(flows.Schema(), sel, rows); err != nil || len(res.Rows) != 5*devices {
 				t.Fatalf("aggregate: %v, %v", res, err)
 			}
 		})
 	}
-	few, many := aggAllocs(10), aggAllocs(100)
-	t.Logf("aggregate into 30 groups: %.0f allocs over 300 rows, %.0f over 3000", few, many)
+	few, many, wide := aggAllocs(10, 6), aggAllocs(100, 6), aggAllocs(2, 600)
+	t.Logf("aggregate: %.0f allocs for 30 groups of 300 rows, %.0f of 3000 rows; %.0f for 3000 groups", few, many, wide)
 	if many > few {
 		t.Errorf("aggregate allocates %.0f times over 3000 rows but %.0f over 300: it should follow the 30 groups", many, few)
 	}
-	if few > 6*30 {
-		t.Errorf("aggregate allocates %.0f times for 30 groups, want a small constant per group", few)
+	if few > 30 {
+		t.Errorf("aggregate allocates %.0f times for 30 groups, want fewer allocations than groups", few)
+	}
+	// AllocsPerRun counts the whole process: the 3000-group run is large
+	// enough to start a collection, whose own bookkeeping allocates once
+	// or twice under the race detector.
+	if doublings := math.Ceil(math.Log2(100)); wide-few > 3*doublings+2 {
+		t.Errorf("3000 groups cost %.0f allocations more than 30, want %.0f: three per doubling", wide-few, 3*doublings)
+	}
+}
+
+// TestParseAllocs pins what parsing the Figure-1 statement allocates: the
+// token slice, the statement and its two lists, each sized once.
+func TestParseAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Parse(figure1Query); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5 {
+		t.Errorf("Parse(figure1Query) allocates %.0f times, want at most 5", allocs)
 	}
 }

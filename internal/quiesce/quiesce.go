@@ -9,13 +9,13 @@
 //
 // Concurrency contract: every method is safe for concurrent use from any
 // number of goroutines. Punt and Done are cheap (one short mutex section,
-// no allocation); the catch-up channel and the backstop timer are
-// allocated only when a waiter actually has to block, so the punt hot
-// path stays allocation-free. Wakeups cannot be lost: a waiter registers
-// for the catch-up broadcast under the same mutex that Done uses to
-// detect catch-up, so Done either sees the waiter's channel and closes
-// it, or the waiter's registration happens after catch-up and its
-// pre-block re-check observes the drained state.
+// no allocation); the catch-up channel is allocated, and the backstop timer
+// taken from a process-wide pool, only when a waiter actually has to
+// block, so the punt hot path stays allocation-free. Wakeups cannot be
+// lost: a waiter registers for the catch-up broadcast under the same mutex
+// that Done uses to detect catch-up, so Done either sees the waiter's
+// channel and closes it, or the waiter's registration happens after
+// catch-up and its pre-block re-check observes the drained state.
 package quiesce
 
 import (
@@ -108,16 +108,17 @@ func (e *Epoch) Settled() bool {
 // the catch-up target: Wait re-checks after every broadcast, so it never
 // returns while the producer is ahead.
 func (e *Epoch) Wait(timeout time.Duration) error {
-	var (
-		timer  *time.Timer
-		expiry <-chan time.Time
-	)
+	var timer *time.Timer
 	for {
 		e.mu.Lock()
 		if e.processed >= e.punted {
 			e.mu.Unlock()
 			if timer != nil {
+				// Only a timer that did not fire is reused: stopped, it
+				// delivers nothing late (go 1.23 on). An expired one is
+				// left to the collector.
 				timer.Stop()
+				timers.Put(timer)
 			}
 			return nil
 		}
@@ -131,13 +132,21 @@ func (e *Epoch) Wait(timeout time.Duration) error {
 		ch := e.caughtUp
 		e.mu.Unlock()
 		if timer == nil {
-			timer = time.NewTimer(timeout)
-			expiry = timer.C
+			timer = timers.Get().(*time.Timer)
+			timer.Reset(timeout)
 		}
 		select {
 		case <-ch:
-		case <-expiry:
+		case <-timer.C:
 			return ErrDeadline
 		}
 	}
 }
+
+// timers recycles Wait's backstop timers across every epoch of the
+// process; a pooled timer is stopped and its channel empty.
+var timers = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}

@@ -160,6 +160,13 @@ func (p *periodAcc) device(mac int64) {
 	p.devices[mac] = struct{}{}
 }
 
+// reset starts the next period. The device set is emptied, not dropped: a
+// home sees the same few devices period after period.
+func (p *periodAcc) reset() {
+	clear(p.devices)
+	*p = periodAcc{devices: p.devices}
+}
+
 // NewFolder builds a folder over hub and registers it as a synchronous
 // consumer. The folder owns the FleetStats view database. A nil hub
 // builds a detached folder — a Federation attaches it to every shard hub
@@ -376,7 +383,7 @@ func (f *Folder) Commit() int {
 			hwdb.Float(mean),
 			hwdb.Float(h.rate.rate(now).BytesPerSec),
 			hwdb.Int64(int64(c.lost)))
-		*c = periodAcc{}
+		c.reset()
 		rows++
 	}
 	return rows
@@ -407,7 +414,7 @@ func (f *Folder) TakePeriod() []PeriodStats {
 		if h.hosts != nil {
 			ps.Hosts = h.hosts()
 		}
-		*a = periodAcc{}
+		a.reset()
 		out = append(out, ps)
 	}
 	return out

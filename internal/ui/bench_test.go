@@ -1,0 +1,99 @@
+package ui
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/clock"
+	"repro/internal/hwdb"
+	"repro/internal/packet"
+)
+
+// BenchmarkDisplayReads is the read half of hwbench's home_ui workload
+// without the router under it: one home whose Flows, Links and FlowPerf
+// rings have filled and aged, four devices (two of them wireless) whose
+// measurement rows keep arriving on a simulated clock, and per op what the
+// displays read each 250 ms tick — the Figure-1 statement as a client sends
+// it (parsed, then selected), the bandwidth view's rows and one step of the
+// artifact in signal mode.
+//
+//	go test -run '^$' -bench DisplayReads -benchtime 2000x -memprofile mem.out ./internal/ui
+//
+// gives the read path's allocation profile per tick (pprof
+// -sample_index=alloc_space or alloc_objects): the counterpart of
+// BenchmarkChurnHomeStep in internal/core for the control path.
+func BenchmarkDisplayReads(b *testing.B) {
+	const figure1 = "SELECT mac, proto, dport, sport, sum(bytes) AS bytes FROM Flows [RANGE 10 SECONDS] GROUP BY mac, proto, dport, sport"
+	clk := clock.NewSimulated()
+	db := hwdb.NewHomework(clk, hwdb.DefaultRingSize)
+	type device struct {
+		mac      packet.MAC
+		ip       packet.IP4
+		wireless bool
+		dport    uint16
+	}
+	devices := []device{
+		{packet.MAC{2, 0xaa, 0, 0, 0, 1}, packet.IP4{192, 168, 1, 10}, false, 80},
+		{packet.MAC{2, 0xaa, 0, 0, 0, 2}, packet.IP4{192, 168, 1, 11}, true, 443},
+		{packet.MAC{2, 0xaa, 0, 0, 0, 3}, packet.IP4{192, 168, 1, 12}, true, 5060},
+		{packet.MAC{2, 0xaa, 0, 0, 0, 4}, packet.IP4{192, 168, 1, 13}, false, 8883},
+	}
+	for i, d := range devices {
+		if err := db.InsertLease("add", d.mac, d.ip, []string{"laptop", "tv", "phone", "sensor"}[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// observe writes what one measurement poll writes: every device's
+	// long-lived flow out and back, the laptop's current web connection (a
+	// new source port every third poll, as a 0.75 s flow churn gives) and a
+	// link sample per wireless station.
+	poll := 0
+	observe := func() {
+		for i, d := range devices {
+			ft := packet.FiveTuple{Src: d.ip, Dst: packet.IP4{93, 184, 216, 34}, Proto: packet.ProtoTCP, SrcPort: 40000, DstPort: d.dport}
+			if i == 0 {
+				ft.SrcPort = uint16(40001 + poll/3%4096)
+			}
+			for _, ft := range []packet.FiveTuple{ft, ft.Reverse()} {
+				_ = db.InsertFlow(d.mac, ft, 10, 12000)
+				_ = db.InsertFlowPerf(d.mac, ft, 10, 12000, 10, 12000, 0, 384000, 0)
+			}
+			if d.wireless {
+				_ = db.InsertLink(d.mac, -45-poll%7, poll%3, 54)
+			}
+		}
+		poll++
+		clk.Advance(250 * time.Millisecond)
+	}
+	// A home that has been up for days: every ring at capacity, then 40
+	// polls so the displays' windows hold only fresh rows.
+	flows, _ := db.Table(hwdb.TableFlows)
+	links, _ := db.Table(hwdb.TableLinks)
+	for flows.Len() < flows.Cap() || links.Len() < links.Cap() {
+		observe()
+	}
+	clk.Advance(time.Minute)
+	for i := 0; i < 40; i++ {
+		observe()
+	}
+	view := NewBandwidthView(db)
+	art := NewArtifact(db, devices[1].mac)
+	art.SetMode(ModeSignal)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		observe()
+		res, err := db.Query(figure1)
+		if err != nil || len(res.Rows) < 2*len(devices) {
+			b.Fatalf("Figure-1 query: %v, %v", res, err)
+		}
+		rows, err := view.Rows()
+		if err != nil || len(rows) != len(devices) {
+			b.Fatalf("bandwidth view: %d rows, %v", len(rows), err)
+		}
+		if leds := art.Step(250 * time.Millisecond); len(leds) != art.NumLEDs {
+			b.Fatalf("artifact: %d LEDs, want %d", len(leds), art.NumLEDs)
+		}
+	}
+}
