@@ -9,11 +9,21 @@ import (
 	"repro/internal/netsim"
 )
 
+// homeStep is what the fleet engine does to a home per tick: traffic,
+// settle, measurement poll, then the clock moves.
+func homeStep(b *testing.B, r *Router, clk *clock.Simulated) {
+	r.Net.Step(0.25)
+	if err := r.Settle(); err != nil {
+		b.Fatal(err)
+	}
+	r.PollMeasure()
+	clk.Advance(250 * time.Millisecond)
+}
+
 // BenchmarkChurnHomeStep is one home-step of hwbench's web_churn workload
 // without the fleet around it: three wired hosts each browsing at 40 kB/s
 // and opening a new connection every 0.75 s, one tick apart, so every step
-// sets up exactly one new flow, out and back. A step is what the fleet
-// engine does to a home per tick: traffic, settle, measurement poll.
+// sets up exactly one new flow, out and back.
 //
 //	go test -run '^$' -bench ChurnHomeStep -benchtime 2000x -memprofile mem.out ./internal/core
 //
@@ -26,14 +36,7 @@ func BenchmarkChurnHomeStep(b *testing.B) {
 		c.Clock = clk
 		c.DisableRPC = true
 	})
-	step := func() {
-		r.Net.Step(0.25)
-		if err := r.Settle(); err != nil {
-			b.Fatal(err)
-		}
-		r.PollMeasure()
-		clk.Advance(250 * time.Millisecond)
-	}
+	step := func() { homeStep(b, r, clk) }
 	for i := 0; i < 3; i++ {
 		h := join(b, r, fmt.Sprint("browser", i), fmt.Sprintf("02:aa:00:00:01:%02x", i), false, netsim.Pos{})
 		app := netsim.NewApp(netsim.AppWeb, "203.0.113.10", 40_000)
@@ -55,5 +58,51 @@ func BenchmarkChurnHomeStep(b *testing.B) {
 	b.StopTimer()
 	if punts = r.Datapath.PuntCount() - punts; punts != 2*uint64(b.N) {
 		b.Fatalf("%d steps punted %d times, want one new flow out and back per step", b.N, punts)
+	}
+}
+
+// BenchmarkBulkHomeStep is one home-step of hwbench's bulk_stream workload
+// without the fleet around it: two wired hosts each streaming video at
+// 1 MB/s over one long-lived flow, which the upstream answers twenty bytes
+// for one — some 7 500 frames built, forwarded and delivered per step, and a
+// control path with nothing to do. MB/s is the payload the two apps emit.
+//
+//	go test -run '^$' -bench BulkHomeStep -benchtime 300x -cpuprofile cpu.out ./internal/core
+//
+// gives the data plane's CPU profile per home-step, which is how the
+// per-frame work worth removing is found.
+func BenchmarkBulkHomeStep(b *testing.B) {
+	clk := clock.NewSimulated()
+	r := startRouter(b, func(c *Config) {
+		c.Clock = clk
+		c.DisableRPC = true
+	})
+	step := func() { homeStep(b, r, clk) }
+	var apps []*netsim.App
+	for i := 0; i < 2; i++ {
+		h := join(b, r, fmt.Sprint("tv", i), fmt.Sprintf("02:aa:00:00:02:%02x", i), false, netsim.Pos{})
+		app := netsim.NewApp(netsim.AppVideo, "203.0.113.10", 1_000_000)
+		h.AddApp(app)
+		apps = append(apps, app)
+	}
+	for i := 0; i < 20; i++ {
+		step()
+	}
+	sent := func() (n uint64) {
+		for _, a := range apps {
+			n += a.SentBytes()
+		}
+		return n
+	}
+	punts, sent0 := r.Datapath.PuntCount(), sent()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	b.SetBytes(int64(sent()-sent0) / int64(b.N))
+	if punts = r.Datapath.PuntCount() - punts; punts != 0 {
+		b.Fatalf("%d steps punted %d times, want every frame on an installed flow", b.N, punts)
 	}
 }

@@ -289,7 +289,9 @@ func (dp *Datapath) handlePacketOut(m *openflow.PacketOut) {
 			return
 		}
 	}
-	dp.execute(inPort, frame, m.Actions)
+	var run batchRun
+	dp.execute(inPort, frame, m.Actions, &run)
+	run.done(dp)
 }
 
 func (dp *Datapath) handleStats(m *openflow.StatsRequest) {

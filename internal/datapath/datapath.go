@@ -56,11 +56,14 @@ func (p *Port) countRxN(frames, bytes int) {
 	p.mu.Unlock()
 }
 
-func (p *Port) countTx(n int) {
+// countTx charges one transmitted frame and returns the sink to hand it to.
+func (p *Port) countTx(n int) func(frame []byte) {
 	p.mu.Lock()
 	p.stats.TxPackets++
 	p.stats.TxBytes += uint64(n)
+	out := p.Out
 	p.mu.Unlock()
+	return out
 }
 
 // SetOut atomically replaces the port's delivery function (tests and
@@ -69,12 +72,6 @@ func (p *Port) SetOut(fn func(frame []byte)) {
 	p.mu.Lock()
 	p.Out = fn
 	p.mu.Unlock()
-}
-
-func (p *Port) out() func(frame []byte) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.Out
 }
 
 // CountRxDrop records a receive-side drop (e.g. wireless loss).
@@ -107,6 +104,8 @@ type Datapath struct {
 	mu    sync.RWMutex
 	ports map[uint16]*Port
 	table *FlowTable
+	// portGen counts the changes made to ports (under mu), for batchRun.
+	portGen atomic.Uint64
 
 	connMu sync.Mutex
 	tr     oftransport.Transport
@@ -210,6 +209,7 @@ func (dp *Datapath) AddPort(p *Port) error {
 		return fmt.Errorf("datapath: port %d already exists", p.No)
 	}
 	dp.ports[p.No] = p
+	dp.portGen.Add(1)
 	dp.notifyPortStatus(openflow.PortStatusAdd, p)
 	return nil
 }
@@ -220,6 +220,7 @@ func (dp *Datapath) RemovePort(no uint16) {
 	p, ok := dp.ports[no]
 	if ok {
 		delete(dp.ports, no)
+		dp.portGen.Add(1)
 	}
 	dp.mu.Unlock()
 	if ok {
@@ -257,18 +258,24 @@ func (dp *Datapath) Receive(inPort uint16, frame []byte) {
 	}
 	p.countRx(len(frame))
 
-	var d packet.Decoded
+	var (
+		d   packet.Decoded
+		run batchRun
+	)
 	if err := d.Decode(frame); err != nil {
 		return
 	}
-	dp.receiveDecoded(p, inPort, frame, &d, dp.clk.Now())
+	dp.receiveDecoded(p, inPort, frame, &d, dp.clk.Now(), &run)
+	run.done(dp)
 }
 
 // ReceiveBatch processes a whole batch of frames arriving on one port in
 // a single call: the port lookup, receive accounting, clock read and the
 // frame-decode state are amortized across the batch instead of paid per
-// packet. Frames in the batch may alias the caller's reused buffers; the
-// datapath copies anything it retains (punt buffers, packet-in data).
+// packet, and a run of frames of one flow shares its table lookup, its
+// scratch buffer and its output port (batchRun). Frames in the batch may
+// alias the caller's reused buffers; the datapath copies anything it
+// retains (punt buffers, packet-in data).
 func (dp *Datapath) ReceiveBatch(inPort uint16, fb *packet.FrameBatch) {
 	n := fb.Len()
 	if n == 0 {
@@ -280,33 +287,106 @@ func (dp *Datapath) ReceiveBatch(inPort uint16, fb *packet.FrameBatch) {
 	}
 	p.countRxN(n, fb.TotalBytes())
 	now := dp.clk.Now()
-	var d packet.Decoded
+	var (
+		d   packet.Decoded
+		run batchRun
+	)
 	for i := 0; i < n; i++ {
 		frame := fb.Frame(i)
 		if err := d.Decode(frame); err != nil {
 			continue
 		}
-		dp.receiveDecoded(p, inPort, frame, &d, now)
+		dp.receiveDecoded(p, inPort, frame, &d, now, &run)
+	}
+	run.done(dp)
+}
+
+// batchRun is what one caller carries from a frame to the next so that
+// consecutive frames of one flow pay once for what they share. Each part
+// is a shortcut past a lookup, never past the accounting: every frame is
+// still counted as a lookup and a match, charged to its entry and to its
+// output port, and handed to the sink on its own.
+//
+//   - The entry: a frame whose exact-match key equals the previous frame's
+//     matches what that one matched, provided the table has not changed.
+//     tableGen is read before the lookup it vouches for, so a change that
+//     lands during or after the lookup reads as a change.
+//   - The scratch buffer MAC rewrites copy the frame into, borrowed at the
+//     first rewrite and handed back by done. A sink has a frame for the
+//     call only (Port), so the next frame may overwrite it; a sink that
+//     re-enters the datapath does so under a run of its own.
+//   - The port the previous frame left by, while no port has been added or
+//     removed.
+//
+// A run belongs to one call on one goroutine; the zero value is ready.
+type batchRun struct {
+	key      openflow.Match
+	entry    *FlowEntry // nil: the previous frame missed, or there was none
+	tableGen uint64
+
+	sc *execScratch
+
+	out     *Port
+	portGen uint64
+}
+
+// port is dp.Port for the transmit path of a run (which may be nil).
+func (run *batchRun) port(dp *Datapath, no uint16) (*Port, bool) {
+	if run == nil {
+		return dp.Port(no)
+	}
+	gen := dp.portGen.Load()
+	if run.out != nil && run.out.No == no && run.portGen == gen {
+		return run.out, true
+	}
+	p, ok := dp.Port(no)
+	if ok {
+		run.out, run.portGen = p, gen
+	}
+	return p, ok
+}
+
+// scratch returns the run's scratch buffer holding a copy of frame.
+func (run *batchRun) scratch(dp *Datapath, frame []byte) []byte {
+	if run.sc == nil {
+		run.sc = dp.getScratch()
+	}
+	run.sc.buf = append(run.sc.buf[:0], frame...)
+	return run.sc.buf
+}
+
+// done hands back what the run borrowed.
+func (run *batchRun) done(dp *Datapath) {
+	if run.sc != nil {
+		dp.putScratch(run.sc)
+		run.sc = nil
 	}
 }
 
 // receiveDecoded looks a decoded frame up in the flow table and executes
 // it, or takes it down the miss path; receive accounting has already been
 // charged.
-func (dp *Datapath) receiveDecoded(p *Port, inPort uint16, frame []byte, d *packet.Decoded, now time.Time) {
+func (dp *Datapath) receiveDecoded(p *Port, inPort uint16, frame []byte, d *packet.Decoded, now time.Time, run *batchRun) {
 	key := openflow.MatchFromFrame(d, inPort)
 	nanos := now.UnixNano()
-	entry := dp.table.lookup(&key, d, len(frame), nanos)
+	gen := dp.table.gen.Load()
+	entry := run.entry
+	if entry != nil && run.tableGen == gen && run.key == key {
+		dp.table.again(entry, len(frame), nanos)
+	} else {
+		entry = dp.table.lookup(&key, d, len(frame), nanos)
+		run.key, run.entry, run.tableGen = key, entry, gen
+	}
 	if entry == nil {
 		if entry = dp.miss(p, frame, d, &key, nanos); entry == nil {
 			return
 		}
 	}
-	dp.execute(inPort, frame, entry.Actions)
+	dp.execute(inPort, frame, entry.Actions, run)
 }
 
 // execute runs an action list on a frame in the context of inPort.
-func (dp *Datapath) execute(inPort uint16, frame []byte, actions []openflow.Action) {
+func (dp *Datapath) execute(inPort uint16, frame []byte, actions []openflow.Action, run *batchRun) {
 	// An OUTPUT:CONTROLLER action carries its own max_len; honour it (the
 	// DHCP/DNS punt rules ask for the full packet). While scanning,
 	// detect the hot-path action shape — only MAC rewrites and outputs,
@@ -326,64 +406,56 @@ func (dp *Datapath) execute(inPort uint16, frame []byte, actions []openflow.Acti
 		}
 	}
 	if fast {
-		dp.executeFast(inPort, frame, actions, maxLen)
+		dp.executeFast(inPort, frame, actions, maxLen, run)
 		return
 	}
 	out, ports := openflow.ApplyActions(frame, actions)
 	for _, pn := range ports {
-		dp.dispatch(inPort, out, pn, maxLen)
+		dp.dispatch(inPort, out, pn, maxLen, run)
 	}
 }
 
 // executeFast runs an action list containing only MAC rewrites and
-// outputs. The first rewrite copies the frame once into a borrowed
-// scratch buffer and the MACs are patched at their fixed offsets — no
-// re-decode, no per-layer re-serialization, no allocation in steady
-// state. The input frame is never mutated.
-func (dp *Datapath) executeFast(inPort uint16, frame []byte, actions []openflow.Action, maxLen int) {
+// outputs. The first rewrite copies the frame once into the run's scratch
+// buffer and the MACs are patched at their fixed offsets — no re-decode,
+// no per-layer re-serialization, no allocation in steady state. The input
+// frame is never mutated.
+func (dp *Datapath) executeFast(inPort uint16, frame []byte, actions []openflow.Action, maxLen int, run *batchRun) {
 	out := frame
-	var sc *execScratch
+	copied := false
 	for _, a := range actions {
 		switch act := a.(type) {
 		case *openflow.ActionSetDLSrc:
-			if sc == nil {
-				sc = dp.getScratch()
-				sc.buf = append(sc.buf[:0], frame...)
-				out = sc.buf
+			if !copied {
+				out, copied = run.scratch(dp, frame), true
 			}
 			if len(out) >= packet.EthernetHeaderLen {
 				copy(out[6:12], act.Addr[:])
 			}
 		case *openflow.ActionSetDLDst:
-			if sc == nil {
-				sc = dp.getScratch()
-				sc.buf = append(sc.buf[:0], frame...)
-				out = sc.buf
+			if !copied {
+				out, copied = run.scratch(dp, frame), true
 			}
 			if len(out) >= packet.EthernetHeaderLen {
 				copy(out[0:6], act.Addr[:])
 			}
 		case *openflow.ActionOutput:
-			dp.dispatch(inPort, out, act.Port, maxLen)
+			dp.dispatch(inPort, out, act.Port, maxLen, run)
 		case *openflow.ActionEnqueue:
-			dp.dispatch(inPort, out, act.Port, maxLen)
+			dp.dispatch(inPort, out, act.Port, maxLen, run)
 		}
-	}
-	if sc != nil {
-		sc.buf = out
-		dp.putScratch(sc)
 	}
 }
 
 // dispatch delivers an already-rewritten frame to one action-list output.
-func (dp *Datapath) dispatch(inPort uint16, frame []byte, pn uint16, maxLen int) {
+func (dp *Datapath) dispatch(inPort uint16, frame []byte, pn uint16, maxLen int, run *batchRun) {
 	switch pn {
 	case openflow.PortController:
 		dp.punt(inPort, frame, maxLen)
 	case openflow.PortFlood, openflow.PortAll:
 		dp.flood(inPort, frame, pn == openflow.PortAll)
 	case openflow.PortInPort:
-		dp.transmit(inPort, frame)
+		dp.transmit(inPort, frame, run)
 	case openflow.PortTable, openflow.PortNone:
 		// PortTable is only meaningful for packet-out; ignore here.
 	case openflow.PortNormal:
@@ -393,7 +465,7 @@ func (dp *Datapath) dispatch(inPort uint16, frame []byte, pn uint16, maxLen int)
 	case openflow.PortLocal:
 		// The local stack is modelled as port LOCAL being absent.
 	default:
-		dp.transmit(pn, frame)
+		dp.transmit(pn, frame, run)
 	}
 }
 
@@ -420,13 +492,14 @@ func (dp *Datapath) putScratch(sc *execScratch) {
 	dp.scratchMu.Unlock()
 }
 
-func (dp *Datapath) transmit(portNo uint16, frame []byte) {
-	p, ok := dp.Port(portNo)
+// transmit sends a frame out of a port; run, when the caller has one,
+// remembers the port for the next frame.
+func (dp *Datapath) transmit(portNo uint16, frame []byte, run *batchRun) {
+	p, ok := run.port(dp, portNo)
 	if !ok || p.Config&openflow.PortConfigDown != 0 || p.Config&openflow.PortConfigNoFwd != 0 {
 		return
 	}
-	p.countTx(len(frame))
-	if out := p.out(); out != nil {
+	if out := p.countTx(len(frame)); out != nil {
 		out(frame)
 	}
 }
@@ -439,7 +512,7 @@ func (dp *Datapath) flood(inPort uint16, frame []byte, includeNoFlood bool) {
 		if !includeNoFlood && p.Config&openflow.PortConfigNoFlood != 0 {
 			continue
 		}
-		dp.transmit(p.No, frame)
+		dp.transmit(p.No, frame, nil)
 	}
 }
 
@@ -672,10 +745,12 @@ func (dp *Datapath) releaseAll(id uint32, actions []openflow.Action) {
 	if !ok {
 		return
 	}
-	dp.execute(b.inPort, b.head, actions)
+	var run batchRun
+	dp.execute(b.inPort, b.head, actions, &run)
 	for b.held.n > 0 {
-		dp.execute(b.inPort, b.held.pop(), actions)
+		dp.execute(b.inPort, b.held.pop(), actions, &run)
 	}
+	run.done(dp)
 	b.held.drop()
 }
 

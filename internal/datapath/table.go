@@ -88,6 +88,13 @@ type FlowTable struct {
 
 	lookups atomic.Uint64
 	matched atomic.Uint64
+
+	// gen counts the changes made to the table (Add, Modify, Delete,
+	// Expire, each bumping it under the write lock). A reader that saw a
+	// frame match an entry may charge the next frame of the same key to
+	// that entry without a lookup while gen reads as it did before the
+	// lookup; see batchRun.
+	gen atomic.Uint64
 }
 
 // NewFlowTable returns an empty table.
@@ -122,6 +129,15 @@ func (t *FlowTable) lookup(key *openflow.Match, d *packet.Decoded, frameLen int,
 	return t.match(key, d, frameLen, nanos)
 }
 
+// again is lookup for a frame whose exact-match key is that of a frame e
+// matched, in a table that has not changed since: everything a lookup
+// counts, without the lookup.
+func (t *FlowTable) again(e *FlowEntry, frameLen int, nanos int64) {
+	t.lookups.Add(1)
+	t.matched.Add(1)
+	e.touch(frameLen, nanos)
+}
+
 // match finds and charges a frame's entry without counting a lookup: the
 // datapath's second look at a frame whose lookup already missed.
 func (t *FlowTable) match(key *openflow.Match, d *packet.Decoded, frameLen int, nanos int64) *FlowEntry {
@@ -150,6 +166,7 @@ func (t *FlowTable) match(key *openflow.Match, d *packet.Decoded, frameLen int, 
 func (t *FlowTable) Add(e *FlowEntry, checkOverlap bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.gen.Add(1)
 	if checkOverlap {
 		conflict := func(o *FlowEntry) bool {
 			return o.Priority == e.Priority && o.Match != e.Match && overlaps(&o.Match, &e.Match)
@@ -227,6 +244,7 @@ func overlaps(a, b *openflow.Match) bool {
 func (t *FlowTable) Modify(m *openflow.Match, priority uint16, strict bool, actions []openflow.Action) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.gen.Add(1)
 	n := 0
 	apply := func(e *FlowEntry) {
 		if strict {
@@ -255,6 +273,7 @@ func (t *FlowTable) Modify(m *openflow.Match, priority uint16, strict bool, acti
 func (t *FlowTable) Delete(m *openflow.Match, priority uint16, strict bool, outPort uint16) []*FlowEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.gen.Add(1)
 	var removed []*FlowEntry
 	match := func(e *FlowEntry) bool {
 		if strict {
@@ -304,6 +323,7 @@ func outputsTo(actions []openflow.Action, port uint16) bool {
 func (t *FlowTable) Expire(now time.Time) (removed []*FlowEntry, reasons []uint8) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.gen.Add(1)
 	expired := func(e *FlowEntry) (uint8, bool) {
 		if e.HardTimeout > 0 && now.Sub(e.Installed) >= time.Duration(e.HardTimeout)*time.Second {
 			return openflow.FlowRemovedHardTimeout, true

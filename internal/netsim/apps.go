@@ -193,16 +193,16 @@ func (a *App) Step(dt float64) {
 
 	if needSyn {
 		for f := 0; f < flows; f++ {
-			a.host.sendTCP(dst, srcPort+uint16(f), a.DstPort(), packet.TCPSyn, 0, nil)
+			a.host.sendTCP(dst, srcPort+uint16(f), a.DstPort(), packet.TCPSyn, 0, nil, 0)
 		}
 	}
 	for i := 0; i < n; i++ {
 		port := srcPort + uint16(i%flows)
 		switch a.Proto() {
 		case packet.ProtoUDP:
-			a.host.sendUDP(dst, port, a.DstPort(), payload)
+			a.host.sendUDP(dst, port, a.DstPort(), payload, fillerSum)
 		default:
-			a.host.sendTCP(dst, port, a.DstPort(), packet.TCPAck|packet.TCPPsh, seq+uint32(i*a.PacketSize), payload)
+			a.host.sendTCP(dst, port, a.DstPort(), packet.TCPAck|packet.TCPPsh, seq+uint32(i*a.PacketSize), payload, fillerSum)
 		}
 	}
 }

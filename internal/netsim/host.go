@@ -324,7 +324,7 @@ func (h *Host) Resolve(name string, cb func(packet.IP4, bool)) {
 		cb(packet.IP4{}, false)
 		return
 	}
-	h.sendUDP(dnsIP, 5353, packet.DNSPort, raw)
+	h.sendUDP(dnsIP, 5353, packet.DNSPort, raw, ^packet.Checksum(raw, 0))
 }
 
 func (h *Host) handleDNS(d *packet.Decoded) {
@@ -364,8 +364,9 @@ func (h *Host) handleData(d *packet.Decoded) {
 // sendUDP emits a UDP datagram through the routing logic. The frame is
 // serialized in one pass into the step batch (when Network.Step is
 // driving the host) or a borrowed scratch buffer, so steady-state sends
-// do not allocate.
-func (h *Host) sendUDP(dst packet.IP4, srcPort, dstPort uint16, payload []byte) {
+// do not allocate. payloadSum is the payload's folded ones'-complement sum
+// (packet.AppendUDPFrameSum), which the apps know without summing.
+func (h *Host) sendUDP(dst packet.IP4, srcPort, dstPort uint16, payload []byte, payloadSum uint16) {
 	h.mu.Lock()
 	src := h.ip
 	fb := h.batch
@@ -373,16 +374,16 @@ func (h *Host) sendUDP(dst packet.IP4, srcPort, dstPort uint16, payload []byte) 
 	start := 0
 	if fb != nil {
 		start = len(fb.Buf())
-		ext = packet.AppendUDPFrame(fb.Buf(), h.MAC, packet.MAC{}, src, dst, srcPort, dstPort, payload)
+		ext = packet.AppendUDPFrameSum(fb.Buf(), h.MAC, packet.MAC{}, src, dst, srcPort, dstPort, payload, payloadSum)
 	} else {
-		ext = packet.AppendUDPFrame(h.txBufLocked(), h.MAC, packet.MAC{}, src, dst, srcPort, dstPort, payload)
+		ext = packet.AppendUDPFrameSum(h.txBufLocked(), h.MAC, packet.MAC{}, src, dst, srcPort, dstPort, payload, payloadSum)
 	}
 	h.finishSendLocked(dst, ext, ext[start:], fb)
 }
 
 // sendTCP emits a TCP segment through the routing logic; see sendUDP for
-// the buffering scheme.
-func (h *Host) sendTCP(dst packet.IP4, srcPort, dstPort uint16, flags uint8, seq uint32, payload []byte) {
+// the buffering scheme and payloadSum.
+func (h *Host) sendTCP(dst packet.IP4, srcPort, dstPort uint16, flags uint8, seq uint32, payload []byte, payloadSum uint16) {
 	h.mu.Lock()
 	src := h.ip
 	fb := h.batch
@@ -390,9 +391,9 @@ func (h *Host) sendTCP(dst packet.IP4, srcPort, dstPort uint16, flags uint8, seq
 	start := 0
 	if fb != nil {
 		start = len(fb.Buf())
-		ext = packet.AppendTCPFrame(fb.Buf(), h.MAC, packet.MAC{}, src, dst, srcPort, dstPort, flags, seq, 0, payload)
+		ext = packet.AppendTCPFrameSum(fb.Buf(), h.MAC, packet.MAC{}, src, dst, srcPort, dstPort, flags, seq, 0, payload, payloadSum)
 	} else {
-		ext = packet.AppendTCPFrame(h.txBufLocked(), h.MAC, packet.MAC{}, src, dst, srcPort, dstPort, flags, seq, 0, payload)
+		ext = packet.AppendTCPFrameSum(h.txBufLocked(), h.MAC, packet.MAC{}, src, dst, srcPort, dstPort, flags, seq, 0, payload, payloadSum)
 	}
 	h.finishSendLocked(dst, ext, ext[start:], fb)
 }

@@ -10,6 +10,13 @@ import (
 // traffic; frame builders copy from it, so one buffer serves every reply.
 var zeroPayload [1400]byte
 
+// fillerSum is the folded ones'-complement sum of the filler traffic
+// carries (zeroPayload here, App.payload on the hosts), which the builders
+// take in place of summing 1 400 zeros per frame. Zeros sum to zero at every
+// length; a filler that carried bytes would have its sum taken once, where
+// it is made, for each length sent.
+const fillerSum = 0
+
 // Upstream stands in for the ISP uplink and the public Internet: it
 // answers ARP for every off-home address (it is the default route's next
 // hop), serves an authoritative DNS zone on DNSAddr, and responds to
@@ -271,7 +278,8 @@ func (u *Upstream) serveDNS(d *packet.Decoded, fb *packet.FrameBatch) {
 	if err != nil {
 		return
 	}
-	u.reply(d, fb, raw, packet.ProtoUDP)
+	fb.Commit(packet.AppendUDPFrame(fb.Buf(), u.MAC, d.Eth.Src,
+		d.IP.Dst, d.IP.Src, d.UDP.DstPort, d.UDP.SrcPort, raw))
 }
 
 // serveTCP answers SYNs with SYN-ACK and data with a service-dependent
@@ -297,7 +305,11 @@ func (u *Upstream) serveUDP(d *packet.Decoded, fb *packet.FrameBatch) {
 }
 
 // respondData emits ratio-scaled response bytes back toward the client,
-// split into MTU-sized frames (capped to bound simulation cost).
+// split into MTU-sized frames (capped to bound simulation cost). Every
+// reply to one request carries the same addresses, ports, sequence and
+// acknowledgement numbers, so a frame of the size of the one before it is
+// that frame again and is copied, not rebuilt: of a response only the first
+// frame and a shorter last one are built.
 func (u *Upstream) respondData(d *packet.Decoded, fb *packet.FrameBatch, reqLen int, dstPort uint16, proto packet.IPProto) {
 	u.mu.Lock()
 	ratio, ok := u.ratio[dstPort]
@@ -308,29 +320,30 @@ func (u *Upstream) respondData(d *packet.Decoded, fb *packet.FrameBatch, reqLen 
 	total := int(float64(reqLen) * ratio)
 	const mtuPayload = len(zeroPayload)
 	const maxFrames = 32
-	frames := 0
-	for total > 0 && frames < maxFrames {
-		sz := total
-		if sz > mtuPayload {
-			sz = mtuPayload
-		}
+	prev := 0
+	for frames := 0; total > 0 && frames < maxFrames; frames++ {
+		sz := min(total, mtuPayload)
 		total -= sz
-		frames++
-		u.reply(d, fb, zeroPayload[:sz], proto)
+		if sz == prev {
+			fb.Repeat()
+		} else {
+			u.replyFiller(d, fb, sz, proto)
+		}
+		prev = sz
 	}
 }
 
-// reply serializes one transport reply toward the source of d, addressed
-// at Ethernet level to whoever forwarded the frame (the router's WAN
-// side), into the batch.
-func (u *Upstream) reply(d *packet.Decoded, fb *packet.FrameBatch, payload []byte, proto packet.IPProto) {
+// replyFiller serializes one transport reply of sz filler bytes toward the
+// source of d, addressed at Ethernet level to whoever forwarded the frame
+// (the router's WAN side), into the batch.
+func (u *Upstream) replyFiller(d *packet.Decoded, fb *packet.FrameBatch, sz int, proto packet.IPProto) {
 	switch proto {
 	case packet.ProtoUDP:
-		fb.Commit(packet.AppendUDPFrame(fb.Buf(), u.MAC, d.Eth.Src,
-			d.IP.Dst, d.IP.Src, d.UDP.DstPort, d.UDP.SrcPort, payload))
+		fb.Commit(packet.AppendUDPFrameSum(fb.Buf(), u.MAC, d.Eth.Src,
+			d.IP.Dst, d.IP.Src, d.UDP.DstPort, d.UDP.SrcPort, zeroPayload[:sz], fillerSum))
 	default:
-		fb.Commit(packet.AppendTCPFrame(fb.Buf(), u.MAC, d.Eth.Src,
+		fb.Commit(packet.AppendTCPFrameSum(fb.Buf(), u.MAC, d.Eth.Src,
 			d.IP.Dst, d.IP.Src, d.TCP.DstPort, d.TCP.SrcPort,
-			packet.TCPAck|packet.TCPPsh, d.TCP.Ack, d.TCP.Seq+uint32(len(d.TCP.Payload)), payload))
+			packet.TCPAck|packet.TCPPsh, d.TCP.Ack, d.TCP.Seq+uint32(len(d.TCP.Payload)), zeroPayload[:sz], fillerSum))
 	}
 }

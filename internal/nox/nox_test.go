@@ -810,3 +810,29 @@ func TestReplyOnTheDeadlineAnswersNoLaterRequest(t *testing.T) {
 		t.Error("no request timed out")
 	}
 }
+
+// raceEnabled is set by race_test.go in a build with the race detector.
+var raceEnabled bool
+
+// A warm barrier round trip over the in-process transport allocates one
+// object, the datapath's eight-byte reply: the request rides in the pooled
+// waiter with the channel and the timer, so the laps Router.Settle takes
+// while a handshake chain is in flight cost no garbage of the controller's.
+func TestWarmBarrierAllocatesOnlyTheReply(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of what it is given under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the waiter pool
+	rig := newInprocRig(t, NewController())
+	barrier := func() {
+		if err := rig.sw.Barrier(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		barrier()
+	}
+	if allocs := testing.AllocsPerRun(200, barrier); allocs != 1 {
+		t.Errorf("a warm in-process barrier allocates %g times, want 1 (the datapath's reply)", allocs)
+	}
+}

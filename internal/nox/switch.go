@@ -140,6 +140,12 @@ func (sw *Switch) readLoop() error {
 type waiter struct {
 	ch    chan openflow.Message
 	timer *time.Timer
+	// barrier is the request Barrier sends, kept here so that a settle
+	// lapping Wait and Barrier does not allocate one per lap. It is reused
+	// with the waiter, that is only once answered: the datapath reads a
+	// request's xid before it sends the reply and not after, and the wire
+	// transport encodes a message before Send returns.
+	barrier openflow.BarrierRequest
 }
 
 var waiters = sync.Pool{New: func() any {
@@ -175,9 +181,13 @@ func (sw *Switch) failPending(err error) {
 
 // request sends msg and waits for the reply with the same xid.
 func (sw *Switch) request(msg openflow.Message, timeout time.Duration) (openflow.Message, error) {
+	return sw.roundTrip(waiters.Get().(*waiter), msg, timeout)
+}
+
+// roundTrip is request on a waiter the caller took from the pool.
+func (sw *Switch) roundTrip(w *waiter, msg openflow.Message, timeout time.Duration) (openflow.Message, error) {
 	xid := sw.nextXID()
 	msg.Hdr().XID = xid
-	w := waiters.Get().(*waiter)
 	sw.addPending(xid, w.ch)
 	if err := sw.Send(msg); err != nil {
 		sw.takePending(xid)
@@ -332,7 +342,9 @@ func (sw *Switch) AggregateStats(match openflow.Match) (openflow.AggregateStats,
 // credited dispatch's emissions are live in the datapath, so it also
 // closes those punt-lifecycle spans (their barrier stage is stamped).
 func (sw *Switch) Barrier() error {
-	_, err := sw.request(&openflow.BarrierRequest{}, 5*time.Second)
+	w := waiters.Get().(*waiter)
+	w.barrier = openflow.BarrierRequest{}
+	_, err := sw.roundTrip(w, &w.barrier, 5*time.Second)
 	if err == nil {
 		sw.ctl.tracer.Load().BarrierReply()
 	}

@@ -55,6 +55,14 @@ func (fb *FrameBatch) Append(frame []byte) {
 	fb.Commit(append(fb.buf, frame...))
 }
 
+// Repeat commits one more copy of the last committed frame — the batch must
+// hold one. The copy is taken from the batch's own bytes: should the append
+// regrow the backing buffer, Go copies the source out of the old array,
+// which the source slice keeps alive, so the copy is right either way.
+func (fb *FrameBatch) Repeat() {
+	fb.Append(fb.Frame(len(fb.ends) - 1))
+}
+
 // Reset forgets all frames, retaining the backing buffer for reuse.
 func (fb *FrameBatch) Reset() {
 	fb.buf = fb.buf[:0]

@@ -129,6 +129,18 @@ func appendIPv4Header(b []byte, proto IPProto, src, dst IP4, payloadLen int) []b
 
 // AppendUDPFrame appends a complete Ethernet/IPv4/UDP frame to b.
 func AppendUDPFrame(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP4, srcPort, dstPort uint16, payload []byte) []byte {
+	return AppendUDPFrameSum(b, srcMAC, dstMAC, srcIP, dstIP, srcPort, dstPort, payload, ^Checksum(payload, 0))
+}
+
+// AppendUDPFrameSum is AppendUDPFrame for a caller that already knows
+// payloadSum, the folded ones'-complement sum of payload (^Checksum(payload,
+// 0): its 16-bit big-endian words, an odd last byte padded with a zero,
+// carries folded back in). Only the pseudo-header and the eight header
+// bytes are summed, so a frame costs the same whatever it carries. The
+// payload starts at an even offset of the datagram, which is what lets its
+// own sum stand in for its bytes; a wrong payloadSum yields a frame whose
+// checksum does not verify.
+func AppendUDPFrameSum(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP4, srcPort, dstPort uint16, payload []byte, payloadSum uint16) []byte {
 	length := UDPHeaderLen + len(payload)
 	b = appendEthernetHeader(b, dstMAC, srcMAC, EtherTypeIPv4)
 	b = appendIPv4Header(b, ProtoUDP, srcIP, dstIP, length)
@@ -137,13 +149,12 @@ func AppendUDPFrame(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP4, srcPort, dst
 	b = binary.BigEndian.AppendUint16(b, dstPort)
 	b = binary.BigEndian.AppendUint16(b, uint16(length))
 	b = append(b, 0, 0)
-	b = append(b, payload...)
-	cs := Checksum(b[start:], pseudoHeaderSum(srcIP, dstIP, ProtoUDP, length))
+	cs := Checksum(b[start:], pseudoHeaderSum(srcIP, dstIP, ProtoUDP, length)+uint32(payloadSum))
 	if cs == 0 {
 		cs = 0xffff
 	}
 	binary.BigEndian.PutUint16(b[start+6:start+8], cs)
-	return b
+	return append(b, payload...)
 }
 
 // AppendTCPFrame appends a complete Ethernet/IPv4/TCP frame to b. Unlike
@@ -151,6 +162,13 @@ func AppendUDPFrame(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP4, srcPort, dst
 // simulator needs for SYN-ACKs and data acks; the window is fixed at 65535
 // as everywhere else in the simulator.
 func AppendTCPFrame(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP4, srcPort, dstPort uint16, flags uint8, seq, ack uint32, payload []byte) []byte {
+	return AppendTCPFrameSum(b, srcMAC, dstMAC, srcIP, dstIP, srcPort, dstPort, flags, seq, ack, payload, ^Checksum(payload, 0))
+}
+
+// AppendTCPFrameSum is AppendTCPFrame for a caller that already knows
+// payloadSum, the folded ones'-complement sum of payload; see
+// AppendUDPFrameSum for what that is and what it saves.
+func AppendTCPFrameSum(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP4, srcPort, dstPort uint16, flags uint8, seq, ack uint32, payload []byte, payloadSum uint16) []byte {
 	length := TCPHeaderLen + len(payload)
 	b = appendEthernetHeader(b, dstMAC, srcMAC, EtherTypeIPv4)
 	b = appendIPv4Header(b, ProtoTCP, srcIP, dstIP, length)
@@ -163,10 +181,9 @@ func AppendTCPFrame(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP4, srcPort, dst
 	b = binary.BigEndian.AppendUint16(b, 65535)
 	b = append(b, 0, 0) // checksum placeholder
 	b = append(b, 0, 0) // urgent pointer
-	b = append(b, payload...)
-	cs := Checksum(b[start:], pseudoHeaderSum(srcIP, dstIP, ProtoTCP, length))
+	cs := Checksum(b[start:], pseudoHeaderSum(srcIP, dstIP, ProtoTCP, length)+uint32(payloadSum))
 	binary.BigEndian.PutUint16(b[start+16:start+18], cs)
-	return b
+	return append(b, payload...)
 }
 
 // AppendICMPEchoFrame appends a complete ICMP echo request or reply frame

@@ -2,6 +2,8 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"testing"
 )
 
@@ -33,6 +35,109 @@ func TestAppendFrameBuildersMatchLayered(t *testing.T) {
 	icmpGot := AppendICMPEchoFrame(nil, testSrcMAC, testDstMAC, testSrcIP, testDstIP, ICMPEchoRequest, 3, 4, payload)
 	if !bytes.Equal(icmpGot, icmpWant) {
 		t.Errorf("AppendICMPEchoFrame differs from NewICMPEchoFrame().Bytes():\n got %x\nwant %x", icmpGot, icmpWant)
+	}
+}
+
+// layeredTCPFrame is NewTCPFrame with an acknowledgement number: the frame
+// built layer by layer, each layer summing what it carries.
+func layeredTCPFrame(flags uint8, seq, ack uint32, payload []byte) []byte {
+	tcp := TCP{SrcPort: 40000, DstPort: 443, Seq: seq, Ack: ack, Flags: flags, Window: 65535, Payload: payload}
+	ip := IPv4{TTL: 64, Protocol: ProtoTCP, Src: testSrcIP, Dst: testDstIP, Payload: tcp.Bytes(testSrcIP, testDstIP)}
+	return (&Ethernet{Dst: testDstMAC, Src: testSrcMAC, Type: EtherTypeIPv4, Payload: ip.Bytes()}).Bytes()
+}
+
+// The appenders — the summing ones, and the sum-taking ones handed the sum
+// the reference loop computes — must be byte-identical to the layered
+// builders over random payloads of every kind of length: empty, one byte,
+// odd, even, around the MTU.
+func TestAppendFrameBuildersMatchLayeredRandomPayloads(t *testing.T) {
+	sizes := []int{0, 1, 2, 3, 7, 8, 31, 32, 33, 63, 160, 1199, 1200, 1399, 1400, 1401, 2999}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 40; i++ {
+			sizes = append(sizes, rng.Intn(1500))
+		}
+		for _, n := range sizes {
+			payload := make([]byte, n)
+			rng.Read(payload)
+			sum := ^checksumRef(payload, 0)
+			seq, ack := rng.Uint32(), rng.Uint32()
+
+			want := layeredTCPFrame(TCPAck|TCPPsh, seq, ack, payload)
+			got := AppendTCPFrame(nil, testSrcMAC, testDstMAC, testSrcIP, testDstIP, 40000, 443, TCPAck|TCPPsh, seq, ack, payload)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d, %d bytes: AppendTCPFrame differs from the layered frame", seed, n)
+			}
+			got = AppendTCPFrameSum(got[:0], testSrcMAC, testDstMAC, testSrcIP, testDstIP, 40000, 443, TCPAck|TCPPsh, seq, ack, payload, sum)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d, %d bytes: AppendTCPFrameSum differs from the layered frame", seed, n)
+			}
+
+			want = NewUDPFrame(testSrcMAC, testDstMAC, testSrcIP, testDstIP, 5000, 53, payload).Bytes()
+			got = AppendUDPFrame(got[:0], testSrcMAC, testDstMAC, testSrcIP, testDstIP, 5000, 53, payload)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d, %d bytes: AppendUDPFrame differs from NewUDPFrame().Bytes()", seed, n)
+			}
+			got = AppendUDPFrameSum(got[:0], testSrcMAC, testDstMAC, testSrcIP, testDstIP, 5000, 53, payload, sum)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d, %d bytes: AppendUDPFrameSum differs from NewUDPFrame().Bytes()", seed, n)
+			}
+		}
+	}
+}
+
+// A UDP checksum that computes to zero is sent as 0xffff (zero means "no
+// checksum"); the sum-taking builder must make the same substitution. A
+// two-byte payload equal to the checksum of the same datagram with a zero
+// payload brings the sum to 0xffff, hence the checksum to zero.
+func TestAppendUDPFrameZeroChecksumSentAsOnes(t *testing.T) {
+	const udpAt = EthernetHeaderLen + IPv4HeaderLen
+	probe := AppendUDPFrame(nil, testSrcMAC, testDstMAC, testSrcIP, testDstIP, 5000, 53, []byte{0, 0})
+	payload := probe[udpAt+6 : udpAt+8 : udpAt+8]
+	if cs := checksumRef(append(append([]byte(nil), probe[udpAt:udpAt+6]...), 0, 0, payload[0], payload[1]),
+		pseudoHeaderSum(testSrcIP, testDstIP, ProtoUDP, UDPHeaderLen+2)); cs != 0 {
+		t.Fatalf("crafted datagram's checksum computes to %#04x, want 0", cs)
+	}
+	want := NewUDPFrame(testSrcMAC, testDstMAC, testSrcIP, testDstIP, 5000, 53, payload).Bytes()
+	for name, got := range map[string][]byte{
+		"AppendUDPFrame":    AppendUDPFrame(nil, testSrcMAC, testDstMAC, testSrcIP, testDstIP, 5000, 53, payload),
+		"AppendUDPFrameSum": AppendUDPFrameSum(nil, testSrcMAC, testDstMAC, testSrcIP, testDstIP, 5000, 53, payload, ^checksumRef(payload, 0)),
+	} {
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from NewUDPFrame().Bytes()", name)
+		}
+		if cs := binary.BigEndian.Uint16(got[udpAt+6:]); cs != 0xffff {
+			t.Errorf("%s: checksum field %#04x, want 0xffff", name, cs)
+		}
+	}
+}
+
+// Repeat commits a copy of the last frame, whether or not the append has to
+// regrow the buffer the copy is taken from.
+func TestFrameBatchRepeat(t *testing.T) {
+	first := AppendUDPFrame(nil, testSrcMAC, testDstMAC, testSrcIP, testDstIP, 1, 2, []byte("first"))
+	last := AppendTCPFrame(nil, testSrcMAC, testDstMAC, testSrcIP, testDstIP, 3, 4, TCPAck, 5, 6, make([]byte, 1400))
+	var fb FrameBatch
+	fb.Append(first)
+	fb.Append(last)
+	regrew := 0
+	for i := 0; i < 40; i++ {
+		before := cap(fb.Buf())
+		fb.Repeat()
+		if cap(fb.Buf()) != before {
+			regrew++
+		}
+	}
+	if regrew == 0 || regrew == 40 {
+		t.Fatalf("%d of 40 repeats regrew the buffer, want both kinds", regrew)
+	}
+	if fb.Len() != 42 || !bytes.Equal(fb.Frame(0), first) {
+		t.Fatalf("Len = %d, first frame intact = %v", fb.Len(), bytes.Equal(fb.Frame(0), first))
+	}
+	for i := 1; i < fb.Len(); i++ {
+		if !bytes.Equal(fb.Frame(i), last) {
+			t.Fatalf("frame %d is not a copy of the last frame", i)
+		}
 	}
 }
 

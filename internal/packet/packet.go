@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Errors shared by the decoders in this package.
@@ -186,17 +187,41 @@ func (p IPProto) String() string {
 
 // Checksum computes the RFC 1071 Internet checksum over data with an initial
 // partial sum, for use with pseudo-headers.
+//
+// The ones'-complement sum is taken eight bytes at a time: 2^16 ≡ 1 modulo
+// 0xffff, so a big-endian 64-bit word is congruent to the sum of its four
+// 16-bit words, and adding words with the carry fed back in (2^64 ≡ 1 as
+// well) keeps both the residue and whether the sum is zero, which is all
+// the final fold reads.
 func Checksum(data []byte, initial uint32) uint16 {
-	sum := initial
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(data[i])<<8 | uint32(data[i+1])
+	sum, carry := uint64(initial), uint64(0)
+	for len(data) >= 32 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data[8:]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data[16:]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data[24:]), carry)
+		data = data[32:]
 	}
-	if n%2 == 1 {
-		sum += uint32(data[n-1]) << 8
+	for len(data) >= 8 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data), carry)
+		data = data[8:]
+	}
+	// Halve the sum before the tail: two 32-bit halves, a carry and under
+	// eight more bytes cannot overflow 64 bits.
+	sum = sum>>32 + sum&0xffffffff + carry
+	if len(data) >= 4 {
+		sum += uint64(binary.BigEndian.Uint32(data))
+		data = data[4:]
+	}
+	if len(data) >= 2 {
+		sum += uint64(binary.BigEndian.Uint16(data))
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		sum += uint64(data[0]) << 8
 	}
 	for sum > 0xffff {
-		sum = (sum >> 16) + (sum & 0xffff)
+		sum = sum>>16 + sum&0xffff
 	}
 	return ^uint16(sum)
 }

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -462,6 +463,66 @@ func TestWellKnownService(t *testing.T) {
 	for _, c := range cases {
 		if got := WellKnownService(c.proto, c.port); got != c.want {
 			t.Errorf("WellKnownService(%v,%d) = %q, want %q", c.proto, c.port, got, c.want)
+		}
+	}
+}
+
+// checksumRef is the loop Checksum was before it went word-wise: two bytes
+// an iteration, the odd last byte padded with a zero, folded at the end. It
+// shares nothing with Checksum. Its accumulator is 64 bits wide where the
+// old one had 32, so that it is also right for an initial sum near 2^32,
+// which the old loop overflowed on.
+func checksumRef(data []byte, initial uint32) uint16 {
+	sum := uint64(initial)
+	n := len(data)
+	for i := 0; i+1 < n; i += 2 {
+		sum += uint64(data[i])<<8 | uint64(data[i+1])
+	}
+	if n%2 == 1 {
+		sum += uint64(data[n-1]) << 8
+	}
+	for sum > 0xffff {
+		sum = (sum >> 16) + (sum & 0xffff)
+	}
+	return ^uint16(sum)
+}
+
+// Checksum against the byte-pair reference: every length up to 4 096 —
+// through every tail the 32-, 8-, 4-, 2- and 1-byte steps leave — at eight
+// alignments within a larger buffer, over random bytes, all-0xff (every add
+// carries) and zeros, with initial sums up to 2^32-1.
+func TestChecksumMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		buf := make([]byte, 4096+8)
+		fills := map[string]func(){
+			"random": func() { rng.Read(buf) },
+			"ones": func() {
+				for i := range buf {
+					buf[i] = 0xff
+				}
+			},
+			"zeros": func() { clear(buf) },
+		}
+		for name, fill := range fills {
+			fill()
+			for n := 0; n <= 4096; n++ {
+				off := n % 8
+				initial := rng.Uint32()
+				switch n % 4 {
+				case 0:
+					initial = 0
+				case 1:
+					initial |= 1 << 31
+				case 2:
+					initial = ^uint32(0) - uint32(rng.Intn(3))
+				}
+				data := buf[off : off+n]
+				if got, want := Checksum(data, initial), checksumRef(data, initial); got != want {
+					t.Fatalf("seed %d, %s, %d bytes at offset %d, initial %#x: Checksum = %#04x, reference %#04x",
+						seed, name, n, off, initial, got, want)
+				}
+			}
 		}
 	}
 }

@@ -9,17 +9,24 @@
 //
 // Concurrency contract: every method is safe for concurrent use from any
 // number of goroutines. Punt and Done are cheap (one short mutex section,
-// no allocation); the catch-up channel is allocated, and the backstop timer
-// taken from a process-wide pool, only when a waiter actually has to
-// block, so the punt hot path stays allocation-free. Wakeups cannot be
-// lost: a waiter registers for the catch-up broadcast under the same mutex
-// that Done uses to detect catch-up, so Done either sees the waiter's
-// channel and closes it, or the waiter's registration happens after
-// catch-up and its pre-block re-check observes the drained state.
+// no allocation), and so is a Wait that has to block: it takes a wait slot
+// — a one-token channel and the backstop timer — from a process-wide pool,
+// registers it on the epoch, and hands it back once caught up, so neither
+// the punt hot path nor a settle that laps Wait allocates in steady state.
+// Wakeups cannot be lost, for any number of concurrent waiters: a waiter
+// checks the counters and registers its slot in one section of the mutex
+// under which Done detects catch-up, so either Done finds the slot
+// registered and puts a token in it (each slot is registered at most once
+// and its channel is empty when it is, so the send never blocks), or the
+// registration comes after catch-up and the check that precedes it saw the
+// drained state and returned. Done unregisters every slot it wakes; a woken
+// waiter re-checks and, if new punts have raised the target, registers
+// again.
 package quiesce
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 )
@@ -37,12 +44,27 @@ type Epoch struct {
 	mu        sync.Mutex
 	punted    uint64
 	processed uint64
-	// caughtUp is non-nil exactly while at least one waiter is blocked
-	// behind an outstanding backlog; Done closes it (waking every waiter)
-	// when processed catches punted, and the next blocked waiter makes a
-	// fresh one. Lazily allocated so Punt/Done never allocate.
-	caughtUp chan struct{}
+	// waiting holds the slot of every waiter blocked behind an
+	// outstanding backlog. Done wakes and unregisters them all when
+	// processed catches punted; the backing array is kept, so registering
+	// does not allocate once it has grown to the number of waiters.
+	waiting []*waitSlot
 }
+
+// waitSlot is what one blocked Wait sleeps on: the channel Done puts a
+// token in and the timer that bounds the wait. Slots are recycled across
+// every epoch of the process; a pooled slot is registered nowhere, its
+// channel is empty and its timer stopped.
+type waitSlot struct {
+	woken chan struct{} // capacity 1
+	timer *time.Timer
+}
+
+var slots = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &waitSlot{woken: make(chan struct{}, 1), timer: t}
+}}
 
 // New returns a quiescent epoch (0 punted, 0 processed).
 func New() *Epoch { return &Epoch{} }
@@ -65,9 +87,12 @@ func (e *Epoch) Done(n int) {
 	}
 	e.mu.Lock()
 	e.processed += uint64(n)
-	if e.processed >= e.punted && e.caughtUp != nil {
-		close(e.caughtUp)
-		e.caughtUp = nil
+	if e.processed >= e.punted {
+		for i, s := range e.waiting {
+			s.woken <- struct{}{}
+			e.waiting[i] = nil
+		}
+		e.waiting = e.waiting[:0]
 	}
 	e.mu.Unlock()
 }
@@ -108,17 +133,17 @@ func (e *Epoch) Settled() bool {
 // the catch-up target: Wait re-checks after every broadcast, so it never
 // returns while the producer is ahead.
 func (e *Epoch) Wait(timeout time.Duration) error {
-	var timer *time.Timer
+	var s *waitSlot
 	for {
 		e.mu.Lock()
 		if e.processed >= e.punted {
 			e.mu.Unlock()
-			if timer != nil {
-				// Only a timer that did not fire is reused: stopped, it
-				// delivers nothing late (go 1.23 on). An expired one is
-				// left to the collector.
-				timer.Stop()
-				timers.Put(timer)
+			if s != nil {
+				// Only a slot Done woke is reused: Done unregistered it,
+				// its token has been taken, and its timer did not fire, so
+				// stopped it delivers nothing late (go 1.23 on).
+				s.timer.Stop()
+				slots.Put(s)
 			}
 			return nil
 		}
@@ -126,27 +151,24 @@ func (e *Epoch) Wait(timeout time.Duration) error {
 			e.mu.Unlock()
 			return ErrDeadline
 		}
-		if e.caughtUp == nil {
-			e.caughtUp = make(chan struct{})
+		if s == nil {
+			s = slots.Get().(*waitSlot)
+			s.timer.Reset(timeout)
 		}
-		ch := e.caughtUp
+		e.waiting = append(e.waiting, s)
 		e.mu.Unlock()
-		if timer == nil {
-			timer = timers.Get().(*time.Timer)
-			timer.Reset(timeout)
-		}
 		select {
-		case <-ch:
-		case <-timer.C:
+		case <-s.woken:
+		case <-s.timer.C:
+			// Done may have woken the slot as the timer fired, leaving a
+			// token in it: an expired slot is unregistered and left to the
+			// collector, never pooled.
+			e.mu.Lock()
+			if i := slices.Index(e.waiting, s); i >= 0 {
+				e.waiting = slices.Delete(e.waiting, i, i+1)
+			}
+			e.mu.Unlock()
 			return ErrDeadline
 		}
 	}
 }
-
-// timers recycles Wait's backstop timers across every epoch of the
-// process; a pooled timer is stopped and its channel empty.
-var timers = sync.Pool{New: func() any {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return t
-}}

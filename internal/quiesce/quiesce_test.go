@@ -2,11 +2,16 @@ package quiesce
 
 import (
 	"errors"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// raceEnabled is set by race_test.go in a build with the race detector.
+var raceEnabled bool
 
 func TestZeroBacklogReturnsImmediately(t *testing.T) {
 	e := New()
@@ -166,5 +171,94 @@ func TestConcurrentPuntsAndWaiters(t *testing.T) {
 	}
 	if err := e.Wait(0); err != nil {
 		t.Fatalf("final Wait: %v", err)
+	}
+}
+
+// blocked reports how many waiters are registered behind the backlog.
+func (e *Epoch) blocked() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.waiting)
+}
+
+// A Wait that has to block — the lap Router.Settle takes every time it
+// catches a punt in flight — allocates nothing once the pool holds a slot
+// and the epoch's slice has grown to its waiters: no channel per wait, no
+// timer. The consumer credits the punt only when it sees the waiter
+// registered, so every measured Wait takes the blocking path.
+func TestBlockedWaitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of what it is given under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the slot pool
+	e := New()
+	kick, stop := make(chan struct{}), make(chan struct{})
+	defer close(stop)
+	go func() {
+		for {
+			select {
+			case <-kick:
+			case <-stop:
+				return
+			}
+			for e.blocked() == 0 {
+				runtime.Gosched()
+			}
+			e.Done(1)
+		}
+	}()
+	lap := func() {
+		e.Punt()
+		kick <- struct{}{}
+		if err := e.Wait(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lap()
+	if allocs := testing.AllocsPerRun(200, lap); allocs != 0 {
+		t.Errorf("a blocked Wait released by Done allocates %g times, want 0", allocs)
+	}
+	if n := e.blocked(); n != 0 {
+		t.Errorf("%d slots still registered after every waiter returned", n)
+	}
+}
+
+// One Done wakes every blocked waiter, however many there are, and a waiter
+// whose deadline passes takes its slot off the epoch: nothing stays
+// registered, and a later Done has nobody stale to wake.
+func TestDoneWakesEveryWaiterAndDeadlineUnregisters(t *testing.T) {
+	const waiters = 16
+	e := New()
+	e.Punt()
+	errs := make(chan error, waiters+1)
+	for i := 0; i < waiters; i++ {
+		go func() { errs <- e.Wait(10 * time.Second) }()
+	}
+	go func() { errs <- e.Wait(30 * time.Millisecond) }()
+	// The short waiter gives up; the others stay registered.
+	if err := <-errs; !errors.Is(err, ErrDeadline) {
+		t.Fatalf("first Wait to return = %v, want the short one's ErrDeadline", err)
+	}
+	for e.blocked() != waiters {
+		runtime.Gosched()
+	}
+	e.Done(1)
+	for i := 0; i < waiters; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("Wait after Done: %v", err)
+		}
+	}
+	if n := e.blocked(); n != 0 {
+		t.Fatalf("%d slots registered after Done woke everyone", n)
+	}
+	// A fresh backlog, waited for and drained again, on the same epoch.
+	e.Punt()
+	go func() { errs <- e.Wait(10 * time.Second) }()
+	for e.blocked() != 1 {
+		runtime.Gosched()
+	}
+	e.Done(1)
+	if err := <-errs; err != nil {
+		t.Fatalf("Wait on the second backlog: %v", err)
 	}
 }
