@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench soak hwbench-test
+.PHONY: all build test race soak hwbench-test
 
 all: build test
 
@@ -30,18 +30,3 @@ hwbench-test:
 #   go test -race -run TestChaosSoak ./internal/chaos
 soak:
 	$(GO) test -race -run TestChaosSoak -v -timeout 8m ./internal/chaos
-
-# bench runs the scenario-matrix perf trajectory — fleet step scaling
-# (single-shard, 4-shard in-process and 4-shard over the shardrpc control
-# plane), settle latency, live telemetry, the
-# traced-vs-untraced overhead pair, and the flight-recorder
-# attached-vs-detached overhead pair — and records the measured numbers as
-# BENCH_10.json. The JSON is committed so the trajectory stays comparable
-# across PRs; CI gates that it parses and carries the headline benchmarks.
-BENCH_PATTERN := ^(BenchmarkFleetStep|BenchmarkSettleLatency|BenchmarkFleetTelemetry|BenchmarkTraceOverhead|BenchmarkFlightOverhead)$$
-
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1s -timeout 30m . | tee bench_10.txt
-	$(GO) run ./cmd/benchjson < bench_10.txt > BENCH_10.json
-	@rm -f bench_10.txt
-	@echo "wrote BENCH_10.json"

@@ -7,7 +7,6 @@ package homework
 import (
 	"fmt"
 	"os"
-	"sort"
 	"testing"
 	"time"
 
@@ -15,17 +14,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/datapath"
 	"repro/internal/figures"
-	"repro/internal/fleet"
-	"repro/internal/fleet/engine"
-	"repro/internal/fleet/shardrpc"
-	"repro/internal/flight"
 	"repro/internal/hwdb"
 	"repro/internal/netsim"
 	"repro/internal/nox"
 	"repro/internal/oftransport"
 	"repro/internal/openflow"
 	"repro/internal/packet"
-	"repro/internal/telemetry"
 )
 
 // ---------------------------------------------------------------- figures
@@ -499,392 +493,6 @@ func BenchmarkA3RingSizing(b *testing.B) {
 			inserts, dropped := tbl.Stats()
 			b.ReportMetric(float64(dropped)/float64(inserts), "drop-rate")
 		})
-	}
-}
-
-// ------------------------------------------------------------ F: fleet
-
-// BenchmarkFleetStep measures one fleet tick — every home's traffic
-// emitted, control plane settled, measurement polled — as the fleet
-// grows: the controller-scaling trajectory the ROADMAP tracks. Each home
-// runs two hosts with a web workload. Both control transports are
-// reported so the in-process win over the loopback-TCP baseline lands in
-// the trajectory (the TCP framing cost is per home, so the gap widens
-// with fleet size). The unqualified names run the default shard count
-// (one engine per core, capped at 8 — one on this box) for comparability
-// with the pre-split trajectory; the shards=4 variants exercise the
-// coordinator fan-out and federated telemetry across four engines. The
-// transport=shardrpc variants run the same four-engine fan-out with the
-// control plane itself over loopback TCP — coordinator to worker via the
-// HWSH/1 shard protocol, telemetry riding the SYNC batches — pricing the
-// full cross-process fleet deployment against the in-process split.
-func BenchmarkFleetStep(b *testing.B) {
-	for _, kind := range []core.TransportKind{core.TransportInProcess, core.TransportTCP} {
-		for _, homes := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("transport=%s/homes=%d", kind, homes), func(b *testing.B) {
-				benchFleetStep(b, homes, 0, kind)
-			})
-		}
-	}
-	for _, homes := range []int{8, 64} {
-		b.Run(fmt.Sprintf("transport=inprocess/shards=4/homes=%d", homes), func(b *testing.B) {
-			benchFleetStep(b, homes, 4, core.TransportInProcess)
-		})
-	}
-	for _, homes := range []int{8, 64} {
-		b.Run(fmt.Sprintf("transport=shardrpc/shards=4/homes=%d", homes), func(b *testing.B) {
-			benchFleetStepRemote(b, homes, 4)
-		})
-	}
-}
-
-func benchFleetStep(b *testing.B, homes, shards int, kind core.TransportKind) {
-	benchFleetStepCfg(b, homes, shards, kind, false)
-}
-
-// benchFleetStepRemote is the same fleet-tick workload with every shard a
-// separate worker engine behind a shardrpc server on loopback, driven by
-// the remote shard client. Homes are populated worker-side via OnAssign
-// (the coordinator holds no handles across the wire) with the identical
-// two-host churned-web mix the in-process bench uses, so home-steps/s is
-// directly comparable across transports.
-func benchFleetStepRemote(b *testing.B, homes, shards int) {
-	onAssign := func(h *fleet.Home) error {
-		for i := 0; i < 2; i++ {
-			host, err := h.Join("", false, netsim.Pos{})
-			if err != nil {
-				return err
-			}
-			app := netsim.NewApp(netsim.AppWeb, "203.0.113.10", 40_000)
-			app.SetFlowChurn(0.75)
-			host.AddApp(app)
-		}
-		return nil
-	}
-	addrs := make([]string, shards)
-	for i := 0; i < shards; i++ {
-		wclk := clock.NewSimulated()
-		eng := engine.New(engine.Config{Index: i, Clock: wclk, Seed: 5, OnAssign: onAssign})
-		b.Cleanup(eng.Close)
-		srv := shardrpc.NewServer(shardrpc.Config{Backend: eng, Hub: eng.Hub(), Clock: wclk})
-		if err := srv.Serve("127.0.0.1:0"); err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(srv.Close)
-		addrs[i] = srv.Addr()
-	}
-	f := fleet.New(fleet.Config{
-		WorkerAddrs: addrs,
-		Clock:       clock.NewSimulated(),
-		Seed:        5,
-		StepTimeout: 30 * time.Second,
-	})
-	b.Cleanup(f.Stop)
-	if _, err := f.AddHomes(homes); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := f.Step(0.25); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.Step(0.25); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(homes)*float64(b.N)/b.Elapsed().Seconds(), "home-steps/s")
-	if f.Aggregate(); f.Totals().Flows == 0 {
-		b.Fatal("fleet stepped but no flows were folded")
-	}
-}
-
-// BenchmarkTraceOverhead prices the always-on punt-lifecycle tracing: the
-// identical 64-home in-process FleetStep workload with tracing enabled
-// (the shipped default) and disabled (core.Config.DisableTrace). Compare
-// the two home-steps/s figures; the acceptance bar is a ≤5% gap. Tracing
-// is a handful of atomic stores per punt against a control path that
-// decodes, policy-checks and installs a flow, so the gap sits in the
-// noise floor of the step benchmark.
-func BenchmarkTraceOverhead(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"traced", false},
-		{"untraced", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			benchFleetStepCfg(b, 64, 0, core.TransportInProcess, mode.disable)
-		})
-	}
-}
-
-// BenchmarkFlightOverhead prices the flight recorder: the identical
-// 64-home in-process FleetStep workload with the recorder attached to the
-// federated hub + FleetStats view (the hwfleetd default) and detached.
-// The insert hot path is untouched either way (the recorder consumes
-// Deltas on the hub's drain pass), so the attached cost is the per-tick
-// append of drained rows into retention windows plus compaction; the
-// acceptance bar is a ≤5% gap in home-steps/s.
-func BenchmarkFlightOverhead(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		attach bool
-	}{
-		{"attached", true},
-		{"detached", false},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			benchFleetStepFlight(b, 64, 0, core.TransportInProcess, false, mode.attach)
-		})
-	}
-}
-
-func benchFleetStepCfg(b *testing.B, homes, shards int, kind core.TransportKind, disableTrace bool) {
-	benchFleetStepFlight(b, homes, shards, kind, disableTrace, false)
-}
-
-func benchFleetStepFlight(b *testing.B, homes, shards int, kind core.TransportKind, disableTrace, recorder bool) {
-	f := fleet.New(fleet.Config{
-		Clock: clock.NewSimulated(), Seed: 5, Shards: shards,
-		HomeConfig: func(id uint64, cfg *core.Config) {
-			cfg.Transport = kind
-			cfg.DisableTrace = disableTrace
-		},
-	})
-	b.Cleanup(f.Stop)
-	var rec *flight.Recorder
-	if recorder {
-		// A short retention keeps compaction in the measured loop: the
-		// recorder is priced doing its full job, not just appending.
-		rec = flight.NewRecorder(flight.RecorderConfig{
-			Window: time.Second, Retention: 5 * time.Second,
-		})
-		rec.Attach(f.Hub())
-		rec.AttachView(f.DB(), telemetry.ViewTable)
-	}
-	if _, err := f.AddHomes(homes); err != nil {
-		b.Fatal(err)
-	}
-	for _, h := range f.Homes() {
-		for i := 0; i < 2; i++ {
-			host, err := h.Join("", false, netsim.Pos{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Literal target: the step cost under test is datapath +
-			// control + measurement, not name resolution. Flow churn keeps
-			// the reactive control plane working every tick — each fresh
-			// connection punts, is policy-checked and installed — the way
-			// real browsing does, instead of one long-lived flow that goes
-			// quiet after warmup.
-			app := netsim.NewApp(netsim.AppWeb, "203.0.113.10", 40_000)
-			// Slower than the 0.25s step so each flow is matched (and
-			// measured) for a few ticks before the next one arrives.
-			app.SetFlowChurn(0.75)
-			host.AddApp(app)
-		}
-	}
-	// Warm to steady state: tick 0 resolves targets, tick 1 punts and
-	// installs the flows, tick 2 is the first fully-measured tick.
-	for i := 0; i < 3; i++ {
-		if err := f.Step(0.25); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.Step(0.25); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(homes)*float64(b.N)/b.Elapsed().Seconds(), "home-steps/s")
-	if f.Aggregate(); f.Totals().Flows == 0 {
-		b.Fatal("fleet stepped but no flows were folded")
-	}
-	if rec != nil {
-		st := rec.Stats()
-		if st.Delivered+st.ViewRows != st.Stored+st.Compacted {
-			b.Fatalf("recorder books off: %+v", st)
-		}
-		b.ReportMetric(float64(st.Stored+st.Compacted)/float64(b.N), "recorded-rows/op")
-	}
-}
-
-// BenchmarkSettleLatency measures the control plane's quiescence latency:
-// the time from a punt entering the control path to Settle returning with
-// the path drained and barriered — the wait every fleet tick pays per
-// home with a new flow. Each sample injects the first packet of a
-// brand-new flow (so a punt is guaranteed in flight when Settle is
-// entered) and settles, per home, back to back as fleet.Home.step does;
-// p50/p99 across all per-home samples are reported alongside the mean.
-// The event-driven wait puts p50 at in-process dispatch + barrier RTT
-// scale; the poll-and-sleep protocol it replaced floored every sample
-// with an in-flight punt at its 200 µs sleep quantum.
-func BenchmarkSettleLatency(b *testing.B) {
-	for _, homes := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("homes=%d", homes), func(b *testing.B) {
-			benchSettleLatency(b, homes)
-		})
-	}
-}
-
-func benchSettleLatency(b *testing.B, homes int) {
-	clk := clock.NewSimulated()
-	routers := make([]*core.Router, homes)
-	hosts := make([]*netsim.Host, homes)
-	for i := range routers {
-		cfg := core.DefaultConfig()
-		cfg.AutoPermit = true
-		cfg.DisableRPC = true
-		cfg.Clock = clk
-		cfg.Seed = int64(i + 1)
-		rt, err := core.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := rt.Start(); err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(rt.Stop)
-		h, err := rt.AddHost(fmt.Sprintf("dev-%d", i), fmt.Sprintf("02:aa:00:%02x:00:01", i), false, netsim.Pos{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := rt.JoinHost(h); err != nil {
-			b.Fatal(err)
-		}
-		if !h.Bound() {
-			b.Fatalf("home %d host did not bind", i)
-		}
-		routers[i], hosts[i] = rt, h
-	}
-	samples := make([]time.Duration, 0, b.N*homes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for hi, rt := range routers {
-			h := hosts[hi]
-			// A brand-new five-tuple: this packet misses and punts.
-			frame := packet.NewTCPFrame(h.MAC, rt.Config.RouterMAC,
-				h.IP(), packet.IP4{93, 184, 216, 34},
-				uint16(1024+i%60000), uint16(1+i/60000), packet.TCPSyn, 0, nil)
-			t0 := time.Now()
-			h.SendRaw(frame.Bytes())
-			if err := rt.Settle(); err != nil {
-				b.Fatal(err)
-			}
-			samples = append(samples, time.Since(t0))
-		}
-	}
-	b.StopTimer()
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	b.ReportMetric(float64(samples[len(samples)/2].Nanoseconds()), "p50-ns/settle")
-	b.ReportMetric(float64(samples[len(samples)*99/100].Nanoseconds()), "p99-ns/settle")
-}
-
-// BenchmarkFleetAggregate prices taking a fleet-wide delta snapshot
-// after one interval of traffic at 8 homes. The fold already happened
-// inside Step (the telemetry hub streams rows as they land), so
-// Aggregate only swaps the per-home period counters. The PR-1 on-demand
-// cursor-scan baseline it used to be compared against (deprecated
-// Fleet.FoldOnDemand, ~43 µs per pass at 8 homes) was deleted with the
-// engine/coordinator split; its recorded numbers live on in
-// BENCH_6.json.
-func BenchmarkFleetAggregate(b *testing.B) {
-	b.Run("path=live", func(b *testing.B) {
-		benchFleetAggregate(b, 0, func(f *fleet.Fleet) { f.Aggregate() })
-	})
-	b.Run("path=live/shards=4", func(b *testing.B) {
-		benchFleetAggregate(b, 4, func(f *fleet.Fleet) { f.Aggregate() })
-	})
-}
-
-func benchFleetAggregate(b *testing.B, shards int, read func(*fleet.Fleet)) {
-	f := fleet.New(fleet.Config{Clock: clock.NewSimulated(), Seed: 5, Shards: shards})
-	b.Cleanup(f.Stop)
-	if _, err := f.AddHomes(8); err != nil {
-		b.Fatal(err)
-	}
-	for _, h := range f.Homes() {
-		host, err := h.Join("", false, netsim.Pos{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		host.AddApp(netsim.NewApp(netsim.AppWeb, "203.0.113.10", 200_000))
-	}
-	for i := 0; i < 8; i++ {
-		if err := f.Step(0.25); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Both paths read deltas: ring up one fresh interval of rows
-		// (untimed) before each snapshot, or every iteration after the
-		// first would measure an empty one.
-		b.StopTimer()
-		if err := f.Step(0.25); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		read(f)
-	}
-}
-
-// BenchmarkFleetTelemetry is the headline read-latency number for the
-// telemetry subsystem: reading the current fleet-wide state from the
-// federated folder (hub-maintained Totals: one mutex and a struct copy,
-// no ring touched, no shard called) as the fleet grows 1 -> 8 -> 64
-// homes, plus a 4-shard variant pinning that federation keeps the read
-// O(1) — the global folder is maintained at stream time, so shard count
-// does not appear in the read path. The live read should be flat across
-// both axes and allocation-free. (The PR-1 on-demand fold it was
-// measured against — O(homes x tables) cursor reads, ~43 µs at 64
-// homes — was deleted with the engine/coordinator split; BENCH_6.json
-// keeps its recorded numbers.)
-func BenchmarkFleetTelemetry(b *testing.B) {
-	for _, homes := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("read=live/homes=%d", homes), func(b *testing.B) {
-			benchFleetTelemetry(b, homes, 0)
-		})
-	}
-	b.Run("read=live/shards=4/homes=64", func(b *testing.B) {
-		benchFleetTelemetry(b, 64, 4)
-	})
-}
-
-func benchFleetTelemetry(b *testing.B, homes, shards int) {
-	f := fleet.New(fleet.Config{Clock: clock.NewSimulated(), Seed: 5, Shards: shards})
-	b.Cleanup(f.Stop)
-	if _, err := f.AddHomes(homes); err != nil {
-		b.Fatal(err)
-	}
-	for _, h := range f.Homes() {
-		host, err := h.Join("", false, netsim.Pos{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		host.AddApp(netsim.NewApp(netsim.AppWeb, "203.0.113.10", 60_000))
-	}
-	for i := 0; i < 4; i++ {
-		if err := f.Step(0.25); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if f.Totals().Flows == 0 {
-		b.Fatal("no live traffic to read")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = f.Totals()
 	}
 }
 

@@ -512,8 +512,19 @@ func (p *parser) parseTimestamp() (time.Time, error) {
 	return time.Unix(0, i), nil
 }
 
+// parseUnit reads a RANGE or EVERY time unit: a unit name in either
+// number, or one of the abbreviations ms, s, m (minutes), sec, min, hr.
 func parseUnit(s string) (time.Duration, error) {
-	switch strings.ToLower(strings.TrimSuffix(strings.ToLower(s), "s") + "s") {
+	u := strings.ToLower(s)
+	switch u {
+	case "ms":
+		return time.Millisecond, nil
+	case "s":
+		return time.Second, nil
+	case "m":
+		return time.Minute, nil
+	}
+	switch strings.TrimSuffix(u, "s") + "s" {
 	case "milliseconds", "mss":
 		return time.Millisecond, nil
 	case "seconds", "secs":

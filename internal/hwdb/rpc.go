@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -31,31 +30,79 @@ const (
 	rpcMagic = "HWDB/1"
 	// MaxDatagram is the largest datagram the server will send.
 	MaxDatagram = 60000
+	// maxStatus caps a reply's status line (an error can quote the
+	// request), so the header always leaves room for the body.
+	maxStatus = 1024
 )
 
-// Server serves the database over UDP.
+// Server serves HWDB/1 over UDP: one socket loop answering each request
+// from a verb table, and one registry of subscriptions pushing on the
+// database's clock. NewServer fills the table with the per-home verbs
+// above; Handle and HandleSubscribe add or replace verbs, which is how the
+// fleet telemetry endpoint serves its own verb set on the same server.
+//
+// Subscription lifecycle: SUBSCRIBE registers the subscription and
+// accounts its push goroutine under one lock, and is refused with ERR once
+// Close has begun; UNSUBSCRIBE or Close cancels it. A push that fails to
+// send ends its goroutine. Close is idempotent, safe on a server that was
+// never served, and returns once the socket loop and every push goroutine
+// have exited.
 type Server struct {
-	db   *DB
-	conn *net.UDPConn
+	db    *DB
+	conn  *net.UDPConn
+	verbs map[string]handler
 
-	mu     sync.Mutex
-	subs   map[uint64]*subscription
-	nextID uint64
-	closed atomic.Bool
-	wg     sync.WaitGroup
+	mu      sync.Mutex
+	subs    map[uint64]chan struct{} // subscription id -> cancel
+	nextID  uint64
+	closing bool
+	wg      sync.WaitGroup
 }
 
-type subscription struct {
-	id     uint64
-	addr   *net.UDPAddr
-	query  *SelectStmt
-	every  time.Duration
-	cancel chan struct{}
-}
+// handler answers one request body from addr with a reply status and body.
+type handler func(addr *net.UDPAddr, body string) (status, resp string)
 
 // NewServer creates a server for db. Call Serve to start it.
 func NewServer(db *DB) *Server {
-	return &Server{db: db, subs: make(map[uint64]*subscription)}
+	s := &Server{db: db, subs: make(map[uint64]chan struct{})}
+	s.verbs = map[string]handler{
+		"PING":        func(*net.UDPAddr, string) (string, string) { return "OK pong", "" },
+		"SUBSCRIBE":   s.subscribeSelect,
+		"UNSUBSCRIBE": s.unsubscribe,
+	}
+	s.Handle("EXEC", func(body string) (*Result, error) { return db.Exec(strings.TrimSpace(body)) })
+	return s
+}
+
+// Handle adds or replaces a tabular verb. fn's result is answered
+// "OK <rows>" with the result's text as the body ("OK 0" and no body for
+// a nil result), its error "ERR <msg>". Call before Serve.
+func (s *Server) Handle(verb string, fn func(body string) (*Result, error)) {
+	s.verbs[strings.ToUpper(verb)] = func(_ *net.UDPAddr, body string) (string, string) {
+		res, err := fn(body)
+		switch {
+		case err != nil:
+			return "ERR " + err.Error(), ""
+		case res == nil:
+			return "OK 0", ""
+		}
+		return "OK " + strconv.Itoa(len(res.Rows)), res.Text()
+	}
+}
+
+// HandleSubscribe replaces SUBSCRIBE with a named push source: the body
+// must then be "[SUBSCRIBE] <name> EVERY <n> <unit>". newTick is called
+// once per subscription with the bytes a push body may take; every period
+// the tick it returns gives the body to push, or "" to send nothing. A
+// longer body is truncated like a reply. Call before Serve.
+func (s *Server) HandleSubscribe(name string, newTick func(budget int) func() string) {
+	s.verbs["SUBSCRIBE"] = func(addr *net.UDPAddr, body string) (string, string) {
+		every, err := parseEvery(name, body)
+		if err != nil {
+			return "ERR " + err.Error(), ""
+		}
+		return s.subscribe(addr, every, newTick)
+	}
 }
 
 // Serve binds addr (e.g. "127.0.0.1:0") and serves until Close.
@@ -82,20 +129,33 @@ func (s *Server) Addr() string {
 	return s.conn.LocalAddr().String()
 }
 
-// Close stops the server and cancels all subscriptions.
+// Close stops the server and cancels all subscriptions. Safe to defer
+// before checking Serve's error (a never-served server closes to a no-op).
 func (s *Server) Close() error {
-	if s.closed.Swap(true) {
+	s.mu.Lock()
+	if s.closing {
+		s.mu.Unlock()
 		return nil
 	}
-	s.mu.Lock()
-	for id, sub := range s.subs {
-		close(sub.cancel)
+	s.closing = true
+	for id, cancel := range s.subs {
+		close(cancel)
 		delete(s.subs, id)
 	}
 	s.mu.Unlock()
-	err := s.conn.Close()
+	var err error
+	if s.conn != nil {
+		err = s.conn.Close()
+	}
 	s.wg.Wait()
 	return err
+}
+
+// Subscriptions returns the number of active subscriptions.
+func (s *Server) Subscriptions() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.subs)
 }
 
 func (s *Server) loop() {
@@ -106,19 +166,32 @@ func (s *Server) loop() {
 		if err != nil {
 			return // closed
 		}
-		seq, verb, body, perr := ParseRequest(string(buf[:n]))
-		if perr != nil {
-			s.reply(addr, seq, "ERR "+perr.Error(), "")
-			continue
-		}
-		s.dispatch(addr, seq, verb, body)
+		_, _ = s.conn.WriteToUDP(s.answer(addr, string(buf[:n])), addr)
 	}
 }
 
-// ParseRequest splits one HWDB/1 request datagram into its sequence
-// number, upper-cased verb and body. Shared by every HWDB/1-framed
-// server (the per-home RPC here and the fleet telemetry endpoint).
-func ParseRequest(s string) (seq uint64, verb, body string, err error) {
+// answer dispatches one request datagram and frames its one reply, at
+// most MaxDatagram bytes.
+func (s *Server) answer(addr *net.UDPAddr, req string) []byte {
+	seq, verb, body, err := parseRequest(req)
+	var status, resp string
+	if err != nil {
+		status = "ERR " + err.Error()
+	} else if h, ok := s.verbs[verb]; ok {
+		status, resp = h(addr, body)
+	} else {
+		status = "ERR unknown verb " + verb
+	}
+	if len(status) > maxStatus {
+		status = status[:maxStatus]
+	}
+	header := fmt.Sprintf("%s %d %s\n", rpcMagic, seq, status)
+	return []byte(header + truncateBody(resp, len(header)))
+}
+
+// parseRequest splits one request datagram into its sequence number,
+// upper-cased verb and body.
+func parseRequest(s string) (seq uint64, verb, body string, err error) {
 	nl := strings.IndexByte(s, '\n')
 	header := s
 	if nl >= 0 {
@@ -135,55 +208,10 @@ func ParseRequest(s string) (seq uint64, verb, body string, err error) {
 	return seq, strings.ToUpper(fields[2]), body, nil
 }
 
-func (s *Server) dispatch(addr *net.UDPAddr, seq uint64, verb, body string) {
-	switch verb {
-	case "PING":
-		s.reply(addr, seq, "OK pong", "")
-	case "EXEC":
-		res, err := s.db.Exec(strings.TrimSpace(body))
-		if err != nil {
-			s.reply(addr, seq, "ERR "+err.Error(), "")
-			return
-		}
-		if res == nil {
-			s.reply(addr, seq, "OK 0", "")
-			return
-		}
-		s.reply(addr, seq, fmt.Sprintf("OK %d", len(res.Rows)), res.Text())
-	case "SUBSCRIBE":
-		st, err := Parse(strings.TrimSpace(body))
-		if err != nil {
-			s.reply(addr, seq, "ERR "+err.Error(), "")
-			return
-		}
-		sub, ok := st.(*SubscribeStmt)
-		if !ok {
-			s.reply(addr, seq, "ERR body must be a SUBSCRIBE statement", "")
-			return
-		}
-		id := s.addSubscription(addr, sub)
-		s.reply(addr, seq, fmt.Sprintf("OK %d", id), "")
-	case "UNSUBSCRIBE":
-		id, err := strconv.ParseUint(strings.TrimSpace(body), 10, 64)
-		if err != nil {
-			s.reply(addr, seq, "ERR bad subscription id", "")
-			return
-		}
-		if s.removeSubscription(id) {
-			s.reply(addr, seq, "OK", "")
-		} else {
-			s.reply(addr, seq, "ERR no such subscription", "")
-		}
-	default:
-		s.reply(addr, seq, "ERR unknown verb "+verb, "")
-	}
-}
-
-// TruncateBody caps a response body so header+body fits in one
-// MaxDatagram-sized datagram, cutting at a line boundary and flagging
-// the cut with a "TRUNCATED" trailer. Shared by every HWDB/1-framed
-// server (the per-home RPC here and the fleet telemetry endpoint).
-func TruncateBody(body string, headerLen int) string {
+// truncateBody caps a body so header+body fits in one MaxDatagram-sized
+// datagram, cutting at a line boundary and flagging the cut with a
+// "TRUNCATED" trailer.
+func truncateBody(body string, headerLen int) string {
 	if headerLen+len(body) <= MaxDatagram {
 		return body
 	}
@@ -194,54 +222,108 @@ func TruncateBody(body string, headerLen int) string {
 	return keep + "TRUNCATED\n"
 }
 
-func (s *Server) reply(addr *net.UDPAddr, seq uint64, status, body string) {
-	msg := fmt.Sprintf("%s %d %s\n", rpcMagic, seq, status)
-	_, _ = s.conn.WriteToUDP([]byte(msg+TruncateBody(body, len(msg))), addr)
+// parseEvery parses a named source's subscription body, "[SUBSCRIBE]
+// <name> EVERY <n> <unit>", in any case; the units are the CQL ones.
+func parseEvery(name, body string) (time.Duration, error) {
+	f := strings.Fields(strings.ToUpper(body))
+	if len(f) > 0 && f[0] == "SUBSCRIBE" {
+		f = f[1:]
+	}
+	if len(f) != 4 || f[0] != strings.ToUpper(name) || f[1] != "EVERY" {
+		return 0, fmt.Errorf("body must be [SUBSCRIBE] %s EVERY <n> <unit>", name)
+	}
+	v, err := strconv.ParseFloat(f[2], 64)
+	if err != nil || v <= 0 {
+		return 0, fmt.Errorf("bad period %q", f[2])
+	}
+	unit, err := parseUnit(f[3])
+	if err != nil {
+		return 0, fmt.Errorf("bad unit %q", f[3])
+	}
+	return time.Duration(v * float64(unit)), nil
 }
 
-func (s *Server) addSubscription(addr *net.UDPAddr, st *SubscribeStmt) uint64 {
+// subscribeSelect is the per-home SUBSCRIBE: the body is a CQL SUBSCRIBE
+// statement and each push is its SELECT's result.
+func (s *Server) subscribeSelect(addr *net.UDPAddr, body string) (string, string) {
+	st, err := Parse(strings.TrimSpace(body))
+	if err != nil {
+		return "ERR " + err.Error(), ""
+	}
+	sub, ok := st.(*SubscribeStmt)
+	if !ok {
+		return "ERR body must be a SUBSCRIBE statement", ""
+	}
+	return s.subscribe(addr, sub.Every, func(int) func() string { return s.selectTick(sub.Query) })
+}
+
+// subscribe registers a subscription pushing to addr every period and
+// starts its goroutine. It is refused once Close has begun, so Close never
+// waits on a subscription it did not cancel.
+func (s *Server) subscribe(addr *net.UDPAddr, every time.Duration, newTick func(budget int) func() string) (string, string) {
+	if every <= 0 {
+		return "ERR bad period", "" // would push without pause
+	}
 	s.mu.Lock()
+	if s.closing {
+		s.mu.Unlock()
+		return "ERR server closing", ""
+	}
 	s.nextID++
 	id := s.nextID
-	sub := &subscription{
-		id: id, addr: addr, query: st.Query, every: st.Every,
-		cancel: make(chan struct{}),
-	}
-	s.subs[id] = sub
+	cancel := make(chan struct{})
+	s.subs[id] = cancel
+	s.wg.Add(1)
 	s.mu.Unlock()
 
-	s.wg.Add(1)
-	go s.run(sub)
-	return id
+	header := fmt.Sprintf("%s 0 PUSH %d\n", rpcMagic, id)
+	go s.push(addr, header, every, newTick(MaxDatagram-len(header)), cancel)
+	return "OK " + strconv.FormatUint(id, 10), ""
 }
 
-func (s *Server) removeSubscription(id uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sub, ok := s.subs[id]
-	if ok {
-		close(sub.cancel)
-		delete(s.subs, id)
+func (s *Server) unsubscribe(_ *net.UDPAddr, body string) (string, string) {
+	id, err := strconv.ParseUint(strings.TrimSpace(body), 10, 64)
+	if err != nil {
+		return "ERR bad subscription id", ""
 	}
-	return ok
-}
-
-// Subscriptions returns the number of active subscriptions.
-func (s *Server) Subscriptions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.subs)
+	cancel, ok := s.subs[id]
+	if !ok {
+		return "ERR no such subscription", ""
+	}
+	close(cancel)
+	delete(s.subs, id)
+	return "OK", ""
 }
 
-// run drives one subscription. Idle subscriptions are free: a period
-// where the result cannot have changed skips the SELECT entirely (no
-// inserts since the last evaluation, and either the window is
+// push drives one subscription until it is cancelled or a send fails.
+func (s *Server) push(addr *net.UDPAddr, header string, every time.Duration, tick func() string, cancel <-chan struct{}) {
+	defer s.wg.Done()
+	for {
+		select {
+		case <-cancel:
+			return
+		case <-s.db.clk.After(every):
+		}
+		body := tick()
+		if body == "" {
+			continue
+		}
+		if _, err := s.conn.WriteToUDP([]byte(header+truncateBody(body, len(header))), addr); err != nil {
+			return
+		}
+	}
+}
+
+// selectTick is a CQL subscription's tick. Idle subscriptions are free: a
+// period where the result cannot have changed skips the SELECT entirely
+// (no inserts since the last evaluation, and either the window is
 // insert-driven — ROWS/ALL/NOW — or the last result was already empty,
 // which only inserts can change), and a re-evaluated result identical to
 // the last push is not re-sent. A subscription over an idle table
 // therefore generates no datagrams at all until data first appears.
-func (s *Server) run(sub *subscription) {
-	defer s.wg.Done()
+func (s *Server) selectTick(q *SelectStmt) func() string {
 	var (
 		lastBody string
 		havePush bool   // at least one push sent
@@ -249,38 +331,29 @@ func (s *Server) run(sub *subscription) {
 		lastIns  uint64 // table insert count at the last evaluation
 		lastRows int    // data rows in the last evaluation
 	)
-	for {
-		select {
-		case <-sub.cancel:
-			return
-		case <-s.db.clk.After(sub.every):
-		}
-		t, haveTable := s.db.Table(sub.query.Table)
+	return func() string {
+		t, haveTable := s.db.Table(q.Table)
 		var ins uint64
 		if haveTable {
 			ins, _ = t.Stats()
-			if evaled && ins == lastIns &&
-				(sub.query.Win.Kind != WindowRange || lastRows == 0) {
-				continue // nothing can have changed: skip the SELECT too
+			if evaled && ins == lastIns && (q.Win.Kind != WindowRange || lastRows == 0) {
+				return "" // nothing can have changed: skip the SELECT too
 			}
 		}
-		res, err := s.db.Select(sub.query)
+		res, err := s.db.Select(q)
 		if err != nil {
-			continue
+			return ""
 		}
 		evaled, lastIns, lastRows = haveTable, ins, len(res.Rows)
 		body := res.Text()
 		if havePush && body == lastBody {
-			continue // unchanged result: no datagram
+			return "" // unchanged result: no datagram
 		}
 		if !havePush && len(res.Rows) == 0 {
-			continue // idle from the start: nothing to report yet
+			return "" // idle from the start: nothing to report yet
 		}
 		lastBody, havePush = body, true
-		header := fmt.Sprintf("%s 0 PUSH %d\n", rpcMagic, sub.id)
-		if _, err := s.conn.WriteToUDP([]byte(header+TruncateBody(body, len(header))), sub.addr); err != nil {
-			return
-		}
+		return body
 	}
 }
 
@@ -398,29 +471,29 @@ func (c *Client) parseResponse(s string) (seq uint64, rest string, pushed bool, 
 	return seq, rest, false, nil
 }
 
+// request is call with an ERR reply returned as an error.
+func (c *Client) request(verb, body string) (status, respBody string, err error) {
+	status, respBody, err = c.call(verb, body)
+	if err == nil && strings.HasPrefix(status, "ERR") {
+		err = fmt.Errorf("hwdb: server: %s", strings.TrimPrefix(status, "ERR "))
+	}
+	return status, respBody, err
+}
+
 // Exec runs one CQL statement; for SELECT the result is non-nil.
 func (c *Client) Exec(cql string) (*Result, error) {
-	status, body, err := c.call("EXEC", cql)
-	if err != nil {
+	_, body, err := c.request("EXEC", cql)
+	if err != nil || body == "" {
 		return nil, err
-	}
-	if strings.HasPrefix(status, "ERR") {
-		return nil, fmt.Errorf("hwdb: server: %s", strings.TrimPrefix(status, "ERR "))
-	}
-	if body == "" {
-		return nil, nil
 	}
 	return ParseText(body)
 }
 
 // Subscribe registers a periodic subscription; returns its id.
 func (c *Client) Subscribe(cql string) (uint64, error) {
-	status, _, err := c.call("SUBSCRIBE", cql)
+	status, _, err := c.request("SUBSCRIBE", cql)
 	if err != nil {
 		return 0, err
-	}
-	if strings.HasPrefix(status, "ERR") {
-		return 0, fmt.Errorf("hwdb: server: %s", strings.TrimPrefix(status, "ERR "))
 	}
 	id, err := strconv.ParseUint(strings.TrimSpace(strings.TrimPrefix(status, "OK")), 10, 64)
 	if err != nil {
@@ -431,24 +504,13 @@ func (c *Client) Subscribe(cql string) (uint64, error) {
 
 // Unsubscribe cancels a subscription.
 func (c *Client) Unsubscribe(id uint64) error {
-	status, _, err := c.call("UNSUBSCRIBE", strconv.FormatUint(id, 10))
-	if err != nil {
-		return err
-	}
-	if strings.HasPrefix(status, "ERR") {
-		return fmt.Errorf("hwdb: server: %s", strings.TrimPrefix(status, "ERR "))
-	}
-	return nil
+	_, _, err := c.request("UNSUBSCRIBE", strconv.FormatUint(id, 10))
+	return err
 }
 
 // WaitPush blocks until a push arrives on the socket or the timeout
 // elapses. Use after Subscribe when no other calls are in flight.
 func (c *Client) WaitPush(timeout time.Duration) (Push, error) {
-	select {
-	case p := <-c.pushCh:
-		return p, nil
-	default:
-	}
 	buf := make([]byte, 65536)
 	deadline := time.Now().Add(timeout)
 	for {

@@ -1,0 +1,69 @@
+package hwdb
+
+import (
+	"testing"
+	"time"
+)
+
+// TestServerCloseWithoutServe: Close on a never-served server is a safe
+// no-op (the idiomatic defer-before-error-check pattern must not panic).
+func TestServerCloseWithoutServe(t *testing.T) {
+	if err := NewServer(New(nil)).Close(); err != nil {
+		t.Fatalf("close without serve: %v", err)
+	}
+}
+
+// TestParseFleetSubscribe table-drives the named-source subscription
+// grammar as the fleet endpoint's FLEET source uses it.
+func TestParseFleetSubscribe(t *testing.T) {
+	cases := []struct {
+		body    string
+		want    time.Duration
+		wantErr bool
+	}{
+		{"FLEET EVERY 1 SECONDS", time.Second, false},
+		{"SUBSCRIBE FLEET EVERY 0.5 SECONDS", 500 * time.Millisecond, false},
+		{"fleet every 20 ms", 20 * time.Millisecond, false},
+		{"FLEET EVERY 2 MINUTES", 2 * time.Minute, false},
+		{"FLEET EVERY 0 SECONDS", 0, true},
+		{"FLEET EVERY x SECONDS", 0, true},
+		{"FLEET EVERY 1 FORTNIGHTS", 0, true},
+		{"SELECT * FROM Flows", 0, true},
+		{"", 0, true},
+	}
+	for _, tc := range cases {
+		got, err := parseEvery("FLEET", tc.body)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%q: err = %v, wantErr %v", tc.body, err, tc.wantErr)
+			continue
+		}
+		if err == nil && got != tc.want {
+			t.Errorf("%q = %v, want %v", tc.body, got, tc.want)
+		}
+	}
+}
+
+// TestEveryUnitsOfBothGrammars: the CQL SUBSCRIBE statement and a named
+// source share one unit table, so each accepts every unit either accepted
+// before they shared it, with the same meaning.
+func TestEveryUnitsOfBothGrammars(t *testing.T) {
+	for unit, want := range map[string]time.Duration{
+		"milliseconds": time.Millisecond, "millisecond": time.Millisecond, "ms": time.Millisecond, "mss": time.Millisecond,
+		"seconds": time.Second, "second": time.Second, "secs": time.Second, "sec": time.Second, "s": time.Second,
+		"minutes": time.Minute, "minute": time.Minute, "mins": time.Minute, "min": time.Minute, "m": time.Minute,
+		"hours": time.Hour, "hour": time.Hour, "hrs": time.Hour, "hr": time.Hour,
+		"days": 24 * time.Hour, "day": 24 * time.Hour,
+	} {
+		if got, err := parseEvery("FLEET", "FLEET EVERY 2 "+unit); err != nil || got != 2*want {
+			t.Errorf("FLEET EVERY 2 %s = %v, %v; want %v", unit, got, err, 2*want)
+		}
+		st, err := Parse("SUBSCRIBE SELECT mac FROM Links EVERY 2 " + unit)
+		if err != nil {
+			t.Errorf("CQL EVERY 2 %s: %v", unit, err)
+			continue
+		}
+		if got := st.(*SubscribeStmt).Every; got != 2*want {
+			t.Errorf("CQL EVERY 2 %s = %v, want %v", unit, got, 2*want)
+		}
+	}
+}

@@ -15,8 +15,10 @@
 // goroutine, outside the table's lock, and must not block. A select over a
 // live table is evaluated under that table's read lock. Every Row a table
 // hands out views a copy made under the lock, so rows are immutable and
-// safe to retain. The UDP RPC server runs its own goroutines and serves
-// each subscription independently.
+// safe to retain. The HWDB/1 server (rpc.go) answers requests on one
+// socket goroutine from a verb table, whose handlers therefore run one at
+// a time, and pushes each subscription from a goroutine of its own; Close
+// returns only once all of them have exited.
 package hwdb
 
 import (

@@ -3,8 +3,10 @@
 // subscription hub over hwdb tables, a background folder that keeps
 // fleet-wide statistics (and windowed per-home/per-device rates — the
 // fleet-scale analogue of the paper's bandwidth display) continuously
-// current without an on-demand fold pass, and a streaming UDP endpoint
-// that pushes fleet-aggregate deltas to remote subscribers.
+// current without an on-demand fold pass, and the fleet endpoint: the
+// STATS, TRACE, REPLAY and FLEET-push verbs registered on an hwdb.Server
+// over the folder's view, which streams per-home deltas to remote
+// subscribers over the same HWDB/1 socket loop the per-home RPC uses.
 //
 // The hub inverts the polling design the fleet layer started with: rather
 // than every reader re-scanning every home's rings, each hwdb insert sets

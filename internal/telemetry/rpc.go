@@ -2,10 +2,8 @@ package telemetry
 
 import (
 	"fmt"
-	"net"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,9 +11,9 @@ import (
 	"repro/internal/trace"
 )
 
-// The streaming fleet endpoint speaks the HWDB/1 wire framing (the same
-// single-datagram request/response/push format as the per-home hwdb RPC,
-// so hwdb.Client drives it unchanged) with a fleet verb set:
+// Server is the streaming fleet endpoint: an hwdb.Server over the
+// folder's FleetStats view (so hwdb.Client drives it unchanged) with the
+// fleet verb set registered on it:
 //
 //	EXEC        body = one CQL SELECT against the FleetStats view
 //	            (including AS OF @<nanos> / HISTORY @<from> @<to> time
@@ -34,41 +32,27 @@ import (
 // subscriber, with its current windowed rate. Ticks where nothing changed
 // send no datagram at all — an idle fleet costs an idle subscriber
 // nothing — and a client re-syncs by summing deltas, never by re-query.
-const (
-	rpcMagic = "HWDB/1"
-	// MaxDatagram is the largest datagram the server will send.
-	MaxDatagram = hwdb.MaxDatagram
-)
-
-// Server serves a folder's fleet-wide telemetry over UDP.
 type Server struct {
+	*hwdb.Server
 	folder *Folder
-	conn   *net.UDPConn
 	// traceFn supplies fleet-merged punt-lifecycle stage summaries for
 	// the TRACE verb (atomic: SetTraceSource may race in-flight requests).
 	traceFn atomic.Pointer[func() []trace.StageStats]
 	// replayFn serves the REPLAY verb from the flight recorder's
 	// retained windows (same atomic discipline as traceFn).
 	replayFn atomic.Pointer[func(home uint64, table string, from, to time.Time) (*hwdb.Result, error)]
-
-	mu     sync.Mutex
-	subs   map[uint64]*fleetSub
-	nextID uint64
-	closed atomic.Bool
-	wg     sync.WaitGroup
-}
-
-// fleetSub is one delta-push subscription.
-type fleetSub struct {
-	id     uint64
-	addr   *net.UDPAddr
-	every  time.Duration
-	cancel chan struct{}
 }
 
 // NewServer creates a server over folder. Call Serve to start it.
 func NewServer(folder *Folder) *Server {
-	return &Server{folder: folder, subs: make(map[uint64]*fleetSub)}
+	view := folder.View() // runs on the folder's clock, so pushes do too
+	s := &Server{Server: hwdb.NewServer(view), folder: folder}
+	s.Handle("EXEC", func(body string) (*hwdb.Result, error) { return view.Query(strings.TrimSpace(body)) })
+	s.Handle("STATS", s.stats)
+	s.Handle("TRACE", s.stages)
+	s.Handle("REPLAY", s.replay)
+	s.HandleSubscribe("FLEET", s.fleetTick)
+	return s
 }
 
 // SetTraceSource installs the function the TRACE verb calls for fleet-
@@ -84,168 +68,6 @@ func (s *Server) SetReplaySource(fn func(home uint64, table string, from, to tim
 	s.replayFn.Store(&fn)
 }
 
-// Serve binds addr (e.g. "127.0.0.1:0") and serves until Close.
-func (s *Server) Serve(addr string) error {
-	ua, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return err
-	}
-	conn, err := net.ListenUDP("udp", ua)
-	if err != nil {
-		return err
-	}
-	s.conn = conn
-	s.wg.Add(1)
-	go s.loop()
-	return nil
-}
-
-// Addr returns the bound address once Serve has been called.
-func (s *Server) Addr() string {
-	if s.conn == nil {
-		return ""
-	}
-	return s.conn.LocalAddr().String()
-}
-
-// Subscriptions returns the number of active subscriptions.
-func (s *Server) Subscriptions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.subs)
-}
-
-// Close stops the server and cancels all subscriptions. Safe to defer
-// before checking Serve's error (a never-served server closes to a no-op).
-func (s *Server) Close() error {
-	if s.closed.Swap(true) {
-		return nil
-	}
-	s.mu.Lock()
-	for id, sub := range s.subs {
-		close(sub.cancel)
-		delete(s.subs, id)
-	}
-	s.mu.Unlock()
-	var err error
-	if s.conn != nil {
-		err = s.conn.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) loop() {
-	defer s.wg.Done()
-	buf := make([]byte, 65536)
-	for {
-		n, addr, err := s.conn.ReadFromUDP(buf)
-		if err != nil {
-			return // closed
-		}
-		seq, verb, body, perr := hwdb.ParseRequest(string(buf[:n]))
-		if perr != nil {
-			s.reply(addr, seq, "ERR "+perr.Error(), "")
-			continue
-		}
-		s.dispatch(addr, seq, verb, body)
-	}
-}
-
-func (s *Server) dispatch(addr *net.UDPAddr, seq uint64, verb, body string) {
-	switch verb {
-	case "PING":
-		s.reply(addr, seq, "OK pong", "")
-	case "EXEC":
-		res, err := s.folder.View().Query(strings.TrimSpace(body))
-		if err != nil {
-			s.reply(addr, seq, "ERR "+err.Error(), "")
-			return
-		}
-		s.reply(addr, seq, fmt.Sprintf("OK %d", len(res.Rows)), res.Text())
-	case "STATS":
-		res := s.statsResult()
-		s.reply(addr, seq, fmt.Sprintf("OK %d", len(res.Rows)), res.Text())
-	case "TRACE":
-		res := s.traceResult()
-		s.reply(addr, seq, fmt.Sprintf("OK %d", len(res.Rows)), res.Text())
-	case "REPLAY":
-		res, err := s.replayResult(body)
-		if err != nil {
-			s.reply(addr, seq, "ERR "+err.Error(), "")
-			return
-		}
-		s.reply(addr, seq, fmt.Sprintf("OK %d", len(res.Rows)), res.Text())
-	case "SUBSCRIBE":
-		every, err := parseFleetSubscribe(body)
-		if err != nil {
-			s.reply(addr, seq, "ERR "+err.Error(), "")
-			return
-		}
-		id := s.addSubscription(addr, every)
-		s.reply(addr, seq, fmt.Sprintf("OK %d", id), "")
-	case "UNSUBSCRIBE":
-		id, err := strconv.ParseUint(strings.TrimSpace(body), 10, 64)
-		if err != nil {
-			s.reply(addr, seq, "ERR bad subscription id", "")
-			return
-		}
-		s.mu.Lock()
-		sub, ok := s.subs[id]
-		if ok {
-			close(sub.cancel)
-			delete(s.subs, id)
-		}
-		s.mu.Unlock()
-		if ok {
-			s.reply(addr, seq, "OK", "")
-		} else {
-			s.reply(addr, seq, "ERR no such subscription", "")
-		}
-	default:
-		s.reply(addr, seq, "ERR unknown verb "+verb, "")
-	}
-}
-
-// parseFleetSubscribe parses "[SUBSCRIBE] FLEET EVERY <n> <unit>".
-func parseFleetSubscribe(body string) (time.Duration, error) {
-	fields := strings.Fields(strings.ToUpper(strings.TrimSpace(body)))
-	if len(fields) > 0 && fields[0] == "SUBSCRIBE" {
-		fields = fields[1:]
-	}
-	if len(fields) != 4 || fields[0] != "FLEET" || fields[1] != "EVERY" {
-		return 0, fmt.Errorf("body must be [SUBSCRIBE] FLEET EVERY <n> <unit>")
-	}
-	v, err := strconv.ParseFloat(fields[2], 64)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("bad period %q", fields[2])
-	}
-	var unit time.Duration
-	switch fields[3] {
-	case "MILLISECONDS", "MILLISECOND", "MS":
-		unit = time.Millisecond
-	case "SECONDS", "SECOND", "S":
-		unit = time.Second
-	case "MINUTES", "MINUTE", "M":
-		unit = time.Minute
-	default:
-		return 0, fmt.Errorf("bad unit %q", fields[3])
-	}
-	return time.Duration(v * float64(unit)), nil
-}
-
-func (s *Server) addSubscription(addr *net.UDPAddr, every time.Duration) uint64 {
-	s.mu.Lock()
-	s.nextID++
-	id := s.nextID
-	sub := &fleetSub{id: id, addr: addr, every: every, cancel: make(chan struct{})}
-	s.subs[id] = sub
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.run(sub)
-	return id
-}
-
 // homeMark is the cumulative state last pushed to a subscriber for one
 // home; the next push carries the delta past it.
 type homeMark struct {
@@ -255,7 +77,7 @@ type homeMark struct {
 
 var pushCols = []string{"home", "hosts", "flows", "packets", "bytes", "links", "lost", "bytes_s", "pkts_s"}
 
-// run drives one subscription: every period, diff the folder's per-home
+// fleetTick is one FLEET subscription's tick: diff the folder's per-home
 // cumulative counters against what this subscriber has seen and push only
 // the homes that moved. Nothing moved -> no datagram. The push is built
 // against the datagram budget row by row: a home's mark advances only
@@ -263,21 +85,14 @@ var pushCols = []string{"home", "hosts", "flows", "packets", "bytes", "links", "
 // carried — never silently dropped — and each tick resumes round-robin
 // from where the previous push stopped, so a fleet too busy for one
 // datagram cannot starve its high-ID homes.
-func (s *Server) run(sub *fleetSub) {
-	defer s.wg.Done()
+func (s *Server) fleetTick(budget int) func() string {
 	seen := make(map[uint64]homeMark)
-	header := fmt.Sprintf("%s 0 PUSH %d\n", rpcMagic, sub.id)
 	head := strings.Join(pushCols, "\t") + "\n"
 	var resume uint64 // first home ID to consider this tick
-	for {
-		select {
-		case <-sub.cancel:
-			return
-		case <-s.folder.clk.After(sub.every):
-		}
+	return func() string {
 		hts := s.folder.HomeTotals()
 		if len(hts) == 0 {
-			continue
+			return ""
 		}
 		// Rotate the ascending-ID list so iteration starts at the resume
 		// cursor and wraps, visiting every home once.
@@ -298,7 +113,7 @@ func (s *Server) run(sub *fleetSub) {
 				continue
 			}
 			line := deltaLine(ht, m)
-			if len(header)+sb.Len()+len(line) > MaxDatagram {
+			if sb.Len()+len(line) > budget {
 				// The rest ride the next push; resume with this home.
 				resume, full = ht.Home, true
 				break
@@ -314,11 +129,9 @@ func (s *Server) run(sub *fleetSub) {
 			resume = 0
 		}
 		if rows == 0 {
-			continue // idle tick: no datagram
+			return "" // idle tick: no datagram
 		}
-		if _, err := s.conn.WriteToUDP([]byte(header+sb.String()), sub.addr); err != nil {
-			return
-		}
+		return sb.String()
 	}
 }
 
@@ -347,10 +160,10 @@ func deltaLine(ht HomeTotals, m homeMark) string {
 	return sb.String()
 }
 
-// replayResult parses "<home> <table> [@<from> [@<to>]]" (timestamps in
-// unix nanoseconds, the leading @ optional) and scrubs the installed
-// replay source.
-func (s *Server) replayResult(body string) (*hwdb.Result, error) {
+// replay parses "<home> <table> [@<from> [@<to>]]" (timestamps in unix
+// nanoseconds, the leading @ optional) and scrubs the installed replay
+// source.
+func (s *Server) replay(body string) (*hwdb.Result, error) {
 	fn := s.replayFn.Load()
 	if fn == nil {
 		return nil, fmt.Errorf("no replay source (flight recorder not attached)")
@@ -384,8 +197,8 @@ func (s *Server) replayResult(body string) (*hwdb.Result, error) {
 	return (*fn)(home, fields[1], from, to)
 }
 
-// statsResult renders the live totals and fleet rate as one tabular row.
-func (s *Server) statsResult() *hwdb.Result {
+// stats renders the live totals and fleet rate as one tabular row.
+func (s *Server) stats(string) (*hwdb.Result, error) {
 	t := s.folder.Totals()
 	r := s.folder.FleetRate()
 	return &hwdb.Result{
@@ -402,18 +215,18 @@ func (s *Server) statsResult() *hwdb.Result {
 			hwdb.Float(r.BytesPerSec),
 			hwdb.Float(r.PacketsPerSec),
 		}},
-	}
+	}, nil
 }
 
-// traceResult renders the punt-lifecycle stage summaries as a tabular
-// result: one row per contract transition, latencies in microseconds.
-func (s *Server) traceResult() *hwdb.Result {
+// stages renders the punt-lifecycle stage summaries as a tabular result:
+// one row per contract transition, latencies in microseconds.
+func (s *Server) stages(string) (*hwdb.Result, error) {
 	res := &hwdb.Result{
 		Cols: []string{"stage", "count", "p50_us", "p99_us", "max_us", "mean_us"},
 	}
 	fn := s.traceFn.Load()
 	if fn == nil {
-		return res
+		return res, nil
 	}
 	for _, st := range (*fn)() {
 		res.Rows = append(res.Rows, []hwdb.Value{
@@ -425,10 +238,5 @@ func (s *Server) traceResult() *hwdb.Result {
 			hwdb.Float(st.MeanNS / 1e3),
 		})
 	}
-	return res
-}
-
-func (s *Server) reply(addr *net.UDPAddr, seq uint64, status, body string) {
-	msg := fmt.Sprintf("%s %d %s\n", rpcMagic, seq, status)
-	_, _ = s.conn.WriteToUDP([]byte(msg+hwdb.TruncateBody(body, len(msg))), addr)
+	return res, nil
 }

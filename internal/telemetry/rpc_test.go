@@ -281,35 +281,6 @@ func TestServerCloseWithoutServe(t *testing.T) {
 	}
 }
 
-// TestParseFleetSubscribe table-drives the subscription body grammar.
-func TestParseFleetSubscribe(t *testing.T) {
-	cases := []struct {
-		body    string
-		want    time.Duration
-		wantErr bool
-	}{
-		{"FLEET EVERY 1 SECONDS", time.Second, false},
-		{"SUBSCRIBE FLEET EVERY 0.5 SECONDS", 500 * time.Millisecond, false},
-		{"fleet every 20 ms", 20 * time.Millisecond, false},
-		{"FLEET EVERY 2 MINUTES", 2 * time.Minute, false},
-		{"FLEET EVERY 0 SECONDS", 0, true},
-		{"FLEET EVERY x SECONDS", 0, true},
-		{"FLEET EVERY 1 FORTNIGHTS", 0, true},
-		{"SELECT * FROM Flows", 0, true},
-		{"", 0, true},
-	}
-	for _, tc := range cases {
-		got, err := parseFleetSubscribe(tc.body)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("%q: err = %v, wantErr %v", tc.body, err, tc.wantErr)
-			continue
-		}
-		if err == nil && got != tc.want {
-			t.Errorf("%q = %v, want %v", tc.body, got, tc.want)
-		}
-	}
-}
-
 // TestServerReplayVerb: REPLAY routes the parsed home/table/bounds to the
 // installed replay source and errors when none is attached.
 func TestServerReplayVerb(t *testing.T) {
