@@ -23,13 +23,15 @@ func homeStep(b *testing.B, r *Router, clk *clock.Simulated) {
 // BenchmarkChurnHomeStep is one home-step of hwbench's web_churn workload
 // without the fleet around it: three wired hosts each browsing at 40 kB/s
 // and opening a new connection every 0.75 s, one tick apart, so every step
-// sets up exactly one new flow, out and back.
+// sets up exactly one new flow, out and back, in a flow table of some 250
+// entries of which a handful moved. The step's measurement poll reads the
+// datapath's counters in place and pays for those few, not for the table.
 //
 //	go test -run '^$' -bench ChurnHomeStep -benchtime 2000x -memprofile mem.out ./internal/core
 //
 // gives the control path's allocation profile per home-step (pprof
-// -sample_index=alloc_space), which is how the buffers worth recycling are
-// found.
+// -sample_index=alloc_objects or alloc_space); -cpuprofile gives where its
+// time goes, settle against poll.
 func BenchmarkChurnHomeStep(b *testing.B) {
 	clk := clock.NewSimulated()
 	r := startRouter(b, func(c *Config) {

@@ -78,11 +78,6 @@ type Config struct {
 	// in-process transport is wrapped; TCP deployments are outside the
 	// fault model.
 	WrapTransport func(ctl, dp oftransport.Transport) (oftransport.Transport, oftransport.Transport)
-	// DisableTrace turns the always-on punt-lifecycle tracer off. Only
-	// the trace-overhead benchmark should need it: tracing's span-record
-	// path is allocation-free and budgeted at <=5% of fleet step
-	// throughput, so production deployments leave it on.
-	DisableTrace bool
 	// TraceRing bounds the per-home span ring (default
 	// trace.DefaultRingSize; overwrite-oldest).
 	TraceRing int
@@ -129,23 +124,26 @@ type Router struct {
 	Forwarder  *Forwarder
 	Measure    *measure.Plane
 	// Tracer holds the home's punt-lifecycle spans and per-stage latency
-	// histograms (nil when Config.DisableTrace; trace methods are
-	// nil-safe, so readers need no guard).
+	// histograms. Tracing is always on; trace methods are nil-safe all the
+	// same.
 	Tracer *trace.Tracer
 
 	sw *nox.Switch
 }
 
-// linkAdapter bridges netsim's LinkInfos to the measurement plane.
-type linkAdapter struct{ net *netsim.Network }
+// linkAdapter bridges netsim's link state to the measurement plane. Its
+// buffer is reused from poll to poll; the plane polls from one goroutine.
+type linkAdapter struct {
+	net *netsim.Network
+	buf []netsim.LinkInfo
+}
 
-func (l linkAdapter) LinkInfos() []measure.LinkSample {
-	infos := l.net.LinkInfos()
-	out := make([]measure.LinkSample, len(infos))
-	for i, li := range infos {
-		out[i] = measure.LinkSample{MAC: li.MAC, RSSI: li.RSSI, Retries: li.Retries, Rate: li.Rate}
+func (l *linkAdapter) AppendLinkSamples(dst []measure.LinkSample) []measure.LinkSample {
+	l.buf = l.net.AppendLinkInfos(l.buf[:0])
+	for _, li := range l.buf {
+		dst = append(dst, measure.LinkSample{MAC: li.MAC, RSSI: li.RSSI, Retries: li.Retries, Rate: li.Rate})
 	}
-	return out
+	return dst
 }
 
 // New assembles a router and its simulated home network. Call Start to
@@ -180,9 +178,7 @@ func New(cfg Config) (*Router, error) {
 	r.DB = hwdb.NewHomework(cfg.Clock, cfg.RingSize)
 	r.Policy = policy.NewEngine(cfg.Clock)
 
-	if !cfg.DisableTrace {
-		r.Tracer = trace.New(cfg.TraceRing)
-	}
+	r.Tracer = trace.New(cfg.TraceRing)
 	r.Datapath = datapath.New(datapath.Config{
 		ID: 0x00163e000001, Clock: cfg.Clock,
 		Description: "Homework home router",
@@ -248,7 +244,8 @@ func New(cfg Config) (*Router, error) {
 
 	r.Measure = measure.New(measure.Config{
 		DB: r.DB, Clock: cfg.Clock, Interval: cfg.MeasureInterval,
-		Links:      linkAdapter{net: r.Net},
+		Stats:      r.Datapath.StatsView(),
+		Links:      &linkAdapter{net: r.Net},
 		Resolver:   r.DHCP,
 		HomePrefix: cfg.RouterIP, HomePrefixLen: 24,
 	})
@@ -347,11 +344,12 @@ func (r *Router) Stop() {
 }
 
 // PollMeasure runs one measurement round (deterministic alternative to the
-// background loop).
-func (r *Router) PollMeasure() { r.Measure.PollOnce(r.sw) }
+// background loop). The plane reads the co-resident datapath's counters in
+// place, whichever transport the controller is attached over.
+func (r *Router) PollMeasure() { r.Measure.PollOnce() }
 
 // RunMeasure starts the periodic measurement loop.
-func (r *Router) RunMeasure() { go r.Measure.Run(r.sw) }
+func (r *Router) RunMeasure() { go r.Measure.Run() }
 
 // Settle blocks until the control path is quiescent: every packet-in the
 // datapath has punted has been dispatched by the controller, and a

@@ -308,7 +308,7 @@ func (dp *Datapath) handleStats(m *openflow.StatsRequest) {
 			DPDesc:    dp.desc,
 		}
 	case openflow.StatsFlow:
-		rep.Flows = dp.table.flowStats(openflow.FlowStatsBufs.Get(), &m.Flow.Match, m.Flow.OutPort, now)
+		rep.Flows = dp.table.flowStats(&m.Flow.Match, m.Flow.OutPort, now)
 	case openflow.StatsAggregate:
 		var agg openflow.AggregateStats
 		for _, e := range dp.table.Entries(&m.Flow.Match, m.Flow.OutPort) {
@@ -326,7 +326,6 @@ func (dp *Datapath) handleStats(m *openflow.StatsRequest) {
 			LookupCount: lookups, MatchedCount: matched,
 		}}
 	case openflow.StatsPort:
-		rep.Ports = openflow.PortStatsBufs.Get()
 		for _, p := range dp.Ports() {
 			if m.Port.PortNo != openflow.PortNone && m.Port.PortNo != p.No {
 				continue

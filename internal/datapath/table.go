@@ -17,7 +17,9 @@
 // half of the control plane's event-driven settle protocol. A new flow
 // costs one packet-in: further misses of the flow at the same clock
 // reading wait behind that punt and leave, in order, when the controller's
-// answer references its buffer (docs/CONTROL_PLANE.md, P1 and P2).
+// answer references its buffer (docs/CONTROL_PLANE.md, P1 and P2). A reader
+// in the same process, the measurement plane, reads flow and port counters
+// in place through StatsView rather than through stats requests.
 package datapath
 
 import (
@@ -370,17 +372,11 @@ func (t *FlowTable) Entries(m *openflow.Match, outPort uint16) []*FlowEntry {
 }
 
 // flowStats returns the flow-stats entry of every table entry
-// Entries(m, outPort) would return, in one walk of the table, built in buf
-// when that has room for the whole table.
-func (t *FlowTable) flowStats(buf []openflow.FlowStats, m *openflow.Match, outPort uint16, now time.Time) []openflow.FlowStats {
+// Entries(m, outPort) would return, in one walk of the table.
+func (t *FlowTable) flowStats(m *openflow.Match, outPort uint16, now time.Time) []openflow.FlowStats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	// Room for the table and no more: buf is a recycled buffer that stays
-	// in the process's stock, where append's doubling would stay too.
-	dst := buf[:0]
-	if n := len(t.exact) + len(t.wild); cap(dst) < n {
-		dst = make([]openflow.FlowStats, 0, n)
-	}
+	dst := make([]openflow.FlowStats, 0, len(t.exact)+len(t.wild))
 	t.each(m, outPort, func(e *FlowEntry) {
 		dur := now.Sub(e.Installed)
 		dst = append(dst, openflow.FlowStats{

@@ -564,8 +564,7 @@ func (c *Coordinator) ShardStats() []ShardStats {
 
 // TraceStats merges every shard's punt-lifecycle trace histograms into
 // one fleet-wide per-stage latency summary (p50/p99/max/mean per
-// contract transition). Homes built with core.Config.DisableTrace
-// contribute nothing. Safe to call from any goroutine, concurrently with
+// contract transition). Safe to call from any goroutine, concurrently with
 // Step: snapshots read the tracers' atomics, never their locks.
 func (c *Coordinator) TraceStats() []trace.StageStats {
 	var merged trace.Snapshot

@@ -371,15 +371,12 @@ func (e *Engine) Stats() Stats {
 }
 
 // TraceSnapshot merges the punt-lifecycle trace histograms of every home
-// the engine currently holds. Homes built with core.Config.DisableTrace
-// contribute nothing. Safe to call concurrently with Step: snapshots
-// read the tracers' atomics, never their locks.
+// the engine currently holds. Safe to call concurrently with Step:
+// snapshots read the tracers' atomics, never their locks.
 func (e *Engine) TraceSnapshot() trace.Snapshot {
 	var merged trace.Snapshot
 	for _, h := range e.Homes() {
-		if t := h.Router.Tracer; t != nil {
-			merged.Merge(t.Snapshot())
-		}
+		merged.Merge(h.Router.Tracer.Snapshot())
 	}
 	return merged
 }

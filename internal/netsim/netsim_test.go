@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -124,11 +125,47 @@ func TestLinkInfosTrackPosition(t *testing.T) {
 	w.Shadow = 0
 	n := New(dp, w)
 	h, _ := n.AddHost("phone", packet.MustMAC("02:aa:00:00:00:01"), true, Pos{X: 1})
-	near := n.LinkInfos()[0].RSSI
+	near := n.AppendLinkInfos(nil)[0].RSSI
 	h.MoveTo(Pos{X: 30})
-	far := n.LinkInfos()[0].RSSI
+	far := n.AppendLinkInfos(nil)[0].RSSI
 	if far >= near {
 		t.Errorf("RSSI near=%d far=%d", near, far)
+	}
+}
+
+// Each station's RSSI draws its shadowing from the one seeded model, so a
+// seed gives every station the same sequence only if the stations are
+// walked in the same order on every run: two networks on one seed report
+// identical per-station RSSI, poll after poll.
+func TestLinkInfosDeterministicPerStation(t *testing.T) {
+	history := func() map[packet.MAC][]int {
+		n := New(datapath.New(datapath.Config{ID: 1}), DefaultWireless(7))
+		for i, x := range []float64{2, 6, 11} {
+			if _, err := n.AddHost("station", packet.MAC{2, 0xaa, 0, 0, 0, byte(i)}, true, Pos{X: x}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := n.AddHost("desktop", packet.MustMAC("02:bb:00:00:00:01"), false, Pos{}); err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[packet.MAC][]int)
+		var buf []LinkInfo
+		for poll := 0; poll < 200; poll++ {
+			buf = n.AppendLinkInfos(buf[:0])
+			if len(buf) != 3 {
+				t.Fatalf("poll %d: %d stations, want 3", poll, len(buf))
+			}
+			for _, li := range buf {
+				out[li.MAC] = append(out[li.MAC], li.RSSI)
+			}
+		}
+		return out
+	}
+	first, second := history(), history()
+	for mac, want := range first {
+		if got := second[mac]; !slices.Equal(got, want) {
+			t.Fatalf("station %s: RSSI differs between two runs of one seed:\n%v\n%v", mac, want, got)
+		}
 	}
 }
 

@@ -299,21 +299,26 @@ func (n *Network) fromUpstreamBatch(u *Upstream, fb *packet.FrameBatch) {
 	n.dp.ReceiveBatch(u.port, fb)
 }
 
-// LinkInfos returns a snapshot of wireless link state for every station,
-// refreshing RSSI from current positions (so a silent station still
-// reports signal strength, as the artifact's walk-through mode needs).
-func (n *Network) LinkInfos() []LinkInfo {
+// AppendLinkInfos appends the wireless link state of every station to dst,
+// in port order, and returns it. RSSI is refreshed from current positions
+// (so a silent station still reports signal strength, as the artifact's
+// walk-through mode needs); each refresh draws the station's shadowing from
+// the one seeded model, so the port order is what makes a seed give each
+// station the same draws.
+func (n *Network) AppendLinkInfos(dst []LinkInfo) []LinkInfo {
+	hosts := n.orderedHosts()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]LinkInfo, 0, len(n.links))
-	for mac, li := range n.links {
-		if h, ok := n.hosts[mac]; ok {
-			li.RSSI = n.wireless.RSSI(h.Pos().Dist(n.routerAt))
-			li.Rate = n.wireless.Rate(li.RSSI)
+	for _, h := range hosts {
+		li := n.links[h.MAC]
+		if li == nil {
+			continue
 		}
-		out = append(out, *li)
+		li.RSSI = n.wireless.RSSI(h.Pos().Dist(n.routerAt))
+		li.Rate = n.wireless.Rate(li.RSSI)
+		dst = append(dst, *li)
 	}
-	return out
+	return dst
 }
 
 // Step advances every application by dt seconds of simulated traffic.

@@ -98,13 +98,14 @@ type Component interface {
 type Controller struct {
 	mu         sync.RWMutex
 	components []Component
-	packetIn   []func(*PacketInEvent) Disposition
-	join       []func(*JoinEvent)
-	leave      []func(*LeaveEvent)
-	flowRem    []func(*FlowRemovedEvent)
-	portStatus []func(*PortStatusEvent)
 	switches   map[uint64]*Switch
 	serving    map[oftransport.Transport]struct{}
+
+	packetIn   chain[func(*PacketInEvent) Disposition]
+	join       chain[func(*JoinEvent)]
+	leave      chain[func(*LeaveEvent)]
+	flowRem    chain[func(*FlowRemovedEvent)]
+	portStatus chain[func(*PortStatusEvent)]
 
 	ln        net.Listener
 	wg        sync.WaitGroup
@@ -187,41 +188,50 @@ func (c *Controller) Components() []string {
 	return names
 }
 
+// chain is a handler list published copy-on-write: registering a handler
+// stores a new slice, and a stored slice is never written again, so a
+// dispatch ranges over the one it loaded without copying it. A handler
+// registered during a dispatch runs from the next one on.
+type chain[F any] struct{ fns atomic.Pointer[[]F] }
+
+func (c *chain[F]) add(fn F) {
+	for {
+		old := c.fns.Load()
+		var fns []F
+		if old != nil {
+			fns = *old
+		}
+		fns = append(fns[:len(fns):len(fns)], fn)
+		if c.fns.CompareAndSwap(old, &fns) {
+			return
+		}
+	}
+}
+
+// load returns the handlers registered so far, in registration order. The
+// caller must not modify the slice.
+func (c *chain[F]) load() []F {
+	if fns := c.fns.Load(); fns != nil {
+		return *fns
+	}
+	return nil
+}
+
 // OnPacketIn registers a packet-in handler; handlers run in registration
 // order until one returns Stop.
-func (c *Controller) OnPacketIn(fn func(*PacketInEvent) Disposition) {
-	c.mu.Lock()
-	c.packetIn = append(c.packetIn, fn)
-	c.mu.Unlock()
-}
+func (c *Controller) OnPacketIn(fn func(*PacketInEvent) Disposition) { c.packetIn.add(fn) }
 
 // OnJoin registers a datapath-join handler.
-func (c *Controller) OnJoin(fn func(*JoinEvent)) {
-	c.mu.Lock()
-	c.join = append(c.join, fn)
-	c.mu.Unlock()
-}
+func (c *Controller) OnJoin(fn func(*JoinEvent)) { c.join.add(fn) }
 
 // OnLeave registers a datapath-leave handler.
-func (c *Controller) OnLeave(fn func(*LeaveEvent)) {
-	c.mu.Lock()
-	c.leave = append(c.leave, fn)
-	c.mu.Unlock()
-}
+func (c *Controller) OnLeave(fn func(*LeaveEvent)) { c.leave.add(fn) }
 
 // OnFlowRemoved registers a flow-removed handler.
-func (c *Controller) OnFlowRemoved(fn func(*FlowRemovedEvent)) {
-	c.mu.Lock()
-	c.flowRem = append(c.flowRem, fn)
-	c.mu.Unlock()
-}
+func (c *Controller) OnFlowRemoved(fn func(*FlowRemovedEvent)) { c.flowRem.add(fn) }
 
 // OnPortStatus registers a port-status handler.
-func (c *Controller) OnPortStatus(fn func(*PortStatusEvent)) {
-	c.mu.Lock()
-	c.portStatus = append(c.portStatus, fn)
-	c.mu.Unlock()
-}
+func (c *Controller) OnPortStatus(fn func(*PortStatusEvent)) { c.portStatus.add(fn) }
 
 // ListenAndServe accepts datapath connections on a TCP address until Close.
 func (c *Controller) ListenAndServe(addr string) error {
@@ -382,9 +392,8 @@ func (c *Controller) ServeTransport(tr oftransport.Transport) error {
 
 	c.mu.Lock()
 	c.switches[sw.dpid] = sw
-	joinHandlers := append([]func(*JoinEvent){}, c.join...)
 	c.mu.Unlock()
-	for _, fn := range joinHandlers {
+	for _, fn := range c.join.load() {
 		fn(&JoinEvent{Switch: sw, Features: features})
 	}
 
@@ -394,28 +403,17 @@ func (c *Controller) ServeTransport(tr oftransport.Transport) error {
 	if c.switches[sw.dpid] == sw {
 		delete(c.switches, sw.dpid)
 	}
-	leaveHandlers := append([]func(*LeaveEvent){}, c.leave...)
 	c.mu.Unlock()
-	for _, fn := range leaveHandlers {
+	for _, fn := range c.leave.load() {
 		fn(&LeaveEvent{Switch: sw})
 	}
 	return err
 }
 
-// packetInHandlers snapshots the packet-in handler chain. The switch
-// read loop takes one snapshot per drained batch (not per punt) and runs
-// it with dispatchPacketIn; the quiescence epoch is credited via
-// noteProcessed after the whole batch.
-func (c *Controller) packetInHandlers() []func(*PacketInEvent) Disposition {
-	c.mu.RLock()
-	handlers := append([]func(*PacketInEvent) Disposition{}, c.packetIn...)
-	c.mu.RUnlock()
-	return handlers
-}
-
-// dispatchPacketIn runs a snapshotted handler chain for one punt.
-func dispatchPacketIn(handlers []func(*PacketInEvent) Disposition, ev *PacketInEvent) {
-	for _, fn := range handlers {
+// dispatchPacketIn runs the packet-in handler chain for one punt; the
+// quiescence epoch is credited via noteProcessed after the whole batch.
+func (c *Controller) dispatchPacketIn(ev *PacketInEvent) {
+	for _, fn := range c.packetIn.load() {
 		if fn(ev) == Stop {
 			return
 		}
@@ -423,19 +421,13 @@ func dispatchPacketIn(handlers []func(*PacketInEvent) Disposition, ev *PacketInE
 }
 
 func (c *Controller) dispatchFlowRemoved(ev *FlowRemovedEvent) {
-	c.mu.RLock()
-	handlers := append([]func(*FlowRemovedEvent){}, c.flowRem...)
-	c.mu.RUnlock()
-	for _, fn := range handlers {
+	for _, fn := range c.flowRem.load() {
 		fn(ev)
 	}
 }
 
 func (c *Controller) dispatchPortStatus(ev *PortStatusEvent) {
-	c.mu.RLock()
-	handlers := append([]func(*PortStatusEvent){}, c.portStatus...)
-	c.mu.RUnlock()
-	for _, fn := range handlers {
+	for _, fn := range c.portStatus.load() {
 		fn(ev)
 	}
 }

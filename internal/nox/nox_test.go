@@ -3,10 +3,10 @@ package nox
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"runtime/debug"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -674,40 +674,8 @@ func fillTable(t *testing.T, dp *datapath.Datapath, n int) {
 	}
 }
 
-// A warm flow-stats poll of a web_churn-sized table over the in-process
-// transport allocates its two messages and nothing the size of the table:
-// the reply is built in a buffer an earlier poll handed back, the table is
-// walked once, and the request waits on a recycled channel and timer.
-func TestWarmFlowStatsPollAllocatesNoReply(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the waiter pool
-	rig := newInprocRig(t, NewController())
-	const entries = 252
-	fillTable(t, rig.dp, entries)
-	poll := func() {
-		stats, err := rig.sw.FlowStats(openflow.MatchAll())
-		if err != nil || len(stats) != entries {
-			t.Fatalf("flow stats: %d entries, %v", len(stats), err)
-		}
-		openflow.FlowStatsBufs.Put(stats)
-	}
-	for i := 0; i < 10; i++ {
-		poll()
-	}
-	const rounds = 100
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < rounds; i++ {
-		poll()
-	}
-	runtime.ReadMemStats(&m1)
-	if per := (m1.TotalAlloc - m0.TotalAlloc) / rounds; per >= 2<<10 {
-		t.Errorf("a warm poll of %d entries allocates %d bytes, want less than 2 KB", entries, per)
-	}
-}
-
-// A reply belongs to its requester: one that is kept and not handed back
-// is not touched by the polls that follow, whose replies are handed back
-// and rebuilt over and over in the same buffers.
+// A reply belongs to its requester: one that is kept is not touched by the
+// polls that follow, however often the counters it copied move.
 func TestKeptStatsReplyStaysIntact(t *testing.T) {
 	rig := newInprocRig(t, NewController())
 	fillTable(t, rig.dp, 64)
@@ -725,16 +693,12 @@ func TestKeptStatsReplyStaysIntact(t *testing.T) {
 		packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1024, 80, packet.TCPAck, 0, nil).Bytes()
 	for i := 0; i < 100; i++ {
 		rig.dp.Receive(1, hit) // counters move, so every reply differs from the kept one
-		stats, err := rig.sw.FlowStats(openflow.MatchAll())
-		if err != nil || len(stats) != 64 {
+		if stats, err := rig.sw.FlowStats(openflow.MatchAll()); err != nil || len(stats) != 64 {
 			t.Fatalf("poll %d: %d entries, %v", i, len(stats), err)
 		}
-		openflow.FlowStatsBufs.Put(stats)
-		ports, err := rig.sw.PortStats(openflow.PortNone)
-		if err != nil || len(ports) != 2 {
+		if ports, err := rig.sw.PortStats(openflow.PortNone); err != nil || len(ports) != 2 {
 			t.Fatalf("poll %d: %d ports, %v", i, len(ports), err)
 		}
-		openflow.PortStatsBufs.Put(ports)
 	}
 	for i := range want {
 		if !reflect.DeepEqual(kept[i], want[i]) {
@@ -834,5 +798,64 @@ func TestWarmBarrierAllocatesOnlyTheReply(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, barrier); allocs != 1 {
 		t.Errorf("a warm in-process barrier allocates %g times, want 1 (the datapath's reply)", allocs)
+	}
+}
+
+// Dispatch reads the handler chain registration published, without a copy
+// of it per event: a flow-removed costs its handlers and nothing else. A
+// handler registered afterwards runs from the next event on.
+func TestFlowRemovedDispatchAllocatesNothing(t *testing.T) {
+	ctl := NewController()
+	var calls [3]int
+	for i := range 2 {
+		ctl.OnFlowRemoved(func(*FlowRemovedEvent) { calls[i]++ })
+	}
+	ev := &FlowRemovedEvent{Msg: &openflow.FlowRemoved{Match: openflow.MatchAll()}}
+	if allocs := testing.AllocsPerRun(100, func() { ctl.dispatchFlowRemoved(ev) }); allocs != 0 {
+		t.Errorf("a flow-removed dispatch allocates %g times, want 0", allocs)
+	}
+	ctl.OnFlowRemoved(func(*FlowRemovedEvent) { calls[2]++ })
+	ctl.dispatchFlowRemoved(ev)
+	if calls != [3]int{102, 102, 1} {
+		t.Errorf("handler calls %v, want 102, 102 and 1", calls)
+	}
+}
+
+// Registration publishes a new chain while dispatches read the old one:
+// handlers registered from several goroutines during a stream of events all
+// end up in the chain, once each, in the order each goroutine added them.
+func TestRegisterDuringDispatch(t *testing.T) {
+	ctl := NewController()
+	const writers, each = 4, 50
+	var last [writers]atomic.Int64
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				ctl.OnFlowRemoved(func(*FlowRemovedEvent) { last[w].Store(int64(i)) })
+			}
+		}()
+	}
+	ev := &FlowRemovedEvent{Msg: &openflow.FlowRemoved{}}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for dispatching := true; dispatching; {
+		select {
+		case <-done:
+			dispatching = false
+		default:
+			ctl.dispatchFlowRemoved(ev)
+		}
+	}
+	if n := len(ctl.flowRem.load()); n != writers*each {
+		t.Fatalf("%d handlers in the chain, want %d", n, writers*each)
+	}
+	ctl.dispatchFlowRemoved(ev)
+	for w := range writers {
+		if got := last[w].Load(); got != each-1 {
+			t.Errorf("writer %d: last handler to run was its %dth, want its %dth", w, got, each-1)
+		}
 	}
 }

@@ -80,10 +80,8 @@ func (sw *Switch) readLoop() error {
 			}
 			return err
 		}
-		// The handler chain is snapshotted at most once per drained
-		// batch, on its first punt. The tracer pointer is likewise loaded
-		// once per batch; its stamp methods are nil-safe.
-		var handlers []func(*PacketInEvent) Disposition
+		// The tracer pointer is loaded once per batch; its stamp methods
+		// are nil-safe.
 		tracer := sw.ctl.tracer.Load()
 		punts := 0
 		for i, msg := range batch {
@@ -99,14 +97,11 @@ func (sw *Switch) readLoop() error {
 				rep.Header.XID = m.Header.XID
 				_ = sw.Send(rep)
 			case *openflow.PacketIn:
-				if handlers == nil {
-					handlers = sw.ctl.packetInHandlers()
-				}
 				tracer.BeginDispatch()
 				_ = d.Decode(m.Data) // partial decode is fine; handlers check Has*
 				ev = PacketInEvent{Switch: sw, Msg: m, Decoded: &d}
 				sw.unanswered.Store(m.BufferID)
-				dispatchPacketIn(handlers, &ev)
+				sw.ctl.dispatchPacketIn(&ev)
 				// Every buffered packet-in is answered exactly once: what
 				// no handler referenced is discarded with an action-less
 				// packet-out, so the datapath frees the slot and sends

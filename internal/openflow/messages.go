@@ -51,12 +51,7 @@ type PhyPort struct {
 func (p *PhyPort) encode(b []byte) []byte {
 	b = binary.BigEndian.AppendUint16(b, p.PortNo)
 	b = append(b, p.HWAddr[:]...)
-	name := p.Name
-	if len(name) > 15 {
-		name = name[:15]
-	}
-	b = append(b, name...)
-	b = append(b, make([]byte, 16-len(name))...)
+	b = appendPadded(b, p.Name, 16)
 	b = binary.BigEndian.AppendUint32(b, p.Config)
 	b = binary.BigEndian.AppendUint32(b, p.State)
 	b = binary.BigEndian.AppendUint32(b, p.Curr)
@@ -72,14 +67,7 @@ func (p *PhyPort) decode(b []byte) error {
 	}
 	p.PortNo = binary.BigEndian.Uint16(b[0:2])
 	copy(p.HWAddr[:], b[2:8])
-	name := b[8:24]
-	for i, c := range name {
-		if c == 0 {
-			name = name[:i]
-			break
-		}
-	}
-	p.Name = string(name)
+	p.Name = paddedString(b[8:24])
 	p.Config = binary.BigEndian.Uint32(b[24:28])
 	p.State = binary.BigEndian.Uint32(b[28:32])
 	p.Curr = binary.BigEndian.Uint32(b[32:36])

@@ -1,8 +1,8 @@
 package openflow
 
 import (
+	"bytes"
 	"encoding/binary"
-	"runtime"
 )
 
 // Stats types (ofp_stats_types).
@@ -168,12 +168,7 @@ const tableStatsLen = 64
 
 func (t *TableStats) encode(b []byte) []byte {
 	b = append(b, t.TableID, 0, 0, 0)
-	name := t.Name
-	if len(name) > 31 {
-		name = name[:31]
-	}
-	b = append(b, name...)
-	b = append(b, make([]byte, 32-len(name))...)
+	b = appendPadded(b, t.Name, 32)
 	b = binary.BigEndian.AppendUint32(b, t.Wildcards)
 	b = binary.BigEndian.AppendUint32(b, t.MaxEntries)
 	b = binary.BigEndian.AppendUint32(b, t.ActiveCount)
@@ -187,14 +182,7 @@ func (t *TableStats) decode(b []byte) error {
 		return ErrTruncated
 	}
 	t.TableID = b[0]
-	name := b[4:36]
-	for i, c := range name {
-		if c == 0 {
-			name = name[:i]
-			break
-		}
-	}
-	t.Name = string(name)
+	t.Name = paddedString(b[4:36])
 	t.Wildcards = binary.BigEndian.Uint32(b[36:40])
 	t.MaxEntries = binary.BigEndian.Uint32(b[40:44])
 	t.ActiveCount = binary.BigEndian.Uint32(b[44:48])
@@ -263,6 +251,8 @@ type DescStats struct {
 	DPDesc    string
 }
 
+// appendPadded appends s as an n-byte NUL-padded field, cut to n-1 bytes so
+// that the field always ends in a NUL.
 func appendPadded(b []byte, s string, n int) []byte {
 	if len(s) >= n {
 		s = s[:n-1]
@@ -271,11 +261,12 @@ func appendPadded(b []byte, s string, n int) []byte {
 	return append(b, make([]byte, n-len(s))...)
 }
 
+// paddedString reads a field appendPadded wrote: up to its first NUL, and
+// never its last byte, so what decodes encodes to the same string.
 func paddedString(b []byte) string {
-	for i, c := range b {
-		if c == 0 {
-			return string(b[:i])
-		}
+	b = b[:len(b)-1]
+	if i := bytes.IndexByte(b, 0); i >= 0 {
+		b = b[:i]
 	}
 	return string(b)
 }
@@ -292,48 +283,6 @@ type StatsReply struct {
 	Aggregate AggregateStats
 	Tables    []TableStats
 	Ports     []PortStats
-}
-
-// FlowStatsBufs and PortStatsBufs recycle the backing of StatsReply.Flows
-// and .Ports across every datapath of the process: a poll's reply is as
-// long as the flow table and dead once the requester has read it, and the
-// next poll, of this home or the next one its shard steps, wants as much.
-var (
-	FlowStatsBufs = make(statsBufs[FlowStats], runtime.GOMAXPROCS(0))
-	PortStatsBufs = make(statsBufs[PortStats], runtime.GOMAXPROCS(0))
-)
-
-// statsBufs is a free list of reply backings, with room for as many as
-// polls can run at once. It is a list and not a sync.Pool because the
-// datapath's goroutine takes and the requester's hands back: a Pool strands
-// what was put on one P out of reach of a Get on another, and was measured
-// holding three replies where one circulates.
-type statsBufs[T any] chan []T
-
-// Get returns an empty slice to build a stats reply's entries in, on
-// recycled backing when there is some.
-func (b statsBufs[T]) Get() []T {
-	select {
-	case s := <-b:
-		return s
-	default:
-		return nil
-	}
-}
-
-// Put hands the entries of a stats reply back for a later reply to be built
-// in, cleared so that no Actions keep a removed flow's alive. A reply
-// belongs to whoever requested it: only they may hand it back, once, when
-// nothing reads it any more. Not handing it back costs only the reuse.
-func (b statsBufs[T]) Put(s []T) {
-	if cap(s) == 0 {
-		return
-	}
-	clear(s)
-	select {
-	case b <- s[:0]:
-	default:
-	}
 }
 
 func (m *StatsReply) encodeBody(b []byte) []byte {
