@@ -11,36 +11,26 @@ import (
 
 // homeStep is what the fleet engine does to a home per tick: traffic,
 // settle, measurement poll, then the clock moves.
-func homeStep(b *testing.B, r *Router, clk *clock.Simulated) {
+func homeStep(tb testing.TB, r *Router, clk *clock.Simulated) {
 	r.Net.Step(0.25)
 	if err := r.Settle(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	r.PollMeasure()
 	clk.Advance(250 * time.Millisecond)
 }
 
-// BenchmarkChurnHomeStep is one home-step of hwbench's web_churn workload
-// without the fleet around it: three wired hosts each browsing at 40 kB/s
-// and opening a new connection every 0.75 s, one tick apart, so every step
-// sets up exactly one new flow, out and back, in a flow table of some 250
-// entries of which a handful moved. The step's measurement poll reads the
-// datapath's counters in place and pays for those few, not for the table.
-//
-//	go test -run '^$' -bench ChurnHomeStep -benchtime 2000x -memprofile mem.out ./internal/core
-//
-// gives the control path's allocation profile per home-step (pprof
-// -sample_index=alloc_objects or alloc_space); -cpuprofile gives where its
-// time goes, settle against poll.
-func BenchmarkChurnHomeStep(b *testing.B) {
+// churnHomeStep returns BenchmarkChurnHomeStep's home, warmed into steady
+// state, and its home-step.
+func churnHomeStep(tb testing.TB) (*Router, func()) {
 	clk := clock.NewSimulated()
-	r := startRouter(b, func(c *Config) {
+	r := startRouter(tb, func(c *Config) {
 		c.Clock = clk
 		c.DisableRPC = true
 	})
-	step := func() { homeStep(b, r, clk) }
+	step := func() { homeStep(tb, r, clk) }
 	for i := 0; i < 3; i++ {
-		h := join(b, r, fmt.Sprint("browser", i), fmt.Sprintf("02:aa:00:00:01:%02x", i), false, netsim.Pos{})
+		h := join(tb, r, fmt.Sprint("browser", i), fmt.Sprintf("02:aa:00:00:01:%02x", i), false, netsim.Pos{})
 		app := netsim.NewApp(netsim.AppWeb, "203.0.113.10", 40_000)
 		app.SetFlowChurn(0.75)
 		h.AddApp(app)
@@ -51,6 +41,28 @@ func BenchmarkChurnHomeStep(b *testing.B) {
 	for i := 0; i < 260; i++ {
 		step()
 	}
+	return r, step
+}
+
+// BenchmarkChurnHomeStep is one home-step of hwbench's web_churn workload
+// without the fleet around it: three wired hosts each browsing at 40 kB/s
+// and opening a new connection every 0.75 s, one tick apart, so every step
+// sets up exactly one new flow, out and back, in a flow table of some 250
+// entries of which a handful moved. The step's measurement poll reads the
+// datapath's counters in place and pays for those few, not for the table.
+// What a step allocates is what outlives it — for each direction of the new
+// flow a punt buffer (packet-in and head inside), a flow-mod and a flow
+// entry; a flow-removed for each of the two entries the step expires — and
+// the settle's barrier replies and the expiry timer: about ten objects
+// (TestChurnHomeStepAllocations holds it to at most twelve).
+//
+//	go test -run '^$' -bench ChurnHomeStep -benchtime 2000x -memprofile mem.out ./internal/core
+//
+// gives the control path's allocation profile per home-step (pprof
+// -sample_index=alloc_objects or alloc_space); -cpuprofile gives where its
+// time goes, settle against poll.
+func BenchmarkChurnHomeStep(b *testing.B) {
+	r, step := churnHomeStep(b)
 	punts := r.Datapath.PuntCount()
 	b.ReportAllocs()
 	b.ResetTimer()

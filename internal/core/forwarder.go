@@ -54,7 +54,7 @@ type Forwarder struct {
 	// flow-mod is emitted. It runs on the controller's dispatch goroutine
 	// (the router uses it to record punt-to-install latency into the
 	// measurement plane); keep it cheap and non-blocking.
-	OnInstall func(m *openflow.Match)
+	OnInstall func(m openflow.Match)
 
 	mu        sync.Mutex
 	macPort   map[packet.MAC]uint16
@@ -63,8 +63,18 @@ type Forwarder struct {
 	admitted  uint64
 	// upstreamActs is the rewrite+output action list toward the uplink,
 	// built once and shared read-only by every upstream-bound flow entry
-	// instead of allocated per admitted flow.
+	// instead of allocated per admitted flow; deviceActs is the same per
+	// home device, rebuilt when the device is learned on another port. A
+	// list is never written once built, so the entries installed before a
+	// move keep theirs.
 	upstreamActs []openflow.Action
+	deviceActs   map[packet.MAC]portActs
+}
+
+// portActs is a device's rewrite+output list and the port it outputs to.
+type portActs struct {
+	port uint16
+	acts []openflow.Action
 }
 
 type installedKey struct {
@@ -79,6 +89,7 @@ func NewForwarder() *Forwarder {
 		DropIdleTimeout: 5,
 		macPort:         make(map[packet.MAC]uint16),
 		installed:       make(map[installedKey]struct{}),
+		deviceActs:      make(map[packet.MAC]portActs),
 	}
 }
 
@@ -229,7 +240,7 @@ func (f *Forwarder) handleIPv4(ev *nox.PacketInEvent) nox.Disposition {
 	_ = ev.Switch.InstallFlow(m, PriorityForward, f.IdleTimeout, f.HardTimeout,
 		actions, nox.WithBuffer(ev.Msg.BufferID), nox.WithFlowRemoved())
 	if f.OnInstall != nil {
-		f.OnInstall(&m)
+		f.OnInstall(m)
 	}
 	return nox.Stop
 }
@@ -282,35 +293,44 @@ func (f *Forwarder) flowAllowed(ev *nox.PacketInEvent, devMAC packet.MAC, d *pac
 	return f.DNS.FlowPermitted(ev.Switch, devMAC, remote)
 }
 
-// nexthopActions builds the rewrite+output action list toward dst.
+// nexthopActions returns the rewrite+output action list toward dst: a
+// leased device's, or the uplink's. Lists are shared, read-only.
 func (f *Forwarder) nexthopActions(dst packet.IP4) ([]openflow.Action, bool) {
 	if f.DHCP != nil {
 		if dev, ok := f.DHCP.DeviceByIP(dst); ok {
-			port, known := f.portFor(dev.MAC)
+			f.mu.Lock()
+			defer f.mu.Unlock()
+			port, known := f.macPort[dev.MAC]
 			if !known {
 				return nil, false
 			}
-			return []openflow.Action{
-				&openflow.ActionSetDLSrc{Addr: f.RouterMAC},
-				&openflow.ActionSetDLDst{Addr: dev.MAC},
-				&openflow.ActionOutput{Port: port},
-			}, true
+			c := f.deviceActs[dev.MAC]
+			if c.acts == nil || c.port != port {
+				c = portActs{port, f.rewriteTo(dev.MAC, port)}
+				f.deviceActs[dev.MAC] = c
+			}
+			return c.acts, true
 		}
 	}
 	if f.UpstreamPort == 0 {
 		return nil, false
 	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.upstreamActs == nil {
-		f.upstreamActs = []openflow.Action{
-			&openflow.ActionSetDLSrc{Addr: f.RouterMAC},
-			&openflow.ActionSetDLDst{Addr: f.UpstreamMAC},
-			&openflow.ActionOutput{Port: f.UpstreamPort},
-		}
+		f.upstreamActs = f.rewriteTo(f.UpstreamMAC, f.UpstreamPort)
 	}
-	acts := f.upstreamActs
-	f.mu.Unlock()
-	return acts, true
+	return f.upstreamActs, true
+}
+
+// rewriteTo builds the action list of a routed hop: the router's MAC as
+// source, the next hop's as destination, out of its port.
+func (f *Forwarder) rewriteTo(mac packet.MAC, port uint16) []openflow.Action {
+	return []openflow.Action{
+		&openflow.ActionSetDLSrc{Addr: f.RouterMAC},
+		&openflow.ActionSetDLDst{Addr: mac},
+		&openflow.ActionOutput{Port: port},
+	}
 }
 
 // installDrop caches a denial as an empty-action entry so repeated packets

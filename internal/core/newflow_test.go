@@ -1,0 +1,216 @@
+package core
+
+import (
+	"runtime/debug"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/clock"
+	"repro/internal/netsim"
+	"repro/internal/nox"
+	"repro/internal/oftransport"
+	"repro/internal/openflow"
+	"repro/internal/packet"
+)
+
+// raceEnabled is set by race_test.go in a build with the race detector.
+var raceEnabled bool
+
+// swallowTap sits on the controller's end of the control channel (install
+// it as Config.WrapTransport): once on, what the controller sends never
+// reaches the datapath.
+type swallowTap struct {
+	oftransport.Transport
+	on atomic.Bool
+}
+
+func (tap *swallowTap) wrap(ctl, dp oftransport.Transport) (oftransport.Transport, oftransport.Transport) {
+	tap.Transport = ctl
+	return tap, dp
+}
+
+func (tap *swallowTap) Send(msg openflow.Message) error {
+	if tap.on.Load() {
+		return nil
+	}
+	return tap.Transport.Send(msg)
+}
+
+// connEvents builds the packet-ins of n new connections between host and
+// the upstream's server, source ports from sport up, each direction's
+// first frame in turn: the host's SYN as it arrives on hostPort, then the
+// server's SYN-ACK as it arrives on the uplink.
+func connEvents(t *testing.T, r *Router, host *netsim.Host, hostPort, sport uint16, n int) []nox.PacketInEvent {
+	t.Helper()
+	server := packet.MustIP4("203.0.113.10")
+	var evs []nox.PacketInEvent
+	for i := uint16(0); i < uint16(n); i++ {
+		for _, in := range []struct {
+			frame []byte
+			port  uint16
+		}{
+			{packet.NewTCPFrame(host.MAC, r.Config.RouterMAC, host.IP(), server, sport+i, 80, packet.TCPSyn, 1, nil).Bytes(), hostPort},
+			{packet.NewTCPFrame(r.Forwarder.UpstreamMAC, r.Config.RouterMAC, server, host.IP(), 80, sport+i,
+				packet.TCPSyn|packet.TCPAck, 1, nil).Bytes(), r.Forwarder.UpstreamPort},
+		} {
+			d := new(packet.Decoded)
+			if err := d.Decode(in.frame); err != nil {
+				t.Fatal(err)
+			}
+			evs = append(evs, nox.PacketInEvent{Switch: r.Switch(), Decoded: d, Msg: &openflow.PacketIn{
+				BufferID: openflow.NoBuffer, TotalLen: uint16(len(in.frame)), InPort: in.port, Data: in.frame,
+			}})
+		}
+	}
+	return evs
+}
+
+// The forwarder's verdict on a new flow, either way, allocates the flow-mod
+// it sends and nothing else: the match stays on the stack (OnInstall takes
+// it by value) and the action list is the uplink's or the device's, built
+// once. The tap swallows the flow-mods before the datapath installs them,
+// so what is counted is the controller's side alone.
+func TestNewFlowVerdictAllocatesOnlyItsFlowMod(t *testing.T) {
+	tap := &swallowTap{}
+	r := startRouter(t, func(c *Config) {
+		c.Clock = clock.NewSimulated()
+		c.DisableRPC = true
+		c.WrapTransport = tap.wrap
+	})
+	host := join(t, r, "laptop", "02:aa:00:00:00:51", false, netsim.Pos{})
+	const n = 400
+	evs := connEvents(t, r, host, 1, 20000, n)
+	tap.on.Store(true)
+
+	k := 0
+	verdict := func() {
+		if r.Forwarder.handlePacketIn(&evs[k]) != nox.Stop {
+			t.Fatalf("packet-in %d was not consumed", k)
+		}
+		k++
+	}
+	for k < n/2 { // warm: the first of each list is built, the maps grow
+		verdict()
+	}
+	// The runs alternate directions: out, back, out, back. A map growing
+	// now and then adds a fraction, which the per-run average rounds away.
+	if got := testing.AllocsPerRun(n-n/2-1, verdict); got != 1 {
+		t.Errorf("a verdict on a new flow allocates %g times, want 1 (its flow-mod)", got)
+	}
+	if admitted, denied := r.Forwarder.Counters(); admitted != n || denied != 0 {
+		t.Errorf("%d admitted and %d denied, want %d and none", admitted, denied, n)
+	}
+}
+
+// The forwarder keeps one action list per device and hands it to every
+// flow toward the device until the device is learned on another port: the
+// entries installed from then on output to the new port, and those
+// installed before keep the list they were installed with.
+func TestDeviceMoveRebuildsItsActions(t *testing.T) {
+	r := startRouter(t, func(c *Config) {
+		c.Clock = clock.NewSimulated()
+		c.DisableRPC = true
+	})
+	host := join(t, r, "laptop", "02:aa:00:00:00:52", false, netsim.Pos{})
+	const before, after = 11, 12 // the ports the device is seen on
+	dispatch := func(evs []nox.PacketInEvent) {
+		for i := range evs {
+			r.Forwarder.handlePacketIn(&evs[i])
+		}
+		if err := r.Switch().Barrier(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dispatch(connEvents(t, r, host, before, 21000, 2))
+	dispatch(connEvents(t, r, host, after, 22000, 2))
+
+	// The entries toward the device: from the server's port 80 to the host.
+	m := openflow.MatchAll()
+	m.Wildcards &^= openflow.FWDLType | openflow.FWNWProto | openflow.FWTPSrc
+	m.DLType, m.NWProto, m.TPSrc = packet.EtherTypeIPv4, uint8(packet.ProtoTCP), 80
+	lists := map[uint16][]*openflow.Action{} // by the port the entry outputs to, its list
+	for _, e := range r.Datapath.Table().Entries(&m, openflow.PortNone) {
+		out := e.Actions[len(e.Actions)-1].(*openflow.ActionOutput).Port
+		want := uint16(before)
+		if e.Match.TPDst >= 22000 {
+			want = after
+		}
+		if out != want {
+			t.Errorf("entry to port %d outputs to %d, want %d", e.Match.TPDst, out, want)
+		}
+		lists[out] = append(lists[out], &e.Actions[0])
+	}
+	if len(lists[before]) != 2 || len(lists[after]) != 2 {
+		t.Fatalf("entries toward the device: %d on the old port, %d on the new, want 2 each", len(lists[before]), len(lists[after]))
+	}
+	if lists[before][0] != lists[before][1] || lists[after][0] != lists[after][1] || lists[before][0] == lists[after][0] {
+		t.Error("flows toward the device on one port do not share one action list, or the move did not build a new one")
+	}
+}
+
+// Many flows expiring in one sweep reach the Flows table in one order on
+// every run: the flow-removed messages leave the datapath in the table's
+// removal order, not in its map's, and measurement writes a row for each
+// as it comes.
+func TestExpiringFlowsWriteIdenticalRows(t *testing.T) {
+	run := func() string {
+		clk := clock.NewSimulated()
+		r := startRouter(t, func(c *Config) {
+			c.Clock = clk
+			c.DisableRPC = true
+			c.FlowIdleTimeout = 5
+		})
+		host := join(t, r, "laptop", "02:aa:00:00:00:53", false, netsim.Pos{})
+		server := packet.MustIP4("203.0.113.10")
+		const flows = 40
+		for _, flags := range []uint8{packet.TCPSyn, packet.TCPAck} { // the SYNs punt, the ACKs are charged
+			for i := uint16(0); i < flows; i++ {
+				host.SendRaw(packet.NewTCPFrame(host.MAC, r.Config.RouterMAC, host.IP(), server,
+					30000+i, 80, flags, 1, nil).Bytes())
+			}
+			if err := r.Settle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clk.Advance(10 * time.Second)
+		r.Datapath.SweepExpired() // or the expiry loop did: one sweep removes them all
+		if err := r.Switch().Barrier(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.DB.Query("SELECT * FROM Flows")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) < flows {
+			t.Fatalf("%d Flows rows, want one at least for each of %d flows", len(res.Rows), flows)
+		}
+		return res.Text()
+	}
+	first := run()
+	for i := 0; i < 3; i++ {
+		if again := run(); again != first {
+			t.Fatalf("run %d wrote other Flows rows than the first:\n%s\nfirst:\n%s", i+2, again, first)
+		}
+	}
+}
+
+// A web_churn home-step allocates what outlives it, about ten objects (see
+// BenchmarkChurnHomeStep); a step that allocated per dispatch again — a
+// packet-in apart from its buffer, a head copy, an escaping match, an
+// action list per flow, an event per flow-removed — would read 14 or more.
+func TestChurnHomeStepAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the chunk pool
+	r, step := churnHomeStep(t)
+	punts := r.Datapath.PuntCount()
+	const steps = 200
+	if got := testing.AllocsPerRun(steps, step); got > 12 {
+		t.Errorf("a churned home-step allocates %g times, want at most 12", got)
+	}
+	if punts = r.Datapath.PuntCount() - punts; punts != 2*(steps+1) {
+		t.Errorf("%d steps punted %d times, want one new flow out and back per step", steps+1, punts)
+	}
+}

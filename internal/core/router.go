@@ -256,8 +256,8 @@ func New(cfg Config) (*Router, error) {
 	})
 	// Each forwarding rule's install latency — punt to flow-mod emission,
 	// read off the in-flight span — lands in the flow's FlowPerf row.
-	r.Forwarder.OnInstall = func(m *openflow.Match) {
-		r.Measure.RecordInstall(m, r.Tracer.DispatchLatencyNS())
+	r.Forwarder.OnInstall = func(m openflow.Match) {
+		r.Measure.RecordInstall(&m, r.Tracer.DispatchLatencyNS())
 	}
 	// hwctl trace / the REST surface read the same per-stage summaries.
 	r.API.Trace = r.Tracer.Stats

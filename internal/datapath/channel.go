@@ -132,24 +132,30 @@ func (dp *Datapath) expiryLoop() {
 }
 
 // SweepExpired removes timed-out flows now and emits flow-removed messages
-// for entries that requested them. Exposed for simulated-clock tests.
+// for entries that requested them, in the table's removal order. Exposed
+// for simulated-clock tests.
 func (dp *Datapath) SweepExpired() int {
+	dp.sweepMu.Lock()
+	defer dp.sweepMu.Unlock()
 	now := dp.clk.Now()
-	removed, reasons := dp.table.Expire(now)
-	for i, e := range removed {
+	dp.swept = dp.table.expire(dp.swept[:0], now)
+	for _, x := range dp.swept {
+		e := x.e
 		if !e.SendFlowRem {
 			continue
 		}
 		dur := now.Sub(e.Installed)
 		dp.send(&openflow.FlowRemoved{
 			Match: e.Match, Cookie: e.Cookie, Priority: e.Priority,
-			Reason:      reasons[i],
+			Reason:      x.reason,
 			DurationSec: uint32(dur / time.Second), DurationNsec: uint32(dur % time.Second),
 			IdleTimeout: e.IdleTimeout,
 			PacketCount: e.PacketCount(), ByteCount: e.ByteCount(),
 		})
 	}
-	return len(removed)
+	n := len(dp.swept)
+	clear(dp.swept) // the removed entries are garbage; the scratch must not keep them
+	return n
 }
 
 // handle dispatches one controller-to-switch message.
@@ -198,7 +204,7 @@ func (dp *Datapath) sendFeatures(xid uint32) {
 		Actions:      0xfff, // all basic actions
 	}
 	rep.Header.XID = xid
-	for _, p := range dp.Ports() {
+	for _, p := range dp.sortedPorts() {
 		rep.Ports = append(rep.Ports, phyPort(p))
 	}
 	dp.send(rep)
@@ -326,7 +332,7 @@ func (dp *Datapath) handleStats(m *openflow.StatsRequest) {
 			LookupCount: lookups, MatchedCount: matched,
 		}}
 	case openflow.StatsPort:
-		for _, p := range dp.Ports() {
+		for _, p := range dp.sortedPorts() {
 			if m.Port.PortNo != openflow.PortNone && m.Port.PortNo != p.No {
 				continue
 			}

@@ -1,8 +1,10 @@
 package datapath
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,7 +105,12 @@ type Datapath struct {
 
 	mu    sync.RWMutex
 	ports map[uint16]*Port
-	table *FlowTable
+	// portList is every port in ascending port number: what a flood, a
+	// features reply and the port counters walk. It is copy-on-write under
+	// mu — a change stores a new slice and never writes a stored one — so a
+	// walker reads it under the lock and ranges over it outside.
+	portList []*Port
+	table    *FlowTable
 	// portGen counts the changes made to ports (under mu), for batchRun.
 	portGen atomic.Uint64
 
@@ -133,6 +140,13 @@ type Datapath struct {
 
 	stopMu  sync.Mutex
 	stopped chan struct{}
+
+	// sweepMu serializes expiry sweeps — expiryLoop's and those a step
+	// driver runs with SweepExpired — over swept, the removals scratch
+	// each sweep refills, and keeps one sweep's flow-removeds together on
+	// the channel, in removal order.
+	sweepMu sync.Mutex
+	swept   []expiry
 
 	// quiesce is the punt half of the event-driven settle protocol: every
 	// packet-in sent to the controller is counted here before the send,
@@ -209,7 +223,7 @@ func (dp *Datapath) AddPort(p *Port) error {
 		return fmt.Errorf("datapath: port %d already exists", p.No)
 	}
 	dp.ports[p.No] = p
-	dp.portGen.Add(1)
+	dp.portsChangedLocked()
 	dp.notifyPortStatus(openflow.PortStatusAdd, p)
 	return nil
 }
@@ -220,12 +234,24 @@ func (dp *Datapath) RemovePort(no uint16) {
 	p, ok := dp.ports[no]
 	if ok {
 		delete(dp.ports, no)
-		dp.portGen.Add(1)
+		dp.portsChangedLocked()
 	}
 	dp.mu.Unlock()
 	if ok {
 		dp.notifyPortStatus(openflow.PortStatusDelete, p)
 	}
+}
+
+// portsChangedLocked publishes a change of the port map: a new portList,
+// in port order, and a new portGen. The caller holds mu for writing.
+func (dp *Datapath) portsChangedLocked() {
+	list := make([]*Port, 0, len(dp.ports))
+	for _, p := range dp.ports {
+		list = append(list, p)
+	}
+	slices.SortFunc(list, func(a, b *Port) int { return cmp.Compare(a.No, b.No) })
+	dp.portList = list
+	dp.portGen.Add(1)
 }
 
 // Port returns a port by number.
@@ -236,15 +262,16 @@ func (dp *Datapath) Port(no uint16) (*Port, bool) {
 	return p, ok
 }
 
-// Ports returns a snapshot of all ports.
+// Ports returns a snapshot of all ports, in ascending port number.
 func (dp *Datapath) Ports() []*Port {
+	return slices.Clone(dp.sortedPorts())
+}
+
+// sortedPorts returns the current port list, which nobody may modify.
+func (dp *Datapath) sortedPorts() []*Port {
 	dp.mu.RLock()
 	defer dp.mu.RUnlock()
-	out := make([]*Port, 0, len(dp.ports))
-	for _, p := range dp.ports {
-		out = append(out, p)
-	}
-	return out
+	return dp.portList
 }
 
 // Receive processes one frame arriving on a port: the datapath's data-plane
@@ -409,10 +436,9 @@ func (dp *Datapath) execute(inPort uint16, frame []byte, actions []openflow.Acti
 		dp.executeFast(inPort, frame, actions, maxLen, run)
 		return
 	}
-	out, ports := openflow.ApplyActions(frame, actions)
-	for _, pn := range ports {
+	openflow.ApplyActions(frame, actions, func(pn uint16, out []byte) {
 		dp.dispatch(inPort, out, pn, maxLen, run)
-	}
+	})
 }
 
 // executeFast runs an action list containing only MAC rewrites and
@@ -504,8 +530,9 @@ func (dp *Datapath) transmit(portNo uint16, frame []byte, run *batchRun) {
 	}
 }
 
+// flood transmits a frame out of every port but inPort, in port order.
 func (dp *Datapath) flood(inPort uint16, frame []byte, includeNoFlood bool) {
-	for _, p := range dp.Ports() {
+	for _, p := range dp.sortedPorts() {
 		if p.No == inPort {
 			continue
 		}
@@ -516,14 +543,50 @@ func (dp *Datapath) flood(inPort uint16, frame []byte, includeNoFlood bool) {
 	}
 }
 
-// puntBuffer is one buffered packet-in: the punted frame and, for a
-// table-miss punt, the later frames of its flow held behind it.
+// puntBuffer is one buffered packet-in: the message sent for it, the
+// punted frame and, for a table-miss punt, the later frames of its flow
+// held behind it. A punt is one allocation: the packet-in is a field, and a
+// frame of up to inlineHead bytes — a SYN, a SYN-ACK, a bare ACK — is
+// copied into the buffer itself (a larger one gets a copy of its own; a
+// DHCP or DNS message is larger). Buffers are
+// never pooled and never reused: the controller reads the packet-in, and
+// through it the head, for as long as it likes, however long ago the buffer
+// left the map.
 type puntBuffer struct {
-	key    openflow.Match // the flow, for a table-miss punt; zero for an action punt
-	at     int64          // clock reading of the punt (UnixNano)
-	inPort uint16
-	head   []byte // the punted frame; the packet-in's data aliases it
-	held   holdQueue
+	pi    openflow.PacketIn // sent by reference; Data is a view of head
+	key   openflow.Match    // the flow, for a table-miss punt; zero for an action punt
+	at    int64             // clock reading of the punt (UnixNano)
+	head  []byte            // the punted frame: small[:n], or a copy of its own
+	held  holdQueue
+	small [inlineHead]byte
+}
+
+// inlineHead is the largest punted frame a puntBuffer holds inline: the
+// 54-byte TCP segments that open and answer a connection, with room for
+// options and a VLAN tag. With it a puntBuffer is 208 bytes, a size class
+// of the allocator.
+const inlineHead = 64
+
+// newPunt buffers a copy of a punted frame and fills in its packet-in, all
+// but the buffer id, which bufferLocked assigns.
+func newPunt(frame []byte, inPort uint16, reason uint8, maxLen int) *puntBuffer {
+	b := &puntBuffer{}
+	if n := len(frame); n <= inlineHead {
+		b.head = b.small[:n:n]
+		copy(b.head, frame)
+	} else {
+		b.head = append([]byte(nil), frame...)
+	}
+	if maxLen > len(b.head) {
+		maxLen = len(b.head)
+	}
+	b.pi = openflow.PacketIn{
+		TotalLen: uint16(len(b.head)),
+		InPort:   inPort,
+		Reason:   reason,
+		Data:     b.head[:maxLen:maxLen],
+	}
+	return b
 }
 
 // holdQueue is the frames held behind one punt, in arrival order: a list
@@ -559,9 +622,9 @@ type holdNode struct {
 // steps: shared, the standing stock is what one flow setup has in flight
 // (seven chunks for a web page's request and reply, nine measured with
 // what a Pool strands per P), where a list per datapath would keep that
-// much in every home. Only chunks are pooled, never a punt's head: its
-// packet-in's data aliases it, and handlers read that after they have
-// answered.
+// much in every home. Only chunks are pooled, never a puntBuffer: its
+// packet-in and the head that packet-in's data aliases are read by handlers
+// after they have answered.
 var holdChunks = sync.Pool{New: func() any { return new(holdNode) }}
 
 func (q *holdQueue) push(frame []byte) {
@@ -652,11 +715,11 @@ func (dp *Datapath) miss(p *Port, frame []byte, d *packet.Decoded, key *openflow
 		dp.bufMu.Unlock()
 		return e
 	}
-	head := append([]byte(nil), frame...)
-	id := dp.bufferLocked(&puntBuffer{key: *key, at: nanos, inPort: key.InPort, head: head})
-	dp.byKey[*key] = id
+	b := newPunt(frame, key.InPort, openflow.PacketInReasonNoMatch, int(dp.missSendLen.Load()))
+	b.key, b.at = *key, nanos
+	dp.byKey[*key] = dp.bufferLocked(b)
 	dp.bufMu.Unlock()
-	dp.sendPacketIn(id, key.InPort, head, openflow.PacketInReasonNoMatch, int(dp.missSendLen.Load()))
+	dp.sendPacketIn(b)
 	return nil
 }
 
@@ -668,29 +731,19 @@ func (dp *Datapath) punt(inPort uint16, frame []byte, maxLen int) {
 	if p, ok := dp.Port(inPort); ok && p.Config&openflow.PortConfigNoPacketIn != 0 {
 		return
 	}
-	head := append([]byte(nil), frame...)
+	b := newPunt(frame, inPort, openflow.PacketInReasonAction, maxLen)
 	dp.bufMu.Lock()
-	id := dp.bufferLocked(&puntBuffer{inPort: inPort, head: head})
+	dp.bufferLocked(b)
 	dp.bufMu.Unlock()
-	dp.sendPacketIn(id, inPort, head, openflow.PacketInReasonAction, maxLen)
+	dp.sendPacketIn(b)
 }
 
-// sendPacketIn counts a buffered punt and sends its packet-in. The data is
-// a view of the buffered copy, which nothing writes to.
-func (dp *Datapath) sendPacketIn(id uint32, inPort uint16, head []byte, reason uint8, maxLen int) {
-	if maxLen > len(head) {
-		maxLen = len(head)
-	}
-	msg := &openflow.PacketIn{
-		BufferID: id,
-		TotalLen: uint16(len(head)),
-		InPort:   inPort,
-		Reason:   reason,
-		Data:     head[:maxLen:maxLen],
-	}
+// sendPacketIn counts a buffered punt and sends its packet-in, which
+// nothing writes to once it is sent.
+func (dp *Datapath) sendPacketIn(b *puntBuffer) {
 	dp.quiesce.Punt()
 	dp.tracer.Punt()
-	dp.send(msg)
+	dp.send(&b.pi)
 }
 
 // PuntCount returns how many packet-ins have been sent to the controller.
@@ -701,10 +754,11 @@ func (dp *Datapath) PuntCount() uint64 { return dp.quiesce.Punted() }
 // punt has been dispatched; see docs/CONTROL_PLANE.md for the protocol.
 func (dp *Datapath) Quiesce() *quiesce.Epoch { return dp.quiesce }
 
-// bufferLocked stores a punt under the next buffer id. A full buffer gives
-// up its oldest punts first, so a controller that never references some
-// ids (or whose answers are lost) cannot exhaust it; a late answer to a
-// reclaimed id simply misses in takeLocked.
+// bufferLocked stores a punt under the next buffer id, which it writes into
+// the punt's packet-in and returns. A full buffer gives up its oldest punts
+// first, so a controller that never references some ids (or whose answers
+// are lost) cannot exhaust it; a late answer to a reclaimed id simply
+// misses in takeLocked.
 func (dp *Datapath) bufferLocked(b *puntBuffer) uint32 {
 	for len(dp.buffers) >= dp.nBuffers {
 		dp.oldest++
@@ -714,6 +768,7 @@ func (dp *Datapath) bufferLocked(b *puntBuffer) uint32 {
 	}
 	dp.nextBuf++
 	dp.buffers[dp.nextBuf] = b
+	b.pi.BufferID = dp.nextBuf
 	return dp.nextBuf
 }
 
@@ -745,10 +800,11 @@ func (dp *Datapath) releaseAll(id uint32, actions []openflow.Action) {
 	if !ok {
 		return
 	}
+	inPort := b.pi.InPort
 	var run batchRun
-	dp.execute(b.inPort, b.head, actions, &run)
+	dp.execute(inPort, b.head, actions, &run)
 	for b.held.n > 0 {
-		dp.execute(b.inPort, b.held.pop(), actions, &run)
+		dp.execute(inPort, b.held.pop(), actions, &run)
 	}
 	run.done(dp)
 	b.held.drop()
@@ -760,6 +816,11 @@ func (dp *Datapath) releaseAll(id uint32, actions []openflow.Action) {
 // path: the oldest is punted under a new buffer id with the rest still
 // held behind it, in the same critical section, so a frame of the flow
 // arriving meanwhile queues behind them and not ahead.
+//
+// The re-homed punt is a new puntBuffer. The old one's packet-in may still
+// be under dispatch — the controller reads its buffer id and in_port after
+// the handler chain that sent this packet-out returns — and the new head
+// is copied out of its chunk, which the next pop may hand to another flow.
 func (dp *Datapath) releaseHead(id uint32) (frame []byte, inPort uint16, ok bool) {
 	dp.bufMu.Lock()
 	b, ok := dp.takeLocked(id)
@@ -767,23 +828,23 @@ func (dp *Datapath) releaseHead(id uint32) (frame []byte, inPort uint16, ok bool
 		dp.bufMu.Unlock()
 		return nil, 0, false
 	}
-	frame, inPort = b.head, b.inPort
-	var next []byte
+	frame, inPort = b.head, b.pi.InPort
+	var next *puntBuffer
 	if b.held.n > 0 {
-		// The new head leaves its chunk: the packet-in's data aliases a
-		// head for as long as a handler cares to read it.
-		next = append([]byte(nil), b.held.pop()...)
-		b.head, b.at = next, dp.clk.Now().UnixNano()
-		id = dp.bufferLocked(b)
-		dp.byKey[b.key] = id
-		dp.heldFrames += b.held.n
-	}
-	if b.held.n == 0 {
+		next = newPunt(b.held.pop(), inPort, openflow.PacketInReasonNoMatch, int(dp.missSendLen.Load()))
+		next.key, next.at = b.key, dp.clk.Now().UnixNano()
+		next.held, b.held = b.held, holdQueue{}
+		dp.byKey[next.key] = dp.bufferLocked(next)
+		dp.heldFrames += next.held.n
+		if next.held.n == 0 {
+			next.held.drop()
+		}
+	} else {
 		b.held.drop()
 	}
 	dp.bufMu.Unlock()
 	if next != nil {
-		dp.sendPacketIn(id, inPort, next, openflow.PacketInReasonNoMatch, int(dp.missSendLen.Load()))
+		dp.sendPacketIn(next)
 	}
 	return frame, inPort, true
 }

@@ -2,6 +2,8 @@ package datapath
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -186,6 +188,136 @@ func TestFlowTableExpire(t *testing.T) {
 	}
 	if tbl.Len() != 1 {
 		t.Errorf("permanent entry evicted")
+	}
+}
+
+// Many entries expiring in one sweep leave in one order whatever order the
+// table was filled in and however its map iterates: install time first,
+// then five-tuple and in_port. The flow-removed messages, and the Flows rows
+// measurement writes from them, inherit it.
+func TestExpireOrderIsDeterministic(t *testing.T) {
+	base := time.Unix(1000, 0)
+	type entry struct {
+		m         openflow.Match
+		installed time.Time
+	}
+	var entries []entry
+	for i := 0; i < 90; i++ {
+		f := packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 1, 1},
+			packet.IP4{10, 0, 0, byte(1 + i%3)}, packet.IP4{10, 0, 1, 1}, uint16(2000-i), 80, packet.TCPAck, 1, nil).Bytes()
+		entries = append(entries, entry{exactMatchFor(t, f, uint16(1+i%2)), base.Add(time.Duration(i%4) * time.Second)})
+	}
+	expire := func(seed int64) []openflow.Match {
+		tbl := NewFlowTable()
+		for _, i := range rand.New(rand.NewSource(seed)).Perm(len(entries)) {
+			_ = tbl.Add(&FlowEntry{Match: entries[i].m, Priority: 10, IdleTimeout: 5, Installed: entries[i].installed}, false)
+		}
+		removed, _ := tbl.Expire(base.Add(time.Minute))
+		var ms []openflow.Match
+		for i, e := range removed {
+			if i > 0 {
+				p := removed[i-1]
+				if e.Installed.Before(p.Installed) ||
+					e.Installed.Equal(p.Installed) && bytes.Compare(e.Match.NWSrc[:], p.Match.NWSrc[:]) < 0 {
+					t.Fatalf("removal %d installed %v from %v follows one installed %v from %v",
+						i, e.Installed, e.Match.NWSrc, p.Installed, p.Match.NWSrc)
+				}
+			}
+			ms = append(ms, e.Match)
+		}
+		return ms
+	}
+	first := expire(1)
+	if len(first) != len(entries) {
+		t.Fatalf("%d of %d entries expired", len(first), len(entries))
+	}
+	for seed := int64(2); seed <= 10; seed++ {
+		if got := expire(seed); !slices.Equal(got, first) {
+			t.Fatalf("filled in another order (seed %d), the table expires in another order", seed)
+		}
+	}
+}
+
+// Sweeps share one removals scratch: the expiry loop's and a step driver's
+// must not both be in it. Run with -race.
+func TestConcurrentSweepsShareNothing(t *testing.T) {
+	clk := clock.NewSimulated()
+	dp := New(Config{Clock: clk})
+	const n = 400
+	for i := 0; i < n; i++ {
+		f := packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 1, 1},
+			packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 1, 1}, uint16(1024+i), 80, packet.TCPAck, 1, nil).Bytes()
+		_ = dp.Table().Add(&FlowEntry{Match: exactMatchFor(t, f, 1), Priority: 10,
+			IdleTimeout: uint16(1 + i%20), Installed: clk.Now()}, false)
+	}
+	var wg sync.WaitGroup
+	var removed [2]int
+	for g := range removed {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				removed[g] += dp.SweepExpired()
+			}
+		}()
+	}
+	for i := 0; i < 25; i++ {
+		clk.Advance(time.Second)
+	}
+	wg.Wait()
+	last := dp.SweepExpired()
+	if got := removed[0] + removed[1] + last; got != n || dp.Table().Len() != 0 {
+		t.Errorf("sweeps removed %d of %d entries, %d left", got, n, dp.Table().Len())
+	}
+}
+
+// A flood reaches the ports in ascending number every time, and a features
+// reply lists them so: both walk the port list, not the port map.
+func TestPortsWalkInOrder(t *testing.T) {
+	r := newHoldRig(t, 0) // ports 1, 2 and 3
+	var order []uint16
+	for _, no := range []uint16{9, 5, 12, 4, 7} {
+		_ = r.dp.AddPort(&Port{No: no, Out: func([]byte) { order = append(order, no) }})
+	}
+	for _, no := range []uint16{2, 3} {
+		p, _ := r.dp.Port(no)
+		p.SetOut(func([]byte) { order = append(order, no) })
+	}
+	r.send(addFlow(openflow.MatchAll(), openflow.NoBuffer, output(openflow.PortFlood)))
+	r.sync()
+	for i := 0; i < 20; i++ {
+		order = nil
+		r.receive(flowFrame(1, i))
+		if want := []uint16{2, 3, 4, 5, 7, 9, 12}; !slices.Equal(order, want) {
+			t.Fatalf("flood %d reached ports %v, want %v", i, order, want)
+		}
+	}
+
+	var nos []uint16
+	for _, p := range r.dp.Ports() {
+		nos = append(nos, p.No)
+	}
+	if want := []uint16{1, 2, 3, 4, 5, 7, 9, 12}; !slices.Equal(nos, want) {
+		t.Errorf("Ports() = %v, want %v", nos, want)
+	}
+
+	features := func() []byte {
+		r.send(&openflow.FeaturesRequest{})
+		for {
+			msg, err := r.ctl.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep, ok := msg.(*openflow.FeaturesReply); ok {
+				return openflow.Encode(rep)
+			}
+		}
+	}
+	first := features()
+	for i := 0; i < 10; i++ {
+		if again := features(); !bytes.Equal(again, first) {
+			t.Fatalf("features reply %d encodes as %x, the first as %x", i, again, first)
+		}
 	}
 }
 

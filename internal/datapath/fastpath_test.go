@@ -15,10 +15,10 @@ import (
 // slowReceive is what the datapath does to one received frame with every
 // shortcut taken out: no batch, no state carried from the frame before, and
 // the action list run by openflow.ApplyActions — decode, rewrite the layer
-// structs, re-serialize every layer, checksums included — with the result
-// handed to dispatch once per output. It is the reference ReceiveBatch and
-// executeFast are held to. It shares the flow table, the miss path and
-// dispatch with them, which are not what they shortcut.
+// structs, re-serialize every layer, checksums included — with the frame as
+// it stands at each output handed to dispatch. It is the reference
+// ReceiveBatch and executeFast are held to. It shares the flow table, the
+// miss path and dispatch with them, which are not what they shortcut.
 func slowReceive(dp *Datapath, inPort uint16, frame []byte) {
 	p, ok := dp.Port(inPort)
 	if !ok {
@@ -43,10 +43,9 @@ func slowReceive(dp *Datapath, inPort uint16, frame []byte) {
 			maxLen = int(out.MaxLen)
 		}
 	}
-	out, ports := openflow.ApplyActions(frame, entry.Actions)
-	for _, pn := range ports {
+	openflow.ApplyActions(frame, entry.Actions, func(pn uint16, out []byte) {
 		dp.dispatch(inPort, out, pn, maxLen, nil)
-	}
+	})
 }
 
 // pathRig is one datapath with four recording ports and no controller:
@@ -69,15 +68,6 @@ func newPathRig() *pathRig {
 	return r
 }
 
-func (r *pathRig) sentOn(port uint16) (frames [][]byte) {
-	for _, s := range r.sent {
-		if s.port == port {
-			frames = append(frames, s.frame)
-		}
-	}
-	return frames
-}
-
 func (r *pathRig) add(m openflow.Match, priority uint16, actions []openflow.Action) {
 	e := &FlowEntry{Match: m, Priority: priority, Actions: actions, Installed: r.clk.Now()}
 	if err := r.dp.table.Add(e, false); err != nil {
@@ -87,23 +77,13 @@ func (r *pathRig) add(m openflow.Match, priority uint16, actions []openflow.Acti
 }
 
 // randomActions draws an action list of the shape executeFast accepts: MAC
-// rewrites, then outputs. Rewrites come first because ApplyActions hands
-// back one frame for all of a list's outputs — a rewrite after an output
-// would reach that output too, which the fast path, rightly, does not do —
-// and it is the only shape the forwarder emits.
+// rewrites and outputs, in any order — an output before a rewrite gets the
+// frame as it stood there, on both paths. The forwarder emits rewrites
+// first, the other orders are OpenFlow's all the same.
 func randomActions(rng *rand.Rand) []openflow.Action {
 	var as []openflow.Action
-	for n := rng.Intn(4); n > 0; n-- {
-		var mac packet.MAC
-		rng.Read(mac[:])
-		if rng.Intn(2) == 0 {
-			as = append(as, &openflow.ActionSetDLSrc{Addr: mac})
-		} else {
-			as = append(as, &openflow.ActionSetDLDst{Addr: mac})
-		}
-	}
-	for n := rng.Intn(4); n > 0; n-- {
-		switch rng.Intn(7) {
+	for n := rng.Intn(7); n > 0; n-- {
+		switch rng.Intn(9) {
 		case 0:
 			as = append(as, &openflow.ActionOutput{Port: openflow.PortInPort})
 		case 1:
@@ -112,6 +92,14 @@ func randomActions(rng *rand.Rand) []openflow.Action {
 			as = append(as, &openflow.ActionOutput{Port: openflow.PortController, MaxLen: uint16(rng.Intn(3) * 700)})
 		case 3:
 			as = append(as, &openflow.ActionEnqueue{Port: uint16(2 + rng.Intn(3)), QueueID: rng.Uint32()})
+		case 4, 5:
+			var mac packet.MAC
+			rng.Read(mac[:])
+			as = append(as, &openflow.ActionSetDLSrc{Addr: mac})
+		case 6, 7:
+			var mac packet.MAC
+			rng.Read(mac[:])
+			as = append(as, &openflow.ActionSetDLDst{Addr: mac})
 		default:
 			as = append(as, &openflow.ActionOutput{Port: uint16(2 + rng.Intn(3))})
 		}
@@ -197,22 +185,20 @@ func TestFastPathMatchesSlowPath(t *testing.T) {
 
 func comparePaths(t *testing.T, fast, slow *pathRig) {
 	t.Helper()
-	// Order is compared port by port: a FLOOD walks the port map, so the
-	// order in which it reaches the ports is not defined on either path.
-	for no := uint16(1); no <= 4; no++ {
-		got, want := fast.sentOn(no), slow.sentOn(no)
-		if len(got) != len(want) {
-			t.Fatalf("port %d: fast path transmitted %d frames, slow path %d", no, len(got), len(want))
-		}
-		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				at := 0
-				for at < len(got[i]) && at < len(want[i]) && got[i][at] == want[i][at] {
-					at++
-				}
-				t.Fatalf("port %d, transmission %d: fast path %d bytes, slow path %d, differing from byte %d",
-					no, i, len(got[i]), len(want[i]), at)
+	// Every transmission in order, floods included: a flood walks the ports
+	// in ascending number on both paths.
+	if len(fast.sent) != len(slow.sent) {
+		t.Fatalf("fast path transmitted %d frames, slow path %d", len(fast.sent), len(slow.sent))
+	}
+	for i, want := range slow.sent {
+		got := fast.sent[i]
+		if got.port != want.port || !bytes.Equal(got.frame, want.frame) {
+			at := 0
+			for at < len(got.frame) && at < len(want.frame) && got.frame[at] == want.frame[at] {
+				at++
 			}
+			t.Fatalf("transmission %d: fast path port %d, %d bytes; slow path port %d, %d bytes; differing from byte %d",
+				i, got.port, len(got.frame), want.port, len(want.frame), at)
 		}
 	}
 	for no := uint16(1); no <= 4; no++ {

@@ -503,10 +503,9 @@ func (ref *puntEveryMiss) batch(t *testing.T, frames [][]byte, script map[byte]v
 }
 
 func (ref *puntEveryMiss) apply(frame []byte, actions []openflow.Action) {
-	out, ports := openflow.ApplyActions(frame, actions)
-	for _, p := range ports {
+	openflow.ApplyActions(frame, actions, func(p uint16, out []byte) {
 		ref.out[flowOf(frame)] = append(ref.out[flowOf(frame)], sentFrame{p, out})
-	}
+	})
 }
 
 // wantSame checks that each flow's frames left the datapath as they leave

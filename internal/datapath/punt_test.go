@@ -1,0 +1,174 @@
+package datapath
+
+import (
+	"bytes"
+	"fmt"
+	"runtime/debug"
+	"testing"
+	"unsafe"
+
+	"repro/internal/clock"
+	"repro/internal/openflow"
+	"repro/internal/packet"
+)
+
+// A head of inlineHead bytes lives in its puntBuffer and one byte more gets
+// a copy of its own; either way every frame of the flow leaves — through
+// releaseAll, through a re-homing packet-out, through a drop — as the
+// punt-every-miss model sends it, byte for byte.
+func TestInlineHeadBoundary(t *testing.T) {
+	for _, size := range []int{inlineHead - 1, inlineHead, inlineHead + 1} {
+		t.Run(fmt.Sprint("head=", size), func(t *testing.T) {
+			r := newHoldRig(t, 0)
+			ref := &puntEveryMiss{rules: map[openflow.Match][]openflow.Action{}, out: map[byte][]sentFrame{}}
+			script := map[byte]verdict{}
+			var frames [][]byte
+			for v := verdict(0); v < verdicts; v++ {
+				flow := byte(1 + v)
+				script[flow] = v
+				for seq := 0; seq < 4; seq++ {
+					// Every frame of the flow is the size under test, so a
+					// head a packet-out re-homes is too.
+					frames = append(frames, paddedFlowFrame(flow, seq, size-packet.EthernetHeaderLen-40))
+				}
+			}
+			if len(frames[0]) != size {
+				t.Fatalf("frames are %d bytes, want %d", len(frames[0]), size)
+			}
+			ref.batch(t, frames, script)
+			r.receive(frames...)
+
+			r.dp.bufMu.Lock()
+			for id, b := range r.dp.buffers {
+				if inline := &b.head[0] == &b.small[0]; inline != (size <= inlineHead) {
+					t.Errorf("buffer %d: a %d-byte head inline = %v", id, size, inline)
+				}
+			}
+			r.dp.bufMu.Unlock()
+
+			got := map[byte][]sentFrame{}
+			for pis := r.sync(); len(pis) > 0; pis = r.sync() {
+				for _, pi := range pis {
+					if len(pi.Data) != size || int(pi.TotalLen) != size {
+						t.Errorf("packet-in carries %d of %d bytes, want %d", len(pi.Data), pi.TotalLen, size)
+					}
+					m := exactMatchFor(t, pi.Data, pi.InPort)
+					for _, msg := range script[flowOf(pi.Data)].answer(m, pi.BufferID) {
+						r.send(msg)
+					}
+				}
+			}
+			for _, s := range r.sent() {
+				got[flowOf(s.frame)] = append(got[flowOf(s.frame)], s)
+			}
+			ref.wantSame(t, script, got)
+			if punts, held := r.buffered(); punts != 0 || held != 0 {
+				t.Errorf("buffered %d punts, %d held after every answer", punts, held)
+			}
+		})
+	}
+}
+
+// A handler may read its packet-in — data, in_port, buffer id — after it
+// has answered, as nox's read loop does, and a packet-out that re-homes the
+// frames held behind the punt must not touch it: the re-homed punt is a
+// packet-in of its own, sent while the first is still being read. Run with
+// -race -count=20: a re-homed punt that reused its predecessor's buffer is
+// a data race with the reader as well as a packet-in that changes.
+func TestRehomedPacketInOutlivesItsAnswer(t *testing.T) {
+	r := newHoldRig(t, 0)
+	a := flowFrames(1, 0, 4)
+	r.receive(a...)
+	pis := r.sync()
+	if len(pis) != 1 {
+		t.Fatalf("%d packet-ins, want 1", len(pis))
+	}
+	for i := 0; i < len(a)-1; i++ {
+		pi, id := pis[0], pis[0].BufferID
+		stop, done := make(chan struct{}), make(chan error)
+		go func() {
+			var err error
+			for {
+				select {
+				case <-stop:
+					done <- err
+					return
+				default:
+				}
+				if err == nil && (!bytes.Equal(pi.Data, a[i]) || pi.InPort != 1 || pi.BufferID != id) {
+					err = fmt.Errorf("packet-in %d changed under its reader: in_port %d, buffer %d, data %x",
+						i, pi.InPort, pi.BufferID, pi.Data)
+				}
+			}
+		}()
+		r.send(packetOut(id, output(2)))
+		pis = r.sync()
+		close(stop)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if len(pis) != 1 || pis[0] == pi || pis[0].BufferID == id || !bytes.Equal(pis[0].Data, a[i+1]) {
+			t.Fatalf("after packet-out %d: packet-ins %+v, want a new one carrying frame %d", i, pis, i+1)
+		}
+	}
+	r.send(addFlow(exactMatchFor(t, a[0], 1), pis[0].BufferID, output(2)))
+	r.sync()
+	wantSent(t, r.sent(), 2, a)
+}
+
+// A warm new flow costs the datapath what outlives the dispatch and nothing
+// else: its miss one allocation, the puntBuffer that carries the packet-in
+// and a head of up to inlineHead bytes (a longer head one more, its own
+// copy), and the flow-mod that answers it one, the flow entry.
+func TestWarmNewFlowAllocatesItsPuntAndItsEntry(t *testing.T) {
+	if s := unsafe.Sizeof(puntBuffer{}); s != 208 {
+		t.Errorf("a puntBuffer is %d bytes; 208 is the size class the layout aims at", s)
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the chunk pool
+
+	for _, size := range []int{inlineHead, inlineHead + 1} {
+		dp := New(Config{Clock: clock.NewSimulated()}) // not connected: a packet-in goes nowhere
+		_ = dp.AddPort(&Port{No: 1})
+		_ = dp.AddPort(&Port{No: 2, Out: func([]byte) {}})
+		const n = 200
+		var (
+			frames [][]byte
+			mods   []*openflow.FlowMod
+		)
+		for i := 0; i < 2*n; i++ {
+			f := packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 1, 1},
+				packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 1, 1}, uint16(1024+i), 80, packet.TCPAck, 1,
+				make([]byte, size-packet.EthernetHeaderLen-40)).Bytes()
+			frames = append(frames, f)
+			mods = append(mods, addFlow(exactMatchFor(t, f, 1), uint32(i+1), output(2)))
+		}
+		punted, answered := 0, 0
+		punt := func() { dp.Receive(1, frames[punted]); punted++ }
+		answer := func() { dp.handle(mods[answered]); answered++ }
+		for punted < n { // warm: the maps grow to a round's size
+			punt()
+		}
+		for answered < n {
+			answer()
+		}
+		all := openflow.MatchAll()
+		dp.table.Delete(&all, 0, false, openflow.PortNone)
+
+		wantPunt := 1
+		if size > inlineHead {
+			wantPunt = 2
+		}
+		if got := testing.AllocsPerRun(n-1, punt); got != float64(wantPunt) {
+			t.Errorf("%d-byte head: a warm miss allocates %g times, want %d", size, got, wantPunt)
+		}
+		if got := testing.AllocsPerRun(n-1, answer); got != 1 {
+			t.Errorf("%d-byte head: the flow-mod that answers it allocates %g times, want 1 (the entry)", size, got)
+		}
+		if p2, _ := dp.Port(2); p2.Stats().TxPackets != 2*n {
+			t.Errorf("%d-byte head: %d frames released, want %d", size, p2.Stats().TxPackets, 2*n)
+		}
+	}
+}

@@ -49,15 +49,13 @@ func (v StatsView) Flows(since int64, fn func(m openflow.Match, packets, bytes u
 	}
 }
 
-// Ports calls fn with the counters of every port, in no particular order,
-// under the datapath's port lock. fn must not call back into the datapath.
+// Ports calls fn with the counters of every port, in ascending port
+// number.
 func (v StatsView) Ports(fn func(s openflow.PortStats)) {
 	if v.dp == nil {
 		return
 	}
-	v.dp.mu.RLock()
-	defer v.dp.mu.RUnlock()
-	for _, p := range v.dp.ports {
+	for _, p := range v.dp.sortedPorts() {
 		fn(p.Stats())
 	}
 }

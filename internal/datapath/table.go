@@ -23,6 +23,9 @@
 package datapath
 
 import (
+	"bytes"
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -321,10 +324,25 @@ func outputsTo(actions []openflow.Action, port uint16) bool {
 }
 
 // Expire removes entries whose idle or hard timeout has passed, returning
-// them with the reason for each.
+// them with the reason for each, in removalOrder.
 func (t *FlowTable) Expire(now time.Time) (removed []*FlowEntry, reasons []uint8) {
+	for _, x := range t.expire(nil, now) {
+		removed = append(removed, x.e)
+		reasons = append(reasons, x.reason)
+	}
+	return removed, reasons
+}
+
+// expiry is one entry an expiry sweep removed, and why.
+type expiry struct {
+	e      *FlowEntry
+	reason uint8
+}
+
+// expire is Expire appending to dst, which the caller reuses.
+func (t *FlowTable) expire(dst []expiry, now time.Time) []expiry {
+	start := len(dst)
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.gen.Add(1)
 	expired := func(e *FlowEntry) (uint8, bool) {
 		if e.HardTimeout > 0 && now.Sub(e.Installed) >= time.Duration(e.HardTimeout)*time.Second {
@@ -343,22 +361,48 @@ func (t *FlowTable) Expire(now time.Time) (removed []*FlowEntry, reasons []uint8
 	}
 	for k, e := range t.exact {
 		if reason, ok := expired(e); ok {
-			removed = append(removed, e)
-			reasons = append(reasons, reason)
+			dst = append(dst, expiry{e, reason})
 			delete(t.exact, k)
 		}
 	}
 	kept := t.wild[:0]
 	for _, e := range t.wild {
 		if reason, ok := expired(e); ok {
-			removed = append(removed, e)
-			reasons = append(reasons, reason)
+			dst = append(dst, expiry{e, reason})
 		} else {
 			kept = append(kept, e)
 		}
 	}
 	t.wild = kept
-	return removed, reasons
+	t.mu.Unlock()
+	slices.SortFunc(dst[start:], removalOrder)
+	return dst
+}
+
+// removalOrder is the order an expiry sweep reports its removals in, so
+// that the flow-removed messages — and the Flows rows measurement writes
+// from them — leave in the same order on every run, not in map order:
+// install time, then five-tuple and in_port, then the rest of the match
+// and the priority, which no two entries share.
+func removalOrder(a, b expiry) int {
+	x, y := &a.e.Match, &b.e.Match
+	return cmp.Or(
+		a.e.Installed.Compare(b.e.Installed),
+		bytes.Compare(x.NWSrc[:], y.NWSrc[:]),
+		bytes.Compare(x.NWDst[:], y.NWDst[:]),
+		cmp.Compare(x.NWProto, y.NWProto),
+		cmp.Compare(x.TPSrc, y.TPSrc),
+		cmp.Compare(x.TPDst, y.TPDst),
+		cmp.Compare(x.InPort, y.InPort),
+		bytes.Compare(x.DLSrc[:], y.DLSrc[:]),
+		bytes.Compare(x.DLDst[:], y.DLDst[:]),
+		cmp.Compare(x.DLType, y.DLType),
+		cmp.Compare(x.DLVLAN, y.DLVLAN),
+		cmp.Compare(x.DLVLANPCP, y.DLVLANPCP),
+		cmp.Compare(x.NWTOS, y.NWTOS),
+		cmp.Compare(x.Wildcards, y.Wildcards),
+		cmp.Compare(a.e.Priority, b.e.Priority),
+	)
 }
 
 // Entries returns a snapshot of all entries matched by m (nil = all),

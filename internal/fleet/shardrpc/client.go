@@ -65,6 +65,9 @@ type Client struct {
 	br     *bufio.Reader
 	seq    uint64
 	closed bool
+	// out and in are the frames the client sends and receives, reused
+	// call to call (see beginFrame).
+	out, in []byte
 
 	// Receiving-side telemetry books: the last batch sequence ingested
 	// and the cumulative rows/lost accounted into the relay. Compared
@@ -190,14 +193,15 @@ func (c *Client) roundTrip(conn net.Conn, br *bufio.Reader, req *Request, timeou
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, err
 	}
-	if err := writeFrame(conn, EncodeRequest(req)); err != nil {
+	c.out = appendRequest(beginFrame(c.out), req)
+	if err := writeFrame(conn, c.out); err != nil {
 		return nil, err
 	}
-	payload, err := readFrame(br)
-	if err != nil {
+	var err error
+	if c.in, err = readFrame(br, c.in); err != nil {
 		return nil, err
 	}
-	resp, err := DecodeResponse(payload)
+	resp, err := DecodeResponse(c.in)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -27,36 +28,48 @@ func frameErr(format string, args ...any) error {
 
 // ------------------------------------------------------------- framing
 
-// writeFrame writes one length-prefixed frame in a single Write call, so
-// a frame is either fully queued to the kernel or the connection is dead
-// — the commit protocol relies on that atomicity at this layer.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("shardrpc: frame %d bytes exceeds MaxFrame", len(payload))
+// A connection encodes every frame it sends into one buffer and reads
+// every frame it receives into another, both reused frame to frame: the
+// encoders append a payload behind the length prefix beginFrame reserves,
+// and the decoders copy out whatever they keep (strings, row cells), so a
+// payload read is garbage as soon as it is decoded.
+
+// beginFrame empties a connection's outgoing buffer but for the 4-byte
+// length prefix writeFrame fills in.
+func beginFrame(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0) }
+
+// writeFrame writes one frame that beginFrame began and an encoder
+// completed, in a single Write call, so a frame is either fully queued to
+// the kernel or the connection is dead — the commit protocol relies on
+// that atomicity at this layer.
+func writeFrame(w io.Writer, frame []byte) error {
+	n := len(frame) - 4
+	if n > MaxFrame {
+		return fmt.Errorf("shardrpc: frame %d bytes exceeds MaxFrame", n)
 	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err := w.Write(buf)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
 	return err
 }
 
-// readFrame reads one length-prefixed frame, rejecting oversized
-// declarations before allocating.
-func readFrame(r *bufio.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// readFrame reads one length-prefixed frame's payload into buf, growing it
+// if it must, and returns it; the payload is valid until the next read into
+// the same buffer. An oversized declaration is rejected before anything is
+// allocated for it.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], 4)[:4]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf)
 	if n > MaxFrame {
-		return nil, frameErr("declared payload %d exceeds MaxFrame", n)
+		return buf, frameErr("declared payload %d exceeds MaxFrame", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	buf = slices.Grow(buf[:0], int(n))[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, err
 	}
-	return payload, nil
+	return buf, nil
 }
 
 // ------------------------------------------------------ binary primitives
@@ -176,8 +189,9 @@ func (d *dec) finish() error {
 
 // ------------------------------------------------------------- header
 
-func appendHeader(b []byte, fields ...string) []byte {
-	b = append(b, "HWSH/1"...)
+func appendHeader(b []byte, seq uint64, fields ...string) []byte {
+	b = append(b, "HWSH/1 "...)
+	b = strconv.AppendUint(b, seq, 10)
 	for _, f := range fields {
 		b = append(b, ' ')
 		b = append(b, f...)
@@ -205,8 +219,11 @@ func splitHeader(payload []byte) (line string, body []byte, err error) {
 
 // EncodeRequest serializes one request payload (header + body, no length
 // prefix).
-func EncodeRequest(req *Request) []byte {
-	e := &enc{b: appendHeader(nil, strconv.FormatUint(req.Seq, 10), req.Verb)}
+func EncodeRequest(req *Request) []byte { return appendRequest(nil, req) }
+
+// appendRequest is EncodeRequest appending to b.
+func appendRequest(b []byte, req *Request) []byte {
+	e := enc{b: appendHeader(b, req.Seq, req.Verb)}
 	switch req.Verb {
 	case VerbAssign, VerbDrain, VerbCordon, VerbUncordon:
 		e.uvarint(req.ID)
@@ -268,45 +285,49 @@ const maxErrLen = 400
 // EncodeResponse serializes one response payload. ERR responses carry
 // only the header; OK responses echo the verb and append the verb's
 // body.
-func EncodeResponse(resp *Response) []byte {
-	seq := strconv.FormatUint(resp.Seq, 10)
+func EncodeResponse(resp *Response) []byte { return appendResponse(nil, resp) }
+
+// appendResponse is EncodeResponse appending to b.
+func appendResponse(b []byte, resp *Response) []byte {
 	if resp.Err != "" {
 		// Sanitize byte-wise (no rune decoding): the message must never
 		// contain a newline, and byte-level clamping keeps re-encoding a
 		// decoded message byte-identical — the codec's canonical-form
 		// property, which the fuzzer checks.
-		raw := []byte(resp.Err)
-		if len(raw) > maxErrLen {
-			raw = raw[:maxErrLen]
+		msg := resp.Err
+		if len(msg) > maxErrLen {
+			msg = msg[:maxErrLen]
 		}
-		for i, b := range raw {
-			if b == '\n' || b == '\r' {
+		b = appendHeader(b, resp.Seq, "ERR", msg)
+		raw := b[len(b)-1-len(msg) : len(b)-1]
+		for i, c := range raw {
+			if c == '\n' || c == '\r' {
 				raw[i] = ' '
 			}
 		}
-		return appendHeader(nil, seq, "ERR", string(raw))
+		return b
 	}
-	e := &enc{b: appendHeader(nil, seq, "OK", resp.Verb)}
+	e := enc{b: appendHeader(b, resp.Seq, "OK", resp.Verb)}
 	switch resp.Verb {
 	case VerbDrain:
 		e.bool(resp.OK)
-		encodeBatch(e, resp.Batch)
+		encodeBatch(&e, resp.Batch)
 	case VerbCordon, VerbUncordon:
 		e.bool(resp.OK)
 	case VerbSync:
-		encodeBatch(e, resp.Batch)
+		encodeBatch(&e, resp.Batch)
 	case VerbStats:
-		encodeStats(e, resp.Stats)
+		encodeStats(&e, resp.Stats)
 	case VerbTrace:
-		encodeSnapshot(e, resp.Snap)
+		encodeSnapshot(&e, resp.Snap)
 	case VerbResync:
-		b := resp.Committed
-		if b == nil {
-			b = &Books{}
+		var books Books
+		if resp.Committed != nil {
+			books = *resp.Committed
 		}
-		e.uvarint(b.Seq)
-		e.uvarint(b.SentRows)
-		e.uvarint(b.SentLost)
+		e.uvarint(books.Seq)
+		e.uvarint(books.SentRows)
+		e.uvarint(books.SentLost)
 	}
 	return e.b
 }

@@ -278,7 +278,7 @@ func TestDecodeRejects(t *testing.T) {
 	}
 
 	// A column value with an unknown type tag.
-	e := &enc{b: appendHeader(nil, "1", "OK", VerbSync)}
+	e := &enc{b: appendHeader(nil, 1, "OK", VerbSync)}
 	e.uvarint(1) // batch seq
 	e.uvarint(1) // sent rows
 	e.uvarint(0) // sent lost
@@ -296,7 +296,7 @@ func TestDecodeRejects(t *testing.T) {
 	}
 
 	// A trace snapshot with the wrong histogram count.
-	e = &enc{b: appendHeader(nil, "1", "OK", VerbTrace)}
+	e = &enc{b: appendHeader(nil, 1, "OK", VerbTrace)}
 	e.uvarint(2) // wrong: engine snapshots always carry numTransitions
 	if _, err := DecodeResponse(e.b); err == nil {
 		t.Error("wrong histogram count accepted")
@@ -304,14 +304,16 @@ func TestDecodeRejects(t *testing.T) {
 }
 
 // TestFrameIO pins the framing layer: length prefix honored, MaxFrame
-// enforced on both sides, short reads surface as errors.
+// enforced on both sides, short reads surface as errors, and a connection's
+// buffers are reused frame to frame.
 func TestFrameIO(t *testing.T) {
 	var buf bytes.Buffer
 	payload := EncodeRequest(&Request{Seq: 5, Verb: VerbPing})
-	if err := writeFrame(&buf, payload); err != nil {
+	out := appendRequest(beginFrame(nil), &Request{Seq: 5, Verb: VerbPing})
+	if err := writeFrame(&buf, out); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFrame(bufio.NewReader(bytes.NewReader(buf.Bytes())))
+	got, err := readFrame(bufio.NewReader(bytes.NewReader(buf.Bytes())), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,19 +321,42 @@ func TestFrameIO(t *testing.T) {
 		t.Fatalf("frame round trip mismatch: %q != %q", got, payload)
 	}
 
+	// A second, longer frame on the same buffers: the outgoing one is
+	// re-begun and the incoming one regrown, each in place.
+	resp := sampleResponses()[2] // a DRAIN with a batch
+	out = appendResponse(beginFrame(out), resp)
+	buf.Reset()
+	if err := writeFrame(&buf, out); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = readFrame(bufio.NewReader(bytes.NewReader(buf.Bytes())), got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, EncodeResponse(resp)) {
+		t.Fatalf("second frame mismatch: %q != %q", got, EncodeResponse(resp))
+	}
+	r := bufio.NewReader(bytes.NewReader(bytes.Repeat(buf.Bytes(), 3)))
+	if n := testing.AllocsPerRun(2, func() {
+		if got, err = readFrame(r, got); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("reading into a buffer that has room allocates %g times", n)
+	}
+
 	// Declared length beyond MaxFrame must be rejected before reading.
 	huge := []byte{0xff, 0xff, 0xff, 0xff}
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(huge))); err == nil {
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader(huge)), nil); err == nil {
 		t.Error("oversized frame declaration accepted")
 	}
 	// Truncated frames error at every cut point.
 	whole := buf.Bytes()
 	for i := 0; i < len(whole); i++ {
-		if _, err := readFrame(bufio.NewReader(bytes.NewReader(whole[:i]))); err == nil {
+		if _, err := readFrame(bufio.NewReader(bytes.NewReader(whole[:i])), nil); err == nil {
 			t.Errorf("truncated frame (%d/%d bytes) read cleanly", i, len(whole))
 		}
 	}
-	if err := writeFrame(&buf, make([]byte, MaxFrame+1)); err == nil {
+	if err := writeFrame(&buf, make([]byte, 4+MaxFrame+1)); err == nil {
 		t.Error("oversized frame write accepted")
 	}
 }

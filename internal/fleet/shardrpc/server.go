@@ -211,30 +211,32 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	br := bufio.NewReader(conn)
+	var in, out []byte // this connection's frames, reused request to request
 	for {
-		payload, err := readFrame(br)
-		if err != nil {
+		var err error
+		if in, err = readFrame(br, in); err != nil {
 			return
 		}
-		req, err := DecodeRequest(payload)
+		req, err := DecodeRequest(in)
 		if err != nil {
 			// A malformed frame leaves the stream position untrustworthy:
 			// answer with seq 0 (the client never uses it) and drop the
 			// conn rather than guess at resynchronization.
 			resp := &Response{Seq: 0, Err: err.Error()}
 			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			writeFrame(conn, EncodeResponse(resp))
+			writeFrame(conn, appendResponse(beginFrame(out), resp))
 			return
 		}
-		if err := s.handle(conn, req); err != nil {
+		if out, err = s.handle(conn, req, out); err != nil {
 			return
 		}
 	}
 }
 
-// handle executes one request and writes its response. A returned error
-// means the connection is no longer usable.
-func (s *Server) handle(conn net.Conn, req *Request) error {
+// handle executes one request and writes its response, encoded into out,
+// which it returns for the next response. A returned error means the
+// connection is no longer usable.
+func (s *Server) handle(conn net.Conn, req *Request, out []byte) ([]byte, error) {
 	resp := &Response{Seq: req.Seq, Verb: req.Verb}
 	withBatch := false
 	switch req.Verb {
@@ -286,10 +288,11 @@ func (s *Server) handle(conn net.Conn, req *Request) error {
 		resp.Err = fmt.Sprintf("unhandled verb %q", req.Verb)
 	}
 	if withBatch && resp.Err == "" {
-		return s.writeWithBatch(conn, resp)
+		return s.writeWithBatch(conn, resp, out)
 	}
+	out = appendResponse(beginFrame(out), resp)
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	return writeFrame(conn, EncodeResponse(resp))
+	return out, writeFrame(conn, out)
 }
 
 // writeWithBatch snapshots the pending deltas onto resp, writes the
@@ -298,7 +301,7 @@ func (s *Server) handle(conn net.Conn, req *Request) error {
 // batch-bearing response (likely on a fresh connection, after the client
 // RESYNCs) re-carries them: a row is committed exactly once, and a row
 // the wire swallowed after commit is what RESYNC accounts as lost.
-func (s *Server) writeWithBatch(conn net.Conn, resp *Response) error {
+func (s *Server) writeWithBatch(conn net.Conn, resp *Response, out []byte) ([]byte, error) {
 	s.batchMu.Lock()
 	defer s.batchMu.Unlock()
 	n := len(s.pending)
@@ -317,13 +320,18 @@ func (s *Server) writeWithBatch(conn net.Conn, resp *Response) error {
 		SentLost: s.books.SentLost + lost,
 		Deltas:   s.pending[:n:n],
 	}
+	out = appendResponse(beginFrame(out), resp)
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if err := writeFrame(conn, EncodeResponse(resp)); err != nil {
-		return err
+	if err := writeFrame(conn, out); err != nil {
+		return out, err
 	}
 	if n > 0 {
 		s.books = Books{Seq: seq, SentRows: s.books.SentRows + rows, SentLost: s.books.SentLost + lost}
-		s.pending = append([]telemetry.Delta(nil), s.pending[n:]...)
+		// The committed deltas are encoded and gone: shift whatever
+		// arrived behind them down, and let go of their rows.
+		k := copy(s.pending, s.pending[n:])
+		clear(s.pending[k:])
+		s.pending = s.pending[:k]
 	}
-	return nil
+	return out, nil
 }

@@ -74,6 +74,8 @@ type LeaveEvent struct {
 }
 
 // FlowRemovedEvent is delivered when a flow entry expires or is deleted.
+// The read loop reuses one per switch: a handler that keeps anything keeps
+// Msg, not the event.
 type FlowRemovedEvent struct {
 	Switch *Switch
 	Msg    *openflow.FlowRemoved

@@ -821,6 +821,56 @@ func TestFlowRemovedDispatchAllocatesNothing(t *testing.T) {
 	}
 }
 
+// A flow-removed that comes in over the transport costs its handlers and
+// nothing else: the read loop hands every one the same event, as it does
+// packet-ins, so the message the datapath allocated is the only garbage of
+// a removal.
+func TestFlowRemovedReadLoopAllocatesNothing(t *testing.T) {
+	ctl := NewController()
+	t.Cleanup(func() { ctl.Close() })
+	handled := make(chan uint64, 1)
+	ctl.OnFlowRemoved(func(ev *FlowRemovedEvent) { handled <- ev.Msg.PacketCount })
+	joined := make(chan struct{})
+	ctl.OnJoin(func(*JoinEvent) { close(joined) })
+	ctlEnd, dpEnd := oftransport.Pair(0)
+	t.Cleanup(func() { _ = dpEnd.Close() })
+	go func() { _ = ctl.ServeTransport(ctlEnd) }()
+
+	// A scripted datapath: HELLO, the features reply, then flow-removeds.
+	_ = dpEnd.Send(&openflow.Hello{})
+	for {
+		msg, err := dpEnd.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req, ok := msg.(*openflow.FeaturesRequest); ok {
+			rep := &openflow.FeaturesReply{DatapathID: 9}
+			rep.Header.XID = req.Header.XID
+			_ = dpEnd.Send(rep)
+			break
+		}
+	}
+	select {
+	case <-joined:
+	case <-time.After(5 * time.Second):
+		t.Fatal("scripted datapath did not join")
+	}
+
+	msg := &openflow.FlowRemoved{Match: openflow.MatchAll(), PacketCount: 7}
+	remove := func() {
+		_ = dpEnd.Send(msg)
+		if got := <-handled; got != 7 {
+			t.Fatalf("handler saw %d packets, want 7", got)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		remove()
+	}
+	if allocs := testing.AllocsPerRun(200, remove); allocs != 0 {
+		t.Errorf("a flow-removed through the read loop allocates %g times, want 0", allocs)
+	}
+}
+
 // Registration publishes a new chain while dispatches read the old one:
 // handlers registered from several goroutines during a stream of events all
 // end up in the chain, once each, in the order each goroutine added them.

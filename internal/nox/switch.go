@@ -61,13 +61,15 @@ func (sw *Switch) Send(msg openflow.Message) error {
 // channel), every message already queued is drained into a reused slice
 // per wakeup, so a burst of punts from one ReceiveBatch tick costs one
 // wakeup and one quiescence broadcast instead of N. The decode state and
-// the packet-in event are also reused across the batch — handlers own
-// them only for the duration of the dispatch (see the package comment).
+// the packet-in and flow-removed events are also reused across batches —
+// handlers own them only for the duration of the dispatch (see the package
+// comment).
 func (sw *Switch) readLoop() error {
 	var (
 		batch []openflow.Message
 		d     packet.Decoded
 		ev    PacketInEvent
+		rem   FlowRemovedEvent
 	)
 	for {
 		var err error
@@ -112,7 +114,8 @@ func (sw *Switch) readLoop() error {
 				tracer.EndDispatch()
 				punts++
 			case *openflow.FlowRemoved:
-				sw.ctl.dispatchFlowRemoved(&FlowRemovedEvent{Switch: sw, Msg: m})
+				rem = FlowRemovedEvent{Switch: sw, Msg: m}
+				sw.ctl.dispatchFlowRemoved(&rem)
 			case *openflow.PortStatus:
 				sw.ctl.dispatchPortStatus(&PortStatusEvent{Switch: sw, Msg: m})
 			case *openflow.ErrorMsg:

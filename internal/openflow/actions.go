@@ -327,11 +327,13 @@ func decodeActions(b []byte) ([]Action, error) {
 	return actions, nil
 }
 
-// ApplyActions executes an action list on a frame, returning the (possibly
-// rewritten) frame bytes and the set of output port numbers. Reserved ports
-// are returned as-is for the datapath to interpret.
-func ApplyActions(frame []byte, actions []Action) ([]byte, []uint16) {
-	var outputs []uint16
+// ApplyActions executes an action list on a frame, calling out for each
+// output action, in list order, with the port and the frame as the actions
+// before it have rewritten it: a rewrite reaches only the outputs after it,
+// as OpenFlow 1.0 specifies. Reserved ports are passed as-is for the
+// datapath to interpret. The input frame is never written; a frame handed
+// to out is not written afterwards either.
+func ApplyActions(frame []byte, actions []Action, out func(port uint16, frame []byte)) {
 	var d packet.Decoded
 	dirty := false
 	ensure := func() bool {
@@ -366,10 +368,10 @@ func ApplyActions(frame []byte, actions []Action) ([]byte, []uint16) {
 		switch act := a.(type) {
 		case *ActionOutput:
 			reserialize()
-			outputs = append(outputs, act.Port)
+			out(act.Port, frame)
 		case *ActionEnqueue:
 			reserialize()
-			outputs = append(outputs, act.Port)
+			out(act.Port, frame)
 		case *ActionSetDLSrc:
 			if ensure() {
 				d.Eth.Src = act.Addr
@@ -424,6 +426,4 @@ func ApplyActions(frame []byte, actions []Action) ([]byte, []uint16) {
 			}
 		}
 	}
-	reserialize()
-	return frame, outputs
 }
