@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 	"time"
+	"unsafe"
 )
 
 // Result is a query result: a header row plus data rows, oldest-first
@@ -83,10 +85,10 @@ func (db *DB) Exec(cql string) (*Result, error) {
 // rowSink is the back half of a SELECT: it is fed the rows that passed
 // the window and WHERE, one at a time, and keeps only what the result
 // needs of each, so the rows themselves can be views that die with the
-// call.
+// call. finish is called once, after the last row.
 type rowSink interface {
 	add(Row)
-	result() *Result
+	finish()
 }
 
 // Select executes a parsed SELECT. Over a live table nothing is copied:
@@ -103,14 +105,10 @@ func (db *DB) Select(sel *SelectStmt) (*Result, error) {
 	if err := validateExpr(schema, sel.Where); err != nil {
 		return nil, err
 	}
-	var sink rowSink
-	var err error
-	if sel.aggregates() {
-		sink, err = newAggregation(schema, sel)
-	} else {
-		sink, err = newProjection(schema, sel)
-	}
+	s := getSelectSet()
+	sink, cols, err := s.sink(schema, sel)
 	if err != nil {
+		s.put()
 		return nil, err
 	}
 	feed := func(r Row) error {
@@ -140,19 +138,10 @@ func (db *DB) Select(sel *SelectStmt) (*Result, error) {
 		err = feed(rows[i])
 	}
 	if err != nil {
+		s.put()
 		return nil, err
 	}
-
-	res := sink.result()
-	if len(sel.Order) > 0 {
-		if err := orderRows(res, sel.Order); err != nil {
-			return nil, err
-		}
-	}
-	if sel.Limit > 0 && len(res.Rows) > sel.Limit {
-		res.Rows = res.Rows[:sel.Limit]
-	}
-	return res, nil
+	return s.result(sink, cols, sel.Order, sel.Limit)
 }
 
 // aggregates reports whether the statement groups or folds rows rather
@@ -166,6 +155,9 @@ func (sel *SelectStmt) aggregates() bool {
 	return len(sel.GroupBy) > 0
 }
 
+// selectStar is History's projection.
+var selectStar = &SelectStmt{Items: []SelectItem{{Col: "*"}}}
+
 // History is the programmatic form of `SELECT * FROM table HISTORY @from
 // @to`: the table's retained rows (HistorySource-widened when one is
 // attached) in the inclusive range, projected with the timestamp column.
@@ -175,14 +167,16 @@ func (db *DB) History(table string, from, to time.Time) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("hwdb: no such table %s", table)
 	}
-	p, err := newProjection(t.Schema(), &SelectStmt{Items: []SelectItem{{Col: "*"}}})
+	s := getSelectSet()
+	p, cols, err := s.project(t.Schema(), selectStar)
 	if err != nil {
+		s.put()
 		return nil, err
 	}
 	for _, row := range db.historyRows(t, from, to) {
 		p.add(row)
 	}
-	return p.result(), nil
+	return s.result(p, cols, nil, 0)
 }
 
 // validateExpr checks that every column referenced by a WHERE expression
@@ -211,16 +205,161 @@ func validateExpr(schema *Schema, e Expr) error {
 	return nil
 }
 
-// rowSlab is where a select's result rows live: rows of width cells handed
-// out of chunks that double in size and never move. Chunk k holds
-// 1<<(shift+k) rows, so n rows cost about log2(n) chunk allocations, and
-// nothing is copied when the next chunk arrives — a grown slice would copy
-// every 40-byte cell it already held at each doubling.
+// selectSet is a select's working set — everything DB.Select builds its
+// result with and then has no use for: the sink with its resolved columns,
+// the group index and key buffer, the accumulator the rows are built in,
+// and the row headers ORDER BY sorts. Sets are kept across calls in a
+// process-wide pool, so a warm select allocates only the result it hands
+// back.
+type selectSet struct {
+	proj  projection
+	agg   aggregation
+	acc   rowSlab
+	heads [][]Value // the accumulator's rows in result order
+	order []int     // ORDER BY columns, resolved
+}
+
+// maxPooledSet is the footprint, in bytes, above which a set is dropped
+// instead of pooled — as fmt drops a printer whose buffer grew past 64 KB,
+// so that one window-less SELECT * does not leave its chunks in the pool
+// for good. The Figure-1 select's set at 60 groups is about 16 KB.
+const maxPooledSet = 64 << 10
+
+var selectSets = sync.Pool{New: func() any {
+	return &selectSet{agg: aggregation{idx: groupIndex{hashMask: ^uint64(0)}}}
+}}
+
+// getSelectSet takes a set from the pool and seeds its index afresh: a
+// select's groups come out in first-seen order whatever the seed, and
+// running a select twice shows it.
+func getSelectSet() *selectSet {
+	s := selectSets.Get().(*selectSet)
+	s.agg.idx.seed = maphash.MakeSeed()
+	return s
+}
+
+// put hands s back to the pool, or drops it if it has grown past
+// maxPooledSet; nothing a caller holds may point into s. Every cell the
+// select wrote is zeroed first: take hands out zero cells, and a string
+// left in a pooled cell would keep the ring strings it came from (a
+// lease's hostname) alive.
+func (s *selectSet) put() {
+	if s.footprint() > maxPooledSet {
+		return
+	}
+	s.acc.reset()
+	clear(s.heads)
+	s.heads = s.heads[:0]
+	s.agg.sel = nil
+	s.agg.idx.reset()
+	selectSets.Put(s)
+}
+
+// footprint is what s holds on to that grows with a select's rows and
+// groups, in bytes.
+func (s *selectSet) footprint() int {
+	x := &s.agg.idx
+	n := cap(s.heads)*int(unsafe.Sizeof([]Value(nil))) + cap(s.agg.keyBuf) + cap(x.keys) + 4*(cap(x.slots)+cap(x.ends))
+	for _, c := range s.acc.chunks[:cap(s.acc.chunks)] {
+		n += cap(c) * int(unsafe.Sizeof(Value{}))
+	}
+	return n
+}
+
+// sink readies s for sel: its projection or its aggregation, and the
+// result's column names.
+func (s *selectSet) sink(schema *Schema, sel *SelectStmt) (rowSink, []string, error) {
+	if sel.aggregates() {
+		return s.aggregate(schema, sel)
+	}
+	return s.project(schema, sel)
+}
+
+// result finishes the sink and reads its rows out of the accumulator in
+// the order ORDER BY asks, at most limit of them. A set that stays under
+// maxPooledSet goes back to the pool, so the rows are first copied into
+// one block of exactly their cells: the result costs Result, Cols, the
+// block and its row headers. A larger set is not pooled, and nothing is
+// copied: the rows are cut from the accumulator's chunks as they stand,
+// and the set goes with the result.
+func (s *selectSet) result(sink rowSink, cols []string, order []OrderBy, limit int) (*Result, error) {
+	sink.finish()
+	s.heads = s.acc.appendRows(s.heads[:0])
+	heads := s.heads
+	if len(order) > 0 {
+		if err := s.orderRows(heads, cols, order); err != nil {
+			s.put()
+			return nil, err
+		}
+	}
+	if limit > 0 && len(heads) > limit {
+		heads = heads[:limit]
+	}
+	if s.footprint() > maxPooledSet {
+		return &Result{Cols: cols, Rows: heads}, nil
+	}
+	w := s.acc.width
+	block := make([]Value, len(heads)*w)
+	rows := make([][]Value, len(heads))
+	for i, h := range heads {
+		rows[i] = block[i*w : (i+1)*w : (i+1)*w]
+		copy(rows[i], h)
+	}
+	s.put()
+	return &Result{Cols: cols, Rows: rows}, nil
+}
+
+// orderRows sorts heads, stably, by the ORDER BY columns of the result.
+func (s *selectSet) orderRows(heads [][]Value, cols []string, order []OrderBy) error {
+	s.order = s.order[:0]
+	for _, ob := range order {
+		found := -1
+		for j, c := range cols {
+			if strings.EqualFold(c, ob.Col) {
+				found = j
+				break
+			}
+		}
+		if found < 0 {
+			return fmt.Errorf("hwdb: ORDER BY column %q not in result", ob.Col)
+		}
+		s.order = append(s.order, found)
+	}
+	idx := s.order
+	slices.SortStableFunc(heads, func(a, b []Value) int {
+		for i, ob := range order {
+			va, vb := a[idx[i]], b[idx[i]]
+			if va.Equal(vb) {
+				continue
+			}
+			if ob.Desc {
+				va, vb = vb, va
+			}
+			switch {
+			case va.Less(vb):
+				return -1
+			case vb.Less(va):
+				return 1
+			}
+			return 0
+		}
+		return 0
+	})
+	return nil
+}
+
+// rowSlab is the accumulator a select's rows are built in: rows of width
+// cells handed out of chunks that double in size and never move. Chunk k
+// holds 1<<(shift+k) rows, so n rows cost about log2(n) chunk allocations,
+// and nothing is copied when the next chunk arrives — a grown slice would
+// copy every 40-byte cell it already held at each doubling. A pooled slab
+// keeps its chunks, every cell zero, for the next select: chunk k is
+// reused whenever it has room for that select's chunk k.
 type rowSlab struct {
 	width  int
-	shift  uint // chunk 0 holds 1<<shift rows
-	n      int  // rows handed out
-	chunks [][]Value
+	shift  uint       // chunk 0 holds 1<<shift rows
+	n      int        // rows handed out
+	chunks [][]Value  // in use; chunks[len:cap] are kept from earlier selects
 	inline [6][]Value // backs chunks until a seventh is needed
 }
 
@@ -228,6 +367,9 @@ type rowSlab struct {
 // is what a one-row result pays for, and four doublings later a chunk
 // holds 64.
 const slabShift = 2
+
+// start readies an empty slab for rows of width cells.
+func (s *rowSlab) start(width int, shift uint) { s.width, s.shift = width, shift }
 
 // locate finds row i: its chunk and its position among that chunk's rows.
 func (s *rowSlab) locate(i int) (k, at int) {
@@ -248,40 +390,59 @@ func (s *rowSlab) take() []Value {
 		if s.chunks == nil {
 			s.chunks = s.inline[:0]
 		}
-		s.chunks = append(s.chunks, make([]Value, s.width<<(s.shift+uint(k))))
+		if size := s.width << (s.shift + uint(k)); k < cap(s.chunks) && cap(s.chunks[:k+1][k]) >= size {
+			s.chunks = s.chunks[:k+1]
+		} else {
+			s.chunks = append(s.chunks, make([]Value, size))
+			if k == len(s.inline) {
+				s.inline = [len(s.inline)][]Value{} // chunks has moved off it
+			}
+		}
 	}
 	s.n++
 	return s.row(s.n - 1)
 }
 
-// rows cuts the slab into the rows handed out, in order.
-func (s *rowSlab) rows() [][]Value {
-	out := make([][]Value, s.n)
-	for i := range out {
-		out[i] = s.row(i)
+// appendRows appends the rows handed out, in order, to heads.
+func (s *rowSlab) appendRows(heads [][]Value) [][]Value {
+	heads = slices.Grow(heads, s.n)
+	for i := 0; i < s.n; i++ {
+		heads = append(heads, s.row(i))
 	}
-	return out
+	return heads
+}
+
+// reset zeroes every row handed out and empties the slab, keeping its
+// chunks.
+func (s *rowSlab) reset() {
+	for k, c := range s.chunks {
+		first := (1<<k - 1) << s.shift
+		clear(c[:min(s.n-first, 1<<(s.shift+uint(k)))*s.width])
+	}
+	s.n, s.chunks = 0, s.chunks[:0]
 }
 
 // projection is the rowSink of a plain SELECT col,... (or *) without
 // aggregation.
 type projection struct {
 	refs []int // column per output cell; -1 = the timestamp pseudo-column
-	cols []string
-	out  rowSlab
+	out  *rowSlab
 }
 
-func newProjection(schema *Schema, sel *SelectStmt) (*projection, error) {
+// project readies s's projection for sel.
+func (s *selectSet) project(schema *Schema, sel *SelectStmt) (*projection, []string, error) {
 	n := len(sel.Items)
 	for _, it := range sel.Items {
 		if it.Col == "*" {
 			n += len(schema.Cols)
 		}
 	}
-	p := &projection{refs: make([]int, 0, n), cols: make([]string, 0, n)}
+	p := &s.proj
+	p.refs = slices.Grow(p.refs[:0], n)
+	cols := make([]string, 0, n)
 	ref := func(idx int, name string) {
 		p.refs = append(p.refs, idx)
-		p.cols = append(p.cols, name)
+		cols = append(cols, name)
 	}
 	for _, it := range sel.Items {
 		if it.Col == "*" {
@@ -297,12 +458,13 @@ func newProjection(schema *Schema, sel *SelectStmt) (*projection, error) {
 		}
 		i, ok := schema.Index(it.Col)
 		if !ok {
-			return nil, fmt.Errorf("hwdb: unknown column %q", it.Col)
+			return nil, nil, fmt.Errorf("hwdb: unknown column %q", it.Col)
 		}
 		ref(i, it.Name)
 	}
-	p.out = rowSlab{width: n, shift: slabShift}
-	return p, nil
+	s.acc.start(n, slabShift)
+	p.out = &s.acc
+	return p, cols, nil
 }
 
 func (p *projection) add(row Row) {
@@ -316,7 +478,7 @@ func (p *projection) add(row Row) {
 	}
 }
 
-func (p *projection) result() *Result { return &Result{Cols: p.cols, Rows: p.out.rows()} }
+func (p *projection) finish() {}
 
 // groupIndex numbers the distinct GROUP BY keys of a select in the order
 // they first appear. Keys are the bytes appendGroupKey builds; every key
@@ -383,27 +545,39 @@ func (x *groupIndex) ordinal(key []byte) int {
 	return int(x.slots[p] - 1)
 }
 
+// reset empties the index, keeping its table and arena, and undoes any
+// narrowing of the hash.
+func (x *groupIndex) reset() {
+	clear(x.slots)
+	x.ends, x.keys = x.ends[:0], x.keys[:0]
+	x.hashMask = ^uint64(0)
+}
+
 // aggregation is the rowSink of GROUP BY and aggregate select items. A
 // group is its result row and nothing else: GROUP BY cells are written
 // into the row when the group is first seen, and an aggregate accumulates
 // in its own cell — count in Int, sum in Real, avg in both, min and max as
-// the value so far — which result() then stamps with its type.
+// the value so far — which finish then stamps with its type.
 type aggregation struct {
 	sel      *SelectStmt
+	resolved []int // backs groupIdx and src
 	groupIdx []int // GROUP BY columns
 	src      []int // per select item: the column it reads (unused for count(*))
 	idx      groupIndex
 	keyBuf   []byte // reused for every row
-	out      rowSlab
+	out      *rowSlab
 }
 
-func newAggregation(schema *Schema, sel *SelectStmt) (*aggregation, error) {
-	cols := make([]int, len(sel.GroupBy)+len(sel.Items))
-	a := &aggregation{sel: sel, groupIdx: cols[:len(sel.GroupBy)], src: cols[len(sel.GroupBy):]}
+// aggregate readies s's aggregation for sel.
+func (s *selectSet) aggregate(schema *Schema, sel *SelectStmt) (*aggregation, []string, error) {
+	a := &s.agg
+	ng := len(sel.GroupBy)
+	a.resolved = slices.Grow(a.resolved[:0], ng+len(sel.Items))[:ng+len(sel.Items)]
+	a.sel, a.groupIdx, a.src = sel, a.resolved[:ng], a.resolved[ng:]
 	for j, g := range sel.GroupBy {
 		i, ok := schema.Index(g)
 		if !ok {
-			return nil, fmt.Errorf("hwdb: unknown GROUP BY column %q", g)
+			return nil, nil, fmt.Errorf("hwdb: unknown GROUP BY column %q", g)
 		}
 		a.groupIdx[j] = i
 	}
@@ -414,24 +588,29 @@ func newAggregation(schema *Schema, sel *SelectStmt) (*aggregation, error) {
 			// Non-aggregate items must appear in GROUP BY.
 			j := sel.groupCol(it.Col)
 			if j < 0 {
-				return nil, fmt.Errorf("hwdb: column %q must appear in GROUP BY", it.Col)
+				return nil, nil, fmt.Errorf("hwdb: column %q must appear in GROUP BY", it.Col)
 			}
 			a.src[i] = a.groupIdx[j]
 		case it.Col != "*":
 			ci, ok := schema.Index(it.Col)
 			if !ok {
-				return nil, fmt.Errorf("hwdb: unknown column %q", it.Col)
+				return nil, nil, fmt.Errorf("hwdb: unknown column %q", it.Col)
 			}
 			a.src[i] = ci
 		}
 	}
-	a.out = rowSlab{width: len(sel.Items)} // chunk 0 one row: without GROUP BY there is one group
-	if len(sel.GroupBy) > 0 {
-		a.out.shift = slabShift
-		a.idx = groupIndex{seed: maphash.MakeSeed(), hashMask: ^uint64(0)}
-		a.keyBuf = make([]byte, 0, 8*len(sel.GroupBy))
+	shift := uint(0) // chunk 0 one row: without GROUP BY there is one group
+	if ng > 0 {
+		shift = slabShift
+		a.keyBuf = slices.Grow(a.keyBuf[:0], 8*ng)
 	}
-	return a, nil
+	s.acc.start(len(sel.Items), shift)
+	a.out = &s.acc
+	cols := make([]string, len(sel.Items))
+	for i, it := range sel.Items {
+		cols[i] = it.Name
+	}
+	return a, cols, nil
 }
 
 // groupCol returns the position of col in the GROUP BY list, or -1.
@@ -486,18 +665,15 @@ func (a *aggregation) add(row Row) {
 	}
 }
 
-func (a *aggregation) result() *Result {
+func (a *aggregation) finish() {
 	sel := a.sel
 	if a.out.n == 0 && len(sel.GroupBy) == 0 {
 		// A bare aggregate over zero rows still yields one row: count and
 		// sum 0, min and max null.
 		a.out.take()
 	}
-	res := &Result{Cols: make([]string, len(sel.Items)), Rows: a.out.rows()}
-	for i, it := range sel.Items {
-		res.Cols[i] = it.Name
-	}
-	for _, out := range res.Rows {
+	for r := 0; r < a.out.n; r++ {
+		out := a.out.row(r)
 		for i, it := range sel.Items {
 			switch cell := &out[i]; it.Agg {
 			case AggCount:
@@ -513,7 +689,6 @@ func (a *aggregation) result() *Result {
 			}
 		}
 	}
-	return res
 }
 
 // appendGroupKey appends column c of row to a group key: the eight bytes
@@ -529,35 +704,4 @@ func appendGroupKey(key []byte, row Row, c int) []byte {
 		return append(key, s...)
 	}
 	return binary.LittleEndian.AppendUint64(key, row.cell(c))
-}
-
-func orderRows(res *Result, order []OrderBy) error {
-	idx := make([]int, len(order))
-	for i, ob := range order {
-		found := -1
-		for j, c := range res.Cols {
-			if strings.EqualFold(c, ob.Col) {
-				found = j
-				break
-			}
-		}
-		if found < 0 {
-			return fmt.Errorf("hwdb: ORDER BY column %q not in result", ob.Col)
-		}
-		idx[i] = found
-	}
-	sort.SliceStable(res.Rows, func(a, b int) bool {
-		for i, ob := range order {
-			va, vb := res.Rows[a][idx[i]], res.Rows[b][idx[i]]
-			if va.Equal(vb) {
-				continue
-			}
-			if ob.Desc {
-				return vb.Less(va)
-			}
-			return va.Less(vb)
-		}
-		return false
-	})
-	return nil
 }

@@ -2,9 +2,11 @@ package hwdb
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
@@ -709,11 +711,13 @@ var groupedSelects = []string{
 // groups, several index doublings on. Each select runs twice — two hash
 // seeds — and must give the reference's order both times.
 func TestGroupByMatchesStringKeyedReference(t *testing.T) {
-	a, _ := newAggregation(groupSchema, mustSelect(t, groupedSelects[0]))
-	b, _ := newAggregation(groupSchema, mustSelect(t, groupedSelects[0]))
-	if a.idx.seed == b.idx.seed {
+	s := getSelectSet()
+	seed := s.agg.idx.seed
+	s.put()
+	if s = getSelectSet(); s.agg.idx.seed == seed {
 		t.Fatal("two selects hash with one seed: running each twice would prove nothing about order")
 	}
+	s.put()
 	sizes := []int{1, 2, 5007}
 	for k, end := 0, 0; k < 4; k++ {
 		end += 1 << (slabShift + k) // 4, 12, 28, 60
@@ -754,7 +758,8 @@ func TestGroupByEqualityIsByKeyBytes(t *testing.T) {
 			if len(sel.Order) > 0 {
 				continue // ordering is Select's, not the sink's
 			}
-			a, err := newAggregation(groupSchema, sel)
+			s := getSelectSet()
+			a, cols, err := s.aggregate(groupSchema, sel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -762,7 +767,11 @@ func TestGroupByEqualityIsByKeyBytes(t *testing.T) {
 			for _, row := range tbl.Snapshot() {
 				a.add(row)
 			}
-			if err := sameResult(a.result().Rows, groupByRef(t, groupSchema, sel, m.rows)); err != nil {
+			res, err := s.result(a, cols, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameResult(res.Rows, groupByRef(t, groupSchema, sel, m.rows)); err != nil {
 				t.Fatalf("seed %d, %s: %v", seed, cql, err)
 			}
 		}
@@ -790,12 +799,15 @@ func TestAggregateOverEmptyWindow(t *testing.T) {
 	}
 }
 
-// TestResultRowsDoNotAlias: the rows of a result share chunks but not
-// cells. Appending to one row leaves the next intact, and a result stays
-// what it was while later selects build theirs.
+// TestResultRowsDoNotAlias: the rows of a result share a block — or, for
+// a result too big to pool, its chunks — but not cells. Appending to one
+// row leaves the next intact, and a result stays what it was once three
+// other selects have built theirs, in the working set it was built in
+// when that went back to the pool.
 func TestResultRowsDoNotAlias(t *testing.T) {
 	db, _, _ := groupTable(t, 3, 700, 70)
-	for _, cql := range []string{"SELECT * FROM T", "SELECT s, n FROM T WHERE b = true", groupedSelects[3], groupedSelects[0]} {
+	stmts := []string{"SELECT * FROM T", "SELECT s, n FROM T WHERE b = true", groupedSelects[3], groupedSelects[0]}
+	for k, cql := range stmts {
 		sel := mustSelect(t, cql)
 		res, err := db.Select(sel)
 		if err != nil || len(res.Rows) < 2<<slabShift {
@@ -812,8 +824,8 @@ func TestResultRowsDoNotAlias(t *testing.T) {
 			grown := append(row, Str("appended"))
 			grown[0] = Str("overwritten") // the copy's cell, not the result's
 		}
-		for range 3 {
-			if _, err := db.Select(sel); err != nil {
+		for j := 1; j <= 3; j++ {
+			if _, err := db.Query(stmts[(k+j)%len(stmts)]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -823,16 +835,20 @@ func TestResultRowsDoNotAlias(t *testing.T) {
 	}
 }
 
-// aggregate runs rows through an aggregation in one call.
-func aggregate(schema *Schema, sel *SelectStmt, rows []Row) (*Result, error) {
-	a, err := newAggregation(schema, sel)
+// freshAggregate runs rows through the aggregation of a new working set,
+// not one from the pool: what a select pays whose set was dropped for its
+// size, or that is the first on its processor.
+func freshAggregate(schema *Schema, sel *SelectStmt, rows []Row) (*Result, error) {
+	s := selectSets.New().(*selectSet)
+	s.agg.idx.seed = maphash.MakeSeed()
+	a, cols, err := s.aggregate(schema, sel)
 	if err != nil {
 		return nil, err
 	}
 	for _, row := range rows {
 		a.add(row)
 	}
-	return a.result(), nil
+	return s.result(a, cols, nil, 0)
 }
 
 func mustSelect(t testing.TB, cql string) *SelectStmt {
@@ -901,11 +917,12 @@ func TestWindowedSelectBytesIndependentOfRingFill(t *testing.T) {
 	}
 }
 
-// TestAggregateAllocsFollowGroupsNotRows pins what GROUP BY allocates: ten
-// times the rows in the same 30 groups allocate no more, and a hundred
-// times the groups cost one allocation per doubling of each of the three
-// things that grow with them — the row slab, the index table and the key
-// arena — not one per group.
+// TestAggregateAllocsFollowGroupsNotRows pins what GROUP BY allocates in a
+// fresh working set, the shape of every select too big to pool: ten times
+// the rows in the same 30 groups allocate no more, and a hundred times the
+// groups cost one allocation per doubling of each of the three things that
+// grow with them — the row slab, the index table and the key arena — not
+// one per group.
 func TestAggregateAllocsFollowGroupsNotRows(t *testing.T) {
 	sel := mustSelect(t, figure1Query)
 	aggAllocs := func(polls, devices int) float64 {
@@ -915,7 +932,7 @@ func TestAggregateAllocsFollowGroupsNotRows(t *testing.T) {
 		flows, _ := db.Table(TableFlows)
 		rows := flows.Snapshot()
 		return testing.AllocsPerRun(20, func() {
-			if res, err := aggregate(flows.Schema(), sel, rows); err != nil || len(res.Rows) != 5*devices {
+			if res, err := freshAggregate(flows.Schema(), sel, rows); err != nil || len(res.Rows) != 5*devices {
 				t.Fatalf("aggregate: %v, %v", res, err)
 			}
 		})
@@ -933,6 +950,31 @@ func TestAggregateAllocsFollowGroupsNotRows(t *testing.T) {
 	// or twice under the race detector.
 	if doublings := math.Ceil(math.Log2(100)); wide-few > 3*doublings+2 {
 		t.Errorf("3000 groups cost %.0f allocations more than 30, want %.0f: three per doubling", wide-few, 3*doublings)
+	}
+}
+
+// TestFigure1SelectAllocatesItsResult pins what a warm select allocates:
+// its result and nothing else — Result, Cols, one block of exactly 30 × 5
+// cells and the 30 row headers, 7 040 B. The sink, the index, the key
+// buffer and the accumulator come from a pooled working set.
+func TestFigure1SelectAllocatesItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
+	sel := mustSelect(t, figure1Query)
+	clk := clock.NewSimulated()
+	db := NewHomework(clk, DefaultRingSize)
+	observeFlows(db, clk, 16)
+	run := func() {
+		if res, err := db.Select(sel); err != nil || len(res.Rows) != 30 {
+			t.Fatalf("select: %v, %v", res, err)
+		}
+	}
+	allocs, bytes := testing.AllocsPerRun(100, run), bytesPerRun(100, run)
+	t.Logf("Figure-1 select: %.0f allocations, %d B", allocs, bytes)
+	if allocs > 6 || bytes > 7500 {
+		t.Errorf("Figure-1 select allocates %.0f times and %d B, want at most 6 and 7 500 B: its result", allocs, bytes)
 	}
 }
 

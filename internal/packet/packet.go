@@ -20,6 +20,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"strconv"
+	"strings"
 )
 
 // Errors shared by the decoders in this package.
@@ -48,15 +50,18 @@ func (m MAC) IsMulticast() bool { return m[0]&1 == 1 }
 // IsZero reports whether the address is all zeros.
 func (m MAC) IsZero() bool { return m == MAC{} }
 
-// ParseMAC parses a colon-separated Ethernet address.
+// ParseMAC parses a colon-separated Ethernet address: exactly six fields of
+// two hex digits, of either case, and nothing before or after them.
 func ParseMAC(s string) (MAC, error) {
 	var m MAC
-	var b [6]int
-	n, err := fmt.Sscanf(s, "%02x:%02x:%02x:%02x:%02x:%02x", &b[0], &b[1], &b[2], &b[3], &b[4], &b[5])
-	if err != nil || n != 6 {
-		return m, fmt.Errorf("packet: bad MAC %q", s)
+	if len(s) != 3*len(m)-1 {
+		return MAC{}, fmt.Errorf("packet: bad MAC %q", s)
 	}
-	for i, v := range b {
+	for i := range m {
+		v, err := strconv.ParseUint(s[3*i:3*i+2], 16, 8)
+		if err != nil || (i < len(m)-1 && s[3*i+2] != ':') {
+			return MAC{}, fmt.Errorf("packet: bad MAC %q", s)
+		}
 		m[i] = byte(v)
 	}
 	return m, nil
@@ -89,17 +94,18 @@ func IP4FromUint32(v uint32) IP4 {
 	return ip
 }
 
-// ParseIP4 parses a dotted-quad IPv4 address.
+// ParseIP4 parses a dotted-quad IPv4 address: exactly four unsigned
+// decimal fields, each at most 255, and nothing before or after them.
 func ParseIP4(s string) (IP4, error) {
 	var ip IP4
-	var b [4]int
-	n, err := fmt.Sscanf(s, "%d.%d.%d.%d", &b[0], &b[1], &b[2], &b[3])
-	if err != nil || n != 4 {
-		return ip, fmt.Errorf("packet: bad IPv4 %q", s)
-	}
-	for i, v := range b {
-		if v < 0 || v > 255 {
-			return ip, fmt.Errorf("packet: bad IPv4 %q", s)
+	rest := s
+	for i := range ip {
+		var f string
+		var more bool
+		f, rest, more = strings.Cut(rest, ".")
+		v, err := strconv.ParseUint(f, 10, 8)
+		if err != nil || more != (i < len(ip)-1) {
+			return IP4{}, fmt.Errorf("packet: bad IPv4 %q", s)
 		}
 		ip[i] = byte(v)
 	}

@@ -24,13 +24,39 @@ func TestParseMACRoundTrip(t *testing.T) {
 			t.Errorf("round trip %q -> %q", s, m.String())
 		}
 	}
+	if m, err := ParseMAC("AA:bB:Cc:dd:EE:0f"); err != nil || m != (MAC{0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0x0f}) {
+		t.Errorf("ParseMAC of mixed case = %v, %v", m, err)
+	}
 }
 
+// TestParseMACRejects: a MAC is six two-hex-digit fields joined by ':'
+// and nothing else; every near miss is an error, never a different device.
 func TestParseMACRejects(t *testing.T) {
-	for _, s := range []string{"", "nonsense", "00:00:00:00:00", "zz:00:00:00:00:00"} {
-		if _, err := ParseMAC(s); err == nil {
-			t.Errorf("ParseMAC(%q) unexpectedly succeeded", s)
-		}
+	for _, tc := range []struct{ name, mac string }{
+		{"empty", ""},
+		{"nonsense", "nonsense"},
+		{"truncated to five fields", "00:00:00:00:00"},
+		{"truncated last field", "aa:bb:cc:dd:ee:f"},
+		{"seventh field", "aa:bb:cc:dd:ee:ff:00"},
+		{"oversize field", "aa:bb:cc:dd:ee:fff"},
+		{"oversize first field", "aaa:bb:cc:dd:ee:ff"},
+		{"single-digit fields", "a:b:c:d:e:f"},
+		{"non-hex", "zz:00:00:00:00:00"},
+		{"non-hex last digit", "aa:bb:cc:dd:ee:fg"},
+		{"signed", "+a:bb:cc:dd:ee:ff"},
+		{"negative", "-a:bb:cc:dd:ee:ff"},
+		{"trailing bytes", "aa:bb:cc:dd:ee:ff junk"},
+		{"trailing newline", "aa:bb:cc:dd:ee:ff\n"},
+		{"leading space", " aa:bb:cc:dd:ee:ff"},
+		{"dash separators", "aa-bb-cc-dd-ee-ff"},
+		{"dot separators", "aabb.ccdd.eeff"},
+		{"no separators", "aabbccddeeff"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if m, err := ParseMAC(tc.mac); err == nil {
+				t.Errorf("ParseMAC(%q) = %v, want an error", tc.mac, m)
+			}
+		})
 	}
 }
 
@@ -59,10 +85,37 @@ func TestIP4RoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseIP4Rejects: an IPv4 address is four unsigned decimal fields of
+// at most 255 joined by '.' and nothing else.
 func TestParseIP4Rejects(t *testing.T) {
-	for _, s := range []string{"", "256.1.1.1", "1.2.3", "a.b.c.d"} {
-		if _, err := ParseIP4(s); err == nil {
-			t.Errorf("ParseIP4(%q) unexpectedly succeeded", s)
+	for _, tc := range []struct{ name, ip string }{
+		{"empty", ""},
+		{"field over 255", "256.1.1.1"},
+		{"last field over 255", "1.2.3.256"},
+		{"truncated to three fields", "1.2.3"},
+		{"trailing dot", "1.2.3."},
+		{"empty field", "1..2.3"},
+		{"fifth field", "1.2.3.4.5"},
+		{"oversize field", "1.2.3.1234"},
+		{"non-decimal", "a.b.c.d"},
+		{"hex field", "0x1.2.3.4"},
+		{"signed", "+1.2.3.4"},
+		{"negative field", "1.-2.3.4"},
+		{"trailing bytes", "1.2.3.4junk"},
+		{"trailing space", "1.2.3.4 "},
+		{"leading space", " 1.2.3.4"},
+		{"with a port", "1.2.3.4:80"},
+		{"with a prefix", "1.2.3.0/24"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if ip, err := ParseIP4(tc.ip); err == nil {
+				t.Errorf("ParseIP4(%q) = %v, want an error", tc.ip, ip)
+			}
+		})
+	}
+	for s, want := range map[string]IP4{"0.0.0.0": {}, "255.255.255.255": {255, 255, 255, 255}, "010.1.02.003": {10, 1, 2, 3}} {
+		if ip, err := ParseIP4(s); err != nil || ip != want {
+			t.Errorf("ParseIP4(%q) = %v, %v, want %v", s, ip, err, want)
 		}
 	}
 }

@@ -15,8 +15,9 @@ package ui
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -42,6 +43,18 @@ type BandwidthView struct {
 
 	flows    *hwdb.SelectStmt // the Figure-1 read, parsed for flowsFor
 	flowsFor time.Duration
+
+	// A refresh's working maps, cleared and refilled by each: bytes per
+	// device and service, bytes per device, and hostnames.
+	agg    map[serviceKey]uint64
+	totals map[packet.MAC]uint64
+	names  map[packet.MAC]string
+}
+
+// serviceKey is one line of the display: a device and a service.
+type serviceKey struct {
+	mac     packet.MAC
+	service string
 }
 
 // mustSelect parses one of the displays' own statements, once, so that a
@@ -61,24 +74,25 @@ func NewBandwidthView(db *hwdb.DB) *BandwidthView {
 	return &BandwidthView{DB: db, Window: 10 * time.Second}
 }
 
-// hostnames maps MAC -> latest hostname from the Leases table.
-func (v *BandwidthView) hostnames() map[packet.MAC]string {
-	out := make(map[packet.MAC]string)
+// hostnames refills v.names: MAC -> latest hostname from the Leases table.
+func (v *BandwidthView) hostnames() {
+	clear(v.names)
 	res, err := v.DB.Select(leaseNames)
 	if err != nil {
-		return out
+		return
 	}
 	for _, row := range res.Rows {
 		if row[2].Str == "add" && row[1].Str != "" {
-			out[row[0].MAC()] = row[1].Str
+			v.names[row[0].MAC()] = row[1].Str
 		}
 	}
-	return out
 }
 
 // Rows computes the current display rows, most-consuming device first (the
 // left-hand side of Figure 5's screenshot), each device's services sorted
-// by volume (its right-hand side).
+// by volume (its right-hand side), services of equal volume by name. A
+// refresh allocates its selects' results, the rows it returns and the
+// names of devices without a hostname.
 func (v *BandwidthView) Rows() ([]BandwidthRow, error) {
 	window := v.Window
 	if window <= 0 {
@@ -98,13 +112,12 @@ func (v *BandwidthView) Rows() ([]BandwidthRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := v.hostnames()
-
-	type key struct {
-		mac     packet.MAC
-		service string
+	if v.agg == nil {
+		v.agg, v.totals, v.names = map[serviceKey]uint64{}, map[packet.MAC]uint64{}, map[packet.MAC]string{}
 	}
-	agg := make(map[key]uint64)
+	clear(v.agg)
+	clear(v.totals)
+	v.hostnames()
 	for _, row := range res.Rows {
 		mac := row[0].MAC()
 		proto := packet.IPProto(row[1].Int)
@@ -116,12 +129,12 @@ func (v *BandwidthView) Rows() ([]BandwidthRow, error) {
 		if svc == "other" {
 			svc = packet.WellKnownService(proto, sport)
 		}
-		agg[key{mac, svc}] += uint64(row[4].AsFloat())
+		v.agg[serviceKey{mac, svc}] += uint64(row[4].AsFloat())
 	}
 
-	rows := make([]BandwidthRow, 0, len(agg))
-	for k, n := range agg {
-		name := names[k.mac]
+	rows := make([]BandwidthRow, 0, len(v.agg))
+	for k, n := range v.agg {
+		name := v.names[k.mac]
 		if name == "" {
 			name = k.mac.String()
 		}
@@ -129,21 +142,21 @@ func (v *BandwidthView) Rows() ([]BandwidthRow, error) {
 			Device: name, MAC: k.mac, Service: k.service,
 			Bytes: n, BytesPer: float64(n) / secs,
 		})
+		v.totals[k.mac] += n
 	}
-	// Order: devices by total desc, then services by bytes desc.
-	totals := make(map[packet.MAC]uint64)
-	for _, r := range rows {
-		totals[r.MAC] += r.Bytes
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		ti, tj := totals[rows[i].MAC], totals[rows[j].MAC]
-		if ti != tj {
-			return ti > tj
+	// Order: devices by total desc, then services by bytes desc, then by
+	// name — rows come out of a map, so every tie must be broken.
+	slices.SortFunc(rows, func(a, b BandwidthRow) int {
+		if c := cmp.Compare(v.totals[b.MAC], v.totals[a.MAC]); c != 0 {
+			return c
 		}
-		if rows[i].MAC != rows[j].MAC {
-			return bytes.Compare(rows[i].MAC[:], rows[j].MAC[:]) < 0
+		if c := bytes.Compare(a.MAC[:], b.MAC[:]); c != 0 {
+			return c
 		}
-		return rows[i].Bytes > rows[j].Bytes
+		if c := cmp.Compare(b.Bytes, a.Bytes); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Service, b.Service)
 	})
 	return rows, nil
 }

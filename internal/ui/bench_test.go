@@ -1,6 +1,7 @@
 package ui
 
 import (
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -9,20 +10,17 @@ import (
 	"repro/internal/packet"
 )
 
-// BenchmarkDisplayReads is the read half of hwbench's home_ui workload
-// without the router under it: one home whose Flows, Links and FlowPerf
-// rings have filled and aged, four devices (two of them wireless) whose
-// measurement rows keep arriving on a simulated clock, and per op what the
-// displays read each 250 ms tick — the Figure-1 statement as a client sends
-// it (parsed, then selected), the bandwidth view's rows and one step of the
-// artifact in signal mode.
-//
-//	go test -run '^$' -bench DisplayReads -benchtime 2000x -memprofile mem.out ./internal/ui
-//
-// gives the read path's allocation profile per tick (pprof
-// -sample_index=alloc_space or alloc_objects): the counterpart of
-// BenchmarkChurnHomeStep in internal/core for the control path.
-func BenchmarkDisplayReads(b *testing.B) {
+// raceEnabled is set by race_test.go in a build with the race detector.
+var raceEnabled bool
+
+// displayTick builds the read half of hwbench's home_ui workload without
+// the router under it — one home whose Flows, Links and FlowPerf rings
+// have filled and aged, four devices (two of them wireless) whose
+// measurement rows keep arriving on a simulated clock — and returns one
+// tick of it: a poll's rows, then what the displays read each 250 ms — the
+// Figure-1 statement as a client sends it (parsed, then selected), the
+// bandwidth view's rows and one step of the artifact in signal mode.
+func displayTick(tb testing.TB) func() {
 	const figure1 = "SELECT mac, proto, dport, sport, sum(bytes) AS bytes FROM Flows [RANGE 10 SECONDS] GROUP BY mac, proto, dport, sport"
 	clk := clock.NewSimulated()
 	db := hwdb.NewHomework(clk, hwdb.DefaultRingSize)
@@ -40,7 +38,7 @@ func BenchmarkDisplayReads(b *testing.B) {
 	}
 	for i, d := range devices {
 		if err := db.InsertLease("add", d.mac, d.ip, []string{"laptop", "tv", "phone", "sensor"}[i]); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	// observe writes what one measurement poll writes: every device's
@@ -80,20 +78,54 @@ func BenchmarkDisplayReads(b *testing.B) {
 	art := NewArtifact(db, devices[1].mac)
 	art.SetMode(ModeSignal)
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		observe()
 		res, err := db.Query(figure1)
 		if err != nil || len(res.Rows) < 2*len(devices) {
-			b.Fatalf("Figure-1 query: %v, %v", res, err)
+			tb.Fatalf("Figure-1 query: %v, %v", res, err)
 		}
 		rows, err := view.Rows()
 		if err != nil || len(rows) != len(devices) {
-			b.Fatalf("bandwidth view: %d rows, %v", len(rows), err)
+			tb.Fatalf("bandwidth view: %d rows, %v", len(rows), err)
 		}
 		if leds := art.Step(250 * time.Millisecond); len(leds) != art.NumLEDs {
-			b.Fatalf("artifact: %d LEDs, want %d", len(leds), art.NumLEDs)
+			tb.Fatalf("artifact: %d LEDs, want %d", len(leds), art.NumLEDs)
 		}
+	}
+}
+
+// BenchmarkDisplayReads runs displayTick per op. A warm tick allocates
+// what the displays keep or hand on: the Figure-1 statement's parse, the
+// result of each of its four selects (Result, Cols, one block of cells,
+// the row headers — the working sets they were built in are pooled), the
+// bandwidth rows and the LED strip; TestDisplayReadsAllocations pins it.
+//
+//	go test -run '^$' -bench DisplayReads -benchtime 2000x -memprofile mem.out ./internal/ui
+//
+// gives the read path's allocation profile per tick (pprof
+// -sample_index=alloc_space or alloc_objects): the counterpart of
+// BenchmarkChurnHomeStep in internal/core for the control path.
+func BenchmarkDisplayReads(b *testing.B) {
+	tick := displayTick(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tick()
+	}
+}
+
+// TestDisplayReadsAllocations pins a display tick: 23 allocations once the
+// selects' working sets are pooled and the bandwidth view keeps its maps —
+// the parse's 5, four results of 4, the bandwidth rows and the LED strip.
+// A select that threw its working set away again would cost several more
+// each, and a view rebuilding its maps three more.
+func TestDisplayReadsAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	tick := displayTick(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
+	if got := testing.AllocsPerRun(200, tick); got > 40 {
+		t.Errorf("a display tick allocates %.0f times, want at most 40", got)
 	}
 }

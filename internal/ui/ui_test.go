@@ -100,6 +100,40 @@ func TestBandwidthRenderAndWindow(t *testing.T) {
 	}
 }
 
+// TestBandwidthRenderIsDeterministic: a device whose services moved equal
+// bytes renders the same on every refresh, those services in name order —
+// the display's rows come out of a map, so only the sort can fix their
+// order.
+func TestBandwidthRenderIsDeterministic(t *testing.T) {
+	db := hwdb.NewHomework(clock.NewSimulated(), 4096)
+	_ = db.InsertLease("add", laptopMAC, packet.MustIP4("192.168.1.10"), "toms-mac-air")
+	for i, port := range []uint16{443, 22, 80, 993, 25} {
+		_ = db.InsertFlow(laptopMAC, packet.FiveTuple{
+			Src: packet.MustIP4("192.168.1.10"), Dst: packet.MustIP4("93.184.216.34"),
+			Proto: packet.ProtoTCP, SrcPort: uint16(50000 + i), DstPort: port,
+		}, 10, 1000)
+	}
+	v := NewBandwidthView(db)
+	first, err := v.Render()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for _, line := range strings.Split(first, "\n") {
+		if f := strings.Fields(line); len(f) == 2 && strings.HasPrefix(line, "  ") && f[0] != "total" {
+			order = append(order, f[0])
+		}
+	}
+	if got := strings.Join(order, " "); got != "http https imap smtp ssh" {
+		t.Fatalf("services of equal bytes in order %q, want by name:\n%s", got, first)
+	}
+	for i := 0; i < 100; i++ {
+		if out, err := v.Render(); err != nil || out != first {
+			t.Fatalf("refresh %d rendered differently (%v):\n%s\nfirst:\n%s", i, err, out, first)
+		}
+	}
+}
+
 // TestDisplaysParseOncePerWindowAndMAC: a refresh reuses the parsed
 // statement, and a display whose window or MAC is changed under it reads
 // with the new one.
