@@ -134,13 +134,6 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 		HomeConfig: func(id uint64, c *core.Config) {
 			c.SettleTimeout = cfg.SettleTimeout
 			c.WrapTransport = eng.FaultsFor(id).Wrap
-			// Time compression: a tick advances StepSec simulated seconds,
-			// so steady flows see traffic in bursts StepSec apart. The
-			// idle timeout must outlive the tick or the expiry sweeper
-			// idles out every active flow between bursts.
-			if idle := 3 * cfg.StepSec; idle > float64(c.FlowIdleTimeout) {
-				c.FlowIdleTimeout = uint16(idle)
-			}
 		},
 	})
 	defer fl.Stop()

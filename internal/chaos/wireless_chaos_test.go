@@ -26,9 +26,9 @@ func interferenceRun(t *testing.T, seed int64) []string {
 		HomeConfig: func(id uint64, c *core.Config) {
 			c.WrapTransport = eng.FaultsFor(id).Wrap
 			// Time compression: ticks advance 60 simulated seconds, so a
-			// flow's traffic arrives in bursts 60s apart. The idle timeout
-			// must outlive the tick or the expiry sweeper (racing the
-			// driver after each clock advance) kills active flows.
+			// flow's traffic arrives in bursts 60s apart. Each step's sweep
+			// idles out every flow quieter than the timeout, so it must
+			// outlive the gap or no steady flow survives to be measured.
 			c.FlowIdleTimeout = 180
 		},
 	})

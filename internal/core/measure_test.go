@@ -112,23 +112,9 @@ func TestFlowsAccountExactly(t *testing.T) {
 		t.Fatal("no flow expired: the run does not exercise flow-removed")
 	}
 
-	// The datapath sweeps idle entries on a goroutine of its own when the
-	// clock passes a second, so the last sweep's flow-removed messages may
-	// still be on their way; the books must balance once they land.
-	var diff string
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if err := h.r.Settle(); err != nil {
-			t.Fatal(err)
-		}
-		h.r.PollMeasure()
-		diff = h.accountingDiff(&mu, removed)
-		if diff == "" || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if diff != "" {
+	// The last tick's step swept and its Settle drained the flow-removeds:
+	// the books balance now, with nothing in flight.
+	if diff := h.accountingDiff(&mu, removed); diff != "" {
 		t.Fatal(diff)
 	}
 	live := 0

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"runtime/debug"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/datapath"
 	"repro/internal/netsim"
 	"repro/internal/nox"
 	"repro/internal/oftransport"
@@ -174,7 +177,7 @@ func TestExpiringFlowsWriteIdenticalRows(t *testing.T) {
 			}
 		}
 		clk.Advance(10 * time.Second)
-		r.Datapath.SweepExpired() // or the expiry loop did: one sweep removes them all
+		r.Datapath.SweepExpired() // the next step's sweep, without the step: it removes them all
 		if err := r.Switch().Barrier(); err != nil {
 			t.Fatal(err)
 		}
@@ -192,6 +195,92 @@ func TestExpiringFlowsWriteIdenticalRows(t *testing.T) {
 		if again := run(); again != first {
 			t.Fatalf("run %d wrote other Flows rows than the first:\n%s\nfirst:\n%s", i+2, again, first)
 		}
+	}
+}
+
+// A home's flows expire on its step: the first Net.Step at or after an
+// entry's deadline removes it and sends its flow-removed, which the step's
+// Settle drains, and no earlier or later step does. Nothing else sweeps, so
+// the table length and the flow-removeds counted after each tick are a
+// function of the tick sequence. Run with -race.
+func TestFlowsExpireOnTheirDueStep(t *testing.T) {
+	run := func() string {
+		clk := clock.NewSimulated()
+		r := startRouter(t, func(c *Config) {
+			c.Clock = clk
+			c.DisableRPC = true
+			c.FlowIdleTimeout = 2
+		})
+		host := join(t, r, "laptop", "02:aa:00:00:00:54", false, netsim.Pos{})
+		var removals atomic.Int64
+		r.Controller.OnFlowRemoved(func(*nox.FlowRemovedEvent) { removals.Add(1) })
+		server := packet.MustIP4("203.0.113.10")
+		send := func(sport uint16, flags uint8) {
+			host.SendRaw(packet.NewTCPFrame(host.MAC, r.Config.RouterMAC, host.IP(), server, sport, 80, flags, 1, nil).Bytes())
+		}
+		// Three connections open on ticks 1, 3 and 6; each SYN punts and
+		// the ACK a tick later is charged, so the deadlines fall on
+		// different ticks. Then the home goes idle.
+		opens := map[int]uint16{1: 31000, 3: 31001, 6: 31002}
+		deadline := func(e *datapath.FlowEntry) time.Time {
+			last := e.Installed
+			if lu, ok := e.LastUsed(); ok {
+				last = lu
+			}
+			return last.Add(time.Duration(e.IdleTimeout) * time.Second)
+		}
+		var (
+			book     strings.Builder
+			live     = map[*datapath.FlowEntry]time.Time{} // timed entries after the last tick, by deadline
+			expired  int64
+			baseline = removals.Load()
+		)
+		for tick := 0; tick < 24; tick++ {
+			now := clk.Now()
+			r.Net.Step(0.25)
+			if sport, ok := opens[tick]; ok {
+				send(sport, packet.TCPSyn)
+			}
+			if sport, ok := opens[tick-1]; ok {
+				send(sport, packet.TCPAck)
+			}
+			if err := r.Settle(); err != nil {
+				t.Fatal(err)
+			}
+			cur := map[*datapath.FlowEntry]bool{}
+			for _, e := range r.Datapath.Table().Entries(nil, openflow.PortNone) {
+				cur[e] = true
+			}
+			for e, due := range live {
+				switch gone := !cur[e]; {
+				case gone && now.Before(due):
+					t.Fatalf("tick %d at %v: an entry due at %v was removed early", tick, now, due)
+				case !gone && !now.Before(due):
+					t.Fatalf("tick %d at %v: an entry due at %v is still installed", tick, now, due)
+				case gone:
+					expired++
+					delete(live, e)
+				}
+			}
+			if got := removals.Load() - baseline; got != expired {
+				t.Fatalf("tick %d: %d flow-removeds dispatched by the step's Settle, %d entries expired", tick, got, expired)
+			}
+			for e := range cur {
+				if e.IdleTimeout > 0 {
+					live[e] = deadline(e)
+				}
+			}
+			fmt.Fprintf(&book, "%d:%d/%d ", tick, r.Datapath.Table().Len(), expired)
+			clk.Advance(250 * time.Millisecond)
+		}
+		if expired < 6 || len(live) != 0 {
+			t.Fatalf("%d entries expired and %d are left, want each connection's two to expire", expired, len(live))
+		}
+		return book.String()
+	}
+	first := run()
+	if again := run(); again != first {
+		t.Fatalf("two runs expired flows on other ticks:\n%s\n%s", again, first)
 	}
 }
 

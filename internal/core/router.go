@@ -53,8 +53,6 @@ type Config struct {
 	DirectL2 bool
 	// RingSize is the hwdb per-table ring capacity.
 	RingSize int
-	// MeasureInterval is the measurement plane poll period.
-	MeasureInterval time.Duration
 	// FlowIdleTimeout shapes installed flows (seconds, default 30).
 	FlowIdleTimeout uint16
 	// Clock drives every time-dependent module (default wall clock).
@@ -155,9 +153,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.RingSize == 0 {
 		cfg.RingSize = hwdb.DefaultRingSize
 	}
-	if cfg.MeasureInterval == 0 {
-		cfg.MeasureInterval = time.Second
-	}
 	if cfg.FlowIdleTimeout == 0 {
 		cfg.FlowIdleTimeout = 30
 	}
@@ -243,7 +238,7 @@ func New(cfg Config) (*Router, error) {
 	}
 
 	r.Measure = measure.New(measure.Config{
-		DB: r.DB, Clock: cfg.Clock, Interval: cfg.MeasureInterval,
+		DB: r.DB, Clock: cfg.Clock,
 		Stats:      r.Datapath.StatsView(),
 		Links:      &linkAdapter{net: r.Net},
 		Resolver:   r.DHCP,
@@ -277,7 +272,7 @@ func New(cfg Config) (*Router, error) {
 // configured transport (in-process channels by default, loopback TCP with
 // Config.Transport = TransportTCP), waits for the join, and starts the
 // hwdb RPC server. The measurement plane is left to the caller
-// (PollMeasure or RunMeasure) so simulated-clock runs stay deterministic.
+// (PollMeasure) so simulated-clock runs stay deterministic.
 func (r *Router) Start() error {
 	joined := make(chan *nox.Switch, 1)
 	r.Controller.OnJoin(func(ev *nox.JoinEvent) {
@@ -330,9 +325,6 @@ func (r *Router) Switch() *nox.Switch { return r.sw }
 
 // Stop tears the platform down.
 func (r *Router) Stop() {
-	if r.Measure != nil {
-		r.Measure.Stop()
-	}
 	if r.HwdbServer != nil {
 		_ = r.HwdbServer.Close()
 	}
@@ -343,13 +335,11 @@ func (r *Router) Stop() {
 	_ = r.Controller.Close()
 }
 
-// PollMeasure runs one measurement round (deterministic alternative to the
-// background loop). The plane reads the co-resident datapath's counters in
+// PollMeasure runs one measurement round. Whoever steps the home calls it
+// after Net.Step, which expires flows, and Settle, which drains their
+// flow-removeds. The plane reads the co-resident datapath's counters in
 // place, whichever transport the controller is attached over.
 func (r *Router) PollMeasure() { r.Measure.PollOnce() }
-
-// RunMeasure starts the periodic measurement loop.
-func (r *Router) RunMeasure() { go r.Measure.Run() }
 
 // Settle blocks until the control path is quiescent: every packet-in the
 // datapath has punted has been dispatched by the controller, and a

@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/dhcp"
 	"repro/internal/netsim"
 	"repro/internal/packet"
@@ -56,6 +58,51 @@ func waitFor(t testing.TB, timeout time.Duration, cond func() bool) {
 			t.Fatal("condition not reached in time")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// An in-process home runs two goroutines of its own — the controller's
+// read loop and the datapath's channel loop — and nothing on a timer:
+// whoever steps it expires flows and polls measurement. Stop ends both.
+func TestInProcessHomeRunsTwoGoroutines(t *testing.T) {
+	const homes = 4
+	// steady reads the goroutine count once it has held for 20 ms, so
+	// goroutines of earlier tests still winding down are not counted.
+	steady := func() int {
+		n, deadline := runtime.NumGoroutine(), time.Now().Add(5*time.Second)
+		for same := 0; same < 20 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			if m := runtime.NumGoroutine(); m == n {
+				same++
+			} else {
+				n, same = m, 0
+			}
+		}
+		return n
+	}
+	base := steady()
+	var rs []*Router
+	for i := 0; i < homes; i++ {
+		cfg := DefaultConfig()
+		cfg.Clock = clock.NewSimulated()
+		cfg.DisableRPC = true
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Start(); err != nil {
+			t.Fatal(err)
+		}
+		rs = append(rs, r)
+	}
+	if n := steady(); n-base != 2*homes {
+		t.Errorf("%d in-process homes run %d goroutines, want 2 each", homes, n-base)
+	}
+	for _, r := range rs {
+		r.Stop()
+	}
+	if n := steady(); n != base {
+		t.Errorf("%d goroutines outlive Stop", n-base)
 	}
 }
 

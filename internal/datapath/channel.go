@@ -70,8 +70,6 @@ func (dp *Datapath) ConnectTransport(tr oftransport.Transport) error {
 		return &ChannelError{Op: "handshake", Err: fmt.Errorf("expected HELLO, got %T", msg)}
 	}
 
-	go dp.expiryLoop()
-
 	// Like the controller's read loop, drain the transport in batches
 	// when it supports it: a flurry of flow-mods and packet-outs from one
 	// dispatched punt burst is handled per wakeup, not per message.
@@ -102,15 +100,8 @@ func (dp *Datapath) ConnectTCP(addr string) error {
 	return dp.ConnectTransport(tr)
 }
 
-// Stop closes the secure channel and halts the expiry loop.
+// Stop closes the secure channel.
 func (dp *Datapath) Stop() {
-	dp.stopMu.Lock()
-	select {
-	case <-dp.stopped:
-	default:
-		close(dp.stopped)
-	}
-	dp.stopMu.Unlock()
 	dp.connMu.Lock()
 	if dp.tr != nil {
 		_ = dp.tr.Close()
@@ -119,21 +110,10 @@ func (dp *Datapath) Stop() {
 	dp.connMu.Unlock()
 }
 
-// expiryLoop sweeps flow timeouts once a second on the datapath clock.
-func (dp *Datapath) expiryLoop() {
-	for {
-		select {
-		case <-dp.stopped:
-			return
-		case <-dp.clk.After(time.Second):
-		}
-		dp.SweepExpired()
-	}
-}
-
 // SweepExpired removes timed-out flows now and emits flow-removed messages
-// for entries that requested them, in the table's removal order. Exposed
-// for simulated-clock tests.
+// for entries that requested them, in the table's removal order. The
+// datapath runs no timer of its own: netsim.Network.Step calls this at the
+// start of every step, so expiry is a function of the tick sequence.
 func (dp *Datapath) SweepExpired() int {
 	dp.sweepMu.Lock()
 	defer dp.sweepMu.Unlock()

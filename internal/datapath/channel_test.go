@@ -109,9 +109,7 @@ func TestChannelExpirySendsFlowRemoved(t *testing.T) {
 	}
 
 	// Sweep in a goroutine: the flow-removed write blocks on the
-	// unbuffered pipe until this test reads it. (The datapath's own
-	// expiry loop may also fire on the simulated clock; either sweeper
-	// emits exactly one message.)
+	// unbuffered pipe until this test reads it.
 	clk.Advance(11 * time.Second)
 	go rig.dp.SweepExpired()
 	fr := readUntil[*openflow.FlowRemoved](t, rig.conn)

@@ -138,13 +138,9 @@ type Datapath struct {
 	desc        string
 	started     time.Time
 
-	stopMu  sync.Mutex
-	stopped chan struct{}
-
-	// sweepMu serializes expiry sweeps — expiryLoop's and those a step
-	// driver runs with SweepExpired — over swept, the removals scratch
-	// each sweep refills, and keeps one sweep's flow-removeds together on
-	// the channel, in removal order.
+	// sweepMu serializes SweepExpired calls, whichever goroutine makes
+	// them, over swept, the removals scratch each sweep refills, and keeps
+	// one sweep's flow-removeds together on the channel, in removal order.
 	sweepMu sync.Mutex
 	swept   []expiry
 
@@ -198,7 +194,6 @@ func New(cfg Config) *Datapath {
 		nBuffers: cfg.NBuffers,
 		desc:     cfg.Description,
 		started:  cfg.Clock.Now(),
-		stopped:  make(chan struct{}),
 		quiesce:  quiesce.New(),
 		tracer:   cfg.Tracer,
 	}

@@ -238,8 +238,56 @@ func TestExpireOrderIsDeterministic(t *testing.T) {
 	}
 }
 
-// Sweeps share one removals scratch: the expiry loop's and a step driver's
-// must not both be in it. Run with -race.
+// A non-strict delete removes its entries in removalOrder too, so their
+// flow-removed messages leave in one order however the table was filled
+// and its map iterates, the order an expiry sweep gives the same entries.
+func TestDeleteOrderIsDeterministic(t *testing.T) {
+	const flows = 40
+	deleted := func(seed int64) []uint16 {
+		r := newHoldRig(t, 0)
+		for _, i := range rand.New(rand.NewSource(seed)).Perm(flows) {
+			f := packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 1, 1},
+				packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 1, 1}, uint16(3000+i), 80, packet.TCPAck, 1, nil).Bytes()
+			fm := addFlow(exactMatchFor(t, f, 1), openflow.NoBuffer, output(2))
+			fm.Flags = openflow.FlowModFlagSendFlowRem
+			r.send(fm)
+		}
+		r.send(&openflow.FlowMod{Match: openflow.MatchAll(), Command: openflow.FlowModDelete,
+			BufferID: openflow.NoBuffer, OutPort: openflow.PortNone})
+		r.send(&openflow.BarrierRequest{})
+		var sports []uint16
+		for {
+			msg, err := r.ctl.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch m := msg.(type) {
+			case *openflow.FlowRemoved:
+				if m.Reason != openflow.FlowRemovedDelete {
+					t.Fatalf("flow-removed reason %d, want delete", m.Reason)
+				}
+				sports = append(sports, m.Match.TPSrc)
+			case *openflow.BarrierReply:
+				return sports
+			}
+		}
+	}
+	first := deleted(1)
+	if len(first) != flows {
+		t.Fatalf("the delete sent %d flow-removed messages, want %d", len(first), flows)
+	}
+	if !slices.IsSorted(first) { // one install time: five-tuple order
+		t.Fatalf("flow-removed messages left in source-port order %v", first)
+	}
+	for seed := int64(2); seed <= 50; seed++ {
+		if got := deleted(seed); !slices.Equal(got, first) {
+			t.Fatalf("filled in another order (seed %d), the delete reported %v, first %v", seed, got, first)
+		}
+	}
+}
+
+// Sweeps share one removals scratch: SweepExpired is exported, and two
+// goroutines calling it must not both be in it. Run with -race.
 func TestConcurrentSweepsShareNothing(t *testing.T) {
 	clk := clock.NewSimulated()
 	dp := New(Config{Clock: clk})

@@ -274,7 +274,7 @@ func (t *FlowTable) Modify(m *openflow.Match, priority uint16, strict bool, acti
 // Delete removes entries matched by m (strict: identical match+priority;
 // non-strict: subsumed by m). outPort, when not PortNone, restricts removal
 // to entries with an output action to that port. Removed entries are
-// returned so the datapath can emit flow-removed messages.
+// returned in removalOrder so the datapath can emit flow-removed messages.
 func (t *FlowTable) Delete(m *openflow.Match, priority uint16, strict bool, outPort uint16) []*FlowEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -308,6 +308,7 @@ func (t *FlowTable) Delete(m *openflow.Match, priority uint16, strict bool, outP
 		}
 	}
 	t.wild = kept
+	slices.SortFunc(removed, removalOrder)
 	return removed
 }
 
@@ -375,19 +376,19 @@ func (t *FlowTable) expire(dst []expiry, now time.Time) []expiry {
 	}
 	t.wild = kept
 	t.mu.Unlock()
-	slices.SortFunc(dst[start:], removalOrder)
+	slices.SortFunc(dst[start:], func(a, b expiry) int { return removalOrder(a.e, b.e) })
 	return dst
 }
 
-// removalOrder is the order an expiry sweep reports its removals in, so
-// that the flow-removed messages — and the Flows rows measurement writes
-// from them — leave in the same order on every run, not in map order:
-// install time, then five-tuple and in_port, then the rest of the match
-// and the priority, which no two entries share.
-func removalOrder(a, b expiry) int {
-	x, y := &a.e.Match, &b.e.Match
+// removalOrder is the order an expiry sweep or a delete reports its
+// removals in, so that the flow-removed messages — and the Flows rows
+// measurement writes from them — leave in the same order on every run, not
+// in map order: install time, then five-tuple and in_port, then the rest of
+// the match and the priority, which no two entries share.
+func removalOrder(a, b *FlowEntry) int {
+	x, y := &a.Match, &b.Match
 	return cmp.Or(
-		a.e.Installed.Compare(b.e.Installed),
+		a.Installed.Compare(b.Installed),
 		bytes.Compare(x.NWSrc[:], y.NWSrc[:]),
 		bytes.Compare(x.NWDst[:], y.NWDst[:]),
 		cmp.Compare(x.NWProto, y.NWProto),
@@ -401,7 +402,7 @@ func removalOrder(a, b expiry) int {
 		cmp.Compare(x.DLVLANPCP, y.DLVLANPCP),
 		cmp.Compare(x.NWTOS, y.NWTOS),
 		cmp.Compare(x.Wildcards, y.Wildcards),
-		cmp.Compare(a.e.Priority, b.e.Priority),
+		cmp.Compare(a.Priority, b.Priority),
 	)
 }
 

@@ -19,8 +19,8 @@
 // forgotten only by that flow-removed. Every exact IPv4 rule is therefore
 // expected to request one (the forwarder's all do).
 //
-// Concurrency: drive the plane either with Run's single background
-// goroutine or with explicit PollOnce calls, never both at once.
+// Concurrency: the plane runs no timer of its own. One goroutine at a time
+// drives it with PollOnce — in a router, the one that steps the home.
 // RecordFlowRemoved and RecordInstall arrive concurrently from the
 // controller's dispatch goroutine; the flow-state cache is mutex-guarded
 // and the hwdb tables synchronize internally.
@@ -63,9 +63,8 @@ type DeviceResolver interface {
 
 // Config parameterizes the measurement plane.
 type Config struct {
-	DB       *hwdb.DB
-	Clock    clock.Clock
-	Interval time.Duration // poll period (default 1s)
+	DB    *hwdb.DB
+	Clock clock.Clock
 	// Stats reads the datapath's counters; the zero view has no flows and
 	// no ports, so only links are polled.
 	Stats    datapath.StatsView
@@ -106,16 +105,13 @@ type Plane struct {
 	polls uint64
 	round []roundFlow // this round's active flows; filled under mu by visit
 
-	// Poll-driver state: one Run goroutine or PollOnce caller at a time.
+	// Poll state: one PollOnce caller at a time.
 	lastPoll    time.Time         // previous round's clock reading
 	ports       map[uint16]uint64 // last cumulative rx-dropped per port
 	portsSeeded bool              // baseline taken (first round attributes nothing)
 	drops       map[uint16]uint64 // this round's rx-dropped deltas
 	portPkts    map[uint16]uint64 // this round's active packets per port
 	links       []LinkSample      // this round's link samples
-
-	stop chan struct{}
-	once sync.Once
 }
 
 // New creates a measurement plane.
@@ -123,33 +119,14 @@ func New(cfg Config) *Plane {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	if cfg.Interval == 0 {
-		cfg.Interval = time.Second
-	}
 	return &Plane{
 		cfg:      cfg,
 		seen:     make(map[flowKey]flowState),
 		ports:    make(map[uint16]uint64),
 		drops:    make(map[uint16]uint64),
 		portPkts: make(map[uint16]uint64),
-		stop:     make(chan struct{}),
 	}
 }
-
-// Run polls until Stop; typically launched as a goroutine.
-func (p *Plane) Run() {
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-p.cfg.Clock.After(p.cfg.Interval):
-		}
-		p.PollOnce()
-	}
-}
-
-// Stop halts Run.
-func (p *Plane) Stop() { p.once.Do(func() { close(p.stop) }) }
 
 // Polls returns how many poll rounds have completed.
 func (p *Plane) Polls() uint64 {
@@ -182,7 +159,7 @@ func (p *Plane) pollFlows() {
 		return
 	}
 	// The poll window is measured on the configured clock, never assumed
-	// from the nominal interval: under clock.Simulated a time-compressed
+	// from how often the caller polls: under clock.Simulated a time-compressed
 	// soak observes the same consistent windows the ticks advance. The
 	// previous reading is also the walk's idle threshold.
 	now := p.cfg.Clock.Now()

@@ -30,7 +30,7 @@ func TestPollLinksFillsTable(t *testing.T) {
 	db := hwdb.NewHomework(clk, 1024)
 	mac := packet.MustMAC("02:aa:00:00:00:01")
 	p := New(Config{
-		DB: db, Clock: clk, Interval: time.Second,
+		DB: db, Clock: clk,
 		Links: fakeLinks{samples: []LinkSample{{MAC: mac, RSSI: -55, Retries: 2, Rate: 48}}},
 	})
 	p.PollOnce() // no datapath view: only links are polled
@@ -74,23 +74,6 @@ func TestAttributePrefersResolver(t *testing.T) {
 	// Fully foreign flows are not attributed.
 	if _, ok := p.attribute(packet.FiveTuple{Src: packet.MustIP4("8.8.8.8"), Dst: packet.MustIP4("9.9.9.9")}); ok {
 		t.Error("foreign flow attributed")
-	}
-}
-
-func TestStopHaltsRun(t *testing.T) {
-	clk := clock.NewSimulated()
-	db := hwdb.NewHomework(clk, 64)
-	p := New(Config{DB: db, Clock: clk, Interval: time.Second})
-	done := make(chan struct{})
-	go func() {
-		p.Run()
-		close(done)
-	}()
-	p.Stop()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not stop")
 	}
 }
 

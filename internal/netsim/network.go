@@ -322,8 +322,13 @@ func (n *Network) AppendLinkInfos(dst []LinkInfo) []LinkInfo {
 }
 
 // Step advances every application by dt seconds of simulated traffic.
-// Hosts are stepped in ascending port order (not map order), so a tick's
-// emission sequence is deterministic. Each host's application traffic is
+// It first expires the datapath's timed-out flows at the current clock
+// reading: the step that advances a home's network is the one clock-driven
+// process in it, so a flow leaves on the first step at or after its
+// deadline, and its flow-removed is on the control channel ahead of
+// anything the step's traffic triggers. Hosts are stepped in ascending
+// port order (not map order), so a tick's emission sequence is
+// deterministic. Each host's application traffic is
 // serialized into a per-step frame batch and handed to the datapath in
 // one call, amortizing port lookup, receive accounting and frame decode
 // state across the tick; the batch's backing buffer is reused across
@@ -331,6 +336,7 @@ func (n *Network) AppendLinkInfos(dst []LinkInfo) []LinkInfo {
 // handed to the datapath alias that buffer and are only valid within the
 // tick.
 func (n *Network) Step(dt float64) {
+	n.dp.SweepExpired()
 	for _, h := range n.orderedHosts() {
 		fb := h.beginBatch()
 		for _, a := range h.appsSnapshot() {
