@@ -16,22 +16,28 @@ import (
 //     wedged or GC-stalled controller would look). Punt/credit
 //     accounting makes the wedge visible: the datapath counts the punt
 //     before Send, the controller can only credit what arrives, so the
-//     quiescence epoch lags and Settle returns quiesce.ErrDeadline
-//     instead of hanging — barriers and every other message still pass.
+//     quiescence epoch lags and the next Settle returns
+//     quiesce.ErrDeadline at once — every other message still passes.
 //   - DropFlowMods / DelayFlowMods discard or hold the controller's
 //     flow-mods (a lossy or congested southbound channel): punted
 //     packets keep being dispatched and credited, but the rules they
 //     produced never (or only later) reach the flow table.
 //
 // Lifting a wedge or delay releases the held messages, in order, into
-// the real transport — which wakes the receiver's read loop naturally.
-// Re-wrapping (the remediation loop restarting the home's router)
-// rebinds the switchboard to the new channel ends and discards messages
-// held for the dead incarnation, while active fault flags persist, so an
-// episode outlives the restart it provoked.
+// the real transport, on the lifting goroutine and outside the
+// switchboard's lock: on a direct channel a released punt is dispatched,
+// and the flow-mods that answer it are handled, inside that Send, and may
+// come back through the switchboard. What the channel sends while a
+// release is under way queues behind the messages still held, so the
+// order stays the one they were sent in. Re-wrapping (the remediation
+// loop restarting the home's router) rebinds the switchboard to the new
+// channel ends and discards messages held for the dead incarnation, while
+// active fault flags persist, so an episode outlives the restart it
+// provoked.
 //
 // All methods are safe for concurrent use; the pass-through preserves
-// the full oftransport.Transport contract, including batched receive.
+// the full oftransport.Transport contract, including batched receive on a
+// queued pair.
 type Faults struct {
 	mu        sync.Mutex
 	wedged    bool
@@ -39,9 +45,13 @@ type Faults struct {
 	delayMods bool
 	heldPunts []openflow.Message
 	heldMods  []openflow.Message
-	ctlInner  oftransport.Transport // controller end: Send carries flow-mods
-	dpInner   oftransport.Transport // datapath end: Send carries punts
-	stats     FaultStats
+	// releasingPunts/releasingMods are set while a lift is passing the held
+	// messages on; what arrives meanwhile is held behind them.
+	releasingPunts bool
+	releasingMods  bool
+	ctlInner       oftransport.Transport // controller end: Send carries flow-mods
+	dpInner        oftransport.Transport // datapath end: Send carries punts
+	stats          FaultStats
 }
 
 // FaultStats counts what the switchboard has done to the channel.
@@ -75,20 +85,40 @@ func (f *Faults) Wrap(ctl, dp oftransport.Transport) (oftransport.Transport, oft
 // wedge. Lifting releases the held punts, oldest first.
 func (f *Faults) WedgeController(on bool) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.wedged = on
+	f.mu.Unlock()
 	if !on {
-		// The in-process Send never blocks (unbounded queue), so holding
-		// the mutex preserves order against concurrent new punts.
-		for _, msg := range f.heldPunts {
-			if f.dpInner != nil {
-				_ = f.dpInner.Send(msg)
-			}
-			f.stats.ReleasedPunts++
-		}
-		f.stats.HeldPunts = 0
-		f.heldPunts = nil
+		f.release(&f.heldPunts, &f.releasingPunts, &f.dpInner, &f.stats.HeldPunts, &f.stats.ReleasedPunts)
 	}
+}
+
+// release passes a held queue on to the inner end, oldest first, until it
+// is empty. What the channel sends while the release runs queues behind the
+// held messages and goes out after them; it passes through the fault's
+// books as it would have with the fault lifted, uncounted. A concurrent
+// lift of the same fault leaves the queue to the release already running.
+func (f *Faults) release(held *[]openflow.Message, releasing *bool, inner *oftransport.Transport, heldN, releasedN *uint64) {
+	f.mu.Lock()
+	if *releasing {
+		f.mu.Unlock()
+		return
+	}
+	*releasing = true
+	*releasedN += *heldN
+	*heldN = 0
+	for len(*held) > 0 {
+		batch, to := *held, *inner
+		*held = nil
+		f.mu.Unlock()
+		for _, msg := range batch {
+			if to != nil {
+				_ = to.Send(msg)
+			}
+		}
+		f.mu.Lock()
+	}
+	*releasing = false
+	f.mu.Unlock()
 }
 
 // DropFlowMods makes the controller's flow-mods vanish on the wire while
@@ -103,17 +133,10 @@ func (f *Faults) DropFlowMods(on bool) {
 // off releases them, oldest first — rules arrive late, not never.
 func (f *Faults) DelayFlowMods(on bool) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.delayMods = on
+	f.mu.Unlock()
 	if !on {
-		for _, msg := range f.heldMods {
-			if f.ctlInner != nil {
-				_ = f.ctlInner.Send(msg)
-			}
-			f.stats.ReleasedMods++
-		}
-		f.stats.HeldMods = 0
-		f.heldMods = nil
+		f.release(&f.heldMods, &f.releasingMods, &f.ctlInner, &f.stats.HeldMods, &f.stats.ReleasedMods)
 	}
 }
 
@@ -136,11 +159,13 @@ func (f *Faults) Stats() FaultStats {
 func (f *Faults) interceptPunt(msg openflow.Message, inner oftransport.Transport) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if !f.wedged || inner != f.dpInner {
+	if !f.wedged && !f.releasingPunts || inner != f.dpInner {
 		return false
 	}
 	f.heldPunts = append(f.heldPunts, msg)
-	f.stats.HeldPunts++
+	if f.wedged {
+		f.stats.HeldPunts++
+	}
 	return true
 }
 
@@ -156,9 +181,11 @@ func (f *Faults) interceptMod(msg openflow.Message, inner oftransport.Transport)
 		f.stats.DroppedMods++
 		return true
 	}
-	if f.delayMods {
+	if f.delayMods || f.releasingMods {
 		f.heldMods = append(f.heldMods, msg)
-		f.stats.HeldMods++
+		if f.delayMods {
+			f.stats.HeldMods++
+		}
 		return true
 	}
 	return false

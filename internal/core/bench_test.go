@@ -52,9 +52,9 @@ func churnHomeStep(tb testing.TB) (*Router, func()) {
 // datapath's counters in place and pays for those few, not for the table.
 // What a step allocates is what outlives it — for each direction of the new
 // flow a punt buffer (packet-in and head inside), a flow-mod and a flow
-// entry; a flow-removed for each of the two entries the step expires — and
-// the settle's barrier replies and the expiry timer: about ten objects
-// (TestChurnHomeStepAllocations holds it to at most twelve).
+// entry; a flow-removed for each of the two entries the step expires —
+// eight objects (TestChurnHomeStepAllocations holds it to eight). The
+// settle allocates nothing: it drains and checks, with no barrier.
 //
 //	go test -run '^$' -bench ChurnHomeStep -benchtime 2000x -memprofile mem.out ./internal/core
 //

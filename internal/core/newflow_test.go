@@ -284,10 +284,11 @@ func TestFlowsExpireOnTheirDueStep(t *testing.T) {
 	}
 }
 
-// A web_churn home-step allocates what outlives it, about ten objects (see
+// A web_churn home-step allocates what outlives it, eight objects (see
 // BenchmarkChurnHomeStep); a step that allocated per dispatch again — a
 // packet-in apart from its buffer, a head copy, an escaping match, an
-// action list per flow, an event per flow-removed — would read 14 or more.
+// action list per flow, an event per flow-removed — or a settle that
+// round-tripped a barrier again would read more.
 func TestChurnHomeStepAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
@@ -296,10 +297,29 @@ func TestChurnHomeStepAllocations(t *testing.T) {
 	r, step := churnHomeStep(t)
 	punts := r.Datapath.PuntCount()
 	const steps = 200
-	if got := testing.AllocsPerRun(steps, step); got > 12 {
-		t.Errorf("a churned home-step allocates %g times, want at most 12", got)
+	if got := testing.AllocsPerRun(steps, step); got > 8 {
+		t.Errorf("a churned home-step allocates %g times, want at most 8", got)
 	}
 	if punts = r.Datapath.PuntCount() - punts; punts != 2*(steps+1) {
 		t.Errorf("%d steps punted %d times, want one new flow out and back per step", steps+1, punts)
+	}
+}
+
+// Settle on an in-process home drains the datapath's inbox and checks the
+// quiescence books: no barrier, no wait slot, no allocation, whether the
+// step before it set up a new flow or not.
+func TestWarmSettleAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	r, step := churnHomeStep(t)
+	step()
+	settle := func() {
+		if err := r.Settle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, settle); got != 0 {
+		t.Errorf("a warm Settle allocates %g times, want 0", got)
 	}
 }

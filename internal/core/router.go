@@ -17,6 +17,7 @@ import (
 	"repro/internal/openflow"
 	"repro/internal/packet"
 	"repro/internal/policy"
+	"repro/internal/quiesce"
 	"repro/internal/trace"
 )
 
@@ -25,8 +26,10 @@ import (
 type TransportKind string
 
 // Control-plane transports. In-process is the default: the paper's
-// controller and switch are co-resident on one home router, so decoded
-// messages cross on buffered channels with no serialize → TCP →
+// controller and switch are co-resident on one home router, so they are
+// joined by an oftransport.Direct channel — a punt is dispatched inside
+// the datapath call that makes it, and the answers are handled when that
+// call returns, with no queue, no goroutine and no serialize → TCP →
 // deserialize round trip. TCP keeps the byte-exact loopback wire path for
 // cross-process deployments (cmd/hwrouterd) and for benchmarking the
 // in-process win.
@@ -67,9 +70,10 @@ type Config struct {
 	// (TransportInProcess when empty).
 	Transport TransportKind
 	// WrapTransport, when set, interposes on the in-process control
-	// channel before the read loops attach: it receives the controller
-	// and datapath ends of the pair and returns the (possibly wrapped)
-	// ends to use. This is the chaos layer's fault-injection seam —
+	// channel before either side attaches: it receives the controller and
+	// datapath ends of the direct channel and returns the (possibly
+	// wrapped) ends each side sends on. This is the chaos layer's
+	// fault-injection seam —
 	// wedged controllers, dropped or delayed flow-mods — so wrappers
 	// must preserve the full Transport contract (ordering, ownership,
 	// Close semantics) for messages they pass through. Only the
@@ -83,7 +87,8 @@ type Config struct {
 	// between DHCP attempts) will wait for the control path to drain
 	// before reporting a wedged controller (default 5s). It is an error
 	// backstop only — quiescence itself is signalled, never polled on
-	// this cadence.
+	// this cadence. In process a wedge is reported at once, and the
+	// timeout bounds only a wait for another goroutine's dispatches.
 	SettleTimeout time.Duration
 }
 
@@ -127,6 +132,10 @@ type Router struct {
 	Tracer *trace.Tracer
 
 	sw *nox.Switch
+	// direct is set when the datapath is attached in process, over an
+	// oftransport.Direct channel: Settle then drains and checks, and waits
+	// for nothing.
+	direct bool
 }
 
 // linkAdapter bridges netsim's link state to the measurement plane. Its
@@ -268,12 +277,46 @@ func New(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// Start brings up the controller, connects the datapath over the
-// configured transport (in-process channels by default, loopback TCP with
-// Config.Transport = TransportTCP), waits for the join, and starts the
-// hwdb RPC server. The measurement plane is left to the caller
-// (PollMeasure) so simulated-clock runs stay deterministic.
+// Start brings up the controller, attaches the datapath over the
+// configured transport, and starts the hwdb RPC server. In process (the
+// default) the two are joined by an oftransport.Direct channel: no
+// goroutine is started, the handshake runs on the caller's, and the
+// modules' punt rules are installed when it returns. Over loopback TCP
+// (Config.Transport = TransportTCP) Start waits for the join and
+// round-trips a barrier behind those rules. The measurement plane is left
+// to the caller (PollMeasure) so simulated-clock runs stay deterministic.
 func (r *Router) Start() error {
+	switch r.Config.Transport {
+	case TransportTCP:
+		if err := r.startTCP(); err != nil {
+			return err
+		}
+	default: // TransportInProcess — validated in New.
+		ctlEnd, dpEnd := oftransport.Direct()
+		var ctl, dp oftransport.Transport = ctlEnd, dpEnd
+		if r.Config.WrapTransport != nil {
+			ctl, dp = r.Config.WrapTransport(ctl, dp)
+		}
+		r.Datapath.AttachDirect(dpEnd, dp)
+		sw, err := r.Controller.AttachDirect(ctlEnd, ctl)
+		if err != nil {
+			return fmt.Errorf("core: attaching the datapath: %w", err)
+		}
+		r.sw, r.direct = sw, true
+	}
+
+	if !r.Config.DisableRPC {
+		r.HwdbServer = hwdb.NewServer(r.DB)
+		if err := r.HwdbServer.Serve("127.0.0.1:0"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// startTCP serves the controller on a loopback port, dials it from the
+// datapath and waits for the join.
+func (r *Router) startTCP() error {
 	joined := make(chan *nox.Switch, 1)
 	r.Controller.OnJoin(func(ev *nox.JoinEvent) {
 		select {
@@ -281,21 +324,10 @@ func (r *Router) Start() error {
 		default:
 		}
 	})
-	switch r.Config.Transport {
-	case TransportTCP:
-		if err := r.Controller.ListenAndServe("127.0.0.1:0"); err != nil {
-			return err
-		}
-		go func() { _ = r.Datapath.ConnectTCP(r.Controller.Addr()) }()
-	default: // TransportInProcess — validated in New.
-		ctlEnd, dpEnd := oftransport.Pair(0)
-		var ctl, dp oftransport.Transport = ctlEnd, dpEnd
-		if r.Config.WrapTransport != nil {
-			ctl, dp = r.Config.WrapTransport(ctl, dp)
-		}
-		go func() { _ = r.Controller.ServeTransport(ctl) }()
-		go func() { _ = r.Datapath.ConnectTransport(dp) }()
+	if err := r.Controller.ListenAndServe("127.0.0.1:0"); err != nil {
+		return err
 	}
+	go func() { _ = r.Datapath.ConnectTCP(r.Controller.Addr()) }()
 	select {
 	case sw := <-joined:
 		r.sw = sw
@@ -308,13 +340,6 @@ func (r *Router) Start() error {
 	// the default table-miss punt and arrive truncated.
 	if err := r.sw.Barrier(); err != nil {
 		return fmt.Errorf("core: barrier after join: %w", err)
-	}
-
-	if !r.Config.DisableRPC {
-		r.HwdbServer = hwdb.NewServer(r.DB)
-		if err := r.HwdbServer.Serve("127.0.0.1:0"); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -341,19 +366,30 @@ func (r *Router) Stop() {
 // place, whichever transport the controller is attached over.
 func (r *Router) PollMeasure() { r.Measure.PollOnce() }
 
-// Settle blocks until the control path is quiescent: every packet-in the
-// datapath has punted has been dispatched by the controller, and a
-// barrier has round-tripped with no new punts arriving behind it — so
-// any flow-mods and packet-outs the dispatches produced are live in the
-// datapath. The wait is event-driven (the controller signals catch-up on
-// the shared quiescence epoch; there is no polling and no sleep) and
-// returns the moment the path drains. Config.SettleTimeout bounds the
-// whole call as an error backstop against a wedged controller. Settle is
-// safe to call from any goroutine and makes traffic injection
-// deterministic for tests, figures and benches; the full protocol is
+// Settle returns when the control path is quiescent: every packet-in the
+// datapath has punted has been dispatched by the controller, and the
+// flow-mods and packet-outs the dispatches produced are live in the
+// datapath. It is safe to call from any goroutine and makes traffic
+// injection deterministic for tests, figures and benches; the protocol is
 // specified in docs/CONTROL_PLANE.md.
+//
+// In process, every punt was dispatched inside the call that made it and
+// its answers were handled when the outermost call into the datapath
+// returned, so Settle drains whatever is left and checks the books: a punt
+// that was counted but not dispatched is one a wrapper kept from the
+// controller (a wedge), and Settle reports it at once with an error that
+// matches quiesce.ErrDeadline. It waits only while another goroutine is
+// inside the datapath, for that call's dispatches, with Config.SettleTimeout
+// as the backstop.
+//
+// Over TCP, or before Start, Settle waits on the shared quiescence epoch
+// (event-driven, no polling) and round-trips a barrier with no new punts
+// behind it; Config.SettleTimeout bounds the whole call.
 func (r *Router) Settle() error {
 	q := r.Datapath.Quiesce()
+	if r.direct {
+		return r.settleDirect(q)
+	}
 	deadline := time.Now().Add(r.Config.SettleTimeout)
 	for {
 		if err := q.Wait(time.Until(deadline)); err != nil {
@@ -384,6 +420,30 @@ func (r *Router) Settle() error {
 		}
 		if q.Punted() == punted0 {
 			return nil
+		}
+	}
+}
+
+// settleDirect is Settle on a directly attached datapath.
+func (r *Router) settleDirect(q *quiesce.Epoch) error {
+	var deadline time.Time
+	for {
+		backlog, busy := r.Datapath.Drain()
+		if backlog == 0 {
+			return nil
+		}
+		if !busy {
+			punted, done := q.Counts()
+			return fmt.Errorf("core: control path did not settle (%d punts, %d dispatched; the rest never reached the controller): %w", punted, done, quiesce.ErrDeadline)
+		}
+		// Another goroutine is inside the datapath and its punts are being
+		// dispatched: wait for their credits, then drain what they left.
+		if deadline.IsZero() {
+			deadline = time.Now().Add(r.Config.SettleTimeout)
+		}
+		if err := q.Wait(time.Until(deadline)); err != nil {
+			punted, done := q.Counts()
+			return fmt.Errorf("core: control path did not settle (%d punts, %d processed): %w", punted, done, err)
 		}
 	}
 }

@@ -61,10 +61,13 @@ func waitFor(t testing.TB, timeout time.Duration, cond func() bool) {
 	}
 }
 
-// An in-process home runs two goroutines of its own — the controller's
-// read loop and the datapath's channel loop — and nothing on a timer:
-// whoever steps it expires flows and polls measurement. Stop ends both.
-func TestInProcessHomeRunsTwoGoroutines(t *testing.T) {
+// An in-process home runs no goroutine of its own: the controller handles
+// each punt inside the datapath call that makes it, the datapath handles the
+// answers when the outermost call returns, and whoever steps the home
+// expires flows, settles and polls measurement. The parent commit read 2 per
+// home, the controller's read loop and the datapath's channel loop (3 before
+// flow expiry moved onto the step). Stop leaves nothing running either.
+func TestInProcessHomeRunsNoGoroutines(t *testing.T) {
 	const homes = 4
 	// steady reads the goroutine count once it has held for 20 ms, so
 	// goroutines of earlier tests still winding down are not counted.
@@ -95,8 +98,8 @@ func TestInProcessHomeRunsTwoGoroutines(t *testing.T) {
 		}
 		rs = append(rs, r)
 	}
-	if n := steady(); n-base != 2*homes {
-		t.Errorf("%d in-process homes run %d goroutines, want 2 each", homes, n-base)
+	if n := steady(); n != base {
+		t.Errorf("%d in-process homes run %d goroutines, want none", homes, n-base)
 	}
 	for _, r := range rs {
 		r.Stop()

@@ -103,23 +103,35 @@ func (dp *Datapath) ConnectTCP(addr string) error {
 // Stop closes the secure channel.
 func (dp *Datapath) Stop() {
 	dp.connMu.Lock()
-	if dp.tr != nil {
-		_ = dp.tr.Close()
-		dp.tr = nil
-	}
+	tr := dp.tr
+	dp.tr = nil
 	dp.connMu.Unlock()
+	if tr != nil {
+		_ = tr.Close()
+	}
 }
 
 // SweepExpired removes timed-out flows now and emits flow-removed messages
 // for entries that requested them, in the table's removal order. The
 // datapath runs no timer of its own: netsim.Network.Step calls this at the
-// start of every step, so expiry is a function of the tick sequence.
+// start of every step, so expiry is a function of the tick sequence. Before
+// the table's earliest deadline it returns at once, and otherwise, like
+// Receive, it drains the inbox when it returns.
 func (dp *Datapath) SweepExpired() int {
-	dp.sweepMu.Lock()
-	defer dp.sweepMu.Unlock()
 	now := dp.clk.Now()
-	dp.swept = dp.table.expire(dp.swept[:0], now)
-	for _, x := range dp.swept {
+	if now.UnixNano() < dp.table.due.Load() {
+		return 0
+	}
+	dp.enter()
+	defer dp.leave()
+	// The sweep takes the removals scratch while it sends, so that the
+	// flow-removeds, whose handlers run inside the sends on a direct
+	// channel, go out under no lock of the datapath's.
+	dp.sweepMu.Lock()
+	swept := dp.table.expire(dp.swept[:0], now)
+	dp.swept = nil
+	dp.sweepMu.Unlock()
+	for _, x := range swept {
 		e := x.e
 		if !e.SendFlowRem {
 			continue
@@ -133,8 +145,11 @@ func (dp *Datapath) SweepExpired() int {
 			PacketCount: e.PacketCount(), ByteCount: e.ByteCount(),
 		})
 	}
-	n := len(dp.swept)
-	clear(dp.swept) // the removed entries are garbage; the scratch must not keep them
+	n := len(swept)
+	clear(swept) // the removed entries are garbage; the scratch must not keep them
+	dp.sweepMu.Lock()
+	dp.swept = swept[:0]
+	dp.sweepMu.Unlock()
 	return n
 }
 

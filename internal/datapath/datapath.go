@@ -116,6 +116,9 @@ type Datapath struct {
 
 	connMu sync.Mutex
 	tr     oftransport.Transport
+	// in is what a directly attached controller has sent and the datapath
+	// has not handled yet (AttachDirect); the outermost call drains it.
+	in inbox
 
 	// bufMu guards the packet-in buffer. buffers holds every punt the
 	// controller has not referenced yet, by buffer id; byKey finds the
@@ -138,9 +141,9 @@ type Datapath struct {
 	desc        string
 	started     time.Time
 
-	// sweepMu serializes SweepExpired calls, whichever goroutine makes
-	// them, over swept, the removals scratch each sweep refills, and keeps
-	// one sweep's flow-removeds together on the channel, in removal order.
+	// sweepMu guards swept, the removals scratch a sweep refills and holds
+	// while it sends their flow-removeds, in removal order; a sweep that
+	// finds it taken (another goroutine's, still sending) uses a new one.
 	sweepMu sync.Mutex
 	swept   []expiry
 
@@ -212,19 +215,24 @@ func (dp *Datapath) AddPort(p *Port) error {
 	if p.No == 0 || p.No >= openflow.PortMax {
 		return fmt.Errorf("datapath: invalid port number %d", p.No)
 	}
+	dp.enter()
+	defer dp.leave()
 	dp.mu.Lock()
-	defer dp.mu.Unlock()
 	if _, dup := dp.ports[p.No]; dup {
+		dp.mu.Unlock()
 		return fmt.Errorf("datapath: port %d already exists", p.No)
 	}
 	dp.ports[p.No] = p
 	dp.portsChangedLocked()
+	dp.mu.Unlock()
 	dp.notifyPortStatus(openflow.PortStatusAdd, p)
 	return nil
 }
 
 // RemovePort detaches a port.
 func (dp *Datapath) RemovePort(no uint16) {
+	dp.enter()
+	defer dp.leave()
 	dp.mu.Lock()
 	p, ok := dp.ports[no]
 	if ok {
@@ -272,8 +280,11 @@ func (dp *Datapath) sortedPorts() []*Port {
 // Receive processes one frame arriving on a port: the datapath's data-plane
 // entry point. Matching entries forward; a miss punts the frame to the
 // controller as a packet-in (the paper's mechanism for making every new
-// flow visible).
+// flow visible). On a directly attached datapath the outermost such call
+// handles the controller's answers as it returns (AttachDirect).
 func (dp *Datapath) Receive(inPort uint16, frame []byte) {
+	dp.enter()
+	defer dp.leave()
 	p, ok := dp.Port(inPort)
 	if !ok || p.Config&openflow.PortConfigDown != 0 || p.Config&openflow.PortConfigNoRecv != 0 {
 		return
@@ -297,12 +308,16 @@ func (dp *Datapath) Receive(inPort uint16, frame []byte) {
 // packet, and a run of frames of one flow shares its table lookup, its
 // scratch buffer and its output port (batchRun). Frames in the batch may
 // alias the caller's reused buffers; the datapath copies anything it
-// retains (punt buffers, packet-in data).
+// retains (punt buffers, packet-in data). The controller's answers to the
+// batch's punts are handled after its last frame, never between two: a
+// flow's later frames in the batch wait behind its punt, and leave with it.
 func (dp *Datapath) ReceiveBatch(inPort uint16, fb *packet.FrameBatch) {
 	n := fb.Len()
 	if n == 0 {
 		return
 	}
+	dp.enter()
+	defer dp.leave()
 	p, ok := dp.Port(inPort)
 	if !ok || p.Config&openflow.PortConfigDown != 0 || p.Config&openflow.PortConfigNoRecv != 0 {
 		return

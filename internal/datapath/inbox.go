@@ -1,0 +1,168 @@
+package datapath
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/oftransport"
+	"repro/internal/openflow"
+)
+
+// maxDrainRounds bounds one drain: a round handles every message the inbox
+// held when it began, and what those messages make the controller send
+// lands in the next. A flow setup takes a few rounds (the SYN's flow-mod
+// releases it, the reply punts, its flow-mod releases the reply); a
+// controller and datapath that keep answering each other forever are a bug,
+// and the drain panics rather than spin.
+const maxDrainRounds = 1 << 16
+
+// inbox is what the controller has sent a directly attached datapath and it
+// has not handled yet, and how many calls into the datapath are in progress.
+// The outermost call drains it as it returns, so a message is handled
+// between two calls into the datapath, never inside one: never between the
+// frames of a batch, and never under the table, buffer or sweep locks.
+type inbox struct {
+	// calls holds two counters in one word, so that one load reads both: the
+	// calls into the datapath in progress, on any goroutine (the low 32
+	// bits), and the calls ever begun (the high 32 bits, wrapping). Entering
+	// and leaving are one atomic add each, on every frame path.
+	calls  atomic.Uint64
+	queued atomic.Int32 // len(msgs), for a look without mu
+
+	mu    sync.Mutex
+	msgs  []openflow.Message // waiting, in the order the controller sent them
+	spare []openflow.Message // the drained round's slice, for the next round
+}
+
+// oneCall is what entering adds to inbox.calls: one call in progress, one
+// more begun.
+const oneCall = 1<<32 | 1
+
+// inProgress is the calls in progress that a calls word counts.
+func inProgress(calls uint64) uint32 { return uint32(calls) }
+
+// enter begins a call into the datapath: Receive, ReceiveBatch, SweepExpired,
+// a port change, Batch or a drain. Pair it with leave.
+func (dp *Datapath) enter() { dp.in.calls.Add(oneCall) }
+
+// enterIdle begins a call into the datapath if none is in progress.
+func (dp *Datapath) enterIdle() bool {
+	for {
+		c := dp.in.calls.Load()
+		if inProgress(c) != 0 {
+			return false
+		}
+		if dp.in.calls.CompareAndSwap(c, c+oneCall) {
+			return true
+		}
+	}
+}
+
+// leave ends a call into the datapath. The last call in drains the inbox,
+// round after round, until it is empty, keeping its count while it does so
+// that no other call finds the datapath idle meanwhile: a call that starts
+// during the drain (a handled packet-out running the flow table, a host
+// answering a release) leaves the rest to it. A message that arrives as the
+// last call leaves, with no call left to take it, is taken back and drained
+// here. A drain that handled anything stamps the tracer's barrier stage:
+// every dispatch credited before it has its answers live.
+func (dp *Datapath) leave() {
+	in := &dp.in
+	rounds := 0
+	for {
+		for inProgress(in.calls.Load()) == 1 && in.queued.Load() > 0 {
+			if rounds == maxDrainRounds {
+				panic(fmt.Sprintf("datapath: the inbox still holds %d messages after %d drain rounds; the controller and datapath answer each other without end", in.queued.Load(), rounds))
+			}
+			rounds++
+			in.mu.Lock()
+			batch := in.msgs
+			in.msgs, in.spare = in.spare[:0], nil
+			in.queued.Store(0)
+			in.mu.Unlock()
+			for i, msg := range batch {
+				batch[i] = nil
+				dp.handle(msg)
+			}
+			in.mu.Lock()
+			in.spare = batch[:0]
+			in.mu.Unlock()
+		}
+		// Adding ^0 takes one call away, from the low word only: this call's.
+		if inProgress(in.calls.Add(^uint64(0))) != 0 || in.queued.Load() == 0 || !dp.enterIdle() {
+			break
+		}
+	}
+	if rounds > 0 {
+		dp.tracer.BarrierReply()
+	}
+}
+
+// deliver is the datapath's end of a direct channel: the controller's Send
+// of msg runs it. msg joins the inbox; if no call is in the datapath, this
+// one becomes the call and drains it before it returns.
+func (dp *Datapath) deliver(msg openflow.Message) {
+	dp.in.mu.Lock()
+	dp.in.msgs = append(dp.in.msgs, msg)
+	dp.in.queued.Store(int32(len(dp.in.msgs)))
+	dp.in.mu.Unlock()
+	if dp.enterIdle() {
+		dp.leave()
+	}
+}
+
+// Batch runs fn as one call into the datapath, for a caller that hands it
+// the frames of one batch one at a time with Receive — netsim does so for a
+// wireless host's step, whose frames each take a loss draw of their own.
+// The controller's answers to the batch's punts are handled when fn
+// returns, as after the last frame of a ReceiveBatch, never between two
+// frames.
+func (dp *Datapath) Batch(fn func()) {
+	dp.enter()
+	defer dp.leave()
+	fn()
+}
+
+// Drain handles what the controller has sent, as the outermost call into the
+// datapath does when it returns, and reports the punts still outstanding:
+// counted on the quiescence epoch and not yet dispatched. busy reports that
+// another call is in the datapath, or began while the count was read; that
+// call drains what is left when it returns, and its punts may still be on
+// their way. When busy is false, no call was in the datapath while the count
+// was read, so every punt it counts is one the controller was never handed:
+// a wrapper kept it (a wedge).
+func (dp *Datapath) Drain() (backlog uint64, busy bool) {
+	dp.enter()
+	dp.leave()
+	c := dp.in.calls.Load()
+	punted, processed := dp.quiesce.Counts()
+	busy = inProgress(c) != 0 || dp.in.calls.Load() != c
+	if processed >= punted {
+		return 0, busy
+	}
+	return punted - processed, busy
+}
+
+// AttachDirect attaches the datapath to a controller over one end of an
+// oftransport.Direct channel: what the controller sends there waits in the
+// datapath's inbox for the outermost call to drain it, and the datapath
+// sends on tr — end itself, or a wrapper of it. No goroutine is started and
+// no handshake is sent; the controller's end (nox.Controller.AttachDirect)
+// asks for the features. Stop, or closing either end, detaches it. Calls
+// from several goroutines at once are safe, but the answers then wait until
+// none is in the datapath, and punts held that long can outnumber the
+// packet-in buffers: a directly attached datapath is meant to be stepped by
+// one goroutine at a time, as a home is.
+func (dp *Datapath) AttachDirect(end *oftransport.DirectEnd, tr oftransport.Transport) {
+	dp.connMu.Lock()
+	dp.tr = tr
+	dp.connMu.Unlock()
+	end.Bind(dp.deliver, func() {
+		dp.connMu.Lock()
+		if dp.tr == tr {
+			dp.tr = nil
+		}
+		dp.connMu.Unlock()
+	})
+}

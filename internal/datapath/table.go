@@ -2,15 +2,18 @@
 // vSwitch stand-in at the heart of the Homework router. A Datapath owns a
 // set of ports, a flow table with priority and wildcard matching, and a
 // secure channel to a controller over any oftransport.Transport — the
-// classic TCP wire path (Connect/ConnectTCP) or an in-process endpoint
-// (ConnectTransport with one end of oftransport.Pair) when controller and
-// switch share a process. Orderly channel shutdown surfaces as
-// ErrChannelClosed; protocol failures as *ChannelError.
+// classic TCP wire path (Connect/ConnectTCP), a queued in-process endpoint
+// (ConnectTransport with one end of oftransport.Pair), or, when controller
+// and switch share a process, one end of an oftransport.Direct channel
+// (AttachDirect): then what the controller sends waits in an inbox that
+// the outermost call into the datapath drains as it returns, so nothing
+// runs on a goroutine of the datapath's own. Orderly channel shutdown
+// surfaces as ErrChannelClosed; protocol failures as *ChannelError.
 //
 // Concurrency: a Datapath is safe for concurrent use. Ports and the flow
 // table are guarded by read-write locks with atomic counters on the
-// lookup path, so frames may be received on many ports at once while the
-// secure-channel goroutine applies flow-mods; anything retained from a
+// lookup path, so frames may be received on many ports at once while
+// flow-mods are applied; anything retained from a
 // caller's buffer (a punted frame, which its packet-in's data is a view
 // of, and the frames held behind it) is copied first. Every punt is
 // counted on the datapath's quiesce.Epoch before it is sent, the producer
@@ -25,6 +28,7 @@ package datapath
 import (
 	"bytes"
 	"cmp"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -77,6 +81,40 @@ func (e *FlowEntry) touch(frameLen int, nowNanos int64) {
 	e.lastUsed.Store(nowNanos)
 }
 
+// deadline is the earliest the entry can expire if nothing matches it after
+// last (UnixNano, its install or its last match): its hard deadline or its
+// idle deadline from last, whichever comes first; math.MaxInt64 for an
+// entry with neither timeout. A match only moves the idle deadline later.
+func (e *FlowEntry) deadline(last int64) int64 {
+	d := int64(math.MaxInt64)
+	if e.HardTimeout > 0 {
+		d = e.Installed.UnixNano() + int64(e.HardTimeout)*int64(time.Second)
+	}
+	if e.IdleTimeout > 0 {
+		d = min(d, last+int64(e.IdleTimeout)*int64(time.Second))
+	}
+	return d
+}
+
+// expiry reports whether the entry has expired at nowNanos, and why: the
+// hard timeout first.
+func (e *FlowEntry) expiry(nowNanos int64) (reason uint8, expired bool) {
+	installed := e.Installed.UnixNano()
+	if e.HardTimeout > 0 && nowNanos-installed >= int64(e.HardTimeout)*int64(time.Second) {
+		return openflow.FlowRemovedHardTimeout, true
+	}
+	if e.IdleTimeout > 0 {
+		last := e.lastUsed.Load()
+		if last == 0 {
+			last = installed
+		}
+		if nowNanos-last >= int64(e.IdleTimeout)*int64(time.Second) {
+			return openflow.FlowRemovedIdleTimeout, true
+		}
+	}
+	return 0, false
+}
+
 // flowKey identifies an entry for strict operations.
 type flowKey struct {
 	match    openflow.Match
@@ -94,17 +132,28 @@ type FlowTable struct {
 	lookups atomic.Uint64
 	matched atomic.Uint64
 
-	// gen counts the changes made to the table (Add, Modify, Delete,
-	// Expire, each bumping it under the write lock). A reader that saw a
+	// gen counts the changes made to the table (Add, Modify, Delete, and
+	// an expiry sweep that removes something, each bumping it under the
+	// write lock). A reader that saw a
 	// frame match an entry may charge the next frame of the same key to
 	// that entry without a lookup while gen reads as it did before the
 	// lookup; see batchRun.
 	gen atomic.Uint64
+
+	// due is a bound on the earliest deadline of any entry (UnixNano;
+	// math.MaxInt64 with none due ever): an Add lowers it to the new entry's
+	// deadline, a sweep that walks the table sets it to the earliest
+	// deadline among the entries it keeps, and a sweep before it returns
+	// without taking the lock. Matches only move deadlines later, so the
+	// bound may be early, never late.
+	due atomic.Int64
 }
 
 // NewFlowTable returns an empty table.
 func NewFlowTable() *FlowTable {
-	return &FlowTable{exact: make(map[openflow.Match]*FlowEntry)}
+	t := &FlowTable{exact: make(map[openflow.Match]*FlowEntry)}
+	t.due.Store(math.MaxInt64)
+	return t
 }
 
 // Len returns the number of installed entries.
@@ -188,6 +237,9 @@ func (t *FlowTable) Add(e *FlowEntry, checkOverlap bool) error {
 		}
 	}
 	t.removeLocked(flowKey{e.Match, e.Priority})
+	if d := e.deadline(e.Installed.UnixNano()); d < t.due.Load() {
+		t.due.Store(d)
+	}
 	if e.Match.IsExact() {
 		t.exact[e.Match] = e
 		return nil
@@ -340,41 +392,46 @@ type expiry struct {
 	reason uint8
 }
 
-// expire is Expire appending to dst, which the caller reuses.
+// expire is Expire appending to dst, which the caller reuses. Before the
+// table's earliest deadline it returns at once; a sweep bumps gen only when
+// it removes something.
 func (t *FlowTable) expire(dst []expiry, now time.Time) []expiry {
-	start := len(dst)
-	t.mu.Lock()
-	t.gen.Add(1)
-	expired := func(e *FlowEntry) (uint8, bool) {
-		if e.HardTimeout > 0 && now.Sub(e.Installed) >= time.Duration(e.HardTimeout)*time.Second {
-			return openflow.FlowRemovedHardTimeout, true
-		}
-		if e.IdleTimeout > 0 {
-			last := e.Installed
-			if lu, ok := e.LastUsed(); ok {
-				last = lu
-			}
-			if now.Sub(last) >= time.Duration(e.IdleTimeout)*time.Second {
-				return openflow.FlowRemovedIdleTimeout, true
-			}
-		}
-		return 0, false
+	nowN := now.UnixNano()
+	if nowN < t.due.Load() {
+		return dst
 	}
-	for k, e := range t.exact {
-		if reason, ok := expired(e); ok {
+	start := len(dst)
+	next := int64(math.MaxInt64)
+	keep := func(e *FlowEntry) bool {
+		if reason, ok := e.expiry(nowN); ok {
 			dst = append(dst, expiry{e, reason})
+			return false
+		}
+		last := e.lastUsed.Load()
+		if last == 0 {
+			last = e.Installed.UnixNano()
+		}
+		next = min(next, e.deadline(last))
+		return true
+	}
+	t.mu.Lock()
+	for k, e := range t.exact {
+		if !keep(e) {
 			delete(t.exact, k)
 		}
 	}
 	kept := t.wild[:0]
 	for _, e := range t.wild {
-		if reason, ok := expired(e); ok {
-			dst = append(dst, expiry{e, reason})
-		} else {
+		if keep(e) {
 			kept = append(kept, e)
 		}
 	}
+	clear(t.wild[len(kept):])
 	t.wild = kept
+	t.due.Store(next)
+	if len(dst) > start {
+		t.gen.Add(1)
+	}
 	t.mu.Unlock()
 	slices.SortFunc(dst[start:], func(a, b expiry) int { return removalOrder(a.e, b.e) })
 	return dst

@@ -1,6 +1,7 @@
 package datapath
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -119,6 +120,27 @@ func (r *refTable) expire(now time.Time) map[*FlowEntry]uint8 {
 	return reasons
 }
 
+// earliest is the earliest deadline of any row (UnixNano), math.MaxInt64
+// with none: what FlowTable's bound may not exceed, and what a sweep that
+// walks the table sets it to.
+func (r *refTable) earliest() int64 {
+	d := int64(math.MaxInt64)
+	for _, o := range r.rows {
+		e := o.e
+		if e.HardTimeout > 0 {
+			d = min(d, e.Installed.Add(time.Duration(e.HardTimeout)*time.Second).UnixNano())
+		}
+		last := e.Installed
+		if !o.lastUsed.IsZero() {
+			last = o.lastUsed
+		}
+		if e.IdleTimeout > 0 {
+			d = min(d, last.Add(time.Duration(e.IdleTimeout)*time.Second).UnixNano())
+		}
+	}
+	return d
+}
+
 // lookup finds a frame's entry: an exact entry equal to the frame's key
 // first, else the wildcarded entry of highest priority, the earliest added
 // among equals.
@@ -229,8 +251,10 @@ func (g *tableGen) outPort() uint16 {
 // output port), lookups and expiry sweeps on a simulated clock: after every
 // operation the two hold the same entries with the same actions and
 // counters, removals agree as sets and with their reasons and leave in
-// removalOrder, and gen rises on every call that can change the table and
-// on no lookup.
+// removalOrder, and gen rises on every add, modify and delete, on a sweep
+// that removes something and on nothing else. The sweep's earliest-deadline
+// bound is never later than the model's earliest deadline, and a sweep at
+// or past the bound walks the table and sets it to exactly that.
 func TestFlowTableMatchesModel(t *testing.T) {
 	const seeds, ops = 60, 400
 	for seed := int64(1); seed <= seeds; seed++ {
@@ -242,7 +266,7 @@ func TestFlowTableMatchesModel(t *testing.T) {
 			t.Fatalf("seed %d, op %d: "+format, append([]any{seed, op}, args...)...)
 		}
 		for op := 0; op < ops; op++ {
-			gen := tbl.gen.Load()
+			gen, due := tbl.gen.Load(), tbl.due.Load()
 			changes := true
 			var what string
 			switch k := g.rng.Intn(20); {
@@ -296,6 +320,11 @@ func TestFlowTableMatchesModel(t *testing.T) {
 				if !slices.IsSortedFunc(got, removalOrder) {
 					fail(op, "Expire's removals are not in removal order")
 				}
+				changes = len(got) > 0
+				if now.UnixNano() >= due && tbl.due.Load() != ref.earliest() {
+					fail(op, "a sweep at %d past the bound %d left it at %d, the model's earliest deadline is %d",
+						now.UnixNano(), due, tbl.due.Load(), ref.earliest())
+				}
 			default:
 				what, changes = "lookup", false
 				f, d, inPort := g.frame()
@@ -306,6 +335,9 @@ func TestFlowTableMatchesModel(t *testing.T) {
 			}
 			if after := tbl.gen.Load(); changes && after <= gen || !changes && after != gen {
 				fail(op, "%s: gen %d → %d", what, gen, after)
+			}
+			if b, d := tbl.due.Load(), ref.earliest(); b > d {
+				fail(op, "%s: the sweep bound %d is later than the earliest deadline %d", what, b, d)
 			}
 			compareModel(t, tbl, ref, func(format string, args ...any) { fail(op, what+": "+format, args...) })
 		}

@@ -31,20 +31,12 @@ type conformKit struct {
 	deltas telemetry.Member
 }
 
-// conformScenario populates one web host per home so steps generate
-// rows; small and fixed so cross-implementation runs are comparable.
-//
-// The rate is half a 1200-byte packet per 0.25 s tick, which puts the SYN
-// alone in its tick and one request in every second tick after it: no
-// frame shares a tick with the first frame of its flow, so none can reach
-// the datapath ahead of that flow's flow-mod and punt where a luckier run
-// would have matched. At a rate of several packets per tick how many do is
-// a goroutine race, and Flows, Packets, Bytes, Rows and Delivered move
-// with it (bench/README.md, "What is and is not deterministic") — about
-// one run in 75 of the comparisons below.
+// conformScenario populates one web host per home at web_churn's rate so
+// steps generate rows; small and fixed so cross-implementation runs are
+// comparable.
 var conformScenario = Scenario{
 	HostsPerHome: 1,
-	AppMix:       []AppMix{{App: "web", RateBps: 2_400, Weight: 1}},
+	AppMix:       []AppMix{{App: "web", RateBps: 40_000, Weight: 1}},
 }
 
 func newConformEngine() (*engine.Engine, *clock.Simulated) {

@@ -368,7 +368,8 @@ func (n *Network) orderedHosts() []*Host {
 // deliverBatch injects one host's per-step batch into the datapath. Wired
 // hosts on the plain fabric take the batched fast path; wireless hosts
 // (per-frame loss model) and the direct-L2 ablation fall back to the
-// frame-by-frame path.
+// frame-by-frame path, which is still one datapath call (Datapath.Batch):
+// the controller's answers land after the batch, as for a wired host's.
 func (n *Network) deliverBatch(h *Host, fb *packet.FrameBatch) {
 	defer fb.Reset()
 	if fb.Len() == 0 {
@@ -379,9 +380,11 @@ func (n *Network) deliverBatch(h *Host, fb *packet.FrameBatch) {
 	faulty := n.faultNum > 0 && n.faultDen > 0
 	n.mu.Unlock()
 	if h.Wireless || direct || faulty {
-		for i := 0; i < fb.Len(); i++ {
-			n.fromHost(h, fb.Frame(i))
-		}
+		n.dp.Batch(func() {
+			for i := 0; i < fb.Len(); i++ {
+				n.fromHost(h, fb.Frame(i))
+			}
+		})
 		return
 	}
 	n.dp.ReceiveBatch(h.port, fb)

@@ -6,28 +6,32 @@
 //
 // The controller is transport-agnostic: a datapath attaches over any
 // oftransport.Transport. ListenAndServe/HandleConn keep the classic TCP
-// secure channel for cross-process deployments, while ServeTransport
-// accepts an in-process endpoint (oftransport.Pair) when controller and
-// datapath share a process, as they do on the paper's home router and in
-// every fleet home.
+// secure channel for cross-process deployments, ServeTransport serves any
+// endpoint with a read loop (oftransport.Pair among them), and
+// AttachDirect attaches a datapath in the same process over an
+// oftransport.Direct channel, as on the paper's home router and in every
+// fleet home: no goroutine, and each punt dispatched inside the datapath
+// call that makes it, as NOX runs an event through its handlers to
+// completion.
 //
-// Concurrency contract: each attached datapath is serviced by one read
-// loop that drains its transport in batches (oftransport.BatchRecver
-// when available) and dispatches events synchronously, in order, on that
-// loop's goroutine — handlers for one datapath never run concurrently
-// with each other, but handlers for different datapaths do. An event and
-// its Decoded view are valid only for the duration of the dispatch call;
-// a handler that wants to keep anything must copy it out (the batched
-// loop reuses the decode state across the batch). A handler answers a
-// buffered packet-in within the dispatch, with a flow-mod or packet-out
-// that references the buffer; one that no handler referenced is discarded
-// by the read loop when the chain returns, so every buffered packet-in is
-// answered exactly once and the datapath never keeps frames waiting
-// behind a punt the controller has finished with. Handler registration
-// (On*) and Register are safe at any time from any goroutine. After each
-// drained batch the controller credits the quiescence epoch attached
-// with SetQuiesce, which is how Router.Settle blocks — event-driven, no
-// polling — until the control path drains (see docs/CONTROL_PLANE.md).
+// Concurrency contract: each attached datapath's events are dispatched
+// synchronously and in order, one at a time — on its read loop's
+// goroutine, or on a direct switch on the goroutine that sent them, with
+// an event that arrives mid-dispatch queued for the dispatching call to
+// take next — so handlers for one datapath never run concurrently with
+// each other, but handlers for different datapaths do. An event and its
+// Decoded view are valid only for the duration of the dispatch call; a
+// handler that wants to keep anything must copy it out (the switch reuses
+// the decode state and the events). A handler answers a buffered
+// packet-in within the dispatch, with a flow-mod or packet-out that
+// references the buffer; one that no handler referenced is discarded when
+// the chain returns, so every buffered packet-in is answered exactly once
+// and the datapath never keeps frames waiting behind a punt the controller
+// has finished with. Handler registration (On*) and Register are safe at
+// any time from any goroutine. The controller credits the quiescence epoch
+// attached with SetQuiesce after each drained batch of a read loop, and
+// after each dispatch on a direct switch; Router.Settle reads it (see
+// docs/CONTROL_PLANE.md).
 package nox
 
 import (
@@ -348,7 +352,7 @@ func (c *Controller) ServeTransport(tr oftransport.Transport) error {
 		c.wg.Done()
 	}()
 
-	sw := &Switch{tr: tr, ctl: c, pending: make(map[uint32]chan openflow.Message)}
+	sw := c.newSwitch(tr)
 
 	if err := tr.Send(&openflow.Hello{}); err != nil {
 		tr.Close()
@@ -382,25 +386,87 @@ func (c *Controller) ServeTransport(tr oftransport.Transport) error {
 			features = fr
 		}
 	}
+	if err := c.joinSwitch(sw, features); err != nil {
+		tr.Close()
+		return err
+	}
+	err = sw.readLoop()
+	c.leaveSwitch(sw)
+	return err
+}
+
+// AttachDirect attaches a datapath over one end of an oftransport.Direct
+// channel and returns its switch once the handshake is done. Nothing runs
+// on a goroutine of its own: the handshake runs on the caller's, and from
+// then on each message the datapath sends is handled inside the Send that
+// carries it (Switch.deliver). tr is what the switch sends on — end itself,
+// or a wrapper of it such as core.Config.WrapTransport returns. Close and
+// the leave event work as for ServeTransport: closing either end of the
+// channel, or the controller, detaches the switch.
+func (c *Controller) AttachDirect(end *oftransport.DirectEnd, tr oftransport.Transport) (*Switch, error) {
+	c.mu.Lock()
+	if c.closed.Load() {
+		c.mu.Unlock()
+		_ = tr.Close()
+		return nil, errors.New("nox: controller closed")
+	}
+	c.serving[tr] = struct{}{}
+	c.mu.Unlock()
+	sw := c.newSwitch(tr)
+	end.Bind(sw.deliver, func() {
+		sw.failPending(oftransport.ErrClosed)
+		c.mu.Lock()
+		delete(c.serving, tr)
+		c.mu.Unlock()
+		c.leaveSwitch(sw)
+	})
+	// The datapath is idle, so the request is answered before Send returns.
+	rep, err := sw.request(&openflow.FeaturesRequest{}, 5*time.Second)
+	features, ok := rep.(*openflow.FeaturesReply)
+	if err == nil && !ok {
+		err = fmt.Errorf("nox: handshake: expected FEATURES_REPLY, got %T", rep)
+	}
+	if err == nil {
+		err = c.joinSwitch(sw, features)
+	}
+	if err != nil {
+		_ = tr.Close()
+		return nil, err
+	}
+	return sw, nil
+}
+
+func (c *Controller) newSwitch(tr oftransport.Transport) *Switch {
+	return &Switch{tr: tr, ctl: c, pending: make(map[uint32]chan openflow.Message)}
+}
+
+// joinSwitch completes a handshake: it pushes the switch config, registers the
+// switch and runs the join handlers.
+func (c *Controller) joinSwitch(sw *Switch, features *openflow.FeaturesReply) error {
 	sw.dpid = features.DatapathID
 	sw.features = features
 
 	cfg := &openflow.SetConfig{Flags: openflow.ConfigFragNormal, MissSendLen: c.MissSendLen}
 	cfg.Header.XID = sw.nextXID()
-	if err := tr.Send(cfg); err != nil {
-		tr.Close()
+	if err := sw.tr.Send(cfg); err != nil {
 		return err
 	}
 
 	c.mu.Lock()
 	c.switches[sw.dpid] = sw
 	c.mu.Unlock()
+	sw.joined.Store(true)
 	for _, fn := range c.join.load() {
 		fn(&JoinEvent{Switch: sw, Features: features})
 	}
+	return nil
+}
 
-	err = sw.readLoop()
-
+// leaveSwitch unregisters a joined switch and runs the leave handlers, once.
+func (c *Controller) leaveSwitch(sw *Switch) {
+	if !sw.joined.CompareAndSwap(true, false) {
+		return
+	}
 	c.mu.Lock()
 	if c.switches[sw.dpid] == sw {
 		delete(c.switches, sw.dpid)
@@ -409,7 +475,6 @@ func (c *Controller) ServeTransport(tr oftransport.Transport) error {
 	for _, fn := range c.leave.load() {
 		fn(&LeaveEvent{Switch: sw})
 	}
-	return err
 }
 
 // dispatchPacketIn runs the packet-in handler chain for one punt; the

@@ -909,3 +909,200 @@ func TestRegisterDuringDispatch(t *testing.T) {
 		}
 	}
 }
+
+// newDirectRig joins a controller and a datapath over an oftransport.Direct
+// channel, the controller sending through wrap(ctlEnd) when wrap is set. No
+// goroutine is started: the handshake has run when it returns.
+func newDirectRig(t *testing.T, ctl *Controller, wrap func(oftransport.Transport) oftransport.Transport) *testRig {
+	t.Helper()
+	t.Cleanup(func() { ctl.Close() })
+	dp := datapath.New(datapath.Config{ID: 0xdead0004})
+	_ = dp.AddPort(&datapath.Port{No: 1, Name: "wlan0"})
+	_ = dp.AddPort(&datapath.Port{No: 2, Name: "eth0"})
+	ctl.SetQuiesce(dp.Quiesce())
+	ctlEnd, dpEnd := oftransport.Direct()
+	var tr oftransport.Transport = ctlEnd
+	if wrap != nil {
+		tr = wrap(ctlEnd)
+	}
+	dp.AttachDirect(dpEnd, dpEnd)
+	sw, err := ctl.AttachDirect(ctlEnd, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dp.Stop)
+	return &testRig{ctl: ctl, dp: dp, sw: sw}
+}
+
+// A directly attached datapath joins on the caller's goroutine, and a punt
+// is over when the datapath call that made it returns: dispatched, answered,
+// the rule installed and the buffered frame released, with no barrier and
+// no wait. Requests still work, answered by the inbox's drain, and closing
+// the channel is the switch's leave.
+func TestDirectAttach(t *testing.T) {
+	ctl := NewController()
+	gotPI := installOnPacketIn(ctl)
+	var leaves atomic.Int32
+	ctl.OnLeave(func(*LeaveEvent) { leaves.Add(1) })
+	rig := newDirectRig(t, ctl, nil)
+
+	if rig.sw.DPID() != 0xdead0004 || len(rig.sw.Features().Ports) != 2 {
+		t.Fatalf("handshake: dpid %x, %d ports", rig.sw.DPID(), len(rig.sw.Features().Ports))
+	}
+	if sw, ok := ctl.Switch(0xdead0004); !ok || sw != rig.sw {
+		t.Fatal("the direct switch is not registered")
+	}
+	rig.dp.Receive(1, packet.NewTCPFrame(
+		packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+		packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2},
+		40000, 80, packet.TCPSyn, 1, nil).Bytes())
+	select {
+	case pi := <-gotPI:
+		if pi.tcpDstPort != 80 || pi.installErr != nil {
+			t.Fatalf("packet-in %+v", pi)
+		}
+	default:
+		t.Fatal("Receive returned before its punt was dispatched")
+	}
+	if punted, done := rig.dp.Quiesce().Counts(); punted != 1 || done != 1 {
+		t.Errorf("after Receive: %d punted, %d credited, want 1 and 1", punted, done)
+	}
+	if n := rig.dp.Table().Len(); n != 1 {
+		t.Errorf("after Receive the table holds %d entries, want the new rule", n)
+	}
+	if p2, _ := rig.dp.Port(2); p2.Stats().TxPackets != 1 {
+		t.Errorf("after Receive the buffered frame was not released: tx %d", p2.Stats().TxPackets)
+	}
+
+	if err := rig.sw.Echo([]byte("liveness")); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.sw.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	if stats, err := rig.sw.FlowStats(openflow.MatchAll()); err != nil || len(stats) != 1 {
+		t.Fatalf("flow stats %v, %v", stats, err)
+	}
+	if ports, err := rig.sw.PortStats(openflow.PortNone); err != nil || len(ports) != 2 {
+		t.Fatalf("port stats %v, %v", ports, err)
+	}
+
+	rig.dp.Stop()
+	if leaves.Load() != 1 || len(ctl.Switches()) != 0 {
+		t.Errorf("after the datapath stopped: %d leave events, %d switches", leaves.Load(), len(ctl.Switches()))
+	}
+	if err := rig.sw.Barrier(); err == nil {
+		t.Error("a barrier on a closed direct switch succeeded")
+	}
+	_ = ctl.Close()
+	if leaves.Load() != 1 {
+		t.Errorf("Close after the leave ran it again: %d leave events", leaves.Load())
+	}
+}
+
+// On a direct switch every buffered packet-in is answered exactly once,
+// and the order is no longer the scheduler's: the batch's punts are
+// dispatched as they happen, the answers handled after its last frame, and
+// each discard's re-homed punt dispatched inside the drain that sent it.
+func TestDirectUnansweredBufferIsDiscarded(t *testing.T) {
+	ctl := NewController()
+	var seen []uint32
+	ctl.OnPacketIn(func(ev *PacketInEvent) Disposition {
+		seen = append(seen, ev.Decoded.TCP.Seq)
+		if ev.Decoded.TCP.DstPort != 80 {
+			return Continue
+		}
+		_ = ev.Switch.InstallFlow(openflow.MatchFromFrame(ev.Decoded, ev.Msg.InPort), 10, 30, 0,
+			[]openflow.Action{&openflow.ActionOutput{Port: 2}}, WithBuffer(ev.Msg.BufferID))
+		return Stop
+	})
+	var answers *answerCounter
+	rig := newDirectRig(t, ctl, func(end oftransport.Transport) oftransport.Transport {
+		answers = &answerCounter{Transport: end}
+		return answers
+	})
+	frame := func(dstPort uint16, seq uint32) []byte {
+		return packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+			packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 40000, dstPort, packet.TCPAck, seq, nil).Bytes()
+	}
+	var fb packet.FrameBatch
+	for _, f := range [][]byte{frame(22, 100), frame(22, 101), frame(80, 200), frame(22, 102), frame(80, 201)} {
+		fb.Append(f)
+	}
+	rig.dp.ReceiveBatch(1, &fb)
+
+	if want := []uint32{100, 200, 101, 102}; !slices.Equal(seen, want) {
+		t.Fatalf("packet-ins %v, want %v", seen, want)
+	}
+	if answers.discards != 3 || answers.flowMods != 1 {
+		t.Errorf("%d discards and %d flow-mods, want 3 and 1", answers.discards, answers.flowMods)
+	}
+	if punted, done := rig.dp.Quiesce().Counts(); punted != done {
+		t.Errorf("%d punted, %d credited", punted, done)
+	}
+	if p2, _ := rig.dp.Port(2); p2.Stats().TxPackets != 2 {
+		t.Errorf("answered flow: %d frames forwarded, want 2", p2.Stats().TxPackets)
+	}
+}
+
+// Calls into a directly attached datapath from several goroutines at once,
+// with barriers from another: the switch still runs one handler at a time,
+// every punt is dispatched and credited once, every request is answered,
+// and every frame leaves once its flow's rule is in. The answers wait until
+// no call is in the datapath, so the load stays under the datapath's 256
+// packet-in buffers. Run with -race.
+func TestDirectConcurrentCalls(t *testing.T) {
+	ctl := NewController()
+	var inHandler, overlaps atomic.Int32
+	ctl.OnPacketIn(func(ev *PacketInEvent) Disposition {
+		if inHandler.Add(1) != 1 {
+			overlaps.Add(1)
+		}
+		defer inHandler.Add(-1)
+		_ = ev.Switch.InstallFlow(openflow.MatchFromFrame(ev.Decoded, ev.Msg.InPort), 10, 30, 0,
+			[]openflow.Action{&openflow.ActionOutput{Port: 2}}, WithBuffer(ev.Msg.BufferID))
+		return Stop
+	})
+	rig := newDirectRig(t, ctl, nil)
+	const senders, flows = 4, 20 // at most 160 punts outstanding
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < flows; i++ {
+				frame := packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+					packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, uint16(20000+100*g+i), 80, packet.TCPAck, 1, nil).Bytes()
+				rig.dp.Receive(1, frame)
+				rig.dp.Receive(1, frame)
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			if err := rig.sw.Barrier(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+
+	if backlog, busy := rig.dp.Drain(); backlog != 0 || busy {
+		t.Fatalf("after every call returned: backlog %d, busy %v", backlog, busy)
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("handlers ran concurrently %d times", n)
+	}
+	if punted, done := rig.dp.Quiesce().Counts(); punted != done || punted < senders*flows {
+		t.Errorf("%d punted, %d credited, want every punt credited and at least one per flow", punted, done)
+	}
+	if n := rig.dp.Table().Len(); n != senders*flows {
+		t.Errorf("table holds %d entries, want %d", n, senders*flows)
+	}
+	if p2, _ := rig.dp.Port(2); p2.Stats().TxPackets != 2*senders*flows {
+		t.Errorf("%d frames forwarded, want %d", p2.Stats().TxPackets, 2*senders*flows)
+	}
+}

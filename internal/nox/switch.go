@@ -9,6 +9,7 @@ import (
 	"repro/internal/oftransport"
 	"repro/internal/openflow"
 	"repro/internal/packet"
+	"repro/internal/trace"
 )
 
 // Switch is the controller's handle on one connected datapath, reached
@@ -30,6 +31,23 @@ type Switch struct {
 	pending   map[uint32]chan openflow.Message
 
 	closeOnce sync.Once
+	joined    atomic.Bool // the join handlers have run; leave runs once
+
+	// The decode state and the packet-in and flow-removed events handle
+	// reuses: a switch handles one message at a time (readLoop, or deliver
+	// on a direct switch), and a handler owns them only for the dispatch.
+	d   packet.Decoded
+	ev  PacketInEvent
+	rem FlowRemovedEvent
+
+	// What deliver keeps: whether a call is handling a message, and the
+	// messages queued behind it, inbox[next:] (inMu guards the slice;
+	// queued counts it, for a look without the lock).
+	handling atomic.Bool
+	queued   atomic.Int32
+	inMu     sync.Mutex
+	inbox    []openflow.Message
+	next     int
 }
 
 // DPID returns the datapath identifier.
@@ -54,23 +72,16 @@ func (sw *Switch) Send(msg openflow.Message) error {
 	return sw.tr.Send(msg)
 }
 
-// readLoop services switch-to-controller messages, routing replies to
-// pending synchronous requests and everything else to event handlers.
+// readLoop services a queued or wire transport's switch-to-controller
+// messages, routing replies to pending synchronous requests and everything
+// else to event handlers.
 //
-// The loop is batched: when the transport supports it (the in-process
-// channel), every message already queued is drained into a reused slice
-// per wakeup, so a burst of punts from one ReceiveBatch tick costs one
-// wakeup and one quiescence broadcast instead of N. The decode state and
-// the packet-in and flow-removed events are also reused across batches —
-// handlers own them only for the duration of the dispatch (see the package
-// comment).
+// The loop is batched: when the transport supports it (oftransport.Pair),
+// every message already queued is drained into a reused slice per wakeup,
+// so a burst of punts from one ReceiveBatch tick costs one wakeup and one
+// quiescence broadcast instead of N.
 func (sw *Switch) readLoop() error {
-	var (
-		batch []openflow.Message
-		d     packet.Decoded
-		ev    PacketInEvent
-		rem   FlowRemovedEvent
-	)
+	var batch []openflow.Message
 	for {
 		var err error
 		batch, err = oftransport.RecvInto(sw.tr, batch)
@@ -88,50 +99,115 @@ func (sw *Switch) readLoop() error {
 		punts := 0
 		for i, msg := range batch {
 			batch[i] = nil
-			xid := msg.Hdr().XID
-			if ch := sw.takePending(xid); ch != nil {
-				ch <- msg
-				continue
-			}
-			switch m := msg.(type) {
-			case *openflow.EchoRequest:
-				rep := &openflow.EchoReply{Data: m.Data}
-				rep.Header.XID = m.Header.XID
-				_ = sw.Send(rep)
-			case *openflow.PacketIn:
-				tracer.BeginDispatch()
-				_ = d.Decode(m.Data) // partial decode is fine; handlers check Has*
-				ev = PacketInEvent{Switch: sw, Msg: m, Decoded: &d}
-				sw.unanswered.Store(m.BufferID)
-				sw.ctl.dispatchPacketIn(&ev)
-				// Every buffered packet-in is answered exactly once: what
-				// no handler referenced is discarded with an action-less
-				// packet-out, so the datapath frees the slot and sends
-				// the frames it holds behind the punt back to be punted.
-				if id := sw.unanswered.Load(); id != openflow.NoBuffer {
-					_ = sw.ReleaseBuffer(id, m.InPort)
-				}
-				tracer.EndDispatch()
+			if sw.handle(msg, tracer) {
 				punts++
-			case *openflow.FlowRemoved:
-				rem = FlowRemovedEvent{Switch: sw, Msg: m}
-				sw.ctl.dispatchFlowRemoved(&rem)
-			case *openflow.PortStatus:
-				sw.ctl.dispatchPortStatus(&PortStatusEvent{Switch: sw, Msg: m})
-			case *openflow.ErrorMsg:
-				// Errors not tied to a pending request are logged by dropping;
-				// a production controller would surface these.
-			default:
-				// Unsolicited replies (stats for timed-out requests etc.).
 			}
 		}
-		if punts > 0 {
-			sw.ctl.noteProcessed(punts)
+		sw.ctl.noteProcessed(punts)
+	}
+}
+
+// deliver is the controller's end of a direct channel: the datapath's Send
+// of msg runs it, on the datapath's goroutine. A switch handles one message
+// at a time, to completion, as NOX's event loop does. A message that
+// arrives while a call is handling another — from another goroutine, or
+// from this one when a handler's answer reaches an idle datapath that punts
+// again — is queued, and the call that is handling takes it next. Each
+// packet-in is credited as soon as it is dispatched.
+func (sw *Switch) deliver(msg openflow.Message) {
+	tracer := sw.ctl.tracer.Load()
+	if sw.queued.Load() == 0 && sw.handling.CompareAndSwap(false, true) {
+		sw.dispatch(msg, tracer)
+	} else {
+		sw.inMu.Lock()
+		sw.inbox = append(sw.inbox, msg)
+		sw.queued.Add(1)
+		sw.inMu.Unlock()
+		if !sw.handling.CompareAndSwap(false, true) {
+			return // the call that is handling takes it
+		}
+	}
+	// This call is handling: it takes what is queued, lets go, and takes
+	// back what arrived as it let go if no other call has.
+	for {
+		for sw.queued.Load() > 0 {
+			sw.dispatch(sw.pop(), tracer)
+		}
+		sw.handling.Store(false)
+		if sw.queued.Load() == 0 || !sw.handling.CompareAndSwap(false, true) {
+			return
 		}
 	}
 }
 
-// waiter is what one synchronous request blocks on: the channel readLoop
+// dispatch handles one message on a direct switch and credits a packet-in.
+func (sw *Switch) dispatch(msg openflow.Message, tracer *trace.Tracer) {
+	if sw.handle(msg, tracer) {
+		sw.ctl.noteProcessed(1)
+	}
+}
+
+// pop takes the oldest queued message; only the call that is handling does.
+func (sw *Switch) pop() openflow.Message {
+	sw.inMu.Lock()
+	defer sw.inMu.Unlock()
+	msg := sw.inbox[sw.next]
+	sw.inbox[sw.next] = nil
+	if sw.next++; sw.next == len(sw.inbox) {
+		sw.inbox, sw.next = sw.inbox[:0], 0
+	}
+	sw.queued.Add(-1)
+	return msg
+}
+
+// handle routes one switch-to-controller message: a reply to its pending
+// request, everything else to the event handlers. It reports whether msg was
+// a packet-in, which the caller credits.
+func (sw *Switch) handle(msg openflow.Message, tracer *trace.Tracer) (punt bool) {
+	switch msg.(type) {
+	case *openflow.PacketIn, *openflow.FlowRemoved, *openflow.PortStatus:
+		// Asynchronous: never the reply to a request.
+	default:
+		if ch := sw.takePending(msg.Hdr().XID); ch != nil {
+			ch <- msg
+			return false
+		}
+	}
+	switch m := msg.(type) {
+	case *openflow.EchoRequest:
+		rep := &openflow.EchoReply{Data: m.Data}
+		rep.Header.XID = m.Header.XID
+		_ = sw.Send(rep)
+	case *openflow.PacketIn:
+		tracer.BeginDispatch()
+		_ = sw.d.Decode(m.Data) // partial decode is fine; handlers check Has*
+		sw.ev = PacketInEvent{Switch: sw, Msg: m, Decoded: &sw.d}
+		sw.unanswered.Store(m.BufferID)
+		sw.ctl.dispatchPacketIn(&sw.ev)
+		// Every buffered packet-in is answered exactly once: what no
+		// handler referenced is discarded with an action-less packet-out,
+		// so the datapath frees the slot and sends the frames it holds
+		// behind the punt back to be punted.
+		if id := sw.unanswered.Load(); id != openflow.NoBuffer {
+			_ = sw.ReleaseBuffer(id, m.InPort)
+		}
+		tracer.EndDispatch()
+		return true
+	case *openflow.FlowRemoved:
+		sw.rem = FlowRemovedEvent{Switch: sw, Msg: m}
+		sw.ctl.dispatchFlowRemoved(&sw.rem)
+	case *openflow.PortStatus:
+		sw.ctl.dispatchPortStatus(&PortStatusEvent{Switch: sw, Msg: m})
+	case *openflow.ErrorMsg:
+		// Errors not tied to a pending request are logged by dropping;
+		// a production controller would surface these.
+	default:
+		// Unsolicited replies (stats for timed-out requests etc.).
+	}
+	return false
+}
+
+// waiter is what one synchronous request blocks on: the channel handle
 // delivers the reply on and the timer that bounds the wait. Waiters are
 // recycled across every switch of the process; the timer of a pooled one is
 // stopped and its channel empty.
@@ -199,7 +275,7 @@ func (sw *Switch) roundTrip(w *waiter, msg openflow.Message, timeout time.Durati
 		}
 		// Only an answered waiter is reused: its channel has left the
 		// pending map and been drained, and a stopped timer (go 1.23 on)
-		// delivers nothing late. After a timeout or a close, readLoop may
+		// delivers nothing late. After a timeout or a close, handle may
 		// still hold the channel, so that waiter is left to the collector.
 		w.timer.Stop()
 		waiters.Put(w)

@@ -24,6 +24,13 @@ func transports() map[string]factory {
 			t.Cleanup(func() { _ = a.Close() })
 			return a, b
 		},
+		// The ends of Direct with a queue bound to each, so that the
+		// suite's Recv reads what the peer's Send delivered.
+		"direct": func(t *testing.T) (Transport, Transport) {
+			a, b := Direct()
+			t.Cleanup(func() { _ = a.Close() })
+			return queueBound(a), queueBound(b)
+		},
 		"tcp": func(t *testing.T) (Transport, Transport) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -49,6 +56,21 @@ func transports() map[string]factory {
 		},
 	}
 }
+
+// queuedEnd is a DirectEnd whose owner queues what is delivered to it, for
+// Recv to read: the conformance suite's view of a direct channel.
+type queuedEnd struct {
+	*DirectEnd
+	q *msgQueue
+}
+
+func queueBound(e *DirectEnd) Transport {
+	q := newMsgQueue(2)
+	e.Bind(func(msg openflow.Message) { _ = q.push(msg) }, q.close)
+	return &queuedEnd{DirectEnd: e, q: q}
+}
+
+func (e *queuedEnd) Recv() (openflow.Message, error) { return e.q.pop() }
 
 func conformance(t *testing.T, run func(t *testing.T, a, b Transport)) {
 	t.Helper()

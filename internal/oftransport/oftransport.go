@@ -35,7 +35,12 @@
 //     transport copies by serializing, but callers must honour the
 //     stricter in-process rule so the two transports stay interchangeable.
 //
-// Use Pair for an in-process channel, NewTCP/DialTCP for the wire path.
+// Three implementations: Direct for a controller and datapath in one
+// address space (no queue and no goroutine: a Send delivers before it
+// returns; every in-process home uses it), Pair for an in-process channel
+// with a read loop at each end (two unbounded queues), and NewTCP/DialTCP
+// for the wire path. A direct end meets the contract above with its
+// receiving side bound (DirectEnd.Bind) rather than read with Recv.
 package oftransport
 
 import (
