@@ -36,8 +36,7 @@ import (
 // provoked.
 //
 // All methods are safe for concurrent use; the pass-through preserves
-// the full oftransport.Transport contract, including batched receive on a
-// queued pair.
+// the full oftransport.Transport contract.
 type Faults struct {
 	mu        sync.Mutex
 	wedged    bool
@@ -192,18 +191,14 @@ func (f *Faults) interceptMod(msg openflow.Message, inner oftransport.Transport)
 }
 
 // faultEnd wraps one transport end, filtering its Send direction through
-// the switchboard and passing everything else (including the batched
-// receive path) straight through.
+// the switchboard and passing everything else straight through.
 type faultEnd struct {
 	f     *Faults
 	inner oftransport.Transport
 	ctl   bool // controller end: Sends carry flow-mods toward the datapath
 }
 
-var (
-	_ oftransport.Transport   = (*faultEnd)(nil)
-	_ oftransport.BatchRecver = (*faultEnd)(nil)
-)
+var _ oftransport.Transport = (*faultEnd)(nil)
 
 func (e *faultEnd) Send(msg openflow.Message) error {
 	if e.ctl {
@@ -221,18 +216,3 @@ func (e *faultEnd) Send(msg openflow.Message) error {
 func (e *faultEnd) Recv() (openflow.Message, error) { return e.inner.Recv() }
 
 func (e *faultEnd) Close() error { return e.inner.Close() }
-
-// RecvBatch preserves the in-process transport's batched read path: the
-// read loops type-assert for oftransport.BatchRecver, and a fault layer
-// that hid it would change scheduling behaviour even with no fault
-// active.
-func (e *faultEnd) RecvBatch(buf []openflow.Message) ([]openflow.Message, error) {
-	if br, ok := e.inner.(oftransport.BatchRecver); ok {
-		return br.RecvBatch(buf)
-	}
-	msg, err := e.inner.Recv()
-	if err != nil {
-		return buf, err
-	}
-	return append(buf, msg), nil
-}

@@ -133,8 +133,8 @@ type Router struct {
 
 	sw *nox.Switch
 	// direct is set when the datapath is attached in process, over an
-	// oftransport.Direct channel: Settle then drains and checks, and waits
-	// for nothing.
+	// oftransport.Direct channel: a drain then leaves every answer handled,
+	// and Settle needs no barrier.
 	direct bool
 }
 
@@ -373,71 +373,46 @@ func (r *Router) PollMeasure() { r.Measure.PollOnce() }
 // injection deterministic for tests, figures and benches; the protocol is
 // specified in docs/CONTROL_PLANE.md.
 //
-// In process, every punt was dispatched inside the call that made it and
-// its answers were handled when the outermost call into the datapath
-// returned, so Settle drains whatever is left and checks the books: a punt
-// that was counted but not dispatched is one a wrapper kept from the
-// controller (a wedge), and Settle reports it at once with an error that
-// matches quiesce.ErrDeadline. It waits only while another goroutine is
-// inside the datapath, for that call's dispatches, with Config.SettleTimeout
-// as the backstop.
-//
-// Over TCP, or before Start, Settle waits on the shared quiescence epoch
-// (event-driven, no polling) and round-trips a barrier with no new punts
-// behind it; Config.SettleTimeout bounds the whole call.
+// Each lap drains the datapath's inbox and reads the quiescence epoch once.
+// With nothing outstanding, a direct channel (every in-process home) or a
+// datapath not yet attached is quiescent: every answer was handled by the
+// drain. Over TCP the answers may still be on the wire, so Settle
+// round-trips a barrier and returns if no punt was counted behind it. A
+// punt outstanding on a direct channel with no call in the datapath is one
+// a wrapper kept from the controller (a wedge), reported at once with an
+// error that matches quiesce.ErrDeadline. Otherwise Settle waits on the
+// epoch for the dispatches, with Config.SettleTimeout as the backstop.
 func (r *Router) Settle() error {
 	q := r.Datapath.Quiesce()
-	if r.direct {
-		return r.settleDirect(q)
-	}
-	deadline := time.Now().Add(r.Config.SettleTimeout)
-	for {
-		if err := q.Wait(time.Until(deadline)); err != nil {
-			punted, done := q.Counts()
-			return fmt.Errorf("core: control path did not settle (%d punts, %d processed): %w", punted, done, err)
-		}
-		if r.sw == nil {
-			return nil
-		}
-		// Catch-up says every punt was dispatched, and each dispatch's
-		// flow-mods and packet-outs were sent before it was credited —
-		// so a barrier sent after this observation flushes all of them.
-		// Snapshot the punt count at the observation: if it is unchanged
-		// when the barrier returns, nothing the flush delivered punted
-		// again and the path is quiescent. Otherwise the flush advanced
-		// a handshake chain (DHCP OFFER → REQUEST, DNS relay) and the
-		// new punt's dispatch must be waited for in turn. Comparing
-		// against the snapshot (not re-reading Settled) is load-bearing:
-		// a dispatch completing between the barrier send and its return
-		// could make the counts look settled even though its output is
-		// queued behind the barrier, not flushed by it.
-		punted0, done0 := q.Counts()
-		if done0 < punted0 {
-			continue // a new punt raced the observation; wait for it
-		}
-		if err := r.sw.Barrier(); err != nil {
-			return err
-		}
-		if q.Punted() == punted0 {
-			return nil
-		}
-	}
-}
-
-// settleDirect is Settle on a directly attached datapath.
-func (r *Router) settleDirect(q *quiesce.Epoch) error {
 	var deadline time.Time
 	for {
-		backlog, busy := r.Datapath.Drain()
-		if backlog == 0 {
-			return nil
+		punted, done, busy := r.Datapath.Drain()
+		if done >= punted {
+			if r.direct || r.sw == nil {
+				return nil
+			}
+			// Every punt counted at this observation was dispatched, and
+			// each dispatch sent its flow-mods and packet-outs before it
+			// was credited, so a barrier sent now flushes all of them. If
+			// the punt count is unchanged when it returns, nothing the
+			// flush delivered punted again. Otherwise the flush advanced a
+			// handshake chain (DHCP OFFER → REQUEST, DNS relay) and the new
+			// punt's dispatch is waited for in turn. Comparing against the
+			// count read here, not re-reading the epoch, is load-bearing: a
+			// dispatch completing between the barrier's send and its reply
+			// could make the counts look settled though its output is
+			// queued behind the barrier, not flushed by it.
+			if err := r.sw.Barrier(); err != nil {
+				return err
+			}
+			if q.Punted() == punted {
+				return nil
+			}
+			continue
 		}
-		if !busy {
-			punted, done := q.Counts()
+		if r.direct && !busy {
 			return fmt.Errorf("core: control path did not settle (%d punts, %d dispatched; the rest never reached the controller): %w", punted, done, quiesce.ErrDeadline)
 		}
-		// Another goroutine is inside the datapath and its punts are being
-		// dispatched: wait for their credits, then drain what they left.
 		if deadline.IsZero() {
 			deadline = time.Now().Add(r.Config.SettleTimeout)
 		}

@@ -51,9 +51,10 @@ func (dp *Datapath) Connect(conn net.Conn) error {
 // ConnectTransport attaches the datapath to a controller over one
 // transport endpoint and services the secure channel until it closes or
 // Stop is called. It performs the OpenFlow handshake (HELLO exchange) and
-// then answers controller requests. It returns ErrChannelClosed on an
-// orderly shutdown and a *ChannelError on a handshake or protocol
-// failure.
+// then answers controller requests, each handled as on a direct channel:
+// between two calls into the datapath, never inside one. It returns
+// ErrChannelClosed on an orderly shutdown and a *ChannelError on a
+// handshake or protocol failure.
 func (dp *Datapath) ConnectTransport(tr oftransport.Transport) error {
 	dp.connMu.Lock()
 	dp.tr = tr
@@ -70,23 +71,18 @@ func (dp *Datapath) ConnectTransport(tr oftransport.Transport) error {
 		return &ChannelError{Op: "handshake", Err: fmt.Errorf("expected HELLO, got %T", msg)}
 	}
 
-	// Like the controller's read loop, drain the transport in batches
-	// when it supports it: a flurry of flow-mods and packet-outs from one
-	// dispatched punt burst is handled per wakeup, not per message.
-	var batch []openflow.Message
+	// Each message goes to deliver, as on a direct channel: it waits in the
+	// inbox for the outermost call into the datapath, or is handled here
+	// when none is in progress.
 	for {
-		var err error
-		batch, err = oftransport.RecvInto(tr, batch)
+		msg, err := tr.Recv()
 		if err != nil {
 			dp.connMu.Lock()
 			dp.tr = nil
 			dp.connMu.Unlock()
 			return channelErr("read", err)
 		}
-		for i, msg := range batch {
-			batch[i] = nil
-			dp.handle(msg)
-		}
+		dp.deliver(msg)
 	}
 }
 

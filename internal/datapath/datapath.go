@@ -116,8 +116,8 @@ type Datapath struct {
 
 	connMu sync.Mutex
 	tr     oftransport.Transport
-	// in is what a directly attached controller has sent and the datapath
-	// has not handled yet (AttachDirect); the outermost call drains it.
+	// in is what the controller has sent and the datapath has not handled
+	// yet; the outermost call drains it.
 	in inbox
 
 	// bufMu guards the packet-in buffer. buffers holds every punt the
@@ -280,8 +280,8 @@ func (dp *Datapath) sortedPorts() []*Port {
 // Receive processes one frame arriving on a port: the datapath's data-plane
 // entry point. Matching entries forward; a miss punts the frame to the
 // controller as a packet-in (the paper's mechanism for making every new
-// flow visible). On a directly attached datapath the outermost such call
-// handles the controller's answers as it returns (AttachDirect).
+// flow visible). The outermost such call handles the controller's answers
+// as it returns.
 func (dp *Datapath) Receive(inPort uint16, frame []byte) {
 	dp.enter()
 	defer dp.leave()

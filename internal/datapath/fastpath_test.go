@@ -234,11 +234,12 @@ func comparePaths(t *testing.T, fast, slow *pathRig) {
 	}
 }
 
-// A flow-mod that deletes a flow's entry while a batch of the flow is going
-// through takes effect at the next frame: nothing the batch carries from one
-// frame to the next may outlive a change of the table. The delete runs on
-// the controller's goroutine, from inside the transmission of frame k, so
-// exactly k frames are forwarded and charged; the rest miss.
+// A delete of a flow's entry while a batch of the flow is going through
+// takes effect at the next frame: nothing the batch carries from one frame
+// to the next may outlive a change of the table. The controller's flow-mods
+// wait for the batch (P2), so the delete goes to the table itself, on
+// another goroutine, from inside the transmission of frame k: exactly k
+// frames are forwarded and charged; the rest miss.
 func TestFastPathSeesDeleteMidBatch(t *testing.T) {
 	const n, k = 30, 11
 	r := newHoldRig(t, 256)
@@ -253,9 +254,7 @@ func TestFastPathSeesDeleteMidBatch(t *testing.T) {
 	p2.SetOut(func([]byte) {
 		if forwarded++; forwarded == k {
 			go func() {
-				r.send(&openflow.FlowMod{Match: m, Command: openflow.FlowModDeleteStrict, Priority: 10,
-					BufferID: openflow.NoBuffer, OutPort: openflow.PortNone})
-				r.sync()
+				r.dp.Table().Delete(&m, 10, true, openflow.PortNone)
 				close(deleted)
 			}()
 			<-deleted

@@ -9,6 +9,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/oftransport"
@@ -235,6 +236,49 @@ func TestHoldFlowModReleasesInOrder(t *testing.T) {
 	}
 	if r.dp.PuntCount() != 2 {
 		t.Errorf("punts = %d, want 2", r.dp.PuntCount())
+	}
+}
+
+// An answer that reaches the datapath while a call is in it waits for the
+// call to return, over a queued channel as on a direct one (P2). Inside one
+// Batch the flow's first frame punts and the controller answers with a
+// flow-mod naming the buffer; the flow's second frame, handed in after the
+// flow-mod has reached the datapath, is held behind the punt rather than
+// matched against the new rule, and leaves with the head, uncharged, when
+// the call returns.
+func TestHoldAnswerWaitsForTheCall(t *testing.T) {
+	r := newHoldRig(t, 0)
+	a := flowFrames(1, 0, 2)
+	m := exactMatchFor(t, a[0], 1)
+	r.dp.Batch(func() {
+		r.dp.Receive(1, a[0])
+		msg, err := r.ctl.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pi, ok := msg.(*openflow.PacketIn)
+		if !ok {
+			t.Fatalf("expected the first frame's packet-in, got %T", msg)
+		}
+		r.send(addFlow(m, pi.BufferID, output(2)))
+		// The flow-mod has reached the datapath once it waits in the inbox
+		// or its rule is in the table.
+		for deadline := time.Now().Add(5 * time.Second); r.dp.in.queued.Load() == 0 && r.dp.Table().Len() == 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("the flow-mod never reached the datapath")
+			}
+			time.Sleep(10 * time.Microsecond)
+		}
+		r.dp.Receive(1, a[1])
+	})
+
+	entry := r.dp.Table().Entries(&m, openflow.PortNone)[0]
+	if n := entry.PacketCount(); n != 0 {
+		t.Errorf("the rule charged %d packets: the second frame was matched mid-call, not held behind the punt", n)
+	}
+	wantSent(t, r.sent(), 2, a)
+	if punts, held := r.buffered(); punts != 0 || held != 0 || r.dp.PuntCount() != 1 {
+		t.Errorf("buffered %d punts, %d held, %d punted; want 0, 0 and 1", punts, held, r.dp.PuntCount())
 	}
 }
 

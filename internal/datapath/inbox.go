@@ -17,11 +17,12 @@ import (
 // and the drain panics rather than spin.
 const maxDrainRounds = 1 << 16
 
-// inbox is what the controller has sent a directly attached datapath and it
-// has not handled yet, and how many calls into the datapath are in progress.
-// The outermost call drains it as it returns, so a message is handled
-// between two calls into the datapath, never inside one: never between the
-// frames of a batch, and never under the table, buffer or sweep locks.
+// inbox is what the controller has sent the datapath and it has not handled
+// yet, and how many calls into the datapath are in progress. The outermost
+// call drains it as it returns, so a message is handled between two calls
+// into the datapath, never inside one: never between the frames of a batch,
+// and never under the table, buffer or sweep locks. Every transport fills
+// it: a direct channel's Send, or the secure channel's read loop.
 type inbox struct {
 	// calls holds two counters in one word, so that one load reads both: the
 	// calls into the datapath in progress, on any goroutine (the low 32
@@ -29,6 +30,10 @@ type inbox struct {
 	// and leaving are one atomic add each, on every frame path.
 	calls  atomic.Uint64
 	queued atomic.Int32 // len(msgs), for a look without mu
+	// direct is set when the datapath is attached over a direct channel,
+	// where a dispatch's answers are in the inbox by the time it is
+	// credited, so a drain that empties the inbox has handled them all.
+	direct atomic.Bool
 
 	mu    sync.Mutex
 	msgs  []openflow.Message // waiting, in the order the controller sent them
@@ -65,8 +70,10 @@ func (dp *Datapath) enterIdle() bool {
 // during the drain (a handled packet-out running the flow table, a host
 // answering a release) leaves the rest to it. A message that arrives as the
 // last call leaves, with no call left to take it, is taken back and drained
-// here. A drain that handled anything stamps the tracer's barrier stage:
-// every dispatch credited before it has its answers live.
+// here. On a direct channel a drain that handled anything stamps the
+// tracer's barrier stage: every dispatch credited before it has its answers
+// live. Over a queued or wire channel a credited dispatch's answers may
+// still be on their way, and only the controller's barrier stamps.
 func (dp *Datapath) leave() {
 	in := &dp.in
 	rounds := 0
@@ -94,14 +101,15 @@ func (dp *Datapath) leave() {
 			break
 		}
 	}
-	if rounds > 0 {
+	if rounds > 0 && in.direct.Load() {
 		dp.tracer.BarrierReply()
 	}
 }
 
-// deliver is the datapath's end of a direct channel: the controller's Send
-// of msg runs it. msg joins the inbox; if no call is in the datapath, this
-// one becomes the call and drains it before it returns.
+// deliver is how the datapath takes in a message: on a direct channel the
+// controller's Send of msg runs it, otherwise the secure channel's read
+// loop does. msg joins the inbox; if no call is in the datapath, this one
+// becomes the call and drains it before it returns.
 func (dp *Datapath) deliver(msg openflow.Message) {
 	dp.in.mu.Lock()
 	dp.in.msgs = append(dp.in.msgs, msg)
@@ -125,23 +133,20 @@ func (dp *Datapath) Batch(fn func()) {
 }
 
 // Drain handles what the controller has sent, as the outermost call into the
-// datapath does when it returns, and reports the punts still outstanding:
-// counted on the quiescence epoch and not yet dispatched. busy reports that
-// another call is in the datapath, or began while the count was read; that
+// datapath does when it returns, and then reads the quiescence epoch: the
+// punts counted and those the controller has dispatched. busy reports that
+// another call is in the datapath, or began while the counts were read; that
 // call drains what is left when it returns, and its punts may still be on
-// their way. When busy is false, no call was in the datapath while the count
-// was read, so every punt it counts is one the controller was never handed:
-// a wrapper kept it (a wedge).
-func (dp *Datapath) Drain() (backlog uint64, busy bool) {
+// their way. When busy is false on a direct channel, no call was in the
+// datapath while the counts were read, so every punt not yet dispatched is
+// one the controller was never handed: a wrapper kept it (a wedge).
+func (dp *Datapath) Drain() (punted, processed uint64, busy bool) {
 	dp.enter()
 	dp.leave()
 	c := dp.in.calls.Load()
-	punted, processed := dp.quiesce.Counts()
+	punted, processed = dp.quiesce.Counts()
 	busy = inProgress(c) != 0 || dp.in.calls.Load() != c
-	if processed >= punted {
-		return 0, busy
-	}
-	return punted - processed, busy
+	return punted, processed, busy
 }
 
 // AttachDirect attaches the datapath to a controller over one end of an
@@ -158,6 +163,7 @@ func (dp *Datapath) AttachDirect(end *oftransport.DirectEnd, tr oftransport.Tran
 	dp.connMu.Lock()
 	dp.tr = tr
 	dp.connMu.Unlock()
+	dp.in.direct.Store(true)
 	end.Bind(dp.deliver, func() {
 		dp.connMu.Lock()
 		if dp.tr == tr {

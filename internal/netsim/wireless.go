@@ -11,9 +11,9 @@
 // measurement plane all run exactly as they would against hardware.
 //
 // Concurrency: drive Step from one goroutine at a time; frames also
-// re-enter concurrently from the control plane (packet-outs delivered on
-// the secure-channel goroutine), so per-host and network-wide state are
-// mutex-guarded. Host stacks respond to deliveries synchronously on the
+// re-enter concurrently from the control plane (a packet-out handled on a
+// wire channel's read loop while no step is in the datapath), so per-host
+// and network-wide state are mutex-guarded. Host stacks respond to deliveries synchronously on the
 // delivering goroutine — a DHCP OFFER produces its REQUEST before
 // Deliver returns — which is the property the control plane's
 // quiescence protocol relies on (docs/CONTROL_PLANE.md).

@@ -15,23 +15,23 @@
 // completion.
 //
 // Concurrency contract: each attached datapath's events are dispatched
-// synchronously and in order, one at a time — on its read loop's
-// goroutine, or on a direct switch on the goroutine that sent them, with
-// an event that arrives mid-dispatch queued for the dispatching call to
-// take next — so handlers for one datapath never run concurrently with
-// each other, but handlers for different datapaths do. An event and its
-// Decoded view are valid only for the duration of the dispatch call; a
-// handler that wants to keep anything must copy it out (the switch reuses
-// the decode state and the events). A handler answers a buffered
+// synchronously and in order, one at a time, through one entry
+// (Switch.deliver) — on the goroutine that sent them on a direct switch,
+// on the read loop's otherwise, with an event that arrives mid-dispatch
+// queued for the dispatching call to take next — so handlers for one
+// datapath never run concurrently with each other, but handlers for
+// different datapaths do. An event and its Decoded view are valid only
+// for the duration of the dispatch call; a handler that wants to keep
+// anything must copy it out (the switch reuses the decode state and the
+// events). A handler answers a buffered
 // packet-in within the dispatch, with a flow-mod or packet-out that
 // references the buffer; one that no handler referenced is discarded when
 // the chain returns, so every buffered packet-in is answered exactly once
 // and the datapath never keeps frames waiting behind a punt the controller
 // has finished with. Handler registration (On*) and Register are safe at
 // any time from any goroutine. The controller credits the quiescence epoch
-// attached with SetQuiesce after each drained batch of a read loop, and
-// after each dispatch on a direct switch; Router.Settle reads it (see
-// docs/CONTROL_PLANE.md).
+// attached with SetQuiesce after each packet-in's dispatch, on every
+// transport; Router.Settle reads it (see docs/CONTROL_PLANE.md).
 package nox
 
 import (
@@ -78,8 +78,8 @@ type LeaveEvent struct {
 }
 
 // FlowRemovedEvent is delivered when a flow entry expires or is deleted.
-// The read loop reuses one per switch: a handler that keeps anything keeps
-// Msg, not the event.
+// The switch reuses one: a handler that keeps anything keeps Msg, not the
+// event.
 type FlowRemovedEvent struct {
 	Switch *Switch
 	Msg    *openflow.FlowRemoved
@@ -140,25 +140,21 @@ func (c *Controller) Processed() uint64 { return c.processed.Load() }
 func (c *Controller) SetQuiesce(e *quiesce.Epoch) { c.quiesce.Store(e) }
 
 // SetTracer attaches the punt-lifecycle tracer the controller stamps as
-// it dispatches: dispatch/emit per packet-in, credit per drained batch,
-// barrier on every Barrier round trip. Like SetQuiesce it assumes the
-// co-resident single-datapath deployment (spans correlate by FIFO order
-// with the datapath's Punt stamps); attach it before serving a transport.
+// it dispatches: dispatch/emit and credit per packet-in, barrier on every
+// Barrier round trip. Like SetQuiesce it assumes the co-resident
+// single-datapath deployment (spans correlate by FIFO order with the
+// datapath's Punt stamps); attach it before serving a transport.
 func (c *Controller) SetTracer(t *trace.Tracer) { c.tracer.Store(t) }
 
-// noteProcessed credits n completed packet-in dispatches — once per
-// drained batch, so a burst of punts costs one epoch broadcast.
-func (c *Controller) noteProcessed(n int) {
-	if n <= 0 {
-		return
-	}
-	c.processed.Add(uint64(n))
+// noteProcessed credits one completed packet-in dispatch.
+func (c *Controller) noteProcessed() {
+	c.processed.Add(1)
 	// Credit the tracer before the epoch: a Settle woken by Done may
 	// barrier immediately, and BarrierReply only stamps spans the credit
 	// watermark has already passed.
-	c.tracer.Load().Credit(n)
+	c.tracer.Load().Credit(1)
 	if e := c.quiesce.Load(); e != nil {
-		e.Done(n)
+		e.Done(1)
 	}
 }
 
@@ -478,7 +474,7 @@ func (c *Controller) leaveSwitch(sw *Switch) {
 }
 
 // dispatchPacketIn runs the packet-in handler chain for one punt; the
-// quiescence epoch is credited via noteProcessed after the whole batch.
+// switch credits the quiescence epoch via noteProcessed when it returns.
 func (c *Controller) dispatchPacketIn(ev *PacketInEvent) {
 	for _, fn := range c.packetIn.load() {
 		if fn(ev) == Stop {

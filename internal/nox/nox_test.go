@@ -1090,8 +1090,8 @@ func TestDirectConcurrentCalls(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if backlog, busy := rig.dp.Drain(); backlog != 0 || busy {
-		t.Fatalf("after every call returned: backlog %d, busy %v", backlog, busy)
+	if punted, done, busy := rig.dp.Drain(); done < punted || busy {
+		t.Fatalf("after every call returned: %d punted, %d dispatched, busy %v", punted, done, busy)
 	}
 	if n := overlaps.Load(); n != 0 {
 		t.Errorf("handlers ran concurrently %d times", n)

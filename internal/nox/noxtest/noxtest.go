@@ -1,10 +1,12 @@
 // Package noxtest scripts the datapath end of a NOX controller's secure
 // channel, so a component can be driven with packet-ins it would never see
 // from a real switch and its answers counted: the tests and fuzz targets of
-// the DHCP server and the DNS proxy use it. A Datapath completes the
-// OpenFlow handshake over an in-process transport, delivers one packet-in
-// at a time, and returns what the controller sent back before the echo that
-// follows it. It is meant for one test goroutine.
+// the DHCP server and the DNS proxy use it. A Datapath is bound to an
+// oftransport.Direct channel: it answers the handshake, echo and barrier
+// requests inline and collects everything else the controller sends, and
+// since the controller dispatches a packet-in inside the Send that carries
+// it, what the dispatch sent has been collected when that Send returns. It
+// is meant for one test goroutine.
 package noxtest
 
 import (
@@ -18,38 +20,24 @@ import (
 // Datapath is the scripted switch end of one controller connection.
 type Datapath struct {
 	tb      testing.TB
-	tr      oftransport.Transport
+	end     *oftransport.DirectEnd
 	nextBuf uint32
-	xid     uint32
+	sent    []openflow.Message // what the controller sent since the last take
 }
 
-// Attach serves one transport on ctl, answers the handshake, and returns
-// once every join handler has run and what they sent has been collected.
-// The connection is closed at the end of the test.
+// Attach attaches a scripted datapath to ctl, answers the handshake, and
+// returns once every join handler has run and what they sent has been
+// collected. The connection is closed at the end of the test.
 func Attach(tb testing.TB, ctl *nox.Controller) *Datapath {
 	tb.Helper()
-	ctlEnd, dpEnd := oftransport.Pair(0)
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		_ = ctl.ServeTransport(ctlEnd)
-	}()
-	tb.Cleanup(func() {
-		_ = dpEnd.Close()
-		<-served
-	})
-	d := &Datapath{tb: tb, tr: dpEnd}
-	d.send(&openflow.Hello{})
-	for joined := false; !joined; {
-		msg := d.recv()
-		if req, ok := msg.(*openflow.FeaturesRequest); ok {
-			rep := &openflow.FeaturesReply{DatapathID: 1}
-			rep.Header.XID = req.Header.XID
-			d.send(rep)
-			joined = true
-		}
+	ctlEnd, dpEnd := oftransport.Direct()
+	d := &Datapath{tb: tb, end: dpEnd}
+	dpEnd.Bind(d.deliver, nil)
+	tb.Cleanup(func() { _ = dpEnd.Close() })
+	if _, err := ctl.AttachDirect(ctlEnd, ctlEnd); err != nil {
+		tb.Fatalf("noxtest: attach: %v", err)
 	}
-	d.sync()
+	d.take()
 	return d
 }
 
@@ -65,7 +53,7 @@ func (d *Datapath) PacketIn(frame []byte, inPort uint16) (sent []openflow.Messag
 		BufferID: id, TotalLen: uint16(len(frame)), InPort: inPort,
 		Reason: openflow.PacketInReasonAction, Data: frame,
 	})
-	sent = d.sync()
+	sent = d.take()
 	for _, msg := range sent {
 		switch m := msg.(type) {
 		case *openflow.FlowMod:
@@ -81,49 +69,35 @@ func (d *Datapath) PacketIn(frame []byte, inPort uint16) (sent []openflow.Messag
 	return sent, answers
 }
 
-// sync round-trips an echo request and returns what the controller sent
-// before the reply: the read loop handles messages in order, so that is
-// everything the messages sent before the echo made it send. Barrier and
-// echo requests of the controller's own are answered on the way.
-func (d *Datapath) sync() []openflow.Message {
-	d.tb.Helper()
-	d.xid++
-	echo := &openflow.EchoRequest{Data: []byte("noxtest")}
-	echo.Header.XID = 0x80000000 | d.xid // clear of the controller's own xids
-	d.send(echo)
-	var sent []openflow.Message
-	for {
-		switch m := d.recv().(type) {
-		case *openflow.EchoReply:
-			if m.Header.XID == echo.Header.XID {
-				return sent
-			}
-		case *openflow.EchoRequest:
-			rep := &openflow.EchoReply{Data: m.Data}
-			rep.Header.XID = m.Header.XID
-			d.send(rep)
-		case *openflow.BarrierRequest:
-			rep := &openflow.BarrierReply{}
-			rep.Header.XID = m.Header.XID
-			d.send(rep)
-		default:
-			sent = append(sent, m)
-		}
+// deliver takes what the controller sends: the features, echo and barrier
+// requests are answered inside the controller's Send, the rest collected.
+func (d *Datapath) deliver(msg openflow.Message) {
+	var rep openflow.Message
+	switch m := msg.(type) {
+	case *openflow.FeaturesRequest:
+		rep = &openflow.FeaturesReply{DatapathID: 1}
+	case *openflow.EchoRequest:
+		rep = &openflow.EchoReply{Data: m.Data}
+	case *openflow.BarrierRequest:
+		rep = &openflow.BarrierReply{}
+	default:
+		d.sent = append(d.sent, msg)
+		return
 	}
+	rep.Hdr().XID = msg.Hdr().XID
+	d.send(rep)
+}
+
+// take returns and forgets what the controller has sent.
+func (d *Datapath) take() []openflow.Message {
+	sent := d.sent
+	d.sent = nil
+	return sent
 }
 
 func (d *Datapath) send(msg openflow.Message) {
 	d.tb.Helper()
-	if err := d.tr.Send(msg); err != nil {
+	if err := d.end.Send(msg); err != nil {
 		d.tb.Fatalf("noxtest: send %T: %v", msg, err)
 	}
-}
-
-func (d *Datapath) recv() openflow.Message {
-	d.tb.Helper()
-	msg, err := d.tr.Recv()
-	if err != nil {
-		d.tb.Fatalf("noxtest: receive: %v", err)
-	}
-	return msg
 }

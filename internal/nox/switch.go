@@ -34,8 +34,8 @@ type Switch struct {
 	joined    atomic.Bool // the join handlers have run; leave runs once
 
 	// The decode state and the packet-in and flow-removed events handle
-	// reuses: a switch handles one message at a time (readLoop, or deliver
-	// on a direct switch), and a handler owns them only for the dispatch.
+	// reuses: a switch handles one message at a time (deliver), and a
+	// handler owns them only for the dispatch.
 	d   packet.Decoded
 	ev  PacketInEvent
 	rem FlowRemovedEvent
@@ -72,19 +72,11 @@ func (sw *Switch) Send(msg openflow.Message) error {
 	return sw.tr.Send(msg)
 }
 
-// readLoop services a queued or wire transport's switch-to-controller
-// messages, routing replies to pending synchronous requests and everything
-// else to event handlers.
-//
-// The loop is batched: when the transport supports it (oftransport.Pair),
-// every message already queued is drained into a reused slice per wakeup,
-// so a burst of punts from one ReceiveBatch tick costs one wakeup and one
-// quiescence broadcast instead of N.
+// readLoop services a queued or wire transport: it hands each message it
+// receives to deliver, as a direct channel's Send does.
 func (sw *Switch) readLoop() error {
-	var batch []openflow.Message
 	for {
-		var err error
-		batch, err = oftransport.RecvInto(sw.tr, batch)
+		msg, err := sw.tr.Recv()
 		if err != nil {
 			sw.close()
 			sw.failPending(err)
@@ -93,27 +85,18 @@ func (sw *Switch) readLoop() error {
 			}
 			return err
 		}
-		// The tracer pointer is loaded once per batch; its stamp methods
-		// are nil-safe.
-		tracer := sw.ctl.tracer.Load()
-		punts := 0
-		for i, msg := range batch {
-			batch[i] = nil
-			if sw.handle(msg, tracer) {
-				punts++
-			}
-		}
-		sw.ctl.noteProcessed(punts)
+		sw.deliver(msg)
 	}
 }
 
-// deliver is the controller's end of a direct channel: the datapath's Send
-// of msg runs it, on the datapath's goroutine. A switch handles one message
-// at a time, to completion, as NOX's event loop does. A message that
-// arrives while a call is handling another — from another goroutine, or
-// from this one when a handler's answer reaches an idle datapath that punts
-// again — is queued, and the call that is handling takes it next. Each
-// packet-in is credited as soon as it is dispatched.
+// deliver is how the switch takes in a message: on a direct channel the
+// datapath's Send of msg runs it, on the datapath's goroutine; otherwise
+// readLoop does. A switch handles one message at a time, to completion, as
+// NOX's event loop does. A message that arrives while a call is handling
+// another — from another goroutine, or from this one when a handler's
+// answer reaches an idle datapath that punts again — is queued, and the
+// call that is handling takes it next. Each packet-in is credited as soon
+// as it is dispatched.
 func (sw *Switch) deliver(msg openflow.Message) {
 	tracer := sw.ctl.tracer.Load()
 	if sw.queued.Load() == 0 && sw.handling.CompareAndSwap(false, true) {
@@ -140,10 +123,10 @@ func (sw *Switch) deliver(msg openflow.Message) {
 	}
 }
 
-// dispatch handles one message on a direct switch and credits a packet-in.
+// dispatch handles one message and credits a packet-in.
 func (sw *Switch) dispatch(msg openflow.Message, tracer *trace.Tracer) {
 	if sw.handle(msg, tracer) {
-		sw.ctl.noteProcessed(1)
+		sw.ctl.noteProcessed()
 	}
 }
 

@@ -68,28 +68,6 @@ func (q *msgQueue) pop() (openflow.Message, error) {
 	return nil, ErrClosed
 }
 
-// popAll blocks until at least one message is queued, then appends the
-// whole backlog to buf and resets the queue, so one wakeup drains a burst.
-// Like pop it hands out the remaining backlog of a closed queue before
-// reporting ErrClosed.
-func (q *msgQueue) popAll(buf []openflow.Message) ([]openflow.Message, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.head == len(q.buf) && !q.closed {
-		q.cond.Wait()
-	}
-	if q.head < len(q.buf) {
-		buf = append(buf, q.buf[q.head:]...)
-		for i := q.head; i < len(q.buf); i++ {
-			q.buf[i] = nil
-		}
-		q.buf = q.buf[:0]
-		q.head = 0
-		return buf, nil
-	}
-	return buf, ErrClosed
-}
-
 func (q *msgQueue) close() {
 	q.mu.Lock()
 	q.closed = true
@@ -128,14 +106,6 @@ func Pair(depth int) (Transport, Transport) {
 func (t *chanEnd) Send(msg openflow.Message) error { return t.out.push(msg) }
 
 func (t *chanEnd) Recv() (openflow.Message, error) { return t.in.pop() }
-
-// RecvBatch implements BatchRecver: it appends every queued message to
-// buf in one wakeup. The read loops of the NOX switch handle and the
-// datapath secure channel use it to dispatch a punt burst per wakeup
-// instead of per message.
-func (t *chanEnd) RecvBatch(buf []openflow.Message) ([]openflow.Message, error) {
-	return t.in.popAll(buf)
-}
 
 func (t *chanEnd) Close() error {
 	t.once.Do(func() {

@@ -40,7 +40,10 @@
 // returns; every in-process home uses it), Pair for an in-process channel
 // with a read loop at each end (two unbounded queues), and NewTCP/DialTCP
 // for the wire path. A direct end meets the contract above with its
-// receiving side bound (DirectEnd.Bind) rather than read with Recv.
+// receiving side bound (DirectEnd.Bind) rather than read with Recv. The
+// controller and the datapath take a message in one way on all three: the
+// function a direct end is bound to is what their read loops over Pair and
+// TCP hand each message Recv returns.
 package oftransport
 
 import (
@@ -68,38 +71,4 @@ type Transport interface {
 	// Close aborts both directions of the channel for both endpoints.
 	// It is idempotent.
 	Close() error
-}
-
-// BatchRecver is the optional batched receive side of a Transport: one
-// blocking call hands over every message already queued, so a burst of
-// punts (e.g. a whole FrameBatch missing the flow table) costs the read
-// loop one wakeup instead of one per message. RecvBatch appends the
-// drained messages to buf (pass buf[:0] of a reused slice for an
-// allocation-free steady state) and blocks only when the queue is empty.
-// Like Recv it drains already-queued messages after Close before
-// reporting ErrClosed, and it shares Recv's single-reader rule — at most
-// one goroutine may be in Recv or RecvBatch at a time.
-//
-// The in-process transport implements it; the TCP transport does not
-// (the wire yields one message per frame read), so read loops type-assert
-// and fall back to Recv.
-type BatchRecver interface {
-	RecvBatch(buf []openflow.Message) ([]openflow.Message, error)
-}
-
-// RecvInto is the batch-or-fallback receive both control-plane read
-// loops (the NOX switch handle and the datapath secure channel) share:
-// it appends to buf[:0] the whole queued backlog when tr implements
-// BatchRecver, or a single Recv'd message otherwise, blocking until at
-// least one message (or an error) is available. Callers pass the same
-// slice back each iteration for an allocation-free steady state.
-func RecvInto(tr Transport, buf []openflow.Message) ([]openflow.Message, error) {
-	if br, ok := tr.(BatchRecver); ok {
-		return br.RecvBatch(buf[:0])
-	}
-	msg, err := tr.Recv()
-	if err != nil {
-		return buf[:0], err
-	}
-	return append(buf[:0], msg), nil
 }

@@ -79,8 +79,7 @@ func (e *Epoch) Punt() {
 }
 
 // Done credits n completed packet-in dispatches and, if the consumer has
-// caught up, wakes every blocked waiter. Batched dispatch loops call it
-// once per drained batch so a burst of punts costs one broadcast.
+// caught up, wakes every blocked waiter.
 func (e *Epoch) Done(n int) {
 	if n <= 0 {
 		return
@@ -104,25 +103,11 @@ func (e *Epoch) Punted() uint64 {
 	return e.punted
 }
 
-// Processed returns how many packet-ins the consumer has dispatched.
-func (e *Epoch) Processed() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.processed
-}
-
 // Counts returns both counters in one consistent snapshot.
 func (e *Epoch) Counts() (punted, processed uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.punted, e.processed
-}
-
-// Settled reports whether the consumer has caught up with the producer.
-func (e *Epoch) Settled() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.processed >= e.punted
 }
 
 // Wait blocks until the epoch is quiescent (processed >= punted) and

@@ -13,7 +13,7 @@
 // package epoch (never the simulated clock — stage latency is real time).
 // Correlation is by FIFO order, the same assumption the quiescence epoch
 // rests on: the n-th punt the datapath counts is the n-th packet-in its
-// controller's single read loop dispatches, so the consumer side keeps
+// controller dispatches, one at a time, so the consumer side keeps
 // its own dispatch/credit/barrier counters and never needs a tag on the
 // wire. A span still being stamped when its ring slot is recycled is
 // dropped from the histograms and counted in Overwritten, never blocked
@@ -33,7 +33,7 @@ type Stage int
 
 // The five punt-lifecycle contract stages (docs/CONTROL_PLANE.md): the
 // datapath punts, the controller begins the dispatch, the handler chain
-// returns with its flow-mods/packet-outs emitted, the batch's quiescence
+// returns with its flow-mods/packet-outs emitted, the dispatch's quiescence
 // credit lands, and a barrier reply confirms the emissions are live.
 const (
 	StagePunt Stage = iota
@@ -93,16 +93,16 @@ type slot struct {
 }
 
 // Tracer records punt-lifecycle spans for one datapath/controller pair.
-// The producer (datapath) calls Punt; the consumer (the controller's read
-// loop) calls BeginDispatch/EndDispatch per packet-in and Credit per
-// drained batch; whoever round-trips a barrier calls BarrierReply.
+// The producer (datapath) calls Punt; the consumer (the controller) calls
+// BeginDispatch/EndDispatch and Credit per packet-in; whoever round-trips a
+// barrier calls BarrierReply, and so does a drain on a direct channel.
 type Tracer struct {
 	mask  uint64
 	slots []slot
 
 	punt     atomic.Uint64 // producer: spans opened
-	dispatch atomic.Uint64 // consumer read loop: spans dispatched
-	credit   atomic.Uint64 // consumer read loop: spans credited
+	dispatch atomic.Uint64 // consumer: spans dispatched
+	credit   atomic.Uint64 // consumer: spans credited
 	barrier  atomic.Uint64 // barrier watermark; writers hold barrierMu
 
 	barrierMu   sync.Mutex
@@ -160,7 +160,7 @@ func (t *Tracer) stamp(seq uint64, st Stage, now int64) (prev int64, ok bool) {
 }
 
 // BeginDispatch stamps the dispatch stage of the next undispatched span —
-// the controller read loop calls it just before running the handler chain
+// the controller calls it just before running the handler chain
 // for one packet-in. Zero allocations.
 func (t *Tracer) BeginDispatch() {
 	if t == nil {
@@ -188,7 +188,7 @@ func (t *Tracer) EndDispatch() {
 }
 
 // Credit stamps the credit stage of the next n uncredited spans — called
-// where the quiescence epoch is credited, once per drained batch. Zero
+// where the quiescence epoch is credited, once per dispatch. Zero
 // allocations.
 func (t *Tracer) Credit(n int) {
 	if t == nil || n <= 0 {
