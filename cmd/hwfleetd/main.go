@@ -307,7 +307,7 @@ func main() {
 	}
 	var statsSrv *telemetry.Server
 	var rec *flight.Recorder
-	runner.OnFleet = func(f *fleet.Fleet) {
+	runner.OnFleet = func(f *fleet.Coordinator) {
 		// OnFleet runs after the homes exist but before the first Sync,
 		// so the recorder sees every delta from row zero and its books
 		// reconcile exactly against the federation's delivered count.

@@ -166,7 +166,7 @@ func NewUSBMonitor(root string, rt *Router) *USBMonitor {
 // shard's telemetry into one fleet-wide view. Declarative workload
 // scenarios drive it end to end (see cmd/hwfleetd and
 // docs/ARCHITECTURE.md "Fleet control plane").
-type Fleet = fleet.Fleet
+type Fleet = fleet.Coordinator
 
 // FleetConfig parameterizes a fleet.
 type FleetConfig = fleet.Config

@@ -94,7 +94,7 @@ type EpisodeStatus struct {
 // per fleet step with the current simulated offset.
 type Engine struct {
 	mu     sync.Mutex
-	fl     *fleet.Fleet
+	fl     *fleet.Coordinator
 	faults map[uint64]*Faults
 	sched  []EpisodeStatus
 	slow   map[int]*telemetry.Subscription
@@ -109,7 +109,7 @@ func NewEngine() *Engine {
 }
 
 // Bind attaches the fleet the episodes act on.
-func (e *Engine) Bind(fl *fleet.Fleet) {
+func (e *Engine) Bind(fl *fleet.Coordinator) {
 	e.mu.Lock()
 	e.fl = fl
 	e.mu.Unlock()

@@ -306,7 +306,7 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 
 // verify checks the soak's invariants; the first violation is returned
 // with the seed so the run reproduces.
-func (s *soakState) verify(res *SoakResult, mon *health.Monitor, fl *fleet.Fleet, inc *flight.Incidents) error {
+func (s *soakState) verify(res *SoakResult, mon *health.Monitor, fl *fleet.Coordinator, inc *flight.Incidents) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("chaos soak (seed %d): %s", s.cfg.Seed, fmt.Sprintf(format, args...))
 	}
@@ -385,7 +385,7 @@ func (s *soakState) verify(res *SoakResult, mon *health.Monitor, fl *fleet.Fleet
 // fail; they retry on later ticks).
 type soakState struct {
 	cfg SoakConfig
-	fl  *fleet.Fleet
+	fl  *fleet.Coordinator
 }
 
 // soakTarget is the upstream service the soak's device traffic talks to

@@ -15,7 +15,7 @@ import (
 // newChaosFleet builds a fleet whose every home routes its in-process
 // control channel through the engine's fault switchboard, with a small
 // settle backstop so wedge tests stay fast.
-func newChaosFleet(t *testing.T, homes int, seed int64, settle time.Duration) (*fleet.Fleet, *Engine) {
+func newChaosFleet(t *testing.T, homes int, seed int64, settle time.Duration) (*fleet.Coordinator, *Engine) {
 	t.Helper()
 	eng := NewEngine()
 	fl := fleet.New(fleet.Config{

@@ -16,11 +16,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Fleet is the historical name for the placement layer; the whole PR-1
-// API (AddHome/Step/Aggregate/Totals/...) lives on, now implemented as a
-// coordinator over shard engines.
-type Fleet = Coordinator
-
 // Placement-event ops recorded in the coordinator's history.
 const (
 	// OpSpawn places a home on a shard (AddHome, AddHomeID, the re-add
@@ -72,15 +67,12 @@ type Coordinator struct {
 }
 
 // New creates an empty fleet; add homes with AddHome/AddHomes.
-func New(cfg Config) *Fleet {
+func New(cfg Config) *Coordinator {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 		if cfg.Shards > 8 {
 			cfg.Shards = 8
 		}
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
 	}
 	if cfg.MeasureEvery <= 0 {
 		cfg.MeasureEvery = 1
@@ -110,7 +102,6 @@ func New(cfg Config) *Fleet {
 	for i := 0; i < cfg.Shards; i++ {
 		e := engine.New(engine.Config{
 			Index:        i,
-			Workers:      cfg.Workers,
 			Clock:        cfg.Clock,
 			Seed:         cfg.Seed,
 			MeasureEvery: cfg.MeasureEvery,
@@ -554,8 +545,8 @@ func (c *Coordinator) Hub() *telemetry.Federation { return c.fed }
 // ShardStats reports each engine's self-reported state in shard order.
 // Per-shard hub books sum to the federation's; per-shard folder totals
 // sum to the global folder's row/flow/packet/byte counters.
-func (c *Coordinator) ShardStats() []ShardStats {
-	out := make([]ShardStats, len(c.shards))
+func (c *Coordinator) ShardStats() []engine.Stats {
+	out := make([]engine.Stats, len(c.shards))
 	for i, sc := range c.shards {
 		out[i] = sc.Stats()
 	}

@@ -1,25 +1,27 @@
 // Package engine is the shard-local half of the fleet control plane: an
-// Engine owns a set of homes (each a full core.Router), the worker pool
-// that steps them, per-home vitals, and its own telemetry hub + folder —
-// and nothing else. It has no knowledge of global membership, placement
+// Engine owns a set of homes (each a full core.Router), steps them,
+// keeps their vitals, and owns its own telemetry hub + folder — and
+// nothing else. It has no knowledge of global membership, placement
 // or remediation policy; those live in the fleet coordinator, which
 // drives engines through the narrow fleet.ShardClient contract
 // (assign/drain/step/sync/stats) so the later network hop between
 // coordinator and engine is a transport swap, not another refactor. See
 // docs/ARCHITECTURE.md "Fleet control plane".
 //
-// Concurrency: one engine's workers step disjoint home subsets
-// concurrently, but within a tick each home is touched only by its own
-// worker, in ascending ID order. Drive Step from one goroutine at a
-// time; Assign/Drain may race Step and take effect at the next tick's
-// plan rebuild. Reads (Stats, Folder, Hub) are safe from any goroutine.
+// Concurrency: an engine starts no goroutine. Step runs each home to
+// completion on the goroutine that calls it, in ascending ID order, so
+// the fleet's only stepping concurrency is shards stepping side by side.
+// Drive Step from one goroutine at a time; Assign/Drain may race Step
+// and take effect at the next tick. Reads (Stats, Folder, Hub) are safe
+// from any goroutine.
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/clock"
@@ -34,11 +36,6 @@ type Config struct {
 	// label stats and scheduler observations; the engine itself is
 	// placement-blind.
 	Index int
-	// Workers is the engine's worker-pool width; homes are assigned to
-	// workers by ID modulo Workers, so assignment is stable under churn.
-	// Default 1: the engine steps its homes sequentially and fleet-level
-	// concurrency comes from stepping engines in parallel.
-	Workers int
 	// Clock, when set, is shared by every home (pass a *clock.Simulated
 	// for deterministic runs; the coordinator advances it, not the
 	// engine — an engine must not move time the other shards share).
@@ -56,9 +53,9 @@ type Config struct {
 	// HomeConfig, when set, mutates each new home's router config after
 	// the engine defaults (AutoPermit, Seed, Clock) are applied.
 	HomeConfig func(id uint64, cfg *core.Config)
-	// OnStep observes scheduler activity (tests only): it runs inside
-	// the worker, before the home is stepped, with the engine's Index as
-	// the shard argument.
+	// OnStep observes scheduler activity (tests only): it runs on the
+	// goroutine that called Step, before the home is stepped, with the
+	// engine's Index as the shard argument.
 	OnStep func(shard int, home uint64, step uint64)
 	// OnAssign, when set, populates each newly assigned home (zones,
 	// hosts, apps) after its telemetry tables are watched, so every row
@@ -84,7 +81,6 @@ type Stats struct {
 // in-process implementation of the fleet.ShardClient contract.
 type Engine struct {
 	cfg    Config
-	pool   *pool
 	hub    *telemetry.Hub
 	folder *telemetry.Folder
 	clk    clock.Clock
@@ -93,18 +89,14 @@ type Engine struct {
 	homes  map[uint64]*Home
 	steps  uint64
 	closed bool
-	// plan is the homes-per-worker stepping plan (ascending ID within
-	// each worker), rebuilt only when membership changes instead of
-	// sorted and repartitioned on every tick.
-	plan      [][]*Home
-	planDirty bool
+	// order is the homes in ascending ID order: the stepping order,
+	// rebuilt when membership changes. It is replaced, never edited in
+	// place, because Step iterates its snapshot outside mu.
+	order []*Home
 }
 
 // New creates an empty engine; the coordinator assigns homes to it.
 func New(cfg Config) *Engine {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	if cfg.MeasureEvery <= 0 {
 		cfg.MeasureEvery = 1
 	}
@@ -117,11 +109,10 @@ func New(cfg Config) *Engine {
 	}
 	// The hub runs manual: Sync flushes it after every step barrier, so
 	// delivery is deterministic under a simulated clock and there is no
-	// background goroutine racing the workers.
+	// background goroutine racing the steps.
 	hub := telemetry.NewHub(telemetry.HubConfig{Manual: true})
 	return &Engine{
 		cfg:    cfg,
-		pool:   newPool(cfg.Workers),
 		hub:    hub,
 		folder: telemetry.NewFolder(hub, telemetry.FolderConfig{Clock: clk, ViewRing: cfg.ViewRing}),
 		clk:    clk,
@@ -184,7 +175,7 @@ func (e *Engine) Assign(id uint64) error {
 		return fmt.Errorf("fleet: home %d already live", id)
 	}
 	e.homes[id] = h
-	e.planDirty = true
+	e.reorderLocked()
 	e.mu.Unlock()
 
 	// Feed the home's measurement tables into the telemetry hub: from
@@ -217,7 +208,7 @@ func (e *Engine) Drain(id uint64) bool {
 	h, ok := e.homes[id]
 	if ok {
 		delete(e.homes, id)
-		e.planDirty = true
+		e.reorderLocked()
 	}
 	e.mu.Unlock()
 	if !ok {
@@ -234,7 +225,7 @@ func (e *Engine) Drain(id uint64) bool {
 // Cordon takes a home out of rotation: subsequent Steps skip it (no
 // traffic, no settle, no measurement poll) while its router and
 // telemetry sources stay live, so a sick home stops consuming its
-// worker's step budget but remains inspectable. Returns false if the
+// shard's step budget but remains inspectable. Returns false if the
 // home is not on this engine.
 func (e *Engine) Cordon(id uint64) bool {
 	h, ok := e.Home(id)
@@ -265,33 +256,35 @@ func (e *Engine) Home(id uint64) (*Home, bool) {
 	return h, ok
 }
 
-// Homes returns the engine's homes in ascending ID order — the same
-// order each worker steps its subset in.
+// Homes returns the engine's homes in ascending ID order — the order
+// Step steps them in.
 func (e *Engine) Homes() []*Home {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.orderedLocked()
+	return slices.Clone(e.order)
 }
 
-func (e *Engine) orderedLocked() []*Home {
-	out := make([]*Home, 0, len(e.homes))
+// reorderLocked rebuilds the stepping order as a new slice.
+func (e *Engine) reorderLocked() {
+	order := make([]*Home, 0, len(e.homes))
 	for _, h := range e.homes {
-		out = append(out, h)
+		order = append(order, h)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	slices.SortFunc(order, func(a, b *Home) int { return cmp.Compare(a.ID, b.ID) })
+	e.order = order
 }
 
 // Step advances every home the engine holds by dt simulated seconds:
 // traffic emits, each control path drains (Router.Settle — an
 // event-driven wait on the punt/processed epoch, not a poll; see
 // docs/CONTROL_PLANE.md), and (every MeasureEvery-th step) each
-// measurement plane polls flow and link state into its hwdb. Homes are
-// partitioned across the workers by ID modulo Workers and each worker
-// steps its homes in ascending ID order, so the per-home step sequence
-// is deterministic regardless of scheduling. Step is a pure barrier: it
-// does not advance any shared clock and does not flush telemetry — the
-// coordinator owns both, once per fleet tick across all shards.
+// measurement plane polls flow and link state into its hwdb. Homes run
+// one at a time in ascending ID order on the calling goroutine, so the
+// per-home step sequence is deterministic. A home that fails does not
+// stop later homes from stepping; Step returns the first failure. Step
+// is a pure barrier: it does not advance any shared clock and does not
+// flush telemetry — the coordinator owns both, once per fleet tick
+// across all shards.
 func (e *Engine) Step(dt float64) error {
 	e.mu.Lock()
 	if e.closed {
@@ -300,42 +293,22 @@ func (e *Engine) Step(dt float64) error {
 	}
 	e.steps++
 	step := e.steps
-	if e.plan == nil || e.planDirty {
-		e.plan = make([][]*Home, e.cfg.Workers)
-		for _, h := range e.orderedLocked() {
-			w := workerOf(h.ID, e.cfg.Workers)
-			e.plan[w] = append(e.plan[w], h)
-		}
-		e.planDirty = false
-	}
-	byWorker := e.plan
+	order := e.order
 	e.mu.Unlock()
 
-	errs := make([]error, e.cfg.Workers)
-	var wg sync.WaitGroup
-	for wi, hs := range byWorker {
-		if len(hs) == 0 {
+	var first error
+	for _, h := range order {
+		if h.cordoned.Load() {
 			continue
 		}
-		wi, hs := wi, hs
-		wg.Add(1)
-		e.pool.submit(wi, func() {
-			defer wg.Done()
-			for _, h := range hs {
-				if h.cordoned.Load() {
-					continue
-				}
-				if e.cfg.OnStep != nil {
-					e.cfg.OnStep(e.cfg.Index, h.ID, step)
-				}
-				if err := h.step(dt, e.cfg.MeasureEvery); err != nil && errs[wi] == nil {
-					errs[wi] = fmt.Errorf("fleet: home %d: %w", h.ID, err)
-				}
-			}
-		})
+		if e.cfg.OnStep != nil {
+			e.cfg.OnStep(e.cfg.Index, h.ID, step)
+		}
+		if err := h.step(dt, e.cfg.MeasureEvery); err != nil && first == nil {
+			first = fmt.Errorf("fleet: home %d: %w", h.ID, err)
+		}
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return first
 }
 
 // Sync flushes the engine's telemetry hub (delivering every row whose
@@ -389,8 +362,8 @@ func (e *Engine) Hub() *telemetry.Hub { return e.hub }
 // FleetStats view and totals.
 func (e *Engine) Folder() *telemetry.Folder { return e.folder }
 
-// Close tears every home down, closes the telemetry hub and releases the
-// worker pool.
+// Close stops every home in ascending ID order and closes the telemetry
+// hub.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -398,20 +371,13 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	homes := e.orderedLocked()
+	homes := e.order
 	e.homes = make(map[uint64]*Home)
-	e.plan, e.planDirty = nil, true
+	e.order = nil
 	e.mu.Unlock()
 
-	var wg sync.WaitGroup
 	for _, h := range homes {
-		wg.Add(1)
-		go func(h *Home) {
-			defer wg.Done()
-			h.Router.Stop()
-		}(h)
+		h.Router.Stop()
 	}
-	wg.Wait()
 	e.hub.Close()
-	e.pool.close()
 }

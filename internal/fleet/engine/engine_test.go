@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -144,4 +145,62 @@ func TestEngineCordonSkipsStepping(t *testing.T) {
 	if e.Cordon(99) || e.Uncordon(99) {
 		t.Fatal("cordon/uncordon of unknown home returned true")
 	}
+}
+
+// TestEngineStepsOnTheCaller pins that an engine owns no goroutine and
+// that Step runs each home on the goroutine that calls it: after warm
+// steps the goroutine count is what it was before New, and a warm Step
+// allocates exactly what stepping each home directly does.
+func TestEngineStepsOnTheCaller(t *testing.T) {
+	before := settledGoroutines()
+	clk := clock.NewSimulated()
+	e := New(Config{Clock: clk, Seed: 7})
+	defer e.Close()
+	for id := uint64(0); id < 4; id++ {
+		if err := e.Assign(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if err := e.Step(0.25); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(250 * time.Millisecond)
+		e.Sync()
+	}
+	if n := settledGoroutines(); n != before {
+		t.Fatalf("%d goroutines after 20 steps, %d before New", n, before)
+	}
+
+	homes := e.Homes()
+	direct := testing.AllocsPerRun(20, func() {
+		for _, h := range homes {
+			if err := h.step(0.25, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	viaEngine := testing.AllocsPerRun(20, func() {
+		if err := e.Step(0.25); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if viaEngine != direct {
+		t.Fatalf("Engine.Step allocates %v times, stepping its homes directly %v", viaEngine, direct)
+	}
+}
+
+// settledGoroutines counts goroutines once the count holds still, so a
+// goroutine an earlier test left exiting is not counted against this one.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
 }

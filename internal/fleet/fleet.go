@@ -7,10 +7,10 @@
 // plane"):
 //
 //   - Shard-local engines (internal/fleet/engine): each owns a set of
-//     homes, the worker pool that steps them, per-home vitals and its
-//     own telemetry hub + per-shard folder — no knowledge of global
-//     membership.
-//   - The placement layer (Coordinator, aliased Fleet): owns home→shard
+//     homes, steps them on the goroutine that calls it, keeps per-home
+//     vitals and owns its own telemetry hub + per-shard folder — no
+//     knowledge of global membership.
+//   - The placement layer (Coordinator): owns home→shard
 //     assignment, the spawn/assign/drain/migrate/restart/replace
 //     lifecycle and the shared clock, and drives engines through the
 //     narrow ShardClient contract. It is the single surface
@@ -25,13 +25,14 @@
 // loopback-TCP framing per home, and no per-home socket pair to exhaust
 // descriptors at scale.
 //
-// Concurrency: engines step concurrently, but within a tick each home is
-// touched only by its own engine worker, in ascending ID order, and each
-// home's control plane settles event-driven inside its step
-// (Router.Settle — no polling; see docs/CONTROL_PLANE.md). Drive Step
-// from one goroutine at a time; lifecycle calls (AddHome, RemoveHome,
-// Migrate, ...) may race Step and take effect at the next tick's plan
-// rebuild. Reads (Totals, Telemetry, DB) are safe from any goroutine at
+// Concurrency: shards are the one axis of stepping concurrency. Engines
+// step concurrently, but within a tick each engine steps its homes one
+// at a time, in ascending ID order, on the goroutine that steps the
+// shard, and each home's control plane settles event-driven inside its
+// step (Router.Settle — no polling; see docs/CONTROL_PLANE.md). Drive
+// Step from one goroutine at a time; lifecycle calls (AddHome,
+// RemoveHome, Migrate, ...) may race Step and take effect at the next
+// tick. Reads (Totals, Telemetry, DB) are safe from any goroutine at
 // any time.
 package fleet
 
@@ -47,13 +48,14 @@ import (
 type Config struct {
 	// Shards is the number of shard engines; homes are placed on shards
 	// by ID modulo Shards, so placement is stable under churn. Engines
-	// step concurrently (one worker each by default), so Shards is also
-	// the fleet's stepping concurrency. Default min(8, GOMAXPROCS).
+	// step concurrently, each stepping its own homes one at a time, so
+	// Shards is the fleet's stepping concurrency. Default
+	// min(8, GOMAXPROCS).
 	Shards int
-	// Workers is each engine's worker-pool width (default 1). Raise it
-	// to step one shard's homes concurrently — useful when a few big
-	// shards dominate the tick — at the cost of inter-home ordering
-	// within the shard being per-worker rather than global.
+	// Deprecated: ignored. An engine steps its homes on the goroutine
+	// that steps its shard; raise Shards for more concurrency. The field
+	// stays only because the benchmark harness sets it, and goes in the
+	// next change to the benchmark (ROADMAP queue (iii)).
 	Workers int
 	// Clock, when set, is shared by every home (pass a *clock.Simulated
 	// for deterministic runs; Step advances it by the step interval —
@@ -75,7 +77,7 @@ type Config struct {
 
 	// WorkerAddrs switches the fleet to remote shards: one shardrpc
 	// worker address per shard (Shards is then len(WorkerAddrs) and
-	// Workers/HomeConfig apply worker-side, not here). Homes live in the
+	// HomeConfig applies worker-side, not here). Homes live in the
 	// worker processes, so in-process handles (Home, Homes) are
 	// unavailable; lifecycle, stepping, Stats and federated telemetry
 	// work identically. See docs/ARCHITECTURE.md "Fleet control plane".
@@ -90,19 +92,15 @@ type Config struct {
 	// ignored for in-process shards.
 	CallTimeout time.Duration
 
-	// onStep observes scheduler activity (tests only): it runs inside
-	// the engine worker, before the home is stepped, with the home's
-	// shard as the first argument.
+	// onStep observes scheduler activity (tests only): it runs on the
+	// goroutine stepping the home's shard, before the home is stepped,
+	// with the home's shard as the first argument.
 	onStep func(shard int, home uint64, step uint64)
 }
 
 // Home is one managed Homework deployment; it lives on exactly one shard
 // engine at a time.
 type Home = engine.Home
-
-// ShardStats is one engine's self-reported state (membership, hub
-// accounting, per-shard totals) as surfaced by Coordinator.ShardStats.
-type ShardStats = engine.Stats
 
 // watchedTables mirrors the engine's per-home watch set for the fleet's
 // own accounting tests.

@@ -59,7 +59,7 @@ func TestShardAssignment(t *testing.T) {
 }
 
 // newTestFleet brings up a fleet of empty homes on a simulated clock.
-func newTestFleet(t testing.TB, homes, shards int, mutate func(*Config)) *Fleet {
+func newTestFleet(t testing.TB, homes, shards int, mutate func(*Config)) *Coordinator {
 	t.Helper()
 	cfg := Config{Shards: shards, Clock: clock.NewSimulated(), Seed: 7}
 	if mutate != nil {

@@ -147,9 +147,9 @@ type Runner struct {
 	// OnFleet, when set, runs once the fleet is up and populated, before
 	// the step loop — the hook daemons use to attach live consumers such
 	// as the streaming telemetry endpoint (see cmd/hwfleetd -stats).
-	OnFleet func(*Fleet)
+	OnFleet func(*Coordinator)
 
-	fleet   *Fleet
+	fleet   *Coordinator
 	hosts   map[uint64][]*netsim.Host
 	churned int
 }
@@ -163,7 +163,7 @@ func NewRunner(s Scenario) (*Runner, error) {
 }
 
 // Fleet returns the runner's fleet (valid during and after Run).
-func (r *Runner) Fleet() *Fleet { return r.fleet }
+func (r *Runner) Fleet() *Coordinator { return r.fleet }
 
 // Close tears the runner's fleet down (idempotent; safe if Run failed).
 func (r *Runner) Close() {

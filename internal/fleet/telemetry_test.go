@@ -27,7 +27,7 @@ func sumInserts(homes []*Home) uint64 {
 // and a re-run from the same seed reproduces the identical FleetStats
 // view byte for byte.
 func TestLiveStatsReflectEveryStep(t *testing.T) {
-	run := func() (*Fleet, string) {
+	run := func() (*Coordinator, string) {
 		f := newTestFleet(t, 8, 4, nil)
 		for _, h := range f.Homes() {
 			registerZones(h)

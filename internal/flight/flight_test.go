@@ -22,7 +22,7 @@ import (
 const testTarget = "203.0.113.10"
 
 // addTraffic joins one IoT host to every nth home so folds have work.
-func addTraffic(t *testing.T, f *fleet.Fleet, nth uint64) {
+func addTraffic(t *testing.T, f *fleet.Coordinator, nth uint64) {
 	t.Helper()
 	for _, h := range f.Homes() {
 		if h.ID%nth != 0 {

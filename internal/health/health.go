@@ -135,7 +135,7 @@ type Vitals struct {
 }
 
 // Actions are the remediation hooks the monitor drives; the fleet layer
-// provides them (chaos.Soak wires them to fleet.Fleet). A nil hook makes
+// provides them (chaos.Soak wires them to fleet.Coordinator). A nil hook makes
 // the corresponding transition a recorded no-op, so evaluators can run
 // observe-only. Replace returns the successor home's ID, which the
 // monitor starts tracking as Healthy.
