@@ -21,7 +21,8 @@ import (
 // attached to (a simulated link, a test harness, the upstream "ISP"). A
 // frame is the sink's for the call only: its bytes sit in a scratch buffer
 // or a hold-queue chunk the next frame, of any home, overwrites, so a sink
-// that keeps a frame copies it.
+// that keeps a frame copies it. A sink never writes the frame: the same
+// bytes may go out again as the next frame of the batch (batchRun).
 type Port struct {
 	No     uint16
 	Name   string
@@ -325,15 +326,21 @@ func (dp *Datapath) ReceiveBatch(inPort uint16, fb *packet.FrameBatch) {
 	p.countRxN(n, fb.TotalBytes())
 	now := dp.clk.Now()
 	var (
-		d   packet.Decoded
-		run batchRun
+		d       packet.Decoded
+		run     batchRun
+		decoded bool
 	)
 	for i := 0; i < n; i++ {
 		frame := fb.Frame(i)
-		if err := d.Decode(frame); err != nil {
-			continue
+		// A repeat is its twin's bytes: it keeps the twin's decode and key,
+		// and is dropped as its twin was if that failed to decode.
+		if run.repeat = fb.Repeats(i); !run.repeat {
+			run.rewrote = nil
+			decoded = d.Decode(frame) == nil
 		}
-		dp.receiveDecoded(p, inPort, frame, &d, now, &run)
+		if decoded {
+			dp.receiveDecoded(p, inPort, frame, &d, now, &run)
+		}
 	}
 	run.done(dp)
 }
@@ -354,6 +361,12 @@ func (dp *Datapath) ReceiveBatch(inPort uint16, fb *packet.FrameBatch) {
 //     re-enters the datapath does so under a run of its own.
 //   - The port the previous frame left by, while no port has been added or
 //     removed.
+//   - A repeat (packet.FrameBatch.Repeats) is its twin's bytes again, so it
+//     keeps the twin's decode and key. When the scratch still holds the
+//     twin as the same action list rewrote it, and that list rewrites
+//     nothing after its first output, every output of the repeat gets what
+//     the twin's got: the scratch goes out again, uncopied and unpatched.
+//     This needs sinks to leave frames as they found them (Port).
 //
 // A run belongs to one call on one goroutine; the zero value is ready.
 type batchRun struct {
@@ -362,6 +375,12 @@ type batchRun struct {
 	tableGen uint64
 
 	sc *execScratch
+	// rewrote is the action list whose rewrite of the run's latest frame
+	// the scratch holds, when that list rewrites only before its first
+	// output; nil once a frame of other bytes has come.
+	rewrote []openflow.Action
+	// repeat is set while the frame in hand is a repeat of the one before.
+	repeat bool
 
 	out     *Port
 	portGen uint64
@@ -404,11 +423,14 @@ func (run *batchRun) done(dp *Datapath) {
 // it, or takes it down the miss path; receive accounting has already been
 // charged.
 func (dp *Datapath) receiveDecoded(p *Port, inPort uint16, frame []byte, d *packet.Decoded, now time.Time, run *batchRun) {
-	key := openflow.MatchFromFrame(d, inPort)
+	key := run.key
+	if !run.repeat {
+		key = openflow.MatchFromFrame(d, inPort)
+	}
 	nanos := now.UnixNano()
 	gen := dp.table.gen.Load()
 	entry := run.entry
-	if entry != nil && run.tableGen == gen && run.key == key {
+	if entry != nil && run.tableGen == gen && (run.repeat || run.key == key) {
 		dp.table.again(entry, len(frame), nanos)
 	} else {
 		entry = dp.table.lookup(&key, d, len(frame), nanos)
@@ -454,33 +476,59 @@ func (dp *Datapath) execute(inPort uint16, frame []byte, actions []openflow.Acti
 // executeFast runs an action list containing only MAC rewrites and
 // outputs. The first rewrite copies the frame once into the run's scratch
 // buffer and the MACs are patched at their fixed offsets — no re-decode,
-// no per-layer re-serialization, no allocation in steady state. The input
-// frame is never mutated.
+// no per-layer re-serialization, no allocation in steady state. A repeat
+// whose twin left the scratch as this list rewrites it skips the copy and
+// the patches (batchRun). The input frame is never mutated.
 func (dp *Datapath) executeFast(inPort uint16, frame []byte, actions []openflow.Action, maxLen int, run *batchRun) {
+	reuse := run.repeat && sameList(run.rewrote, actions)
+	run.rewrote = nil
 	out := frame
-	copied := false
+	if reuse {
+		out = run.sc.buf
+	}
+	copied, sent, rewroteAfterOutput := reuse, false, false
 	for _, a := range actions {
 		switch act := a.(type) {
 		case *openflow.ActionSetDLSrc:
+			if reuse {
+				continue
+			}
 			if !copied {
 				out, copied = run.scratch(dp, frame), true
 			}
 			if len(out) >= packet.EthernetHeaderLen {
 				copy(out[6:12], act.Addr[:])
 			}
+			rewroteAfterOutput = rewroteAfterOutput || sent
 		case *openflow.ActionSetDLDst:
+			if reuse {
+				continue
+			}
 			if !copied {
 				out, copied = run.scratch(dp, frame), true
 			}
 			if len(out) >= packet.EthernetHeaderLen {
 				copy(out[0:6], act.Addr[:])
 			}
+			rewroteAfterOutput = rewroteAfterOutput || sent
 		case *openflow.ActionOutput:
 			dp.dispatch(inPort, out, act.Port, maxLen, run)
+			sent = true
 		case *openflow.ActionEnqueue:
 			dp.dispatch(inPort, out, act.Port, maxLen, run)
+			sent = true
 		}
 	}
+	if copied && !rewroteAfterOutput {
+		run.rewrote = actions
+	}
+}
+
+// sameList reports whether a and b are one action list: lists are shared
+// and never written (docs/ARCHITECTURE.md, "Aliasing invariants"), so the
+// same backing array and length is the same list.
+func sameList(a, b []openflow.Action) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
 // dispatch delivers an already-rewritten frame to one action-list output.

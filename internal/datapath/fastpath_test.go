@@ -3,6 +3,7 @@ package datapath
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 	"time"
@@ -57,15 +58,28 @@ type pathRig struct {
 	entries []*FlowEntry
 }
 
-func newPathRig() *pathRig {
+func newPathRig(t *testing.T) *pathRig {
 	r := &pathRig{clk: clock.NewSimulated()}
 	r.dp = New(Config{ID: 7, Clock: r.clk, NBuffers: 1 << 16})
 	for no := uint16(1); no <= 4; no++ {
-		_ = r.dp.AddPort(&Port{No: no, Out: func(f []byte) {
+		_ = r.dp.AddPort(&Port{No: no, Out: readOnly(t, func(f []byte) {
 			r.sent = append(r.sent, sentFrame{no, append([]byte(nil), f...)})
-		}})
+		})})
 	}
 	return r
+}
+
+// readOnly wraps a sink in the check that it leaves the frame as it found
+// it: a frame's bytes may be the ones its neighbours in the batch are
+// handed, so a sink that wrote one would change frames it never saw.
+func readOnly(t *testing.T, sink func([]byte)) func([]byte) {
+	return func(f []byte) {
+		before := crc32.ChecksumIEEE(f)
+		sink(f)
+		if crc32.ChecksumIEEE(f) != before {
+			t.Errorf("a sink wrote the %d-byte frame it was handed", len(f))
+		}
+	}
 }
 
 func (r *pathRig) add(m openflow.Match, priority uint16, actions []openflow.Action) {
@@ -132,55 +146,75 @@ func randomFlowFrame(rng *rand.Rand, flow int) []byte {
 // from slowReceive: the same bytes out of the same ports in the same order,
 // the same port counters, the same entry counters and last-used stamps, the
 // same lookups and matches, the same punts with the same buffered heads.
+// Each case runs again with repeats: frames also committed again by
+// FrameBatch.Repeat, which the fast path reads as its twin's bytes (decode,
+// key and, for a list that rewrites before it outputs, the rewritten
+// scratch).
 func TestFastPathMatchesSlowPath(t *testing.T) {
-	const flows = 12 // flows 9..11 have no entry and miss
 	for seed := int64(1); seed <= 5; seed++ {
 		// keyEvery: a new flow every frame, every k frames, never.
 		for _, keyEvery := range []int{1, 2, 3, 7, 1 << 30} {
 			t.Run(fmt.Sprintf("seed=%d/keyEvery=%d", seed, keyEvery), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				fast, slow := newPathRig(), newPathRig()
-				for flow := 0; flow < 9; flow++ {
-					var d packet.Decoded
-					if err := d.Decode(randomFlowFrame(rng, flow)); err != nil {
-						t.Fatal(err)
-					}
-					m := openflow.MatchFromFrame(&d, 1)
-					prio := uint16(10)
-					if flow >= 6 {
-						// Three flows ride wildcard entries: in_port and the
-						// transport ports ignored.
-						m.Wildcards |= openflow.FWInPort | openflow.FWTPSrc | openflow.FWTPDst
-						prio = uint16(flow)
-					}
-					as := randomActions(rng)
-					fast.add(m, prio, as)
-					slow.add(m, prio, as)
-				}
-				for batch := 0; batch < 6; batch++ {
-					var fb packet.FrameBatch
-					flow := rng.Intn(flows)
-					n := 1 + rng.Intn(40)
-					for i := 0; i < n; i++ {
-						if i > 0 && i%keyEvery == 0 {
-							flow = rng.Intn(flows)
-						}
-						fb.Append(randomFlowFrame(rng, flow))
-					}
-					if batch == 3 {
-						fb.Append([]byte{1, 2, 3}) // undecodable: counted on the port, then dropped
-					}
-					fast.dp.ReceiveBatch(1, &fb)
-					for i := 0; i < fb.Len(); i++ {
-						slowReceive(slow.dp, 1, fb.Frame(i))
-					}
-					fast.clk.Advance(250 * time.Millisecond)
-					slow.clk.Advance(250 * time.Millisecond)
-				}
-				comparePaths(t, fast, slow)
+				fastPathMatchesSlowPath(t, seed, keyEvery, false)
+				t.Run("repeats", func(t *testing.T) {
+					fastPathMatchesSlowPath(t, seed, keyEvery, true)
+				})
 			})
 		}
 	}
+}
+
+func fastPathMatchesSlowPath(t *testing.T, seed int64, keyEvery int, repeats bool) {
+	const flows = 12 // flows 9..11 have no entry and miss
+	rng := rand.New(rand.NewSource(seed))
+	// The repeats draw from a source of their own, so the frames and
+	// entries are the same with and without them.
+	reps := rand.New(rand.NewSource(-seed))
+	fast, slow := newPathRig(t), newPathRig(t)
+	for flow := 0; flow < 9; flow++ {
+		var d packet.Decoded
+		if err := d.Decode(randomFlowFrame(rng, flow)); err != nil {
+			t.Fatal(err)
+		}
+		m := openflow.MatchFromFrame(&d, 1)
+		prio := uint16(10)
+		if flow >= 6 {
+			// Three flows ride wildcard entries: in_port and the
+			// transport ports ignored.
+			m.Wildcards |= openflow.FWInPort | openflow.FWTPSrc | openflow.FWTPDst
+			prio = uint16(flow)
+		}
+		as := randomActions(rng)
+		fast.add(m, prio, as)
+		slow.add(m, prio, as)
+	}
+	for batch := 0; batch < 6; batch++ {
+		var fb packet.FrameBatch
+		flow := rng.Intn(flows)
+		n := 1 + rng.Intn(40)
+		for i := 0; i < n; i++ {
+			if i > 0 && i%keyEvery == 0 {
+				flow = rng.Intn(flows)
+			}
+			fb.Append(randomFlowFrame(rng, flow))
+			for repeats && reps.Intn(3) == 0 {
+				fb.Repeat()
+			}
+		}
+		if batch == 3 {
+			fb.Append([]byte{1, 2, 3}) // undecodable: counted on the port, then dropped
+			if repeats {
+				fb.Repeat() // dropped as its twin was
+			}
+		}
+		fast.dp.ReceiveBatch(1, &fb)
+		for i := 0; i < fb.Len(); i++ {
+			slowReceive(slow.dp, 1, fb.Frame(i))
+		}
+		fast.clk.Advance(250 * time.Millisecond)
+		slow.clk.Advance(250 * time.Millisecond)
+	}
+	comparePaths(t, fast, slow)
 }
 
 func comparePaths(t *testing.T, fast, slow *pathRig) {
@@ -271,5 +305,199 @@ func TestFastPathSeesDeleteMidBatch(t *testing.T) {
 	}
 	if punts, held := r.buffered(); punts != 1 || held != n-k-1 {
 		t.Errorf("%d punts holding %d frames, want the first miss punted and the other %d held", punts, held, n-k-1)
+	}
+}
+
+// A run of repeats (FrameBatch.Repeat) must leave what the same frames
+// appended as copies leave: the same transmissions in the same order, the
+// same lookups and matches, the same entry and port counters and the same
+// punts. The repeats skip the decode, the key and, when the list rewrites
+// before it outputs, the copy and the rewrite; nothing skips the charge.
+func TestRepeatsMatchCopies(t *testing.T) {
+	src, dst := packet.MAC{2, 0xaa, 0, 0, 0, 1}, packet.MAC{2, 0xbb, 0, 0, 0, 2}
+	for _, tc := range []struct {
+		name    string
+		actions []openflow.Action
+	}{
+		{"rewrite+rewrite+output", []openflow.Action{
+			&openflow.ActionSetDLSrc{Addr: src}, &openflow.ActionSetDLDst{Addr: dst}, output(2),
+		}},
+		{"rewrite after output", []openflow.Action{
+			&openflow.ActionSetDLDst{Addr: dst}, output(2), &openflow.ActionSetDLSrc{Addr: src}, output(3),
+			&openflow.ActionOutput{Port: openflow.PortFlood},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			var frames [][]byte
+			for flow := 0; flow < 5; flow++ {
+				frames = append(frames, randomFlowFrame(rng, flow))
+			}
+			frames = append(frames, []byte{1, 2, 3}) // undecodable
+			repeated, copies := newPathRig(t), newPathRig(t)
+			for flow := 0; flow < 4; flow++ { // flow 4 misses
+				// Every flow shares the one list, as the forwarder's
+				// entries toward one device do.
+				m := exactMatchFor(t, frames[flow], 1)
+				repeated.add(m, 10, tc.actions)
+				copies.add(m, 10, tc.actions)
+			}
+			// Runs of one frame: each a flow (or the undecodable frame)
+			// and how many times it goes in a row.
+			runs := [][2]int{{0, 32}, {1, 1}, {1, 5}, {0, 3}, {4, 6}, {2, 1}, {5, 4}, {3, 32}, {2, 2}, {0, 1}}
+			for batch := 0; batch < 3; batch++ {
+				var rb, cb packet.FrameBatch
+				for _, run := range runs {
+					f := frames[run[0]]
+					rb.Append(f)
+					for i := 1; i < run[1]; i++ {
+						rb.Repeat()
+					}
+					for i := 0; i < run[1]; i++ {
+						cb.Append(f)
+					}
+				}
+				repeated.dp.ReceiveBatch(1, &rb)
+				copies.dp.ReceiveBatch(1, &cb)
+				repeated.clk.Advance(250 * time.Millisecond)
+				copies.clk.Advance(250 * time.Millisecond)
+			}
+			comparePaths(t, repeated, copies)
+			if len(copies.sent) == 0 {
+				t.Fatal("nothing was transmitted")
+			}
+		})
+	}
+}
+
+// TestFastPathSeesDeleteMidBatch over one frame repeated: the entry a
+// repeat reuses is vouched for by the table generation like any other, so
+// the delete during frame k still takes effect at frame k+1, exactly as
+// when the batch holds n copies of the frame.
+func TestRepeatedRunSeesDeleteMidBatch(t *testing.T) {
+	const n, k = 30, 11
+	type outcome struct {
+		forwarded        int
+		charged          uint64
+		lookups, matched uint64
+		punts, held      int
+		sent             []sentFrame
+	}
+	run := func(repeat bool) outcome {
+		r := newHoldRig(t, 256)
+		frame := flowFrame(5, 0)
+		m := exactMatchFor(t, frame, 1)
+		r.send(addFlow(m, openflow.NoBuffer, &openflow.ActionSetDLDst{Addr: packet.MAC{2, 9, 9, 9, 9, 9}}, output(2)))
+		r.sync()
+
+		var o outcome
+		deleted := make(chan struct{})
+		p2, _ := r.dp.Port(2)
+		p2.SetOut(readOnly(t, func(f []byte) {
+			o.sent = append(o.sent, sentFrame{2, append([]byte(nil), f...)})
+			if o.forwarded++; o.forwarded == k {
+				go func() {
+					r.dp.Table().Delete(&m, 10, true, openflow.PortNone)
+					close(deleted)
+				}()
+				<-deleted
+			}
+		}))
+		entry := r.dp.Table().Entries(&m, openflow.PortNone)[0]
+		var fb packet.FrameBatch
+		fb.Append(frame)
+		for i := 1; i < n; i++ {
+			if repeat {
+				fb.Repeat()
+			} else {
+				fb.Append(frame)
+			}
+		}
+		r.dp.ReceiveBatch(1, &fb)
+		o.charged = entry.PacketCount()
+		o.lookups, o.matched = r.lookups()
+		o.punts, o.held = r.buffered()
+		return o
+	}
+	rep, cp := run(true), run(false)
+	if rep.forwarded != k || rep.charged != k || rep.lookups != n || rep.matched != k || rep.punts != 1 || rep.held != n-k-1 {
+		t.Errorf("repeated run: forwarded %d, charged %d, lookups %d, matched %d, %d punts holding %d; want %d, %d, %d, %d, 1, %d",
+			rep.forwarded, rep.charged, rep.lookups, rep.matched, rep.punts, rep.held, k, k, n, k, n-k-1)
+	}
+	if rep.forwarded != cp.forwarded || rep.charged != cp.charged || rep.lookups != cp.lookups ||
+		rep.matched != cp.matched || rep.punts != cp.punts || rep.held != cp.held {
+		t.Errorf("repeated run: forwarded %d, charged %d, lookups %d, matched %d, %d punts holding %d; copies: %d, %d, %d, %d, %d, %d",
+			rep.forwarded, rep.charged, rep.lookups, rep.matched, rep.punts, rep.held,
+			cp.forwarded, cp.charged, cp.lookups, cp.matched, cp.punts, cp.held)
+	}
+	if len(rep.sent) != len(cp.sent) {
+		t.Fatalf("the repeated run transmitted %d frames, the copies %d", len(rep.sent), len(cp.sent))
+	}
+	for i := range rep.sent {
+		if !bytes.Equal(rep.sent[i].frame, cp.sent[i].frame) {
+			t.Fatalf("transmission %d differs between the repeated run and the copies", i)
+		}
+	}
+}
+
+// A repeat reuses the scratch only while it holds the twin as the very list
+// the repeat executes rewrote it. Here a sink deletes the entry a frame
+// matched, so that the frame's repeats fall to a wildcard entry with
+// another list, and each must be rewritten anew:
+//   - the twin was rewritten by the deleted entry's list, which is not the
+//     wildcard's;
+//   - the twin went by the generic path and wrote no scratch, which still
+//     holds an earlier frame as the wildcard's list rewrote it.
+func TestRepeatAfterTableChangeIsRewritten(t *testing.T) {
+	x, y := packet.MAC{2, 0xee, 0, 0, 0, 1}, packet.MAC{2, 0xee, 0, 0, 0, 2}
+	rng := rand.New(rand.NewSource(5))
+	f0, f1 := randomFlowFrame(rng, 0), randomFlowFrame(rng, 2)
+	toX := []openflow.Action{&openflow.ActionSetDLDst{Addr: x}, output(2)}
+	for _, tc := range []struct {
+		name   string
+		f1acts []openflow.Action // the entry of f1 the sink deletes
+		batch  [][]byte          // f1 runs last, as 4 frames
+	}{
+		{"another list", []openflow.Action{&openflow.ActionSetDLDst{Addr: y}, output(2)}, nil},
+		{"generic path", []openflow.Action{&openflow.ActionSetNWTOS{TOS: 0x10}, output(2)}, [][]byte{f0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := func() *pathRig {
+				r := newPathRig(t)
+				r.add(exactMatchFor(t, f0, 1), 10, toX)
+				m1 := exactMatchFor(t, f1, 1)
+				r.add(m1, 20, tc.f1acts)
+				r.add(openflow.MatchAll(), 5, toX)
+				p2, _ := r.dp.Port(2)
+				sink := p2.Out
+				p2.SetOut(func(f []byte) {
+					sink(f)
+					if len(r.sent) == len(tc.batch)+1 { // f1's first frame
+						r.dp.table.Delete(&m1, 20, true, openflow.PortNone)
+					}
+				})
+				return r
+			}
+			repeated, copies := rig(), rig()
+			var rb, cb packet.FrameBatch
+			for _, f := range tc.batch {
+				rb.Append(f)
+				cb.Append(f)
+			}
+			rb.Append(f1)
+			for i := 0; i < 4; i++ {
+				cb.Append(f1)
+				if i > 0 {
+					rb.Repeat()
+				}
+			}
+			repeated.dp.ReceiveBatch(1, &rb)
+			copies.dp.ReceiveBatch(1, &cb)
+			comparePaths(t, repeated, copies)
+			last := copies.sent[len(copies.sent)-1].frame
+			if want := append(append([]byte(nil), x[:]...), f1[6:]...); !bytes.Equal(last, want) {
+				t.Fatalf("the last repeat left as %x, want f1 rewritten to %s", last, x)
+			}
+		})
 	}
 }

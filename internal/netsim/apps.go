@@ -224,7 +224,3 @@ func (a *App) resolve() {
 		a.mu.Unlock()
 	})
 }
-
-// deliver observes inbound packets addressed to the app's flow (responses
-// from the upstream server); the default profiles just absorb them.
-func (a *App) deliver(d *packet.Decoded) {}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -63,7 +64,8 @@ type Host struct {
 	RxFrames uint64
 	// OnFrame, when set, observes every delivered frame (tests, UIs).
 	// The frame may alias a sender's reused scratch buffer and is only
-	// valid for the duration of the call; copy it to retain it.
+	// valid for the duration of the call; copy it to retain it. It is
+	// read-only: its bytes may be the next frame's too.
 	OnFrame func(frame []byte)
 }
 
@@ -174,7 +176,11 @@ func (h *Host) Release() {
 	h.send(frame.Bytes())
 }
 
-// Deliver hands a frame received from the network to the host stack.
+// Deliver hands a frame received from the network to the host stack. The
+// stack acts only on ARP and on UDP (DHCP, DNS), so an IPv4 frame of any
+// other protocol is counted and observed, and not decoded: its EtherType
+// and protocol are read at their fixed offsets. Every other frame is
+// decoded in full. Deliver never writes the frame.
 func (h *Host) Deliver(frame []byte) {
 	h.mu.Lock()
 	h.RxFrames++
@@ -183,6 +189,11 @@ func (h *Host) Deliver(frame []byte) {
 	h.mu.Unlock()
 	if onFrame != nil {
 		onFrame(frame)
+	}
+	if len(frame) > ipProtoAt &&
+		binary.BigEndian.Uint16(frame[12:14]) == uint16(packet.EtherTypeIPv4) &&
+		packet.IPProto(frame[ipProtoAt]) != packet.ProtoUDP {
+		return
 	}
 
 	var d packet.Decoded
@@ -199,10 +210,11 @@ func (h *Host) Deliver(frame []byte) {
 		h.handleDHCP(&d)
 	case d.HasUDP && d.UDP.SrcPort == packet.DNSPort:
 		h.handleDNS(&d)
-	case d.HasTCP || d.HasUDP || d.HasICMP:
-		h.handleData(&d)
 	}
 }
+
+// ipProtoAt is the offset of the protocol byte of an untagged IPv4 frame.
+const ipProtoAt = packet.EthernetHeaderLen + 9
 
 func (h *Host) handleARP(d *packet.Decoded) {
 	h.mu.Lock()
@@ -351,14 +363,6 @@ func (h *Host) handleDNS(d *packet.Decoded) {
 		}
 	}
 	q.cb(packet.IP4{}, false)
-}
-
-// handleData feeds inbound transport packets to the apps (for echo-style
-// protocols) — the default host simply absorbs them.
-func (h *Host) handleData(d *packet.Decoded) {
-	for _, a := range h.appsSnapshot() {
-		a.deliver(d)
-	}
 }
 
 // sendUDP emits a UDP datagram through the routing logic. The frame is

@@ -112,32 +112,53 @@ func TestAppendUDPFrameZeroChecksumSentAsOnes(t *testing.T) {
 	}
 }
 
-// Repeat commits a copy of the last frame, whether or not the append has to
-// regrow the buffer the copy is taken from.
+// Repeat records the last frame's span again instead of copying it: the
+// buffer does not move, every repeat reads as the last frame, Repeats marks
+// exactly the repeats, TotalBytes charges each one, and Reset forgets them.
 func TestFrameBatchRepeat(t *testing.T) {
 	first := AppendUDPFrame(nil, testSrcMAC, testDstMAC, testSrcIP, testDstIP, 1, 2, []byte("first"))
 	last := AppendTCPFrame(nil, testSrcMAC, testDstMAC, testSrcIP, testDstIP, 3, 4, TCPAck, 5, 6, make([]byte, 1400))
 	var fb FrameBatch
 	fb.Append(first)
 	fb.Append(last)
-	regrew := 0
+	bufLen, bufCap := len(fb.Buf()), cap(fb.Buf())
 	for i := 0; i < 40; i++ {
-		before := cap(fb.Buf())
 		fb.Repeat()
-		if cap(fb.Buf()) != before {
-			regrew++
-		}
 	}
-	if regrew == 0 || regrew == 40 {
-		t.Fatalf("%d of 40 repeats regrew the buffer, want both kinds", regrew)
+	if len(fb.Buf()) != bufLen || cap(fb.Buf()) != bufCap {
+		t.Fatalf("40 repeats moved the buffer from len %d cap %d to len %d cap %d",
+			bufLen, bufCap, len(fb.Buf()), cap(fb.Buf()))
 	}
 	if fb.Len() != 42 || !bytes.Equal(fb.Frame(0), first) {
 		t.Fatalf("Len = %d, first frame intact = %v", fb.Len(), bytes.Equal(fb.Frame(0), first))
 	}
 	for i := 1; i < fb.Len(); i++ {
 		if !bytes.Equal(fb.Frame(i), last) {
-			t.Fatalf("frame %d is not a copy of the last frame", i)
+			t.Fatalf("frame %d does not read as the last built frame", i)
 		}
+		if got, want := fb.Repeats(i), i >= 2; got != want {
+			t.Fatalf("Repeats(%d) = %v, want %v", i, got, want)
+		}
+	}
+	if fb.Repeats(0) {
+		t.Fatal("Repeats(0) = true for the first frame")
+	}
+	if want := len(first) + 41*len(last); fb.TotalBytes() != want {
+		t.Fatalf("TotalBytes = %d, want %d", fb.TotalBytes(), want)
+	}
+	// A frame built after the repeats is a frame of its own.
+	fb.Append(first)
+	if fb.Repeats(fb.Len()-1) || !bytes.Equal(fb.Frame(fb.Len()-1), first) {
+		t.Fatal("a frame appended after the repeats reads as a repeat")
+	}
+	fb.Reset()
+	if fb.Len() != 0 || fb.TotalBytes() != 0 || len(fb.Buf()) != 0 {
+		t.Fatalf("Reset left Len %d TotalBytes %d buffer %d", fb.Len(), fb.TotalBytes(), len(fb.Buf()))
+	}
+	fb.Append(last)
+	fb.Append(last)
+	if fb.Repeats(1) {
+		t.Fatal("after Reset, an appended copy reads as a repeat")
 	}
 }
 

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -119,8 +120,11 @@ type Folder struct {
 	lRSSI                  int
 	pTx, pLost, pInstallUS int
 
-	mu         sync.Mutex
-	homes      map[uint64]*homeAcc
+	mu    sync.Mutex
+	homes map[uint64]*homeAcc
+	// ids is the keys of homes in ascending order, kept beside the map so
+	// that a commit walks the homes in order without sorting them.
+	ids        []uint64
 	fleet      Totals // Homes/Hosts filled in at read time
 	hostsTotal int    // cached sum of hostsNow, refreshed each Commit
 	rate       *rateRing
@@ -241,8 +245,7 @@ func (f *Folder) AddHome(id uint64, hosts func() int) {
 	f.mu.Lock()
 	h, ok := f.homes[id]
 	if !ok {
-		h = &homeAcc{id: id, rate: newRateRing(f.window, f.buckets)}
-		f.homes[id] = h
+		h = f.addHomeLocked(id)
 	}
 	if hosts != nil && h.hosts == nil {
 		h.hosts = hosts
@@ -260,8 +263,20 @@ func (f *Folder) RemoveHome(id uint64) {
 	if h, ok := f.homes[id]; ok {
 		f.hostsTotal -= h.hostsNow
 		delete(f.homes, id)
+		i, _ := slices.BinarySearch(f.ids, id)
+		f.ids = slices.Delete(f.ids, i, i+1)
 	}
 	f.mu.Unlock()
+}
+
+// addHomeLocked starts an accumulator for a home that has none (caller
+// holds f.mu).
+func (f *Folder) addHomeLocked(id uint64) *homeAcc {
+	h := &homeAcc{id: id, rate: newRateRing(f.window, f.buckets)}
+	f.homes[id] = h
+	i, _ := slices.BinarySearch(f.ids, id)
+	f.ids = slices.Insert(f.ids, i, id)
+	return h
 }
 
 // consume folds one hub delta. It runs synchronously inside the hub's
@@ -273,8 +288,7 @@ func (f *Folder) consume(d Delta) {
 	if h == nil {
 		// Deltas for a never-added (or already-removed) home still count
 		// fleet-wide so accounting stays exact under churn.
-		h = &homeAcc{id: d.Source.Home, rate: newRateRing(f.window, f.buckets)}
-		f.homes[d.Source.Home] = h
+		h = f.addHomeLocked(d.Source.Home)
 	}
 	f.fleet.Rows += uint64(len(d.Rows))
 	f.fleet.Lost += d.Lost
@@ -353,7 +367,7 @@ func (f *Folder) Commit() int {
 	f.fleet.Commits++
 	now := f.clk.Now()
 	rows := 0
-	for _, id := range f.homeIDsLocked() {
+	for _, id := range f.ids {
 		h := f.homes[id]
 		// Refresh the cached host count once per commit, so Totals stays
 		// an O(1) read between commits.
@@ -396,7 +410,7 @@ func (f *Folder) TakePeriod() []PeriodStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([]PeriodStats, 0, len(f.homes))
-	for _, id := range f.homeIDsLocked() {
+	for _, id := range f.ids {
 		h := f.homes[id]
 		a := &h.agg
 		ps := PeriodStats{
@@ -440,7 +454,7 @@ func (f *Folder) HomeTotals() []HomeTotals {
 	defer f.mu.Unlock()
 	now := f.clk.Now()
 	out := make([]HomeTotals, 0, len(f.homes))
-	for _, id := range f.homeIDsLocked() {
+	for _, id := range f.ids {
 		h := f.homes[id]
 		out = append(out, HomeTotals{
 			Home: id, Hosts: h.hostsNow,
@@ -494,15 +508,6 @@ func (f *Folder) DeviceRates(id uint64) []DeviceRate {
 		})
 	}
 	return out
-}
-
-func (f *Folder) homeIDsLocked() []uint64 {
-	ids := make([]uint64, 0, len(f.homes))
-	for id := range f.homes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // rateRing is a fixed set of time-aligned buckets implementing a sliding

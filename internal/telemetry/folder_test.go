@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -201,5 +202,65 @@ func TestFolderRemoveHomeKeepsFleetTotals(t *testing.T) {
 	}
 	if hts := r.folder.HomeTotals(); len(hts) != 1 || hts[0].Home != 1 {
 		t.Fatalf("home totals after removal = %+v", hts)
+	}
+}
+
+// TestFolderCommitWalksHomesInOrderWithoutAllocating: the folder keeps its
+// home IDs sorted as homes come and go (AddHome, RemoveHome and the
+// implicit add of a delta's unknown home), so a warm Commit over 8 active
+// homes allocates nothing, and every ordered read still walks ascending IDs.
+func TestFolderCommitWalksHomesInOrderWithoutAllocating(t *testing.T) {
+	homes := []uint64{7, 3, 12, 0, 5, 9, 1, 4}
+	r := newRig(t, homes...)
+	var deltas []Delta
+	r.hub.SubscribeFunc(func(d Delta) {
+		if d.Source.Table == hwdb.TableFlows {
+			deltas = append(deltas, d)
+		}
+	})
+	for _, id := range homes {
+		r.flow(t, id, 1, 10, 1500)
+	}
+	r.hub.Flush()
+	if len(deltas) != len(homes) {
+		t.Fatalf("%d flow deltas, want %d", len(deltas), len(homes))
+	}
+	// A delta of a home never added tracks it; a removed home leaves.
+	r.folder.consume(Delta{Source: SourceID{Home: 10, Table: hwdb.TableFlows}, Rows: deltas[0].Rows})
+	r.folder.RemoveHome(5)
+	r.folder.AddHome(2, nil)
+	want := []uint64{0, 1, 2, 3, 4, 7, 9, 10, 12}
+	var got []uint64
+	for _, ht := range r.folder.HomeTotals() {
+		got = append(got, ht.Home)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("HomeTotals walks homes %v, want %v", got, want)
+	}
+	got = got[:0]
+	for _, ps := range r.folder.TakePeriod() {
+		got = append(got, ps.Home)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("TakePeriod walks homes %v, want %v", got, want)
+	}
+	r.folder.RemoveHome(2)
+	r.folder.RemoveHome(10)
+	r.folder.AddHome(5, nil)
+
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
+	commit := func() {
+		for _, d := range deltas {
+			r.folder.consume(d)
+		}
+		if n := r.folder.Commit(); n != len(homes) {
+			t.Fatalf("Commit wrote %d rows, want %d", n, len(homes))
+		}
+	}
+	commit() // warm: every home has seen its device
+	if n := testing.AllocsPerRun(100, commit); n != 0 {
+		t.Errorf("a warm Commit over %d homes allocates %.1f times, want 0", len(homes), n)
 	}
 }
