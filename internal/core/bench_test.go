@@ -75,26 +75,18 @@ func BenchmarkChurnHomeStep(b *testing.B) {
 	}
 }
 
-// BenchmarkBulkHomeStep is one home-step of hwbench's bulk_stream workload
-// without the fleet around it: two wired hosts each streaming video at
-// 1 MB/s over one long-lived flow, which the upstream answers twenty bytes
-// for one — some 7 500 frames built, forwarded and delivered per step, and a
-// control path with nothing to do. MB/s is the payload the two apps emit.
-//
-//	go test -run '^$' -bench BulkHomeStep -benchtime 300x -cpuprofile cpu.out ./internal/core
-//
-// gives the data plane's CPU profile per home-step, which is how the
-// per-frame work worth removing is found.
-func BenchmarkBulkHomeStep(b *testing.B) {
+// bulkHomeStep returns BenchmarkBulkHomeStep's home, warmed past its flow
+// setup, its home-step, and the payload bytes its apps have sent so far.
+func bulkHomeStep(tb testing.TB) (*Router, func(), func() uint64) {
 	clk := clock.NewSimulated()
-	r := startRouter(b, func(c *Config) {
+	r := startRouter(tb, func(c *Config) {
 		c.Clock = clk
 		c.DisableRPC = true
 	})
-	step := func() { homeStep(b, r, clk) }
+	step := func() { homeStep(tb, r, clk) }
 	var apps []*netsim.App
 	for i := 0; i < 2; i++ {
-		h := join(b, r, fmt.Sprint("tv", i), fmt.Sprintf("02:aa:00:00:02:%02x", i), false, netsim.Pos{})
+		h := join(tb, r, fmt.Sprint("tv", i), fmt.Sprintf("02:aa:00:00:02:%02x", i), false, netsim.Pos{})
 		app := netsim.NewApp(netsim.AppVideo, "203.0.113.10", 1_000_000)
 		h.AddApp(app)
 		apps = append(apps, app)
@@ -108,6 +100,21 @@ func BenchmarkBulkHomeStep(b *testing.B) {
 		}
 		return n
 	}
+	return r, step, sent
+}
+
+// BenchmarkBulkHomeStep is one home-step of hwbench's bulk_stream workload
+// without the fleet around it: two wired hosts each streaming video at
+// 1 MB/s over one long-lived flow, which the upstream answers twenty bytes
+// for one — some 7 500 frames built, forwarded and delivered per step, and a
+// control path with nothing to do. MB/s is the payload the two apps emit.
+//
+//	go test -run '^$' -bench BulkHomeStep -benchtime 300x -cpuprofile cpu.out ./internal/core
+//
+// gives the data plane's CPU profile per home-step, which is how the
+// per-frame work worth removing is found.
+func BenchmarkBulkHomeStep(b *testing.B) {
+	r, step, sent := bulkHomeStep(b)
 	punts, sent0 := r.Datapath.PuntCount(), sent()
 	b.ReportAllocs()
 	b.ResetTimer()

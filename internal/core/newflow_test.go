@@ -323,3 +323,45 @@ func TestWarmSettleAllocatesNothing(t *testing.T) {
 		t.Errorf("a warm Settle allocates %g times, want 0", got)
 	}
 }
+
+// A bulk_stream home-step (BenchmarkBulkHomeStep) forwards every frame on an
+// installed flow, each charged where the paper's displays read it: a warm
+// step allocates nothing, every lookup matches and is charged to an entry,
+// and each matched frame leaves by exactly one port, so the ports' sent
+// frames add up to the matches. The runs that carry the charges commit them
+// before each call returns, so between steps the books balance exactly.
+func TestBulkHomeStepChargesEveryFrame(t *testing.T) {
+	r, step, _ := bulkHomeStep(t)
+	if !raceEnabled {
+		if got := testing.AllocsPerRun(20, step); got != 0 {
+			t.Errorf("a warm bulk home-step allocates %g times, want 0", got)
+		}
+	}
+	books := func() (lookups, matched, charged, sent uint64) {
+		lookups, matched = r.Datapath.Table().Counters()
+		for _, e := range r.Datapath.Table().Entries(nil, openflow.PortNone) {
+			charged += e.PacketCount()
+		}
+		for _, p := range r.Datapath.Ports() {
+			sent += p.Stats().TxPackets
+		}
+		return lookups, matched, charged, sent
+	}
+	punts := r.Datapath.PuntCount()
+	l0, m0, c0, s0 := books()
+	const steps = 20
+	for i := 0; i < steps; i++ {
+		step()
+	}
+	l1, m1, c1, s1 := books()
+	lookups, matched, charged, sent := l1-l0, m1-m0, c1-c0, s1-s0
+	if lookups == 0 || matched != lookups || charged != matched {
+		t.Errorf("%d steps: %d lookups, %d matched, %d charged to entries; want all equal and no misses", steps, lookups, matched, charged)
+	}
+	if sent != matched {
+		t.Errorf("%d steps: the ports sent %d frames for %d matches, want one each", steps, sent, matched)
+	}
+	if punts = r.Datapath.PuntCount() - punts; punts != 0 {
+		t.Errorf("%d steps punted %d times, want every frame on an installed flow", steps, punts)
+	}
+}

@@ -205,7 +205,7 @@ func TestPingsDoNotExhaustPacketBuffers(t *testing.T) {
 	h := newSimHome(t)
 	var mu sync.Mutex
 	echoes, synAcks := 0, 0
-	h.host.OnFrame = func(frame []byte) {
+	h.host.SetOnFrame(func(frame []byte) {
 		var d packet.Decoded
 		if err := d.Decode(frame); err != nil {
 			return
@@ -218,7 +218,7 @@ func TestPingsDoNotExhaustPacketBuffers(t *testing.T) {
 		case d.HasTCP && d.TCP.Flags&(packet.TCPSyn|packet.TCPAck) == packet.TCPSyn|packet.TCPAck:
 			synAcks++
 		}
-	}
+	})
 	const pings = 300
 	for i := 0; i < pings; i++ {
 		h.host.SendRaw(packet.NewICMPEchoFrame(h.host.MAC, h.r.Config.RouterMAC, h.host.IP(), h.r.Config.RouterIP,

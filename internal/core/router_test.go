@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -264,6 +265,19 @@ func TestIntraHomeTrafficTraversesRouter(t *testing.T) {
 	a := join(t, r, "host-a", "02:aa:00:00:00:06", false, netsim.Pos{})
 	b := join(t, r, "host-b", "02:aa:00:00:00:07", false, netsim.Pos{})
 
+	// The forwarder learns a device's port from its first frame past DHCP,
+	// and until then has no next hop toward it: b pings the router first.
+	b.SendRaw(packet.NewICMPEchoFrame(b.MAC, r.Config.RouterMAC, b.IP(), r.Config.RouterIP,
+		packet.ICMPEchoRequest, 1, 1, []byte("hello")).Bytes())
+	// b's observer counts a's frames that came through the router: the
+	// router rewrote their source MAC to its own.
+	var received atomic.Int64
+	b.SetOnFrame(func(frame []byte) {
+		var d packet.Decoded
+		if d.Decode(frame) == nil && d.HasUDP && d.IP.Src == a.IP() && d.Eth.Src == r.Config.RouterMAC {
+			received.Add(1)
+		}
+	})
 	app := netsim.NewApp(netsim.AppIoT, b.IP().String(), 4_000)
 	a.AddApp(app)
 	for i := 0; i < 8; i++ {
@@ -272,12 +286,7 @@ func TestIntraHomeTrafficTraversesRouter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// b received frames, and they came through the router (dst MAC
-	// rewritten by the router, src MAC = router MAC).
-	waitFor(t, 5*time.Second, func() bool {
-		frames, _ := b.RxStats()
-		return frames > 0
-	})
+	waitFor(t, 5*time.Second, func() bool { return received.Load() > 0 })
 	if r.Net.BypassedFrames() != 0 {
 		t.Errorf("frames bypassed the router under /32: %d", r.Net.BypassedFrames())
 	}
@@ -409,7 +418,7 @@ func TestPingRouter(t *testing.T) {
 	r := startRouter(t, nil)
 	h := join(t, r, "pinger", "02:aa:00:00:00:0c", false, netsim.Pos{})
 	got := make(chan struct{}, 1)
-	h.OnFrame = func(frame []byte) {
+	h.SetOnFrame(func(frame []byte) {
 		var d packet.Decoded
 		if err := d.Decode(frame); err == nil && d.HasICMP && d.ICMP.Type == packet.ICMPEchoReply {
 			select {
@@ -417,7 +426,7 @@ func TestPingRouter(t *testing.T) {
 			default:
 			}
 		}
-	}
+	})
 	ping := packet.NewICMPEchoFrame(h.MAC, r.Config.RouterMAC, h.IP(), r.Config.RouterIP,
 		packet.ICMPEchoRequest, 1, 1, []byte("hello"))
 	h.SendRaw(ping.Bytes())
@@ -583,7 +592,7 @@ func TestDuplicateAckLeavesHostUsable(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var ack []byte
-	h.OnFrame = func(f []byte) {
+	h.SetOnFrame(func(f []byte) {
 		var d packet.Decoded
 		if d.Decode(f) == nil && d.HasUDP && d.UDP.DstPort == packet.DHCPClientPort {
 			var m packet.DHCP
@@ -593,7 +602,7 @@ func TestDuplicateAckLeavesHostUsable(t *testing.T) {
 				mu.Unlock()
 			}
 		}
-	}
+	})
 	if err := r.JoinHost(h); err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,8 @@ func (p *Port) countRxN(frames, bytes int) {
 	p.mu.Unlock()
 }
 
-// countTx charges one transmitted frame and returns the sink to hand it to.
+// countTx charges one transmitted frame and returns the sink to hand it to:
+// a frame sent without a run (a flood).
 func (p *Port) countTx(n int) func(frame []byte) {
 	p.mu.Lock()
 	p.stats.TxPackets++
@@ -69,12 +70,37 @@ func (p *Port) countTx(n int) func(frame []byte) {
 	return out
 }
 
+// countTxN charges the frames a run sent out of the port, in one lock
+// acquisition.
+func (p *Port) countTxN(frames, bytes uint64) {
+	p.mu.Lock()
+	p.stats.TxPackets += frames
+	p.stats.TxBytes += bytes
+	p.mu.Unlock()
+}
+
+// sink returns the port's delivery function, for a run that resolves the
+// port.
+func (p *Port) sink() func(frame []byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.Out
+}
+
 // SetOut atomically replaces the port's delivery function (tests and
-// rewiring).
+// rewiring). A run reads the sink once, when it resolves the port
+// (batchRun), so the new function applies from the next call into the
+// datapath, not to the rest of a call in progress: set it before traffic.
 func (p *Port) SetOut(fn func(frame []byte)) {
 	p.mu.Lock()
 	p.Out = fn
 	p.mu.Unlock()
+}
+
+// forwards reports whether the port transmits: it is neither down nor
+// configured not to forward.
+func (p *Port) forwards() bool {
+	return p.Config&(openflow.PortConfigDown|openflow.PortConfigNoFwd) == 0
 }
 
 // CountRxDrop records a receive-side drop (e.g. wireless loss).
@@ -349,7 +375,13 @@ func (dp *Datapath) ReceiveBatch(inPort uint16, fb *packet.FrameBatch) {
 // consecutive frames of one flow pay once for what they share. Each part
 // is a shortcut past a lookup, never past the accounting: every frame is
 // still counted as a lookup and a match, charged to its entry and to its
-// output port, and handed to the sink on its own.
+// output port, and handed to the sink on its own. A frame's charges are
+// added up in the run and committed once: to the entry and the table
+// before the run looks up a frame of another key or table generation, to
+// the port before it resolves another port, and all of them in done, which
+// every caller runs before it returns. So a flow's or a port's counters are
+// exact whenever no call into the datapath is in progress, which is when a
+// flow-removed, a stats reply or a StatsView walk is built.
 //
 //   - The entry: a frame whose exact-match key equals the previous frame's
 //     matches what that one matched, provided the table has not changed.
@@ -359,8 +391,8 @@ func (dp *Datapath) ReceiveBatch(inPort uint16, fb *packet.FrameBatch) {
 //     first rewrite and handed back by done. A sink has a frame for the
 //     call only (Port), so the next frame may overwrite it; a sink that
 //     re-enters the datapath does so under a run of its own.
-//   - The port the previous frame left by, while no port has been added or
-//     removed.
+//   - The port the previous frame left by, and its sink, while no port has
+//     been added or removed.
 //   - A repeat (packet.FrameBatch.Repeats) is its twin's bytes again, so it
 //     keeps the twin's decode and key. When the scratch still holds the
 //     twin as the same action list rewrote it, and that list rewrites
@@ -373,6 +405,10 @@ type batchRun struct {
 	key      openflow.Match
 	entry    *FlowEntry // nil: the previous frame missed, or there was none
 	tableGen uint64
+	// hits and hitBytes are the frames matched to entry without a lookup and
+	// not yet charged, the latest at clock reading hitAt (UnixNano).
+	hits, hitBytes uint64
+	hitAt          int64
 
 	sc *execScratch
 	// rewrote is the action list whose rewrite of the run's latest frame
@@ -383,23 +419,42 @@ type batchRun struct {
 	repeat bool
 
 	out     *Port
+	sink    func(frame []byte) // out's, read as the run resolved it
 	portGen uint64
+	// sent and sentBytes are the frames sent out of out and not yet charged.
+	sent, sentBytes uint64
 }
 
-// port is dp.Port for the transmit path of a run (which may be nil).
-func (run *batchRun) port(dp *Datapath, no uint16) (*Port, bool) {
-	if run == nil {
-		return dp.Port(no)
-	}
+// port is dp.Port for the transmit path of a run, with the port's sink.
+func (run *batchRun) port(dp *Datapath, no uint16) (*Port, func(frame []byte), bool) {
 	gen := dp.portGen.Load()
 	if run.out != nil && run.out.No == no && run.portGen == gen {
-		return run.out, true
+		return run.out, run.sink, true
 	}
+	run.chargePort()
 	p, ok := dp.Port(no)
-	if ok {
-		run.out, run.portGen = p, gen
+	if !ok {
+		return nil, nil, false
 	}
-	return p, ok
+	run.out, run.sink, run.portGen = p, p.sink(), gen
+	return p, run.sink, true
+}
+
+// chargeEntry commits the frames the run matched to its entry without a
+// lookup.
+func (run *batchRun) chargeEntry(t *FlowTable) {
+	if run.hits > 0 {
+		t.charge(run.entry, run.hits, run.hitBytes, run.hitAt)
+		run.hits, run.hitBytes = 0, 0
+	}
+}
+
+// chargePort commits the frames the run sent out of its port.
+func (run *batchRun) chargePort() {
+	if run.sent > 0 {
+		run.out.countTxN(run.sent, run.sentBytes)
+		run.sent, run.sentBytes = 0, 0
+	}
 }
 
 // scratch returns the run's scratch buffer holding a copy of frame.
@@ -411,8 +466,10 @@ func (run *batchRun) scratch(dp *Datapath, frame []byte) []byte {
 	return run.sc.buf
 }
 
-// done hands back what the run borrowed.
+// done commits what the run owes and hands back what it borrowed.
 func (run *batchRun) done(dp *Datapath) {
+	run.chargeEntry(dp.table)
+	run.chargePort()
 	if run.sc != nil {
 		dp.putScratch(run.sc)
 		run.sc = nil
@@ -431,8 +488,11 @@ func (dp *Datapath) receiveDecoded(p *Port, inPort uint16, frame []byte, d *pack
 	gen := dp.table.gen.Load()
 	entry := run.entry
 	if entry != nil && run.tableGen == gen && (run.repeat || run.key == key) {
-		dp.table.again(entry, len(frame), nanos)
+		run.hits++
+		run.hitBytes += uint64(len(frame))
+		run.hitAt = nanos
 	} else {
+		run.chargeEntry(dp.table)
 		entry = dp.table.lookup(&key, d, len(frame), nanos)
 		run.key, run.entry, run.tableGen = key, entry, gen
 	}
@@ -576,14 +636,25 @@ func (dp *Datapath) putScratch(sc *execScratch) {
 	dp.scratchMu.Unlock()
 }
 
-// transmit sends a frame out of a port; run, when the caller has one,
-// remembers the port for the next frame.
+// transmit sends a frame out of a port. A run, when the caller has one,
+// remembers the port for the next frame and charges the frame to it; a
+// frame sent without one is charged as it goes.
 func (dp *Datapath) transmit(portNo uint16, frame []byte, run *batchRun) {
-	p, ok := run.port(dp, portNo)
-	if !ok || p.Config&openflow.PortConfigDown != 0 || p.Config&openflow.PortConfigNoFwd != 0 {
+	if run == nil {
+		if p, ok := dp.Port(portNo); ok && p.forwards() {
+			if out := p.countTx(len(frame)); out != nil {
+				out(frame)
+			}
+		}
 		return
 	}
-	if out := p.countTx(len(frame)); out != nil {
+	p, out, ok := run.port(dp, portNo)
+	if !ok || !p.forwards() {
+		return
+	}
+	run.sent++
+	run.sentBytes += uint64(len(frame))
+	if out != nil {
 		out(frame)
 	}
 }

@@ -35,7 +35,7 @@ func (v StatsView) Flows(since int64, fn func(m openflow.Match, packets, bytes u
 	t := v.dp.table
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	// lastUsed is stored after the counters are added (touch), so an entry
+	// lastUsed is stored after the counters are added (charge), so an entry
 	// that reads as used since also reads with that use counted.
 	for _, e := range t.exact {
 		if e.lastUsed.Load() >= since {

@@ -22,7 +22,11 @@
 // reading wait behind that punt and leave, in order, when the controller's
 // answer references its buffer (docs/CONTROL_PLANE.md, P1 and P2). A reader
 // in the same process, the measurement plane, reads flow and port counters
-// in place through StatsView rather than through stats requests.
+// in place through StatsView rather than through stats requests. Those
+// counters are exact between calls into the datapath: a run of one flow's
+// frames adds up what they owe and commits it, once, before its call
+// returns (batchRun), and flow-removeds, stats replies and StatsView walks
+// are all built between calls.
 package datapath
 
 import (
@@ -40,8 +44,11 @@ import (
 )
 
 // FlowEntry is one row of the flow table with its counters. The counters
-// are atomics so the per-packet lookup path can charge them under the
-// table's read lock, letting all ports match concurrently.
+// are atomics so the lookup path can charge them under the table's read
+// lock, letting all ports match concurrently. The frames a run matches to
+// the entry without a lookup each are charged together, before the run's
+// call into the datapath returns (batchRun): the counters are exact
+// whenever no call is in progress.
 type FlowEntry struct {
 	Match       openflow.Match
 	Priority    uint16
@@ -74,11 +81,20 @@ func (e *FlowEntry) LastUsed() (t time.Time, ok bool) {
 	return time.Unix(0, n), true
 }
 
-// touch charges one matched packet to the entry's counters.
-func (e *FlowEntry) touch(frameLen int, nowNanos int64) {
-	e.packets.Add(1)
-	e.bytes.Add(uint64(frameLen))
-	e.lastUsed.Store(nowNanos)
+// charge adds matched packets to the entry's counters, the last of them
+// matched at clock reading nanos. lastUsed only moves forward: a charge
+// committed after a later one (a run that outlived a nested call, or a
+// call on another port) keeps the later reading, so that the table's due
+// bound stays early, never late.
+func (e *FlowEntry) charge(packets, bytes uint64, nanos int64) {
+	e.packets.Add(packets)
+	e.bytes.Add(bytes)
+	for {
+		last := e.lastUsed.Load()
+		if last >= nanos || e.lastUsed.CompareAndSwap(last, nanos) {
+			return
+		}
+	}
 }
 
 // deadline is the earliest the entry can expire if nothing matches it after
@@ -172,6 +188,10 @@ func (t *FlowTable) Counters() (lookups, matched uint64) {
 // charges the entry's counters. Exact entries win over wildcarded ones, as
 // in OpenFlow 1.0. Lookups run under the read lock — counters are atomics
 // — so the per-packet path never serializes ports behind a single mutex.
+// The datapath's runs charge the frames they match without a lookup when
+// they move to another entry or end (batchRun), so Counters and the
+// entries' counters are exact between calls into the datapath, not inside
+// one.
 func (t *FlowTable) Lookup(d *packet.Decoded, inPort uint16, frameLen int, now time.Time) *FlowEntry {
 	key := openflow.MatchFromFrame(d, inPort)
 	return t.lookup(&key, d, frameLen, now.UnixNano())
@@ -183,13 +203,12 @@ func (t *FlowTable) lookup(key *openflow.Match, d *packet.Decoded, frameLen int,
 	return t.match(key, d, frameLen, nanos)
 }
 
-// again is lookup for a frame whose exact-match key is that of a frame e
-// matched, in a table that has not changed since: everything a lookup
-// counts, without the lookup.
-func (t *FlowTable) again(e *FlowEntry, frameLen int, nanos int64) {
-	t.lookups.Add(1)
-	t.matched.Add(1)
-	e.touch(frameLen, nanos)
+// charge commits frames a run matched to e without a lookup each (batchRun):
+// every one counts as a lookup and a match.
+func (t *FlowTable) charge(e *FlowEntry, frames, bytes uint64, nanos int64) {
+	t.lookups.Add(frames)
+	t.matched.Add(frames)
+	e.charge(frames, bytes, nanos)
 }
 
 // match finds and charges a frame's entry without counting a lookup: the
@@ -199,13 +218,13 @@ func (t *FlowTable) match(key *openflow.Match, d *packet.Decoded, frameLen int, 
 	defer t.mu.RUnlock()
 	if e, ok := t.exact[*key]; ok {
 		t.matched.Add(1)
-		e.touch(frameLen, nanos)
+		e.charge(1, uint64(frameLen), nanos)
 		return e
 	}
 	for _, e := range t.wild {
 		if e.Match.Matches(d, key.InPort) {
 			t.matched.Add(1)
-			e.touch(frameLen, nanos)
+			e.charge(1, uint64(frameLen), nanos)
 			return e
 		}
 	}

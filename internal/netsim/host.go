@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/packet"
 )
@@ -59,14 +60,8 @@ type Host struct {
 	// txBatch is the host's owned batch, lazily created and reused.
 	txBatch *packet.FrameBatch
 
-	// RxBytes/RxFrames count frames delivered to this host.
-	RxBytes  uint64
-	RxFrames uint64
-	// OnFrame, when set, observes every delivered frame (tests, UIs).
-	// The frame may alias a sender's reused scratch buffer and is only
-	// valid for the duration of the call; copy it to retain it. It is
-	// read-only: its bytes may be the next frame's too.
-	OnFrame func(frame []byte)
+	// onFrame is the observer SetOnFrame installed, or nil.
+	onFrame atomic.Pointer[func(frame []byte)]
 }
 
 type dnsQuery struct {
@@ -135,11 +130,18 @@ func (h *Host) send(frame []byte) { h.net.fromHost(h, frame) }
 // SendRaw transmits a prebuilt frame (tests and special probes).
 func (h *Host) SendRaw(frame []byte) { h.send(frame) }
 
-// RxStats returns how many frames and bytes the host has received.
-func (h *Host) RxStats() (frames, bytes uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.RxFrames, h.RxBytes
+// SetOnFrame installs fn to observe every frame delivered to the host
+// (tests, UIs); nil removes it. The frame may alias a sender's reused
+// scratch buffer and is only valid for the duration of the call; copy it to
+// retain it. It is read-only: its bytes may be the next frame's too. The
+// host keeps no receive counters of its own: what reaches it is what its
+// switch port transmitted (datapath.Port.Stats).
+func (h *Host) SetOnFrame(fn func(frame []byte)) {
+	if fn == nil {
+		h.onFrame.Store(nil)
+		return
+	}
+	h.onFrame.Store(&fn)
 }
 
 // StartDHCP begins address acquisition.
@@ -178,17 +180,12 @@ func (h *Host) Release() {
 
 // Deliver hands a frame received from the network to the host stack. The
 // stack acts only on ARP and on UDP (DHCP, DNS), so an IPv4 frame of any
-// other protocol is counted and observed, and not decoded: its EtherType
+// other protocol is observed and not decoded, under no lock: its EtherType
 // and protocol are read at their fixed offsets. Every other frame is
 // decoded in full. Deliver never writes the frame.
 func (h *Host) Deliver(frame []byte) {
-	h.mu.Lock()
-	h.RxFrames++
-	h.RxBytes += uint64(len(frame))
-	onFrame := h.OnFrame
-	h.mu.Unlock()
-	if onFrame != nil {
-		onFrame(frame)
+	if onFrame := h.onFrame.Load(); onFrame != nil {
+		(*onFrame)(frame)
 	}
 	if len(frame) > ipProtoAt &&
 		binary.BigEndian.Uint16(frame[12:14]) == uint16(packet.EtherTypeIPv4) &&

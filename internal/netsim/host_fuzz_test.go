@@ -30,13 +30,8 @@ const fuzzXID = 7
 // in full, then dispatched. The apps' deliver hook it used to walk for TCP,
 // UDP and ICMP frames did nothing and is gone.
 func refDeliver(h *Host, frame []byte) {
-	h.mu.Lock()
-	h.RxFrames++
-	h.RxBytes += uint64(len(frame))
-	onFrame := h.OnFrame
-	h.mu.Unlock()
-	if onFrame != nil {
-		onFrame(frame)
+	if onFrame := h.onFrame.Load(); onFrame != nil {
+		(*onFrame)(frame)
 	}
 	var d packet.Decoded
 	if err := d.Decode(frame); err != nil {
@@ -84,7 +79,7 @@ func newFuzzHost(t *testing.T, st dhcpState) *fuzzHost {
 	if err := dp.Table().Add(&datapath.FlowEntry{Match: openflow.MatchAll(), Priority: 1, Actions: toRecorder}, false); err != nil {
 		t.Fatal(err)
 	}
-	h.OnFrame = func(f []byte) { fh.observed = append(fh.observed, bytes.Clone(f)) }
+	h.SetOnFrame(func(f []byte) { fh.observed = append(fh.observed, bytes.Clone(f)) })
 	h.ip, h.mask, h.gw, h.dns = fuzzHostIP, 24, fuzzGWIP, fuzzDNSIP
 	h.state, h.xid = st, fuzzXID
 	h.arp[fuzzGWIP] = fuzzGWMAC
@@ -107,8 +102,8 @@ func (fh *fuzzHost) state() string {
 		waiting = append(waiting, id)
 	}
 	slices.Sort(waiting)
-	return fmt.Sprintf("rx %d/%d\narp %v\narpWait %x\ndhcp %d xid %d ip %s/%d gw %s dns %s\nresolved %v\ndnsWait %v\nanswers %v\nobserved %x\nsent %x",
-		h.RxFrames, h.RxBytes, h.arp, h.arpWait, h.state, h.xid, h.ip, h.mask, h.gw, h.dns,
+	return fmt.Sprintf("arp %v\narpWait %x\ndhcp %d xid %d ip %s/%d gw %s dns %s\nresolved %v\ndnsWait %v\nanswers %v\nobserved %x\nsent %x",
+		h.arp, h.arpWait, h.state, h.xid, h.ip, h.mask, h.gw, h.dns,
 		h.resolved, waiting, fh.answers, fh.observed, fh.sent)
 }
 
@@ -193,9 +188,9 @@ func fuzzHostSeeds(tb testing.TB) [][]byte {
 
 // FuzzHostDeliver: for any frame, and in any DHCP state, Host.Deliver —
 // which decodes in full only what the stack can act on — leaves the host
-// exactly as the always-decoding refDeliver does: the same receive
-// counters, ARP table and queue, DHCP state and lease, DNS answers and
-// waiters, the same frames observed and the same frames sent in reply.
+// exactly as the always-decoding refDeliver does: the same ARP table and
+// queue, DHCP state and lease, DNS answers and waiters, the same frames
+// observed and the same frames sent in reply.
 // Neither writes the frame.
 func FuzzHostDeliver(f *testing.F) {
 	for _, frame := range fuzzHostSeeds(f) {
