@@ -144,11 +144,14 @@ func (f *Forwarder) FlushFlows(sw *nox.Switch) {
 	}
 }
 
-// learn records which port a MAC was last seen on.
-func (f *Forwarder) learn(mac packet.MAC, port uint16) {
+// learnSender records the port a packet-in's sender was last seen on. The
+// router runs it on every packet-in before any module, the DHCP and DNS
+// modules included, which consume their frames.
+func (f *Forwarder) learnSender(ev *nox.PacketInEvent) nox.Disposition {
 	f.mu.Lock()
-	f.macPort[mac] = port
+	f.macPort[ev.Decoded.Eth.Src] = ev.Msg.InPort
 	f.mu.Unlock()
+	return nox.Continue
 }
 
 func (f *Forwarder) portFor(mac packet.MAC) (uint16, bool) {
@@ -160,7 +163,6 @@ func (f *Forwarder) portFor(mac packet.MAC) (uint16, bool) {
 
 func (f *Forwarder) handlePacketIn(ev *nox.PacketInEvent) nox.Disposition {
 	d := ev.Decoded
-	f.learn(d.Eth.Src, ev.Msg.InPort)
 	switch {
 	case d.HasARP:
 		f.handleARP(ev)

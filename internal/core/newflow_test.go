@@ -118,7 +118,8 @@ func TestDeviceMoveRebuildsItsActions(t *testing.T) {
 	host := join(t, r, "laptop", "02:aa:00:00:00:52", false, netsim.Pos{})
 	const before, after = 11, 12 // the ports the device is seen on
 	dispatch := func(evs []nox.PacketInEvent) {
-		for i := range evs {
+		for i := range evs { // as the controller runs them: learn, then forward
+			r.Forwarder.learnSender(&evs[i])
 			r.Forwarder.handlePacketIn(&evs[i])
 		}
 		if err := r.Switch().Barrier(); err != nil {

@@ -239,7 +239,10 @@ func New(cfg Config) (*Router, error) {
 	// the controller stamps dispatch/emit/credit/barrier.
 	r.Controller.SetTracer(r.Tracer)
 	// Registration order is the dispatch order: DHCP and DNS consume
-	// their protocols before the forwarder sees anything.
+	// their protocols before the forwarder sees anything. The forwarder
+	// learns where each sender is ahead of all of them, so a device whose
+	// only frames so far were its DHCP exchange is already reachable.
+	r.Controller.OnPacketIn(r.Forwarder.learnSender)
 	for _, comp := range []nox.Component{r.DHCP, r.DNS, r.API, r.Forwarder} {
 		if err := r.Controller.Register(comp); err != nil {
 			return nil, err

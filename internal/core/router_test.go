@@ -301,6 +301,37 @@ func TestIntraHomeTrafficTraversesRouter(t *testing.T) {
 	}
 }
 
+// A device whose DHCP exchange is all it has sent is reachable from inside
+// the home: the DHCP module consumes that exchange, so the forwarder learns
+// each sender's port from every packet-in before any module runs, and the
+// first frame toward the device finds its port and is routed, not dropped.
+func TestLeasedOnlyDeviceIsReachable(t *testing.T) {
+	r := startRouter(t, nil)
+	a := join(t, r, "host-a", "02:aa:00:00:00:16", false, netsim.Pos{})
+	b := join(t, r, "host-b", "02:aa:00:00:00:17", false, netsim.Pos{})
+
+	var received atomic.Int64
+	b.SetOnFrame(func(frame []byte) {
+		var d packet.Decoded
+		if d.Decode(frame) == nil && d.HasUDP && d.IP.Src == a.IP() && d.Eth.Src == r.Config.RouterMAC {
+			received.Add(1)
+		}
+	})
+	a.AddApp(netsim.NewApp(netsim.AppIoT, b.IP().String(), 4_000))
+	for i := 0; i < 8; i++ {
+		r.Net.Step(0.25)
+		if err := r.Settle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if received.Load() == 0 {
+		t.Fatalf("no frame of a's reached b, which had only leased")
+	}
+	if r.Net.BypassedFrames() != 0 {
+		t.Errorf("frames bypassed the router under /32: %d", r.Net.BypassedFrames())
+	}
+}
+
 func TestAblationDirectL2HidesTraffic(t *testing.T) {
 	r := startRouter(t, func(c *Config) {
 		c.HostRoutes = false // conventional /24 leases

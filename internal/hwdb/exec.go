@@ -42,6 +42,11 @@ func (r *Result) Text() string {
 // same query again and again holds on to, and hands to DB.Select.
 func ParseSelect(cql string) (*SelectStmt, error) {
 	st, err := Parse(cql)
+	return onlySelect(cql, st, err)
+}
+
+// onlySelect is ParseSelect's answer for cql, given what cql parsed to.
+func onlySelect(cql string, st Stmt, err error) (*SelectStmt, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -52,9 +57,54 @@ func ParseSelect(cql string) (*SelectStmt, error) {
 	return sel, nil
 }
 
-// Query parses and executes a SELECT statement.
+// The text path's parse cache. A display sends the same statement text on
+// every refresh, so Query and Exec parse a SELECT once per distinct text
+// and look it up after that; a warm lookup allocates nothing. The cache is
+// process-wide, like the select working-set pool: a statement does not
+// depend on the database it runs against. It holds SELECTs of at most
+// maxCachedText bytes, never a parse error, and is emptied when it holds
+// maxCachedSelects and another joins. A cached statement is shared by
+// every goroutine that sends its text, which is safe because Select never
+// writes its statement, and it never leaves this package.
+const (
+	maxCachedSelects = 64
+	maxCachedText    = 1 << 10
+)
+
+var parsed struct {
+	sync.Mutex
+	selects map[string]*SelectStmt
+}
+
+// parseCached is Parse through the cache.
+func parseCached(cql string) (Stmt, error) {
+	parsed.Lock()
+	sel, ok := parsed.selects[cql]
+	parsed.Unlock()
+	if ok {
+		return sel, nil
+	}
+	st, err := Parse(cql)
+	if sel, ok := st.(*SelectStmt); ok && err == nil && len(cql) <= maxCachedText {
+		parsed.Lock()
+		if len(parsed.selects) >= maxCachedSelects {
+			clear(parsed.selects)
+		}
+		if parsed.selects == nil {
+			parsed.selects = make(map[string]*SelectStmt, maxCachedSelects)
+		}
+		// A copy of the key: cql may be a slice of a request datagram.
+		parsed.selects[strings.Clone(cql)] = sel
+		parsed.Unlock()
+	}
+	return st, err
+}
+
+// Query parses and executes a SELECT statement. A text parsed before is
+// not parsed again while it stays in the parse cache.
 func (db *DB) Query(cql string) (*Result, error) {
-	sel, err := ParseSelect(cql)
+	st, err := parseCached(cql)
+	sel, err := onlySelect(cql, st, err)
 	if err != nil {
 		return nil, err
 	}
@@ -62,9 +112,9 @@ func (db *DB) Query(cql string) (*Result, error) {
 }
 
 // Exec parses and executes any statement, returning a result for SELECT and
-// nil for others.
+// nil for others. A SELECT's text is parsed once, as Query's is.
 func (db *DB) Exec(cql string) (*Result, error) {
-	st, err := Parse(cql)
+	st, err := parseCached(cql)
 	if err != nil {
 		return nil, err
 	}
@@ -96,6 +146,10 @@ type rowSink interface {
 // under the table's read lock, so an insert into that table waits for the
 // window to be walked — microseconds for the windowed reads the displays
 // make, the whole ring for a window-less SELECT *.
+//
+// Select never writes its statement, so one statement may run on any
+// number of goroutines at once: the parse cache's statements and the
+// displays' package-level ones are shared on this rule.
 func (db *DB) Select(sel *SelectStmt) (*Result, error) {
 	t, ok := db.Table(sel.Table)
 	if !ok {

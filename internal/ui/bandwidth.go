@@ -45,10 +45,14 @@ type BandwidthView struct {
 	flowsFor time.Duration
 
 	// A refresh's working maps, cleared and refilled by each: bytes per
-	// device and service, bytes per device, and hostnames.
+	// device and service, and bytes per device.
 	agg    map[serviceKey]uint64
 	totals map[packet.MAC]uint64
-	names  map[packet.MAC]string
+	// Hostnames, as selected from leases when its insert count was
+	// leasesAt; refilled only when either has moved.
+	names    map[packet.MAC]string
+	leases   *hwdb.Table
+	leasesAt uint64
 }
 
 // serviceKey is one line of the display: a device and a service.
@@ -74,13 +78,25 @@ func NewBandwidthView(db *hwdb.DB) *BandwidthView {
 	return &BandwidthView{DB: db, Window: 10 * time.Second}
 }
 
-// hostnames refills v.names: MAC -> latest hostname from the Leases table.
+// hostnames keeps v.names as MAC -> latest hostname from the Leases table.
+// The select reads the whole ring, which only an insert changes, so while
+// the table and its insert count are those of the last select the map
+// already holds what the select would give, and it is not run.
 func (v *BandwidthView) hostnames() {
+	t, ok := v.DB.Table(hwdb.TableLeases)
+	var ins uint64
+	if ok {
+		ins, _ = t.Stats()
+		if t == v.leases && ins == v.leasesAt {
+			return
+		}
+	}
 	clear(v.names)
 	res, err := v.DB.Select(leaseNames)
 	if err != nil {
 		return
 	}
+	v.leases, v.leasesAt = t, ins
 	for _, row := range res.Rows {
 		if row[2].Str == "add" && row[1].Str != "" {
 			v.names[row[0].MAC()] = row[1].Str
@@ -91,8 +107,9 @@ func (v *BandwidthView) hostnames() {
 // Rows computes the current display rows, most-consuming device first (the
 // left-hand side of Figure 5's screenshot), each device's services sorted
 // by volume (its right-hand side), services of equal volume by name. A
-// refresh allocates its selects' results, the rows it returns and the
-// names of devices without a hostname.
+// refresh allocates its Flows select's result, the rows it returns and the
+// names of devices without a hostname, and the Leases select's result only
+// when a lease has been written since the last refresh.
 func (v *BandwidthView) Rows() ([]BandwidthRow, error) {
 	window := v.Window
 	if window <= 0 {

@@ -18,7 +18,7 @@ var raceEnabled bool
 // have filled and aged, four devices (two of them wireless) whose
 // measurement rows keep arriving on a simulated clock — and returns one
 // tick of it: a poll's rows, then what the displays read each 250 ms — the
-// Figure-1 statement as a client sends it (parsed, then selected), the
+// Figure-1 statement as a client sends it (as text, to DB.Query), the
 // bandwidth view's rows and one step of the artifact in signal mode.
 func displayTick(tb testing.TB) func() {
 	const figure1 = "SELECT mac, proto, dport, sport, sum(bytes) AS bytes FROM Flows [RANGE 10 SECONDS] GROUP BY mac, proto, dport, sport"
@@ -95,10 +95,12 @@ func displayTick(tb testing.TB) func() {
 }
 
 // BenchmarkDisplayReads runs displayTick per op. A warm tick allocates
-// what the displays keep or hand on: the Figure-1 statement's parse, the
-// result of each of its four selects (Result, Cols, one block of cells,
-// the row headers — the working sets they were built in are pooled), the
-// bandwidth rows and the LED strip; TestDisplayReadsAllocations pins it.
+// what the displays hand on: the result of each of its three selects
+// (Result, Cols, one block of cells, the row headers — the working sets
+// they were built in are pooled), the bandwidth rows and the LED strip.
+// The Figure-1 text is parsed once, on the first tick, and the Leases
+// select runs only on a tick after a lease was written;
+// TestDisplayReadsAllocations pins it.
 //
 //	go test -run '^$' -bench DisplayReads -benchtime 2000x -memprofile mem.out ./internal/ui
 //
@@ -114,18 +116,47 @@ func BenchmarkDisplayReads(b *testing.B) {
 	}
 }
 
-// TestDisplayReadsAllocations pins a display tick: 23 allocations once the
-// selects' working sets are pooled and the bandwidth view keeps its maps —
-// the parse's 5, four results of 4, the bandwidth rows and the LED strip.
-// A select that threw its working set away again would cost several more
-// each, and a view rebuilding its maps three more.
+// TestDisplayReadsAllocations pins a display tick: 14 allocations once the
+// selects' working sets are pooled, the bandwidth view keeps its maps, a
+// repeated text is not parsed again and an unchanged Leases table is not
+// selected again — three results of 4, the bandwidth rows and the LED
+// strip. A parse would cost 5 more, a Leases select 4, a select that threw
+// its working set away again several more each, and a view rebuilding its
+// maps three more.
 func TestDisplayReadsAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
 	}
 	tick := displayTick(t)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
-	if got := testing.AllocsPerRun(200, tick); got > 40 {
-		t.Errorf("a display tick allocates %.0f times, want at most 40", got)
+	if got := testing.AllocsPerRun(200, tick); got > 16 {
+		t.Errorf("a display tick allocates %.0f times, want at most 16", got)
+	}
+}
+
+// A refresh with no lease written since the last does not select Leases:
+// it allocates what its Flows select and its rows do. A lease written
+// before each refresh brings that select back.
+func TestRefreshWithoutNewLeaseSkipsLeases(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	db := seededDB(clock.NewSimulated())
+	v := NewBandwidthView(db)
+	if _, err := v.Rows(); err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
+	flows := testing.AllocsPerRun(100, func() { _, _ = db.Select(v.flows) })
+	idle := testing.AllocsPerRun(100, func() { _, _ = v.Rows() })
+	if idle != flows+1 {
+		t.Errorf("a refresh with no new lease allocates %.0f times, want the Flows select's %.0f and its rows' 1", idle, flows)
+	}
+	leased := testing.AllocsPerRun(100, func() {
+		_ = db.InsertLease("add", phoneMAC, packet.MustIP4("192.168.1.11"), "kids-phone")
+		_, _ = v.Rows()
+	})
+	if leased <= idle {
+		t.Errorf("a refresh after a lease allocates %.0f times, no more than one without (%.0f)", leased, idle)
 	}
 }

@@ -2,6 +2,7 @@ package ui
 
 import (
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -167,6 +168,53 @@ func TestDisplaysParseOncePerWindowAndMAC(t *testing.T) {
 	a.MAC = laptopMAC
 	if rssi, ok := a.rssi(); !ok || rssi != -85 {
 		t.Fatalf("after the artifact changed hands: rssi = %d, %v, want the laptop's -85", rssi, ok)
+	}
+}
+
+// A lease written between two refreshes names its device on the next one,
+// and a later lease renames it: the view keeps its hostnames only while
+// the Leases table has had no insert, and what it keeps is what a fresh
+// view reads.
+func TestBandwidthNamesFollowNewLeases(t *testing.T) {
+	clk := clock.NewSimulated()
+	db := seededDB(clk)
+	v := NewBandwidthView(db)
+	tvMAC, tvIP := packet.MustMAC("02:aa:00:00:00:03"), packet.MustIP4("192.168.1.12")
+	_ = db.InsertFlow(tvMAC, packet.FiveTuple{
+		Src: tvIP, Dst: packet.MustIP4("142.250.180.14"),
+		Proto: packet.ProtoTCP, SrcPort: 50002, DstPort: 443,
+	}, 50, 90_000)
+	deviceOf := func(mac packet.MAC) string {
+		t.Helper()
+		rows, err := v.Rows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewBandwidthView(db).Rows()
+		if err != nil || !reflect.DeepEqual(rows, fresh) {
+			t.Fatalf("the kept view's rows %v differ from a fresh view's %v (%v)", rows, fresh, err)
+		}
+		for _, r := range rows {
+			if r.MAC == mac {
+				return r.Device
+			}
+		}
+		t.Fatalf("no row for %s", mac)
+		return ""
+	}
+	if got := deviceOf(tvMAC); got != tvMAC.String() {
+		t.Fatalf("before its lease the TV shows as %q, want its MAC", got)
+	}
+	_ = db.InsertLease("add", tvMAC, tvIP, "living-room-tv")
+	if got := deviceOf(tvMAC); got != "living-room-tv" {
+		t.Fatalf("after its lease the TV shows as %q", got)
+	}
+	if got := deviceOf(tvMAC); got != "living-room-tv" {
+		t.Fatalf("a refresh with no new lease shows the TV as %q", got)
+	}
+	_ = db.InsertLease("add", tvMAC, tvIP, "den-tv")
+	if got := deviceOf(tvMAC); got != "den-tv" {
+		t.Fatalf("after its second lease the TV shows as %q", got)
 	}
 }
 
