@@ -13,8 +13,9 @@
 // ShardClient contract over TCP (internal/fleet/shardrpc), populating
 // each home the coordinator assigns from the scenario; a coordinator
 // given -workers drives those shards over the network instead of
-// in-process engines, with each worker's telemetry relayed back into the
-// federated view under the same delivered+lost == inserts accounting:
+// in-process engines, with each worker's telemetry relayed back into a
+// coordinator-side hub and folded into the federated view under the same
+// delivered+lost == inserts accounting:
 //
 //	hwfleetd -worker -listen 127.0.0.1:7701 -shard-index 0
 //	hwfleetd -worker -listen 127.0.0.1:7702 -shard-index 1
@@ -115,9 +116,9 @@ func runWorker(s fleet.Scenario, listen string, index int) {
 // runCoordinator drives the scenario over remote workers: same step and
 // aggregation cadence as the in-process runner, but every shard call is
 // a shardrpc round trip and every shard's telemetry arrives through a
-// relay. The final report reconciles the relayed books against the
+// relay hub. The final report reconciles the relayed books against the
 // workers' own: delivered+lost must sum identically on both sides of the
-// wire.
+// wire, and the global folder must have folded every delivered row.
 func runCoordinator(s fleet.Scenario, addrs []string, quiet bool) {
 	f := fleet.New(fleet.Config{
 		WorkerAddrs: addrs,
@@ -166,8 +167,8 @@ func runCoordinator(s fleet.Scenario, addrs []string, quiet bool) {
 	var sumDelivered, sumLost uint64
 	fmt.Println("workers (engine-local books over the wire):")
 	for _, ss := range f.ShardStats() {
-		fmt.Printf("  shard %-3d %4d homes  %10d delivered + %6d lost  %10d rows folded\n",
-			ss.Shard, ss.Homes, ss.Hub.Delivered, ss.Hub.Lost, ss.Totals.Rows)
+		fmt.Printf("  shard %-3d %4d homes  %10d delivered + %6d lost\n",
+			ss.Shard, ss.Homes, ss.Hub.Delivered, ss.Hub.Lost)
 		sumDelivered += ss.Hub.Delivered
 		sumLost += ss.Hub.Lost
 	}
@@ -177,6 +178,11 @@ func runCoordinator(s fleet.Scenario, addrs []string, quiet bool) {
 		fmt.Fprintf(os.Stderr,
 			"error: relayed books disagree with the workers': %d+%d relayed != %d+%d at the workers\n",
 			fed.Delivered, fed.Lost, sumDelivered, sumLost)
+		os.Exit(1)
+	}
+	if rows := f.Telemetry().Totals().Rows; rows != fed.Delivered {
+		fmt.Fprintf(os.Stderr, "error: the global folder folded %d rows, the federation delivered %d\n",
+			rows, fed.Delivered)
 		os.Exit(1)
 	}
 	if tot.Flows == 0 {
@@ -368,23 +374,23 @@ func main() {
 	// fail loudly rather than print a report that disagrees with itself.
 	fl := runner.Fleet()
 	var sumHomes int
-	var sumDelivered, sumLost, sumRows uint64
+	var sumDelivered, sumLost uint64
 	fmt.Println("shards (engine-local books):")
 	for _, ss := range fl.ShardStats() {
-		fmt.Printf("  shard %-3d %4d homes  %10d delivered + %6d lost  %10d rows folded\n",
-			ss.Shard, ss.Homes, ss.Hub.Delivered, ss.Hub.Lost, ss.Totals.Rows)
+		fmt.Printf("  shard %-3d %4d homes  %10d delivered + %6d lost\n",
+			ss.Shard, ss.Homes, ss.Hub.Delivered, ss.Hub.Lost)
 		sumHomes += ss.Homes
 		sumDelivered += ss.Hub.Delivered
 		sumLost += ss.Hub.Lost
-		sumRows += ss.Totals.Rows
 	}
 	fedStats := fl.Hub().Stats()
+	rows := fl.Telemetry().Totals().Rows
 	if sumHomes != fl.Size() || sumDelivered != fedStats.Delivered || sumLost != fedStats.Lost ||
-		sumRows != fl.Telemetry().Totals().Rows {
+		rows != fedStats.Delivered {
 		fmt.Fprintf(os.Stderr,
-			"error: per-shard reports disagree with the global view: homes %d/%d, delivered %d/%d, lost %d/%d, rows %d/%d\n",
+			"error: per-shard reports disagree with the global view: homes %d/%d, delivered %d/%d, lost %d/%d, folded rows %d/%d delivered\n",
 			sumHomes, fl.Size(), sumDelivered, fedStats.Delivered,
-			sumLost, fedStats.Lost, sumRows, fl.Telemetry().Totals().Rows)
+			sumLost, fedStats.Lost, rows, fedStats.Delivered)
 		os.Exit(1)
 	}
 	// Flight recorder books, reconciled the same way: every row the

@@ -13,10 +13,6 @@ import (
 // nothing folds on demand.
 const TableFleetStats = telemetry.ViewTable
 
-// DefaultStatsRing sizes the FleetStats ring: at one commit a second it
-// holds over four minutes of history for a 256-home fleet.
-const DefaultStatsRing = telemetry.DefaultViewRing
-
 // HomeStats is one home's delta since the previous Aggregate call.
 type HomeStats struct {
 	Home     uint64

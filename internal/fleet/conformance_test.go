@@ -22,13 +22,13 @@ import (
 
 // conformKit is one ShardClient implementation under test plus the
 // engine actually backing it (for remote kits, behind a server), and the
-// telemetry member the coordinator would attach for it: the engine's own
-// hub in process, the client's relay across the wire.
+// telemetry hub the coordinator would attach for it: the engine's own
+// hub in process, the client's relay hub across the wire.
 type conformKit struct {
 	client ShardClient
 	eng    *engine.Engine
 	clk    *clock.Simulated
-	deltas telemetry.Member
+	deltas *telemetry.Hub
 }
 
 // conformScenario populates one web host per home at web_churn's rate so
@@ -69,15 +69,6 @@ var conformImpls = []struct {
 		t.Cleanup(c.Close)
 		return conformKit{client: c, eng: eng, clk: clk, deltas: c.Relay()}
 	}},
-}
-
-// normStats zeroes the one wall-clock-derived counter (flow-install
-// latency is measured in real microseconds even under a simulated
-// clock) so deterministic runs compare equal on everything that is
-// actually deterministic.
-func normStats(s engine.Stats) engine.Stats {
-	s.Totals.InstallUSSum = 0
-	return s
 }
 
 // tick advances one kit the way the coordinator does: step, move the
@@ -172,7 +163,7 @@ func TestShardClientConformance(t *testing.T) {
 						k.tick(t, 0.25)
 					}
 				}
-				sa, sb := normStats(a.client.Stats()), normStats(b.client.Stats())
+				sa, sb := a.client.Stats(), b.client.Stats()
 				if !reflect.DeepEqual(sa, sb) {
 					t.Fatalf("same script, diverging stats:\n a %+v\n b %+v", sa, sb)
 				}
@@ -241,15 +232,21 @@ func TestShardClientConformance(t *testing.T) {
 // TestConformanceCrossImplementation scripts the same lifecycle against
 // the in-process engine and the remote client and demands identical
 // engine-level stats, and identical telemetry: the deltas the engine's hub
-// fans out and the deltas the client's relay ingests off the wire agree
-// delta by delta, in order, cell for cell. The transport must be invisible
-// to simulation results.
+// fans out and the deltas the client's relay hub ingests off the wire
+// agree delta by delta, in order, cell for cell. The transport must be
+// invisible to simulation results.
 func TestConformanceCrossImplementation(t *testing.T) {
 	kits := make(map[string]conformKit, len(conformImpls))
 	seen := make(map[string][]string, len(conformImpls))
+	// Each kit's hub federated the way the coordinator federates its
+	// shards, so the script can be checked against the coordinator's
+	// Totals.
+	feds := make(map[string]*telemetry.Federation, len(conformImpls))
 	for _, impl := range conformImpls {
 		k := impl.make(t)
 		k.deltas.SubscribeFunc(func(d telemetry.Delta) { seen[impl.name] = append(seen[impl.name], deltaText(d)...) })
+		feds[impl.name] = telemetry.NewFederation(telemetry.FolderConfig{Clock: k.clk})
+		feds[impl.name].Attach(k.deltas)
 		kits[impl.name] = k
 	}
 	for _, k := range kits {
@@ -266,13 +263,18 @@ func TestConformanceCrossImplementation(t *testing.T) {
 		}
 		k.tick(t, 0.25)
 	}
-	local, remote := normStats(kits["engine"].client.Stats()), normStats(kits["shardrpc"].client.Stats())
+	local, remote := kits["engine"].client.Stats(), kits["shardrpc"].client.Stats()
 	if !reflect.DeepEqual(local, remote) {
 		t.Fatalf("transport changed the simulation:\n engine   %+v\n shardrpc %+v", local, remote)
 	}
 	t.Logf("both transports: %+v", local)
-	if local.Homes != 1 || local.Steps != 5 || local.Totals.Flows == 0 || local.Totals.Bytes == 0 {
-		t.Fatalf("script sanity: %+v, want 1 home, 5 steps and measured traffic", local)
+	if local.Homes != 1 || local.Steps != 5 || local.Hub.Delivered == 0 {
+		t.Fatalf("script sanity: %+v, want 1 home, 5 steps and delivered rows", local)
+	}
+	for name, fed := range feds {
+		if tot := fed.Folder().Totals(); tot.Flows == 0 || tot.Bytes == 0 {
+			t.Fatalf("script sanity: %s federation totals %+v, want measured traffic", name, tot)
+		}
 	}
 	a, b := seen["engine"], seen["shardrpc"]
 	for i := range min(len(a), len(b)) {

@@ -74,9 +74,6 @@ func New(cfg Config) *Coordinator {
 			cfg.Shards = 8
 		}
 	}
-	if cfg.MeasureEvery <= 0 {
-		cfg.MeasureEvery = 1
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -87,12 +84,12 @@ func New(cfg Config) *Coordinator {
 	c := &Coordinator{
 		cfg:   cfg,
 		clk:   clk,
-		fed:   telemetry.NewFederation(telemetry.FolderConfig{Clock: clk, ViewRing: cfg.RingSize}),
+		fed:   telemetry.NewFederation(telemetry.FolderConfig{Clock: clk}),
 		place: make(map[uint64]int),
 	}
 	if len(cfg.WorkerAddrs) > 0 {
-		// Remote fleet: one shardrpc client per worker address, each with
-		// a federated relay standing in for the worker's hub. No engines
+		// Remote fleet: one shardrpc client per worker address, each
+		// feeding a federated hub that stands in for the worker's. No engines
 		// exist in this process, so Home/Homes return nothing; everything
 		// else — lifecycle, stepping, Stats, telemetry — is identical.
 		c.cfg.Shards = len(cfg.WorkerAddrs)
@@ -101,13 +98,11 @@ func New(cfg Config) *Coordinator {
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		e := engine.New(engine.Config{
-			Index:        i,
-			Clock:        cfg.Clock,
-			Seed:         cfg.Seed,
-			MeasureEvery: cfg.MeasureEvery,
-			ViewRing:     cfg.RingSize,
-			HomeConfig:   cfg.HomeConfig,
-			OnStep:       cfg.onStep,
+			Index:      i,
+			Clock:      cfg.Clock,
+			Seed:       cfg.Seed,
+			HomeConfig: cfg.HomeConfig,
+			OnStep:     cfg.onStep,
 		})
 		c.engines = append(c.engines, e)
 		c.shards = append(c.shards, e)
@@ -240,8 +235,9 @@ func (c *Coordinator) assign(id uint64, s int) (*Home, error) {
 	}
 	if len(c.engines) == 0 {
 		// Remote shard: the home lives in the worker process. Track it in
-		// the global folder (host counts arrive via Stats, not a handle)
-		// and return a nil handle — remote callers use IDs, not Homes.
+		// the global folder without a host count (no handle reaches its
+		// network) and return a nil handle — remote callers use IDs, not
+		// Homes.
 		c.fed.AddHome(id, nil)
 		return nil, nil
 	}
@@ -333,10 +329,10 @@ func (c *Coordinator) Homes() []*Home {
 }
 
 // RemoveHome tears one home down via its shard's drain: router stop,
-// final telemetry flush (the rows land in the shard and federated
-// cumulative totals before the sources retire), retire accounting, then
-// the per-home state drops on both levels. Its contribution to the
-// totals and its committed view rows remain.
+// final telemetry flush (the rows land in the federated cumulative
+// totals before the sources retire), retire accounting, then the
+// global folder drops the home's per-home state. Its contribution to
+// the totals and its committed view rows remain.
 func (c *Coordinator) RemoveHome(id uint64) bool {
 	c.mu.Lock()
 	s, ok := c.place[id]
@@ -484,8 +480,7 @@ func (c *Coordinator) Step(dt float64) error {
 }
 
 // Sync flushes every shard hub (delivering every row whose insert
-// completed) in shard order and commits the per-shard and federated
-// FleetStats views. Step calls it after every barrier; call it directly
+// completed) in shard order and commits the federated FleetStats view. Step calls it after every barrier; call it directly
 // after out-of-band inserts (e.g. a manual PollMeasure) before reading
 // the view.
 func (c *Coordinator) Sync() {
@@ -543,8 +538,7 @@ func (c *Coordinator) Telemetry() *telemetry.Folder { return c.fed.Folder() }
 func (c *Coordinator) Hub() *telemetry.Federation { return c.fed }
 
 // ShardStats reports each engine's self-reported state in shard order.
-// Per-shard hub books sum to the federation's; per-shard folder totals
-// sum to the global folder's row/flow/packet/byte counters.
+// Per-shard hub books sum to the federation's.
 func (c *Coordinator) ShardStats() []engine.Stats {
 	out := make([]engine.Stats, len(c.shards))
 	for i, sc := range c.shards {
@@ -565,8 +559,9 @@ func (c *Coordinator) TraceStats() []trace.StageStats {
 	return merged.Stats()
 }
 
-// Stop tears every shard engine down (each stops its homes concurrently
-// and closes its hub) and marks the coordinator closed.
+// Stop tears every shard down concurrently (each engine stops its homes
+// in ascending ID order and closes its hub) and marks the coordinator
+// closed.
 func (c *Coordinator) Stop() {
 	c.mu.Lock()
 	if c.closed {

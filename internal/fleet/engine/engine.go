@@ -1,19 +1,21 @@
 // Package engine is the shard-local half of the fleet control plane: an
 // Engine owns a set of homes (each a full core.Router), steps them,
-// keeps their vitals, and owns its own telemetry hub + folder — and
-// nothing else. It has no knowledge of global membership, placement
-// or remediation policy; those live in the fleet coordinator, which
-// drives engines through the narrow fleet.ShardClient contract
-// (assign/drain/step/sync/stats) so the later network hop between
-// coordinator and engine is a transport swap, not another refactor. See
-// docs/ARCHITECTURE.md "Fleet control plane".
+// keeps their vitals, and owns its own telemetry hub — and nothing else.
+// It folds nothing: the hub's deltas go to whoever subscribes (the
+// coordinator's federation in process, a shardrpc server in a worker).
+// It has no knowledge of global membership, placement or remediation
+// policy; those live in the fleet coordinator, which drives engines
+// through the narrow fleet.ShardClient contract (assign/drain/step/sync/
+// stats) so the later network hop between coordinator and engine is a
+// transport swap, not another refactor. See docs/ARCHITECTURE.md "Fleet
+// control plane".
 //
 // Concurrency: an engine starts no goroutine. Step runs each home to
 // completion on the goroutine that calls it, in ascending ID order, so
 // the fleet's only stepping concurrency is shards stepping side by side.
 // Drive Step from one goroutine at a time; Assign/Drain may race Step
-// and take effect at the next tick. Reads (Stats, Folder, Hub) are safe
-// from any goroutine.
+// and take effect at the next tick. Reads (Stats, Hub) are safe from any
+// goroutine.
 package engine
 
 import (
@@ -44,12 +46,6 @@ type Config struct {
 	// Seed+i) — the fleet-global seed, so a home's trajectory does not
 	// depend on which shard it lands on.
 	Seed int64
-	// MeasureEvery is how many steps elapse between hwdb measurement
-	// polls in each home (default 1: poll every step).
-	MeasureEvery int
-	// ViewRing bounds this engine's per-shard FleetStats view ring
-	// (default telemetry.DefaultViewRing).
-	ViewRing int
 	// HomeConfig, when set, mutates each new home's router config after
 	// the engine defaults (AutoPermit, Seed, Clock) are applied.
 	HomeConfig func(id uint64, cfg *core.Config)
@@ -65,25 +61,21 @@ type Config struct {
 	OnAssign func(h *Home) error
 }
 
-// Stats is one engine's self-reported state: how many homes it holds,
-// its hub's delivery accounting and its folder's per-shard totals. The
-// coordinator's federated view must always reconcile with the sum of
-// these.
+// Stats is one engine's self-reported state: how many homes it holds
+// and its hub's delivery accounting. The coordinator's federated books
+// must always reconcile with the sum of these.
 type Stats struct {
-	Shard  int
-	Homes  int
-	Steps  uint64
-	Hub    telemetry.HubStats
-	Totals telemetry.Totals
+	Shard int
+	Homes int
+	Steps uint64
+	Hub   telemetry.HubStats
 }
 
 // Engine steps a set of homes and streams their telemetry. It is the
 // in-process implementation of the fleet.ShardClient contract.
 type Engine struct {
-	cfg    Config
-	hub    *telemetry.Hub
-	folder *telemetry.Folder
-	clk    clock.Clock
+	cfg Config
+	hub *telemetry.Hub
 
 	mu     sync.Mutex
 	homes  map[uint64]*Home
@@ -97,26 +89,15 @@ type Engine struct {
 
 // New creates an empty engine; the coordinator assigns homes to it.
 func New(cfg Config) *Engine {
-	if cfg.MeasureEvery <= 0 {
-		cfg.MeasureEvery = 1
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.Real{}
-	}
-	// The hub runs manual: Sync flushes it after every step barrier, so
-	// delivery is deterministic under a simulated clock and there is no
-	// background goroutine racing the steps.
-	hub := telemetry.NewHub(telemetry.HubConfig{Manual: true})
+	// Sync flushes the hub after every step barrier, so delivery is
+	// deterministic under a simulated clock.
 	return &Engine{
-		cfg:    cfg,
-		hub:    hub,
-		folder: telemetry.NewFolder(hub, telemetry.FolderConfig{Clock: clk, ViewRing: cfg.ViewRing}),
-		clk:    clk,
-		homes:  make(map[uint64]*Home),
+		cfg:   cfg,
+		hub:   telemetry.NewHub(telemetry.HubConfig{}),
+		homes: make(map[uint64]*Home),
 	}
 }
 
@@ -179,9 +160,8 @@ func (e *Engine) Assign(id uint64) error {
 	e.mu.Unlock()
 
 	// Feed the home's measurement tables into the telemetry hub: from
-	// here on, every hwdb insert streams into the live shard view (and,
-	// through the coordinator's federation, the global one).
-	e.folder.AddHome(id, rt.Net.HostCount)
+	// here on, every hwdb insert streams to the hub's subscribers (through
+	// the coordinator's federation, into the global view).
 	for _, name := range watchedTables {
 		if t, ok := rt.DB.Table(name); ok {
 			e.hub.Watch(telemetry.SourceID{Home: id, Table: name}, t)
@@ -197,10 +177,8 @@ func (e *Engine) Assign(id uint64) error {
 }
 
 // Drain tears one home down. The router stops first, then the hub drains
-// whatever its tables still held (so the rows land in the shard's
-// cumulative totals — and the federation's — before the sources retire),
-// and only then is the home's per-home telemetry state dropped. Its
-// contribution to the totals and its committed view rows remain. This is
+// whatever its tables still held (so the rows reach the hub's consumers
+// before the sources retire into the hub's cumulative books). This is
 // the settle + final-flush + retire-accounting half of every lifecycle
 // transition: remove, restart, replace and migrate all start here.
 func (e *Engine) Drain(id uint64) bool {
@@ -218,7 +196,6 @@ func (e *Engine) Drain(id uint64) bool {
 	for _, name := range watchedTables {
 		e.hub.Unwatch(telemetry.SourceID{Home: id, Table: name})
 	}
-	e.folder.RemoveHome(id)
 	return true
 }
 
@@ -277,8 +254,8 @@ func (e *Engine) reorderLocked() {
 // Step advances every home the engine holds by dt simulated seconds:
 // traffic emits, each control path drains (Router.Settle — an
 // event-driven wait on the punt/processed epoch, not a poll; see
-// docs/CONTROL_PLANE.md), and (every MeasureEvery-th step) each
-// measurement plane polls flow and link state into its hwdb. Homes run
+// docs/CONTROL_PLANE.md), and each measurement plane polls flow and link
+// state into its hwdb. Homes run
 // one at a time in ascending ID order on the calling goroutine, so the
 // per-home step sequence is deterministic. A home that fails does not
 // stop later homes from stepping; Step returns the first failure. Step
@@ -304,20 +281,18 @@ func (e *Engine) Step(dt float64) error {
 		if e.cfg.OnStep != nil {
 			e.cfg.OnStep(e.cfg.Index, h.ID, step)
 		}
-		if err := h.step(dt, e.cfg.MeasureEvery); err != nil && first == nil {
+		if err := h.step(dt); err != nil && first == nil {
 			first = fmt.Errorf("fleet: home %d: %w", h.ID, err)
 		}
 	}
 	return first
 }
 
-// Sync flushes the engine's telemetry hub (delivering every row whose
-// insert completed) and commits one per-shard FleetStats view row per
-// active home. The coordinator calls it after every step barrier, in
-// shard order, so federated fan-out stays deterministic.
+// Sync flushes the engine's telemetry hub, delivering every row whose
+// insert completed. The coordinator calls it after every step barrier,
+// in shard order, so federated fan-out stays deterministic.
 func (e *Engine) Sync() {
 	e.hub.Flush()
-	e.folder.Commit()
 }
 
 // Steps returns how many ticks the engine has run.
@@ -335,11 +310,10 @@ func (e *Engine) Stats() Stats {
 	homes, steps := len(e.homes), e.steps
 	e.mu.Unlock()
 	return Stats{
-		Shard:  e.cfg.Index,
-		Homes:  homes,
-		Steps:  steps,
-		Hub:    e.hub.Stats(),
-		Totals: e.folder.Totals(),
+		Shard: e.cfg.Index,
+		Homes: homes,
+		Steps: steps,
+		Hub:   e.hub.Stats(),
 	}
 }
 
@@ -357,10 +331,6 @@ func (e *Engine) TraceSnapshot() trace.Snapshot {
 // Hub exposes the engine's subscription hub, e.g. to attach a federating
 // subscriber or read delivery/loss accounting.
 func (e *Engine) Hub() *telemetry.Hub { return e.hub }
-
-// Folder exposes the engine's per-shard folder: the shard-local
-// FleetStats view and totals.
-func (e *Engine) Folder() *telemetry.Folder { return e.folder }
 
 // Close stops every home in ascending ID order and closes the telemetry
 // hub.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/netsim"
 	"repro/internal/packet"
+	"repro/internal/telemetry"
 )
 
 // engineInserts totals an engine's homes' inserts across the watched
@@ -33,6 +34,10 @@ func TestEngineLifecycle(t *testing.T) {
 	clk := clock.NewSimulated()
 	e := New(Config{Index: 2, Clock: clk, Seed: 7})
 	defer e.Close()
+	// A consumer of the hub, as the coordinator's federation is: the rows
+	// it is handed are the rows the hub counts delivered.
+	var consumed uint64
+	e.Hub().SubscribeFunc(func(d telemetry.Delta) { consumed += uint64(len(d.Rows)) })
 
 	if err := e.Assign(7); err != nil {
 		t.Fatal(err)
@@ -71,8 +76,9 @@ func TestEngineLifecycle(t *testing.T) {
 	if st.Hub.Delivered+st.Hub.Lost != want {
 		t.Fatalf("hub delivered %d + lost %d != %d inserts", st.Hub.Delivered, st.Hub.Lost, want)
 	}
-	if st.Totals.Rows+st.Hub.Lost != want {
-		t.Fatalf("folder consumed %d of %d rows", st.Totals.Rows, want)
+	if consumed != st.Hub.Delivered || consumed+st.Hub.Lost != want {
+		t.Fatalf("hub consumer was handed %d rows, delivered %d + lost %d of %d inserts",
+			consumed, st.Hub.Delivered, st.Hub.Lost, want)
 	}
 
 	// Drain: frozen tables become the retired ground truth; the books
@@ -91,8 +97,8 @@ func TestEngineLifecycle(t *testing.T) {
 	if st.Hub.Sources != 0 || st.Hub.Delivered+st.Hub.Lost != retired {
 		t.Fatalf("post-drain books = %+v, want %d retired rows", st.Hub, retired)
 	}
-	if st.Totals.Homes != 0 || st.Totals.Rows+st.Hub.Lost != retired {
-		t.Fatalf("post-drain totals = %+v", st.Totals)
+	if consumed != st.Hub.Delivered {
+		t.Fatalf("post-drain: hub consumer was handed %d rows, hub delivered %d", consumed, st.Hub.Delivered)
 	}
 
 	e.Close()
@@ -175,7 +181,7 @@ func TestEngineStepsOnTheCaller(t *testing.T) {
 	homes := e.Homes()
 	direct := testing.AllocsPerRun(20, func() {
 		for _, h := range homes {
-			if err := h.step(0.25, 1); err != nil {
+			if err := h.step(0.25); err != nil {
 				t.Fatal(err)
 			}
 		}

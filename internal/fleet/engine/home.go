@@ -49,11 +49,10 @@ type Home struct {
 // step advances one home by dt simulated seconds: traffic in, then a
 // blocking event-driven wait for the home's control path to drain (no
 // sleeps — Settle returns the moment the controller catches up and a
-// clean barrier crosses), then the optional measurement poll.
-func (h *Home) step(dt float64, measureEvery int) error {
+// clean barrier crosses), then the measurement poll.
+func (h *Home) step(dt float64) error {
 	h.mu.Lock()
 	h.steps++
-	poll := measureEvery > 0 && h.steps%uint64(measureEvery) == 0
 	h.mu.Unlock()
 
 	h.Router.Net.Step(dt)
@@ -61,9 +60,7 @@ func (h *Home) step(dt float64, measureEvery int) error {
 		h.settleErrs.Add(1)
 		return err
 	}
-	if poll {
-		h.Router.PollMeasure()
-	}
+	h.Router.PollMeasure()
 	return nil
 }
 

@@ -8,18 +8,19 @@
 //
 //   - Shard-local engines (internal/fleet/engine): each owns a set of
 //     homes, steps them on the goroutine that calls it, keeps per-home
-//     vitals and owns its own telemetry hub + per-shard folder — no
-//     knowledge of global membership.
+//     vitals and owns its own telemetry hub — no knowledge of global
+//     membership, and no fold of its own.
 //   - The placement layer (Coordinator): owns home→shard
 //     assignment, the spawn/assign/drain/migrate/restart/replace
 //     lifecycle and the shared clock, and drives engines through the
 //     narrow ShardClient contract. It is the single surface
 //     internal/health remediation and cmd/hwfleetd use.
 //
-// On top, a telemetry.Federation folds the N per-shard hubs into one
-// global Folder, so telemetry.Server, hwctl and the soak gate read one
-// coherent fleet — same FleetStats view, same exact delivered+lost
-// accounting invariant — regardless of shard count. Fleet homes default
+// On top, a telemetry.Federation folds the N per-shard hubs (for remote
+// shards, hubs the shardrpc clients feed) into one global Folder — the
+// only fold any delta reaches — so telemetry.Server, hwctl and the soak
+// gate read one coherent fleet — same FleetStats view, same exact
+// delivered+lost accounting invariant — regardless of shard count. Fleet homes default
 // to the in-process control transport (core.TransportInProcess): with
 // controller and datapath co-resident there is no reason to pay
 // loopback-TCP framing per home, and no per-home socket pair to exhaust
@@ -65,12 +66,6 @@ type Config struct {
 	// Seed+i), so fleets are reproducible and a home's trajectory does
 	// not depend on which shard it lands on.
 	Seed int64
-	// MeasureEvery is how many fleet steps elapse between hwdb
-	// measurement polls in each home (default 1: poll every step).
-	MeasureEvery int
-	// RingSize bounds the stats view rings — the federated global view
-	// and each engine's per-shard view (default DefaultStatsRing).
-	RingSize int
 	// HomeConfig, when set, mutates each new home's router config after
 	// the fleet defaults (AutoPermit, Seed, Clock) are applied.
 	HomeConfig func(id uint64, cfg *core.Config)

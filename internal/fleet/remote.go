@@ -25,14 +25,14 @@ var (
 // cordon or replace the shard's worker.
 var ErrStepTimeout = errors.New("fleet: shard step timed out")
 
-// newRemoteShards builds one shardrpc client + telemetry relay per
-// worker address and attaches each relay to the federation, mirroring
-// what New does with in-process engines and their hubs.
+// newRemoteShards builds one shardrpc client per worker address, feeding
+// a hub of its own that is attached to the federation, mirroring what
+// New does with in-process engines and their hubs.
 func newRemoteShards(cfg Config, fed *telemetry.Federation) []ShardClient {
 	shards := make([]ShardClient, 0, len(cfg.WorkerAddrs))
 	for _, addr := range cfg.WorkerAddrs {
-		relay := telemetry.NewRelay()
-		fed.AttachMember(relay)
+		relay := telemetry.NewHub(telemetry.HubConfig{})
+		fed.Attach(relay)
 		shards = append(shards, shardrpc.Dial(shardrpc.ClientConfig{
 			Addr:        addr,
 			Relay:       relay,

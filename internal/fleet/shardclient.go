@@ -24,9 +24,8 @@ import (
 //   - Step(dt) is a pure barrier over the engine's homes: deterministic
 //     per-home order, no shared-clock advance, no telemetry flush. The
 //     coordinator advances time and syncs, once per fleet tick.
-//   - Sync flushes the shard hub and commits the per-shard view; the
-//     coordinator calls it in shard order so federated fan-out is
-//     deterministic.
+//   - Sync flushes the shard hub; the coordinator calls it in shard
+//     order so federated fan-out is deterministic.
 //   - Stats must reconcile: summed over shards, Hub.Delivered+Hub.Lost
 //     equals every row any home incarnation ever inserted. The
 //     federation's global books are sums of these, never a third count.

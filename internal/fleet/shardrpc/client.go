@@ -21,11 +21,11 @@ var ErrClosed = errors.New("shardrpc: client closed")
 type ClientConfig struct {
 	// Addr is the worker's listen address; required.
 	Addr string
-	// Relay receives every telemetry batch the worker piggybacks on its
-	// responses; attach it to the coordinator's Federation. A nil Relay
-	// gets a private one (reachable via Client.Relay) so accounting is
-	// never silently dropped.
-	Relay *telemetry.Relay
+	// Relay is the hub the client ingests every telemetry batch the
+	// worker piggybacks on its responses into; attach it to the
+	// coordinator's Federation. A nil Relay gets a private hub (reachable
+	// via Client.Relay) so accounting is never silently dropped.
+	Relay *telemetry.Hub
 	// Clock, when set, stamps SYNC requests with the coordinator's
 	// current time so the worker can advance its own simulated clock in
 	// lockstep.
@@ -70,7 +70,7 @@ type Client struct {
 	out, in []byte
 
 	// Receiving-side telemetry books: the last batch sequence ingested
-	// and the cumulative rows/lost accounted into the relay. Compared
+	// and the cumulative rows/lost accounted into the relay hub. Compared
 	// against the worker's committed books (piggybacked on every batch,
 	// returned by RESYNC) to account wire-swallowed rows as lost.
 	gotSeq  uint64
@@ -99,13 +99,13 @@ func Dial(cfg ClientConfig) *Client {
 		cfg.RedialBackoff = 50 * time.Millisecond
 	}
 	if cfg.Relay == nil {
-		cfg.Relay = telemetry.NewRelay()
+		cfg.Relay = telemetry.NewHub(telemetry.HubConfig{})
 	}
 	return &Client{cfg: cfg}
 }
 
-// Relay returns the relay remote batches are ingested into.
-func (c *Client) Relay() *telemetry.Relay { return c.cfg.Relay }
+// Relay returns the hub remote batches are ingested into.
+func (c *Client) Relay() *telemetry.Hub { return c.cfg.Relay }
 
 // ensureConn dials if no connection is live, then reconciles books over
 // the fresh connection with RESYNC. Callers hold c.mu.
@@ -161,8 +161,8 @@ func (c *Client) reconcile(books Books) {
 	}
 }
 
-// ingest folds one piggybacked batch into the relay, deduplicating by
-// batch sequence. Callers hold c.mu.
+// ingest feeds one piggybacked batch into the relay hub, deduplicating
+// by batch sequence. Callers hold c.mu.
 func (c *Client) ingest(b *Batch) {
 	if b == nil || b.Seq <= c.gotSeq && len(b.Deltas) > 0 {
 		// A replayed batch (the worker rolled back a write we actually

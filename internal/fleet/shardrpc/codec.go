@@ -547,15 +547,6 @@ func encodeStats(e *enc, st *engine.Stats) {
 	e.varint(int64(st.Hub.Sources))
 	e.uvarint(st.Hub.Delivered)
 	e.uvarint(st.Hub.Lost)
-	t := st.Totals
-	e.varint(int64(t.Homes))
-	e.varint(int64(t.Hosts))
-	for _, v := range []uint64{
-		t.Flows, t.Links, t.Leases, t.Packets, t.Bytes, t.Lost, t.Rows,
-		t.Commits, t.PerfRows, t.TxPkts, t.LostPkts, t.Installs, t.InstallUSSum,
-	} {
-		e.uvarint(v)
-	}
 }
 
 func decodeStats(d *dec) (*engine.Stats, error) {
@@ -582,23 +573,6 @@ func decodeStats(d *dec) (*engine.Stats, error) {
 	}
 	if st.Hub.Lost, err = d.uvarint(); err != nil {
 		return nil, err
-	}
-	t := &st.Totals
-	if i, err = d.varint(); err != nil {
-		return nil, err
-	}
-	t.Homes = int(i)
-	if i, err = d.varint(); err != nil {
-		return nil, err
-	}
-	t.Hosts = int(i)
-	for _, p := range []*uint64{
-		&t.Flows, &t.Links, &t.Leases, &t.Packets, &t.Bytes, &t.Lost, &t.Rows,
-		&t.Commits, &t.PerfRows, &t.TxPkts, &t.LostPkts, &t.Installs, &t.InstallUSSum,
-	} {
-		if *p, err = d.uvarint(); err != nil {
-			return nil, err
-		}
 	}
 	return st, nil
 }

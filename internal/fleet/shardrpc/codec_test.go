@@ -59,11 +59,6 @@ func sampleStats() *engine.Stats {
 	return &engine.Stats{
 		Shard: 3, Homes: 17, Steps: 1 << 40,
 		Hub: telemetry.HubStats{Sources: 68, Delivered: 123456, Lost: 7},
-		Totals: telemetry.Totals{
-			Homes: 17, Hosts: 51, Flows: 900, Links: 80, Leases: 60,
-			Packets: 1 << 33, Bytes: 1 << 44, Lost: 7, Rows: 1040, Commits: 12,
-			PerfRows: 500, TxPkts: 9000, LostPkts: 3, Installs: 88, InstallUSSum: 123,
-		},
 	}
 }
 

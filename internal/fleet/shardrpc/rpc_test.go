@@ -192,7 +192,7 @@ type hubBackend struct {
 func newHubBackend() *hubBackend {
 	hb := &hubBackend{
 		fakeBackend: newFakeBackend(),
-		hub:         telemetry.NewHub(telemetry.HubConfig{Manual: true}),
+		hub:         telemetry.NewHub(telemetry.HubConfig{}),
 		tbl:         hwdb.NewTable("T", hwdb.NewSchema(hwdb.Column{Name: "v", Type: hwdb.TInt}), 64),
 	}
 	hb.hub.Watch(telemetry.SourceID{Home: 1, Table: "T"}, hb.tbl)
@@ -217,7 +217,7 @@ func (hb *hubBackend) insert(t *testing.T, n int) {
 func TestTelemetryRelayAcrossReconnect(t *testing.T) {
 	hb := newHubBackend()
 	srv := startServer(t, Config{Backend: hb.fakeBackend, Hub: hb.hub})
-	relay := telemetry.NewRelay()
+	relay := telemetry.NewHub(telemetry.HubConfig{})
 	c := Dial(ClientConfig{Addr: srv.Addr(), Relay: relay})
 	defer c.Close()
 
@@ -256,7 +256,7 @@ func TestReconnectAccountsWireLoss(t *testing.T) {
 	hb := newHubBackend()
 	srv := startServer(t, Config{Backend: hb.fakeBackend, Hub: hb.hub})
 
-	relayA := telemetry.NewRelay()
+	relayA := telemetry.NewHub(telemetry.HubConfig{})
 	a := Dial(ClientConfig{Addr: srv.Addr(), Relay: relayA})
 	hb.insert(t, 6)
 	a.Sync() // worker commits batch 1 (6 rows) to client A
@@ -267,7 +267,7 @@ func TestReconnectAccountsWireLoss(t *testing.T) {
 
 	// A fresh client (a restarted coordinator) has empty books. RESYNC
 	// tells it the worker committed 6 rows it never saw: accounted lost.
-	relayB := telemetry.NewRelay()
+	relayB := telemetry.NewHub(telemetry.HubConfig{})
 	b := Dial(ClientConfig{Addr: srv.Addr(), Relay: relayB})
 	defer b.Close()
 	if err := b.Ping(); err != nil {

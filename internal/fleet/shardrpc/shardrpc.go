@@ -1,9 +1,10 @@
 // Package shardrpc carries the fleet ShardClient contract across a
 // process boundary: length-prefixed frames over TCP, HWDB/1-style text
 // verb headers with compact binary bodies, plus a telemetry batch relay
-// that streams a remote engine's hub deltas back to the coordinator
-// under the exact-accounting invariant (delivered+lost == inserts across
-// every incarnation, now across processes).
+// that streams a remote engine's hub deltas back into a coordinator-side
+// hub under the exact-accounting invariant (delivered+lost == inserts
+// across every incarnation, now across processes). Neither side folds
+// the deltas: the coordinator's federation does, once.
 //
 // # Wire format
 //
@@ -37,10 +38,10 @@
 // piggybacks the buffered batch on SYNC and DRAIN responses — the two
 // verbs whose handling flushes the hub — committing the batch only after
 // the response bytes are written. Each batch carries a sequence number
-// and the worker's cumulative sent-row/sent-lost books; the client
-// ingests batches into a telemetry.Relay and tracks what it has
+// and the worker's cumulative sent-row/sent-lost books; the client feeds
+// batches into a telemetry.Hub with Hub.Ingest and tracks what it has
 // accounted. On (re)connect the client issues RESYNC, reads the worker's
-// committed books and accounts any gap as lost via Relay.AccountLost:
+// committed books and accounts any gap as lost via Hub.AccountLost:
 // rows a dying connection swallowed are never retransmitted, but they
 // are never uncounted either, so federated delivered+lost still equals
 // every row any incarnation ever inserted.

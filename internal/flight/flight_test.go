@@ -46,7 +46,7 @@ func TestRecorderRetentionBooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := telemetry.NewHub(telemetry.HubConfig{Manual: true})
+	hub := telemetry.NewHub(telemetry.HubConfig{})
 	defer hub.Close()
 	hub.Watch(telemetry.SourceID{Home: 1, Table: "T"}, tbl)
 
@@ -109,7 +109,7 @@ func TestRecorderMaxWindowsRingCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := telemetry.NewHub(telemetry.HubConfig{Manual: true})
+	hub := telemetry.NewHub(telemetry.HubConfig{})
 	defer hub.Close()
 	hub.Watch(telemetry.SourceID{Home: 1, Table: "T"}, tbl)
 
@@ -145,7 +145,7 @@ func TestRecorderInsertHotPathZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := telemetry.NewHub(telemetry.HubConfig{Manual: true})
+	hub := telemetry.NewHub(telemetry.HubConfig{})
 	defer hub.Close()
 	hub.Watch(telemetry.SourceID{Home: 1, Table: "T"}, tbl)
 	rec := flight.NewRecorder(flight.RecorderConfig{})

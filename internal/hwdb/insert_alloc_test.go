@@ -16,7 +16,7 @@ import (
 func TestStandardInsertsAllocateNothing(t *testing.T) {
 	clk := clock.NewSimulated()
 	db := hwdb.NewHomework(clk, 1024)
-	hub := telemetry.NewHub(telemetry.HubConfig{Manual: true})
+	hub := telemetry.NewHub(telemetry.HubConfig{})
 	defer hub.Close()
 	for _, name := range []string{hwdb.TableFlows, hwdb.TableLinks, hwdb.TableFlowPerf} {
 		tbl, _ := db.Table(name)

@@ -158,7 +158,7 @@ func TestHomeEndpointTranscript(t *testing.T) {
 // TestFleetEndpointTranscript pins the fleet telemetry endpoint's replies
 // byte for byte, the same way.
 func TestFleetEndpointTranscript(t *testing.T) {
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub(HubConfig{})
 	t.Cleanup(hub.Close)
 	folder := NewFolder(hub, FolderConfig{Clock: fixedClock{}})
 	home := hwdb.NewHomework(fixedClock{}, 1024)
@@ -264,7 +264,7 @@ func TestFleetEndpointTranscript(t *testing.T) {
 // over an idle source such a subscription never writes, so it would never
 // notice the closed socket and Close would wait for it forever.
 func TestSubscribeRacingCloseNeverHangs(t *testing.T) {
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub(HubConfig{})
 	t.Cleanup(hub.Close)
 	folder := NewFolder(hub, FolderConfig{})
 	for _, tc := range []struct {

@@ -7,7 +7,10 @@ import "sync"
 // hub, plus subscription and accounting surfaces that span the members.
 // It is the seam the hub was built for — shard engines keep their own
 // hubs and know nothing of each other, while telemetry.Server, hwctl and
-// the soak gate read one fleet regardless of shard count.
+// the soak gate read one fleet regardless of shard count. A member is a
+// shard engine's own hub in process, or, for a remote shard, a hub the
+// shardrpc client feeds with Ingest; the global folder is the only fold
+// either's deltas reach.
 //
 // Invariants (see docs/ARCHITECTURE.md "Fleet control plane"):
 //
@@ -24,7 +27,7 @@ type Federation struct {
 	folder *Folder
 
 	mu      sync.Mutex
-	members []Member
+	members []*Hub
 	// fns are the SubscribeFunc handlers registered so far; a hub
 	// attached later gets every one of them, so fleet-level consumers
 	// (the health monitor, the flight recorder) see replacement shards'
@@ -38,22 +41,18 @@ func NewFederation(cfg FolderConfig) *Federation {
 	return &Federation{folder: NewFolder(nil, cfg)}
 }
 
-// Attach adds a member hub: every delta the hub drains from here on is
-// folded into the global view. Attach before the hub's first flush, or
-// earlier rows will be visible only in the member's own accounting.
-func (fd *Federation) Attach(hub *Hub) { fd.AttachMember(hub) }
-
-// AttachMember adds any telemetry member — an in-process shard hub or a
-// Relay mirroring a remote worker's hub — to the federation. Every delta
-// the member fans out from here on is folded into the global view.
-func (fd *Federation) AttachMember(m Member) {
+// Attach adds a member hub: every delta the hub fans out from here on —
+// drained or ingested — is folded into the global view. Attach before the
+// hub's first flush or ingest, or earlier rows will be visible only in
+// the member's own accounting.
+func (fd *Federation) Attach(hub *Hub) {
 	fd.mu.Lock()
-	fd.members = append(fd.members, m)
+	fd.members = append(fd.members, hub)
 	fns := append([]func(Delta){}, fd.fns...)
 	fd.mu.Unlock()
-	m.SubscribeFunc(fd.folder.consume)
+	hub.SubscribeFunc(fd.folder.consume)
 	for _, fn := range fns {
-		m.SubscribeFunc(fn)
+		hub.SubscribeFunc(fn)
 	}
 }
 
@@ -87,7 +86,7 @@ func (fd *Federation) Commit() int { return fd.folder.Commit() }
 // any member has finished draining.
 func (fd *Federation) Stats() HubStats {
 	fd.mu.Lock()
-	members := append([]Member(nil), fd.members...)
+	members := append([]*Hub(nil), fd.members...)
 	fd.mu.Unlock()
 	var st HubStats
 	for _, h := range members {
@@ -109,7 +108,7 @@ func (fd *Federation) Subscribe(buf int) *Subscription {
 		buf = 64
 	}
 	fd.mu.Lock()
-	members := append([]Member(nil), fd.members...)
+	members := append([]*Hub(nil), fd.members...)
 	fd.mu.Unlock()
 	sub := &Subscription{members: members, ch: make(chan Delta, buf)}
 	for _, m := range members {
@@ -124,7 +123,7 @@ func (fd *Federation) Subscribe(buf int) *Subscription {
 // so the handler needs no shard disambiguation.
 func (fd *Federation) SubscribeFunc(fn func(Delta)) {
 	fd.mu.Lock()
-	members := append([]Member(nil), fd.members...)
+	members := append([]*Hub(nil), fd.members...)
 	fd.fns = append(fd.fns, fn)
 	fd.mu.Unlock()
 	for _, m := range members {

@@ -14,9 +14,9 @@ import (
 func TestFederationFoldsMemberHubs(t *testing.T) {
 	tblA, clk := testTable(t, 64)
 	tblB := hwdb.NewTable("T", hwdb.NewSchema(hwdb.Column{Name: "v", Type: hwdb.TInt}), 64)
-	hubA := NewHub(HubConfig{Manual: true})
+	hubA := NewHub(HubConfig{})
 	defer hubA.Close()
-	hubB := NewHub(HubConfig{Manual: true})
+	hubB := NewHub(HubConfig{})
 	defer hubB.Close()
 
 	fed := NewFederation(FolderConfig{Clock: clk})
@@ -87,7 +87,7 @@ func TestFederationFoldsMemberHubs(t *testing.T) {
 // silently dropping it.
 func TestFolderAddHomeUpgradesImplicitAcc(t *testing.T) {
 	tbl, clk := testTable(t, 64)
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub(HubConfig{})
 	defer hub.Close()
 	f := NewFolder(hub, FolderConfig{Clock: clk})
 	hub.Watch(SourceID{Home: 9, Table: "T"}, tbl)

@@ -76,7 +76,7 @@ func TestFlushMatchesPerSourceTail(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		clk := clock.NewSimulated()
-		hub := NewHub(HubConfig{Manual: true})
+		hub := NewHub(HubConfig{})
 		var got []Delta
 		hub.SubscribeFunc(func(d Delta) { got = append(got, d) })
 		dbs := make([]*hwdb.DB, homes)
@@ -146,7 +146,7 @@ func TestFlushAllocatesPerFlush(t *testing.T) {
 	}
 	flush := func(homes int) float64 {
 		clk := clock.NewSimulated()
-		hub := NewHub(HubConfig{Manual: true})
+		hub := NewHub(HubConfig{})
 		defer hub.Close()
 		var rows int
 		hub.SubscribeFunc(func(d Delta) { rows += len(d.Rows) })
@@ -187,12 +187,12 @@ func TestFlushAllocatesPerFlush(t *testing.T) {
 	}
 }
 
-// TestPumpedRowsStayPut: with the pump draining while a table takes
-// inserts, a channel subscriber reads each delta on its own goroutine as
-// later passes carve their rows from what earlier passes' arrays left. Every
-// row arrives once, in order, and still reads what it did when it arrived
-// after the last pass — under -race, no pass writes a cell a delivered row
-// views.
+// TestPumpedRowsStayPut: with a second goroutine flushing the hub while a
+// table takes inserts, a channel subscriber reads each delta on its own
+// goroutine as later passes carve their rows from what earlier passes'
+// arrays left. Every row arrives once, in order, and still reads what it
+// did when it arrived after the last pass — under -race, no pass writes a
+// cell a delivered row views.
 func TestPumpedRowsStayPut(t *testing.T) {
 	const n = 5000
 	tbl := hwdb.NewTable("T", hwdb.NewSchema(hwdb.Column{Name: "v", Type: hwdb.TInt}, hwdb.Column{Name: "s", Type: hwdb.TString}), 1<<16)
@@ -214,17 +214,34 @@ func TestPumpedRowsStayPut(t *testing.T) {
 		}
 		done <- kept
 	}()
+	stop, flushed := make(chan struct{}), make(chan int)
+	go func() {
+		passes := 0
+		for {
+			select {
+			case <-stop:
+				flushed <- passes
+				return
+			default:
+			}
+			hub.Flush()
+			passes++
+		}
+	}()
 	clk := clock.NewSimulated()
 	for i := range n {
 		if err := tbl.Insert(clk.Now(), []hwdb.Value{hwdb.Int64(int64(i)), hwdb.Str(fmt.Sprint(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	close(stop)
+	t.Logf("%d flushes raced the inserts", <-flushed)
+	hub.Flush()
 	var kept []hwdb.Row
 	select {
 	case kept = <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("the pump did not deliver every row")
+		t.Fatal("the flushes did not deliver every row")
 	}
 	hub.Flush()
 	for i, r := range kept {

@@ -26,6 +26,9 @@ const DefaultViewRing = 65536
 // fleet-scale analogue of the paper's 5-second bandwidth display window.
 const DefaultRateWindow = 10 * time.Second
 
+// rateBuckets subdivides a rate window.
+const rateBuckets = 10
+
 // Rate is a windowed throughput estimate.
 type Rate struct {
 	BytesPerSec   float64
@@ -95,12 +98,8 @@ type FolderConfig struct {
 	// Clock stamps view rows and evaluates rate windows (pass the fleet
 	// clock; nil means wall clock).
 	Clock clock.Clock
-	// ViewRing bounds the FleetStats ring (default DefaultViewRing).
-	ViewRing int
 	// RateWindow is the sliding rate window (default DefaultRateWindow).
 	RateWindow time.Duration
-	// RateBuckets subdivides the window (default 10).
-	RateBuckets int
 }
 
 // Folder consumes hub deltas and maintains the fleet-wide view: live
@@ -109,11 +108,9 @@ type FolderConfig struct {
 // registers itself as a synchronous hub handler, so after Hub.Flush its
 // reads reflect every row inserted before the flush.
 type Folder struct {
-	hub     *Hub
-	clk     clock.Clock
-	view    *hwdb.DB
-	window  time.Duration
-	buckets int
+	clk    clock.Clock
+	view   *hwdb.DB
+	window time.Duration
 
 	// Standard-schema column indexes, resolved once.
 	fMAC, fPkts, fBytes    int
@@ -179,14 +176,8 @@ func NewFolder(hub *Hub, cfg FolderConfig) *Folder {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	if cfg.ViewRing <= 0 {
-		cfg.ViewRing = DefaultViewRing
-	}
 	if cfg.RateWindow <= 0 {
 		cfg.RateWindow = DefaultRateWindow
-	}
-	if cfg.RateBuckets <= 0 {
-		cfg.RateBuckets = 10
 	}
 	view := hwdb.New(cfg.Clock)
 	_, err := view.CreateTable(ViewTable, hwdb.NewSchema(
@@ -200,18 +191,16 @@ func NewFolder(hub *Hub, cfg FolderConfig) *Folder {
 		hwdb.Column{Name: "rssi", Type: hwdb.TReal},
 		hwdb.Column{Name: "bps", Type: hwdb.TReal},
 		hwdb.Column{Name: "lost", Type: hwdb.TInt},
-	), cfg.ViewRing)
+	), DefaultViewRing)
 	if err != nil {
 		panic(err) // fresh DB, fixed name: cannot collide
 	}
 	f := &Folder{
-		hub:     hub,
-		clk:     cfg.Clock,
-		view:    view,
-		window:  cfg.RateWindow,
-		buckets: cfg.RateBuckets,
-		homes:   make(map[uint64]*homeAcc),
-		rate:    newRateRing(cfg.RateWindow, cfg.RateBuckets),
+		clk:    cfg.Clock,
+		view:   view,
+		window: cfg.RateWindow,
+		homes:  make(map[uint64]*homeAcc),
+		rate:   newRateRing(cfg.RateWindow),
 	}
 	// The standard Homework schemas are fixed; resolve the column
 	// indexes the fold needs once, from a throwaway prototype DB.
@@ -272,7 +261,7 @@ func (f *Folder) RemoveHome(id uint64) {
 // addHomeLocked starts an accumulator for a home that has none (caller
 // holds f.mu).
 func (f *Folder) addHomeLocked(id uint64) *homeAcc {
-	h := &homeAcc{id: id, rate: newRateRing(f.window, f.buckets)}
+	h := &homeAcc{id: id, rate: newRateRing(f.window)}
 	f.homes[id] = h
 	i, _ := slices.BinarySearch(f.ids, id)
 	f.ids = slices.Insert(f.ids, i, id)
@@ -319,7 +308,7 @@ func (f *Folder) consume(d Delta) {
 				if h.dev == nil {
 					h.dev = make(map[int64]*rateRing)
 				}
-				dr = newRateRing(f.window, f.buckets)
+				dr = newRateRing(f.window)
 				h.dev[mac] = dr
 			}
 			dr.add(ts, by, pk)
@@ -521,12 +510,12 @@ type rateRing struct {
 	pkts   []uint64
 }
 
-func newRateRing(window time.Duration, buckets int) *rateRing {
+func newRateRing(window time.Duration) *rateRing {
 	return &rateRing{
-		bucket: window / time.Duration(buckets),
-		idx:    make([]int64, buckets),
-		bytes:  make([]uint64, buckets),
-		pkts:   make([]uint64, buckets),
+		bucket: window / rateBuckets,
+		idx:    make([]int64, rateBuckets),
+		bytes:  make([]uint64, rateBuckets),
+		pkts:   make([]uint64, rateBuckets),
 	}
 }
 

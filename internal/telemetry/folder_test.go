@@ -21,7 +21,7 @@ type rig struct {
 func newRig(t *testing.T, homes ...uint64) *rig {
 	t.Helper()
 	clk := clock.NewSimulated()
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub(HubConfig{})
 	t.Cleanup(hub.Close)
 	r := &rig{
 		clk:    clk,

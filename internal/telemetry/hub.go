@@ -1,7 +1,7 @@
 // Package telemetry is the live fleet-wide streaming layer between the
 // per-home Homework Databases and the management interfaces: a push-based
-// subscription hub over hwdb tables, a background folder that keeps
-// fleet-wide statistics (and windowed per-home/per-device rates — the
+// subscription hub over hwdb tables, a folder that keeps fleet-wide
+// statistics (and windowed per-home/per-device rates — the
 // fleet-scale analogue of the paper's bandwidth display) continuously
 // current without an on-demand fold pass, and the fleet endpoint: the
 // STATS, TRACE, REPLAY and FLEET-push verbs registered on an hwdb.Server
@@ -10,15 +10,22 @@
 //
 // The hub inverts the polling design the fleet layer started with: rather
 // than every reader re-scanning every home's rings, each hwdb insert sets
-// a per-source dirty flag and rings a doorbell (no allocation, never
-// blocking the inserter), and a single drain pass batch-reads every dirty
-// table forward from its cursor into one hwdb.RowBuilder and fans the row
-// deltas out to subscribers. Loss is explicit at both levels: rows that
-// wrap out of an hwdb ring before a drain are counted by the read, and
+// a per-source dirty flag (no allocation, never blocking the inserter),
+// and each Flush is one drain pass that batch-reads every dirty table
+// forward from its cursor into one hwdb.RowBuilder and fans the row
+// deltas out to subscribers. A hub starts no goroutine: deltas move only
+// when its owner flushes it. A hub can also be fed from outside with
+// Ingest — the coordinator's image of a remote worker's hub — and fans
+// those deltas out the same way. Loss is explicit at every level: rows
+// that wrap out of an hwdb ring before a drain are counted by the read,
+// rows a remote stream lost on the wire are counted by AccountLost, and
 // rows a slow channel subscriber cannot accept are counted per subscriber
 // and folded into the Lost field of the next delta it does receive —
 // every inserted row is either delivered or accounted, never silently
 // gone.
+//
+// Each delta reaches exactly one Folder: the Federation's, which folds
+// every member hub of a fleet into one global view.
 package telemetry
 
 import (
@@ -49,39 +56,36 @@ type Delta struct {
 
 // HubConfig parameterizes a hub.
 type HubConfig struct {
-	// Manual disables the background pump goroutine: deltas move only
-	// when a caller invokes Flush. Deterministic harnesses (the fleet
-	// steps a simulated clock and flushes after each barrier) and
-	// allocation tests run manual; real-time daemons leave it false.
+	// Deprecated: ignored. A hub drains only when Flush is called; it
+	// has no background pump. The field stays only because the benchmark
+	// harness sets it, and goes in the next change to the benchmark
+	// (ROADMAP queue (ix)).
 	Manual bool
 }
 
 // Hub is an in-process, cursor-based subscription hub over hwdb tables.
-// Watch registers tables; Subscribe/SubscribeFunc register consumers.
-// All methods are safe for concurrent use.
+// Watch registers tables, or Ingest feeds it deltas read elsewhere;
+// Subscribe/SubscribeFunc register consumers. All methods are safe for
+// concurrent use.
 type Hub struct {
-	cfg  HubConfig
-	wake chan struct{} // doorbell: buffered(1), rung by insert hooks
-	quit chan struct{}
-	done chan struct{}
+	mu      sync.Mutex // registry: sources, subscribers
+	sources map[SourceID]*source
+	order   []*source // sorted by (Home, Table); nil when stale
+	subs    []*Subscription
+	fns     []func(Delta)
+	closed  bool
 
-	mu         sync.Mutex // registry: sources, subscribers
-	sources    map[SourceID]*source
-	order      []*source // sorted by (Home, Table); nil when stale
-	subs       []*Subscription
-	fns        []func(Delta)
-	closed     bool
-	retDeliver uint64 // accounting carried over from unwatched sources
-	retLost    uint64
-
-	// pumpMu serializes drain passes (pump, Flush, Unwatch's final
-	// drain): source cursors must advance atomically with their fan-out
+	// pumpMu serializes drain passes (Flush, Unwatch's final drain) and
+	// ingests: source cursors must advance atomically with their fan-out
 	// or two passes could double-deliver the same rows. It also guards
-	// what a drain pass reuses from the last: its deltas slice and the
-	// rest of its row builder's arrays.
-	pumpMu sync.Mutex
-	deltas []Delta
-	rest   hwdb.RowBuilder
+	// the books no watched source holds — retired sources' and ingested
+	// deltas' — and what a drain pass reuses from the last: its deltas
+	// slice and the rest of its row builder's arrays.
+	pumpMu    sync.Mutex
+	delivered uint64
+	lost      uint64
+	deltas    []Delta
+	rest      hwdb.RowBuilder
 }
 
 // source is one watched table plus its read cursor and accounting.
@@ -100,29 +104,17 @@ type source struct {
 
 // HubStats is cumulative hub-level accounting, including sources that
 // have since been unwatched. Delivered+Lost always equals the total
-// inserts across every table the hub has finished draining.
+// inserts across every table the hub has finished draining, plus every
+// row ingested or accounted lost from outside.
 type HubStats struct {
-	Sources   int    // currently watched
+	Sources   int    // currently watched (0 for a hub fed only by Ingest)
 	Delivered uint64 // rows fanned out to consumers
-	Lost      uint64 // rows that wrapped out of an hwdb ring unread
+	Lost      uint64 // rows that wrapped out of an hwdb ring, or a wire, unread
 }
 
-// NewHub creates a hub; unless cfg.Manual is set a background pump
-// goroutine drains dirty sources as inserts ring the doorbell.
-func NewHub(cfg HubConfig) *Hub {
-	h := &Hub{
-		cfg:     cfg,
-		wake:    make(chan struct{}, 1),
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
-		sources: make(map[SourceID]*source),
-	}
-	if cfg.Manual {
-		close(h.done)
-	} else {
-		go h.pump()
-	}
-	return h
+// NewHub creates an empty hub. It starts no goroutine: Flush drains it.
+func NewHub(HubConfig) *Hub {
+	return &Hub{sources: make(map[SourceID]*source)}
 }
 
 // Watch registers a table under id and hooks its insert path. Rows
@@ -151,25 +143,14 @@ func (h *Hub) Watch(id SourceID, t *hwdb.Table) {
 	h.order = nil
 	h.mu.Unlock()
 
-	// The insert hot path: one atomic load, one CAS, one non-blocking
-	// channel send. No allocation, and the inserter never waits on any
-	// consumer — a slow subscriber costs accounted loss, not insert
-	// latency.
+	// The insert hot path: one atomic load and one CAS. No allocation,
+	// and the inserter never waits on any consumer — a slow subscriber
+	// costs accounted loss, not insert latency.
 	t.Notify(func() {
-		if s.gone.Load() {
-			return
-		}
-		if s.dirty.CompareAndSwap(0, 1) {
-			select {
-			case h.wake <- struct{}{}:
-			default:
-			}
+		if !s.gone.Load() {
+			s.dirty.CompareAndSwap(0, 1)
 		}
 	})
-	select {
-	case h.wake <- struct{}{}:
-	default:
-	}
 }
 
 // Unwatch removes a source after a final drain, so rows inserted before
@@ -189,10 +170,30 @@ func (h *Hub) Unwatch(id SourceID) {
 	s.gone.Store(true)
 	h.pumpMu.Lock()
 	h.finalDrain(s)
-	h.mu.Lock()
-	h.retDeliver += s.delivered
-	h.retLost += s.lost
-	h.mu.Unlock()
+	h.delivered += s.delivered
+	h.lost += s.lost
+	h.pumpMu.Unlock()
+}
+
+// Ingest fans out one delta read elsewhere — a remote worker's hub
+// stream, decoded off the wire — exactly as a drain pass would fan out a
+// watched source's, and adds its rows and in-band Lost to the hub's
+// books.
+func (h *Hub) Ingest(d Delta) {
+	h.pumpMu.Lock()
+	h.delivered += uint64(len(d.Rows))
+	h.lost += d.Lost
+	h.fanOut(d)
+	h.pumpMu.Unlock()
+}
+
+// AccountLost adds rows to the hub's loss books that a remote stream
+// fanned out but never delivered here — batches a worker committed while
+// the connection was down. The rows are gone (a worker does not
+// retransmit committed batches) but never uncounted.
+func (h *Hub) AccountLost(rows uint64) {
+	h.pumpMu.Lock()
+	h.lost += rows
 	h.pumpMu.Unlock()
 }
 
@@ -203,7 +204,7 @@ func (h *Hub) Subscribe(buf int) *Subscription {
 	if buf <= 0 {
 		buf = 64
 	}
-	sub := &Subscription{members: []Member{h}, ch: make(chan Delta, buf)}
+	sub := &Subscription{members: []*Hub{h}, ch: make(chan Delta, buf)}
 	h.addSub(sub)
 	return sub
 }
@@ -255,12 +256,13 @@ func (h *Hub) Flush() {
 	h.pumpMu.Unlock()
 }
 
-// Stats returns cumulative hub accounting (including retired sources).
+// Stats returns cumulative hub accounting (including retired sources and
+// ingested deltas).
 func (h *Hub) Stats() HubStats {
 	h.pumpMu.Lock()
 	defer h.pumpMu.Unlock()
 	h.mu.Lock()
-	st := HubStats{Sources: len(h.sources), Delivered: h.retDeliver, Lost: h.retLost}
+	st := HubStats{Sources: len(h.sources), Delivered: h.delivered, Lost: h.lost}
 	srcs := h.snapshotLocked()
 	h.mu.Unlock()
 	for _, s := range srcs {
@@ -270,34 +272,14 @@ func (h *Hub) Stats() HubStats {
 	return st
 }
 
-// Close stops the pump and detaches every source's insert hook. Channel
-// subscribers receive no further deltas.
+// Close detaches every source's insert hook: later flushes drain
+// nothing, and no consumer can register.
 func (h *Hub) Close() {
 	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return
-	}
+	defer h.mu.Unlock()
 	h.closed = true
 	for _, s := range h.sources {
 		s.gone.Store(true)
-	}
-	h.mu.Unlock()
-	close(h.quit)
-	<-h.done
-}
-
-func (h *Hub) pump() {
-	defer close(h.done)
-	for {
-		select {
-		case <-h.quit:
-			return
-		case <-h.wake:
-		}
-		h.pumpMu.Lock()
-		h.drain()
-		h.pumpMu.Unlock()
 	}
 }
 
@@ -394,11 +376,11 @@ func (h *Hub) finalDrain(s *source) {
 }
 
 // Subscription is one channel consumer of one hub or (through a
-// Federation) several members — in-process hubs and remote-shard relays
-// alike: the channel, the loss accounting and the drop books are shared
-// across every member the subscription is attached to.
+// Federation) several — watched and ingest-fed hubs alike: the channel,
+// the loss accounting and the drop books are shared across every hub the
+// subscription is attached to.
 type Subscription struct {
-	members []Member
+	members []*Hub
 	ch      chan Delta
 
 	pendingLost atomic.Uint64 // loss not yet reported in-band
@@ -422,7 +404,7 @@ func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
 // rows fanned out to this subscriber plus their ring-wrap losses.
 func (s *Subscription) PendingLost() uint64 { return s.pendingLost.Load() }
 
-// Close detaches the subscription from every member it is attached to;
+// Close detaches the subscription from every hub it is attached to;
 // no further deltas are delivered. The channel is left open (draining
 // buffered deltas is fine).
 func (s *Subscription) Close() {

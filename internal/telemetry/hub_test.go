@@ -1,8 +1,8 @@
 package telemetry
 
 import (
+	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/hwdb"
@@ -29,7 +29,7 @@ func insertN(t *testing.T, tbl *hwdb.Table, clk *clock.Simulated, from, n int) {
 // with nothing new delivers nothing.
 func TestHubDeliversBatchedDeltas(t *testing.T) {
 	tbl, clk := testTable(t, 64)
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub(HubConfig{})
 	defer hub.Close()
 	sub := hub.Subscribe(8)
 	id := SourceID{Home: 3, Table: "T"}
@@ -66,7 +66,7 @@ func TestHubDeliversBatchedDeltas(t *testing.T) {
 // table adds zero allocations per insert.
 func TestHubInsertHotPathZeroAllocs(t *testing.T) {
 	tbl, clk := testTable(t, 4096)
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub(HubConfig{})
 	defer hub.Close()
 	hub.Watch(SourceID{Home: 1, Table: "T"}, tbl)
 
@@ -85,7 +85,7 @@ func TestHubInsertHotPathZeroAllocs(t *testing.T) {
 // cursor falls further behind than the ring holds.
 func TestHubRingWrapLost(t *testing.T) {
 	tbl, clk := testTable(t, 4)
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub(HubConfig{})
 	defer hub.Close()
 	sub := hub.Subscribe(8)
 	hub.Watch(SourceID{Home: 0, Table: "T"}, tbl)
@@ -114,7 +114,7 @@ func TestHubRingWrapLost(t *testing.T) {
 // reported via Dropped/PendingLost and the in-band Lost of a later delta.
 func TestHubSlowConsumer(t *testing.T) {
 	tbl, clk := testTable(t, 1024)
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub(HubConfig{})
 	defer hub.Close()
 	sub := hub.Subscribe(1) // room for exactly one delta
 	hub.Watch(SourceID{Home: 0, Table: "T"}, tbl)
@@ -158,7 +158,7 @@ func TestHubSlowConsumer(t *testing.T) {
 // held and retires the source's accounting into the hub totals.
 func TestHubUnwatchFinalDrain(t *testing.T) {
 	tbl, clk := testTable(t, 64)
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub(HubConfig{})
 	defer hub.Close()
 	var got int
 	hub.SubscribeFunc(func(d Delta) { got += len(d.Rows) })
@@ -186,7 +186,7 @@ func TestHubUnwatchFinalDrain(t *testing.T) {
 func TestHubWatchSeesRetainedRows(t *testing.T) {
 	tbl, clk := testTable(t, 64)
 	insertN(t, tbl, clk, 0, 3)
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub(HubConfig{})
 	defer hub.Close()
 	var got int
 	hub.SubscribeFunc(func(d Delta) { got += len(d.Rows) })
@@ -201,7 +201,7 @@ func TestHubWatchSeesRetainedRows(t *testing.T) {
 // regardless of registration order.
 func TestHubDeterministicFanoutOrder(t *testing.T) {
 	clk := clock.NewSimulated()
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub(HubConfig{})
 	defer hub.Close()
 	var order []SourceID
 	hub.SubscribeFunc(func(d Delta) { order = append(order, d.Source) })
@@ -225,25 +225,35 @@ func TestHubDeterministicFanoutOrder(t *testing.T) {
 	}
 }
 
-// TestHubPump: without Manual, the background pump delivers on its own
-// after an insert rings the doorbell.
-func TestHubPump(t *testing.T) {
+// TestHubStartsNoGoroutine: a hub drains only when it is flushed, so
+// building, watching, inserting into, flushing and closing one leaves the
+// goroutine count where it was. Other tests' goroutines can only wind
+// down meanwhile, so the count is held to at most its starting value.
+func TestHubStartsNoGoroutine(t *testing.T) {
 	tbl, clk := testTable(t, 64)
+	before := runtime.NumGoroutine()
+	check := func(when string) {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("%s: %d goroutines, %d before the hub", when, n, before)
+		}
+	}
 	hub := NewHub(HubConfig{})
-	defer hub.Close()
+	check("after NewHub")
 	sub := hub.Subscribe(8)
 	hub.Watch(SourceID{Home: 0, Table: "T"}, tbl)
 	insertN(t, tbl, clk, 0, 2)
-	// The pump may deliver the two rows as one or two deltas depending
-	// on when it wakes; only the total matters.
-	deadline := time.After(2 * time.Second)
-	got := 0
-	for got < 2 {
-		select {
-		case d := <-sub.C():
-			got += len(d.Rows)
-		case <-deadline:
-			t.Fatalf("pump delivered %d of 2 rows", got)
+	check("after inserts")
+	hub.Flush()
+	select {
+	case d := <-sub.C():
+		if len(d.Rows) != 2 {
+			t.Fatalf("flush delivered %d of 2 rows", len(d.Rows))
 		}
+	default:
+		t.Fatal("no delta after flush")
 	}
+	check("after Flush")
+	hub.Close()
+	check("after Close")
 }

@@ -16,19 +16,22 @@ func relayDelta(home uint64, n int, lost uint64) Delta {
 	return Delta{Source: SourceID{Home: home, Table: "T"}, Rows: rows, Lost: lost}
 }
 
-// TestRelayBooks: Ingest counts rows and in-band loss, AccountLost adds
-// wire loss, Sources counts distinct streams — the same ledger a hub
-// keeps, maintained for deltas that crossed a socket.
+// TestRelayBooks: on a hub fed from outside (the coordinator's relay of
+// a remote worker's hub), Ingest counts rows and in-band loss and
+// AccountLost adds wire loss — the same ledger a hub keeps for the tables
+// it watches, maintained for deltas that crossed a socket. The hub
+// watches nothing, so it reports no sources however many streams it
+// ingests.
 func TestRelayBooks(t *testing.T) {
-	r := NewRelay()
+	r := NewHub(HubConfig{})
 	if st := r.Stats(); st != (HubStats{}) {
 		t.Fatalf("fresh relay stats = %+v", st)
 	}
 	r.Ingest(relayDelta(1, 4, 0))
 	r.Ingest(relayDelta(1, 2, 1))
 	r.Ingest(relayDelta(2, 3, 0))
-	if st := r.Stats(); st.Sources != 2 || st.Delivered != 9 || st.Lost != 1 {
-		t.Fatalf("stats = %+v, want 2 sources, 9 delivered, 1 lost", st)
+	if st := r.Stats(); st.Sources != 0 || st.Delivered != 9 || st.Lost != 1 {
+		t.Fatalf("stats = %+v, want 0 sources, 9 delivered, 1 lost", st)
 	}
 	r.AccountLost(0) // no-op
 	r.AccountLost(5)
@@ -40,12 +43,11 @@ func TestRelayBooks(t *testing.T) {
 // TestRelayFanout: synchronous handlers and channel subscriptions both
 // see every ingested delta, and closing a subscription detaches it.
 func TestRelayFanout(t *testing.T) {
-	r := NewRelay()
+	r := NewHub(HubConfig{})
 	var fnRows int
 	r.SubscribeFunc(func(d Delta) { fnRows += len(d.Rows) })
 
-	sub := &Subscription{members: []Member{r}, ch: make(chan Delta, 8)}
-	r.addSub(sub)
+	sub := r.Subscribe(8)
 
 	r.Ingest(relayDelta(1, 3, 0))
 	r.Ingest(relayDelta(2, 2, 0))
@@ -70,21 +72,21 @@ func TestRelayFanout(t *testing.T) {
 	}
 }
 
-// TestFederationMixesHubAndRelay: a federation spanning one in-process
-// hub and one relay (standing in for a remote worker) folds both delta
-// streams into the global folder, sums both books, and a federated
-// subscription receives from both members — remote shards are
-// indistinguishable from local ones above the Member seam.
+// TestFederationMixesHubAndRelay: a federation spanning one hub watching
+// in-process tables and one fed by Ingest (standing in for a remote
+// worker) folds both delta streams into the global folder, sums both
+// books, and a federated subscription receives from both members —
+// remote shards are indistinguishable from local ones above the hub.
 func TestFederationMixesHubAndRelay(t *testing.T) {
 	clk := clock.NewSimulated()
 	tbl := hwdb.NewTable("T", hwdb.NewSchema(hwdb.Column{Name: "v", Type: hwdb.TInt}), 64)
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub(HubConfig{})
 	defer hub.Close()
-	relay := NewRelay()
+	relay := NewHub(HubConfig{})
 
 	fed := NewFederation(FolderConfig{Clock: clk})
 	fed.Attach(hub)
-	fed.AttachMember(relay)
+	fed.Attach(relay)
 	if fed.Members() != 2 {
 		t.Fatalf("members = %d, want 2", fed.Members())
 	}
@@ -118,7 +120,7 @@ func TestFederationMixesHubAndRelay(t *testing.T) {
 		t.Fatalf("subscription saw %d rows from homes %v, want 8 from both", rows, seen)
 	}
 
-	// Wire loss reconciled into the relay stays visible federation-wide:
+	// Wire loss accounted on the relay hub stays visible federation-wide:
 	// the invariant delivered+lost == fanned-out survives the mix.
 	relay.AccountLost(4)
 	if st := fed.Stats(); st.Delivered != 8 || st.Lost != 4 {
@@ -127,18 +129,18 @@ func TestFederationMixesHubAndRelay(t *testing.T) {
 }
 
 // TestFederationSubscribeFuncSpansRelay: a handler registered on the
-// federation fires for deltas from members attached before and after the
-// registration, relay included.
+// federation fires for ingested deltas from members attached before and
+// after the registration.
 func TestFederationSubscribeFuncSpansRelay(t *testing.T) {
 	fed := NewFederation(FolderConfig{})
-	early := NewRelay()
-	fed.AttachMember(early)
+	early := NewHub(HubConfig{})
+	fed.Attach(early)
 
 	var rows int
 	fed.SubscribeFunc(func(d Delta) { rows += len(d.Rows) })
 
-	late := NewRelay()
-	fed.AttachMember(late)
+	late := NewHub(HubConfig{})
+	fed.Attach(late)
 
 	early.Ingest(relayDelta(1, 2, 0))
 	late.Ingest(relayDelta(2, 3, 0))

@@ -27,7 +27,7 @@ type serverRig struct {
 func newServerRig(t *testing.T) *serverRig {
 	t.Helper()
 	clk := clock.Real{} // subscription ticks need a real clock here
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub(HubConfig{})
 	t.Cleanup(hub.Close)
 	folder := NewFolder(hub, FolderConfig{Clock: clk})
 	db := hwdb.NewHomework(clk, 1024)
@@ -273,7 +273,7 @@ func TestDeltaLineMatchesResultText(t *testing.T) {
 // TestServerCloseWithoutServe: Close on a never-served server is a safe
 // no-op (the idiomatic defer-before-error-check pattern must not panic).
 func TestServerCloseWithoutServe(t *testing.T) {
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub(HubConfig{})
 	defer hub.Close()
 	srv := NewServer(NewFolder(hub, FolderConfig{Clock: clock.Real{}}))
 	if err := srv.Close(); err != nil {
