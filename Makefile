@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race soak hwbench-test
+.PHONY: all build test race soak hwbench-test fleet-smoke
 
 all: build test
 
@@ -30,3 +30,22 @@ hwbench-test:
 #   go test -race -run TestChaosSoak ./internal/chaos
 soak:
 	$(GO) test -race -run TestChaosSoak -v -timeout 8m ./internal/chaos
+
+# fleet-smoke runs hwfleetd end to end twice: a 4-home fleet in process,
+# then the same scenario over two workers on fixed loopback ports. Both
+# runs print the same report and exit 1 when its books fail to reconcile.
+# The workers are waited on until they serve, and stopped whatever the
+# coordinator's exit.
+fleet-smoke:
+	$(GO) build -o .fleet-smoke/hwfleetd ./cmd/hwfleetd
+	.fleet-smoke/hwfleetd -homes 4 -hosts 2 -duration 2 -q
+	@set -e; bin=.fleet-smoke/hwfleetd; \
+	$$bin -worker -listen 127.0.0.1:7701 -shard-index 0 > .fleet-smoke/w0.log 2>&1 & w0=$$!; \
+	$$bin -worker -listen 127.0.0.1:7702 -shard-index 1 > .fleet-smoke/w1.log 2>&1 & w1=$$!; \
+	trap 'kill $$w0 $$w1 2>/dev/null || true' EXIT; \
+	for i in $$(seq 50); do \
+		grep -q serving .fleet-smoke/w0.log && grep -q serving .fleet-smoke/w1.log && break; \
+		sleep 0.1; \
+	done; \
+	$$bin -workers 127.0.0.1:7701,127.0.0.1:7702 -homes 4 -hosts 2 -duration 2 -q; \
+	wait $$w0 $$w1

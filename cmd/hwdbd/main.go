@@ -1,5 +1,6 @@
 // Command hwdbd runs a standalone Homework Database server over its UDP
-// RPC, with the three standard tables created.
+// RPC, with the four standard tables created (Flows, Links, Leases and
+// FlowPerf).
 //
 //	hwdbd [-addr 127.0.0.1:7654] [-ring 65536]
 package main
@@ -24,7 +25,7 @@ func main() {
 	if err := srv.Serve(*addr); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("hwdb serving on %s (tables: Flows, Links, Leases; ring %d)", srv.Addr(), *ring)
+	log.Printf("hwdb serving on %s (tables: Flows, Links, Leases, FlowPerf; ring %d)", srv.Addr(), *ring)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)

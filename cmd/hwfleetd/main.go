@@ -1,21 +1,24 @@
-// Command hwfleetd runs a fleet of Homework homes in one process: N
-// independent routers (each with its own datapath, controller modules,
-// hwdb and simulated home network) placed across shard-local engines by
-// the fleet coordinator, with every shard's telemetry hub federated into
-// one fleet-wide FleetStats view.
+// Command hwfleetd runs a fleet of Homework homes: N independent routers
+// (each with its own datapath, controller modules, hwdb and simulated
+// home network) placed across shard engines by the fleet coordinator,
+// with every shard's telemetry hub federated into one fleet-wide
+// FleetStats view.
 //
 //	hwfleetd [-homes 64] [-hosts 3] [-shards 8] [-duration 10] [-scenario fleet.json]
 //	         [-stats 127.0.0.1:0] [-linger 30s] [-debug-addr 127.0.0.1:6060]
 //
 // Flags override the scenario (default or loaded from -scenario JSON).
+// One runner (fleet.Runner) drives every scenario on a simulated clock:
+// -duration is simulated seconds, run as fast as the homes step.
 //
-// The fleet can also span processes. A worker serves one shard engine's
-// ShardClient contract over TCP (internal/fleet/shardrpc), populating
-// each home the coordinator assigns from the scenario; a coordinator
-// given -workers drives those shards over the network instead of
-// in-process engines, with each worker's telemetry relayed back into a
-// coordinator-side hub and folded into the federated view under the same
-// delivered+lost == inserts accounting:
+// The shard engines run in this process, or in worker processes. A
+// worker serves one shard engine's ShardClient contract over TCP
+// (internal/fleet/shardrpc), populating each home the coordinator
+// assigns from the scenario; a coordinator given -workers drives those
+// shards over the network instead of in-process engines, with each
+// worker's telemetry fed back into a coordinator-side hub and folded
+// into the federated view under the same delivered+lost == inserts
+// accounting:
 //
 //	hwfleetd -worker -listen 127.0.0.1:7701 -shard-index 0
 //	hwfleetd -worker -listen 127.0.0.1:7702 -shard-index 1
@@ -23,17 +26,25 @@
 //
 // Workers exit when the coordinator closes their shard (or on SIGINT).
 // See docs/ARCHITECTURE.md "Fleet control plane" for the wire protocol
-// and its reconnect/accounting semantics.
+// and its reconnect/accounting semantics. A remote run churns no host
+// (the coordinator holds no home handle); otherwise both modes step,
+// report and reconcile alike.
+//
 // On completion it prints the run report — including the fleet-merged
 // punt-lifecycle trace summary and FlowPerf loss totals — plus the
-// busiest homes from the aggregated view, and with -cql executes one
-// more query against it.
+// busiest homes from the FleetStats view, and with -cql executes one
+// more query against it. It exits 1 if the report disagrees with
+// itself: the shard books must sum to the federation's (component by
+// component in process, delivered+lost across the wire), the folder must
+// have folded every delivered row, and the flight recorder's books must
+// balance. A run that folded no flow also exits 1.
 //
 // With -stats, a streaming telemetry endpoint serves the live fleet view
 // over UDP for the whole run (HWDB/1 framing: EXEC CQL, STATS, TRACE,
-// and FLEET subscriptions pushing per-home deltas); -linger keeps the
-// process (and the endpoint) alive after the run so clients can keep
-// querying.
+// and FLEET subscriptions pushing per-home deltas every so many simulated
+// seconds); -linger keeps the process (and the endpoint) alive after the
+// run so clients can keep querying. Simulated time stands still after the
+// run, so subscriptions push nothing more while it lingers.
 //
 // With -debug-addr (off by default), an HTTP debug endpoint serves
 // net/http/pprof profiles under /debug/pprof/ and expvar counters under
@@ -111,84 +122,6 @@ func runWorker(s fleet.Scenario, listen string, index int) {
 	st := eng.Stats()
 	fmt.Printf("worker shard %d: %d steps, %d delivered + %d lost rows\n",
 		index, st.Steps, st.Hub.Delivered, st.Hub.Lost)
-}
-
-// runCoordinator drives the scenario over remote workers: same step and
-// aggregation cadence as the in-process runner, but every shard call is
-// a shardrpc round trip and every shard's telemetry arrives through a
-// relay hub. The final report reconciles the relayed books against the
-// workers' own: delivered+lost must sum identically on both sides of the
-// wire, and the global folder must have folded every delivered row.
-func runCoordinator(s fleet.Scenario, addrs []string, quiet bool) {
-	f := fleet.New(fleet.Config{
-		WorkerAddrs: addrs,
-		Clock:       clock.NewSimulated(),
-		Seed:        s.Seed,
-		StepTimeout: 30 * time.Second,
-	})
-	defer f.Stop()
-	start := time.Now()
-	if _, err := f.AddHomes(s.Homes); err != nil {
-		log.Fatal(err)
-	}
-	steps := int(s.DurationSec / s.StepSec)
-	aggEvery := s.AggEverySec
-	if aggEvery <= 0 {
-		aggEvery = 1
-	}
-	aggSteps := int(aggEvery / s.StepSec)
-	if aggSteps < 1 {
-		aggSteps = 1
-	}
-	for i := 0; i < steps; i++ {
-		if err := f.Step(s.StepSec); err != nil {
-			log.Fatal(err)
-		}
-		if (i+1)%aggSteps == 0 {
-			f.Aggregate()
-			if !quiet {
-				log.Printf("step %d/%d: %+v", i+1, steps, f.Telemetry().FleetRate())
-			}
-		}
-	}
-	f.Sync()
-
-	fmt.Printf("scenario  %s (remote)\n", s.Name)
-	fmt.Printf("homes     %d across %d workers\n", f.Size(), f.Shards())
-	fmt.Printf("steps     %d (%.1fs simulated in %v wall)\n",
-		steps, float64(steps)*s.StepSec, time.Since(start).Round(time.Millisecond))
-	tot := f.Totals()
-	fmt.Printf("flows     %d observations, %d packets, %d bytes\n", tot.Flows, tot.Packets, tot.Bytes)
-	// Per-worker engine books (one RPC each) against the coordinator's
-	// relayed federation books. Individual delivered/lost components may
-	// differ — a row a worker counted delivered can be accounted lost here
-	// if its connection died mid-batch — but the sums must reconcile
-	// exactly: every row is delivered or explicitly lost, never silent.
-	var sumDelivered, sumLost uint64
-	fmt.Println("workers (engine-local books over the wire):")
-	for _, ss := range f.ShardStats() {
-		fmt.Printf("  shard %-3d %4d homes  %10d delivered + %6d lost\n",
-			ss.Shard, ss.Homes, ss.Hub.Delivered, ss.Hub.Lost)
-		sumDelivered += ss.Hub.Delivered
-		sumLost += ss.Hub.Lost
-	}
-	fed := f.Hub().Stats()
-	fmt.Printf("federated %d delivered + %d lost (relayed books)\n", fed.Delivered, fed.Lost)
-	if sumDelivered+sumLost != fed.Delivered+fed.Lost {
-		fmt.Fprintf(os.Stderr,
-			"error: relayed books disagree with the workers': %d+%d relayed != %d+%d at the workers\n",
-			fed.Delivered, fed.Lost, sumDelivered, sumLost)
-		os.Exit(1)
-	}
-	if rows := f.Telemetry().Totals().Rows; rows != fed.Delivered {
-		fmt.Fprintf(os.Stderr, "error: the global folder folded %d rows, the federation delivered %d\n",
-			rows, fed.Delivered)
-		os.Exit(1)
-	}
-	if tot.Flows == 0 {
-		fmt.Fprintln(os.Stderr, "warning: no flows folded — scenario too short?")
-		os.Exit(1)
-	}
 }
 
 // runChaosSoak drives the chaos soak gate and prints its report; any
@@ -299,12 +232,12 @@ func main() {
 		runWorker(s, *listen, *shardIndex)
 		return
 	}
+	var addrs []string
 	if *workers != "" {
-		runCoordinator(s, strings.Split(*workers, ","), *quiet)
-		return
+		addrs = strings.Split(*workers, ",")
 	}
 
-	runner, err := fleet.NewRunner(s)
+	runner, err := fleet.NewRunner(s, addrs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -357,22 +290,44 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer runner.Close()
+	ok := report(rep, runner.Fleet(), rec, len(addrs) > 0, *cql)
+	if statsSrv != nil {
+		if ok {
+			r := runner.Fleet().Telemetry().FleetRate()
+			fmt.Printf("telemetry  %s  (fleet rate %.0f B/s, %.1f pkt/s at shutdown)\n",
+				statsSrv.Addr(), r.BytesPerSec, r.PacketsPerSec)
+			if *linger > 0 {
+				log.Printf("lingering %v for telemetry clients...", *linger)
+				time.Sleep(*linger)
+			}
+		}
+		_ = statsSrv.Close()
+	}
+	// Close before exiting, so remote workers are told to stop too.
+	runner.Close()
+	if !ok {
+		os.Exit(1)
+	}
+}
 
+// report prints the run report and reconciles it: every home is hosted
+// by exactly one shard, the shard hubs' books sum to the federation's,
+// the global folder folded every delivered row, and the flight recorder
+// stored or compacted every row it was handed. In process a shard hub is
+// a federation member, so delivered and lost agree one by one; across the
+// wire a row a worker counted delivered is accounted lost here if its
+// connection died mid-batch, so only their sums must agree. A mismatch is
+// a federation bug: report false rather than a report that disagrees with
+// itself. No flow at all, or a failed -cql query, also reports false.
+func report(rep *fleet.Report, fl *fleet.Coordinator, rec *flight.Recorder, remote bool, cql string) bool {
 	fmt.Printf("scenario  %s\n", rep.Scenario)
 	fmt.Printf("homes     %d (%d shards)\n", rep.Homes, rep.Shards)
-	fmt.Printf("steps     %d (%.1fs simulated in %v wall)\n", rep.Steps, rep.SimSeconds, rep.Wall.Round(1_000_000))
+	fmt.Printf("steps     %d (%.1fs simulated in %v wall)\n", rep.Steps, rep.SimSeconds, rep.Wall.Round(time.Millisecond))
 	fmt.Printf("churn     %d host replacements\n", rep.Churned)
-	fmt.Printf("folds     %d\n", rep.Totals.Folds)
 	fmt.Printf("hosts     %d across the fleet\n", rep.Totals.Hosts)
 	fmt.Printf("flows     %d observations, %d packets, %d bytes\n",
 		rep.Totals.Flows, rep.Totals.Packets, rep.Totals.Bytes)
 	fmt.Printf("links     %d observations (%d rows lost to ring wrap)\n", rep.Totals.Links, rep.Totals.Lost)
-	// Per-shard engine reports, reconciled against the federated view:
-	// every home is hosted by exactly one shard and the shard hubs' books
-	// must sum to the global accounting. A mismatch is a federation bug —
-	// fail loudly rather than print a report that disagrees with itself.
-	fl := runner.Fleet()
 	var sumHomes int
 	var sumDelivered, sumLost uint64
 	fmt.Println("shards (engine-local books):")
@@ -383,33 +338,34 @@ func main() {
 		sumDelivered += ss.Hub.Delivered
 		sumLost += ss.Hub.Lost
 	}
-	fedStats := fl.Hub().Stats()
-	rows := fl.Telemetry().Totals().Rows
-	if sumHomes != fl.Size() || sumDelivered != fedStats.Delivered || sumLost != fedStats.Lost ||
-		rows != fedStats.Delivered {
+	fed := fl.Hub().Stats()
+	fmt.Printf("federated %d delivered + %d lost\n", fed.Delivered, fed.Lost)
+	books := sumDelivered == fed.Delivered && sumLost == fed.Lost
+	if remote {
+		books = sumDelivered+sumLost == fed.Delivered+fed.Lost
+	}
+	tot := fl.Telemetry().Totals()
+	if sumHomes != fl.Size() || !books || tot.Rows != fed.Delivered {
 		fmt.Fprintf(os.Stderr,
 			"error: per-shard reports disagree with the global view: homes %d/%d, delivered %d/%d, lost %d/%d, folded rows %d/%d delivered\n",
-			sumHomes, fl.Size(), sumDelivered, fedStats.Delivered,
-			sumLost, fedStats.Lost, rows, fedStats.Delivered)
-		os.Exit(1)
+			sumHomes, fl.Size(), sumDelivered, fed.Delivered,
+			sumLost, fed.Lost, tot.Rows, fed.Delivered)
+		return false
 	}
-	// Flight recorder books, reconciled the same way: every row the
-	// federation delivered (plus every view commit) must be stored in a
-	// retention window or accounted as compacted — nothing vanishes.
 	if rec != nil {
 		fs := rec.Stats()
 		fmt.Printf("flight    %d streams in %d windows: %d delivered + %d view rows = %d stored + %d compacted (%d lost)\n",
 			fs.Streams, fs.Windows, fs.Delivered, fs.ViewRows, fs.Stored, fs.Compacted, fs.Lost)
 		if fs.Delivered+fs.ViewRows != fs.Stored+fs.Compacted ||
-			fs.Delivered != fedStats.Delivered || fs.Lost != fedStats.Lost {
+			fs.Delivered != fed.Delivered || fs.Lost != fed.Lost {
 			fmt.Fprintf(os.Stderr,
 				"error: flight recorder books disagree with the federation: delivered %d/%d, lost %d/%d, stored+compacted %d/%d\n",
-				fs.Delivered, fedStats.Delivered, fs.Lost, fedStats.Lost,
+				fs.Delivered, fed.Delivered, fs.Lost, fed.Lost,
 				fs.Stored+fs.Compacted, fs.Delivered+fs.ViewRows)
-			os.Exit(1)
+			return false
 		}
 	}
-	if tot := runner.Fleet().Telemetry().Totals(); tot.PerfRows > 0 {
+	if tot.PerfRows > 0 {
 		lossPct := 100 * float64(tot.LostPkts) / float64(tot.TxPkts)
 		fmt.Printf("flowperf  %d rows: %d tx pkts, %d lost (%.2f%%)",
 			tot.PerfRows, tot.TxPkts, tot.LostPkts, lossPct)
@@ -419,7 +375,7 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if stats := runner.Fleet().TraceStats(); len(stats) > 0 && stats[0].Count > 0 {
+	if stats := fl.TraceStats(); len(stats) > 0 && stats[0].Count > 0 {
 		fmt.Println("trace (per-stage latency, fleet-merged):")
 		for _, st := range stats {
 			fmt.Printf("  %-17s %8d spans  p50 %7.1fµs  p99 %7.1fµs  max %7.1fµs\n",
@@ -432,26 +388,17 @@ func main() {
 			fmt.Printf("  home-%-4d %10d bytes  %6d flow observations\n", h.Home, h.Bytes, h.Flows)
 		}
 	}
-	if *cql != "" {
-		res, err := runner.Fleet().DB().Query(*cql)
+	if cql != "" {
+		res, err := fl.DB().Query(cql)
 		if err != nil {
-			log.Fatal(err)
+			fmt.Fprintln(os.Stderr, "error:", err)
+			return false
 		}
 		fmt.Println(res.Text())
 	}
 	if rep.Totals.Flows == 0 {
 		fmt.Fprintln(os.Stderr, "warning: no flows folded — scenario too short?")
-		os.Exit(1)
+		return false
 	}
-	if statsSrv != nil {
-		tel := runner.Fleet().Telemetry()
-		r := tel.FleetRate()
-		fmt.Printf("telemetry  %s  (fleet rate %.0f B/s, %.1f pkt/s at shutdown)\n",
-			statsSrv.Addr(), r.BytesPerSec, r.PacketsPerSec)
-		if *linger > 0 {
-			log.Printf("lingering %v for telemetry clients...", *linger)
-			time.Sleep(*linger)
-		}
-		_ = statsSrv.Close()
-	}
+	return true
 }

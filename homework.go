@@ -186,10 +186,11 @@ func NewFleet(cfg FleetConfig) *Fleet { return fleet.New(cfg) }
 // DefaultFleetScenario is a small mixed-workload fleet scenario.
 func DefaultFleetScenario() FleetScenario { return fleet.DefaultScenario() }
 
-// RunFleetScenario executes a scenario end-to-end and reports; logf (may
-// be nil) receives progress lines.
+// RunFleetScenario executes a scenario end-to-end over in-process shards
+// on a simulated clock and reports; logf (may be nil) receives progress
+// lines.
 func RunFleetScenario(s FleetScenario, logf func(string, ...any)) (*FleetReport, error) {
-	r, err := fleet.NewRunner(s)
+	r, err := fleet.NewRunner(s, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -13,10 +13,10 @@ import (
 )
 
 // TestChaosChurn32Homes is the chaos extension of the fleet's 32-home
-// `-race` gate: the same sharded stepping, concurrent aggregation, trace
-// readers and home churn — now with every fault class live at once
-// (wedge, dropped/delayed flow-mods, link flap, interference, DHCP storm,
-// slow subscriber) plus an in-place restart of a home mid-run. Wedged
+// `-race` gate: the same sharded stepping, concurrent syncs and view
+// queries, trace readers and home churn — now with every fault class live
+// at once (wedge, dropped/delayed flow-mods, link flap, interference, DHCP
+// storm, slow subscriber) plus an in-place restart of a home mid-run. Wedged
 // homes surface quiesce.ErrDeadline from Step instead of hanging, and at
 // the end every hwdb row any incarnation ever held must be delivered or
 // explicitly accounted as lost.
@@ -78,7 +78,10 @@ func TestChaosChurn32Homes(t *testing.T) {
 	go func() {
 		defer close(aggDone)
 		for i := 0; i < 6; i++ {
-			fl.Aggregate()
+			fl.Sync()
+			if _, err := fl.DB().Query("SELECT home, sum(bytes) FROM FleetStats GROUP BY home"); err != nil {
+				t.Error(err)
+			}
 		}
 	}()
 	traceDone := make(chan struct{})

@@ -80,9 +80,6 @@ type Config struct {
 	// in-process transport is wrapped; TCP deployments are outside the
 	// fault model.
 	WrapTransport func(ctl, dp oftransport.Transport) (oftransport.Transport, oftransport.Transport)
-	// TraceRing bounds the per-home span ring (default
-	// trace.DefaultRingSize; overwrite-oldest).
-	TraceRing int
 	// SettleTimeout bounds how long Settle (and JoinHost, which settles
 	// between DHCP attempts) will wait for the control path to drain
 	// before reporting a wedged controller (default 5s). It is an error
@@ -182,7 +179,7 @@ func New(cfg Config) (*Router, error) {
 	r.DB = hwdb.NewHomework(cfg.Clock, cfg.RingSize)
 	r.Policy = policy.NewEngine(cfg.Clock)
 
-	r.Tracer = trace.New(cfg.TraceRing)
+	r.Tracer = trace.New(trace.DefaultRingSize)
 	r.Datapath = datapath.New(datapath.Config{
 		ID: 0x00163e000001, Clock: cfg.Clock,
 		Description: "Homework home router",

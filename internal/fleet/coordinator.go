@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -51,11 +50,9 @@ type PlacementEvent struct {
 // surface internal/health remediation and cmd/hwfleetd use.
 type Coordinator struct {
 	cfg     Config
-	clk     clock.Clock
 	engines []*engine.Engine // in-process home access (engines[i].Home)
 	shards  []ShardClient    // the contract the lifecycle drives
 	fed     *telemetry.Federation
-	folds   atomic.Uint64
 
 	mu       sync.Mutex
 	place    map[uint64]int // home ID → shard index
@@ -77,14 +74,9 @@ func New(cfg Config) *Coordinator {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.Real{}
-	}
 	c := &Coordinator{
 		cfg:   cfg,
-		clk:   clk,
-		fed:   telemetry.NewFederation(telemetry.FolderConfig{Clock: clk}),
+		fed:   telemetry.NewFederation(telemetry.FolderConfig{Clock: cfg.Clock}),
 		place: make(map[uint64]int),
 	}
 	if len(cfg.WorkerAddrs) > 0 {
@@ -480,25 +472,14 @@ func (c *Coordinator) Step(dt float64) error {
 }
 
 // Sync flushes every shard hub (delivering every row whose insert
-// completed) in shard order and commits the federated FleetStats view. Step calls it after every barrier; call it directly
-// after out-of-band inserts (e.g. a manual PollMeasure) before reading
-// the view.
+// completed) in shard order and commits the federated FleetStats view.
+// Step calls it after every barrier; call it directly after out-of-band
+// inserts (e.g. a manual PollMeasure) before reading the view.
 func (c *Coordinator) Sync() {
 	for _, sc := range c.shards {
 		sc.Sync()
 	}
 	c.fed.Commit()
-}
-
-// Aggregate snapshots the fleet-wide delta since the previous Aggregate
-// call. Unlike the PR-1 fold it does not scan any home's rings: the
-// federated folder maintained the running deltas as rows streamed in, so
-// this is a Sync plus a per-home counter swap.
-func (c *Coordinator) Aggregate() FleetSnapshot {
-	c.Sync()
-	folds := c.folds.Add(1)
-	ps := c.fed.Folder().TakePeriod()
-	return snapshotFromPeriod(c.clk.Now(), ps, folds)
 }
 
 // DB returns the fleet-wide hwdb holding the continuously-maintained
@@ -508,6 +489,18 @@ func (c *Coordinator) Aggregate() FleetSnapshot {
 //	SELECT home, sum(bytes) FROM FleetStats GROUP BY home
 func (c *Coordinator) DB() *hwdb.DB { return c.fed.Folder().View() }
 
+// FleetTotals are cumulative fleet-wide counters, maintained live by the
+// telemetry folder: reading them never scans a home's rings.
+type FleetTotals struct {
+	Homes   int // live homes
+	Hosts   int // hosts across the fleet
+	Flows   uint64
+	Packets uint64
+	Bytes   uint64
+	Links   uint64
+	Lost    uint64
+}
+
 // Totals returns the cumulative fleet-wide counters. They are maintained
 // live by the federated folder; the read is O(1) — no ring is scanned,
 // no home is visited, no shard is called. Hosts is as of the latest
@@ -515,7 +508,6 @@ func (c *Coordinator) DB() *hwdb.DB { return c.fed.Folder().View() }
 func (c *Coordinator) Totals() FleetTotals {
 	t := c.fed.Folder().Totals()
 	return FleetTotals{
-		Folds:   c.folds.Load(),
 		Homes:   t.Homes,
 		Hosts:   t.Hosts,
 		Flows:   t.Flows,

@@ -83,9 +83,6 @@ type Config struct {
 	// in-process shards; remote shards still enforce the shardrpc
 	// client's own call timeout).
 	StepTimeout time.Duration
-	// CallTimeout bounds each non-Step remote round trip (default 10s);
-	// ignored for in-process shards.
-	CallTimeout time.Duration
 
 	// onStep observes scheduler activity (tests only): it runs on the
 	// goroutine stepping the home's shard, before the home is stepped,

@@ -183,8 +183,10 @@ func TestHomeChurn(t *testing.T) {
 }
 
 // TestAggregatorFoldsHomeTraffic drives one home with real traffic and
-// checks the fleet view accumulates its flows, then stays quiet once the
-// cursor catches up.
+// checks the FleetStats view and the live totals tell the same story:
+// the busy home's flows, bytes and links, one device in every commit,
+// no row for the idle home, and nothing re-read by a sync with no new
+// rows.
 func TestAggregatorFoldsHomeTraffic(t *testing.T) {
 	f := newTestFleet(t, 2, 2, nil)
 	h, _ := f.Home(0)
@@ -200,40 +202,47 @@ func TestAggregatorFoldsHomeTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := f.Aggregate()
-	if snap.Homes[0].Flows == 0 || snap.Homes[0].Bytes == 0 {
-		t.Fatalf("home 0 folded nothing: %+v", snap.Homes[0])
-	}
-	if snap.Homes[0].Devices != 1 {
-		t.Errorf("devices = %d, want 1", snap.Homes[0].Devices)
-	}
-	if snap.Homes[0].Links == 0 {
-		t.Error("wireless host produced no link observations")
-	}
-	if snap.Homes[1].Flows != 0 {
-		t.Errorf("idle home folded %d flows", snap.Homes[1].Flows)
-	}
-	if snap.FleetTotals.Homes != 2 || snap.FleetTotals.Hosts != 1 {
-		t.Errorf("totals = %+v", snap.FleetTotals)
-	}
-
-	// The view is queryable with ordinary CQL.
-	res, err := f.DB().Query("SELECT home, sum(bytes) FROM FleetStats GROUP BY home")
+	const q = "SELECT home, count(*), sum(flows), sum(bytes), sum(links) FROM FleetStats GROUP BY home"
+	res, err := f.DB().Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].Int != 0 {
-		t.Errorf("fleet view rows = %v", res.Rows)
+		t.Fatalf("fleet view rows = %v, want home 0 only", res.Rows)
+	}
+	row := res.Rows[0]
+	flows, bytes, links := uint64(row[2].AsFloat()), uint64(row[3].AsFloat()), uint64(row[4].AsFloat())
+	if flows == 0 || bytes == 0 {
+		t.Fatalf("home 0 folded nothing: %v", row)
+	}
+	if links == 0 {
+		t.Error("wireless host produced no link observations")
+	}
+	// A commit with flows saw the one device; one with links only, none.
+	dev, err := f.DB().Query("SELECT min(devices), max(devices) FROM FleetStats WHERE flows > 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := dev.Rows[0][0].AsFloat(), dev.Rows[0][1].AsFloat(); lo != 1 || hi != 1 {
+		t.Errorf("devices per commit with flows in [%v, %v], want 1", lo, hi)
+	}
+	tot := f.Totals()
+	if tot.Homes != 2 || tot.Hosts != 1 {
+		t.Errorf("totals = %+v", tot)
+	}
+	if tot.Flows != flows || tot.Bytes != bytes || tot.Links != links {
+		t.Errorf("totals %+v disagree with the view's %d flows, %d bytes, %d links", tot, flows, bytes, links)
 	}
 
-	// Nothing new since the last fold: the cursors must not re-read.
-	snap2 := f.Aggregate()
-	if snap2.Flows != 0 || snap2.Bytes != 0 {
-		t.Errorf("second fold re-read rows: %+v", snap2.FleetTotals)
+	// Nothing new since the last sync: the cursors must not re-read.
+	f.Sync()
+	again, err := f.DB().Query(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// But cumulative totals persist.
-	if f.Totals().Flows == 0 || f.Totals().Bytes == 0 {
-		t.Errorf("cumulative totals lost: %+v", f.Totals())
+	if again.Text() != res.Text() || f.Totals() != tot {
+		t.Errorf("a sync with no new rows re-read some: view %v -> %v, totals %+v -> %+v",
+			res.Rows, again.Rows, tot, f.Totals())
 	}
 }
 
@@ -320,7 +329,7 @@ func TestScenarioRun(t *testing.T) {
 	s.ChurnPerMin = 60 // aggressive: expect churn within 3 sim-seconds
 	s.Seed = 11
 
-	r, err := NewRunner(s)
+	r, err := NewRunner(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,12 +8,12 @@ import (
 )
 
 // TestFleetConcurrency32Homes drives a 32-home fleet across 8 shards
-// with live traffic while aggregation, a streaming hub subscriber and
-// home churn run concurrently with stepping — the acceptance gate for
-// `go test -race`: every home's datapath, controller and hwdb plus the
-// telemetry hub and folder working at once. At the end, every hwdb row
-// any watched table ever held must be delivered or explicitly accounted
-// as lost: zero rows go silently missing.
+// with live traffic while syncs and view queries, a streaming hub
+// subscriber and home churn run concurrently with stepping — the
+// acceptance gate for `go test -race`: every home's datapath, controller
+// and hwdb plus the telemetry hub and folder working at once. At the end,
+// every hwdb row any watched table ever held must be delivered or
+// explicitly accounted as lost: zero rows go silently missing.
 func TestFleetConcurrency32Homes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("32-home bring-up in -short mode")
@@ -49,13 +49,17 @@ func TestFleetConcurrency32Homes(t *testing.T) {
 		tracked[h.ID] = h
 	}
 
-	// Aggregate concurrently with stepping: the snapshots race the homes'
-	// measurement planes and the steps race each other across shards.
+	// Sync and query the view concurrently with stepping: the flushes race
+	// the homes' measurement planes and the steps race each other across
+	// shards.
 	aggDone := make(chan struct{})
 	go func() {
 		defer close(aggDone)
 		for i := 0; i < 6; i++ {
-			f.Aggregate()
+			f.Sync()
+			if _, err := f.DB().Query("SELECT home, sum(bytes) FROM FleetStats GROUP BY home"); err != nil {
+				t.Error(err)
+			}
 		}
 	}()
 	// Read the fleet-merged trace summaries concurrently with the punts
@@ -107,9 +111,9 @@ func TestFleetConcurrency32Homes(t *testing.T) {
 		t.Errorf("no spans recorded across the fleet: %+v", stats)
 	}
 
-	snap := f.Aggregate()
-	if snap.FleetTotals.Homes != homes {
-		t.Errorf("homes = %d, want %d", snap.FleetTotals.Homes, homes)
+	f.Sync()
+	if got := f.Totals().Homes; got != homes {
+		t.Errorf("homes = %d, want %d", got, homes)
 	}
 	if f.Totals().Flows == 0 || f.Totals().Bytes == 0 {
 		t.Errorf("no traffic folded across the fleet: %+v", f.Totals())

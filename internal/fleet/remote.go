@@ -37,7 +37,6 @@ func newRemoteShards(cfg Config, fed *telemetry.Federation) []ShardClient {
 			Addr:        addr,
 			Relay:       relay,
 			Clock:       cfg.Clock,
-			CallTimeout: cfg.CallTimeout,
 			StepTimeout: cfg.StepTimeout,
 		}))
 	}

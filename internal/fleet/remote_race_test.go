@@ -11,10 +11,10 @@ import (
 )
 
 // TestRemoteFleetConcurrency32Homes is the remote-shard variant of the
-// 32-home churn gate: the same coordinator workload — concurrent
-// aggregation, trace reads, home churn — but driven over real loopback
-// TCP against four worker engines in their own goroutines, with one
-// worker's connections severed mid-run. The final assertion is the
+// 32-home churn gate: the same coordinator workload — concurrent syncs
+// and view queries, trace reads, home churn — but driven over real
+// loopback TCP against four worker engines in their own goroutines, with
+// one worker's connections severed mid-run. The final assertion is the
 // federated exact-accounting invariant across the process boundary:
 // delivered plus explicitly-lost equals every row any watched table ever
 // took, worker kill and reconnect included.
@@ -76,7 +76,10 @@ func TestRemoteFleetConcurrency32Homes(t *testing.T) {
 	go func() {
 		defer close(aggDone)
 		for i := 0; i < 6; i++ {
-			f.Aggregate()
+			f.Sync()
+			if _, err := f.DB().Query("SELECT home, sum(bytes) FROM FleetStats GROUP BY home"); err != nil {
+				t.Error(err)
+			}
 		}
 	}()
 	traceDone := make(chan struct{})
@@ -108,8 +111,8 @@ func TestRemoteFleetConcurrency32Homes(t *testing.T) {
 		}
 		if i == 3 {
 			// Kill one worker's connections between steps; the client must
-			// redial, RESYNC its books and carry on. Concurrent Aggregate
-			// calls may lose their Sync mid-flight — that loss must be
+			// redial, RESYNC its books and carry on. A concurrent Sync
+			// may lose its batch mid-flight — that loss must be
 			// accounted, not silent.
 			servers[1].DropConns()
 		}
@@ -130,9 +133,8 @@ func TestRemoteFleetConcurrency32Homes(t *testing.T) {
 		t.Errorf("seed %d: no spans recorded across the remote fleet", seed)
 	}
 
-	snap := f.Aggregate()
-	if snap.FleetTotals.Homes != homes {
-		t.Errorf("seed %d: homes = %d, want %d", seed, snap.FleetTotals.Homes, homes)
+	if got := f.Totals().Homes; got != homes {
+		t.Errorf("seed %d: homes = %d, want %d", seed, got, homes)
 	}
 	if f.Totals().Flows == 0 || f.Totals().Bytes == 0 {
 		t.Errorf("seed %d: no traffic folded across the remote fleet: %+v", seed, f.Totals())

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/hwdb"
 	"repro/internal/netsim"
 	"repro/internal/packet"
@@ -38,7 +39,7 @@ type Scenario struct {
 	ChurnPerMin float64 `json:"churn_per_min"`
 	DurationSec float64 `json:"duration_sec"`
 	StepSec     float64 `json:"step_sec"`
-	// AggEverySec is the fleet aggregation period (default: every 1s of
+	// AggEverySec is the progress-line period (default: every 1s of
 	// simulated time, rounded to a whole number of steps).
 	AggEverySec float64 `json:"agg_every_sec,omitempty"`
 	Seed        int64   `json:"seed,omitempty"`
@@ -139,7 +140,16 @@ type Report struct {
 	TopHomes []HomeStats
 }
 
-// Runner executes a scenario against a fleet it owns.
+// HomeStats is one home's cumulative traffic as the FleetStats view sums
+// it.
+type HomeStats struct {
+	Home  uint64
+	Flows int    // flow observations
+	Bytes uint64 // bytes in those observations
+}
+
+// Runner executes a scenario against a fleet it owns, on a simulated
+// clock, with its shards in process or behind remote workers.
 type Runner struct {
 	Scenario Scenario
 	// Logf, when set, receives progress lines.
@@ -149,17 +159,22 @@ type Runner struct {
 	// as the streaming telemetry endpoint (see cmd/hwfleetd -stats).
 	OnFleet func(*Coordinator)
 
+	workers []string
 	fleet   *Coordinator
 	hosts   map[uint64][]*netsim.Host
 	churned int
 }
 
-// NewRunner validates the scenario and prepares a runner.
-func NewRunner(s Scenario) (*Runner, error) {
+// NewRunner validates the scenario and prepares a runner. With no
+// workers the fleet's shards are in-process engines; otherwise each
+// address is one shardrpc worker's shard (Config.WorkerAddrs), whose
+// worker populates the homes it is assigned with SetupHome. Remote homes
+// have no handle here, so a remote run churns no host.
+func NewRunner(s Scenario, workers []string) (*Runner, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &Runner{Scenario: s, hosts: make(map[uint64][]*netsim.Host)}, nil
+	return &Runner{Scenario: s, workers: workers, hosts: make(map[uint64][]*netsim.Host)}, nil
 }
 
 // Fleet returns the runner's fleet (valid during and after Run).
@@ -179,13 +194,13 @@ func (r *Runner) logf(format string, args ...any) {
 }
 
 // Run builds the fleet, populates every home per the scenario, drives the
-// step loop with churn and periodic aggregation, and reports. On success
-// the fleet stays up (query it via Fleet().DB()) until Close; on error it
-// is torn down.
+// step loop with churn and a progress line every AggEverySec, and
+// reports. On success the fleet stays up (query it via Fleet().DB())
+// until Close; on error it is torn down.
 func (r *Runner) Run() (rep *Report, err error) {
 	s := r.Scenario
 	start := time.Now()
-	r.fleet = New(Config{Shards: s.Shards, Seed: s.Seed})
+	r.fleet = New(Config{Shards: s.Shards, Clock: clock.NewSimulated(), Seed: s.Seed, WorkerAddrs: r.workers})
 	defer func() {
 		if err != nil {
 			r.fleet.Stop()
@@ -193,19 +208,17 @@ func (r *Runner) Run() (rep *Report, err error) {
 	}()
 
 	r.logf("bringing up %d homes (%d shards)...", s.Homes, r.fleet.Shards())
+	// A remote fleet returns no handles: its workers populated the homes.
 	homes, err := r.fleet.AddHomes(s.Homes)
 	if err != nil {
 		return nil, err
 	}
 	for _, h := range homes {
-		registerZones(h)
-		for i := 0; i < s.HostsPerHome; i++ {
-			if err := r.populate(h); err != nil {
-				return nil, err
-			}
+		if r.hosts[h.ID], err = s.setup(h); err != nil {
+			return nil, err
 		}
 	}
-	r.logf("fleet up: %d homes, %d hosts each, app mix %v", len(homes), s.HostsPerHome, s.AppMix)
+	r.logf("fleet up: %d homes, %d hosts each, app mix %v", r.fleet.Size(), s.HostsPerHome, s.AppMix)
 	if r.OnFleet != nil {
 		r.OnFleet(r.fleet)
 	}
@@ -217,6 +230,7 @@ func (r *Runner) Run() (rep *Report, err error) {
 		aggEvery = int(math.Round(s.AggEverySec / s.StepSec))
 	}
 	churnProb := s.ChurnPerMin / 60 * s.StepSec
+	var last FleetTotals
 	for i := 1; i <= steps; i++ {
 		if err := r.fleet.Step(s.StepSec); err != nil {
 			return nil, err
@@ -229,12 +243,15 @@ func (r *Runner) Run() (rep *Report, err error) {
 			}
 		}
 		if i%aggEvery == 0 || i == steps {
-			snap := r.fleet.Aggregate()
+			tot := r.fleet.Totals()
 			r.logf("t=%5.1fs  homes=%d hosts=%d  +%d flows  +%s",
-				float64(i)*s.StepSec, snap.FleetTotals.Homes, snap.FleetTotals.Hosts,
-				snap.Flows, byteCount(snap.Bytes))
+				float64(i)*s.StepSec, tot.Homes, tot.Hosts,
+				tot.Flows-last.Flows, byteCount(tot.Bytes-last.Bytes))
+			last = tot
 		}
 	}
+	// Deliver what the last step's churn inserted before the books are read.
+	r.fleet.Sync()
 
 	rep = &Report{
 		Scenario:   s.Name,
@@ -251,44 +268,44 @@ func (r *Runner) Run() (rep *Report, err error) {
 }
 
 // SetupHome populates one home per the scenario — upstream zones plus
-// HostsPerHome hosts with apps drawn from the mix by the home's own
-// deterministic RNG. It is the worker-side population hook: a remote
+// HostsPerHome hosts. It is the worker-side population hook: a remote
 // hwfleetd worker passes it as engine.Config.OnAssign, so a home comes up
 // identically whether the coordinator holds its handle or only its ID.
 func (s Scenario) SetupHome(h *Home) error {
-	registerZones(h)
-	rng := h.Rand()
-	for i := 0; i < s.HostsPerHome; i++ {
-		wireless := rng.Float64() < s.WirelessFrac
-		pos := netsim.Pos{X: 1 + rng.Float64()*9, Y: rng.Float64() * 6}
-		host, err := h.Join("", wireless, pos)
-		if err != nil {
-			return err
-		}
-		if m, ok := drawMix(s.AppMix, rng.Float64()); ok {
-			kind, _ := appKind(m.App)
-			host.AddApp(netsim.NewApp(kind, zoneFor(m.App), m.RateBps))
-		}
-	}
-	return nil
+	_, err := s.setup(h)
+	return err
 }
 
-// populate attaches one host with an app drawn from the scenario mix.
-func (r *Runner) populate(h *Home) error {
-	s := r.Scenario
+// setup is SetupHome returning the hosts it joined.
+func (s Scenario) setup(h *Home) ([]*netsim.Host, error) {
+	registerZones(h)
+	hosts := make([]*netsim.Host, 0, s.HostsPerHome)
+	for i := 0; i < s.HostsPerHome; i++ {
+		host, err := s.join(h)
+		if err != nil {
+			return nil, err
+		}
+		hosts = append(hosts, host)
+	}
+	return hosts, nil
+}
+
+// join attaches one host to the home, drawing its link (wired or WiFi),
+// its position and its app from the mix, in that order, from the home's
+// own deterministic RNG.
+func (s Scenario) join(h *Home) (*netsim.Host, error) {
 	rng := h.Rand()
 	wireless := rng.Float64() < s.WirelessFrac
 	pos := netsim.Pos{X: 1 + rng.Float64()*9, Y: rng.Float64() * 6}
 	host, err := h.Join("", wireless, pos)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if m, ok := drawMix(s.AppMix, rng.Float64()); ok {
 		kind, _ := appKind(m.App)
 		host.AddApp(netsim.NewApp(kind, zoneFor(m.App), m.RateBps))
 	}
-	r.hosts[h.ID] = append(r.hosts[h.ID], host)
-	return nil
+	return host, nil
 }
 
 // churn replaces one random host in the home: the device leaves (lease
@@ -306,7 +323,12 @@ func (r *Runner) churn(h *Home) error {
 		return err
 	}
 	r.churned++
-	return r.populate(h)
+	host, err := r.Scenario.join(h)
+	if err != nil {
+		return err
+	}
+	r.hosts[h.ID] = append(r.hosts[h.ID], host)
+	return nil
 }
 
 // drawMix picks a mix entry by weight from a uniform draw in [0,1).

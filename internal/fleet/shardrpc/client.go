@@ -17,6 +17,9 @@ import (
 // ErrClosed is returned by calls on a client after Close.
 var ErrClosed = errors.New("shardrpc: client closed")
 
+// callTimeout bounds one round trip other than Step.
+const callTimeout = 10 * time.Second
+
 // ClientConfig parameterizes a coordinator-side remote shard client.
 type ClientConfig struct {
 	// Addr is the worker's listen address; required.
@@ -30,10 +33,8 @@ type ClientConfig struct {
 	// current time so the worker can advance its own simulated clock in
 	// lockstep.
 	Clock clock.Clock
-	// CallTimeout bounds one round trip (default 10s).
-	CallTimeout time.Duration
-	// StepTimeout bounds Step round trips specifically — a wedged worker
-	// must fail the fleet tick, not hang it (default CallTimeout).
+	// StepTimeout bounds Step round trips — a wedged worker must fail the
+	// fleet tick, not hang it (default 10s, as every other round trip).
 	StepTimeout time.Duration
 	// DialTimeout bounds one dial attempt (default 3s).
 	DialTimeout time.Duration
@@ -83,11 +84,8 @@ type Client struct {
 // worker that restarts behind the same address heals without
 // coordinator-level surgery.
 func Dial(cfg ClientConfig) *Client {
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 10 * time.Second
-	}
 	if cfg.StepTimeout <= 0 {
-		cfg.StepTimeout = cfg.CallTimeout
+		cfg.StepTimeout = callTimeout
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 3 * time.Second
@@ -124,7 +122,7 @@ func (c *Client) ensureConn() error {
 			continue
 		}
 		br := bufio.NewReader(conn)
-		resp, err := c.roundTrip(conn, br, &Request{Verb: VerbResync}, c.cfg.CallTimeout)
+		resp, err := c.roundTrip(conn, br, &Request{Verb: VerbResync}, callTimeout)
 		if err != nil {
 			conn.Close()
 			lastErr = err
@@ -266,7 +264,7 @@ func (c *Client) dropConnLocked() {
 // Assign failures both surface: the coordinator aborts the reservation
 // either way.
 func (c *Client) Assign(id uint64) error {
-	_, err := c.call(&Request{Verb: VerbAssign, ID: id}, c.cfg.CallTimeout)
+	_, err := c.call(&Request{Verb: VerbAssign, ID: id}, callTimeout)
 	return err
 }
 
@@ -277,7 +275,7 @@ func (c *Client) Assign(id uint64) error {
 // that ID surfaces. See ARCHITECTURE.md "Fleet control plane" for why
 // this is the least-bad option without two-phase placement.
 func (c *Client) Drain(id uint64) bool {
-	resp, err := c.call(&Request{Verb: VerbDrain, ID: id}, c.cfg.CallTimeout)
+	resp, err := c.call(&Request{Verb: VerbDrain, ID: id}, callTimeout)
 	if err != nil {
 		return false
 	}
@@ -286,7 +284,7 @@ func (c *Client) Drain(id uint64) bool {
 
 // Cordon takes a remote home out of rotation; false on transport error.
 func (c *Client) Cordon(id uint64) bool {
-	resp, err := c.call(&Request{Verb: VerbCordon, ID: id}, c.cfg.CallTimeout)
+	resp, err := c.call(&Request{Verb: VerbCordon, ID: id}, callTimeout)
 	if err != nil {
 		return false
 	}
@@ -295,7 +293,7 @@ func (c *Client) Cordon(id uint64) bool {
 
 // Uncordon returns a remote home to rotation; false on transport error.
 func (c *Client) Uncordon(id uint64) bool {
-	resp, err := c.call(&Request{Verb: VerbUncordon, ID: id}, c.cfg.CallTimeout)
+	resp, err := c.call(&Request{Verb: VerbUncordon, ID: id}, callTimeout)
 	if err != nil {
 		return false
 	}
@@ -318,13 +316,13 @@ func (c *Client) Sync() {
 	if c.cfg.Clock != nil {
 		req.Now = c.cfg.Clock.Now().UnixNano()
 	}
-	c.call(req, c.cfg.CallTimeout) //nolint:errcheck // best-effort by contract
+	c.call(req, callTimeout) //nolint:errcheck // best-effort by contract
 }
 
 // Stats fetches the remote engine's self-reported state; zero value on
 // transport error.
 func (c *Client) Stats() engine.Stats {
-	resp, err := c.call(&Request{Verb: VerbStats}, c.cfg.CallTimeout)
+	resp, err := c.call(&Request{Verb: VerbStats}, callTimeout)
 	if err != nil || resp.Stats == nil {
 		return engine.Stats{}
 	}
@@ -334,7 +332,7 @@ func (c *Client) Stats() engine.Stats {
 // TraceSnapshot fetches the remote engine's merged punt-lifecycle
 // histograms; zero value on transport error.
 func (c *Client) TraceSnapshot() trace.Snapshot {
-	resp, err := c.call(&Request{Verb: VerbTrace}, c.cfg.CallTimeout)
+	resp, err := c.call(&Request{Verb: VerbTrace}, callTimeout)
 	if err != nil || resp.Snap == nil {
 		return trace.Snapshot{}
 	}
@@ -344,7 +342,7 @@ func (c *Client) TraceSnapshot() trace.Snapshot {
 // Ping round-trips a header-only frame — a cheap liveness probe used by
 // tests and the coordinator CLI.
 func (c *Client) Ping() error {
-	_, err := c.call(&Request{Verb: VerbPing}, c.cfg.CallTimeout)
+	_, err := c.call(&Request{Verb: VerbPing}, callTimeout)
 	return err
 }
 
@@ -352,7 +350,7 @@ func (c *Client) Ping() error {
 // reconnect; the soak uses it to settle accounting before its final
 // assertions.
 func (c *Client) Resync() error {
-	resp, err := c.call(&Request{Verb: VerbResync}, c.cfg.CallTimeout)
+	resp, err := c.call(&Request{Verb: VerbResync}, callTimeout)
 	if err != nil {
 		return err
 	}
@@ -376,7 +374,7 @@ func (c *Client) Close() {
 	}
 	c.closed = true
 	if c.conn != nil {
-		c.roundTrip(c.conn, c.br, &Request{Verb: VerbClose}, c.cfg.CallTimeout) //nolint:errcheck // best-effort
+		c.roundTrip(c.conn, c.br, &Request{Verb: VerbClose}, callTimeout) //nolint:errcheck // best-effort
 		c.dropConnLocked()
 	}
 }

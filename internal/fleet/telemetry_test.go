@@ -44,7 +44,7 @@ func TestLiveStatsReflectEveryStep(t *testing.T) {
 			if err := f.Step(0.25); err != nil {
 				t.Fatal(err)
 			}
-			// Read immediately after the step: no Aggregate, no fold.
+			// Read immediately after the step: no extra Sync, no fold.
 			tot := f.Totals()
 			want := sumInserts(f.Homes())
 			hub := f.Hub().Stats()

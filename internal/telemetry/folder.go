@@ -79,20 +79,6 @@ type Totals struct {
 	InstallUSSum uint64 // sum of those latencies (µs) — mean = sum/installs
 }
 
-// PeriodStats is one home's delta since the previous TakePeriod call —
-// the seam fleet.Aggregate snapshots ride on.
-type PeriodStats struct {
-	Home     uint64
-	Hosts    int
-	Devices  int // distinct device MACs with new flow observations
-	Flows    int
-	Packets  uint64
-	Bytes    uint64
-	Links    int
-	MeanRSSI float64
-	Lost     uint64
-}
-
 // FolderConfig parameterizes a folder.
 type FolderConfig struct {
 	// Clock stamps view rows and evaluates rate windows (pass the fleet
@@ -138,7 +124,6 @@ type homeAcc struct {
 	packets, bytes, lost uint64
 	txPkts, lostPkts     uint64 // FlowPerf tx/loss
 
-	agg periodAcc // since the last TakePeriod (fleet.Aggregate period)
 	com periodAcc // since the last Commit (view-row period)
 
 	rate *rateRing
@@ -282,7 +267,6 @@ func (f *Folder) consume(d Delta) {
 	f.fleet.Rows += uint64(len(d.Rows))
 	f.fleet.Lost += d.Lost
 	h.lost += d.Lost
-	h.agg.lost += d.Lost
 	h.com.lost += d.Lost
 	switch d.Source.Table {
 	case hwdb.TableFlows:
@@ -294,12 +278,10 @@ func (f *Folder) consume(d Delta) {
 			h.flows++
 			h.packets += pk
 			h.bytes += by
-			for _, p := range [2]*periodAcc{&h.agg, &h.com} {
-				p.flows++
-				p.packets += pk
-				p.bytes += by
-				p.device(mac)
-			}
+			h.com.flows++
+			h.com.packets += pk
+			h.com.bytes += by
+			h.com.device(mac)
 			ts := row.Time()
 			h.rate.add(ts, by, pk)
 			f.rate.add(ts, by, pk)
@@ -320,8 +302,6 @@ func (f *Folder) consume(d Delta) {
 		for i := range d.Rows {
 			rssi := d.Rows[i].Real(f.lRSSI)
 			h.links++
-			h.agg.links++
-			h.agg.rssiSum += rssi
 			h.com.links++
 			h.com.rssiSum += rssi
 			f.fleet.Links++
@@ -390,37 +370,6 @@ func (f *Folder) Commit() int {
 		rows++
 	}
 	return rows
-}
-
-// TakePeriod returns every tracked home's delta since the previous
-// TakePeriod call (ascending home order, idle homes included with their
-// host counts) and resets the period accumulators.
-func (f *Folder) TakePeriod() []PeriodStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]PeriodStats, 0, len(f.homes))
-	for _, id := range f.ids {
-		h := f.homes[id]
-		a := &h.agg
-		ps := PeriodStats{
-			Home:    id,
-			Devices: len(a.devices),
-			Flows:   a.flows,
-			Packets: a.packets,
-			Bytes:   a.bytes,
-			Links:   a.links,
-			Lost:    a.lost,
-		}
-		if a.links > 0 {
-			ps.MeanRSSI = a.rssiSum / float64(a.links)
-		}
-		if h.hosts != nil {
-			ps.Hosts = h.hosts()
-		}
-		a.reset()
-		out = append(out, ps)
-	}
-	return out
 }
 
 // Totals returns the live fleet-wide counters: an O(1) read — one mutex

@@ -84,13 +84,23 @@ func TestFolderLiveTotals(t *testing.T) {
 }
 
 // TestFolderCommitViewRows: Commit writes one delta row per active home
-// and nothing for idle periods, and the view answers the fleet CQL.
+// (its hosts, distinct devices and mean RSSI included) and nothing for
+// idle periods, and the view answers the fleet CQL.
 func TestFolderCommitViewRows(t *testing.T) {
 	r := newRig(t, 0, 1)
 	r.flow(t, 0, 1, 10, 1500)
+	_ = r.dbs[0].InsertLink(packet.MAC{2, 1}, -40, 0, 54)
+	_ = r.dbs[0].InsertLink(packet.MAC{2, 2}, -60, 0, 54)
 	r.hub.Flush()
 	if rows := r.folder.Commit(); rows != 1 {
 		t.Fatalf("first commit wrote %d rows, want 1", rows)
+	}
+	first, err := r.folder.View().Query("SELECT home, hosts, devices, links, rssi FROM FleetStats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := first.Text(); got != "home\thosts\tdevices\tlinks\trssi\n0\t1\t1\t2\t-50\n" {
+		t.Fatalf("first commit's view row = %q", got)
 	}
 	// Idle commit: no new rows at all.
 	if rows := r.folder.Commit(); rows != 0 {
@@ -115,39 +125,6 @@ func TestFolderCommitViewRows(t *testing.T) {
 	}
 	if res.Rows[1][0].Int != 1 || res.Rows[1][1].AsFloat() != 100 {
 		t.Fatalf("home 1 view = %v", res.Rows[1])
-	}
-}
-
-// TestFolderTakePeriod: period snapshots carry deltas since the previous
-// call (distinct devices included) and then reset.
-func TestFolderTakePeriod(t *testing.T) {
-	r := newRig(t, 0, 1)
-	r.flow(t, 0, 1, 1, 100)
-	r.flow(t, 0, 1, 1, 100)
-	r.flow(t, 0, 2, 1, 100)
-	_ = r.dbs[0].InsertLink(packet.MAC{2, 1}, -40, 0, 54)
-	_ = r.dbs[0].InsertLink(packet.MAC{2, 1}, -60, 0, 54)
-	r.hub.Flush()
-
-	ps := r.folder.TakePeriod()
-	if len(ps) != 2 {
-		t.Fatalf("period homes = %d", len(ps))
-	}
-	h0 := ps[0]
-	if h0.Flows != 3 || h0.Devices != 2 || h0.Bytes != 300 || h0.Links != 2 {
-		t.Fatalf("home 0 period = %+v", h0)
-	}
-	if h0.MeanRSSI != -50 {
-		t.Fatalf("mean rssi = %g, want -50", h0.MeanRSSI)
-	}
-	if h0.Hosts != 1 || ps[1].Hosts != 2 {
-		t.Fatalf("hosts = %d, %d", h0.Hosts, ps[1].Hosts)
-	}
-	// Reset: an immediate second take is all zeros.
-	for _, p := range r.folder.TakePeriod() {
-		if p.Flows != 0 || p.Links != 0 || p.Devices != 0 {
-			t.Fatalf("period did not reset: %+v", p)
-		}
 	}
 }
 
@@ -236,13 +213,6 @@ func TestFolderCommitWalksHomesInOrderWithoutAllocating(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("HomeTotals walks homes %v, want %v", got, want)
-	}
-	got = got[:0]
-	for _, ps := range r.folder.TakePeriod() {
-		got = append(got, ps.Home)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("TakePeriod walks homes %v, want %v", got, want)
 	}
 	r.folder.RemoveHome(2)
 	r.folder.RemoveHome(10)
