@@ -132,14 +132,7 @@ func (dp *Datapath) SweepExpired() int {
 		if !e.SendFlowRem {
 			continue
 		}
-		dur := now.Sub(e.Installed)
-		dp.send(&openflow.FlowRemoved{
-			Match: e.Match, Cookie: e.Cookie, Priority: e.Priority,
-			Reason:      x.reason,
-			DurationSec: uint32(dur / time.Second), DurationNsec: uint32(dur % time.Second),
-			IdleTimeout: e.IdleTimeout,
-			PacketCount: e.PacketCount(), ByteCount: e.ByteCount(),
-		})
+		dp.send(flowRemoved(e, x.reason, now))
 	}
 	n := len(swept)
 	clear(swept) // the removed entries are garbage; the scratch must not keep them
@@ -147,6 +140,19 @@ func (dp *Datapath) SweepExpired() int {
 	dp.swept = swept[:0]
 	dp.sweepMu.Unlock()
 	return n
+}
+
+// flowRemoved is the flow-removed of entry e, removed at now for reason:
+// what an expiry and a delete send alike.
+func flowRemoved(e *FlowEntry, reason uint8, now time.Time) *openflow.FlowRemoved {
+	dur := now.Sub(e.Installed)
+	return &openflow.FlowRemoved{
+		Match: e.Match, Cookie: e.Cookie, Priority: e.Priority,
+		Reason:      reason,
+		DurationSec: uint32(dur / time.Second), DurationNsec: uint32(dur % time.Second),
+		IdleTimeout: e.IdleTimeout,
+		PacketCount: e.PacketCount(), ByteCount: e.ByteCount(),
+	}
 }
 
 // handle dispatches one controller-to-switch message.
@@ -251,14 +257,7 @@ func (dp *Datapath) handleFlowMod(m *openflow.FlowMod) {
 			if !e.SendFlowRem {
 				continue
 			}
-			dur := now.Sub(e.Installed)
-			dp.send(&openflow.FlowRemoved{
-				Match: e.Match, Cookie: e.Cookie, Priority: e.Priority,
-				Reason:      openflow.FlowRemovedDelete,
-				DurationSec: uint32(dur / time.Second),
-				IdleTimeout: e.IdleTimeout,
-				PacketCount: e.PacketCount(), ByteCount: e.ByteCount(),
-			})
+			dp.send(flowRemoved(e, openflow.FlowRemovedDelete, now))
 		}
 	default:
 		dp.sendError(m, openflow.ErrTypeFlowModFailed, openflow.FlowModBadCommand)

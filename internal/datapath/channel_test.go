@@ -121,6 +121,42 @@ func TestChannelExpirySendsFlowRemoved(t *testing.T) {
 	}
 }
 
+// A delete's flow-removed carries the entry's whole lifetime, nanoseconds
+// included, as an expiry's and a flow-stats reply's do.
+func TestChannelDeleteSendsDurationNsec(t *testing.T) {
+	clk := clock.NewSimulated()
+	rig := newPipeRig(t, clk)
+	m := openflow.MatchAll()
+	m.Wildcards &^= openflow.FWTPDst
+	m.TPDst = 443
+	add := &openflow.FlowMod{
+		Match: m, Command: openflow.FlowModAdd, Priority: 4,
+		BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
+		Flags: openflow.FlowModFlagSendFlowRem,
+	}
+	if err := openflow.WriteMessage(rig.conn, add); err != nil {
+		t.Fatal(err)
+	}
+	if err := openflow.WriteMessage(rig.conn, &openflow.BarrierRequest{}); err != nil {
+		t.Fatal(err)
+	}
+	readUntil[*openflow.BarrierReply](t, rig.conn)
+
+	clk.Advance(1500 * time.Millisecond)
+	del := &openflow.FlowMod{
+		Match: m, Command: openflow.FlowModDeleteStrict, Priority: 4,
+		BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
+	}
+	if err := openflow.WriteMessage(rig.conn, del); err != nil {
+		t.Fatal(err)
+	}
+	fr := readUntil[*openflow.FlowRemoved](t, rig.conn)
+	if fr.Reason != openflow.FlowRemovedDelete || fr.DurationSec != 1 || fr.DurationNsec != 5e8 {
+		t.Errorf("flow removed: reason %d, %d s %d ns; want delete after 1 s 500000000 ns",
+			fr.Reason, fr.DurationSec, fr.DurationNsec)
+	}
+}
+
 func TestChannelBadStatsTypeYieldsError(t *testing.T) {
 	rig := newPipeRig(t, clock.Real{})
 	req := &openflow.StatsRequest{StatsType: 0x7777}

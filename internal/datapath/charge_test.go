@@ -60,9 +60,7 @@ func TestRunChargesMatchPerFrame(t *testing.T) {
 					}
 				}
 				batched.dp.ReceiveBatch(1, &fb)
-				for i := 0; i < fb.Len(); i++ {
-					perFrame.dp.Receive(1, fb.Frame(i))
-				}
+				eachFrame(&fb, func(f []byte) { perFrame.dp.Receive(1, f) })
 				comparePaths(t, batched, perFrame)
 				batched.clk.Advance(250 * time.Millisecond)
 				perFrame.clk.Advance(250 * time.Millisecond)

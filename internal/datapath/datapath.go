@@ -22,7 +22,7 @@ import (
 // frame is the sink's for the call only: its bytes sit in a scratch buffer
 // or a hold-queue chunk the next frame, of any home, overwrites, so a sink
 // that keeps a frame copies it. A sink never writes the frame: the same
-// bytes may go out again as the next frame of the batch (batchRun).
+// bytes go out again as the next copy of a repeated frame (batchRun).
 type Port struct {
 	No     uint16
 	Name   string
@@ -325,7 +325,8 @@ func (dp *Datapath) Receive(inPort uint16, frame []byte) {
 	if err := d.Decode(frame); err != nil {
 		return
 	}
-	dp.receiveDecoded(p, inPort, frame, &d, dp.clk.Now(), &run)
+	key := openflow.MatchFromFrame(&d, inPort)
+	dp.receiveDecoded(p, inPort, frame, &d, &key, dp.clk.Now(), &run)
 	run.done(dp)
 }
 
@@ -333,7 +334,10 @@ func (dp *Datapath) Receive(inPort uint16, frame []byte) {
 // a single call: the port lookup, receive accounting, clock read and the
 // frame-decode state are amortized across the batch instead of paid per
 // packet, and a run of frames of one flow shares its table lookup, its
-// scratch buffer and its output port (batchRun). Frames in the batch may
+// scratch buffer and its output port (batchRun). A span of one frame
+// repeated (packet.FrameBatch.Repeat) is decoded once and, while the table
+// and the ports stay as they were, matched and executed once: its further
+// copies are charged and sent as the first left. Frames in the batch may
 // alias the caller's reused buffers; the datapath copies anything it
 // retains (punt buffers, packet-in data). The controller's answers to the
 // batch's punts are handled after its last frame, never between two: a
@@ -352,20 +356,20 @@ func (dp *Datapath) ReceiveBatch(inPort uint16, fb *packet.FrameBatch) {
 	p.countRxN(n, fb.TotalBytes())
 	now := dp.clk.Now()
 	var (
-		d       packet.Decoded
-		run     batchRun
-		decoded bool
+		d   packet.Decoded
+		run batchRun
 	)
-	for i := 0; i < n; i++ {
-		frame := fb.Frame(i)
-		// A repeat is its twin's bytes: it keeps the twin's decode and key,
-		// and is dropped as its twin was if that failed to decode.
-		if run.repeat = fb.Repeats(i); !run.repeat {
-			run.rewrote = nil
-			decoded = d.Decode(frame) == nil
+	for i := 0; i < fb.Spans(); i++ {
+		// A span's copies are its first frame's bytes: they share its decode
+		// and key, and are dropped with it if it does not decode.
+		frame, copies := fb.Span(i)
+		if d.Decode(frame) != nil {
+			continue
 		}
-		if decoded {
-			dp.receiveDecoded(p, inPort, frame, &d, now, &run)
+		key := openflow.MatchFromFrame(&d, inPort)
+		dp.receiveDecoded(p, inPort, frame, &d, &key, now, &run)
+		for ; copies > 1; copies-- {
+			dp.receiveCopy(p, inPort, frame, &d, &key, now, &run)
 		}
 	}
 	run.done(dp)
@@ -393,12 +397,14 @@ func (dp *Datapath) ReceiveBatch(inPort uint16, fb *packet.FrameBatch) {
 //     re-enters the datapath does so under a run of its own.
 //   - The port the previous frame left by, and its sink, while no port has
 //     been added or removed.
-//   - A repeat (packet.FrameBatch.Repeats) is its twin's bytes again, so it
-//     keeps the twin's decode and key. When the scratch still holds the
-//     twin as the same action list rewrote it, and that list rewrites
-//     nothing after its first output, every output of the repeat gets what
-//     the twin's got: the scratch goes out again, uncopied and unpatched.
-//     This needs sinks to leave frames as they found them (Port).
+//   - What the previous frame's action list did, when it was the common
+//     shape: rewrites, then one output, which sent the frame out of a
+//     physical port (left). A further copy of that frame (receiveCopy) is
+//     the same bytes matched to the same entry, so while neither the table
+//     nor the ports have changed it would meet the same list and leave as
+//     the frame did: it is charged to the entry and the port and handed to
+//     the sink as left, without a lookup, an execute or a dispatch. This
+//     needs sinks to leave frames as they found them (Port).
 //
 // A run belongs to one call on one goroutine; the zero value is ready.
 type batchRun struct {
@@ -411,12 +417,9 @@ type batchRun struct {
 	hitAt          int64
 
 	sc *execScratch
-	// rewrote is the action list whose rewrite of the run's latest frame
-	// the scratch holds, when that list rewrites only before its first
-	// output; nil once a frame of other bytes has come.
-	rewrote []openflow.Action
-	// repeat is set while the frame in hand is a repeat of the one before.
-	repeat bool
+	// left is the bytes the previous frame's one output sent out of out,
+	// when its list was rewrites then that output; nil otherwise.
+	left []byte
 
 	out     *Port
 	sink    func(frame []byte) // out's, read as the run resolved it
@@ -476,32 +479,52 @@ func (run *batchRun) done(dp *Datapath) {
 	}
 }
 
-// receiveDecoded looks a decoded frame up in the flow table and executes
-// it, or takes it down the miss path; receive accounting has already been
-// charged.
-func (dp *Datapath) receiveDecoded(p *Port, inPort uint16, frame []byte, d *packet.Decoded, now time.Time, run *batchRun) {
-	key := run.key
-	if !run.repeat {
-		key = openflow.MatchFromFrame(d, inPort)
-	}
+// receiveDecoded looks a decoded frame, whose exact-match key is key, up in
+// the flow table and executes it, or takes it down the miss path; receive
+// accounting has already been charged.
+func (dp *Datapath) receiveDecoded(p *Port, inPort uint16, frame []byte, d *packet.Decoded, key *openflow.Match, now time.Time, run *batchRun) {
+	run.left = nil
 	nanos := now.UnixNano()
 	gen := dp.table.gen.Load()
 	entry := run.entry
-	if entry != nil && run.tableGen == gen && (run.repeat || run.key == key) {
+	if entry != nil && run.tableGen == gen && run.key == *key {
 		run.hits++
 		run.hitBytes += uint64(len(frame))
 		run.hitAt = nanos
 	} else {
 		run.chargeEntry(dp.table)
-		entry = dp.table.lookup(&key, d, len(frame), nanos)
-		run.key, run.entry, run.tableGen = key, entry, gen
+		entry = dp.table.lookup(key, d, len(frame), nanos)
+		run.key, run.entry, run.tableGen = *key, entry, gen
 	}
 	if entry == nil {
-		if entry = dp.miss(p, frame, d, &key, nanos); entry == nil {
+		if entry = dp.miss(p, frame, d, key, nanos); entry == nil {
 			return
 		}
 	}
 	dp.execute(inPort, frame, entry.Actions, run)
+}
+
+// receiveCopy handles a further copy of the frame the run handled last.
+// When that frame matched run.entry and left as run.left, and neither the
+// table nor the ports have changed since, the copy matches and leaves the
+// same way: it is charged and handed to the sink. Otherwise — a miss, a list
+// of another shape, a change made while the previous copy was in a sink —
+// it goes through receiveDecoded like any frame, with the span's decode and
+// key.
+func (dp *Datapath) receiveCopy(p *Port, inPort uint16, frame []byte, d *packet.Decoded, key *openflow.Match, now time.Time, run *batchRun) {
+	if run.left == nil || run.entry == nil || dp.table.gen.Load() != run.tableGen ||
+		dp.portGen.Load() != run.portGen || !run.out.forwards() {
+		dp.receiveDecoded(p, inPort, frame, d, key, now, run)
+		return
+	}
+	run.hits++
+	run.hitBytes += uint64(len(frame))
+	run.hitAt = now.UnixNano()
+	run.sent++
+	run.sentBytes += uint64(len(run.left))
+	if run.sink != nil {
+		run.sink(run.left)
+	}
 }
 
 // execute runs an action list on a frame in the context of inPort.
@@ -536,70 +559,56 @@ func (dp *Datapath) execute(inPort uint16, frame []byte, actions []openflow.Acti
 // executeFast runs an action list containing only MAC rewrites and
 // outputs. The first rewrite copies the frame once into the run's scratch
 // buffer and the MACs are patched at their fixed offsets — no re-decode,
-// no per-layer re-serialization, no allocation in steady state. A repeat
-// whose twin left the scratch as this list rewrites it skips the copy and
-// the patches (batchRun). The input frame is never mutated.
+// no per-layer re-serialization, no allocation in steady state. A list of
+// rewrites then one output that sent the frame out of a port records the
+// bytes that left in run.left, for the frame's copies (receiveCopy). The
+// input frame is never mutated.
 func (dp *Datapath) executeFast(inPort uint16, frame []byte, actions []openflow.Action, maxLen int, run *batchRun) {
-	reuse := run.repeat && sameList(run.rewrote, actions)
-	run.rewrote = nil
 	out := frame
-	if reuse {
-		out = run.sc.buf
-	}
-	copied, sent, rewroteAfterOutput := reuse, false, false
+	copied, outputs, rewroteAfterOutput := false, 0, false
+	left := false // the latest output went out of the run's port
 	for _, a := range actions {
 		switch act := a.(type) {
 		case *openflow.ActionSetDLSrc:
-			if reuse {
-				continue
-			}
 			if !copied {
 				out, copied = run.scratch(dp, frame), true
 			}
 			if len(out) >= packet.EthernetHeaderLen {
 				copy(out[6:12], act.Addr[:])
 			}
-			rewroteAfterOutput = rewroteAfterOutput || sent
+			rewroteAfterOutput = rewroteAfterOutput || outputs > 0
 		case *openflow.ActionSetDLDst:
-			if reuse {
-				continue
-			}
 			if !copied {
 				out, copied = run.scratch(dp, frame), true
 			}
 			if len(out) >= packet.EthernetHeaderLen {
 				copy(out[0:6], act.Addr[:])
 			}
-			rewroteAfterOutput = rewroteAfterOutput || sent
+			rewroteAfterOutput = rewroteAfterOutput || outputs > 0
 		case *openflow.ActionOutput:
-			dp.dispatch(inPort, out, act.Port, maxLen, run)
-			sent = true
+			left = dp.dispatch(inPort, out, act.Port, maxLen, run)
+			outputs++
 		case *openflow.ActionEnqueue:
-			dp.dispatch(inPort, out, act.Port, maxLen, run)
-			sent = true
+			left = dp.dispatch(inPort, out, act.Port, maxLen, run)
+			outputs++
 		}
 	}
-	if copied && !rewroteAfterOutput {
-		run.rewrote = actions
+	if left && outputs == 1 && !rewroteAfterOutput {
+		run.left = out
 	}
-}
-
-// sameList reports whether a and b are one action list: lists are shared
-// and never written (docs/ARCHITECTURE.md, "Aliasing invariants"), so the
-// same backing array and length is the same list.
-func sameList(a, b []openflow.Action) bool {
-	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
 // dispatch delivers an already-rewritten frame to one action-list output.
-func (dp *Datapath) dispatch(inPort uint16, frame []byte, pn uint16, maxLen int, run *batchRun) {
+// It reports whether the frame went out of a port through the run
+// (transmit).
+func (dp *Datapath) dispatch(inPort uint16, frame []byte, pn uint16, maxLen int, run *batchRun) bool {
 	switch pn {
 	case openflow.PortController:
 		dp.punt(inPort, frame, maxLen)
 	case openflow.PortFlood, openflow.PortAll:
 		dp.flood(inPort, frame, pn == openflow.PortAll)
 	case openflow.PortInPort:
-		dp.transmit(inPort, frame, run)
+		return dp.transmit(inPort, frame, run)
 	case openflow.PortTable, openflow.PortNone:
 		// PortTable is only meaningful for packet-out; ignore here.
 	case openflow.PortNormal:
@@ -609,8 +618,9 @@ func (dp *Datapath) dispatch(inPort uint16, frame []byte, pn uint16, maxLen int,
 	case openflow.PortLocal:
 		// The local stack is modelled as port LOCAL being absent.
 	default:
-		dp.transmit(pn, frame, run)
+		return dp.transmit(pn, frame, run)
 	}
+	return false
 }
 
 // getScratch borrows an execution scratch buffer off the free-list.
@@ -637,26 +647,28 @@ func (dp *Datapath) putScratch(sc *execScratch) {
 }
 
 // transmit sends a frame out of a port. A run, when the caller has one,
-// remembers the port for the next frame and charges the frame to it; a
-// frame sent without one is charged as it goes.
-func (dp *Datapath) transmit(portNo uint16, frame []byte, run *batchRun) {
+// remembers the port for the next frame and charges the frame to it, and
+// transmit reports whether the frame left that way; a frame sent without
+// one is charged as it goes.
+func (dp *Datapath) transmit(portNo uint16, frame []byte, run *batchRun) bool {
 	if run == nil {
 		if p, ok := dp.Port(portNo); ok && p.forwards() {
 			if out := p.countTx(len(frame)); out != nil {
 				out(frame)
 			}
 		}
-		return
+		return false
 	}
 	p, out, ok := run.port(dp, portNo)
 	if !ok || !p.forwards() {
-		return
+		return false
 	}
 	run.sent++
 	run.sentBytes += uint64(len(frame))
 	if out != nil {
 		out(frame)
 	}
+	return true
 }
 
 // flood transmits a frame out of every port but inPort, in port order.

@@ -49,11 +49,23 @@ func slowReceive(dp *Datapath, inPort uint16, frame []byte) {
 	})
 }
 
+// eachFrame calls fn for every frame of fb in order, each copy of a
+// repeated frame on its own.
+func eachFrame(fb *packet.FrameBatch, fn func(frame []byte)) {
+	for i := 0; i < fb.Spans(); i++ {
+		frame, n := fb.Span(i)
+		for ; n > 0; n-- {
+			fn(frame)
+		}
+	}
+}
+
 // pathRig is one datapath with four recording ports and no controller:
 // punts are buffered and counted, their packet-ins go nowhere.
 type pathRig struct {
 	dp      *Datapath
 	clk     *clock.Simulated
+	ports   []*Port     // ports 1 to 4, kept even if removed
 	sent    []sentFrame // every transmission, in order
 	entries []*FlowEntry
 }
@@ -62,9 +74,11 @@ func newPathRig(t *testing.T) *pathRig {
 	r := &pathRig{clk: clock.NewSimulated()}
 	r.dp = New(Config{ID: 7, Clock: r.clk, NBuffers: 1 << 16})
 	for no := uint16(1); no <= 4; no++ {
-		_ = r.dp.AddPort(&Port{No: no, Out: readOnly(t, func(f []byte) {
+		p := &Port{No: no, Out: readOnly(t, func(f []byte) {
 			r.sent = append(r.sent, sentFrame{no, append([]byte(nil), f...)})
-		})})
+		})}
+		_ = r.dp.AddPort(p)
+		r.ports = append(r.ports, p)
 	}
 	return r
 }
@@ -147,9 +161,9 @@ func randomFlowFrame(rng *rand.Rand, flow int) []byte {
 // the same port counters, the same entry counters and last-used stamps, the
 // same lookups and matches, the same punts with the same buffered heads.
 // Each case runs again with repeats: frames also committed again by
-// FrameBatch.Repeat, which the fast path reads as its twin's bytes (decode,
-// key and, for a list that rewrites before it outputs, the rewritten
-// scratch).
+// FrameBatch.Repeat, whose copies share their span's decode and key and,
+// after a first frame that left by rewrites then one output, leave as it
+// did without an execute.
 func TestFastPathMatchesSlowPath(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		// keyEvery: a new flow every frame, every k frames, never.
@@ -204,13 +218,11 @@ func fastPathMatchesSlowPath(t *testing.T, seed int64, keyEvery int, repeats boo
 		if batch == 3 {
 			fb.Append([]byte{1, 2, 3}) // undecodable: counted on the port, then dropped
 			if repeats {
-				fb.Repeat() // dropped as its twin was
+				fb.Repeat() // dropped with the frame it repeats
 			}
 		}
 		fast.dp.ReceiveBatch(1, &fb)
-		for i := 0; i < fb.Len(); i++ {
-			slowReceive(slow.dp, 1, fb.Frame(i))
-		}
+		eachFrame(&fb, func(f []byte) { slowReceive(slow.dp, 1, f) })
 		fast.clk.Advance(250 * time.Millisecond)
 		slow.clk.Advance(250 * time.Millisecond)
 	}
@@ -235,11 +247,9 @@ func comparePaths(t *testing.T, fast, slow *pathRig) {
 				i, got.port, len(got.frame), want.port, len(want.frame), at)
 		}
 	}
-	for no := uint16(1); no <= 4; no++ {
-		fp, _ := fast.dp.Port(no)
-		sp, _ := slow.dp.Port(no)
-		if fp.Stats() != sp.Stats() {
-			t.Errorf("port %d stats: fast %+v, slow %+v", no, fp.Stats(), sp.Stats())
+	for i, sp := range slow.ports {
+		if fp := fast.ports[i]; fp.Stats() != sp.Stats() {
+			t.Errorf("port %d stats: fast %+v, slow %+v", sp.No, fp.Stats(), sp.Stats())
 		}
 	}
 	for i, se := range slow.entries {
@@ -311,21 +321,58 @@ func TestFastPathSeesDeleteMidBatch(t *testing.T) {
 // A run of repeats (FrameBatch.Repeat) must leave what the same frames
 // appended as copies leave: the same transmissions in the same order, the
 // same lookups and matches, the same entry and port counters and the same
-// punts. The repeats skip the decode, the key and, when the list rewrites
-// before it outputs, the copy and the rewrite; nothing skips the charge.
+// punts. A span's copies skip the decode and the key, and, after a first
+// frame that left by rewrites then one output, the lookup and the execute
+// too; nothing skips the charge. The cases cover a list of that shape, one
+// of another, an output with no rewrite, an output port configured not to
+// forward, and a sink that removes its own port from another goroutine
+// mid-span, after which no copy may leave by it. Flow 4 has no entry: its
+// first span punts, and its second span's first frame is held behind that
+// punt.
 func TestRepeatsMatchCopies(t *testing.T) {
 	src, dst := packet.MAC{2, 0xaa, 0, 0, 0, 1}, packet.MAC{2, 0xbb, 0, 0, 0, 2}
 	for _, tc := range []struct {
 		name    string
 		actions []openflow.Action
+		setup   func(r *pathRig) // readies each rig's ports; nil for none
+		// odd, when set, is the list of flows 1 and 3 instead of actions.
+		odd []openflow.Action
 	}{
-		{"rewrite+rewrite+output", []openflow.Action{
+		{name: "rewrite+rewrite+output", actions: []openflow.Action{
 			&openflow.ActionSetDLSrc{Addr: src}, &openflow.ActionSetDLDst{Addr: dst}, output(2),
 		}},
-		{"rewrite after output", []openflow.Action{
+		{name: "rewrite after output", actions: []openflow.Action{
 			&openflow.ActionSetDLDst{Addr: dst}, output(2), &openflow.ActionSetDLSrc{Addr: src}, output(3),
 			&openflow.ActionOutput{Port: openflow.PortFlood},
 		}},
+		{name: "one output no rewrite", actions: []openflow.Action{output(2)}},
+		{
+			name:    "out of a NoFwd port",
+			actions: []openflow.Action{&openflow.ActionSetDLDst{Addr: dst}, output(3)},
+			odd:     []openflow.Action{&openflow.ActionSetDLDst{Addr: dst}, output(2)},
+			setup:   func(r *pathRig) { r.ports[2].Config |= openflow.PortConfigNoFwd },
+		},
+		{
+			name:    "sink removes its port",
+			actions: []openflow.Action{&openflow.ActionSetDLDst{Addr: dst}, output(2)},
+			setup: func(r *pathRig) {
+				// The 40th transmission is the second of flow 0's
+				// three-frame span in the first batch.
+				p2 := r.ports[1]
+				sink := p2.Out
+				p2.SetOut(func(f []byte) {
+					sink(f)
+					if len(r.sent) == 40 {
+						removed := make(chan struct{})
+						go func() {
+							r.dp.RemovePort(2)
+							close(removed)
+						}()
+						<-removed
+					}
+				})
+			},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(3))
@@ -336,15 +383,23 @@ func TestRepeatsMatchCopies(t *testing.T) {
 			frames = append(frames, []byte{1, 2, 3}) // undecodable
 			repeated, copies := newPathRig(t), newPathRig(t)
 			for flow := 0; flow < 4; flow++ { // flow 4 misses
-				// Every flow shares the one list, as the forwarder's
-				// entries toward one device do.
+				// Every flow shares the one list (odd flows aside), as
+				// the forwarder's entries toward one device do.
 				m := exactMatchFor(t, frames[flow], 1)
-				repeated.add(m, 10, tc.actions)
-				copies.add(m, 10, tc.actions)
+				as := tc.actions
+				if tc.odd != nil && flow%2 == 1 {
+					as = tc.odd
+				}
+				repeated.add(m, 10, as)
+				copies.add(m, 10, as)
+			}
+			if tc.setup != nil {
+				tc.setup(repeated)
+				tc.setup(copies)
 			}
 			// Runs of one frame: each a flow (or the undecodable frame)
 			// and how many times it goes in a row.
-			runs := [][2]int{{0, 32}, {1, 1}, {1, 5}, {0, 3}, {4, 6}, {2, 1}, {5, 4}, {3, 32}, {2, 2}, {0, 1}}
+			runs := [][2]int{{0, 32}, {1, 1}, {1, 5}, {0, 3}, {4, 6}, {2, 1}, {5, 4}, {4, 3}, {3, 32}, {2, 2}, {0, 1}}
 			for batch := 0; batch < 3; batch++ {
 				var rb, cb packet.FrameBatch
 				for _, run := range runs {
@@ -440,14 +495,14 @@ func TestRepeatedRunSeesDeleteMidBatch(t *testing.T) {
 	}
 }
 
-// A repeat reuses the scratch only while it holds the twin as the very list
-// the repeat executes rewrote it. Here a sink deletes the entry a frame
-// matched, so that the frame's repeats fall to a wildcard entry with
-// another list, and each must be rewritten anew:
-//   - the twin was rewritten by the deleted entry's list, which is not the
-//     wildcard's;
-//   - the twin went by the generic path and wrote no scratch, which still
-//     holds an earlier frame as the wildcard's list rewrote it.
+// A span's copies leave as its first frame left only while the table reads
+// as it did. Here a sink deletes the entry a span's first frame matched, so
+// that its copies fall to a wildcard entry with another list, and must be
+// rewritten anew:
+//   - the first frame was rewritten by the deleted entry's list, which is
+//     not the wildcard's;
+//   - the first frame went by the generic path and wrote no scratch, which
+//     still holds an earlier frame as the wildcard's list rewrote it.
 func TestRepeatAfterTableChangeIsRewritten(t *testing.T) {
 	x, y := packet.MAC{2, 0xee, 0, 0, 0, 1}, packet.MAC{2, 0xee, 0, 0, 0, 2}
 	rng := rand.New(rand.NewSource(5))

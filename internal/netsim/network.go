@@ -381,8 +381,11 @@ func (n *Network) deliverBatch(h *Host, fb *packet.FrameBatch) {
 	n.mu.Unlock()
 	if h.Wireless || direct || faulty {
 		n.dp.Batch(func() {
-			for i := 0; i < fb.Len(); i++ {
-				n.fromHost(h, fb.Frame(i))
+			for i := 0; i < fb.Spans(); i++ {
+				frame, copies := fb.Span(i)
+				for ; copies > 0; copies-- {
+					n.fromHost(h, frame)
+				}
 			}
 		})
 		return

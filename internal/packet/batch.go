@@ -14,38 +14,47 @@ package packet
 // next build (useful when routing decides a built frame cannot be sent
 // yet).
 //
-// A repeat is recorded, not copied: Repeat commits the last frame's span
-// once more, so the repeated frames share their bytes and Repeats tells a
-// reader which frames it has already seen. Every reader of a batch treats
-// its frames as read-only.
+// The batch is a list of spans: one frame's bytes and how many times the
+// frame goes in a row. Commit opens a span of one; Repeat counts the last
+// frame once more instead of copying it, so a reader handles a span's
+// bytes once and knows every further copy is the same frame. Every reader
+// of a batch treats its frames as read-only.
 //
-// Frames returned by Frame alias the backing buffer: they are valid only
-// until Reset, and a FrameBatch is not safe for concurrent use. Frame
-// boundaries are stored as offsets, so frames committed before the buffer
-// grows remain addressable afterwards.
+// Frames returned by Span alias the backing buffer: they are valid only
+// until Reset, and a FrameBatch is not safe for concurrent use. A span
+// stores where its frame ends, as an offset — it starts where the span
+// before it ends — so frames committed before the buffer grows remain
+// addressable afterwards.
 type FrameBatch struct {
 	buf    []byte
-	starts []int
-	ends   []int
+	spans  []span
+	frames int
 	total  int
 }
 
-// Len returns the number of committed frames.
-func (fb *FrameBatch) Len() int { return len(fb.ends) }
+// span is one committed frame, ending at buf[end], and the n times it goes.
+type span struct{ end, n int }
+
+// Len returns the number of committed frames, every repeat included.
+func (fb *FrameBatch) Len() int { return fb.frames }
 
 // TotalBytes returns the byte count summed over all committed frames,
 // every repeat included.
 func (fb *FrameBatch) TotalBytes() int { return fb.total }
 
-// Frame returns the i-th committed frame, aliasing the backing buffer.
-func (fb *FrameBatch) Frame(i int) []byte {
-	return fb.buf[fb.starts[i]:fb.ends[i]:fb.ends[i]]
-}
+// Spans returns the number of spans: the frames committed, not counting
+// repeats.
+func (fb *FrameBatch) Spans() int { return len(fb.spans) }
 
-// Repeats reports whether frame i is frame i-1's span again, as Repeat
-// commits it: the same bytes, which a reader has just read.
-func (fb *FrameBatch) Repeats(i int) bool {
-	return i > 0 && fb.starts[i] == fb.starts[i-1] && fb.ends[i] == fb.ends[i-1]
+// Span returns the i-th span's frame, aliasing the backing buffer, and the
+// n ≥ 1 times it goes in a row.
+func (fb *FrameBatch) Span(i int) (frame []byte, n int) {
+	start := 0
+	if i > 0 {
+		start = fb.spans[i-1].end
+	}
+	s := fb.spans[i]
+	return fb.buf[start:s.end:s.end], s.n
 }
 
 // Buf returns the committed region of the backing buffer as the append
@@ -56,8 +65,8 @@ func (fb *FrameBatch) Buf() []byte { return fb.buf }
 // frame to Buf() — as the batch's new backing buffer, adding the appended
 // bytes as one frame.
 func (fb *FrameBatch) Commit(b []byte) {
-	fb.starts = append(fb.starts, len(fb.buf))
-	fb.ends = append(fb.ends, len(b))
+	fb.spans = append(fb.spans, span{len(b), 1})
+	fb.frames++
 	fb.total += len(b) - len(fb.buf)
 	fb.buf = b
 }
@@ -68,18 +77,18 @@ func (fb *FrameBatch) Append(frame []byte) {
 }
 
 // Repeat commits the last committed frame once more — the batch must hold
-// one — without copying it: the new frame is the last one's span again.
+// one — without copying it: the last span goes one more time.
 func (fb *FrameBatch) Repeat() {
-	i := len(fb.ends) - 1
-	fb.starts = append(fb.starts, fb.starts[i])
-	fb.ends = append(fb.ends, fb.ends[i])
-	fb.total += fb.ends[i] - fb.starts[i]
+	frame, _ := fb.Span(len(fb.spans) - 1)
+	fb.spans[len(fb.spans)-1].n++
+	fb.frames++
+	fb.total += len(frame)
 }
 
 // Reset forgets all frames, retaining the backing buffer for reuse.
 func (fb *FrameBatch) Reset() {
 	fb.buf = fb.buf[:0]
-	fb.starts = fb.starts[:0]
-	fb.ends = fb.ends[:0]
+	fb.spans = fb.spans[:0]
+	fb.frames = 0
 	fb.total = 0
 }

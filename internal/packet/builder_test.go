@@ -112,9 +112,9 @@ func TestAppendUDPFrameZeroChecksumSentAsOnes(t *testing.T) {
 	}
 }
 
-// Repeat records the last frame's span again instead of copying it: the
-// buffer does not move, every repeat reads as the last frame, Repeats marks
-// exactly the repeats, TotalBytes charges each one, and Reset forgets them.
+// Repeat counts the last frame again instead of copying it: the buffer
+// does not move, the repeats go into the last frame's span, TotalBytes
+// charges each one, and Reset forgets them.
 func TestFrameBatchRepeat(t *testing.T) {
 	first := AppendUDPFrame(nil, testSrcMAC, testDstMAC, testSrcIP, testDstIP, 1, 2, []byte("first"))
 	last := AppendTCPFrame(nil, testSrcMAC, testDstMAC, testSrcIP, testDstIP, 3, 4, TCPAck, 5, 6, make([]byte, 1400))
@@ -129,36 +129,31 @@ func TestFrameBatchRepeat(t *testing.T) {
 		t.Fatalf("40 repeats moved the buffer from len %d cap %d to len %d cap %d",
 			bufLen, bufCap, len(fb.Buf()), cap(fb.Buf()))
 	}
-	if fb.Len() != 42 || !bytes.Equal(fb.Frame(0), first) {
-		t.Fatalf("Len = %d, first frame intact = %v", fb.Len(), bytes.Equal(fb.Frame(0), first))
+	if fb.Len() != 42 || fb.Spans() != 2 {
+		t.Fatalf("Len = %d, Spans = %d; want 42 frames in 2 spans", fb.Len(), fb.Spans())
 	}
-	for i := 1; i < fb.Len(); i++ {
-		if !bytes.Equal(fb.Frame(i), last) {
-			t.Fatalf("frame %d does not read as the last built frame", i)
-		}
-		if got, want := fb.Repeats(i), i >= 2; got != want {
-			t.Fatalf("Repeats(%d) = %v, want %v", i, got, want)
-		}
+	if f, n := fb.Span(0); !bytes.Equal(f, first) || n != 1 {
+		t.Fatalf("span 0 is %d bytes %d times, want the first frame once", len(f), n)
 	}
-	if fb.Repeats(0) {
-		t.Fatal("Repeats(0) = true for the first frame")
+	if f, n := fb.Span(1); !bytes.Equal(f, last) || n != 41 {
+		t.Fatalf("span 1 is %d bytes %d times, want the last built frame 41 times", len(f), n)
 	}
 	if want := len(first) + 41*len(last); fb.TotalBytes() != want {
 		t.Fatalf("TotalBytes = %d, want %d", fb.TotalBytes(), want)
 	}
-	// A frame built after the repeats is a frame of its own.
+	// A frame built after the repeats is a span of its own.
 	fb.Append(first)
-	if fb.Repeats(fb.Len()-1) || !bytes.Equal(fb.Frame(fb.Len()-1), first) {
-		t.Fatal("a frame appended after the repeats reads as a repeat")
+	if f, n := fb.Span(fb.Spans() - 1); fb.Spans() != 3 || n != 1 || !bytes.Equal(f, first) {
+		t.Fatal("a frame appended after the repeats joined their span")
 	}
 	fb.Reset()
-	if fb.Len() != 0 || fb.TotalBytes() != 0 || len(fb.Buf()) != 0 {
-		t.Fatalf("Reset left Len %d TotalBytes %d buffer %d", fb.Len(), fb.TotalBytes(), len(fb.Buf()))
+	if fb.Len() != 0 || fb.Spans() != 0 || fb.TotalBytes() != 0 || len(fb.Buf()) != 0 {
+		t.Fatalf("Reset left Len %d Spans %d TotalBytes %d buffer %d", fb.Len(), fb.Spans(), fb.TotalBytes(), len(fb.Buf()))
 	}
 	fb.Append(last)
 	fb.Append(last)
-	if fb.Repeats(1) {
-		t.Fatal("after Reset, an appended copy reads as a repeat")
+	if fb.Spans() != 2 {
+		t.Fatal("after Reset, an appended copy joined the span before it")
 	}
 }
 
@@ -243,9 +238,12 @@ func TestFrameBatch(t *testing.T) {
 	if fb.Len() != 3 || fb.TotalBytes() != total {
 		t.Fatalf("Len=%d TotalBytes=%d want 3/%d", fb.Len(), fb.TotalBytes(), total)
 	}
+	if fb.Spans() != 3 {
+		t.Fatalf("Spans=%d want 3", fb.Spans())
+	}
 	for i, f := range frames {
-		if !bytes.Equal(fb.Frame(i), f) {
-			t.Errorf("frame %d corrupted", i)
+		if got, n := fb.Span(i); !bytes.Equal(got, f) || n != 1 {
+			t.Errorf("span %d corrupted", i)
 		}
 	}
 	// Uncommitted bytes must not surface as frames.
@@ -254,7 +252,7 @@ func TestFrameBatch(t *testing.T) {
 		t.Errorf("uncommitted build changed Len to %d", fb.Len())
 	}
 	fb.Reset()
-	if fb.Len() != 0 || fb.TotalBytes() != 0 {
+	if fb.Len() != 0 || fb.Spans() != 0 || fb.TotalBytes() != 0 {
 		t.Error("Reset did not empty the batch")
 	}
 }

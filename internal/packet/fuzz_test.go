@@ -152,3 +152,71 @@ func FuzzChecksum(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFrameBatch: a FrameBatch under any sequence of Commit, Append,
+// Repeat, Reset and builds left uncommitted reads as the plain list of the
+// frames committed since the last Reset, every repeat a copy of the frame
+// before it: the same Len, the same TotalBytes, and the spans, each frame
+// taken as many times as its span goes, are that list. A Repeat never
+// moves the buffer. Each op is two bytes: the op, and a length that
+// reaches past the buffer's growth steps.
+func FuzzFrameBatch(f *testing.F) {
+	f.Add([]byte{0, 3, 2, 0, 2, 0, 1, 200, 2, 0, 4, 9, 0, 1})
+	f.Add([]byte{1, 255, 2, 0, 2, 0, 3, 0, 2, 0, 1, 0, 2, 0, 0, 17})
+	f.Add([]byte{4, 100, 0, 0, 2, 0, 1, 0, 1, 0, 2, 0, 3, 0, 4, 3, 0, 250, 2, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var (
+			fb    FrameBatch
+			model [][]byte
+		)
+		for i := 0; i+1 < len(ops); i += 2 {
+			frame := bytes.Repeat([]byte{byte(i)}, int(ops[i+1])*7)
+			switch ops[i] % 5 {
+			case 0:
+				fb.Commit(append(fb.Buf(), frame...))
+				model = append(model, frame)
+			case 1:
+				fb.Append(frame)
+				model = append(model, frame)
+			case 2:
+				if len(model) == 0 {
+					continue
+				}
+				buf := fb.Buf()
+				fb.Repeat()
+				if b := fb.Buf(); len(b) != len(buf) || cap(b) != cap(buf) {
+					t.Fatalf("op %d: Repeat moved the buffer", i/2)
+				}
+				model = append(model, model[len(model)-1])
+			case 3:
+				fb.Reset()
+				model = model[:0]
+			case 4:
+				_ = append(fb.Buf(), frame...) // built, never committed
+			}
+			total := 0
+			for _, m := range model {
+				total += len(m)
+			}
+			if fb.Len() != len(model) || fb.TotalBytes() != total {
+				t.Fatalf("op %d: Len %d TotalBytes %d, model %d frames %d bytes", i/2, fb.Len(), fb.TotalBytes(), len(model), total)
+			}
+			k := 0
+			for s := 0; s < fb.Spans(); s++ {
+				got, n := fb.Span(s)
+				if n < 1 {
+					t.Fatalf("op %d: span %d goes %d times", i/2, s, n)
+				}
+				for ; n > 0; n-- {
+					if k >= len(model) || !bytes.Equal(got, model[k]) {
+						t.Fatalf("op %d: span %d does not read as frame %d of the model", i/2, s, k)
+					}
+					k++
+				}
+			}
+			if k != len(model) {
+				t.Fatalf("op %d: the spans hold %d frames, the model %d", i/2, k, len(model))
+			}
+		}
+	})
+}
