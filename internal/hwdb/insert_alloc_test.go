@@ -29,8 +29,9 @@ func TestStandardInsertsAllocateNothing(t *testing.T) {
 		"InsertLink":     func() error { return db.InsertLink(mac, -52, 3, 54) },
 		"InsertFlowPerf": func() error { return db.InsertFlowPerf(mac, ft, 10, 15000, 9, 13500, 1, 1.2e6, 180) },
 	} {
-		// 3 000 inserts into a 1 024-row ring: grows twice, then wraps. The
-		// two growths are the only allocations and average out below one.
+		// 3 000 inserts into a 1 024-row ring: opens four pages, then wraps.
+		// The pages (and the page list's growth) are the only allocations
+		// and average out below one.
 		if n := testing.AllocsPerRun(3000, func() {
 			if err := insert(); err != nil {
 				t.Fatal(err)

@@ -10,9 +10,9 @@ import (
 	"repro/internal/packet"
 )
 
-// TestFullFlowsRingRetainsItsCells pins the memory contract of the flat
-// ring: a Flows table filled to 4 096 slots retains 4 096 strides of 9
-// eight-byte cells and next to nothing else.
+// TestFullFlowsRingRetainsItsCells pins the memory contract of a ring of
+// flat pages: a Flows table filled to 4 096 slots retains 4 096 strides of
+// 9 eight-byte cells and next to nothing else — sixteen page headers.
 func TestFullFlowsRingRetainsItsCells(t *testing.T) {
 	const slots = 4096
 	heap := func() uint64 {

@@ -16,20 +16,28 @@ import (
 // are forgotten.
 const DefaultRingSize = 65536
 
-// initialRingSlots is how many slots a new table allocates; the ring
-// doubles from there, on demand, up to its capacity.
-const initialRingSlots = 256
+// pageRows is how many rows a ring page holds: a ring grows one page at a
+// time. The last page of a ring whose capacity is not a multiple of it is
+// short, so a ring never holds more slots than its capacity.
+const (
+	pageShift = 8
+	pageRows  = 1 << pageShift
+	pageMask  = pageRows - 1
+)
 
 // Table is one ephemeral event stream: a schema plus a ring buffer of
 // timestamped rows. The capacity is fixed at construction; the memory
 // behind it is not: the ring holds min(rows inserted, capacity) slots
-// rounded up to a power of two (never fewer than initialRingSlots, never
-// more than the capacity), so an idle table costs a few kilobytes and
-// "fixed-memory" is the ceiling, not the floor.
+// rounded up to a page (never more than the capacity), so an idle table
+// costs nothing but its header and "fixed-memory" is the ceiling, not the
+// floor.
 //
-// The ring is one flat rowBlock: a slot is 1 + len(schema.Cols) eight-byte
-// cells and nothing else, so a table without string columns holds no
-// pointers for the collector to follow and an insert allocates nothing.
+// The ring is a list of pages, each a flat rowBlock of pageRows slots: a
+// slot is 1 + len(schema.Cols) eight-byte cells and nothing else, so a
+// table without string columns holds no pointers for the collector to
+// follow, an insert allocates nothing but the page it opens, and growing
+// appends a page and never copies a row. Ring position s is row s&pageMask
+// of page s>>pageShift.
 //
 // Rows are assumed to arrive in non-decreasing timestamp order (every
 // insert is stamped from one clock): RANGE windows and RowsBetween binary
@@ -40,9 +48,10 @@ type Table struct {
 	capacity int
 
 	mu sync.RWMutex
-	// ring has slots <= capacity rows. Until it has grown to capacity it
-	// never wraps: slot i holds the i-th oldest row and head == count.
-	ring    rowBlock
+	// pages hold slots <= capacity rows. Until the ring has grown to
+	// capacity it never wraps: position i holds the i-th oldest row and
+	// head == count.
+	pages   []rowBlock
 	slots   int
 	head    int // position of next insert
 	count   int // rows currently held (<= slots)
@@ -53,13 +62,13 @@ type Table struct {
 	notify   []func()
 }
 
-// NewTable creates a table with the given ring capacity.
+// NewTable creates a table with the given ring capacity. The ring holds
+// no page until the first insert.
 func NewTable(name string, schema *Schema, ringSize int) *Table {
 	if ringSize <= 0 {
 		ringSize = DefaultRingSize
 	}
-	slots := min(ringSize, initialRingSlots)
-	return &Table{name: name, schema: schema, capacity: ringSize, ring: newRowBlock(schema.shape, slots), slots: slots}
+	return &Table{name: name, schema: schema, capacity: ringSize}
 }
 
 // Name returns the table name.
@@ -101,7 +110,7 @@ func (t *Table) Insert(ts time.Time, vals []Value) error {
 	} else {
 		t.count++
 	}
-	t.ring.put(t.head, ts, vals)
+	t.pages[t.head>>pageShift].put(t.head&pageMask, ts, vals)
 	t.head = (t.head + 1) % t.slots
 	t.inserts++
 	subs, notify := t.onInsert, t.notify
@@ -121,14 +130,15 @@ func (t *Table) Insert(ts time.Time, vals []Value) error {
 	return nil
 }
 
-// grow doubles a full ring that is still below capacity. The size is
-// computed, not left to append, so it lands exactly on the capacity and
+// grow appends a page to a full ring that is still below capacity: the
+// rows already held stay where they are, and the next insert goes into the
+// new page. The page is sized so the ring lands exactly on the capacity and
 // never past it. The caller holds the write lock.
 func (t *Table) grow() {
-	slots := min(2*t.slots, t.capacity)
-	ring := newRowBlock(t.schema.shape, slots)
-	ring.copyFrom(0, &t.ring, 0, t.count) // not yet wrapped: already oldest-first from slot 0
-	t.ring, t.slots, t.head = ring, slots, t.count
+	n := min(pageRows, t.capacity-t.slots)
+	t.pages = append(t.pages, newRowBlock(t.schema.shape, n))
+	t.slots += n
+	t.head = t.count // not yet wrapped: the insert that filled the ring moved head to 0
 }
 
 // OnInsert registers fn to run for every inserted row, with a copy of the
@@ -150,14 +160,21 @@ func (t *Table) Notify(fn func()) {
 	t.mu.Unlock()
 }
 
-// slot returns the ring index of the i-th oldest retained row. The caller
-// holds the lock.
+// slot returns the ring position of the i-th oldest retained row. The
+// caller holds the lock.
 func (t *Table) slot(i int) int {
 	i += t.head - t.count
 	if i < 0 {
 		i += t.slots
 	}
 	return i
+}
+
+// row returns a view of the i-th oldest retained row, on its page. The
+// caller holds the lock, and the view is good only while it does.
+func (t *Table) row(i int) Row {
+	s := t.slot(i)
+	return Row{&t.pages[s>>pageShift], s & pageMask}
 }
 
 // copyRange returns a fresh block holding the lo-th to (hi-1)-th oldest
@@ -172,12 +189,16 @@ func (t *Table) copyRange(lo, hi int) *rowBlock {
 }
 
 // copyInto copies the lo-th to (hi-1)-th oldest rows into b, a block of
-// hi-lo rows of the table's shape. The caller holds the lock.
+// hi-lo rows of the table's shape, one page's stretch at a time. The
+// caller holds the lock.
 func (t *Table) copyInto(b *rowBlock, lo, hi int) {
-	first := t.slot(lo)
-	n := min(hi-lo, t.slots-first)
-	b.copyFrom(0, &t.ring, first, n)
-	b.copyFrom(n, &t.ring, 0, hi-lo-n) // what of the range wrapped past the ring's end
+	for at := 0; lo < hi; {
+		s := t.slot(lo)
+		off := s & pageMask
+		n := min(hi-lo, pageRows-off, t.slots-s) // a page ends at pageRows or where the ring wraps
+		b.copyFrom(at, &t.pages[s>>pageShift], off, n)
+		at, lo = at+n, lo+n
+	}
 }
 
 // copyRows is copyRange as the row views callers get.
@@ -188,7 +209,7 @@ func (t *Table) copyRows(lo, hi int) []Row { return t.copyRange(lo, hi).rows(hi 
 // for a bound on the timestamp, is the monotone-timestamp assumption.
 // O(log count), on the ring itself. The caller holds the lock.
 func (t *Table) firstAt(ok func(ts time.Time) bool) int {
-	return sort.Search(t.count, func(i int) bool { return ok(Row{&t.ring, t.slot(i)}.Time()) })
+	return sort.Search(t.count, func(i int) bool { return ok(t.row(i).Time()) })
 }
 
 // Snapshot returns the retained rows oldest-first, copied out of the ring.
@@ -274,7 +295,7 @@ func (t *Table) scan(w Window, now time.Time, fn func(Row) error) error {
 		lo = max(0, t.count-1)
 	}
 	for i := lo; i < t.count; i++ {
-		if err := fn(Row{&t.ring, t.slot(i)}); err != nil {
+		if err := fn(t.row(i)); err != nil {
 			return err
 		}
 	}

@@ -224,16 +224,18 @@ func fillRandom(t *testing.T, rng *rand.Rand, clk *clock.Simulated, tbl *Table, 
 // applied to everything retained, RowsBetween equals its old definition,
 // and Snapshot itself equals the model.
 func TestWindowReadMatchesSnapshotThenWindow(t *testing.T) {
-	const capacity = 600 // not a power of two: the ring grows 256 -> 512 -> 600
+	const capacity = 600 // not a multiple of a page: pages of 256, 256 and 88 rows
 	states := []struct {
 		name    string
 		inserts int
 	}{
 		{"empty", 0},
 		{"part-filled", 100},
-		{"initial slots exactly full", initialRingSlots},
+		{"first page exactly full", pageRows},
+		{"one row into the second page", pageRows + 1},
 		{"mid-growth", 300},
 		{"exactly full", capacity},
+		{"short last page, wrapped", capacity + 2*pageRows + 40},
 		{"wrapped once", capacity + 217},
 		{"wrapped many times", 5*capacity + 37},
 	}
@@ -448,22 +450,18 @@ func TestIntegerInRealColumn(t *testing.T) {
 }
 
 // wantSlots is the memory contract: min(rows inserted, capacity) slots
-// rounded up to a power of two, no fewer than the initial allocation and
-// no more than the capacity.
+// rounded up to a page, and never more than the capacity.
 func wantSlots(inserted, capacity int) int {
-	slots := initialRingSlots
-	for slots < inserted {
-		slots *= 2
-	}
-	return min(slots, capacity)
+	return min((inserted+pageRows-1)/pageRows*pageRows, capacity)
 }
 
 // TestRingGrowthMatchesPresizedRing drives a growing table and the model
-// of a ring that had its capacity from the start through every doubling
+// of a ring that had its capacity from the start through every page
 // boundary and two wraps: nothing a caller can observe differs, and the
-// slots held follow the memory contract.
+// slots held follow the memory contract — every page but a short last one
+// holds pageRows slots.
 func TestRingGrowthMatchesPresizedRing(t *testing.T) {
-	for ci, capacity := range []int{1, 2, 255, 256, 257, 600, 1000, 1024, 2048} {
+	for ci, capacity := range []int{1, 2, 255, 256, 257, 511, 512, 513, 600, 1000, 1024, 2048} {
 		shape := tableShapes[ci%len(tableShapes)]
 		rng := rand.New(rand.NewSource(int64(capacity)))
 		clk := clock.NewSimulated()
@@ -471,7 +469,19 @@ func TestRingGrowthMatchesPresizedRing(t *testing.T) {
 		m := &ringModel{cap: capacity}
 		var hooked []Row
 		tbl.OnInsert(func(r Row) { hooked = append(hooked, r) })
-		slots := func() int { return len(tbl.ring.cells) / tbl.ring.shape.stride }
+		// slots counts what the pages hold, failing unless each page's
+		// strings match its cells and only the last page is short.
+		slots := func() int {
+			n := 0
+			for p, page := range tbl.pages {
+				rows := len(page.cells) / page.shape.stride
+				if len(page.strs) != rows*page.shape.nstr || (rows != pageRows && p != len(tbl.pages)-1) {
+					t.Fatalf("cap %d: page %d of %d holds %d rows and %d strings", capacity, p, len(tbl.pages), rows, len(page.strs))
+				}
+				n += rows
+			}
+			return n
+		}
 		if got := slots(); got != wantSlots(0, capacity) {
 			t.Fatalf("cap %d: %d slots before the first insert, want %d", capacity, got, wantSlots(0, capacity))
 		}
@@ -483,8 +493,8 @@ func TestRingGrowthMatchesPresizedRing(t *testing.T) {
 			if tbl.Cap() != capacity {
 				t.Fatalf("cap %d: Cap() = %d after %d inserts", capacity, tbl.Cap(), i)
 			}
-			if got := slots(); got != wantSlots(i, capacity) || got != tbl.slots || len(tbl.ring.strs) != got*tbl.ring.shape.nstr {
-				t.Fatalf("cap %d: %d slots (%d strings) after %d inserts, want %d", capacity, got, len(tbl.ring.strs), i, wantSlots(i, capacity))
+			if got := slots(); got != wantSlots(i, capacity) || got != tbl.slots {
+				t.Fatalf("cap %d: %d slots after %d inserts, want %d", capacity, got, i, wantSlots(i, capacity))
 			}
 			if got := tbl.Len(); got != len(m.held()) {
 				t.Fatalf("cap %d: Len() = %d after %d inserts, want %d", capacity, got, i, len(m.held()))

@@ -53,12 +53,12 @@ type Host struct {
 	// buffer) keeps nested sends safe: delivering a frame can trigger a
 	// reply from inside the send call stack.
 	txFree [][]byte
-	// batch, when non-nil, is the per-step frame batch set by
-	// Network.Step: application traffic is serialized into it and handed
-	// to the datapath in one call after the host's apps have stepped.
+	// batch, when non-nil, is the frame batch Network.Step lends the host
+	// while its apps step: application traffic is serialized into it and
+	// handed to the datapath in one call after the apps have stepped. The
+	// host never owns a batch; the step borrows it from the process-wide
+	// stock (network.go).
 	batch *packet.FrameBatch
-	// txBatch is the host's owned batch, lazily created and reused.
-	txBatch *packet.FrameBatch
 
 	// onFrame is the observer SetOnFrame installed, or nil.
 	onFrame atomic.Pointer[func(frame []byte)]
@@ -474,25 +474,12 @@ func (h *Host) putTxBuf(b []byte) {
 	h.mu.Unlock()
 }
 
-// beginBatch enters the batching window: subsequent app sends serialize
-// into the returned per-step batch instead of transmitting one by one.
-// Only Network.Step calls this, and only one step runs per network at a
-// time.
-func (h *Host) beginBatch() *packet.FrameBatch {
+// lend sets the batch the host's app sends serialize into (nil ends the
+// batching window; sends then transmit one by one). Only Network.Step
+// calls this, and only one step runs per network at a time.
+func (h *Host) lend(fb *packet.FrameBatch) {
 	h.mu.Lock()
-	if h.txBatch == nil {
-		h.txBatch = &packet.FrameBatch{}
-	}
-	h.batch = h.txBatch
-	h.mu.Unlock()
-	return h.txBatch
-}
-
-// endBatch leaves the batching window; the caller then delivers the
-// batch and resets it.
-func (h *Host) endBatch() {
-	h.mu.Lock()
-	h.batch = nil
+	h.batch = fb
 	h.mu.Unlock()
 }
 

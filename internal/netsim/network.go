@@ -175,15 +175,12 @@ func (n *Network) HostCount() int {
 	return len(n.hosts)
 }
 
-// Hosts returns all hosts.
+// Hosts returns all hosts in ascending port order: a copy, so a caller
+// that loops over it (the chaos layer's DHCP storm, the direct-L2
+// broadcast) visits the hosts, and draws from the seeded wireless model,
+// in the same order every run.
 func (n *Network) Hosts() []*Host {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]*Host, 0, len(n.hosts))
-	for _, h := range n.hosts {
-		out = append(out, h)
-	}
-	return out
+	return append([]*Host(nil), n.orderedHosts()...)
 }
 
 // AttachUpstream creates the upstream (ISP + Internet) host on a fresh
@@ -328,22 +325,62 @@ func (n *Network) AppendLinkInfos(dst []LinkInfo) []LinkInfo {
 // deadline, and its flow-removed is on the control channel ahead of
 // anything the step's traffic triggers. Hosts are stepped in ascending
 // port order (not map order), so a tick's emission sequence is
-// deterministic. Each host's application traffic is
-// serialized into a per-step frame batch and handed to the datapath in
-// one call, amortizing port lookup, receive accounting and frame decode
-// state across the tick; the batch's backing buffer is reused across
-// ticks, so steady-state traffic generation does not allocate. Frames
-// handed to the datapath alias that buffer and are only valid within the
-// tick.
+// deterministic. Each host's application traffic is serialized into one
+// frame batch and handed to the datapath in one call, amortizing port
+// lookup, receive accounting and frame decode state across the tick.
+//
+// The batch is not the host's or the network's: the step borrows one from
+// a process-wide stock, lends it to each host in turn and returns it when
+// the step ends, so a process keeps one tick's frames per goroutine that
+// steps networks, not one per host it has ever stepped, and steady-state
+// traffic generation does not allocate. A frame aliases the batch only for
+// the deliverBatch call that hands it to the datapath.
 func (n *Network) Step(dt float64) {
 	n.dp.SweepExpired()
+	fb := borrowBatch()
 	for _, h := range n.orderedHosts() {
-		fb := h.beginBatch()
+		h.lend(fb)
 		for _, a := range h.appsSnapshot() {
 			a.Step(dt)
 		}
-		h.endBatch()
+		h.lend(nil)
 		n.deliverBatch(h, fb)
+	}
+	returnBatch(fb)
+}
+
+// stockedBatches bounds the stock: one batch per goroutine that steps
+// networks at once, up to this many, is kept between steps; a batch
+// returned to a full stock is left to the collector.
+const stockedBatches = 16
+
+// batchStock is the process-wide stock of step batches. It is a bounded
+// free list, not a sync.Pool: a pool empties at every collection, and a
+// batch grown to a tick of bulk traffic would be allocated again after it.
+var batchStock struct {
+	mu   sync.Mutex
+	free []*packet.FrameBatch
+}
+
+// borrowBatch takes an empty batch from the stock, or a new one.
+func borrowBatch() *packet.FrameBatch {
+	batchStock.mu.Lock()
+	defer batchStock.mu.Unlock()
+	if k := len(batchStock.free); k > 0 {
+		fb := batchStock.free[k-1]
+		batchStock.free[k-1] = nil
+		batchStock.free = batchStock.free[:k-1]
+		return fb
+	}
+	return &packet.FrameBatch{}
+}
+
+// returnBatch gives an empty batch back to the stock.
+func returnBatch(fb *packet.FrameBatch) {
+	batchStock.mu.Lock()
+	defer batchStock.mu.Unlock()
+	if len(batchStock.free) < stockedBatches {
+		batchStock.free = append(batchStock.free, fb)
 	}
 }
 
