@@ -198,7 +198,7 @@ func (dp *Datapath) sendFeatures(xid uint32) {
 		NBuffers:     uint32(dp.nBuffers),
 		NTables:      1,
 		Capabilities: openflow.CapFlowStats | openflow.CapTableStats | openflow.CapPortStats,
-		Actions:      0xfff, // all basic actions
+		Actions:      executedActions,
 	}
 	rep.Header.XID = xid
 	for _, p := range dp.sortedPorts() {
@@ -217,17 +217,44 @@ func (dp *Datapath) sendError(orig openflow.Message, typ, code uint16) {
 	dp.send(e)
 }
 
+// executedActions is the features reply's actions bitmap: the four actions
+// execute runs. The router forwards every flow by rewriting its MAC
+// addresses and outputting it, and sends nothing else.
+const executedActions = 1<<openflow.ActTypeOutput | 1<<openflow.ActTypeSetDLSrc |
+	1<<openflow.ActTypeSetDLDst | 1<<openflow.ActTypeEnqueue
+
+// refused reports whether an action list holds an action execute does not
+// run, and if so answers msg, which carried it, with OFPET_BAD_ACTION /
+// OFPBAC_BAD_TYPE. A refused message installs and runs nothing.
+func (dp *Datapath) refused(msg openflow.Message, actions []openflow.Action) bool {
+	for _, a := range actions {
+		if _, ok := a.(*openflow.ActionUnsupported); ok {
+			dp.sendError(msg, openflow.ErrTypeBadAction, openflow.BadActionBadType)
+			return true
+		}
+	}
+	return false
+}
+
+// newEntry is the flow entry an ADD, or a MODIFY that matched nothing,
+// installs.
+func (dp *Datapath) newEntry(m *openflow.FlowMod) *FlowEntry {
+	return &FlowEntry{
+		Match: m.Match, Priority: m.Priority, Cookie: m.Cookie,
+		IdleTimeout: m.IdleTimeout, HardTimeout: m.HardTimeout,
+		Actions:     m.Actions,
+		SendFlowRem: m.Flags&openflow.FlowModFlagSendFlowRem != 0,
+		Installed:   dp.clk.Now(),
+	}
+}
+
 func (dp *Datapath) handleFlowMod(m *openflow.FlowMod) {
 	switch m.Command {
 	case openflow.FlowModAdd:
-		entry := &FlowEntry{
-			Match: m.Match, Priority: m.Priority, Cookie: m.Cookie,
-			IdleTimeout: m.IdleTimeout, HardTimeout: m.HardTimeout,
-			Actions:     m.Actions,
-			SendFlowRem: m.Flags&openflow.FlowModFlagSendFlowRem != 0,
-			Installed:   dp.clk.Now(),
+		if dp.refused(m, m.Actions) {
+			return
 		}
-		if err := dp.table.Add(entry, m.Flags&openflow.FlowModFlagCheckOverlap != 0); err != nil {
+		if err := dp.table.Add(dp.newEntry(m), m.Flags&openflow.FlowModFlagCheckOverlap != 0); err != nil {
 			dp.sendError(m, openflow.ErrTypeFlowModFailed, openflow.FlowModOverlap)
 			return
 		}
@@ -237,17 +264,13 @@ func (dp *Datapath) handleFlowMod(m *openflow.FlowMod) {
 			dp.releaseAll(m.BufferID, m.Actions)
 		}
 	case openflow.FlowModModify, openflow.FlowModModifyStrict:
+		if dp.refused(m, m.Actions) {
+			return
+		}
 		strict := m.Command == openflow.FlowModModifyStrict
 		if n := dp.table.Modify(&m.Match, m.Priority, strict, m.Actions); n == 0 {
 			// Per spec, MODIFY with no matching entry behaves like ADD.
-			entry := &FlowEntry{
-				Match: m.Match, Priority: m.Priority, Cookie: m.Cookie,
-				IdleTimeout: m.IdleTimeout, HardTimeout: m.HardTimeout,
-				Actions:     m.Actions,
-				SendFlowRem: m.Flags&openflow.FlowModFlagSendFlowRem != 0,
-				Installed:   dp.clk.Now(),
-			}
-			_ = dp.table.Add(entry, false)
+			_ = dp.table.Add(dp.newEntry(m), false)
 		}
 	case openflow.FlowModDelete, openflow.FlowModDeleteStrict:
 		strict := m.Command == openflow.FlowModDeleteStrict
@@ -265,6 +288,9 @@ func (dp *Datapath) handleFlowMod(m *openflow.FlowMod) {
 }
 
 func (dp *Datapath) handlePacketOut(m *openflow.PacketOut) {
+	if dp.refused(m, m.Actions) {
+		return
+	}
 	frame := m.Data
 	inPort := m.InPort
 	if m.BufferID != openflow.NoBuffer {

@@ -17,7 +17,7 @@ import (
 // here, as feeding the same frames to Receive one at a time, each call a
 // run of one frame. The batches change run often — flows A A B A B B as
 // copies and as repeats, two output ports, a flood in between, a list that
-// takes the generic path, a list that outputs to both ports, a miss — and
+// enqueues then outputs, a list that outputs to both ports, a miss — and
 // every entry's packets, bytes and last use, the table's lookups and
 // matches and every port's counters must agree after each.
 func TestRunChargesMatchPerFrame(t *testing.T) {
@@ -29,7 +29,7 @@ func TestRunChargesMatchPerFrame(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			const (
-				a, b, flood, generic, both, miss = 0, 1, 2, 3, 4, 5
+				a, b, flood, enqueue, both, miss = 0, 1, 2, 3, 4, 5
 			)
 			first := make([][]byte, 6)
 			for flow := range first {
@@ -40,7 +40,7 @@ func TestRunChargesMatchPerFrame(t *testing.T) {
 				a:       {&openflow.ActionSetDLDst{Addr: mac}, output(2)},
 				b:       {&openflow.ActionSetDLSrc{Addr: mac}, output(3)},
 				flood:   {&openflow.ActionOutput{Port: openflow.PortFlood}},
-				generic: {&openflow.ActionSetNWTOS{TOS: 0x20}, output(2)},
+				enqueue: {&openflow.ActionEnqueue{Port: 3, QueueID: 1}, output(2)},
 				both:    {output(2), &openflow.ActionSetDLDst{Addr: mac}, output(3)},
 			}
 			batched, perFrame := newPathRig(t), newPathRig(t)
@@ -49,7 +49,7 @@ func TestRunChargesMatchPerFrame(t *testing.T) {
 				batched.add(m, 10, as)
 				perFrame.add(m, 10, as)
 			}
-			seq := []int{a, a, b, a, b, b, flood, a, a, generic, generic, both, both, b, miss, miss, a, b, b, b}
+			seq := []int{a, a, b, a, b, b, flood, a, a, enqueue, enqueue, both, both, b, miss, miss, a, b, b, b}
 			for round := 0; round < 4; round++ {
 				var fb packet.FrameBatch
 				for i, flow := range seq {

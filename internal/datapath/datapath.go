@@ -186,11 +186,10 @@ type Datapath struct {
 	tracer *trace.Tracer
 
 	// scratchMu guards a bounded free-list of action-execution scratch
-	// buffers: the common SET_DL_SRC/SET_DL_DST rewrite copies the frame
-	// once into a reused buffer and patches the MACs in place instead of
-	// re-serializing every layer. A free-list (not a single buffer) keeps
-	// nested executions safe: delivering a frame can trigger another
-	// receive inside the same call stack.
+	// buffers: a SET_DL_SRC/SET_DL_DST rewrite copies the frame once into a
+	// reused buffer and patches the MACs in place. A free-list (not a single
+	// buffer) keeps nested executions safe: delivering a frame can trigger
+	// another receive inside the same call stack.
 	scratchMu   sync.Mutex
 	scratchFree []*execScratch
 }
@@ -527,43 +526,17 @@ func (dp *Datapath) receiveCopy(p *Port, inPort uint16, frame []byte, d *packet.
 	}
 }
 
-// execute runs an action list on a frame in the context of inPort.
+// execute runs an action list on a frame in the context of inPort: MAC
+// rewrites, outputs and enqueues, in list order, each output handed the
+// frame as the rewrites before it left it. The first rewrite copies the frame
+// once into the run's scratch buffer and the MACs are patched at their fixed
+// offsets; nothing is decoded or re-serialized, and nothing allocated in
+// steady state. A list of rewrites then one output that sent the frame out of
+// a port records the bytes that left in run.left, for the frame's copies
+// (receiveCopy). The input frame is never written. A list holding any other
+// action never gets here: the datapath refuses it (handleFlowMod,
+// handlePacketOut).
 func (dp *Datapath) execute(inPort uint16, frame []byte, actions []openflow.Action, run *batchRun) {
-	// An OUTPUT:CONTROLLER action carries its own max_len; honour it (the
-	// DHCP/DNS punt rules ask for the full packet). While scanning,
-	// detect the hot-path action shape — only MAC rewrites and outputs,
-	// the forwarder's per-flow rule — which skips the generic
-	// decode-and-reserialize pipeline entirely.
-	maxLen := int(dp.missSendLen.Load())
-	fast := true
-	for _, a := range actions {
-		switch act := a.(type) {
-		case *openflow.ActionOutput:
-			if act.Port == openflow.PortController && act.MaxLen > 0 {
-				maxLen = int(act.MaxLen)
-			}
-		case *openflow.ActionEnqueue, *openflow.ActionSetDLSrc, *openflow.ActionSetDLDst:
-		default:
-			fast = false
-		}
-	}
-	if fast {
-		dp.executeFast(inPort, frame, actions, maxLen, run)
-		return
-	}
-	openflow.ApplyActions(frame, actions, func(pn uint16, out []byte) {
-		dp.dispatch(inPort, out, pn, maxLen, run)
-	})
-}
-
-// executeFast runs an action list containing only MAC rewrites and
-// outputs. The first rewrite copies the frame once into the run's scratch
-// buffer and the MACs are patched at their fixed offsets — no re-decode,
-// no per-layer re-serialization, no allocation in steady state. A list of
-// rewrites then one output that sent the frame out of a port records the
-// bytes that left in run.left, for the frame's copies (receiveCopy). The
-// input frame is never mutated.
-func (dp *Datapath) executeFast(inPort uint16, frame []byte, actions []openflow.Action, maxLen int, run *batchRun) {
 	out := frame
 	copied, outputs, rewroteAfterOutput := false, 0, false
 	left := false // the latest output went out of the run's port
@@ -586,10 +559,10 @@ func (dp *Datapath) executeFast(inPort uint16, frame []byte, actions []openflow.
 			}
 			rewroteAfterOutput = rewroteAfterOutput || outputs > 0
 		case *openflow.ActionOutput:
-			left = dp.dispatch(inPort, out, act.Port, maxLen, run)
+			left = dp.dispatch(inPort, out, act.Port, act.MaxLen, run)
 			outputs++
 		case *openflow.ActionEnqueue:
-			left = dp.dispatch(inPort, out, act.Port, maxLen, run)
+			left = dp.dispatch(inPort, out, act.Port, 0, run)
 			outputs++
 		}
 	}
@@ -598,10 +571,10 @@ func (dp *Datapath) executeFast(inPort uint16, frame []byte, actions []openflow.
 	}
 }
 
-// dispatch delivers an already-rewritten frame to one action-list output.
-// It reports whether the frame went out of a port through the run
-// (transmit).
-func (dp *Datapath) dispatch(inPort uint16, frame []byte, pn uint16, maxLen int, run *batchRun) bool {
+// dispatch delivers an already-rewritten frame to one action-list output,
+// an output to the controller with that output's max_len. It reports whether
+// the frame went out of a port through the run (transmit).
+func (dp *Datapath) dispatch(inPort uint16, frame []byte, pn, maxLen uint16, run *batchRun) bool {
 	switch pn {
 	case openflow.PortController:
 		dp.punt(inPort, frame, maxLen)
@@ -865,14 +838,19 @@ func (dp *Datapath) miss(p *Port, frame []byte, d *packet.Decoded, key *openflow
 }
 
 // punt sends the controller a frame that matched an OUTPUT:CONTROLLER
-// action, buffering it whole. Action punts are never held behind one
-// another: each is a message for a controller module (DHCP, DNS), not a
-// flow waiting for its rule.
-func (dp *Datapath) punt(inPort uint16, frame []byte, maxLen int) {
+// action, buffering it whole; the packet-in carries maxLen bytes of it, the
+// configured miss_send_len when maxLen is 0. Action punts are never held
+// behind one another: each is a message for a controller module (DHCP,
+// DNS), not a flow waiting for its rule.
+func (dp *Datapath) punt(inPort uint16, frame []byte, maxLen uint16) {
 	if p, ok := dp.Port(inPort); ok && p.Config&openflow.PortConfigNoPacketIn != 0 {
 		return
 	}
-	b := newPunt(frame, inPort, openflow.PacketInReasonAction, maxLen)
+	n := int(maxLen)
+	if n == 0 {
+		n = int(dp.missSendLen.Load())
+	}
+	b := newPunt(frame, inPort, openflow.PacketInReasonAction, n)
 	dp.bufMu.Lock()
 	dp.bufferLocked(b)
 	dp.bufMu.Unlock()

@@ -15,11 +15,11 @@ import (
 
 // slowReceive is what the datapath does to one received frame with every
 // shortcut taken out: no batch, no state carried from the frame before, and
-// the action list run by openflow.ApplyActions — decode, rewrite the layer
-// structs, re-serialize every layer, checksums included — with the frame as
-// it stands at each output handed to dispatch. It is the reference
-// ReceiveBatch and executeFast are held to. It shares the flow table, the
-// miss path and dispatch with them, which are not what they shortcut.
+// the action list run by the reference model, applyActions — decode, rewrite
+// the Ethernet header, re-serialize every layer, checksums included — with
+// the frame as it stands at each output handed to dispatch. It is the
+// reference ReceiveBatch and execute are held to. It shares the flow table,
+// the miss path and dispatch with them, which are not what they shortcut.
 func slowReceive(dp *Datapath, inPort uint16, frame []byte) {
 	p, ok := dp.Port(inPort)
 	if !ok {
@@ -38,13 +38,7 @@ func slowReceive(dp *Datapath, inPort uint16, frame []byte) {
 			return
 		}
 	}
-	maxLen := int(dp.missSendLen.Load())
-	for _, a := range entry.Actions {
-		if out, ok := a.(*openflow.ActionOutput); ok && out.Port == openflow.PortController && out.MaxLen > 0 {
-			maxLen = int(out.MaxLen)
-		}
-	}
-	openflow.ApplyActions(frame, entry.Actions, func(pn uint16, out []byte) {
+	applyActions(frame, entry.Actions, func(pn, maxLen uint16, out []byte) {
 		dp.dispatch(inPort, out, pn, maxLen, nil)
 	})
 }
@@ -104,10 +98,10 @@ func (r *pathRig) add(m openflow.Match, priority uint16, actions []openflow.Acti
 	r.entries = append(r.entries, e)
 }
 
-// randomActions draws an action list of the shape executeFast accepts: MAC
-// rewrites and outputs, in any order — an output before a rewrite gets the
-// frame as it stood there, on both paths. The forwarder emits rewrites
-// first, the other orders are OpenFlow's all the same.
+// randomActions draws an action list of the actions execute runs: MAC
+// rewrites, outputs and enqueues, in any order — an output before a rewrite
+// gets the frame as it stood there, on both paths. The forwarder emits
+// rewrites first, the other orders are OpenFlow's all the same.
 func randomActions(rng *rand.Rand) []openflow.Action {
 	var as []openflow.Action
 	for n := rng.Intn(7); n > 0; n-- {
@@ -156,10 +150,11 @@ func randomFlowFrame(rng *rand.Rand, flow int) []byte {
 }
 
 // The fast path — ReceiveBatch carrying state from frame to frame,
-// executeFast patching MACs in a scratch copy — must be indistinguishable
+// execute patching MACs in a scratch copy — must be indistinguishable
 // from slowReceive: the same bytes out of the same ports in the same order,
 // the same port counters, the same entry counters and last-used stamps, the
-// same lookups and matches, the same punts with the same buffered heads.
+// same lookups and matches, the same punts with the same buffered heads and
+// the same packet-in data, each as long as its output's max_len asked.
 // Each case runs again with repeats: frames also committed again by
 // FrameBatch.Repeat, whose copies share their span's decode and key and,
 // after a first frame that left by rewrites then one output, leave as it
@@ -272,7 +267,7 @@ func comparePaths(t *testing.T, fast, slow *pathRig) {
 	}
 	for id, sb := range slow.dp.buffers {
 		fb := fast.dp.buffers[id]
-		if fb == nil || !bytes.Equal(fb.head, sb.head) || fb.held.n != sb.held.n {
+		if fb == nil || !bytes.Equal(fb.head, sb.head) || !bytes.Equal(fb.pi.Data, sb.pi.Data) || fb.held.n != sb.held.n {
 			t.Fatalf("punt buffer %d differs between the paths", id)
 		}
 	}
@@ -324,11 +319,11 @@ func TestFastPathSeesDeleteMidBatch(t *testing.T) {
 // punts. A span's copies skip the decode and the key, and, after a first
 // frame that left by rewrites then one output, the lookup and the execute
 // too; nothing skips the charge. The cases cover a list of that shape, one
-// of another, an output with no rewrite, an output port configured not to
-// forward, and a sink that removes its own port from another goroutine
-// mid-span, after which no copy may leave by it. Flow 4 has no entry: its
-// first span punts, and its second span's first frame is held behind that
-// punt.
+// of another, one that rewrites the scratch after its one output, an output
+// with no rewrite, an output port configured not to forward, and a sink that
+// removes its own port from another goroutine mid-span, after which no copy
+// may leave by it. Flow 4 has no entry: its first span punts, and its second
+// span's first frame is held behind that punt.
 func TestRepeatsMatchCopies(t *testing.T) {
 	src, dst := packet.MAC{2, 0xaa, 0, 0, 0, 1}, packet.MAC{2, 0xbb, 0, 0, 0, 2}
 	for _, tc := range []struct {
@@ -344,6 +339,9 @@ func TestRepeatsMatchCopies(t *testing.T) {
 		{name: "rewrite after output", actions: []openflow.Action{
 			&openflow.ActionSetDLDst{Addr: dst}, output(2), &openflow.ActionSetDLSrc{Addr: src}, output(3),
 			&openflow.ActionOutput{Port: openflow.PortFlood},
+		}},
+		{name: "rewrite after the one output", actions: []openflow.Action{
+			&openflow.ActionSetDLSrc{Addr: src}, output(2), &openflow.ActionSetDLDst{Addr: dst},
 		}},
 		{name: "one output no rewrite", actions: []openflow.Action{output(2)}},
 		{
@@ -501,7 +499,7 @@ func TestRepeatedRunSeesDeleteMidBatch(t *testing.T) {
 // rewritten anew:
 //   - the first frame was rewritten by the deleted entry's list, which is
 //     not the wildcard's;
-//   - the first frame went by the generic path and wrote no scratch, which
+//   - the first frame's list rewrote nothing and wrote no scratch, which
 //     still holds an earlier frame as the wildcard's list rewrote it.
 func TestRepeatAfterTableChangeIsRewritten(t *testing.T) {
 	x, y := packet.MAC{2, 0xee, 0, 0, 0, 1}, packet.MAC{2, 0xee, 0, 0, 0, 2}
@@ -514,7 +512,7 @@ func TestRepeatAfterTableChangeIsRewritten(t *testing.T) {
 		batch  [][]byte          // f1 runs last, as 4 frames
 	}{
 		{"another list", []openflow.Action{&openflow.ActionSetDLDst{Addr: y}, output(2)}, nil},
-		{"generic path", []openflow.Action{&openflow.ActionSetNWTOS{TOS: 0x10}, output(2)}, [][]byte{f0}},
+		{"no rewrite", []openflow.Action{output(2)}, [][]byte{f0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rig := func() *pathRig {

@@ -547,7 +547,7 @@ func (ref *puntEveryMiss) batch(t *testing.T, frames [][]byte, script map[byte]v
 }
 
 func (ref *puntEveryMiss) apply(frame []byte, actions []openflow.Action) {
-	openflow.ApplyActions(frame, actions, func(p uint16, out []byte) {
+	applyActions(frame, actions, func(p, _ uint16, out []byte) {
 		ref.out[flowOf(frame)] = append(ref.out[flowOf(frame)], sentFrame{p, out})
 	})
 }

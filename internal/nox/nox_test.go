@@ -183,13 +183,6 @@ func TestFlowStatsAndAggregate(t *testing.T) {
 	if len(stats) != 1 || stats[0].PacketCount != 5 {
 		t.Errorf("stats = %+v", stats)
 	}
-	agg, err := rig.sw.AggregateStats(openflow.MatchAll())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.FlowCount != 1 || agg.PacketCount != 5 {
-		t.Errorf("aggregate = %+v", agg)
-	}
 	ports, err := rig.sw.PortStats(openflow.PortNone)
 	if err != nil {
 		t.Fatal(err)

@@ -378,23 +378,6 @@ func (sw *Switch) TableStats() ([]openflow.TableStats, error) {
 	return sr.Tables, nil
 }
 
-// AggregateStats queries aggregate flow counters for match.
-func (sw *Switch) AggregateStats(match openflow.Match) (openflow.AggregateStats, error) {
-	req := &openflow.StatsRequest{
-		StatsType: openflow.StatsAggregate,
-		Flow:      openflow.FlowStatsRequest{Match: match, TableID: 0xff, OutPort: openflow.PortNone},
-	}
-	rep, err := sw.request(req, 5*time.Second)
-	if err != nil {
-		return openflow.AggregateStats{}, err
-	}
-	sr, ok := rep.(*openflow.StatsReply)
-	if !ok {
-		return openflow.AggregateStats{}, errors.New("nox: unexpected reply type")
-	}
-	return sr.Aggregate, nil
-}
-
 // Barrier round-trips a barrier request. A successful reply proves every
 // credited dispatch's emissions are live in the datapath, so it also
 // closes those punt-lifecycle spans (their barrier stage is stamped).

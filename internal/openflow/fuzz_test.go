@@ -10,9 +10,22 @@ import (
 	"repro/internal/packet"
 )
 
+// unsupportedActions is one action of each type code OpenFlow 1.0 defines
+// and this package reads as an ActionUnsupported — the VLAN, network- and
+// transport-layer rewrites, 1, 2, 3 and 6 to 10 — each with an 8-byte wire
+// form as the specification gives it, and a 16-byte vendor action.
+func unsupportedActions() []Action {
+	var as []Action
+	for _, typ := range []uint16{1, 2, 3, 6, 7, 8, 9, 10} {
+		as = append(as, &ActionUnsupported{Type: typ, Body: []byte{byte(typ), 0x10, 0, 0}})
+	}
+	return append(as, &ActionUnsupported{Type: ActTypeVendor, Body: []byte{0, 0, 0x23, 0x20, 1, 2, 3, 4, 5, 6, 7, 8}})
+}
+
 // fuzzSeedMessages is one message of every type the codec knows, with the
 // stats requests of every kind and the stats replies with none, one and
-// many entries.
+// many entries, and a flow-mod and a packet-out carrying each action of
+// unsupportedActions.
 func fuzzSeedMessages(tb testing.TB) []Message {
 	var d packet.Decoded
 	frame := packet.NewTCPFrame(packet.MustMAC("02:aa:00:00:00:01"), packet.MustMAC("02:01:00:00:00:01"),
@@ -23,16 +36,8 @@ func fuzzSeedMessages(tb testing.TB) []Message {
 	exact := MatchFromFrame(&d, 3)
 	actions := []Action{
 		&ActionOutput{Port: 7, MaxLen: 128},
-		&ActionSetVLANVID{VID: 100},
-		&ActionSetVLANPCP{PCP: 3},
-		&ActionStripVLAN{},
 		&ActionSetDLSrc{Addr: packet.MustMAC("02:00:00:00:00:01")},
 		&ActionSetDLDst{Addr: packet.MustMAC("02:00:00:00:00:02")},
-		&ActionSetNWSrc{Addr: packet.MustIP4("10.0.0.1")},
-		&ActionSetNWDst{Addr: packet.MustIP4("10.0.0.2")},
-		&ActionSetNWTOS{TOS: 0x10},
-		&ActionSetTPSrc{Port: 8080},
-		&ActionSetTPDst{Port: 80},
 		&ActionEnqueue{Port: 1, QueueID: 9},
 	}
 	flows := func(n int) []FlowStats {
@@ -70,7 +75,7 @@ func fuzzSeedMessages(tb testing.TB) []Message {
 		&EchoReply{Data: []byte("pong")},
 		&Vendor{VendorID: 0x2320, Data: []byte{1, 2, 3}},
 		&FeaturesRequest{},
-		&FeaturesReply{DatapathID: 0x00163e000001, NBuffers: 256, NTables: 1, Capabilities: CapFlowStats | CapPortStats, Actions: 0xfff, Ports: phy},
+		&FeaturesReply{DatapathID: 0x00163e000001, NBuffers: 256, NTables: 1, Capabilities: CapFlowStats | CapPortStats, Actions: 0x831, Ports: phy},
 		&GetConfigRequest{},
 		&GetConfigReply{Flags: ConfigFragNormal, MissSendLen: 128},
 		&SetConfig{Flags: ConfigFragDrop, MissSendLen: 0xffff},
@@ -78,7 +83,7 @@ func fuzzSeedMessages(tb testing.TB) []Message {
 		&FlowRemoved{Match: exact, Cookie: 7, Priority: 10, Reason: FlowRemovedIdleTimeout, DurationSec: 12, DurationNsec: 500, IdleTimeout: 30, PacketCount: 99, ByteCount: 12345},
 		&PortStatus{Reason: PortStatusAdd, Desc: phy[0]},
 		&PacketOut{BufferID: NoBuffer, InPort: PortNone, Actions: actions, Data: frame},
-		&FlowMod{Match: exact, Cookie: 0xfeed, Command: FlowModAdd, IdleTimeout: 30, Priority: 10, BufferID: 7, OutPort: PortNone, Flags: FlowModFlagSendFlowRem, Actions: actions[4:]},
+		&FlowMod{Match: exact, Cookie: 0xfeed, Command: FlowModAdd, IdleTimeout: 30, Priority: 10, BufferID: 7, OutPort: PortNone, Flags: FlowModFlagSendFlowRem, Actions: actions[1:]},
 		&BarrierRequest{},
 		&BarrierReply{},
 		&StatsRequest{StatsType: StatsDesc},
@@ -88,6 +93,13 @@ func fuzzSeedMessages(tb testing.TB) []Message {
 		&StatsRequest{StatsType: StatsPort, Port: PortStatsRequest{PortNo: PortNone}},
 		&StatsReply{StatsType: StatsDesc, Desc: DescStats{MfrDesc: "Homework Project", HWDesc: "software datapath", SWDesc: "repro", SerialNum: "1", DPDesc: "home router"}},
 		&StatsReply{StatsType: StatsAggregate, Aggregate: AggregateStats{PacketCount: 1, ByteCount: 2, FlowCount: 3}},
+	}
+	for _, u := range unsupportedActions() {
+		as := []Action{u, &ActionOutput{Port: 2}}
+		msgs = append(msgs,
+			&FlowMod{Match: exact, Command: FlowModAdd, Priority: 10, BufferID: NoBuffer, OutPort: PortNone, Actions: as},
+			&PacketOut{BufferID: NoBuffer, InPort: 1, Actions: as, Data: frame},
+		)
 	}
 	for _, n := range []int{0, 1, 5} {
 		msgs = append(msgs,
@@ -104,10 +116,13 @@ func fuzzSeedMessages(tb testing.TB) []Message {
 // an error and never panics. It reads exactly the frame its header
 // announces, and nothing past it. A message it returns round-trips: encoded
 // and read back it is the same message, and encoding that gives the same
-// bytes. Seeds: one message of each type, stats replies with none, one and
-// many entries, each whole, cut short of its header length, and with its
-// last body byte gone and the header saying so; and names that fill their
-// field with no NUL to end them.
+// bytes; an action of a flow-mod or a packet-out read as an
+// ActionUnsupported encodes to the very bytes it was read from. Seeds: one
+// message of each type, stats replies with none, one and many entries, a
+// flow-mod and a packet-out carrying each unsupported action, each whole,
+// cut short of its header length, and with its last body byte gone and the
+// header saying so; and names that fill their field with no NUL to end
+// them.
 func FuzzReadMessage(f *testing.F) {
 	for _, m := range fuzzSeedMessages(f) {
 		raw := Encode(m)
@@ -146,8 +161,19 @@ func FuzzReadMessage(f *testing.F) {
 			}
 			return
 		}
-		if n, read := int(binary.BigEndian.Uint16(data[2:4])), len(data)-r.Len(); read != n {
+		n := int(binary.BigEndian.Uint16(data[2:4]))
+		if read := len(data) - r.Len(); read != n {
 			t.Fatalf("read %d bytes of a %d-byte %s", read, n, msg.Hdr().Type)
+		}
+		actions, wire := actionList(msg, data[:n])
+		for _, a := range actions {
+			alen := int(binary.BigEndian.Uint16(wire[2:4]))
+			if u, ok := a.(*ActionUnsupported); ok {
+				if got := encodeActions(nil, []Action{u}); !bytes.Equal(got, wire[:alen]) {
+					t.Fatalf("action type %d was read from % x and encodes to % x", u.Type, wire[:alen], got)
+				}
+			}
+			wire = wire[alen:]
 		}
 		raw := Encode(msg)
 		again, err := ReadMessage(bytes.NewReader(raw))
@@ -161,4 +187,18 @@ func FuzzReadMessage(f *testing.F) {
 			t.Fatalf("%s encodes to % x, then to % x", msg.Hdr().Type, raw, reraw)
 		}
 	})
+}
+
+// actionList returns the action list of a flow-mod or a packet-out and the
+// bytes it was read from in raw, the message's wire form; nothing for any
+// other message.
+func actionList(msg Message, raw []byte) ([]Action, []byte) {
+	switch m := msg.(type) {
+	case *FlowMod:
+		return m.Actions, raw[HeaderLen+MatchLen+24:]
+	case *PacketOut:
+		n := int(binary.BigEndian.Uint16(raw[HeaderLen+6:]))
+		return m.Actions, raw[HeaderLen+8 : HeaderLen+8+n]
+	}
+	return nil, nil
 }

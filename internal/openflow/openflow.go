@@ -318,6 +318,7 @@ const (
 const (
 	BadRequestBadType    uint16 = 1
 	BadRequestBadStat    uint16 = 2
+	BadActionBadType     uint16 = 0
 	FlowModAllTablesFull uint16 = 0
 	FlowModOverlap       uint16 = 1
 	FlowModBadCommand    uint16 = 3
