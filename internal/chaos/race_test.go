@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/netsim"
-	"repro/internal/quiesce"
 )
 
 // TestChaosChurn32Homes is the chaos extension of the fleet's 32-home
@@ -17,7 +16,7 @@ import (
 // queries, trace readers and home churn — now with every fault class live
 // at once (wedge, dropped/delayed flow-mods, link flap, interference, DHCP
 // storm, slow subscriber) plus an in-place restart of a home mid-run. Wedged
-// homes surface quiesce.ErrDeadline from Step instead of hanging, and at
+// homes surface core.ErrWedged from Step instead of hanging, and at
 // the end every hwdb row any incarnation ever held must be delivered or
 // explicitly accounted as lost.
 func TestChaosChurn32Homes(t *testing.T) {
@@ -31,7 +30,6 @@ func TestChaosChurn32Homes(t *testing.T) {
 		Clock:  clock.NewSimulated(),
 		Seed:   11,
 		HomeConfig: func(id uint64, c *core.Config) {
-			c.SettleTimeout = 50 * time.Millisecond
 			c.WrapTransport = eng.FaultsFor(id).Wrap
 		},
 	})
@@ -99,7 +97,7 @@ func TestChaosChurn32Homes(t *testing.T) {
 	}()
 
 	step := func(i int) {
-		if err := fl.Step(0.25); err != nil && !errors.Is(err, quiesce.ErrDeadline) {
+		if err := fl.Step(0.25); err != nil && !errors.Is(err, core.ErrWedged) {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/health"
 	"repro/internal/hwdb"
 	"repro/internal/netsim"
-	"repro/internal/quiesce"
 	"repro/internal/telemetry"
 )
 
@@ -45,10 +44,6 @@ type SoakConfig struct {
 	EpisodesPerHome int
 	// Policy overrides health thresholds (zero fields take defaults).
 	Policy health.Policy
-	// SettleTimeout is each home's wall-clock settle backstop. It bounds
-	// how long a wedged home can stall its shard per step, so it is the
-	// soak's main wall-clock lever (default 25ms).
-	SettleTimeout time.Duration
 	// RecoverySteps bounds the post-schedule drain: extra ticks granted
 	// for the last episodes' remediation to converge (default 80).
 	RecoverySteps int
@@ -75,9 +70,6 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.SettleTimeout <= 0 {
-		c.SettleTimeout = 25 * time.Millisecond
 	}
 	if c.RecoverySteps <= 0 {
 		c.RecoverySteps = 80
@@ -132,7 +124,6 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 		Seed:   cfg.Seed,
 		Shards: cfg.Shards,
 		HomeConfig: func(id uint64, c *core.Config) {
-			c.SettleTimeout = cfg.SettleTimeout
 			c.WrapTransport = eng.FaultsFor(id).Wrap
 		},
 	})
@@ -244,7 +235,7 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 	steps := int(span / stepDur)
 	simNow := time.Duration(0)
 	tick := func() error {
-		if err := fl.Step(cfg.StepSec); err != nil && !errors.Is(err, quiesce.ErrDeadline) {
+		if err := fl.Step(cfg.StepSec); err != nil && !errors.Is(err, core.ErrWedged) {
 			return err
 		}
 		mon.Tick()

@@ -16,7 +16,7 @@ import (
 // Leases and Links rows it holds, in insertion order.
 func stormRun(t *testing.T, seed int64) []string {
 	t.Helper()
-	fl, eng := newChaosFleet(t, 1, seed, time.Second)
+	fl, eng := newChaosFleet(t, 1, seed)
 	h := fl.Homes()[0]
 	for i := 0; i < 6; i++ {
 		if _, err := h.Join("", i%3 != 0, netsim.Pos{X: float64(2 + i)}); err != nil {

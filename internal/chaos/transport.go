@@ -13,11 +13,11 @@ import (
 //
 //   - WedgeController holds every packet-in the datapath punts (the
 //     controller simply stops hearing about new flows, exactly as a
-//     wedged or GC-stalled controller would look). Punt/credit
+//     wedged or GC-stalled controller would look). Punt/dispatch
 //     accounting makes the wedge visible: the datapath counts the punt
-//     before Send, the controller can only credit what arrives, so the
-//     quiescence epoch lags and the next Settle returns
-//     quiesce.ErrDeadline at once — every other message still passes.
+//     before Send, the controller can only count what arrives, so its
+//     dispatches lag the punts and the next Settle returns an error
+//     matching core.ErrWedged at once — every other message still passes.
 //   - DropFlowMods / DelayFlowMods discard or hold the controller's
 //     flow-mods (a lossy or congested southbound channel): punted
 //     packets keep being dispatched and credited, but the rules they

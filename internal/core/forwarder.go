@@ -8,10 +8,10 @@
 // Concurrency: New and Start are single-threaded setup. Afterwards the
 // NOX modules run on the controller's dispatch goroutine, the datapath
 // receives traffic from the simulator and the secure channel, and
-// Settle/JoinHost may be driven from any goroutine — they block on the
-// shared quiescence epoch until the control path drains (event-driven,
-// no polling; the protocol is specified in docs/CONTROL_PLANE.md) with
-// Config.SettleTimeout as the error backstop.
+// Settle/JoinHost may be driven from any goroutine — they return when
+// every punt has been dispatched and its answers are live in the datapath,
+// waiting, when they must, on barrier round trips (the protocol is
+// specified in docs/CONTROL_PLANE.md).
 package core
 
 import (

@@ -307,8 +307,8 @@ func TestChurnHomeStepAllocations(t *testing.T) {
 }
 
 // Settle on an in-process home drains the datapath's inbox and checks the
-// quiescence books: no barrier, no wait slot, no allocation, whether the
-// step before it set up a new flow or not.
+// punt and dispatch counts: no barrier, no allocation, whether the step
+// before it set up a new flow or not.
 func TestWarmSettleAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")

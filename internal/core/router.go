@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -17,7 +18,6 @@ import (
 	"repro/internal/openflow"
 	"repro/internal/packet"
 	"repro/internal/policy"
-	"repro/internal/quiesce"
 	"repro/internal/trace"
 )
 
@@ -80,13 +80,6 @@ type Config struct {
 	// in-process transport is wrapped; TCP deployments are outside the
 	// fault model.
 	WrapTransport func(ctl, dp oftransport.Transport) (oftransport.Transport, oftransport.Transport)
-	// SettleTimeout bounds how long Settle (and JoinHost, which settles
-	// between DHCP attempts) will wait for the control path to drain
-	// before reporting a wedged controller (default 5s). It is an error
-	// backstop only — quiescence itself is signalled, never polled on
-	// this cadence. In process a wedge is reported at once, and the
-	// timeout bounds only a wait for another goroutine's dispatches.
-	SettleTimeout time.Duration
 }
 
 // DefaultConfig returns the configuration used by the examples and the
@@ -171,9 +164,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Transport != TransportInProcess && cfg.Transport != TransportTCP {
 		return nil, fmt.Errorf("core: unknown transport %q", cfg.Transport)
 	}
-	if cfg.SettleTimeout == 0 {
-		cfg.SettleTimeout = settleWait
-	}
 
 	r := &Router{Config: cfg, Clock: cfg.Clock}
 	r.DB = hwdb.NewHomework(cfg.Clock, cfg.RingSize)
@@ -228,12 +218,9 @@ func New(cfg Config) (*Router, error) {
 	// Punted packets must arrive whole: the DHCP payload alone is 300
 	// bytes and the modules parse punts directly.
 	r.Controller.MissSendLen = 0xffff
-	// Controller and datapath share one punt/processed epoch regardless
-	// of transport (they are co-resident even on the TCP loopback path),
-	// so Settle blocks on catch-up instead of polling counters.
-	r.Controller.SetQuiesce(r.Datapath.Quiesce())
-	// The same co-residence shares the tracer: the datapath stamps punts,
-	// the controller stamps dispatch/emit/credit/barrier.
+	// Controller and datapath are co-resident on every transport (even on
+	// the TCP loopback path), so they share the tracer: the datapath stamps
+	// punts, the controller stamps dispatch/emit/credit/barrier.
 	r.Controller.SetTracer(r.Tracer)
 	// Registration order is the dispatch order: DHCP and DNS consume
 	// their protocols before the forwarder sees anything. The forwarder
@@ -366,6 +353,13 @@ func (r *Router) Stop() {
 // place, whichever transport the controller is attached over.
 func (r *Router) PollMeasure() { r.Measure.PollOnce() }
 
+// ErrWedged is what Settle and JoinHost return, wrapped, when the control
+// path does not drain: punts the controller was never handed (a transport
+// wrapper kept them, or the router was never started), or dispatches still
+// outstanding after settleWait of barrier laps. Callers tell it from a
+// failed barrier with errors.Is.
+var ErrWedged = errors.New("core: the control path is wedged")
+
 // Settle returns when the control path is quiescent: every packet-in the
 // datapath has punted has been dispatched by the controller, and the
 // flow-mods and packet-outs the dispatches produced are live in the
@@ -373,52 +367,59 @@ func (r *Router) PollMeasure() { r.Measure.PollOnce() }
 // injection deterministic for tests, figures and benches; the protocol is
 // specified in docs/CONTROL_PLANE.md.
 //
-// Each lap drains the datapath's inbox and reads the quiescence epoch once.
-// With nothing outstanding, a direct channel (every in-process home) or a
-// datapath not yet attached is quiescent: every answer was handled by the
-// drain. Over TCP the answers may still be on the wire, so Settle
-// round-trips a barrier and returns if no punt was counted behind it. A
-// punt outstanding on a direct channel with no call in the datapath is one
-// a wrapper kept from the controller (a wedge), reported at once with an
-// error that matches quiesce.ErrDeadline. Otherwise Settle waits on the
-// epoch for the dispatches, with Config.SettleTimeout as the backstop.
+// Each lap drains the datapath's inbox and reads the books once: the
+// controller's dispatches, then the datapath's punts. With nothing
+// outstanding, a direct channel (every in-process home) or a router not
+// yet started is quiescent: every answer was handled by the drain. Over
+// TCP the answers may still be on the wire, so Settle round-trips a
+// barrier and returns if no punt was counted behind it. Punts outstanding
+// with no controller to hand them to — on a direct channel with no call in
+// the datapath, or before Start — are a wedge, reported at once with an
+// error that matches ErrWedged. Otherwise the dispatches are on their way:
+// Settle round-trips a barrier, whose reply follows them, and takes
+// another lap, for at most settleWait.
 func (r *Router) Settle() error {
-	q := r.Datapath.Quiesce()
 	var deadline time.Time
 	for {
-		punted, done, busy := r.Datapath.Drain()
+		punted, done, busy := r.Datapath.Drain(r.Controller.Processed)
 		if done >= punted {
 			if r.direct || r.sw == nil {
 				return nil
 			}
 			// Every punt counted at this observation was dispatched, and
 			// each dispatch sent its flow-mods and packet-outs before it
-			// was credited, so a barrier sent now flushes all of them. If
+			// was counted, so a barrier sent now flushes all of them. If
 			// the punt count is unchanged when it returns, nothing the
 			// flush delivered punted again. Otherwise the flush advanced a
 			// handshake chain (DHCP OFFER → REQUEST, DNS relay) and the new
 			// punt's dispatch is waited for in turn. Comparing against the
-			// count read here, not re-reading the epoch, is load-bearing: a
+			// count read here, not re-reading both, is load-bearing: a
 			// dispatch completing between the barrier's send and its reply
 			// could make the counts look settled though its output is
 			// queued behind the barrier, not flushed by it.
 			if err := r.sw.Barrier(); err != nil {
 				return err
 			}
-			if q.Punted() == punted {
+			if r.Datapath.PuntCount() == punted {
 				return nil
 			}
 			continue
 		}
-		if r.direct && !busy {
-			return fmt.Errorf("core: control path did not settle (%d punts, %d dispatched; the rest never reached the controller): %w", punted, done, quiesce.ErrDeadline)
+		if r.sw == nil || r.direct && !busy {
+			return fmt.Errorf("core: control path did not settle (%d punts, %d dispatched; the rest never reached the controller): %w", punted, done, ErrWedged)
 		}
 		if deadline.IsZero() {
-			deadline = time.Now().Add(r.Config.SettleTimeout)
+			deadline = time.Now().Add(settleWait)
+		} else if time.Now().After(deadline) {
+			return fmt.Errorf("core: control path did not settle within %v (%d punts, %d dispatched): %w", settleWait, punted, done, ErrWedged)
 		}
-		if err := q.Wait(time.Until(deadline)); err != nil {
-			punted, done := q.Counts()
-			return fmt.Errorf("core: control path did not settle (%d punts, %d processed): %w", punted, done, err)
+		// The reply to a barrier follows every packet-in the datapath sent
+		// before it, and the controller dispatches those before it matches
+		// the reply; on a direct channel the call inside the datapath
+		// answers the barrier when it drains. Either way the next lap sees
+		// their dispatches.
+		if err := r.sw.Barrier(); err != nil {
+			return err
 		}
 	}
 }
@@ -432,8 +433,8 @@ func (r *Router) AddHost(name, mac string, wireless bool, pos netsim.Pos) (*nets
 	return r.Net.AddHost(name, m, wireless, pos)
 }
 
-// settleWait is the default Config.SettleTimeout: the error backstop on
-// waiting for control-path quiescence, not a polling cadence.
+// settleWait bounds Settle's barrier laps while dispatches are outstanding:
+// an error backstop, counted from the first such lap, not a polling cadence.
 const settleWait = 5 * time.Second
 
 // joinAttempts bounds how many DISCOVER handshakes JoinHost will start
@@ -456,20 +457,16 @@ const joinAttempts = 16
 // crossed with no response still in flight), so there is no fixed retry
 // period and no sleep. A host left Pending by the admission policy stops
 // the loop immediately — it stays unbound until the control interface
-// acts. At most joinAttempts handshakes are started, and
-// Config.SettleTimeout bounds the whole join as an error backstop; an
-// unbound host after that is reported by Bound()/Denied(), not an error.
+// acts. At most joinAttempts handshakes are started, whatever the wall
+// clock says, so a join sends the same DISCOVERs on any machine; an unbound
+// host after that is reported by Bound()/Denied(), not an error.
 func (r *Router) JoinHost(h *netsim.Host) error {
-	deadline := time.Now().Add(r.Config.SettleTimeout)
 	for attempt := 0; attempt < joinAttempts; attempt++ {
 		h.StartDHCP()
 		if err := r.Settle(); err != nil {
 			return err
 		}
 		if h.Bound() || h.Denied() || r.pendingApproval(h) {
-			return nil
-		}
-		if time.Now().After(deadline) {
 			return nil
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/policy"
-	"repro/internal/quiesce"
 )
 
 // startRouter brings up a full platform with auto-permit enabled unless
@@ -511,14 +510,13 @@ func TestTransportUnknownRejected(t *testing.T) {
 	}
 }
 
-// TestSettleDeadlineWhenWedged pins the error backstop: a punt with no
-// controller behind it (the router was never started, so nothing drains
-// the epoch) must surface SettleTimeout as a quiesce.ErrDeadline — not
-// hang, and not return success.
+// TestSettleDeadlineWhenWedged pins the wedge report: a punt with no
+// controller behind it (the router was never started, so nothing can
+// dispatch it) must surface as ErrWedged at once — not hang, not wait out
+// settleWait, and not return success.
 func TestSettleDeadlineWhenWedged(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AutoPermit = true
-	cfg.SettleTimeout = 50 * time.Millisecond
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -534,80 +532,121 @@ func TestSettleDeadlineWhenWedged(t *testing.T) {
 		t.Fatal("no punt was recorded")
 	}
 	start := time.Now()
-	err = r.Settle()
-	if !errors.Is(err, quiesce.ErrDeadline) {
-		t.Fatalf("Settle = %v, want quiesce.ErrDeadline", err)
+	if err := r.Settle(); !errors.Is(err, ErrWedged) {
+		t.Fatalf("Settle = %v, want ErrWedged", err)
 	}
-	if elapsed := time.Since(start); elapsed < 50*time.Millisecond || elapsed > 5*time.Second {
-		t.Fatalf("Settle returned after %v, want ~SettleTimeout", elapsed)
+	// JoinHost reports the same wedge from its first settle.
+	if err := r.JoinHost(h); !errors.Is(err, ErrWedged) {
+		t.Fatalf("JoinHost = %v, want ErrWedged", err)
 	}
-	// JoinHost shares the backstop.
-	if err := r.JoinHost(h); !errors.Is(err, quiesce.ErrDeadline) {
-		t.Fatalf("JoinHost = %v, want quiesce.ErrDeadline", err)
+	if elapsed := time.Since(start); elapsed > settleWait/10 {
+		t.Fatalf("Settle and JoinHost took %v to report the wedge; want well under settleWait (%v)", elapsed, settleWait)
 	}
 }
 
 // TestSettleConcurrentWithTraffic hammers Settle from several goroutines
-// while the network keeps punting (run under -race): no call may return
-// an error, and after every stepper settles, the control path must be
-// quiescent — processed caught up with punted — with no lost wakeup
-// (which would surface as a deadline error) and no early return while a
-// step's punts were outstanding.
+// while the network keeps punting (run under -race), on both transports:
+// no call may return an error, a stepper's Settle may not return while one
+// of its step's punts is undispatched, and after every stepper settles
+// the control path is quiescent — processed caught up with punted.
 func TestSettleConcurrentWithTraffic(t *testing.T) {
-	r := startRouter(t, nil)
-	h := join(t, r, "churner", "02:aa:00:00:00:32", false, netsim.Pos{})
-	app := netsim.NewApp(netsim.AppWeb, "203.0.113.7", 40_000)
-	app.SetFlowChurn(0.9) // fresh flows: every tick punts
-	h.AddApp(app)
+	for _, kind := range []TransportKind{TransportInProcess, TransportTCP} {
+		t.Run(string(kind), func(t *testing.T) {
+			r := startRouter(t, func(c *Config) { c.Transport = kind })
+			h := join(t, r, "churner", "02:aa:00:00:00:32", false, netsim.Pos{})
+			app := netsim.NewApp(netsim.AppWeb, "203.0.113.7", 40_000)
+			app.SetFlowChurn(0.9) // fresh flows: every tick punts
+			h.AddApp(app)
 
-	const steps = 200
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	done := make(chan struct{})
+			const steps = 200
+			var wg sync.WaitGroup
+			errs := make(chan error, 8)
+			done := make(chan struct{})
 
-	// One stepper: inject traffic then settle, as Home.step does.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(done)
-		for i := 0; i < steps; i++ {
-			r.Net.Step(0.05)
-			if err := r.Settle(); err != nil {
-				errs <- err
-				return
-			}
-		}
-	}()
-	// Concurrent settlers with nothing of their own to wait for: they
-	// must neither error nor deadlock no matter how they interleave.
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
+			// One stepper: inject traffic then settle, as Home.step does.
+			// Only its steps punt, so once its Settle returns every punt
+			// counted so far must have been dispatched.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer close(done)
+				for i := 0; i < steps; i++ {
+					r.Net.Step(0.05)
+					if err := r.Settle(); err != nil {
+						errs <- err
+						return
+					}
+					punted := r.Datapath.PuntCount()
+					if processed := r.Controller.Processed(); processed < punted {
+						errs <- fmt.Errorf("step %d: Settle returned with %d punts but %d dispatched", i, punted, processed)
+						return
+					}
 				}
-				if err := r.Settle(); err != nil {
-					errs <- err
-					return
-				}
+			}()
+			// Concurrent settlers with nothing of their own to wait for: they
+			// must neither error nor deadlock no matter how they interleave.
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						if err := r.Settle(); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
 			}
-		}()
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			processed := r.Controller.Processed()
+			punted := r.Datapath.PuntCount()
+			if processed < punted {
+				t.Fatalf("early return: %d punts but only %d processed after all Settles", punted, processed)
+			}
+			if punted == 0 {
+				t.Fatal("traffic generated no punts; the test exercised nothing")
+			}
+		})
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+}
+
+// Over TCP a settle barrier can flush the next link of a handshake chain:
+// the OFFER it flushes makes the host REQUEST, and the ACK that answers the
+// REQUEST is sent behind the barrier, not flushed by it. Settle must see
+// the REQUEST's punt behind the barrier and take another lap, so that when
+// it returns the ACK has reached the host — here a host that is slow to
+// take it.
+func TestSettleOverTCPWaitsForTheChainItFlushes(t *testing.T) {
+	r := startRouter(t, func(c *Config) { c.Transport = TransportTCP })
+	h, err := r.AddHost("slow", "02:aa:00:00:00:33", false, netsim.Pos{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	punted, processed := r.Datapath.Quiesce().Counts()
-	if processed < punted {
-		t.Fatalf("early return: %d punts but only %d processed after all Settles", punted, processed)
+	h.SetOnFrame(func(f []byte) {
+		var d packet.Decoded
+		if d.Decode(f) != nil || !d.HasUDP || d.UDP.DstPort != packet.DHCPClientPort {
+			return
+		}
+		var m packet.DHCP
+		if m.DecodeFromBytes(d.UDP.Payload) == nil && m.MsgType() == packet.DHCPAck {
+			time.Sleep(20 * time.Millisecond)
+		}
+	})
+	h.StartDHCP()
+	if err := r.Settle(); err != nil {
+		t.Fatal(err)
 	}
-	if punted == 0 {
-		t.Fatal("traffic generated no punts; the test exercised nothing")
+	if !h.Bound() {
+		t.Fatal("Settle returned before the ACK reached the host")
 	}
 }
 

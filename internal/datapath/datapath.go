@@ -13,7 +13,6 @@ import (
 	"repro/internal/oftransport"
 	"repro/internal/openflow"
 	"repro/internal/packet"
-	"repro/internal/quiesce"
 	"repro/internal/trace"
 )
 
@@ -120,8 +119,7 @@ type Config struct {
 	// Tracer, when set, opens a punt-lifecycle span for every packet-in
 	// (trace.Tracer is nil-safe, so leaving it unset disables tracing with
 	// no branch beyond the nil-receiver check). Hand the same tracer to
-	// the co-resident controller (nox.Controller.SetTracer) exactly as the
-	// quiescence epoch is shared.
+	// the co-resident controller (nox.Controller.SetTracer).
 	Tracer *trace.Tracer
 }
 
@@ -174,14 +172,12 @@ type Datapath struct {
 	sweepMu sync.Mutex
 	swept   []expiry
 
-	// quiesce is the punt half of the event-driven settle protocol: every
-	// packet-in sent to the controller is counted here before the send,
-	// and the co-resident controller credits the same epoch as it
-	// dispatches (nox.Controller.SetQuiesce), so Router.Settle can block
-	// until the control path drains instead of polling counters.
-	quiesce *quiesce.Epoch
+	// punted counts every packet-in sent to the controller, before the
+	// send (docs/CONTROL_PLANE.md, P1). Router.Settle compares it with the
+	// controller's dispatch count (nox.Controller.Processed).
+	punted atomic.Uint64
 
-	// tracer opens a span per punt, stamped alongside the quiesce count
+	// tracer opens a span per punt, stamped alongside the punt count
 	// (nil when tracing is disabled; every trace method is nil-safe).
 	tracer *trace.Tracer
 
@@ -223,7 +219,6 @@ func New(cfg Config) *Datapath {
 		nBuffers: cfg.NBuffers,
 		desc:     cfg.Description,
 		started:  cfg.Clock.Now(),
-		quiesce:  quiesce.New(),
 		tracer:   cfg.Tracer,
 	}
 	dp.missSendLen.Store(uint32(cfg.MissSendLen))
@@ -860,18 +855,13 @@ func (dp *Datapath) punt(inPort uint16, frame []byte, maxLen uint16) {
 // sendPacketIn counts a buffered punt and sends its packet-in, which
 // nothing writes to once it is sent.
 func (dp *Datapath) sendPacketIn(b *puntBuffer) {
-	dp.quiesce.Punt()
+	dp.punted.Add(1)
 	dp.tracer.Punt()
 	dp.send(&b.pi)
 }
 
 // PuntCount returns how many packet-ins have been sent to the controller.
-func (dp *Datapath) PuntCount() uint64 { return dp.quiesce.Punted() }
-
-// Quiesce exposes the datapath's punt/processed epoch. Hand it to the
-// controller (nox.Controller.SetQuiesce) so waiters can block until every
-// punt has been dispatched; see docs/CONTROL_PLANE.md for the protocol.
-func (dp *Datapath) Quiesce() *quiesce.Epoch { return dp.quiesce }
+func (dp *Datapath) PuntCount() uint64 { return dp.punted.Load() }
 
 // bufferLocked stores a punt under the next buffer id, which it writes into
 // the punt's packet-in and returns. A full buffer gives up its oldest punts

@@ -133,20 +133,25 @@ func (dp *Datapath) Batch(fn func()) {
 }
 
 // Drain handles what the controller has sent, as the outermost call into the
-// datapath does when it returns, and then reads the quiescence epoch: the
-// punts counted and those the controller has dispatched. busy reports that
-// another call is in the datapath, or began while the counts were read; that
-// call drains what is left when it returns, and its punts may still be on
-// their way. When busy is false on a direct channel, no call was in the
-// datapath while the counts were read, so every punt not yet dispatched is
-// one the controller was never handed: a wrapper kept it (a wedge).
-func (dp *Datapath) Drain() (punted, processed uint64, busy bool) {
+// datapath does when it returns, and then reads the control path's books:
+// first dispatched, the controller's count of punts it has dispatched
+// (nox.Controller.Processed), then punted, the punts counted here. A punt is
+// counted before it is sent and dispatched after, so dispatched ≥ punted
+// read in this order means every punt counted by the second read had been
+// dispatched by the first. busy reports that another call is in the
+// datapath, or began while the books were read; that call drains what is
+// left when it returns, and its punts may still be on their way. When busy
+// is false on a direct channel, no call was in the datapath while the books
+// were read, so every punt not yet dispatched is one the controller was
+// never handed: a wrapper kept it (a wedge).
+func (dp *Datapath) Drain(processed func() uint64) (punted, dispatched uint64, busy bool) {
 	dp.enter()
 	dp.leave()
 	c := dp.in.calls.Load()
-	punted, processed = dp.quiesce.Counts()
+	dispatched = processed()
+	punted = dp.punted.Load()
 	busy = inProgress(c) != 0 || dp.in.calls.Load() != c
-	return punted, processed, busy
+	return punted, dispatched, busy
 }
 
 // AttachDirect attaches the datapath to a controller over one end of an

@@ -96,3 +96,26 @@ func TestInboxDrainBoundFailsLoudly(t *testing.T) {
 		Actions: []openflow.Action{&openflow.ActionOutput{Port: openflow.PortController}}})
 	t.Fatal("the endless exchange returned")
 }
+
+// Drain reads the controller's dispatches before the datapath's punts. A
+// punt is counted before it is sent and dispatched after, so read in that
+// order the books can only err towards a punt outstanding. Read the other
+// way round, a punt counted and dispatched between the two reads — another
+// goroutine's, sent while an earlier punt was still on its way — would be
+// taken for the earlier one, and Settle would return with it outstanding.
+func TestDrainReadsDispatchesBeforePunts(t *testing.T) {
+	dp := New(Config{ID: 9, Clock: clock.NewSimulated()})
+	_ = dp.AddPort(&Port{No: 1})
+	syn := func(srcPort uint16) []byte {
+		return packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+			packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, srcPort, 80, packet.TCPSyn, 1, nil).Bytes()
+	}
+	dp.Receive(1, syn(40000)) // counted, never dispatched
+	punted, dispatched, busy := dp.Drain(func() uint64 {
+		dp.Receive(1, syn(40001)) // a second flow punts, and is dispatched
+		return 1
+	})
+	if punted != 2 || dispatched != 1 || !busy {
+		t.Fatalf("Drain read %d punted, %d dispatched, busy %v; want 2, 1 and busy", punted, dispatched, busy)
+	}
+}

@@ -16,17 +16,17 @@
 // flow-mods are applied; anything retained from a
 // caller's buffer (a punted frame, which its packet-in's data is a view
 // of, and the frames held behind it) is copied first. Every punt is
-// counted on the datapath's quiesce.Epoch before it is sent, the producer
-// half of the control plane's event-driven settle protocol. A new flow
-// costs one packet-in: further misses of the flow at the same clock
-// reading wait behind that punt and leave, in order, when the controller's
-// answer references its buffer (docs/CONTROL_PLANE.md, P1 and P2). A reader
-// in the same process, the measurement plane, reads flow and port counters
-// in place through StatsView rather than through stats requests. Those
-// counters are exact between calls into the datapath: a run of one flow's
-// frames adds up what they owe and commits it, once, before its call
-// returns (batchRun), and flow-removeds, stats replies and StatsView walks
-// are all built between calls.
+// counted before it is sent (PuntCount), the producer half of the control
+// plane's settle protocol. A new flow costs one packet-in: further misses
+// of the flow at the same clock reading wait behind that punt and leave,
+// in order, when the controller's answer references its buffer
+// (docs/CONTROL_PLANE.md, P1 and P2). A reader in the same process, the
+// measurement plane, reads flow and port counters in place through
+// StatsView rather than through stats requests. Those counters are exact
+// between calls into the datapath: a run of one flow's frames adds up what
+// they owe and commits it, once, before its call returns (batchRun), and
+// flow-removeds, stats replies and StatsView walks are all built between
+// calls.
 package datapath
 
 import (

@@ -252,8 +252,7 @@ func (e *Engine) reorderLocked() {
 }
 
 // Step advances every home the engine holds by dt simulated seconds:
-// traffic emits, each control path drains (Router.Settle — an
-// event-driven wait on the punt/processed epoch, not a poll; see
+// traffic emits, each control path drains (Router.Settle; see
 // docs/CONTROL_PLANE.md), and each measurement plane polls flow and link
 // state into its hwdb. Homes run
 // one at a time in ascending ID order on the calling goroutine, so the

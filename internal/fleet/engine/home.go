@@ -41,15 +41,14 @@ type Home struct {
 	// telemetry sources stay live and inspectable. Set by the health
 	// remediation loop via the coordinator's Cordon.
 	cordoned atomic.Bool
-	// settleErrs counts Settle failures (quiesce deadline or barrier
-	// error) across the home's steps — a health-evaluator vital.
+	// settleErrs counts Settle failures (a wedged control path or a failed
+	// barrier) across the home's steps — a health-evaluator vital.
 	settleErrs atomic.Uint64
 }
 
-// step advances one home by dt simulated seconds: traffic in, then a
-// blocking event-driven wait for the home's control path to drain (no
-// sleeps — Settle returns the moment the controller catches up and a
-// clean barrier crosses), then the measurement poll.
+// step advances one home by dt simulated seconds: traffic in, then the
+// home's control path drained (Settle, which sleeps on no timer), then the
+// measurement poll.
 func (h *Home) step(dt float64) error {
 	h.mu.Lock()
 	h.steps++
@@ -68,15 +67,17 @@ func (h *Home) step(dt float64) error {
 func (h *Home) Cordoned() bool { return h.cordoned.Load() }
 
 // SettleErrs returns how many of the home's steps failed to settle (the
-// control path missed its quiescence deadline or a barrier failed) over
-// this router incarnation — a health-evaluator vital.
+// control path was wedged, core.ErrWedged, or a barrier failed) over this
+// router incarnation — a health-evaluator vital.
 func (h *Home) SettleErrs() uint64 { return h.settleErrs.Load() }
 
-// PuntLag returns the home's current punt-credit backlog: packet-ins the
-// datapath has punted that the controller has not yet dispatched. A
-// healthy idle home reads 0; a wedged controller grows it without bound.
+// PuntLag returns the home's current punt backlog: packet-ins the datapath
+// has punted (Datapath.PuntCount) that the controller has not yet
+// dispatched (Controller.Processed). A healthy idle home reads 0; a wedged
+// controller grows it without bound.
 func (h *Home) PuntLag() uint64 {
-	punted, processed := h.Router.Datapath.Quiesce().Counts()
+	processed := h.Router.Controller.Processed()
+	punted := h.Router.Datapath.PuntCount()
 	if processed > punted {
 		return 0
 	}

@@ -125,8 +125,8 @@ func (p Policy) withDefaults() Policy {
 // Vitals are the control-plane signals the evaluator reads directly from
 // a home each window, complementing the telemetry-streamed loss.
 type Vitals struct {
-	// PuntLag is the current punt-credit backlog on the home's quiescence
-	// epoch (punted − processed).
+	// PuntLag is the home's current punt backlog: the datapath's punts less
+	// the controller's dispatches.
 	PuntLag uint64
 	// SettleErrs is the home's cumulative settle-failure count for the
 	// current router incarnation; the evaluator differences it per window

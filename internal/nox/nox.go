@@ -29,9 +29,9 @@
 // the chain returns, so every buffered packet-in is answered exactly once
 // and the datapath never keeps frames waiting behind a punt the controller
 // has finished with. Handler registration (On*) and Register are safe at
-// any time from any goroutine. The controller credits the quiescence epoch
-// attached with SetQuiesce after each packet-in's dispatch, on every
-// transport; Router.Settle reads it (see docs/CONTROL_PLANE.md).
+// any time from any goroutine. The controller counts each packet-in's
+// dispatch after it completes, on every transport (Processed); Router.Settle
+// compares that count with the datapath's punts (see docs/CONTROL_PLANE.md).
 package nox
 
 import (
@@ -45,7 +45,6 @@ import (
 	"repro/internal/oftransport"
 	"repro/internal/openflow"
 	"repro/internal/packet"
-	"repro/internal/quiesce"
 	"repro/internal/trace"
 )
 
@@ -122,40 +121,28 @@ type Controller struct {
 	MissSendLen uint16
 
 	processed atomic.Uint64
-	quiesce   atomic.Pointer[quiesce.Epoch]
 	tracer    atomic.Pointer[trace.Tracer]
 }
 
-// Processed returns how many packet-in events have completed dispatch.
-// It is a diagnostic counter; waiting for the control path to drain goes
-// through the quiescence epoch (SetQuiesce / core.Router.Settle), not by
-// polling this against Datapath.PuntCount.
+// Processed returns how many packet-in events have completed dispatch, the
+// consumer half of the settle protocol: every flow-mod and packet-out a
+// dispatch produced was sent before it was counted. Router.Settle compares
+// it with the co-resident datapath's PuntCount (docs/CONTROL_PLANE.md, C3).
 func (c *Controller) Processed() uint64 { return c.processed.Load() }
-
-// SetQuiesce attaches the punt/processed epoch the controller credits as
-// it dispatches packet-ins — the consumer half of the event-driven settle
-// protocol (the co-resident datapath's Punt calls are the producer half).
-// Attach it before the controller serves any transport: dispatches that
-// complete earlier are not credited retroactively.
-func (c *Controller) SetQuiesce(e *quiesce.Epoch) { c.quiesce.Store(e) }
 
 // SetTracer attaches the punt-lifecycle tracer the controller stamps as
 // it dispatches: dispatch/emit and credit per packet-in, barrier on every
-// Barrier round trip. Like SetQuiesce it assumes the co-resident
-// single-datapath deployment (spans correlate by FIFO order with the
-// datapath's Punt stamps); attach it before serving a transport.
+// Barrier round trip. It assumes the co-resident single-datapath
+// deployment (spans correlate by FIFO order with the datapath's Punt
+// stamps); attach it before serving a transport.
 func (c *Controller) SetTracer(t *trace.Tracer) { c.tracer.Store(t) }
 
-// noteProcessed credits one completed packet-in dispatch.
+// noteProcessed counts one completed packet-in dispatch. The tracer is
+// credited first: a Settle that sees the count catch up may barrier at
+// once, and BarrierReply only stamps spans the credit watermark has passed.
 func (c *Controller) noteProcessed() {
-	c.processed.Add(1)
-	// Credit the tracer before the epoch: a Settle woken by Done may
-	// barrier immediately, and BarrierReply only stamps spans the credit
-	// watermark has already passed.
 	c.tracer.Load().Credit(1)
-	if e := c.quiesce.Load(); e != nil {
-		e.Done(1)
-	}
+	c.processed.Add(1)
 }
 
 // NewController creates an empty controller.
@@ -474,7 +461,7 @@ func (c *Controller) leaveSwitch(sw *Switch) {
 }
 
 // dispatchPacketIn runs the packet-in handler chain for one punt; the
-// switch credits the quiescence epoch via noteProcessed when it returns.
+// switch counts the dispatch via noteProcessed when it returns.
 func (c *Controller) dispatchPacketIn(ev *PacketInEvent) {
 	for _, fn := range c.packetIn.load() {
 		if fn(ev) == Stop {

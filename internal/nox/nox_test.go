@@ -559,7 +559,6 @@ func TestUnansweredBufferIsDiscarded(t *testing.T) {
 	dp := datapath.New(datapath.Config{ID: 0xdead0003})
 	_ = dp.AddPort(&datapath.Port{No: 1})
 	_ = dp.AddPort(&datapath.Port{No: 2})
-	ctl.SetQuiesce(dp.Quiesce())
 
 	// Flows to port 80 are answered with a flow-mod; everything else is
 	// looked at and left alone.
@@ -600,20 +599,18 @@ func TestUnansweredBufferIsDiscarded(t *testing.T) {
 	}
 	dp.ReceiveBatch(1, &fb)
 
-	// Settle as core.Router does (W1-W3): flushing a discard punts the
-	// next held frame, which must be waited for in turn.
-	for q := dp.Quiesce(); ; {
-		if err := q.Wait(5 * time.Second); err != nil {
-			t.Fatal(err)
+	// Settle as core.Router does, by barrier laps: flushing a discard
+	// punts the next held frame, which must be dispatched in turn.
+	for lap := 0; ; lap++ {
+		if lap == 1000 {
+			t.Fatalf("not settled after %d barrier laps: %d punted, %d dispatched", lap, dp.PuntCount(), ctl.Processed())
 		}
-		punted, done := q.Counts()
-		if done < punted {
-			continue
-		}
+		done := ctl.Processed()
+		punted := dp.PuntCount()
 		if err := sw.Barrier(); err != nil {
 			t.Fatal(err)
 		}
-		if q.Punted() == punted {
+		if done >= punted && dp.PuntCount() == punted {
 			break
 		}
 	}
@@ -912,7 +909,6 @@ func newDirectRig(t *testing.T, ctl *Controller, wrap func(oftransport.Transport
 	dp := datapath.New(datapath.Config{ID: 0xdead0004})
 	_ = dp.AddPort(&datapath.Port{No: 1, Name: "wlan0"})
 	_ = dp.AddPort(&datapath.Port{No: 2, Name: "eth0"})
-	ctl.SetQuiesce(dp.Quiesce())
 	ctlEnd, dpEnd := oftransport.Direct()
 	var tr oftransport.Transport = ctlEnd
 	if wrap != nil {
@@ -957,7 +953,7 @@ func TestDirectAttach(t *testing.T) {
 	default:
 		t.Fatal("Receive returned before its punt was dispatched")
 	}
-	if punted, done := rig.dp.Quiesce().Counts(); punted != 1 || done != 1 {
+	if punted, done := rig.dp.PuntCount(), ctl.Processed(); punted != 1 || done != 1 {
 		t.Errorf("after Receive: %d punted, %d credited, want 1 and 1", punted, done)
 	}
 	if n := rig.dp.Table().Len(); n != 1 {
@@ -1030,7 +1026,7 @@ func TestDirectUnansweredBufferIsDiscarded(t *testing.T) {
 	if answers.discards != 3 || answers.flowMods != 1 {
 		t.Errorf("%d discards and %d flow-mods, want 3 and 1", answers.discards, answers.flowMods)
 	}
-	if punted, done := rig.dp.Quiesce().Counts(); punted != done {
+	if punted, done := rig.dp.PuntCount(), ctl.Processed(); punted != done {
 		t.Errorf("%d punted, %d credited", punted, done)
 	}
 	if p2, _ := rig.dp.Port(2); p2.Stats().TxPackets != 2 {
@@ -1083,13 +1079,13 @@ func TestDirectConcurrentCalls(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if punted, done, busy := rig.dp.Drain(); done < punted || busy {
+	if punted, done, busy := rig.dp.Drain(ctl.Processed); done < punted || busy {
 		t.Fatalf("after every call returned: %d punted, %d dispatched, busy %v", punted, done, busy)
 	}
 	if n := overlaps.Load(); n != 0 {
 		t.Errorf("handlers ran concurrently %d times", n)
 	}
-	if punted, done := rig.dp.Quiesce().Counts(); punted != done || punted < senders*flows {
+	if punted, done := rig.dp.PuntCount(), ctl.Processed(); punted != done || punted < senders*flows {
 		t.Errorf("%d punted, %d credited, want every punt credited and at least one per flow", punted, done)
 	}
 	if n := rig.dp.Table().Len(); n != senders*flows {

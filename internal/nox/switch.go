@@ -198,7 +198,7 @@ type waiter struct {
 	ch    chan openflow.Message
 	timer *time.Timer
 	// barrier is the request Barrier sends, kept here so that a settle
-	// lapping Wait and Barrier does not allocate one per lap. It is reused
+	// lapping Barrier does not allocate one per lap. It is reused
 	// with the waiter, that is only once answered: the datapath reads a
 	// request's xid before it sends the reply and not after, and the wire
 	// transport encodes a message before Send returns.

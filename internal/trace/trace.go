@@ -11,8 +11,8 @@
 // EndDispatch, Credit — allocates nothing: slots are pre-sized atomics,
 // histogram folds are atomic adds, and timestamps come from a monotonic
 // package epoch (never the simulated clock — stage latency is real time).
-// Correlation is by FIFO order, the same assumption the quiescence epoch
-// rests on: the n-th punt the datapath counts is the n-th packet-in its
+// Correlation is by FIFO order, the same assumption the settle protocol's
+// punt and dispatch counts rest on: the n-th punt the datapath counts is the n-th packet-in its
 // controller dispatches, one at a time, so the consumer side keeps
 // its own dispatch/credit/barrier counters and never needs a tag on the
 // wire. A span still being stamped when its ring slot is recycled is
@@ -33,8 +33,9 @@ type Stage int
 
 // The five punt-lifecycle contract stages (docs/CONTROL_PLANE.md): the
 // datapath punts, the controller begins the dispatch, the handler chain
-// returns with its flow-mods/packet-outs emitted, the dispatch's quiescence
-// credit lands, and a barrier reply confirms the emissions are live.
+// returns with its flow-mods/packet-outs emitted, the dispatch is credited
+// (just before the controller counts it), and a barrier reply confirms the
+// emissions are live.
 const (
 	StagePunt Stage = iota
 	StageDispatch
@@ -125,8 +126,8 @@ func New(ringSize int) *Tracer {
 }
 
 // Punt opens the next span and stamps its punt stage. Call it where the
-// quiescence epoch's Punt is called: after the punt is counted, before
-// the packet-in is handed to the transport. Zero allocations.
+// datapath counts the punt: after it is counted, before the packet-in is
+// handed to the transport. Zero allocations.
 func (t *Tracer) Punt() {
 	if t == nil {
 		return
@@ -188,7 +189,7 @@ func (t *Tracer) EndDispatch() {
 }
 
 // Credit stamps the credit stage of the next n uncredited spans — called
-// where the quiescence epoch is credited, once per dispatch. Zero
+// just before the controller counts a dispatch, once per dispatch. Zero
 // allocations.
 func (t *Tracer) Credit(n int) {
 	if t == nil || n <= 0 {
