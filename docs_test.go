@@ -1,6 +1,9 @@
 package homework
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -21,14 +24,126 @@ var (
 	goIdent = regexp.MustCompile(`\.[A-Z]\w*$`)
 	// goFunc is a top-level function declaration.
 	goFunc = regexp.MustCompile(`(?m)^func (\w+)\(`)
+	// docCode is a backticked span of prose.
+	docCode = regexp.MustCompile("`[^`\n]+`")
+	// docQualified is a package-qualified name, pkg.Name or
+	// pkg.Type.Member, that does not continue a longer selector or path.
+	docQualified = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*(?:\.[A-Z]\w*)?)`)
 )
 
+// internalPackages parses the non-test Go files under internal/ and
+// returns them by package name; no two packages there share a name.
+func internalPackages(t *testing.T) map[string][]*ast.File {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs := map[string][]*ast.File{}
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkgs[f.Name.Name] = append(pkgs[f.Name.Name], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
+
+// declaredNames lists what a package declares as a doc may name it:
+// every top-level type, function, const and var as Name, and every
+// method, struct field and interface method as Type.Member.
+func declaredNames(files []*ast.File) map[string]bool {
+	names := map[string]bool{}
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					names[decl.Name.Name] = true
+					continue
+				}
+				recv := decl.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				switch r := recv.(type) {
+				case *ast.IndexExpr:
+					recv = r.X
+				case *ast.IndexListExpr:
+					recv = r.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					names[id.Name+"."+decl.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							names[n.Name] = true
+						}
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+						for _, m := range members(spec.Type) {
+							names[spec.Name.Name+"."+m] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// members names a struct type's fields, embedded ones by their type
+// name, or an interface type's methods.
+func members(typ ast.Expr) []string {
+	var list *ast.FieldList
+	switch typ := typ.(type) {
+	case *ast.StructType:
+		list = typ.Fields
+	case *ast.InterfaceType:
+		list = typ.Methods
+	default:
+		return nil
+	}
+	var out []string
+	for _, field := range list.List {
+		for _, n := range field.Names {
+			out = append(out, n.Name)
+		}
+		if len(field.Names) == 0 {
+			embedded := field.Type
+			if star, ok := embedded.(*ast.StarExpr); ok {
+				embedded = star.X
+			}
+			if sel, ok := embedded.(*ast.SelectorExpr); ok {
+				embedded = sel.Sel
+			}
+			if id, ok := embedded.(*ast.Ident); ok {
+				out = append(out, id.Name)
+			}
+		}
+	}
+	return out
+}
+
 // TestDocsNameWhatExists reads README.md and docs/*.md and fails on every
-// Test, Benchmark or Fuzz name that no Go file in the tree declares, and on
-// every internal/ path that does not exist: a written contract that names
-// its evidence must name evidence that is there. bench/README.md is not
-// read.
+// Test, Benchmark or Fuzz name that no Go file in the tree declares, on
+// every internal/ path that does not exist, and on every backticked
+// pkg.Name or pkg.Type.Member, pkg a package under internal/, that the
+// package does not declare: a written contract that names its evidence
+// must name evidence that is there. bench/README.md is not read.
 func TestDocsNameWhatExists(t *testing.T) {
+	declared := map[string]map[string]bool{}
+	for pkg, files := range internalPackages(t) {
+		declared[pkg] = declaredNames(files)
+	}
 	funcs := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -73,6 +188,13 @@ func TestDocsNameWhatExists(t *testing.T) {
 			p = goIdent.ReplaceAllString(strings.TrimRight(p, ".,-/"), "")
 			if _, err := os.Stat(p); err != nil {
 				missing[p] = true
+			}
+		}
+		for _, code := range docCode.FindAllString(string(text), -1) {
+			for _, m := range docQualified.FindAllStringSubmatch(code, -1) {
+				if names, ok := declared[m[1]]; ok && !names[m[2]] {
+					missing[m[1]+"."+m[2]] = true
+				}
 			}
 		}
 		var names []string

@@ -16,17 +16,12 @@ type ScheduleConfig struct {
 	Homes []uint64
 	// Span is the simulated window the episodes are spread over.
 	Span time.Duration
-	// PerHome caps episodes per home; 0 packs as many as Span, Gap and
-	// MaxFor allow.
-	PerHome int
 	// MinFor/MaxFor bound episode durations (defaults 5m/12m).
 	MinFor, MaxFor time.Duration
 	// Gap is the minimum recovery window between one home's episodes
 	// (default 90m) — long enough for the remediation loop to converge
 	// before the next fault, so per-episode recovery is assertable.
 	Gap time.Duration
-	// Kinds is the fault mix to draw from (default Kinds()).
-	Kinds []Kind
 }
 
 // BuildSchedule lays out a deterministic, per-home non-overlapping
@@ -49,21 +44,14 @@ func BuildSchedule(cfg ScheduleConfig) []Episode {
 	if cfg.Gap <= 0 {
 		cfg.Gap = 90 * time.Minute
 	}
-	kinds := cfg.Kinds
-	if len(kinds) == 0 {
-		kinds = Kinds()
-	}
+	kinds := Kinds()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	var eps []Episode
 	for _, home := range cfg.Homes {
 		// Jittered start keeps the fleet's failures unsynchronized.
 		at := time.Duration(rng.Float64() * float64(cfg.Gap))
-		n := 0
 		for {
-			if cfg.PerHome > 0 && n >= cfg.PerHome {
-				break
-			}
 			dur := cfg.MinFor + time.Duration(rng.Float64()*float64(cfg.MaxFor-cfg.MinFor))
 			if at+dur+cfg.Gap > cfg.Span {
 				break // leave the final Gap clean so recovery completes in-window
@@ -79,7 +67,6 @@ func BuildSchedule(cfg ScheduleConfig) []Episode {
 				ep.For = time.Minute // the storm is its onset
 			}
 			eps = append(eps, ep)
-			n++
 			at += ep.For + cfg.Gap + time.Duration(rng.Float64()*float64(cfg.Gap)/2)
 		}
 	}

@@ -26,11 +26,6 @@ type SoakConfig struct {
 	HostsPerHome int
 	// SimDays is the scheduled fault window in simulated days (default 2).
 	SimDays float64
-	// StepSec is simulated seconds per fleet tick; one tick is also one
-	// health evaluation window (default 180). Larger steps compress
-	// harder: fewer ticks (and settle barriers and polls) per simulated
-	// day, at coarser evaluation granularity.
-	StepSec float64
 	// Seed derives the fleet, the schedule and every magnitude draw; a
 	// failing soak reproduces from it (default 1).
 	Seed int64
@@ -39,14 +34,6 @@ type SoakConfig struct {
 	// soak's accounting invariant reads the federated books, so it holds
 	// across any shard count.
 	Shards int
-	// EpisodesPerHome caps scheduled episodes per home (0 = pack the
-	// window; see BuildSchedule).
-	EpisodesPerHome int
-	// Policy overrides health thresholds (zero fields take defaults).
-	Policy health.Policy
-	// RecoverySteps bounds the post-schedule drain: extra ticks granted
-	// for the last episodes' remediation to converge (default 80).
-	RecoverySteps int
 	// IncidentDir, when set, receives one JSON incident bundle per
 	// Sick/Cordoned verdict and per remediation action (see
 	// flight.Incidents); empty keeps bundles in-memory only.
@@ -54,6 +41,17 @@ type SoakConfig struct {
 	// Logf, when set, receives progress lines (e.g. testing.T.Logf).
 	Logf func(format string, args ...any)
 }
+
+const (
+	// stepSec is simulated seconds per fleet tick; one tick is also one
+	// health evaluation window. Larger steps compress harder: fewer ticks
+	// (and settle barriers and polls) per simulated day, at coarser
+	// evaluation granularity.
+	stepSec = 180
+	// recoverySteps bounds the post-schedule drain: extra ticks granted
+	// for the last episodes' remediation to converge.
+	recoverySteps = 80
+)
 
 func (c SoakConfig) withDefaults() SoakConfig {
 	if c.Homes <= 0 {
@@ -65,14 +63,8 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	if c.SimDays <= 0 {
 		c.SimDays = 2
 	}
-	if c.StepSec <= 0 {
-		c.StepSec = 180
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.RecoverySteps <= 0 {
-		c.RecoverySteps = 80
 	}
 	return c
 }
@@ -133,7 +125,7 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 	// Flight recorder: attached before the first drain so its books start
 	// from row zero; every chaos episode leaves a replayable record and
 	// (via the incident hooks below) a postmortem bundle.
-	stepDur := time.Duration(cfg.StepSec * float64(time.Second))
+	const stepDur = stepSec * time.Second
 	rec := flight.NewRecorder(flight.RecorderConfig{
 		Window:    stepDur,
 		Retention: 50 * stepDur,
@@ -163,7 +155,6 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 	// counters final, and the hub's final drain has already run).
 	var retired uint64
 	mon := health.New(health.Config{
-		Policy:    cfg.Policy,
 		Clock:     sim,
 		Hub:       fl.Hub(),
 		OnVerdict: inc.OnVerdict,
@@ -220,22 +211,21 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 	// (cordon + dwell + restart + probation) before the next fault.
 	span := time.Duration(cfg.SimDays * 24 * float64(time.Hour))
 	sched := BuildSchedule(ScheduleConfig{
-		Seed:    cfg.Seed,
-		Homes:   ids,
-		Span:    span,
-		PerHome: cfg.EpisodesPerHome,
-		MinFor:  5 * stepDur,
-		MaxFor:  13 * stepDur,
-		Gap:     50 * stepDur,
+		Seed:   cfg.Seed,
+		Homes:  ids,
+		Span:   span,
+		MinFor: 5 * stepDur,
+		MaxFor: 13 * stepDur,
+		Gap:    50 * stepDur,
 	})
 	eng.SetSchedule(sched)
-	logf("chaos soak: seed=%d homes=%d episodes=%d span=%s step=%gs",
-		cfg.Seed, cfg.Homes, len(sched), span, cfg.StepSec)
+	logf("chaos soak: seed=%d homes=%d episodes=%d span=%s step=%ds",
+		cfg.Seed, cfg.Homes, len(sched), span, stepSec)
 
 	steps := int(span / stepDur)
 	simNow := time.Duration(0)
 	tick := func() error {
-		if err := fl.Step(cfg.StepSec); err != nil && !errors.Is(err, core.ErrWedged) {
+		if err := fl.Step(stepSec); err != nil && !errors.Is(err, core.ErrWedged) {
 			return err
 		}
 		mon.Tick()
@@ -260,7 +250,7 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 	// a bounded number of extra windows to converge.
 	eng.Finish()
 	extra := 0
-	for ; extra < cfg.RecoverySteps; extra++ {
+	for ; extra < recoverySteps; extra++ {
 		_, _, unrec := eng.Counts()
 		if unrec == 0 && mon.Converged() {
 			break

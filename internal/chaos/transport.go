@@ -139,13 +139,6 @@ func (f *Faults) DelayFlowMods(on bool) {
 	}
 }
 
-// Clear lifts every fault at once (releasing held messages).
-func (f *Faults) Clear() {
-	f.WedgeController(false)
-	f.DropFlowMods(false)
-	f.DelayFlowMods(false)
-}
-
 // Stats snapshots the switchboard counters.
 func (f *Faults) Stats() FaultStats {
 	f.mu.Lock()

@@ -23,7 +23,7 @@ func testAPI(t *testing.T) (*API, *dhcp.Server, *policy.Engine, *httptest.Server
 		ServerMAC: packet.MustMAC("02:01:00:00:00:01"),
 		PoolStart: packet.MustIP4("192.168.1.10"),
 		PoolEnd:   packet.MustIP4("192.168.1.250"),
-		LeaseTime: time.Hour, Clock: clk,
+		Clock:     clk,
 	})
 	eng := policy.NewEngine(clk)
 	api := New(srv, eng, packet.MustIP4("192.168.1.1"))

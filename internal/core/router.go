@@ -45,8 +45,6 @@ type Config struct {
 	RouterMAC packet.MAC
 	// PoolStart/PoolEnd bound DHCP allocation.
 	PoolStart, PoolEnd packet.IP4
-	// LeaseTime is the DHCP lease duration (default 1h).
-	LeaseTime time.Duration
 	// HostRoutes selects /32 leases (the paper's scheme). Default true.
 	HostRoutes bool
 	// AutoPermit admits devices without operator action (tests/benches).
@@ -90,7 +88,6 @@ func DefaultConfig() Config {
 		RouterMAC:  packet.MustMAC("02:01:00:00:00:01"),
 		PoolStart:  packet.MustIP4("192.168.1.10"),
 		PoolEnd:    packet.MustIP4("192.168.1.250"),
-		LeaseTime:  time.Hour,
 		HostRoutes: true,
 		AutoPermit: false,
 		RingSize:   hwdb.DefaultRingSize,
@@ -155,9 +152,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.FlowIdleTimeout == 0 {
 		cfg.FlowIdleTimeout = 30
 	}
-	if cfg.LeaseTime == 0 {
-		cfg.LeaseTime = time.Hour
-	}
 	if cfg.Transport == "" {
 		cfg.Transport = TransportInProcess
 	}
@@ -193,7 +187,7 @@ func New(cfg Config) (*Router, error) {
 	r.DHCP = dhcp.NewServer(dhcp.Config{
 		ServerIP: cfg.RouterIP, ServerMAC: cfg.RouterMAC,
 		PoolStart: cfg.PoolStart, PoolEnd: cfg.PoolEnd,
-		LeaseTime: cfg.LeaseTime, HostRoutes: cfg.HostRoutes,
+		HostRoutes: cfg.HostRoutes,
 		AutoPermit: cfg.AutoPermit, Clock: cfg.Clock, DB: r.DB,
 	})
 	r.DNS = dnsproxy.New(dnsproxy.Config{

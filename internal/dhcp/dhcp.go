@@ -70,8 +70,6 @@ type Config struct {
 	ServerMAC packet.MAC
 	// PoolStart/PoolEnd bound the allocatable addresses (inclusive).
 	PoolStart, PoolEnd packet.IP4
-	// LeaseTime is the offered lease duration.
-	LeaseTime time.Duration
 	// HostRoutes selects the Homework /32 allocation scheme. When false
 	// the server hands out conventional /24 leases (the ablation case:
 	// devices can then talk Ethernet-direct and their flows are
@@ -86,6 +84,9 @@ type Config struct {
 	// DB, when set, receives lease events in the Leases table.
 	DB *hwdb.DB
 }
+
+// leaseTime is the offered lease duration.
+const leaseTime = time.Hour
 
 // Server is the DHCP NOX component.
 type Server struct {
@@ -102,9 +103,6 @@ type Server struct {
 func NewServer(cfg Config) *Server {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
-	}
-	if cfg.LeaseTime == 0 {
-		cfg.LeaseTime = time.Hour
 	}
 	return &Server{
 		cfg:     cfg,
@@ -251,7 +249,7 @@ func (s *Server) handleRequest(ev *nox.PacketInEvent, msg *packet.DHCP) {
 	s.mu.Lock()
 	dev.IP = ip
 	dev.LeasedAt = now
-	dev.Expiry = now.Add(s.cfg.LeaseTime)
+	dev.Expiry = now.Add(leaseTime)
 	copy := *dev
 	s.mu.Unlock()
 	s.reply(ev, msg, packet.DHCPAck, ip)
@@ -330,7 +328,7 @@ func (s *Server) reply(ev *nox.PacketInEvent, req *packet.DHCP, typ packet.DHCPM
 	}
 	resp.AddIPOption(packet.DHCPOptRouter, s.cfg.ServerIP)
 	resp.AddIPOption(packet.DHCPOptDNSServer, s.cfg.ServerIP)
-	resp.AddDurationOption(packet.DHCPOptLeaseTime, s.cfg.LeaseTime)
+	resp.AddDurationOption(packet.DHCPOptLeaseTime, leaseTime)
 
 	frame := packet.NewDHCPFrame(resp, s.cfg.ServerMAC, req.CHAddr,
 		s.cfg.ServerIP, ip, packet.DHCPServerPort, packet.DHCPClientPort)

@@ -13,12 +13,11 @@ func testServer(autoPermit bool) (*Server, *clock.Simulated, *hwdb.DB) {
 	clk := clock.NewSimulated()
 	db := hwdb.NewHomework(clk, 1024)
 	s := NewServer(Config{
-		ServerIP:  packet.MustIP4("192.168.1.1"),
-		ServerMAC: packet.MustMAC("02:01:00:00:00:01"),
-		PoolStart: packet.MustIP4("192.168.1.10"),
-		PoolEnd:   packet.MustIP4("192.168.1.12"), // tiny pool for exhaustion tests
-		LeaseTime: time.Hour, HostRoutes: true,
-		AutoPermit: autoPermit, Clock: clk, DB: db,
+		ServerIP:   packet.MustIP4("192.168.1.1"),
+		ServerMAC:  packet.MustMAC("02:01:00:00:00:01"),
+		PoolStart:  packet.MustIP4("192.168.1.10"),
+		PoolEnd:    packet.MustIP4("192.168.1.12"), // tiny pool for exhaustion tests
+		HostRoutes: true, AutoPermit: autoPermit, Clock: clk, DB: db,
 	})
 	return s, clk, db
 }

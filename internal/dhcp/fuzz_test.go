@@ -72,23 +72,35 @@ func clientFrame(payload []byte) []byte {
 
 // The fuzz target's rig reaches the server: the DISCOVER seed is answered
 // with an OFFER in a packet-out of its own, and its buffer by the read
-// loop's discard.
+// loop's discard. The REQUEST seed that follows draws an ACK whose lease
+// (option 51) is the server's lease constant.
 func TestDiscoverThroughScriptedDatapath(t *testing.T) {
-	sent, answers := serverRig(t).PacketIn(clientFrame(dhcpSeeds()[0]), 3)
-	offers := 0
-	for _, msg := range sent {
-		po, ok := msg.(*openflow.PacketOut)
-		if !ok || len(po.Data) == 0 {
-			continue
+	rig := serverRig(t)
+	replies := func(seed []byte, typ packet.DHCPMsgType) (got []packet.DHCP, answers int) {
+		sent, answers := rig.PacketIn(clientFrame(seed), 3)
+		for _, msg := range sent {
+			po, ok := msg.(*openflow.PacketOut)
+			if !ok || len(po.Data) == 0 {
+				continue
+			}
+			var d packet.Decoded
+			var m packet.DHCP
+			if d.Decode(po.Data) == nil && d.HasUDP && m.DecodeFromBytes(d.UDP.Payload) == nil && m.MsgType() == typ {
+				got = append(got, m)
+			}
 		}
-		var d packet.Decoded
-		var m packet.DHCP
-		if d.Decode(po.Data) == nil && d.HasUDP && m.DecodeFromBytes(d.UDP.Payload) == nil && m.MsgType() == packet.DHCPOffer {
-			offers++
-		}
+		return got, answers
 	}
-	if offers != 1 || answers != 1 {
-		t.Errorf("a DISCOVER drew %d offers and %d answers to its buffer, want 1 and 1", offers, answers)
+	offers, answers := replies(dhcpSeeds()[0], packet.DHCPOffer)
+	if len(offers) != 1 || answers != 1 {
+		t.Errorf("a DISCOVER drew %d offers and %d answers to its buffer, want 1 and 1", len(offers), answers)
+	}
+	acks, _ := replies(dhcpSeeds()[1], packet.DHCPAck)
+	if len(acks) != 1 {
+		t.Fatalf("a REQUEST drew %d acks, want 1", len(acks))
+	}
+	if lease, ok := acks[0].LeaseTime(); !ok || lease != leaseTime {
+		t.Errorf("ACK lease = %v (present %v), want %v", lease, ok, leaseTime)
 	}
 }
 

@@ -49,9 +49,10 @@ type Config struct {
 	Policy *policy.Engine
 	// Clock stamps cache entries.
 	Clock clock.Clock
-	// CacheTTL bounds how long name bindings are honoured (default 10m).
-	CacheTTL time.Duration
 }
+
+// cacheTTL bounds how long name bindings are honoured.
+const cacheTTL = 10 * time.Minute
 
 // binding records that a device resolved a name to an address.
 type binding struct {
@@ -97,9 +98,6 @@ type Proxy struct {
 func New(cfg Config) *Proxy {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
-	}
-	if cfg.CacheTTL == 0 {
-		cfg.CacheTTL = 10 * time.Minute
 	}
 	return &Proxy{
 		cfg:      cfg,
@@ -306,11 +304,11 @@ func (p *Proxy) NameFor(mac packet.MAC, dst packet.IP4) (string, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if m := p.bindings[mac]; m != nil {
-		if b, ok := m[dst]; ok && now.Sub(b.at) <= p.cfg.CacheTTL {
+		if b, ok := m[dst]; ok && now.Sub(b.at) <= cacheTTL {
 			return b.name, true
 		}
 	}
-	if b, ok := p.revCache[dst]; ok && now.Sub(b.at) <= p.cfg.CacheTTL {
+	if b, ok := p.revCache[dst]; ok && now.Sub(b.at) <= cacheTTL {
 		return b.name, true
 	}
 	return "", false

@@ -16,7 +16,6 @@ func testProxy(eng *policy.Engine, clk clock.Clock) *Proxy {
 		UpstreamDNS: packet.MustIP4("8.8.8.8"),
 		UpstreamMAC: packet.MustMAC("02:ee:00:00:00:01"),
 		Policy:      eng, Clock: clk,
-		CacheTTL: time.Minute,
 	})
 }
 
@@ -52,7 +51,11 @@ func TestNameForExpires(t *testing.T) {
 	p.mu.Lock()
 	p.bindings[devMAC] = map[packet.IP4]binding{fbIP: {name: "facebook.com", at: clk.Now()}}
 	p.mu.Unlock()
-	clk.Advance(2 * time.Minute) // past CacheTTL
+	clk.Advance(cacheTTL)
+	if _, ok := p.NameFor(devMAC, fbIP); !ok {
+		t.Error("binding dropped before its TTL ran out")
+	}
+	clk.Advance(time.Nanosecond)
 	if _, ok := p.NameFor(devMAC, fbIP); ok {
 		t.Error("stale binding honoured")
 	}

@@ -17,8 +17,17 @@ import (
 // ErrClosed is returned by calls on a client after Close.
 var ErrClosed = errors.New("shardrpc: client closed")
 
-// callTimeout bounds one round trip other than Step.
-const callTimeout = 10 * time.Second
+const (
+	// callTimeout bounds one round trip other than Step.
+	callTimeout = 10 * time.Second
+	// dialTimeout bounds one dial attempt.
+	dialTimeout = 3 * time.Second
+	// dialAttempts is how many times a (re)dial is tried before the call
+	// fails.
+	dialAttempts = 5
+	// redialBackoff separates dial attempts.
+	redialBackoff = 50 * time.Millisecond
+)
 
 // ClientConfig parameterizes a coordinator-side remote shard client.
 type ClientConfig struct {
@@ -36,13 +45,6 @@ type ClientConfig struct {
 	// StepTimeout bounds Step round trips — a wedged worker must fail the
 	// fleet tick, not hang it (default 10s, as every other round trip).
 	StepTimeout time.Duration
-	// DialTimeout bounds one dial attempt (default 3s).
-	DialTimeout time.Duration
-	// DialAttempts is how many times a (re)dial is tried before the call
-	// fails (default 5).
-	DialAttempts int
-	// RedialBackoff separates dial attempts (default 50ms).
-	RedialBackoff time.Duration
 }
 
 // Client is the remote implementation of the fleet ShardClient contract:
@@ -87,15 +89,6 @@ func Dial(cfg ClientConfig) *Client {
 	if cfg.StepTimeout <= 0 {
 		cfg.StepTimeout = callTimeout
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 3 * time.Second
-	}
-	if cfg.DialAttempts <= 0 {
-		cfg.DialAttempts = 5
-	}
-	if cfg.RedialBackoff <= 0 {
-		cfg.RedialBackoff = 50 * time.Millisecond
-	}
 	if cfg.Relay == nil {
 		cfg.Relay = telemetry.NewHub(telemetry.HubConfig{})
 	}
@@ -112,11 +105,11 @@ func (c *Client) ensureConn() error {
 		return nil
 	}
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.DialAttempts; attempt++ {
+	for attempt := 0; attempt < dialAttempts; attempt++ {
 		if attempt > 0 {
-			time.Sleep(c.cfg.RedialBackoff)
+			time.Sleep(redialBackoff)
 		}
-		conn, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", c.cfg.Addr, dialTimeout)
 		if err != nil {
 			lastErr = err
 			continue
@@ -344,23 +337,6 @@ func (c *Client) TraceSnapshot() trace.Snapshot {
 func (c *Client) Ping() error {
 	_, err := c.call(&Request{Verb: VerbPing}, callTimeout)
 	return err
-}
-
-// Resync forces a book reconciliation round trip without waiting for a
-// reconnect; the soak uses it to settle accounting before its final
-// assertions.
-func (c *Client) Resync() error {
-	resp, err := c.call(&Request{Verb: VerbResync}, callTimeout)
-	if err != nil {
-		return err
-	}
-	if resp.Committed == nil {
-		return frameErr("RESYNC response without books")
-	}
-	c.mu.Lock()
-	c.reconcile(*resp.Committed)
-	c.mu.Unlock()
-	return nil
 }
 
 // Close sends a best-effort CLOSE (telling the worker to tear its engine

@@ -47,10 +47,11 @@ type Config struct {
 	// coordinator's SYNC timestamp before each flush, keeping remote
 	// timestamps identical to the in-process ordering.
 	Clock clock.Clock
-	// WriteTimeout bounds one response write so a dead peer cannot wedge
-	// the conn goroutine (default 30s).
-	WriteTimeout time.Duration
 }
+
+// writeTimeout bounds one response write so a dead peer cannot wedge the
+// conn goroutine.
+const writeTimeout = 30 * time.Second
 
 // Server serves the ShardClient contract for one engine over TCP. It
 // accepts any number of sequential or concurrent connections (a
@@ -83,9 +84,6 @@ type Server struct {
 // cfg.Hub is set the server subscribes to it immediately, so rows fanned
 // out before the first connection are buffered, not lost.
 func NewServer(cfg Config) *Server {
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 30 * time.Second
-	}
 	s := &Server{
 		cfg:   cfg,
 		conns: make(map[net.Conn]struct{}),
@@ -223,7 +221,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// answer with seq 0 (the client never uses it) and drop the
 			// conn rather than guess at resynchronization.
 			resp := &Response{Seq: 0, Err: err.Error()}
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			writeFrame(conn, appendResponse(beginFrame(out), resp))
 			return
 		}
@@ -291,7 +289,7 @@ func (s *Server) handle(conn net.Conn, req *Request, out []byte) ([]byte, error)
 		return s.writeWithBatch(conn, resp, out)
 	}
 	out = appendResponse(beginFrame(out), resp)
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	return out, writeFrame(conn, out)
 }
 
@@ -321,7 +319,7 @@ func (s *Server) writeWithBatch(conn net.Conn, resp *Response, out []byte) ([]by
 		Deltas:   s.pending[:n:n],
 	}
 	out = appendResponse(beginFrame(out), resp)
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := writeFrame(conn, out); err != nil {
 		return out, err
 	}

@@ -54,10 +54,6 @@ type RecorderConfig struct {
 	// kept; older windows are compacted away (their rows counted, then
 	// dropped). Default 10m; negative keeps everything.
 	Retention time.Duration
-	// MaxWindows, when > 0, additionally caps the number of windows per
-	// stream (ring compaction): the oldest window is evicted when a new
-	// one would exceed the cap, regardless of age.
-	MaxWindows int
 	// Schema resolves a table name to its schema for Replay projection.
 	// Unset, the standard Homework layout plus any schema learned from
 	// WatchTable/AttachView is used.
@@ -74,7 +70,7 @@ type RecorderStats struct {
 	Delivered uint64 // rows consumed from hub deltas
 	ViewRows  uint64 // rows recorded via WatchTable/AttachView hooks
 	Stored    uint64 // rows currently held in windows
-	Compacted uint64 // rows evicted by retention or ring compaction
+	Compacted uint64 // rows evicted by retention
 	Lost      uint64 // loss reported in-band by consumed deltas
 }
 
@@ -209,8 +205,8 @@ func (r *Recorder) append(s *stream, row hwdb.Row) {
 }
 
 // compact evicts windows past retention (relative to the stream's newest
-// row, so idle fleets on stopped clocks never decay) and past the ring
-// cap, with exact accounting. Caller holds r.mu.
+// row, so idle fleets on stopped clocks never decay), with exact
+// accounting. Caller holds r.mu.
 func (r *Recorder) compact(s *stream) {
 	evict := 0
 	if r.cfg.Retention > 0 {
@@ -218,9 +214,6 @@ func (r *Recorder) compact(s *stream) {
 		for evict < len(s.windows)-1 && s.windows[evict].bucket < cut {
 			evict++
 		}
-	}
-	if r.cfg.MaxWindows > 0 && len(s.windows)-evict > r.cfg.MaxWindows {
-		evict = len(s.windows) - r.cfg.MaxWindows
 	}
 	for _, w := range s.windows[:evict] {
 		r.stored -= uint64(len(w.rows))

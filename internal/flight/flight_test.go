@@ -101,40 +101,6 @@ func TestRecorderRetentionBooks(t *testing.T) {
 	}
 }
 
-// TestRecorderMaxWindowsRingCompaction checks the ring-cap eviction path.
-func TestRecorderMaxWindowsRingCompaction(t *testing.T) {
-	clk := clock.NewSimulated()
-	db := hwdb.New(clk)
-	tbl, err := db.CreateTable("T", hwdb.NewSchema(hwdb.Column{Name: "n", Type: hwdb.TInt}), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub := telemetry.NewHub(telemetry.HubConfig{})
-	defer hub.Close()
-	hub.Watch(telemetry.SourceID{Home: 1, Table: "T"}, tbl)
-
-	rec := flight.NewRecorder(flight.RecorderConfig{
-		Window:     time.Second,
-		Retention:  -1, // age never evicts
-		MaxWindows: 4,
-	})
-	rec.Attach(hub)
-	for i := 0; i < 10; i++ {
-		if err := db.Insert("T", hwdb.Int64(int64(i))); err != nil {
-			t.Fatal(err)
-		}
-		hub.Flush()
-		clk.Advance(time.Second)
-	}
-	st := rec.Stats()
-	if st.Windows != 4 {
-		t.Fatalf("windows = %d, want ring cap 4", st.Windows)
-	}
-	if st.Stored != 4 || st.Compacted != 6 {
-		t.Fatalf("stored/compacted = %d/%d, want 4/6", st.Stored, st.Compacted)
-	}
-}
-
 // TestRecorderInsertHotPathZeroAllocs pins the acceptance bound: a flight
 // recorder attached at the subscriber seam adds zero allocations to a
 // watched table's insert path (the recorder only works at drain time).
@@ -380,5 +346,82 @@ func TestIncidentsBundle(t *testing.T) {
 	}
 	if b.Home != 7 || b.Kind == "" {
 		t.Fatalf("bundle = %+v", b)
+	}
+}
+
+// TestIncidentsBundleKeepsTheLatest pins the bundle's two caps: a table
+// with more than 8 recorded rows for the home contributes its latest 8,
+// and the placement slice is the home's latest 16 events.
+func TestIncidentsBundleKeepsTheLatest(t *testing.T) {
+	clk := clock.NewSimulated()
+	db := hwdb.New(clk)
+	tbl, err := db.CreateTable("T", hwdb.NewSchema(hwdb.Column{Name: "n", Type: hwdb.TInt}), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := telemetry.NewHub(telemetry.HubConfig{})
+	defer hub.Close()
+	hub.Watch(telemetry.SourceID{Home: 7, Table: "T"}, tbl)
+	rec := flight.NewRecorder(flight.RecorderConfig{
+		Schema: func(table string) *hwdb.Schema {
+			if table == "T" {
+				return tbl.Schema()
+			}
+			return nil
+		},
+	})
+	rec.Attach(hub)
+	for i := 0; i < 12; i++ {
+		if err := db.Insert("T", hwdb.Int64(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(time.Second)
+	}
+	hub.Flush()
+
+	var history []fleet.PlacementEvent
+	for i := 1; i <= 20; i++ {
+		history = append(history, fleet.PlacementEvent{Seq: uint64(i), Op: fleet.OpMigrate, Home: 7})
+	}
+	dir := t.TempDir()
+	inc, err := flight.NewIncidents(flight.IncidentConfig{
+		Clock:    clk,
+		Recorder: rec,
+		Dir:      dir,
+		Placement: func(home uint64, max int) []fleet.PlacementEvent {
+			if max > 0 && len(history) > max {
+				return history[len(history)-max:]
+			}
+			return history
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc.OnAction(health.ActionEvent{Home: 7, Action: "restart", OK: true})
+
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("incident files = %v, %v; want one", entries, err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, entries[0].Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b flight.Bundle
+	if err := json.Unmarshal(data, &b); err != nil {
+		t.Fatal(err)
+	}
+
+	all, err := rec.Replay(7, "T", time.Time{}, time.Time{})
+	if err != nil || len(all.Rows) != 12 {
+		t.Fatalf("recorded rows = %v, %v; want 12", all, err)
+	}
+	all.Rows = all.Rows[len(all.Rows)-8:]
+	if got, want := b.Tables["T"], all.Text(); got != want {
+		t.Errorf("bundle table T =\n%s\nwant the latest 8 rows\n%s", got, want)
+	}
+	if len(b.Placement) != 16 || b.Placement[0].Seq != 5 || b.Placement[15].Seq != 20 {
+		t.Errorf("bundle placement = %+v, want events 5..20", b.Placement)
 	}
 }

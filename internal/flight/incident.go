@@ -35,14 +35,16 @@ type IncidentConfig struct {
 	// Dir, when non-empty, receives one JSON bundle file per incident:
 	// incident-<seq>-home<id>-<kind>.json.
 	Dir string
-	// RingSize bounds the Incidents table ring (default 4096).
-	RingSize int
-	// RecentRows caps the recent-row sample per table in a bundle
-	// (default 8).
-	RecentRows int
-	// PlacementMax caps the placement slice per bundle (default 16).
-	PlacementMax int
 }
+
+const (
+	// incidentRing bounds the Incidents table ring.
+	incidentRing = 4096
+	// recentRows caps the recent-row sample per table in a bundle.
+	recentRows = 8
+	// placementMax caps the placement slice per bundle.
+	placementMax = 16
+)
 
 // Bundle is one incident's postmortem artifact: everything the fleet knew
 // about the home when the verdict or action was recorded.
@@ -78,15 +80,6 @@ func NewIncidents(cfg IncidentConfig) (*Incidents, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 4096
-	}
-	if cfg.RecentRows <= 0 {
-		cfg.RecentRows = 8
-	}
-	if cfg.PlacementMax <= 0 {
-		cfg.PlacementMax = 16
-	}
 	ic := &Incidents{cfg: cfg, db: hwdb.New(cfg.Clock)}
 	_, err := ic.db.CreateTable(TableIncidents, hwdb.NewSchema(
 		hwdb.Column{Name: "home", Type: hwdb.TInt},
@@ -99,7 +92,7 @@ func NewIncidents(cfg IncidentConfig) (*Incidents, error) {
 		hwdb.Column{Name: "tables", Type: hwdb.TInt},
 		hwdb.Column{Name: "placement", Type: hwdb.TInt},
 		hwdb.Column{Name: "file", Type: hwdb.TString},
-	), cfg.RingSize)
+	), incidentRing)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +157,7 @@ func (ic *Incidents) record(b Bundle) {
 		b.Spans = ic.cfg.Trace()
 	}
 	if ic.cfg.Placement != nil {
-		b.Placement = ic.cfg.Placement(b.Home, ic.cfg.PlacementMax)
+		b.Placement = ic.cfg.Placement(b.Home, placementMax)
 	}
 	if ic.cfg.Recorder != nil {
 		b.Tables = ic.snapshotTables(b.Home)
@@ -203,8 +196,8 @@ func (ic *Incidents) snapshotTables(home uint64) map[string]string {
 		if err != nil || len(res.Rows) == 0 {
 			continue
 		}
-		if len(res.Rows) > ic.cfg.RecentRows {
-			res.Rows = res.Rows[len(res.Rows)-ic.cfg.RecentRows:]
+		if len(res.Rows) > recentRows {
+			res.Rows = res.Rows[len(res.Rows)-recentRows:]
 		}
 		out[tbl] = res.Text()
 	}
@@ -218,8 +211,8 @@ func (ic *Incidents) snapshotTables(home uint64) map[string]string {
 			}
 		}
 		res.Rows = kept
-		if len(res.Rows) > ic.cfg.RecentRows {
-			res.Rows = res.Rows[len(res.Rows)-ic.cfg.RecentRows:]
+		if len(res.Rows) > recentRows {
+			res.Rows = res.Rows[len(res.Rows)-recentRows:]
 		}
 		if len(res.Rows) > 0 {
 			out[telemetry.ViewTable] = res.Text()

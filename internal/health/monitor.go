@@ -42,8 +42,6 @@ type Config struct {
 	Vitals func(id uint64) (Vitals, bool)
 	// Actions are the remediation hooks (see Actions; nil hooks no-op).
 	Actions Actions
-	// RingSize bounds the monitor's own hwdb rings (default 4096).
-	RingSize int
 	// OnVerdict, when set, fires synchronously after every state
 	// transition's Health row is recorded, outside the monitor mutex —
 	// the handler may take its own locks (the flight recorder's incident
@@ -53,6 +51,9 @@ type Config struct {
 	// row is recorded.
 	OnAction func(ActionEvent)
 }
+
+// auditRing bounds the monitor's own hwdb rings.
+const auditRing = 4096
 
 // VerdictEvent describes one recorded state transition (a Health row).
 type VerdictEvent struct {
@@ -107,9 +108,6 @@ func New(cfg Config) *Monitor {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 4096
-	}
 	m := &Monitor{
 		cfg:   cfg,
 		pol:   cfg.Policy.withDefaults(),
@@ -133,13 +131,13 @@ func New(cfg Config) *Monitor {
 		hwdb.Column{Name: "state", Type: hwdb.TString},
 		hwdb.Column{Name: "prev", Type: hwdb.TString},
 		hwdb.Column{Name: "reason", Type: hwdb.TString},
-	), cfg.RingSize))
+	), auditRing))
 	must(m.db.CreateTable(TableRemedy, hwdb.NewSchema(
 		hwdb.Column{Name: "home", Type: hwdb.TInt},
 		hwdb.Column{Name: "action", Type: hwdb.TString},
 		hwdb.Column{Name: "ok", Type: hwdb.TBool},
 		hwdb.Column{Name: "detail", Type: hwdb.TString},
-	), cfg.RingSize))
+	), auditRing))
 
 	if cfg.Hub != nil {
 		cfg.Hub.SubscribeFunc(m.fold)
@@ -189,14 +187,6 @@ func (m *Monitor) Track(id uint64) {
 	m.mu.Unlock()
 	_ = m.db.Insert(TableHealth, hwdb.Int64(int64(id)),
 		hwdb.Str(Healthy.String()), hwdb.Str(""), hwdb.Str("tracked"))
-}
-
-// Forget drops a home from evaluation without recording a verdict (the
-// home left the fleet for reasons outside the remediation loop).
-func (m *Monitor) Forget(id uint64) {
-	m.mu.Lock()
-	delete(m.homes, id)
-	m.mu.Unlock()
 }
 
 // State returns a home's current verdict.

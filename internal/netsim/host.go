@@ -504,13 +504,6 @@ func (h *Host) AddApp(a *App) {
 	h.mu.Unlock()
 }
 
-// Apps returns the host's applications.
-func (h *Host) Apps() []*App {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]*App(nil), h.apps...)
-}
-
 // appsSnapshot returns the apps slice without copying: the list is
 // append-only, so a slice-header snapshot taken under the lock is an
 // immutable view (the tick path uses this to avoid a per-host copy per

@@ -43,10 +43,9 @@ type Network struct {
 	// drop pattern is a deterministic counter, not a coin flip, so the
 	// loss is partial and reproducible — the measurement plane only
 	// attributes drops to flows that stayed active in the round.
-	faultNum  int
-	faultDen  int
-	faultCtr  uint64
-	faultDrop uint64
+	faultNum int
+	faultDen int
+	faultCtr uint64
 }
 
 // New creates a network around an existing datapath. Wireless hosts are
@@ -85,14 +84,6 @@ func (n *Network) SetLinkFault(num, den int) {
 	n.mu.Unlock()
 }
 
-// LinkFaultDrops returns how many frames the injected link fault has
-// discarded since the network came up.
-func (n *Network) LinkFaultDrops() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.faultDrop
-}
-
 // linkFaultDrop advances the fault pattern by one frame and reports
 // whether that frame is dropped.
 func (n *Network) linkFaultDrop() bool {
@@ -103,7 +94,6 @@ func (n *Network) linkFaultDrop() bool {
 	}
 	n.faultCtr++
 	if int(n.faultCtr%uint64(n.faultDen)) < n.faultNum {
-		n.faultDrop++
 		return true
 	}
 	return false

@@ -72,13 +72,6 @@ func (w *Wireless) SetInterference(db float64) {
 	w.mu.Unlock()
 }
 
-// Interference returns the extra attenuation currently applied, in dB.
-func (w *Wireless) Interference() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.interference
-}
-
 // RSSI returns the received signal strength in dBm at distance d metres.
 func (w *Wireless) RSSI(d float64) int {
 	if d < w.D0 {

@@ -84,8 +84,6 @@ type FolderConfig struct {
 	// Clock stamps view rows and evaluates rate windows (pass the fleet
 	// clock; nil means wall clock).
 	Clock clock.Clock
-	// RateWindow is the sliding rate window (default DefaultRateWindow).
-	RateWindow time.Duration
 }
 
 // Folder consumes hub deltas and maintains the fleet-wide view: live
@@ -94,9 +92,8 @@ type FolderConfig struct {
 // registers itself as a synchronous hub handler, so after Hub.Flush its
 // reads reflect every row inserted before the flush.
 type Folder struct {
-	clk    clock.Clock
-	view   *hwdb.DB
-	window time.Duration
+	clk  clock.Clock
+	view *hwdb.DB
 
 	// Standard-schema column indexes, resolved once.
 	fMAC, fPkts, fBytes    int
@@ -161,9 +158,6 @@ func NewFolder(hub *Hub, cfg FolderConfig) *Folder {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	if cfg.RateWindow <= 0 {
-		cfg.RateWindow = DefaultRateWindow
-	}
 	view := hwdb.New(cfg.Clock)
 	_, err := view.CreateTable(ViewTable, hwdb.NewSchema(
 		hwdb.Column{Name: "home", Type: hwdb.TInt},
@@ -181,11 +175,10 @@ func NewFolder(hub *Hub, cfg FolderConfig) *Folder {
 		panic(err) // fresh DB, fixed name: cannot collide
 	}
 	f := &Folder{
-		clk:    cfg.Clock,
-		view:   view,
-		window: cfg.RateWindow,
-		homes:  make(map[uint64]*homeAcc),
-		rate:   newRateRing(cfg.RateWindow),
+		clk:   cfg.Clock,
+		view:  view,
+		homes: make(map[uint64]*homeAcc),
+		rate:  newRateRing(),
 	}
 	// The standard Homework schemas are fixed; resolve the column
 	// indexes the fold needs once, from a throwaway prototype DB.
@@ -246,7 +239,7 @@ func (f *Folder) RemoveHome(id uint64) {
 // addHomeLocked starts an accumulator for a home that has none (caller
 // holds f.mu).
 func (f *Folder) addHomeLocked(id uint64) *homeAcc {
-	h := &homeAcc{id: id, rate: newRateRing(f.window)}
+	h := &homeAcc{id: id, rate: newRateRing()}
 	f.homes[id] = h
 	i, _ := slices.BinarySearch(f.ids, id)
 	f.ids = slices.Insert(f.ids, i, id)
@@ -290,7 +283,7 @@ func (f *Folder) consume(d Delta) {
 				if h.dev == nil {
 					h.dev = make(map[int64]*rateRing)
 				}
-				dr = newRateRing(f.window)
+				dr = newRateRing()
 				h.dev[mac] = dr
 			}
 			dr.add(ts, by, pk)
@@ -459,9 +452,9 @@ type rateRing struct {
 	pkts   []uint64
 }
 
-func newRateRing(window time.Duration) *rateRing {
+func newRateRing() *rateRing {
 	return &rateRing{
-		bucket: window / rateBuckets,
+		bucket: DefaultRateWindow / rateBuckets,
 		idx:    make([]int64, rateBuckets),
 		bytes:  make([]uint64, rateBuckets),
 		pkts:   make([]uint64, rateBuckets),

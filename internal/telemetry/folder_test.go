@@ -26,7 +26,7 @@ func newRig(t *testing.T, homes ...uint64) *rig {
 	r := &rig{
 		clk:    clk,
 		hub:    hub,
-		folder: NewFolder(hub, FolderConfig{Clock: clk, RateWindow: 10 * time.Second}),
+		folder: NewFolder(hub, FolderConfig{Clock: clk}),
 		dbs:    make(map[uint64]*hwdb.DB),
 	}
 	for i, id := range homes {
