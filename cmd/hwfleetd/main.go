@@ -12,7 +12,7 @@
 // -duration is simulated seconds, run as fast as the homes step.
 //
 // The shard engines run in this process, or in worker processes. A
-// worker serves one shard engine's ShardClient contract over TCP
+// worker serves one shard engine's shardrpc.Backend contract over TCP
 // (internal/fleet/shardrpc), populating each home the coordinator
 // assigns from the scenario; a coordinator given -workers drives those
 // shards over the network instead of in-process engines, with each

@@ -2,8 +2,8 @@
 // Homework fleet at its existing seams — the in-process OpenFlow
 // transport (wedged controllers, dropped and delayed flow-mods), the
 // netsim delivery fabric and wireless model (link flaps, interference
-// bursts), the DHCP client stacks (re-join storms) and the telemetry hub
-// (slow subscribers) — on a schedule expressed in simulated time, and
+// bursts) and the DHCP client stacks (re-join storms) — on a schedule
+// expressed in simulated time, and
 // provides the time-compressed soak harness that drives the
 // health/remediation loop through days of scheduled failure in seconds
 // of wall clock while asserting the fleet re-converges to Healthy after
@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/health"
-	"repro/internal/telemetry"
 )
 
 // Kind is one fault class from the taxonomy.
@@ -30,8 +29,7 @@ type Kind int
 
 // The fault taxonomy. Transport faults (Wedge, DropMods, DelayMods) act
 // on the control channel; fabric faults (LinkFlap, Interference) act on
-// the simulated home network; DHCPStorm replays every host's join;
-// SlowReader starves a telemetry subscription.
+// the simulated home network; DHCPStorm replays every host's join.
 const (
 	LinkFlap Kind = iota
 	Interference
@@ -39,12 +37,11 @@ const (
 	DropMods
 	DelayMods
 	DHCPStorm
-	SlowReader
 )
 
 // Kinds lists every fault class (the default schedule mix).
 func Kinds() []Kind {
-	return []Kind{LinkFlap, Interference, Wedge, DropMods, DelayMods, DHCPStorm, SlowReader}
+	return []Kind{LinkFlap, Interference, Wedge, DropMods, DelayMods, DHCPStorm}
 }
 
 // String names the fault class.
@@ -62,8 +59,6 @@ func (k Kind) String() string {
 		return "delay-mods"
 	case DHCPStorm:
 		return "dhcp-storm"
-	case SlowReader:
-		return "slow-reader"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -97,15 +92,11 @@ type Engine struct {
 	fl     *fleet.Coordinator
 	faults map[uint64]*Faults
 	sched  []EpisodeStatus
-	slow   map[int]*telemetry.Subscription
 }
 
 // NewEngine creates an engine with no fleet and no schedule.
 func NewEngine() *Engine {
-	return &Engine{
-		faults: make(map[uint64]*Faults),
-		slow:   make(map[int]*telemetry.Subscription),
-	}
+	return &Engine{faults: make(map[uint64]*Faults)}
 }
 
 // Bind attaches the fleet the episodes act on.
@@ -180,7 +171,7 @@ func (e *Engine) Tick(now time.Duration) {
 	for i := 0; i < e.scheduleLen(); i++ {
 		st := e.status(i)
 		if !st.Injected && !st.Ended && st.At <= now {
-			if e.begin(i, &st.Episode) {
+			if e.begin(&st.Episode) {
 				e.setInjected(i)
 				st.Injected = true
 			} else {
@@ -191,7 +182,7 @@ func (e *Engine) Tick(now time.Duration) {
 			}
 		}
 		if st.Injected && !st.Ended && st.At+st.For <= now {
-			e.end(i, &st.Episode)
+			e.end(&st.Episode)
 			e.setEnded(i, false)
 		}
 	}
@@ -229,7 +220,7 @@ func (e *Engine) Finish() {
 	for i := 0; i < e.scheduleLen(); i++ {
 		st := e.status(i)
 		if st.Injected && !st.Ended {
-			e.end(i, &st.Episode)
+			e.end(&st.Episode)
 			e.setEnded(i, false)
 		}
 	}
@@ -265,24 +256,15 @@ func (e *Engine) Reapply(id uint64) {
 		}
 		switch st.Kind {
 		case LinkFlap, Interference:
-			e.begin(i, &st.Episode)
+			e.begin(&st.Episode)
 		}
 	}
 }
 
 // begin applies one episode's fault. Reports false when the target no
 // longer exists.
-func (e *Engine) begin(i int, ep *Episode) bool {
+func (e *Engine) begin(ep *Episode) bool {
 	switch ep.Kind {
-	case SlowReader:
-		// A subscriber with a one-delta buffer that nobody drains: the
-		// hub must keep delivering to everyone else and account every
-		// row this reader misses.
-		sub := e.fl.Hub().Subscribe(1)
-		e.mu.Lock()
-		e.slow[i] = sub
-		e.mu.Unlock()
-		return true
 	case Wedge:
 		e.FaultsFor(ep.Home).WedgeController(true)
 		return true
@@ -315,17 +297,8 @@ func (e *Engine) begin(i int, ep *Episode) bool {
 
 // end lifts one episode's fault. Missing targets are fine: a replaced
 // home took the fault down with it.
-func (e *Engine) end(i int, ep *Episode) {
+func (e *Engine) end(ep *Episode) {
 	switch ep.Kind {
-	case SlowReader:
-		e.mu.Lock()
-		sub := e.slow[i]
-		delete(e.slow, i)
-		e.mu.Unlock()
-		if sub != nil {
-			sub.Close()
-		}
-		return
 	case Wedge:
 		e.FaultsFor(ep.Home).WedgeController(false)
 		return

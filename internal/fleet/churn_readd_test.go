@@ -4,17 +4,27 @@ import (
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/core"
 	"repro/internal/netsim"
 )
 
 // TestRemoveReAddSameIDNoWatchLeak churns one home ID through repeated
-// RemoveHome + immediate AddHomeID cycles (the remediation loop's restart
-// path) and checks the telemetry watch state stays exact: the hub's
-// source count returns to baseline every cycle, every retired
+// RestartHome cycles (the remediation loop's restart path: a drain, then
+// a re-add of the same ID) and checks the telemetry watch state stays
+// exact: the hub's source count drops by one home's tables between the
+// drain and the re-add and returns to baseline after it, every retired
 // incarnation's rows stay accounted, and the re-added home's tables
 // stream rows again.
 func TestRemoveReAddSameIDNoWatchLeak(t *testing.T) {
-	f := New(Config{Clock: clock.NewSimulated(), Seed: 5})
+	var f *Coordinator
+	// The re-add configures the new incarnation before it watches its
+	// tables: the hub's sources then are what the drain left.
+	restarting, between := false, -1
+	f = New(Config{Clock: clock.NewSimulated(), Seed: 5, HomeConfig: func(uint64, *core.Config) {
+		if restarting {
+			between = f.Hub().Stats().Sources
+		}
+	}})
 	t.Cleanup(f.Stop)
 	homes, err := f.AddHomes(2)
 	if err != nil {
@@ -55,17 +65,17 @@ func TestRemoveReAddSameIDNoWatchLeak(t *testing.T) {
 		if err := f.Step(0.25); err != nil {
 			t.Fatalf("cycle %d step: %v", cycle, err)
 		}
-		if !f.RemoveHome(id) {
-			t.Fatalf("cycle %d: remove failed", cycle)
-		}
-		retired += insertsOf(h)
-		if got := f.Hub().Stats().Sources; got != baseline-len(watchedTables) {
-			t.Fatalf("cycle %d: %d sources after remove, want %d (watch state leaked)",
-				cycle, got, baseline-len(watchedTables))
-		}
-		h, err = f.AddHomeID(id)
+		old := h
+		restarting, between = true, -1
+		h, err = f.RestartHome(id)
+		restarting = false
 		if err != nil {
-			t.Fatalf("cycle %d re-add: %v", cycle, err)
+			t.Fatalf("cycle %d restart: %v", cycle, err)
+		}
+		retired += insertsOf(old)
+		if between != baseline-len(watchedTables) {
+			t.Fatalf("cycle %d: %d sources after the drain, want %d (watch state leaked)",
+				cycle, between, baseline-len(watchedTables))
 		}
 		if h.ID != id {
 			t.Fatalf("cycle %d: re-added as %d, want %d", cycle, h.ID, id)
@@ -74,11 +84,6 @@ func TestRemoveReAddSameIDNoWatchLeak(t *testing.T) {
 			t.Fatalf("cycle %d: %d sources after re-add, want %d", cycle, got, baseline)
 		}
 		join(h)
-	}
-
-	// A live ID must not be claimable again.
-	if _, err := f.AddHomeID(id); err == nil {
-		t.Fatal("AddHomeID on a live ID succeeded")
 	}
 
 	// The final incarnation still streams: step, then check the books

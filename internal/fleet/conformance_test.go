@@ -14,18 +14,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The ShardClient conformance suite: one table of contract assertions
+// The shardrpc.Backend conformance suite: one table of contract assertions
 // run identically against the in-process engine and the remote shardrpc
 // client over loopback TCP. Anything the coordinator may assume about a
 // shard must hold for both — a behavioural gap between the two
 // implementations is a bug here before it is a flaky fleet.
 
-// conformKit is one ShardClient implementation under test plus the
+// conformKit is one shardrpc.Backend implementation under test plus the
 // engine actually backing it (for remote kits, behind a server), and the
-// telemetry hub the coordinator would attach for it: the engine's own
+// telemetry hub the coordinator would federate for it: the engine's own
 // hub in process, the client's relay hub across the wire.
 type conformKit struct {
-	client ShardClient
+	client shardrpc.Backend
 	eng    *engine.Engine
 	clk    *clock.Simulated
 	deltas *telemetry.Hub
@@ -245,8 +245,7 @@ func TestConformanceCrossImplementation(t *testing.T) {
 	for _, impl := range conformImpls {
 		k := impl.make(t)
 		k.deltas.SubscribeFunc(func(d telemetry.Delta) { seen[impl.name] = append(seen[impl.name], deltaText(d)...) })
-		feds[impl.name] = telemetry.NewFederation(telemetry.FolderConfig{Clock: k.clk})
-		feds[impl.name].Attach(k.deltas)
+		feds[impl.name] = telemetry.NewFederation(telemetry.FolderConfig{Clock: k.clk}, k.deltas)
 		kits[impl.name] = k
 	}
 	for _, k := range kits {

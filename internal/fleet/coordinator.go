@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/fleet/engine"
+	"repro/internal/fleet/shardrpc"
 	"repro/internal/hwdb"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -17,8 +18,8 @@ import (
 
 // Placement-event ops recorded in the coordinator's history.
 const (
-	// OpSpawn places a home on a shard (AddHome, AddHomeID, the re-add
-	// half of restart/replace).
+	// OpSpawn places a home on a shard (AddHome, the re-add half of
+	// restart/replace).
 	OpSpawn = "spawn"
 	// OpDrain removes a home from its shard (RemoveHome, the teardown
 	// half of restart/replace).
@@ -46,12 +47,12 @@ type PlacementEvent struct {
 // Coordinator is the fleet's placement control plane: it owns home→shard
 // assignment, the spawn/assign/drain/migrate/restart/replace lifecycle,
 // the shared clock and the federated telemetry view, and drives N
-// shard-local engines through the ShardClient contract. It is the single
-// surface internal/health remediation and cmd/hwfleetd use.
+// shard-local engines through the shardrpc.Backend contract. It is the
+// single surface internal/health remediation and cmd/hwfleetd use.
 type Coordinator struct {
 	cfg     Config
-	engines []*engine.Engine // in-process home access (engines[i].Home)
-	shards  []ShardClient    // the contract the lifecycle drives
+	engines []*engine.Engine   // in-process home access (engines[i].Home)
+	shards  []shardrpc.Backend // the contract the lifecycle drives
 	fed     *telemetry.Federation
 
 	mu       sync.Mutex
@@ -74,34 +75,32 @@ func New(cfg Config) *Coordinator {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	c := &Coordinator{
-		cfg:   cfg,
-		fed:   telemetry.NewFederation(telemetry.FolderConfig{Clock: cfg.Clock}),
-		place: make(map[uint64]int),
-	}
+	c := &Coordinator{cfg: cfg, place: make(map[uint64]int)}
+	var hubs []*telemetry.Hub
 	if len(cfg.WorkerAddrs) > 0 {
 		// Remote fleet: one shardrpc client per worker address, each
-		// feeding a federated hub that stands in for the worker's. No engines
+		// feeding a hub that stands in for the worker's. No engines
 		// exist in this process, so Home/Homes return nothing; everything
 		// else — lifecycle, stepping, Stats, telemetry — is identical.
 		c.cfg.Shards = len(cfg.WorkerAddrs)
-		c.shards = newRemoteShards(c.cfg, c.fed)
-		return c
+		c.shards, hubs = newRemoteShards(c.cfg)
+	} else {
+		for i := 0; i < cfg.Shards; i++ {
+			e := engine.New(engine.Config{
+				Index:      i,
+				Clock:      cfg.Clock,
+				Seed:       cfg.Seed,
+				HomeConfig: cfg.HomeConfig,
+				OnStep:     cfg.onStep,
+			})
+			c.engines = append(c.engines, e)
+			c.shards = append(c.shards, e)
+			hubs = append(hubs, e.Hub())
+		}
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		e := engine.New(engine.Config{
-			Index:      i,
-			Clock:      cfg.Clock,
-			Seed:       cfg.Seed,
-			HomeConfig: cfg.HomeConfig,
-			OnStep:     cfg.onStep,
-		})
-		c.engines = append(c.engines, e)
-		c.shards = append(c.shards, e)
-		// Attach before any home exists, so every row any shard ever
-		// delivers is folded into the global view.
-		c.fed.Attach(e.Hub())
-	}
+	// Federate before any home exists, so every row any shard ever
+	// delivers is folded into the global view.
+	c.fed = telemetry.NewFederation(telemetry.FolderConfig{Clock: cfg.Clock}, hubs...)
 	return c
 }
 
@@ -183,17 +182,10 @@ func (c *Coordinator) AddHome() (*Home, error) {
 	return c.assign(id, s)
 }
 
-// AddHomeID brings up a home under a caller-chosen ID — the remediation
-// loop's restart path re-creates a home in place after RemoveHome. The
-// ID must not be live; the auto-allocation sequence skips past it so
-// later AddHome calls cannot collide. Placement follows the modulo
-// policy.
-func (c *Coordinator) AddHomeID(id uint64) (*Home, error) {
-	return c.addAt(id, shardOf(id, len(c.shards)))
-}
-
 // addAt reserves a caller-chosen ID on a specific shard and brings the
-// home up there.
+// home up there — RestartHome's re-add. The ID must not be live (a
+// restart can race a remove); the auto-allocation sequence skips past it
+// so later AddHome calls cannot collide.
 func (c *Coordinator) addAt(id uint64, s int) (*Home, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -230,7 +222,7 @@ func (c *Coordinator) assign(id uint64, s int) (*Home, error) {
 		// the global folder without a host count (no handle reaches its
 		// network) and return a nil handle — remote callers use IDs, not
 		// Homes.
-		c.fed.AddHome(id, nil)
+		c.fed.Folder().AddHome(id, nil)
 		return nil, nil
 	}
 	h, ok := c.engines[s].Home(id)
@@ -243,7 +235,7 @@ func (c *Coordinator) assign(id uint64, s int) (*Home, error) {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("fleet: home %d torn down during assign", id)
 	}
-	c.fed.AddHome(id, h.Router.Net.HostCount)
+	c.fed.Folder().AddHome(id, h.Router.Net.HostCount)
 	return h, nil
 }
 
@@ -337,7 +329,7 @@ func (c *Coordinator) RemoveHome(id uint64) bool {
 		// a concurrent remove won the drain.
 		return false
 	}
-	c.fed.RemoveHome(id)
+	c.fed.Folder().RemoveHome(id)
 	c.mu.Lock()
 	delete(c.place, id)
 	c.event(OpDrain, id, s, -1)
@@ -364,7 +356,7 @@ func (c *Coordinator) Migrate(id uint64, target int) (*Home, error) {
 	if !c.shards[from].Drain(id) {
 		return nil, fmt.Errorf("fleet: no home %d", id)
 	}
-	c.fed.RemoveHome(id)
+	c.fed.Folder().RemoveHome(id)
 	c.mu.Lock()
 	c.place[id] = target
 	c.event(OpMigrate, id, from, target)
@@ -479,7 +471,7 @@ func (c *Coordinator) Sync() {
 	for _, sc := range c.shards {
 		sc.Sync()
 	}
-	c.fed.Commit()
+	c.fed.Folder().Commit()
 }
 
 // DB returns the fleet-wide hwdb holding the continuously-maintained
@@ -524,8 +516,8 @@ func (c *Coordinator) Totals() FleetTotals {
 // one coherent fleet regardless of shard count.
 func (c *Coordinator) Telemetry() *telemetry.Folder { return c.fed.Folder() }
 
-// Hub exposes the fleet's federated subscription surface — attach
-// additional delta subscribers (they span every shard hub) or read the
+// Hub exposes the fleet's federated delta surface — register additional
+// consumers with SubscribeFunc (they span every shard hub) or read the
 // summed delivery/loss accounting.
 func (c *Coordinator) Hub() *telemetry.Federation { return c.fed }
 
@@ -567,7 +559,7 @@ func (c *Coordinator) Stop() {
 	var wg sync.WaitGroup
 	for _, sc := range c.shards {
 		wg.Add(1)
-		go func(sc ShardClient) {
+		go func(sc shardrpc.Backend) {
 			defer wg.Done()
 			sc.Close()
 		}(sc)

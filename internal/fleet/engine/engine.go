@@ -1,13 +1,13 @@
 // Package engine is the shard-local half of the fleet control plane: an
 // Engine owns a set of homes (each a full core.Router), steps them,
 // keeps their vitals, and owns its own telemetry hub — and nothing else.
-// It folds nothing: the hub's deltas go to whoever subscribes (the
-// coordinator's federation in process, a shardrpc server in a worker).
-// It has no knowledge of global membership, placement or remediation
-// policy; those live in the fleet coordinator, which drives engines
-// through the narrow fleet.ShardClient contract (assign/drain/step/sync/
-// stats) so the later network hop between coordinator and engine is a
-// transport swap, not another refactor. See docs/ARCHITECTURE.md "Fleet
+// It folds nothing: the hub's deltas go to whoever registers a consumer
+// (the coordinator's federation in process, a shardrpc server in a
+// worker). It has no knowledge of global membership, placement or
+// remediation policy; those live in the fleet coordinator, which drives
+// engines through the narrow shardrpc.Backend contract (assign/drain/
+// step/sync/stats), so the network hop between coordinator and engine is
+// a transport swap, not another refactor. See docs/ARCHITECTURE.md "Fleet
 // control plane".
 //
 // Concurrency: an engine starts no goroutine. Step runs each home to
@@ -72,7 +72,7 @@ type Stats struct {
 }
 
 // Engine steps a set of homes and streams their telemetry. It is the
-// in-process implementation of the fleet.ShardClient contract.
+// in-process implementation of the shardrpc.Backend contract.
 type Engine struct {
 	cfg Config
 	hub *telemetry.Hub
@@ -160,7 +160,7 @@ func (e *Engine) Assign(id uint64) error {
 	e.mu.Unlock()
 
 	// Feed the home's measurement tables into the telemetry hub: from
-	// here on, every hwdb insert streams to the hub's subscribers (through
+	// here on, every hwdb insert streams to the hub's consumers (through
 	// the coordinator's federation, into the global view).
 	for _, name := range watchedTables {
 		if t, ok := rt.DB.Table(name); ok {
@@ -327,8 +327,8 @@ func (e *Engine) TraceSnapshot() trace.Snapshot {
 	return merged
 }
 
-// Hub exposes the engine's subscription hub, e.g. to attach a federating
-// subscriber or read delivery/loss accounting.
+// Hub exposes the engine's telemetry hub, e.g. to federate it, register
+// a consumer or read delivery/loss accounting.
 func (e *Engine) Hub() *telemetry.Hub { return e.hub }
 
 // Close stops every home in ascending ID order and closes the telemetry

@@ -27,7 +27,7 @@ func engineInserts(homes []*Home) uint64 {
 	return total
 }
 
-// TestEngineLifecycle drives the full ShardClient contract on one engine
+// TestEngineLifecycle drives the full shardrpc.Backend contract on one engine
 // in isolation — assign, duplicate-assign rejection, step, sync, stats,
 // drain, retired accounting, close — with no coordinator above it.
 func TestEngineLifecycle(t *testing.T) {

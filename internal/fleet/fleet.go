@@ -13,7 +13,7 @@
 //   - The placement layer (Coordinator): owns home→shard
 //     assignment, the spawn/assign/drain/migrate/restart/replace
 //     lifecycle and the shared clock, and drives engines through the
-//     narrow ShardClient contract. It is the single surface
+//     narrow shardrpc.Backend contract. It is the single surface
 //     internal/health remediation and cmd/hwfleetd use.
 //
 // On top, a telemetry.Federation folds the N per-shard hubs (for remote

@@ -9,15 +9,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The remote client implements the same contract as the in-process
-// engine, and the worker-side Backend interface mirrors ShardClient —
-// these assertions live here because shardrpc cannot import fleet
-// without a cycle.
-var (
-	_ ShardClient      = (*shardrpc.Client)(nil)
-	_ shardrpc.Backend = ShardClient(nil)
-)
-
 // ErrStepTimeout is returned by Coordinator.Step when one shard's Step
 // did not complete within Config.StepTimeout. The wedged shard's call is
 // abandoned, not cancelled: its goroutine finishes (or its RPC deadline
@@ -25,14 +16,15 @@ var (
 // cordon or replace the shard's worker.
 var ErrStepTimeout = errors.New("fleet: shard step timed out")
 
-// newRemoteShards builds one shardrpc client per worker address, feeding
-// a hub of its own that is attached to the federation, mirroring what
-// New does with in-process engines and their hubs.
-func newRemoteShards(cfg Config, fed *telemetry.Federation) []ShardClient {
-	shards := make([]ShardClient, 0, len(cfg.WorkerAddrs))
+// newRemoteShards builds one shardrpc client per worker address, each
+// feeding a hub of its own, and returns the clients with their hubs in
+// shard order for New to federate, as it does in-process engines' hubs.
+func newRemoteShards(cfg Config) ([]shardrpc.Backend, []*telemetry.Hub) {
+	shards := make([]shardrpc.Backend, 0, len(cfg.WorkerAddrs))
+	hubs := make([]*telemetry.Hub, 0, len(cfg.WorkerAddrs))
 	for _, addr := range cfg.WorkerAddrs {
 		relay := telemetry.NewHub(telemetry.HubConfig{})
-		fed.Attach(relay)
+		hubs = append(hubs, relay)
 		shards = append(shards, shardrpc.Dial(shardrpc.ClientConfig{
 			Addr:        addr,
 			Relay:       relay,
@@ -40,7 +32,7 @@ func newRemoteShards(cfg Config, fed *telemetry.Federation) []ShardClient {
 			StepTimeout: cfg.StepTimeout,
 		}))
 	}
-	return shards
+	return shards, hubs
 }
 
 // stepShard runs one shard's Step under the fleet step deadline. With no
@@ -48,7 +40,7 @@ func newRemoteShards(cfg Config, fed *telemetry.Federation) []ShardClient {
 // not return in time yields ErrStepTimeout while the stuck call drains
 // in the background — a wedged worker costs a leaked goroutine until its
 // own transport deadline fires, not a hung fleet tick.
-func (c *Coordinator) stepShard(sc ShardClient, dt float64) error {
+func (c *Coordinator) stepShard(sc shardrpc.Backend, dt float64) error {
 	if c.cfg.StepTimeout <= 0 {
 		return sc.Step(dt)
 	}

@@ -47,7 +47,7 @@ type ClientConfig struct {
 	StepTimeout time.Duration
 }
 
-// Client is the remote implementation of the fleet ShardClient contract:
+// Client is the remote implementation of the Backend contract:
 // each method is one framed round trip to a worker's Server. It dials
 // lazily, redials (with RESYNC book reconciliation) after any transport
 // error, and serializes calls — the fleet coordinator drives each shard

@@ -14,12 +14,46 @@ import (
 	"repro/internal/trace"
 )
 
-// Backend is the shard-side surface a server drives: the ShardClient
-// method set, implemented by *engine.Engine in every real worker and by
-// stubs in the protocol tests (a deliberately wedged Step, a counting
-// fake). It mirrors fleet.ShardClient verbatim; the fleet package
-// asserts both stay aligned (shardrpc cannot import fleet without a
-// cycle).
+// Backend is the one shard contract: the coordinator's view of a shard
+// engine, and the surface a worker's Server drives. Two implementations
+// satisfy it — the in-process *engine.Engine and the remote *Client,
+// which carries each call to a Server over TCP — plus stubs in the
+// protocol tests (a deliberately wedged Step, a counting fake). The
+// conformance suite runs one table of clauses against both
+// implementations (TestShardClientConformance).
+//
+// Contract (see docs/ARCHITECTURE.md "Fleet control plane"):
+//
+//   - Assign(id) builds and starts a home under a fleet-unique ID the
+//     coordinator allocated; the engine watches its hwdb tables into the
+//     shard hub before Assign returns (TestRemoveReAddSameIDNoWatchLeak).
+//     Assigning a live ID is an error (TestShardClientConformance).
+//   - Drain(id) is the one teardown primitive: stop the router, final
+//     telemetry flush (every row the home's tables still held is
+//     delivered), retire the home's sources into the shard hub's
+//     cumulative accounting, drop per-home state
+//     (TestEngineLifecycle, TestRemoveReAddSameIDNoWatchLeak). Remove,
+//     restart, replace and migrate are all Drain plus zero or one Assign
+//     (TestMigrateHomeAcrossShards, TestPlacementDeterminism).
+//   - Cordon(id) and Uncordon(id) take a live home out of and back into
+//     the step plan, and report false for an absent one
+//     (TestEngineCordonSkipsStepping, TestShardClientConformance).
+//   - Step(dt) is a pure barrier over the engine's homes: deterministic
+//     per-home order (TestDeterministicStepping), no shared-clock
+//     advance, no telemetry flush (TestShardClientConformance). The
+//     coordinator advances time and syncs, once per fleet tick.
+//   - Sync flushes the shard hub; the coordinator calls it in shard
+//     order so federated fan-out is deterministic
+//     (TestLiveStatsReflectEveryStep).
+//   - Stats must reconcile: summed over shards, Hub.Delivered+Hub.Lost
+//     equals every row any home incarnation ever inserted
+//     (TestShardClientConformance, TestRemoteFleetConcurrency32Homes).
+//     The federation's global books are sums of these, never a third
+//     count. Both implementations report the same Stats and deltas for
+//     the same script (TestConformanceCrossImplementation).
+//   - Close tears the engine down: a closed engine refuses Step and
+//     Assign (TestEngineLifecycle), and a second Close is a no-op
+//     (TestShardClientConformance).
 type Backend interface {
 	Assign(id uint64) error
 	Drain(id uint64) bool
@@ -32,7 +66,10 @@ type Backend interface {
 	Close()
 }
 
-var _ Backend = (*engine.Engine)(nil)
+var (
+	_ Backend = (*engine.Engine)(nil)
+	_ Backend = (*Client)(nil)
+)
 
 // Config parameterizes a worker-side server.
 type Config struct {
@@ -53,7 +90,7 @@ type Config struct {
 // conn goroutine.
 const writeTimeout = 30 * time.Second
 
-// Server serves the ShardClient contract for one engine over TCP. It
+// Server serves the Backend contract for one engine over TCP. It
 // accepts any number of sequential or concurrent connections (a
 // coordinator reconnecting after a network fault just dials again), but
 // the telemetry commit books are server-global, so batches stay exactly

@@ -1,10 +1,11 @@
-// Package shardrpc carries the fleet ShardClient contract across a
-// process boundary: length-prefixed frames over TCP, HWDB/1-style text
-// verb headers with compact binary bodies, plus a telemetry batch relay
-// that streams a remote engine's hub deltas back into a coordinator-side
-// hub under the exact-accounting invariant (delivered+lost == inserts
-// across every incarnation, now across processes). Neither side folds
-// the deltas: the coordinator's federation does, once.
+// Package shardrpc defines the fleet's one shard contract, Backend, and
+// carries it across a process boundary: length-prefixed frames over TCP,
+// HWDB/1-style text verb headers with compact binary bodies, plus a
+// telemetry batch relay that streams a remote engine's hub deltas back
+// into a coordinator-side hub under the exact-accounting invariant
+// (delivered+lost == inserts across every incarnation, now across
+// processes). Neither side folds the deltas: the coordinator's
+// federation does, once.
 //
 // # Wire format
 //

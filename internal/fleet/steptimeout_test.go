@@ -10,7 +10,7 @@ import (
 	"repro/internal/trace"
 )
 
-// stalledShard is a ShardClient whose Step blocks until release closes —
+// stalledShard is a shardrpc.Backend whose Step blocks until release closes —
 // a wedged remote worker from the coordinator's point of view.
 type stalledShard struct {
 	release chan struct{}

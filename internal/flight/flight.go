@@ -39,12 +39,6 @@ const DefaultWindow = time.Second
 // RecorderConfig.Retention is zero.
 const DefaultRetention = 10 * time.Minute
 
-// DeltaSource is anything the recorder can attach to: a single shard's
-// *telemetry.Hub or the coordinator's *telemetry.Federation.
-type DeltaSource interface {
-	SubscribeFunc(func(telemetry.Delta))
-}
-
 // RecorderConfig parameterizes a Recorder.
 type RecorderConfig struct {
 	// Window is the time-bucket width; rows whose timestamps fall in the
@@ -117,11 +111,12 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	}
 }
 
-// Attach registers the recorder's delta consumer on src. Call before the
-// source's first drain (for manual-mode fleets: before the first Sync) so
-// the recorder's books start from row zero and reconcile exactly against
-// the hub's delivered count.
-func (r *Recorder) Attach(src DeltaSource) {
+// Attach registers the recorder's delta consumer on src — a shard's
+// *telemetry.Hub or the coordinator's *telemetry.Federation. Call before
+// the source's first drain (for manual-mode fleets: before the first
+// Sync) so the recorder's books start from row zero and reconcile exactly
+// against the hub's delivered count.
+func (r *Recorder) Attach(src telemetry.Source) {
 	src.SubscribeFunc(r.consume)
 }
 

@@ -18,14 +18,6 @@ const (
 	TableRemedy = "Remedy"
 )
 
-// DeltaSource is the telemetry feed the monitor subscribes to: a single
-// shard's *telemetry.Hub or the fleet coordinator's *telemetry.Federation
-// (which registers the handler on every shard hub) — anything that can
-// attach a synchronous delta handler.
-type DeltaSource interface {
-	SubscribeFunc(func(telemetry.Delta))
-}
-
 // Config parameterizes a Monitor.
 type Config struct {
 	// Policy thresholds; zero-valued fields take DefaultPolicy values.
@@ -33,10 +25,12 @@ type Config struct {
 	// Clock timestamps the verdict/action rows (default wall clock; pass
 	// the fleet's simulated clock for deterministic audits).
 	Clock clock.Clock
-	// Hub, when set, feeds the loss evaluator: the monitor subscribes
-	// synchronously and folds FlowPerf deltas into per-home windows.
-	// Home IDs must be unique across the source (fleet-wide IDs are).
-	Hub DeltaSource
+	// Hub, when set, feeds the loss evaluator: the monitor registers a
+	// synchronous consumer on it — a shard's *telemetry.Hub or a fleet's
+	// *telemetry.Federation — and folds FlowPerf deltas into per-home
+	// windows. Home IDs must be unique across the source (fleet-wide IDs
+	// are).
+	Hub telemetry.Source
 	// Vitals reads a home's control-plane signals; ok=false skips the
 	// home this window (e.g. mid-replacement).
 	Vitals func(id uint64) (Vitals, bool)

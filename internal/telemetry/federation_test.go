@@ -8,9 +8,8 @@ import (
 
 // TestFederationFoldsMemberHubs: one federation over two shard hubs
 // folds both delta streams into a single global folder, sums the
-// members' delivered/lost books, and a federated channel subscription
-// receives from every member — the exact-accounting invariant composes
-// across shards.
+// members' delivered/lost books, and a federated consumer receives from
+// every member — the exact-accounting invariant composes across shards.
 func TestFederationFoldsMemberHubs(t *testing.T) {
 	tblA, clk := testTable(t, 64)
 	tblB := hwdb.NewTable("T", hwdb.NewSchema(hwdb.Column{Name: "v", Type: hwdb.TInt}), 64)
@@ -19,18 +18,12 @@ func TestFederationFoldsMemberHubs(t *testing.T) {
 	hubB := NewHub(HubConfig{})
 	defer hubB.Close()
 
-	fed := NewFederation(FolderConfig{Clock: clk})
-	fed.Attach(hubA)
-	fed.Attach(hubB)
-	if fed.Members() != 2 {
-		t.Fatalf("members = %d", fed.Members())
-	}
-	sub := fed.Subscribe(8)
-	defer sub.Close()
+	fed := NewFederation(FolderConfig{Clock: clk}, hubA, hubB)
+	got := collect(fed)
 
 	// Fleet-unique home IDs across shards: home 1 on shard A, home 2 on B.
-	fed.AddHome(1, nil)
-	fed.AddHome(2, nil)
+	fed.Folder().AddHome(1, nil)
+	fed.Folder().AddHome(2, nil)
 	hubA.Watch(SourceID{Home: 1, Table: "T"}, tblA)
 	hubB.Watch(SourceID{Home: 2, Table: "T"}, tblB)
 
@@ -51,27 +44,21 @@ func TestFederationFoldsMemberHubs(t *testing.T) {
 		t.Fatalf("federated stats = %+v", st)
 	}
 
-	// The one subscription saw both shards' deltas on one channel.
+	// The one consumer saw both shards' deltas.
 	var rows uint64
 	seen := map[uint64]bool{}
-	for {
-		select {
-		case d := <-sub.C():
-			rows += uint64(len(d.Rows))
-			seen[d.Source.Home] = true
-			continue
-		default:
-		}
-		break
+	for _, d := range *got {
+		rows += uint64(len(d.Rows))
+		seen[d.Source.Home] = true
 	}
-	if rows+sub.PendingLost() != 8 || !seen[1] || !seen[2] {
-		t.Fatalf("subscription saw %d rows (pending %d) from homes %v", rows, sub.PendingLost(), seen)
+	if rows != 8 || !seen[1] || !seen[2] {
+		t.Fatalf("consumer saw %d rows from homes %v", rows, seen)
 	}
 
 	// Retiring a member's source moves its books into the retired
 	// accounting, still summed by the federation.
 	hubA.Unwatch(SourceID{Home: 1, Table: "T"})
-	fed.RemoveHome(1)
+	fed.Folder().RemoveHome(1)
 	st = fed.Stats()
 	if st.Sources != 1 || st.Delivered != 8 {
 		t.Fatalf("post-retire stats = %+v", st)

@@ -188,9 +188,9 @@ func TestFlushAllocatesPerFlush(t *testing.T) {
 }
 
 // TestPumpedRowsStayPut: with a second goroutine flushing the hub while a
-// table takes inserts, a channel subscriber reads each delta on its own
-// goroutine as later passes carve their rows from what earlier passes'
-// arrays left. Every row arrives once, in order, and still reads what it
+// table takes inserts, a consumer hands each delta to a channel, and a
+// goroutine of its own reads them there as later passes carve their rows
+// from what earlier passes' arrays left. Every row arrives once, in order, and still reads what it
 // did when it arrived after the last pass — under -race, no pass writes a
 // cell a delivered row views.
 func TestPumpedRowsStayPut(t *testing.T) {
@@ -198,13 +198,14 @@ func TestPumpedRowsStayPut(t *testing.T) {
 	tbl := hwdb.NewTable("T", hwdb.NewSchema(hwdb.Column{Name: "v", Type: hwdb.TInt}, hwdb.Column{Name: "s", Type: hwdb.TString}), 1<<16)
 	hub := NewHub(HubConfig{})
 	defer hub.Close()
-	sub := hub.Subscribe(n)
+	deltas := make(chan Delta, n)
+	hub.SubscribeFunc(func(d Delta) { deltas <- d })
 	hub.Watch(SourceID{Home: 1, Table: "T"}, tbl)
 	done := make(chan []hwdb.Row)
 	go func() {
 		var kept []hwdb.Row
 		for len(kept) < n {
-			d := <-sub.C()
+			d := <-deltas
 			for _, r := range d.Rows {
 				if r.Int(0) != int64(len(kept)) {
 					t.Errorf("row %d arrived as %d", len(kept), r.Int(0))

@@ -152,8 +152,8 @@ func (p *periodAcc) reset() {
 
 // NewFolder builds a folder over hub and registers it as a synchronous
 // consumer. The folder owns the FleetStats view database. A nil hub
-// builds a detached folder — a Federation attaches it to every shard hub
-// instead, so one folder can fold N hubs into one global view.
+// builds a detached folder — a Federation registers it on every member
+// hub instead, so one folder can fold N hubs into one global view.
 func NewFolder(hub *Hub, cfg FolderConfig) *Folder {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}

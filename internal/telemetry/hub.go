@@ -1,6 +1,6 @@
 // Package telemetry is the live fleet-wide streaming layer between the
 // per-home Homework Databases and the management interfaces: a push-based
-// subscription hub over hwdb tables, a folder that keeps fleet-wide
+// hub over hwdb tables, a folder that keeps fleet-wide
 // statistics (and windowed per-home/per-device rates — the
 // fleet-scale analogue of the paper's bandwidth display) continuously
 // current without an on-demand fold pass, and the fleet endpoint: the
@@ -12,17 +12,15 @@
 // than every reader re-scanning every home's rings, each hwdb insert sets
 // a per-source dirty flag (no allocation, never blocking the inserter),
 // and each Flush is one drain pass that batch-reads every dirty table
-// forward from its cursor into one hwdb.RowBuilder and fans the row
-// deltas out to subscribers. A hub starts no goroutine: deltas move only
-// when its owner flushes it. A hub can also be fed from outside with
-// Ingest — the coordinator's image of a remote worker's hub — and fans
-// those deltas out the same way. Loss is explicit at every level: rows
-// that wrap out of an hwdb ring before a drain are counted by the read,
-// rows a remote stream lost on the wire are counted by AccountLost, and
-// rows a slow channel subscriber cannot accept are counted per subscriber
-// and folded into the Lost field of the next delta it does receive —
-// every inserted row is either delivered or accounted, never silently
-// gone.
+// forward from its cursor into one hwdb.RowBuilder and hands the row
+// deltas to every consumer function registered with SubscribeFunc, inside
+// the pass. A hub starts no goroutine: deltas move only when its owner
+// flushes it. A hub can also be fed from outside with Ingest — the
+// coordinator's image of a remote worker's hub — and hands those deltas
+// on the same way. Loss is explicit: rows that wrap out of an hwdb ring
+// before a drain are counted by the read, and rows a remote stream lost
+// on the wire are counted by AccountLost — every inserted row is either
+// delivered or accounted, never silently gone.
 //
 // Each delta reaches exactly one Folder: the Federation's, which folds
 // every member hub of a fleet into one global view.
@@ -45,9 +43,8 @@ type SourceID struct {
 
 // Delta is one batched change notification: the rows inserted into Source
 // since the previous delta, oldest-first, plus the number of rows lost —
-// wrapped out of the hwdb ring before the hub could read them, or (for
-// channel subscribers) dropped earlier at this subscriber's full buffer
-// and reported in-band here.
+// wrapped out of the hwdb ring before the hub could read them, or
+// reported lost in-band by the remote stream an ingested delta came from.
 type Delta struct {
 	Source SourceID
 	Rows   []hwdb.Row
@@ -63,15 +60,14 @@ type HubConfig struct {
 	Manual bool
 }
 
-// Hub is an in-process, cursor-based subscription hub over hwdb tables.
-// Watch registers tables, or Ingest feeds it deltas read elsewhere;
-// Subscribe/SubscribeFunc register consumers. All methods are safe for
-// concurrent use.
+// Hub is an in-process, cursor-based delta hub over hwdb tables. Watch
+// registers tables, or Ingest feeds it deltas read elsewhere;
+// SubscribeFunc registers consumers. All methods are safe for concurrent
+// use.
 type Hub struct {
-	mu      sync.Mutex // registry: sources, subscribers
+	mu      sync.Mutex // registry: sources, consumers
 	sources map[SourceID]*source
 	order   []*source // sorted by (Home, Table); nil when stale
-	subs    []*Subscription
 	fns     []func(Delta)
 	closed  bool
 
@@ -144,8 +140,8 @@ func (h *Hub) Watch(id SourceID, t *hwdb.Table) {
 	h.mu.Unlock()
 
 	// The insert hot path: one atomic load and one CAS. No allocation,
-	// and the inserter never waits on any consumer — a slow subscriber
-	// costs accounted loss, not insert latency.
+	// and the inserter never waits on any consumer: consumers run in the
+	// drain pass, not on the insert.
 	t.Notify(func() {
 		if !s.gone.Load() {
 			s.dirty.CompareAndSwap(0, 1)
@@ -197,40 +193,17 @@ func (h *Hub) AccountLost(rows uint64) {
 	h.pumpMu.Unlock()
 }
 
-// Subscribe registers a channel consumer with the given buffer (default
-// 64). Deltas the consumer cannot accept are dropped with their row count
-// accounted and folded into the Lost field of the next delivered delta.
-func (h *Hub) Subscribe(buf int) *Subscription {
-	if buf <= 0 {
-		buf = 64
-	}
-	sub := &Subscription{members: []*Hub{h}, ch: make(chan Delta, buf)}
-	h.addSub(sub)
-	return sub
+// Source is what a delta consumer registers on: a shard's *Hub or a
+// fleet's *Federation. The handler runs inside each drain pass, for every
+// delta, in deterministic source order.
+type Source interface {
+	SubscribeFunc(func(Delta))
 }
 
-// addSub attaches an existing subscription to this hub's fan-out — the
-// seam a Federation uses to span one subscription (one channel, one loss
-// book) across several shard hubs.
-func (h *Hub) addSub(sub *Subscription) {
-	h.mu.Lock()
-	if !h.closed {
-		h.subs = append(h.subs, sub)
-	}
-	h.mu.Unlock()
-}
-
-// removeSub detaches one subscription from this hub's fan-out.
-func (h *Hub) removeSub(sub *Subscription) {
-	h.mu.Lock()
-	for i, s := range h.subs {
-		if s == sub {
-			h.subs = append(append([]*Subscription(nil), h.subs[:i]...), h.subs[i+1:]...)
-			break
-		}
-	}
-	h.mu.Unlock()
-}
+var (
+	_ Source = (*Hub)(nil)
+	_ Source = (*Federation)(nil)
+)
 
 // SubscribeFunc registers a synchronous handler called inside the drain
 // pass for every delta, in deterministic source order. Handlers must be
@@ -245,8 +218,7 @@ func (h *Hub) SubscribeFunc(fn func(Delta)) {
 }
 
 // Flush synchronously drains every dirty source and returns once every
-// resulting delta has been handed to every consumer (delivered or
-// accounted as dropped). The insert hook sets the dirty flag before
+// resulting delta has been handed to every consumer. The insert hook sets the dirty flag before
 // Insert returns, so after a Flush, reads of any SubscribeFunc consumer
 // reflect all rows whose Insert returned before Flush was called — and
 // idle sources cost one atomic load each, not a Tail lock acquisition.
@@ -317,21 +289,18 @@ func (h *Hub) drain() {
 	h.deltas, h.rest = deltas[:0], rows.Rest()
 }
 
-// fanOut hands each delta, in order, to every function consumer and every
-// channel subscriber. Callers hold pumpMu.
+// fanOut hands each delta, in order, to every consumer. Callers hold
+// pumpMu.
 func (h *Hub) fanOut(deltas ...Delta) {
 	if len(deltas) == 0 {
 		return
 	}
 	h.mu.Lock()
-	fns, subs := h.fns, h.subs
+	fns := h.fns
 	h.mu.Unlock()
 	for _, d := range deltas {
 		for _, fn := range fns {
 			fn(d)
-		}
-		for _, sub := range subs {
-			sub.deliver(d)
 		}
 	}
 }
@@ -373,62 +342,4 @@ func (h *Hub) finalDrain(s *source) {
 	s.delivered += uint64(len(rows))
 	s.lost += lost
 	h.fanOut(Delta{Source: s.id, Rows: rows, Lost: lost})
-}
-
-// Subscription is one channel consumer of one hub or (through a
-// Federation) several — watched and ingest-fed hubs alike: the channel,
-// the loss accounting and the drop books are shared across every hub the
-// subscription is attached to.
-type Subscription struct {
-	members []*Hub
-	ch      chan Delta
-
-	pendingLost atomic.Uint64 // loss not yet reported in-band
-	dropped     atomic.Uint64 // rows dropped at this subscriber's buffer
-	closed      atomic.Bool
-}
-
-// C returns the delta channel. Deltas arrive in drain order; a delta's
-// Lost covers both ring-wrap loss and rows previously dropped at this
-// subscriber's buffer.
-func (s *Subscription) C() <-chan Delta { return s.ch }
-
-// Dropped returns how many rows have been dropped at this subscriber's
-// full buffer so far. Each is also reported in-band via a later delta's
-// Lost field (or remains visible in PendingLost).
-func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
-
-// PendingLost returns loss accrued since the last delivered delta — rows
-// this subscriber missed that no delta has reported in-band yet. The sum
-// of delivered rows, delivered Lost fields and PendingLost equals the
-// rows fanned out to this subscriber plus their ring-wrap losses.
-func (s *Subscription) PendingLost() uint64 { return s.pendingLost.Load() }
-
-// Close detaches the subscription from every hub it is attached to;
-// no further deltas are delivered. The channel is left open (draining
-// buffered deltas is fine).
-func (s *Subscription) Close() {
-	if s.closed.Swap(true) {
-		return
-	}
-	for _, m := range s.members {
-		m.removeSub(s)
-	}
-}
-
-// deliver hands one delta to the subscriber without ever blocking the
-// drain pass. Accrued loss rides in-band on the next delta that fits.
-func (s *Subscription) deliver(d Delta) {
-	if s.closed.Load() {
-		return
-	}
-	if p := s.pendingLost.Swap(0); p > 0 {
-		d.Lost += p
-	}
-	select {
-	case s.ch <- d:
-	default:
-		s.pendingLost.Add(uint64(len(d.Rows)) + d.Lost)
-		s.dropped.Add(uint64(len(d.Rows)))
-	}
 }

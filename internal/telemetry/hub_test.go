@@ -24,6 +24,13 @@ func insertN(t *testing.T, tbl *hwdb.Table, clk *clock.Simulated, from, n int) {
 	}
 }
 
+// collect registers a consumer on src that keeps every delta it is handed.
+func collect(src Source) *[]Delta {
+	var got []Delta
+	src.SubscribeFunc(func(d Delta) { got = append(got, d) })
+	return &got
+}
+
 // TestHubDeliversBatchedDeltas covers the core contract: inserts batch
 // into one delta per source per drain, oldest-first, and a second flush
 // with nothing new delivers nothing.
@@ -31,29 +38,26 @@ func TestHubDeliversBatchedDeltas(t *testing.T) {
 	tbl, clk := testTable(t, 64)
 	hub := NewHub(HubConfig{})
 	defer hub.Close()
-	sub := hub.Subscribe(8)
+	got := collect(hub)
 	id := SourceID{Home: 3, Table: "T"}
 	hub.Watch(id, tbl)
 
 	insertN(t, tbl, clk, 0, 5)
 	hub.Flush()
-	select {
-	case d := <-sub.C():
-		if d.Source != id || len(d.Rows) != 5 || d.Lost != 0 {
-			t.Fatalf("delta = %+v", d)
-		}
-		if d.Rows[0].Int(0) != 0 || d.Rows[4].Int(0) != 4 {
-			t.Fatalf("rows out of order: %v", d.Rows)
-		}
-	default:
-		t.Fatal("no delta after flush")
+	if len(*got) != 1 {
+		t.Fatalf("%d deltas after flush, want 1", len(*got))
+	}
+	d := (*got)[0]
+	if d.Source != id || len(d.Rows) != 5 || d.Lost != 0 {
+		t.Fatalf("delta = %+v", d)
+	}
+	if d.Rows[0].Int(0) != 0 || d.Rows[4].Int(0) != 4 {
+		t.Fatalf("rows out of order: %v", d.Rows)
 	}
 
 	hub.Flush()
-	select {
-	case d := <-sub.C():
-		t.Fatalf("unexpected delta %+v after idle flush", d)
-	default:
+	if len(*got) != 1 {
+		t.Fatalf("unexpected delta %+v after idle flush", (*got)[1])
 	}
 
 	st := hub.Stats()
@@ -87,12 +91,15 @@ func TestHubRingWrapLost(t *testing.T) {
 	tbl, clk := testTable(t, 4)
 	hub := NewHub(HubConfig{})
 	defer hub.Close()
-	sub := hub.Subscribe(8)
+	got := collect(hub)
 	hub.Watch(SourceID{Home: 0, Table: "T"}, tbl)
 
 	insertN(t, tbl, clk, 0, 10) // 6 of these wrap out before any drain
 	hub.Flush()
-	d := <-sub.C()
+	if len(*got) != 1 {
+		t.Fatalf("%d deltas after flush, want 1", len(*got))
+	}
+	d := (*got)[0]
 	if len(d.Rows) != 4 || d.Lost != 6 {
 		t.Fatalf("delta rows=%d lost=%d, want 4 lost 6", len(d.Rows), d.Lost)
 	}
@@ -106,51 +113,6 @@ func TestHubRingWrapLost(t *testing.T) {
 	ins, _ := tbl.Stats()
 	if st.Delivered+st.Lost != ins {
 		t.Fatalf("accounting: delivered %d + lost %d != inserts %d", st.Delivered, st.Lost, ins)
-	}
-}
-
-// TestHubSlowConsumer checks that a subscriber who cannot keep up loses
-// deltas with exact accounting: every inserted row is either received or
-// reported via Dropped/PendingLost and the in-band Lost of a later delta.
-func TestHubSlowConsumer(t *testing.T) {
-	tbl, clk := testTable(t, 1024)
-	hub := NewHub(HubConfig{})
-	defer hub.Close()
-	sub := hub.Subscribe(1) // room for exactly one delta
-	hub.Watch(SourceID{Home: 0, Table: "T"}, tbl)
-
-	insertN(t, tbl, clk, 0, 3)
-	hub.Flush() // fills the buffer
-	insertN(t, tbl, clk, 3, 4)
-	hub.Flush() // dropped: 4 rows
-	insertN(t, tbl, clk, 7, 5)
-	hub.Flush() // dropped: 5 rows
-
-	if got := sub.Dropped(); got != 9 {
-		t.Fatalf("dropped = %d, want 9", got)
-	}
-	if got := sub.PendingLost(); got != 9 {
-		t.Fatalf("pending lost = %d, want 9", got)
-	}
-
-	first := <-sub.C()
-	if len(first.Rows) != 3 || first.Lost != 0 {
-		t.Fatalf("first delta = %+v", first)
-	}
-	// With buffer space free again, the next delta carries the accrued
-	// loss in-band.
-	insertN(t, tbl, clk, 12, 2)
-	hub.Flush()
-	second := <-sub.C()
-	if len(second.Rows) != 2 || second.Lost != 9 {
-		t.Fatalf("second delta rows=%d lost=%d, want 2 lost 9", len(second.Rows), second.Lost)
-	}
-	if sub.PendingLost() != 0 {
-		t.Fatalf("pending lost = %d after in-band report", sub.PendingLost())
-	}
-	ins, _ := tbl.Stats()
-	if got := uint64(len(first.Rows)+len(second.Rows)) + second.Lost; got != ins {
-		t.Fatalf("received %d of %d inserted rows", got, ins)
 	}
 }
 
@@ -240,18 +202,13 @@ func TestHubStartsNoGoroutine(t *testing.T) {
 	}
 	hub := NewHub(HubConfig{})
 	check("after NewHub")
-	sub := hub.Subscribe(8)
+	got := collect(hub)
 	hub.Watch(SourceID{Home: 0, Table: "T"}, tbl)
 	insertN(t, tbl, clk, 0, 2)
 	check("after inserts")
 	hub.Flush()
-	select {
-	case d := <-sub.C():
-		if len(d.Rows) != 2 {
-			t.Fatalf("flush delivered %d of 2 rows", len(d.Rows))
-		}
-	default:
-		t.Fatal("no delta after flush")
+	if len(*got) != 1 || len((*got)[0].Rows) != 2 {
+		t.Fatalf("flush delivered %d deltas, want one of 2 rows", len(*got))
 	}
 	check("after Flush")
 	hub.Close()

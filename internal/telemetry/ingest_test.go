@@ -40,42 +40,23 @@ func TestRelayBooks(t *testing.T) {
 	}
 }
 
-// TestRelayFanout: synchronous handlers and channel subscriptions both
-// see every ingested delta, and closing a subscription detaches it.
+// TestRelayFanout: a consumer sees every ingested delta.
 func TestRelayFanout(t *testing.T) {
 	r := NewHub(HubConfig{})
 	var fnRows int
 	r.SubscribeFunc(func(d Delta) { fnRows += len(d.Rows) })
-
-	sub := r.Subscribe(8)
 
 	r.Ingest(relayDelta(1, 3, 0))
 	r.Ingest(relayDelta(2, 2, 0))
 	if fnRows != 5 {
 		t.Errorf("handler saw %d rows, want 5", fnRows)
 	}
-	var subRows int
-	for len(sub.C()) > 0 {
-		subRows += len((<-sub.C()).Rows)
-	}
-	if subRows != 5 {
-		t.Errorf("subscription saw %d rows, want 5", subRows)
-	}
-
-	sub.Close()
-	r.Ingest(relayDelta(1, 1, 0))
-	if len(sub.C()) != 0 {
-		t.Error("closed subscription still receiving")
-	}
-	if fnRows != 6 {
-		t.Errorf("handler saw %d rows after sub close, want 6", fnRows)
-	}
 }
 
 // TestFederationMixesHubAndRelay: a federation spanning one hub watching
 // in-process tables and one fed by Ingest (standing in for a remote
 // worker) folds both delta streams into the global folder, sums both
-// books, and a federated subscription receives from both members —
+// books, and a federated consumer receives from both members —
 // remote shards are indistinguishable from local ones above the hub.
 func TestFederationMixesHubAndRelay(t *testing.T) {
 	clk := clock.NewSimulated()
@@ -84,17 +65,11 @@ func TestFederationMixesHubAndRelay(t *testing.T) {
 	defer hub.Close()
 	relay := NewHub(HubConfig{})
 
-	fed := NewFederation(FolderConfig{Clock: clk})
-	fed.Attach(hub)
-	fed.Attach(relay)
-	if fed.Members() != 2 {
-		t.Fatalf("members = %d, want 2", fed.Members())
-	}
-	sub := fed.Subscribe(8)
-	defer sub.Close()
+	fed := NewFederation(FolderConfig{Clock: clk}, hub, relay)
+	got := collect(fed)
 
-	fed.AddHome(1, nil)
-	fed.AddHome(2, nil)
+	fed.Folder().AddHome(1, nil)
+	fed.Folder().AddHome(2, nil)
 	hub.Watch(SourceID{Home: 1, Table: "T"}, tbl)
 
 	insertN(t, tbl, clk, 0, 5)
@@ -111,13 +86,12 @@ func TestFederationMixesHubAndRelay(t *testing.T) {
 
 	var rows int
 	seen := map[uint64]bool{}
-	for len(sub.C()) > 0 {
-		d := <-sub.C()
+	for _, d := range *got {
 		rows += len(d.Rows)
 		seen[d.Source.Home] = true
 	}
 	if rows != 8 || !seen[1] || !seen[2] {
-		t.Fatalf("subscription saw %d rows from homes %v, want 8 from both", rows, seen)
+		t.Fatalf("consumer saw %d rows from homes %v, want 8 from both", rows, seen)
 	}
 
 	// Wire loss accounted on the relay hub stays visible federation-wide:
@@ -125,26 +99,5 @@ func TestFederationMixesHubAndRelay(t *testing.T) {
 	relay.AccountLost(4)
 	if st := fed.Stats(); st.Delivered != 8 || st.Lost != 4 {
 		t.Fatalf("federated stats after wire loss = %+v, want 8/4", st)
-	}
-}
-
-// TestFederationSubscribeFuncSpansRelay: a handler registered on the
-// federation fires for ingested deltas from members attached before and
-// after the registration.
-func TestFederationSubscribeFuncSpansRelay(t *testing.T) {
-	fed := NewFederation(FolderConfig{})
-	early := NewHub(HubConfig{})
-	fed.Attach(early)
-
-	var rows int
-	fed.SubscribeFunc(func(d Delta) { rows += len(d.Rows) })
-
-	late := NewHub(HubConfig{})
-	fed.Attach(late)
-
-	early.Ingest(relayDelta(1, 2, 0))
-	late.Ingest(relayDelta(2, 3, 0))
-	if rows != 5 {
-		t.Fatalf("handler saw %d rows, want 5 (2 early + 3 late)", rows)
 	}
 }

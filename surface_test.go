@@ -157,3 +157,80 @@ func TestSettableSurface(t *testing.T) {
 		t.Errorf("%d *Config fields, settableSurface lists %d", len(got), len(settableSurface))
 	}
 }
+
+// contracts is every exported interface type under internal/, as
+// package.Name followed by its method names, sorted. A contract a change
+// adds, removes or reshapes is a line it changes here, so a second
+// contract for one seam is a reviewed one-line diff.
+var contracts = []string{
+	"clock.Clock: After Now",
+	"hwdb.Expr: Eval",
+	"hwdb.HistorySource: HistoryRows",
+	"hwdb.Stmt: stmt",
+	"measure.DeviceResolver: MACForIP",
+	"measure.LinkSource: AppendLinkSamples",
+	"nox.Component: Configure Name",
+	"oftransport.Transport: Close Recv Send",
+	"openflow.Action: String actType decode encode",
+	"openflow.Message: Hdr decodeBody encodeBody",
+	"shardrpc.Backend: Assign Close Cordon Drain Stats Step Sync TraceSnapshot Uncordon",
+	"telemetry.Source: SubscribeFunc",
+	"usbmon.Actions: InsertKey Install RemoveKey",
+}
+
+// interfaceContracts lists the exported interface types under internal/
+// in the form contracts uses, sorted.
+func interfaceContracts(t *testing.T) []string {
+	t.Helper()
+	var out []string
+	for pkg, files := range internalPackages(t) {
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				gen, ok := decl.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range gen.Specs {
+					spec, ok := spec.(*ast.TypeSpec)
+					if !ok || !spec.Name.IsExported() {
+						continue
+					}
+					if _, ok := spec.Type.(*ast.InterfaceType); !ok {
+						continue
+					}
+					methods := members(spec.Type)
+					sort.Strings(methods)
+					out = append(out, pkg+"."+spec.Name.Name+": "+strings.Join(methods, " "))
+				}
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestContractSurface fails when an exported interface under internal/
+// appears, disappears or changes its method set without contracts saying
+// so.
+func TestContractSurface(t *testing.T) {
+	got := interfaceContracts(t)
+	want := map[string]bool{}
+	for _, c := range contracts {
+		want[c] = true
+	}
+	have := map[string]bool{}
+	for _, c := range got {
+		have[c] = true
+		if !want[c] {
+			t.Errorf("+ %s: a new or changed contract; add it to contracts", c)
+		}
+	}
+	for _, c := range contracts {
+		if !have[c] {
+			t.Errorf("- %s: no longer declared as listed; remove it from contracts", c)
+		}
+	}
+	if len(got) != len(contracts) {
+		t.Errorf("%d exported interfaces, contracts lists %d", len(got), len(contracts))
+	}
+}
