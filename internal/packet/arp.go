@@ -1,6 +1,9 @@
 package packet
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // ARP operation codes.
 const (
@@ -59,13 +62,27 @@ func (a *ARP) Bytes() []byte { return a.AppendTo(make([]byte, 0, ARPLen)) }
 // AppendARPReply appends a complete unicast is-at reply frame answering
 // req, built in one pass with no intermediate per-layer slices.
 func AppendARPReply(b []byte, senderHW MAC, senderIP IP4, req *ARP) []byte {
-	b = appendEthernetHeader(b, req.SenderHW, senderHW, EtherTypeARP)
-	arp := ARP{
-		Op:       ARPReply,
-		SenderHW: senderHW, SenderIP: senderIP,
-		TargetHW: req.SenderHW, TargetIP: req.SenderIP,
-	}
-	return arp.AppendTo(b)
+	return appendARPFrame(b, req.SenderHW, ARPReply, senderHW, senderIP, req.SenderHW, req.SenderIP)
+}
+
+// AppendARPRequest appends a complete broadcast who-has request frame from
+// sender for targetIP, built in one pass.
+func AppendARPRequest(b []byte, senderHW MAC, senderIP, targetIP IP4) []byte {
+	return appendARPFrame(b, Broadcast, ARPRequest, senderHW, senderIP, MAC{}, targetIP)
+}
+
+// appendARPFrame appends an Ethernet/IPv4 ARP frame from senderHW to dst.
+func appendARPFrame(b []byte, dst MAC, op uint16, senderHW MAC, senderIP IP4, targetHW MAC, targetIP IP4) []byte {
+	b = slices.Grow(b, EthernetHeaderLen+ARPLen)
+	b = appendEthernetHeader(b, dst, senderHW, EtherTypeARP)
+	b = binary.BigEndian.AppendUint16(b, 1) // Ethernet
+	b = binary.BigEndian.AppendUint16(b, uint16(EtherTypeIPv4))
+	b = append(b, 6, 4)
+	b = binary.BigEndian.AppendUint16(b, op)
+	b = append(b, senderHW[:]...)
+	b = append(b, senderIP[:]...)
+	b = append(b, targetHW[:]...)
+	return append(b, targetIP[:]...)
 }
 
 // NewARPRequest builds a who-has request frame from sender for targetIP.

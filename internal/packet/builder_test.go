@@ -82,6 +82,26 @@ func TestAppendFrameBuildersMatchLayeredRandomPayloads(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("seed %d, %d bytes: AppendUDPFrameSum differs from NewUDPFrame().Bytes()", seed, n)
 			}
+
+			id, icmpSeq := uint16(rng.Uint32()), uint16(rng.Uint32())
+			want = NewICMPEchoFrame(testSrcMAC, testDstMAC, testSrcIP, testDstIP, ICMPEchoReply, id, icmpSeq, payload).Bytes()
+			got = AppendICMPEchoFrame(got[:0], testSrcMAC, testDstMAC, testSrcIP, testDstIP, ICMPEchoReply, id, icmpSeq, payload)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d, %d bytes: AppendICMPEchoFrame differs from NewICMPEchoFrame().Bytes()", seed, n)
+			}
+
+			// A DHCP message carrying the payload as options of up to 255
+			// bytes each, the longest an option can be.
+			msg := &DHCP{Op: DHCPBootReply, XID: rng.Uint32(), YIAddr: testDstIP, CHAddr: testDstMAC}
+			msg.AddMsgType(DHCPAck)
+			for rest := payload; len(rest) > 0; rest = rest[min(len(rest), 255):] {
+				msg.AddOption(DHCPOptMessage, rest[:min(len(rest), 255)])
+			}
+			want = NewDHCPFrame(msg, testSrcMAC, testDstMAC, testSrcIP, testDstIP, DHCPServerPort, DHCPClientPort).Bytes()
+			got = AppendUDPFrame(got[:0], testSrcMAC, testDstMAC, testSrcIP, testDstIP, DHCPServerPort, DHCPClientPort, msg.Serialize(nil))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d, %d bytes: a DHCP frame built by AppendUDPFrame differs from NewDHCPFrame().Bytes()", seed, n)
+			}
 		}
 	}
 }
@@ -174,13 +194,27 @@ func TestAppendTCPFrameAck(t *testing.T) {
 	}
 }
 
-// The ARP reply appender must match the layered reply builder.
+// The ARP appenders must match the layered request and reply builders,
+// for the test addresses and for random ones.
 func TestAppendARPReplyMatchesLayered(t *testing.T) {
-	req := ARP{Op: ARPRequest, SenderHW: testSrcMAC, SenderIP: testSrcIP, TargetIP: testDstIP}
-	want := NewARPReply(testDstMAC, testDstIP, &req).Bytes()
-	got := AppendARPReply(nil, testDstMAC, testDstIP, &req)
-	if !bytes.Equal(got, want) {
-		t.Errorf("AppendARPReply differs:\n got %x\nwant %x", got, want)
+	rng := rand.New(rand.NewSource(1))
+	senderHW, senderIP, targetHW, targetIP := testSrcMAC, testSrcIP, testDstMAC, testDstIP
+	for i := 0; i < 50; i++ {
+		want := NewARPRequest(senderHW, senderIP, targetIP).Bytes()
+		got := AppendARPRequest(nil, senderHW, senderIP, targetIP)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendARPRequest differs:\n got %x\nwant %x", got, want)
+		}
+		req := ARP{Op: ARPRequest, SenderHW: senderHW, SenderIP: senderIP, TargetIP: targetIP}
+		want = NewARPReply(targetHW, targetIP, &req).Bytes()
+		got = AppendARPReply(got[:0], targetHW, targetIP, &req)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendARPReply differs:\n got %x\nwant %x", got, want)
+		}
+		rng.Read(senderHW[:])
+		rng.Read(senderIP[:])
+		rng.Read(targetHW[:])
+		rng.Read(targetIP[:])
 	}
 }
 
