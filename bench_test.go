@@ -179,9 +179,9 @@ func benchControlPath(b *testing.B, kind core.TransportKind) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Unique flows so every packet misses and punts.
-		f := packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, byte(i >> 8), byte(i)}, packet.MAC{3},
+		f := packet.AppendTCPFrame(nil, packet.MAC{2, 0, 0, 0, byte(i >> 8), byte(i)}, packet.MAC{3},
 			packet.IP4{10, 0, byte(i >> 16), byte(i >> 8)}, packet.IP4{10, 1, 0, 1},
-			uint16(i), 80, packet.TCPSyn, 0, nil).Bytes()
+			uint16(i), 80, packet.TCPSyn, 0, 0, nil)
 		dp.Receive(1, f)
 		<-done
 		if err := sw.Barrier(); err != nil {
@@ -215,12 +215,12 @@ func benchForwarding(b *testing.B, tableSize int, exact bool) {
 	for i := 0; i < tableSize; i++ {
 		var m openflow.Match
 		if exact {
-			f := packet.NewTCPFrame(
+			f := packet.AppendTCPFrame(nil,
 				packet.MAC{2, 0, 0, byte(i >> 8), byte(i), 1}, packet.MAC{3},
 				packet.IP4{10, 0, byte(i >> 8), byte(i)}, packet.IP4{10, 1, 0, 1},
-				uint16(1024+i%40000), 80, packet.TCPAck, 0, nil)
+				uint16(1024+i%40000), 80, packet.TCPAck, 0, 0, nil)
 			var d packet.Decoded
-			_ = d.Decode(f.Bytes())
+			_ = d.Decode(f)
 			m = openflow.MatchFromFrame(&d, 1)
 		} else {
 			m = openflow.MatchAll()
@@ -236,10 +236,10 @@ func benchForwarding(b *testing.B, tableSize int, exact bool) {
 	}
 	// The probe packet matches the last-installed exact rule, or (for the
 	// wildcard table) a final catch-all appended below.
-	probe := packet.NewTCPFrame(
+	probe := packet.AppendTCPFrame(nil,
 		packet.MAC{2, 0, 0, byte((tableSize - 1) >> 8), byte(tableSize - 1), 1}, packet.MAC{3},
 		packet.IP4{10, 0, byte((tableSize - 1) >> 8), byte(tableSize - 1)}, packet.IP4{10, 1, 0, 1},
-		uint16(1024+(tableSize-1)%40000), 80, packet.TCPAck, 0, make([]byte, 1000)).Bytes()
+		uint16(1024+(tableSize-1)%40000), 80, packet.TCPAck, 0, 0, make([]byte, 1000))
 	if !exact {
 		last := openflow.MatchAll()
 		last.Wildcards &^= openflow.FWDLType
@@ -363,10 +363,9 @@ func BenchmarkE7FlowSetup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A brand-new five-tuple each iteration.
-		frame := packet.NewTCPFrame(h.MAC, rt.Config.RouterMAC,
+		h.SendRaw(packet.AppendTCPFrame(nil, h.MAC, rt.Config.RouterMAC,
 			h.IP(), packet.IP4{93, 184, 216, 34},
-			uint16(1024+i%60000), uint16(1+i/60000), packet.TCPSyn, 0, nil)
-		h.SendRaw(frame.Bytes())
+			uint16(1024+i%60000), uint16(1+i/60000), packet.TCPSyn, 0, 0, nil))
 		if err := rt.Settle(); err != nil {
 			b.Fatal(err)
 		}
@@ -447,10 +446,10 @@ func benchPunt(b *testing.B, reactive bool) {
 	}
 	frames := make([][]byte, 256)
 	for i := range frames {
-		frames[i] = packet.NewTCPFrame(
+		frames[i] = packet.AppendTCPFrame(nil,
 			packet.MAC{2, 0, 0, 0, byte(i), 1}, packet.MAC{3},
 			packet.IP4{10, 0, 0, byte(i)}, packet.IP4{10, 1, 0, 1},
-			uint16(1024+i), 80, packet.TCPAck, 0, make([]byte, 400)).Bytes()
+			uint16(1024+i), 80, packet.TCPAck, 0, 0, make([]byte, 400))
 	}
 	if reactive {
 		// Pre-install the exact rule for each flow, as the forwarder
@@ -499,9 +498,7 @@ func BenchmarkA3RingSizing(b *testing.B) {
 // ------------------------------------------------- D: data-plane hot path
 
 // BenchmarkFrameBuild pins the cost (and allocs/op) of serializing one
-// Ethernet/IPv4/TCP frame: the single-pass append path into a reused
-// buffer against the layered New*Frame(...).Bytes() path it replaced on
-// the hot paths.
+// Ethernet/IPv4/TCP frame into a reused buffer, as the hot paths do.
 func BenchmarkFrameBuild(b *testing.B) {
 	srcMAC, dstMAC := packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2}
 	srcIP, dstIP := packet.IP4{192, 168, 1, 10}, packet.IP4{93, 184, 216, 34}
@@ -515,15 +512,6 @@ func BenchmarkFrameBuild(b *testing.B) {
 		}
 		b.SetBytes(int64(len(buf)))
 	})
-	b.Run("alloc", func(b *testing.B) {
-		var frame []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			frame = packet.NewTCPFrame(srcMAC, dstMAC, srcIP, dstIP,
-				40000, 80, packet.TCPAck, uint32(i), payload).Bytes()
-		}
-		b.SetBytes(int64(len(frame)))
-	})
 }
 
 // BenchmarkTableLookup pins the cost (and allocs/op) of an exact-match
@@ -535,10 +523,10 @@ func BenchmarkTableLookup(b *testing.B) {
 	var probe packet.Decoded
 	var frameLen int
 	for i := 0; i < 1024; i++ {
-		f := packet.NewTCPFrame(
+		f := packet.AppendTCPFrame(nil,
 			packet.MAC{2, 0, 0, byte(i >> 8), byte(i), 1}, packet.MAC{3},
 			packet.IP4{10, 0, byte(i >> 8), byte(i)}, packet.IP4{10, 1, 0, 1},
-			uint16(1024+i), 80, packet.TCPAck, 0, nil).Bytes()
+			uint16(1024+i), 80, packet.TCPAck, 0, 0, nil)
 		var d packet.Decoded
 		if err := d.Decode(f); err != nil {
 			b.Fatal(err)

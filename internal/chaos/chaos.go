@@ -39,8 +39,8 @@ const (
 	DHCPStorm
 )
 
-// Kinds lists every fault class (the default schedule mix).
-func Kinds() []Kind {
+// allKinds lists every fault class (the default schedule mix).
+func allKinds() []Kind {
 	return []Kind{LinkFlap, Interference, Wedge, DropMods, DelayMods, DHCPStorm}
 }
 
@@ -94,8 +94,8 @@ type Engine struct {
 	sched  []EpisodeStatus
 }
 
-// NewEngine creates an engine with no fleet and no schedule.
-func NewEngine() *Engine {
+// newEngine creates an engine with no fleet and no schedule.
+func newEngine() *Engine {
 	return &Engine{faults: make(map[uint64]*Faults)}
 }
 

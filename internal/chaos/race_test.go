@@ -26,7 +26,7 @@ func TestChaosChurn32Homes(t *testing.T) {
 		t.Skip("32-home bring-up in -short mode")
 	}
 	const homes, shards = 32, 8
-	eng := NewEngine()
+	eng := newEngine()
 	fl := fleet.New(fleet.Config{
 		Shards: shards,
 		Clock:  clock.NewSimulated(),

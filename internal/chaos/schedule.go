@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// ScheduleConfig parameterizes BuildSchedule. Everything is derived from
+// ScheduleConfig parameterizes buildSchedule. Everything is derived from
 // Seed, so a schedule is fully reproducible from the numbers a failing
 // soak prints.
 type ScheduleConfig struct {
@@ -24,14 +24,14 @@ type ScheduleConfig struct {
 	Gap time.Duration
 }
 
-// BuildSchedule lays out a deterministic, per-home non-overlapping
+// buildSchedule lays out a deterministic, per-home non-overlapping
 // episode schedule: each home's episodes are separated by at least Gap
 // of clean recovery time, onsets are jittered so homes do not fail in
 // lockstep, and magnitudes are drawn per kind (LinkFlap drops 50–80% of
 // frames, Interference attenuates 50–58 dB — partial loss by
 // construction, since total loss never attributes to FlowPerf). The
 // result is sorted by onset, then home.
-func BuildSchedule(cfg ScheduleConfig) []Episode {
+func buildSchedule(cfg ScheduleConfig) []Episode {
 	if cfg.Span <= 0 || len(cfg.Homes) == 0 {
 		return nil
 	}
@@ -44,7 +44,7 @@ func BuildSchedule(cfg ScheduleConfig) []Episode {
 	if cfg.Gap <= 0 {
 		cfg.Gap = 90 * time.Minute
 	}
-	kinds := Kinds()
+	kinds := allKinds()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	var eps []Episode

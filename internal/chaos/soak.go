@@ -110,7 +110,7 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 	start := time.Now()
 
 	sim := clock.NewSimulated()
-	eng := NewEngine()
+	eng := newEngine()
 	fl := fleet.New(fleet.Config{
 		Clock:  sim,
 		Seed:   cfg.Seed,
@@ -210,7 +210,7 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 	// state machine, and every gap leaves room for full remediation
 	// (cordon + dwell + restart + probation) before the next fault.
 	span := time.Duration(cfg.SimDays * 24 * float64(time.Hour))
-	sched := BuildSchedule(ScheduleConfig{
+	sched := buildSchedule(ScheduleConfig{
 		Seed:   cfg.Seed,
 		Homes:  ids,
 		Span:   span,

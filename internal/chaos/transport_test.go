@@ -15,7 +15,7 @@ import (
 // control channel through the engine's fault switchboard.
 func newChaosFleet(t *testing.T, homes int, seed int64) (*fleet.Coordinator, *Engine) {
 	t.Helper()
-	eng := NewEngine()
+	eng := newEngine()
 	fl := fleet.New(fleet.Config{
 		Clock: clock.NewSimulated(),
 		Seed:  seed,

@@ -19,7 +19,7 @@ import (
 func interferenceRun(t *testing.T, seed int64) []string {
 	t.Helper()
 	sim := clock.NewSimulated()
-	eng := NewEngine()
+	eng := newEngine()
 	fl := fleet.New(fleet.Config{
 		Clock: sim,
 		Seed:  seed,

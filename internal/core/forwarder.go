@@ -82,8 +82,8 @@ type installedKey struct {
 	priority uint16
 }
 
-// NewForwarder builds the component with sensible timeouts.
-func NewForwarder() *Forwarder {
+// newForwarder builds the component with sensible timeouts.
+func newForwarder() *Forwarder {
 	return &Forwarder{
 		IdleTimeout:     30,
 		DropIdleTimeout: 5,
@@ -180,8 +180,8 @@ func (f *Forwarder) handleARP(ev *nox.PacketInEvent) {
 	switch d.ARP.Op {
 	case packet.ARPRequest:
 		if d.ARP.TargetIP == f.RouterIP {
-			reply := packet.NewARPReply(f.RouterMAC, f.RouterIP, &d.ARP)
-			_ = ev.Switch.SendPacket(reply.Bytes(), openflow.PortNone,
+			reply := packet.AppendARPReply(nil, f.RouterMAC, f.RouterIP, &d.ARP)
+			_ = ev.Switch.SendPacket(reply, openflow.PortNone,
 				&openflow.ActionOutput{Port: ev.Msg.InPort})
 			return
 		}
@@ -348,8 +348,8 @@ func (f *Forwarder) installDrop(ev *nox.PacketInEvent) {
 
 func (f *Forwarder) sendEchoReply(ev *nox.PacketInEvent) {
 	d := ev.Decoded
-	reply := packet.NewICMPEchoFrame(f.RouterMAC, d.Eth.Src, f.RouterIP, d.IP.Src,
+	reply := packet.AppendICMPEchoFrame(nil, f.RouterMAC, d.Eth.Src, f.RouterIP, d.IP.Src,
 		packet.ICMPEchoReply, d.ICMP.ID, d.ICMP.Seq, d.ICMP.Payload)
-	_ = ev.Switch.SendPacket(reply.Bytes(), openflow.PortNone,
+	_ = ev.Switch.SendPacket(reply, openflow.PortNone,
 		&openflow.ActionOutput{Port: ev.Msg.InPort})
 }

@@ -186,8 +186,8 @@ func TestForwarderRulesRequestFlowRemoved(t *testing.T) {
 	if !ok {
 		t.Fatal("no browser0")
 	}
-	host.SendRaw(packet.NewTCPFrame(host.MAC, h.r.Config.RouterMAC,
-		packet.MustIP4("192.168.1.251"), packet.MustIP4("203.0.113.10"), 40000, 80, packet.TCPSyn, 1, nil).Bytes())
+	host.SendRaw(packet.AppendTCPFrame(nil, host.MAC, h.r.Config.RouterMAC,
+		packet.MustIP4("192.168.1.251"), packet.MustIP4("203.0.113.10"), 40000, 80, packet.TCPSyn, 1, 0, nil))
 	for i := 0; i < 12; i++ {
 		h.tick()
 	}

@@ -53,9 +53,9 @@ func connEvents(t *testing.T, r *Router, host *netsim.Host, hostPort, sport uint
 			frame []byte
 			port  uint16
 		}{
-			{packet.NewTCPFrame(host.MAC, r.Config.RouterMAC, host.IP(), server, sport+i, 80, packet.TCPSyn, 1, nil).Bytes(), hostPort},
-			{packet.NewTCPFrame(r.Forwarder.UpstreamMAC, r.Config.RouterMAC, server, host.IP(), 80, sport+i,
-				packet.TCPSyn|packet.TCPAck, 1, nil).Bytes(), r.Forwarder.UpstreamPort},
+			{packet.AppendTCPFrame(nil, host.MAC, r.Config.RouterMAC, host.IP(), server, sport+i, 80, packet.TCPSyn, 1, 0, nil), hostPort},
+			{packet.AppendTCPFrame(nil, r.Forwarder.UpstreamMAC, r.Config.RouterMAC, server, host.IP(), 80, sport+i,
+				packet.TCPSyn|packet.TCPAck, 1, 0, nil), r.Forwarder.UpstreamPort},
 		} {
 			d := new(packet.Decoded)
 			if err := d.Decode(in.frame); err != nil {
@@ -170,8 +170,8 @@ func TestExpiringFlowsWriteIdenticalRows(t *testing.T) {
 		const flows = 40
 		for _, flags := range []uint8{packet.TCPSyn, packet.TCPAck} { // the SYNs punt, the ACKs are charged
 			for i := uint16(0); i < flows; i++ {
-				host.SendRaw(packet.NewTCPFrame(host.MAC, r.Config.RouterMAC, host.IP(), server,
-					30000+i, 80, flags, 1, nil).Bytes())
+				host.SendRaw(packet.AppendTCPFrame(nil, host.MAC, r.Config.RouterMAC, host.IP(), server,
+					30000+i, 80, flags, 1, 0, nil))
 			}
 			if err := r.Settle(); err != nil {
 				t.Fatal(err)
@@ -217,7 +217,7 @@ func TestFlowsExpireOnTheirDueStep(t *testing.T) {
 		r.Controller.OnFlowRemoved(func(*nox.FlowRemovedEvent) { removals.Add(1) })
 		server := packet.MustIP4("203.0.113.10")
 		send := func(sport uint16, flags uint8) {
-			host.SendRaw(packet.NewTCPFrame(host.MAC, r.Config.RouterMAC, host.IP(), server, sport, 80, flags, 1, nil).Bytes())
+			host.SendRaw(packet.AppendTCPFrame(nil, host.MAC, r.Config.RouterMAC, host.IP(), server, sport, 80, flags, 1, 0, nil))
 		}
 		// Three connections open on ticks 1, 3 and 6; each SYN punts and
 		// the ACK a tick later is charged, so the deadlines fall on

@@ -221,16 +221,16 @@ func TestPingsDoNotExhaustPacketBuffers(t *testing.T) {
 	})
 	const pings = 300
 	for i := 0; i < pings; i++ {
-		h.host.SendRaw(packet.NewICMPEchoFrame(h.host.MAC, h.r.Config.RouterMAC, h.host.IP(), h.r.Config.RouterIP,
-			packet.ICMPEchoRequest, 1, uint16(i), []byte("hello")).Bytes())
+		h.host.SendRaw(packet.AppendICMPEchoFrame(nil, h.host.MAC, h.r.Config.RouterMAC, h.host.IP(), h.r.Config.RouterIP,
+			packet.ICMPEchoRequest, 1, uint16(i), []byte("hello")))
 	}
 	if err := h.r.Settle(); err != nil {
 		t.Fatal(err)
 	}
 	h.clk.Advance(250 * time.Millisecond)
 
-	h.host.SendRaw(packet.NewTCPFrame(h.host.MAC, h.r.Config.RouterMAC, h.host.IP(), packet.MustIP4("203.0.113.10"),
-		45000, 80, packet.TCPSyn, 1, nil).Bytes())
+	h.host.SendRaw(packet.AppendTCPFrame(nil, h.host.MAC, h.r.Config.RouterMAC, h.host.IP(), packet.MustIP4("203.0.113.10"),
+		45000, 80, packet.TCPSyn, 1, 0, nil))
 	if err := h.r.Settle(); err != nil {
 		t.Fatal(err)
 	}

@@ -196,7 +196,7 @@ func New(cfg Config) (*Router, error) {
 		UpstreamMAC: r.Upstream.MAC,
 		Policy:      r.Policy, Clock: cfg.Clock,
 	})
-	r.Forwarder = NewForwarder()
+	r.Forwarder = newForwarder()
 	r.Forwarder.RouterIP = cfg.RouterIP
 	r.Forwarder.RouterMAC = cfg.RouterMAC
 	r.Forwarder.UpstreamPort = upPort

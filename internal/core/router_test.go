@@ -266,8 +266,8 @@ func TestIntraHomeTrafficTraversesRouter(t *testing.T) {
 
 	// The forwarder learns a device's port from its first frame past DHCP,
 	// and until then has no next hop toward it: b pings the router first.
-	b.SendRaw(packet.NewICMPEchoFrame(b.MAC, r.Config.RouterMAC, b.IP(), r.Config.RouterIP,
-		packet.ICMPEchoRequest, 1, 1, []byte("hello")).Bytes())
+	b.SendRaw(packet.AppendICMPEchoFrame(nil, b.MAC, r.Config.RouterMAC, b.IP(), r.Config.RouterIP,
+		packet.ICMPEchoRequest, 1, 1, []byte("hello")))
 	// b's observer counts a's frames that came through the router: the
 	// router rewrote their source MAC to its own.
 	var received atomic.Int64
@@ -457,9 +457,8 @@ func TestPingRouter(t *testing.T) {
 			}
 		}
 	})
-	ping := packet.NewICMPEchoFrame(h.MAC, r.Config.RouterMAC, h.IP(), r.Config.RouterIP,
-		packet.ICMPEchoRequest, 1, 1, []byte("hello"))
-	h.SendRaw(ping.Bytes())
+	h.SendRaw(packet.AppendICMPEchoFrame(nil, h.MAC, r.Config.RouterMAC, h.IP(), r.Config.RouterIP,
+		packet.ICMPEchoRequest, 1, 1, []byte("hello")))
 	select {
 	case <-got:
 	case <-time.After(5 * time.Second):

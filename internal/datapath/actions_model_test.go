@@ -13,8 +13,9 @@ import (
 // run the long way, sharing no code with execute. It calls out for each
 // output and enqueue, in list order, with the port, the output's max_len (0
 // for an enqueue) and the frame as the rewrites before it left it: the frame
-// is decoded, the rewrites set the Ethernet addresses on the layer structs,
-// and an output re-serializes every layer, checksums included. A rewrite
+// is decoded, the rewrites set the addresses on its Ethernet header, and an
+// output re-serializes that header over the payload as it came, since a
+// rewrite changes no byte above layer 2. A rewrite
 // reaches only the outputs after it, as OpenFlow 1.0 specifies. The input
 // frame is never written, and a frame handed to out is not written
 // afterwards either. A frame that does not decode leaves unrewritten.
@@ -34,17 +35,6 @@ func applyActions(frame []byte, actions []openflow.Action, out func(port, maxLen
 	reserialize := func() {
 		if !dirty {
 			return
-		}
-		if d.HasIP {
-			switch {
-			case d.HasTCP:
-				d.IP.Payload = d.TCP.Bytes(d.IP.Src, d.IP.Dst)
-			case d.HasUDP:
-				d.IP.Payload = d.UDP.Bytes(d.IP.Src, d.IP.Dst)
-			case d.HasICMP:
-				d.IP.Payload = d.ICMP.Bytes()
-			}
-			d.Eth.Payload = d.IP.Bytes()
 		}
 		frame = d.Eth.Bytes()
 		dirty = false
@@ -101,9 +91,9 @@ func executeAndModel(t *testing.T, frame []byte, actions []openflow.Action) []se
 // A MAC rewrite changes the Ethernet addresses and nothing else: the IP
 // and TCP checksums still verify.
 func TestExecuteRewrite(t *testing.T) {
-	raw := packet.NewTCPFrame(
+	raw := packet.AppendTCPFrame(nil,
 		packet.MustMAC("02:00:00:00:00:01"), packet.MustMAC("02:00:00:00:00:02"),
-		packet.MustIP4("10.0.0.2"), packet.MustIP4("8.8.8.8"), 1234, 80, packet.TCPAck, 9, []byte("data")).Bytes()
+		packet.MustIP4("10.0.0.2"), packet.MustIP4("8.8.8.8"), 1234, 80, packet.TCPAck, 9, 0, []byte("data"))
 	newSrc, newDst := packet.MustMAC("02:aa:00:00:00:01"), packet.MustMAC("02:ff:ff:ff:ff:ff")
 	outs := executeAndModel(t, raw, []openflow.Action{
 		&openflow.ActionSetDLDst{Addr: newDst},
@@ -128,7 +118,7 @@ func TestExecuteRewrite(t *testing.T) {
 // Every output of a list gets the frame, in list order, the controller's
 // included.
 func TestExecuteMultiOutput(t *testing.T) {
-	f := packet.NewUDPFrame(packet.MAC{1}, packet.MAC{2}, packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1, 2, nil).Bytes()
+	f := packet.AppendUDPFrame(nil, packet.MAC{1}, packet.MAC{2}, packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1, 2, nil)
 	outs := executeAndModel(t, f, []openflow.Action{output(2), output(3), &openflow.ActionOutput{Port: openflow.PortController}})
 	if len(outs) != 2 || outs[0].port != 2 || outs[1].port != 3 {
 		t.Errorf("outputs = %v", outs)
@@ -139,7 +129,7 @@ func TestExecuteMultiOutput(t *testing.T) {
 // output placed before a rewrite gets the frame as it stood there, not the
 // frame the whole list ends with.
 func TestExecuteRewriteAppliesPerOutput(t *testing.T) {
-	raw := packet.NewUDPFrame(packet.MAC{1}, packet.MAC{2}, packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1, 2, nil).Bytes()
+	raw := packet.AppendUDPFrame(nil, packet.MAC{1}, packet.MAC{2}, packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1, 2, nil)
 	outs := executeAndModel(t, raw, []openflow.Action{
 		output(2),
 		&openflow.ActionSetDLDst{Addr: packet.MAC{9}},

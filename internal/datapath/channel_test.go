@@ -237,8 +237,8 @@ func TestChannelPacketOutViaTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Packet-out with OFPP_TABLE: the frame is run through the table.
-	frame := packet.NewUDPFrame(packet.MAC{1}, packet.MAC{2},
-		packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1, 2, []byte("x")).Bytes()
+	frame := packet.AppendUDPFrame(nil, packet.MAC{1}, packet.MAC{2},
+		packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1, 2, []byte("x"))
 	po := &openflow.PacketOut{
 		BufferID: openflow.NoBuffer, InPort: 1,
 		Actions: []openflow.Action{&openflow.ActionOutput{Port: openflow.PortTable}},
@@ -357,8 +357,8 @@ func withActions(msg openflow.Message, at int, actions ...[]byte) []byte {
 // must be answered after the three errors. On a direct channel it builds
 // the unsupported actions by hand, a MODIFY among them.
 func TestUnsupportedActionIsRefused(t *testing.T) {
-	frame := packet.NewUDPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
-		packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1000, 53, []byte("query")).Bytes()
+	frame := packet.AppendUDPFrame(nil, packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+		packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1000, 53, []byte("query"))
 	m := exactMatchFor(t, frame, 1)
 	out2 := rawAction(openflow.ActTypeOutput, 0, 2, 0, 0)
 	wantRefusal := func(t *testing.T, e *openflow.ErrorMsg, xid uint32, sent []byte) {

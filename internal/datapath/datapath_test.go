@@ -14,10 +14,10 @@ import (
 )
 
 func tcpFrame(srcLast, dstLast byte, dstPort uint16) []byte {
-	return packet.NewTCPFrame(
+	return packet.AppendTCPFrame(nil,
 		packet.MAC{2, 0, 0, 0, 0, srcLast}, packet.MAC{2, 0, 0, 0, 0, dstLast},
 		packet.IP4{10, 0, 0, srcLast}, packet.IP4{10, 0, 0, dstLast},
-		40000, dstPort, packet.TCPSyn, 1, nil).Bytes()
+		40000, dstPort, packet.TCPSyn, 1, 0, nil)
 }
 
 func exactMatchFor(t *testing.T, frame []byte, inPort uint16) openflow.Match {
@@ -71,7 +71,7 @@ func TestFlowTablePriorityOrder(t *testing.T) {
 	dnsE := &FlowEntry{Match: dns, Priority: 100, Actions: []openflow.Action{&openflow.ActionOutput{Port: openflow.PortController}}}
 	_ = tbl.Add(dnsE, false)
 
-	dnsFrame := packet.NewUDPFrame(packet.MAC{1}, packet.MAC{2}, packet.IP4{10, 0, 0, 1}, packet.IP4{8, 8, 8, 8}, 5000, 53, nil).Bytes()
+	dnsFrame := packet.AppendUDPFrame(nil, packet.MAC{1}, packet.MAC{2}, packet.IP4{10, 0, 0, 1}, packet.IP4{8, 8, 8, 8}, 5000, 53, nil)
 	var d packet.Decoded
 	_ = d.Decode(dnsFrame)
 	if got := tbl.Lookup(&d, 1, len(dnsFrame), time.Now()); got != dnsE {
@@ -203,8 +203,8 @@ func TestExpireOrderIsDeterministic(t *testing.T) {
 	}
 	var entries []entry
 	for i := 0; i < 90; i++ {
-		f := packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 1, 1},
-			packet.IP4{10, 0, 0, byte(1 + i%3)}, packet.IP4{10, 0, 1, 1}, uint16(2000-i), 80, packet.TCPAck, 1, nil).Bytes()
+		f := packet.AppendTCPFrame(nil, packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 1, 1},
+			packet.IP4{10, 0, 0, byte(1 + i%3)}, packet.IP4{10, 0, 1, 1}, uint16(2000-i), 80, packet.TCPAck, 1, 0, nil)
 		entries = append(entries, entry{exactMatchFor(t, f, uint16(1+i%2)), base.Add(time.Duration(i%4) * time.Second)})
 	}
 	expire := func(seed int64) []openflow.Match {
@@ -246,8 +246,8 @@ func TestDeleteOrderIsDeterministic(t *testing.T) {
 	deleted := func(seed int64) []uint16 {
 		r := newHoldRig(t, 0)
 		for _, i := range rand.New(rand.NewSource(seed)).Perm(flows) {
-			f := packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 1, 1},
-				packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 1, 1}, uint16(3000+i), 80, packet.TCPAck, 1, nil).Bytes()
+			f := packet.AppendTCPFrame(nil, packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 1, 1},
+				packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 1, 1}, uint16(3000+i), 80, packet.TCPAck, 1, 0, nil)
 			fm := addFlow(exactMatchFor(t, f, 1), openflow.NoBuffer, output(2))
 			fm.Flags = openflow.FlowModFlagSendFlowRem
 			r.send(fm)
@@ -293,8 +293,8 @@ func TestConcurrentSweepsShareNothing(t *testing.T) {
 	dp := New(Config{Clock: clk})
 	const n = 400
 	for i := 0; i < n; i++ {
-		f := packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 1, 1},
-			packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 1, 1}, uint16(1024+i), 80, packet.TCPAck, 1, nil).Bytes()
+		f := packet.AppendTCPFrame(nil, packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 1, 1},
+			packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 1, 1}, uint16(1024+i), 80, packet.TCPAck, 1, 0, nil)
 		_ = dp.Table().Add(&FlowEntry{Match: exactMatchFor(t, f, 1), Priority: 10,
 			IdleTimeout: uint16(1 + i%20), Installed: clk.Now()}, false)
 	}
@@ -597,18 +597,18 @@ func TestExecuteFastPathRewrite(t *testing.T) {
 func BenchmarkLookupExact1kFlows(b *testing.B) {
 	tbl := NewFlowTable()
 	for i := 0; i < 1000; i++ {
-		f := packet.NewTCPFrame(
+		f := packet.AppendTCPFrame(nil,
 			packet.MAC{2, 0, 0, byte(i >> 8), byte(i), 1}, packet.MAC{2, 0, 0, 0, 0, 2},
 			packet.IP4{10, 0, byte(i >> 8), byte(i)}, packet.IP4{10, 0, 0, 2},
-			uint16(1024+i), 80, packet.TCPAck, 0, nil).Bytes()
+			uint16(1024+i), 80, packet.TCPAck, 0, 0, nil)
 		var d packet.Decoded
 		_ = d.Decode(f)
 		_ = tbl.Add(&FlowEntry{Match: openflow.MatchFromFrame(&d, 1), Priority: 1}, false)
 	}
-	frame := packet.NewTCPFrame(
+	frame := packet.AppendTCPFrame(nil,
 		packet.MAC{2, 0, 0, 1, 200, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
 		packet.IP4{10, 0, 1, 200}, packet.IP4{10, 0, 0, 2},
-		uint16(1024+456), 80, packet.TCPAck, 0, nil).Bytes()
+		uint16(1024+456), 80, packet.TCPAck, 0, 0, nil)
 	var d packet.Decoded
 	_ = d.Decode(frame)
 	now := time.Now()

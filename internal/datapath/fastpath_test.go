@@ -16,7 +16,7 @@ import (
 // slowReceive is what the datapath does to one received frame with every
 // shortcut taken out: no batch, no state carried from the frame before, and
 // the action list run by the reference model, applyActions — decode, rewrite
-// the Ethernet header, re-serialize every layer, checksums included — with
+// the Ethernet header, re-serialize it over the payload as it came — with
 // the frame as it stands at each output handed to dispatch. It is the
 // reference ReceiveBatch and execute are held to. It shares the flow table,
 // the miss path and dispatch with them, which are not what they shortcut.

@@ -136,10 +136,10 @@ func paddedFlowFrame(flow byte, seq, n int) []byte {
 		payload[i] = flow*31 + byte(seq)*7 + byte(i)
 	}
 	binary.BigEndian.PutUint32(payload, uint32(seq))
-	return packet.NewTCPFrame(
+	return packet.AppendTCPFrame(nil,
 		packet.MAC{2, 0, 0, 0, 0, flow}, packet.MAC{2, 0, 0, 0, 1, 1},
 		packet.IP4{10, 0, 0, flow}, packet.IP4{10, 0, 1, 1},
-		40000, 80, packet.TCPAck, uint32(seq), payload).Bytes()
+		40000, 80, packet.TCPAck, uint32(seq), 0, payload)
 }
 
 func flowFrames(flow byte, from, to int) [][]byte {
@@ -433,8 +433,8 @@ func TestBufferReclaimsOldestFirst(t *testing.T) {
 		t.Fatalf("buffered %d punts, want the 256 newest", punts)
 	}
 
-	syn := packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 7, 7}, packet.MAC{2, 0, 0, 0, 1, 1},
-		packet.IP4{10, 0, 7, 7}, packet.IP4{10, 0, 1, 1}, 50000, 443, packet.TCPSyn, 1, nil).Bytes()
+	syn := packet.AppendTCPFrame(nil, packet.MAC{2, 0, 0, 0, 7, 7}, packet.MAC{2, 0, 0, 0, 1, 1},
+		packet.IP4{10, 0, 7, 7}, packet.IP4{10, 0, 1, 1}, 50000, 443, packet.TCPSyn, 1, 0, nil)
 	r.receive(syn)
 	pis := r.sync()
 	if len(pis) != 1 || pis[0].BufferID == openflow.NoBuffer {
@@ -457,8 +457,8 @@ func TestActionPuntsNeverHeld(t *testing.T) {
 	r.send(addFlow(m, openflow.NoBuffer, &openflow.ActionOutput{Port: openflow.PortController, MaxLen: 0xffff}))
 	r.sync()
 
-	discover := packet.NewUDPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
-		packet.IP4{}, packet.IP4{255, 255, 255, 255}, 68, 67, []byte("discover")).Bytes()
+	discover := packet.AppendUDPFrame(nil, packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
+		packet.IP4{}, packet.IP4{255, 255, 255, 255}, 68, 67, []byte("discover"))
 	r.receive(discover, discover, discover)
 	pis := r.sync()
 	if len(pis) != 3 || r.dp.PuntCount() != 3 {

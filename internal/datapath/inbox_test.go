@@ -56,8 +56,8 @@ func TestInboxDrainsAfterTheBatch(t *testing.T) {
 	})
 	var fb packet.FrameBatch
 	for seq := uint32(1); seq <= 5; seq++ {
-		fb.Append(packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
-			packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 40000, 80, packet.TCPAck, seq, nil).Bytes())
+		fb.Append(packet.AppendTCPFrame(nil, packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+			packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 40000, 80, packet.TCPAck, seq, 0, nil))
 	}
 	r.dp.ReceiveBatch(1, &fb)
 	if punted := r.dp.PuntCount(); punted != 1 {
@@ -76,8 +76,8 @@ func TestInboxDrainsAfterTheBatch(t *testing.T) {
 // the drain gives up after maxDrainRounds with a panic that says so, rather
 // than spin.
 func TestInboxDrainBoundFailsLoudly(t *testing.T) {
-	frame := packet.NewUDPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
-		packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1, 2, nil).Bytes()
+	frame := packet.AppendUDPFrame(nil, packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+		packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1, 2, nil)
 	// Every packet-in is answered with a packet-out that sends a frame to
 	// the controller again.
 	r := newDirectRig(t, func(r *directRig, msg openflow.Message) {
@@ -107,8 +107,8 @@ func TestDrainReadsDispatchesBeforePunts(t *testing.T) {
 	dp := New(Config{ID: 9, Clock: clock.NewSimulated()})
 	_ = dp.AddPort(&Port{No: 1})
 	syn := func(srcPort uint16) []byte {
-		return packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
-			packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, srcPort, 80, packet.TCPSyn, 1, nil).Bytes()
+		return packet.AppendTCPFrame(nil, packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+			packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, srcPort, 80, packet.TCPSyn, 1, 0, nil)
 	}
 	dp.Receive(1, syn(40000)) // counted, never dispatched
 	punted, dispatched, busy := dp.Drain(func() uint64 {

@@ -139,9 +139,9 @@ func TestWarmNewFlowAllocatesItsPuntAndItsEntry(t *testing.T) {
 			mods   []*openflow.FlowMod
 		)
 		for i := 0; i < 2*n; i++ {
-			f := packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 1, 1},
-				packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 1, 1}, uint16(1024+i), 80, packet.TCPAck, 1,
-				make([]byte, size-packet.EthernetHeaderLen-40)).Bytes()
+			f := packet.AppendTCPFrame(nil, packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 1, 1},
+				packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 1, 1}, uint16(1024+i), 80, packet.TCPAck, 1, 0,
+				make([]byte, size-packet.EthernetHeaderLen-40))
 			frames = append(frames, f)
 			mods = append(mods, addFlow(exactMatchFor(t, f, 1), uint32(i+1), output(2)))
 		}

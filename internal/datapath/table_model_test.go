@@ -184,9 +184,9 @@ func newTableGen(seed int64) *tableGen {
 	for src := byte(1); src <= 3; src++ {
 		for _, dport := range []uint16{80, 443} {
 			for _, sport := range []uint16{40000, 40001} {
-				g.frames = append(g.frames, packet.NewTCPFrame(
+				g.frames = append(g.frames, packet.AppendTCPFrame(nil,
 					packet.MAC{2, 0, 0, 0, 0, src}, packet.MAC{2, 0, 0, 0, 1, 1},
-					packet.IP4{10, 0, 0, src}, packet.IP4{10, 0, 1, 1}, sport, dport, packet.TCPAck, 1, nil).Bytes())
+					packet.IP4{10, 0, 0, src}, packet.IP4{10, 0, 1, 1}, sport, dport, packet.TCPAck, 1, 0, nil))
 			}
 		}
 	}

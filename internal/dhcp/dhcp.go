@@ -330,9 +330,9 @@ func (s *Server) reply(ev *nox.PacketInEvent, req *packet.DHCP, typ packet.DHCPM
 	resp.AddIPOption(packet.DHCPOptDNSServer, s.cfg.ServerIP)
 	resp.AddDurationOption(packet.DHCPOptLeaseTime, leaseTime)
 
-	frame := packet.NewDHCPFrame(resp, s.cfg.ServerMAC, req.CHAddr,
-		s.cfg.ServerIP, ip, packet.DHCPServerPort, packet.DHCPClientPort)
-	_ = ev.Switch.SendPacket(frame.Bytes(), openflow.PortNone,
+	frame := packet.AppendUDPFrame(nil, s.cfg.ServerMAC, req.CHAddr,
+		s.cfg.ServerIP, ip, packet.DHCPServerPort, packet.DHCPClientPort, resp.Serialize(nil))
+	_ = ev.Switch.SendPacket(frame, openflow.PortNone,
 		&openflow.ActionOutput{Port: ev.Msg.InPort})
 }
 
@@ -341,10 +341,10 @@ func (s *Server) sendNak(ev *nox.PacketInEvent, req *packet.DHCP) {
 	resp := &packet.DHCP{Op: packet.DHCPBootReply, XID: req.XID, Flags: req.Flags, CHAddr: req.CHAddr}
 	resp.AddMsgType(packet.DHCPNak)
 	resp.AddIPOption(packet.DHCPOptServerID, s.cfg.ServerIP)
-	frame := packet.NewDHCPFrame(resp, s.cfg.ServerMAC, req.CHAddr,
+	frame := packet.AppendUDPFrame(nil, s.cfg.ServerMAC, req.CHAddr,
 		s.cfg.ServerIP, packet.IP4{255, 255, 255, 255},
-		packet.DHCPServerPort, packet.DHCPClientPort)
-	_ = ev.Switch.SendPacket(frame.Bytes(), openflow.PortNone,
+		packet.DHCPServerPort, packet.DHCPClientPort, resp.Serialize(nil))
+	_ = ev.Switch.SendPacket(frame, openflow.PortNone,
 		&openflow.ActionOutput{Port: ev.Msg.InPort})
 }
 

@@ -26,7 +26,7 @@ func dhcpSeeds() [][]byte {
 		m := &packet.DHCP{Op: packet.DHCPBootRequest, XID: 0x1234, Flags: 0x8000, CHAddr: fuzzClient}
 		m.AddMsgType(typ)
 		m.Options = append(m.Options, opts...)
-		return m.Bytes()
+		return m.Serialize(nil)
 	}
 	host := packet.DHCPOption{Code: packet.DHCPOptHostname, Data: []byte("laptop")}
 	want := packet.DHCPOption{Code: packet.DHCPOptRequestedIP, Data: []byte{192, 168, 1, 10}}

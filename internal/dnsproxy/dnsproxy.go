@@ -210,9 +210,9 @@ func (p *Proxy) handleQuery(ev *nox.PacketInEvent) {
 
 // sendUpstream emits a query from the router to the upstream resolver.
 func (p *Proxy) sendUpstream(sw *nox.Switch, dnsPayload []byte) {
-	frame := packet.NewUDPFrame(p.cfg.RouterMAC, p.cfg.UpstreamMAC,
+	frame := packet.AppendUDPFrame(nil, p.cfg.RouterMAC, p.cfg.UpstreamMAC,
 		p.cfg.RouterIP, p.cfg.UpstreamDNS, proxyPort, packet.DNSPort, dnsPayload)
-	_ = sw.SendPacket(frame.Bytes(), openflow.PortNone,
+	_ = sw.SendPacket(frame, openflow.PortNone,
 		&openflow.ActionOutput{Port: p.cfg.UpstreamPort})
 }
 
@@ -274,9 +274,9 @@ func (p *Proxy) handleResponse(ev *nox.PacketInEvent) {
 		return
 	}
 	p.answered.Add(1)
-	frame := packet.NewUDPFrame(p.cfg.RouterMAC, pq.clientMAC,
+	frame := packet.AppendUDPFrame(nil, p.cfg.RouterMAC, pq.clientMAC,
 		p.cfg.RouterIP, pq.clientIP, packet.DNSPort, pq.clientPort, raw)
-	_ = ev.Switch.SendPacket(frame.Bytes(), openflow.PortNone,
+	_ = ev.Switch.SendPacket(frame, openflow.PortNone,
 		&openflow.ActionOutput{Port: pq.inPort})
 }
 
@@ -291,9 +291,9 @@ func (p *Proxy) refuse(ev *nox.PacketInEvent, q *packet.DNS) {
 	if err != nil {
 		return
 	}
-	frame := packet.NewUDPFrame(p.cfg.RouterMAC, d.Eth.Src,
+	frame := packet.AppendUDPFrame(nil, p.cfg.RouterMAC, d.Eth.Src,
 		p.cfg.RouterIP, d.IP.Src, packet.DNSPort, d.UDP.SrcPort, raw)
-	_ = ev.Switch.SendPacket(frame.Bytes(), openflow.PortNone,
+	_ = ev.Switch.SendPacket(frame, openflow.PortNone,
 		&openflow.ActionOutput{Port: ev.Msg.InPort})
 }
 

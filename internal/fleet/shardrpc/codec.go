@@ -237,11 +237,11 @@ func parseVerb(b []byte) (string, bool) {
 
 // ------------------------------------------------------------- request
 
-// EncodeRequest serializes one request payload (header + body, no length
+// encodeRequest serializes one request payload (header + body, no length
 // prefix).
-func EncodeRequest(req *Request) []byte { return appendRequest(nil, req) }
+func encodeRequest(req *Request) []byte { return appendRequest(nil, req) }
 
-// appendRequest is EncodeRequest appending to b.
+// appendRequest is encodeRequest appending to b.
 func appendRequest(b []byte, req *Request) []byte {
 	e := enc{b: appendHeader(b, req.Seq, req.Verb)}
 	switch req.Verb {
@@ -255,9 +255,9 @@ func appendRequest(b []byte, req *Request) []byte {
 	return e.b
 }
 
-// DecodeRequest parses one request payload. It is strict: unknown verbs,
+// decodeRequest parses one request payload. It is strict: unknown verbs,
 // truncated bodies and trailing bytes are all errors.
-func DecodeRequest(payload []byte) (*Request, error) {
+func decodeRequest(payload []byte) (*Request, error) {
 	seq, rest, body, err := splitHeader(payload)
 	if err != nil {
 		return nil, err
@@ -345,7 +345,7 @@ func appendResponse(b []byte, resp *Response) []byte {
 }
 
 // DecodeResponse parses one response payload, as strict as
-// DecodeRequest.
+// decodeRequest.
 func DecodeResponse(payload []byte) (*Response, error) {
 	seq, rest, body, err := splitHeader(payload)
 	if err != nil {

@@ -168,8 +168,8 @@ func sameResponse(got, want *Response) bool {
 
 func TestRequestRoundTrip(t *testing.T) {
 	for _, req := range sampleRequests() {
-		payload := EncodeRequest(req)
-		got, err := DecodeRequest(payload)
+		payload := encodeRequest(req)
+		got, err := decodeRequest(payload)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", req.Verb, err)
 		}
@@ -205,9 +205,9 @@ func TestResponseRoundTrip(t *testing.T) {
 // tolerated), none may panic or over-read.
 func TestDecodeTruncated(t *testing.T) {
 	for _, req := range sampleRequests() {
-		payload := EncodeRequest(req)
+		payload := encodeRequest(req)
 		for i := 0; i < len(payload); i++ {
-			if _, err := DecodeRequest(payload[:i]); err == nil {
+			if _, err := decodeRequest(payload[:i]); err == nil {
 				t.Fatalf("%s: truncation to %d/%d bytes decoded cleanly", req.Verb, i, len(payload))
 			}
 		}
@@ -235,7 +235,7 @@ func TestDecodeCorrupt(t *testing.T) {
 				mut := append([]byte(nil), payload...)
 				mut[i] ^= b
 				DecodeResponse(mut) //nolint:errcheck // looking for panics, not errors
-				DecodeRequest(mut)  //nolint:errcheck
+				decodeRequest(mut)  //nolint:errcheck
 			}
 		}
 	}
@@ -348,8 +348,8 @@ func TestDecodeRejects(t *testing.T) {
 		if _, err := DecodeResponse(tc.payload); err == nil || !strings.Contains(err.Error(), tc.why) {
 			t.Errorf("%s: DecodeResponse says %v, want an error saying %q", tc.name, err, tc.why)
 		}
-		if _, err := DecodeRequest(tc.payload); err == nil {
-			t.Errorf("%s: DecodeRequest accepted", tc.name)
+		if _, err := decodeRequest(tc.payload); err == nil {
+			t.Errorf("%s: decodeRequest accepted", tc.name)
 		}
 	}
 
@@ -366,7 +366,7 @@ func TestDecodeRejects(t *testing.T) {
 // buffers are reused frame to frame.
 func TestFrameIO(t *testing.T) {
 	var buf bytes.Buffer
-	payload := EncodeRequest(&Request{Seq: 5, Verb: VerbPing})
+	payload := encodeRequest(&Request{Seq: 5, Verb: VerbPing})
 	out := appendRequest(beginFrame(nil), &Request{Seq: 5, Verb: VerbPing})
 	if err := writeFrame(&buf, out); err != nil {
 		t.Fatal(err)
@@ -605,7 +605,7 @@ func TestDecodeAllocatesPerBatch(t *testing.T) {
 
 func FuzzShardRPCRoundTrip(f *testing.F) {
 	for _, req := range sampleRequests() {
-		f.Add(EncodeRequest(req))
+		f.Add(encodeRequest(req))
 	}
 	for _, resp := range sampleResponses() {
 		f.Add(EncodeResponse(resp))
@@ -621,13 +621,13 @@ func FuzzShardRPCRoundTrip(f *testing.F) {
 		// Decoders must never panic or over-read; when they accept a
 		// payload, re-encoding must be canonical: encode(decode(data))
 		// decodes to the same value and re-encodes to the same bytes.
-		if req, err := DecodeRequest(data); err == nil {
-			enc1 := EncodeRequest(req)
-			req2, err := DecodeRequest(enc1)
+		if req, err := decodeRequest(data); err == nil {
+			enc1 := encodeRequest(req)
+			req2, err := decodeRequest(enc1)
 			if err != nil {
 				t.Fatalf("re-decode of re-encoded request failed: %v\nreq=%+v", err, req)
 			}
-			if enc2 := EncodeRequest(req2); !bytes.Equal(enc1, enc2) {
+			if enc2 := encodeRequest(req2); !bytes.Equal(enc1, enc2) {
 				t.Fatalf("request encoding not canonical:\n%q\n%q", enc1, enc2)
 			}
 		}

@@ -252,7 +252,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if in, err = readFrame(br, in); err != nil {
 			return
 		}
-		req, err := DecodeRequest(in)
+		req, err := decodeRequest(in)
 		if err != nil {
 			// A malformed frame leaves the stream position untrustworthy:
 			// answer with seq 0 (the client never uses it) and drop the

@@ -76,8 +76,8 @@ type Policy struct {
 	MaxRestarts int
 }
 
-// DefaultPolicy returns the thresholds the chaos soak gates on.
-func DefaultPolicy() Policy {
+// defaultPolicy returns the thresholds the chaos soak gates on.
+func defaultPolicy() Policy {
 	return Policy{
 		LossRatioMax:  0.05,
 		MinTxPkts:     10,
@@ -91,10 +91,10 @@ func DefaultPolicy() Policy {
 	}
 }
 
-// withDefaults fills zero-valued fields from DefaultPolicy, so callers
+// withDefaults fills zero-valued fields from defaultPolicy, so callers
 // can override just the thresholds they care about.
 func (p Policy) withDefaults() Policy {
-	d := DefaultPolicy()
+	d := defaultPolicy()
 	if p.LossRatioMax <= 0 {
 		p.LossRatioMax = d.LossRatioMax
 	}

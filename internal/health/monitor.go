@@ -20,7 +20,7 @@ const (
 
 // Config parameterizes a Monitor.
 type Config struct {
-	// Policy thresholds; zero-valued fields take DefaultPolicy values.
+	// Policy thresholds; zero-valued fields take defaultPolicy values.
 	Policy Policy
 	// Clock timestamps the verdict/action rows (default wall clock; pass
 	// the fleet's simulated clock for deterministic audits).

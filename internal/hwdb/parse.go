@@ -737,7 +737,7 @@ func (p *parser) parseCreate() (*CreateStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		ct, err := ParseColType(typ.text)
+		ct, err := parseColType(typ.text)
 		if err != nil {
 			return nil, err
 		}

@@ -66,8 +66,8 @@ func (t ColType) String() string {
 	return "?"
 }
 
-// ParseColType parses a type name.
-func ParseColType(s string) (ColType, error) {
+// parseColType parses a type name.
+func parseColType(s string) (ColType, error) {
 	switch strings.ToLower(s) {
 	case "integer", "int":
 		return TInt, nil

@@ -85,10 +85,10 @@ func TestRecordFlowRemoved(t *testing.T) {
 	p := New(Config{DB: db, Clock: clk, Resolver: fakeResolver{homeIP: mac}})
 
 	// Build the exact match a forwarding rule would carry.
-	f := packet.NewTCPFrame(mac, packet.MustMAC("02:01:00:00:00:01"),
-		homeIP, packet.MustIP4("93.184.216.34"), 50000, 80, packet.TCPAck, 0, nil)
+	f := packet.AppendTCPFrame(nil, mac, packet.MustMAC("02:01:00:00:00:01"),
+		homeIP, packet.MustIP4("93.184.216.34"), 50000, 80, packet.TCPAck, 0, 0, nil)
 	var d packet.Decoded
-	if err := d.Decode(f.Bytes()); err != nil {
+	if err := d.Decode(f); err != nil {
 		t.Fatal(err)
 	}
 	m := openflow.MatchFromFrame(&d, 1)
@@ -139,7 +139,7 @@ func newHome(t *testing.T, clientPorts ...uint16) *home {
 	}
 	h.p = New(Config{DB: h.db, Clock: h.clk, Stats: h.dp.StatsView(), Resolver: fakeResolver{homeIP: homeMAC}})
 	for _, port := range clientPorts {
-		f := packet.NewTCPFrame(homeMAC, packet.MustMAC("02:01:00:00:00:01"), homeIP, webIP, port, 80, packet.TCPAck, 0, make([]byte, 100)).Bytes()
+		f := packet.AppendTCPFrame(nil, homeMAC, packet.MustMAC("02:01:00:00:00:01"), homeIP, webIP, port, 80, packet.TCPAck, 0, 0, make([]byte, 100))
 		if err := h.dec.Decode(f); err != nil {
 			t.Fatal(err)
 		}

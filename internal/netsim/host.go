@@ -155,10 +155,9 @@ func (h *Host) StartDHCP() {
 	d := &packet.DHCP{Op: packet.DHCPBootRequest, XID: xid, Flags: 0x8000, CHAddr: h.MAC}
 	d.AddMsgType(packet.DHCPDiscover)
 	d.AddOption(packet.DHCPOptHostname, []byte(h.Name))
-	frame := packet.NewDHCPFrame(d, h.MAC, packet.Broadcast,
+	h.send(packet.AppendUDPFrame(nil, h.MAC, packet.Broadcast,
 		packet.IP4{}, packet.IP4{255, 255, 255, 255},
-		packet.DHCPClientPort, packet.DHCPServerPort)
-	h.send(frame.Bytes())
+		packet.DHCPClientPort, packet.DHCPServerPort, d.Serialize(nil)))
 }
 
 // Release sends a DHCP release and forgets the lease.
@@ -173,9 +172,8 @@ func (h *Host) Release() {
 	d := &packet.DHCP{Op: packet.DHCPBootRequest, XID: 99, CIAddr: ip, CHAddr: h.MAC}
 	d.AddMsgType(packet.DHCPRelease)
 	d.AddIPOption(packet.DHCPOptServerID, server)
-	frame := packet.NewDHCPFrame(d, h.MAC, packet.Broadcast, ip, server,
-		packet.DHCPClientPort, packet.DHCPServerPort)
-	h.send(frame.Bytes())
+	h.send(packet.AppendUDPFrame(nil, h.MAC, packet.Broadcast, ip, server,
+		packet.DHCPClientPort, packet.DHCPServerPort, d.Serialize(nil)))
 }
 
 // Deliver hands a frame received from the network to the host stack. The
@@ -220,8 +218,7 @@ func (h *Host) handleARP(d *packet.Decoded) {
 	switch d.ARP.Op {
 	case packet.ARPRequest:
 		if !myIP.IsZero() && d.ARP.TargetIP == myIP {
-			reply := packet.NewARPReply(h.MAC, myIP, &d.ARP)
-			h.send(reply.Bytes())
+			h.send(packet.AppendARPReply(nil, h.MAC, myIP, &d.ARP))
 		}
 	case packet.ARPReply:
 		h.mu.Lock()
@@ -271,9 +268,9 @@ func (h *Host) handleDHCP(d *packet.Decoded) {
 		req.AddIPOption(packet.DHCPOptServerID, server)
 		req.AddOption(packet.DHCPOptHostname, []byte(h.Name))
 		h.state = dhcpRequesting
-		reply = packet.NewDHCPFrame(req, h.MAC, packet.Broadcast,
+		reply = packet.AppendUDPFrame(nil, h.MAC, packet.Broadcast,
 			packet.IP4{}, packet.IP4{255, 255, 255, 255},
-			packet.DHCPClientPort, packet.DHCPServerPort).Bytes()
+			packet.DHCPClientPort, packet.DHCPServerPort, req.Serialize(nil))
 	case packet.DHCPAck:
 		if h.state != dhcpRequesting {
 			break
@@ -422,8 +419,7 @@ func (h *Host) finishSendLocked(dst packet.IP4, ext, frame []byte, fb *packet.Fr
 		h.putTxBuf(ext)
 	}
 	if !arpFor.IsZero() {
-		req := packet.NewARPRequest(h.MAC, myIP, arpFor)
-		h.send(req.Bytes())
+		h.send(packet.AppendARPRequest(nil, h.MAC, myIP, arpFor))
 	}
 }
 

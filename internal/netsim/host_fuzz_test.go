@@ -113,9 +113,9 @@ func (fh *fuzzHost) state() string {
 // queued frame, a DHCP offer and ack of its transaction, a DNS answer it
 // waits on, TCP, ICMP, a VLAN-tagged frame and a truncated IPv4 frame.
 func fuzzHostSeeds(tb testing.TB) [][]byte {
-	arpReq := packet.NewARPRequest(fuzzPeerMAC, fuzzPeerIP, fuzzHostIP)
+	arpReq := packet.AppendARPRequest(nil, fuzzPeerMAC, fuzzPeerIP, fuzzHostIP)
 	var req packet.ARP
-	if err := req.DecodeFromBytes(arpReq.Payload); err != nil {
+	if err := req.DecodeFromBytes(arpReq[packet.EthernetHeaderLen:]); err != nil {
 		tb.Fatal(err)
 	}
 	discover := &packet.DHCP{Op: packet.DHCPBootRequest, XID: fuzzXID, Flags: 0x8000, CHAddr: fuzzPeerMAC}
@@ -125,12 +125,12 @@ func fuzzHostSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tagged := packet.Ethernet{Dst: fuzzHostMAC, Src: fuzzPeerMAC, Type: packet.EtherTypeARP, Tagged: true, VLANID: 12, VLANPriority: 3, Payload: arpReq.Payload}
+	tagged := packet.Ethernet{Dst: fuzzHostMAC, Src: fuzzPeerMAC, Type: packet.EtherTypeARP, Tagged: true, VLANID: 12, VLANPriority: 3, Payload: arpReq[packet.EthernetHeaderLen:]}
 	corpus := [][]byte{
-		arpReq.Bytes(),
+		arpReq,
 		packet.AppendARPReply(nil, fuzzHostMAC, fuzzHostIP, &req),
 		tagged.Bytes(),
-		packet.NewDHCPFrame(discover, fuzzPeerMAC, packet.Broadcast, packet.IP4{}, packet.IP4{255, 255, 255, 255}, packet.DHCPClientPort, packet.DHCPServerPort).Bytes(),
+		packet.AppendUDPFrame(nil, fuzzPeerMAC, packet.Broadcast, packet.IP4{}, packet.IP4{255, 255, 255, 255}, packet.DHCPClientPort, packet.DHCPServerPort, discover.Serialize(nil)),
 		packet.AppendUDPFrame(nil, fuzzPeerMAC, fuzzHostMAC, fuzzPeerIP, fuzzHostIP, 5353, packet.DNSPort, query),
 		packet.AppendTCPFrame(nil, fuzzPeerMAC, fuzzHostMAC, fuzzPeerIP, fuzzHostIP, 40000, 443, packet.TCPSyn, 0, 0, nil),
 		packet.AppendTCPFrame(nil, fuzzPeerMAC, fuzzHostMAC, fuzzPeerIP, fuzzHostIP, 40000, 443, packet.TCPAck|packet.TCPPsh, 1, 1, make([]byte, 1400)),
@@ -152,7 +152,6 @@ func fuzzHostSeeds(tb testing.TB) [][]byte {
 		}
 	}
 
-	gwReq := packet.NewARPRequest(fuzzGWMAC, fuzzGWIP, fuzzHostIP)
 	peerReq := packet.ARP{Op: packet.ARPRequest, SenderHW: fuzzHostMAC, SenderIP: fuzzHostIP, TargetIP: fuzzPeerIP}
 	dhcpReply := func(t packet.DHCPMsgType) []byte {
 		m := &packet.DHCP{Op: packet.DHCPBootReply, XID: fuzzXID, YIAddr: fuzzHostIP, CHAddr: fuzzHostMAC}
@@ -161,7 +160,7 @@ func fuzzHostSeeds(tb testing.TB) [][]byte {
 		m.AddIPOption(packet.DHCPOptSubnetMask, packet.IP4{255, 255, 255, 255})
 		m.AddIPOption(packet.DHCPOptRouter, fuzzGWIP)
 		m.AddIPOption(packet.DHCPOptDNSServer, fuzzGWIP)
-		return packet.NewDHCPFrame(m, fuzzGWMAC, fuzzHostMAC, fuzzGWIP, fuzzHostIP, packet.DHCPServerPort, packet.DHCPClientPort).Bytes()
+		return packet.AppendUDPFrame(nil, fuzzGWMAC, fuzzHostMAC, fuzzGWIP, fuzzHostIP, packet.DHCPServerPort, packet.DHCPClientPort, m.Serialize(nil))
 	}
 	answer := packet.NewDNSQuery(77, "bbc.co.uk", packet.DNSTypeA)
 	answer.Response = true
@@ -174,7 +173,7 @@ func fuzzHostSeeds(tb testing.TB) [][]byte {
 		Payload: packet.AppendTCPFrame(nil, fuzzGWMAC, fuzzHostMAC, fuzzPeerIP, fuzzHostIP, 443, 40000, packet.TCPAck, 1, 1, []byte("data"))[packet.EthernetHeaderLen:]}
 	tcp := packet.AppendTCPFrame(nil, fuzzGWMAC, fuzzHostMAC, fuzzPeerIP, fuzzHostIP, 443, 40000, packet.TCPAck|packet.TCPPsh, 1, 1, make([]byte, 1400))
 	return append(seeds,
-		gwReq.Bytes(),
+		packet.AppendARPRequest(nil, fuzzGWMAC, fuzzGWIP, fuzzHostIP),
 		packet.AppendARPReply(nil, fuzzPeerMAC, fuzzPeerIP, &peerReq),
 		dhcpReply(packet.DHCPOffer),
 		dhcpReply(packet.DHCPAck),

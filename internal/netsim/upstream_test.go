@@ -39,8 +39,8 @@ func verifies(frame []byte) bool {
 
 // Every reply respondData emits — the first of a response, which is built,
 // the full-size ones after it, which are copies, and the short last one,
-// built again — must be the frame the layered builders make of the same
-// fields, and must verify at its receiver. The batch starts empty or with a
+// built again — must be the frame the summing builders make of the same
+// fields, one at a time, and must verify at its receiver. The batch starts empty or with a
 // frame in it, and small either way, so its buffer regrows under the copies.
 func TestRespondDataFramesMatchIndependentBuild(t *testing.T) {
 	const port = 7777
@@ -83,18 +83,12 @@ func TestRespondDataFramesMatchIndependentBuild(t *testing.T) {
 						sz := min(total, 1400)
 						total -= sz
 						filler := make([]byte, sz)
-						var seg []byte
 						if proto == packet.ProtoTCP {
-							tcp := packet.TCP{SrcPort: port, DstPort: 40001, Seq: 77, Ack: 1000 + uint32(reqLen),
-								Flags: packet.TCPAck | packet.TCPPsh, Window: 65535, Payload: filler}
-							seg = tcp.Bytes(dst, src)
+							want = append(want, packet.AppendTCPFrame(nil, u.MAC, router, dst, src, port, 40001,
+								packet.TCPAck|packet.TCPPsh, 77, 1000+uint32(reqLen), filler))
 						} else {
-							udp := packet.UDP{SrcPort: port, DstPort: 40001, Payload: filler}
-							seg = udp.Bytes(dst, src)
+							want = append(want, packet.AppendUDPFrame(nil, u.MAC, router, dst, src, port, 40001, filler))
 						}
-						ip := packet.IPv4{TTL: 64, Protocol: proto, Src: dst, Dst: src, Payload: seg}
-						eth := packet.Ethernet{Dst: router, Src: u.MAC, Type: packet.EtherTypeIPv4, Payload: ip.Bytes()}
-						want = append(want, eth.Bytes())
 					}
 					if fb.Len()-first != len(want) {
 						t.Fatalf("%s: %d reply frames, want %d", name, fb.Len()-first, len(want))

@@ -109,13 +109,13 @@ func installOnPacketIn(ctl *Controller, opts ...FlowOpt) <-chan packetInSeen {
 
 func TestPacketInAndReactiveInstall(t *testing.T) {
 	ctl := NewController()
-	gotPI := installOnPacketIn(ctl, WithCookie(7))
+	gotPI := installOnPacketIn(ctl, withCookie(7))
 	rig := newRig(t, ctl)
 
-	frame := packet.NewTCPFrame(
+	frame := packet.AppendTCPFrame(nil,
 		packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
 		packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2},
-		40000, 80, packet.TCPSyn, 1, nil).Bytes()
+		40000, 80, packet.TCPSyn, 1, 0, nil)
 	rig.dp.Receive(1, frame)
 
 	// The handler installed a flow reactively and released the buffered
@@ -171,7 +171,7 @@ func TestFlowStatsAndAggregate(t *testing.T) {
 	if err := rig.sw.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	frame := packet.NewUDPFrame(packet.MAC{1}, packet.MAC{2}, packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1, 2, make([]byte, 100)).Bytes()
+	frame := packet.AppendUDPFrame(nil, packet.MAC{1}, packet.MAC{2}, packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1, 2, make([]byte, 100))
 	for i := 0; i < 5; i++ {
 		rig.dp.Receive(1, frame)
 	}
@@ -213,7 +213,7 @@ func TestDeleteFlowsAndFlowRemoved(t *testing.T) {
 	m := openflow.MatchAll()
 	m.Wildcards &^= openflow.FWTPDst
 	m.TPDst = 80
-	if err := rig.sw.InstallFlow(m, 10, 0, 0, nil, WithFlowRemoved(), WithCookie(42)); err != nil {
+	if err := rig.sw.InstallFlow(m, 10, 0, 0, nil, WithFlowRemoved(), withCookie(42)); err != nil {
 		t.Fatal(err)
 	}
 	if err := rig.sw.Barrier(); err != nil {
@@ -258,9 +258,9 @@ func TestHandlerChainStop(t *testing.T) {
 	})
 	rig := newRig(t, ctl)
 
-	dns := packet.NewUDPFrame(packet.MAC{1}, packet.MAC{2}, packet.IP4{10, 0, 0, 1}, packet.IP4{8, 8, 8, 8}, 5000, 53, nil).Bytes()
+	dns := packet.AppendUDPFrame(nil, packet.MAC{1}, packet.MAC{2}, packet.IP4{10, 0, 0, 1}, packet.IP4{8, 8, 8, 8}, 5000, 53, nil)
 	rig.dp.Receive(1, dns)
-	web := packet.NewTCPFrame(packet.MAC{1}, packet.MAC{2}, packet.IP4{10, 0, 0, 1}, packet.IP4{8, 8, 8, 8}, 5000, 80, packet.TCPSyn, 0, nil).Bytes()
+	web := packet.AppendTCPFrame(nil, packet.MAC{1}, packet.MAC{2}, packet.IP4{10, 0, 0, 1}, packet.IP4{8, 8, 8, 8}, 5000, 80, packet.TCPSyn, 0, 0, nil)
 	rig.dp.Receive(1, web)
 
 	select {
@@ -293,7 +293,7 @@ func TestSendPacketOut(t *testing.T) {
 		got = append(got, append([]byte(nil), f...))
 		mu.Unlock()
 	})
-	frame := packet.NewUDPFrame(packet.MAC{9}, packet.MAC{1}, packet.IP4{192, 168, 1, 1}, packet.IP4{192, 168, 1, 10}, 67, 68, []byte("dhcp")).Bytes()
+	frame := packet.AppendUDPFrame(nil, packet.MAC{9}, packet.MAC{1}, packet.IP4{192, 168, 1, 1}, packet.IP4{192, 168, 1, 10}, 67, 68, []byte("dhcp"))
 	if err := rig.sw.SendPacket(frame, openflow.PortNone, &openflow.ActionOutput{Port: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -332,8 +332,8 @@ func TestComponentRegistration(t *testing.T) {
 
 	macA := packet.MAC{2, 0, 0, 0, 0, 0xa}
 	macB := packet.MAC{2, 0, 0, 0, 0, 0xb}
-	aToB := packet.NewUDPFrame(macA, macB, packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1, 2, nil).Bytes()
-	bToA := packet.NewUDPFrame(macB, macA, packet.IP4{10, 0, 0, 2}, packet.IP4{10, 0, 0, 1}, 2, 1, nil).Bytes()
+	aToB := packet.AppendUDPFrame(nil, macA, macB, packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1, 2, nil)
+	bToA := packet.AppendUDPFrame(nil, macB, macA, packet.IP4{10, 0, 0, 2}, packet.IP4{10, 0, 0, 1}, 2, 1, nil)
 
 	// A is unknown: flood. Then B replies: unicast to A's learned port.
 	rig.dp.Receive(1, aToB)
@@ -445,10 +445,10 @@ func TestInProcessTransportRig(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	frame := packet.NewTCPFrame(
+	frame := packet.AppendTCPFrame(nil,
 		packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
 		packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2},
-		40000, 80, packet.TCPSyn, 1, nil).Bytes()
+		40000, 80, packet.TCPSyn, 1, 0, nil)
 	rig.dp.Receive(1, frame)
 
 	var pi packetInSeen
@@ -496,8 +496,8 @@ func TestCloseWaitsForDispatch(t *testing.T) {
 	})
 	rig := newInprocRig(t, ctl)
 
-	frame := packet.NewUDPFrame(packet.MAC{1}, packet.MAC{2},
-		packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1, 2, nil).Bytes()
+	frame := packet.AppendUDPFrame(nil, packet.MAC{1}, packet.MAC{2},
+		packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1, 2, nil)
 	rig.dp.Receive(1, frame)
 	<-entered
 
@@ -590,8 +590,8 @@ func TestUnansweredBufferIsDiscarded(t *testing.T) {
 	}
 
 	frame := func(dstPort uint16, seq uint32) []byte {
-		return packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
-			packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 40000, dstPort, packet.TCPAck, seq, nil).Bytes()
+		return packet.AppendTCPFrame(nil, packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+			packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 40000, dstPort, packet.TCPAck, seq, 0, nil)
 	}
 	var fb packet.FrameBatch
 	for _, f := range [][]byte{frame(22, 100), frame(22, 101), frame(80, 200), frame(22, 102), frame(80, 201)} {
@@ -649,8 +649,8 @@ func fillTable(t *testing.T, dp *datapath.Datapath, n int) {
 	t.Helper()
 	var d packet.Decoded
 	for i := 0; i < n; i++ {
-		f := packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
-			packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, uint16(1024+i), 80, packet.TCPAck, 0, nil).Bytes()
+		f := packet.AppendTCPFrame(nil, packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+			packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, uint16(1024+i), 80, packet.TCPAck, 0, 0, nil)
 		if err := d.Decode(f); err != nil {
 			t.Fatal(err)
 		}
@@ -679,8 +679,8 @@ func TestKeptStatsReplyStaysIntact(t *testing.T) {
 	}
 	want, wantPorts := slices.Clone(kept), slices.Clone(keptPorts)
 
-	hit := packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
-		packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1024, 80, packet.TCPAck, 0, nil).Bytes()
+	hit := packet.AppendTCPFrame(nil, packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+		packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1024, 80, packet.TCPAck, 0, 0, nil)
 	for i := 0; i < 100; i++ {
 		rig.dp.Receive(1, hit) // counters move, so every reply differs from the kept one
 		if stats, err := rig.sw.FlowStats(openflow.MatchAll()); err != nil || len(stats) != 64 {
@@ -941,10 +941,10 @@ func TestDirectAttach(t *testing.T) {
 	if sw, ok := ctl.Switch(0xdead0004); !ok || sw != rig.sw {
 		t.Fatal("the direct switch is not registered")
 	}
-	rig.dp.Receive(1, packet.NewTCPFrame(
+	rig.dp.Receive(1, packet.AppendTCPFrame(nil,
 		packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
 		packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2},
-		40000, 80, packet.TCPSyn, 1, nil).Bytes())
+		40000, 80, packet.TCPSyn, 1, 0, nil))
 	select {
 	case pi := <-gotPI:
 		if pi.tcpDstPort != 80 || pi.installErr != nil {
@@ -1011,8 +1011,8 @@ func TestDirectUnansweredBufferIsDiscarded(t *testing.T) {
 		return answers
 	})
 	frame := func(dstPort uint16, seq uint32) []byte {
-		return packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
-			packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 40000, dstPort, packet.TCPAck, seq, nil).Bytes()
+		return packet.AppendTCPFrame(nil, packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+			packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 40000, dstPort, packet.TCPAck, seq, 0, nil)
 	}
 	var fb packet.FrameBatch
 	for _, f := range [][]byte{frame(22, 100), frame(22, 101), frame(80, 200), frame(22, 102), frame(80, 201)} {
@@ -1060,8 +1060,8 @@ func TestDirectConcurrentCalls(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < flows; i++ {
-				frame := packet.NewTCPFrame(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
-					packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, uint16(20000+100*g+i), 80, packet.TCPAck, 1, nil).Bytes()
+				frame := packet.AppendTCPFrame(nil, packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+					packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, uint16(20000+100*g+i), 80, packet.TCPAck, 1, 0, nil)
 				rig.dp.Receive(1, frame)
 				rig.dp.Receive(1, frame)
 			}

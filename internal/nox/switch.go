@@ -295,8 +295,8 @@ func WithBuffer(id uint32) FlowOpt {
 	return func(fm *openflow.FlowMod) { fm.BufferID = id }
 }
 
-// WithCookie tags the entry.
-func WithCookie(c uint64) FlowOpt {
+// withCookie tags the entry.
+func withCookie(c uint64) FlowOpt {
 	return func(fm *openflow.FlowMod) { fm.Cookie = c }
 }
 

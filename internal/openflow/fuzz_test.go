@@ -28,8 +28,8 @@ func unsupportedActions() []Action {
 // unsupportedActions.
 func fuzzSeedMessages(tb testing.TB) []Message {
 	var d packet.Decoded
-	frame := packet.NewTCPFrame(packet.MustMAC("02:aa:00:00:00:01"), packet.MustMAC("02:01:00:00:00:01"),
-		packet.MustIP4("192.168.1.10"), packet.MustIP4("203.0.113.10"), 49152, 80, packet.TCPAck, 1, []byte("GET /")).Bytes()
+	frame := packet.AppendTCPFrame(nil, packet.MustMAC("02:aa:00:00:00:01"), packet.MustMAC("02:01:00:00:00:01"),
+		packet.MustIP4("192.168.1.10"), packet.MustIP4("203.0.113.10"), 49152, 80, packet.TCPAck, 1, 0, []byte("GET /"))
 	if err := d.Decode(frame); err != nil {
 		tb.Fatal(err)
 	}

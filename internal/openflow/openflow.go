@@ -170,11 +170,11 @@ func ReadMessage(r io.Reader) (Message, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
-	return Decode(h, body)
+	return decodeMessage(h, body)
 }
 
-// Decode builds a typed message from a header and body.
-func Decode(h Header, body []byte) (Message, error) {
+// decodeMessage builds a typed message from a header and body.
+func decodeMessage(h Header, body []byte) (Message, error) {
 	msg := newMessage(h.Type)
 	if msg == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownType, h.Type)

@@ -21,7 +21,7 @@ func roundTrip(t *testing.T, msg Message) Message {
 	if int(h.Length) != len(raw) {
 		t.Fatalf("header length %d != encoded length %d", h.Length, len(raw))
 	}
-	got, err := Decode(h, raw[HeaderLen:])
+	got, err := decodeMessage(h, raw[HeaderLen:])
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -275,11 +275,11 @@ func TestDecodeActionsRejectsBadLength(t *testing.T) {
 }
 
 func TestMatchExactFromFrame(t *testing.T) {
-	f := packet.NewTCPFrame(
+	f := packet.AppendTCPFrame(nil,
 		packet.MustMAC("02:00:00:00:00:01"), packet.MustMAC("02:00:00:00:00:02"),
-		packet.MustIP4("10.0.0.2"), packet.MustIP4("8.8.8.8"), 49152, 443, packet.TCPSyn, 1, nil)
+		packet.MustIP4("10.0.0.2"), packet.MustIP4("8.8.8.8"), 49152, 443, packet.TCPSyn, 1, 0, nil)
 	var d packet.Decoded
-	if err := d.Decode(f.Bytes()); err != nil {
+	if err := d.Decode(f); err != nil {
 		t.Fatal(err)
 	}
 	m := MatchFromFrame(&d, 3)
@@ -294,11 +294,11 @@ func TestMatchExactFromFrame(t *testing.T) {
 	}
 
 	// Changing the destination port must break the match.
-	f2 := packet.NewTCPFrame(
+	f2 := packet.AppendTCPFrame(nil,
 		packet.MustMAC("02:00:00:00:00:01"), packet.MustMAC("02:00:00:00:00:02"),
-		packet.MustIP4("10.0.0.2"), packet.MustIP4("8.8.8.8"), 49152, 80, packet.TCPSyn, 1, nil)
+		packet.MustIP4("10.0.0.2"), packet.MustIP4("8.8.8.8"), 49152, 80, packet.TCPSyn, 1, 0, nil)
 	var d2 packet.Decoded
-	if err := d2.Decode(f2.Bytes()); err != nil {
+	if err := d2.Decode(f2); err != nil {
 		t.Fatal(err)
 	}
 	if m.Matches(&d2, 3) {
@@ -307,11 +307,11 @@ func TestMatchExactFromFrame(t *testing.T) {
 }
 
 func TestMatchWildcards(t *testing.T) {
-	f := packet.NewUDPFrame(
+	f := packet.AppendUDPFrame(nil,
 		packet.MustMAC("02:00:00:00:00:01"), packet.MustMAC("02:00:00:00:00:02"),
 		packet.MustIP4("192.168.1.10"), packet.MustIP4("192.168.1.1"), 5000, 53, []byte("x"))
 	var d packet.Decoded
-	if err := d.Decode(f.Bytes()); err != nil {
+	if err := d.Decode(f); err != nil {
 		t.Fatal(err)
 	}
 
@@ -346,10 +346,10 @@ func TestMatchWildcards(t *testing.T) {
 }
 
 func TestMatchARPFields(t *testing.T) {
-	req := packet.NewARPRequest(packet.MustMAC("02:00:00:00:00:01"),
+	req := packet.AppendARPRequest(nil, packet.MustMAC("02:00:00:00:00:01"),
 		packet.MustIP4("10.0.0.2"), packet.MustIP4("10.0.0.1"))
 	var d packet.Decoded
-	if err := d.Decode(req.Bytes()); err != nil {
+	if err := d.Decode(req); err != nil {
 		t.Fatal(err)
 	}
 	m := MatchAll()
@@ -481,7 +481,7 @@ func TestDecodeRejectsBadVersion(t *testing.T) {
 func TestDecodeNeverPanicsQuick(t *testing.T) {
 	f := func(body []byte, typ uint8) bool {
 		h := Header{Version: Version, Type: MsgType(typ % 22), Length: uint16(HeaderLen + len(body)), XID: 1}
-		_, _ = Decode(h, body)
+		_, _ = decodeMessage(h, body)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -517,9 +517,9 @@ func BenchmarkEncodeFlowMod(b *testing.B) {
 }
 
 func BenchmarkMatchExact(b *testing.B) {
-	f := packet.NewTCPFrame(packet.MAC{1}, packet.MAC{2}, packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1, 80, packet.TCPAck, 0, nil)
+	f := packet.AppendTCPFrame(nil, packet.MAC{1}, packet.MAC{2}, packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 1, 80, packet.TCPAck, 0, 0, nil)
 	var d packet.Decoded
-	if err := d.Decode(f.Bytes()); err != nil {
+	if err := d.Decode(f); err != nil {
 		b.Fatal(err)
 	}
 	m := MatchFromFrame(&d, 1)

@@ -42,23 +42,6 @@ func (a *ARP) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// AppendTo appends the encoded ARP payload to b and returns the extended
-// buffer.
-func (a *ARP) AppendTo(b []byte) []byte {
-	b = binary.BigEndian.AppendUint16(b, 1) // Ethernet
-	b = binary.BigEndian.AppendUint16(b, uint16(EtherTypeIPv4))
-	b = append(b, 6, 4)
-	b = binary.BigEndian.AppendUint16(b, a.Op)
-	b = append(b, a.SenderHW[:]...)
-	b = append(b, a.SenderIP[:]...)
-	b = append(b, a.TargetHW[:]...)
-	b = append(b, a.TargetIP[:]...)
-	return b
-}
-
-// Bytes returns the encoded ARP payload as a fresh slice.
-func (a *ARP) Bytes() []byte { return a.AppendTo(make([]byte, 0, ARPLen)) }
-
 // AppendARPReply appends a complete unicast is-at reply frame answering
 // req, built in one pass with no intermediate per-layer slices.
 func AppendARPReply(b []byte, senderHW MAC, senderIP IP4, req *ARP) []byte {
@@ -83,20 +66,4 @@ func appendARPFrame(b []byte, dst MAC, op uint16, senderHW MAC, senderIP IP4, ta
 	b = append(b, senderIP[:]...)
 	b = append(b, targetHW[:]...)
 	return append(b, targetIP[:]...)
-}
-
-// NewARPRequest builds a who-has request frame from sender for targetIP.
-func NewARPRequest(senderHW MAC, senderIP, targetIP IP4) *Ethernet {
-	arp := &ARP{Op: ARPRequest, SenderHW: senderHW, SenderIP: senderIP, TargetIP: targetIP}
-	return &Ethernet{Dst: Broadcast, Src: senderHW, Type: EtherTypeARP, Payload: arp.Bytes()}
-}
-
-// NewARPReply builds a unicast is-at reply frame answering req.
-func NewARPReply(senderHW MAC, senderIP IP4, req *ARP) *Ethernet {
-	arp := &ARP{
-		Op:       ARPReply,
-		SenderHW: senderHW, SenderIP: senderIP,
-		TargetHW: req.SenderHW, TargetIP: req.SenderIP,
-	}
-	return &Ethernet{Dst: req.SenderHW, Src: senderHW, Type: EtherTypeARP, Payload: arp.Bytes()}
 }

@@ -1,6 +1,9 @@
 package packet
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // Decoded is a one-pass parse of a frame up to the transport layer, used by
 // the datapath for flow matching and by the measurement plane for accounting.
@@ -79,31 +82,19 @@ func (d *Decoded) FiveTuple() (FiveTuple, bool) {
 	return ft, true
 }
 
-// NewUDPFrame builds a complete Ethernet/IPv4/UDP frame.
-func NewUDPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP4, srcPort, dstPort uint16, payload []byte) *Ethernet {
-	udp := UDP{SrcPort: srcPort, DstPort: dstPort, Payload: payload}
-	ip := IPv4{TTL: 64, Protocol: ProtoUDP, Src: srcIP, Dst: dstIP, Payload: udp.Bytes(srcIP, dstIP)}
-	return &Ethernet{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4, Payload: ip.Bytes()}
-}
-
-// NewTCPFrame builds a complete Ethernet/IPv4/TCP frame.
+// NewTCPFrame builds a complete Ethernet/IPv4/TCP frame with a zero
+// acknowledgement number.
 func NewTCPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP4, srcPort, dstPort uint16, flags uint8, seq uint32, payload []byte) *Ethernet {
-	tcp := TCP{SrcPort: srcPort, DstPort: dstPort, Seq: seq, Flags: flags, Window: 65535, Payload: payload}
-	ip := IPv4{TTL: 64, Protocol: ProtoTCP, Src: srcIP, Dst: dstIP, Payload: tcp.Bytes(srcIP, dstIP)}
-	return &Ethernet{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4, Payload: ip.Bytes()}
+	frame := AppendTCPFrame(nil, srcMAC, dstMAC, srcIP, dstIP, srcPort, dstPort, flags, seq, 0, payload)
+	return &Ethernet{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4, Payload: frame[EthernetHeaderLen:]}
 }
 
-// NewICMPEchoFrame builds an ICMP echo request or reply frame.
-func NewICMPEchoFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP4, typ uint8, id, seq uint16, payload []byte) *Ethernet {
-	icmp := ICMP{Type: typ, ID: id, Seq: seq, Payload: payload}
-	ip := IPv4{TTL: 64, Protocol: ProtoICMP, Src: srcIP, Dst: dstIP, Payload: icmp.Bytes()}
-	return &Ethernet{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4, Payload: ip.Bytes()}
-}
-
-// The Append*Frame family serializes whole frames in a single pass into a
-// caller-supplied buffer: no intermediate per-layer payload slices, so a
-// reused scratch buffer gives allocation-free steady-state frame building.
-// Output is byte-identical to the corresponding New*Frame(...).Bytes().
+// The Append*Frame family is how the tree builds a frame: whole, in a
+// single pass, into a caller-supplied buffer. There are no intermediate
+// per-layer payload slices, so a reused scratch buffer gives
+// allocation-free steady-state frame building, and a nil one costs one
+// allocation, sized for the frame. The reference each appender is held to
+// byte for byte is the layered model in layered_model_test.go.
 
 // appendEthernetHeader appends an untagged Ethernet II header.
 func appendEthernetHeader(b []byte, dst, src MAC, typ EtherType) []byte {
@@ -142,6 +133,7 @@ func AppendUDPFrame(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP4, srcPort, dst
 // checksum does not verify.
 func AppendUDPFrameSum(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP4, srcPort, dstPort uint16, payload []byte, payloadSum uint16) []byte {
 	length := UDPHeaderLen + len(payload)
+	b = slices.Grow(b, EthernetHeaderLen+IPv4HeaderLen+length)
 	b = appendEthernetHeader(b, dstMAC, srcMAC, EtherTypeIPv4)
 	b = appendIPv4Header(b, ProtoUDP, srcIP, dstIP, length)
 	start := len(b)
@@ -157,10 +149,8 @@ func AppendUDPFrameSum(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP4, srcPort, 
 	return append(b, payload...)
 }
 
-// AppendTCPFrame appends a complete Ethernet/IPv4/TCP frame to b. Unlike
-// NewTCPFrame it also takes the acknowledgement number, which the upstream
-// simulator needs for SYN-ACKs and data acks; the window is fixed at 65535
-// as everywhere else in the simulator.
+// AppendTCPFrame appends a complete Ethernet/IPv4/TCP frame to b. The
+// window is fixed at 65535 as everywhere else in the simulator.
 func AppendTCPFrame(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP4, srcPort, dstPort uint16, flags uint8, seq, ack uint32, payload []byte) []byte {
 	return AppendTCPFrameSum(b, srcMAC, dstMAC, srcIP, dstIP, srcPort, dstPort, flags, seq, ack, payload, ^Checksum(payload, 0))
 }
@@ -170,6 +160,7 @@ func AppendTCPFrame(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP4, srcPort, dst
 // AppendUDPFrameSum for what that is and what it saves.
 func AppendTCPFrameSum(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP4, srcPort, dstPort uint16, flags uint8, seq, ack uint32, payload []byte, payloadSum uint16) []byte {
 	length := TCPHeaderLen + len(payload)
+	b = slices.Grow(b, EthernetHeaderLen+IPv4HeaderLen+length)
 	b = appendEthernetHeader(b, dstMAC, srcMAC, EtherTypeIPv4)
 	b = appendIPv4Header(b, ProtoTCP, srcIP, dstIP, length)
 	start := len(b)
@@ -189,6 +180,7 @@ func AppendTCPFrameSum(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP4, srcPort, 
 // AppendICMPEchoFrame appends a complete ICMP echo request or reply frame
 // to b.
 func AppendICMPEchoFrame(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP4, typ uint8, id, seq uint16, payload []byte) []byte {
+	b = slices.Grow(b, EthernetHeaderLen+IPv4HeaderLen+ICMPHeaderLen+len(payload))
 	b = appendEthernetHeader(b, dstMAC, srcMAC, EtherTypeIPv4)
 	b = appendIPv4Header(b, ProtoICMP, srcIP, dstIP, ICMPHeaderLen+len(payload))
 	start := len(b)

@@ -14,8 +14,8 @@ var (
 	testDstIP  = IP4{93, 184, 216, 34}
 )
 
-// The single-pass appenders must be byte-identical to the layered
-// builders they replace on the hot paths.
+// The single-pass appenders must be byte-identical to the layered model.
+// So must NewTCPFrame, which the benchmark harness builds its probes with.
 func TestAppendFrameBuildersMatchLayered(t *testing.T) {
 	payload := []byte("hello, datapath")
 
@@ -25,10 +25,14 @@ func TestAppendFrameBuildersMatchLayered(t *testing.T) {
 		t.Errorf("AppendUDPFrame differs from NewUDPFrame().Bytes():\n got %x\nwant %x", udpGot, udpWant)
 	}
 
-	tcpWant := NewTCPFrame(testSrcMAC, testDstMAC, testSrcIP, testDstIP, 40000, 80, TCPAck|TCPPsh, 77, payload).Bytes()
+	tcpWant := layeredTCPFrame(testSrcMAC, testDstMAC, testSrcIP, testDstIP, 40000, 80, TCPAck|TCPPsh, 77, 0, payload).Bytes()
 	tcpGot := AppendTCPFrame(nil, testSrcMAC, testDstMAC, testSrcIP, testDstIP, 40000, 80, TCPAck|TCPPsh, 77, 0, payload)
 	if !bytes.Equal(tcpGot, tcpWant) {
-		t.Errorf("AppendTCPFrame differs from NewTCPFrame().Bytes():\n got %x\nwant %x", tcpGot, tcpWant)
+		t.Errorf("AppendTCPFrame differs from the layered frame:\n got %x\nwant %x", tcpGot, tcpWant)
+	}
+	tcpGot = NewTCPFrame(testSrcMAC, testDstMAC, testSrcIP, testDstIP, 40000, 80, TCPAck|TCPPsh, 77, payload).Bytes()
+	if !bytes.Equal(tcpGot, tcpWant) {
+		t.Errorf("NewTCPFrame().Bytes() differs from the layered frame:\n got %x\nwant %x", tcpGot, tcpWant)
 	}
 
 	icmpWant := NewICMPEchoFrame(testSrcMAC, testDstMAC, testSrcIP, testDstIP, ICMPEchoRequest, 3, 4, payload).Bytes()
@@ -38,17 +42,9 @@ func TestAppendFrameBuildersMatchLayered(t *testing.T) {
 	}
 }
 
-// layeredTCPFrame is NewTCPFrame with an acknowledgement number: the frame
-// built layer by layer, each layer summing what it carries.
-func layeredTCPFrame(flags uint8, seq, ack uint32, payload []byte) []byte {
-	tcp := TCP{SrcPort: 40000, DstPort: 443, Seq: seq, Ack: ack, Flags: flags, Window: 65535, Payload: payload}
-	ip := IPv4{TTL: 64, Protocol: ProtoTCP, Src: testSrcIP, Dst: testDstIP, Payload: tcp.Bytes(testSrcIP, testDstIP)}
-	return (&Ethernet{Dst: testDstMAC, Src: testSrcMAC, Type: EtherTypeIPv4, Payload: ip.Bytes()}).Bytes()
-}
-
 // The appenders — the summing ones, and the sum-taking ones handed the sum
 // the reference loop computes — must be byte-identical to the layered
-// builders over random payloads of every kind of length: empty, one byte,
+// model over random payloads of every kind of length: empty, one byte,
 // odd, even, around the MTU.
 func TestAppendFrameBuildersMatchLayeredRandomPayloads(t *testing.T) {
 	sizes := []int{0, 1, 2, 3, 7, 8, 31, 32, 33, 63, 160, 1199, 1200, 1399, 1400, 1401, 2999}
@@ -63,7 +59,7 @@ func TestAppendFrameBuildersMatchLayeredRandomPayloads(t *testing.T) {
 			sum := ^checksumRef(payload, 0)
 			seq, ack := rng.Uint32(), rng.Uint32()
 
-			want := layeredTCPFrame(TCPAck|TCPPsh, seq, ack, payload)
+			want := layeredTCPFrame(testSrcMAC, testDstMAC, testSrcIP, testDstIP, 40000, 443, TCPAck|TCPPsh, seq, ack, payload).Bytes()
 			got := AppendTCPFrame(nil, testSrcMAC, testDstMAC, testSrcIP, testDstIP, 40000, 443, TCPAck|TCPPsh, seq, ack, payload)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("seed %d, %d bytes: AppendTCPFrame differs from the layered frame", seed, n)
@@ -177,8 +173,8 @@ func TestFrameBatchRepeat(t *testing.T) {
 	}
 }
 
-// AppendTCPFrame's extra acknowledgement parameter must land in the TCP
-// header (New*Frame cannot express it).
+// AppendTCPFrame's acknowledgement parameter must land in the TCP header
+// (NewTCPFrame sends zero).
 func TestAppendTCPFrameAck(t *testing.T) {
 	f := AppendTCPFrame(nil, testSrcMAC, testDstMAC, testSrcIP, testDstIP,
 		80, 40000, TCPSyn|TCPAck, 0, 1234, nil)
@@ -194,8 +190,8 @@ func TestAppendTCPFrameAck(t *testing.T) {
 	}
 }
 
-// The ARP appenders must match the layered request and reply builders,
-// for the test addresses and for random ones.
+// The ARP appenders must match the layered model's request and reply, for
+// the test addresses and for random ones.
 func TestAppendARPReplyMatchesLayered(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	senderHW, senderIP, targetHW, targetIP := testSrcMAC, testSrcIP, testDstMAC, testDstIP

@@ -156,6 +156,7 @@ func cstring(b []byte) string {
 
 // Serialize appends the encoded message to b.
 func (d *DHCP) Serialize(b []byte) []byte {
+	b = slices.Grow(b, 300)
 	start := len(b)
 	b = append(b, d.Op, 1, 6, 0)
 	b = binary.BigEndian.AppendUint32(b, d.XID)
@@ -189,9 +190,6 @@ func appendFixedString(b []byte, s string, n int) []byte {
 	b = append(b, s...)
 	return append(b, make([]byte, n-len(s))...)
 }
-
-// Bytes returns the encoded message as a fresh slice.
-func (d *DHCP) Bytes() []byte { return d.Serialize(make([]byte, 0, 300)) }
 
 // Option returns the raw data of the first option with the given code.
 func (d *DHCP) Option(code uint8) ([]byte, bool) {
@@ -307,11 +305,3 @@ const (
 	DHCPServerPort = 67
 	DHCPClientPort = 68
 )
-
-// NewDHCPFrame wraps a DHCP message in UDP/IPv4/Ethernet ready for the wire.
-// dstIP may be the broadcast address; dstMAC likewise.
-func NewDHCPFrame(d *DHCP, srcMAC, dstMAC MAC, srcIP, dstIP IP4, srcPort, dstPort uint16) *Ethernet {
-	udp := UDP{SrcPort: srcPort, DstPort: dstPort, Payload: d.Bytes()}
-	ip := IPv4{TTL: 64, Protocol: ProtoUDP, Src: srcIP, Dst: dstIP, Payload: udp.Bytes(srcIP, dstIP)}
-	return &Ethernet{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4, Payload: ip.Bytes()}
-}

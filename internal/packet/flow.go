@@ -44,42 +44,6 @@ func fnvMix(v uint64) uint64 {
 	return h
 }
 
-// FlowKey extracts the five-tuple from a decoded Ethernet frame, reporting ok
-// only for IPv4 TCP/UDP packets (ICMP flows use type/code as ports).
-func FlowKey(eth *Ethernet) (FiveTuple, bool) {
-	if eth.Type != EtherTypeIPv4 {
-		return FiveTuple{}, false
-	}
-	var ip IPv4
-	if err := ip.DecodeFromBytes(eth.Payload); err != nil {
-		return FiveTuple{}, false
-	}
-	ft := FiveTuple{Src: ip.Src, Dst: ip.Dst, Proto: ip.Protocol}
-	switch ip.Protocol {
-	case ProtoTCP:
-		var t TCP
-		if err := t.DecodeFromBytes(ip.Payload); err != nil {
-			return FiveTuple{}, false
-		}
-		ft.SrcPort, ft.DstPort = t.SrcPort, t.DstPort
-	case ProtoUDP:
-		var u UDP
-		if err := u.DecodeFromBytes(ip.Payload); err != nil {
-			return FiveTuple{}, false
-		}
-		ft.SrcPort, ft.DstPort = u.SrcPort, u.DstPort
-	case ProtoICMP:
-		var c ICMP
-		if err := c.DecodeFromBytes(ip.Payload); err != nil {
-			return FiveTuple{}, false
-		}
-		ft.SrcPort, ft.DstPort = uint16(c.Type), uint16(c.Code)
-	default:
-		return FiveTuple{}, false
-	}
-	return ft, true
-}
-
 // WellKnownService maps a destination port to the protocol label the
 // bandwidth interface displays ("the imperfect application-protocol
 // mapping" the paper describes).

@@ -8,9 +8,9 @@ import (
 
 // fuzzSeedFrames is one frame of every kind the tree builds.
 func fuzzSeedFrames(tb testing.TB) [][]byte {
-	arpReq := NewARPRequest(testSrcMAC, testSrcIP, testDstIP)
+	arpReq := AppendARPRequest(nil, testSrcMAC, testSrcIP, testDstIP)
 	var req ARP
-	if err := req.DecodeFromBytes(arpReq.Payload); err != nil {
+	if err := req.DecodeFromBytes(arpReq[EthernetHeaderLen:]); err != nil {
 		tb.Fatal(err)
 	}
 	discover := &DHCP{Op: DHCPBootRequest, XID: 7, Flags: 0x8000, CHAddr: testSrcMAC}
@@ -20,12 +20,12 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tagged := Ethernet{Dst: testDstMAC, Src: testSrcMAC, Type: EtherTypeARP, Tagged: true, VLANID: 12, VLANPriority: 3, Payload: arpReq.Payload}
+	tagged := Ethernet{Dst: testDstMAC, Src: testSrcMAC, Type: EtherTypeARP, Tagged: true, VLANID: 12, VLANPriority: 3, Payload: arpReq[EthernetHeaderLen:]}
 	return [][]byte{
-		arpReq.Bytes(),
+		arpReq,
 		AppendARPReply(nil, testDstMAC, testDstIP, &req),
 		tagged.Bytes(),
-		NewDHCPFrame(discover, testSrcMAC, Broadcast, IP4{}, IP4{255, 255, 255, 255}, DHCPClientPort, DHCPServerPort).Bytes(),
+		AppendUDPFrame(nil, testSrcMAC, Broadcast, IP4{}, IP4{255, 255, 255, 255}, DHCPClientPort, DHCPServerPort, discover.Serialize(nil)),
 		AppendUDPFrame(nil, testSrcMAC, testDstMAC, testSrcIP, testDstIP, 5353, DNSPort, query),
 		AppendTCPFrame(nil, testSrcMAC, testDstMAC, testSrcIP, testDstIP, 40000, 443, TCPSyn, 0, 0, nil),
 		AppendTCPFrame(nil, testSrcMAC, testDstMAC, testSrcIP, testDstIP, 40000, 443, TCPAck|TCPPsh, 1, 1, make([]byte, 1400)),
@@ -55,11 +55,13 @@ func sameExcept(got, orig []byte, mask map[int]byte) bool {
 
 // FuzzDecode: the frame decoder reads whatever a port is handed, so on any
 // input it returns or errors, never panics, and every layer it reports
-// present re-serializes to the bytes it was decoded from — as far as the
-// layer goes (an IP packet shorter than its frame leaves padding behind),
-// and except for what a layer struct does not carry: checksums, which
-// serializing recomputes, a length field larger than the bytes that came
-// (decoding clips it), the VLAN CFI bit and TCP's reserved and ECN bits.
+// present, re-serialized by the layered model (layered_model_test.go; the
+// Ethernet layer by Ethernet.Bytes), is the bytes it was decoded from — as
+// far as the layer goes (an IP packet shorter than its frame leaves padding
+// behind), and except for what a layer struct does not carry: checksums,
+// which serializing recomputes, a length field larger than the bytes that
+// came (decoding clips it), the VLAN CFI bit and TCP's reserved and ECN
+// bits.
 // The DHCP and DNS decoders get every UDP payload and must not panic on it
 // either. Seeds: one frame of each kind the tree builds, whole and cut at
 // every header boundary.

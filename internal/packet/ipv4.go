@@ -61,40 +61,6 @@ func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// HeaderLen returns the encoded header length including options.
-func (ip *IPv4) HeaderLen() int {
-	opt := (len(ip.Options) + 3) &^ 3
-	return IPv4HeaderLen + opt
-}
-
-// AppendTo appends the encoded packet to b, computing the header checksum,
-// and returns the extended buffer.
-func (ip *IPv4) AppendTo(b []byte) []byte {
-	hl := ip.HeaderLen()
-	total := hl + len(ip.Payload)
-	start := len(b)
-	b = append(b, byte(4<<4|hl/4), ip.TOS)
-	b = binary.BigEndian.AppendUint16(b, uint16(total))
-	b = binary.BigEndian.AppendUint16(b, ip.ID)
-	b = binary.BigEndian.AppendUint16(b, uint16(ip.Flags)<<13|ip.FragOff&0x1fff)
-	b = append(b, ip.TTL, byte(ip.Protocol))
-	b = append(b, 0, 0) // checksum placeholder
-	b = append(b, ip.Src[:]...)
-	b = append(b, ip.Dst[:]...)
-	b = append(b, ip.Options...)
-	for len(b)-start < hl {
-		b = append(b, 0) // pad options to 32-bit boundary
-	}
-	cs := Checksum(b[start:start+hl], 0)
-	binary.BigEndian.PutUint16(b[start+10:start+12], cs)
-	return append(b, ip.Payload...)
-}
-
-// Bytes returns the encoded packet as a fresh slice.
-func (ip *IPv4) Bytes() []byte {
-	return ip.AppendTo(make([]byte, 0, ip.HeaderLen()+len(ip.Payload)))
-}
-
 // UDPHeaderLen is the length of a UDP header.
 const UDPHeaderLen = 8
 
@@ -123,29 +89,6 @@ func (u *UDP) DecodeFromBytes(data []byte) error {
 	}
 	u.Payload = data[UDPHeaderLen:length]
 	return nil
-}
-
-// AppendTo appends the encoded datagram to b with a checksum computed over
-// the pseudo-header for src/dst, and returns the extended buffer.
-func (u *UDP) AppendTo(b []byte, src, dst IP4) []byte {
-	length := UDPHeaderLen + len(u.Payload)
-	start := len(b)
-	b = binary.BigEndian.AppendUint16(b, u.SrcPort)
-	b = binary.BigEndian.AppendUint16(b, u.DstPort)
-	b = binary.BigEndian.AppendUint16(b, uint16(length))
-	b = append(b, 0, 0)
-	b = append(b, u.Payload...)
-	cs := Checksum(b[start:], pseudoHeaderSum(src, dst, ProtoUDP, length))
-	if cs == 0 {
-		cs = 0xffff
-	}
-	binary.BigEndian.PutUint16(b[start+6:start+8], cs)
-	return b
-}
-
-// Bytes returns the encoded datagram as a fresh slice.
-func (u *UDP) Bytes(src, dst IP4) []byte {
-	return u.AppendTo(make([]byte, 0, UDPHeaderLen+len(u.Payload)), src, dst)
 }
 
 // TCPHeaderLen is the length of a TCP header without options.
@@ -197,40 +140,6 @@ func (t *TCP) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// HeaderLen returns the encoded header length including options.
-func (t *TCP) HeaderLen() int {
-	opt := (len(t.Options) + 3) &^ 3
-	return TCPHeaderLen + opt
-}
-
-// AppendTo appends the encoded segment to b with a checksum computed over
-// the pseudo-header for src/dst, and returns the extended buffer.
-func (t *TCP) AppendTo(b []byte, src, dst IP4) []byte {
-	hl := t.HeaderLen()
-	start := len(b)
-	b = binary.BigEndian.AppendUint16(b, t.SrcPort)
-	b = binary.BigEndian.AppendUint16(b, t.DstPort)
-	b = binary.BigEndian.AppendUint32(b, t.Seq)
-	b = binary.BigEndian.AppendUint32(b, t.Ack)
-	b = append(b, byte(hl/4)<<4, t.Flags)
-	b = binary.BigEndian.AppendUint16(b, t.Window)
-	b = append(b, 0, 0)
-	b = binary.BigEndian.AppendUint16(b, t.Urgent)
-	b = append(b, t.Options...)
-	for len(b)-start < hl {
-		b = append(b, 0)
-	}
-	b = append(b, t.Payload...)
-	cs := Checksum(b[start:], pseudoHeaderSum(src, dst, ProtoTCP, hl+len(t.Payload)))
-	binary.BigEndian.PutUint16(b[start+16:start+18], cs)
-	return b
-}
-
-// Bytes returns the encoded segment as a fresh slice.
-func (t *TCP) Bytes(src, dst IP4) []byte {
-	return t.AppendTo(make([]byte, 0, t.HeaderLen()+len(t.Payload)), src, dst)
-}
-
 // ICMP message types.
 const (
 	ICMPEchoReply    uint8 = 0
@@ -264,22 +173,4 @@ func (c *ICMP) DecodeFromBytes(data []byte) error {
 	c.Seq = binary.BigEndian.Uint16(data[6:8])
 	c.Payload = data[ICMPHeaderLen:]
 	return nil
-}
-
-// AppendTo appends the encoded message to b, computing the checksum, and
-// returns the extended buffer.
-func (c *ICMP) AppendTo(b []byte) []byte {
-	start := len(b)
-	b = append(b, c.Type, c.Code, 0, 0)
-	b = binary.BigEndian.AppendUint16(b, c.ID)
-	b = binary.BigEndian.AppendUint16(b, c.Seq)
-	b = append(b, c.Payload...)
-	cs := Checksum(b[start:], 0)
-	binary.BigEndian.PutUint16(b[start+2:start+4], cs)
-	return b
-}
-
-// Bytes returns the encoded message as a fresh slice.
-func (c *ICMP) Bytes() []byte {
-	return c.AppendTo(make([]byte, 0, ICMPHeaderLen+len(c.Payload)))
 }

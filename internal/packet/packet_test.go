@@ -201,16 +201,14 @@ func TestARPRoundTrip(t *testing.T) {
 
 func TestARPHelpers(t *testing.T) {
 	hw := MustMAC("11:22:33:44:55:66")
-	req := NewARPRequest(hw, MustIP4("10.0.0.1"), MustIP4("10.0.0.2"))
 	var d Decoded
-	if err := d.Decode(req.Bytes()); err != nil {
+	if err := d.Decode(AppendARPRequest(nil, hw, MustIP4("10.0.0.1"), MustIP4("10.0.0.2"))); err != nil {
 		t.Fatal(err)
 	}
 	if !d.HasARP || d.ARP.Op != ARPRequest || !d.Eth.Dst.IsBroadcast() {
 		t.Fatalf("bad request: %+v", d.ARP)
 	}
-	rep := NewARPReply(MustMAC("66:55:44:33:22:11"), MustIP4("10.0.0.2"), &d.ARP)
-	if err := d.Decode(rep.Bytes()); err != nil {
+	if err := d.Decode(AppendARPReply(nil, MustMAC("66:55:44:33:22:11"), MustIP4("10.0.0.2"), &d.ARP)); err != nil {
 		t.Fatal(err)
 	}
 	if d.ARP.Op != ARPReply || d.ARP.TargetHW != hw || d.Eth.Dst != hw {
@@ -475,27 +473,20 @@ func TestFiveTupleReverseAndHash(t *testing.T) {
 	}
 }
 
-func TestFlowKeyAndDecoded(t *testing.T) {
-	f := NewTCPFrame(
+func TestDecodedFiveTuple(t *testing.T) {
+	f := AppendTCPFrame(nil,
 		MustMAC("11:22:33:44:55:66"), MustMAC("66:55:44:33:22:11"),
-		MustIP4("10.0.0.2"), MustIP4("93.184.216.34"), 49152, 80, TCPSyn, 1, nil)
-	ft, ok := FlowKey(f)
-	if !ok {
-		t.Fatal("FlowKey failed")
-	}
-	if ft.Proto != ProtoTCP || ft.DstPort != 80 {
-		t.Errorf("FlowKey = %+v", ft)
-	}
+		MustIP4("10.0.0.2"), MustIP4("93.184.216.34"), 49152, 80, TCPSyn, 1, 0, nil)
 	var d Decoded
-	if err := d.Decode(f.Bytes()); err != nil {
+	if err := d.Decode(f); err != nil {
 		t.Fatal(err)
 	}
 	if !d.HasTCP || d.TCP.Flags != TCPSyn {
 		t.Errorf("Decoded = %+v", d)
 	}
-	ft2, ok := d.FiveTuple()
-	if !ok || ft2 != ft {
-		t.Errorf("Decoded.FiveTuple = %+v, %v", ft2, ok)
+	want := FiveTuple{Src: MustIP4("10.0.0.2"), Dst: MustIP4("93.184.216.34"), Proto: ProtoTCP, SrcPort: 49152, DstPort: 80}
+	if ft, ok := d.FiveTuple(); !ok || ft != want {
+		t.Errorf("Decoded.FiveTuple = %+v, %v; want %+v", ft, ok, want)
 	}
 }
 
@@ -643,8 +634,7 @@ func TestDecodeNeverPanicsQuick(t *testing.T) {
 }
 
 func BenchmarkDecodeTCPFrame(b *testing.B) {
-	f := NewTCPFrame(MAC{1}, MAC{2}, IP4{10, 0, 0, 1}, IP4{10, 0, 0, 2}, 1234, 80, TCPAck, 1, make([]byte, 1000))
-	raw := f.Bytes()
+	raw := AppendTCPFrame(nil, MAC{1}, MAC{2}, IP4{10, 0, 0, 1}, IP4{10, 0, 0, 2}, 1234, 80, TCPAck, 1, 0, make([]byte, 1000))
 	var d Decoded
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -657,11 +647,10 @@ func BenchmarkDecodeTCPFrame(b *testing.B) {
 
 func BenchmarkSerializeTCPFrame(b *testing.B) {
 	buf := make([]byte, 0, 1600)
-	tcp := TCP{SrcPort: 1234, DstPort: 80, Flags: TCPAck, Payload: make([]byte, 1000)}
-	src, dst := IP4{10, 0, 0, 1}, IP4{10, 0, 0, 2}
+	payload := make([]byte, 1000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = tcp.AppendTo(buf[:0], src, dst)
+		buf = AppendTCPFrame(buf[:0], MAC{1}, MAC{2}, IP4{10, 0, 0, 1}, IP4{10, 0, 0, 2}, 1234, 80, TCPAck, 0, 0, payload)
 	}
 }

@@ -64,14 +64,6 @@ var transitionNames = [numTransitions]string{
 	"punt->barrier",
 }
 
-// TransitionNames returns the stage-transition labels in histogram order
-// (the order Snapshot.Stats reports them in).
-func TransitionNames() []string {
-	out := make([]string, numTransitions)
-	copy(out[:], transitionNames[:])
-	return out
-}
-
 // DefaultRingSize is the per-tracer span-ring capacity when New is given
 // zero: enough to hold every in-flight span of a busy home between
 // barriers while staying a few tens of KB per home at fleet scale.
@@ -430,7 +422,7 @@ type StageStats struct {
 }
 
 // Stats summarizes the snapshot, one row per stage transition in span
-// order (TransitionNames order).
+// order (transitionNames order).
 func (s *Snapshot) Stats() []StageStats {
 	out := make([]StageStats, numTransitions)
 	for i := range s.Hists {

@@ -2,7 +2,13 @@ package homework
 
 import (
 	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -232,5 +238,116 @@ func TestContractSurface(t *testing.T) {
 	}
 	if len(got) != len(contracts) {
 		t.Errorf("%d exported interfaces, contracts lists %d", len(got), len(contracts))
+	}
+}
+
+// unreadExports is every exported top-level function under internal/ that
+// no non-test Go file outside its own package names, as package.Name. Files
+// in cmd/, examples/, bench/ and the root package count as readers. The
+// list may only shrink: a function only its own package calls is
+// unexported, and one nothing calls is deleted.
+var unreadExports = []string{
+	// hwdb's cell and row constructors, beside Int64 and Str, which other
+	// packages' tests build rows and tables with.
+	"hwdb.IPVal",
+	"hwdb.MACVal",
+	"hwdb.NewRow",
+	"hwdb.NewTable",
+	"hwdb.ParseText",
+	// A package for other packages' tests to script a datapath with.
+	"noxtest.Attach",
+}
+
+// exportedFuncsUnread lists the exported top-level functions under
+// internal/ that no non-test file of another package names, sorted.
+func exportedFuncsUnread(t *testing.T) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	declared := map[string]string{} // import path + "." + Name -> package.Name
+	read := map[string]bool{}       // import path + "." + Name, named by another package
+	err := filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if file != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		own := "repro/" + filepath.ToSlash(filepath.Dir(file))
+		if strings.HasPrefix(own, "repro/internal/") {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() {
+					declared[own+"."+fn.Name.Name] = f.Name.Name + "." + fn.Name.Name
+				}
+			}
+		}
+		imports := map[string]string{} // local name -> import path
+		for _, imp := range f.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil || !strings.HasPrefix(p, "repro/internal/") || p == own {
+				continue
+			}
+			name := path.Base(p)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = p
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if id, ok := sel.X.(*ast.Ident); ok && imports[id.Name] != "" {
+					read[imports[id.Name]+"."+sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for key, name := range declared {
+		if !read[key] {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestUnreadExports fails when an exported function under internal/ that
+// no other package reads appears, or when one listed in unreadExports is
+// read or gone: a function exported for nobody is a reviewed one-line
+// diff, and so is the end of one.
+func TestUnreadExports(t *testing.T) {
+	got := exportedFuncsUnread(t)
+	want := map[string]bool{}
+	for _, n := range unreadExports {
+		want[n] = true
+	}
+	have := map[string]bool{}
+	for _, n := range got {
+		have[n] = true
+		if !want[n] {
+			t.Errorf("+ %s: exported, and no other package reads it; unexport it", n)
+		}
+	}
+	for _, n := range unreadExports {
+		if !have[n] {
+			t.Errorf("- %s: read by another package now, or gone; remove it from unreadExports", n)
+		}
+	}
+	if len(got) != len(unreadExports) {
+		t.Errorf("%d unread exported functions, unreadExports lists %d", len(got), len(unreadExports))
 	}
 }
