@@ -5,7 +5,9 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/hwdb"
 	"repro/internal/netsim"
+	"repro/internal/telemetry"
 )
 
 // TestRemoveReAddSameIDNoWatchLeak churns one home ID through repeated
@@ -100,5 +102,64 @@ func TestRemoveReAddSameIDNoWatchLeak(t *testing.T) {
 	if hub.Delivered+hub.Lost != inserts {
 		t.Errorf("unaccounted rows across re-add churn: delivered %d + lost %d != %d inserts",
 			hub.Delivered, hub.Lost, inserts)
+	}
+}
+
+// TestRestartAccountsWrappedRows: a home whose rings wrapped since the last
+// sync and is then restarted leaves every row its old incarnation inserted
+// on the books, read or wrapped out: its shard hub's and the federation's
+// delivered + lost equal the inserts of every incarnation.
+func TestRestartAccountsWrappedRows(t *testing.T) {
+	f := New(Config{Clock: clock.NewSimulated(), Seed: 5, Shards: 2,
+		HomeConfig: func(_ uint64, cfg *core.Config) { cfg.RingSize = 4 }})
+	t.Cleanup(f.Stop)
+	homes, err := f.AddHomes(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := homes[0]
+	host, err := old.Join("", false, netsim.Pos{X: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host.AddApp(netsim.NewApp(netsim.AppWeb, "203.0.113.10", 60_000))
+	for i := 0; i < 2; i++ {
+		if err := f.Step(0.25); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Rows after the step's sync, more than the ring holds.
+	for i := 0; i < 10; i++ {
+		if err := old.Router.DB.InsertLease("upd", host.MAC, host.IP(), "renamed"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh, err := f.RestartHome(old.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Sync()
+
+	var inserts uint64
+	for _, h := range []*Home{old, fresh, homes[1]} {
+		for _, name := range watchedTables {
+			if tbl, ok := h.Router.DB.Table(name); ok {
+				ins, _ := tbl.Stats()
+				inserts += ins
+			}
+		}
+	}
+	if leases, _ := old.Router.DB.Table(hwdb.TableLeases); leases.Len() != 4 {
+		t.Fatalf("the old Leases ring holds %d rows, want 4: the 10 rows since the sync did not wrap it", leases.Len())
+	}
+	var shards telemetry.HubStats
+	for _, st := range f.ShardStats() {
+		shards.Delivered += st.Hub.Delivered
+		shards.Lost += st.Hub.Lost
+	}
+	for name, st := range map[string]telemetry.HubStats{"shard hubs": shards, "federation": f.Hub().Stats()} {
+		if st.Delivered+st.Lost != inserts {
+			t.Errorf("%s: delivered %d + lost %d, want the %d inserts", name, st.Delivered, st.Lost, inserts)
+		}
 	}
 }

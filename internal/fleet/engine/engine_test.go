@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/telemetry"
@@ -107,6 +108,54 @@ func TestEngineLifecycle(t *testing.T) {
 	}
 	if err := e.Step(0.25); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Fatalf("step on closed engine = %v", err)
+	}
+}
+
+// TestDrainAccountsWrappedRows: a home whose rings wrapped since the last
+// sync and is then drained leaves every row it inserted on the books, read
+// or wrapped out, in the engine hub's accounting and in a federation over
+// it.
+func TestDrainAccountsWrappedRows(t *testing.T) {
+	clk := clock.NewSimulated()
+	e := New(Config{Clock: clk, Seed: 7, HomeConfig: func(_ uint64, cfg *core.Config) { cfg.RingSize = 4 }})
+	defer e.Close()
+	fed := telemetry.NewFederation(telemetry.FolderConfig{Clock: clk}, e.Hub())
+	if err := e.Assign(7); err != nil {
+		t.Fatal(err)
+	}
+	h, _ := e.Home(7)
+	host, err := h.Join("", true, netsim.Pos{X: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Router.Upstream.AddZone("svc.example", packet.IP4{203, 0, 113, 9})
+	host.AddApp(netsim.NewApp(netsim.AppWeb, "svc.example", 60_000))
+	e.Sync()
+	// Steps with no sync between them: the 4-row rings wrap.
+	for i := 0; i < 8; i++ {
+		if err := e.Step(0.25); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(250 * time.Millisecond)
+	}
+	e.Drain(7)
+
+	var wrapped uint64
+	for _, name := range watchedTables {
+		if tbl, ok := h.Router.DB.Table(name); ok {
+			_, dropped := tbl.Stats()
+			wrapped += dropped
+		}
+	}
+	if wrapped == 0 {
+		t.Fatal("no ring wrapped before the drain; the test exercised nothing")
+	}
+	inserts := engineInserts([]*Home{h})
+	for name, st := range map[string]telemetry.HubStats{"hub": e.Stats().Hub, "federation": fed.Stats()} {
+		if st.Sources != 0 || st.Delivered+st.Lost != inserts {
+			t.Errorf("%s books after the drain: %d sources, delivered %d + lost %d, want the %d inserts",
+				name, st.Sources, st.Delivered, st.Lost, inserts)
+		}
 	}
 }
 

@@ -88,3 +88,31 @@ func TestFolderAddHomeUpgradesImplicitAcc(t *testing.T) {
 		t.Fatalf("post-AddHome totals = %+v", tot)
 	}
 }
+
+// TestRetiredWrappedSourceIsAccounted: a source whose ring wrapped since
+// the last flush and is then unwatched keeps every row it ever took on the
+// books — the final drain's delivered rows and its wrapped-out ones, in
+// the hub's, the federation's and the folder's accounting alike.
+func TestRetiredWrappedSourceIsAccounted(t *testing.T) {
+	tbl, clk := testTable(t, 4)
+	hub := NewHub(HubConfig{})
+	defer hub.Close()
+	fed := NewFederation(FolderConfig{Clock: clk}, hub)
+	id := SourceID{Home: 1, Table: "T"}
+	hub.Watch(id, tbl)
+
+	insertN(t, tbl, clk, 0, 3)
+	hub.Flush() // the cursor is past the first 3 rows
+	insertN(t, tbl, clk, 3, 10)
+	hub.Unwatch(id) // 10 rows since the flush, 4 still in the ring
+
+	ins, _ := tbl.Stats()
+	for name, st := range map[string]HubStats{"hub": hub.Stats(), "federation": fed.Stats()} {
+		if st.Delivered != 7 || st.Lost != 6 || st.Delivered+st.Lost != ins {
+			t.Errorf("%s books delivered %d + lost %d, want 7 + 6 = the %d inserts", name, st.Delivered, st.Lost, ins)
+		}
+	}
+	if tot := fed.Folder().Totals(); tot.Rows+tot.Lost != ins {
+		t.Errorf("folder took %d rows + %d lost, want the %d inserts", tot.Rows, tot.Lost, ins)
+	}
+}
