@@ -154,9 +154,12 @@ func cstring(b []byte) string {
 	return string(b)
 }
 
+// bootpMinLen is the length BOOTP messages are conventionally padded to.
+const bootpMinLen = 300
+
 // Serialize appends the encoded message to b.
 func (d *DHCP) Serialize(b []byte) []byte {
-	b = slices.Grow(b, 300)
+	b = slices.Grow(b, bootpMinLen)
 	start := len(b)
 	b = append(b, d.Op, 1, 6, 0)
 	b = binary.BigEndian.AppendUint32(b, d.XID)
@@ -176,8 +179,7 @@ func (d *DHCP) Serialize(b []byte) []byte {
 		b = append(b, o.Data...)
 	}
 	b = append(b, DHCPOptEnd)
-	// BOOTP messages are conventionally padded to at least 300 bytes.
-	for len(b)-start < 300 {
+	for len(b)-start < bootpMinLen {
 		b = append(b, 0)
 	}
 	return b
