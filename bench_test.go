@@ -20,6 +20,7 @@ import (
 	"repro/internal/oftransport"
 	"repro/internal/openflow"
 	"repro/internal/packet"
+	"repro/internal/policy"
 )
 
 // ---------------------------------------------------------------- figures
@@ -136,8 +137,10 @@ func BenchmarkE2HwdbQuery(b *testing.B) {
 
 // BenchmarkE3ControlPath measures the packet-in -> controller -> flow-mod
 // -> barrier round trip — the reactive flow-setup cost every new home flow
-// pays — over both control transports: the loopback-TCP wire path and the
-// in-process channel path that skips serialization entirely.
+// pays — over both control transports: the loopback-TCP wire path, and the
+// oftransport.Direct channel an in-process home runs, attached as
+// core.Router.Start attaches it: no serialization, no queue and no
+// goroutine, the whole round trip on the benchmark's goroutine.
 func BenchmarkE3ControlPath(b *testing.B) {
 	for _, kind := range []core.TransportKind{core.TransportTCP, core.TransportInProcess} {
 		b.Run(fmt.Sprintf("transport=%s", kind), func(b *testing.B) {
@@ -169,9 +172,11 @@ func benchControlPath(b *testing.B, kind core.TransportKind) {
 		}
 		go func() { _ = dp.ConnectTCP(ctl.Addr()) }()
 	default:
-		ctlEnd, dpEnd := oftransport.Pair(0)
-		go func() { _ = ctl.ServeTransport(ctlEnd) }()
-		go func() { _ = dp.ConnectTransport(dpEnd) }()
+		ctlEnd, dpEnd := oftransport.Direct()
+		dp.AttachDirect(dpEnd, dpEnd)
+		if _, err := ctl.AttachDirect(ctlEnd, ctlEnd); err != nil {
+			b.Fatal(err)
+		}
 	}
 	defer dp.Stop()
 	sw := <-joined
@@ -304,7 +309,7 @@ func benchDNS(b *testing.B, denied bool) {
 	if denied {
 		// A policy that only allows an unrelated site: every query below
 		// is refused by the proxy without an upstream round trip.
-		err := rt.Policy.Install(&Policy{
+		err := rt.Policy.Install(&policy.Policy{
 			Name: "lockdown", Devices: []string{h.MAC.String()},
 			AllowedSites: []string{"allowed.example"},
 		})

@@ -26,6 +26,8 @@ var (
 	goFunc = regexp.MustCompile(`(?m)^func (\w+)\(`)
 	// docCode is a backticked span of prose.
 	docCode = regexp.MustCompile("`[^`\n]+`")
+	// docGoBlock is a fenced Go block of prose.
+	docGoBlock = regexp.MustCompile("(?s)```go\n(.*?)```")
 	// docQualified is a package-qualified name, pkg.Name or
 	// pkg.Type.Member, that does not continue a longer selector or path.
 	docQualified = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*(?:\.[A-Z]\w*)?)`)
@@ -135,17 +137,24 @@ func members(typ ast.Expr) []string {
 
 // TestDocsNameWhatExists reads README.md and docs/*.md and fails on every
 // Test, Benchmark or Fuzz name that no Go file in the tree declares, on
-// every internal/ path that does not exist, and on every backticked
-// pkg.Name or pkg.Type.Member, pkg a package under internal/, that the
-// package does not declare: a written contract that names its evidence
-// must name evidence that is there. bench/README.md is not read.
+// every internal/ path that does not exist, and on every pkg.Name or
+// pkg.Type.Member, in backticks or in a fenced Go block, that pkg does not
+// declare, pkg a package under internal/ or the homework facade: a written
+// contract that names its evidence must name evidence that is there, and a
+// snippet must name what the facade still declares. bench/README.md is not
+// read.
 func TestDocsNameWhatExists(t *testing.T) {
 	declared := map[string]map[string]bool{}
 	for pkg, files := range internalPackages(t) {
 		declared[pkg] = declaredNames(files)
 	}
+	facade, err := parser.ParseFile(token.NewFileSet(), "homework.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared["homework"] = declaredNames([]*ast.File{facade})
 	funcs := map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -190,7 +199,11 @@ func TestDocsNameWhatExists(t *testing.T) {
 				missing[p] = true
 			}
 		}
-		for _, code := range docCode.FindAllString(string(text), -1) {
+		code := docCode.FindAllString(string(text), -1)
+		for _, block := range docGoBlock.FindAllStringSubmatch(string(text), -1) {
+			code = append(code, strings.Split(block[1], "\n")...)
+		}
+		for _, code := range code {
 			for _, m := range docQualified.FindAllStringSubmatch(code, -1) {
 				if names, ok := declared[m[1]]; ok && !names[m[2]] {
 					missing[m[1]+"."+m[2]] = true

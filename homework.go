@@ -31,7 +31,6 @@ import (
 	"repro/internal/hwdb"
 	"repro/internal/netsim"
 	"repro/internal/packet"
-	"repro/internal/policy"
 	"repro/internal/telemetry"
 	"repro/internal/ui"
 	"repro/internal/usbmon"
@@ -50,10 +49,6 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewRouter assembles a platform; call Start on the result.
 func NewRouter(cfg Config) (*Router, error) { return core.New(cfg) }
-
-// TransportKind selects the controller↔datapath control-plane channel
-// (Config.Transport).
-type TransportKind = core.TransportKind
 
 // Control-plane transports: in-process channel passing (the default; no
 // serialization on the hot path) or the classic loopback-TCP secure
@@ -82,7 +77,6 @@ const (
 	AppVoIP  = netsim.AppVoIP
 	AppP2P   = netsim.AppP2P
 	AppIoT   = netsim.AppIoT
-	AppDNS   = netsim.AppDNS
 )
 
 // NewApp builds a traffic application targeting a hostname or literal IP.
@@ -99,45 +93,14 @@ type DBClient = hwdb.Client
 // DialDB connects to an hwdb server's UDP RPC address.
 func DialDB(addr string) (*DBClient, error) { return hwdb.Dial(addr) }
 
-// Policy is one cartoon policy.
-type Policy = policy.Policy
-
-// Schedule bounds when a policy grants access.
-type Schedule = policy.Schedule
-
-// MAC is an Ethernet address.
-type MAC = packet.MAC
-
 // IP4 is an IPv4 address.
 type IP4 = packet.IP4
-
-// ParseMAC parses a colon-separated Ethernet address.
-func ParseMAC(s string) (MAC, error) { return packet.ParseMAC(s) }
-
-// ParseIP4 parses a dotted-quad IPv4 address.
-func ParseIP4(s string) (IP4, error) { return packet.ParseIP4(s) }
 
 // BandwidthView is the Figure-1 per-device per-protocol display model.
 type BandwidthView = ui.BandwidthView
 
 // NewBandwidthView builds a bandwidth view over a database.
 func NewBandwidthView(db *DB) *BandwidthView { return ui.NewBandwidthView(db) }
-
-// Artifact is the Figure-2 physical LED artifact model.
-type Artifact = ui.Artifact
-
-// NewArtifact builds an artifact display for the device with the given MAC.
-func NewArtifact(db *DB, mac MAC) *Artifact { return ui.NewArtifact(db, mac) }
-
-// Artifact modes.
-const (
-	ModeSignal    = ui.ModeSignal
-	ModeBandwidth = ui.ModeBandwidth
-	ModeDHCP      = ui.ModeDHCP
-)
-
-// RenderFrame draws an artifact LED frame as text.
-func RenderFrame(leds []ui.LED) string { return ui.RenderFrame(leds) }
 
 // DHCPControl is the Figure-3 drag-to-permit display model.
 type DHCPControl = ui.DHCPControl
@@ -171,45 +134,8 @@ type Fleet = fleet.Coordinator
 // FleetConfig parameterizes a fleet.
 type FleetConfig = fleet.Config
 
-// FleetHome is one managed home within a fleet.
-type FleetHome = fleet.Home
-
-// FleetScenario declares a fleet workload (homes, hosts, app mix, churn).
-type FleetScenario = fleet.Scenario
-
-// FleetReport summarizes a scenario run.
-type FleetReport = fleet.Report
-
 // NewFleet creates an empty fleet; add homes with AddHome/AddHomes.
 func NewFleet(cfg FleetConfig) *Fleet { return fleet.New(cfg) }
-
-// DefaultFleetScenario is a small mixed-workload fleet scenario.
-func DefaultFleetScenario() FleetScenario { return fleet.DefaultScenario() }
-
-// RunFleetScenario executes a scenario end-to-end over in-process shards
-// on a simulated clock and reports; logf (may be nil) receives progress
-// lines.
-func RunFleetScenario(s FleetScenario, logf func(string, ...any)) (*FleetReport, error) {
-	r, err := fleet.NewRunner(s, nil)
-	if err != nil {
-		return nil, err
-	}
-	r.Logf = logf
-	rep, err := r.Run()
-	r.Close()
-	return rep, err
-}
-
-// FleetTelemetry is the live fleet-wide telemetry folder: continuously
-// maintained totals, windowed per-home and per-device rates, and the
-// FleetStats view database, all readable without a fold pass. Reach it
-// via Fleet.Telemetry(); it is the federated global folder, fed by every
-// shard engine's hub, so it reads as one coherent fleet regardless of
-// shard count.
-type FleetTelemetry = telemetry.Folder
-
-// FleetRate is a windowed byte/packet throughput estimate.
-type FleetRate = telemetry.Rate
 
 // FleetTelemetryServer streams fleet-wide aggregates over UDP: CQL EXEC
 // against the FleetStats view, a STATS snapshot verb, and FLEET
@@ -227,10 +153,7 @@ func ServeFleetTelemetry(f *Fleet, addr string) (*FleetTelemetryServer, error) {
 	return srv, nil
 }
 
-// Clock abstracts time; SimulatedClock is deterministic for tests.
-type Clock = clock.Clock
-
-// SimulatedClock is a manually advanced clock.
+// SimulatedClock is a manually advanced clock, deterministic for tests.
 type SimulatedClock = clock.Simulated
 
 // NewSimulatedClock returns a simulated clock at a fixed epoch.

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/packet"
 )
 
 // TestPublicAPIQuickstart exercises the README quickstart end to end
@@ -77,12 +79,13 @@ func TestPublicAPIRemoteDB(t *testing.T) {
 	}
 }
 
-// TestPublicAPIParsers covers the exported helpers.
+// TestPublicAPIParsers covers the exported helpers: the simulated clock,
+// and the address parsers behind the facade's MAC and IP4 strings.
 func TestPublicAPIParsers(t *testing.T) {
-	if _, err := ParseMAC("02:aa:00:00:00:01"); err != nil {
+	if _, err := packet.ParseMAC("02:aa:00:00:00:01"); err != nil {
 		t.Error(err)
 	}
-	if _, err := ParseIP4("192.168.1.1"); err != nil {
+	if _, err := packet.ParseIP4("192.168.1.1"); err != nil {
 		t.Error(err)
 	}
 	clk := NewSimulatedClock()

@@ -9,8 +9,8 @@
 // of wall clock while asserting the fleet re-converges to Healthy after
 // every episode with all telemetry rows accounted.
 //
-// Concurrency: drive Engine.Tick (and the soak loop) from one goroutine
-// between fleet steps; FaultsFor and the Faults switchboards themselves
+// Concurrency: drive Engine.tick (and the soak loop) from one goroutine
+// between fleet steps; faultsFor and the Faults switchboards themselves
 // are safe from any goroutine (home bring-up wraps transports
 // concurrently, and released messages re-enter live control loops).
 package chaos
@@ -84,8 +84,8 @@ type EpisodeStatus struct {
 }
 
 // Engine applies a schedule of episodes to a fleet as simulated time
-// passes. Create it before the fleet (home bring-up needs FaultsFor for
-// the transport hook), then Bind the fleet, SetSchedule, and Tick once
+// passes. Create it before the fleet (home bring-up needs faultsFor for
+// the transport hook), then Bind the fleet, setSchedule, and tick once
 // per fleet step with the current simulated offset.
 type Engine struct {
 	mu     sync.Mutex
@@ -106,11 +106,11 @@ func (e *Engine) Bind(fl *fleet.Coordinator) {
 	e.mu.Unlock()
 }
 
-// FaultsFor returns (creating on demand) the home's control-channel
+// faultsFor returns (creating on demand) the home's control-channel
 // fault switchboard. Wire it into the home's router via
 // core.Config.WrapTransport from the fleet's HomeConfig hook; the same
 // switchboard follows the home across restarts.
-func (e *Engine) FaultsFor(id uint64) *Faults {
+func (e *Engine) faultsFor(id uint64) *Faults {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	f, ok := e.faults[id]
@@ -121,8 +121,8 @@ func (e *Engine) FaultsFor(id uint64) *Faults {
 	return f
 }
 
-// SetSchedule installs the episodes (replacing any prior schedule).
-func (e *Engine) SetSchedule(eps []Episode) {
+// setSchedule installs the episodes (replacing any prior schedule).
+func (e *Engine) setSchedule(eps []Episode) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.sched = make([]EpisodeStatus, len(eps))
@@ -158,10 +158,10 @@ func (e *Engine) Counts() (injected, skipped, unrecovered int) {
 	return
 }
 
-// Tick applies schedule transitions due at simulated offset now: onsets
+// tick applies schedule transitions due at simulated offset now: onsets
 // first, then lift every episode whose window has passed. Call from the
 // driver goroutine between fleet steps.
-func (e *Engine) Tick(now time.Duration) {
+func (e *Engine) tick(now time.Duration) {
 	e.mu.Lock()
 	fl := e.fl
 	e.mu.Unlock()
@@ -215,8 +215,8 @@ func (e *Engine) setEnded(i int, recovered bool) {
 	e.mu.Unlock()
 }
 
-// Finish lifts every episode still active (the soak's drain phase).
-func (e *Engine) Finish() {
+// finish lifts every episode still active (the soak's drain phase).
+func (e *Engine) finish() {
 	for i := 0; i < e.scheduleLen(); i++ {
 		st := e.status(i)
 		if st.Injected && !st.Ended {
@@ -226,10 +226,10 @@ func (e *Engine) Finish() {
 	}
 }
 
-// MarkRecovery records, for every ended episode, whether its target home
+// markRecovery records, for every ended episode, whether its target home
 // has been observed back at Healthy (or retired and replaced) since the
 // fault lifted. stateOf is typically health.Monitor.State.
-func (e *Engine) MarkRecovery(stateOf func(id uint64) (health.State, bool)) {
+func (e *Engine) markRecovery(stateOf func(id uint64) (health.State, bool)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i := range e.sched {
@@ -244,11 +244,11 @@ func (e *Engine) MarkRecovery(stateOf func(id uint64) (health.State, bool)) {
 	}
 }
 
-// Reapply re-arms the fabric faults of any active episode targeting a
+// reapply re-arms the fabric faults of any active episode targeting a
 // just-restarted home: the restart built a fresh Network and Wireless
 // model, which silently cleared them. Transport faults persist on their
 // own (the switchboard follows the home across Wrap calls).
-func (e *Engine) Reapply(id uint64) {
+func (e *Engine) reapply(id uint64) {
 	for i := 0; i < e.scheduleLen(); i++ {
 		st := e.status(i)
 		if !st.Injected || st.Ended || st.Home != id {
@@ -266,13 +266,13 @@ func (e *Engine) Reapply(id uint64) {
 func (e *Engine) begin(ep *Episode) bool {
 	switch ep.Kind {
 	case Wedge:
-		e.FaultsFor(ep.Home).WedgeController(true)
+		e.faultsFor(ep.Home).wedgeController(true)
 		return true
 	case DropMods:
-		e.FaultsFor(ep.Home).DropFlowMods(true)
+		e.faultsFor(ep.Home).dropFlowMods(true)
 		return true
 	case DelayMods:
-		e.FaultsFor(ep.Home).DelayFlowMods(true)
+		e.faultsFor(ep.Home).delayFlowMods(true)
 		return true
 	}
 	h, ok := e.fl.Home(ep.Home)
@@ -300,13 +300,13 @@ func (e *Engine) begin(ep *Episode) bool {
 func (e *Engine) end(ep *Episode) {
 	switch ep.Kind {
 	case Wedge:
-		e.FaultsFor(ep.Home).WedgeController(false)
+		e.faultsFor(ep.Home).wedgeController(false)
 		return
 	case DropMods:
-		e.FaultsFor(ep.Home).DropFlowMods(false)
+		e.faultsFor(ep.Home).dropFlowMods(false)
 		return
 	case DelayMods:
-		e.FaultsFor(ep.Home).DelayFlowMods(false)
+		e.faultsFor(ep.Home).delayFlowMods(false)
 		return
 	case DHCPStorm:
 		return // instantaneous: nothing to lift

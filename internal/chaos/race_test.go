@@ -32,7 +32,7 @@ func TestChaosChurn32Homes(t *testing.T) {
 		Clock:  clock.NewSimulated(),
 		Seed:   11,
 		HomeConfig: func(id uint64, c *core.Config) {
-			c.WrapTransport = eng.FaultsFor(id).Wrap
+			c.WrapTransport = eng.faultsFor(id).wrap
 		},
 	})
 	t.Cleanup(fl.Stop)
@@ -59,7 +59,7 @@ func TestChaosChurn32Homes(t *testing.T) {
 	}
 
 	// Every fault class live inside the 8-step (2 simulated seconds) run.
-	eng.SetSchedule([]Episode{
+	eng.setSchedule([]Episode{
 		{Kind: Wedge, Home: 24, At: 0, For: 500 * time.Millisecond},
 		{Kind: DropMods, Home: 4, At: 0, For: time.Second},
 		{Kind: DelayMods, Home: 8, At: 250 * time.Millisecond, For: time.Second},
@@ -104,7 +104,7 @@ func TestChaosChurn32Homes(t *testing.T) {
 	}
 	simNow := time.Duration(0)
 	for i := 0; i < 8; i++ {
-		eng.Tick(simNow)
+		eng.tick(simNow)
 		step(i)
 		simNow += 250 * time.Millisecond
 		switch i {
@@ -125,10 +125,10 @@ func TestChaosChurn32Homes(t *testing.T) {
 				t.Fatal(err)
 			}
 			incarnations = append(incarnations, h)
-			eng.Reapply(3)
+			eng.reapply(3)
 		}
 	}
-	eng.Finish()
+	eng.finish()
 	// Post-fault drain: released punts and flow-mods land, wedged homes
 	// settle again.
 	step(8)
@@ -140,10 +140,10 @@ func TestChaosChurn32Homes(t *testing.T) {
 
 	// The wedge actually held and released punts, and the lossy faults
 	// actually dropped frames — the run exercised what it claims.
-	if st := eng.FaultsFor(24).Stats(); st.ReleasedPunts == 0 && st.LostPunts == 0 {
+	if st := eng.faultsFor(24).Stats(); st.ReleasedPunts == 0 && st.LostPunts == 0 {
 		t.Errorf("wedge on home 24 held nothing: %+v", st)
 	}
-	if st := eng.FaultsFor(4).Stats(); st.DroppedMods == 0 {
+	if st := eng.faultsFor(4).Stats(); st.DroppedMods == 0 {
 		t.Errorf("drop-mods on home 4 dropped nothing: %+v", st)
 	}
 

@@ -116,7 +116,7 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 		Seed:   cfg.Seed,
 		Shards: cfg.Shards,
 		HomeConfig: func(id uint64, c *core.Config) {
-			c.WrapTransport = eng.FaultsFor(id).Wrap
+			c.WrapTransport = eng.faultsFor(id).wrap
 		},
 	})
 	defer fl.Stop()
@@ -178,7 +178,7 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 				if err == nil {
 					// The restart rebuilt the home's network; re-arm any
 					// still-active fabric fault so the episode holds.
-					eng.Reapply(id)
+					eng.reapply(id)
 				}
 				return err
 			},
@@ -218,7 +218,7 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 		MaxFor: 13 * stepDur,
 		Gap:    50 * stepDur,
 	})
-	eng.SetSchedule(sched)
+	eng.setSchedule(sched)
 	logf("chaos soak: seed=%d homes=%d episodes=%d span=%s step=%ds",
 		cfg.Seed, cfg.Homes, len(sched), span, stepSec)
 
@@ -229,12 +229,12 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 			return err
 		}
 		mon.Tick()
-		eng.MarkRecovery(mon.State)
+		eng.markRecovery(mon.State)
 		s.maintain()
 		return nil
 	}
 	for i := 0; i < steps; i++ {
-		eng.Tick(simNow)
+		eng.tick(simNow)
 		if err := tick(); err != nil {
 			return nil, fmt.Errorf("chaos: step %d (seed %d): %w", i, cfg.Seed, err)
 		}
@@ -248,7 +248,7 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 
 	// Drain: lift whatever is still active and grant the remediation loop
 	// a bounded number of extra windows to converge.
-	eng.Finish()
+	eng.finish()
 	extra := 0
 	for ; extra < recoverySteps; extra++ {
 		_, _, unrec := eng.Counts()

@@ -83,14 +83,11 @@ func TestChaosSoakRemote(t *testing.T) {
 		}
 		// Steady coordinator-level churn: every 10th step the oldest home
 		// is torn down (its final rows ride the drain batch) and a fresh
-		// one is placed.
+		// one is placed. IDs are handed out in ascending order from 0 and
+		// only this loop removes homes, so the oldest is the churns-th.
 		if i%10 == 9 {
-			ids := f.HomeIDs()
-			if len(ids) == 0 {
-				t.Fatalf("seed %d: fleet emptied at step %d", seed, i)
-			}
-			if !f.RemoveHome(ids[0]) {
-				t.Fatalf("seed %d: step %d: remove home %d failed", seed, i, ids[0])
+			if oldest := uint64(churns); !f.RemoveHome(oldest) {
+				t.Fatalf("seed %d: step %d: remove home %d failed", seed, i, oldest)
 			}
 			if _, err := f.AddHome(); err != nil {
 				t.Fatalf("seed %d: step %d: %v", seed, i, err)

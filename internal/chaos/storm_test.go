@@ -23,9 +23,9 @@ func stormRun(t *testing.T, seed int64) []string {
 			t.Fatal(err)
 		}
 	}
-	eng.SetSchedule([]Episode{{Kind: DHCPStorm, Home: h.ID, At: 0, For: time.Second}})
+	eng.setSchedule([]Episode{{Kind: DHCPStorm, Home: h.ID, At: 0, For: time.Second}})
 	for i, now := range []time.Duration{0, 250 * time.Millisecond} {
-		eng.Tick(now)
+		eng.tick(now)
 		if err := fl.Step(0.25); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}

@@ -11,14 +11,14 @@ import (
 // core.Config.WrapTransport, it interposes on the Send side of both
 // in-process transport ends:
 //
-//   - WedgeController holds every packet-in the datapath punts (the
+//   - wedgeController holds every packet-in the datapath punts (the
 //     controller simply stops hearing about new flows, exactly as a
 //     wedged or GC-stalled controller would look). Punt/dispatch
 //     accounting makes the wedge visible: the datapath counts the punt
 //     before Send, the controller can only count what arrives, so its
 //     dispatches lag the punts and the next Settle returns an error
 //     matching core.ErrWedged at once — every other message still passes.
-//   - DropFlowMods / DelayFlowMods discard or hold the controller's
+//   - dropFlowMods / delayFlowMods discard or hold the controller's
 //     flow-mods (a lossy or congested southbound channel): punted
 //     packets keep being dispatched and credited, but the rules they
 //     produced never (or only later) reach the flow table.
@@ -58,18 +58,18 @@ type FaultStats struct {
 	HeldPunts     uint64 // punts currently held by an active wedge
 	ReleasedPunts uint64 // punts released by lifted wedges
 	LostPunts     uint64 // punts discarded by a restart while held
-	DroppedMods   uint64 // flow-mods discarded by DropFlowMods
-	HeldMods      uint64 // flow-mods currently held by DelayFlowMods
+	DroppedMods   uint64 // flow-mods discarded by dropFlowMods
+	HeldMods      uint64 // flow-mods currently held by delayFlowMods
 	ReleasedMods  uint64 // flow-mods released by lifted delays
 	LostMods      uint64 // flow-mods discarded by a restart while held
 }
 
-// Wrap interposes the switchboard on a router's in-process control
+// wrap interposes the switchboard on a router's in-process control
 // channel; install it as core.Config.WrapTransport (method value:
-// cfg.WrapTransport = f.Wrap). Safe to call again for a restarted
+// cfg.WrapTransport = f.wrap). Safe to call again for a restarted
 // router: held messages for the old incarnation are discarded (and
 // accounted), fault flags carry over.
-func (f *Faults) Wrap(ctl, dp oftransport.Transport) (oftransport.Transport, oftransport.Transport) {
+func (f *Faults) wrap(ctl, dp oftransport.Transport) (oftransport.Transport, oftransport.Transport) {
 	f.mu.Lock()
 	f.ctlInner, f.dpInner = ctl, dp
 	f.stats.LostPunts += uint64(len(f.heldPunts))
@@ -80,9 +80,9 @@ func (f *Faults) Wrap(ctl, dp oftransport.Transport) (oftransport.Transport, oft
 	return &faultEnd{f: f, inner: ctl, ctl: true}, &faultEnd{f: f, inner: dp}
 }
 
-// WedgeController starts (on=true) or lifts (on=false) a controller
+// wedgeController starts (on=true) or lifts (on=false) a controller
 // wedge. Lifting releases the held punts, oldest first.
-func (f *Faults) WedgeController(on bool) {
+func (f *Faults) wedgeController(on bool) {
 	f.mu.Lock()
 	f.wedged = on
 	f.mu.Unlock()
@@ -120,17 +120,17 @@ func (f *Faults) release(held *[]openflow.Message, releasing *bool, inner *oftra
 	f.mu.Unlock()
 }
 
-// DropFlowMods makes the controller's flow-mods vanish on the wire while
+// dropFlowMods makes the controller's flow-mods vanish on the wire while
 // on; everything else (packet-outs, barriers, stats) still flows.
-func (f *Faults) DropFlowMods(on bool) {
+func (f *Faults) dropFlowMods(on bool) {
 	f.mu.Lock()
 	f.dropMods = on
 	f.mu.Unlock()
 }
 
-// DelayFlowMods holds the controller's flow-mods while on; turning it
+// delayFlowMods holds the controller's flow-mods while on; turning it
 // off releases them, oldest first — rules arrive late, not never.
-func (f *Faults) DelayFlowMods(on bool) {
+func (f *Faults) delayFlowMods(on bool) {
 	f.mu.Lock()
 	f.delayMods = on
 	f.mu.Unlock()

@@ -20,7 +20,7 @@ func newChaosFleet(t *testing.T, homes int, seed int64) (*fleet.Coordinator, *En
 		Clock: clock.NewSimulated(),
 		Seed:  seed,
 		HomeConfig: func(id uint64, c *core.Config) {
-			c.WrapTransport = eng.FaultsFor(id).Wrap
+			c.WrapTransport = eng.faultsFor(id).wrap
 		},
 	})
 	t.Cleanup(fl.Stop)
@@ -53,8 +53,8 @@ func TestWedgeSettleDeadlineAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := eng.FaultsFor(h.ID)
-	f.WedgeController(true)
+	f := eng.faultsFor(h.ID)
+	f.wedgeController(true)
 	host2, err := h.Router.Net.AddHost("dev-wedged", h.NextMAC(), false, netsim.Pos{X: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestWedgeSettleDeadlineAndRecovery(t *testing.T) {
 
 	// Lift the wedge: the held punts replay in order, their dispatches
 	// catch up, and the join completes.
-	f.WedgeController(false)
+	f.wedgeController(false)
 	if err := h.Router.Settle(); err != nil {
 		t.Fatalf("settle after lift: %v", err)
 	}
@@ -106,9 +106,9 @@ func TestWedgeSettleDeadlineAndRecovery(t *testing.T) {
 	}
 }
 
-// TestDropAndDelayFlowMods checks the southbound fault pair: DropFlowMods
+// TestDropAndDelayFlowMods checks the southbound fault pair: dropFlowMods
 // makes rules vanish (punts keep flowing and settling, so the control
-// path stays live), DelayFlowMods holds rules and replays them on lift.
+// path stays live), delayFlowMods holds rules and replays them on lift.
 func TestDropAndDelayFlowMods(t *testing.T) {
 	fl, eng := newChaosFleet(t, 1, 43)
 	h := fl.Homes()[0]
@@ -117,9 +117,9 @@ func TestDropAndDelayFlowMods(t *testing.T) {
 		t.Fatal(err)
 	}
 	host.AddApp(netsim.NewApp(netsim.AppWeb, "203.0.113.10", 60_000))
-	f := eng.FaultsFor(h.ID)
+	f := eng.faultsFor(h.ID)
 
-	f.DropFlowMods(true)
+	f.dropFlowMods(true)
 	// Traffic punts, the punts dispatch and credit (Settle succeeds), but
 	// every resulting flow-mod is eaten.
 	for i := 0; i < 3; i++ {
@@ -130,9 +130,9 @@ func TestDropAndDelayFlowMods(t *testing.T) {
 	if st := f.Stats(); st.DroppedMods == 0 {
 		t.Fatalf("no flow-mods dropped: %+v", st)
 	}
-	f.DropFlowMods(false)
+	f.dropFlowMods(false)
 
-	f.DelayFlowMods(true)
+	f.delayFlowMods(true)
 	if err := fl.Step(0.5); err != nil {
 		t.Fatalf("step under delay-mods: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestDropAndDelayFlowMods(t *testing.T) {
 	if held == 0 {
 		t.Fatalf("no flow-mods held: %+v", f.Stats())
 	}
-	f.DelayFlowMods(false)
+	f.delayFlowMods(false)
 	st := f.Stats()
 	if st.HeldMods != 0 || st.ReleasedMods != held {
 		t.Fatalf("delay release accounting: held %d, stats %+v", held, st)
@@ -158,9 +158,9 @@ func TestWrapAcrossRestartKeepsFaults(t *testing.T) {
 	fl, eng := newChaosFleet(t, 1, 44)
 	h := fl.Homes()[0]
 	id := h.ID
-	f := eng.FaultsFor(id)
+	f := eng.faultsFor(id)
 
-	f.WedgeController(true)
+	f.wedgeController(true)
 	// Provoke held punts: a join's DISCOVER goes into the wedge.
 	host, err := h.Router.Net.AddHost("dev", h.NextMAC(), false, netsim.Pos{X: 1})
 	if err != nil {
@@ -192,7 +192,7 @@ func TestWrapAcrossRestartKeepsFaults(t *testing.T) {
 	if err := h2.Router.JoinHost(host2); !errors.Is(err, core.ErrWedged) {
 		t.Fatalf("join after restart under persisting wedge: %v", err)
 	}
-	f.WedgeController(false)
+	f.wedgeController(false)
 	if err := h2.Router.Settle(); err != nil {
 		t.Fatalf("settle after lift: %v", err)
 	}

@@ -24,7 +24,7 @@ func interferenceRun(t *testing.T, seed int64) []string {
 		Clock: sim,
 		Seed:  seed,
 		HomeConfig: func(id uint64, c *core.Config) {
-			c.WrapTransport = eng.FaultsFor(id).Wrap
+			c.WrapTransport = eng.faultsFor(id).wrap
 			// Time compression: ticks advance 60 simulated seconds, so a
 			// flow's traffic arrives in bursts 60s apart. Each step's sweep
 			// idles out every flow quieter than the timeout, so it must
@@ -58,7 +58,7 @@ func interferenceRun(t *testing.T, seed int64) []string {
 	// 54 dB of attenuation on homes 1 and 3 only: RSSI drops from ~-34 to
 	// ~-88 dBm, where the retry cap loses a meaningful (but partial)
 	// fraction of frames.
-	eng.SetSchedule([]Episode{
+	eng.setSchedule([]Episode{
 		{Kind: Interference, Home: ids[1], At: 0, For: 6 * time.Minute, Mag: 54},
 		{Kind: Interference, Home: ids[3], At: 0, For: 6 * time.Minute, Mag: 54},
 	})
@@ -66,13 +66,13 @@ func interferenceRun(t *testing.T, seed int64) []string {
 	var history []string
 	simNow := time.Duration(0)
 	for i := 0; i < 12; i++ {
-		eng.Tick(simNow)
+		eng.tick(simNow)
 		if err := fl.Step(60); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 		simNow += time.Minute
 		mon.Tick()
-		eng.MarkRecovery(mon.State)
+		eng.markRecovery(mon.State)
 		tick := ""
 		for _, id := range ids {
 			st, _ := mon.State(id)

@@ -81,9 +81,6 @@ func (a *API) Name() string { return "control-api" }
 // Configure implements nox.Component (the API needs no datapath events).
 func (a *API) Configure(*nox.Controller) error { return nil }
 
-// Handler returns the HTTP handler (for tests via httptest).
-func (a *API) Handler() http.Handler { return a.mux }
-
 // ListenAndServe starts the API on addr ("127.0.0.1:0" for an ephemeral
 // port) and returns immediately.
 func (a *API) ListenAndServe(addr string) error {

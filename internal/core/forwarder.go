@@ -110,7 +110,7 @@ func (f *Forwarder) Configure(ctl *nox.Controller) error {
 			// Re-evaluate everything: flush per-flow state so the next
 			// packet of each flow is policy-checked afresh.
 			for _, sw := range ctl.Switches() {
-				f.FlushFlows(sw)
+				f.flushFlows(sw)
 			}
 		})
 	}
@@ -124,10 +124,10 @@ func (f *Forwarder) Counters() (admitted, denied uint64) {
 	return f.admitted, f.denials
 }
 
-// FlushFlows removes every forwarding/drop entry the forwarder installed
+// flushFlows removes every forwarding/drop entry the forwarder installed
 // (punt rules are untouched: they live at a different priority and are
 // deleted strictly).
-func (f *Forwarder) FlushFlows(sw *nox.Switch) {
+func (f *Forwarder) flushFlows(sw *nox.Switch) {
 	f.mu.Lock()
 	keys := make([]installedKey, 0, len(f.installed))
 	for k := range f.installed {

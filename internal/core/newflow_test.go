@@ -223,19 +223,26 @@ func TestFlowsExpireOnTheirDueStep(t *testing.T) {
 		// the ACK a tick later is charged, so the deadlines fall on
 		// different ticks. Then the home goes idle.
 		opens := map[int]uint16{1: 31000, 3: 31001, 6: 31002}
-		deadline := func(e *datapath.FlowEntry) time.Time {
+		// The clock stands still through a tick, so an entry whose count
+		// moved in a tick was last used at that tick's reading.
+		var (
+			book     strings.Builder
+			live     = map[*datapath.FlowEntry]time.Time{} // timed entries after the last tick, by deadline
+			counted  = map[*datapath.FlowEntry]uint64{}
+			used     = map[*datapath.FlowEntry]time.Time{}
+			expired  int64
+			baseline = removals.Load()
+		)
+		deadline := func(e *datapath.FlowEntry, now time.Time) time.Time {
+			if n := e.PacketCount(); n != counted[e] {
+				counted[e], used[e] = n, now
+			}
 			last := e.Installed
-			if lu, ok := e.LastUsed(); ok {
+			if lu, ok := used[e]; ok {
 				last = lu
 			}
 			return last.Add(time.Duration(e.IdleTimeout) * time.Second)
 		}
-		var (
-			book     strings.Builder
-			live     = map[*datapath.FlowEntry]time.Time{} // timed entries after the last tick, by deadline
-			expired  int64
-			baseline = removals.Load()
-		)
 		for tick := 0; tick < 24; tick++ {
 			now := clk.Now()
 			r.Net.Step(0.25)
@@ -268,7 +275,7 @@ func TestFlowsExpireOnTheirDueStep(t *testing.T) {
 			}
 			for e := range cur {
 				if e.IdleTimeout > 0 {
-					live[e] = deadline(e)
+					live[e] = deadline(e, now)
 				}
 			}
 			fmt.Fprintf(&book, "%d:%d/%d ", tick, r.Datapath.Table().Len(), expired)

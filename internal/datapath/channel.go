@@ -3,7 +3,6 @@ package datapath
 import (
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
 	"repro/internal/oftransport"
@@ -38,14 +37,6 @@ func channelErr(op string, err error) error {
 		return ErrChannelClosed
 	}
 	return &ChannelError{Op: op, Err: err}
-}
-
-// Connect attaches the datapath to a controller over conn (typically a TCP
-// connection or a net.Pipe end) and services the secure channel until the
-// connection closes or Stop is called. See ConnectTransport for the
-// return-value contract.
-func (dp *Datapath) Connect(conn net.Conn) error {
-	return dp.ConnectTransport(oftransport.NewTCP(conn))
 }
 
 // ConnectTransport attaches the datapath to a controller over one
@@ -268,7 +259,7 @@ func (dp *Datapath) handleFlowMod(m *openflow.FlowMod) {
 			return
 		}
 		strict := m.Command == openflow.FlowModModifyStrict
-		if n := dp.table.Modify(&m.Match, m.Priority, strict, m.Actions); n == 0 {
+		if n := dp.table.modify(&m.Match, m.Priority, strict, m.Actions); n == 0 {
 			// Per spec, MODIFY with no matching entry behaves like ADD.
 			_ = dp.table.Add(dp.newEntry(m), false)
 		}

@@ -28,7 +28,7 @@ func newPipeRig(t *testing.T, clk clock.Clock) *pipeRig {
 	dp := New(Config{ID: 7, Clock: clk})
 	_ = dp.AddPort(&Port{No: 1})
 	_ = dp.AddPort(&Port{No: 2})
-	go func() { _ = dp.Connect(dpSide) }()
+	go func() { _ = dp.ConnectTransport(oftransport.NewTCP(dpSide)) }()
 	t.Cleanup(dp.Stop)
 
 	// net.Pipe is unbuffered: read the datapath's HELLO before sending

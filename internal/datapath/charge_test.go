@@ -112,7 +112,7 @@ func TestNestedRunChargesExactly(t *testing.T) {
 	if e.PacketCount() != n || e.ByteCount() != n*size {
 		t.Errorf("entry charged %d packets, %d bytes; want %d, %d", e.PacketCount(), e.ByteCount(), n, n*size)
 	}
-	if last, _ := e.LastUsed(); !last.Equal(t0.Add(time.Second)) {
+	if last, _ := lastUsed(e); !last.Equal(t0.Add(time.Second)) {
 		t.Errorf("entry last used at %v, want the nested call's reading %v", last, t0.Add(time.Second))
 	}
 	if lookups, matched := r.dp.table.Counters(); lookups != n || matched != n {

@@ -164,7 +164,7 @@ func TestFlowTableExpire(t *testing.T) {
 	_ = tbl.Add(hard, false)
 	_ = tbl.Add(forever, false)
 
-	removed, reasons := tbl.Expire(base.Add(5 * time.Second))
+	removed, reasons := expireAt(tbl, base.Add(5*time.Second))
 	if len(removed) != 0 {
 		t.Fatalf("early expiry: %d", len(removed))
 	}
@@ -174,15 +174,15 @@ func TestFlowTableExpire(t *testing.T) {
 	_ = d.Decode(frame)
 	tbl.Lookup(&d, 1, len(frame), base.Add(8*time.Second))
 
-	removed, reasons = tbl.Expire(base.Add(17 * time.Second))
+	removed, reasons = expireAt(tbl, base.Add(17*time.Second))
 	if len(removed) != 0 {
 		t.Fatalf("idle entry expired despite traffic")
 	}
-	removed, reasons = tbl.Expire(base.Add(19 * time.Second))
+	removed, reasons = expireAt(tbl, base.Add(19*time.Second))
 	if len(removed) != 1 || reasons[0] != openflow.FlowRemovedIdleTimeout {
 		t.Fatalf("idle expiry: %d removed", len(removed))
 	}
-	removed, reasons = tbl.Expire(base.Add(61 * time.Second))
+	removed, reasons = expireAt(tbl, base.Add(61*time.Second))
 	if len(removed) != 1 || reasons[0] != openflow.FlowRemovedHardTimeout {
 		t.Fatalf("hard expiry: %d removed, reasons %v", len(removed), reasons)
 	}
@@ -212,7 +212,7 @@ func TestExpireOrderIsDeterministic(t *testing.T) {
 		for _, i := range rand.New(rand.NewSource(seed)).Perm(len(entries)) {
 			_ = tbl.Add(&FlowEntry{Match: entries[i].m, Priority: 10, IdleTimeout: 5, Installed: entries[i].installed}, false)
 		}
-		removed, _ := tbl.Expire(base.Add(time.Minute))
+		removed, _ := expireAt(tbl, base.Add(time.Minute))
 		var ms []openflow.Match
 		for i, e := range removed {
 			if i > 0 {

@@ -249,8 +249,8 @@ func comparePaths(t *testing.T, fast, slow *pathRig) {
 	}
 	for i, se := range slow.entries {
 		fe := fast.entries[i]
-		fl, _ := fe.LastUsed()
-		sl, _ := se.LastUsed()
+		fl, _ := lastUsed(fe)
+		sl, _ := lastUsed(se)
 		if fe.PacketCount() != se.PacketCount() || fe.ByteCount() != se.ByteCount() || !fl.Equal(sl) {
 			t.Errorf("entry %d: fast %d packets %d bytes last used %v, slow %d/%d/%v",
 				i, fe.PacketCount(), fe.ByteCount(), fl, se.PacketCount(), se.ByteCount(), sl)

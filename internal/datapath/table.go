@@ -71,16 +71,6 @@ func (e *FlowEntry) PacketCount() uint64 { return e.packets.Load() }
 // ByteCount returns how many bytes have matched the entry.
 func (e *FlowEntry) ByteCount() uint64 { return e.bytes.Load() }
 
-// LastUsed returns when the entry last matched a packet; ok is false if
-// it never has.
-func (e *FlowEntry) LastUsed() (t time.Time, ok bool) {
-	n := e.lastUsed.Load()
-	if n == 0 {
-		return time.Time{}, false
-	}
-	return time.Unix(0, n), true
-}
-
 // charge adds matched packets to the entry's counters, the last of them
 // matched at clock reading nanos. lastUsed only moves forward: a charge
 // committed after a later one (a run that outlived a nested call, or a
@@ -148,7 +138,7 @@ type FlowTable struct {
 	lookups atomic.Uint64
 	matched atomic.Uint64
 
-	// gen counts the changes made to the table (Add, Modify, Delete, and
+	// gen counts the changes made to the table (Add, modify, Delete, and
 	// an expiry sweep that removes something, each bumping it under the
 	// write lock). A reader that saw a
 	// frame match an entry may charge the next frame of the same key to
@@ -315,9 +305,9 @@ func overlaps(a, b *openflow.Match) bool {
 	return true
 }
 
-// Modify updates the actions of entries matched by m (non-strict: all
+// modify updates the actions of entries matched by m (non-strict: all
 // entries subsumed by m). It reports how many entries were updated.
-func (t *FlowTable) Modify(m *openflow.Match, priority uint16, strict bool, actions []openflow.Action) int {
+func (t *FlowTable) modify(m *openflow.Match, priority uint16, strict bool, actions []openflow.Action) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.gen.Add(1)
@@ -395,25 +385,16 @@ func outputsTo(actions []openflow.Action, port uint16) bool {
 	return false
 }
 
-// Expire removes entries whose idle or hard timeout has passed, returning
-// them with the reason for each, in removalOrder.
-func (t *FlowTable) Expire(now time.Time) (removed []*FlowEntry, reasons []uint8) {
-	for _, x := range t.expire(nil, now) {
-		removed = append(removed, x.e)
-		reasons = append(reasons, x.reason)
-	}
-	return removed, reasons
-}
-
 // expiry is one entry an expiry sweep removed, and why.
 type expiry struct {
 	e      *FlowEntry
 	reason uint8
 }
 
-// expire is Expire appending to dst, which the caller reuses. Before the
-// table's earliest deadline it returns at once; a sweep bumps gen only when
-// it removes something.
+// expire removes entries whose idle or hard timeout has passed, appending
+// each with its reason to dst, which the caller reuses, in removalOrder.
+// Before the table's earliest deadline it returns at once; a sweep bumps gen
+// only when it removes something.
 func (t *FlowTable) expire(dst []expiry, now time.Time) []expiry {
 	nowN := now.UnixNano()
 	if nowN < t.due.Load() {

@@ -2,6 +2,7 @@ package datapath
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -21,6 +22,22 @@ type modelEntry struct {
 	bytes    uint64
 	lastUsed time.Time // zero = never matched
 	seq      int
+}
+
+// expireAt runs an expiry sweep at now and returns what it removed, in
+// removal order, with the reason for each.
+func expireAt(t *FlowTable, now time.Time) (removed []*FlowEntry, reasons []uint8) {
+	for _, x := range t.expire(nil, now) {
+		removed = append(removed, x.e)
+		reasons = append(reasons, x.reason)
+	}
+	return removed, reasons
+}
+
+// lastUsed reads when e last matched a packet; ok is false if it never has.
+func lastUsed(e *FlowEntry) (t time.Time, ok bool) {
+	n := e.lastUsed.Load()
+	return time.Unix(0, n), n != 0
 }
 
 // refTable is FlowTable's reference: a slice scanned in full by every
@@ -53,10 +70,43 @@ func selects(o *modelEntry, m *openflow.Match, priority uint16, strict bool, out
 	return false
 }
 
+// overlapRef is the model's OFPFF_CHECK_OVERLAP rule, written apart from
+// overlaps: a packet can match both a and b unless a field both fix holds
+// different values, or the two address prefixes differ in a bit both fix,
+// compared one bit at a time from the top.
+func overlapRef(a, b *openflow.Match) bool {
+	both := func(bit uint32) bool { return a.Wildcards&bit == 0 && b.Wildcards&bit == 0 }
+	if both(openflow.FWInPort) && a.InPort != b.InPort ||
+		both(openflow.FWDLSrc) && a.DLSrc != b.DLSrc ||
+		both(openflow.FWDLDst) && a.DLDst != b.DLDst ||
+		both(openflow.FWDLVLAN) && a.DLVLAN != b.DLVLAN ||
+		both(openflow.FWDLVLANPCP) && a.DLVLANPCP != b.DLVLANPCP ||
+		both(openflow.FWDLType) && a.DLType != b.DLType ||
+		both(openflow.FWNWProto) && a.NWProto != b.NWProto ||
+		both(openflow.FWNWTOS) && a.NWTOS != b.NWTOS ||
+		both(openflow.FWTPSrc) && a.TPSrc != b.TPSrc ||
+		both(openflow.FWTPDst) && a.TPDst != b.TPDst {
+		return false
+	}
+	return prefixesAgree(a.NWSrc, b.NWSrc, a.NWSrcBits(), b.NWSrcBits()) &&
+		prefixesAgree(a.NWDst, b.NWDst, a.NWDstBits(), b.NWDstBits())
+}
+
+// prefixesAgree reports whether x and y, each with its count of ignored low
+// bits, agree on every bit that both fix.
+func prefixesAgree(x, y packet.IP4, xIgnored, yIgnored uint32) bool {
+	for i := 0; i < 32-int(max(xIgnored, yIgnored)); i++ {
+		if x[i/8]>>(7-i%8)&1 != y[i/8]>>(7-i%8)&1 {
+			return false
+		}
+	}
+	return true
+}
+
 func (r *refTable) add(e *FlowEntry, checkOverlap bool) bool {
 	if checkOverlap {
 		for _, o := range r.rows {
-			if o.e.Priority == e.Priority && o.e.Match != e.Match && overlaps(&o.e.Match, &e.Match) {
+			if o.e.Priority == e.Priority && o.e.Match != e.Match && overlapRef(&o.e.Match, &e.Match) {
 				return false
 			}
 		}
@@ -202,29 +252,65 @@ func (g *tableGen) frame() ([]byte, *packet.Decoded, uint16) {
 	return f, d, uint16(1 + g.rng.Intn(2))
 }
 
+// other is a value for every field overlaps compares that no frame of the
+// generator carries: the second value a wildcarded match may fix a field to.
+var other = openflow.Match{
+	InPort: 3, DLSrc: packet.MAC{2, 0, 0, 0, 0, 9}, DLDst: packet.MAC{2, 0, 0, 0, 1, 9},
+	DLVLAN: 7, DLVLANPCP: 3, DLType: packet.EtherTypeARP, NWProto: uint8(packet.ProtoUDP), NWTOS: 8,
+	TPSrc: 1234, TPDst: 22, NWSrc: packet.IP4{10, 0, 9, 1}, NWDst: packet.IP4{10, 0, 1, 7},
+}
+
+// matchFields are the fields overlaps compares by value, each with how to
+// copy it from one match to another.
+var matchFields = []struct {
+	bit  uint32
+	copy func(dst, src *openflow.Match)
+}{
+	{openflow.FWInPort, func(d, s *openflow.Match) { d.InPort = s.InPort }},
+	{openflow.FWDLSrc, func(d, s *openflow.Match) { d.DLSrc = s.DLSrc }},
+	{openflow.FWDLDst, func(d, s *openflow.Match) { d.DLDst = s.DLDst }},
+	{openflow.FWDLVLAN, func(d, s *openflow.Match) { d.DLVLAN = s.DLVLAN }},
+	{openflow.FWDLVLANPCP, func(d, s *openflow.Match) { d.DLVLANPCP = s.DLVLANPCP }},
+	{openflow.FWDLType, func(d, s *openflow.Match) { d.DLType = s.DLType }},
+	{openflow.FWNWProto, func(d, s *openflow.Match) { d.NWProto = s.NWProto }},
+	{openflow.FWNWTOS, func(d, s *openflow.Match) { d.NWTOS = s.NWTOS }},
+	{openflow.FWTPSrc, func(d, s *openflow.Match) { d.TPSrc = s.TPSrc }},
+	{openflow.FWTPDst, func(d, s *openflow.Match) { d.TPDst = s.TPDst }},
+}
+
 // match draws an exact match of one of the frames, or a wildcarded one
-// fixing a random few fields.
+// fixing a random few of the fields overlaps compares, and nw_src and
+// nw_dst to a /8, /24 or /32 prefix, each to the frame's value or, a third
+// of the time, to other's.
 func (g *tableGen) match() openflow.Match {
 	_, d, inPort := g.frame()
+	exact := openflow.MatchFromFrame(d, inPort)
 	if g.rng.Intn(2) == 0 {
-		return openflow.MatchFromFrame(d, inPort)
+		return exact
+	}
+	from := func() *openflow.Match {
+		if g.rng.Intn(3) == 0 {
+			return &other
+		}
+		return &exact
 	}
 	m := openflow.MatchAll()
-	if g.rng.Intn(3) == 0 {
-		m.Wildcards &^= openflow.FWInPort
-		m.InPort = inPort
+	for _, f := range matchFields {
+		if g.rng.Intn(4) == 0 {
+			m.Wildcards &^= f.bit
+			f.copy(&m, from())
+		}
 	}
-	if g.rng.Intn(2) == 0 {
-		m.Wildcards &^= openflow.FWDLType | openflow.FWNWProto
-		m.DLType, m.NWProto = packet.EtherTypeIPv4, uint8(packet.ProtoTCP)
-	}
-	if g.rng.Intn(3) == 0 {
-		m.Wildcards &^= openflow.FWTPDst
-		m.TPDst = d.TCP.DstPort
+	prefix := func(mask uint32) uint32 {
+		return uint32(32-[]int{8, 24, 32}[g.rng.Intn(3)]) << bits.TrailingZeros32(mask)
 	}
 	if g.rng.Intn(3) == 0 {
-		m.SetNWSrcPrefix([]int{24, 32}[g.rng.Intn(2)])
-		m.NWSrc = d.IP.Src
+		m.Wildcards = m.Wildcards&^openflow.FWNWSrcMask | prefix(openflow.FWNWSrcMask)
+		m.NWSrc = from().NWSrc
+	}
+	if g.rng.Intn(3) == 0 {
+		m.Wildcards = m.Wildcards&^openflow.FWNWDstMask | prefix(openflow.FWNWDstMask)
+		m.NWDst = from().NWDst
 	}
 	return m
 }
@@ -287,8 +373,8 @@ func TestFlowTableMatchesModel(t *testing.T) {
 				what = "modify"
 				m, prio, strict, as := g.match(), g.priority(), g.rng.Intn(2) == 0, g.actions()
 				want := ref.modify(&m, prio, strict, as)
-				if got := tbl.Modify(&m, prio, strict, as); got != want {
-					fail(op, "Modify(strict %v) changed %d entries, the model %d", strict, got, want)
+				if got := tbl.modify(&m, prio, strict, as); got != want {
+					fail(op, "modify(strict %v) changed %d entries, the model %d", strict, got, want)
 				}
 			case k < 11:
 				what = "delete"
@@ -308,13 +394,13 @@ func TestFlowTableMatchesModel(t *testing.T) {
 				what = "expire"
 				now = now.Add(time.Duration(g.rng.Intn(3000)) * time.Millisecond)
 				want := ref.expire(now)
-				got, reasons := tbl.Expire(now)
+				got, reasons := expireAt(tbl, now)
 				if len(got) != len(want) {
-					fail(op, "Expire removed %d entries, the model %d", len(got), len(want))
+					fail(op, "expire removed %d entries, the model %d", len(got), len(want))
 				}
 				for i, e := range got {
 					if r, ok := want[e]; !ok || r != reasons[i] {
-						fail(op, "Expire removed an entry for reason %d, the model %d (removes it: %v)", reasons[i], r, ok)
+						fail(op, "expire removed an entry for reason %d, the model %d (removes it: %v)", reasons[i], r, ok)
 					}
 				}
 				if !slices.IsSortedFunc(got, removalOrder) {
@@ -375,7 +461,7 @@ func compareModel(t *testing.T, tbl *FlowTable, ref *refTable, fail func(string,
 		if !slices.Equal(o.e.Actions, o.actions) {
 			fail("entry %v has actions %v, the model %v", &o.e.Match, o.e.Actions, o.actions)
 		}
-		lu, ok := o.e.LastUsed()
+		lu, ok := lastUsed(o.e)
 		if o.e.PacketCount() != o.packets || o.e.ByteCount() != o.bytes || ok != !o.lastUsed.IsZero() || ok && !lu.Equal(o.lastUsed) {
 			fail("entry %v counts %d packets, %d bytes, last used %v; the model %d, %d, %v",
 				&o.e.Match, o.e.PacketCount(), o.e.ByteCount(), lu, o.packets, o.bytes, o.lastUsed)

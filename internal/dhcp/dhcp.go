@@ -96,7 +96,6 @@ type Server struct {
 	devices map[packet.MAC]*Device
 	byIP    map[packet.IP4]packet.MAC
 	nextTry uint32
-	events  []func(action string, d Device)
 }
 
 // NewServer creates the component.
@@ -134,26 +133,11 @@ func (s *Server) Configure(ctl *nox.Controller) error {
 // DNS); above all forwarding entries.
 const PriorityPunt uint16 = 1000
 
-// OnLease registers fn for lease events ("offer", "add", "del", "nak");
-// the physical artifact's mode 3 subscribes here via hwdb.
-func (s *Server) OnLease(fn func(action string, d Device)) {
-	s.mu.Lock()
-	s.events = append(s.events, fn)
-	s.mu.Unlock()
-}
-
+// emit records a lease event ("add" or "del") in the Leases table, which
+// the physical artifact's mode 3 reads.
 func (s *Server) emit(action string, d Device) {
 	if s.cfg.DB != nil {
-		switch action {
-		case "add", "del":
-			_ = s.cfg.DB.InsertLease(action, d.MAC, d.IP, d.Hostname)
-		}
-	}
-	s.mu.Lock()
-	fns := append([]func(string, Device){}, s.events...)
-	s.mu.Unlock()
-	for _, fn := range fns {
-		fn(action, d)
+		_ = s.cfg.DB.InsertLease(action, d.MAC, d.IP, d.Hostname)
 	}
 }
 
@@ -206,12 +190,10 @@ func (s *Server) handleDiscover(ev *nox.PacketInEvent, msg *packet.DHCP) {
 	switch state {
 	case Denied:
 		s.sendNak(ev, msg)
-		s.emit("nak", *dev)
 		return
 	case Pending:
 		// No answer: the device shows up on the control interface and
 		// retries; granting it later completes the handshake.
-		s.emit("pending", *dev)
 		return
 	}
 	ip, err := s.allocate(msg.CHAddr, msg)
@@ -219,7 +201,6 @@ func (s *Server) handleDiscover(ev *nox.PacketInEvent, msg *packet.DHCP) {
 		return
 	}
 	s.reply(ev, msg, packet.DHCPOffer, ip)
-	s.emit("offer", *dev)
 }
 
 func (s *Server) handleRequest(ev *nox.PacketInEvent, msg *packet.DHCP) {
@@ -445,24 +426,4 @@ func (s *Server) MACForIP(ip packet.IP4) (packet.MAC, bool) {
 	defer s.mu.Unlock()
 	mac, ok := s.byIP[ip]
 	return mac, ok
-}
-
-// ExpireLeases releases leases past their expiry, returning the count.
-func (s *Server) ExpireLeases() int {
-	now := s.cfg.Clock.Now()
-	s.mu.Lock()
-	var expired []Device
-	for _, d := range s.devices {
-		if !d.IP.IsZero() && !d.Expiry.IsZero() && now.After(d.Expiry) {
-			delete(s.byIP, d.IP)
-			cp := *d
-			d.IP = packet.IP4{}
-			expired = append(expired, cp)
-		}
-	}
-	s.mu.Unlock()
-	for _, d := range expired {
-		s.emit("del", d)
-	}
-	return len(expired)
 }

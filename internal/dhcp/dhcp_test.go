@@ -2,7 +2,6 @@ package dhcp
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/hwdb"
@@ -86,42 +85,13 @@ func TestDenyRevokesLease(t *testing.T) {
 	s.devices[mac].IP = ip
 	s.mu.Unlock()
 
-	var events []string
-	s.OnLease(func(action string, d Device) { events = append(events, action) })
 	s.Deny(mac)
 	if got, ok := s.MACForIP(ip); ok {
 		t.Errorf("lease survives deny: %v", got)
 	}
-	if len(events) != 1 || events[0] != "del" {
-		t.Errorf("events = %v", events)
-	}
 	res, err := db.Query("SELECT action FROM Leases [NOW]")
 	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Str != "del" {
 		t.Errorf("hwdb lease row missing: %v %v", res, err)
-	}
-}
-
-func TestExpireLeases(t *testing.T) {
-	s, clk, _ := testServer(true)
-	mac := packet.MustMAC("02:aa:00:00:00:01")
-	s.device(mac, "phone")
-	ip, _ := s.allocate(mac, nil)
-	now := clk.Now()
-	s.mu.Lock()
-	s.devices[mac].IP = ip
-	s.devices[mac].LeasedAt = now
-	s.devices[mac].Expiry = now.Add(time.Hour)
-	s.mu.Unlock()
-
-	if n := s.ExpireLeases(); n != 0 {
-		t.Fatalf("early expiry: %d", n)
-	}
-	clk.Advance(2 * time.Hour)
-	if n := s.ExpireLeases(); n != 1 {
-		t.Fatalf("expiry count = %d", n)
-	}
-	if _, ok := s.MACForIP(ip); ok {
-		t.Error("expired lease still mapped")
 	}
 }
 

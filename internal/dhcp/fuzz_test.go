@@ -1,7 +1,9 @@
 package dhcp
 
 import (
+	"encoding/binary"
 	"testing"
+	"time"
 
 	"repro/internal/nox"
 	"repro/internal/nox/noxtest"
@@ -99,8 +101,9 @@ func TestDiscoverThroughScriptedDatapath(t *testing.T) {
 	if len(acks) != 1 {
 		t.Fatalf("a REQUEST drew %d acks, want 1", len(acks))
 	}
-	if lease, ok := acks[0].LeaseTime(); !ok || lease != leaseTime {
-		t.Errorf("ACK lease = %v (present %v), want %v", lease, ok, leaseTime)
+	if v, ok := acks[0].Option(packet.DHCPOptLeaseTime); !ok || len(v) != 4 ||
+		time.Duration(binary.BigEndian.Uint32(v))*time.Second != leaseTime {
+		t.Errorf("ACK lease option = %x (present %v), want %v", v, ok, leaseTime)
 	}
 }
 

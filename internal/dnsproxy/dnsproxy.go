@@ -297,9 +297,9 @@ func (p *Proxy) refuse(ev *nox.PacketInEvent, q *packet.DNS) {
 		&openflow.ActionOutput{Port: ev.Msg.InPort})
 }
 
-// NameFor reports the name a device previously resolved to reach dst, or
+// nameFor reports the name a device previously resolved to reach dst, or
 // any cached reverse mapping, with ok=false when nothing is known.
-func (p *Proxy) NameFor(mac packet.MAC, dst packet.IP4) (string, bool) {
+func (p *Proxy) nameFor(mac packet.MAC, dst packet.IP4) (string, bool) {
 	now := p.cfg.Clock.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -330,7 +330,7 @@ func (p *Proxy) FlowPermitted(sw *nox.Switch, mac packet.MAC, dst packet.IP4) bo
 	if access.AllowedSites == nil {
 		return true
 	}
-	name, known := p.NameFor(mac, dst)
+	name, known := p.nameFor(mac, dst)
 	if !known {
 		p.reverseLookup(sw, dst)
 		return false
@@ -357,16 +357,4 @@ func (p *Proxy) reverseLookup(sw *nox.Switch, dst packet.IP4) {
 		return
 	}
 	p.sendUpstream(sw, raw)
-}
-
-// Bindings returns a device's recorded name bindings (for the control API
-// and tests).
-func (p *Proxy) Bindings(mac packet.MAC) map[packet.IP4]string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[packet.IP4]string)
-	for ip, b := range p.bindings[mac] {
-		out[ip] = b.name
-	}
-	return out
 }

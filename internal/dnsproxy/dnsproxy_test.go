@@ -31,16 +31,16 @@ func TestNameForRecordsBindings(t *testing.T) {
 	p.bindings[devMAC] = map[packet.IP4]binding{fbIP: {name: "facebook.com", at: clk.Now()}}
 	p.mu.Unlock()
 
-	name, ok := p.NameFor(devMAC, fbIP)
+	name, ok := p.nameFor(devMAC, fbIP)
 	if !ok || name != "facebook.com" {
-		t.Errorf("NameFor = %q, %v", name, ok)
+		t.Errorf("nameFor = %q, %v", name, ok)
 	}
 	// Another device can still use the shared reverse cache.
 	p.mu.Lock()
 	p.revCache[fbIP] = binding{name: "facebook.com", at: clk.Now()}
 	p.mu.Unlock()
 	other := packet.MustMAC("02:aa:00:00:00:02")
-	if name, ok := p.NameFor(other, fbIP); !ok || name != "facebook.com" {
+	if name, ok := p.nameFor(other, fbIP); !ok || name != "facebook.com" {
 		t.Errorf("reverse cache miss: %q, %v", name, ok)
 	}
 }
@@ -52,11 +52,11 @@ func TestNameForExpires(t *testing.T) {
 	p.bindings[devMAC] = map[packet.IP4]binding{fbIP: {name: "facebook.com", at: clk.Now()}}
 	p.mu.Unlock()
 	clk.Advance(cacheTTL)
-	if _, ok := p.NameFor(devMAC, fbIP); !ok {
+	if _, ok := p.nameFor(devMAC, fbIP); !ok {
 		t.Error("binding dropped before its TTL ran out")
 	}
 	clk.Advance(time.Nanosecond)
-	if _, ok := p.NameFor(devMAC, fbIP); ok {
+	if _, ok := p.nameFor(devMAC, fbIP); ok {
 		t.Error("stale binding honoured")
 	}
 }
@@ -119,14 +119,19 @@ func TestFlowPermittedNetworkBlocked(t *testing.T) {
 	}
 }
 
-func TestBindingsSnapshot(t *testing.T) {
-	clk := clock.NewSimulated()
-	p := testProxy(nil, clk)
+// A relayed answer records each address it carries as a binding of the
+// device that asked, under the name it asked for.
+func TestRelayedAnswerRecordsBinding(t *testing.T) {
+	p, dp := fuzzProxy(t)
+	_, responses := dnsSeeds()
+	dp.PacketIn(responseFrame(responses[0]), upstreamPort)
 	p.mu.Lock()
-	p.bindings[devMAC] = map[packet.IP4]binding{fbIP: {name: "facebook.com", at: clk.Now()}}
+	b := p.bindings[devMAC]
 	p.mu.Unlock()
-	b := p.Bindings(devMAC)
-	if len(b) != 1 || b[fbIP] != "facebook.com" {
+	if len(b) != 1 || b[fbIP].name != "www.facebook.com" {
 		t.Errorf("bindings = %v", b)
+	}
+	if name, ok := p.nameFor(devMAC, fbIP); !ok || name != "www.facebook.com" {
+		t.Errorf("nameFor = %q, %v", name, ok)
 	}
 }

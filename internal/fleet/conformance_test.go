@@ -65,9 +65,10 @@ var conformImpls = []struct {
 			t.Fatal(err)
 		}
 		t.Cleanup(srv.Close)
-		c := shardrpc.Dial(shardrpc.ClientConfig{Addr: srv.Addr(), Clock: clk})
+		relay := telemetry.NewHub(telemetry.HubConfig{})
+		c := shardrpc.Dial(shardrpc.ClientConfig{Addr: srv.Addr(), Clock: clk, Relay: relay})
 		t.Cleanup(c.Close)
-		return conformKit{client: c, eng: eng, clk: clk, deltas: c.Relay()}
+		return conformKit{client: c, eng: eng, clk: clk, deltas: relay}
 	}},
 }
 

@@ -137,15 +137,6 @@ func (c *Coordinator) event(op string, home uint64, from, to int) {
 	})
 }
 
-// PlacementHistory returns a copy of every recorded placement event in
-// order. For a fixed seed and op sequence the history is identical run
-// to run — the coordinator determinism test pins this.
-func (c *Coordinator) PlacementHistory() []PlacementEvent {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]PlacementEvent(nil), c.history...)
-}
-
 // PlacementFor returns the most recent placement events involving one
 // home, oldest-first, capped at max (<= 0 means no cap). The incident
 // recorder slices this into its bundles so a postmortem shows how the
@@ -270,7 +261,7 @@ func (c *Coordinator) AddHomes(n int) ([]*Home, error) {
 
 // Home returns a live home by ID (in-process handle). Remote fleets have
 // no in-process handles: Home reports false for every ID even though the
-// home is live on its worker — use HomeIDs/HomeShard/ShardStats instead.
+// home is live on its worker — use Size, PlacementFor or ShardStats instead.
 func (c *Coordinator) Home(id uint64) (*Home, bool) {
 	c.mu.Lock()
 	s, ok := c.place[id]
@@ -279,27 +270,6 @@ func (c *Coordinator) Home(id uint64) (*Home, bool) {
 		return nil, false
 	}
 	return c.engines[s].Home(id)
-}
-
-// HomeIDs returns every placed home ID in ascending order — the
-// handle-free membership view remote fleets drive churn with.
-func (c *Coordinator) HomeIDs() []uint64 {
-	c.mu.Lock()
-	out := make([]uint64, 0, len(c.place))
-	for id := range c.place {
-		out = append(out, id)
-	}
-	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// HomeShard returns which shard a live home is placed on.
-func (c *Coordinator) HomeShard(id uint64) (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.place[id]
-	return s, ok
 }
 
 // Homes returns the live homes in ascending ID order across all shards.

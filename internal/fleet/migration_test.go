@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/hwdb"
@@ -18,6 +19,20 @@ func tableInserts(h *Home, name string) uint64 {
 	return 0
 }
 
+// placedOn is the shard the coordinator has placed a live home on.
+func placedOn(f *Coordinator, id uint64) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.place[id]
+}
+
+// placements copies the coordinator's placement log, oldest first.
+func placements(f *Coordinator) []PlacementEvent {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Clone(f.history)
+}
+
 // TestMigrateHomeAcrossShards drains a home from shard 0 mid-traffic and
 // re-places it on shard 1, with concurrent telemetry readers running (the
 // -race half of the gate). The books must stay exact across the
@@ -31,7 +46,7 @@ func TestMigrateHomeAcrossShards(t *testing.T) {
 
 	// shard 0 = {0, 2}, shard 1 = {1, 3} by the modulo policy.
 	for _, id := range []uint64{0, 1, 2, 3} {
-		if s, _ := f.HomeShard(id); s != int(id%2) {
+		if s := placedOn(f, id); s != int(id%2) {
 			t.Fatalf("home %d placed on shard %d", id, s)
 		}
 	}
@@ -79,7 +94,7 @@ func TestMigrateHomeAcrossShards(t *testing.T) {
 	if new0 == old0 {
 		t.Fatal("migrate returned the old incarnation")
 	}
-	if s, _ := f.HomeShard(0); s != 1 {
+	if s := placedOn(f, 0); s != 1 {
 		t.Fatalf("home 0 on shard %d after migrate", s)
 	}
 	// The old incarnation is stopped; its tables are frozen, so its insert
@@ -150,7 +165,7 @@ func TestMigrateHomeAcrossShards(t *testing.T) {
 
 	// The transition is on the placement record.
 	var migrated bool
-	for _, ev := range f.PlacementHistory() {
+	for _, ev := range placements(f) {
 		if ev.Op == OpMigrate {
 			if ev.Home != 0 || ev.From != 0 || ev.To != 1 {
 				t.Fatalf("unexpected migrate event %+v", ev)
@@ -198,7 +213,7 @@ func TestPlacementDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return fmt.Sprint(f.PlacementHistory())
+		return fmt.Sprint(placements(f))
 	}
 
 	h1, h2 := run(), run()
@@ -209,7 +224,7 @@ func TestPlacementDeterminism(t *testing.T) {
 	// The concurrent bring-up burst still records spawns in ascending ID
 	// order: event k is the spawn of home k on its modulo shard.
 	f := newTestFleet(t, 6, 3, nil)
-	for i, ev := range f.PlacementHistory()[:6] {
+	for i, ev := range placements(f)[:6] {
 		if ev.Op != OpSpawn || ev.Home != uint64(i) || ev.To != i%3 || ev.From != -1 {
 			t.Fatalf("spawn event %d = %+v", i, ev)
 		}

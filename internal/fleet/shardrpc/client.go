@@ -95,9 +95,6 @@ func Dial(cfg ClientConfig) *Client {
 	return &Client{cfg: cfg}
 }
 
-// Relay returns the hub remote batches are ingested into.
-func (c *Client) Relay() *telemetry.Hub { return c.cfg.Relay }
-
 // ensureConn dials if no connection is live, then reconciles books over
 // the fresh connection with RESYNC. Callers hold c.mu.
 func (c *Client) ensureConn() error {
@@ -330,13 +327,6 @@ func (c *Client) TraceSnapshot() trace.Snapshot {
 		return trace.Snapshot{}
 	}
 	return *resp.Snap
-}
-
-// Ping round-trips a header-only frame — a cheap liveness probe used by
-// tests and the coordinator CLI.
-func (c *Client) Ping() error {
-	_, err := c.call(&Request{Verb: VerbPing}, callTimeout)
-	return err
 }
 
 // Close sends a best-effort CLOSE (telling the worker to tear its engine

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/telemetry"
 )
 
 // sumInserts totals the hwdb inserts across the fleet-watched tables of
@@ -117,7 +118,7 @@ func TestLiveRatesAfterSteps(t *testing.T) {
 		}
 	}
 	tel := f.Telemetry()
-	if r := tel.HomeRate(0); r.BytesPerSec <= 0 || r.PacketsPerSec <= 0 {
+	if r := homeRate(tel, 0); r.BytesPerSec <= 0 || r.PacketsPerSec <= 0 {
 		t.Fatalf("home 0 rate = %+v", r)
 	}
 	if r := tel.FleetRate(); r.BytesPerSec <= 0 {
@@ -127,7 +128,18 @@ func TestLiveRatesAfterSteps(t *testing.T) {
 	if len(dr) != 1 || dr[0].MAC != host.MAC || dr[0].BytesPerSec <= 0 {
 		t.Fatalf("device rates = %+v", dr)
 	}
-	if r := tel.HomeRate(1); r.BytesPerSec != 0 {
+	if r := homeRate(tel, 1); r.BytesPerSec != 0 {
 		t.Fatalf("idle home 1 rate = %+v", r)
 	}
+}
+
+// homeRate is one home's windowed throughput as HomeTotals reports it,
+// zero for a home the folder does not track.
+func homeRate(f *telemetry.Folder, id uint64) telemetry.Rate {
+	for _, ht := range f.HomeTotals() {
+		if ht.Home == id {
+			return ht.Rate
+		}
+	}
+	return telemetry.Rate{}
 }

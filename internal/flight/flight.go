@@ -50,7 +50,7 @@ type RecorderConfig struct {
 	Retention time.Duration
 	// Schema resolves a table name to its schema for Replay projection.
 	// Unset, the standard Homework layout plus any schema learned from
-	// WatchTable/AttachView is used.
+	// AttachView is used.
 	Schema func(table string) *hwdb.Schema
 }
 
@@ -62,7 +62,7 @@ type RecorderStats struct {
 	Streams   int    // distinct (home, table) streams seen
 	Windows   int    // live window buffers across all streams
 	Delivered uint64 // rows consumed from hub deltas
-	ViewRows  uint64 // rows recorded via WatchTable/AttachView hooks
+	ViewRows  uint64 // rows recorded via AttachView hooks
 	Stored    uint64 // rows currently held in windows
 	Compacted uint64 // rows evicted by retention
 	Lost      uint64 // loss reported in-band by consumed deltas
@@ -88,7 +88,7 @@ type Recorder struct {
 
 	mu      sync.Mutex
 	streams map[telemetry.SourceID]*stream
-	schemas map[string]*hwdb.Schema // learned via WatchTable/AttachView
+	schemas map[string]*hwdb.Schema // learned via AttachView
 	proto   *hwdb.DB                // standard Homework layout for Schema fallback
 
 	delivered, viewRows, stored, compacted, lost uint64
@@ -120,12 +120,20 @@ func (r *Recorder) Attach(src telemetry.Source) {
 	src.SubscribeFunc(r.consume)
 }
 
-// WatchTable records every future insert into t under (home, t.Name()).
-// Used for tables that are not hub-watched — the federation's FleetStats
-// view — whose inserts happen on the Commit goroutine, not the pinned
-// insert hot path.
-func (r *Recorder) WatchTable(home uint64, t *hwdb.Table) {
-	id := telemetry.SourceID{Home: home, Table: t.Name()}
+// AttachView wires the recorder into a view database: watches the named
+// table and installs the recorder as the database's HistorySource so AS
+// OF / HISTORY queries against the view reach retained windows instead of
+// only the live ring.
+//
+// The view's inserts happen on the Commit goroutine, not the pinned insert
+// hot path, so the recorder hooks the table directly and records every
+// future insert under (ViewHome, table).
+func (r *Recorder) AttachView(db *hwdb.DB, table string) error {
+	t, ok := db.Table(table)
+	if !ok {
+		return fmt.Errorf("flight: no such view table %s", table)
+	}
+	id := telemetry.SourceID{Home: ViewHome, Table: t.Name()}
 	r.mu.Lock()
 	if _, ok := r.streams[id]; !ok {
 		r.streams[id] = &stream{}
@@ -133,19 +141,7 @@ func (r *Recorder) WatchTable(home uint64, t *hwdb.Table) {
 	r.schemas[t.Name()] = t.Schema()
 	r.mu.Unlock()
 	t.OnInsert(func(row hwdb.Row) { r.ingest(id, row) })
-}
-
-// AttachView wires the recorder into a view database: watches the named
-// table and installs the recorder as the database's HistorySource so AS
-// OF / HISTORY queries against the view reach retained windows instead of
-// only the live ring.
-func (r *Recorder) AttachView(db *hwdb.DB, table string) error {
-	t, ok := db.Table(table)
-	if !ok {
-		return fmt.Errorf("flight: no such view table %s", table)
-	}
-	r.WatchTable(ViewHome, t)
-	db.SetHistory(r.HistoryFor(ViewHome))
+	db.SetHistory(historyFor{r: r, home: ViewHome})
 	return nil
 }
 
@@ -167,7 +163,7 @@ func (r *Recorder) consume(d telemetry.Delta) {
 	r.mu.Unlock()
 }
 
-// ingest records one direct table insert (WatchTable path).
+// ingest records one direct table insert (AttachView path).
 func (r *Recorder) ingest(id telemetry.SourceID, row hwdb.Row) {
 	r.mu.Lock()
 	s := r.streams[id]
@@ -263,13 +259,8 @@ func (h historyFor) HistoryRows(table string, from, to time.Time) ([]hwdb.Row, b
 	return h.r.rows(h.home, table, from, to)
 }
 
-// HistoryFor returns a hwdb.HistorySource view of one home's streams.
-func (r *Recorder) HistoryFor(home uint64) hwdb.HistorySource {
-	return historyFor{r: r, home: home}
-}
-
 // Schema resolves a table's schema for Replay: the configured resolver,
-// then schemas learned from WatchTable/AttachView, then the standard
+// then schemas learned from AttachView, then the standard
 // Homework layout.
 func (r *Recorder) Schema(table string) *hwdb.Schema {
 	if r.cfg.Schema != nil {

@@ -383,16 +383,16 @@ func (s *selectSet) orderRows(heads [][]Value, cols []string, order []OrderBy) e
 	slices.SortStableFunc(heads, func(a, b []Value) int {
 		for i, ob := range order {
 			va, vb := a[idx[i]], b[idx[i]]
-			if va.Equal(vb) {
+			if va.equal(vb) {
 				continue
 			}
 			if ob.Desc {
 				va, vb = vb, va
 			}
 			switch {
-			case va.Less(vb):
+			case va.less(vb):
 				return -1
-			case vb.Less(va):
+			case vb.less(va):
 				return 1
 			}
 			return 0
@@ -708,11 +708,11 @@ func (a *aggregation) add(row Row) {
 			cell.Int++
 			cell.Real += row.Real(a.src[i])
 		case AggMin:
-			if v := row.Value(a.src[i]); fresh || v.Less(*cell) {
+			if v := row.Value(a.src[i]); fresh || v.less(*cell) {
 				*cell = v
 			}
 		case AggMax:
-			if v := row.Value(a.src[i]); fresh || cell.Less(v) {
+			if v := row.Value(a.src[i]); fresh || cell.less(v) {
 				*cell = v
 			}
 		}

@@ -65,15 +65,15 @@ func TestParseAsOfAndHistory(t *testing.T) {
 
 func TestRowsBetween(t *testing.T) {
 	_, tbl, stamps := histDB(t)
-	if got := len(tbl.RowsBetween(time.Time{}, time.Time{})); got != 5 {
+	if got := len(tbl.rowsBetween(time.Time{}, time.Time{})); got != 5 {
 		t.Fatalf("open bounds rows = %d, want 5", got)
 	}
 	// Inclusive on both ends.
-	rows := tbl.RowsBetween(stamps[1], stamps[3])
+	rows := tbl.rowsBetween(stamps[1], stamps[3])
 	if len(rows) != 3 || rows[0].Int(0) != 1 || rows[2].Int(0) != 3 {
-		t.Fatalf("RowsBetween[1,3] = %v", rows)
+		t.Fatalf("rowsBetween[1,3] = %v", rows)
 	}
-	if got := len(tbl.RowsBetween(stamps[4].Add(time.Hour), time.Time{})); got != 0 {
+	if got := len(tbl.rowsBetween(stamps[4].Add(time.Hour), time.Time{})); got != 0 {
 		t.Fatalf("future from rows = %d, want 0", got)
 	}
 }

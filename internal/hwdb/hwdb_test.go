@@ -30,19 +30,19 @@ func TestValueRoundTrips(t *testing.T) {
 	if !TimeVal(now).Time().Equal(now) {
 		t.Error("Time round trip failed")
 	}
-	if !Bool(true).Equal(Int64(1)) || Bool(false).Equal(Int64(1)) {
+	if !Bool(true).equal(Int64(1)) || Bool(false).equal(Int64(1)) {
 		t.Error("Bool comparisons wrong")
 	}
 }
 
 func TestValueOrdering(t *testing.T) {
-	if !Int64(1).Less(Int64(2)) || Int64(2).Less(Int64(1)) {
+	if !Int64(1).less(Int64(2)) || Int64(2).less(Int64(1)) {
 		t.Error("int ordering wrong")
 	}
-	if !Float(1.5).Less(Int64(2)) {
+	if !Float(1.5).less(Int64(2)) {
 		t.Error("mixed numeric ordering wrong")
 	}
-	if !Str("a").Less(Str("b")) {
+	if !Str("a").less(Str("b")) {
 		t.Error("string ordering wrong")
 	}
 }
@@ -508,8 +508,8 @@ func TestRPCExecAndQuery(t *testing.T) {
 	}
 	defer cli.Close()
 
-	if err := cli.Ping(); err != nil {
-		t.Fatal(err)
+	if status, _, err := cli.call("PING", ""); err != nil || status != "OK pong" {
+		t.Fatalf("ping: %q, %v", status, err)
 	}
 	if _, err := cli.Exec("INSERT INTO Links VALUES (02:00:00:00:00:01, -42, 0, 54.0)"); err != nil {
 		t.Fatal(err)

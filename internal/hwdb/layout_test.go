@@ -46,7 +46,7 @@ func TestFullFlowsRingRetainsItsCells(t *testing.T) {
 	runtime.KeepAlive(flows)
 }
 
-// TestReadsAllocatePerCallNotPerRow: Tail, Snapshot and RowsBetween copy
+// TestReadsAllocatePerCallNotPerRow: Tail, Snapshot and rowsBetween copy
 // their rows out as one block — the row views, the cells and, for a table
 // with string columns, the strings — plus the block's header.
 func TestReadsAllocatePerCallNotPerRow(t *testing.T) {
@@ -72,7 +72,7 @@ func TestReadsAllocatePerCallNotPerRow(t *testing.T) {
 			"Tail(10)":    func() int { rows, _, _ := tbl.Tail(10); return len(rows) },
 			"Tail(2990)":  func() int { rows, _, _ := tbl.Tail(2990); return len(rows) },
 			"Snapshot":    func() int { return len(tbl.Snapshot()) },
-			"RowsBetween": func() int { return len(tbl.RowsBetween(from, time.Time{})) },
+			"rowsBetween": func() int { return len(tbl.rowsBetween(from, time.Time{})) },
 		} {
 			rows := read()
 			if n := testing.AllocsPerRun(20, func() { read() }); n > tc.max || rows == 0 {

@@ -139,17 +139,17 @@ func (e *CmpExpr) Eval(s *Schema, r Row) (bool, error) {
 func cmp(v Value, op CompareOp, lit Value) bool {
 	switch op {
 	case OpEQ:
-		return v.Equal(lit)
+		return v.equal(lit)
 	case OpNE:
-		return !v.Equal(lit)
+		return !v.equal(lit)
 	case OpLT:
-		return v.Less(lit)
+		return v.less(lit)
 	case OpLE:
-		return v.Less(lit) || v.Equal(lit)
+		return v.less(lit) || v.equal(lit)
 	case OpGT:
-		return lit.Less(v)
+		return lit.less(v)
 	case OpGE:
-		return lit.Less(v) || v.Equal(lit)
+		return lit.less(v) || v.equal(lit)
 	}
 	return false
 }

@@ -363,10 +363,7 @@ type Client struct {
 	conn    *net.UDPConn
 	seq     uint64
 	timeout time.Duration
-
-	mu     sync.Mutex
-	pushes []Push
-	pushCh chan Push
+	pushCh  chan Push // pushes read off the socket, waiting for WaitPush
 }
 
 // Push is one subscription push received by a client.
@@ -391,10 +388,6 @@ func Dial(addr string) (*Client, error) {
 
 // Close releases the client socket.
 func (c *Client) Close() error { return c.conn.Close() }
-
-// Pushes returns the channel on which subscription pushes are delivered
-// while the client waits inside calls.
-func (c *Client) Pushes() <-chan Push { return c.pushCh }
 
 // call sends a request and waits for its matching response, queuing any
 // pushes that arrive in between.
@@ -531,18 +524,6 @@ func (c *Client) WaitPush(timeout time.Duration) (Push, error) {
 			return <-c.pushCh, nil
 		}
 	}
-}
-
-// Ping checks server liveness.
-func (c *Client) Ping() error {
-	status, _, err := c.call("PING", "")
-	if err != nil {
-		return err
-	}
-	if !strings.HasPrefix(status, "OK") {
-		return fmt.Errorf("hwdb: ping: %s", status)
-	}
-	return nil
 }
 
 // ParseText parses the tab-separated wire form back into a Result with

@@ -154,8 +154,8 @@ func (v Value) AsFloat() float64 {
 	return float64(v.Int)
 }
 
-// Equal compares two values; numeric kinds compare across Int/Real.
-func (v Value) Equal(o Value) bool {
+// equal compares two values; numeric kinds compare across Int/Real.
+func (v Value) equal(o Value) bool {
 	if v.Type == TString || o.Type == TString {
 		return v.Type == o.Type && v.Str == o.Str
 	}
@@ -165,8 +165,8 @@ func (v Value) Equal(o Value) bool {
 	return v.Int == o.Int
 }
 
-// Less orders two values of compatible type.
-func (v Value) Less(o Value) bool {
+// less orders two values of compatible type.
+func (v Value) less(o Value) bool {
 	if v.Type == TString && o.Type == TString {
 		return v.Str < o.Str
 	}
@@ -248,7 +248,7 @@ func (s *Schema) Names() []string {
 
 // Row is a read-only view of one tuple plus the insertion timestamp the
 // table assigned: row i of a rowBlock. Rows handed out by a table (Tail,
-// Snapshot, RowsBetween, OnInsert hooks) view a private copy and are safe
+// Snapshot, rowsBetween, OnInsert hooks) view a private copy and are safe
 // to retain; rows built outside a table come from NewRow or a RowBuilder
 // (builder.go).
 // Columns are numbered from 0 in schema order; an index out of range

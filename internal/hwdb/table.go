@@ -40,7 +40,7 @@ const (
 // of page s>>pageShift.
 //
 // Rows are assumed to arrive in non-decreasing timestamp order (every
-// insert is stamped from one clock): RANGE windows and RowsBetween binary
+// insert is stamped from one clock): RANGE windows and rowsBetween binary
 // search the ring on that order.
 type Table struct {
 	name     string
@@ -258,11 +258,11 @@ func (t *Table) tailRange(after, upto uint64) (lo, hi int, lost uint64) {
 	return hi - int(missed), hi, 0
 }
 
-// RowsBetween returns the retained rows with from <= timestamp <= to,
-// oldest-first. A zero bound is open: RowsBetween(time.Time{}, to) is
+// rowsBetween returns the retained rows with from <= timestamp <= to,
+// oldest-first. A zero bound is open: rowsBetween(time.Time{}, to) is
 // "everything up to to", the ring-local evaluation of AS OF. History
 // older than the ring is gone here — a HistorySource widens the horizon.
-func (t *Table) RowsBetween(from, to time.Time) []Row {
+func (t *Table) rowsBetween(from, to time.Time) []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	lo, hi := 0, t.count
@@ -379,7 +379,7 @@ func (db *DB) historyRows(t *Table, from, to time.Time) []Row {
 			return rows
 		}
 	}
-	return t.RowsBetween(from, to)
+	return t.rowsBetween(from, to)
 }
 
 // CreateTable adds a table; the name must be unused.

@@ -61,7 +61,7 @@ func (m *ringModel) tail(after uint64) (rows []modelRow, inserts, lost uint64) {
 	return m.rows[after:], inserts, 0
 }
 
-// rowsBetweenRef is RowsBetween as it was defined before it searched the
+// rowsBetweenRef is rowsBetween as it was defined before it searched the
 // ring: two binary searches over a copy of every retained row.
 func rowsBetweenRef(rows []modelRow, from, to time.Time) []modelRow {
 	if !from.IsZero() {
@@ -221,7 +221,7 @@ func fillRandom(t *testing.T, rng *rand.Rand, clk *clock.Simulated, tbl *Table, 
 // TestWindowReadMatchesSnapshotThenWindow is the differential test for
 // window-first reads: over every ring state a table passes through and
 // every window kind, the range resolved on the ring equals the window
-// applied to everything retained, RowsBetween equals its old definition,
+// applied to everything retained, rowsBetween equals its old definition,
 // and Snapshot itself equals the model.
 func TestWindowReadMatchesSnapshotThenWindow(t *testing.T) {
 	const capacity = 600 // not a multiple of a page: pages of 256, 256 and 88 rows
@@ -288,8 +288,8 @@ func TestWindowReadMatchesSnapshotThenWindow(t *testing.T) {
 			instants = append(instants, time.Time{})
 			for _, from := range instants {
 				for _, to := range instants {
-					fail(fmt.Sprintf("RowsBetween(%v, %v)", from, to),
-						sameRows(tbl.RowsBetween(from, to), rowsBetweenRef(held, from, to)))
+					fail(fmt.Sprintf("rowsBetween(%v, %v)", from, to),
+						sameRows(tbl.rowsBetween(from, to), rowsBetweenRef(held, from, to)))
 				}
 			}
 		}
@@ -354,7 +354,7 @@ func TestFlatRingRandomOps(t *testing.T) {
 					check("Snapshot", tbl.Snapshot(), m.held())
 				case op < 8:
 					from, to := instant(), instant()
-					check(fmt.Sprintf("RowsBetween(%v, %v)", from, to), tbl.RowsBetween(from, to), rowsBetweenRef(m.held(), from, to))
+					check(fmt.Sprintf("rowsBetween(%v, %v)", from, to), tbl.rowsBetween(from, to), rowsBetweenRef(m.held(), from, to))
 				default:
 					w := []Window{{Kind: WindowAll}, {Kind: WindowNow}, {Kind: WindowRows, N: rng.Intn(2 * capacity)},
 						{Kind: WindowRange, Dur: time.Duration(rng.Intn(20000)) * time.Millisecond}}[rng.Intn(4)]
@@ -588,10 +588,10 @@ func groupByRef(t *testing.T, schema *Schema, sel *SelectStmt, rows []modelRow) 
 				}
 				v := r.vals[col(it.Col)]
 				sum += v.AsFloat()
-				if j == 0 || v.Less(lo) {
+				if j == 0 || v.less(lo) {
 					lo = v
 				}
-				if j == 0 || hi.Less(v) {
+				if j == 0 || hi.less(v) {
 					hi = v
 				}
 			}
@@ -625,8 +625,8 @@ func groupByRef(t *testing.T, schema *Schema, sel *SelectStmt, rows []modelRow) 
 						break
 					}
 				}
-				if va, vb := out[a][c], out[b][c]; !va.Equal(vb) {
-					return va.Less(vb) != ob.Desc
+				if va, vb := out[a][c], out[b][c]; !va.equal(vb) {
+					return va.less(vb) != ob.Desc
 				}
 			}
 			return false

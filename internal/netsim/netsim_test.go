@@ -27,13 +27,13 @@ func TestWirelessRSSIMonotoneInDistance(t *testing.T) {
 
 func TestWirelessDeliveryProb(t *testing.T) {
 	w := DefaultWireless(1)
-	if p := w.DeliveryProb(-50); p < 0.99 {
+	if p := w.deliveryProb(-50); p < 0.99 {
 		t.Errorf("strong signal delivery = %g", p)
 	}
-	if p := w.DeliveryProb(-95); p > 0.05 {
+	if p := w.deliveryProb(-95); p > 0.05 {
 		t.Errorf("weak signal delivery = %g", p)
 	}
-	if w.DeliveryProb(-70) <= w.DeliveryProb(-85) {
+	if w.deliveryProb(-70) <= w.deliveryProb(-85) {
 		t.Error("delivery probability not monotone in RSSI")
 	}
 }
@@ -80,7 +80,7 @@ func TestWirelessRetriesDistribution(t *testing.T) {
 }
 
 func TestPosDist(t *testing.T) {
-	if d := (Pos{3, 4}).Dist(Pos{0, 0}); d != 5 {
+	if d := (Pos{3, 4}).dist(Pos{0, 0}); d != 5 {
 		t.Errorf("Dist = %g", d)
 	}
 }
@@ -175,9 +175,9 @@ func TestUpstreamDNSZone(t *testing.T) {
 	if !ok || ip != packet.MustIP4("157.240.1.35") {
 		t.Errorf("Lookup = %v, %v", ip, ok)
 	}
-	name, ok := u.ReverseLookup(ip)
+	name, ok := u.reverseLookup(ip)
 	if !ok || (name != "facebook.com" && name != "www.facebook.com") {
-		t.Errorf("ReverseLookup = %q, %v", name, ok)
+		t.Errorf("reverseLookup = %q, %v", name, ok)
 	}
 	u.AddZone("new.example", packet.MustIP4("1.2.3.4"))
 	if _, ok := u.Lookup("new.example"); !ok {
@@ -201,9 +201,9 @@ func TestReverseLookupDeterministic(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		u := NewUpstream()
 		for addr, name := range want {
-			got, ok := u.ReverseLookup(packet.MustIP4(addr))
+			got, ok := u.reverseLookup(packet.MustIP4(addr))
 			if !ok || got != name {
-				t.Fatalf("run %d: ReverseLookup(%s) = %q, %v; want %q", i, addr, got, ok, name)
+				t.Fatalf("run %d: reverseLookup(%s) = %q, %v; want %q", i, addr, got, ok, name)
 			}
 		}
 	}
@@ -215,20 +215,20 @@ func TestReverseLookupFollowsZoneChanges(t *testing.T) {
 	// Later-but-shorter and tie-length names must win deterministically.
 	u.AddZone("bb.example", ip)
 	u.AddZone("aa.example", ip)
-	if name, _ := u.ReverseLookup(ip); name != "aa.example" {
+	if name, _ := u.reverseLookup(ip); name != "aa.example" {
 		t.Errorf("tie-break = %q, want aa.example", name)
 	}
 	u.AddZone("x.example", ip)
-	if name, _ := u.ReverseLookup(ip); name != "x.example" {
+	if name, _ := u.reverseLookup(ip); name != "x.example" {
 		t.Errorf("shorter name did not win: %q", name)
 	}
 	// Retargeting the canonical name away must fall back to the next
 	// preferred name for the old address.
 	u.AddZone("x.example", packet.MustIP4("198.51.100.8"))
-	if name, _ := u.ReverseLookup(ip); name != "aa.example" {
+	if name, _ := u.reverseLookup(ip); name != "aa.example" {
 		t.Errorf("after retarget = %q, want aa.example", name)
 	}
-	if name, _ := u.ReverseLookup(packet.MustIP4("198.51.100.8")); name != "x.example" {
+	if name, _ := u.reverseLookup(packet.MustIP4("198.51.100.8")); name != "x.example" {
 		t.Errorf("retargeted address = %q, want x.example", name)
 	}
 }

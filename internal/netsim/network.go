@@ -34,7 +34,6 @@ type Network struct {
 	links    map[packet.MAC]*LinkInfo
 	maxRetry int
 	directL2 bool
-	bypass   uint64  // frames delivered host-to-host without the router
 	ordered  []*Host // port-ordered host cache; nil when membership changed
 
 	// Link-fault injection (chaos): while faultDen > 0, faultNum out of
@@ -116,7 +115,7 @@ func (n *Network) AddHost(name string, mac packet.MAC, wireless bool, pos Pos) (
 	n.byPort[port] = h
 	n.ordered = nil
 	if wireless {
-		n.links[mac] = &LinkInfo{MAC: mac, RSSI: n.wireless.RSSI(pos.Dist(n.routerAt)), Rate: 54}
+		n.links[mac] = &LinkInfo{MAC: mac, RSSI: n.wireless.RSSI(pos.dist(n.routerAt)), Rate: 54}
 	}
 	n.mu.Unlock()
 
@@ -185,7 +184,7 @@ func (n *Network) AttachUpstream(u *Upstream) (uint16, error) {
 	u.port = port
 	err := n.dp.AddPort(&datapath.Port{
 		No: port, Name: "eth0-upstream", HWAddr: u.MAC,
-		Out: func(frame []byte) { u.Deliver(frame) },
+		Out: func(frame []byte) { u.deliver(frame) },
 	})
 	if err != nil {
 		return 0, err
@@ -214,19 +213,11 @@ func (n *Network) SetDirectL2(on bool) {
 	n.mu.Unlock()
 }
 
-// BypassedFrames counts frames that crossed host-to-host without ever
-// reaching the router (invisible traffic).
-func (n *Network) BypassedFrames() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.bypass
-}
-
 // fromHost carries a host transmission onto its switch port, applying the
 // wireless model on station uplinks.
 func (n *Network) fromHost(h *Host, frame []byte) {
 	if h.Wireless {
-		rssi := n.wireless.RSSI(h.Pos().Dist(n.routerAt))
+		rssi := n.wireless.RSSI(h.Pos().dist(n.routerAt))
 		retries, delivered := n.wireless.Retries(rssi, n.maxRetry)
 		n.mu.Lock()
 		li := n.links[h.MAC]
@@ -261,9 +252,6 @@ func (n *Network) fromHost(h *Host, frame []byte) {
 		var e packet.Ethernet
 		if err := e.DecodeFromBytes(frame); err == nil && !e.Dst.IsBroadcast() && !e.Dst.IsMulticast() {
 			if peer, ok := n.Host(e.Dst); ok && peer != h {
-				n.mu.Lock()
-				n.bypass++
-				n.mu.Unlock()
 				peer.Deliver(frame)
 				return
 			}
@@ -301,7 +289,7 @@ func (n *Network) AppendLinkInfos(dst []LinkInfo) []LinkInfo {
 		if li == nil {
 			continue
 		}
-		li.RSSI = n.wireless.RSSI(h.Pos().Dist(n.routerAt))
+		li.RSSI = n.wireless.RSSI(h.Pos().dist(n.routerAt))
 		li.Rate = n.wireless.Rate(li.RSSI)
 		dst = append(dst, *li)
 	}

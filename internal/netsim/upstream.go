@@ -36,7 +36,7 @@ type Upstream struct {
 	localNet packet.IP4
 	localLen int
 	zone     map[string]packet.IP4
-	rev      map[packet.IP4]string // deterministic reverse index, see ReverseLookup
+	rev      map[packet.IP4]string // deterministic reverse index, see reverseLookup
 	ratio    map[uint16]float64    // dst port -> response bytes per request byte
 	rxBytes  uint64
 	txBytes  uint64
@@ -47,7 +47,7 @@ type Upstream struct {
 // upstreamTx is the per-delivery working set: a decode buffer and the
 // reply batch. A free-list (rather than a single instance) keeps nested
 // deliveries safe: a reply can traverse the datapath and come back before
-// the outer Deliver returns.
+// the outer deliver returns.
 type upstreamTx struct {
 	d  packet.Decoded
 	fb packet.FrameBatch
@@ -148,11 +148,11 @@ func (u *Upstream) Lookup(name string) (packet.IP4, bool) {
 	return ip, ok
 }
 
-// ReverseLookup finds the canonical name for an address (used by the DNS
+// reverseLookup finds the canonical name for an address (used by the DNS
 // proxy's reverse path). Addresses with several names resolve to the same
 // name on every run — the shortest, ties broken lexicographically — so
 // hwdb flow→name attribution never flickers between runs.
-func (u *Upstream) ReverseLookup(ip packet.IP4) (string, bool) {
+func (u *Upstream) reverseLookup(ip packet.IP4) (string, bool) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	name, ok := u.rev[ip]
@@ -190,9 +190,9 @@ func (u *Upstream) putTx(tx *upstreamTx) {
 	u.mu.Unlock()
 }
 
-// Deliver processes a frame forwarded out of the home, emitting any reply
+// deliver processes a frame forwarded out of the home, emitting any reply
 // traffic as one batch.
-func (u *Upstream) Deliver(frame []byte) {
+func (u *Upstream) deliver(frame []byte) {
 	u.mu.Lock()
 	u.rxBytes += uint64(len(frame))
 	u.mu.Unlock()
@@ -260,7 +260,7 @@ func (u *Upstream) serveDNS(d *packet.Decoded, fb *packet.FrameBatch) {
 		}
 	case packet.DNSTypePTR:
 		if ip, ok := packet.ParseReverseName(qu.Name); ok {
-			if name, found := u.ReverseLookup(ip); found {
+			if name, found := u.reverseLookup(ip); found {
 				resp.Answers = append(resp.Answers, packet.DNSRR{
 					Name: qu.Name, Type: packet.DNSTypePTR, Class: packet.DNSClassIN,
 					TTL: 300, Target: name,

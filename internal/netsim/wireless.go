@@ -28,8 +28,8 @@ import (
 // Pos is a position in the home, in metres; the router sits at the origin.
 type Pos struct{ X, Y float64 }
 
-// Dist returns the Euclidean distance between two positions.
-func (p Pos) Dist(q Pos) float64 {
+// dist returns the Euclidean distance between two positions.
+func (p Pos) dist(q Pos) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
 	return math.Sqrt(dx*dx + dy*dy)
 }
@@ -84,9 +84,9 @@ func (w *Wireless) RSSI(d float64) int {
 	return int(math.Round(w.TxPower - pl + shadow))
 }
 
-// DeliveryProb maps RSSI to first-attempt frame delivery probability: ~1
+// deliveryProb maps RSSI to first-attempt frame delivery probability: ~1
 // above -65 dBm falling to ~0 below -90 dBm.
-func (w *Wireless) DeliveryProb(rssi int) float64 {
+func (w *Wireless) deliveryProb(rssi int) float64 {
 	// Logistic centred at -80 dBm with a 4 dB slope.
 	return 1 / (1 + math.Exp(-(float64(rssi)+80)/4))
 }
@@ -94,7 +94,7 @@ func (w *Wireless) DeliveryProb(rssi int) float64 {
 // Retries samples how many retransmissions a frame needs at the given RSSI
 // before success (capped at max; the frame is lost if the cap is hit).
 func (w *Wireless) Retries(rssi int, max int) (retries int, delivered bool) {
-	p := w.DeliveryProb(rssi)
+	p := w.deliveryProb(rssi)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for i := 0; i <= max; i++ {

@@ -5,8 +5,8 @@
 // consume an event to stop the chain, exactly as NOX components do.
 //
 // The controller is transport-agnostic: a datapath attaches over any
-// oftransport.Transport. ListenAndServe/HandleConn keep the classic TCP
-// secure channel for cross-process deployments, ServeTransport serves any
+// oftransport.Transport. ListenAndServe keeps the classic TCP secure
+// channel for cross-process deployments, ServeTransport serves any
 // endpoint with a read loop (oftransport.Pair among them), and
 // AttachDirect attaches a datapath in the same process over an
 // oftransport.Direct channel, as on the paper's home router and in every
@@ -71,23 +71,12 @@ type JoinEvent struct {
 	Features *openflow.FeaturesReply
 }
 
-// LeaveEvent is delivered when a datapath disconnects.
-type LeaveEvent struct {
-	Switch *Switch
-}
-
 // FlowRemovedEvent is delivered when a flow entry expires or is deleted.
 // The switch reuses one: a handler that keeps anything keeps Msg, not the
 // event.
 type FlowRemovedEvent struct {
 	Switch *Switch
 	Msg    *openflow.FlowRemoved
-}
-
-// PortStatusEvent is delivered when a datapath port changes.
-type PortStatusEvent struct {
-	Switch *Switch
-	Msg    *openflow.PortStatus
 }
 
 // Component is a controller module. Configure is called once before the
@@ -106,11 +95,9 @@ type Controller struct {
 	switches   map[uint64]*Switch
 	serving    map[oftransport.Transport]struct{}
 
-	packetIn   chain[func(*PacketInEvent) Disposition]
-	join       chain[func(*JoinEvent)]
-	leave      chain[func(*LeaveEvent)]
-	flowRem    chain[func(*FlowRemovedEvent)]
-	portStatus chain[func(*PortStatusEvent)]
+	packetIn chain[func(*PacketInEvent) Disposition]
+	join     chain[func(*JoinEvent)]
+	flowRem  chain[func(*FlowRemovedEvent)]
 
 	ln        net.Listener
 	wg        sync.WaitGroup
@@ -213,14 +200,8 @@ func (c *Controller) OnPacketIn(fn func(*PacketInEvent) Disposition) { c.packetI
 // OnJoin registers a datapath-join handler.
 func (c *Controller) OnJoin(fn func(*JoinEvent)) { c.join.add(fn) }
 
-// OnLeave registers a datapath-leave handler.
-func (c *Controller) OnLeave(fn func(*LeaveEvent)) { c.leave.add(fn) }
-
 // OnFlowRemoved registers a flow-removed handler.
 func (c *Controller) OnFlowRemoved(fn func(*FlowRemovedEvent)) { c.flowRem.add(fn) }
-
-// OnPortStatus registers a port-status handler.
-func (c *Controller) OnPortStatus(fn func(*PortStatusEvent)) { c.portStatus.add(fn) }
 
 // ListenAndServe accepts datapath connections on a TCP address until Close.
 func (c *Controller) ListenAndServe(addr string) error {
@@ -242,7 +223,7 @@ func (c *Controller) ListenAndServe(addr string) error {
 			c.wg.Add(1)
 			go func() {
 				defer c.wg.Done()
-				_ = c.HandleConn(conn)
+				_ = c.ServeTransport(oftransport.NewTCP(conn))
 			}()
 		}
 	}()
@@ -302,16 +283,9 @@ func (c *Controller) Switches() []*Switch {
 	return out
 }
 
-// HandleConn performs the controller side of the OpenFlow handshake on conn
-// and services the connection until it closes. Exposed so cross-process
-// datapaths (and tests over net.Pipe) can attach a raw stream.
-func (c *Controller) HandleConn(conn net.Conn) error {
-	return c.ServeTransport(oftransport.NewTCP(conn))
-}
-
 // ServeTransport performs the controller side of the OpenFlow handshake on
-// one transport endpoint and services it until it closes. It is the
-// transport-agnostic core of HandleConn; pass it one end of an
+// one transport endpoint and services it until it closes: ListenAndServe
+// runs it on each accepted connection; pass it one end of an
 // oftransport.Pair to attach an in-process datapath with no framing cost.
 // Close waits for every ServeTransport (however it was started) to finish
 // dispatching, exactly as it does for accepted TCP connections.
@@ -427,7 +401,6 @@ func (c *Controller) newSwitch(tr oftransport.Transport) *Switch {
 // switch and runs the join handlers.
 func (c *Controller) joinSwitch(sw *Switch, features *openflow.FeaturesReply) error {
 	sw.dpid = features.DatapathID
-	sw.features = features
 
 	cfg := &openflow.SetConfig{Flags: openflow.ConfigFragNormal, MissSendLen: c.MissSendLen}
 	cfg.Header.XID = sw.nextXID()
@@ -445,7 +418,7 @@ func (c *Controller) joinSwitch(sw *Switch, features *openflow.FeaturesReply) er
 	return nil
 }
 
-// leaveSwitch unregisters a joined switch and runs the leave handlers, once.
+// leaveSwitch unregisters a joined switch, once.
 func (c *Controller) leaveSwitch(sw *Switch) {
 	if !sw.joined.CompareAndSwap(true, false) {
 		return
@@ -455,9 +428,6 @@ func (c *Controller) leaveSwitch(sw *Switch) {
 		delete(c.switches, sw.dpid)
 	}
 	c.mu.Unlock()
-	for _, fn := range c.leave.load() {
-		fn(&LeaveEvent{Switch: sw})
-	}
 }
 
 // dispatchPacketIn runs the packet-in handler chain for one punt; the
@@ -472,12 +442,6 @@ func (c *Controller) dispatchPacketIn(ev *PacketInEvent) {
 
 func (c *Controller) dispatchFlowRemoved(ev *FlowRemovedEvent) {
 	for _, fn := range c.flowRem.load() {
-		fn(ev)
-	}
-}
-
-func (c *Controller) dispatchPortStatus(ev *PortStatusEvent) {
-	for _, fn := range c.portStatus.load() {
 		fn(ev)
 	}
 }

@@ -18,9 +18,36 @@ import (
 
 // testRig is a controller plus one connected datapath over loopback TCP.
 type testRig struct {
-	ctl *Controller
-	dp  *datapath.Datapath
-	sw  *Switch
+	ctl      *Controller
+	dp       *datapath.Datapath
+	sw       *Switch
+	features *openflow.FeaturesReply // what the join event carried
+}
+
+// joinedRig registers a join handler that sends each joining switch, with
+// the features reply its join event carried, on the returned channel.
+func joinedRig(ctl *Controller) <-chan *testRig {
+	joined := make(chan *testRig, 1)
+	ctl.OnJoin(func(ev *JoinEvent) {
+		select {
+		case joined <- &testRig{ctl: ctl, sw: ev.Switch, features: ev.Features}:
+		default:
+		}
+	})
+	return joined
+}
+
+// echo round-trips an echo request carrying data and checks that the
+// datapath's reply carries it back.
+func echo(t *testing.T, sw *Switch, data string) {
+	t.Helper()
+	rep, err := sw.request(&openflow.EchoRequest{Data: []byte(data)}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if er, ok := rep.(*openflow.EchoReply); !ok || string(er.Data) != data {
+		t.Fatalf("echo reply %#v, want data %q", rep, data)
+	}
 }
 
 func newRig(t *testing.T, ctl *Controller) *testRig {
@@ -29,14 +56,7 @@ func newRig(t *testing.T, ctl *Controller) *testRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ctl.Close() })
-
-	joined := make(chan *Switch, 1)
-	ctl.OnJoin(func(ev *JoinEvent) {
-		select {
-		case joined <- ev.Switch:
-		default:
-		}
-	})
+	joined := joinedRig(ctl)
 
 	dp := datapath.New(datapath.Config{ID: 0xdead0001})
 	_ = dp.AddPort(&datapath.Port{No: 1, Name: "wlan0"})
@@ -45,8 +65,9 @@ func newRig(t *testing.T, ctl *Controller) *testRig {
 	t.Cleanup(dp.Stop)
 
 	select {
-	case sw := <-joined:
-		return &testRig{ctl: ctl, dp: dp, sw: sw}
+	case rig := <-joined:
+		rig.dp = dp
+		return rig
 	case <-time.After(5 * time.Second):
 		t.Fatal("datapath did not join")
 		return nil
@@ -56,11 +77,11 @@ func newRig(t *testing.T, ctl *Controller) *testRig {
 func TestHandshakeAndFeatures(t *testing.T) {
 	ctl := NewController()
 	rig := newRig(t, ctl)
-	if rig.sw.DPID() != 0xdead0001 {
-		t.Errorf("dpid = %x", rig.sw.DPID())
+	if rig.sw.dpid != 0xdead0001 {
+		t.Errorf("dpid = %x", rig.sw.dpid)
 	}
-	if len(rig.sw.Features().Ports) != 2 {
-		t.Errorf("ports = %d", len(rig.sw.Features().Ports))
+	if len(rig.features.Ports) != 2 {
+		t.Errorf("ports = %d", len(rig.features.Ports))
 	}
 	if _, ok := ctl.Switch(0xdead0001); !ok {
 		t.Error("switch not registered")
@@ -70,9 +91,7 @@ func TestHandshakeAndFeatures(t *testing.T) {
 func TestEchoAndBarrier(t *testing.T) {
 	ctl := NewController()
 	rig := newRig(t, ctl)
-	if err := rig.sw.Echo([]byte("liveness")); err != nil {
-		t.Fatal(err)
-	}
+	echo(t, rig.sw, "liveness")
 	if err := rig.sw.Barrier(); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +238,12 @@ func TestDeleteFlowsAndFlowRemoved(t *testing.T) {
 	if err := rig.sw.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	if err := rig.sw.DeleteFlows(openflow.MatchAll()); err != nil {
+	del := &openflow.FlowMod{
+		Match: openflow.MatchAll(), Command: openflow.FlowModDelete,
+		BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
+	}
+	del.Header.XID = rig.sw.nextXID()
+	if err := rig.sw.Send(del); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -399,13 +423,7 @@ func (l *l2Switch) Configure(ctl *Controller) error {
 func newInprocRig(t *testing.T, ctl *Controller) *testRig {
 	t.Helper()
 	t.Cleanup(func() { ctl.Close() })
-	joined := make(chan *Switch, 1)
-	ctl.OnJoin(func(ev *JoinEvent) {
-		select {
-		case joined <- ev.Switch:
-		default:
-		}
-	})
+	joined := joinedRig(ctl)
 
 	dp := datapath.New(datapath.Config{ID: 0xdead0002})
 	_ = dp.AddPort(&datapath.Port{No: 1, Name: "wlan0"})
@@ -416,8 +434,9 @@ func newInprocRig(t *testing.T, ctl *Controller) *testRig {
 	t.Cleanup(dp.Stop)
 
 	select {
-	case sw := <-joined:
-		return &testRig{ctl: ctl, dp: dp, sw: sw}
+	case rig := <-joined:
+		rig.dp = dp
+		return rig
 	case <-time.After(5 * time.Second):
 		t.Fatal("datapath did not join in process")
 		return nil
@@ -432,15 +451,13 @@ func TestInProcessTransportRig(t *testing.T) {
 	gotPI := installOnPacketIn(ctl)
 	rig := newInprocRig(t, ctl)
 
-	if rig.sw.DPID() != 0xdead0002 {
-		t.Errorf("dpid = %x", rig.sw.DPID())
+	if rig.sw.dpid != 0xdead0002 {
+		t.Errorf("dpid = %x", rig.sw.dpid)
 	}
-	if len(rig.sw.Features().Ports) != 2 {
-		t.Errorf("ports = %d", len(rig.sw.Features().Ports))
+	if len(rig.features.Ports) != 2 {
+		t.Errorf("ports = %d", len(rig.features.Ports))
 	}
-	if err := rig.sw.Echo([]byte("liveness")); err != nil {
-		t.Fatal(err)
-	}
+	echo(t, rig.sw, "liveness")
 	if err := rig.sw.Barrier(); err != nil {
 		t.Fatal(err)
 	}
@@ -914,13 +931,15 @@ func newDirectRig(t *testing.T, ctl *Controller, wrap func(oftransport.Transport
 	if wrap != nil {
 		tr = wrap(ctlEnd)
 	}
+	joined := joinedRig(ctl)
 	dp.AttachDirect(dpEnd, dpEnd)
-	sw, err := ctl.AttachDirect(ctlEnd, tr)
-	if err != nil {
+	if _, err := ctl.AttachDirect(ctlEnd, tr); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(dp.Stop)
-	return &testRig{ctl: ctl, dp: dp, sw: sw}
+	rig := <-joined // the join handlers ran inside AttachDirect
+	rig.dp = dp
+	return rig
 }
 
 // A directly attached datapath joins on the caller's goroutine, and a punt
@@ -931,12 +950,10 @@ func newDirectRig(t *testing.T, ctl *Controller, wrap func(oftransport.Transport
 func TestDirectAttach(t *testing.T) {
 	ctl := NewController()
 	gotPI := installOnPacketIn(ctl)
-	var leaves atomic.Int32
-	ctl.OnLeave(func(*LeaveEvent) { leaves.Add(1) })
 	rig := newDirectRig(t, ctl, nil)
 
-	if rig.sw.DPID() != 0xdead0004 || len(rig.sw.Features().Ports) != 2 {
-		t.Fatalf("handshake: dpid %x, %d ports", rig.sw.DPID(), len(rig.sw.Features().Ports))
+	if rig.sw.dpid != 0xdead0004 || len(rig.features.Ports) != 2 {
+		t.Fatalf("handshake: dpid %x, %d ports", rig.sw.dpid, len(rig.features.Ports))
 	}
 	if sw, ok := ctl.Switch(0xdead0004); !ok || sw != rig.sw {
 		t.Fatal("the direct switch is not registered")
@@ -963,9 +980,7 @@ func TestDirectAttach(t *testing.T) {
 		t.Errorf("after Receive the buffered frame was not released: tx %d", p2.Stats().TxPackets)
 	}
 
-	if err := rig.sw.Echo([]byte("liveness")); err != nil {
-		t.Fatal(err)
-	}
+	echo(t, rig.sw, "liveness")
 	if err := rig.sw.Barrier(); err != nil {
 		t.Fatal(err)
 	}
@@ -977,15 +992,15 @@ func TestDirectAttach(t *testing.T) {
 	}
 
 	rig.dp.Stop()
-	if leaves.Load() != 1 || len(ctl.Switches()) != 0 {
-		t.Errorf("after the datapath stopped: %d leave events, %d switches", leaves.Load(), len(ctl.Switches()))
+	if rig.sw.joined.Load() || len(ctl.Switches()) != 0 {
+		t.Errorf("after the datapath stopped: joined %v, %d switches", rig.sw.joined.Load(), len(ctl.Switches()))
 	}
 	if err := rig.sw.Barrier(); err == nil {
 		t.Error("a barrier on a closed direct switch succeeded")
 	}
 	_ = ctl.Close()
-	if leaves.Load() != 1 {
-		t.Errorf("Close after the leave ran it again: %d leave events", leaves.Load())
+	if len(ctl.Switches()) != 0 {
+		t.Errorf("after Close: %d switches", len(ctl.Switches()))
 	}
 }
 

@@ -15,10 +15,9 @@ import (
 // Switch is the controller's handle on one connected datapath, reached
 // through whichever oftransport.Transport the datapath attached with.
 type Switch struct {
-	ctl      *Controller
-	tr       oftransport.Transport
-	dpid     uint64
-	features *openflow.FeaturesReply
+	ctl  *Controller
+	tr   oftransport.Transport
+	dpid uint64
 
 	xid atomic.Uint32
 
@@ -31,7 +30,7 @@ type Switch struct {
 	pending   map[uint32]chan openflow.Message
 
 	closeOnce sync.Once
-	joined    atomic.Bool // the join handlers have run; leave runs once
+	joined    atomic.Bool // the join handlers have run; leaveSwitch runs once
 
 	// The decode state and the packet-in and flow-removed events handle
 	// reuses: a switch handles one message at a time (deliver), and a
@@ -49,12 +48,6 @@ type Switch struct {
 	inbox    []openflow.Message
 	next     int
 }
-
-// DPID returns the datapath identifier.
-func (sw *Switch) DPID() uint64 { return sw.dpid }
-
-// Features returns the features reply captured at handshake.
-func (sw *Switch) Features() *openflow.FeaturesReply { return sw.features }
 
 func (sw *Switch) nextXID() uint32 { return sw.xid.Add(1) }
 
@@ -179,13 +172,12 @@ func (sw *Switch) handle(msg openflow.Message, tracer *trace.Tracer) (punt bool)
 	case *openflow.FlowRemoved:
 		sw.rem = FlowRemovedEvent{Switch: sw, Msg: m}
 		sw.ctl.dispatchFlowRemoved(&sw.rem)
-	case *openflow.PortStatus:
-		sw.ctl.dispatchPortStatus(&PortStatusEvent{Switch: sw, Msg: m})
 	case *openflow.ErrorMsg:
 		// Errors not tied to a pending request are logged by dropping;
 		// a production controller would surface these.
 	default:
-		// Unsolicited replies (stats for timed-out requests etc.).
+		// Port status, which no module handles, and unsolicited replies
+		// (stats for timed-out requests etc.).
 	}
 	return false
 }
@@ -305,16 +297,6 @@ func WithFlowRemoved() FlowOpt {
 	return func(fm *openflow.FlowMod) { fm.Flags |= openflow.FlowModFlagSendFlowRem }
 }
 
-// DeleteFlows removes all entries subsumed by match.
-func (sw *Switch) DeleteFlows(match openflow.Match) error {
-	fm := &openflow.FlowMod{
-		Match: match, Command: openflow.FlowModDelete,
-		BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
-	}
-	fm.Header.XID = sw.nextXID()
-	return sw.Send(fm)
-}
-
 // SendPacket transmits a frame through an action list (packet-out).
 func (sw *Switch) SendPacket(frame []byte, inPort uint16, actions ...openflow.Action) error {
 	po := &openflow.PacketOut{
@@ -389,16 +371,4 @@ func (sw *Switch) Barrier() error {
 		sw.ctl.tracer.Load().BarrierReply()
 	}
 	return err
-}
-
-// Echo round-trips an echo request (liveness probe).
-func (sw *Switch) Echo(data []byte) error {
-	rep, err := sw.request(&openflow.EchoRequest{Data: data}, 5*time.Second)
-	if err != nil {
-		return err
-	}
-	if _, ok := rep.(*openflow.EchoReply); !ok {
-		return errors.New("nox: unexpected echo reply type")
-	}
-	return nil
 }

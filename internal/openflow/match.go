@@ -77,17 +77,6 @@ func (m *Match) NWDstBits() uint32 {
 	return b
 }
 
-// SetNWSrcPrefix sets the NWSrc wildcard to match a prefix of the given
-// length (32 = exact match).
-func (m *Match) SetNWSrcPrefix(prefix int) {
-	m.Wildcards = m.Wildcards&^FWNWSrcMask | uint32(32-prefix)<<fwNWSrcShift
-}
-
-// SetNWDstPrefix sets the NWDst wildcard to match a prefix length.
-func (m *Match) SetNWDstPrefix(prefix int) {
-	m.Wildcards = m.Wildcards&^FWNWDstMask | uint32(32-prefix)<<fwNWDstShift
-}
-
 // encode appends the 40-byte wire form.
 func (m *Match) encode(b []byte) []byte {
 	b = binary.BigEndian.AppendUint32(b, m.Wildcards)

@@ -335,7 +335,7 @@ func TestMatchWildcards(t *testing.T) {
 	sub.Wildcards &^= FWDLType
 	sub.DLType = packet.EtherTypeIPv4
 	sub.NWSrc = packet.MustIP4("192.168.1.0")
-	sub.SetNWSrcPrefix(24)
+	setNWSrcPrefix(&sub, 24)
 	if !sub.Matches(&d, 1) {
 		t.Error("/24 src match failed")
 	}
@@ -365,6 +365,12 @@ func TestMatchARPFields(t *testing.T) {
 	}
 }
 
+// setNWSrcPrefix sets m's nw_src wildcard bits to match a prefix of the
+// given length (32 = exact).
+func setNWSrcPrefix(m *Match, prefix int) {
+	m.Wildcards = m.Wildcards&^FWNWSrcMask | uint32(32-prefix)<<fwNWSrcShift
+}
+
 func TestMatchSubsumes(t *testing.T) {
 	exact := Match{DLType: packet.EtherTypeIPv4, NWProto: 6, TPDst: 80}
 	exact.Wildcards = FWAll &^ (FWDLType | FWNWProto | FWTPDst)
@@ -382,16 +388,16 @@ func TestMatchSubsumes(t *testing.T) {
 
 	srcNet := MatchAll()
 	srcNet.NWSrc = packet.MustIP4("10.0.0.0")
-	srcNet.SetNWSrcPrefix(8)
+	setNWSrcPrefix(&srcNet, 8)
 	host := MatchAll()
 	host.NWSrc = packet.MustIP4("10.1.2.3")
-	host.SetNWSrcPrefix(32)
+	setNWSrcPrefix(&host, 32)
 	if !srcNet.Subsumes(&host) {
 		t.Error("/8 should subsume /32 within it")
 	}
 	outside := MatchAll()
 	outside.NWSrc = packet.MustIP4("11.0.0.1")
-	outside.SetNWSrcPrefix(32)
+	setNWSrcPrefix(&outside, 32)
 	if srcNet.Subsumes(&outside) {
 		t.Error("/8 subsumed address outside the prefix")
 	}

@@ -286,14 +286,6 @@ func (d *DHCP) AddDurationOption(code uint8, dur time.Duration) {
 	d.AddOption(code, v[:])
 }
 
-// LeaseTime returns option 51 as a duration.
-func (d *DHCP) LeaseTime() (time.Duration, bool) {
-	if v, ok := d.Option(DHCPOptLeaseTime); ok && len(v) == 4 {
-		return time.Duration(binary.BigEndian.Uint32(v)) * time.Second, true
-	}
-	return 0, false
-}
-
 // SubnetMask returns option 1 as an address.
 func (d *DHCP) SubnetMask() (IP4, bool) {
 	if v, ok := d.Option(DHCPOptSubnetMask); ok && len(v) == 4 {

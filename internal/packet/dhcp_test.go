@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -28,11 +29,19 @@ type optionReads struct {
 	serverOK, maskOK bool
 }
 
+// leaseTime reads option 51, the lease duration.
+func leaseTime(d *DHCP) (time.Duration, bool) {
+	if v, ok := d.Option(DHCPOptLeaseTime); ok && len(v) == 4 {
+		return time.Duration(binary.BigEndian.Uint32(v)) * time.Second, true
+	}
+	return 0, false
+}
+
 func readOptions(d *DHCP) optionReads {
 	var r optionReads
 	r.msgType = d.MsgType()
 	r.hostname = d.Hostname()
-	r.lease, r.leaseOK = d.LeaseTime()
+	r.lease, r.leaseOK = leaseTime(d)
 	r.requested, r.requestedOK = d.RequestedIP()
 	r.server, r.serverOK = d.ServerID()
 	r.mask, r.maskOK = d.SubnetMask()

@@ -45,18 +45,10 @@ func (e *Ethernet) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// HeaderLen returns the encoded header length, accounting for a VLAN tag.
-func (e *Ethernet) HeaderLen() int {
-	if e.Tagged {
-		return EthernetHeaderLen + 4
-	}
-	return EthernetHeaderLen
-}
-
-// AppendTo appends the encoded frame (header + payload) to b and returns
-// the extended buffer. Hot paths pass a reused scratch buffer so
-// steady-state serialization does not allocate.
-func (e *Ethernet) AppendTo(b []byte) []byte {
+// Bytes returns the encoded frame, header (with its VLAN tag, if any) and
+// payload, as a fresh slice.
+func (e *Ethernet) Bytes() []byte {
+	b := make([]byte, 0, EthernetHeaderLen+4+len(e.Payload))
 	b = append(b, e.Dst[:]...)
 	b = append(b, e.Src[:]...)
 	if e.Tagged {
@@ -66,9 +58,4 @@ func (e *Ethernet) AppendTo(b []byte) []byte {
 	}
 	b = binary.BigEndian.AppendUint16(b, uint16(e.Type))
 	return append(b, e.Payload...)
-}
-
-// Bytes returns the encoded frame as a fresh slice.
-func (e *Ethernet) Bytes() []byte {
-	return e.AppendTo(make([]byte, 0, e.HeaderLen()+len(e.Payload)))
 }

@@ -47,8 +47,8 @@ type Schedule struct {
 	Until string `json:"until,omitempty"`
 }
 
-// ActiveAt reports whether the schedule admits time t.
-func (s *Schedule) ActiveAt(t time.Time) (bool, error) {
+// activeAt reports whether the schedule admits time t.
+func (s *Schedule) activeAt(t time.Time) (bool, error) {
 	if len(s.Days) > 0 {
 		ok := false
 		for _, d := range s.Days {
@@ -131,7 +131,7 @@ func (p *Policy) validate() ([]packet.MAC, error) {
 		}
 		devices[i] = mac
 	}
-	if _, err := p.Schedule.ActiveAt(time.Now()); err != nil {
+	if _, err := p.Schedule.activeAt(time.Now()); err != nil {
 		return nil, fmt.Errorf("policy %s: %w", p.Name, err)
 	}
 	return devices, nil
@@ -281,13 +281,6 @@ func (e *Engine) RemoveKey(id string) {
 	e.notify()
 }
 
-// KeyInserted reports whether a key is present.
-func (e *Engine) KeyInserted(id string) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.keys[id]
-}
-
 // AccessFor computes the effective restriction for a device now. When
 // multiple policies govern a device, access is granted if any active
 // policy grants it, and the allowed-site sets of granting policies are
@@ -311,7 +304,7 @@ func (e *Engine) AccessFor(mac packet.MAC) Access {
 			reason = fmt.Sprintf("policy %s: key %q not inserted", p.Name, p.RequireKey)
 			continue
 		}
-		active, err := p.Schedule.ActiveAt(now)
+		active, err := p.Schedule.activeAt(now)
 		if err != nil || !active {
 			reason = fmt.Sprintf("policy %s: outside schedule", p.Name)
 			continue

@@ -24,10 +24,10 @@ func TestScheduleWeekdays(t *testing.T) {
 	s := Schedule{Days: []string{"saturday", "sunday"}}
 	sat := time.Date(2011, time.August, 20, 12, 0, 0, 0, time.UTC) // Saturday
 	mon := time.Date(2011, time.August, 15, 12, 0, 0, 0, time.UTC) // Monday
-	if ok, _ := s.ActiveAt(sat); !ok {
+	if ok, _ := s.activeAt(sat); !ok {
 		t.Error("Saturday not active")
 	}
-	if ok, _ := s.ActiveAt(mon); ok {
+	if ok, _ := s.activeAt(mon); ok {
 		t.Error("Monday active")
 	}
 }
@@ -42,8 +42,8 @@ func TestScheduleTimeOfDay(t *testing.T) {
 		{15, 59, false}, {16, 0, true}, {18, 30, true}, {20, 0, true}, {20, 1, false},
 	}
 	for _, c := range cases {
-		if got, _ := s.ActiveAt(at(c.h, c.m)); got != c.want {
-			t.Errorf("ActiveAt(%02d:%02d) = %v, want %v", c.h, c.m, got, c.want)
+		if got, _ := s.activeAt(at(c.h, c.m)); got != c.want {
+			t.Errorf("activeAt(%02d:%02d) = %v, want %v", c.h, c.m, got, c.want)
 		}
 	}
 }
@@ -51,22 +51,22 @@ func TestScheduleTimeOfDay(t *testing.T) {
 func TestScheduleWrapsMidnight(t *testing.T) {
 	s := Schedule{From: "22:00", Until: "06:00"}
 	at := func(h int) time.Time { return time.Date(2011, 8, 15, h, 0, 0, 0, time.UTC) }
-	if ok, _ := s.ActiveAt(at(23)); !ok {
+	if ok, _ := s.activeAt(at(23)); !ok {
 		t.Error("23:00 not active")
 	}
-	if ok, _ := s.ActiveAt(at(3)); !ok {
+	if ok, _ := s.activeAt(at(3)); !ok {
 		t.Error("03:00 not active")
 	}
-	if ok, _ := s.ActiveAt(at(12)); ok {
+	if ok, _ := s.activeAt(at(12)); ok {
 		t.Error("12:00 active")
 	}
 }
 
 func TestScheduleRejectsBadInput(t *testing.T) {
-	if _, err := (&Schedule{Days: []string{"funday"}}).ActiveAt(time.Now()); err == nil {
+	if _, err := (&Schedule{Days: []string{"funday"}}).activeAt(time.Now()); err == nil {
 		t.Error("bad weekday accepted")
 	}
-	if _, err := (&Schedule{From: "25:00"}).ActiveAt(time.Now()); err == nil {
+	if _, err := (&Schedule{From: "25:00"}).activeAt(time.Now()); err == nil {
 		t.Error("bad time accepted")
 	}
 }

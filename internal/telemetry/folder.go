@@ -405,17 +405,6 @@ func (f *Folder) FleetRate() Rate {
 	return f.rate.rate(f.clk.Now())
 }
 
-// HomeRate returns one home's windowed throughput.
-func (f *Folder) HomeRate(id uint64) Rate {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	h := f.homes[id]
-	if h == nil {
-		return Rate{}
-	}
-	return h.rate.rate(f.clk.Now())
-}
-
 // DeviceRates returns the windowed per-device rates within a home,
 // ascending by MAC — the paper's bandwidth display, one home of N.
 func (f *Folder) DeviceRates(id uint64) []DeviceRate {

@@ -138,7 +138,7 @@ func TestFolderRates(t *testing.T) {
 	r.hub.Flush()
 
 	// Window is 10s: 10 KB over it = 1000 B/s.
-	if got := r.folder.HomeRate(0); got.BytesPerSec != 1000 || got.PacketsPerSec != 1.2 {
+	if got := homeRate(r.folder, 0); got.BytesPerSec != 1000 || got.PacketsPerSec != 1.2 {
 		t.Fatalf("home rate = %+v", got)
 	}
 	if got := r.folder.FleetRate(); got.BytesPerSec != 1000 {
@@ -157,7 +157,7 @@ func TestFolderRates(t *testing.T) {
 
 	// Slide the window past the samples: the rate decays to zero.
 	r.clk.Advance(11 * time.Second)
-	if got := r.folder.HomeRate(0); got.BytesPerSec != 0 {
+	if got := homeRate(r.folder, 0); got.BytesPerSec != 0 {
 		t.Fatalf("rate after window slide = %+v", got)
 	}
 }
@@ -174,7 +174,7 @@ func TestFolderRemoveHomeKeepsFleetTotals(t *testing.T) {
 	if tot.Homes != 1 || tot.Flows != 1 || tot.Bytes != 500 {
 		t.Fatalf("totals after removal = %+v", tot)
 	}
-	if hr := r.folder.HomeRate(0); hr.BytesPerSec != 0 {
+	if hr := homeRate(r.folder, 0); hr.BytesPerSec != 0 {
 		t.Fatalf("removed home still has a rate: %+v", hr)
 	}
 	if hts := r.folder.HomeTotals(); len(hts) != 1 || hts[0].Home != 1 {
@@ -233,4 +233,15 @@ func TestFolderCommitWalksHomesInOrderWithoutAllocating(t *testing.T) {
 	if n := testing.AllocsPerRun(100, commit); n != 0 {
 		t.Errorf("a warm Commit over %d homes allocates %.1f times, want 0", len(homes), n)
 	}
+}
+
+// homeRate is one home's windowed throughput as HomeTotals reports it,
+// zero for a home the folder does not track.
+func homeRate(f *Folder, id uint64) Rate {
+	for _, ht := range f.HomeTotals() {
+		if ht.Home == id {
+			return ht.Rate
+		}
+	}
+	return Rate{}
 }

@@ -64,9 +64,6 @@ func (r *serverRig) traffic(t *testing.T, n int, bytes uint64) {
 // view through the standard hwdb client.
 func TestServerExecQueriesView(t *testing.T) {
 	r := newServerRig(t)
-	if err := r.cli.Ping(); err != nil {
-		t.Fatal(err)
-	}
 	r.traffic(t, 3, 1000)
 	r.folder.Commit()
 

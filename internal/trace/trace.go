@@ -337,10 +337,10 @@ func (s *HistSnapshot) Merge(o HistSnapshot) {
 	}
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) in nanoseconds from the
+// quantile estimates the q-quantile (0 < q <= 1) in nanoseconds from the
 // log2 buckets: the bucket holding the rank is represented by its
 // geometric midpoint, clipped to the observed maximum.
-func (s *HistSnapshot) Quantile(q float64) float64 {
+func (s *HistSnapshot) quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0
 	}
@@ -370,8 +370,8 @@ func (s *HistSnapshot) Quantile(q float64) float64 {
 	return float64(s.MaxNS)
 }
 
-// Mean returns the mean latency in nanoseconds.
-func (s *HistSnapshot) Mean() float64 {
+// mean returns the mean latency in nanoseconds.
+func (s *HistSnapshot) mean() float64 {
 	if s.Count == 0 {
 		return 0
 	}
@@ -430,10 +430,10 @@ func (s *Snapshot) Stats() []StageStats {
 		out[i] = StageStats{
 			Stage:  transitionNames[i],
 			Count:  h.Count,
-			P50NS:  h.Quantile(0.50),
-			P99NS:  h.Quantile(0.99),
+			P50NS:  h.quantile(0.50),
+			P99NS:  h.quantile(0.99),
 			MaxNS:  h.MaxNS,
-			MeanNS: h.Mean(),
+			MeanNS: h.mean(),
 		}
 	}
 	return out

@@ -101,7 +101,7 @@ func TestSnapshotMerge(t *testing.T) {
 
 func TestQuantileOrdering(t *testing.T) {
 	var h HistSnapshot
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
+	if h.quantile(0.5) != 0 || h.mean() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	h.Count = 100
@@ -109,14 +109,14 @@ func TestQuantileOrdering(t *testing.T) {
 	h.MaxNS = 4000
 	h.Buckets[10] = 99 // [512, 1024)
 	h.Buckets[12] = 1  // [2048, 4096)
-	p50, p99 := h.Quantile(0.50), h.Quantile(0.99)
+	p50, p99 := h.quantile(0.50), h.quantile(0.99)
 	if p50 < 512 || p50 >= 1024 {
 		t.Fatalf("p50 = %v, want within [512,1024)", p50)
 	}
 	if p99 < p50 {
 		t.Fatalf("p99 %v < p50 %v", p99, p50)
 	}
-	if h.Quantile(1.0) < p99 {
+	if h.quantile(1.0) < p99 {
 		t.Fatalf("p100 below p99")
 	}
 }

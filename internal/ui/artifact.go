@@ -81,13 +81,6 @@ func (a *Artifact) SetMode(m ArtifactMode) {
 	a.mu.Unlock()
 }
 
-// Mode returns the current mode.
-func (a *Artifact) Mode() ArtifactMode {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.mode
-}
-
 // WatchLeases subscribes to lease events so mode 3 flashes on grants and
 // revocations. Call once after construction.
 func (a *Artifact) WatchLeases() {
@@ -145,9 +138,9 @@ func (a *Artifact) retryRate() float64 {
 	return res.Rows[0][0].AsFloat()
 }
 
-// SignalLEDs maps an RSSI reading onto a number of lit LEDs: full strip at
+// signalLEDs maps an RSSI reading onto a number of lit LEDs: full strip at
 // -40 dBm and above, none at -90 and below.
-func (a *Artifact) SignalLEDs(rssi int) int {
+func (a *Artifact) signalLEDs(rssi int) int {
 	n := a.NumLEDs
 	frac := (float64(rssi) + 90) / 50 // -90..-40 -> 0..1
 	if frac < 0 {
@@ -173,7 +166,7 @@ func (a *Artifact) Step(dt time.Duration) []LED {
 	case ModeSignal:
 		lit := 0
 		if rssi, ok := a.rssi(); ok {
-			lit = a.SignalLEDs(rssi)
+			lit = a.signalLEDs(rssi)
 		}
 		for i := 0; i < lit && i < len(leds); i++ {
 			leds[i] = LEDWhite

@@ -52,7 +52,8 @@ func displayTick(tb testing.TB) func() {
 			if i == 0 {
 				ft.SrcPort = uint16(40001 + poll/3%4096)
 			}
-			for _, ft := range []packet.FiveTuple{ft, ft.Reverse()} {
+			back := packet.FiveTuple{Src: ft.Dst, Dst: ft.Src, Proto: ft.Proto, SrcPort: ft.DstPort, DstPort: ft.SrcPort}
+			for _, ft := range []packet.FiveTuple{ft, back} {
 				_ = db.InsertFlow(d.mac, ft, 10, 12000)
 				_ = db.InsertFlowPerf(d.mac, ft, 10, 12000, 10, 12000, 0, 384000, 0)
 			}

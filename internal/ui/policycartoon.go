@@ -33,8 +33,8 @@ type CartoonDevice struct {
 	MAC   string
 }
 
-// Compile turns the cartoon into the policy the router enforces.
-func (c *PolicyCartoon) Compile() (*policy.Policy, error) {
+// compile turns the cartoon into the policy the router enforces.
+func (c *PolicyCartoon) compile() (*policy.Policy, error) {
 	p := &policy.Policy{
 		Name:         c.Name,
 		AllowedSites: append([]string(nil), c.What...),
@@ -56,7 +56,7 @@ func (c *PolicyCartoon) Compile() (*policy.Policy, error) {
 // WriteToUSB lays the compiled policy out on a key directory with the
 // filesystem layout the udev monitor recognises.
 func (c *PolicyCartoon) WriteToUSB(dir string) error {
-	p, err := c.Compile()
+	p, err := c.compile()
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 package ui
 
 import (
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -40,7 +39,7 @@ func seededDB(clk clock.Clock) *hwdb.DB {
 	_ = db.InsertFlow(laptopMAC, video, 100, 400_000)
 	_ = db.InsertFlow(phoneMAC, dns, 2, 300)
 	// Response direction: service identified by the source port.
-	webBack := web.Reverse()
+	webBack := packet.FiveTuple{Src: web.Dst, Dst: web.Src, Proto: web.Proto, SrcPort: web.DstPort, DstPort: web.SrcPort}
 	_ = db.InsertFlow(laptopMAC, webBack, 20, 150_000)
 	return db
 }
@@ -222,7 +221,7 @@ func TestArtifactSignalMode(t *testing.T) {
 	clk := clock.NewSimulated()
 	db := hwdb.NewHomework(clk, 1024)
 	a := NewArtifact(db, phoneMAC)
-	if a.Mode() != ModeSignal {
+	if a.mode != ModeSignal {
 		t.Fatal("default mode not signal")
 	}
 
@@ -237,8 +236,8 @@ func TestArtifactSignalMode(t *testing.T) {
 	if litStrong <= litWeak {
 		t.Errorf("lit strong=%d weak=%d", litStrong, litWeak)
 	}
-	if litStrong != a.SignalLEDs(-45) {
-		t.Errorf("frame does not match SignalLEDs: %d vs %d", litStrong, a.SignalLEDs(-45))
+	if litStrong != a.signalLEDs(-45) {
+		t.Errorf("frame does not match signalLEDs: %d vs %d", litStrong, a.signalLEDs(-45))
 	}
 }
 
@@ -271,17 +270,17 @@ func TestArtifactSignalReadsNewestOfLast200(t *testing.T) {
 
 func TestArtifactSignalLEDMapping(t *testing.T) {
 	a := NewArtifact(hwdb.NewHomework(clock.NewSimulated(), 64), phoneMAC)
-	if a.SignalLEDs(-30) != a.NumLEDs {
+	if a.signalLEDs(-30) != a.NumLEDs {
 		t.Error("strong signal should light the whole strip")
 	}
-	if a.SignalLEDs(-95) != 0 {
+	if a.signalLEDs(-95) != 0 {
 		t.Error("no signal should light nothing")
 	}
 	prev := a.NumLEDs + 1
 	for rssi := -40; rssi >= -90; rssi -= 10 {
-		n := a.SignalLEDs(rssi)
+		n := a.signalLEDs(rssi)
 		if n > prev {
-			t.Errorf("SignalLEDs(%d) = %d not monotone", rssi, n)
+			t.Errorf("signalLEDs(%d) = %d not monotone", rssi, n)
 		}
 		prev = n
 	}
@@ -392,14 +391,16 @@ func TestDHCPControlAgainstAPI(t *testing.T) {
 	})
 	eng := policy.NewEngine(clk)
 	api := controlapi.New(srv, eng, packet.MustIP4("192.168.1.1"))
-	ts := httptest.NewServer(api.Handler())
-	defer ts.Close()
+	if err := api.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer api.Close()
 
 	// Two devices show up pending.
 	srv.Annotate(laptopMAC, "")
 	srv.Annotate(phoneMAC, "")
 
-	ctl := NewDHCPControl(ts.URL)
+	ctl := NewDHCPControl("http://" + api.Addr())
 	tabs, err := ctl.Devices()
 	if err != nil {
 		t.Fatal(err)
@@ -449,7 +450,7 @@ func TestPolicyCartoonCompileAndRender(t *testing.T) {
 		WhenFrom: "16:00", WhenUntil: "20:00",
 		KeyID: "parent-key",
 	}
-	p, err := c.Compile()
+	p, err := c.compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +470,7 @@ func TestPolicyCartoonCompileAndRender(t *testing.T) {
 	}
 
 	bad := &PolicyCartoon{Name: "x"}
-	if _, err := bad.Compile(); err == nil {
+	if _, err := bad.compile(); err == nil {
 		t.Error("empty cartoon compiled")
 	}
 }

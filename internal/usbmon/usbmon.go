@@ -44,17 +44,8 @@ type Monitor struct {
 
 	mu      sync.Mutex
 	present map[string]string // directory -> key id
-	events  []Event
 	stop    chan struct{}
 	once    sync.Once
-}
-
-// Event records one detected insertion or removal.
-type Event struct {
-	At     time.Time
-	Action string // "insert" | "remove"
-	KeyID  string
-	Policy string // installed policy name, if any
 }
 
 // New creates a monitor for root driving actions.
@@ -85,13 +76,6 @@ func (m *Monitor) Run(interval time.Duration) {
 
 // Stop halts Run.
 func (m *Monitor) Stop() { m.once.Do(func() { close(m.stop) }) }
-
-// Events returns the insertion/removal log.
-func (m *Monitor) Events() []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Event(nil), m.events...)
-}
 
 // Scan examines the mount root once, emitting insert/remove actions for
 // changes since the previous scan. It returns the first error encountered
@@ -137,26 +121,15 @@ func (m *Monitor) Scan() error {
 	m.mu.Unlock()
 
 	for i, id := range inserted {
-		polName := ""
 		if p, ok := readPolicy(filepath.Join(insertedDirs[i], "policy.json")); ok {
-			if err := m.actions.Install(p); err == nil {
-				polName = p.Name
-			}
+			_ = m.actions.Install(p) // a refused policy still leaves the key inserted
 		}
 		m.actions.InsertKey(id)
-		m.log(Event{At: time.Now(), Action: "insert", KeyID: id, Policy: polName})
 	}
 	for _, id := range removed {
 		m.actions.RemoveKey(id)
-		m.log(Event{At: time.Now(), Action: "remove", KeyID: id})
 	}
 	return nil
-}
-
-func (m *Monitor) log(ev Event) {
-	m.mu.Lock()
-	m.events = append(m.events, ev)
-	m.mu.Unlock()
 }
 
 func readKeyID(path string) (string, bool) {
@@ -195,21 +168,11 @@ func WriteKey(dir, keyID string, pol *policy.Policy) error {
 		return err
 	}
 	if pol != nil {
-		data, err := policyJSON(pol)
+		data, err := json.MarshalIndent(pol, "", "  ")
 		if err != nil {
 			return err
 		}
 		return os.WriteFile(filepath.Join(dir, "policy.json"), data, 0o644)
 	}
 	return nil
-}
-
-func policyJSON(p *policy.Policy) ([]byte, error) {
-	return marshalIndent(p)
-}
-
-// marshalIndent is a tiny wrapper to keep encoding/json out of the public
-// surface above.
-func marshalIndent(v interface{}) ([]byte, error) {
-	return json.MarshalIndent(v, "", "  ")
 }

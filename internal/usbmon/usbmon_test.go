@@ -3,9 +3,11 @@ package usbmon
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/packet"
 	"repro/internal/policy"
 )
 
@@ -33,20 +35,47 @@ func TestWriteKeyLayout(t *testing.T) {
 	}
 }
 
+// recorder is a policy engine that logs the actions a monitor drives, in
+// the order it drives them, as "install <policy>", "insert <key>" or
+// "remove <key>".
+type recorder struct {
+	*policy.Engine
+	log []string
+}
+
+func newRecorder() *recorder { return &recorder{Engine: policy.NewEngine(clock.NewSimulated())} }
+
+func (r *recorder) Install(p *policy.Policy) error {
+	r.log = append(r.log, "install "+p.Name)
+	return r.Engine.Install(p)
+}
+
+func (r *recorder) InsertKey(id string) {
+	r.log = append(r.log, "insert "+id)
+	r.Engine.InsertKey(id)
+}
+
+func (r *recorder) RemoveKey(id string) {
+	r.log = append(r.log, "remove "+id)
+	r.Engine.RemoveKey(id)
+}
+
 func TestScanInsertAndRemove(t *testing.T) {
 	root := t.TempDir()
-	eng := policy.NewEngine(clock.NewSimulated())
+	eng := newRecorder()
 	m := New(root, eng)
+	kid := packet.MustMAC("02:aa:00:00:00:01")
 
 	// Empty root: nothing happens.
 	if err := m.Scan(); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Events()) != 0 {
-		t.Fatal("events on empty root")
+	if len(eng.log) != 0 {
+		t.Fatalf("actions on empty root: %q", eng.log)
 	}
 
-	// "Insert" the key.
+	// "Insert" the key: its policy is installed, and the key it requires
+	// is present, so the device is let on the network.
 	keyDir := filepath.Join(root, "sda1")
 	if err := WriteKey(keyDir, "parent-key", testPolicy()); err != nil {
 		t.Fatal(err)
@@ -54,24 +83,20 @@ func TestScanInsertAndRemove(t *testing.T) {
 	if err := m.Scan(); err != nil {
 		t.Fatal(err)
 	}
-	evs := m.Events()
-	if len(evs) != 1 || evs[0].Action != "insert" || evs[0].KeyID != "parent-key" {
-		t.Fatalf("events = %+v", evs)
-	}
-	if evs[0].Policy != "kids-facebook" {
-		t.Errorf("policy not installed on insert: %+v", evs[0])
-	}
-	if !eng.KeyInserted("parent-key") {
-		t.Error("engine does not see the key")
+	if want := []string{"install kids-facebook", "insert parent-key"}; !slices.Equal(eng.log, want) {
+		t.Fatalf("actions = %q, want %q", eng.log, want)
 	}
 	if len(eng.Policies()) != 1 {
 		t.Error("policy not installed")
 	}
+	if a := eng.AccessFor(kid); !a.NetworkAllowed {
+		t.Errorf("with the key in, access %+v", a)
+	}
 
-	// Rescan: no duplicate events.
+	// Rescan: no duplicate actions.
 	_ = m.Scan()
-	if len(m.Events()) != 1 {
-		t.Errorf("duplicate events: %+v", m.Events())
+	if len(eng.log) != 2 {
+		t.Errorf("duplicate actions: %q", eng.log)
 	}
 
 	// "Remove" the key.
@@ -79,18 +104,17 @@ func TestScanInsertAndRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = m.Scan()
-	evs = m.Events()
-	if len(evs) != 2 || evs[1].Action != "remove" {
-		t.Fatalf("events = %+v", evs)
+	if len(eng.log) != 3 || eng.log[2] != "remove parent-key" {
+		t.Fatalf("actions = %q", eng.log)
 	}
-	if eng.KeyInserted("parent-key") {
-		t.Error("engine still sees removed key")
+	if a := eng.AccessFor(kid); a.NetworkAllowed {
+		t.Errorf("with the key out, access %+v", a)
 	}
 }
 
 func TestScanIgnoresNonKeys(t *testing.T) {
 	root := t.TempDir()
-	eng := policy.NewEngine(clock.NewSimulated())
+	eng := newRecorder()
 	m := New(root, eng)
 	// A directory without homework.key is not a key.
 	if err := os.MkdirAll(filepath.Join(root, "random-stick"), 0o755); err != nil {
@@ -101,21 +125,21 @@ func TestScanIgnoresNonKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = m.Scan()
-	if len(m.Events()) != 0 {
-		t.Errorf("events = %+v", m.Events())
+	if len(eng.log) != 0 {
+		t.Errorf("actions = %q", eng.log)
 	}
 }
 
 func TestKeyWithoutPolicyStillInserts(t *testing.T) {
 	root := t.TempDir()
-	eng := policy.NewEngine(clock.NewSimulated())
+	eng := newRecorder()
 	m := New(root, eng)
 	if err := WriteKey(filepath.Join(root, "sdb1"), "guest-key", nil); err != nil {
 		t.Fatal(err)
 	}
 	_ = m.Scan()
-	if !eng.KeyInserted("guest-key") {
-		t.Error("bare key not inserted")
+	if !slices.Equal(eng.log, []string{"insert guest-key"}) {
+		t.Errorf("bare key: actions %q", eng.log)
 	}
 	if len(eng.Policies()) != 0 {
 		t.Error("phantom policy installed")
