@@ -265,7 +265,7 @@ func (dp *Datapath) handleFlowMod(m *openflow.FlowMod) {
 		}
 	case openflow.FlowModDelete, openflow.FlowModDeleteStrict:
 		strict := m.Command == openflow.FlowModDeleteStrict
-		removed := dp.table.Delete(&m.Match, m.Priority, strict, m.OutPort)
+		removed := dp.table.delete(&m.Match, m.Priority, strict, m.OutPort)
 		now := dp.clk.Now()
 		for _, e := range removed {
 			if !e.SendFlowRem {

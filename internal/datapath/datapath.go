@@ -320,7 +320,7 @@ func (dp *Datapath) Receive(inPort uint16, frame []byte) {
 		return
 	}
 	key := openflow.MatchFromFrame(&d, inPort)
-	dp.receiveDecoded(p, inPort, frame, &d, &key, dp.clk.Now(), &run)
+	dp.receiveDecoded(p, inPort, frame, &key, dp.clk.Now(), &run)
 	run.done(dp)
 }
 
@@ -361,9 +361,9 @@ func (dp *Datapath) ReceiveBatch(inPort uint16, fb *packet.FrameBatch) {
 			continue
 		}
 		key := openflow.MatchFromFrame(&d, inPort)
-		dp.receiveDecoded(p, inPort, frame, &d, &key, now, &run)
+		dp.receiveDecoded(p, inPort, frame, &key, now, &run)
 		for ; copies > 1; copies-- {
-			dp.receiveCopy(p, inPort, frame, &d, &key, now, &run)
+			dp.receiveCopy(p, inPort, frame, &key, now, &run)
 		}
 	}
 	run.done(dp)
@@ -473,10 +473,11 @@ func (run *batchRun) done(dp *Datapath) {
 	}
 }
 
-// receiveDecoded looks a decoded frame, whose exact-match key is key, up in
-// the flow table and executes it, or takes it down the miss path; receive
-// accounting has already been charged.
-func (dp *Datapath) receiveDecoded(p *Port, inPort uint16, frame []byte, d *packet.Decoded, key *openflow.Match, now time.Time, run *batchRun) {
+// receiveDecoded looks a decoded frame up in the flow table by its
+// exact-match key, the only part of the decode the table reads, and
+// executes it, or takes it down the miss path; receive accounting has
+// already been charged.
+func (dp *Datapath) receiveDecoded(p *Port, inPort uint16, frame []byte, key *openflow.Match, now time.Time, run *batchRun) {
 	run.left = nil
 	nanos := now.UnixNano()
 	gen := dp.table.gen.Load()
@@ -487,11 +488,11 @@ func (dp *Datapath) receiveDecoded(p *Port, inPort uint16, frame []byte, d *pack
 		run.hitAt = nanos
 	} else {
 		run.chargeEntry(dp.table)
-		entry = dp.table.lookup(key, d, len(frame), nanos)
+		entry = dp.table.lookup(key, len(frame), nanos)
 		run.key, run.entry, run.tableGen = *key, entry, gen
 	}
 	if entry == nil {
-		if entry = dp.miss(p, frame, d, key, nanos); entry == nil {
+		if entry = dp.miss(p, frame, key, nanos); entry == nil {
 			return
 		}
 	}
@@ -503,12 +504,11 @@ func (dp *Datapath) receiveDecoded(p *Port, inPort uint16, frame []byte, d *pack
 // table nor the ports have changed since, the copy matches and leaves the
 // same way: it is charged and handed to the sink. Otherwise — a miss, a list
 // of another shape, a change made while the previous copy was in a sink —
-// it goes through receiveDecoded like any frame, with the span's decode and
-// key.
-func (dp *Datapath) receiveCopy(p *Port, inPort uint16, frame []byte, d *packet.Decoded, key *openflow.Match, now time.Time, run *batchRun) {
+// it goes through receiveDecoded like any frame, with the span's key.
+func (dp *Datapath) receiveCopy(p *Port, inPort uint16, frame []byte, key *openflow.Match, now time.Time, run *batchRun) {
 	if run.left == nil || run.entry == nil || dp.table.gen.Load() != run.tableGen ||
 		dp.portGen.Load() != run.portGen || !run.out.forwards() {
-		dp.receiveDecoded(p, inPort, frame, d, key, now, run)
+		dp.receiveDecoded(p, inPort, frame, key, now, run)
 		return
 	}
 	run.hits++
@@ -803,7 +803,7 @@ func (c *holdNode) recycle() {
 // the clock has moved punts afresh, which is what heals a lost answer.
 // miss returns an entry only when the flow's rule landed between the
 // caller's lookup and here; the caller executes it.
-func (dp *Datapath) miss(p *Port, frame []byte, d *packet.Decoded, key *openflow.Match, nanos int64) *FlowEntry {
+func (dp *Datapath) miss(p *Port, frame []byte, key *openflow.Match, nanos int64) *FlowEntry {
 	if p.Config&openflow.PortConfigNoPacketIn != 0 {
 		return nil
 	}
@@ -820,7 +820,7 @@ func (dp *Datapath) miss(p *Port, frame []byte, d *packet.Decoded, key *openflow
 	// punt of this flow left to queue behind, the entry is visible if it
 	// exists. Without this second look a frame caught between the lookup
 	// and the release would punt a flow that already has its rule.
-	if e := dp.table.match(key, d, len(frame), nanos); e != nil {
+	if e := dp.table.match(key, len(frame), nanos); e != nil {
 		dp.bufMu.Unlock()
 		return e
 	}

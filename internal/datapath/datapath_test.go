@@ -132,7 +132,7 @@ func TestFlowTableDeleteNonStrict(t *testing.T) {
 		_ = tbl.Add(&FlowEntry{Match: m, Priority: 1, Actions: []openflow.Action{&openflow.ActionOutput{Port: 9}}}, false)
 	}
 	all := openflow.MatchAll()
-	removed := tbl.Delete(&all, 0, false, openflow.PortNone)
+	removed := tbl.delete(&all, 0, false, openflow.PortNone)
 	if len(removed) != 3 || tbl.Len() != 0 {
 		t.Errorf("removed %d, len %d", len(removed), tbl.Len())
 	}
@@ -147,7 +147,7 @@ func TestFlowTableDeleteByOutPort(t *testing.T) {
 	_ = tbl.Add(&FlowEntry{Match: exactMatchFor(t, f2, 1), Priority: 1,
 		Actions: []openflow.Action{&openflow.ActionOutput{Port: 8}}}, false)
 	all := openflow.MatchAll()
-	removed := tbl.Delete(&all, 0, false, 7)
+	removed := tbl.delete(&all, 0, false, 7)
 	if len(removed) != 1 || tbl.Len() != 1 {
 		t.Errorf("removed %d, len %d", len(removed), tbl.Len())
 	}

@@ -32,9 +32,9 @@ func slowReceive(dp *Datapath, inPort uint16, frame []byte) {
 	}
 	key := openflow.MatchFromFrame(&d, inPort)
 	nanos := dp.clk.Now().UnixNano()
-	entry := dp.table.lookup(&key, &d, len(frame), nanos)
+	entry := dp.table.lookup(&key, len(frame), nanos)
 	if entry == nil {
-		if entry = dp.miss(p, frame, &d, &key, nanos); entry == nil {
+		if entry = dp.miss(p, frame, &key, nanos); entry == nil {
 			return
 		}
 	}
@@ -293,7 +293,7 @@ func TestFastPathSeesDeleteMidBatch(t *testing.T) {
 	p2.SetOut(func([]byte) {
 		if forwarded++; forwarded == k {
 			go func() {
-				r.dp.Table().Delete(&m, 10, true, openflow.PortNone)
+				r.dp.Table().delete(&m, 10, true, openflow.PortNone)
 				close(deleted)
 			}()
 			<-deleted
@@ -450,7 +450,7 @@ func TestRepeatedRunSeesDeleteMidBatch(t *testing.T) {
 			o.sent = append(o.sent, sentFrame{2, append([]byte(nil), f...)})
 			if o.forwarded++; o.forwarded == k {
 				go func() {
-					r.dp.Table().Delete(&m, 10, true, openflow.PortNone)
+					r.dp.Table().delete(&m, 10, true, openflow.PortNone)
 					close(deleted)
 				}()
 				<-deleted
@@ -526,7 +526,7 @@ func TestRepeatAfterTableChangeIsRewritten(t *testing.T) {
 				p2.SetOut(func(f []byte) {
 					sink(f)
 					if len(r.sent) == len(tc.batch)+1 { // f1's first frame
-						r.dp.table.Delete(&m1, 20, true, openflow.PortNone)
+						r.dp.table.delete(&m1, 20, true, openflow.PortNone)
 					}
 				})
 				return r

@@ -155,7 +155,7 @@ func TestWarmNewFlowAllocatesItsPuntAndItsEntry(t *testing.T) {
 			answer()
 		}
 		all := openflow.MatchAll()
-		dp.table.Delete(&all, 0, false, openflow.PortNone)
+		dp.table.delete(&all, 0, false, openflow.PortNone)
 
 		wantPunt := 1
 		if size > inlineHead {

@@ -2,7 +2,7 @@
 // vSwitch stand-in at the heart of the Homework router. A Datapath owns a
 // set of ports, a flow table with priority and wildcard matching, and a
 // secure channel to a controller over any oftransport.Transport — the
-// classic TCP wire path (Connect/ConnectTCP), a queued in-process endpoint
+// classic TCP wire path (ConnectTCP), a queued in-process endpoint
 // (ConnectTransport with one end of oftransport.Pair), or, when controller
 // and switch share a process, one end of an oftransport.Direct channel
 // (AttachDirect): then what the controller sends waits in an inbox that
@@ -138,7 +138,7 @@ type FlowTable struct {
 	lookups atomic.Uint64
 	matched atomic.Uint64
 
-	// gen counts the changes made to the table (Add, modify, Delete, and
+	// gen counts the changes made to the table (Add, modify, delete, and
 	// an expiry sweep that removes something, each bumping it under the
 	// write lock). A reader that saw a
 	// frame match an entry may charge the next frame of the same key to
@@ -184,13 +184,14 @@ func (t *FlowTable) Counters() (lookups, matched uint64) {
 // one.
 func (t *FlowTable) Lookup(d *packet.Decoded, inPort uint16, frameLen int, now time.Time) *FlowEntry {
 	key := openflow.MatchFromFrame(d, inPort)
-	return t.lookup(&key, d, frameLen, now.UnixNano())
+	return t.lookup(&key, frameLen, now.UnixNano())
 }
 
-// lookup is Lookup for a caller that has the frame's exact-match key.
-func (t *FlowTable) lookup(key *openflow.Match, d *packet.Decoded, frameLen int, nanos int64) *FlowEntry {
+// lookup is Lookup for a caller that has the frame's exact-match key, which
+// is all of the frame the table reads.
+func (t *FlowTable) lookup(key *openflow.Match, frameLen int, nanos int64) *FlowEntry {
 	t.lookups.Add(1)
-	return t.match(key, d, frameLen, nanos)
+	return t.match(key, frameLen, nanos)
 }
 
 // charge commits frames a run matched to e without a lookup each (batchRun):
@@ -203,7 +204,7 @@ func (t *FlowTable) charge(e *FlowEntry, frames, bytes uint64, nanos int64) {
 
 // match finds and charges a frame's entry without counting a lookup: the
 // datapath's second look at a frame whose lookup already missed.
-func (t *FlowTable) match(key *openflow.Match, d *packet.Decoded, frameLen int, nanos int64) *FlowEntry {
+func (t *FlowTable) match(key *openflow.Match, frameLen int, nanos int64) *FlowEntry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if e, ok := t.exact[*key]; ok {
@@ -212,7 +213,7 @@ func (t *FlowTable) match(key *openflow.Match, d *packet.Decoded, frameLen int, 
 		return e
 	}
 	for _, e := range t.wild {
-		if e.Match.Matches(d, key.InPort) {
+		if e.Match.Matches(key) {
 			t.matched.Add(1)
 			e.charge(1, uint64(frameLen), nanos)
 			return e
@@ -231,18 +232,12 @@ func (t *FlowTable) Add(e *FlowEntry, checkOverlap bool) error {
 	defer t.mu.Unlock()
 	t.gen.Add(1)
 	if checkOverlap {
-		conflict := func(o *FlowEntry) bool {
-			return o.Priority == e.Priority && o.Match != e.Match && overlaps(&o.Match, &e.Match)
-		}
-		for _, o := range t.exact {
-			if conflict(o) {
-				return &openflow.ErrorMsg{ErrType: openflow.ErrTypeFlowModFailed, Code: openflow.FlowModOverlap}
-			}
-		}
-		for _, o := range t.wild {
-			if conflict(o) {
-				return &openflow.ErrorMsg{ErrType: openflow.ErrTypeFlowModFailed, Code: openflow.FlowModOverlap}
-			}
+		conflict := false
+		t.each(nil, 0, false, openflow.PortNone, func(o *FlowEntry) {
+			conflict = conflict || o.Priority == e.Priority && o.Match != e.Match && o.Match.Overlaps(&e.Match)
+		})
+		if conflict {
+			return &openflow.ErrorMsg{ErrType: openflow.ErrTypeFlowModFailed, Code: openflow.FlowModOverlap}
 		}
 	}
 	t.removeLocked(flowKey{e.Match, e.Priority})
@@ -260,117 +255,48 @@ func (t *FlowTable) Add(e *FlowEntry, checkOverlap bool) error {
 	return nil
 }
 
-// overlaps reports whether a single packet could match both a and b: for
-// every field either at least one side wildcards it, or both match the same
-// value (address prefixes must agree on the shared prefix).
-func overlaps(a, b *openflow.Match) bool {
-	type field struct {
-		bit uint32
-		eq  bool
-	}
-	fields := []field{
-		{openflow.FWInPort, a.InPort == b.InPort},
-		{openflow.FWDLSrc, a.DLSrc == b.DLSrc},
-		{openflow.FWDLDst, a.DLDst == b.DLDst},
-		{openflow.FWDLVLAN, a.DLVLAN == b.DLVLAN},
-		{openflow.FWDLVLANPCP, a.DLVLANPCP == b.DLVLANPCP},
-		{openflow.FWDLType, a.DLType == b.DLType},
-		{openflow.FWNWProto, a.NWProto == b.NWProto},
-		{openflow.FWNWTOS, a.NWTOS == b.NWTOS},
-		{openflow.FWTPSrc, a.TPSrc == b.TPSrc},
-		{openflow.FWTPDst, a.TPDst == b.TPDst},
-	}
-	for _, f := range fields {
-		if a.Wildcards&f.bit == 0 && b.Wildcards&f.bit == 0 && !f.eq {
-			return false
-		}
-	}
-	// Address prefixes: the shorter prefix must contain the longer one.
-	wide := func(x, y uint32) int { // longer ignored-bits count = shorter prefix
-		if x > y {
-			return int(x)
-		}
-		return int(y)
-	}
-	if bits := wide(a.NWSrcBits(), b.NWSrcBits()); bits < 32 {
-		if a.NWSrc.Mask(32-bits) != b.NWSrc.Mask(32-bits) {
-			return false
-		}
-	}
-	if bits := wide(a.NWDstBits(), b.NWDstBits()); bits < 32 {
-		if a.NWDst.Mask(32-bits) != b.NWDst.Mask(32-bits) {
-			return false
-		}
-	}
-	return true
-}
-
-// modify updates the actions of entries matched by m (non-strict: all
-// entries subsumed by m). It reports how many entries were updated.
+// modify updates the actions of the entries a modify with (m, priority,
+// strict) selects. It reports how many entries were updated.
 func (t *FlowTable) modify(m *openflow.Match, priority uint16, strict bool, actions []openflow.Action) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.gen.Add(1)
 	n := 0
-	apply := func(e *FlowEntry) {
-		if strict {
-			if e.Match != *m || e.Priority != priority {
-				return
-			}
-		} else if !m.Subsumes(&e.Match) {
-			return
-		}
+	t.each(m, priority, strict, openflow.PortNone, func(e *FlowEntry) {
 		e.Actions = actions
 		n++
-	}
-	for _, e := range t.exact {
-		apply(e)
-	}
-	for _, e := range t.wild {
-		apply(e)
-	}
+	})
 	return n
 }
 
-// Delete removes entries matched by m (strict: identical match+priority;
-// non-strict: subsumed by m). outPort, when not PortNone, restricts removal
-// to entries with an output action to that port. Removed entries are
-// returned in removalOrder so the datapath can emit flow-removed messages.
-func (t *FlowTable) Delete(m *openflow.Match, priority uint16, strict bool, outPort uint16) []*FlowEntry {
+// delete removes the entries a delete with (m, priority, strict, outPort)
+// selects and returns them in removalOrder, so the datapath can emit
+// flow-removed messages.
+func (t *FlowTable) delete(m *openflow.Match, priority uint16, strict bool, outPort uint16) []*FlowEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.gen.Add(1)
 	var removed []*FlowEntry
-	match := func(e *FlowEntry) bool {
-		if strict {
-			if e.Match != *m || e.Priority != priority {
-				return false
-			}
-		} else if !m.Subsumes(&e.Match) {
-			return false
-		}
-		if outPort != openflow.PortNone && !outputsTo(e.Actions, outPort) {
+	t.filter(func(e *FlowEntry) bool {
+		if selects(e, m, priority, strict, outPort) {
+			removed = append(removed, e)
 			return false
 		}
 		return true
-	}
-	for k, e := range t.exact {
-		if match(e) {
-			removed = append(removed, e)
-			delete(t.exact, k)
-		}
-	}
-	kept := t.wild[:0]
-	for _, e := range t.wild {
-		if match(e) {
-			removed = append(removed, e)
-		} else {
-			kept = append(kept, e)
-		}
-	}
-	t.wild = kept
+	})
 	slices.SortFunc(removed, removalOrder)
 	return removed
+}
+
+// selects reports whether a modify, delete or stats request for m applies
+// to e: strict, the entry of m and priority itself; otherwise every entry m
+// subsumes, or, with m nil, every entry. An outPort other than PortNone
+// narrows that to the entries with an output to it.
+func selects(e *FlowEntry, m *openflow.Match, priority uint16, strict bool, outPort uint16) bool {
+	if strict && (e.Match != *m || e.Priority != priority) || !strict && m != nil && !m.Subsumes(&e.Match) {
+		return false
+	}
+	return outPort == openflow.PortNone || outputsTo(e.Actions, outPort)
 }
 
 func outputsTo(actions []openflow.Action, port uint16) bool {
@@ -415,19 +341,7 @@ func (t *FlowTable) expire(dst []expiry, now time.Time) []expiry {
 		return true
 	}
 	t.mu.Lock()
-	for k, e := range t.exact {
-		if !keep(e) {
-			delete(t.exact, k)
-		}
-	}
-	kept := t.wild[:0]
-	for _, e := range t.wild {
-		if keep(e) {
-			kept = append(kept, e)
-		}
-	}
-	clear(t.wild[len(kept):])
-	t.wild = kept
+	t.filter(keep)
 	t.due.Store(next)
 	if len(dst) > start {
 		t.gen.Add(1)
@@ -469,7 +383,7 @@ func (t *FlowTable) Entries(m *openflow.Match, outPort uint16) []*FlowEntry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	out := make([]*FlowEntry, 0, len(t.exact)+len(t.wild))
-	t.each(m, outPort, func(e *FlowEntry) { out = append(out, e) })
+	t.each(m, 0, false, outPort, func(e *FlowEntry) { out = append(out, e) })
 	return out
 }
 
@@ -479,7 +393,7 @@ func (t *FlowTable) flowStats(m *openflow.Match, outPort uint16, now time.Time) 
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	dst := make([]openflow.FlowStats, 0, len(t.exact)+len(t.wild))
-	t.each(m, outPort, func(e *FlowEntry) {
+	t.each(m, 0, false, outPort, func(e *FlowEntry) {
 		dur := now.Sub(e.Installed)
 		dst = append(dst, openflow.FlowStats{
 			TableID: 0, Match: e.Match,
@@ -495,24 +409,36 @@ func (t *FlowTable) flowStats(m *openflow.Match, outPort uint16, now time.Time) 
 	return dst
 }
 
-// each calls fn for every entry matched by m (nil = all) that outputs to
-// outPort (PortNone = any). The caller holds the lock.
-func (t *FlowTable) each(m *openflow.Match, outPort uint16, fn func(*FlowEntry)) {
-	keep := func(e *FlowEntry) {
-		if m != nil && !m.Subsumes(&e.Match) {
-			return
-		}
-		if outPort != openflow.PortNone && !outputsTo(e.Actions, outPort) {
-			return
-		}
-		fn(e)
-	}
+// each calls fn for every entry selects picks. The caller holds the lock.
+func (t *FlowTable) each(m *openflow.Match, priority uint16, strict bool, outPort uint16, fn func(*FlowEntry)) {
 	for _, e := range t.exact {
-		keep(e)
+		if selects(e, m, priority, strict, outPort) {
+			fn(e)
+		}
 	}
 	for _, e := range t.wild {
-		keep(e)
+		if selects(e, m, priority, strict, outPort) {
+			fn(e)
+		}
 	}
+}
+
+// filter keeps the entries keep reports true for and drops the rest. The
+// caller holds the write lock.
+func (t *FlowTable) filter(keep func(*FlowEntry) bool) {
+	for k, e := range t.exact {
+		if !keep(e) {
+			delete(t.exact, k)
+		}
+	}
+	kept := t.wild[:0]
+	for _, e := range t.wild {
+		if keep(e) {
+			kept = append(kept, e)
+		}
+	}
+	clear(t.wild[len(kept):])
+	t.wild = kept
 }
 
 func (t *FlowTable) removeLocked(k flowKey) {

@@ -48,9 +48,9 @@ type refTable struct {
 	lookups, matched uint64
 }
 
-// selects reports whether a modify or delete with (m, priority, strict)
+// selectsRef reports whether a modify or delete with (m, priority, strict)
 // applies to o, and with outPort restricts a delete to o's outputs.
-func selects(o *modelEntry, m *openflow.Match, priority uint16, strict bool, outPort uint16) bool {
+func selectsRef(o *modelEntry, m *openflow.Match, priority uint16, strict bool, outPort uint16) bool {
 	e := o.e
 	if strict {
 		if e.Match != *m || e.Priority != priority {
@@ -88,8 +88,14 @@ func overlapRef(a, b *openflow.Match) bool {
 		both(openflow.FWTPDst) && a.TPDst != b.TPDst {
 		return false
 	}
-	return prefixesAgree(a.NWSrc, b.NWSrc, a.NWSrcBits(), b.NWSrcBits()) &&
-		prefixesAgree(a.NWDst, b.NWDst, a.NWDstBits(), b.NWDstBits())
+	return prefixesAgree(a.NWSrc, b.NWSrc, ignored(a, openflow.FWNWSrcMask), ignored(b, openflow.FWNWSrcMask)) &&
+		prefixesAgree(a.NWDst, b.NWDst, ignored(a, openflow.FWNWDstMask), ignored(b, openflow.FWNWDstMask))
+}
+
+// ignored returns how many low bits of an address m ignores, read from the
+// wildcard field under mask: at most 32, whatever the six bits hold.
+func ignored(m *openflow.Match, mask uint32) uint32 {
+	return min(m.Wildcards&mask>>bits.TrailingZeros32(mask), 32)
 }
 
 // prefixesAgree reports whether x and y, each with its count of ignored low
@@ -124,7 +130,7 @@ func (r *refTable) add(e *FlowEntry, checkOverlap bool) bool {
 func (r *refTable) modify(m *openflow.Match, priority uint16, strict bool, actions []openflow.Action) int {
 	n := 0
 	for _, o := range r.rows {
-		if selects(o, m, priority, strict, openflow.PortNone) {
+		if selectsRef(o, m, priority, strict, openflow.PortNone) {
 			o.actions = actions
 			n++
 		}
@@ -145,7 +151,7 @@ func (r *refTable) remove(drop func(*modelEntry) bool) []*FlowEntry {
 }
 
 func (r *refTable) delete(m *openflow.Match, priority uint16, strict bool, outPort uint16) []*FlowEntry {
-	return r.remove(func(o *modelEntry) bool { return selects(o, m, priority, strict, outPort) })
+	return r.remove(func(o *modelEntry) bool { return selectsRef(o, m, priority, strict, outPort) })
 }
 
 // expire removes what has timed out and says why, hard timeout first.
@@ -206,7 +212,7 @@ func (r *refTable) lookup(d *packet.Decoded, inPort uint16, frameLen int, now ti
 			}
 			continue
 		}
-		if o.e.Match.Matches(d, inPort) && (best == nil || o.e.Priority > best.e.Priority ||
+		if o.e.Match.Matches(&key) && (best == nil || o.e.Priority > best.e.Priority ||
 			o.e.Priority == best.e.Priority && o.seq < best.seq) {
 			best = o
 		}
@@ -383,12 +389,12 @@ func TestFlowTableMatchesModel(t *testing.T) {
 					m = openflow.MatchAll()
 				}
 				want := ref.delete(&m, prio, strict, out)
-				got := tbl.Delete(&m, prio, strict, out)
+				got := tbl.delete(&m, prio, strict, out)
 				if !sameEntries(got, want) {
-					fail(op, "Delete(strict %v, out_port %d) removed %d entries, the model %d, or others", strict, out, len(got), len(want))
+					fail(op, "delete(strict %v, out_port %d) removed %d entries, the model %d, or others", strict, out, len(got), len(want))
 				}
 				if !slices.IsSortedFunc(got, removalOrder) {
-					fail(op, "Delete's removals are not in removal order")
+					fail(op, "delete's removals are not in removal order")
 				}
 			case k < 13:
 				what = "expire"

@@ -247,6 +247,12 @@ func TestPollCountsWhatMovedSinceTheLastVisit(t *testing.T) {
 // longer finds the entry, and nothing is counted twice.
 func TestFlowRemovedSettlesAgainstTheLastVisit(t *testing.T) {
 	h := newHome(t, 50000, 50001)
+	// The flow from 50000 gets an entry that expires in a second.
+	m := h.match(50000)
+	e := &datapath.FlowEntry{Match: m, Priority: 10, SendFlowRem: true, HardTimeout: 1, Installed: h.clk.Now()}
+	if err := h.dp.Table().Add(e, false); err != nil {
+		t.Fatal(err)
+	}
 	h.send(50000, 5)
 	h.send(50001, 1)
 	h.p.PollOnce()
@@ -255,14 +261,12 @@ func TestFlowRemovedSettlesAgainstTheLastVisit(t *testing.T) {
 		t.Fatalf("tracking %d flows, want 2", n)
 	}
 
-	m := h.match(50000)
-	removed := h.dp.Table().Delete(&m, 10, true, openflow.PortNone)
-	if len(removed) != 1 {
-		t.Fatalf("deleted %d entries", len(removed))
-	}
 	h.clk.Advance(time.Second)
+	if n := h.dp.SweepExpired(); n != 1 {
+		t.Fatalf("expired %d entries", n)
+	}
 	h.p.PollOnce() // the entry is gone; its flow-removed is still in flight
-	h.p.RecordFlowRemoved(&m, removed[0].PacketCount(), removed[0].ByteCount())
+	h.p.RecordFlowRemoved(&m, e.PacketCount(), e.ByteCount())
 	h.p.PollOnce()
 
 	if got := h.packets(50000); got != 7 {

@@ -58,9 +58,9 @@ type Match struct {
 // MatchAll returns a match with every field wildcarded.
 func MatchAll() Match { return Match{Wildcards: FWAll} }
 
-// NWSrcBits returns the number of low bits ignored in NWSrc (0 = exact,
+// nwSrcBits returns the number of low bits ignored in NWSrc (0 = exact,
 // >=32 = fully wildcarded).
-func (m *Match) NWSrcBits() uint32 {
+func (m *Match) nwSrcBits() uint32 {
 	b := (m.Wildcards & FWNWSrcMask) >> fwNWSrcShift
 	if b > 32 {
 		b = 32
@@ -68,8 +68,8 @@ func (m *Match) NWSrcBits() uint32 {
 	return b
 }
 
-// NWDstBits returns the number of low bits ignored in NWDst.
-func (m *Match) NWDstBits() uint32 {
+// nwDstBits returns the number of low bits ignored in NWDst.
+func (m *Match) nwDstBits() uint32 {
 	b := (m.Wildcards & FWNWDstMask) >> fwNWDstShift
 	if b > 32 {
 		b = 32
@@ -124,7 +124,7 @@ func MatchFromFrame(d *packet.Decoded, inPort uint16) Match {
 		DLSrc:  d.Eth.Src,
 		DLDst:  d.Eth.Dst,
 		DLType: d.Eth.Type,
-		DLVLAN: 0xffff, // OFP_VLAN_NONE
+		DLVLAN: vlanNone,
 	}
 	if d.Eth.Tagged {
 		m.DLVLAN = d.Eth.VLANID
@@ -157,129 +157,82 @@ func MatchFromFrame(d *packet.Decoded, inPort uint16) Match {
 	return m
 }
 
-// Matches reports whether a decoded frame arriving on inPort satisfies the
-// match, honouring every wildcard bit.
-func (m *Match) Matches(d *packet.Decoded, inPort uint16) bool {
-	w := m.Wildcards
-	if w&FWInPort == 0 && m.InPort != inPort {
-		return false
-	}
-	if w&FWDLSrc == 0 && m.DLSrc != d.Eth.Src {
-		return false
-	}
-	if w&FWDLDst == 0 && m.DLDst != d.Eth.Dst {
-		return false
-	}
-	if w&FWDLVLAN == 0 {
-		vlan := uint16(0xffff)
-		if d.Eth.Tagged {
-			vlan = d.Eth.VLANID
-		}
-		if m.DLVLAN != vlan {
-			return false
-		}
-	}
-	if w&FWDLVLANPCP == 0 && d.Eth.Tagged && m.DLVLANPCP != d.Eth.VLANPriority {
-		return false
-	}
-	if w&FWDLType == 0 && m.DLType != d.Eth.Type {
-		return false
-	}
+// vlanNone is dl_vlan of an untagged frame (OFP_VLAN_NONE).
+const vlanNone = 0xffff
 
-	// Network fields: sourced from IPv4 or, per the spec, from ARP.
-	var nwSrc, nwDst packet.IP4
-	var nwProto, nwTOS uint8
-	var tpSrc, tpDst uint16
-	haveNW := false
-	switch {
-	case d.HasIP:
-		nwSrc, nwDst = d.IP.Src, d.IP.Dst
-		nwProto, nwTOS = uint8(d.IP.Protocol), d.IP.TOS
-		haveNW = true
-		switch {
-		case d.HasTCP:
-			tpSrc, tpDst = d.TCP.SrcPort, d.TCP.DstPort
-		case d.HasUDP:
-			tpSrc, tpDst = d.UDP.SrcPort, d.UDP.DstPort
-		case d.HasICMP:
-			tpSrc, tpDst = uint16(d.ICMP.Type), uint16(d.ICMP.Code)
-		}
-	case d.HasARP:
-		nwSrc, nwDst = d.ARP.SenderIP, d.ARP.TargetIP
-		nwProto = uint8(d.ARP.Op)
-		haveNW = true
-	}
+// fwNetwork is the wildcard bits of the network- and transport-layer
+// fields, which a frame with no network layer holds no value for.
+const fwNetwork = FWNWProto | FWNWTOS | FWTPSrc | FWTPDst
 
-	if w&FWNWProto == 0 && (!haveNW || m.NWProto != nwProto) {
-		return false
+// fwPlain is the wildcard bits of the ten fields compared whole: every
+// field but the two addresses.
+const fwPlain = FWInPort | FWDLVLAN | FWDLSrc | FWDLDst | FWDLType | FWDLVLANPCP | fwNetwork
+
+// Matches reports whether the frame whose exact key k is (MatchFromFrame)
+// satisfies m, honouring every wildcard bit. dl_vlan_pcp counts only on a
+// tagged frame; a frame with no network layer fails a rule that fixes any
+// network or transport field or prefix; and the nw_tos and tp fields of an
+// ARP or other IPv4 frame compare as the zeros its key holds.
+func (m *Match) Matches(k *Match) bool {
+	diff := m.differ(k)
+	if k.DLVLAN == vlanNone {
+		diff &^= FWDLVLANPCP
 	}
-	if w&FWNWTOS == 0 && (!haveNW || m.NWTOS != nwTOS) {
-		return false
+	if k.Wildcards&FWNWProto != 0 {
+		diff |= fwNetwork
 	}
-	if bits := m.NWSrcBits(); bits < 32 {
-		if !haveNW || m.NWSrc.Mask(32-int(bits)) != nwSrc.Mask(32-int(bits)) {
-			return false
-		}
-	}
-	if bits := m.NWDstBits(); bits < 32 {
-		if !haveNW || m.NWDst.Mask(32-int(bits)) != nwDst.Mask(32-int(bits)) {
-			return false
-		}
-	}
-	if w&FWTPSrc == 0 && (!haveNW || m.TPSrc != tpSrc) {
-		return false
-	}
-	if w&FWTPDst == 0 && (!haveNW || m.TPDst != tpDst) {
-		return false
-	}
-	return true
+	return diff&^m.Wildcards == 0 && m.holdsPrefixes(k)
 }
 
-// Subsumes reports whether every packet matched by other is also matched by
-// m (used for DELETE with non-strict semantics).
-func (m *Match) Subsumes(other *Match) bool {
-	type field struct {
-		bit uint32
-		eq  bool
+// Subsumes reports whether every packet matched by o is also matched by m
+// (used for DELETE with non-strict semantics).
+func (m *Match) Subsumes(o *Match) bool {
+	return (o.Wildcards|m.differ(o))&^m.Wildcards&fwPlain == 0 && m.holdsPrefixes(o)
+}
+
+// Overlaps reports whether a single packet could match both m and o (the
+// OFPFF_CHECK_OVERLAP test): no field both fix holds different values, and
+// the address prefixes agree on the shorter of the two.
+func (m *Match) Overlaps(o *Match) bool {
+	return m.differ(o)&^(m.Wildcards|o.Wildcards) == 0 &&
+		prefixAgree(m.NWSrc, o.NWSrc, max(m.nwSrcBits(), o.nwSrcBits())) &&
+		prefixAgree(m.NWDst, o.NWDst, max(m.nwDstBits(), o.nwDstBits()))
+}
+
+// differ returns the wildcard bits of the plain fields on which m and o
+// hold different values, whatever either wildcards.
+func (m *Match) differ(o *Match) uint32 {
+	return ne(m.InPort, o.InPort, FWInPort) | ne(m.DLSrc, o.DLSrc, FWDLSrc) | ne(m.DLDst, o.DLDst, FWDLDst) |
+		ne(m.DLVLAN, o.DLVLAN, FWDLVLAN) | ne(m.DLVLANPCP, o.DLVLANPCP, FWDLVLANPCP) | ne(m.DLType, o.DLType, FWDLType) |
+		ne(m.NWProto, o.NWProto, FWNWProto) | ne(m.NWTOS, o.NWTOS, FWNWTOS) |
+		ne(m.TPSrc, o.TPSrc, FWTPSrc) | ne(m.TPDst, o.TPDst, FWTPDst)
+}
+
+// ne returns bit if a and b differ, else 0.
+func ne[T comparable](a, b T, bit uint32) uint32 {
+	if a != b {
+		return bit
 	}
-	fields := []field{
-		{FWInPort, m.InPort == other.InPort},
-		{FWDLSrc, m.DLSrc == other.DLSrc},
-		{FWDLDst, m.DLDst == other.DLDst},
-		{FWDLVLAN, m.DLVLAN == other.DLVLAN},
-		{FWDLVLANPCP, m.DLVLANPCP == other.DLVLANPCP},
-		{FWDLType, m.DLType == other.DLType},
-		{FWNWProto, m.NWProto == other.NWProto},
-		{FWNWTOS, m.NWTOS == other.NWTOS},
-		{FWTPSrc, m.TPSrc == other.TPSrc},
-		{FWTPDst, m.TPDst == other.TPDst},
-	}
-	for _, f := range fields {
-		if m.Wildcards&f.bit != 0 {
-			continue // m ignores the field
-		}
-		if other.Wildcards&f.bit != 0 || !f.eq {
-			return false
-		}
-	}
-	mb, ob := m.NWSrcBits(), other.NWSrcBits()
-	if mb < 32 {
-		if ob > mb || m.NWSrc.Mask(32-int(mb)) != other.NWSrc.Mask(32-int(mb)) {
-			return false
-		}
-	}
-	mb, ob = m.NWDstBits(), other.NWDstBits()
-	if mb < 32 {
-		if ob > mb || m.NWDst.Mask(32-int(mb)) != other.NWDst.Mask(32-int(mb)) {
-			return false
-		}
-	}
-	return true
+	return 0
+}
+
+// holdsPrefixes reports whether each of o's address prefixes lies inside
+// m's. A frame's key fixes both addresses whole, or, with no network layer,
+// neither.
+func (m *Match) holdsPrefixes(o *Match) bool {
+	return o.nwSrcBits() <= m.nwSrcBits() && prefixAgree(m.NWSrc, o.NWSrc, m.nwSrcBits()) &&
+		o.nwDstBits() <= m.nwDstBits() && prefixAgree(m.NWDst, o.NWDst, m.nwDstBits())
+}
+
+// prefixAgree reports whether x and y agree on their top 32-ignored bits,
+// which, with 32 or more ignored, they always do.
+func prefixAgree(x, y packet.IP4, ignored uint32) bool {
+	return (x.Uint32()^y.Uint32())>>ignored == 0
 }
 
 // IsExact reports whether no field is wildcarded.
 func (m *Match) IsExact() bool {
-	return m.Wildcards&^(FWNWSrcMask|FWNWDstMask) == 0 && m.NWSrcBits() == 0 && m.NWDstBits() == 0
+	return m.Wildcards&^(FWNWSrcMask|FWNWDstMask) == 0 && m.nwSrcBits() == 0 && m.nwDstBits() == 0
 }
 
 // String renders only the concrete (non-wildcarded) fields.
@@ -301,10 +254,10 @@ func (m *Match) String() string {
 	if w&FWNWProto == 0 {
 		parts = append(parts, fmt.Sprintf("nw_proto=%d", m.NWProto))
 	}
-	if b := m.NWSrcBits(); b < 32 {
+	if b := m.nwSrcBits(); b < 32 {
 		parts = append(parts, fmt.Sprintf("nw_src=%s/%d", m.NWSrc, 32-b))
 	}
-	if b := m.NWDstBits(); b < 32 {
+	if b := m.nwDstBits(); b < 32 {
 		parts = append(parts, fmt.Sprintf("nw_dst=%s/%d", m.NWDst, 32-b))
 	}
 	if w&FWTPSrc == 0 {

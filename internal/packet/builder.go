@@ -63,25 +63,6 @@ func (d *Decoded) Decode(frame []byte) error {
 	return nil
 }
 
-// FiveTuple returns the transport five-tuple of the decoded frame.
-func (d *Decoded) FiveTuple() (FiveTuple, bool) {
-	if !d.HasIP {
-		return FiveTuple{}, false
-	}
-	ft := FiveTuple{Src: d.IP.Src, Dst: d.IP.Dst, Proto: d.IP.Protocol}
-	switch {
-	case d.HasTCP:
-		ft.SrcPort, ft.DstPort = d.TCP.SrcPort, d.TCP.DstPort
-	case d.HasUDP:
-		ft.SrcPort, ft.DstPort = d.UDP.SrcPort, d.UDP.DstPort
-	case d.HasICMP:
-		ft.SrcPort, ft.DstPort = uint16(d.ICMP.Type), uint16(d.ICMP.Code)
-	default:
-		return FiveTuple{}, false
-	}
-	return ft, true
-}
-
 // NewTCPFrame builds a complete Ethernet/IPv4/TCP frame with a zero
 // acknowledgement number.
 func NewTCPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP4, srcPort, dstPort uint16, flags uint8, seq uint32, payload []byte) *Ethernet {

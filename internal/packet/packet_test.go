@@ -466,8 +466,9 @@ func TestDecodedFiveTuple(t *testing.T) {
 		t.Errorf("Decoded = %+v", d)
 	}
 	want := FiveTuple{Src: MustIP4("10.0.0.2"), Dst: MustIP4("93.184.216.34"), Proto: ProtoTCP, SrcPort: 49152, DstPort: 80}
-	if ft, ok := d.FiveTuple(); !ok || ft != want {
-		t.Errorf("Decoded.FiveTuple = %+v, %v; want %+v", ft, ok, want)
+	ft := FiveTuple{Src: d.IP.Src, Dst: d.IP.Dst, Proto: d.IP.Protocol, SrcPort: d.TCP.SrcPort, DstPort: d.TCP.DstPort}
+	if ft != want {
+		t.Errorf("decoded five-tuple %+v, want %+v", ft, want)
 	}
 }
 
