@@ -537,3 +537,57 @@ func BenchmarkMatchExact(b *testing.B) {
 		}
 	}
 }
+
+// codecAllocMessages are the messages TestCodecAllocations pins, with what
+// Encode and ReadMessage allocate for each.
+func codecAllocMessages() []struct {
+	name             string
+	msg              Message
+	encode, readBack float64
+} {
+	frame := bytes.Repeat([]byte{0xab}, 64)
+	flows := make([]FlowStats, 3)
+	for i := range flows {
+		flows[i] = FlowStats{Match: MatchAll(), Priority: uint16(i), PacketCount: 9, Actions: []Action{&ActionOutput{Port: uint16(i + 1)}}}
+	}
+	return []struct {
+		name             string
+		msg              Message
+		encode, readBack float64
+	}{
+		// Reading: the header array and the body buffer, the message, two
+		// actions and their list (grown once).
+		{"two-action flow-mod", &FlowMod{Match: MatchAll(), Command: FlowModAdd, BufferID: NoBuffer, OutPort: PortNone,
+			Actions: []Action{&ActionSetDLDst{Addr: packet.MAC{2, 0, 0, 0, 0, 1}}, &ActionOutput{Port: 2}}}, 3, 7},
+		// Reading: the header array, the body buffer, the message and its
+		// copy of the frame.
+		{"packet-in of a 64-byte frame", &PacketIn{BufferID: NoBuffer, TotalLen: 64, InPort: 1, Data: frame}, 3, 4},
+		// Reading: the header array, the body buffer, the message, the
+		// entries (grown three times), and each entry's action and list.
+		{"flow stats reply of 3 entries", &StatsReply{StatsType: StatsFlow, Flows: flows}, 5, 12},
+	}
+}
+
+// TestCodecAllocations pins what Encode and ReadMessage allocate for a
+// flow-mod, a packet-in and a flow stats reply: no more than they did when
+// each structure had an encoder and a decoder of its own.
+func TestCodecAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	for _, c := range codecAllocMessages() {
+		raw := Encode(c.msg)
+		if got := testing.AllocsPerRun(100, func() { Encode(c.msg) }); got > c.encode {
+			t.Errorf("encoding a %s allocates %.0f times, want at most %.0f", c.name, got, c.encode)
+		}
+		r := bytes.NewReader(raw)
+		if got := testing.AllocsPerRun(100, func() {
+			r.Reset(raw)
+			if _, err := ReadMessage(r); err != nil {
+				t.Fatal(err)
+			}
+		}); got > c.readBack {
+			t.Errorf("reading a %s allocates %.0f times, want at most %.0f", c.name, got, c.readBack)
+		}
+	}
+}
