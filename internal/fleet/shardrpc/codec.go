@@ -73,103 +73,128 @@ func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 
 // ------------------------------------------------------ binary primitives
 
-// enc appends binary body primitives.
-type enc struct{ b []byte }
-
-func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) float(v float64)  { e.b = binary.BigEndian.AppendUint64(e.b, math.Float64bits(v)) }
-func (e *enc) str(s string)     { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
-func (e *enc) bool(v bool) {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	e.b = append(e.b, b)
-}
-func (e *enc) byte(v byte) { e.b = append(e.b, v) }
-
-// dec consumes binary body primitives with strict bounds checking: every
-// length read is validated against the bytes actually remaining, so a
-// corrupt frame can neither over-read nor bait a huge allocation.
-type dec struct {
+// coder runs a body's layout — its fields in wire order — one of two ways.
+// Encoding, each field appends its value to b. Decoding, each field reads
+// its value from b at off with strict bounds checking: every length read
+// is validated against the bytes actually remaining, so a corrupt frame
+// can neither over-read nor bait a huge allocation. The first bad read
+// sets err, and every later field leaves its value alone.
+type coder struct {
 	b   []byte
 	off int
+	dec bool
+	err error
 }
 
-func (d *dec) remaining() int { return len(d.b) - d.off }
+func (c *coder) remaining() int { return len(c.b) - c.off }
 
-func (d *dec) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		return 0, frameErr("truncated uvarint at %d", d.off)
+// fail records the first decode error.
+func (c *coder) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = frameErr(format, args...)
 	}
-	d.off += n
-	return v, nil
 }
 
-func (d *dec) varint() (int64, error) {
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		return 0, frameErr("truncated varint at %d", d.off)
+// take consumes the n bytes a decode reads next, or fails it with a
+// truncated what: n is not positive when a varint runs off the end.
+func (c *coder) take(n int, what string) []byte {
+	if c.err == nil && (n <= 0 || n > c.remaining()) {
+		c.fail("truncated %s at %d", what, c.off)
 	}
-	d.off += n
-	return v, nil
+	if c.err != nil {
+		return nil
+	}
+	c.off += n
+	return c.b[c.off-n : c.off]
 }
 
-func (d *dec) float() (float64, error) {
-	if d.remaining() < 8 {
-		return 0, frameErr("truncated float at %d", d.off)
+func (c *coder) uvarint(v *uint64) {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, *v)
+	} else if x, n := binary.Uvarint(c.b[c.off:]); c.take(n, "uvarint") != nil {
+		*v = x
 	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return v, nil
 }
 
-func (d *dec) bool() (bool, error) {
-	b, err := d.byte()
-	if err != nil {
-		return false, err
+func (c *coder) varint(v *int64) {
+	if !c.dec {
+		c.b = binary.AppendVarint(c.b, *v)
+	} else if x, n := binary.Varint(c.b[c.off:]); c.take(n, "varint") != nil {
+		*v = x
 	}
-	switch b {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	}
-	return false, frameErr("bad bool byte %d", b)
 }
 
-func (d *dec) byte() (byte, error) {
-	if d.remaining() < 1 {
-		return 0, frameErr("truncated byte at %d", d.off)
-	}
-	b := d.b[d.off]
-	d.off++
-	return b, nil
+// int runs an int as a zigzag varint.
+func (c *coder) int(v *int) {
+	x := int64(*v)
+	c.varint(&x)
+	*v = int(x)
 }
 
-// count reads a collection length and bounds it by the cheapest possible
-// per-element cost, so a corrupt length cannot allocate past the frame.
-func (d *dec) count(minBytesPer int) (int, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return 0, err
+func (c *coder) float(v *float64) {
+	if !c.dec {
+		c.b = binary.BigEndian.AppendUint64(c.b, math.Float64bits(*v))
+	} else if p := c.take(8, "float"); p != nil {
+		*v = math.Float64frombits(binary.BigEndian.Uint64(p))
 	}
-	if minBytesPer < 1 {
-		minBytesPer = 1
-	}
-	if n > uint64(d.remaining()/minBytesPer) {
-		return 0, frameErr("count %d exceeds remaining %d bytes", n, d.remaining())
-	}
-	return int(n), nil
 }
 
-func (d *dec) finish() error {
-	if d.remaining() != 0 {
-		return frameErr("%d trailing bytes", d.remaining())
+// bool runs a bool as one byte, 0 or 1; any other byte is an error.
+func (c *coder) bool(v *bool) {
+	if !c.dec {
+		b := byte(0)
+		if *v {
+			b = 1
+		}
+		c.b = append(c.b, b)
+	} else if p := c.take(1, "byte"); p != nil {
+		if p[0] > 1 {
+			c.fail("bad bool byte %d", p[0])
+		}
+		*v = p[0] == 1
 	}
-	return nil
+}
+
+// count runs a collection length, bounded when decoding by the cheapest
+// possible per-element cost, so a corrupt length cannot allocate past the
+// frame.
+func (c *coder) count(n *int, minBytesPer int) {
+	v := uint64(*n)
+	c.uvarint(&v)
+	if c.dec && c.err == nil && v > uint64(c.remaining()/max(minBytesPer, 1)) {
+		c.fail("count %d exceeds remaining %d bytes", v, c.remaining())
+	}
+	*n = int(v)
+}
+
+// fixed runs a dimension the decoder knows: a length that must be n, or
+// the decode fails with format over the length read and n.
+func (c *coder) fixed(n int, format string) {
+	v := uint64(n)
+	c.uvarint(&v)
+	if c.dec && c.err == nil && v != uint64(n) {
+		c.fail(format, v, n)
+	}
+}
+
+// finish ends a decode: its first error, or an error for trailing bytes.
+func (c *coder) finish() error {
+	if c.err == nil && c.remaining() != 0 {
+		c.fail("%d trailing bytes", c.remaining())
+	}
+	return c.err
+}
+
+// body returns the value a layout runs for the body *p points at:
+// encoding, *p, or an empty body if it is nil; decoding, a new body *p is
+// set to.
+func body[T any](c *coder, p **T) *T {
+	if c.dec {
+		*p = new(T)
+	} else if *p == nil {
+		return new(T)
+	}
+	return *p
 }
 
 // ------------------------------------------------------------- header
@@ -243,16 +268,9 @@ func encodeRequest(req *Request) []byte { return appendRequest(nil, req) }
 
 // appendRequest is encodeRequest appending to b.
 func appendRequest(b []byte, req *Request) []byte {
-	e := enc{b: appendHeader(b, req.Seq, req.Verb)}
-	switch req.Verb {
-	case VerbAssign, VerbDrain, VerbCordon, VerbUncordon:
-		e.uvarint(req.ID)
-	case VerbStep:
-		e.float(req.DT)
-	case VerbSync:
-		e.varint(req.Now)
-	}
-	return e.b
+	c := coder{b: appendHeader(b, req.Seq, req.Verb)}
+	c.request(req)
+	return c.b
 }
 
 // decodeRequest parses one request payload. It is strict: unknown verbs,
@@ -267,25 +285,24 @@ func decodeRequest(payload []byte) (*Request, error) {
 		return nil, frameErr("unknown verb %q", rest)
 	}
 	req := &Request{Seq: seq, Verb: verb}
-	d := &dec{b: body}
-	switch verb {
-	case VerbAssign, VerbDrain, VerbCordon, VerbUncordon:
-		if req.ID, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-	case VerbStep:
-		if req.DT, err = d.float(); err != nil {
-			return nil, err
-		}
-	case VerbSync:
-		if req.Now, err = d.varint(); err != nil {
-			return nil, err
-		}
-	}
-	if err := d.finish(); err != nil {
+	c := coder{b: body, dec: true}
+	c.request(req)
+	if err := c.finish(); err != nil {
 		return nil, err
 	}
 	return req, nil
+}
+
+// request runs a request's body, which its verb selects.
+func (c *coder) request(req *Request) {
+	switch req.Verb {
+	case VerbAssign, VerbDrain, VerbCordon, VerbUncordon:
+		c.uvarint(&req.ID)
+	case VerbStep:
+		c.float(&req.DT)
+	case VerbSync:
+		c.varint(&req.Now)
+	}
 }
 
 // ------------------------------------------------------------- response
@@ -319,29 +336,9 @@ func appendResponse(b []byte, resp *Response) []byte {
 		}
 		return b
 	}
-	e := enc{b: appendHeader(b, resp.Seq, "OK", resp.Verb)}
-	switch resp.Verb {
-	case VerbDrain:
-		e.bool(resp.OK)
-		encodeBatch(&e, resp.Batch)
-	case VerbCordon, VerbUncordon:
-		e.bool(resp.OK)
-	case VerbSync:
-		encodeBatch(&e, resp.Batch)
-	case VerbStats:
-		encodeStats(&e, resp.Stats)
-	case VerbTrace:
-		encodeSnapshot(&e, resp.Snap)
-	case VerbResync:
-		var books Books
-		if resp.Committed != nil {
-			books = *resp.Committed
-		}
-		e.uvarint(books.Seq)
-		e.uvarint(books.SentRows)
-		e.uvarint(books.SentLost)
-	}
-	return e.b
+	c := coder{b: appendHeader(b, resp.Seq, "OK", resp.Verb)}
+	c.response(resp)
+	return c.b
 }
 
 // DecodeResponse parses one response payload, as strict as
@@ -371,48 +368,38 @@ func DecodeResponse(payload []byte) (*Response, error) {
 		return nil, frameErr("unknown verb %q", rest)
 	}
 	resp := &Response{Seq: seq, Verb: verb}
-	d := &dec{b: body}
-	switch verb {
-	case VerbDrain:
-		if resp.OK, err = d.bool(); err != nil {
-			return nil, err
-		}
-		if resp.Batch, err = decodeBatch(d); err != nil {
-			return nil, err
-		}
-	case VerbCordon, VerbUncordon:
-		if resp.OK, err = d.bool(); err != nil {
-			return nil, err
-		}
-	case VerbSync:
-		if resp.Batch, err = decodeBatch(d); err != nil {
-			return nil, err
-		}
-	case VerbStats:
-		if resp.Stats, err = decodeStats(d); err != nil {
-			return nil, err
-		}
-	case VerbTrace:
-		if resp.Snap, err = decodeSnapshot(d); err != nil {
-			return nil, err
-		}
-	case VerbResync:
-		b := &Books{}
-		if b.Seq, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		if b.SentRows, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		if b.SentLost, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		resp.Committed = b
-	}
-	if err := d.finish(); err != nil {
+	c := coder{b: body, dec: true}
+	c.response(resp)
+	if err := c.finish(); err != nil {
 		return nil, err
 	}
 	return resp, nil
+}
+
+// response runs an OK response's body, which its verb selects. A nil body
+// encodes as an empty one.
+func (c *coder) response(resp *Response) {
+	switch resp.Verb {
+	case VerbDrain:
+		c.bool(&resp.OK)
+		c.batch(body(c, &resp.Batch))
+	case VerbCordon, VerbUncordon:
+		c.bool(&resp.OK)
+	case VerbSync:
+		c.batch(body(c, &resp.Batch))
+	case VerbStats:
+		c.stats(body(c, &resp.Stats))
+	case VerbTrace:
+		c.snapshot(body(c, &resp.Snap))
+	case VerbResync:
+		c.books(body(c, &resp.Committed))
+	}
+}
+
+func (c *coder) books(b *Books) {
+	c.uvarint(&b.Seq)
+	c.uvarint(&b.SentRows)
+	c.uvarint(&b.SentLost)
 }
 
 // ------------------------------------------------------------- batches
@@ -425,212 +412,128 @@ func DecodeResponse(payload []byte) (*Response, error) {
 // one hwdb.RowBuilder sized by the totals, so a batch costs a fixed number
 // of allocations however many deltas it carries.
 
-func encodeBatch(e *enc, b *Batch) {
-	if b == nil {
-		b = &Batch{}
-	}
-	e.uvarint(b.Seq)
-	e.uvarint(b.SentRows)
-	e.uvarint(b.SentLost)
-	e.uvarint(uint64(len(b.Deltas)))
+func (c *coder) batch(b *Batch) {
+	c.uvarint(&b.Seq)
+	c.uvarint(&b.SentRows)
+	c.uvarint(&b.SentLost)
+	n := len(b.Deltas)
+	c.count(&n, 4) // home, table name length, lost, run count: a byte each at least
 	var room hwdb.Room
 	for _, d := range b.Deltas {
 		room = room.Add(hwdb.RoomFor(d.Rows))
 	}
-	for _, v := range []int{room.Rows, room.Cells, room.Strs, room.Runs} {
-		e.uvarint(uint64(v))
-	}
-	for _, d := range b.Deltas {
-		e.uvarint(d.Source.Home)
-		e.str(d.Source.Table)
-		e.uvarint(d.Lost)
-		e.b = hwdb.AppendRows(e.b, d.Rows)
-	}
-}
-
-func decodeBatch(d *dec) (*Batch, error) {
-	b := &Batch{}
-	var err error
-	if b.Seq, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	if b.SentRows, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	if b.SentLost, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	n, err := d.count(4) // home, table name length, lost, run count: a byte each at least
-	if err != nil {
-		return nil, err
-	}
-	room, err := d.room()
-	if err != nil {
-		return nil, err
-	}
+	c.room(&room)
 	var rows hwdb.RowBuilder
-	rows.Reserve(room)
-	if n > 0 {
-		b.Deltas = make([]telemetry.Delta, n)
+	if c.dec && c.err == nil {
+		rows.Reserve(room)
+		if n > 0 {
+			b.Deltas = make([]telemetry.Delta, n)
+		}
 	}
 	for i := range b.Deltas {
-		delta := &b.Deltas[i]
-		if delta.Source.Home, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		if delta.Source.Table, err = d.table(); err != nil {
-			return nil, err
-		}
-		if delta.Lost, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		var k int
-		if delta.Rows, k, err = rows.ReadRows(d.b[d.off:]); err != nil {
-			return nil, frameErr("delta %d: %v", i, err)
-		}
-		d.off += k
+		d := &b.Deltas[i]
+		c.uvarint(&d.Source.Home)
+		c.str(&d.Source.Table)
+		c.uvarint(&d.Lost)
+		c.rows(&rows, i, &d.Rows)
 	}
-	if left := rows.Left(); left != (hwdb.Room{}) {
-		return nil, frameErr("batch totals exceed its deltas' rows by %+v", left)
+	if left := rows.Left(); c.dec && c.err == nil && left != (hwdb.Room{}) {
+		c.fail("batch totals exceed its deltas' rows by %+v", left)
 	}
-	return b, nil
 }
 
-// room reads a batch's row totals, each bounded by the bytes left in the
-// frame before anything is allocated for it: a row is at least one
-// eight-byte cell, a string at least its length byte, and every run holds
-// a row.
-func (d *dec) room() (hwdb.Room, error) {
-	var v [4]uint64
+// room runs a batch's row totals. Decoding, each is bounded by the bytes
+// left in the frame before anything is allocated for it: a row is at
+// least one eight-byte cell, a string at least its length byte, and every
+// run holds a row.
+func (c *coder) room(r *hwdb.Room) {
+	v := [4]uint64{uint64(r.Rows), uint64(r.Cells), uint64(r.Strs), uint64(r.Runs)}
 	for i := range v {
-		var err error
-		if v[i], err = d.uvarint(); err != nil {
-			return hwdb.Room{}, err
-		}
+		c.uvarint(&v[i])
+	}
+	if !c.dec || c.err != nil {
+		return
 	}
 	rows, cells, strs, runs := v[0], v[1], v[2], v[3]
-	if rem := uint64(d.remaining()); cells > rem/8 || strs > rem-8*cells || rows > cells || runs > rows {
-		return hwdb.Room{}, frameErr("batch totals %d rows, %d cells, %d strings, %d runs in %d bytes", rows, cells, strs, runs, rem)
+	if rem := uint64(c.remaining()); cells > rem/8 || strs > rem-8*cells || rows > cells || runs > rows {
+		c.fail("batch totals %d rows, %d cells, %d strings, %d runs in %d bytes", rows, cells, strs, runs, rem)
+		return
 	}
-	return hwdb.Room{Rows: int(rows), Cells: int(cells), Strs: int(strs), Runs: int(runs)}, nil
+	*r = hwdb.Room{Rows: int(rows), Cells: int(cells), Strs: int(strs), Runs: int(runs)}
 }
 
-// table reads a delta's table name: one of the hwdb.Table* constants
-// costs nothing, any other name is copied out.
-func (d *dec) table() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
+// str runs a length-prefixed string: a delta's table name. Decoding, one
+// of the hwdb.Table* constants costs nothing, and any other name is
+// copied out.
+func (c *coder) str(s *string) {
+	n := uint64(len(*s))
+	c.uvarint(&n)
+	if !c.dec {
+		c.b = append(c.b, *s...)
+		return
 	}
-	if n > uint64(d.remaining()) {
-		return "", frameErr("string of %d bytes with %d remaining", n, d.remaining())
+	if c.err == nil && n > uint64(c.remaining()) {
+		c.fail("string of %d bytes with %d remaining", n, c.remaining())
 	}
-	name := d.b[d.off : d.off+int(n)]
-	d.off += int(n)
+	if c.err != nil {
+		return
+	}
+	raw := c.b[c.off : c.off+int(n)]
+	c.off += int(n)
 	for _, t := range []string{hwdb.TableFlows, hwdb.TableLinks, hwdb.TableLeases, hwdb.TableFlowPerf} {
-		if string(name) == t {
-			return t, nil
+		if string(raw) == t {
+			*s = t
+			return
 		}
 	}
-	return string(name), nil
+	*s = string(raw)
+}
+
+// rows runs delta i's rows in the hwdb.AppendRows layout, decoding them
+// into the batch's one builder.
+func (c *coder) rows(b *hwdb.RowBuilder, i int, rows *[]hwdb.Row) {
+	if !c.dec {
+		c.b = hwdb.AppendRows(c.b, *rows)
+		return
+	}
+	if c.err != nil {
+		return
+	}
+	var k int
+	var err error
+	if *rows, k, err = b.ReadRows(c.b[c.off:]); err != nil {
+		c.fail("delta %d: %v", i, err)
+		return
+	}
+	c.off += k
 }
 
 // ------------------------------------------------------------- stats
 
-func encodeStats(e *enc, st *engine.Stats) {
-	if st == nil {
-		st = &engine.Stats{}
-	}
-	e.varint(int64(st.Shard))
-	e.varint(int64(st.Homes))
-	e.uvarint(st.Steps)
-	e.varint(int64(st.Hub.Sources))
-	e.uvarint(st.Hub.Delivered)
-	e.uvarint(st.Hub.Lost)
-}
-
-func decodeStats(d *dec) (*engine.Stats, error) {
-	st := &engine.Stats{}
-	var err error
-	var i int64
-	if i, err = d.varint(); err != nil {
-		return nil, err
-	}
-	st.Shard = int(i)
-	if i, err = d.varint(); err != nil {
-		return nil, err
-	}
-	st.Homes = int(i)
-	if st.Steps, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	if i, err = d.varint(); err != nil {
-		return nil, err
-	}
-	st.Hub.Sources = int(i)
-	if st.Hub.Delivered, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	if st.Hub.Lost, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	return st, nil
+func (c *coder) stats(st *engine.Stats) {
+	c.int(&st.Shard)
+	c.int(&st.Homes)
+	c.uvarint(&st.Steps)
+	c.int(&st.Hub.Sources)
+	c.uvarint(&st.Hub.Delivered)
+	c.uvarint(&st.Hub.Lost)
 }
 
 // ------------------------------------------------------------- traces
 
-func encodeSnapshot(e *enc, s *trace.Snapshot) {
-	if s == nil {
-		s = &trace.Snapshot{}
-	}
-	e.uvarint(uint64(len(s.Hists)))
-	for _, h := range s.Hists {
-		e.uvarint(h.Count)
-		e.uvarint(h.SumNS)
-		e.varint(h.MaxNS)
-		e.uvarint(uint64(len(h.Buckets)))
-		for _, b := range h.Buckets {
-			e.uvarint(b)
-		}
-	}
-	e.uvarint(s.Overwritten)
-}
-
-func decodeSnapshot(d *dec) (*trace.Snapshot, error) {
-	s := &trace.Snapshot{}
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n != uint64(len(s.Hists)) {
-		return nil, frameErr("snapshot has %d histograms, want %d", n, len(s.Hists))
-	}
+// snapshot runs a trace snapshot; its histogram and bucket counts are
+// fixed, and a decode rejects any other.
+func (c *coder) snapshot(s *trace.Snapshot) {
+	c.fixed(len(s.Hists), "snapshot has %d histograms, want %d")
 	for i := range s.Hists {
 		h := &s.Hists[i]
-		if h.Count, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		if h.SumNS, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		if h.MaxNS, err = d.varint(); err != nil {
-			return nil, err
-		}
-		nb, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nb != uint64(len(h.Buckets)) {
-			return nil, frameErr("histogram has %d buckets, want %d", nb, len(h.Buckets))
-		}
+		c.uvarint(&h.Count)
+		c.uvarint(&h.SumNS)
+		c.varint(&h.MaxNS)
+		c.fixed(len(h.Buckets), "histogram has %d buckets, want %d")
 		for j := range h.Buckets {
-			if h.Buckets[j], err = d.uvarint(); err != nil {
-				return nil, err
-			}
+			c.uvarint(&h.Buckets[j])
 		}
 	}
-	if s.Overwritten, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	c.uvarint(&s.Overwritten)
 }

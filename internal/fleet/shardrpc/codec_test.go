@@ -88,7 +88,7 @@ func sampleBatch() *Batch {
 // oddBatch carries the rows a fixed-stride layout could get wrong.
 func oddBatch() *Batch {
 	ts := time.Unix(1313398801, 0)
-	return &Batch{Seq: 1, SentRows: 6, Deltas: []telemetry.Delta{
+	return &Batch{Seq: 1, SentRows: 7, Deltas: []telemetry.Delta{
 		// What a Links-shaped table holds once an integer rate went into
 		// its real column, beside the integer a sender predating the
 		// widening would have put on the wire.
@@ -103,6 +103,8 @@ func oddBatch() *Batch {
 			hwdb.NewRow(ts),
 			hwdb.NewRow(ts, hwdb.Int64(4), hwdb.Str("four")),
 		}},
+		// A table with no name.
+		{Source: telemetry.SourceID{Home: 3}, Rows: []hwdb.Row{hwdb.NewRow(ts, hwdb.Int64(5))}},
 	}}
 }
 
@@ -241,11 +243,20 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
+// rawBody appends body fields by value, to build frames no Response
+// encodes to.
+type rawBody struct{ b []byte }
+
+func (e *rawBody) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *rawBody) float(v float64)  { e.b = binary.BigEndian.AppendUint64(e.b, math.Float64bits(v)) }
+func (e *rawBody) byte(v byte)      { e.b = append(e.b, v) }
+func (e *rawBody) str(s string)     { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
+
 // syncFrame begins a SYNC response whose batch declares the given row
 // totals (rows, cells, strings, runs) and one delta of table "T", and
 // stops where the delta's rows begin.
-func syncFrame(totals ...uint64) *enc {
-	e := &enc{b: appendHeader(nil, 1, "OK", VerbSync)}
+func syncFrame(totals ...uint64) *rawBody {
+	e := &rawBody{b: appendHeader(nil, 1, "OK", VerbSync)}
 	e.uvarint(1) // batch seq
 	e.uvarint(2) // sent rows
 	e.uvarint(0) // sent lost
@@ -262,7 +273,7 @@ func syncFrame(totals ...uint64) *enc {
 // intRun appends a delta's rows as one run of rows of one integer column,
 // with the given number of cells behind it (two a row, when the run is
 // whole).
-func intRun(e *enc, rows, cells int) {
+func intRun(e *rawBody, rows, cells int) {
 	e.uvarint(1) // one run
 	e.uvarint(1) // one column
 	e.byte(byte(hwdb.TInt))
@@ -283,7 +294,7 @@ type hostileFrame struct {
 // hostileFrames are the HWSH/2 frames TestDecodeRejects pins and
 // FuzzShardRPCRoundTrip starts from.
 func hostileFrames() []hostileFrame {
-	frame := func(build func(e *enc), totals ...uint64) []byte {
+	frame := func(build func(e *rawBody), totals ...uint64) []byte {
 		e := syncFrame(totals...)
 		build(e)
 		return e.b
@@ -311,13 +322,13 @@ func hostileFrames() []hostileFrame {
 			1,          // home
 			0xe8, 0x07, // table name length 1000
 		}...), "string of 1000 bytes"},
-		{"cell totals past the frame", frame(func(e *enc) { intRun(e, 1, 2) }, 1, 1000, 0, 1), "batch totals"},
-		{"string totals past the frame", frame(func(e *enc) { intRun(e, 1, 2) }, 1, 2, 1000, 1), "batch totals"},
-		{"more rows than cells", frame(func(e *enc) { intRun(e, 1, 2) }, 3, 2, 0, 1), "batch totals"},
-		{"shape disagrees with its row count", frame(func(e *enc) { intRun(e, 2, 3) }, 2, 4, 0, 1), "2 rows of 2 cells"},
-		{"deltas short of the totals", frame(func(e *enc) { intRun(e, 1, 2) }, 2, 3, 0, 1), "exceed its deltas' rows"},
-		{"deltas past the totals", frame(func(e *enc) { intRun(e, 2, 4) }, 1, 2, 0, 1), "past the builder's reservation"},
-		{"unknown column type", frame(func(e *enc) {
+		{"cell totals past the frame", frame(func(e *rawBody) { intRun(e, 1, 2) }, 1, 1000, 0, 1), "batch totals"},
+		{"string totals past the frame", frame(func(e *rawBody) { intRun(e, 1, 2) }, 1, 2, 1000, 1), "batch totals"},
+		{"more rows than cells", frame(func(e *rawBody) { intRun(e, 1, 2) }, 3, 2, 0, 1), "batch totals"},
+		{"shape disagrees with its row count", frame(func(e *rawBody) { intRun(e, 2, 3) }, 2, 4, 0, 1), "2 rows of 2 cells"},
+		{"deltas short of the totals", frame(func(e *rawBody) { intRun(e, 1, 2) }, 2, 3, 0, 1), "exceed its deltas' rows"},
+		{"deltas past the totals", frame(func(e *rawBody) { intRun(e, 2, 4) }, 1, 2, 0, 1), "past the builder's reservation"},
+		{"unknown column type", frame(func(e *rawBody) {
 			e.uvarint(1) // one run
 			e.uvarint(1) // one column
 			e.byte(99)   // bogus ColType
@@ -325,7 +336,7 @@ func hostileFrames() []hostileFrame {
 			e.float(0)   // ts
 			e.float(5)   // value
 		}, 1, 2, 0, 1), "bad column type 99"},
-		{"two runs of one shape", frame(func(e *enc) {
+		{"two runs of one shape", frame(func(e *rawBody) {
 			e.uvarint(2)
 			for range 2 {
 				e.uvarint(1)
@@ -335,7 +346,7 @@ func hostileFrames() []hostileFrame {
 				e.float(0)
 			}
 		}, 2, 4, 0, 2), "two consecutive runs"},
-		{"empty run", frame(func(e *enc) { intRun(e, 0, 2) }, 1, 2, 0, 1), "0 rows of"},
+		{"empty run", frame(func(e *rawBody) { intRun(e, 0, 2) }, 1, 2, 0, 1), "0 rows of"},
 	}
 }
 
@@ -354,7 +365,7 @@ func TestDecodeRejects(t *testing.T) {
 	}
 
 	// A trace snapshot with the wrong histogram count.
-	e := &enc{b: appendHeader(nil, 1, "OK", VerbTrace)}
+	e := &rawBody{b: appendHeader(nil, 1, "OK", VerbTrace)}
 	e.uvarint(2) // wrong: engine snapshots always carry numTransitions
 	if _, err := DecodeResponse(e.b); err == nil {
 		t.Error("wrong histogram count accepted")
@@ -603,21 +614,37 @@ func TestDecodeAllocatesPerBatch(t *testing.T) {
 	}
 }
 
-func FuzzShardRPCRoundTrip(f *testing.F) {
+// fuzzSeedPayloads are FuzzShardRPCRoundTrip's seeds: every sample
+// request and response, rows of string columns out of a ring and of each
+// watched table, an ERR, a byte that is no header, and the hostile frames.
+func fuzzSeedPayloads(tb testing.TB) [][]byte {
+	var seeds [][]byte
 	for _, req := range sampleRequests() {
-		f.Add(encodeRequest(req))
+		seeds = append(seeds, encodeRequest(req))
 	}
 	for _, resp := range sampleResponses() {
-		f.Add(EncodeResponse(resp))
+		seeds = append(seeds, EncodeResponse(resp))
 	}
-	f.Add(EncodeResponse(tableResponse(f))) // string columns, out of a ring
-	f.Add([]byte("HWSH/2 1 ERR boom\n"))
-	f.Add([]byte{0x00})
+	seeds = append(seeds,
+		EncodeResponse(tableResponse(tb)), // string columns, out of a ring
+		[]byte("HWSH/2 1 ERR boom\n"),
+		[]byte{0x00},
+	)
 	for _, tc := range hostileFrames() {
-		f.Add(tc.payload)
+		seeds = append(seeds, tc.payload)
 	}
-	f.Add(EncodeResponse(watchedResponse(f)))
+	return append(seeds, EncodeResponse(watchedResponse(tb)))
+}
+
+// FuzzShardRPCRoundTrip: the decoders agree with the reference decoders in
+// codec_model_test.go on any payload, and what they accept re-encodes
+// canonically. Seeds: fuzzSeedPayloads.
+func FuzzShardRPCRoundTrip(f *testing.F) {
+	for _, payload := range fuzzSeedPayloads(f) {
+		f.Add(payload)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecoders(t, data)
 		// Decoders must never panic or over-read; when they accept a
 		// payload, re-encoding must be canonical: encode(decode(data))
 		// decodes to the same value and re-encodes to the same bytes.

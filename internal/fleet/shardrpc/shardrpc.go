@@ -25,10 +25,13 @@
 // strings and runs of all its deltas up front and carries each delta's
 // rows as hwdb lays them out: its shape once, then its cells as the ring
 // holds them (hwdb.AppendRows), so the decoder reads the whole batch into
-// one hwdb.RowBuilder. Decoders are strict: truncated or trailing bytes,
-// unknown verbs, bad column-type tags, totals the deltas disagree with
-// and histogram dimension mismatches are errors — never a panic, never
-// an over-read. Header lines are parsed in place. OK responses echo the
+// one hwdb.RowBuilder. Each body — request, response, batch, books, stats,
+// trace — is written once, as its fields in wire order, and one coder runs
+// that layout both to encode and to decode it; only the text header line
+// and a batch's rows have codecs of their own. Decoders are strict:
+// truncated or trailing bytes, unknown verbs, bad column-type tags, totals
+// the deltas disagree with and histogram dimension mismatches are errors
+// — never a panic, never an over-read. Header lines are parsed in place. OK responses echo the
 // verb so a response is self-describing to a decoder that never saw the
 // request. HWSH/2 replaced HWSH/1, which tagged and varint-coded every
 // cell; the two do not interoperate.

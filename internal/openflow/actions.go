@@ -1,7 +1,6 @@
 package openflow
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/packet"
@@ -39,8 +38,6 @@ const (
 // reads as an ActionUnsupported, which a datapath refuses.
 type Action interface {
 	actType() uint16
-	encode(b []byte) []byte
-	decode(b []byte) error
 	String() string
 }
 
@@ -51,18 +48,6 @@ type ActionOutput struct {
 }
 
 func (a *ActionOutput) actType() uint16 { return ActTypeOutput }
-func (a *ActionOutput) encode(b []byte) []byte {
-	b = binary.BigEndian.AppendUint16(b, a.Port)
-	return binary.BigEndian.AppendUint16(b, a.MaxLen)
-}
-func (a *ActionOutput) decode(b []byte) error {
-	if len(b) < 4 {
-		return ErrTruncated
-	}
-	a.Port = binary.BigEndian.Uint16(b[0:2])
-	a.MaxLen = binary.BigEndian.Uint16(b[2:4])
-	return nil
-}
 
 // String names reserved ports symbolically.
 func (a *ActionOutput) String() string {
@@ -87,35 +72,13 @@ func (a *ActionOutput) String() string {
 type ActionSetDLSrc struct{ Addr packet.MAC }
 
 func (a *ActionSetDLSrc) actType() uint16 { return ActTypeSetDLSrc }
-func (a *ActionSetDLSrc) encode(b []byte) []byte {
-	b = append(b, a.Addr[:]...)
-	return append(b, make([]byte, 6)...)
-}
-func (a *ActionSetDLSrc) decode(b []byte) error {
-	if len(b) < 6 {
-		return ErrTruncated
-	}
-	copy(a.Addr[:], b[:6])
-	return nil
-}
-func (a *ActionSetDLSrc) String() string { return "set_dl_src:" + a.Addr.String() }
+func (a *ActionSetDLSrc) String() string  { return "set_dl_src:" + a.Addr.String() }
 
 // ActionSetDLDst rewrites the Ethernet destination address.
 type ActionSetDLDst struct{ Addr packet.MAC }
 
 func (a *ActionSetDLDst) actType() uint16 { return ActTypeSetDLDst }
-func (a *ActionSetDLDst) encode(b []byte) []byte {
-	b = append(b, a.Addr[:]...)
-	return append(b, make([]byte, 6)...)
-}
-func (a *ActionSetDLDst) decode(b []byte) error {
-	if len(b) < 6 {
-		return ErrTruncated
-	}
-	copy(a.Addr[:], b[:6])
-	return nil
-}
-func (a *ActionSetDLDst) String() string { return "set_dl_dst:" + a.Addr.String() }
+func (a *ActionSetDLDst) String() string  { return "set_dl_dst:" + a.Addr.String() }
 
 // ActionEnqueue forwards through a port's queue.
 type ActionEnqueue struct {
@@ -124,20 +87,7 @@ type ActionEnqueue struct {
 }
 
 func (a *ActionEnqueue) actType() uint16 { return ActTypeEnqueue }
-func (a *ActionEnqueue) encode(b []byte) []byte {
-	b = binary.BigEndian.AppendUint16(b, a.Port)
-	b = append(b, make([]byte, 6)...)
-	return binary.BigEndian.AppendUint32(b, a.QueueID)
-}
-func (a *ActionEnqueue) decode(b []byte) error {
-	if len(b) < 12 {
-		return ErrTruncated
-	}
-	a.Port = binary.BigEndian.Uint16(b[0:2])
-	a.QueueID = binary.BigEndian.Uint32(b[8:12])
-	return nil
-}
-func (a *ActionEnqueue) String() string { return fmt.Sprintf("enqueue:%d:%d", a.Port, a.QueueID) }
+func (a *ActionEnqueue) String() string  { return fmt.Sprintf("enqueue:%d:%d", a.Port, a.QueueID) }
 
 // ActionUnsupported is a well-framed action of a type this package does not
 // model: a VLAN, network- or transport-layer rewrite, a vendor action, a
@@ -150,60 +100,71 @@ type ActionUnsupported struct {
 	Body []byte
 }
 
-func (a *ActionUnsupported) actType() uint16        { return a.Type }
-func (a *ActionUnsupported) encode(b []byte) []byte { return append(b, a.Body...) }
-func (a *ActionUnsupported) decode(b []byte) error {
-	a.Body = append([]byte(nil), b...)
-	return nil
-}
-func (a *ActionUnsupported) String() string { return fmt.Sprintf("unsupported:%d", a.Type) }
+func (a *ActionUnsupported) actType() uint16 { return a.Type }
+func (a *ActionUnsupported) String() string  { return fmt.Sprintf("unsupported:%d", a.Type) }
 
-// encodeActions appends the wire form of an action list.
-func encodeActions(b []byte, actions []Action) []byte {
-	for _, a := range actions {
-		start := len(b)
-		b = binary.BigEndian.AppendUint16(b, a.actType())
-		b = append(b, 0, 0) // length placeholder
-		b = a.encode(b)
-		// Actions are multiples of 8 bytes.
-		for (len(b)-start)%8 != 0 {
-			b = append(b, 0)
-		}
-		binary.BigEndian.PutUint16(b[start+2:start+4], uint16(len(b)-start))
+// actions runs an action list; decoding, the list runs to the end of the
+// structure.
+func (w *wire) actions(list *[]Action) {
+	for i := 0; more(w, list, i, 1); i++ {
+		w.action(&(*list)[i])
 	}
-	return b
 }
 
-// decodeActions parses a full action list.
-func decodeActions(b []byte) ([]Action, error) {
-	var actions []Action
-	for len(b) > 0 {
-		if len(b) < 4 {
-			return nil, ErrTruncated
-		}
-		typ := binary.BigEndian.Uint16(b[0:2])
-		alen := int(binary.BigEndian.Uint16(b[2:4]))
-		if alen < 8 || alen%8 != 0 || alen > len(b) {
-			return nil, ErrBadLength
-		}
-		var a Action
-		switch typ {
-		case ActTypeOutput:
-			a = &ActionOutput{}
-		case ActTypeSetDLSrc:
-			a = &ActionSetDLSrc{}
-		case ActTypeSetDLDst:
-			a = &ActionSetDLDst{}
-		case ActTypeEnqueue:
-			a = &ActionEnqueue{}
-		default:
-			a = &ActionUnsupported{Type: typ}
-		}
-		if err := a.decode(b[4:alen]); err != nil {
-			return nil, err
-		}
-		actions = append(actions, a)
-		b = b[alen:]
+// action runs one action: its type, its length, and its body padded to a
+// multiple of 8 bytes. Decoding, a length that is not such a multiple or
+// runs past the list is ErrBadLength, and a type this package has no type
+// for reads as an ActionUnsupported holding the body, padding and all. An
+// action's body is a type switch, not a method, so that a decode's wire
+// never escapes to the heap.
+func (w *wire) action(a *Action) {
+	start := len(w.b)
+	var typ, n uint16
+	if !w.dec {
+		typ = (*a).actType()
 	}
-	return actions, nil
+	w.u16(&typ)
+	w.u16(&n)
+	w.need(n >= 8 && n%8 == 0, ErrBadLength)
+	rest := w.sub(int(n)-4, ErrBadLength)
+	if w.dec && w.err == nil {
+		*a = newAction(typ)
+	}
+	switch a := (*a).(type) {
+	case *ActionOutput:
+		w.u16(&a.Port)
+		w.u16(&a.MaxLen)
+	case *ActionSetDLSrc:
+		w.bytes(a.Addr[:])
+		w.pad(6)
+	case *ActionSetDLDst:
+		w.bytes(a.Addr[:])
+		w.pad(6)
+	case *ActionEnqueue:
+		w.u16(&a.Port)
+		w.pad(6)
+		w.u32(&a.QueueID)
+	case *ActionUnsupported:
+		w.rest(&a.Body)
+	}
+	w.end(rest)
+	if !w.dec {
+		w.pad(-(len(w.b) - start) & 7)
+	}
+	w.putLen(start+2, start)
+}
+
+// newAction returns an empty action of a type code.
+func newAction(typ uint16) Action {
+	switch typ {
+	case ActTypeOutput:
+		return &ActionOutput{}
+	case ActTypeSetDLSrc:
+		return &ActionSetDLSrc{}
+	case ActTypeSetDLDst:
+		return &ActionSetDLDst{}
+	case ActTypeEnqueue:
+		return &ActionEnqueue{}
+	}
+	return &ActionUnsupported{Type: typ}
 }

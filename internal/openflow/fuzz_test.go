@@ -111,31 +111,24 @@ func fuzzSeedMessages(tb testing.TB) []Message {
 	return msgs
 }
 
-// FuzzReadMessage: ReadMessage reads what a controller or switch on the
-// other end of a TCP channel sends, so on any bytes it returns a message or
-// an error and never panics. It reads exactly the frame its header
-// announces, and nothing past it. A message it returns round-trips: encoded
-// and read back it is the same message, and encoding that gives the same
-// bytes; an action of a flow-mod or a packet-out read as an
-// ActionUnsupported encodes to the very bytes it was read from. Seeds: one
-// message of each type, stats replies with none, one and many entries, a
-// flow-mod and a packet-out carrying each unsupported action, each whole,
-// cut short of its header length, and with its last body byte gone and the
-// header saying so; and names that fill their field with no NUL to end
-// them.
-func FuzzReadMessage(f *testing.F) {
-	for _, m := range fuzzSeedMessages(f) {
+// fuzzSeedFrames are FuzzReadMessage's seeds: each of fuzzSeedMessages
+// whole, cut short of its header length, and with its last body byte gone
+// and the header saying so; and names that fill their field with no NUL to
+// end them.
+func fuzzSeedFrames(tb testing.TB) [][]byte {
+	var frames [][]byte
+	for _, m := range fuzzSeedMessages(tb) {
 		raw := Encode(m)
-		f.Add(raw)
+		frames = append(frames, raw)
 		for _, cut := range []int{HeaderLen - 1, HeaderLen, HeaderLen + 1, len(raw) / 2, len(raw) - 1} {
 			if cut >= 0 && cut < len(raw) {
-				f.Add(raw[:cut])
+				frames = append(frames, raw[:cut])
 			}
 		}
 		if len(raw) > HeaderLen {
 			short := append([]byte(nil), raw[:len(raw)-1]...)
 			binary.BigEndian.PutUint16(short[2:4], uint16(len(short)))
-			f.Add(short)
+			frames = append(frames, short)
 		}
 	}
 	// A port name, a table name and a description filled to their last
@@ -150,9 +143,27 @@ func FuzzReadMessage(f *testing.F) {
 	} {
 		raw := Encode(seed.msg)
 		raw[seed.at] = 'x'
-		f.Add(raw)
+		frames = append(frames, raw)
+	}
+	return frames
+}
+
+// FuzzReadMessage: ReadMessage reads what a controller or switch on the
+// other end of a TCP channel sends, so on any bytes it returns a message or
+// an error and never panics. It reads exactly the frame its header
+// announces, and nothing past it. A message it returns round-trips: encoded
+// and read back it is the same message, and encoding that gives the same
+// bytes; an action of a flow-mod or a packet-out read as an
+// ActionUnsupported encodes to the very bytes it was read from. And it
+// agrees with the reference decoders in codec_model_test.go: it accepts
+// what they accept, reads the same message, and rejects the rest with the
+// same sentinel. Seeds: fuzzSeedFrames.
+func FuzzReadMessage(f *testing.F) {
+	for _, frame := range fuzzSeedFrames(f) {
+		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkReadMessage(t, data)
 		r := bytes.NewReader(data)
 		msg, err := ReadMessage(r)
 		if err != nil {

@@ -1,7 +1,6 @@
 package openflow
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -77,42 +76,23 @@ func (m *Match) nwDstBits() uint32 {
 	return b
 }
 
-// encode appends the 40-byte wire form.
-func (m *Match) encode(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, m.Wildcards)
-	b = binary.BigEndian.AppendUint16(b, m.InPort)
-	b = append(b, m.DLSrc[:]...)
-	b = append(b, m.DLDst[:]...)
-	b = binary.BigEndian.AppendUint16(b, m.DLVLAN)
-	b = append(b, m.DLVLANPCP, 0)
-	b = binary.BigEndian.AppendUint16(b, uint16(m.DLType))
-	b = append(b, m.NWTOS, m.NWProto, 0, 0)
-	b = append(b, m.NWSrc[:]...)
-	b = append(b, m.NWDst[:]...)
-	b = binary.BigEndian.AppendUint16(b, m.TPSrc)
-	b = binary.BigEndian.AppendUint16(b, m.TPDst)
-	return b
-}
-
-// decode parses the 40-byte wire form.
-func (m *Match) decode(b []byte) error {
-	if len(b) < MatchLen {
-		return ErrTruncated
-	}
-	m.Wildcards = binary.BigEndian.Uint32(b[0:4])
-	m.InPort = binary.BigEndian.Uint16(b[4:6])
-	copy(m.DLSrc[:], b[6:12])
-	copy(m.DLDst[:], b[12:18])
-	m.DLVLAN = binary.BigEndian.Uint16(b[18:20])
-	m.DLVLANPCP = b[20]
-	m.DLType = packet.EtherType(binary.BigEndian.Uint16(b[22:24]))
-	m.NWTOS = b[24]
-	m.NWProto = b[25]
-	copy(m.NWSrc[:], b[28:32])
-	copy(m.NWDst[:], b[32:36])
-	m.TPSrc = binary.BigEndian.Uint16(b[36:38])
-	m.TPDst = binary.BigEndian.Uint16(b[38:40])
-	return nil
+// layout runs the 40-byte wire form.
+func (m *Match) layout(w *wire) {
+	w.u32(&m.Wildcards)
+	w.u16(&m.InPort)
+	w.bytes(m.DLSrc[:])
+	w.bytes(m.DLDst[:])
+	w.u16(&m.DLVLAN)
+	w.u8(&m.DLVLANPCP)
+	w.pad(1)
+	w.u16((*uint16)(&m.DLType))
+	w.u8(&m.NWTOS)
+	w.u8(&m.NWProto)
+	w.pad(2)
+	w.bytes(m.NWSrc[:])
+	w.bytes(m.NWDst[:])
+	w.u16(&m.TPSrc)
+	w.u16(&m.TPDst)
 }
 
 // MatchFromFrame builds an exact match (no wildcards beyond inapplicable

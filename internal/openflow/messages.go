@@ -1,10 +1,6 @@
 package openflow
 
-import (
-	"encoding/binary"
-
-	"repro/internal/packet"
-)
+import "repro/internal/packet"
 
 // Switch capability flags (ofp_capabilities).
 const (
@@ -48,40 +44,20 @@ type PhyPort struct {
 	Peer       uint32
 }
 
-func (p *PhyPort) encode(b []byte) []byte {
-	b = binary.BigEndian.AppendUint16(b, p.PortNo)
-	b = append(b, p.HWAddr[:]...)
-	b = appendPadded(b, p.Name, 16)
-	b = binary.BigEndian.AppendUint32(b, p.Config)
-	b = binary.BigEndian.AppendUint32(b, p.State)
-	b = binary.BigEndian.AppendUint32(b, p.Curr)
-	b = binary.BigEndian.AppendUint32(b, p.Advertised)
-	b = binary.BigEndian.AppendUint32(b, p.Supported)
-	b = binary.BigEndian.AppendUint32(b, p.Peer)
-	return b
-}
-
-func (p *PhyPort) decode(b []byte) error {
-	if len(b) < PhyPortLen {
-		return ErrTruncated
-	}
-	p.PortNo = binary.BigEndian.Uint16(b[0:2])
-	copy(p.HWAddr[:], b[2:8])
-	p.Name = paddedString(b[8:24])
-	p.Config = binary.BigEndian.Uint32(b[24:28])
-	p.State = binary.BigEndian.Uint32(b[28:32])
-	p.Curr = binary.BigEndian.Uint32(b[32:36])
-	p.Advertised = binary.BigEndian.Uint32(b[36:40])
-	p.Supported = binary.BigEndian.Uint32(b[40:44])
-	p.Peer = binary.BigEndian.Uint32(b[44:48])
-	return nil
+func (p *PhyPort) layout(w *wire) {
+	w.u16(&p.PortNo)
+	w.bytes(p.HWAddr[:])
+	w.str(&p.Name, 16)
+	w.u32(&p.Config)
+	w.u32(&p.State)
+	w.u32(&p.Curr)
+	w.u32(&p.Advertised)
+	w.u32(&p.Supported)
+	w.u32(&p.Peer)
 }
 
 // FeaturesRequest asks the datapath for its identity and ports.
 type FeaturesRequest struct{ base }
-
-func (m *FeaturesRequest) encodeBody(b []byte) []byte { return b }
-func (m *FeaturesRequest) decodeBody([]byte) error    { return nil }
 
 // FeaturesReply announces the datapath id, capabilities and port set.
 type FeaturesReply struct {
@@ -94,36 +70,18 @@ type FeaturesReply struct {
 	Ports        []PhyPort
 }
 
-func (m *FeaturesReply) encodeBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint64(b, m.DatapathID)
-	b = binary.BigEndian.AppendUint32(b, m.NBuffers)
-	b = append(b, m.NTables, 0, 0, 0)
-	b = binary.BigEndian.AppendUint32(b, m.Capabilities)
-	b = binary.BigEndian.AppendUint32(b, m.Actions)
-	for i := range m.Ports {
-		b = m.Ports[i].encode(b)
+// layout runs the fixed fields and then as many whole ports as follow.
+func (m *FeaturesReply) layout(w wire) wire {
+	w.u64(&m.DatapathID)
+	w.u32(&m.NBuffers)
+	w.u8(&m.NTables)
+	w.pad(3)
+	w.u32(&m.Capabilities)
+	w.u32(&m.Actions)
+	for i := 0; more(&w, &m.Ports, i, PhyPortLen); i++ {
+		m.Ports[i].layout(&w)
 	}
-	return b
-}
-
-func (m *FeaturesReply) decodeBody(b []byte) error {
-	if len(b) < 24 {
-		return ErrTruncated
-	}
-	m.DatapathID = binary.BigEndian.Uint64(b[0:8])
-	m.NBuffers = binary.BigEndian.Uint32(b[8:12])
-	m.NTables = b[12]
-	m.Capabilities = binary.BigEndian.Uint32(b[16:20])
-	m.Actions = binary.BigEndian.Uint32(b[20:24])
-	m.Ports = nil
-	for rest := b[24:]; len(rest) >= PhyPortLen; rest = rest[PhyPortLen:] {
-		var p PhyPort
-		if err := p.decode(rest); err != nil {
-			return err
-		}
-		m.Ports = append(m.Ports, p)
-	}
-	return nil
+	return w
 }
 
 // PacketIn reasons.
@@ -145,24 +103,14 @@ type PacketIn struct {
 	Data     []byte
 }
 
-func (m *PacketIn) encodeBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, m.BufferID)
-	b = binary.BigEndian.AppendUint16(b, m.TotalLen)
-	b = binary.BigEndian.AppendUint16(b, m.InPort)
-	b = append(b, m.Reason, 0)
-	return append(b, m.Data...)
-}
-
-func (m *PacketIn) decodeBody(b []byte) error {
-	if len(b) < 10 {
-		return ErrTruncated
-	}
-	m.BufferID = binary.BigEndian.Uint32(b[0:4])
-	m.TotalLen = binary.BigEndian.Uint16(b[4:6])
-	m.InPort = binary.BigEndian.Uint16(b[6:8])
-	m.Reason = b[8]
-	m.Data = append([]byte(nil), b[10:]...)
-	return nil
+func (m *PacketIn) layout(w wire) wire {
+	w.u32(&m.BufferID)
+	w.u16(&m.TotalLen)
+	w.u16(&m.InPort)
+	w.u8(&m.Reason)
+	w.pad(1)
+	w.rest(&m.Data)
+	return w
 }
 
 // PacketOut carries a packet from controller to datapath for transmission
@@ -175,34 +123,20 @@ type PacketOut struct {
 	Data     []byte
 }
 
-func (m *PacketOut) encodeBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, m.BufferID)
-	b = binary.BigEndian.AppendUint16(b, m.InPort)
-	lenAt := len(b)
-	b = append(b, 0, 0)
-	start := len(b)
-	b = encodeActions(b, m.Actions)
-	binary.BigEndian.PutUint16(b[lenAt:lenAt+2], uint16(len(b)-start))
-	return append(b, m.Data...)
-}
-
-func (m *PacketOut) decodeBody(b []byte) error {
-	if len(b) < 8 {
-		return ErrTruncated
-	}
-	m.BufferID = binary.BigEndian.Uint32(b[0:4])
-	m.InPort = binary.BigEndian.Uint16(b[4:6])
-	alen := int(binary.BigEndian.Uint16(b[6:8]))
-	if 8+alen > len(b) {
-		return ErrTruncated
-	}
-	actions, err := decodeActions(b[8 : 8+alen])
-	if err != nil {
-		return err
-	}
-	m.Actions = actions
-	m.Data = append([]byte(nil), b[8+alen:]...)
-	return nil
+// layout runs the fixed fields, the action list its length field bounds,
+// and the frame.
+func (m *PacketOut) layout(w wire) wire {
+	w.u32(&m.BufferID)
+	w.u16(&m.InPort)
+	at := len(w.b)
+	var n uint16
+	w.u16(&n)
+	rest := w.sub(int(n), ErrTruncated)
+	w.actions(&m.Actions)
+	w.end(rest)
+	w.putLen(at, at+2)
+	w.rest(&m.Data)
+	return w
 }
 
 // Flow mod commands (ofp_flow_mod_command).
@@ -236,41 +170,18 @@ type FlowMod struct {
 	Actions     []Action
 }
 
-func (m *FlowMod) encodeBody(b []byte) []byte {
-	b = m.Match.encode(b)
-	b = binary.BigEndian.AppendUint64(b, m.Cookie)
-	b = binary.BigEndian.AppendUint16(b, m.Command)
-	b = binary.BigEndian.AppendUint16(b, m.IdleTimeout)
-	b = binary.BigEndian.AppendUint16(b, m.HardTimeout)
-	b = binary.BigEndian.AppendUint16(b, m.Priority)
-	b = binary.BigEndian.AppendUint32(b, m.BufferID)
-	b = binary.BigEndian.AppendUint16(b, m.OutPort)
-	b = binary.BigEndian.AppendUint16(b, m.Flags)
-	return encodeActions(b, m.Actions)
-}
-
-func (m *FlowMod) decodeBody(b []byte) error {
-	if len(b) < MatchLen+24 {
-		return ErrTruncated
-	}
-	if err := m.Match.decode(b); err != nil {
-		return err
-	}
-	b = b[MatchLen:]
-	m.Cookie = binary.BigEndian.Uint64(b[0:8])
-	m.Command = binary.BigEndian.Uint16(b[8:10])
-	m.IdleTimeout = binary.BigEndian.Uint16(b[10:12])
-	m.HardTimeout = binary.BigEndian.Uint16(b[12:14])
-	m.Priority = binary.BigEndian.Uint16(b[14:16])
-	m.BufferID = binary.BigEndian.Uint32(b[16:20])
-	m.OutPort = binary.BigEndian.Uint16(b[20:22])
-	m.Flags = binary.BigEndian.Uint16(b[22:24])
-	actions, err := decodeActions(b[24:])
-	if err != nil {
-		return err
-	}
-	m.Actions = actions
-	return nil
+func (m *FlowMod) layout(w wire) wire {
+	m.Match.layout(&w)
+	w.u64(&m.Cookie)
+	w.u16(&m.Command)
+	w.u16(&m.IdleTimeout)
+	w.u16(&m.HardTimeout)
+	w.u16(&m.Priority)
+	w.u32(&m.BufferID)
+	w.u16(&m.OutPort)
+	w.u16(&m.Flags)
+	w.actions(&m.Actions)
+	return w
 }
 
 // Flow removed reasons.
@@ -295,36 +206,19 @@ type FlowRemoved struct {
 	ByteCount    uint64
 }
 
-func (m *FlowRemoved) encodeBody(b []byte) []byte {
-	b = m.Match.encode(b)
-	b = binary.BigEndian.AppendUint64(b, m.Cookie)
-	b = binary.BigEndian.AppendUint16(b, m.Priority)
-	b = append(b, m.Reason, 0)
-	b = binary.BigEndian.AppendUint32(b, m.DurationSec)
-	b = binary.BigEndian.AppendUint32(b, m.DurationNsec)
-	b = binary.BigEndian.AppendUint16(b, m.IdleTimeout)
-	b = append(b, 0, 0)
-	b = binary.BigEndian.AppendUint64(b, m.PacketCount)
-	return binary.BigEndian.AppendUint64(b, m.ByteCount)
-}
-
-func (m *FlowRemoved) decodeBody(b []byte) error {
-	if len(b) < MatchLen+40 {
-		return ErrTruncated
-	}
-	if err := m.Match.decode(b); err != nil {
-		return err
-	}
-	b = b[MatchLen:]
-	m.Cookie = binary.BigEndian.Uint64(b[0:8])
-	m.Priority = binary.BigEndian.Uint16(b[8:10])
-	m.Reason = b[10]
-	m.DurationSec = binary.BigEndian.Uint32(b[12:16])
-	m.DurationNsec = binary.BigEndian.Uint32(b[16:20])
-	m.IdleTimeout = binary.BigEndian.Uint16(b[20:22])
-	m.PacketCount = binary.BigEndian.Uint64(b[24:32])
-	m.ByteCount = binary.BigEndian.Uint64(b[32:40])
-	return nil
+func (m *FlowRemoved) layout(w wire) wire {
+	m.Match.layout(&w)
+	w.u64(&m.Cookie)
+	w.u16(&m.Priority)
+	w.u8(&m.Reason)
+	w.pad(1)
+	w.u32(&m.DurationSec)
+	w.u32(&m.DurationNsec)
+	w.u16(&m.IdleTimeout)
+	w.pad(2)
+	w.u64(&m.PacketCount)
+	w.u64(&m.ByteCount)
+	return w
 }
 
 // Port status reasons.
@@ -341,16 +235,9 @@ type PortStatus struct {
 	Desc   PhyPort
 }
 
-func (m *PortStatus) encodeBody(b []byte) []byte {
-	b = append(b, m.Reason)
-	b = append(b, make([]byte, 7)...)
-	return m.Desc.encode(b)
-}
-
-func (m *PortStatus) decodeBody(b []byte) error {
-	if len(b) < 8+PhyPortLen {
-		return ErrTruncated
-	}
-	m.Reason = b[0]
-	return m.Desc.decode(b[8:])
+func (m *PortStatus) layout(w wire) wire {
+	w.u8(&m.Reason)
+	w.pad(7)
+	m.Desc.layout(&w)
+	return w
 }

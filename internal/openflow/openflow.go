@@ -4,15 +4,18 @@
 //
 // The package provides byte-compatible encoding and decoding of the OpenFlow
 // 1.0 message set (hello, echo, error, features, config, packet-in/out,
-// flow-mod, flow-removed, port-status, stats, barrier and vendor messages)
-// plus the ofp_match structure and the full basic action set. Messages are
-// framed over any io.Reader/io.Writer, normally a TCP connection — though
-// the wire codec is optional: co-resident endpoints can exchange the
-// decoded Message values directly through oftransport's in-process
-// transport and skip serialization entirely.
+// flow-mod, flow-removed, port-status, stats, barrier and vendor messages),
+// the ofp_match structure, and the four actions the router sends (output,
+// enqueue and the two Ethernet address rewrites); any other action reads
+// as an ActionUnsupported. Each structure's wire layout is written once, as
+// its fields in wire order, and one layout both encodes and decodes it.
+// Messages are framed over any io.Reader/io.Writer, normally a TCP
+// connection — though the wire codec is optional: co-resident endpoints can
+// exchange the decoded Message values directly through oftransport's
+// in-process transport and skip serialization entirely.
 //
-// Concurrency: Encode and Decode are pure functions of their inputs and
-// safe to call from any goroutine. Message values carry no
+// Concurrency: Encode and ReadMessage are safe to call from any goroutine
+// on distinct messages and readers. Message values carry no
 // synchronization — build one, hand it to a transport, and do not
 // mutate it afterwards (the in-process transport passes the same
 // pointer to the receiver).
@@ -23,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 )
 
 // Version is the OpenFlow protocol version implemented by this package.
@@ -30,10 +34,6 @@ const Version uint8 = 0x01
 
 // HeaderLen is the length of the common ofp_header.
 const HeaderLen = 8
-
-// MaxMessageLen bounds accepted message sizes to keep a malformed peer from
-// forcing huge allocations.
-const MaxMessageLen = 1 << 16
 
 // MsgType is the ofp_type message discriminator.
 type MsgType uint8
@@ -64,24 +64,50 @@ const (
 	TypeQueueGetConfigReply
 )
 
-var msgTypeNames = map[MsgType]string{
-	TypeHello: "HELLO", TypeError: "ERROR",
-	TypeEchoRequest: "ECHO_REQUEST", TypeEchoReply: "ECHO_REPLY",
-	TypeVendor:          "VENDOR",
-	TypeFeaturesRequest: "FEATURES_REQUEST", TypeFeaturesReply: "FEATURES_REPLY",
-	TypeGetConfigRequest: "GET_CONFIG_REQUEST", TypeGetConfigReply: "GET_CONFIG_REPLY",
-	TypeSetConfig: "SET_CONFIG",
-	TypePacketIn:  "PACKET_IN", TypeFlowRemoved: "FLOW_REMOVED",
-	TypePortStatus: "PORT_STATUS", TypePacketOut: "PACKET_OUT",
-	TypeFlowMod: "FLOW_MOD", TypePortMod: "PORT_MOD",
-	TypeStatsRequest: "STATS_REQUEST", TypeStatsReply: "STATS_REPLY",
-	TypeBarrierRequest: "BARRIER_REQUEST", TypeBarrierReply: "BARRIER_REPLY",
+// msgTypes is every message type this package reads and writes, with its
+// name in the specification and a constructor for a message of it. PORT_MOD
+// has a name but no message: it reads as ErrUnknownType.
+var msgTypes = [...]struct {
+	name string
+	new  func() Message
+}{
+	TypeHello:            {"HELLO", func() Message { return new(Hello) }},
+	TypeError:            {"ERROR", func() Message { return new(ErrorMsg) }},
+	TypeEchoRequest:      {"ECHO_REQUEST", func() Message { return new(EchoRequest) }},
+	TypeEchoReply:        {"ECHO_REPLY", func() Message { return new(EchoReply) }},
+	TypeVendor:           {"VENDOR", func() Message { return new(Vendor) }},
+	TypeFeaturesRequest:  {"FEATURES_REQUEST", func() Message { return new(FeaturesRequest) }},
+	TypeFeaturesReply:    {"FEATURES_REPLY", func() Message { return new(FeaturesReply) }},
+	TypeGetConfigRequest: {"GET_CONFIG_REQUEST", func() Message { return new(GetConfigRequest) }},
+	TypeGetConfigReply:   {"GET_CONFIG_REPLY", func() Message { return new(GetConfigReply) }},
+	TypeSetConfig:        {"SET_CONFIG", func() Message { return new(SetConfig) }},
+	TypePacketIn:         {"PACKET_IN", func() Message { return new(PacketIn) }},
+	TypeFlowRemoved:      {"FLOW_REMOVED", func() Message { return new(FlowRemoved) }},
+	TypePortStatus:       {"PORT_STATUS", func() Message { return new(PortStatus) }},
+	TypePacketOut:        {"PACKET_OUT", func() Message { return new(PacketOut) }},
+	TypeFlowMod:          {"FLOW_MOD", func() Message { return new(FlowMod) }},
+	TypePortMod:          {"PORT_MOD", nil},
+	TypeStatsRequest:     {"STATS_REQUEST", func() Message { return new(StatsRequest) }},
+	TypeStatsReply:       {"STATS_REPLY", func() Message { return new(StatsReply) }},
+	TypeBarrierRequest:   {"BARRIER_REQUEST", func() Message { return new(BarrierRequest) }},
+	TypeBarrierReply:     {"BARRIER_REPLY", func() Message { return new(BarrierReply) }},
 }
+
+// typeOf is msgTypes read backwards: each message's Go type to its MsgType.
+var typeOf = func() map[reflect.Type]MsgType {
+	m := make(map[reflect.Type]MsgType)
+	for t, e := range msgTypes {
+		if e.new != nil {
+			m[reflect.TypeOf(e.new())] = MsgType(t)
+		}
+	}
+	return m
+}()
 
 // String names the message type as in the OpenFlow specification.
 func (t MsgType) String() string {
-	if s, ok := msgTypeNames[t]; ok {
-		return s
+	if int(t) < len(msgTypes) && msgTypes[t].name != "" {
+		return msgTypes[t].name
 	}
 	return fmt.Sprintf("OFPT(%d)", uint8(t))
 }
@@ -102,49 +128,44 @@ type Header struct {
 	XID     uint32
 }
 
-func (h *Header) decode(b []byte) error {
-	if len(b) < HeaderLen {
-		return ErrTruncated
-	}
-	h.Version = b[0]
-	h.Type = MsgType(b[1])
-	h.Length = binary.BigEndian.Uint16(b[2:4])
-	h.XID = binary.BigEndian.Uint32(b[4:8])
-	if h.Version != Version {
-		return ErrBadVersion
-	}
-	if int(h.Length) < HeaderLen {
-		return ErrBadLength
-	}
-	return nil
+// layout runs the header's fields.
+func (h *Header) layout(w *wire) {
+	w.u8(&h.Version)
+	w.u8((*uint8)(&h.Type))
+	w.u16(&h.Length)
+	w.u32(&h.XID)
 }
 
 // Message is any OpenFlow message. Hdr returns the embedded header (the
-// Length field is recomputed on encode); body encoding excludes the header.
+// Length field is recomputed on encode); layout runs the body's fields
+// after the header, and returns w for the caller to read its bytes or its
+// error.
 type Message interface {
 	Hdr() *Header
-	encodeBody(b []byte) []byte
-	decodeBody(b []byte) error
+	layout(w wire) wire
 }
 
-// base provides the Header plumbing shared by all message types.
+// base provides the Header plumbing shared by all message types, and the
+// layout of a message with no body.
 type base struct{ Header Header }
 
 // Hdr returns the message header.
 func (m *base) Hdr() *Header { return &m.Header }
 
-// Encode serializes msg with a correct header, assigning typ.
+func (m *base) layout(w wire) wire { return w }
+
+// Encode serializes msg with a correct header, assigning its type and
+// length.
 func Encode(msg Message) []byte {
 	h := msg.Hdr()
 	h.Version = Version
-	h.Type = typeOf(msg)
-	body := msg.encodeBody(make([]byte, 0, 64))
-	h.Length = uint16(HeaderLen + len(body))
-	out := make([]byte, 0, h.Length)
-	out = append(out, h.Version, byte(h.Type))
-	out = binary.BigEndian.AppendUint16(out, h.Length)
-	out = binary.BigEndian.AppendUint32(out, h.XID)
-	return append(out, body...)
+	h.Type = typeOf[reflect.TypeOf(msg)]
+	w := wire{b: make([]byte, 0, 64)}
+	h.layout(&w)
+	w = msg.layout(w)
+	h.Length = uint16(len(w.b))
+	binary.BigEndian.PutUint16(w.b[2:4], h.Length)
+	return w.b
 }
 
 // WriteMessage encodes and writes one message to w.
@@ -153,17 +174,19 @@ func WriteMessage(w io.Writer, msg Message) error {
 	return err
 }
 
-// ReadMessage reads exactly one message from r.
+// ReadMessage reads exactly one message from r. The 16-bit length field
+// bounds what a peer can make it allocate.
 func ReadMessage(r io.Reader) (Message, error) {
 	var hb [HeaderLen]byte
 	if _, err := io.ReadFull(r, hb[:]); err != nil {
 		return nil, err
 	}
 	var h Header
-	if err := h.decode(hb[:]); err != nil {
-		return nil, err
+	h.layout(&wire{b: hb[:], dec: true})
+	if h.Version != Version {
+		return nil, ErrBadVersion
 	}
-	if int(h.Length) > MaxMessageLen {
+	if h.Length < HeaderLen {
 		return nil, ErrBadLength
 	}
 	body := make([]byte, int(h.Length)-HeaderLen)
@@ -175,110 +198,19 @@ func ReadMessage(r io.Reader) (Message, error) {
 
 // decodeMessage builds a typed message from a header and body.
 func decodeMessage(h Header, body []byte) (Message, error) {
-	msg := newMessage(h.Type)
-	if msg == nil {
+	if int(h.Type) >= len(msgTypes) || msgTypes[h.Type].new == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownType, h.Type)
 	}
+	msg := msgTypes[h.Type].new()
 	*msg.Hdr() = h
-	if err := msg.decodeBody(body); err != nil {
-		return nil, fmt.Errorf("openflow: decoding %s: %w", h.Type, err)
+	if w := msg.layout(wire{b: body, dec: true}); w.err != nil {
+		return nil, fmt.Errorf("openflow: decoding %s: %w", h.Type, w.err)
 	}
 	return msg, nil
 }
 
-func newMessage(t MsgType) Message {
-	switch t {
-	case TypeHello:
-		return &Hello{}
-	case TypeError:
-		return &ErrorMsg{}
-	case TypeEchoRequest:
-		return &EchoRequest{}
-	case TypeEchoReply:
-		return &EchoReply{}
-	case TypeVendor:
-		return &Vendor{}
-	case TypeFeaturesRequest:
-		return &FeaturesRequest{}
-	case TypeFeaturesReply:
-		return &FeaturesReply{}
-	case TypeGetConfigRequest:
-		return &GetConfigRequest{}
-	case TypeGetConfigReply:
-		return &GetConfigReply{}
-	case TypeSetConfig:
-		return &SetConfig{}
-	case TypePacketIn:
-		return &PacketIn{}
-	case TypeFlowRemoved:
-		return &FlowRemoved{}
-	case TypePortStatus:
-		return &PortStatus{}
-	case TypePacketOut:
-		return &PacketOut{}
-	case TypeFlowMod:
-		return &FlowMod{}
-	case TypeStatsRequest:
-		return &StatsRequest{}
-	case TypeStatsReply:
-		return &StatsReply{}
-	case TypeBarrierRequest:
-		return &BarrierRequest{}
-	case TypeBarrierReply:
-		return &BarrierReply{}
-	}
-	return nil
-}
-
-func typeOf(msg Message) MsgType {
-	switch msg.(type) {
-	case *Hello:
-		return TypeHello
-	case *ErrorMsg:
-		return TypeError
-	case *EchoRequest:
-		return TypeEchoRequest
-	case *EchoReply:
-		return TypeEchoReply
-	case *Vendor:
-		return TypeVendor
-	case *FeaturesRequest:
-		return TypeFeaturesRequest
-	case *FeaturesReply:
-		return TypeFeaturesReply
-	case *GetConfigRequest:
-		return TypeGetConfigRequest
-	case *GetConfigReply:
-		return TypeGetConfigReply
-	case *SetConfig:
-		return TypeSetConfig
-	case *PacketIn:
-		return TypePacketIn
-	case *FlowRemoved:
-		return TypeFlowRemoved
-	case *PortStatus:
-		return TypePortStatus
-	case *PacketOut:
-		return TypePacketOut
-	case *FlowMod:
-		return TypeFlowMod
-	case *StatsRequest:
-		return TypeStatsRequest
-	case *StatsReply:
-		return TypeStatsReply
-	case *BarrierRequest:
-		return TypeBarrierRequest
-	case *BarrierReply:
-		return TypeBarrierReply
-	}
-	panic(fmt.Sprintf("openflow: unregistered message %T", msg))
-}
-
 // Hello opens version negotiation.
 type Hello struct{ base }
-
-func (m *Hello) encodeBody(b []byte) []byte { return b }
-func (m *Hello) decodeBody([]byte) error    { return nil }
 
 // EchoRequest is a liveness probe; Data is echoed back.
 type EchoRequest struct {
@@ -286,10 +218,9 @@ type EchoRequest struct {
 	Data []byte
 }
 
-func (m *EchoRequest) encodeBody(b []byte) []byte { return append(b, m.Data...) }
-func (m *EchoRequest) decodeBody(b []byte) error {
-	m.Data = append([]byte(nil), b...)
-	return nil
+func (m *EchoRequest) layout(w wire) wire {
+	w.rest(&m.Data)
+	return w
 }
 
 // EchoReply answers an EchoRequest with the same data.
@@ -298,10 +229,9 @@ type EchoReply struct {
 	Data []byte
 }
 
-func (m *EchoReply) encodeBody(b []byte) []byte { return append(b, m.Data...) }
-func (m *EchoReply) decodeBody(b []byte) error {
-	m.Data = append([]byte(nil), b...)
-	return nil
+func (m *EchoReply) layout(w wire) wire {
+	w.rest(&m.Data)
+	return w
 }
 
 // Error type codes (ofp_error_type).
@@ -333,20 +263,11 @@ type ErrorMsg struct {
 	Data    []byte
 }
 
-func (m *ErrorMsg) encodeBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint16(b, m.ErrType)
-	b = binary.BigEndian.AppendUint16(b, m.Code)
-	return append(b, m.Data...)
-}
-
-func (m *ErrorMsg) decodeBody(b []byte) error {
-	if len(b) < 4 {
-		return ErrTruncated
-	}
-	m.ErrType = binary.BigEndian.Uint16(b[0:2])
-	m.Code = binary.BigEndian.Uint16(b[2:4])
-	m.Data = append([]byte(nil), b[4:]...)
-	return nil
+func (m *ErrorMsg) layout(w wire) wire {
+	w.u16(&m.ErrType)
+	w.u16(&m.Code)
+	w.rest(&m.Data)
+	return w
 }
 
 // Error implements the error interface so controller code can return it.
@@ -362,25 +283,14 @@ type Vendor struct {
 	Data     []byte
 }
 
-func (m *Vendor) encodeBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, m.VendorID)
-	return append(b, m.Data...)
-}
-
-func (m *Vendor) decodeBody(b []byte) error {
-	if len(b) < 4 {
-		return ErrTruncated
-	}
-	m.VendorID = binary.BigEndian.Uint32(b[0:4])
-	m.Data = append([]byte(nil), b[4:]...)
-	return nil
+func (m *Vendor) layout(w wire) wire {
+	w.u32(&m.VendorID)
+	w.rest(&m.Data)
+	return w
 }
 
 // GetConfigRequest asks for the switch config.
 type GetConfigRequest struct{ base }
-
-func (m *GetConfigRequest) encodeBody(b []byte) []byte { return b }
-func (m *GetConfigRequest) decodeBody([]byte) error    { return nil }
 
 // Config flags.
 const (
@@ -396,18 +306,10 @@ type GetConfigReply struct {
 	MissSendLen uint16
 }
 
-func (m *GetConfigReply) encodeBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint16(b, m.Flags)
-	return binary.BigEndian.AppendUint16(b, m.MissSendLen)
-}
-
-func (m *GetConfigReply) decodeBody(b []byte) error {
-	if len(b) < 4 {
-		return ErrTruncated
-	}
-	m.Flags = binary.BigEndian.Uint16(b[0:2])
-	m.MissSendLen = binary.BigEndian.Uint16(b[2:4])
-	return nil
+func (m *GetConfigReply) layout(w wire) wire {
+	w.u16(&m.Flags)
+	w.u16(&m.MissSendLen)
+	return w
 }
 
 // SetConfig sets the switch configuration.
@@ -417,28 +319,14 @@ type SetConfig struct {
 	MissSendLen uint16
 }
 
-func (m *SetConfig) encodeBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint16(b, m.Flags)
-	return binary.BigEndian.AppendUint16(b, m.MissSendLen)
-}
-
-func (m *SetConfig) decodeBody(b []byte) error {
-	if len(b) < 4 {
-		return ErrTruncated
-	}
-	m.Flags = binary.BigEndian.Uint16(b[0:2])
-	m.MissSendLen = binary.BigEndian.Uint16(b[2:4])
-	return nil
+func (m *SetConfig) layout(w wire) wire {
+	w.u16(&m.Flags)
+	w.u16(&m.MissSendLen)
+	return w
 }
 
 // BarrierRequest asks the switch to finish processing prior messages.
 type BarrierRequest struct{ base }
 
-func (m *BarrierRequest) encodeBody(b []byte) []byte { return b }
-func (m *BarrierRequest) decodeBody([]byte) error    { return nil }
-
 // BarrierReply acknowledges a BarrierRequest.
 type BarrierReply struct{ base }
-
-func (m *BarrierReply) encodeBody(b []byte) []byte { return b }
-func (m *BarrierReply) decodeBody([]byte) error    { return nil }

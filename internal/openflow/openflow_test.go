@@ -14,18 +14,44 @@ import (
 func roundTrip(t *testing.T, msg Message) Message {
 	t.Helper()
 	raw := Encode(msg)
-	var h Header
-	if err := h.decode(raw); err != nil {
-		t.Fatalf("header decode: %v", err)
-	}
-	if int(h.Length) != len(raw) {
+	if h := msg.Hdr(); int(h.Length) != len(raw) {
 		t.Fatalf("header length %d != encoded length %d", h.Length, len(raw))
 	}
-	got, err := decodeMessage(h, raw[HeaderLen:])
+	got, err := ReadMessage(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	return got
+}
+
+// encodeActions appends an action list's wire form, as a flow-mod carries
+// it.
+func encodeActions(b []byte, actions []Action) []byte {
+	w := wire{b: b}
+	w.actions(&actions)
+	return w.b
+}
+
+// decodeActions reads a whole action list.
+func decodeActions(b []byte) ([]Action, error) {
+	var actions []Action
+	w := wire{b: b, dec: true}
+	w.actions(&actions)
+	return actions, w.err
+}
+
+// encode appends the match's 40-byte wire form.
+func (m *Match) encode(b []byte) []byte {
+	w := wire{b: b}
+	m.layout(&w)
+	return w.b
+}
+
+// decode reads the match's 40-byte wire form.
+func (m *Match) decode(b []byte) error {
+	w := wire{b: b, dec: true}
+	m.layout(&w)
+	return w.err
 }
 
 func TestHelloRoundTrip(t *testing.T) {
@@ -478,8 +504,7 @@ func TestReadWriteMessageOverTCP(t *testing.T) {
 func TestDecodeRejectsBadVersion(t *testing.T) {
 	raw := Encode(&Hello{})
 	raw[0] = 0x04 // OpenFlow 1.3
-	var h Header
-	if err := h.decode(raw); err != ErrBadVersion {
+	if _, err := ReadMessage(bytes.NewReader(raw)); err != ErrBadVersion {
 		t.Errorf("want ErrBadVersion, got %v", err)
 	}
 }

@@ -179,8 +179,8 @@ var contracts = []string{
 	"measure.LinkSource: AppendLinkSamples",
 	"nox.Component: Configure Name",
 	"oftransport.Transport: Close Recv Send",
-	"openflow.Action: String actType decode encode",
-	"openflow.Message: Hdr decodeBody encodeBody",
+	"openflow.Action: String actType",
+	"openflow.Message: Hdr layout",
 	"shardrpc.Backend: Assign Close Cordon Drain Stats Step Sync TraceSnapshot Uncordon",
 	"telemetry.Source: SubscribeFunc",
 	"usbmon.Actions: InsertKey Install RemoveKey",
