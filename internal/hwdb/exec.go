@@ -23,19 +23,36 @@ type Result struct {
 // Text renders the result as tab-separated lines, header first; the wire
 // format of the UDP RPC and the input to the visualization interfaces.
 func (r *Result) Text() string {
-	var sb strings.Builder
-	sb.WriteString(strings.Join(r.Cols, "\t"))
-	sb.WriteByte('\n')
+	b := appendHeaderText(nil, r.Cols)
 	for _, row := range r.Rows {
-		for i, v := range row {
-			if i > 0 {
-				sb.WriteByte('\t')
-			}
-			sb.WriteString(v.Text())
-		}
-		sb.WriteByte('\n')
+		b = appendRowText(b, row)
 	}
-	return sb.String()
+	return unsafe.String(unsafe.SliceData(b), len(b)) // b is not written again
+}
+
+// appendHeaderText appends the text format's header line: the column
+// names, tab-separated.
+func appendHeaderText(b []byte, cols []string) []byte {
+	for i, c := range cols {
+		if i > 0 {
+			b = append(b, '\t')
+		}
+		b = append(b, c...)
+	}
+	return append(b, '\n')
+}
+
+// appendRowText appends one data line of the text format: each cell as
+// Value.Text renders it, tab-separated. Result.Text and a subscription's
+// tick both render rows through it.
+func appendRowText(b []byte, row []Value) []byte {
+	for i, v := range row {
+		if i > 0 {
+			b = append(b, '\t')
+		}
+		b = v.appendText(b)
+	}
+	return append(b, '\n')
 }
 
 // ParseSelect parses one SELECT statement: what a caller that runs the
@@ -141,29 +158,60 @@ type rowSink interface {
 	finish()
 }
 
-// Select executes a parsed SELECT. Over a live table nothing is copied:
-// WHERE, GROUP BY and the projection are evaluated on the ring's own rows
-// under the table's read lock, so an insert into that table waits for the
-// window to be walked — microseconds for the windowed reads the displays
-// make, the whole ring for a window-less SELECT *.
+// Select executes a parsed SELECT and returns its result, copied out of
+// the working set it was built in. Over a live table nothing is copied on
+// the way in: WHERE, GROUP BY and the projection are evaluated on the
+// ring's own rows under the table's read lock, so an insert into that
+// table waits for the window to be walked — microseconds for the windowed
+// reads the displays make, the whole ring for a window-less SELECT *.
 //
 // Select never writes its statement, so one statement may run on any
 // number of goroutines at once: the parse cache's statements and the
 // displays' package-level ones are shared on this rule.
 func (db *DB) Select(sel *SelectStmt) (*Result, error) {
+	s, schema, rows, err := db.run(sel)
+	if err != nil {
+		return nil, err
+	}
+	return s.result(rows, schema, sel), nil
+}
+
+// SelectFunc executes a parsed SELECT as Select does and hands fn each
+// result row in result order, read in place from the working set: a warm
+// SelectFunc allocates nothing. fn runs after the scan, with no lock held,
+// so it may query or insert. The row slice is valid only until fn returns;
+// its values, strings included, may be kept. On an error fn is not called.
+func (db *DB) SelectFunc(sel *SelectStmt, fn func(row []Value)) error {
+	s, _, rows, err := db.run(sel)
+	if err != nil {
+		return err
+	}
+	for _, row := range rows {
+		fn(row)
+	}
+	s.put()
+	return nil
+}
+
+// run is the executor behind Select and SelectFunc: sel's window, WHERE
+// and sink over a working set from the pool, then its ORDER BY and LIMIT.
+// It returns the set with the result rows, views into the set's
+// accumulator, for the caller to read before it puts the set back; on an
+// error the set is back already.
+func (db *DB) run(sel *SelectStmt) (*selectSet, *Schema, [][]Value, error) {
 	t, ok := db.Table(sel.Table)
 	if !ok {
-		return nil, fmt.Errorf("hwdb: no such table %s", sel.Table)
+		return nil, nil, nil, fmt.Errorf("hwdb: no such table %s", sel.Table)
 	}
 	schema := t.Schema()
 	if err := validateExpr(schema, sel.Where); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	s := getSelectSet()
-	sink, cols, err := s.sink(schema, sel)
+	sink, err := s.sink(schema, sel)
 	if err != nil {
 		s.put()
-		return nil, err
+		return nil, nil, nil, err
 	}
 	feed := func(r Row) error {
 		if sel.Where != nil {
@@ -191,11 +239,15 @@ func (db *DB) Select(sel *SelectStmt) (*Result, error) {
 	for i := 0; i < len(rows) && err == nil; i++ {
 		err = feed(rows[i])
 	}
+	var out [][]Value
+	if err == nil {
+		out, err = s.finish(sink, schema, sel)
+	}
 	if err != nil {
 		s.put()
-		return nil, err
+		return nil, nil, nil, err
 	}
-	return s.result(sink, cols, sel.Order, sel.Limit)
+	return s, schema, out, nil
 }
 
 // aggregates reports whether the statement groups or folds rows rather
@@ -209,28 +261,12 @@ func (sel *SelectStmt) aggregates() bool {
 	return len(sel.GroupBy) > 0
 }
 
-// selectStar is History's projection.
-var selectStar = &SelectStmt{Items: []SelectItem{{Col: "*"}}}
-
 // History is the programmatic form of `SELECT * FROM table HISTORY @from
 // @to`: the table's retained rows (HistorySource-widened when one is
 // attached) in the inclusive range, projected with the timestamp column.
 // Zero bounds are open.
 func (db *DB) History(table string, from, to time.Time) (*Result, error) {
-	t, ok := db.Table(table)
-	if !ok {
-		return nil, fmt.Errorf("hwdb: no such table %s", table)
-	}
-	s := getSelectSet()
-	p, cols, err := s.project(t.Schema(), selectStar)
-	if err != nil {
-		s.put()
-		return nil, err
-	}
-	for _, row := range db.historyRows(t, from, to) {
-		p.add(row)
-	}
-	return s.result(p, cols, nil, 0)
+	return db.Select(&SelectStmt{Items: []SelectItem{{Col: "*"}}, Table: table, HistFrom: from, HistTo: to, HasHist: true})
 }
 
 // validateExpr checks that every column referenced by a WHERE expression
@@ -264,12 +300,13 @@ func validateExpr(schema *Schema, e Expr) error {
 // the group index and key buffer, the accumulator the rows are built in,
 // and the row headers ORDER BY sorts. Sets are kept across calls in a
 // process-wide pool, so a warm select allocates only the result it hands
-// back.
+// back, and a warm SelectFunc nothing.
 type selectSet struct {
 	proj  projection
 	agg   aggregation
 	acc   rowSlab
 	heads [][]Value // the accumulator's rows in result order
+	cols  []string  // the result's column names, for ORDER BY to resolve
 	order []int     // ORDER BY columns, resolved
 }
 
@@ -304,6 +341,8 @@ func (s *selectSet) put() {
 	s.acc.reset()
 	clear(s.heads)
 	s.heads = s.heads[:0]
+	clear(s.cols)
+	s.cols = s.cols[:0]
 	s.agg.sel = nil
 	s.agg.idx.reset()
 	selectSets.Put(s)
@@ -320,39 +359,62 @@ func (s *selectSet) footprint() int {
 	return n
 }
 
-// sink readies s for sel: its projection or its aggregation, and the
-// result's column names.
-func (s *selectSet) sink(schema *Schema, sel *SelectStmt) (rowSink, []string, error) {
+// sink readies s for sel: its projection or its aggregation.
+func (s *selectSet) sink(schema *Schema, sel *SelectStmt) (rowSink, error) {
 	if sel.aggregates() {
 		return s.aggregate(schema, sel)
 	}
 	return s.project(schema, sel)
 }
 
-// result finishes the sink and reads its rows out of the accumulator in
-// the order ORDER BY asks, at most limit of them. A set that stays under
-// maxPooledSet goes back to the pool, so the rows are first copied into
-// one block of exactly their cells: the result costs Result, Cols, the
-// block and its row headers. A larger set is not pooled, and nothing is
-// copied: the rows are cut from the accumulator's chunks as they stand,
-// and the set goes with the result.
-func (s *selectSet) result(sink rowSink, cols []string, order []OrderBy, limit int) (*Result, error) {
+// appendCols appends the names of sel's result columns over schema to
+// cols: a projection's items with * spelled out as the timestamp and every
+// column, an aggregate's items.
+func appendCols(cols []string, schema *Schema, sel *SelectStmt) []string {
+	stars := !sel.aggregates()
+	for _, it := range sel.Items {
+		if stars && it.Col == "*" {
+			cols = append(cols, "timestamp")
+			for _, c := range schema.Cols {
+				cols = append(cols, c.Name)
+			}
+			continue
+		}
+		cols = append(cols, it.Name)
+	}
+	return cols
+}
+
+// finish finishes the sink and returns its rows, views into the
+// accumulator, in the order sel's ORDER BY asks, at most its LIMIT of
+// them.
+func (s *selectSet) finish(sink rowSink, schema *Schema, sel *SelectStmt) ([][]Value, error) {
 	sink.finish()
 	s.heads = s.acc.appendRows(s.heads[:0])
 	heads := s.heads
-	if len(order) > 0 {
-		if err := s.orderRows(heads, cols, order); err != nil {
-			s.put()
+	if len(sel.Order) > 0 {
+		if err := s.orderRows(heads, schema, sel); err != nil {
 			return nil, err
 		}
 	}
-	if limit > 0 && len(heads) > limit {
-		heads = heads[:limit]
+	if sel.Limit > 0 && len(heads) > sel.Limit {
+		heads = heads[:sel.Limit]
 	}
-	if s.footprint() > maxPooledSet {
-		return &Result{Cols: cols, Rows: heads}, nil
-	}
+	return heads, nil
+}
+
+// result is Select's way out of a finished set: heads with the column
+// names. A set that stays under maxPooledSet goes back to the pool, so the
+// rows are first copied into one block of exactly their cells: the result
+// costs Result, Cols, the block and its row headers. A larger set is not
+// pooled, and nothing is copied: the rows are cut from the accumulator's
+// chunks as they stand, and the set goes with the result.
+func (s *selectSet) result(heads [][]Value, schema *Schema, sel *SelectStmt) *Result {
 	w := s.acc.width
+	cols := appendCols(make([]string, 0, w), schema, sel)
+	if s.footprint() > maxPooledSet {
+		return &Result{Cols: cols, Rows: heads}
+	}
 	block := make([]Value, len(heads)*w)
 	rows := make([][]Value, len(heads))
 	for i, h := range heads {
@@ -360,15 +422,17 @@ func (s *selectSet) result(sink rowSink, cols []string, order []OrderBy, limit i
 		copy(rows[i], h)
 	}
 	s.put()
-	return &Result{Cols: cols, Rows: rows}, nil
+	return &Result{Cols: cols, Rows: rows}
 }
 
-// orderRows sorts heads, stably, by the ORDER BY columns of the result.
-func (s *selectSet) orderRows(heads [][]Value, cols []string, order []OrderBy) error {
+// orderRows sorts heads, stably, by sel's ORDER BY columns of the result.
+func (s *selectSet) orderRows(heads [][]Value, schema *Schema, sel *SelectStmt) error {
+	order := sel.Order
+	s.cols = appendCols(s.cols[:0], schema, sel)
 	s.order = s.order[:0]
 	for _, ob := range order {
 		found := -1
-		for j, c := range cols {
+		for j, c := range s.cols {
 			if strings.EqualFold(c, ob.Col) {
 				found = j
 				break
@@ -484,7 +548,7 @@ type projection struct {
 }
 
 // project readies s's projection for sel.
-func (s *selectSet) project(schema *Schema, sel *SelectStmt) (*projection, []string, error) {
+func (s *selectSet) project(schema *Schema, sel *SelectStmt) (*projection, error) {
 	n := len(sel.Items)
 	for _, it := range sel.Items {
 		if it.Col == "*" {
@@ -493,32 +557,27 @@ func (s *selectSet) project(schema *Schema, sel *SelectStmt) (*projection, []str
 	}
 	p := &s.proj
 	p.refs = slices.Grow(p.refs[:0], n)
-	cols := make([]string, 0, n)
-	ref := func(idx int, name string) {
-		p.refs = append(p.refs, idx)
-		cols = append(cols, name)
-	}
 	for _, it := range sel.Items {
 		if it.Col == "*" {
-			ref(-1, "timestamp")
-			for i, c := range schema.Cols {
-				ref(i, c.Name)
+			p.refs = append(p.refs, -1)
+			for i := range schema.Cols {
+				p.refs = append(p.refs, i)
 			}
 			continue
 		}
 		if strings.EqualFold(it.Col, "timestamp") {
-			ref(-1, it.Name)
+			p.refs = append(p.refs, -1)
 			continue
 		}
 		i, ok := schema.Index(it.Col)
 		if !ok {
-			return nil, nil, fmt.Errorf("hwdb: unknown column %q", it.Col)
+			return nil, fmt.Errorf("hwdb: unknown column %q", it.Col)
 		}
-		ref(i, it.Name)
+		p.refs = append(p.refs, i)
 	}
 	s.acc.start(n, slabShift)
 	p.out = &s.acc
-	return p, cols, nil
+	return p, nil
 }
 
 func (p *projection) add(row Row) {
@@ -623,7 +682,7 @@ type aggregation struct {
 }
 
 // aggregate readies s's aggregation for sel.
-func (s *selectSet) aggregate(schema *Schema, sel *SelectStmt) (*aggregation, []string, error) {
+func (s *selectSet) aggregate(schema *Schema, sel *SelectStmt) (*aggregation, error) {
 	a := &s.agg
 	ng := len(sel.GroupBy)
 	a.resolved = slices.Grow(a.resolved[:0], ng+len(sel.Items))[:ng+len(sel.Items)]
@@ -631,7 +690,7 @@ func (s *selectSet) aggregate(schema *Schema, sel *SelectStmt) (*aggregation, []
 	for j, g := range sel.GroupBy {
 		i, ok := schema.Index(g)
 		if !ok {
-			return nil, nil, fmt.Errorf("hwdb: unknown GROUP BY column %q", g)
+			return nil, fmt.Errorf("hwdb: unknown GROUP BY column %q", g)
 		}
 		a.groupIdx[j] = i
 	}
@@ -642,13 +701,13 @@ func (s *selectSet) aggregate(schema *Schema, sel *SelectStmt) (*aggregation, []
 			// Non-aggregate items must appear in GROUP BY.
 			j := sel.groupCol(it.Col)
 			if j < 0 {
-				return nil, nil, fmt.Errorf("hwdb: column %q must appear in GROUP BY", it.Col)
+				return nil, fmt.Errorf("hwdb: column %q must appear in GROUP BY", it.Col)
 			}
 			a.src[i] = a.groupIdx[j]
 		case it.Col != "*":
 			ci, ok := schema.Index(it.Col)
 			if !ok {
-				return nil, nil, fmt.Errorf("hwdb: unknown column %q", it.Col)
+				return nil, fmt.Errorf("hwdb: unknown column %q", it.Col)
 			}
 			a.src[i] = ci
 		}
@@ -660,11 +719,7 @@ func (s *selectSet) aggregate(schema *Schema, sel *SelectStmt) (*aggregation, []
 	}
 	s.acc.start(len(sel.Items), shift)
 	a.out = &s.acc
-	cols := make([]string, len(sel.Items))
-	for i, it := range sel.Items {
-		cols[i] = it.Name
-	}
-	return a, cols, nil
+	return a, nil
 }
 
 // groupCol returns the position of col in the GROUP BY list, or -1.

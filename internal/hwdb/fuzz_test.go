@@ -39,8 +39,9 @@ var cqlSeeds = []string{
 // FuzzParse: the CQL parser reads statements off the network (the HWDB/1
 // server hands it request bodies), so any input parses or errors and never
 // panics, and a SELECT that parsed runs against a small home the same way
-// — a result or an error — whether it is selected as parsed or sent as
-// text twice, the second time from the parse cache.
+// — a result or an error — whether it is selected as parsed, visited in
+// place with SelectFunc, or sent as text twice, the second time from the
+// parse cache.
 func FuzzParse(f *testing.F) {
 	for _, cql := range cqlSeeds {
 		f.Add(cql)
@@ -53,6 +54,7 @@ func FuzzParse(f *testing.F) {
 		}
 		switch s := st.(type) {
 		case *SelectStmt:
+			_, _ = selectBothWays(t, db, s)
 			want := answer(db.Select(s))
 			for i := 0; i < 2; i++ {
 				if got := answer(db.Query(cql)); got != want {

@@ -123,11 +123,14 @@ func TestSelectHistoryAndConvenience(t *testing.T) {
 }
 
 // wideHistory is a HistorySource that remembers every row ever inserted
-// into Ticks, beyond the ring.
-type wideHistory struct{ rows []Row }
+// into one table, beyond the ring.
+type wideHistory struct {
+	table string
+	rows  []Row
+}
 
 func (w *wideHistory) HistoryRows(table string, from, to time.Time) ([]Row, bool) {
-	if table != "Ticks" {
+	if table != w.table {
 		return nil, false
 	}
 	var out []Row
@@ -150,7 +153,7 @@ func TestHistorySourceWidensRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &wideHistory{}
+	src := &wideHistory{table: "Ticks"}
 	tbl.OnInsert(func(r Row) { src.rows = append(src.rows, r) })
 	db.SetHistory(src)
 

@@ -2,6 +2,8 @@ package hwdb
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -60,16 +62,27 @@ var projectedSelects = []struct {
 // TestConcurrentSelectsShareThePool: goroutines, each over a table of its
 // own, run grouped, projected, ORDER BY ... LIMIT and bare-aggregate
 // selects at once, every one taking its working set from the one pool and
-// giving it back; every result is the reference's. The race detector
-// watches that no set is used by two selects at a time.
+// giving it back, through Select and SelectFunc in turn; every result is
+// the reference's. A SelectFunc's first call runs a nested Select of the
+// next statement, which must take a set of its own, and each round ends
+// with a SelectFunc whose call inserts into the table it reads, which
+// would deadlock on a lock still held. The race detector watches that no
+// set is used by two selects at a time.
 func TestConcurrentSelectsShareThePool(t *testing.T) {
 	type stmt struct {
 		sel  *SelectStmt
 		want [][]Value
 	}
+	counter := mustSelect(t, "SELECT n FROM Counter [NOW]")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		db, _, m := groupTable(t, int64(10+w), 600, 20+40*w)
+		if _, err := db.CreateTable("Counter", NewSchema(Column{"n", TInt}), 4); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Insert("Counter", Int64(0)); err != nil {
+			t.Fatal(err)
+		}
 		var stmts []stmt
 		for _, cql := range groupedSelects {
 			sel := mustSelect(t, cql)
@@ -81,16 +94,58 @@ func TestConcurrentSelectsShareThePool(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			fail := func(round int, what string, sel *SelectStmt, err error) {
+				t.Errorf("goroutine %d, round %d, %s %v: %v", w, round, what, sel.Items, err)
+			}
 			for round := 0; round < 15; round++ {
-				for _, st := range stmts {
-					res, err := db.Select(st.sel)
+				for i, st := range stmts {
+					if (round+i)%2 == 0 {
+						res, err := db.Select(st.sel)
+						if err == nil {
+							err = sameResult(res.Rows, st.want)
+						}
+						if err != nil {
+							fail(round, "Select", st.sel, err)
+							return
+						}
+						continue
+					}
+					inner := stmts[(i+1)%len(stmts)]
+					var got [][]Value
+					var innerErr error
+					err := db.SelectFunc(st.sel, func(row []Value) {
+						if got == nil {
+							res, err := db.Select(inner.sel)
+							if err == nil {
+								err = sameResult(res.Rows, inner.want)
+							}
+							innerErr = err
+						}
+						got = append(got, slices.Clone(row))
+					})
 					if err == nil {
-						err = sameResult(res.Rows, st.want)
+						err = sameResult(got, st.want)
 					}
 					if err != nil {
-						t.Errorf("goroutine %d, round %d, %v: %v", w, round, st.sel.Items, err)
+						fail(round, "SelectFunc", st.sel, err)
 						return
 					}
+					if innerErr != nil {
+						fail(round, "Select nested in SelectFunc", inner.sel, innerErr)
+						return
+					}
+				}
+				var seen []int64
+				err := db.SelectFunc(counter, func(row []Value) {
+					seen = append(seen, row[0].Int)
+					_ = db.Insert("Counter", Int64(row[0].Int+1))
+				})
+				if err == nil && (len(seen) != 1 || seen[0] != int64(round)) {
+					err = fmt.Errorf("visited %v, want [%d]", seen, round)
+				}
+				if err != nil {
+					fail(round, "inserting SelectFunc", counter, err)
+					return
 				}
 			}
 		}()

@@ -2,6 +2,7 @@ package hwdb
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"strconv"
@@ -322,38 +323,47 @@ func (s *Server) push(addr *net.UDPAddr, header string, every time.Duration, tic
 // insert-driven — ROWS/ALL/NOW — or the last result was already empty,
 // which only inserts can change), and a re-evaluated result identical to
 // the last push is not re-sent. A subscription over an idle table
-// therefore generates no datagrams at all until data first appears.
+// therefore generates no datagrams at all until data first appears. A
+// tick renders its result's text into bytes it keeps, visiting the rows in
+// place, and makes a string only of a body it pushes: an unchanged result
+// costs no allocation.
 func (s *Server) selectTick(q *SelectStmt) func() string {
 	var (
-		lastBody string
-		havePush bool   // at least one push sent
-		evaled   bool   // lastIns/lastRows are valid
-		lastIns  uint64 // table insert count at the last evaluation
-		lastRows int    // data rows in the last evaluation
+		body, last []byte   // this evaluation's text; the last push's
+		cols       []string // the result's column names, rebuilt in place
+		havePush   bool     // at least one push sent
+		evaled     bool     // lastIns/lastRows are valid
+		lastIns    uint64   // table insert count at the last evaluation
+		lastRows   int      // data rows in the last evaluation
 	)
 	return func() string {
-		t, haveTable := s.db.Table(q.Table)
-		var ins uint64
-		if haveTable {
-			ins, _ = t.Stats()
-			if evaled && ins == lastIns && (q.Win.Kind != WindowRange || lastRows == 0) {
-				return "" // nothing can have changed: skip the SELECT too
-			}
+		t, ok := s.db.Table(q.Table)
+		if !ok {
+			return "" // the SELECT would fail
 		}
-		res, err := s.db.Select(q)
+		ins, _ := t.Stats()
+		if evaled && ins == lastIns && (q.Win.Kind != WindowRange || lastRows == 0) {
+			return "" // nothing can have changed: skip the SELECT too
+		}
+		cols = appendCols(cols[:0], t.Schema(), q)
+		body = appendHeaderText(body[:0], cols)
+		rows := 0
+		err := s.db.SelectFunc(q, func(row []Value) {
+			body = appendRowText(body, row)
+			rows++
+		})
 		if err != nil {
 			return ""
 		}
-		evaled, lastIns, lastRows = haveTable, ins, len(res.Rows)
-		body := res.Text()
-		if havePush && body == lastBody {
+		evaled, lastIns, lastRows = true, ins, rows
+		if havePush && bytes.Equal(body, last) {
 			return "" // unchanged result: no datagram
 		}
-		if !havePush && len(res.Rows) == 0 {
+		if !havePush && rows == 0 {
 			return "" // idle from the start: nothing to report yet
 		}
-		lastBody, havePush = body, true
-		return body
+		body, last, havePush = last, body, true
+		return string(last)
 	}
 }
 

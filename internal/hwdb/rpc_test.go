@@ -1,6 +1,7 @@
 package hwdb
 
 import (
+	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -65,5 +66,31 @@ func TestEveryUnitsOfBothGrammars(t *testing.T) {
 		if got := st.(*SubscribeStmt).Every; got != 2*want {
 			t.Errorf("CQL EVERY 2 %s = %v, want %v", unit, got, 2*want)
 		}
+	}
+}
+
+// TestUnchangedSubscriptionTickAllocatesNothing: a subscription tick that
+// runs its select again — a RANGE window is re-evaluated every period —
+// and finds the result it pushed last renders it into the bytes it keeps,
+// finds them equal and sends nothing: it allocates nothing. Its first push
+// is the text a query of the same select answers.
+func TestUnchangedSubscriptionTickAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	const cql = "SELECT * FROM Links [RANGE 5 SECONDS]"
+	db := fixtureDB(t)
+	tick := NewServer(db).selectTick(mustSelect(t, cql))
+	if got, want := tick(), answer(db.Query(cql)); got != want {
+		t.Fatalf("first push %q, want the query's %q", got, want)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
+	allocs := testing.AllocsPerRun(100, func() {
+		if body := tick(); body != "" {
+			t.Fatalf("an unchanged result pushed again: %q", body)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("an unchanged subscription tick allocates %.0f times, want 0", allocs)
 	}
 }

@@ -178,26 +178,10 @@ func (v Value) less(o Value) bool {
 
 // String renders the value in CQL literal syntax.
 func (v Value) String() string {
-	switch v.Type {
-	case TInt:
-		return strconv.FormatInt(v.Int, 10)
-	case TReal:
-		return strconv.FormatFloat(v.Real, 'g', -1, 64)
-	case TString:
+	if v.Type == TString {
 		return "'" + strings.ReplaceAll(v.Str, "'", "''") + "'"
-	case TBool:
-		if v.Int != 0 {
-			return "true"
-		}
-		return "false"
-	case TMAC:
-		return v.MAC().String()
-	case TIP:
-		return v.IP().String()
-	case TTime:
-		return "@" + strconv.FormatInt(v.Int, 10)
 	}
-	return "null"
+	return v.Text()
 }
 
 // Text renders the value without string quoting, for tabular output.
@@ -205,7 +189,42 @@ func (v Value) Text() string {
 	if v.Type == TString {
 		return v.Str
 	}
-	return v.String()
+	var buf [32]byte
+	return string(v.appendText(buf[:0]))
+}
+
+// appendText appends the value as Text renders it.
+func (v Value) appendText(b []byte) []byte {
+	switch v.Type {
+	case TInt:
+		return strconv.AppendInt(b, v.Int, 10)
+	case TReal:
+		return strconv.AppendFloat(b, v.Real, 'g', -1, 64)
+	case TString:
+		return append(b, v.Str...)
+	case TBool:
+		return strconv.AppendBool(b, v.Int != 0)
+	case TMAC:
+		const hex = "0123456789abcdef"
+		for i, x := range v.MAC() {
+			if i > 0 {
+				b = append(b, ':')
+			}
+			b = append(b, hex[x>>4], hex[x&15])
+		}
+		return b
+	case TIP:
+		for i, x := range v.IP() {
+			if i > 0 {
+				b = append(b, '.')
+			}
+			b = strconv.AppendUint(b, uint64(x), 10)
+		}
+		return b
+	case TTime:
+		return strconv.AppendInt(append(b, '@'), v.Int, 10)
+	}
+	return append(b, "null"...)
 }
 
 // Column is one column of a table schema.

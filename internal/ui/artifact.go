@@ -113,29 +113,27 @@ func (a *Artifact) rssi() (int, bool) {
 	}
 	sel := a.rssiSel
 	a.mu.Unlock()
-	res, err := a.DB.Select(sel)
-	if err != nil || len(res.Rows) == 0 {
-		return 0, false
-	}
-	return int(res.Rows[len(res.Rows)-1][0].Int), true
+	// A failed select visits no row, and reads as no sample.
+	rssi, ok := 0, false
+	_ = a.DB.SelectFunc(sel, func(row []hwdb.Value) { rssi, ok = int(row[0].Int), true })
+	return rssi, ok
 }
 
 // totalBandwidth sums Flows bytes over the last second-ish window.
 func (a *Artifact) totalBandwidth() float64 {
-	res, err := a.DB.Select(recentBytes)
-	if err != nil || len(res.Rows) == 0 {
-		return 0
-	}
-	return res.Rows[0][0].AsFloat() / 2
+	return firstCell(a.DB, recentBytes) / 2
 }
 
 // retryRate reads the recent average retry count per link sample.
 func (a *Artifact) retryRate() float64 {
-	res, err := a.DB.Select(recentRetries)
-	if err != nil || len(res.Rows) == 0 {
-		return 0
-	}
-	return res.Rows[0][0].AsFloat()
+	return firstCell(a.DB, recentRetries)
+}
+
+// firstCell reads a one-cell aggregate select as a number: 0 if it fails.
+func firstCell(db *hwdb.DB, sel *hwdb.SelectStmt) float64 {
+	x := 0.0
+	_ = db.SelectFunc(sel, func(row []hwdb.Value) { x = row[0].AsFloat() })
+	return x
 }
 
 // signalLEDs maps an RSSI reading onto a number of lit LEDs: full strip at

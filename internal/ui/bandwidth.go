@@ -62,7 +62,7 @@ type serviceKey struct {
 }
 
 // mustSelect parses one of the displays' own statements, once, so that a
-// refresh is a DB.Select and not a parse.
+// refresh is a DB.SelectFunc and not a parse.
 func mustSelect(cql string) *hwdb.SelectStmt {
 	sel, err := hwdb.ParseSelect(cql)
 	if err != nil {
@@ -92,24 +92,23 @@ func (v *BandwidthView) hostnames() {
 		}
 	}
 	clear(v.names)
-	res, err := v.DB.Select(leaseNames)
-	if err != nil {
-		return
-	}
-	v.leases, v.leasesAt = t, ins
-	for _, row := range res.Rows {
+	if err := v.DB.SelectFunc(leaseNames, func(row []hwdb.Value) {
 		if row[2].Str == "add" && row[1].Str != "" {
 			v.names[row[0].MAC()] = row[1].Str
 		}
+	}); err != nil {
+		return
 	}
+	v.leases, v.leasesAt = t, ins
 }
 
 // Rows computes the current display rows, most-consuming device first (the
 // left-hand side of Figure 5's screenshot), each device's services sorted
-// by volume (its right-hand side), services of equal volume by name. A
-// refresh allocates its Flows select's result, the rows it returns and the
-// names of devices without a hostname, and the Leases select's result only
-// when a lease has been written since the last refresh.
+// by volume (its right-hand side), services of equal volume by name. Both
+// selects are read in place with DB.SelectFunc, and Leases is selected
+// only when a lease has been written since the last refresh: a refresh
+// allocates the rows it returns and the names of devices without a
+// hostname.
 func (v *BandwidthView) Rows() ([]BandwidthRow, error) {
 	window := v.Window
 	if window <= 0 {
@@ -125,17 +124,12 @@ func (v *BandwidthView) Rows() ([]BandwidthRow, error) {
 		}
 		v.flows, v.flowsFor = sel, window
 	}
-	res, err := v.DB.Select(v.flows)
-	if err != nil {
-		return nil, err
-	}
 	if v.agg == nil {
 		v.agg, v.totals, v.names = map[serviceKey]uint64{}, map[packet.MAC]uint64{}, map[packet.MAC]string{}
 	}
 	clear(v.agg)
 	clear(v.totals)
-	v.hostnames()
-	for _, row := range res.Rows {
+	if err := v.DB.SelectFunc(v.flows, func(row []hwdb.Value) {
 		mac := row[0].MAC()
 		proto := packet.IPProto(row[1].Int)
 		dport := uint16(row[2].Int)
@@ -147,7 +141,10 @@ func (v *BandwidthView) Rows() ([]BandwidthRow, error) {
 			svc = packet.WellKnownService(proto, sport)
 		}
 		v.agg[serviceKey{mac, svc}] += uint64(row[4].AsFloat())
+	}); err != nil {
+		return nil, err
 	}
+	v.hostnames()
 
 	rows := make([]BandwidthRow, 0, len(v.agg))
 	for k, n := range v.agg {

@@ -96,11 +96,12 @@ func displayTick(tb testing.TB) func() {
 }
 
 // BenchmarkDisplayReads runs displayTick per op. A warm tick allocates
-// what the displays hand on: the result of each of its three selects
-// (Result, Cols, one block of cells, the row headers — the working sets
-// they were built in are pooled), the bandwidth rows and the LED strip.
-// The Figure-1 text is parsed once, on the first tick, and the Leases
-// select runs only on a tick after a lease was written;
+// what the displays hand on, 6 times and ~8 KB: the Figure-1 query's
+// result (Result, Cols, one block of cells, the row headers — the working
+// set it was built in is pooled), the bandwidth rows and the LED strip.
+// The view and the artifact read their selects in place with
+// DB.SelectFunc, the Figure-1 text is parsed once, on the first tick, and
+// the Leases select runs only on a tick after a lease was written;
 // TestDisplayReadsAllocations pins it.
 //
 //	go test -run '^$' -bench DisplayReads -benchtime 2000x -memprofile mem.out ./internal/ui
@@ -117,47 +118,68 @@ func BenchmarkDisplayReads(b *testing.B) {
 	}
 }
 
-// TestDisplayReadsAllocations pins a display tick: 14 allocations once the
-// selects' working sets are pooled, the bandwidth view keeps its maps, a
-// repeated text is not parsed again and an unchanged Leases table is not
-// selected again — three results of 4, the bandwidth rows and the LED
-// strip. A parse would cost 5 more, a Leases select 4, a select that threw
-// its working set away again several more each, and a view rebuilding its
-// maps three more.
+// TestDisplayReadsAllocations pins a display tick: 6 allocations once the
+// selects' working sets are pooled, the displays read their selects in
+// place, the bandwidth view keeps its maps, a repeated text is not parsed
+// again and an unchanged Leases table is not selected again — the
+// Figure-1 query's result of 4, the bandwidth rows and the LED strip. A
+// parse would cost 5 more, a display's select copied out as a Result 4
+// more, a select that threw its working set away again several more each,
+// and a view rebuilding its maps three more.
 func TestDisplayReadsAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
 	}
 	tick := displayTick(t)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
-	if got := testing.AllocsPerRun(200, tick); got > 16 {
-		t.Errorf("a display tick allocates %.0f times, want at most 16", got)
+	if got := testing.AllocsPerRun(200, tick); got > 6 {
+		t.Errorf("a display tick allocates %.0f times, want at most 6", got)
 	}
 }
 
-// A refresh with no lease written since the last does not select Leases:
-// it allocates what its Flows select and its rows do. A lease written
-// before each refresh brings that select back.
+// A refresh with no lease written since the last does not select Leases.
+// With the view's Leases statement swapped for one that names no device,
+// refreshes keep showing the hostnames the first one read, and each
+// allocates only the rows it returns; a lease written brings the select
+// back, and with it the swapped statement's empty names.
 func TestRefreshWithoutNewLeaseSkipsLeases(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
-	}
 	db := seededDB(clock.NewSimulated())
 	v := NewBandwidthView(db)
-	if _, err := v.Rows(); err != nil {
+	byMAC := func() (named, unnamed int) {
+		t.Helper()
+		rows, err := v.Rows()
+		if err != nil || len(rows) == 0 {
+			t.Fatalf("refresh: %d rows, %v", len(rows), err)
+		}
+		for _, r := range rows {
+			if r.Device == r.MAC.String() {
+				unnamed++
+			} else {
+				named++
+			}
+		}
+		return named, unnamed
+	}
+	if _, unnamed := byMAC(); unnamed != 0 {
+		t.Fatalf("first refresh shows %d rows by MAC, want every device named", unnamed)
+	}
+	defer func(sel *hwdb.SelectStmt) { leaseNames = sel }(leaseNames)
+	leaseNames = mustSelect("SELECT mac, hostname, action FROM Leases WHERE action = 'none'")
+	for i := 0; i < 3; i++ {
+		if _, unnamed := byMAC(); unnamed != 0 {
+			t.Fatalf("refresh %d with no new lease shows %d rows by MAC: it selected Leases again", i+1, unnamed)
+		}
+	}
+	if !raceEnabled { // sync.Pool drops a quarter of its puts under the race detector
+		defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = v.Rows() }); allocs != 1 {
+			t.Errorf("a refresh with no new lease allocates %.0f times, want 1: its rows", allocs)
+		}
+	}
+	if err := db.InsertLease("add", phoneMAC, packet.MustIP4("192.168.1.11"), "kids-phone"); err != nil {
 		t.Fatal(err)
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
-	flows := testing.AllocsPerRun(100, func() { _, _ = db.Select(v.flows) })
-	idle := testing.AllocsPerRun(100, func() { _, _ = v.Rows() })
-	if idle != flows+1 {
-		t.Errorf("a refresh with no new lease allocates %.0f times, want the Flows select's %.0f and its rows' 1", idle, flows)
-	}
-	leased := testing.AllocsPerRun(100, func() {
-		_ = db.InsertLease("add", phoneMAC, packet.MustIP4("192.168.1.11"), "kids-phone")
-		_, _ = v.Rows()
-	})
-	if leased <= idle {
-		t.Errorf("a refresh after a lease allocates %.0f times, no more than one without (%.0f)", leased, idle)
+	if named, _ := byMAC(); named != 0 {
+		t.Errorf("a refresh after a lease shows %d named rows: it did not select Leases again", named)
 	}
 }
