@@ -69,8 +69,11 @@ type Client struct {
 	seq    uint64
 	closed bool
 	// out and in are the frames the client sends and receives, reused
-	// call to call (see beginFrame).
+	// call to call (see beginFrame), and batch is what each response's
+	// batch decodes into, reused the same way: its deltas and rows are
+	// lent to the relay hub for the call that ingests them.
 	out, in []byte
+	batch   batchBuf
 
 	// Receiving-side telemetry books: the last batch sequence ingested
 	// and the cumulative rows/lost accounted into the relay hub. Compared
@@ -150,7 +153,9 @@ func (c *Client) reconcile(books Books) {
 }
 
 // ingest feeds one piggybacked batch into the relay hub, deduplicating
-// by batch sequence. Callers hold c.mu.
+// by batch sequence. The relay's consumers see each delta's rows for the
+// Ingest call only: the next response decodes over them. Callers hold
+// c.mu.
 func (c *Client) ingest(b *Batch) {
 	if b == nil || b.Seq <= c.gotSeq && len(b.Deltas) > 0 {
 		// A replayed batch (the worker rolled back a write we actually
@@ -189,7 +194,7 @@ func (c *Client) roundTrip(conn net.Conn, br *bufio.Reader, req *Request, timeou
 	if c.in, err = readFrame(br, c.in); err != nil {
 		return nil, err
 	}
-	resp, err := DecodeResponse(c.in)
+	resp, err := decodeResponse(c.in, &c.batch)
 	if err != nil {
 		return nil, err
 	}

@@ -80,10 +80,11 @@ func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 // can neither over-read nor bait a huge allocation. The first bad read
 // sets err, and every later field leaves its value alone.
 type coder struct {
-	b   []byte
-	off int
-	dec bool
-	err error
+	b    []byte
+	off  int
+	dec  bool
+	err  error
+	kept *batchBuf // what a batch decodes into; nil for a fresh one
 }
 
 func (c *coder) remaining() int { return len(c.b) - c.off }
@@ -342,8 +343,13 @@ func appendResponse(b []byte, resp *Response) []byte {
 }
 
 // DecodeResponse parses one response payload, as strict as
-// decodeRequest.
-func DecodeResponse(payload []byte) (*Response, error) {
+// decodeRequest. A batch it carries is decoded into rows of its own.
+func DecodeResponse(payload []byte) (*Response, error) { return decodeResponse(payload, nil) }
+
+// decodeResponse is DecodeResponse decoding a batch into kept, when it is
+// set: the batch's deltas and their rows are then valid until the next
+// decode into kept.
+func decodeResponse(payload []byte, kept *batchBuf) (*Response, error) {
 	seq, rest, body, err := splitHeader(payload)
 	if err != nil {
 		return nil, err
@@ -368,7 +374,7 @@ func DecodeResponse(payload []byte) (*Response, error) {
 		return nil, frameErr("unknown verb %q", rest)
 	}
 	resp := &Response{Seq: seq, Verb: verb}
-	c := coder{b: body, dec: true}
+	c := coder{b: body, dec: true, kept: kept}
 	c.response(resp)
 	if err := c.finish(); err != nil {
 		return nil, err
@@ -410,7 +416,16 @@ func (c *coder) books(b *Books) {
 // rows in the hwdb.AppendRows layout — every row's cells as the ring holds
 // them, each delta's shape once. The decoder reads the whole batch into
 // one hwdb.RowBuilder sized by the totals, so a batch costs a fixed number
-// of allocations however many deltas it carries.
+// of allocations however many deltas it carries, and none for its rows or
+// deltas when it decodes into a batchBuf whose arrays have room.
+
+// batchBuf is what a client decodes every batch into, reused batch to
+// batch: a batch's deltas and rows are lent to the client for the one
+// call that reads them.
+type batchBuf struct {
+	rows   hwdb.RowBuilder
+	deltas []telemetry.Delta
+}
 
 func (c *coder) batch(b *Batch) {
 	c.uvarint(&b.Seq)
@@ -423,19 +438,26 @@ func (c *coder) batch(b *Batch) {
 		room = room.Add(hwdb.RoomFor(d.Rows))
 	}
 	c.room(&room)
-	var rows hwdb.RowBuilder
+	var fresh hwdb.RowBuilder
+	rows := &fresh
 	if c.dec && c.err == nil {
-		rows.Reserve(room)
-		if n > 0 {
+		if k := c.kept; k != nil {
+			rows = &k.rows
+			rows.Reset()
+			clear(k.deltas)
+			k.deltas = slices.Grow(k.deltas[:0], n)[:n]
+			b.Deltas = k.deltas
+		} else if n > 0 {
 			b.Deltas = make([]telemetry.Delta, n)
 		}
+		rows.Reserve(room)
 	}
 	for i := range b.Deltas {
 		d := &b.Deltas[i]
 		c.uvarint(&d.Source.Home)
 		c.str(&d.Source.Table)
 		c.uvarint(&d.Lost)
-		c.rows(&rows, i, &d.Rows)
+		c.rows(rows, i, &d.Rows)
 	}
 	if left := rows.Left(); c.dec && c.err == nil && left != (hwdb.Room{}) {
 		c.fail("batch totals exceed its deltas' rows by %+v", left)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/fleet/engine"
+	"repro/internal/hwdb"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -111,9 +112,11 @@ type Server struct {
 	// batchMu guards the pending buffer and the committed books, and
 	// serializes every batch-bearing response's snapshot → write → commit
 	// sequence: a batch is committed only after its response bytes were
-	// written, and rolled back (left pending) when the write fails.
+	// written, and rolled back (left pending) when the write fails. The
+	// pending deltas' rows are copies in rows, which a commit resets.
 	batchMu sync.Mutex
 	pending []telemetry.Delta
+	rows    hwdb.RowBuilder
 	books   Books
 }
 
@@ -133,9 +136,11 @@ func NewServer(cfg Config) *Server {
 }
 
 // enqueue buffers one hub delta for the next batch-bearing response. It
-// runs synchronously inside the hub's drain pass.
+// runs synchronously inside the hub's drain pass, which lends the delta's
+// rows for the call only, so it keeps a copy of them.
 func (s *Server) enqueue(d telemetry.Delta) {
 	s.batchMu.Lock()
+	d.Rows = s.rows.Copy(d.Rows)
 	s.pending = append(s.pending, d)
 	s.batchMu.Unlock()
 }
@@ -339,34 +344,33 @@ func (s *Server) handle(conn net.Conn, req *Request, out []byte) ([]byte, error)
 func (s *Server) writeWithBatch(conn net.Conn, resp *Response, out []byte) ([]byte, error) {
 	s.batchMu.Lock()
 	defer s.batchMu.Unlock()
-	n := len(s.pending)
 	var rows, lost uint64
-	for _, d := range s.pending[:n] {
+	for _, d := range s.pending {
 		rows += uint64(len(d.Rows))
 		lost += d.Lost
 	}
 	seq := s.books.Seq
-	if n > 0 {
+	if len(s.pending) > 0 {
 		seq++
 	}
 	resp.Batch = &Batch{
 		Seq:      seq,
 		SentRows: s.books.SentRows + rows,
 		SentLost: s.books.SentLost + lost,
-		Deltas:   s.pending[:n:n],
+		Deltas:   s.pending,
 	}
 	out = appendResponse(beginFrame(out), resp)
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := writeFrame(conn, out); err != nil {
 		return out, err
 	}
-	if n > 0 {
+	if len(s.pending) > 0 {
 		s.books = Books{Seq: seq, SentRows: s.books.SentRows + rows, SentLost: s.books.SentLost + lost}
-		// The committed deltas are encoded and gone: shift whatever
-		// arrived behind them down, and let go of their rows.
-		k := copy(s.pending, s.pending[n:])
-		clear(s.pending[k:])
-		s.pending = s.pending[:k]
+		// The committed deltas are encoded and gone; batchMu kept any
+		// other from arriving behind them.
+		clear(s.pending)
+		s.pending = s.pending[:0]
+		s.rows.Reset()
 	}
 	return out, nil
 }

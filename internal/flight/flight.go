@@ -9,6 +9,8 @@
 // insert hot path is untouched: inserters still pay one atomic load, a CAS
 // and a non-blocking send, and the recorder's locks are only ever taken on
 // the drain goroutine (or the Folder.Commit goroutine for the view table).
+// The pass lends a delta's rows for the call, so the recorder copies what
+// it keeps into arrays each window owns.
 //
 // Accounting composes with the hub's delivered+lost books: every row the
 // hub delivers (plus every directly watched view row) is either still
@@ -145,7 +147,10 @@ func (r *Recorder) AttachView(db *hwdb.DB, table string) error {
 	return nil
 }
 
-// consume is the hub subscriber: one delta, oldest-first rows.
+// consume is the hub subscriber: one delta, oldest-first rows. The hub
+// lends the rows for the call, so each run of them that falls in one
+// window is copied into arrays of that window's own: a window evicted
+// frees its rows, and keeps no other window's alive.
 func (r *Recorder) consume(d telemetry.Delta) {
 	r.mu.Lock()
 	s := r.streams[d.Source]
@@ -153,8 +158,15 @@ func (r *Recorder) consume(d telemetry.Delta) {
 		s = &stream{}
 		r.streams[d.Source] = s
 	}
-	for _, row := range d.Rows {
-		r.append(s, row)
+	for i := 0; i < len(d.Rows); {
+		b := r.bucket(d.Rows[i])
+		j := i + 1
+		for j < len(d.Rows) && r.bucket(d.Rows[j]) == b {
+			j++
+		}
+		var own hwdb.RowBuilder
+		r.append(s, b, own.Copy(d.Rows[i:j]))
+		i = j
 	}
 	r.delivered += uint64(len(d.Rows))
 	r.stored += uint64(len(d.Rows))
@@ -163,7 +175,8 @@ func (r *Recorder) consume(d telemetry.Delta) {
 	r.mu.Unlock()
 }
 
-// ingest records one direct table insert (AttachView path).
+// ingest records one direct table insert (AttachView path): a hook row,
+// which is the recorder's to keep.
 func (r *Recorder) ingest(id telemetry.SourceID, row hwdb.Row) {
 	r.mu.Lock()
 	s := r.streams[id]
@@ -171,27 +184,33 @@ func (r *Recorder) ingest(id telemetry.SourceID, row hwdb.Row) {
 		s = &stream{}
 		r.streams[id] = s
 	}
-	r.append(s, row)
+	r.append(s, r.bucket(row), []hwdb.Row{row})
 	r.viewRows++
 	r.stored++
 	r.compact(s)
 	r.mu.Unlock()
 }
 
-// append places row into its time bucket. Rows arrive oldest-first per
-// stream, so the target bucket is always the last window or a new one.
-func (r *Recorder) append(s *stream, row hwdb.Row) {
-	ts := row.Time()
-	b := ts.UnixNano() / int64(r.cfg.Window)
+// bucket returns the window a row's timestamp falls in.
+func (r *Recorder) bucket(row hwdb.Row) int64 {
+	return row.Time().UnixNano() / int64(r.cfg.Window)
+}
+
+// append places rows, which all fall in window b, into it. Rows arrive
+// oldest-first per stream, so the target bucket is always the last window
+// or a new one.
+func (r *Recorder) append(s *stream, b int64, rows []hwdb.Row) {
 	n := len(s.windows)
 	if n == 0 || s.windows[n-1].bucket != b {
-		s.windows = append(s.windows, &windowBuf{bucket: b})
-		n++
+		s.windows = append(s.windows, &windowBuf{bucket: b, rows: rows})
+	} else {
+		w := s.windows[n-1]
+		w.rows = append(w.rows, rows...)
 	}
-	w := s.windows[n-1]
-	w.rows = append(w.rows, row)
-	if ts.After(s.newest) {
-		s.newest = ts
+	for _, row := range rows {
+		if ts := row.Time(); ts.After(s.newest) {
+			s.newest = ts
+		}
 	}
 }
 

@@ -101,6 +101,44 @@ func TestRecorderRetentionBooks(t *testing.T) {
 	}
 }
 
+// TestRecorderKeepsWhatAFlushLent: the hub lends a delta's rows for the
+// call, and its next flush writes over the arrays they view, so the
+// recorder keeps copies of its own: fed two flushes in two windows — with
+// strings, and as many rows each — it still reads the first flush's values.
+func TestRecorderKeepsWhatAFlushLent(t *testing.T) {
+	clk := clock.NewSimulated()
+	db := hwdb.New(clk)
+	tbl, err := db.CreateTable("T", hwdb.NewSchema(hwdb.Column{Name: "n", Type: hwdb.TInt}, hwdb.Column{Name: "s", Type: hwdb.TString}), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := telemetry.NewHub(telemetry.HubConfig{})
+	defer hub.Close()
+	hub.Watch(telemetry.SourceID{Home: 1, Table: "T"}, tbl)
+	rec := flight.NewRecorder(flight.RecorderConfig{Window: time.Second, Retention: -1})
+	rec.Attach(hub)
+	for flush := range 2 {
+		for i := range 5 {
+			n := int64(10*flush + i)
+			if err := tbl.Insert(clk.Now(), []hwdb.Value{hwdb.Int64(n), hwdb.Str(fmt.Sprint("row-", n))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hub.Flush()
+		clk.Advance(2 * time.Second)
+	}
+	rows := rec.Rows(1, "T", time.Time{}, time.Time{})
+	if len(rows) != 10 {
+		t.Fatalf("recorder holds %d rows, want 10", len(rows))
+	}
+	for k, r := range rows {
+		n := int64(10*(k/5) + k%5)
+		if r.NumCols() != 2 || r.Int(0) != n || r.Str(1) != fmt.Sprint("row-", n) {
+			t.Fatalf("row %d does not read %d %q", k, n, fmt.Sprint("row-", n))
+		}
+	}
+}
+
 // TestRecorderInsertHotPathZeroAllocs pins the acceptance bound: a flight
 // recorder attached at the subscriber seam adds zero allocations to a
 // watched table's insert path (the recorder only works at drain time).

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 )
 
 // RowBuilder lays rows out outside a table, in the layout the rings keep:
@@ -17,22 +18,68 @@ import (
 //   - the telemetry hub copies a whole flush into one builder: ReserveTail
 //     for every dirty table, then Tail for each;
 //   - the shard protocol reads a whole batch off the wire into one: Reserve
-//     the totals the batch declares, then ReadRows for each delta.
+//     the totals the batch declares, then ReadRows for each delta;
+//   - a consumer that keeps rows lent to it copies them into one with Copy,
+//     which reserves and fills in one call.
 //
-// When an array has no room for the next run, it is replaced by one with
-// room for the rest of the reservation — allocated once, then, at the size
-// the allocator rounds that to — and what is left of the arrays when the
-// builder is done goes to the next builder through Rest. The rows a
-// builder hands out are never written again: keeping one keeps its arrays,
-// and nothing else. The zero value is an empty builder; a RowBuilder is not
-// safe for concurrent use.
+// When an array has no room for the rest of the reservation, it is
+// replaced by one that has — allocated once, then, at the size the
+// allocator rounds that to. Reset empties the builder for its next fill
+// and keeps its arrays, so a builder filled again and again (a hub's drain
+// passes, a client's batches) allocates only when a fill outgrows the last.
+// The rows a builder hands out are valid until its next Reset: Reset
+// zeroes what they view, and the next fill writes over it. Until then they
+// are never written. The zero value is an empty builder; a RowBuilder is
+// not safe for concurrent use.
 type RowBuilder struct {
 	want, used Room
-	// What is left of each array, carved from the front.
-	cells []uint64
-	strs  []string
-	rows  []Row
-	runs  []rowBlock
+	cells      arena[uint64]
+	strs       arena[string]
+	rows       arena[Row]
+	runs       arena[rowBlock]
+}
+
+// maxKeptArray is the size, in bytes, above which Reset drops an array
+// instead of keeping it for the next fill — as maxPooledSet bounds a pooled
+// select set — so that one large fill (a home's first flush of its
+// pre-filled rings) is not retained for good.
+const maxKeptArray = 64 << 10
+
+// arena is one of a builder's arrays: runs are carved from buf[off:].
+type arena[E any] struct {
+	buf []E
+	off int
+}
+
+// carve cuts the next n elements off the arena. When fewer than rest of
+// them are left (rest >= n, the remainder of the reservation), the arena
+// is first replaced by a new array with room for all of rest — or for twice
+// the old array, up to maxKeptArray, so that a builder filled delta by
+// delta grows geometrically — stretched to the size the allocator hands out
+// anyway.
+func (a *arena[E]) carve(n, rest int) []E {
+	if len(a.buf)-a.off < rest {
+		var zero E
+		grow := min(2*len(a.buf), maxKeptArray/int(unsafe.Sizeof(zero)))
+		a.buf = slices.Grow([]E(nil), max(rest, grow))
+		a.buf, a.off = a.buf[:cap(a.buf)], 0
+	}
+	s := a.buf[a.off : a.off+n : a.off+n]
+	a.off += n
+	return s
+}
+
+// reset empties the arena, zeroing what was carved so that nothing it held
+// stays reachable through it, or drops the array if it is above
+// maxKeptArray.
+func (a *arena[E]) reset() {
+	var zero E
+	if uintptr(len(a.buf))*unsafe.Sizeof(zero) > maxKeptArray {
+		a.buf = nil
+	} else {
+		clear(a.buf[:a.off])
+	}
+	a.off = 0
 }
 
 // Room counts what a RowBuilder holds: rows, their cells (a row's insert
@@ -56,12 +103,9 @@ func runRoom(sh *rowShape, n int) Room {
 	return Room{Rows: n, Cells: n * sh.stride, Strs: n * sh.nstr, Runs: 1}
 }
 
-// Reserve adds r to what the builder will hold. Every reservation comes
-// before the first run is taken.
+// Reserve adds r to what the builder will hold. A run is taken only from
+// room reserved before it.
 func (b *RowBuilder) Reserve(r Room) {
-	if b.used != (Room{}) {
-		panic("hwdb: RowBuilder.Reserve after the first run was taken")
-	}
 	b.want = b.want.Add(r)
 }
 
@@ -70,31 +114,19 @@ func (b *RowBuilder) Left() Room {
 	return Room{b.want.Rows - b.used.Rows, b.want.Cells - b.used.Cells, b.want.Strs - b.used.Strs, b.want.Runs - b.used.Runs}
 }
 
-// Rest returns an empty builder whose runs are carved first from what b's
-// arrays have left: the slack the allocator rounded them up by, and any of
-// the reservation that went unused. A drain pass hands the next one its
-// rest, so rounding wastes nothing from pass to pass.
-func (b *RowBuilder) Rest() RowBuilder {
-	return RowBuilder{cells: b.cells, strs: b.strs, rows: b.rows, runs: b.runs}
-}
-
-// carve cuts the next n elements off the front of *free. When fewer are
-// left, *free is first replaced by a new array with room for rest of them
-// (rest >= n, the remainder of the reservation), stretched to the size the
-// allocator hands out anyway.
-func carve[E any](free *[]E, n, rest int) []E {
-	if len(*free) < n {
-		*free = slices.Grow([]E(nil), rest)
-		*free = (*free)[:cap(*free)]
-	}
-	s := (*free)[:n:n]
-	*free = (*free)[n:]
-	return s
+// Reset empties the builder for its next fill. Every row it handed out is
+// invalid from here on. It keeps its arrays, less any above maxKeptArray.
+func (b *RowBuilder) Reset() {
+	b.want, b.used = Room{}, Room{}
+	b.cells.reset()
+	b.strs.reset()
+	b.rows.reset()
+	b.runs.reset()
 }
 
 // carveRuns takes k run headers. The caller has checked the room.
 func (b *RowBuilder) carveRuns(k int) []rowBlock {
-	runs := carve(&b.runs, k, b.want.Runs-b.used.Runs)
+	runs := b.runs.carve(k, b.want.Runs-b.used.Runs)
 	b.used.Runs += k
 	return runs
 }
@@ -102,10 +134,10 @@ func (b *RowBuilder) carveRuns(k int) []rowBlock {
 // fillRun makes run a run of n rows of shape sh, carving its cells and
 // strings. The caller has checked the room.
 func (b *RowBuilder) fillRun(run *rowBlock, sh *rowShape, n int) {
-	*run = rowBlock{shape: sh, cells: carve(&b.cells, n*sh.stride, b.want.Cells-b.used.Cells)}
+	*run = rowBlock{shape: sh, cells: b.cells.carve(n*sh.stride, b.want.Cells-b.used.Cells)}
 	b.used.Cells += n * sh.stride
 	if sh.nstr > 0 {
-		run.strs = carve(&b.strs, n*sh.nstr, b.want.Strs-b.used.Strs)
+		run.strs = b.strs.carve(n*sh.nstr, b.want.Strs-b.used.Strs)
 		b.used.Strs += n * sh.nstr
 	}
 }
@@ -113,7 +145,7 @@ func (b *RowBuilder) fillRun(run *rowBlock, sh *rowShape, n int) {
 // views carves the row views of runs, in order, as one slice. The caller
 // has checked the room.
 func (b *RowBuilder) views(runs []rowBlock, n int) []Row {
-	rows := carve(&b.rows, n, b.want.Rows-b.used.Rows)
+	rows := b.rows.carve(n, b.want.Rows-b.used.Rows)
 	b.used.Rows += n
 	i := 0
 	for r := range runs {
@@ -169,6 +201,34 @@ func (b *RowBuilder) Tail(t *Table, after, upto uint64) (rows []Row, lost uint64
 	}
 	t.copyInto(run, lo, hi)
 	return rows, lost
+}
+
+// Copy reserves room for rows and copies them into the builder, each
+// maximal run of one shape as a run of its own, and returns the copies:
+// what a consumer that keeps rows lent to it for a call keeps instead.
+func (b *RowBuilder) Copy(rows []Row) []Row {
+	if len(rows) == 0 {
+		return nil
+	}
+	room := RoomFor(rows)
+	b.Reserve(room)
+	runs := b.carveRuns(room.Runs)
+	for r, i := 0, 0; i < len(rows); r++ {
+		j := runEnd(rows, i)
+		sh := rows[i].shape()
+		run := &runs[r]
+		b.fillRun(run, sh, j-i)
+		for k, row := range rows[i:j] {
+			if row.b == nil { // the zero row: time 0, no columns
+				run.cells[k] = 0
+				continue
+			}
+			copy(run.cells[k*sh.stride:(k+1)*sh.stride], row.b.cells[row.i*sh.stride:])
+			copy(run.strs[k*sh.nstr:(k+1)*sh.nstr], row.b.strs[row.i*sh.nstr:])
+		}
+		i = j
+	}
+	return b.views(runs, len(rows))
 }
 
 // ------------------------------------------------------------------ wire

@@ -1,6 +1,7 @@
 package hwdb
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -98,40 +99,106 @@ func TestBuilderLaysRunsSideBySide(t *testing.T) {
 	if len(sr) != 3 || sr[0].Str(3) != "a" || sr[1].Str(3) != "" || sr[2].Str(0) != "add" {
 		t.Errorf("lease rows = %v", sr)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Reserve after a run was taken did not panic")
-		}
-	}()
-	b.Reserve(Room{Rows: 1})
 }
 
-// TestBuilderRestCarvesTheSlack: what a builder's arrays have left — here
-// the slack the allocator rounded 17 rows' cells and views up by — goes to
-// the builder Rest returns, whose runs are carved from it first, and the
-// rows the first builder handed out stay what they were.
-func TestBuilderRestCarvesTheSlack(t *testing.T) {
-	tbl := NewTable("T", NewSchema(Column{"a", TInt}, Column{"b", TInt}, Column{"c", TInt}), 64)
-	for i := range 18 {
-		if err := tbl.Insert(time.Unix(int64(i), 0), []Value{Int64(int64(i)), Int64(-1), Int64(-2)}); err != nil {
+// TestBuilderResetKeepsItsArrays: a builder filled, reset and filled again
+// with as many rows carves the second fill from the first fill's arrays and
+// allocates nothing; Reset zeroes the views it handed out; and a fill whose
+// arrays outgrow maxKeptArray leaves none of them behind.
+func TestBuilderResetKeepsItsArrays(t *testing.T) {
+	tbl := NewTable("T", NewSchema(Column{"a", TInt}, Column{"s", TString}), 8192)
+	for i := range 8192 {
+		if err := tbl.Insert(time.Unix(int64(i), 0), []Value{Int64(int64(i)), Str("x")}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var b RowBuilder
-	b.Reserve(runRoom(tbl.schema.shape, 17))
-	first, _ := b.Tail(tbl, 0, 17) // 17 × 4 cells: 544 bytes, rounded up to 576
-	if len(b.cells) < 4 || len(b.rows) < 1 {
-		t.Fatalf("no slack left: %d cells, %d views", len(b.cells), len(b.rows))
+	fill := func(after, n uint64) []Row {
+		b.Reset()
+		b.Reserve(runRoom(tbl.schema.shape, int(n)))
+		rows, _ := b.Tail(tbl, after, after+n)
+		return rows
 	}
-	next := b.Rest()
-	upto := next.ReserveTail(tbl, 17)
-	second, _ := next.Tail(tbl, 17, upto)
-	if len(second) != 1 || second[0].Int(0) != 17 || &second[0].b.cells[0] != &b.cells[0] {
-		t.Fatalf("second builder's row %v is not the first builder's slack", second)
+	first := fill(0, 17)
+	cells := &first[0].b.cells[0]
+	if first[16].Int(0) != 16 || first[16].Str(1) != "x" {
+		t.Fatalf("first fill's last row reads %d %q", first[16].Int(0), first[16].Str(1))
 	}
-	for i, r := range first {
-		if r.Int(0) != int64(i) || r.Int(2) != -2 {
-			t.Fatalf("first builder's row %d now reads %d, %d", i, r.Int(0), r.Int(2))
+	var second []Row
+	if n := testing.AllocsPerRun(20, func() { second = fill(100, 17) }); n != 0 && !raceEnabled {
+		t.Errorf("a warm fill allocates %.1f times, want 0", n)
+	}
+	if &second[0].b.cells[0] != cells || second[0].Int(0) != 100 {
+		t.Fatalf("the refill's row %d is not carved from the first fill's cells", second[0].Int(0))
+	}
+	b.Reset()
+	if first[0] != (Row{}) || b.strs.buf[0] != "" {
+		t.Fatal("Reset left the views or the strings it handed out in place")
+	}
+	big := fill(0, 8192) // 8192 × 2 cells, strings and views: 128 KB each
+	if len(big) != 8192 || big[8191].Int(0) != 8191 {
+		t.Fatalf("the large fill gave %d rows", len(big))
+	}
+	b.Reset()
+	if b.cells.buf != nil || b.strs.buf != nil || b.rows.buf != nil {
+		t.Fatalf("Reset kept %d cells, %d strings and %d views past maxKeptArray", len(b.cells.buf), len(b.strs.buf), len(b.rows.buf))
+	}
+	if b.runs.buf == nil {
+		t.Fatal("Reset dropped the run headers, which are under maxKeptArray")
+	}
+}
+
+// TestBuilderCopyOutlivesItsSource: Copy copies rows of several shapes —
+// two tables' runs, strings and the zero row among them — into a builder
+// of the caller's, so the copies read as the originals did after the
+// builder the originals were carved from is reset and refilled.
+func TestBuilderCopyOutlivesItsSource(t *testing.T) {
+	db := NewHomework(nil, 16)
+	for i := 0; i < 3; i++ {
+		if err := db.InsertLink([6]byte{2, byte(i)}, -40-i, i, 1.5*float64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.InsertLease("add", [6]byte{2, byte(i)}, [4]byte{10, 0, 0, byte(i)}, []string{"a", "", "c"}[i]); err != nil {
+			t.Fatal(err)
 		}
 	}
+	links, _ := db.Table(TableLinks)
+	leases, _ := db.Table(TableLeases)
+	var src RowBuilder
+	lr, _ := src.Tail(links, 0, src.ReserveTail(links, 0))
+	sr, _ := src.Tail(leases, 0, src.ReserveTail(leases, 0))
+	orig := append(append(append([]Row(nil), lr...), Row{}), sr...)
+	want := make([]string, len(orig))
+	for i, r := range orig {
+		want[i] = rowText(r)
+	}
+	var kept RowBuilder
+	kept.Copy(lr[:1]) // a run taken before the next copy reserves
+	copies := kept.Copy(orig)
+	if got := RoomFor(copies); got != RoomFor(orig) {
+		t.Fatalf("copies take %+v, originals %+v", got, RoomFor(orig))
+	}
+	src.Reset()
+	src.Tail(links, 0, src.ReserveTail(links, 0))
+	for i, r := range copies {
+		if got := rowText(r); got != want[i] {
+			t.Fatalf("copy %d reads %s, want %s", i, got, want[i])
+		}
+	}
+	if kept.Copy(nil) != nil {
+		t.Fatal("copying no rows gave rows")
+	}
+}
+
+// rowText renders a row's time and cells, or "-" for a row of no columns
+// (the zero row, whose copy reads time 0 as its wire form does).
+func rowText(r Row) string {
+	if r.NumCols() == 0 {
+		return "-"
+	}
+	s := fmt.Sprint(r.Time().UnixNano())
+	for c := 0; c < r.NumCols(); c++ {
+		s += "\t" + r.Value(c).Text()
+	}
+	return s
 }

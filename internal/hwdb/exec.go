@@ -25,7 +25,7 @@ type Result struct {
 func (r *Result) Text() string {
 	b := appendHeaderText(nil, r.Cols)
 	for _, row := range r.Rows {
-		b = appendRowText(b, row)
+		b = AppendRowText(b, row)
 	}
 	return unsafe.String(unsafe.SliceData(b), len(b)) // b is not written again
 }
@@ -42,10 +42,10 @@ func appendHeaderText(b []byte, cols []string) []byte {
 	return append(b, '\n')
 }
 
-// appendRowText appends one data line of the text format: each cell as
-// Value.Text renders it, tab-separated. Result.Text and a subscription's
-// tick both render rows through it.
-func appendRowText(b []byte, row []Value) []byte {
+// AppendRowText appends one data line of the text format: each cell as
+// Value.Text renders it, tab-separated. Result.Text, a subscription's tick
+// and the fleet endpoint's FLEET tick all render rows through it.
+func AppendRowText(b []byte, row []Value) []byte {
 	for i, v := range row {
 		if i > 0 {
 			b = append(b, '\t')

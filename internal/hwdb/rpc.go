@@ -94,9 +94,10 @@ func (s *Server) Handle(verb string, fn func(body string) (*Result, error)) {
 // HandleSubscribe replaces SUBSCRIBE with a named push source: the body
 // must then be "[SUBSCRIBE] <name> EVERY <n> <unit>". newTick is called
 // once per subscription with the bytes a push body may take; every period
-// the tick it returns gives the body to push, or "" to send nothing. A
-// longer body is truncated like a reply. Call before Serve.
-func (s *Server) HandleSubscribe(name string, newTick func(budget int) func() string) {
+// the tick it returns gives the body to push, or nothing to send nothing.
+// The body is the tick's until its next call, and the push only reads it.
+// A longer body is truncated like a reply. Call before Serve.
+func (s *Server) HandleSubscribe(name string, newTick func(budget int) func() []byte) {
 	s.verbs["SUBSCRIBE"] = func(addr *net.UDPAddr, body string) (string, string) {
 		every, err := parseEvery(name, body)
 		if err != nil {
@@ -186,8 +187,7 @@ func (s *Server) answer(addr *net.UDPAddr, req string) []byte {
 	if len(status) > maxStatus {
 		status = status[:maxStatus]
 	}
-	header := fmt.Sprintf("%s %d %s\n", rpcMagic, seq, status)
-	return []byte(header + truncateBody(resp, len(header)))
+	return appendBody(fmt.Appendf(nil, "%s %d %s\n", rpcMagic, seq, status), resp)
 }
 
 // parseRequest splits one request datagram into its sequence number,
@@ -209,18 +209,26 @@ func parseRequest(s string) (seq uint64, verb, body string, err error) {
 	return seq, strings.ToUpper(fields[2]), body, nil
 }
 
-// truncateBody caps a body so header+body fits in one MaxDatagram-sized
-// datagram, cutting at a line boundary and flagging the cut with a
-// "TRUNCATED" trailer.
-func truncateBody(body string, headerLen int) string {
-	if headerLen+len(body) <= MaxDatagram {
-		return body
+// truncated is the trailer line that flags a body cut to fit a datagram.
+const truncated = "TRUNCATED\n"
+
+// appendBody appends body to a datagram that holds its header, cutting the
+// body if header and body would not fit in one MaxDatagram-sized datagram:
+// at the last line boundary that leaves room for the "TRUNCATED" trailer,
+// which flags the cut.
+func appendBody[B string | []byte](dgram []byte, body B) []byte {
+	room := MaxDatagram - len(dgram)
+	if len(body) <= room {
+		return append(dgram, body...)
 	}
-	keep := body[:MaxDatagram-headerLen-len("TRUNCATED\n")]
-	if i := strings.LastIndexByte(keep, '\n'); i >= 0 {
-		keep = keep[:i+1]
+	keep := body[:room-len(truncated)]
+	for i := len(keep); i > 0; i-- {
+		if keep[i-1] == '\n' {
+			keep = keep[:i]
+			break
+		}
 	}
-	return keep + "TRUNCATED\n"
+	return append(append(dgram, keep...), truncated...)
 }
 
 // parseEvery parses a named source's subscription body, "[SUBSCRIBE]
@@ -255,13 +263,13 @@ func (s *Server) subscribeSelect(addr *net.UDPAddr, body string) (string, string
 	if !ok {
 		return "ERR body must be a SUBSCRIBE statement", ""
 	}
-	return s.subscribe(addr, sub.Every, func(int) func() string { return s.selectTick(sub.Query) })
+	return s.subscribe(addr, sub.Every, func(int) func() []byte { return s.selectTick(sub.Query) })
 }
 
 // subscribe registers a subscription pushing to addr every period and
 // starts its goroutine. It is refused once Close has begun, so Close never
 // waits on a subscription it did not cancel.
-func (s *Server) subscribe(addr *net.UDPAddr, every time.Duration, newTick func(budget int) func() string) (string, string) {
+func (s *Server) subscribe(addr *net.UDPAddr, every time.Duration, newTick func(budget int) func() []byte) (string, string) {
 	if every <= 0 {
 		return "ERR bad period", "" // would push without pause
 	}
@@ -298,9 +306,11 @@ func (s *Server) unsubscribe(_ *net.UDPAddr, body string) (string, string) {
 	return "OK", ""
 }
 
-// push drives one subscription until it is cancelled or a send fails.
-func (s *Server) push(addr *net.UDPAddr, header string, every time.Duration, tick func() string, cancel <-chan struct{}) {
+// push drives one subscription until it is cancelled or a send fails. It
+// writes each datagram, header and body, into one buffer it keeps.
+func (s *Server) push(addr *net.UDPAddr, header string, every time.Duration, tick func() []byte, cancel <-chan struct{}) {
 	defer s.wg.Done()
+	var dgram []byte
 	for {
 		select {
 		case <-cancel:
@@ -308,10 +318,11 @@ func (s *Server) push(addr *net.UDPAddr, header string, every time.Duration, tic
 		case <-s.db.clk.After(every):
 		}
 		body := tick()
-		if body == "" {
+		if len(body) == 0 {
 			continue
 		}
-		if _, err := s.conn.WriteToUDP([]byte(header+truncateBody(body, len(header))), addr); err != nil {
+		dgram = appendBody(append(dgram[:0], header...), body)
+		if _, err := s.conn.WriteToUDP(dgram, addr); err != nil {
 			return
 		}
 	}
@@ -325,9 +336,9 @@ func (s *Server) push(addr *net.UDPAddr, header string, every time.Duration, tic
 // the last push is not re-sent. A subscription over an idle table
 // therefore generates no datagrams at all until data first appears. A
 // tick renders its result's text into bytes it keeps, visiting the rows in
-// place, and makes a string only of a body it pushes: an unchanged result
-// costs no allocation.
-func (s *Server) selectTick(q *SelectStmt) func() string {
+// place, and hands back the bytes it pushes: a tick allocates only when a
+// result outgrows the last.
+func (s *Server) selectTick(q *SelectStmt) func() []byte {
 	var (
 		body, last []byte   // this evaluation's text; the last push's
 		cols       []string // the result's column names, rebuilt in place
@@ -336,34 +347,34 @@ func (s *Server) selectTick(q *SelectStmt) func() string {
 		lastIns    uint64   // table insert count at the last evaluation
 		lastRows   int      // data rows in the last evaluation
 	)
-	return func() string {
+	return func() []byte {
 		t, ok := s.db.Table(q.Table)
 		if !ok {
-			return "" // the SELECT would fail
+			return nil // the SELECT would fail
 		}
 		ins, _ := t.Stats()
 		if evaled && ins == lastIns && (q.Win.Kind != WindowRange || lastRows == 0) {
-			return "" // nothing can have changed: skip the SELECT too
+			return nil // nothing can have changed: skip the SELECT too
 		}
 		cols = appendCols(cols[:0], t.Schema(), q)
 		body = appendHeaderText(body[:0], cols)
 		rows := 0
 		err := s.db.SelectFunc(q, func(row []Value) {
-			body = appendRowText(body, row)
+			body = AppendRowText(body, row)
 			rows++
 		})
 		if err != nil {
-			return ""
+			return nil
 		}
 		evaled, lastIns, lastRows = true, ins, rows
 		if havePush && bytes.Equal(body, last) {
-			return "" // unchanged result: no datagram
+			return nil // unchanged result: no datagram
 		}
 		if !havePush && rows == 0 {
-			return "" // idle from the start: nothing to report yet
+			return nil // idle from the start: nothing to report yet
 		}
 		body, last, havePush = last, body, true
-		return string(last)
+		return last
 	}
 }
 

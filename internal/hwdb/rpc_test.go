@@ -1,6 +1,7 @@
 package hwdb
 
 import (
+	"bytes"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -69,6 +70,36 @@ func TestEveryUnitsOfBothGrammars(t *testing.T) {
 	}
 }
 
+// TestWarmPushAssemblyAllocatesNothing: a push writes its header and body
+// into the one buffer its subscription keeps, cutting a body too long for
+// a datagram at its last whole line, in place, as a reply's is cut. Once
+// the buffer has grown, assembling a datagram allocates nothing.
+func TestWarmPushAssemblyAllocatesNothing(t *testing.T) {
+	const header = "HWDB/1 0 PUSH 1\n"
+	short := []byte("a\tb\n1\t2\n")
+	long := bytes.Repeat([]byte("0123456789\t0123456789\n"), MaxDatagram/20)
+	var dgram []byte
+	push := func(body []byte) []byte {
+		dgram = appendBody(append(dgram[:0], header...), body)
+		return dgram
+	}
+	if got := string(push(short)); got != header+string(short) {
+		t.Fatalf("short push %q", got)
+	}
+	got := push(long)
+	keep := len(got) - len(header) - len(truncated)
+	if len(got) > MaxDatagram || !bytes.HasSuffix(got, []byte("\n"+truncated)) ||
+		!bytes.Equal(got[len(header):len(header)+keep], long[:keep]) || len(got)+22 <= MaxDatagram {
+		t.Fatalf("long push: %d bytes, ending %q", len(got), got[max(0, len(got)-40):])
+	}
+	if reply := appendBody([]byte(header), string(long)); !bytes.Equal(reply, got) {
+		t.Fatal("a push body is cut unlike a reply body")
+	}
+	if n := testing.AllocsPerRun(100, func() { push(short); push(long) }); n != 0 {
+		t.Errorf("a warm push assembles in %.0f allocations, want 0", n)
+	}
+}
+
 // TestUnchangedSubscriptionTickAllocatesNothing: a subscription tick that
 // runs its select again — a RANGE window is re-evaluated every period —
 // and finds the result it pushed last renders it into the bytes it keeps,
@@ -81,12 +112,12 @@ func TestUnchangedSubscriptionTickAllocatesNothing(t *testing.T) {
 	const cql = "SELECT * FROM Links [RANGE 5 SECONDS]"
 	db := fixtureDB(t)
 	tick := NewServer(db).selectTick(mustSelect(t, cql))
-	if got, want := tick(), answer(db.Query(cql)); got != want {
+	if got, want := string(tick()), answer(db.Query(cql)); got != want {
 		t.Fatalf("first push %q, want the query's %q", got, want)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
 	allocs := testing.AllocsPerRun(100, func() {
-		if body := tick(); body != "" {
+		if body := tick(); len(body) != 0 {
 			t.Fatalf("an unchanged result pushed again: %q", body)
 		}
 	})

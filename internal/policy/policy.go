@@ -189,6 +189,7 @@ type Engine struct {
 
 	mu       sync.Mutex
 	policies map[string]installed
+	names    []string // the policies' names, sorted: the order AccessFor walks them in
 	keys     map[string]bool
 	watchers []func()
 }
@@ -235,6 +236,9 @@ func (e *Engine) Install(p *Policy) error {
 		return err
 	}
 	e.mu.Lock()
+	if i, found := slices.BinarySearch(e.names, p.Name); !found {
+		e.names = slices.Insert(e.names, i, p.Name)
+	}
 	e.policies[p.Name] = installed{p, devices}
 	e.mu.Unlock()
 	e.notify()
@@ -245,7 +249,11 @@ func (e *Engine) Install(p *Policy) error {
 func (e *Engine) Remove(name string) bool {
 	e.mu.Lock()
 	_, ok := e.policies[name]
-	delete(e.policies, name)
+	if ok {
+		i, _ := slices.BinarySearch(e.names, name)
+		e.names = slices.Delete(e.names, i, i+1)
+		delete(e.policies, name)
+	}
 	e.mu.Unlock()
 	if ok {
 		e.notify()
@@ -257,11 +265,10 @@ func (e *Engine) Remove(name string) bool {
 func (e *Engine) Policies() []*Policy {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]*Policy, 0, len(e.policies))
-	for _, p := range e.policies {
-		out = append(out, p.Policy)
+	out := make([]*Policy, len(e.names))
+	for i, name := range e.names {
+		out[i] = e.policies[name].Policy
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -284,7 +291,8 @@ func (e *Engine) RemoveKey(id string) {
 // AccessFor computes the effective restriction for a device now. When
 // multiple policies govern a device, access is granted if any active
 // policy grants it, and the allowed-site sets of granting policies are
-// unioned.
+// unioned. The policies are walked in name order, and the reason is the
+// last governing policy's in that order.
 func (e *Engine) AccessFor(mac packet.MAC) Access {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -295,7 +303,8 @@ func (e *Engine) AccessFor(mac packet.MAC) Access {
 	unrestricted := false
 	var sites []string
 	var reason string
-	for _, p := range e.policies {
+	for _, name := range e.names {
+		p := e.policies[name]
 		if !slices.Contains(p.devices, mac) {
 			continue
 		}

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -250,5 +251,36 @@ func TestEngineInstallRemoveNotify(t *testing.T) {
 	}
 	if len(e.Policies()) != 0 {
 		t.Error("policy list not empty")
+	}
+}
+
+// TestAccessReasonIsAFunctionOfThePolicies: with four policies governing
+// one MAC — installed out of name order, one of them replaced and one
+// removed and installed again — every AccessFor call gives the same
+// reason: the last governing policy's in name order.
+func TestAccessReasonIsAFunctionOfThePolicies(t *testing.T) {
+	e, _ := engineAt(t)
+	for _, name := range []string{"delta", "alpha", "charlie", "bravo", "alpha"} {
+		p := &Policy{Name: name, Devices: []string{kidMAC.String()}, AllowedSites: []string{name + ".example"}}
+		if err := e.Install(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !e.Remove("charlie") {
+		t.Fatal("remove failed")
+	}
+	_ = e.Install(&Policy{Name: "charlie", Devices: []string{kidMAC.String()}, RequireKey: "k"})
+	want := "policy delta: access granted"
+	for i := range 200 {
+		if acc := e.AccessFor(kidMAC); acc.Reason != want {
+			t.Fatalf("call %d: reason %q, want %q", i, acc.Reason, want)
+		}
+	}
+	var names []string
+	for _, p := range e.Policies() {
+		names = append(names, p.Name)
+	}
+	if got := strings.Join(names, ","); got != "alpha,bravo,charlie,delta" {
+		t.Fatalf("policies %s, want them once each in name order", got)
 	}
 }

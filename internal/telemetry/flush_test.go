@@ -78,7 +78,11 @@ func TestFlushMatchesPerSourceTail(t *testing.T) {
 		clk := clock.NewSimulated()
 		hub := NewHub(HubConfig{})
 		var got []Delta
-		hub.SubscribeFunc(func(d Delta) { got = append(got, d) })
+		var kept hwdb.RowBuilder // the rows are lent for the call: compare copies
+		hub.SubscribeFunc(func(d Delta) {
+			d.Rows = kept.Copy(d.Rows)
+			got = append(got, d)
+		})
 		dbs := make([]*hwdb.DB, homes)
 		cursors := map[SourceID]uint64{}
 		for h := range dbs {
@@ -115,6 +119,7 @@ func TestFlushMatchesPerSourceTail(t *testing.T) {
 				}
 			}
 			got = got[:0]
+			kept.Reset()
 			hub.Flush()
 			if len(got) != len(want) {
 				t.Fatalf("seed %d step %d: %d deltas, want %d", seed, step, len(got), len(want))
@@ -136,10 +141,11 @@ func TestFlushMatchesPerSourceTail(t *testing.T) {
 	}
 }
 
-// TestFlushAllocatesPerFlush: a flush copies every dirty source into one
-// row builder, so draining 16 homes' Flows and FlowPerf rows allocates no
-// more than draining one home's. Reading each source on its own cost three
-// allocations a source.
+// TestFlushAllocatesPerFlush: a flush copies every dirty source into the
+// one row builder the hub keeps, and resets it once the deltas are fanned
+// out, so a warm flush of one home's or of 16 homes' Flows and FlowPerf
+// rows allocates nothing. Reading each source on its own cost three
+// allocations a source, and a fresh builder per flush up to three a flush.
 func TestFlushAllocatesPerFlush(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a builder's arrays allocate twice under the race detector")
@@ -182,24 +188,30 @@ func TestFlushAllocatesPerFlush(t *testing.T) {
 		return n
 	}
 	one, sixteen := flush(1), flush(16)
-	if sixteen > one || one > 3 {
-		t.Errorf("a flush of 1 home allocates %.1f times, of 16 homes %.1f: want at most 3 for either", one, sixteen)
+	if one != 0 || sixteen != 0 {
+		t.Errorf("a flush of 1 home allocates %.1f times, of 16 homes %.1f: want 0 for either", one, sixteen)
 	}
 }
 
 // TestPumpedRowsStayPut: with a second goroutine flushing the hub while a
-// table takes inserts, a consumer hands each delta to a channel, and a
-// goroutine of its own reads them there as later passes carve their rows
-// from what earlier passes' arrays left. Every row arrives once, in order, and still reads what it
-// did when it arrived after the last pass — under -race, no pass writes a
-// cell a delivered row views.
+// table takes inserts, a consumer copies each delta's rows inside the call
+// — they are lent for it — and hands the copies to a channel, and a
+// goroutine of its own reads them there while later passes reuse the
+// hub's arrays. Every row arrives once, in order, and still reads what it
+// did when it arrived after the last pass: under -race, no pass writes a
+// cell a copy views, and a consumer that kept the lent rows instead would
+// read cells later passes write.
 func TestPumpedRowsStayPut(t *testing.T) {
 	const n = 5000
 	tbl := hwdb.NewTable("T", hwdb.NewSchema(hwdb.Column{Name: "v", Type: hwdb.TInt}, hwdb.Column{Name: "s", Type: hwdb.TString}), 1<<16)
 	hub := NewHub(HubConfig{})
 	defer hub.Close()
 	deltas := make(chan Delta, n)
-	hub.SubscribeFunc(func(d Delta) { deltas <- d })
+	var copies hwdb.RowBuilder // never reset: the copies live as long as the test
+	hub.SubscribeFunc(func(d Delta) {
+		d.Rows = copies.Copy(d.Rows)
+		deltas <- d
+	})
 	hub.Watch(SourceID{Home: 1, Table: "T"}, tbl)
 	done := make(chan []hwdb.Row)
 	go func() {

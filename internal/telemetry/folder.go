@@ -380,14 +380,17 @@ func (f *Folder) Totals() Totals {
 
 // HomeTotals returns every tracked home's cumulative counters and current
 // rate, ascending by home ID.
-func (f *Folder) HomeTotals() []HomeTotals {
+func (f *Folder) HomeTotals() []HomeTotals { return f.appendHomeTotals(nil) }
+
+// appendHomeTotals is HomeTotals appending to dst.
+func (f *Folder) appendHomeTotals(dst []HomeTotals) []HomeTotals {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	now := f.clk.Now()
-	out := make([]HomeTotals, 0, len(f.homes))
+	dst = slices.Grow(dst, len(f.ids))
 	for _, id := range f.ids {
 		h := f.homes[id]
-		out = append(out, HomeTotals{
+		dst = append(dst, HomeTotals{
 			Home: id, Hosts: h.hostsNow,
 			Flows: h.flows, Links: h.links, Leases: h.leases,
 			Packets: h.packets, Bytes: h.bytes, Lost: h.lost,
@@ -395,7 +398,7 @@ func (f *Folder) HomeTotals() []HomeTotals {
 			Rate: h.rate.rate(now),
 		})
 	}
-	return out
+	return dst
 }
 
 // FleetRate returns the fleet-wide windowed throughput.

@@ -190,8 +190,10 @@ func TestFolderCommitWalksHomesInOrderWithoutAllocating(t *testing.T) {
 	homes := []uint64{7, 3, 12, 0, 5, 9, 1, 4}
 	r := newRig(t, homes...)
 	var deltas []Delta
+	var rows hwdb.RowBuilder // the deltas are consumed again below: keep their rows
 	r.hub.SubscribeFunc(func(d Delta) {
 		if d.Source.Table == hwdb.TableFlows {
+			d.Rows = rows.Copy(d.Rows)
 			deltas = append(deltas, d)
 		}
 	})

@@ -12,12 +12,15 @@
 // than every reader re-scanning every home's rings, each hwdb insert sets
 // a per-source dirty flag (no allocation, never blocking the inserter),
 // and each Flush is one drain pass that batch-reads every dirty table
-// forward from its cursor into one hwdb.RowBuilder and hands the row
-// deltas to every consumer function registered with SubscribeFunc, inside
-// the pass. A hub starts no goroutine: deltas move only when its owner
-// flushes it. A hub can also be fed from outside with Ingest — the
-// coordinator's image of a remote worker's hub — and hands those deltas
-// on the same way. Loss is explicit: rows that wrap out of an hwdb ring
+// forward from its cursor into the one hwdb.RowBuilder the hub keeps and
+// hands the row deltas to every consumer function registered with
+// SubscribeFunc, inside the pass. A delta's rows are lent for that call
+// only: the next pass writes over them, so a consumer that keeps rows
+// copies them (hwdb.RowBuilder.Copy) before it returns. A hub starts no
+// goroutine: deltas move only when its owner flushes it. A hub can also be
+// fed from outside with Ingest — the coordinator's image of a remote
+// worker's hub — and hands those deltas on the same way, with rows lent
+// for the Ingest call. Loss is explicit: rows that wrap out of an hwdb ring
 // before a drain are counted by the read, and rows a remote stream lost
 // on the wire are counted by AccountLost — every inserted row is either
 // delivered or accounted, never silently gone.
@@ -45,6 +48,8 @@ type SourceID struct {
 // since the previous delta, oldest-first, plus the number of rows lost —
 // wrapped out of the hwdb ring before the hub could read them, or
 // reported lost in-band by the remote stream an ingested delta came from.
+// Rows are valid for the consumer call that receives the delta, and no
+// longer; a consumer that keeps them keeps a copy.
 type Delta struct {
 	Source SourceID
 	Rows   []hwdb.Row
@@ -76,12 +81,12 @@ type Hub struct {
 	// or two passes could double-deliver the same rows. It also guards
 	// the books no watched source holds — retired sources' and ingested
 	// deltas' — and what a drain pass reuses from the last: its deltas
-	// slice and the rest of its row builder's arrays.
+	// slice and its row builder.
 	pumpMu    sync.Mutex
 	delivered uint64
 	lost      uint64
 	deltas    []Delta
-	rest      hwdb.RowBuilder
+	rows      hwdb.RowBuilder
 }
 
 // source is one watched table plus its read cursor and accounting.
@@ -195,7 +200,8 @@ func (h *Hub) AccountLost(rows uint64) {
 
 // Source is what a delta consumer registers on: a shard's *Hub or a
 // fleet's *Federation. The handler runs inside each drain pass, for every
-// delta, in deterministic source order.
+// delta, in deterministic source order, and the delta's rows are valid
+// for the call only.
 type Source interface {
 	SubscribeFunc(func(Delta))
 }
@@ -206,9 +212,11 @@ var (
 )
 
 // SubscribeFunc registers a synchronous handler called inside the drain
-// pass for every delta, in deterministic source order. Handlers must be
-// fast and must not call back into the hub; the folder is the intended
-// consumer.
+// pass for every delta, in deterministic source order. The delta's rows
+// are lent for the call: a handler that keeps any copies them before it
+// returns (hwdb.RowBuilder.Copy), as flight.Recorder and the shard
+// server do. Handlers must be fast and must not call back into the hub;
+// the folder is the intended consumer.
 func (h *Hub) SubscribeFunc(fn func(Delta)) {
 	h.mu.Lock()
 	if !h.closed {
@@ -256,14 +264,15 @@ func (h *Hub) Close() {
 }
 
 // drain is one drain pass over every dirty source, in three steps: take
-// each dirty flag and size one row builder for every source's new rows (as
-// of its insert count then); copy each source up to that count into the
-// builder; and only then fan the deltas out, in source order. A pass so
-// allocates at most one array of each kind the builder carves — none when
-// what the last pass left of them has room — however many sources it
-// drains, and the deltas' rows share them. Callers hold pumpMu.
+// each dirty flag and size the hub's row builder for every source's new
+// rows (as of its insert count then); copy each source up to that count
+// into the builder; and only then fan the deltas out, in source order. The
+// builder is reset after the fan-out and kept for the next pass, so a pass
+// allocates nothing unless it copies more than any pass before it (and
+// then one array of each kind the builder carves), however many sources it
+// drains. Callers hold pumpMu.
 func (h *Hub) drain() {
-	rows := h.rest
+	rows := &h.rows
 	srcs := h.snapshot()
 	for _, s := range srcs {
 		s.upto = s.cursor
@@ -283,10 +292,11 @@ func (h *Hub) drain() {
 		deltas = append(deltas, Delta{Source: s.id, Rows: got, Lost: lost})
 	}
 	h.fanOut(deltas...)
-	// Keep the scratch, not the rows it held, and what the builder's arrays
-	// have left for the next pass.
+	// The deltas' rows were lent for the fan-out: keep the scratch and the
+	// builder's arrays, not the rows.
 	clear(deltas)
-	h.deltas, h.rest = deltas[:0], rows.Rest()
+	h.deltas = deltas[:0]
+	rows.Reset()
 }
 
 // fanOut hands each delta, in order, to every consumer. Callers hold

@@ -24,10 +24,15 @@ func insertN(t *testing.T, tbl *hwdb.Table, clk *clock.Simulated, from, n int) {
 	}
 }
 
-// collect registers a consumer on src that keeps every delta it is handed.
+// collect registers a consumer on src that keeps every delta it is handed,
+// with a copy of its rows: they are lent for the call.
 func collect(src Source) *[]Delta {
 	var got []Delta
-	src.SubscribeFunc(func(d Delta) { got = append(got, d) })
+	var rows hwdb.RowBuilder
+	src.SubscribeFunc(func(d Delta) {
+		d.Rows = rows.Copy(d.Rows)
+		got = append(got, d)
+	})
 	return &got
 }
 

@@ -84,15 +84,20 @@ var pushCols = []string{"home", "hosts", "flows", "packets", "bytes", "links", "
 // when its row actually fits, so deltas that overflow one datagram are
 // carried — never silently dropped — and each tick resumes round-robin
 // from where the previous push stopped, so a fleet too busy for one
-// datagram cannot starve its high-ID homes.
-func (s *Server) fleetTick(budget int) func() string {
+// datagram cannot starve its high-ID homes. A tick reads the totals and
+// renders the body into buffers it keeps.
+func (s *Server) fleetTick(budget int) func() []byte {
 	seen := make(map[uint64]homeMark)
-	head := strings.Join(pushCols, "\t") + "\n"
-	var resume uint64 // first home ID to consider this tick
-	return func() string {
-		hts := s.folder.HomeTotals()
+	head := []byte(strings.Join(pushCols, "\t") + "\n")
+	var (
+		hts    []HomeTotals
+		body   []byte
+		resume uint64 // first home ID to consider this tick
+	)
+	return func() []byte {
+		hts = s.folder.appendHomeTotals(hts[:0])
 		if len(hts) == 0 {
-			return ""
+			return nil
 		}
 		// Rotate the ascending-ID list so iteration starts at the resume
 		// cursor and wraps, visiting every home once.
@@ -103,8 +108,7 @@ func (s *Server) fleetTick(budget int) func() string {
 				break
 			}
 		}
-		var sb strings.Builder
-		sb.WriteString(head)
+		body = append(body[:0], head...)
 		rows, full := 0, false
 		for k := 0; k < len(hts); k++ {
 			ht := hts[(start+k)%len(hts)]
@@ -112,13 +116,12 @@ func (s *Server) fleetTick(budget int) func() string {
 			if ht.Flows == m.flows && ht.Links == m.links && ht.Lost == m.lost {
 				continue
 			}
-			line := deltaLine(ht, m)
-			if sb.Len()+len(line) > budget {
+			n := len(body)
+			if body = appendDeltaLine(body, ht, m); len(body) > budget {
 				// The rest ride the next push; resume with this home.
-				resume, full = ht.Home, true
+				body, resume, full = body[:n], ht.Home, true
 				break
 			}
-			sb.WriteString(line)
 			rows++
 			seen[ht.Home] = homeMark{
 				flows: ht.Flows, links: ht.Links,
@@ -129,16 +132,16 @@ func (s *Server) fleetTick(budget int) func() string {
 			resume = 0
 		}
 		if rows == 0 {
-			return "" // idle tick: no datagram
+			return nil // idle tick: no datagram
 		}
-		return sb.String()
+		return body
 	}
 }
 
-// deltaLine renders one home's delta-past-mark as a tabular body line in
-// the same cell format hwdb.Result.Text emits (so ParseText reads it).
-func deltaLine(ht HomeTotals, m homeMark) string {
-	cells := []hwdb.Value{
+// appendDeltaLine appends one home's delta-past-mark as a tabular body
+// line, rendered by hwdb's own row renderer (so ParseText reads it).
+func appendDeltaLine(b []byte, ht HomeTotals, m homeMark) []byte {
+	return hwdb.AppendRowText(b, []hwdb.Value{
 		hwdb.Int64(int64(ht.Home)),
 		hwdb.Int64(int64(ht.Hosts)),
 		hwdb.Int64(int64(ht.Flows - m.flows)),
@@ -148,16 +151,7 @@ func deltaLine(ht HomeTotals, m homeMark) string {
 		hwdb.Int64(int64(ht.Lost - m.lost)),
 		hwdb.Float(ht.Rate.BytesPerSec),
 		hwdb.Float(ht.Rate.PacketsPerSec),
-	}
-	var sb strings.Builder
-	for i, v := range cells {
-		if i > 0 {
-			sb.WriteByte('\t')
-		}
-		sb.WriteString(v.Text())
-	}
-	sb.WriteByte('\n')
-	return sb.String()
+	})
 }
 
 // replay parses "<home> <table> [@<from> [@<to>]]" (timestamps in unix
