@@ -33,7 +33,9 @@ import (
 // loop restarting the home's router) rebinds the switchboard to the new
 // channel ends and discards messages held for the dead incarnation, while
 // active fault flags persist, so an episode outlives the restart it
-// provoked.
+// provoked. The switchboard owns the messages it holds, as their receiver
+// would, and releases those it drops (openflow.Release): a dropped
+// flow-mod, and whatever a re-wrap discards.
 //
 // All methods are safe for concurrent use; the pass-through preserves
 // the full oftransport.Transport contract.
@@ -75,8 +77,12 @@ func (f *Faults) wrap(ctl, dp oftransport.Transport) (oftransport.Transport, oft
 	f.stats.LostPunts += uint64(len(f.heldPunts))
 	f.stats.LostMods += uint64(len(f.heldMods))
 	f.stats.HeldPunts, f.stats.HeldMods = 0, 0
+	lost := append(f.heldPunts, f.heldMods...)
 	f.heldPunts, f.heldMods = nil, nil
 	f.mu.Unlock()
+	for _, msg := range lost {
+		openflow.Release(msg)
+	}
 	return &faultEnd{f: f, inner: ctl, ctl: true}, &faultEnd{f: f, inner: dp}
 }
 
@@ -112,6 +118,8 @@ func (f *Faults) release(held *[]openflow.Message, releasing *bool, inner *oftra
 		for _, msg := range batch {
 			if to != nil {
 				_ = to.Send(msg)
+			} else {
+				openflow.Release(msg)
 			}
 		}
 		f.mu.Lock()
@@ -171,6 +179,7 @@ func (f *Faults) interceptMod(msg openflow.Message, inner oftransport.Transport)
 	}
 	if f.dropMods {
 		f.stats.DroppedMods++
+		openflow.Release(msg)
 		return true
 	}
 	if f.delayMods || f.releasingMods {

@@ -1,14 +1,19 @@
 package chaos
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/datapath"
 	"repro/internal/fleet"
 	"repro/internal/netsim"
+	"repro/internal/nox"
+	"repro/internal/oftransport"
+	"repro/internal/packet"
 )
 
 // newChaosFleet builds a fleet whose every home routes its in-process
@@ -199,6 +204,52 @@ func TestWrapAcrossRestartKeepsFaults(t *testing.T) {
 	if !host2.Bound() {
 		if err := h2.Router.JoinHost(host2); err != nil || !host2.Bound() {
 			t.Fatalf("device did not bind after lift (err %v, bound %v)", err, host2.Bound())
+		}
+	}
+}
+
+// A packet-in the switchboard holds carries its own copy of the punted
+// frame, so it outlives the punt's slot: with two buffers, four flows punt
+// under a wedge, the first two slots are reclaimed and their buffers taken
+// by the later punts, and when the wedge lifts every packet-in still
+// carries the frame it was punted for.
+func TestHeldPacketInOutlivesItsSlot(t *testing.T) {
+	ctl := nox.NewController()
+	t.Cleanup(func() { _ = ctl.Close() })
+	var got [][]byte
+	ctl.OnPacketIn(func(ev *nox.PacketInEvent) nox.Disposition {
+		got = append(got, append([]byte(nil), ev.Msg.Data...))
+		return nox.Continue
+	})
+	dp := datapath.New(datapath.Config{ID: 1, Clock: clock.NewSimulated(), NBuffers: 2})
+	_ = dp.AddPort(&datapath.Port{No: 1})
+	_ = dp.AddPort(&datapath.Port{No: 2})
+	faults := &Faults{}
+	ctlEnd, dpEnd := oftransport.Direct()
+	ctlTr, dpTr := faults.wrap(ctlEnd, dpEnd)
+	dp.AttachDirect(dpEnd, dpTr)
+	if _, err := ctl.AttachDirect(ctlEnd, ctlTr); err != nil {
+		t.Fatal(err)
+	}
+
+	faults.wedgeController(true)
+	var frames [][]byte
+	for i := 0; i < 4; i++ {
+		f := packet.AppendTCPFrame(nil, packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+			packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, uint16(40000+i), 80, packet.TCPSyn, uint32(i), 0, nil)
+		frames = append(frames, f)
+		dp.Receive(1, f)
+	}
+	if st := faults.Stats(); st.HeldPunts != 4 || len(got) != 0 {
+		t.Fatalf("under the wedge: %d punts held, %d dispatched; want 4 and none", st.HeldPunts, len(got))
+	}
+	faults.wedgeController(false)
+	if len(got) != len(frames) {
+		t.Fatalf("%d packet-ins dispatched after the lift, want %d", len(got), len(frames))
+	}
+	for i := range frames {
+		if !bytes.Equal(got[i], frames[i]) {
+			t.Errorf("packet-in %d carries %x, want the frame it was punted for, %x", i, got[i], frames[i])
 		}
 	}
 }

@@ -137,13 +137,13 @@ func (dp *Datapath) SweepExpired() int {
 // what an expiry and a delete send alike.
 func flowRemoved(e *FlowEntry, reason uint8, now time.Time) *openflow.FlowRemoved {
 	dur := now.Sub(e.Installed)
-	return &openflow.FlowRemoved{
+	return openflow.NewFlowRemoved(openflow.FlowRemoved{
 		Match: e.Match, Cookie: e.Cookie, Priority: e.Priority,
 		Reason:      reason,
 		DurationSec: uint32(dur / time.Second), DurationNsec: uint32(dur % time.Second),
 		IdleTimeout: e.IdleTimeout,
 		PacketCount: e.PacketCount(), ByteCount: e.ByteCount(),
-	}
+	})
 }
 
 // handle dispatches one controller-to-switch message.
@@ -282,14 +282,14 @@ func (dp *Datapath) handlePacketOut(m *openflow.PacketOut) {
 	if dp.refused(m, m.Actions) {
 		return
 	}
-	frame := m.Data
-	inPort := m.InPort
+	frame, inPort := m.Data, m.InPort
 	if m.BufferID != openflow.NoBuffer {
-		if f, ip, ok := dp.releaseHead(m.BufferID); ok {
-			frame = f
+		if b := dp.releaseHead(m.BufferID); b != nil {
+			frame = b.head
 			if inPort == openflow.PortNone {
-				inPort = ip
+				inPort = b.inPort
 			}
+			defer dp.free(b) // after the head's execute
 		}
 	}
 	if len(frame) == 0 {

@@ -160,6 +160,7 @@ type Datapath struct {
 	oldest     uint32
 	heldFrames int
 	nBuffers   int
+	freePunts  []*puntBuffer // taken buffers for the next punts (freeLocked)
 
 	missSendLen atomic.Uint32
 	configFlags atomic.Uint32
@@ -652,50 +653,92 @@ func (dp *Datapath) flood(inPort uint16, frame []byte, includeNoFlood bool) {
 	}
 }
 
-// puntBuffer is one buffered packet-in: the message sent for it, the
-// punted frame and, for a table-miss punt, the later frames of its flow
-// held behind it. A punt is one allocation: the packet-in is a field, and a
-// frame of up to inlineHead bytes — a SYN, a SYN-ACK, a bare ACK — is
-// copied into the buffer itself (a larger one gets a copy of its own; a
-// DHCP or DNS message is larger). Buffers are
-// never pooled and never reused: the controller reads the packet-in, and
-// through it the head, for as long as it likes, however long ago the buffer
-// left the map.
+// puntBuffer is one buffered punt: the punted frame and, for a table-miss
+// punt, the later frames of its flow held behind it. The packet-in sent for
+// it is not part of it: that carries its own copy of the bytes it reports
+// and belongs to the controller once sent, so it may outlive the buffer's
+// slot (a full buffer reclaims it; the chaos layer delays its delivery). A
+// buffer belongs to the datapath alone, and once taken — answered by
+// releaseAll, by releaseHead after the head's execute, or reclaimed by
+// bufferLocked — it goes back on the datapath's free list for the next
+// punt. A frame of up to inlineHead bytes — a SYN, a SYN-ACK, a bare ACK —
+// is copied into the buffer itself; a larger one (a DHCP or DNS message)
+// into big, which the buffer keeps for its next use.
 type puntBuffer struct {
-	pi    openflow.PacketIn // sent by reference; Data is a view of head
-	key   openflow.Match    // the flow, for a table-miss punt; zero for an action punt
-	at    int64             // clock reading of the punt (UnixNano)
-	head  []byte            // the punted frame: small[:n], or a copy of its own
-	held  holdQueue
-	small [inlineHead]byte
+	key    openflow.Match // the flow, for a table-miss punt; zero for an action punt
+	at     int64          // clock reading of the punt (UnixNano)
+	inPort uint16
+	head   []byte // the punted frame: small[:n], or big[:n]
+	big    []byte
+	held   holdQueue
+	small  [inlineHead]byte
 }
 
 // inlineHead is the largest punted frame a puntBuffer holds inline: the
 // 54-byte TCP segments that open and answer a connection, with room for
-// options and a VLAN tag. With it a puntBuffer is 208 bytes, a size class
-// of the allocator.
+// options and a VLAN tag.
 const inlineHead = 64
 
-// newPunt buffers a copy of a punted frame and fills in its packet-in, all
-// but the buffer id, which bufferLocked assigns.
-func newPunt(frame []byte, inPort uint16, reason uint8, maxLen int) *puntBuffer {
-	b := &puntBuffer{}
+// Bounds on what the free list of punt buffers keeps: a home has a punt or
+// two in flight per step, a DHCP storm some more, and a buffer that held a
+// jumbo frame keeps no more than a full Ethernet frame's worth of big.
+const (
+	maxFreePunts   = 16
+	maxKeptBigHead = 2 << 10
+)
+
+// puntLocked buffers a copy of frame under the next buffer id, in a buffer
+// off the free list, and returns the buffer and the packet-in to send for
+// it: a pooled one carrying its own copy of up to maxLen bytes of the frame.
+// The caller holds bufMu and sends the packet-in after letting go of it.
+func (dp *Datapath) puntLocked(frame []byte, inPort uint16, reason uint8, maxLen int) (*puntBuffer, *openflow.PacketIn) {
+	var b *puntBuffer
+	if n := len(dp.freePunts); n > 0 {
+		b = dp.freePunts[n-1]
+		dp.freePunts[n-1] = nil
+		dp.freePunts = dp.freePunts[:n-1]
+	} else {
+		b = new(puntBuffer)
+	}
+	b.inPort = inPort
 	if n := len(frame); n <= inlineHead {
 		b.head = b.small[:n:n]
 		copy(b.head, frame)
 	} else {
-		b.head = append([]byte(nil), frame...)
+		b.big = append(b.big[:0], frame...)
+		b.head = b.big
 	}
-	if maxLen > len(b.head) {
-		maxLen = len(b.head)
-	}
-	b.pi = openflow.PacketIn{
-		TotalLen: uint16(len(b.head)),
+	pi := openflow.NewPacketIn(openflow.PacketIn{
+		BufferID: dp.bufferLocked(b),
+		TotalLen: uint16(len(frame)),
 		InPort:   inPort,
 		Reason:   reason,
-		Data:     b.head[:maxLen:maxLen],
+		Data:     frame[:min(maxLen, len(frame))],
+	})
+	return b, pi
+}
+
+// freeLocked puts a taken punt buffer back on the free list, handing its
+// hold queue's chunks back. Nothing may read its head any more. The caller
+// holds bufMu.
+func (dp *Datapath) freeLocked(b *puntBuffer) {
+	b.held.drop()
+	if len(dp.freePunts) == maxFreePunts {
+		return
 	}
-	return b
+	if cap(b.big) > maxKeptBigHead {
+		b.big = nil
+	}
+	// What puntLocked does not set: an action punt's key stays zero.
+	b.key, b.at, b.head = openflow.Match{}, 0, nil
+	dp.freePunts = append(dp.freePunts, b)
+}
+
+// free is freeLocked for a caller that does not hold bufMu.
+func (dp *Datapath) free(b *puntBuffer) {
+	dp.bufMu.Lock()
+	dp.freeLocked(b)
+	dp.bufMu.Unlock()
 }
 
 // holdQueue is the frames held behind one punt, in arrival order: a list
@@ -731,9 +774,11 @@ type holdNode struct {
 // steps: shared, the standing stock is what one flow setup has in flight
 // (seven chunks for a web page's request and reply, nine measured with
 // what a Pool strands per P), where a list per datapath would keep that
-// much in every home. Only chunks are pooled, never a puntBuffer: its
-// packet-in and the head that packet-in's data aliases are read by handlers
-// after they have answered.
+// much in every home. A chunk is handed back only once nothing can read
+// what it holds: a popped frame lives for the one execute it is passed to,
+// and a held frame that becomes a head is copied out of its chunk first
+// (releaseHead). Punt buffers are the datapath's own free list, and
+// packet-ins openflow's pool.
 var holdChunks = sync.Pool{New: func() any { return new(holdNode) }}
 
 func (q *holdQueue) push(frame []byte) {
@@ -824,11 +869,11 @@ func (dp *Datapath) miss(p *Port, frame []byte, key *openflow.Match, nanos int64
 		dp.bufMu.Unlock()
 		return e
 	}
-	b := newPunt(frame, key.InPort, openflow.PacketInReasonNoMatch, int(dp.missSendLen.Load()))
+	b, pi := dp.puntLocked(frame, key.InPort, openflow.PacketInReasonNoMatch, int(dp.missSendLen.Load()))
 	b.key, b.at = *key, nanos
-	dp.byKey[*key] = dp.bufferLocked(b)
+	dp.byKey[*key] = pi.BufferID
 	dp.bufMu.Unlock()
-	dp.sendPacketIn(b)
+	dp.sendPacketIn(pi)
 	return nil
 }
 
@@ -845,39 +890,37 @@ func (dp *Datapath) punt(inPort uint16, frame []byte, maxLen uint16) {
 	if n == 0 {
 		n = int(dp.missSendLen.Load())
 	}
-	b := newPunt(frame, inPort, openflow.PacketInReasonAction, n)
 	dp.bufMu.Lock()
-	dp.bufferLocked(b)
+	_, pi := dp.puntLocked(frame, inPort, openflow.PacketInReasonAction, n)
 	dp.bufMu.Unlock()
-	dp.sendPacketIn(b)
+	dp.sendPacketIn(pi)
 }
 
-// sendPacketIn counts a buffered punt and sends its packet-in, which
-// nothing writes to once it is sent.
-func (dp *Datapath) sendPacketIn(b *puntBuffer) {
+// sendPacketIn counts a buffered punt and sends its packet-in, which is the
+// controller's from then on.
+func (dp *Datapath) sendPacketIn(pi *openflow.PacketIn) {
 	dp.punted.Add(1)
 	dp.tracer.Punt()
-	dp.send(&b.pi)
+	dp.send(pi)
 }
 
 // PuntCount returns how many packet-ins have been sent to the controller.
 func (dp *Datapath) PuntCount() uint64 { return dp.punted.Load() }
 
-// bufferLocked stores a punt under the next buffer id, which it writes into
-// the punt's packet-in and returns. A full buffer gives up its oldest punts
-// first, so a controller that never references some ids (or whose answers
-// are lost) cannot exhaust it; a late answer to a reclaimed id simply
-// misses in takeLocked.
+// bufferLocked stores a punt under the next buffer id and returns the id. A
+// full buffer gives up its oldest punts first, to the free list, so a
+// controller that never references some ids (or whose answers are lost)
+// cannot exhaust it; a late answer to a reclaimed id simply misses in
+// takeLocked.
 func (dp *Datapath) bufferLocked(b *puntBuffer) uint32 {
 	for len(dp.buffers) >= dp.nBuffers {
 		dp.oldest++
 		if old, ok := dp.takeLocked(dp.oldest); ok {
-			old.held.drop()
+			dp.freeLocked(old)
 		}
 	}
 	dp.nextBuf++
 	dp.buffers[dp.nextBuf] = b
-	b.pi.BufferID = dp.nextBuf
 	return dp.nextBuf
 }
 
@@ -909,53 +952,50 @@ func (dp *Datapath) releaseAll(id uint32, actions []openflow.Action) {
 	if !ok {
 		return
 	}
-	inPort := b.pi.InPort
 	var run batchRun
-	dp.execute(inPort, b.head, actions, &run)
+	dp.execute(b.inPort, b.head, actions, &run)
 	for b.held.n > 0 {
-		dp.execute(inPort, b.held.pop(), actions, &run)
+		dp.execute(b.inPort, b.held.pop(), actions, &run)
 	}
 	run.done(dp)
-	b.held.drop()
+	dp.free(b)
 }
 
 // releaseHead answers a buffered punt for its own frame only (a packet-out
-// that references the buffer) and returns that frame. A packet-out decides
-// nothing about the flow's later frames, so they go back down the miss
-// path: the oldest is punted under a new buffer id with the rest still
+// that references the buffer) and returns the punt, whose head is that
+// frame: the caller executes it and then frees the buffer. A packet-out
+// decides nothing about the flow's later frames, so they go back down the
+// miss path: the oldest is punted under a new buffer id with the rest still
 // held behind it, in the same critical section, so a frame of the flow
 // arriving meanwhile queues behind them and not ahead.
 //
-// The re-homed punt is a new puntBuffer. The old one's packet-in may still
-// be under dispatch — the controller reads its buffer id and in_port after
-// the handler chain that sent this packet-out returns — and the new head
-// is copied out of its chunk, which the next pop may hand to another flow.
-func (dp *Datapath) releaseHead(id uint32) (frame []byte, inPort uint16, ok bool) {
+// The re-homed punt is another buffer, never the one it replaces, whose
+// head is still to be executed, and the new head is copied out of its
+// chunk, which the next pop may hand to another flow.
+func (dp *Datapath) releaseHead(id uint32) *puntBuffer {
 	dp.bufMu.Lock()
 	b, ok := dp.takeLocked(id)
 	if !ok {
 		dp.bufMu.Unlock()
-		return nil, 0, false
+		return nil
 	}
-	frame, inPort = b.head, b.pi.InPort
-	var next *puntBuffer
+	var pi *openflow.PacketIn
 	if b.held.n > 0 {
-		next = newPunt(b.held.pop(), inPort, openflow.PacketInReasonNoMatch, int(dp.missSendLen.Load()))
+		var next *puntBuffer
+		next, pi = dp.puntLocked(b.held.pop(), b.inPort, openflow.PacketInReasonNoMatch, int(dp.missSendLen.Load()))
 		next.key, next.at = b.key, dp.clk.Now().UnixNano()
 		next.held, b.held = b.held, holdQueue{}
-		dp.byKey[next.key] = dp.bufferLocked(next)
+		dp.byKey[next.key] = pi.BufferID
 		dp.heldFrames += next.held.n
 		if next.held.n == 0 {
 			next.held.drop()
 		}
-	} else {
-		b.held.drop()
 	}
 	dp.bufMu.Unlock()
-	if next != nil {
-		dp.sendPacketIn(next)
+	if pi != nil {
+		dp.sendPacketIn(pi)
 	}
-	return frame, inPort, true
+	return b
 }
 
 // send writes a message up the secure channel if connected. The transport
@@ -967,6 +1007,8 @@ func (dp *Datapath) send(msg openflow.Message) {
 	dp.connMu.Unlock()
 	if tr != nil {
 		_ = tr.Send(msg)
+	} else {
+		openflow.Release(msg) // sent nowhere: the datapath is its last owner
 	}
 }
 

@@ -91,6 +91,7 @@ func (dp *Datapath) leave() {
 			for i, msg := range batch {
 				batch[i] = nil
 				dp.handle(msg)
+				openflow.Release(msg) // the datapath handles a flow-mod last
 			}
 			in.mu.Lock()
 			in.spare = batch[:0]

@@ -3,9 +3,9 @@ package datapath
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"testing"
-	"unsafe"
 
 	"repro/internal/clock"
 	"repro/internal/openflow"
@@ -117,17 +117,15 @@ func TestRehomedPacketInOutlivesItsAnswer(t *testing.T) {
 }
 
 // A warm new flow costs the datapath what outlives the dispatch and nothing
-// else: its miss one allocation, the puntBuffer that carries the packet-in
-// and a head of up to inlineHead bytes (a longer head one more, its own
-// copy), and the flow-mod that answers it one, the flow entry.
-func TestWarmNewFlowAllocatesItsPuntAndItsEntry(t *testing.T) {
-	if s := unsafe.Sizeof(puntBuffer{}); s != 208 {
-		t.Errorf("a puntBuffer is %d bytes; 208 is the size class the layout aims at", s)
-	}
+// else. Its miss allocates nothing, for a head inline or not: the punt
+// buffer comes off the free list and the packet-in out of openflow's pool,
+// and the packet-in, sent nowhere, goes back. The flow-mod that answers it
+// allocates one object, the flow entry, and hands the buffer back.
+func TestWarmNewFlowAllocatesOnlyItsEntry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the chunk pool
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools
 
 	for _, size := range []int{inlineHead, inlineHead + 1} {
 		dp := New(Config{Clock: clock.NewSimulated()}) // not connected: a packet-in goes nowhere
@@ -148,7 +146,7 @@ func TestWarmNewFlowAllocatesItsPuntAndItsEntry(t *testing.T) {
 		punted, answered := 0, 0
 		punt := func() { dp.Receive(1, frames[punted]); punted++ }
 		answer := func() { dp.handle(mods[answered]); answered++ }
-		for punted < n { // warm: the maps grow to a round's size
+		for punted < n { // warm: the maps grow to a round's size, the free list fills
 			punt()
 		}
 		for answered < n {
@@ -157,18 +155,61 @@ func TestWarmNewFlowAllocatesItsPuntAndItsEntry(t *testing.T) {
 		all := openflow.MatchAll()
 		dp.table.delete(&all, 0, false, openflow.PortNone)
 
-		wantPunt := 1
-		if size > inlineHead {
-			wantPunt = 2
+		// Each miss is answered before the next, as a churning home's are,
+		// and the two are counted apart; like testing.AllocsPerRun, the
+		// average rounds down what another goroutine allocates meanwhile.
+		var missAllocs, answerAllocs uint64
+		for range n {
+			missAllocs += mallocs(punt)
+			answerAllocs += mallocs(answer)
 		}
-		if got := testing.AllocsPerRun(n-1, punt); got != float64(wantPunt) {
-			t.Errorf("%d-byte head: a warm miss allocates %g times, want %d", size, got, wantPunt)
+		if got := missAllocs / n; got != 0 {
+			t.Errorf("%d-byte head: a warm miss allocates %d times, want 0", size, got)
 		}
-		if got := testing.AllocsPerRun(n-1, answer); got != 1 {
-			t.Errorf("%d-byte head: the flow-mod that answers it allocates %g times, want 1 (the entry)", size, got)
+		if got := answerAllocs / n; got != 1 {
+			t.Errorf("%d-byte head: the flow-mod that answers it allocates %d times, want 1 (the entry)", size, got)
 		}
-		if p2, _ := dp.Port(2); p2.Stats().TxPackets != 2*n {
-			t.Errorf("%d-byte head: %d frames released, want %d", size, p2.Stats().TxPackets, 2*n)
+		if p2, _ := dp.Port(2); p2.Stats().TxPackets != uint64(answered) || answered != punted {
+			t.Errorf("%d-byte head: %d frames released of %d punted, want every one", size, p2.Stats().TxPackets, punted)
 		}
+	}
+}
+
+// mallocs is how many heap allocations the process makes during a call of
+// f.
+func mallocs(f func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs
+}
+
+// A flow-mod from openflow's pool is the datapath's to release once it has
+// handled it, and not before: the entry it installs carries its match,
+// priority and actions, the frames buffered behind its punt leave through
+// those actions, and only then does the message read zeros.
+func TestPooledFlowModInstallsBeforeItIsReleased(t *testing.T) {
+	r := newHoldRig(t, 0)
+	a := flowFrames(1, 0, 3)
+	r.receive(a...)
+	pis := r.sync()
+	if len(pis) != 1 {
+		t.Fatalf("%d packet-ins, want 1", len(pis))
+	}
+	m := exactMatchFor(t, a[0], 1)
+	fm := openflow.NewFlowMod(*addFlow(m, pis[0].BufferID, output(2)))
+	fm.Cookie = 7
+	r.send(fm)
+	r.sync()
+
+	wantSent(t, r.sent(), 2, a)
+	entries := r.dp.Table().Entries(&m, openflow.PortNone)
+	if len(entries) != 1 || entries[0].Priority != 10 || entries[0].Cookie != 7 || len(entries[0].Actions) != 1 {
+		t.Fatalf("the flow-mod installed %+v", entries)
+	}
+	if fm.Match != (openflow.Match{}) || fm.BufferID != 0 || fm.Actions != nil {
+		t.Errorf("the handled flow-mod still reads match %v, buffer %d, %d actions: it was not released",
+			fm.Match, fm.BufferID, len(fm.Actions))
 	}
 }

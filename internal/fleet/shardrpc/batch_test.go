@@ -86,9 +86,12 @@ func TestServerRecarriesWhatAFailedWriteHeld(t *testing.T) {
 // the client's call and the server's handling of it together: each
 // flush's eight Flows rows are copied into the server's pending builder
 // and decoded into the client's kept one, and neither allocates once
-// warm. What is left is the request the server decodes, the response the
-// client decodes and the batch each side builds: 4. Decoding each batch
-// into a fresh builder and deltas slice, it took 11.
+// warm. The request the server decodes, the response the client decodes
+// and the batch each side builds are kept too (a request per connection,
+// the server's batch under its batch lock, the client's response and
+// batch beside its builder), so nothing is left: 0. With those four fresh
+// per call it took 4, and decoding each batch into a fresh builder and
+// deltas slice as well, 11.
 func TestSyncRoundTripAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a builder's arrays allocate twice under the race detector")
@@ -118,7 +121,7 @@ func TestSyncRoundTripAllocations(t *testing.T) {
 	for range 10 { // dial, RESYNC, wrap the ring and grow the buffers
 		c.Sync()
 	}
-	const want = 4
+	const want = 0
 	n := testing.AllocsPerRun(200, c.Sync)
 	if rows != 8*(10+1+200) { // AllocsPerRun warms up with one run
 		t.Fatalf("the relay saw %d rows, want %d", rows, 8*211)

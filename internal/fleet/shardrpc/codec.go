@@ -274,24 +274,22 @@ func appendRequest(b []byte, req *Request) []byte {
 	return c.b
 }
 
-// decodeRequest parses one request payload. It is strict: unknown verbs,
-// truncated bodies and trailing bytes are all errors.
-func decodeRequest(payload []byte) (*Request, error) {
+// decode parses one request payload into req, overwriting all of it: a
+// server connection decodes every request into one it keeps. It is strict:
+// unknown verbs, truncated bodies and trailing bytes are all errors.
+func (req *Request) decode(payload []byte) error {
 	seq, rest, body, err := splitHeader(payload)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	verb, ok := parseVerb(rest)
 	if !ok {
-		return nil, frameErr("unknown verb %q", rest)
+		return frameErr("unknown verb %q", rest)
 	}
-	req := &Request{Seq: seq, Verb: verb}
+	*req = Request{Seq: seq, Verb: verb}
 	c := coder{b: body, dec: true}
 	c.request(req)
-	if err := c.finish(); err != nil {
-		return nil, err
-	}
-	return req, nil
+	return c.finish()
 }
 
 // request runs a request's body, which its verb selects.
@@ -343,12 +341,13 @@ func appendResponse(b []byte, resp *Response) []byte {
 }
 
 // DecodeResponse parses one response payload, as strict as
-// decodeRequest. A batch it carries is decoded into rows of its own.
+// Request.decode. A batch it carries is decoded into rows of its own.
 func DecodeResponse(payload []byte) (*Response, error) { return decodeResponse(payload, nil) }
 
-// decodeResponse is DecodeResponse decoding a batch into kept, when it is
-// set: the batch's deltas and their rows are then valid until the next
-// decode into kept.
+// decodeResponse is DecodeResponse decoding into kept, when it is set: a
+// batch, and a STEP or SYNC response itself, are then kept's, valid until
+// the next decode into it. The other verbs' responses are new: their
+// callers read them after the client lets go of kept.
 func decodeResponse(payload []byte, kept *batchBuf) (*Response, error) {
 	seq, rest, body, err := splitHeader(payload)
 	if err != nil {
@@ -373,7 +372,13 @@ func decodeResponse(payload []byte, kept *batchBuf) (*Response, error) {
 	if !ok {
 		return nil, frameErr("unknown verb %q", rest)
 	}
-	resp := &Response{Seq: seq, Verb: verb}
+	var resp *Response
+	if kept != nil && (verb == VerbStep || verb == VerbSync) {
+		resp = &kept.resp
+		*resp = Response{Seq: seq, Verb: verb}
+	} else {
+		resp = &Response{Seq: seq, Verb: verb}
+	}
 	c := coder{b: body, dec: true, kept: kept}
 	c.response(resp)
 	if err := c.finish(); err != nil {
@@ -388,11 +393,11 @@ func (c *coder) response(resp *Response) {
 	switch resp.Verb {
 	case VerbDrain:
 		c.bool(&resp.OK)
-		c.batch(body(c, &resp.Batch))
+		c.batch(c.batchBody(&resp.Batch))
 	case VerbCordon, VerbUncordon:
 		c.bool(&resp.OK)
 	case VerbSync:
-		c.batch(body(c, &resp.Batch))
+		c.batch(c.batchBody(&resp.Batch))
 	case VerbStats:
 		c.stats(body(c, &resp.Stats))
 	case VerbTrace:
@@ -400,6 +405,17 @@ func (c *coder) response(resp *Response) {
 	case VerbResync:
 		c.books(body(c, &resp.Committed))
 	}
+}
+
+// batchBody is body for a response's batch, which decodes into the kept
+// batchBuf's when there is one.
+func (c *coder) batchBody(p **Batch) *Batch {
+	if c.dec && c.kept != nil {
+		c.kept.batch = Batch{}
+		*p = &c.kept.batch
+		return *p
+	}
+	return body(c, p)
 }
 
 func (c *coder) books(b *Books) {
@@ -421,10 +437,13 @@ func (c *coder) books(b *Books) {
 
 // batchBuf is what a client decodes every batch into, reused batch to
 // batch: a batch's deltas and rows are lent to the client for the one
-// call that reads them.
+// call that reads them. A STEP or SYNC response decodes into resp, and
+// every batch into batch, the same way.
 type batchBuf struct {
 	rows   hwdb.RowBuilder
 	deltas []telemetry.Delta
+	resp   Response
+	batch  Batch
 }
 
 func (c *coder) batch(b *Batch) {

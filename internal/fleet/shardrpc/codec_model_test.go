@@ -362,6 +362,16 @@ func decodeSnapshotRef(d *refDec) (*trace.Snapshot, error) {
 	return s, nil
 }
 
+// decodeRequest parses one request payload into a new Request, as the
+// server's connections decode into the one they keep (Request.decode).
+func decodeRequest(payload []byte) (*Request, error) {
+	req := new(Request)
+	if err := req.decode(payload); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
 // checkDecoders holds decodeRequest and DecodeResponse to the reference on
 // one payload.
 func checkDecoders(t *testing.T, payload []byte) {

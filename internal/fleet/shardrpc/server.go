@@ -118,6 +118,7 @@ type Server struct {
 	pending []telemetry.Delta
 	rows    hwdb.RowBuilder
 	books   Books
+	batch   Batch // what a response carries the pending deltas in
 }
 
 // NewServer wires a server to its backend; call Serve to listen. If
@@ -251,14 +252,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	br := bufio.NewReader(conn)
-	var in, out []byte // this connection's frames, reused request to request
+	var (
+		in, out []byte  // this connection's frames, reused request to request
+		req     Request // what each request decodes into
+	)
 	for {
 		var err error
 		if in, err = readFrame(br, in); err != nil {
 			return
 		}
-		req, err := decodeRequest(in)
-		if err != nil {
+		if err := req.decode(in); err != nil {
 			// A malformed frame leaves the stream position untrustworthy:
 			// answer with seq 0 (the client never uses it) and drop the
 			// conn rather than guess at resynchronization.
@@ -267,7 +270,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			writeFrame(conn, appendResponse(beginFrame(out), resp))
 			return
 		}
-		if out, err = s.handle(conn, req, out); err != nil {
+		if out, err = s.handle(conn, &req, out); err != nil {
 			return
 		}
 	}
@@ -353,12 +356,13 @@ func (s *Server) writeWithBatch(conn net.Conn, resp *Response, out []byte) ([]by
 	if len(s.pending) > 0 {
 		seq++
 	}
-	resp.Batch = &Batch{
+	s.batch = Batch{
 		Seq:      seq,
 		SentRows: s.books.SentRows + rows,
 		SentLost: s.books.SentLost + lost,
 		Deltas:   s.pending,
 	}
+	resp.Batch = &s.batch
 	out = appendResponse(beginFrame(out), resp)
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := writeFrame(conn, out); err != nil {

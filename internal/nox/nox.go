@@ -20,10 +20,11 @@
 // on the read loop's otherwise, with an event that arrives mid-dispatch
 // queued for the dispatching call to take next — so handlers for one
 // datapath never run concurrently with each other, but handlers for
-// different datapaths do. An event and its Decoded view are valid only
-// for the duration of the dispatch call; a handler that wants to keep
-// anything must copy it out (the switch reuses the decode state and the
-// events). A handler answers a buffered
+// different datapaths do. An event, its message and its Decoded view are
+// valid only for the duration of the dispatch call; a handler that wants
+// to keep anything must copy it out (the switch reuses the decode state
+// and the events, and releases a packet-in or flow-removed to openflow's
+// pool once its whole dispatch is over). A handler answers a buffered
 // packet-in within the dispatch, with a flow-mod or packet-out that
 // references the buffer; one that no handler referenced is discarded when
 // the chain returns, so every buffered packet-in is answered exactly once
@@ -72,8 +73,9 @@ type JoinEvent struct {
 }
 
 // FlowRemovedEvent is delivered when a flow entry expires or is deleted.
-// The switch reuses one: a handler that keeps anything keeps Msg, not the
-// event.
+// The switch reuses the event, and Msg is valid only for the dispatch: the
+// switch releases it when the handlers return (openflow.Release), so no
+// handler keeps it, and one that wants a field copies it out.
 type FlowRemovedEvent struct {
 	Switch *Switch
 	Msg    *openflow.FlowRemoved

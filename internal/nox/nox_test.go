@@ -220,10 +220,10 @@ func TestFlowStatsAndAggregate(t *testing.T) {
 
 func TestDeleteFlowsAndFlowRemoved(t *testing.T) {
 	ctl := NewController()
-	removed := make(chan *FlowRemovedEvent, 1)
+	removed := make(chan openflow.FlowRemoved, 1)
 	ctl.OnFlowRemoved(func(ev *FlowRemovedEvent) {
 		select {
-		case removed <- ev:
+		case removed <- *ev.Msg: // the message is the dispatch's only
 		default:
 		}
 	})
@@ -247,9 +247,9 @@ func TestDeleteFlowsAndFlowRemoved(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case ev := <-removed:
-		if ev.Msg.Cookie != 42 || ev.Msg.Reason != openflow.FlowRemovedDelete {
-			t.Errorf("flow removed = %+v", ev.Msg)
+	case msg := <-removed:
+		if msg.Cookie != 42 || msg.Reason != openflow.FlowRemovedDelete {
+			t.Errorf("flow removed = %+v", msg)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no flow-removed")
@@ -1108,5 +1108,54 @@ func TestDirectConcurrentCalls(t *testing.T) {
 	}
 	if p2, _ := rig.dp.Port(2); p2.Stats().TxPackets != 2*senders*flows {
 		t.Errorf("%d frames forwarded, want %d", p2.Stats().TxPackets, 2*senders*flows)
+	}
+}
+
+// discardTap is a controller-side transport that records the action-less
+// packet-outs the controller sends to discard a buffer.
+type discardTap struct {
+	oftransport.Transport
+	discards []openflow.PacketOut
+}
+
+func (d *discardTap) Send(msg openflow.Message) error {
+	if m, ok := msg.(*openflow.PacketOut); ok && m.BufferID != openflow.NoBuffer && len(m.Actions) == 0 {
+		d.discards = append(d.discards, *m)
+	}
+	return d.Transport.Send(msg)
+}
+
+// A packet-in is the switch's until its whole dispatch is over: after the
+// handler chain returns, the discard of a buffer no handler answered names
+// the packet-in's buffer and in_port, and only then does the switch release
+// it. A handler that kept the message past the dispatch reads zeros.
+func TestPacketInLivesForTheWholeDispatch(t *testing.T) {
+	ctl := NewController()
+	var (
+		kept     *openflow.PacketIn
+		buffered uint32
+	)
+	ctl.OnPacketIn(func(ev *PacketInEvent) Disposition {
+		kept, buffered = ev.Msg, ev.Msg.BufferID // breaks the rule, to watch the release
+		return Continue
+	})
+	tap := &discardTap{}
+	rig := newDirectRig(t, ctl, func(end oftransport.Transport) oftransport.Transport {
+		tap.Transport = end
+		return tap
+	})
+	frame := packet.AppendTCPFrame(nil, packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+		packet.IP4{10, 0, 0, 1}, packet.IP4{10, 0, 0, 2}, 40000, 80, packet.TCPSyn, 1, 0, nil)
+	rig.dp.Receive(2, frame)
+
+	if len(tap.discards) != 1 {
+		t.Fatalf("%d discards, want 1", len(tap.discards))
+	}
+	if d := tap.discards[0]; d.BufferID != buffered || d.InPort != 2 {
+		t.Errorf("the discard names buffer %d in_port %d, want the packet-in's: %d and 2", d.BufferID, d.InPort, buffered)
+	}
+	if kept.InPort != 0 || kept.BufferID != 0 || kept.Data != nil {
+		t.Errorf("a packet-in kept past its dispatch still reads in_port %d, buffer %d, %d bytes: it was not released",
+			kept.InPort, kept.BufferID, len(kept.Data))
 	}
 }

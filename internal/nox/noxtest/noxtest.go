@@ -49,10 +49,12 @@ func (d *Datapath) PacketIn(frame []byte, inPort uint16) (sent []openflow.Messag
 	d.tb.Helper()
 	d.nextBuf++
 	id := d.nextBuf
-	d.send(&openflow.PacketIn{
+	// A pooled packet-in, as a datapath sends: the controller releases it
+	// after the dispatch, so a module that kept it would read zeros.
+	d.send(openflow.NewPacketIn(openflow.PacketIn{
 		BufferID: id, TotalLen: uint16(len(frame)), InPort: inPort,
 		Reason: openflow.PacketInReasonAction, Data: frame,
-	})
+	}))
 	sent = d.take()
 	for _, msg := range sent {
 		switch m := msg.(type) {

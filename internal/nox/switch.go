@@ -168,10 +168,15 @@ func (sw *Switch) handle(msg openflow.Message, tracer *trace.Tracer) (punt bool)
 			_ = sw.ReleaseBuffer(id, m.InPort)
 		}
 		tracer.EndDispatch()
+		// The switch is the packet-in's last reader: no handler keeps it.
+		sw.ev.Msg = nil
+		openflow.Release(m)
 		return true
 	case *openflow.FlowRemoved:
 		sw.rem = FlowRemovedEvent{Switch: sw, Msg: m}
 		sw.ctl.dispatchFlowRemoved(&sw.rem)
+		sw.rem.Msg = nil
+		openflow.Release(m)
 	case *openflow.ErrorMsg:
 		// Errors not tied to a pending request are logged by dropping;
 		// a production controller would surface these.
@@ -266,12 +271,13 @@ func (sw *Switch) roundTrip(w *waiter, msg openflow.Message, timeout time.Durati
 
 // InstallFlow adds a flow entry.
 func (sw *Switch) InstallFlow(match openflow.Match, priority uint16, idle, hard uint16, actions []openflow.Action, opts ...FlowOpt) error {
-	fm := &openflow.FlowMod{
+	// The datapath, or the transport that encodes it, releases it.
+	fm := openflow.NewFlowMod(openflow.FlowMod{
 		Match: match, Command: openflow.FlowModAdd,
 		IdleTimeout: idle, HardTimeout: hard, Priority: priority,
 		BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
 		Actions: actions,
-	}
+	})
 	for _, o := range opts {
 		o(fm)
 	}

@@ -29,11 +29,18 @@
 //     Messages buffered but not yet delivered to the closing end's peer
 //     may be lost, exactly as with an aborted TCP connection.
 //   - Message ownership: Send transfers ownership of the message to the
-//     receiver. The in-process transport passes the same pointer the
+//     receiver. The in-process transports pass the same pointer the
 //     sender built (that is the whole point — no copy, no re-encode), so
-//     a sender must not mutate a message after Send returns. The TCP
-//     transport copies by serializing, but callers must honour the
-//     stricter in-process rule so the two transports stay interchangeable.
+//     a sender must not read or mutate a message after Send returns. The
+//     TCP transport copies by serializing, but callers must honour the
+//     stricter in-process rule so the transports stay interchangeable.
+//     A message's last owner releases it (openflow.Release): the receiver
+//     once it has handled it, or the TCP transport once it has encoded it
+//     (the peer reads its own decoded copy). Release returns a packet-in,
+//     flow-mod or flow-removed that openflow's constructors made to their
+//     pool, zeroed, and leaves any other message alone; a message nobody
+//     releases, such as one a failed Send did not deliver, is left to the
+//     collector.
 //
 // Three implementations: Direct for a controller and datapath in one
 // address space (no queue and no goroutine: a Send delivers before it

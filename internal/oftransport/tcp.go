@@ -43,6 +43,7 @@ func (t *tcpTransport) Send(msg openflow.Message) error {
 	t.writeMu.Lock()
 	err := openflow.WriteMessage(t.conn, msg)
 	t.writeMu.Unlock()
+	openflow.Release(msg) // encoded: the peer reads its own decoded copy
 	if err != nil {
 		// On the write path every failure means the channel is gone —
 		// TCP cannot tell a peer's orderly FIN from its crash here (both

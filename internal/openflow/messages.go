@@ -101,6 +101,9 @@ type PacketIn struct {
 	InPort   uint16
 	Reason   uint8
 	Data     []byte
+
+	buf  []byte // a pooled packet-in's own data buffer, kept across uses
+	pool poolState
 }
 
 func (m *PacketIn) layout(w wire) wire {
@@ -168,6 +171,8 @@ type FlowMod struct {
 	OutPort     uint16
 	Flags       uint16
 	Actions     []Action
+
+	pool poolState
 }
 
 func (m *FlowMod) layout(w wire) wire {
@@ -204,6 +209,8 @@ type FlowRemoved struct {
 	IdleTimeout  uint16
 	PacketCount  uint64
 	ByteCount    uint64
+
+	pool poolState
 }
 
 func (m *FlowRemoved) layout(w wire) wire {

@@ -17,8 +17,10 @@
 // Concurrency: Encode and ReadMessage are safe to call from any goroutine
 // on distinct messages and readers. Message values carry no
 // synchronization — build one, hand it to a transport, and do not
-// mutate it afterwards (the in-process transport passes the same
-// pointer to the receiver).
+// read or mutate it afterwards (the in-process transport passes the same
+// pointer to the receiver). A new flow's messages — packet-in, flow-mod,
+// flow-removed — come from pools (NewPacketIn, NewFlowMod,
+// NewFlowRemoved), and their last owner hands them back with Release.
 package openflow
 
 import (

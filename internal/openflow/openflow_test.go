@@ -616,3 +616,51 @@ func TestCodecAllocations(t *testing.T) {
 		}
 	}
 }
+
+// Release drops a flow-mod's action list and never pools it: the list is
+// the flow entry's, shared with every entry built from it, so the next
+// flow-mod from the pool starts with none, and nothing it appends or a
+// release zeroes reaches the list.
+func TestReleaseNeverPoolsTheActionList(t *testing.T) {
+	acts := []Action{&ActionOutput{Port: 1}, &ActionSetDLDst{Addr: [6]byte{2, 0, 0, 0, 0, 9}}}
+	for i := 0; i < 10; i++ {
+		fm := NewFlowMod(FlowMod{})
+		if fm.Actions != nil || fm.Match != (Match{}) || fm.BufferID != 0 {
+			t.Fatalf("round %d: a flow-mod from the pool reads %d actions (capacity %d), match %v, buffer %d",
+				i, len(fm.Actions), cap(fm.Actions), fm.Match, fm.BufferID)
+		}
+		fm.Actions = append(fm.Actions, &ActionOutput{Port: 3})
+		fm.Actions = acts
+		fm.BufferID = uint32(i + 1)
+		Release(fm)
+		if fm.Actions != nil || fm.BufferID != 0 {
+			t.Fatalf("round %d: a released flow-mod still reads %d actions, buffer %d", i, len(fm.Actions), fm.BufferID)
+		}
+	}
+	if out, ok := acts[0].(*ActionOutput); !ok || out.Port != 1 || len(acts) != 2 || acts[1] == nil {
+		t.Errorf("the action list changed under its entry: %v", acts)
+	}
+}
+
+// A packet-in from the pool carries its own copy of its data, and Release
+// zeroes the copy; a message no constructor made is never pooled, so
+// Release leaves it, and the bytes it points at, as they were.
+func TestReleaseZeroesOnlyPooledMessages(t *testing.T) {
+	frame := []byte{1, 2, 3, 4}
+	pi := NewPacketIn(PacketIn{InPort: 5, Data: frame})
+	frame[0] = 9
+	data := pi.Data
+	if data[0] != 1 {
+		t.Fatal("a pooled packet-in's data aliases the caller's frame")
+	}
+	Release(pi)
+	if pi.InPort != 0 || pi.Data != nil || data[0] != 0 || data[3] != 0 {
+		t.Errorf("a released packet-in reads in_port %d, data %v, its old bytes %v", pi.InPort, pi.Data, data)
+	}
+	lit := &PacketIn{InPort: 5, Data: frame}
+	Release(lit)
+	Release(lit)
+	if lit.InPort != 5 || frame[0] != 9 {
+		t.Errorf("Release touched a literal packet-in: in_port %d, data %v", lit.InPort, frame)
+	}
+}
