@@ -6,55 +6,43 @@ import (
 	"time"
 )
 
-// ScheduleConfig parameterizes buildSchedule. Everything is derived from
-// Seed, so a schedule is fully reproducible from the numbers a failing
-// soak prints.
-type ScheduleConfig struct {
-	// Seed drives every draw (kind, onset jitter, duration, magnitude).
-	Seed int64
-	// Homes are the target home IDs (each gets its own episode sequence).
-	Homes []uint64
-	// Span is the simulated window the episodes are spread over.
-	Span time.Duration
-	// MinFor/MaxFor bound episode durations (defaults 5m/12m).
-	MinFor, MaxFor time.Duration
-	// Gap is the minimum recovery window between one home's episodes
-	// (default 90m) — long enough for the remediation loop to converge
-	// before the next fault, so per-episode recovery is assertable.
-	Gap time.Duration
-}
+// Episode durations and gaps scale with the evaluation window (one fleet
+// tick of stepSec), so a fault always spans enough consecutive windows to
+// walk the health state machine, and every gap leaves room for full
+// remediation (cordon + dwell + restart + probation) before the next
+// fault.
+const (
+	// minFor and maxFor bound episode durations.
+	minFor = 5 * stepSec * time.Second
+	maxFor = 13 * stepSec * time.Second
+	// gap is the minimum recovery window between one home's episodes.
+	gap = 50 * stepSec * time.Second
+)
 
 // buildSchedule lays out a deterministic, per-home non-overlapping
-// episode schedule: each home's episodes are separated by at least Gap
-// of clean recovery time, onsets are jittered so homes do not fail in
-// lockstep, and magnitudes are drawn per kind (LinkFlap drops 50–80% of
-// frames, Interference attenuates 50–58 dB — partial loss by
+// episode schedule over span for the given homes, every draw (kind, onset
+// jitter, duration, magnitude) from seed, so a schedule reproduces from
+// the numbers a failing soak prints. Each home's episodes are separated
+// by at least gap of clean recovery time, onsets are jittered so homes do
+// not fail in lockstep, and magnitudes are drawn per kind (LinkFlap drops
+// 50–80% of frames, Interference attenuates 50–58 dB — partial loss by
 // construction, since total loss never attributes to FlowPerf). The
 // result is sorted by onset, then home.
-func buildSchedule(cfg ScheduleConfig) []Episode {
-	if cfg.Span <= 0 || len(cfg.Homes) == 0 {
+func buildSchedule(seed int64, homes []uint64, span time.Duration) []Episode {
+	if span <= 0 || len(homes) == 0 {
 		return nil
 	}
-	if cfg.MinFor <= 0 {
-		cfg.MinFor = 5 * time.Minute
-	}
-	if cfg.MaxFor < cfg.MinFor {
-		cfg.MaxFor = 12 * time.Minute
-	}
-	if cfg.Gap <= 0 {
-		cfg.Gap = 90 * time.Minute
-	}
 	kinds := allKinds()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 
 	var eps []Episode
-	for _, home := range cfg.Homes {
+	for _, home := range homes {
 		// Jittered start keeps the fleet's failures unsynchronized.
-		at := time.Duration(rng.Float64() * float64(cfg.Gap))
+		at := time.Duration(rng.Float64() * float64(gap))
 		for {
-			dur := cfg.MinFor + time.Duration(rng.Float64()*float64(cfg.MaxFor-cfg.MinFor))
-			if at+dur+cfg.Gap > cfg.Span {
-				break // leave the final Gap clean so recovery completes in-window
+			dur := minFor + time.Duration(rng.Float64()*float64(maxFor-minFor))
+			if at+dur+gap > span {
+				break // leave the final gap clean so recovery completes in-window
 			}
 			kind := kinds[rng.Intn(len(kinds))]
 			ep := Episode{Kind: kind, Home: home, At: at, For: dur}
@@ -67,7 +55,7 @@ func buildSchedule(cfg ScheduleConfig) []Episode {
 				ep.For = time.Minute // the storm is its onset
 			}
 			eps = append(eps, ep)
-			at += ep.For + cfg.Gap + time.Duration(rng.Float64()*float64(cfg.Gap)/2)
+			at += ep.For + gap + time.Duration(rng.Float64()*float64(gap)/2)
 		}
 	}
 	sort.Slice(eps, func(i, j int) bool {

@@ -7,29 +7,36 @@ import (
 )
 
 // TestBuildScheduleDeterministic checks the schedule is a pure function
-// of its seed and leaves every home's episodes Gap-separated inside the
-// span, with magnitudes in the partial-loss bands the attribution path
-// requires.
+// of its seed and leaves every home's episodes separated by the soak's
+// gap inside the span, each lasting between the soak's bounds, with
+// magnitudes in the partial-loss bands the attribution path requires.
 func TestBuildScheduleDeterministic(t *testing.T) {
-	cfg := ScheduleConfig{
-		Seed:  9,
-		Homes: []uint64{0, 1, 2, 3},
-		Span:  12 * time.Hour,
+	const (
+		stepDur = stepSec * time.Second
+		wantGap = 50 * stepDur
+		wantMin = 5 * stepDur
+		wantMax = 13 * stepDur
+	)
+	if gap != wantGap || minFor != wantMin || maxFor != wantMax {
+		t.Fatalf("schedule shape gap=%v for=[%v, %v], want gap=%v for=[%v, %v]",
+			gap, minFor, maxFor, wantGap, wantMin, wantMax)
 	}
-	a := buildSchedule(cfg)
-	b := buildSchedule(cfg)
+	homes := []uint64{0, 1, 2, 3}
+	span := 48 * time.Hour
+	a := buildSchedule(9, homes, span)
+	b := buildSchedule(9, homes, span)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different schedules")
 	}
 	if len(a) == 0 {
-		t.Fatal("empty schedule for a 12h span")
+		t.Fatal("empty schedule for a 48h span")
 	}
 	last := map[uint64]time.Duration{}
 	for _, ep := range a {
-		if ep.At+ep.For+90*time.Minute > cfg.Span {
+		if ep.At+ep.For+wantGap > span {
 			t.Errorf("episode %+v runs past the span's recovery tail", ep)
 		}
-		if end, ok := last[ep.Home]; ok && ep.At < end+90*time.Minute {
+		if end, ok := last[ep.Home]; ok && ep.At < end+wantGap {
 			t.Errorf("home %d episodes closer than the gap: next at %v, prior ended %v", ep.Home, ep.At, end)
 		}
 		if cur := ep.At + ep.For; cur > last[ep.Home] {
@@ -45,15 +52,16 @@ func TestBuildScheduleDeterministic(t *testing.T) {
 				t.Errorf("interference magnitude %v dB out of band", ep.Mag)
 			}
 		}
-	}
-	if buildSchedule(ScheduleConfig{Seed: 10, Homes: cfg.Homes, Span: cfg.Span})[0] == a[0] &&
-		len(a) > 1 {
-		// Different seeds almost surely differ somewhere; a stable first
-		// episode alone is fine, identical whole schedules are not.
-		c := buildSchedule(ScheduleConfig{Seed: 10, Homes: cfg.Homes, Span: cfg.Span})
-		if reflect.DeepEqual(a, c) {
-			t.Error("different seeds produced identical schedules")
+		if ep.Kind == DHCPStorm {
+			if ep.For != time.Minute {
+				t.Errorf("DHCP storm %+v lasts %v, want its one-minute onset", ep, ep.For)
+			}
+		} else if ep.For < wantMin || ep.For > wantMax {
+			t.Errorf("episode %+v lasts %v, outside [%v, %v]", ep, ep.For, wantMin, wantMax)
 		}
+	}
+	if c := buildSchedule(10, homes, span); len(a) > 1 && reflect.DeepEqual(a, c) {
+		t.Error("different seeds produced identical schedules")
 	}
 }
 

@@ -205,19 +205,8 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 	s := &soakState{cfg: cfg, fl: fl}
 	s.maintain() // initial device population (wired/wireless mix + apps)
 
-	// Episode durations and gaps scale with the evaluation window, so a
-	// fault always spans enough consecutive windows to walk the health
-	// state machine, and every gap leaves room for full remediation
-	// (cordon + dwell + restart + probation) before the next fault.
 	span := time.Duration(cfg.SimDays * 24 * float64(time.Hour))
-	sched := buildSchedule(ScheduleConfig{
-		Seed:   cfg.Seed,
-		Homes:  ids,
-		Span:   span,
-		MinFor: 5 * stepDur,
-		MaxFor: 13 * stepDur,
-		Gap:    50 * stepDur,
-	})
+	sched := buildSchedule(cfg.Seed, ids, span)
 	eng.setSchedule(sched)
 	logf("chaos soak: seed=%d homes=%d episodes=%d span=%s step=%ds",
 		cfg.Seed, cfg.Homes, len(sched), span, stepSec)
@@ -393,15 +382,10 @@ func (s *soakState) joinOne(h *fleet.Home) bool {
 	// Within ~4.5 m of the router: a reliable baseline link, so loss
 	// during interference episodes is attributable to the episode.
 	pos := netsim.Pos{X: 1 + rng.Float64()*3, Y: rng.Float64() * 2}
-	mac := h.NextMAC()
-	host, err := h.Router.Net.AddHost(fmt.Sprintf("%s-dev-%s", h.Name, mac), mac, wireless, pos)
+	host, err := h.Join("", wireless, pos)
 	if err != nil {
-		return false
-	}
-	if err := h.Router.JoinHost(host); err != nil || !host.Bound() {
-		// Joining under an active fault can fail; detach and retry on a
-		// later maintenance pass.
-		_ = h.Router.Net.RemoveHost(mac)
+		// Joining under an active fault can fail; Join detached the host,
+		// and a later maintenance pass retries.
 		return false
 	}
 	// Steady low-rate telemetry traffic: enough packets per evaluation

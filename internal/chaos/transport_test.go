@@ -60,7 +60,7 @@ func TestWedgeSettleDeadlineAndRecovery(t *testing.T) {
 
 	f := eng.faultsFor(h.ID)
 	f.wedgeController(true)
-	host2, err := h.Router.Net.AddHost("dev-wedged", h.NextMAC(), false, netsim.Pos{X: 1})
+	host2, err := h.Router.Net.AddHost("dev-wedged", packet.MustMAC("02:ee:00:00:00:01"), false, netsim.Pos{X: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestWrapAcrossRestartKeepsFaults(t *testing.T) {
 
 	f.wedgeController(true)
 	// Provoke held punts: a join's DISCOVER goes into the wedge.
-	host, err := h.Router.Net.AddHost("dev", h.NextMAC(), false, netsim.Pos{X: 1})
+	host, err := h.Router.Net.AddHost("dev", packet.MustMAC("02:ee:00:00:00:01"), false, netsim.Pos{X: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestWrapAcrossRestartKeepsFaults(t *testing.T) {
 
 	// The wedge survives the restart: the new incarnation's joins are
 	// still starved until the fault lifts.
-	host2, err := h2.Router.Net.AddHost("dev2", h2.NextMAC(), false, netsim.Pos{X: 1})
+	host2, err := h2.Router.Net.AddHost("dev2", packet.MustMAC("02:ee:00:00:00:02"), false, netsim.Pos{X: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

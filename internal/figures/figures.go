@@ -30,6 +30,8 @@ import (
 type home struct {
 	rt    *core.Router
 	hosts map[string]*netsim.Host
+	// sim is the router's clock when it is simulated; run advances it.
+	sim *clock.Simulated
 }
 
 // startHome brings up a router with the given config mutations.
@@ -46,7 +48,8 @@ func startHome(mutate func(*core.Config)) (*home, error) {
 	if err := rt.Start(); err != nil {
 		return nil, err
 	}
-	return &home{rt: rt, hosts: make(map[string]*netsim.Host)}, nil
+	sim, _ := cfg.Clock.(*clock.Simulated)
+	return &home{rt: rt, hosts: make(map[string]*netsim.Host), sim: sim}, nil
 }
 
 func (h *home) stop() { h.rt.Stop() }
@@ -68,10 +71,14 @@ func (h *home) join(name, mac string, wireless bool, pos netsim.Pos) (*netsim.Ho
 }
 
 // run advances traffic n steps of dt seconds, settling the control path
-// and polling the measurement plane each second of simulated time.
+// and polling the measurement plane each second of simulated time. A
+// simulated clock moves dt with each step.
 func (h *home) run(n int, dt float64) error {
 	acc := 0.0
 	for i := 0; i < n; i++ {
+		if h.sim != nil {
+			h.sim.Advance(time.Duration(dt * float64(time.Second)))
+		}
 		h.rt.Net.Step(dt)
 		if err := h.rt.Settle(); err != nil {
 			return err
@@ -127,9 +134,11 @@ func Figure1() (string, error) {
 
 // Figure2 regenerates the network artifact's three modes: an RSSI
 // walk-through, a bandwidth ramp, and a DHCP grant/revoke sequence with a
-// retry spike.
+// retry spike. It runs on a simulated clock, so the bandwidth window
+// drains without waiting on the wall clock.
 func Figure2() (string, error) {
-	h, err := startHome(nil)
+	sim := clock.NewSimulated()
+	h, err := startHome(func(c *core.Config) { c.Clock = sim })
 	if err != nil {
 		return "", err
 	}
@@ -170,7 +179,7 @@ func Figure2() (string, error) {
 	fmt.Fprintf(&sb, "  busy:  %.1f LEDs/s  %s\n", busy, ui.RenderFrame(art.Step(time.Second)))
 	// Stop traffic; the window drains relative to the recorded peak.
 	app.RateBps = 0
-	time.Sleep(2100 * time.Millisecond)
+	sim.Advance(2100 * time.Millisecond)
 	h.rt.PollMeasure()
 	idle := art.AnimationSpeed()
 	fmt.Fprintf(&sb, "  idle:  %.1f LEDs/s  %s\n", idle, ui.RenderFrame(art.Step(time.Second)))

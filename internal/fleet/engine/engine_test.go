@@ -159,6 +159,27 @@ func TestDrainAccountsWrappedRows(t *testing.T) {
 	}
 }
 
+// TestJoinDetachesAHostThatDoesNotBind: a host whose lease stays pending
+// (no auto-permit) fails to join and is detached again, so the home's
+// network holds only the hosts that joined.
+func TestJoinDetachesAHostThatDoesNotBind(t *testing.T) {
+	e := New(Config{Clock: clock.NewSimulated(), Seed: 7,
+		HomeConfig: func(_ uint64, cfg *core.Config) { cfg.AutoPermit = false }})
+	defer e.Close()
+	if err := e.Assign(7); err != nil {
+		t.Fatal(err)
+	}
+	h, _ := e.Home(7)
+	before := h.Router.Net.HostCount()
+	host, err := h.Join("", true, netsim.Pos{X: 2})
+	if err == nil || host != nil {
+		t.Fatalf("join of a pending host = %v, %v; want an error", host, err)
+	}
+	if got := h.Router.Net.HostCount(); got != before {
+		t.Errorf("after a failed join the home holds %d hosts, want %d", got, before)
+	}
+}
+
 // TestEngineCordonSkipsStepping pins that a cordoned home is skipped by
 // the step plan but stays live and inspectable, and rejoins rotation on
 // uncordon.

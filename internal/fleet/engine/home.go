@@ -97,9 +97,9 @@ func (h *Home) Steps() uint64 {
 // only touches it from the home's own shard.
 func (h *Home) Rand() *rand.Rand { return h.rng }
 
-// NextMAC allocates a fleet-unique MAC for the home's next host:
+// nextMAC allocates a fleet-unique MAC for the home's next host:
 // 02:HH:HH:HH:SS:SS from the home ID and a per-home sequence number.
-func (h *Home) NextMAC() packet.MAC {
+func (h *Home) nextMAC() packet.MAC {
 	h.mu.Lock()
 	h.hostSeq++
 	seq := h.hostSeq
@@ -110,9 +110,11 @@ func (h *Home) NextMAC() packet.MAC {
 	}
 }
 
-// Join adds a host to the home's network and runs it through DHCP.
+// Join adds a host to the home's network and runs it through DHCP. A host
+// that does not bind is detached again, so a failed join leaves the home's
+// network as it found it.
 func (h *Home) Join(name string, wireless bool, pos netsim.Pos) (*netsim.Host, error) {
-	mac := h.NextMAC()
+	mac := h.nextMAC()
 	if name == "" {
 		name = fmt.Sprintf("%s-dev-%s", h.Name, mac)
 	}
@@ -120,11 +122,13 @@ func (h *Home) Join(name string, wireless bool, pos netsim.Pos) (*netsim.Host, e
 	if err != nil {
 		return nil, err
 	}
-	if err := h.Router.JoinHost(host); err != nil {
-		return nil, err
+	err = h.Router.JoinHost(host)
+	if err == nil && !host.Bound() {
+		err = fmt.Errorf("fleet: %s: host %s did not bind", h.Name, mac)
 	}
-	if !host.Bound() {
-		return nil, fmt.Errorf("fleet: %s: host %s did not bind", h.Name, mac)
+	if err != nil {
+		_ = h.Router.Net.RemoveHost(mac)
+		return nil, err
 	}
 	return host, nil
 }

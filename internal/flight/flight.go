@@ -24,7 +24,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/hwdb"
 	"repro/internal/telemetry"
 )
@@ -91,7 +90,6 @@ type Recorder struct {
 	mu      sync.Mutex
 	streams map[telemetry.SourceID]*stream
 	schemas map[string]*hwdb.Schema // learned via AttachView
-	proto   *hwdb.DB                // standard Homework layout for Schema fallback
 
 	delivered, viewRows, stored, compacted, lost uint64
 }
@@ -109,7 +107,6 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 		cfg:     cfg,
 		streams: make(map[telemetry.SourceID]*stream),
 		schemas: make(map[string]*hwdb.Schema),
-		proto:   hwdb.NewHomework(clock.Real{}, 1),
 	}
 }
 
@@ -293,10 +290,7 @@ func (r *Recorder) Schema(table string) *hwdb.Schema {
 	if s != nil {
 		return s
 	}
-	if t, ok := r.proto.Table(table); ok {
-		return t.Schema()
-	}
-	return nil
+	return hwdb.HomeworkSchema(table)
 }
 
 // Replay projects the retained rows for (home, table) in [from, to] as a

@@ -44,83 +44,19 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// Policy sets the evaluator thresholds and the remediation escalation
-// schedule, all in units of evaluation windows (one Tick = one window).
-type Policy struct {
-	// LossRatioMax is the FlowPerf lost/tx ratio above which a window is
-	// breached (default 0.05).
-	LossRatioMax float64
-	// MinTxPkts is the minimum transmitted packets a window needs before
-	// its loss ratio is meaningful; below it loss is ignored (default 10).
-	MinTxPkts uint64
-	// MaxPuntLag is the punt-credit backlog (punted − processed) above
-	// which a window is breached (default 8).
-	MaxPuntLag uint64
-	// MaxSettleErrs is how many new settle failures a window tolerates
-	// before breaching (default 0: any failure breaches).
-	MaxSettleErrs uint64
-	// SickAfter is how many consecutive breached windows turn a Healthy
-	// home Sick (default 2).
-	SickAfter int
-	// HealthyAfter is how many consecutive clear windows turn a Sick home
-	// Healthy again (default 2).
-	HealthyAfter int
-	// CordonAfter is how many further breached windows a Sick home gets
-	// before it is cordoned out of rotation (default 3).
-	CordonAfter int
-	// RestartDwell is how many windows a cordoned home rests before the
-	// loop restarts it in place (default 2).
-	RestartDwell int
-	// MaxRestarts bounds restart attempts per home; one more cordon after
-	// the budget is spent escalates to replacement (default 2).
-	MaxRestarts int
-}
-
-// defaultPolicy returns the thresholds the chaos soak gates on.
-func defaultPolicy() Policy {
-	return Policy{
-		LossRatioMax:  0.05,
-		MinTxPkts:     10,
-		MaxPuntLag:    8,
-		MaxSettleErrs: 0,
-		SickAfter:     2,
-		HealthyAfter:  2,
-		CordonAfter:   3,
-		RestartDwell:  2,
-		MaxRestarts:   2,
-	}
-}
-
-// withDefaults fills zero-valued fields from defaultPolicy, so callers
-// can override just the thresholds they care about.
-func (p Policy) withDefaults() Policy {
-	d := defaultPolicy()
-	if p.LossRatioMax <= 0 {
-		p.LossRatioMax = d.LossRatioMax
-	}
-	if p.MinTxPkts == 0 {
-		p.MinTxPkts = d.MinTxPkts
-	}
-	if p.MaxPuntLag == 0 {
-		p.MaxPuntLag = d.MaxPuntLag
-	}
-	if p.SickAfter <= 0 {
-		p.SickAfter = d.SickAfter
-	}
-	if p.HealthyAfter <= 0 {
-		p.HealthyAfter = d.HealthyAfter
-	}
-	if p.CordonAfter <= 0 {
-		p.CordonAfter = d.CordonAfter
-	}
-	if p.RestartDwell <= 0 {
-		p.RestartDwell = d.RestartDwell
-	}
-	if p.MaxRestarts <= 0 {
-		p.MaxRestarts = d.MaxRestarts
-	}
-	return p
-}
+// The evaluator thresholds and the remediation escalation schedule, the
+// counts in evaluation windows (one Tick = one window).
+const (
+	lossRatioMax  = 0.05 // FlowPerf lost/tx ratio above which a window is breached
+	minTxPkts     = 10   // tx packets a window needs before its loss ratio counts
+	maxPuntLag    = 8    // punt backlog (punted − processed) above which a window is breached
+	maxSettleErrs = 0    // new settle failures a window tolerates: any breaches
+	sickAfter     = 2    // consecutive breached windows that turn a Healthy home Sick
+	healthyAfter  = 2    // consecutive clear windows that turn a Sick home Healthy again
+	cordonAfter   = 3    // further breached windows a Sick home gets before it is cordoned
+	restartDwell  = 2    // windows a cordoned home rests before it is restarted in place
+	maxRestarts   = 2    // restarts per home; the next cordon escalates to replacement
+)
 
 // Vitals are the control-plane signals the evaluator reads directly from
 // a home each window, complementing the telemetry-streamed loss.

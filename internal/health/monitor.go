@@ -20,8 +20,6 @@ const (
 
 // Config parameterizes a Monitor.
 type Config struct {
-	// Policy thresholds; zero-valued fields take defaultPolicy values.
-	Policy Policy
 	// Clock timestamps the verdict/action rows (default wall clock; pass
 	// the fleet's simulated clock for deterministic audits).
 	Clock clock.Clock
@@ -86,7 +84,6 @@ type homeState struct {
 // from any goroutine.
 type Monitor struct {
 	cfg Config
-	pol Policy
 	db  *hwdb.DB
 
 	pTx, pLost int // FlowPerf column indexes
@@ -104,16 +101,14 @@ func New(cfg Config) *Monitor {
 	}
 	m := &Monitor{
 		cfg:   cfg,
-		pol:   cfg.Policy.withDefaults(),
 		db:    hwdb.New(cfg.Clock),
 		homes: make(map[uint64]*homeState),
 	}
 	// Resolve the FlowPerf column layout from the standard Homework
 	// schema once, instead of hard-coding positions.
-	proto := hwdb.NewHomework(cfg.Clock, 1)
-	pt, _ := proto.Table(hwdb.TableFlowPerf)
-	m.pTx, _ = pt.Schema().Index("tx_pkts")
-	m.pLost, _ = pt.Schema().Index("lost_pkts")
+	ps := hwdb.HomeworkSchema(hwdb.TableFlowPerf)
+	m.pTx, _ = ps.Index("tx_pkts")
+	m.pLost, _ = ps.Index("lost_pkts")
 
 	must := func(_ *hwdb.Table, err error) {
 		if err != nil {
@@ -141,9 +136,6 @@ func New(cfg Config) *Monitor {
 
 // DB returns the monitor's audit database (Health and Remedy tables).
 func (m *Monitor) DB() *hwdb.DB { return m.db }
-
-// Policy returns the effective (default-filled) policy.
-func (m *Monitor) Policy() Policy { return m.pol }
 
 // fold accumulates FlowPerf loss into the target home's current window.
 // It runs inside the hub's drain pass, so it must stay cheap and must
@@ -272,7 +264,7 @@ func (m *Monitor) evalHome(id uint64) {
 		if !ok {
 			return // home not reachable this window (e.g. mid-churn)
 		}
-		if v.PuntLag > m.pol.MaxPuntLag {
+		if v.PuntLag > maxPuntLag {
 			reasons = append(reasons, fmt.Sprintf("punt_lag=%d", v.PuntLag))
 		}
 		dErr := v.SettleErrs
@@ -280,12 +272,12 @@ func (m *Monitor) evalHome(id uint64) {
 			dErr = v.SettleErrs - hs.lastSettleErrs
 		}
 		hs.lastSettleErrs = v.SettleErrs
-		if dErr > m.pol.MaxSettleErrs {
+		if dErr > maxSettleErrs {
 			reasons = append(reasons, fmt.Sprintf("settle_errs=%d", dErr))
 		}
 	}
-	if tx >= m.pol.MinTxPkts {
-		if ratio := float64(lost) / float64(tx); ratio > m.pol.LossRatioMax {
+	if tx >= minTxPkts {
+		if ratio := float64(lost) / float64(tx); ratio > lossRatioMax {
 			reasons = append(reasons, fmt.Sprintf("loss=%.3f", ratio))
 		}
 	}
@@ -298,7 +290,7 @@ func (m *Monitor) evalHome(id uint64) {
 			return
 		}
 		hs.breach++
-		if hs.breach >= m.pol.SickAfter {
+		if hs.breach >= sickAfter {
 			hs.sickBreach, hs.clear = 0, 0
 			m.setState(id, hs, Sick, strings.Join(reasons, " "))
 		}
@@ -306,7 +298,7 @@ func (m *Monitor) evalHome(id uint64) {
 		if breached {
 			hs.clear = 0
 			hs.sickBreach++
-			if hs.sickBreach >= m.pol.CordonAfter {
+			if hs.sickBreach >= cordonAfter {
 				m.act(id, "cordon", m.boolAction(m.cfg.Actions.Cordon, id))
 				hs.dwell = 0
 				m.setState(id, hs, Cordoned, strings.Join(reasons, " "))
@@ -314,7 +306,7 @@ func (m *Monitor) evalHome(id uint64) {
 			return
 		}
 		hs.clear++
-		if hs.clear >= m.pol.HealthyAfter {
+		if hs.clear >= healthyAfter {
 			hs.breach = 0
 			m.setState(id, hs, Healthy, "recovered")
 		}
@@ -325,10 +317,10 @@ func (m *Monitor) evalHome(id uint64) {
 // restart in place while the budget lasts, then replace.
 func (m *Monitor) evalCordoned(id uint64, hs *homeState) {
 	hs.dwell++
-	if hs.dwell < m.pol.RestartDwell {
+	if hs.dwell < restartDwell {
 		return
 	}
-	if hs.restarts < m.pol.MaxRestarts {
+	if hs.restarts < maxRestarts {
 		hs.restarts++
 		err := m.errAction(m.cfg.Actions.Restart, id)
 		m.act(id, "restart", err)
@@ -343,7 +335,7 @@ func (m *Monitor) evalCordoned(id uint64, hs *homeState) {
 		m.mu.Lock()
 		hs.winTx, hs.winLost = 0, 0
 		m.mu.Unlock()
-		m.setState(id, hs, Sick, fmt.Sprintf("restarted (%d/%d)", hs.restarts, m.pol.MaxRestarts))
+		m.setState(id, hs, Sick, fmt.Sprintf("restarted (%d/%d)", hs.restarts, maxRestarts))
 		return
 	}
 	// Restart budget spent: escalate to replacement.

@@ -17,6 +17,31 @@ func testDB(t *testing.T) (*DB, *clock.Simulated) {
 	return NewHomework(clk, 1024), clk
 }
 
+// TestHomeworkSchemaLaysOutTheStandardTables: a standard table's schema
+// is the one its NewHomework table has, by any case of its name, fresh
+// on every call; any other name has none.
+func TestHomeworkSchemaLaysOutTheStandardTables(t *testing.T) {
+	db, _ := testDB(t)
+	for _, name := range []string{TableFlows, TableLinks, TableLeases, TableFlowPerf} {
+		tbl, ok := db.Table(name)
+		if !ok {
+			t.Fatalf("NewHomework has no %s table", name)
+		}
+		want := fmt.Sprint(tbl.Schema().Cols)
+		for _, spelled := range []string{name, strings.ToLower(name), strings.ToUpper(name)} {
+			if got := HomeworkSchema(spelled); got == nil || fmt.Sprint(got.Cols) != want {
+				t.Errorf("HomeworkSchema(%q) = %v, want %s", spelled, got, want)
+			}
+		}
+		if HomeworkSchema(name) == HomeworkSchema(name) {
+			t.Errorf("HomeworkSchema(%q) handed out one schema twice", name)
+		}
+	}
+	if s := HomeworkSchema("Health"); s != nil {
+		t.Errorf("HomeworkSchema(Health) = %v, want nil", s)
+	}
+}
+
 func TestValueRoundTrips(t *testing.T) {
 	mac := packet.MustMAC("00:1c:b3:09:85:15")
 	if MACVal(mac).MAC() != mac {

@@ -385,6 +385,7 @@ type Client struct {
 	seq     uint64
 	timeout time.Duration
 	pushCh  chan Push // pushes read off the socket, waiting for WaitPush
+	buf     []byte    // the one datagram read buffer; each read is copied out
 }
 
 // Push is one subscription push received by a client.
@@ -403,8 +404,8 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, timeout: 2 * time.Second, pushCh: make(chan Push, 64)}
-	return c, nil
+	return &Client{conn: conn, timeout: 2 * time.Second, pushCh: make(chan Push, 64),
+		buf: make([]byte, 65536)}, nil
 }
 
 // Close releases the client socket.
@@ -419,17 +420,16 @@ func (c *Client) call(verb, body string) (status string, respBody string, err er
 	if _, err := c.conn.Write([]byte(req)); err != nil {
 		return "", "", err
 	}
-	buf := make([]byte, 65536)
 	deadline := time.Now().Add(c.timeout)
 	for {
 		if err := c.conn.SetReadDeadline(deadline); err != nil {
 			return "", "", err
 		}
-		n, err := c.conn.Read(buf)
+		n, err := c.conn.Read(c.buf)
 		if err != nil {
 			return "", "", err
 		}
-		gotSeq, rest, pushed, perr := c.parseResponse(string(buf[:n]))
+		gotSeq, rest, pushed, perr := c.parseResponse(string(c.buf[:n]))
 		if perr != nil {
 			continue // ignore garbage
 		}
@@ -525,7 +525,6 @@ func (c *Client) Unsubscribe(id uint64) error {
 // WaitPush blocks until a push arrives on the socket or the timeout
 // elapses. Use after Subscribe when no other calls are in flight.
 func (c *Client) WaitPush(timeout time.Duration) (Push, error) {
-	buf := make([]byte, 65536)
 	deadline := time.Now().Add(timeout)
 	for {
 		select {
@@ -536,11 +535,11 @@ func (c *Client) WaitPush(timeout time.Duration) (Push, error) {
 		if err := c.conn.SetReadDeadline(deadline); err != nil {
 			return Push{}, err
 		}
-		n, err := c.conn.Read(buf)
+		n, err := c.conn.Read(c.buf)
 		if err != nil {
 			return Push{}, err
 		}
-		_, _, pushed, perr := c.parseResponse(string(buf[:n]))
+		_, _, pushed, perr := c.parseResponse(string(c.buf[:n]))
 		if perr == nil && pushed {
 			return <-c.pushCh, nil
 		}

@@ -437,7 +437,21 @@ const (
 	TableFlowPerf = "FlowPerf"
 )
 
-// NewHomework creates a database with the four standard Homework tables.
+// NewHomework creates a database with the four standard Homework tables,
+// each laid out by HomeworkSchema.
+func NewHomework(clk clock.Clock, ringSize int) *DB {
+	db := New(clk)
+	for _, name := range []string{TableFlows, TableLinks, TableLeases, TableFlowPerf} {
+		if _, err := db.CreateTable(name, HomeworkSchema(name), ringSize); err != nil {
+			panic(err)
+		}
+	}
+	return db
+}
+
+// HomeworkSchema returns a fresh schema for one of the four standard
+// Homework tables, matching the name case-insensitively as DB.Table does,
+// or nil for any other name.
 //
 //	Flows:    periodically observed active five-tuples with byte/packet counts
 //	Links:    link-layer info per station: RSSI, retries, rates
@@ -446,51 +460,46 @@ const (
 //	          tx vs rx packet/byte deltas across the device's ingress hop,
 //	          attributed loss, windowed throughput (bits/s over the actual
 //	          clock-measured poll window) and rule-install latency (µs)
-func NewHomework(clk clock.Clock, ringSize int) *DB {
-	db := New(clk)
-	must := func(_ *Table, err error) {
-		if err != nil {
-			panic(err)
-		}
+func HomeworkSchema(table string) *Schema {
+	// A Flows or FlowPerf row leads with the device and its five-tuple.
+	flow := func(cols ...Column) *Schema {
+		return NewSchema(append([]Column{
+			{"mac", TMAC}, {"saddr", TIP}, {"daddr", TIP},
+			{"proto", TInt}, {"sport", TInt}, {"dport", TInt},
+		}, cols...)...)
 	}
-	must(db.CreateTable(TableFlows, NewSchema(
-		Column{"mac", TMAC},
-		Column{"saddr", TIP},
-		Column{"daddr", TIP},
-		Column{"proto", TInt},
-		Column{"sport", TInt},
-		Column{"dport", TInt},
-		Column{"packets", TInt},
-		Column{"bytes", TInt},
-	), ringSize))
-	must(db.CreateTable(TableLinks, NewSchema(
-		Column{"mac", TMAC},
-		Column{"rssi", TInt},
-		Column{"retries", TInt},
-		Column{"rate", TReal},
-	), ringSize))
-	must(db.CreateTable(TableLeases, NewSchema(
-		Column{"action", TString}, // add | del | upd
-		Column{"mac", TMAC},
-		Column{"ip", TIP},
-		Column{"hostname", TString},
-	), ringSize))
-	must(db.CreateTable(TableFlowPerf, NewSchema(
-		Column{"mac", TMAC},
-		Column{"saddr", TIP},
-		Column{"daddr", TIP},
-		Column{"proto", TInt},
-		Column{"sport", TInt},
-		Column{"dport", TInt},
-		Column{"tx_pkts", TInt},
-		Column{"tx_bytes", TInt},
-		Column{"rx_pkts", TInt},
-		Column{"rx_bytes", TInt},
-		Column{"lost_pkts", TInt},
-		Column{"bps", TReal},
-		Column{"install_us", TInt},
-	), ringSize))
-	return db
+	switch {
+	case strings.EqualFold(table, TableFlows):
+		return flow(
+			Column{"packets", TInt},
+			Column{"bytes", TInt},
+		)
+	case strings.EqualFold(table, TableLinks):
+		return NewSchema(
+			Column{"mac", TMAC},
+			Column{"rssi", TInt},
+			Column{"retries", TInt},
+			Column{"rate", TReal},
+		)
+	case strings.EqualFold(table, TableLeases):
+		return NewSchema(
+			Column{"action", TString}, // add | del | upd
+			Column{"mac", TMAC},
+			Column{"ip", TIP},
+			Column{"hostname", TString},
+		)
+	case strings.EqualFold(table, TableFlowPerf):
+		return flow(
+			Column{"tx_pkts", TInt},
+			Column{"tx_bytes", TInt},
+			Column{"rx_pkts", TInt},
+			Column{"rx_bytes", TInt},
+			Column{"lost_pkts", TInt},
+			Column{"bps", TReal},
+			Column{"install_us", TInt},
+		)
+	}
+	return nil
 }
 
 // InsertFlow records one observation of an active five-tuple attributed to

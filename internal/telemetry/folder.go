@@ -181,18 +181,16 @@ func NewFolder(hub *Hub, cfg FolderConfig) *Folder {
 		rate:  newRateRing(),
 	}
 	// The standard Homework schemas are fixed; resolve the column
-	// indexes the fold needs once, from a throwaway prototype DB.
-	proto := hwdb.NewHomework(cfg.Clock, 1)
-	ft, _ := proto.Table(hwdb.TableFlows)
-	f.fMAC, _ = ft.Schema().Index("mac")
-	f.fPkts, _ = ft.Schema().Index("packets")
-	f.fBytes, _ = ft.Schema().Index("bytes")
-	lt, _ := proto.Table(hwdb.TableLinks)
-	f.lRSSI, _ = lt.Schema().Index("rssi")
-	pt, _ := proto.Table(hwdb.TableFlowPerf)
-	f.pTx, _ = pt.Schema().Index("tx_pkts")
-	f.pLost, _ = pt.Schema().Index("lost_pkts")
-	f.pInstallUS, _ = pt.Schema().Index("install_us")
+	// indexes the fold needs once.
+	fs := hwdb.HomeworkSchema(hwdb.TableFlows)
+	f.fMAC, _ = fs.Index("mac")
+	f.fPkts, _ = fs.Index("packets")
+	f.fBytes, _ = fs.Index("bytes")
+	f.lRSSI, _ = hwdb.HomeworkSchema(hwdb.TableLinks).Index("rssi")
+	ps := hwdb.HomeworkSchema(hwdb.TableFlowPerf)
+	f.pTx, _ = ps.Index("tx_pkts")
+	f.pLost, _ = ps.Index("lost_pkts")
+	f.pInstallUS, _ = ps.Index("install_us")
 	if hub != nil {
 		hub.SubscribeFunc(f.consume)
 	}

@@ -19,12 +19,6 @@ import (
 // internal/ whose name ends in Config, as package.Type.Field. A field a
 // change adds or removes is a line it adds or removes here.
 var settableSurface = []string{
-	"chaos.ScheduleConfig.Gap",
-	"chaos.ScheduleConfig.Homes",
-	"chaos.ScheduleConfig.MaxFor",
-	"chaos.ScheduleConfig.MinFor",
-	"chaos.ScheduleConfig.Seed",
-	"chaos.ScheduleConfig.Span",
 	"chaos.SoakConfig.Homes",
 	"chaos.SoakConfig.HostsPerHome",
 	"chaos.SoakConfig.IncidentDir",
@@ -93,7 +87,6 @@ var settableSurface = []string{
 	"health.Config.Hub",
 	"health.Config.OnAction",
 	"health.Config.OnVerdict",
-	"health.Config.Policy",
 	"health.Config.Vitals",
 	"measure.Config.Clock",
 	"measure.Config.DB",
