@@ -50,10 +50,10 @@ func churnHomeStep(tb testing.TB) (*Router, func()) {
 // sets up exactly one new flow, out and back, in a flow table of some 250
 // entries of which a handful moved. The step's measurement poll reads the
 // datapath's counters in place and pays for those few, not for the table.
-// What a step allocates is what outlives it — for each direction of the new
-// flow a punt buffer (packet-in and head inside), a flow-mod and a flow
-// entry; a flow-removed for each of the two entries the step expires —
-// eight objects (TestChurnHomeStepAllocations holds it to eight). The
+// What a step allocates is what outlives it: the new flow's two entries,
+// one each way, carved from one pair (TestChurnHomeStepAllocations holds
+// it to one). The punt buffers come off the datapath's free list, and the
+// packet-ins, flow-mods and flow-removeds from openflow's pools. The
 // settle allocates nothing: it drains and checks, with no barrier.
 //
 //	go test -run '^$' -bench ChurnHomeStep -benchtime 2000x -memprofile mem.out ./internal/core

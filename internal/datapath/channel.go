@@ -228,15 +228,27 @@ func (dp *Datapath) refused(msg openflow.Message, actions []openflow.Action) boo
 }
 
 // newEntry is the flow entry an ADD, or a MODIFY that matched nothing,
-// installs.
+// installs. Entries are allocated two at a time: a connection's two
+// directions are installed back to back and expire together, so one
+// allocation serves both and is freed with them. An entry is never
+// reused; the collector frees a pair once neither of its entries is
+// referenced.
 func (dp *Datapath) newEntry(m *openflow.FlowMod) *FlowEntry {
-	return &FlowEntry{
+	e := dp.spare
+	if e == nil {
+		pair := new([2]FlowEntry)
+		e, dp.spare = &pair[0], &pair[1]
+	} else {
+		dp.spare = nil
+	}
+	*e = FlowEntry{
 		Match: m.Match, Priority: m.Priority, Cookie: m.Cookie,
 		IdleTimeout: m.IdleTimeout, HardTimeout: m.HardTimeout,
 		Actions:     m.Actions,
 		SendFlowRem: m.Flags&openflow.FlowModFlagSendFlowRem != 0,
 		Installed:   dp.clk.Now(),
 	}
+	return e
 }
 
 func (dp *Datapath) handleFlowMod(m *openflow.FlowMod) {

@@ -189,6 +189,11 @@ type Datapath struct {
 	// another receive inside the same call stack.
 	scratchMu   sync.Mutex
 	scratchFree []*execScratch
+
+	// spare is the second entry of the pair newEntry last allocated, until
+	// a flow-mod installs it. Only handle reaches newEntry, and the inbox's
+	// one drainer serializes handle, so it needs no lock.
+	spare *FlowEntry
 }
 
 // execScratch is one borrowed action-execution working set.

@@ -617,3 +617,31 @@ func BenchmarkLookupExact1kFlows(b *testing.B) {
 		tbl.Lookup(&d, 1, len(frame), now)
 	}
 }
+
+// Entries sizes its snapshot by what matched, not by the table: one entry
+// matched in a table of 250 is a snapshot of capacity 1, in one
+// allocation, and the whole table is a snapshot of exactly its entries.
+func TestEntriesSnapshotHoldsWhatMatched(t *testing.T) {
+	tbl := NewFlowTable()
+	var ms []openflow.Match
+	for i := range 250 {
+		m := exactMatchFor(t, tcpFrame(byte(1+i%200), byte(201+i/200), uint16(1000+i)), 1)
+		if err := tbl.Add(&FlowEntry{Match: m, Priority: 10, Actions: []openflow.Action{output(2)}}, false); err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, m)
+	}
+	one := tbl.Entries(&ms[17], openflow.PortNone)
+	if len(one) != 1 || cap(one) != 1 || one[0].Match != ms[17] {
+		t.Fatalf("a one-entry match returns %d entries in room for %d, want the one entry in room for 1", len(one), cap(one))
+	}
+	if all := tbl.Entries(nil, openflow.PortNone); len(all) != 250 || cap(all) != 250 {
+		t.Fatalf("the whole table returns %d entries in room for %d, want 250 in 250", len(all), cap(all))
+	}
+	if none := tbl.Entries(&ms[0], 3); len(none) != 0 {
+		t.Fatalf("filtered by a port no action outputs to, %d entries match, want 0", len(none))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tbl.Entries(&ms[17], openflow.PortNone) }); allocs != 1 {
+		t.Fatalf("a one-entry snapshot allocates %.0f times, want 1", allocs)
+	}
+}

@@ -119,8 +119,9 @@ func TestRehomedPacketInOutlivesItsAnswer(t *testing.T) {
 // A warm new flow costs the datapath what outlives the dispatch and nothing
 // else. Its miss allocates nothing, for a head inline or not: the punt
 // buffer comes off the free list and the packet-in out of openflow's pool,
-// and the packet-in, sent nowhere, goes back. The flow-mod that answers it
-// allocates one object, the flow entry, and hands the buffer back.
+// and the packet-in, sent nowhere, goes back. The flow-mods that answer
+// them allocate the flow entries, two to an allocation, and hand the
+// buffers back: n answers allocate n/2 times.
 func TestWarmNewFlowAllocatesOnlyItsEntry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
@@ -158,6 +159,7 @@ func TestWarmNewFlowAllocatesOnlyItsEntry(t *testing.T) {
 		// Each miss is answered before the next, as a churning home's are,
 		// and the two are counted apart; like testing.AllocsPerRun, the
 		// average rounds down what another goroutine allocates meanwhile.
+		// The warm-up answered an even number, so the pairs line up.
 		var missAllocs, answerAllocs uint64
 		for range n {
 			missAllocs += mallocs(punt)
@@ -166,8 +168,8 @@ func TestWarmNewFlowAllocatesOnlyItsEntry(t *testing.T) {
 		if got := missAllocs / n; got != 0 {
 			t.Errorf("%d-byte head: a warm miss allocates %d times, want 0", size, got)
 		}
-		if got := answerAllocs / n; got != 1 {
-			t.Errorf("%d-byte head: the flow-mod that answers it allocates %d times, want 1 (the entry)", size, got)
+		if got := answerAllocs / (n / 2); got != 1 {
+			t.Errorf("%d-byte head: %d flow-mods answering them allocate %d times, want %d (an entry pair each two)", size, n, answerAllocs, n/2)
 		}
 		if p2, _ := dp.Port(2); p2.Stats().TxPackets != uint64(answered) || answered != punted {
 			t.Errorf("%d-byte head: %d frames released of %d punted, want every one", size, p2.Stats().TxPackets, punted)

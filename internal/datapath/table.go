@@ -378,11 +378,14 @@ func removalOrder(a, b *FlowEntry) int {
 }
 
 // Entries returns a snapshot of all entries matched by m (nil = all),
-// optionally filtered by an output port.
+// optionally filtered by an output port. It counts the matches first, so
+// the snapshot holds exactly them, however large the table.
 func (t *FlowTable) Entries(m *openflow.Match, outPort uint16) []*FlowEntry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]*FlowEntry, 0, len(t.exact)+len(t.wild))
+	n := 0
+	t.each(m, 0, false, outPort, func(*FlowEntry) { n++ })
+	out := make([]*FlowEntry, 0, n)
 	t.each(m, 0, false, outPort, func(e *FlowEntry) { out = append(out, e) })
 	return out
 }

@@ -54,17 +54,20 @@ func startHome(mutate func(*core.Config)) (*home, error) {
 
 func (h *home) stop() { h.rt.Stop() }
 
-// join adds and DHCP-binds a device.
+// join adds and DHCP-binds a device. A device that does not bind is
+// detached from the network again.
 func (h *home) join(name, mac string, wireless bool, pos netsim.Pos) (*netsim.Host, error) {
 	host, err := h.rt.AddHost(name, mac, wireless, pos)
 	if err != nil {
 		return nil, err
 	}
-	if err := h.rt.JoinHost(host); err != nil {
-		return nil, err
+	err = h.rt.JoinHost(host)
+	if err == nil && !host.Bound() {
+		err = fmt.Errorf("figures: %s did not bind", name)
 	}
-	if !host.Bound() {
-		return nil, fmt.Errorf("figures: %s did not bind", name)
+	if err != nil {
+		_ = h.rt.Net.RemoveHost(host.MAC)
+		return nil, err
 	}
 	h.hosts[name] = host
 	return host, nil

@@ -3,6 +3,9 @@ package figures
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/netsim"
 )
 
 func TestFigure1ShowsAllDevicesAndProtocols(t *testing.T) {
@@ -91,5 +94,25 @@ func TestFigure5ListsComponents(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("figure 5 missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// A device the router does not bind leaves the network again: join
+// returns an error and the home has as many hosts as before it.
+func TestUnboundJoinDetachesTheDevice(t *testing.T) {
+	h, err := startHome(func(c *core.Config) { c.AutoPermit = false })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.stop()
+	before := len(h.rt.Net.Hosts())
+	if _, err := h.join("visitor", "02:aa:00:00:00:09", false, netsim.Pos{}); err == nil {
+		t.Fatal("a device pending approval joined without error")
+	}
+	if after := len(h.rt.Net.Hosts()); after != before {
+		t.Errorf("%d hosts after the failed join, want %d as before", after, before)
+	}
+	if _, ok := h.hosts["visitor"]; ok {
+		t.Error("the unbound device is listed among the home's hosts")
 	}
 }

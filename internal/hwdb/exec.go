@@ -14,7 +14,10 @@ import (
 )
 
 // Result is a query result: a header row plus data rows, oldest-first
-// unless ORDER BY reordered them.
+// unless ORDER BY reordered them. Cols is read-only: a result of a parsed
+// statement, or of a SELECT * over a schema, shares it with every other
+// result of the statement or schema. Its capacity is its length, so an
+// append copies it.
 type Result struct {
 	Cols []string
 	Rows [][]Value
@@ -306,7 +309,7 @@ type selectSet struct {
 	agg   aggregation
 	acc   rowSlab
 	heads [][]Value // the accumulator's rows in result order
-	cols  []string  // the result's column names, for ORDER BY to resolve
+	cols  []string  // the result's column names spelled out, for ORDER BY
 	order []int     // ORDER BY columns, resolved
 }
 
@@ -367,6 +370,21 @@ func (s *selectSet) sink(schema *Schema, sel *SelectStmt) (rowSink, error) {
 	return s.project(schema, sel)
 }
 
+// resultCols is the names of sel's result columns over schema when they
+// are fixed already: the list the parser made for sel, or the schema's *
+// for a projection of * alone. Results share it, so it is read-only. It is
+// nil for a statement mixing * with other items, or built by hand with
+// other items than a bare *; appendCols spells those out.
+func resultCols(schema *Schema, sel *SelectStmt) []string {
+	if sel.cols != nil {
+		return sel.cols
+	}
+	if len(sel.Items) == 1 && sel.Items[0].Col == "*" && !sel.aggregates() {
+		return schema.star
+	}
+	return nil
+}
+
 // appendCols appends the names of sel's result columns over schema to
 // cols: a projection's items with * spelled out as the timestamp and every
 // column, an aggregate's items.
@@ -406,12 +424,16 @@ func (s *selectSet) finish(sink rowSink, schema *Schema, sel *SelectStmt) ([][]V
 // result is Select's way out of a finished set: heads with the column
 // names. A set that stays under maxPooledSet goes back to the pool, so the
 // rows are first copied into one block of exactly their cells: the result
-// costs Result, Cols, the block and its row headers. A larger set is not
-// pooled, and nothing is copied: the rows are cut from the accumulator's
-// chunks as they stand, and the set goes with the result.
+// costs Result, the block and its row headers, and Cols only when
+// resultCols has no list to share. A larger set is not pooled, and nothing
+// is copied: the rows are cut from the accumulator's chunks as they stand,
+// and the set goes with the result.
 func (s *selectSet) result(heads [][]Value, schema *Schema, sel *SelectStmt) *Result {
 	w := s.acc.width
-	cols := appendCols(make([]string, 0, w), schema, sel)
+	cols := resultCols(schema, sel)
+	if cols == nil {
+		cols = appendCols(make([]string, 0, w), schema, sel)
+	}
 	if s.footprint() > maxPooledSet {
 		return &Result{Cols: cols, Rows: heads}
 	}
@@ -428,11 +450,15 @@ func (s *selectSet) result(heads [][]Value, schema *Schema, sel *SelectStmt) *Re
 // orderRows sorts heads, stably, by sel's ORDER BY columns of the result.
 func (s *selectSet) orderRows(heads [][]Value, schema *Schema, sel *SelectStmt) error {
 	order := sel.Order
-	s.cols = appendCols(s.cols[:0], schema, sel)
+	cols := resultCols(schema, sel)
+	if cols == nil {
+		s.cols = appendCols(s.cols[:0], schema, sel)
+		cols = s.cols
+	}
 	s.order = s.order[:0]
 	for _, ob := range order {
 		found := -1
-		for j, c := range s.cols {
+		for j, c := range cols {
 			if strings.EqualFold(c, ob.Col) {
 				found = j
 				break

@@ -2,6 +2,7 @@ package hwdb
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -182,6 +183,13 @@ type SelectStmt struct {
 	HistFrom time.Time
 	HistTo   time.Time
 	HasHist  bool
+
+	// cols is the result's column names when the items fix them whatever
+	// the schema — no item is a * the select spells out — as the parser
+	// finds them; nil otherwise, and in a statement built by hand. Every
+	// result of the statement shares it as its Cols, so its capacity is
+	// its length.
+	cols []string
 }
 
 // InsertStmt is a parsed INSERT INTO t VALUES (...).
@@ -391,7 +399,17 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		}
 		st.Limit = lim
 	}
+	st.cols = fixedCols(st)
 	return st, nil
+}
+
+// fixedCols is the names of sel's result columns if they do not depend on
+// the schema, nil if a * spells out the schema's.
+func fixedCols(sel *SelectStmt) []string {
+	if !sel.aggregates() && slices.ContainsFunc(sel.Items, func(it SelectItem) bool { return it.Col == "*" }) {
+		return nil
+	}
+	return appendCols(make([]string, 0, len(sel.Items)), nil, sel)
 }
 
 // listCap is how many entries the comma-separated list at the current
@@ -513,28 +531,32 @@ func (p *parser) parseTimestamp() (time.Time, error) {
 }
 
 // parseUnit reads a RANGE or EVERY time unit: a unit name in either
-// number, or one of the abbreviations ms, s, m (minutes), sec, min, hr.
+// number, or one of the abbreviations ms, s, m (minutes), sec, min, hr,
+// in any case. It lowers ASCII letters into a buffer on the stack, so a
+// statement in capitals costs no allocation for its unit.
 func parseUnit(s string) (time.Duration, error) {
-	u := strings.ToLower(s)
-	switch u {
-	case "ms":
-		return time.Millisecond, nil
-	case "s":
-		return time.Second, nil
-	case "m":
-		return time.Minute, nil
-	}
-	switch strings.TrimSuffix(u, "s") + "s" {
-	case "milliseconds", "mss":
-		return time.Millisecond, nil
-	case "seconds", "secs":
-		return time.Second, nil
-	case "minutes", "mins":
-		return time.Minute, nil
-	case "hours", "hrs":
-		return time.Hour, nil
-	case "days":
-		return 24 * time.Hour, nil
+	var buf [len("milliseconds")]byte
+	if len(s) <= len(buf) {
+		u := buf[:len(s)]
+		for i := range len(s) {
+			c := s[i]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			u[i] = c
+		}
+		switch string(u) {
+		case "ms", "mss", "millisecond", "milliseconds":
+			return time.Millisecond, nil
+		case "s", "sec", "secs", "second", "seconds":
+			return time.Second, nil
+		case "m", "min", "mins", "minute", "minutes":
+			return time.Minute, nil
+		case "hr", "hrs", "hour", "hours":
+			return time.Hour, nil
+		case "day", "days":
+			return 24 * time.Hour, nil
+		}
 	}
 	return 0, fmt.Errorf("hwdb: unknown time unit %q", s)
 }

@@ -238,14 +238,21 @@ type Schema struct {
 	Cols  []Column
 	idx   map[string]int
 	shape *rowShape
+	// star is what * selects: "timestamp", then every column name. Every
+	// SELECT * result over the schema shares it as its Cols, so its
+	// capacity is its length.
+	star []string
 }
 
 // NewSchema builds a schema from columns, indexing names case-insensitively.
 func NewSchema(cols ...Column) *Schema {
 	s := &Schema{Cols: cols, idx: make(map[string]int, len(cols))}
 	s.shape = newRowShape(len(cols), func(i int) ColType { return cols[i].Type })
+	s.star = make([]string, 1, 1+len(cols))
+	s.star[0] = "timestamp"
 	for i, c := range cols {
 		s.idx[strings.ToLower(c.Name)] = i
+		s.star = append(s.star, c.Name)
 	}
 	return s
 }

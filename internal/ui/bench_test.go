@@ -96,9 +96,10 @@ func displayTick(tb testing.TB) func() {
 }
 
 // BenchmarkDisplayReads runs displayTick per op. A warm tick allocates
-// what the displays hand on, 6 times and ~8 KB: the Figure-1 query's
-// result (Result, Cols, one block of cells, the row headers — the working
-// set it was built in is pooled), the bandwidth rows and the LED strip.
+// what the displays hand on, 5 times and ~8 KB: the Figure-1 query's
+// result (Result, one block of cells, the row headers — its Cols are the
+// statement's, and the working set it was built in is pooled), the
+// bandwidth rows and the LED strip.
 // The view and the artifact read their selects in place with
 // DB.SelectFunc, the Figure-1 text is parsed once, on the first tick, and
 // the Leases select runs only on a tick after a lease was written;
@@ -118,12 +119,12 @@ func BenchmarkDisplayReads(b *testing.B) {
 	}
 }
 
-// TestDisplayReadsAllocations pins a display tick: 6 allocations once the
+// TestDisplayReadsAllocations pins a display tick: 5 allocations once the
 // selects' working sets are pooled, the displays read their selects in
 // place, the bandwidth view keeps its maps, a repeated text is not parsed
 // again and an unchanged Leases table is not selected again — the
-// Figure-1 query's result of 4, the bandwidth rows and the LED strip. A
-// parse would cost 5 more, a display's select copied out as a Result 4
+// Figure-1 query's result of 3, the bandwidth rows and the LED strip. A
+// parse would cost 5 more, a display's select copied out as a Result 3
 // more, a select that threw its working set away again several more each,
 // and a view rebuilding its maps three more.
 func TestDisplayReadsAllocations(t *testing.T) {
@@ -132,8 +133,8 @@ func TestDisplayReadsAllocations(t *testing.T) {
 	}
 	tick := displayTick(t)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
-	if got := testing.AllocsPerRun(200, tick); got > 6 {
-		t.Errorf("a display tick allocates %.0f times, want at most 6", got)
+	if got := testing.AllocsPerRun(200, tick); got > 5 {
+		t.Errorf("a display tick allocates %.0f times, want at most 5", got)
 	}
 }
 
