@@ -3,6 +3,7 @@ package chaos
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"compress/gzip"
 	"errors"
 	"flag"
@@ -10,6 +11,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -280,17 +282,10 @@ func digestRun(t *testing.T, seed int64) []digestRecord {
 		if len(evs) == 0 {
 			return
 		}
-		for len(evs) > 0 { // in Seq order
-			lo := 0
-			for i := range evs {
-				if evs[i].Seq < evs[lo].Seq {
-					lo = i
-				}
-			}
-			ev := evs[lo]
+		slices.SortFunc(evs, func(a, b fleet.PlacementEvent) int { return cmp.Compare(a.Seq, b.Seq) })
+		for _, ev := range evs {
 			rec.rows = append(rec.rows, fmt.Sprintf("%d %d %s %d %d>%d", ev.Seq, ev.Step, ev.Op, ev.Home, ev.From, ev.To))
-			lastEvent = max(lastEvent, ev.Seq)
-			evs = append(evs[:lo], evs[lo+1:]...)
+			lastEvent = ev.Seq
 		}
 		recs = append(recs, rec)
 	}

@@ -56,11 +56,10 @@ type Forwarder struct {
 	// measurement plane); keep it cheap and non-blocking.
 	OnInstall func(m openflow.Match)
 
-	mu        sync.Mutex
-	macPort   map[packet.MAC]uint16
-	installed map[installedKey]struct{}
-	denials   uint64
-	admitted  uint64
+	mu       sync.Mutex
+	macPort  map[packet.MAC]uint16
+	denials  uint64
+	admitted uint64
 	// upstreamActs is the rewrite+output action list toward the uplink,
 	// built once and shared read-only by every upstream-bound flow entry
 	// instead of allocated per admitted flow; deviceActs is the same per
@@ -77,18 +76,12 @@ type portActs struct {
 	acts []openflow.Action
 }
 
-type installedKey struct {
-	match    openflow.Match
-	priority uint16
-}
-
 // newForwarder builds the component with sensible timeouts.
 func newForwarder() *Forwarder {
 	return &Forwarder{
 		IdleTimeout:     30,
 		DropIdleTimeout: 5,
 		macPort:         make(map[packet.MAC]uint16),
-		installed:       make(map[installedKey]struct{}),
 		deviceActs:      make(map[packet.MAC]portActs),
 	}
 }
@@ -100,11 +93,6 @@ func (f *Forwarder) Name() string { return "forwarder" }
 // DHCP and DNS modules consume their protocols first.
 func (f *Forwarder) Configure(ctl *nox.Controller) error {
 	ctl.OnPacketIn(f.handlePacketIn)
-	ctl.OnFlowRemoved(func(ev *nox.FlowRemovedEvent) {
-		f.mu.Lock()
-		delete(f.installed, installedKey{ev.Msg.Match, ev.Msg.Priority})
-		f.mu.Unlock()
-	})
 	if f.Policy != nil {
 		f.Policy.OnChange(func() {
 			// Re-evaluate everything: flush per-flow state so the next
@@ -124,23 +112,24 @@ func (f *Forwarder) Counters() (admitted, denied uint64) {
 	return f.admitted, f.denials
 }
 
-// flushFlows removes every forwarding/drop entry the forwarder installed
-// (punt rules are untouched: they live at a different priority and are
-// deleted strictly).
+// flushFlows removes every forwarding and drop entry in the switch's
+// table, read from it with a flow-stats request; a switch that does not
+// answer keeps them until they expire. Punt rules are untouched: they live
+// at another priority, and each delete is strict.
 func (f *Forwarder) flushFlows(sw *nox.Switch) {
-	f.mu.Lock()
-	keys := make([]installedKey, 0, len(f.installed))
-	for k := range f.installed {
-		keys = append(keys, k)
+	flows, err := sw.FlowStats(openflow.MatchAll())
+	if err != nil {
+		return
 	}
-	f.installed = make(map[installedKey]struct{})
-	f.mu.Unlock()
-	for _, k := range keys {
-		fm := &openflow.FlowMod{
-			Match: k.match, Command: openflow.FlowModDeleteStrict,
-			Priority: k.priority, BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
+	for i := range flows {
+		fs := &flows[i]
+		if fs.Priority != PriorityForward && fs.Priority != PriorityDrop {
+			continue
 		}
-		_ = sw.Send(fm)
+		_ = sw.Send(&openflow.FlowMod{
+			Match: fs.Match, Command: openflow.FlowModDeleteStrict,
+			Priority: fs.Priority, BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
+		})
 	}
 }
 
@@ -236,9 +225,6 @@ func (f *Forwarder) handleIPv4(ev *nox.PacketInEvent) nox.Disposition {
 	f.mu.Unlock()
 
 	m := openflow.MatchFromFrame(d, ev.Msg.InPort)
-	f.mu.Lock()
-	f.installed[installedKey{m, PriorityForward}] = struct{}{}
-	f.mu.Unlock()
 	_ = ev.Switch.InstallFlow(m, PriorityForward, f.IdleTimeout, f.HardTimeout,
 		actions, nox.WithBuffer(ev.Msg.BufferID), nox.WithFlowRemoved())
 	if f.OnInstall != nil {
@@ -339,9 +325,6 @@ func (f *Forwarder) rewriteTo(mac packet.MAC, port uint16) []openflow.Action {
 // of a refused flow do not hammer the controller.
 func (f *Forwarder) installDrop(ev *nox.PacketInEvent) {
 	m := openflow.MatchFromFrame(ev.Decoded, ev.Msg.InPort)
-	f.mu.Lock()
-	f.installed[installedKey{m, PriorityDrop}] = struct{}{}
-	f.mu.Unlock()
 	_ = ev.Switch.InstallFlow(m, PriorityDrop, f.DropIdleTimeout, 0, nil,
 		nox.WithBuffer(ev.Msg.BufferID), nox.WithFlowRemoved())
 }

@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/netsim"
-	"repro/internal/nox"
+	"repro/internal/oftransport"
 	"repro/internal/openflow"
 	"repro/internal/packet"
 )
@@ -23,6 +23,9 @@ type churnHome struct {
 	r   *Router
 	clk *clock.Simulated
 	tap *flowModTap
+	// removed, when set, sees each flow-removed the datapath sends, on the
+	// goroutine that steps the home.
+	removed func(*openflow.FlowRemoved)
 }
 
 func newChurnHome(t *testing.T, mutate func(*Config)) *churnHome {
@@ -32,7 +35,14 @@ func newChurnHome(t *testing.T, mutate func(*Config)) *churnHome {
 		c.Clock = h.clk
 		c.DisableRPC = true
 		c.RingSize = 1 << 15
-		c.WrapTransport = h.tap.wrap
+		c.WrapTransport = func(ctl, dp oftransport.Transport) (oftransport.Transport, oftransport.Transport) {
+			ctl, _ = h.tap.wrap(ctl, dp)
+			return ctl, removedTap{dp, func(fr *openflow.FlowRemoved) {
+				if h.removed != nil {
+					h.removed(fr)
+				}
+			}}
+		}
 		if mutate != nil {
 			mutate(c)
 		}
@@ -72,9 +82,7 @@ type counts struct{ packets, bytes uint64 }
 // five-tuple's Flows rows add up to the final counters of its removed
 // entries plus the counters of its live one — no count lost between a
 // poll and a removal, none taken twice when a poll no longer finds an
-// entry whose flow-removed is still in flight. The plane's per-flow state
-// never outgrows the entries installed and not yet settled by their
-// flow-removed.
+// entry that was removed.
 func TestFlowsAccountExactly(t *testing.T) {
 	h := newChurnHome(t, func(c *Config) { c.FlowIdleTimeout = 2 })
 	var (
@@ -82,28 +90,22 @@ func TestFlowsAccountExactly(t *testing.T) {
 		removed    = make(map[packet.FiveTuple]counts)
 		dispatched int
 	)
-	// Registered after the router's own handler, so a removal counted here
-	// has already reached the plane.
-	h.r.Controller.OnFlowRemoved(func(ev *nox.FlowRemovedEvent) {
-		if !isFlowRule(&ev.Msg.Match) {
+	// The datapath sends a flow-removed after its removal report has
+	// reached the plane.
+	h.removed = func(fr *openflow.FlowRemoved) {
+		if !isFlowRule(&fr.Match) {
 			return
 		}
 		mu.Lock()
-		c := removed[flowKey(&ev.Msg.Match)]
-		c.packets += ev.Msg.PacketCount
-		c.bytes += ev.Msg.ByteCount
-		removed[flowKey(&ev.Msg.Match)] = c
+		c := removed[flowKey(&fr.Match)]
+		c.packets += fr.PacketCount
+		c.bytes += fr.ByteCount
+		removed[flowKey(&fr.Match)] = c
 		dispatched++
 		mu.Unlock()
-	})
+	}
 	for i := 0; i < 240; i++ {
 		h.tick()
-		mu.Lock()
-		d := dispatched
-		mu.Unlock()
-		if tracked, adds := h.r.Measure.Tracked(), h.tap.adds.Load(); uint64(tracked) > adds-uint64(d) {
-			t.Fatalf("tick %d: plane tracks %d flows, more than the %d installed and not yet removed", i, tracked, adds-uint64(d))
-		}
 	}
 	mu.Lock()
 	nRemoved := dispatched
@@ -116,15 +118,6 @@ func TestFlowsAccountExactly(t *testing.T) {
 	// the books balance now, with nothing in flight.
 	if diff := h.accountingDiff(&mu, removed); diff != "" {
 		t.Fatal(diff)
-	}
-	live := 0
-	for _, e := range h.r.Datapath.Table().Entries(nil, openflow.PortNone) {
-		if isFlowRule(&e.Match) {
-			live++
-		}
-	}
-	if tracked := h.r.Measure.Tracked(); tracked > live {
-		t.Errorf("plane tracks %d flows with %d live in the table and none in flight", tracked, live)
 	}
 }
 
@@ -176,21 +169,29 @@ func flowKey(m *openflow.Match) packet.FiveTuple {
 	return packet.FiveTuple{Src: m.NWSrc, Dst: m.NWDst, Proto: packet.IPProto(m.NWProto), SrcPort: m.TPSrc, DstPort: m.TPDst}
 }
 
-// The plane's state for a flow is forgotten only by its flow-removed, so
-// every exact IPv4 rule the forwarder installs — forwarding rules both
-// ways, and the drop rules that cache a refusal — must request one.
-func TestForwarderRulesRequestFlowRemoved(t *testing.T) {
-	h := newChurnHome(t, nil)
-	// A frame from an address nobody leased is refused with a drop rule.
+// refuseOne has browser0 send a frame from an address nobody leased, which
+// the forwarder refuses with a drop rule, and runs the home a few ticks.
+func (h *churnHome) refuseOne() {
+	h.t.Helper()
 	host, ok := h.r.Net.Host(packet.MustMAC("02:aa:00:00:01:00"))
 	if !ok {
-		t.Fatal("no browser0")
+		h.t.Fatal("no browser0")
 	}
 	host.SendRaw(packet.AppendTCPFrame(nil, host.MAC, h.r.Config.RouterMAC,
 		packet.MustIP4("192.168.1.251"), packet.MustIP4("203.0.113.10"), 40000, 80, packet.TCPSyn, 1, 0, nil))
 	for i := 0; i < 12; i++ {
 		h.tick()
 	}
+}
+
+// Every exact IPv4 rule the forwarder installs — forwarding rules both
+// ways, and the drop rules that cache a refusal — requests its
+// flow-removed, as the paper's controller does; the measurement plane no
+// longer needs one (the datapath reports a removal to it directly), but
+// the wire is unchanged.
+func TestForwarderRulesRequestFlowRemoved(t *testing.T) {
+	h := newChurnHome(t, nil)
+	h.refuseOne()
 	var forward, drop int
 	for _, e := range h.r.Datapath.Table().Entries(nil, openflow.PortNone) {
 		if !isFlowRule(&e.Match) {
@@ -211,36 +212,104 @@ func TestForwarderRulesRequestFlowRemoved(t *testing.T) {
 	}
 }
 
-// The view the plane reads, walked with no idle skip, says what the wire
-// stats requests say, on every tick of a churn run: the same (match,
-// packets, bytes) entries as a flow-stats request for every flow, and the
-// same counters as a port-stats request for every port.
+// A policy change flushes the forwarder's rules from the table it reads:
+// every forwarding and drop rule goes, and the DHCP and DNS punt rules
+// stay.
+func TestPolicyFlushDeletesForwarderRulesOnly(t *testing.T) {
+	h := newChurnHome(t, nil)
+	h.refuseOne()
+	byPriority := func() map[uint16]int {
+		n := make(map[uint16]int)
+		for _, e := range h.r.Datapath.Table().Entries(nil, openflow.PortNone) {
+			n[e.Priority]++
+		}
+		return n
+	}
+	before := byPriority()
+	if before[PriorityForward] == 0 || before[PriorityDrop] == 0 {
+		t.Fatalf("rules by priority %v: want forwarding and drop rules to flush", before)
+	}
+	h.r.Policy.InsertKey("flush")
+	after := byPriority()
+	if after[PriorityForward] != 0 || after[PriorityDrop] != 0 {
+		t.Errorf("after the flush, rules by priority %v: want no forwarding or drop rule", after)
+	}
+	delete(before, PriorityForward)
+	delete(before, PriorityDrop)
+	if !maps.Equal(before, after) || len(after) == 0 {
+		t.Errorf("the flush left rules by priority %v, want the punt rules %v", after, before)
+	}
+}
+
+// The view's books balance with the wire's on every tick of a churn run
+// whose flows expire, and whose rules a policy change flushes now and then
+// after a tick's traffic and before the walk, so removals carry counts no
+// walk took: for every match, what the view's walks and removal reports
+// handed over adds up to the cumulative counters a flow-stats request
+// reports for its live entry plus the final counters of the flow-removeds
+// of its removed ones. The port view says what a port-stats request says.
 func TestStatsViewMatchesWire(t *testing.T) {
-	h := newChurnHome(t, nil) // 30 s idle timeout: nothing expires mid-comparison
-	type entry struct {
-		m               openflow.Match
-		packets, bytess uint64
+	h := newChurnHome(t, func(c *Config) { c.FlowIdleTimeout = 2 })
+	view := h.r.Datapath.StatsView()
+	taken := make(map[openflow.Match]counts)   // walk and removal deltas
+	removed := make(map[openflow.Match]counts) // flow-removed final counters
+	add := func(to map[openflow.Match]counts, m *openflow.Match, packets, bytes uint64) {
+		c := to[*m]
+		c.packets += packets
+		c.bytes += bytes
+		to[*m] = c
+	}
+	// The test takes over as the view's one reader: a first walk takes
+	// what the plane left, so every live entry is taken up to its wire
+	// counters, and the home is stepped without a poll from here on.
+	tails := 0
+	view.OnRemoved(func(m *openflow.Match, packets, bytes uint64) {
+		if packets != 0 {
+			tails++
+		}
+		add(taken, m, packets, bytes)
+	})
+	h.removed = func(fr *openflow.FlowRemoved) { add(removed, &fr.Match, fr.PacketCount, fr.ByteCount) }
+	view.Flows(0, func(openflow.Match, uint64, uint64) {})
+	flows, err := h.r.Switch().FlowStats(openflow.MatchAll())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fs := range flows {
+		add(taken, &fs.Match, fs.PacketCount, fs.ByteCount)
+	}
+	nonzero := func(m map[openflow.Match]counts) map[openflow.Match]counts {
+		maps.DeleteFunc(m, func(_ openflow.Match, c counts) bool { return c == counts{} })
+		return m
 	}
 	for i := 0; i < 80; i++ {
-		h.tick()
-		view := make(map[entry]int)
-		h.r.Datapath.StatsView().Flows(0, func(m openflow.Match, packets, bytes uint64) {
-			view[entry{m, packets, bytes}]++
-		})
+		h.r.Net.Step(0.25)
+		if err := h.r.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 9 {
+			h.r.Policy.InsertKey(fmt.Sprint(i))
+		}
+		view.Flows(0, func(m openflow.Match, packets, bytes uint64) { add(taken, &m, packets, bytes) })
 		flows, err := h.r.Switch().FlowStats(openflow.MatchAll())
 		if err != nil {
 			t.Fatal(err)
 		}
-		wire := make(map[entry]int)
+		wire := maps.Clone(removed)
 		for _, fs := range flows {
-			wire[entry{fs.Match, fs.PacketCount, fs.ByteCount}]++
+			add(wire, &fs.Match, fs.PacketCount, fs.ByteCount)
 		}
-		if !maps.Equal(view, wire) {
-			t.Fatalf("tick %d: the view walks %d entries, the wire reports %d, and they differ", i, len(view), len(wire))
+		if got, want := nonzero(maps.Clone(taken)), nonzero(wire); !maps.Equal(got, want) {
+			for m, c := range want {
+				if got[m] != c {
+					t.Fatalf("tick %d: %v: the view handed over %+v, the wire counts %+v", i, &m, got[m], c)
+				}
+			}
+			t.Fatalf("tick %d: the view handed over counts for %d matches, the wire for %d", i, len(got), len(want))
 		}
 
 		viewPorts := make(map[uint16]openflow.PortStats)
-		h.r.Datapath.StatsView().Ports(func(s openflow.PortStats) { viewPorts[s.PortNo] = s })
+		view.Ports(func(s openflow.PortStats) { viewPorts[s.PortNo] = s })
 		ports, err := h.r.Switch().PortStats(openflow.PortNone)
 		if err != nil {
 			t.Fatal(err)
@@ -252,9 +321,13 @@ func TestStatsViewMatchesWire(t *testing.T) {
 		if !maps.Equal(viewPorts, wirePorts) {
 			t.Fatalf("tick %d: port counters differ:\nview %+v\nwire %+v", i, viewPorts, wirePorts)
 		}
+		h.clk.Advance(250 * time.Millisecond)
+	}
+	if len(nonzero(removed)) == 0 || tails == 0 {
+		t.Errorf("%d counted entries removed, %d with a count no walk took: the removal reports went untested", len(nonzero(removed)), tails)
 	}
 	var dropped uint64
-	h.r.Datapath.StatsView().Ports(func(s openflow.PortStats) { dropped += s.RxDropped })
+	view.Ports(func(s openflow.PortStats) { dropped += s.RxDropped })
 	if dropped == 0 {
 		t.Error("no port dropped a frame: the port comparison saw only zeros")
 	}

@@ -213,14 +213,16 @@ func TestExpiringFlowsWriteIdenticalRows(t *testing.T) {
 func TestFlowsExpireOnTheirDueStep(t *testing.T) {
 	run := func() string {
 		clk := clock.NewSimulated()
+		var removals atomic.Int64
 		r := startRouter(t, func(c *Config) {
 			c.Clock = clk
 			c.DisableRPC = true
 			c.FlowIdleTimeout = 2
+			c.WrapTransport = func(ctl, dp oftransport.Transport) (oftransport.Transport, oftransport.Transport) {
+				return ctl, removedTap{dp, func(*openflow.FlowRemoved) { removals.Add(1) }}
+			}
 		})
 		host := join(t, r, "laptop", "02:aa:00:00:00:54", false, netsim.Pos{})
-		var removals atomic.Int64
-		r.Controller.OnFlowRemoved(func(*nox.FlowRemovedEvent) { removals.Add(1) })
 		server := packet.MustIP4("203.0.113.10")
 		send := func(sport uint16, flags uint8) {
 			host.SendRaw(packet.AppendTCPFrame(nil, host.MAC, r.Config.RouterMAC, host.IP(), server, sport, 80, flags, 1, 0, nil))
@@ -277,7 +279,7 @@ func TestFlowsExpireOnTheirDueStep(t *testing.T) {
 				}
 			}
 			if got := removals.Load() - baseline; got != expired {
-				t.Fatalf("tick %d: %d flow-removeds dispatched by the step's Settle, %d entries expired", tick, got, expired)
+				t.Fatalf("tick %d: %d flow-removeds sent by the step, %d entries expired", tick, got, expired)
 			}
 			for e := range cur {
 				if e.IdleTimeout > 0 {

@@ -41,6 +41,20 @@ func (tap *flowModTap) Send(msg openflow.Message) error {
 	return tap.Transport.Send(msg)
 }
 
+// removedTap sits on the datapath's end of the control channel and shows fn
+// each flow-removed the datapath sends, before the controller has it.
+type removedTap struct {
+	oftransport.Transport
+	fn func(*openflow.FlowRemoved)
+}
+
+func (tap removedTap) Send(msg openflow.Message) error {
+	if fr, ok := msg.(*openflow.FlowRemoved); ok {
+		tap.fn(fr)
+	}
+	return tap.Transport.Send(msg)
+}
+
 // simHome is one router on a simulated clock with a wired, bound host that
 // has already resolved its gateway's address.
 type simHome struct {

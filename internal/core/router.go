@@ -234,11 +234,9 @@ func New(cfg Config) (*Router, error) {
 		Resolver:   r.DHCP,
 		HomePrefix: cfg.RouterIP, HomePrefixLen: 24,
 	})
-	// Expiring flows report their final counters so the interval between
-	// the last poll and the timeout is still accounted.
-	r.Controller.OnFlowRemoved(func(ev *nox.FlowRemovedEvent) {
-		r.Measure.RecordFlowRemoved(&ev.Msg.Match, ev.Msg.PacketCount, ev.Msg.ByteCount)
-	})
+	// A removed entry reports what the last poll did not take, so the
+	// interval between that poll and the removal is still accounted.
+	r.Datapath.StatsView().OnRemoved(r.Measure.RecordFlowRemoved)
 	// Each forwarding rule's install latency — punt to flow-mod emission,
 	// read off the in-flight span — lands in the flow's FlowPerf row.
 	r.Forwarder.OnInstall = func(m openflow.Match) {

@@ -98,12 +98,13 @@ func (dp *Datapath) Stop() {
 	}
 }
 
-// SweepExpired removes timed-out flows now and emits flow-removed messages
-// for entries that requested them, in the table's removal order. The
-// datapath runs no timer of its own: netsim.Network.Step calls this at the
-// start of every step, so expiry is a function of the tick sequence. Before
-// the table's earliest deadline it returns at once, and otherwise, like
-// Receive, it drains the inbox when it returns.
+// SweepExpired removes timed-out flows now, reports each to the stats
+// reader and emits flow-removed messages for entries that requested them,
+// in the table's removal order. The datapath runs no timer of its own:
+// netsim.Network.Step calls this at the start of every step, so expiry is
+// a function of the tick sequence. Before the table's earliest deadline it
+// returns at once, and otherwise, like Receive, it drains the inbox when it
+// returns.
 func (dp *Datapath) SweepExpired() int {
 	now := dp.clk.Now()
 	if now.UnixNano() < dp.table.due.Load() {
@@ -111,19 +112,14 @@ func (dp *Datapath) SweepExpired() int {
 	}
 	dp.enter()
 	defer dp.leave()
-	// The sweep takes the removals scratch while it sends, so that the
-	// flow-removeds, whose handlers run inside the sends on a direct
-	// channel, go out under no lock of the datapath's.
+	// The sweep holds the removals scratch while it reports and sends, so
+	// both go out, and their handlers run, under no lock of the datapath's.
 	dp.sweepMu.Lock()
 	swept := dp.table.expire(dp.swept[:0], now)
 	dp.swept = nil
 	dp.sweepMu.Unlock()
 	for _, x := range swept {
-		e := x.e
-		if !e.SendFlowRem {
-			continue
-		}
-		dp.send(flowRemoved(e, x.reason, now))
+		dp.remove(x.e, x.reason, now)
 	}
 	n := len(swept)
 	clear(swept) // the removed entries are garbage; the scratch must not keep them
@@ -133,8 +129,19 @@ func (dp *Datapath) SweepExpired() int {
 	return n
 }
 
-// flowRemoved is the flow-removed of entry e, removed at now for reason:
-// what an expiry and a delete send alike.
+// remove reports a removed entry to the stats reader, then sends its
+// flow-removed if it asked for one: what an expiry and a delete do alike.
+func (dp *Datapath) remove(e *FlowEntry, reason uint8, now time.Time) {
+	if dp.onRemoved != nil {
+		packets, bytes := e.take()
+		dp.onRemoved(&e.Match, packets, bytes)
+	}
+	if e.SendFlowRem {
+		dp.send(flowRemoved(e, reason, now))
+	}
+}
+
+// flowRemoved is the flow-removed of entry e, removed at now for reason.
 func flowRemoved(e *FlowEntry, reason uint8, now time.Time) *openflow.FlowRemoved {
 	dur := now.Sub(e.Installed)
 	return openflow.NewFlowRemoved(openflow.FlowRemoved{
@@ -280,10 +287,7 @@ func (dp *Datapath) handleFlowMod(m *openflow.FlowMod) {
 		removed := dp.table.delete(&m.Match, m.Priority, strict, m.OutPort)
 		now := dp.clk.Now()
 		for _, e := range removed {
-			if !e.SendFlowRem {
-				continue
-			}
-			dp.send(flowRemoved(e, openflow.FlowRemovedDelete, now))
+			dp.remove(e, openflow.FlowRemovedDelete, now)
 		}
 	default:
 		dp.sendError(m, openflow.ErrTypeFlowModFailed, openflow.FlowModBadCommand)

@@ -194,6 +194,8 @@ type Datapath struct {
 	// a flow-mod installs it. Only handle reaches newEntry, and the inbox's
 	// one drainer serializes handle, so it needs no lock.
 	spare *FlowEntry
+
+	onRemoved func(m *openflow.Match, packets, bytes uint64) // the stats reader's (StatsView.OnRemoved)
 }
 
 // execScratch is one borrowed action-execution working set.

@@ -48,21 +48,26 @@ import (
 // lock, letting all ports match concurrently. The frames a run matches to
 // the entry without a lookup each are charged together, before the run's
 // call into the datapath returns (batchRun): the counters are exact
-// whenever no call is in progress.
+// whenever no call is in progress. Fields are ordered so that an entry is
+// 144 bytes, and newEntry's pair fills a 288-byte size class.
 type FlowEntry struct {
 	Match       openflow.Match
 	Priority    uint16
-	Cookie      uint64
 	IdleTimeout uint16 // seconds; 0 = never
 	HardTimeout uint16 // seconds; 0 = never
-	Actions     []openflow.Action
 	SendFlowRem bool
+	Cookie      uint64
+	Actions     []openflow.Action
 
 	Installed time.Time
 
 	packets  atomic.Uint64
 	bytes    atomic.Uint64
 	lastUsed atomic.Int64 // UnixNano of the last match; 0 = never
+
+	// The counters as the stats reader last took them (StatsView): only its
+	// walk writes them, under the read lock, or the entry's removal.
+	takenPackets, takenBytes uint64
 }
 
 // PacketCount returns how many packets have matched the entry.
@@ -70,6 +75,15 @@ func (e *FlowEntry) PacketCount() uint64 { return e.packets.Load() }
 
 // ByteCount returns how many bytes have matched the entry.
 func (e *FlowEntry) ByteCount() uint64 { return e.bytes.Load() }
+
+// take returns what the entry's counters gained since the stats reader last
+// took them, and records that it has now taken them.
+func (e *FlowEntry) take() (packets, bytes uint64) {
+	p, b := e.packets.Load(), e.bytes.Load()
+	packets, bytes = p-e.takenPackets, b-e.takenBytes
+	e.takenPackets, e.takenBytes = p, b
+	return packets, bytes
+}
 
 // charge adds matched packets to the entry's counters, the last of them
 // matched at clock reading nanos. lastUsed only moves forward: a charge
@@ -352,10 +366,11 @@ func (t *FlowTable) expire(dst []expiry, now time.Time) []expiry {
 }
 
 // removalOrder is the order an expiry sweep or a delete reports its
-// removals in, so that the flow-removed messages — and the Flows rows
-// measurement writes from them — leave in the same order on every run, not
-// in map order: install time, then five-tuple and in_port, then the rest of
-// the match and the priority, which no two entries share.
+// removals in, so that the removal reports — and the Flows rows
+// measurement writes from them — and the flow-removed messages leave in
+// the same order on every run, not in map order: install time, then
+// five-tuple and in_port, then the rest of the match and the priority,
+// which no two entries share.
 func removalOrder(a, b *FlowEntry) int {
 	x, y := &a.Match, &b.Match
 	return cmp.Or(
@@ -391,14 +406,13 @@ func (t *FlowTable) Entries(m *openflow.Match, outPort uint16) []*FlowEntry {
 }
 
 // flowStats returns the flow-stats entry of every table entry
-// Entries(m, outPort) would return, in one walk of the table.
+// Entries(m, outPort) returns.
 func (t *FlowTable) flowStats(m *openflow.Match, outPort uint16, now time.Time) []openflow.FlowStats {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	dst := make([]openflow.FlowStats, 0, len(t.exact)+len(t.wild))
-	t.each(m, 0, false, outPort, func(e *FlowEntry) {
+	entries := t.Entries(m, outPort)
+	dst := make([]openflow.FlowStats, len(entries))
+	for i, e := range entries {
 		dur := now.Sub(e.Installed)
-		dst = append(dst, openflow.FlowStats{
+		dst[i] = openflow.FlowStats{
 			TableID: 0, Match: e.Match,
 			DurationSec:  uint32(dur / time.Second),
 			DurationNsec: uint32(dur % time.Second),
@@ -407,8 +421,8 @@ func (t *FlowTable) flowStats(m *openflow.Match, outPort uint16, now time.Time) 
 			Cookie:      e.Cookie,
 			PacketCount: e.PacketCount(), ByteCount: e.ByteCount(),
 			Actions: e.Actions,
-		})
-	})
+		}
+	}
 	return dst
 }
 

@@ -18,8 +18,8 @@ func testDB(t *testing.T) (*DB, *clock.Simulated) {
 }
 
 // TestHomeworkSchemaLaysOutTheStandardTables: a standard table's schema
-// is the one its NewHomework table has, by any case of its name, fresh
-// on every call; any other name has none.
+// is the one its NewHomework table has, by any case of its name, one
+// shared value on every call; any other name has none.
 func TestHomeworkSchemaLaysOutTheStandardTables(t *testing.T) {
 	db, _ := testDB(t)
 	for _, name := range []string{TableFlows, TableLinks, TableLeases, TableFlowPerf} {
@@ -33,12 +33,26 @@ func TestHomeworkSchemaLaysOutTheStandardTables(t *testing.T) {
 				t.Errorf("HomeworkSchema(%q) = %v, want %s", spelled, got, want)
 			}
 		}
-		if HomeworkSchema(name) == HomeworkSchema(name) {
-			t.Errorf("HomeworkSchema(%q) handed out one schema twice", name)
+		if HomeworkSchema(name) != tbl.Schema() {
+			t.Errorf("HomeworkSchema(%q) is not the schema its table shares", name)
 		}
 	}
 	if s := HomeworkSchema("Health"); s != nil {
 		t.Errorf("HomeworkSchema(Health) = %v, want nil", s)
+	}
+}
+
+// Two homes' standard tables share one schema each, built once per
+// process: a home carries no copy of a column list or its * expansion.
+func TestHomesShareTheStandardSchemas(t *testing.T) {
+	a, _ := testDB(t)
+	b, _ := testDB(t)
+	for _, name := range []string{TableFlows, TableLinks, TableLeases, TableFlowPerf} {
+		ta, _ := a.Table(name)
+		tb, _ := b.Table(name)
+		if ta.Schema() != tb.Schema() {
+			t.Errorf("two homes' %s tables have schemas %p and %p, want one", name, ta.Schema(), tb.Schema())
+		}
 	}
 }
 

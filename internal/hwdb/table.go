@@ -449,9 +449,10 @@ func NewHomework(clk clock.Clock, ringSize int) *DB {
 	return db
 }
 
-// HomeworkSchema returns a fresh schema for one of the four standard
-// Homework tables, matching the name case-insensitively as DB.Table does,
-// or nil for any other name.
+// HomeworkSchema returns the schema of one of the four standard Homework
+// tables, matching the name case-insensitively as DB.Table does, or nil for
+// any other name. Each is built once per process and shared by every
+// home's table: a Schema is read-only once NewSchema returns it.
 //
 //	Flows:    periodically observed active five-tuples with byte/packet counts
 //	Links:    link-layer info per station: RSSI, retries, rates
@@ -461,45 +462,54 @@ func NewHomework(clk clock.Clock, ringSize int) *DB {
 //	          attributed loss, windowed throughput (bits/s over the actual
 //	          clock-measured poll window) and rule-install latency (µs)
 func HomeworkSchema(table string) *Schema {
-	// A Flows or FlowPerf row leads with the device and its five-tuple.
-	flow := func(cols ...Column) *Schema {
-		return NewSchema(append([]Column{
-			{"mac", TMAC}, {"saddr", TIP}, {"daddr", TIP},
-			{"proto", TInt}, {"sport", TInt}, {"dport", TInt},
-		}, cols...)...)
-	}
 	switch {
 	case strings.EqualFold(table, TableFlows):
-		return flow(
-			Column{"packets", TInt},
-			Column{"bytes", TInt},
-		)
+		return flowsSchema
 	case strings.EqualFold(table, TableLinks):
-		return NewSchema(
-			Column{"mac", TMAC},
-			Column{"rssi", TInt},
-			Column{"retries", TInt},
-			Column{"rate", TReal},
-		)
+		return linksSchema
 	case strings.EqualFold(table, TableLeases):
-		return NewSchema(
-			Column{"action", TString}, // add | del | upd
-			Column{"mac", TMAC},
-			Column{"ip", TIP},
-			Column{"hostname", TString},
-		)
+		return leasesSchema
 	case strings.EqualFold(table, TableFlowPerf):
-		return flow(
-			Column{"tx_pkts", TInt},
-			Column{"tx_bytes", TInt},
-			Column{"rx_pkts", TInt},
-			Column{"rx_bytes", TInt},
-			Column{"lost_pkts", TInt},
-			Column{"bps", TReal},
-			Column{"install_us", TInt},
-		)
+		return flowPerfSchema
 	}
 	return nil
+}
+
+var (
+	flowsSchema = flowSchema(
+		Column{"packets", TInt},
+		Column{"bytes", TInt},
+	)
+	linksSchema = NewSchema(
+		Column{"mac", TMAC},
+		Column{"rssi", TInt},
+		Column{"retries", TInt},
+		Column{"rate", TReal},
+	)
+	leasesSchema = NewSchema(
+		Column{"action", TString}, // add | del | upd
+		Column{"mac", TMAC},
+		Column{"ip", TIP},
+		Column{"hostname", TString},
+	)
+	flowPerfSchema = flowSchema(
+		Column{"tx_pkts", TInt},
+		Column{"tx_bytes", TInt},
+		Column{"rx_pkts", TInt},
+		Column{"rx_bytes", TInt},
+		Column{"lost_pkts", TInt},
+		Column{"bps", TReal},
+		Column{"install_us", TInt},
+	)
+)
+
+// flowSchema lays out a Flows or FlowPerf table: a row leads with the
+// device and its five-tuple.
+func flowSchema(cols ...Column) *Schema {
+	return NewSchema(append([]Column{
+		{"mac", TMAC}, {"saddr", TIP}, {"daddr", TIP},
+		{"proto", TInt}, {"sport", TInt}, {"dport", TInt},
+	}, cols...)...)
 }
 
 // InsertFlow records one observation of an active five-tuple attributed to

@@ -10,20 +10,18 @@
 // share), and the punt-to-flow-mod rule-install latency the tracer
 // measured for it.
 //
-// The plane reads the counters in place through a datapath.StatsView — the
-// datapath is co-resident with its controller in every router — and a
-// poll costs the entries that moved: the walk skips every entry idle since
-// the previous poll's clock reading. Per-flow state is updated inside that
-// walk, under the flow table's read lock, so the flow-removed of an entry
-// always follows the last visit it settles against, and the state is
-// forgotten only by that flow-removed. Every exact IPv4 rule is therefore
-// expected to request one (the forwarder's all do).
+// The plane reads the counters in place through a datapath.StatsView and
+// keeps no record of its own per flow: the flow entry carries what the
+// plane last took of its counters. A poll costs the entries that moved,
+// skipping every entry idle since the previous poll, and an entry's removal
+// reports what no poll took (RecordFlowRemoved, registered with
+// StatsView.OnRemoved), so the rows of a flow add up to its final counters.
 //
 // Concurrency: the plane runs no timer of its own. One goroutine at a time
 // drives it with PollOnce — in a router, the one that steps the home.
-// RecordFlowRemoved and RecordInstall arrive concurrently from the
-// controller's dispatch goroutine; the flow-state cache is mutex-guarded
-// and the hwdb tables synchronize internally.
+// RecordInstall arrives from the controller's dispatch and
+// RecordFlowRemoved from whoever removes the entry; the pending install
+// latencies are mutex-guarded and the hwdb tables synchronize internally.
 package measure
 
 import (
@@ -76,13 +74,16 @@ type Config struct {
 	HomePrefixLen int
 }
 
-// flowState is what the plane last counted of one flow entry, so it
-// records per-interval deltas ("periodically observed active
-// five-tuples").
-type flowState struct {
-	packets   uint64
-	bytes     uint64
-	installNS int64 // pending rule-install latency, reported once
+// maxPending bounds the install latencies waiting for their flow's first
+// active observation: a flow whose frames all left through its punt's
+// buffer is never active, so its latency waits for its removal or newer
+// installs to push it out.
+const maxPending = 32
+
+// pendingInstall is one flow's rule-install latency, reported once.
+type pendingInstall struct {
+	key flowKey
+	ns  int64
 }
 
 // roundFlow is one flow active in the current poll round, buffered so the
@@ -100,18 +101,18 @@ type roundFlow struct {
 type Plane struct {
 	cfg Config
 
-	mu    sync.Mutex
-	seen  map[flowKey]flowState // one per exact IPv4 entry, until its flow-removed
-	polls uint64
-	round []roundFlow // this round's active flows; filled under mu by visit
+	mu      sync.Mutex
+	pending []pendingInstall // oldest first, at most maxPending
+	polls   uint64
+	round   []roundFlow // this round's active flows; filled under mu by visit
 
-	// Poll state: one PollOnce caller at a time.
-	lastPoll    time.Time         // previous round's clock reading
-	ports       map[uint16]uint64 // last cumulative rx-dropped per port
-	portsSeeded bool              // baseline taken (first round attributes nothing)
-	drops       map[uint16]uint64 // this round's rx-dropped deltas
-	portPkts    map[uint16]uint64 // this round's active packets per port
-	links       []LinkSample      // this round's link samples
+	// Poll state: one PollOnce caller at a time; port counters by number.
+	lastPoll    time.Time    // previous round's clock reading
+	ports       []uint64     // last cumulative rx-dropped per port
+	portsSeeded bool         // baseline taken (first round attributes nothing)
+	drops       []uint64     // this round's rx-dropped deltas
+	portPkts    []uint64     // this round's active packets per port
+	links       []LinkSample // this round's link samples
 }
 
 // New creates a measurement plane.
@@ -119,13 +120,7 @@ func New(cfg Config) *Plane {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	return &Plane{
-		cfg:      cfg,
-		seen:     make(map[flowKey]flowState),
-		ports:    make(map[uint16]uint64),
-		drops:    make(map[uint16]uint64),
-		portPkts: make(map[uint16]uint64),
-	}
+	return &Plane{cfg: cfg}
 }
 
 // Polls returns how many poll rounds have completed.
@@ -133,15 +128,6 @@ func (p *Plane) Polls() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.polls
-}
-
-// Tracked returns how many flow entries the plane keeps state for: at most
-// the flow table's exact IPv4 entries plus the flow-removed messages in
-// flight, when every such entry requests its flow-removed.
-func (p *Plane) Tracked() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.seen)
 }
 
 // PollOnce performs one measurement round: flow counter deltas into Flows
@@ -193,6 +179,7 @@ func (p *Plane) pollFlows() {
 		}
 		rf.mac = mac
 		round = append(round, rf)
+		p.portPkts, p.drops = grow(p.portPkts, rf.inPort), grow(p.drops, rf.inPort)
 		p.portPkts[rf.inPort] += rf.dp
 	}
 	slices.SortFunc(round, compareRound)
@@ -226,37 +213,30 @@ func (p *Plane) pollFlows() {
 	}
 }
 
-// visit settles one flow entry the walk hands over, under p.mu and the
-// flow table's read lock: the delta since the flow's state joins the round
-// and becomes its state.
+// visit takes one flow entry the walk hands over, under p.mu and the flow
+// table's read lock: what it gained since the previous walk joins the
+// round. Install latency rides the flow's first *active* observation: a
+// just-installed rule shows zero counters (its trigger packet left via the
+// buffer, not the flow table), so consuming the latency on an idle round
+// would silently drop it.
 func (p *Plane) visit(m openflow.Match, packets, bytes uint64) {
-	if !isFlow(&m) {
+	if packets == 0 || !isFlow(&m) {
 		return
 	}
-	k := keyOf(&m)
-	st := p.seen[k]
-	if packets == st.packets && bytes == st.bytes {
-		return // visited at the previous round's clock reading, idle since
+	installUS := (p.takeInstall(keyOf(&m)) + 999) / 1000 // round up: a sub-µs install still shows
+	p.round = append(p.round, roundFlow{ft: fiveTuple(&m), inPort: m.InPort, dp: packets, db: bytes, installUS: installUS})
+}
+
+// takeInstall removes and returns the flow's pending install latency (0 if
+// none). The caller holds p.mu.
+func (p *Plane) takeInstall(k flowKey) int64 {
+	for i, pi := range p.pending {
+		if pi.key == k {
+			p.pending = append(p.pending[:i], p.pending[i+1:]...)
+			return pi.ns
+		}
 	}
-	dp, db := packets-st.packets, bytes-st.bytes
-	if packets < st.packets { // counters reset (rule reinstalled)
-		dp, db = packets, bytes
-	}
-	st.packets, st.bytes = packets, bytes
-	// Install latency rides the flow's first *active* observation: a
-	// just-installed rule shows zero counters (its trigger packet left via
-	// the buffer, not the flow table), so consuming the latency on an idle
-	// round would silently drop it. Round up so a recorded sub-µs install
-	// is still visible.
-	var installUS int64
-	if dp != 0 && st.installNS > 0 {
-		installUS = (st.installNS + 999) / 1000
-		st.installNS = 0
-	}
-	p.seen[k] = st
-	if dp != 0 {
-		p.round = append(p.round, roundFlow{ft: fiveTuple(&m), inPort: m.InPort, dp: dp, db: db, installUS: installUS})
-	}
+	return 0
 }
 
 // compareRound orders a round by five-tuple, then device and ingress port.
@@ -285,10 +265,19 @@ func (p *Plane) portDrops() {
 
 // countPort is portDrops' visit of one port.
 func (p *Plane) countPort(s openflow.PortStats) {
+	p.ports, p.drops = grow(p.ports, s.PortNo), grow(p.drops, s.PortNo)
 	if prev := p.ports[s.PortNo]; p.portsSeeded && s.RxDropped > prev {
 		p.drops[s.PortNo] = s.RxDropped - prev
 	}
 	p.ports[s.PortNo] = s.RxDropped
+}
+
+// grow returns s long enough to index port.
+func grow(s []uint64, port uint16) []uint64 {
+	if int(port) < len(s) {
+		return s
+	}
+	return append(s, make([]uint64, int(port)+1-len(s))...)
 }
 
 // RecordInstall attaches a rule-install latency (nanoseconds) to the flow
@@ -303,35 +292,32 @@ func (p *Plane) RecordInstall(match *openflow.Match, latencyNS int64) {
 	}
 	k := keyOf(match)
 	p.mu.Lock()
-	st := p.seen[k]
-	st.installNS = latencyNS
-	p.seen[k] = st
+	p.takeInstall(k)
+	if len(p.pending) == maxPending {
+		p.pending = append(p.pending[:0], p.pending[1:]...)
+	}
+	p.pending = append(p.pending, pendingInstall{k, latencyNS})
 	p.mu.Unlock()
 }
 
-// RecordFlowRemoved ingests the final counters carried by a flow-removed
-// message, so traffic sent between the last poll and the entry's expiry is
-// not lost, and forgets the flow. The router wires this to the
-// controller's flow-removed event.
+// RecordFlowRemoved ingests what a removed flow entry gained since the
+// plane's last walk took its counters, so traffic sent between the last
+// poll and the entry's removal is not lost, and drops the flow's pending
+// install latency. The router registers it as the datapath's removal
+// report (datapath.StatsView.OnRemoved).
 func (p *Plane) RecordFlowRemoved(match *openflow.Match, packets, bytes uint64) {
 	if p.cfg.DB == nil || !isFlow(match) {
 		return
 	}
-	k := keyOf(match)
 	p.mu.Lock()
-	st := p.seen[k]
-	delete(p.seen, k)
+	p.takeInstall(keyOf(match))
 	p.mu.Unlock()
-	dp, db := packets-st.packets, bytes-st.bytes
-	if packets < st.packets {
-		dp, db = packets, bytes
-	}
-	if dp == 0 {
+	if packets == 0 {
 		return
 	}
 	ft := fiveTuple(match)
 	if mac, ok := p.attribute(ft); ok {
-		_ = p.cfg.DB.InsertFlow(mac, ft, dp, db)
+		_ = p.cfg.DB.InsertFlow(mac, ft, packets, bytes)
 	}
 }
 
@@ -341,12 +327,11 @@ func isFlow(m *openflow.Match) bool {
 	return m.DLType == packet.EtherTypeIPv4 && m.IsExact()
 }
 
-// flowKey names the table entry a flow's state belongs to. An exact IPv4
-// match also fixes the frame's Ethernet addresses and VLAN tag, but on one
-// ingress port those follow from the five-tuple — a port is one device and
-// it addresses the router — so the key leaves them out: 16 bytes where the
-// match takes 40, and a state-map slot of 40 bytes instead of 64, for every
-// entry of every home's table.
+// flowKey names the table entry a pending install latency belongs to. An
+// exact IPv4 match also fixes the frame's Ethernet addresses and VLAN tag,
+// but on one ingress port those follow from the five-tuple — a port is one
+// device and it addresses the router — so the key leaves them out: 16
+// bytes where the match takes 40.
 type flowKey struct {
 	src, dst     packet.IP4
 	sport, dport uint16

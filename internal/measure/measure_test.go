@@ -138,6 +138,7 @@ func newHome(t *testing.T, clientPorts ...uint16) *home {
 		t.Fatal(err)
 	}
 	h.p = New(Config{DB: h.db, Clock: h.clk, Stats: h.dp.StatsView(), Resolver: fakeResolver{homeIP: homeMAC}})
+	h.dp.StatsView().OnRemoved(h.p.RecordFlowRemoved)
 	for _, port := range clientPorts {
 		f := packet.AppendTCPFrame(nil, homeMAC, packet.MustMAC("02:01:00:00:00:01"), homeIP, webIP, port, 80, packet.TCPAck, 0, 0, make([]byte, 100))
 		if err := h.dec.Decode(f); err != nil {
@@ -241,10 +242,9 @@ func TestPollCountsWhatMovedSinceTheLastVisit(t *testing.T) {
 	}
 }
 
-// A flow's state lives from its first counted packet to its flow-removed,
-// which settles against the last visit: the rows add up to the final
-// counters, whether the flow-removed comes before or after a poll that no
-// longer finds the entry, and nothing is counted twice.
+// A removed entry reports what no walk took of it, whether a poll ran
+// since its last frames or not: the rows add up to the final counters, and
+// nothing is counted twice when a later poll no longer finds the entry.
 func TestFlowRemovedSettlesAgainstTheLastVisit(t *testing.T) {
 	h := newHome(t, 50000, 50001)
 	// The flow from 50000 gets an entry that expires in a second.
@@ -256,24 +256,57 @@ func TestFlowRemovedSettlesAgainstTheLastVisit(t *testing.T) {
 	h.send(50000, 5)
 	h.send(50001, 1)
 	h.p.PollOnce()
-	h.send(50000, 2)
-	if n := h.p.Tracked(); n != 2 {
-		t.Fatalf("tracking %d flows, want 2", n)
-	}
+	h.send(50000, 2) // after the poll: only the removal report can carry these
 
 	h.clk.Advance(time.Second)
 	if n := h.dp.SweepExpired(); n != 1 {
 		t.Fatalf("expired %d entries", n)
 	}
-	h.p.PollOnce() // the entry is gone; its flow-removed is still in flight
-	h.p.RecordFlowRemoved(&m, e.PacketCount(), e.ByteCount())
+	h.p.PollOnce() // the entry is gone
 	h.p.PollOnce()
 
 	if got := h.packets(50000); got != 7 {
 		t.Errorf("removed flow: %d packets in Flows, want its final 7", got)
 	}
-	if n := h.p.Tracked(); n != 1 {
-		t.Errorf("tracking %d flows after one of two was removed, want 1", n)
+	if res, _ := h.db.Query("SELECT count(*) FROM Flows WHERE sport = 50000"); res.Rows[0][0].Int != 2 {
+		t.Errorf("removed flow: %d Flows rows, want 2 (the poll's and the removal's)", res.Rows[0][0].Int)
+	}
+}
+
+// A pending install latency is reported on its flow's first active row,
+// once, and a removal drops it: a new entry of the same flow does not
+// inherit the latency of the one that left.
+func TestInstallLatencyRidesTheFirstActiveRow(t *testing.T) {
+	h := newHome(t, 50000)
+	m := h.match(50000)
+	h.p.RecordInstall(&m, 1500)
+	h.p.PollOnce() // idle: the latency waits
+	h.send(50000, 1)
+	h.clk.Advance(time.Second)
+	h.p.PollOnce()
+	h.send(50000, 1)
+	h.clk.Advance(time.Second)
+	h.p.PollOnce()
+
+	h.p.RecordInstall(&m, 7000)
+	h.dp.Table().Add(&datapath.FlowEntry{Match: m, Priority: 10, HardTimeout: 1, Installed: h.clk.Now()}, false)
+	h.clk.Advance(time.Second)
+	h.dp.SweepExpired() // removes the flow's entry: its latency goes with it
+	h.dp.Table().Add(&datapath.FlowEntry{Match: m, Priority: 10}, false)
+	h.send(50000, 1)
+	h.clk.Advance(time.Second)
+	h.p.PollOnce()
+
+	res, err := h.db.Query("SELECT install_us FROM FlowPerf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	for _, row := range res.Rows {
+		got = append(got, row[0].Int)
+	}
+	if want := []int64{2, 0, 0}; !slices.Equal(got, want) {
+		t.Errorf("install_us by row %v, want %v", got, want)
 	}
 }
 

@@ -202,8 +202,10 @@ func (c *Controller) OnPacketIn(fn func(*PacketInEvent) Disposition) { c.packetI
 // OnJoin registers a datapath-join handler.
 func (c *Controller) OnJoin(fn func(*JoinEvent)) { c.join.add(fn) }
 
-// OnFlowRemoved registers a flow-removed handler.
-func (c *Controller) OnFlowRemoved(fn func(*FlowRemovedEvent)) { c.flowRem.add(fn) }
+// onFlowRemoved registers a flow-removed handler. No module registers one
+// (measurement hears of a removal from the datapath itself); the switch
+// still dispatches and releases every flow-removed it receives.
+func (c *Controller) onFlowRemoved(fn func(*FlowRemovedEvent)) { c.flowRem.add(fn) }
 
 // ListenAndServe accepts datapath connections on a TCP address until Close.
 func (c *Controller) ListenAndServe(addr string) error {

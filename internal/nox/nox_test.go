@@ -221,7 +221,7 @@ func TestFlowStatsAndAggregate(t *testing.T) {
 func TestDeleteFlowsAndFlowRemoved(t *testing.T) {
 	ctl := NewController()
 	removed := make(chan openflow.FlowRemoved, 1)
-	ctl.OnFlowRemoved(func(ev *FlowRemovedEvent) {
+	ctl.onFlowRemoved(func(ev *FlowRemovedEvent) {
 		select {
 		case removed <- *ev.Msg: // the message is the dispatch's only
 		default:
@@ -815,13 +815,13 @@ func TestFlowRemovedDispatchAllocatesNothing(t *testing.T) {
 	ctl := NewController()
 	var calls [3]int
 	for i := range 2 {
-		ctl.OnFlowRemoved(func(*FlowRemovedEvent) { calls[i]++ })
+		ctl.onFlowRemoved(func(*FlowRemovedEvent) { calls[i]++ })
 	}
 	ev := &FlowRemovedEvent{Msg: &openflow.FlowRemoved{Match: openflow.MatchAll()}}
 	if allocs := testing.AllocsPerRun(100, func() { ctl.dispatchFlowRemoved(ev) }); allocs != 0 {
 		t.Errorf("a flow-removed dispatch allocates %g times, want 0", allocs)
 	}
-	ctl.OnFlowRemoved(func(*FlowRemovedEvent) { calls[2]++ })
+	ctl.onFlowRemoved(func(*FlowRemovedEvent) { calls[2]++ })
 	ctl.dispatchFlowRemoved(ev)
 	if calls != [3]int{102, 102, 1} {
 		t.Errorf("handler calls %v, want 102, 102 and 1", calls)
@@ -836,7 +836,7 @@ func TestFlowRemovedReadLoopAllocatesNothing(t *testing.T) {
 	ctl := NewController()
 	t.Cleanup(func() { ctl.Close() })
 	handled := make(chan uint64, 1)
-	ctl.OnFlowRemoved(func(ev *FlowRemovedEvent) { handled <- ev.Msg.PacketCount })
+	ctl.onFlowRemoved(func(ev *FlowRemovedEvent) { handled <- ev.Msg.PacketCount })
 	joined := make(chan struct{})
 	ctl.OnJoin(func(*JoinEvent) { close(joined) })
 	ctlEnd, dpEnd := oftransport.Pair(0)
@@ -891,7 +891,7 @@ func TestRegisterDuringDispatch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range each {
-				ctl.OnFlowRemoved(func(*FlowRemovedEvent) { last[w].Store(int64(i)) })
+				ctl.onFlowRemoved(func(*FlowRemovedEvent) { last[w].Store(int64(i)) })
 			}
 		}()
 	}

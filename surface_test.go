@@ -275,9 +275,6 @@ var unreadExports = []string{
 	// TestServerSubscribeDeltaPushes count the live subscriptions a script
 	// leaves; a leak that pushes every 10 s shows on no datagram.
 	"hwdb.Server.Subscriptions",
-	// TestFlowsAccountExactly holds the plane to forgetting every removed
-	// flow under a churning router; the plane's map shows nowhere else.
-	"measure.Plane.Tracked",
 	// The simulated home's instruments, which the router's tests use to act
 	// as a device and watch one: hand a host a frame
 	// (TestDuplicateAckLeavesHostUsable, TestModuleFramesMatchModel), make
@@ -289,9 +286,8 @@ var unreadExports = []string{
 	// bench/hwbench/hwbench_test.go reads where the rig placed each host,
 	// and the harness is pinned.
 	"netsim.Host.Pos",
-	// The wire replies TestStatsViewMatchesWire holds the measurement
-	// plane's in-place view to; no module asks the switch over the wire.
-	"nox.Switch.FlowStats",
+	// The wire reply TestStatsViewMatchesWire holds the measurement plane's
+	// in-place port view to; no module asks the switch for port counters.
 	"nox.Switch.PortStats",
 	// The remote tests' worker kill and its proof of a real reconnect
 	// (TestChaosSoakRemote, TestRemoteFleetConcurrency32Homes,
