@@ -3,7 +3,6 @@ package chaos
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"compress/gzip"
 	"errors"
 	"flag"
@@ -11,7 +10,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -282,10 +280,17 @@ func digestRun(t *testing.T, seed int64) []digestRecord {
 		if len(evs) == 0 {
 			return
 		}
-		slices.SortFunc(evs, func(a, b fleet.PlacementEvent) int { return cmp.Compare(a.Seq, b.Seq) })
-		for _, ev := range evs {
+		for len(evs) > 0 { // in Seq order
+			lo := 0
+			for i := range evs {
+				if evs[i].Seq < evs[lo].Seq {
+					lo = i
+				}
+			}
+			ev := evs[lo]
 			rec.rows = append(rec.rows, fmt.Sprintf("%d %d %s %d %d>%d", ev.Seq, ev.Step, ev.Op, ev.Home, ev.From, ev.To))
-			lastEvent = ev.Seq
+			lastEvent = max(lastEvent, ev.Seq)
+			evs = append(evs[:lo], evs[lo+1:]...)
 		}
 		recs = append(recs, rec)
 	}

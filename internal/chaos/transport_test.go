@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nox"
 	"repro/internal/oftransport"
+	"repro/internal/openflow"
 	"repro/internal/packet"
 )
 
@@ -152,6 +154,44 @@ func TestDropAndDelayFlowMods(t *testing.T) {
 	}
 	if err := fl.Step(0.5); err != nil {
 		t.Fatalf("step after faults lifted: %v", err)
+	}
+}
+
+// A policy flush during delay-mods deletes the rules the fault still
+// holds: its deletes are flow-mods, so they queue behind the held adds and
+// remove them once they land, and no rule decided under the old policy
+// outlives the flush. (Releasing a held add forwards the frame it buffered,
+// whose answer may punt and be ruled on afresh, after the flush.)
+func TestPolicyFlushCoversHeldRules(t *testing.T) {
+	fl, eng := newChaosFleet(t, 1, 44)
+	h := fl.Homes()[0]
+	host, err := h.Join("", false, netsim.Pos{X: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host.AddApp(netsim.NewApp(netsim.AppWeb, "203.0.113.10", 60_000))
+	f := eng.faultsFor(h.ID)
+	f.delayFlowMods(true)
+	for i := 0; i < 10 && f.Stats().HeldMods == 0; i++ {
+		if err := fl.Step(0.5); err != nil {
+			t.Fatalf("step under delay-mods: %v", err)
+		}
+	}
+	var held []openflow.Match
+	for _, msg := range f.heldMods {
+		if fm := msg.(*openflow.FlowMod); fm.Command == openflow.FlowModAdd {
+			held = append(held, fm.Match)
+		}
+	}
+	if len(held) == 0 {
+		t.Fatalf("no rule held: %+v", f.Stats())
+	}
+	h.Router.Policy.InsertKey("flush")
+	f.delayFlowMods(false)
+	for _, e := range h.Router.Datapath.Table().Entries(nil, openflow.PortNone) {
+		if slices.Contains(held, e.Match) {
+			t.Errorf("rule %v, held when the policy changed, outlived the flush", &e.Match)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/dhcp"
@@ -56,8 +57,11 @@ type Forwarder struct {
 	// measurement plane); keep it cheap and non-blocking.
 	OnInstall func(m openflow.Match)
 
-	mu       sync.Mutex
-	macPort  map[packet.MAC]uint16
+	mu      sync.Mutex
+	macPort map[packet.MAC]uint16
+	// inPorts lists, ascending, every port a packet-in arrived on: the
+	// ingress ports the forwarder's entries can fix, which a flush clears.
+	inPorts  []uint16
 	denials  uint64
 	admitted uint64
 	// upstreamActs is the rewrite+output action list toward the uplink,
@@ -112,24 +116,21 @@ func (f *Forwarder) Counters() (admitted, denied uint64) {
 	return f.admitted, f.denials
 }
 
-// flushFlows removes every forwarding and drop entry in the switch's
-// table, read from it with a flow-stats request; a switch that does not
-// answer keeps them until they expire. Punt rules are untouched: they live
-// at another priority, and each delete is strict.
+// flushFlows deletes every forwarding and drop entry: a non-strict delete
+// per port a packet-in arrived on selects each entry that fixes that ingress
+// port, as only the forwarder's exact entries do (punt rules wildcard it).
+// Deletes are flow-mods: they follow every rule sent before them, and so
+// also remove one still on its way to the table.
 func (f *Forwarder) flushFlows(sw *nox.Switch) {
-	flows, err := sw.FlowStats(openflow.MatchAll())
-	if err != nil {
-		return
-	}
-	for i := range flows {
-		fs := &flows[i]
-		if fs.Priority != PriorityForward && fs.Priority != PriorityDrop {
-			continue
-		}
-		_ = sw.Send(&openflow.FlowMod{
-			Match: fs.Match, Command: openflow.FlowModDeleteStrict,
-			Priority: fs.Priority, BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
-		})
+	f.mu.Lock()
+	ports := slices.Clone(f.inPorts)
+	f.mu.Unlock()
+	for _, p := range ports {
+		m := openflow.MatchAll()
+		m.Wildcards &^= openflow.FWInPort
+		m.InPort = p
+		_ = sw.Send(&openflow.FlowMod{Match: m, Command: openflow.FlowModDelete,
+			BufferID: openflow.NoBuffer, OutPort: openflow.PortNone})
 	}
 }
 
@@ -139,6 +140,9 @@ func (f *Forwarder) flushFlows(sw *nox.Switch) {
 func (f *Forwarder) learnSender(ev *nox.PacketInEvent) nox.Disposition {
 	f.mu.Lock()
 	f.macPort[ev.Decoded.Eth.Src] = ev.Msg.InPort
+	if i, seen := slices.BinarySearch(f.inPorts, ev.Msg.InPort); !seen {
+		f.inPorts = slices.Insert(f.inPorts, i, ev.Msg.InPort)
+	}
 	f.mu.Unlock()
 	return nox.Continue
 }

@@ -37,7 +37,7 @@ func newChurnHome(t *testing.T, mutate func(*Config)) *churnHome {
 		c.RingSize = 1 << 15
 		c.WrapTransport = func(ctl, dp oftransport.Transport) (oftransport.Transport, oftransport.Transport) {
 			ctl, _ = h.tap.wrap(ctl, dp)
-			return ctl, removedTap{dp, func(fr *openflow.FlowRemoved) {
+			return ctl, removedTap{Transport: dp, sent: func(fr *openflow.FlowRemoved) {
 				if h.removed != nil {
 					h.removed(fr)
 				}
@@ -212,9 +212,8 @@ func TestForwarderRulesRequestFlowRemoved(t *testing.T) {
 	}
 }
 
-// A policy change flushes the forwarder's rules from the table it reads:
-// every forwarding and drop rule goes, and the DHCP and DNS punt rules
-// stay.
+// A policy change flushes the forwarder's rules: every forwarding and drop
+// rule goes, and the DHCP and DNS punt rules stay.
 func TestPolicyFlushDeletesForwarderRulesOnly(t *testing.T) {
 	h := newChurnHome(t, nil)
 	h.refuseOne()

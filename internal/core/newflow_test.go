@@ -213,13 +213,13 @@ func TestExpiringFlowsWriteIdenticalRows(t *testing.T) {
 func TestFlowsExpireOnTheirDueStep(t *testing.T) {
 	run := func() string {
 		clk := clock.NewSimulated()
-		var removals atomic.Int64
+		var removals, dispatched atomic.Int64
 		r := startRouter(t, func(c *Config) {
 			c.Clock = clk
 			c.DisableRPC = true
 			c.FlowIdleTimeout = 2
 			c.WrapTransport = func(ctl, dp oftransport.Transport) (oftransport.Transport, oftransport.Transport) {
-				return ctl, removedTap{dp, func(*openflow.FlowRemoved) { removals.Add(1) }}
+				return ctl, removedTap{dp, func(*openflow.FlowRemoved) { removals.Add(1) }, func() { dispatched.Add(1) }}
 			}
 		})
 		host := join(t, r, "laptop", "02:aa:00:00:00:54", false, netsim.Pos{})
@@ -280,6 +280,9 @@ func TestFlowsExpireOnTheirDueStep(t *testing.T) {
 			}
 			if got := removals.Load() - baseline; got != expired {
 				t.Fatalf("tick %d: %d flow-removeds sent by the step, %d entries expired", tick, got, expired)
+			}
+			if got := dispatched.Load() - baseline; got != expired {
+				t.Fatalf("tick %d: %d flow-removeds taken by the controller by the step's Settle, %d entries expired", tick, got, expired)
 			}
 			for e := range cur {
 				if e.IdleTimeout > 0 {

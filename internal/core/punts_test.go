@@ -41,18 +41,27 @@ func (tap *flowModTap) Send(msg openflow.Message) error {
 	return tap.Transport.Send(msg)
 }
 
-// removedTap sits on the datapath's end of the control channel and shows fn
-// each flow-removed the datapath sends, before the controller has it.
+// removedTap sits on the datapath's end of the control channel and shows
+// sent each flow-removed the datapath sends, before the controller has it.
+// When taken is set, it is called once the send returns: on a direct
+// channel the controller has then dispatched the flow-removed, or queued it
+// for the call that is handling another message.
 type removedTap struct {
 	oftransport.Transport
-	fn func(*openflow.FlowRemoved)
+	sent  func(*openflow.FlowRemoved)
+	taken func()
 }
 
 func (tap removedTap) Send(msg openflow.Message) error {
-	if fr, ok := msg.(*openflow.FlowRemoved); ok {
-		tap.fn(fr)
+	fr, ok := msg.(*openflow.FlowRemoved)
+	if ok {
+		tap.sent(fr)
 	}
-	return tap.Transport.Send(msg)
+	err := tap.Transport.Send(msg)
+	if ok && tap.taken != nil {
+		tap.taken()
+	}
+	return err
 }
 
 // simHome is one router on a simulated clock with a wired, bound host that

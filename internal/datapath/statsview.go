@@ -16,16 +16,13 @@ func (dp *Datapath) StatsView() StatsView { return StatsView{dp} }
 // Flows walks the flow table once, under its read lock, and calls fn with
 // the match of every entry last used at or after since (UnixNano on the
 // datapath's clock) and what its counters gained since the previous walk,
-// which the walk records in the entry. It is the single reader's walk: two
-// readers would each see part of what moved. An entry last used strictly
-// before since is skipped with one atomic load; since <= 0 visits every
-// entry.
-//
-// A skip only delays a count. What a skipped entry gained is handed over by
-// the next walk that visits it, or by its removal report (OnRemoved).
-// Equality is visited because a frame charged at the clock reading since
-// may have been charged after the walk that read the clock at since had
-// passed its entry.
+// which the walk records in the entry: it is the single reader's walk, as
+// two readers would each see part of what moved. An entry last used
+// strictly before since is skipped with one atomic load (since <= 0 visits
+// every entry); what it gained is handed over by the next walk that visits
+// it, or by its removal report (OnRemoved). Equality is visited because a
+// frame charged at the clock reading since may have been charged after the
+// walk that read the clock at since had passed its entry.
 //
 // fn runs under the table's read lock. An entry's removal (expiry or
 // delete, under the write lock) therefore happens after every visit of it
@@ -40,18 +37,12 @@ func (v StatsView) Flows(since int64, fn func(m openflow.Match, packets, bytes u
 	defer t.mu.RUnlock()
 	// lastUsed is stored after the counters are added (charge), so an entry
 	// that reads as used since also reads with that use counted.
-	visit := func(e *FlowEntry) {
+	t.each(nil, 0, false, openflow.PortNone, func(e *FlowEntry) {
 		if e.lastUsed.Load() >= since {
 			packets, bytes := e.take()
 			fn(e.Match, packets, bytes)
 		}
-	}
-	for _, e := range t.exact {
-		visit(e)
-	}
-	for _, e := range t.wild {
-		visit(e)
-	}
+	})
 }
 
 // OnRemoved registers the reader's fn, called for every entry an expiry

@@ -117,3 +117,40 @@ func TestDeltaWalkRacesCommitsAndRemovals(t *testing.T) {
 		t.Errorf("%d removal reports, want one per delete, %d", reports, want)
 	}
 }
+
+// An ADD that replaces the entry of its match and priority starts the
+// counters afresh, and what the reader had not taken of the old entry
+// passes to the flow's next take, a walk or the removal report: the walks
+// and reports still add up to the frames sent.
+func TestReplacedEntryHandsItsCountsOn(t *testing.T) {
+	r := newPathRig(t)
+	frame := tcpFrame(1, 2, 80)
+	m := exactMatchFor(t, frame, 1)
+	acts := []openflow.Action{output(2)}
+	r.add(m, 10, acts)
+	var taken, reports uint64
+	view := r.dp.StatsView()
+	view.OnRemoved(func(_ *openflow.Match, packets, _ uint64) { taken += packets; reports++ })
+	walk := func() { view.Flows(0, func(_ openflow.Match, packets, _ uint64) { taken += packets }) }
+	sent := uint64(0)
+	send := func(n int) {
+		for range n {
+			r.dp.Receive(1, frame)
+			sent++
+		}
+	}
+	send(3)
+	walk()
+	send(4)
+	r.add(m, 10, acts) // replaces an entry with 4 frames untaken
+	if e := r.entries[len(r.entries)-1]; e.PacketCount() != 0 {
+		t.Fatalf("the replacement starts at %d packets, want 0", e.PacketCount())
+	}
+	walk()
+	send(2)
+	r.add(m, 10, acts) // 2 untaken, handed over by the removal report
+	r.dp.handleFlowMod(&openflow.FlowMod{Match: m, Command: openflow.FlowModDeleteStrict, Priority: 10, BufferID: openflow.NoBuffer, OutPort: openflow.PortNone})
+	if taken != sent || reports != 1 {
+		t.Errorf("walks and %d removal report hand over %d packets, %d were sent", reports, taken, sent)
+	}
+}

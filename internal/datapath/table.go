@@ -66,7 +66,8 @@ type FlowEntry struct {
 	lastUsed atomic.Int64 // UnixNano of the last match; 0 = never
 
 	// The counters as the stats reader last took them (StatsView): only its
-	// walk writes them, under the read lock, or the entry's removal.
+	// walk writes them, under the read lock, or the entry's removal or
+	// replacement.
 	takenPackets, takenBytes uint64
 }
 
@@ -237,7 +238,8 @@ func (t *FlowTable) match(key *openflow.Match, frameLen int, nanos int64) *FlowE
 }
 
 // Add installs an entry, replacing any entry with an identical match and
-// priority (counters reset, per the OpenFlow ADD semantics). When
+// priority (counters reset, per the OpenFlow ADD semantics; what the stats
+// reader had not taken of the old entry passes to the new one). When
 // checkOverlap is set, an overlapping entry at the same priority is an
 // error; the scan walks the exact map and wildcard list in place rather
 // than materializing a copy of the table per flow-mod.
@@ -254,7 +256,12 @@ func (t *FlowTable) Add(e *FlowEntry, checkOverlap bool) error {
 			return &openflow.ErrorMsg{ErrType: openflow.ErrTypeFlowModFailed, Code: openflow.FlowModOverlap}
 		}
 	}
-	t.removeLocked(flowKey{e.Match, e.Priority})
+	if old := t.removeLocked(flowKey{e.Match, e.Priority}); old != nil {
+		// The reader's next take of e hands over what it had not taken of
+		// old: e's baseline starts that far below zero (the counters wrap).
+		p, b := old.take()
+		e.takenPackets, e.takenBytes = -p, -b
+	}
 	if d := e.deadline(e.Installed.UnixNano()); d < t.due.Load() {
 		t.due.Store(d)
 	}
@@ -458,15 +465,17 @@ func (t *FlowTable) filter(keep func(*FlowEntry) bool) {
 	t.wild = kept
 }
 
-func (t *FlowTable) removeLocked(k flowKey) {
+// removeLocked removes the entry of k, if any, and returns it.
+func (t *FlowTable) removeLocked(k flowKey) *FlowEntry {
 	if e, ok := t.exact[k.match]; ok && e.Priority == k.priority {
 		delete(t.exact, k.match)
-		return
+		return e
 	}
 	for i, e := range t.wild {
 		if e.Match == k.match && e.Priority == k.priority {
 			t.wild = append(t.wild[:i], t.wild[i+1:]...)
-			return
+			return e
 		}
 	}
+	return nil
 }

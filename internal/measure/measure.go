@@ -74,12 +74,6 @@ type Config struct {
 	HomePrefixLen int
 }
 
-// maxPending bounds the install latencies waiting for their flow's first
-// active observation: a flow whose frames all left through its punt's
-// buffer is never active, so its latency waits for its removal or newer
-// installs to push it out.
-const maxPending = 32
-
 // pendingInstall is one flow's rule-install latency, reported once.
 type pendingInstall struct {
 	key flowKey
@@ -101,8 +95,12 @@ type roundFlow struct {
 type Plane struct {
 	cfg Config
 
-	mu      sync.Mutex
-	pending []pendingInstall // oldest first, at most maxPending
+	mu sync.Mutex
+	// pending holds, in no order and with no fixed bound, the install
+	// latency of each flow whose rule was sent and that has been neither
+	// seen active nor removed (hwbench seed 1: at most 123, in home_ui).
+	// A rule that never lands leaves its latency till the flow's next one.
+	pending []pendingInstall
 	polls   uint64
 	round   []roundFlow // this round's active flows; filled under mu by visit
 
@@ -232,7 +230,8 @@ func (p *Plane) visit(m openflow.Match, packets, bytes uint64) {
 func (p *Plane) takeInstall(k flowKey) int64 {
 	for i, pi := range p.pending {
 		if pi.key == k {
-			p.pending = append(p.pending[:i], p.pending[i+1:]...)
+			p.pending[i] = p.pending[len(p.pending)-1]
+			p.pending = p.pending[:len(p.pending)-1]
 			return pi.ns
 		}
 	}
@@ -293,9 +292,6 @@ func (p *Plane) RecordInstall(match *openflow.Match, latencyNS int64) {
 	k := keyOf(match)
 	p.mu.Lock()
 	p.takeInstall(k)
-	if len(p.pending) == maxPending {
-		p.pending = append(p.pending[:0], p.pending[1:]...)
-	}
 	p.pending = append(p.pending, pendingInstall{k, latencyNS})
 	p.mu.Unlock()
 }
@@ -362,13 +358,9 @@ func (p *Plane) attribute(ft packet.FiveTuple) (packet.MAC, bool) {
 			return mac, true
 		}
 	}
-	if p.cfg.HomePrefixLen > 0 {
-		if ft.Src.Mask(p.cfg.HomePrefixLen) == p.cfg.HomePrefix.Mask(p.cfg.HomePrefixLen) {
-			return packet.MAC{}, true
-		}
-		if ft.Dst.Mask(p.cfg.HomePrefixLen) == p.cfg.HomePrefix.Mask(p.cfg.HomePrefixLen) {
-			return packet.MAC{}, true
-		}
+	if n := p.cfg.HomePrefixLen; n > 0 {
+		home := p.cfg.HomePrefix.Mask(n)
+		return packet.MAC{}, ft.Src.Mask(n) == home || ft.Dst.Mask(n) == home
 	}
 	return packet.MAC{}, false
 }

@@ -369,3 +369,38 @@ func TestSkipOnlyDelaysCounts(t *testing.T) {
 		}
 	}
 }
+
+// Install latencies wait without a bound: a home that installs more flows
+// between two polls than any fixed list would hold still reports every one
+// on its flow's first active row.
+func TestInstallLatenciesWaitWithoutBound(t *testing.T) {
+	const flows = 200
+	ports := make([]uint16, flows)
+	for i := range ports {
+		ports[i] = uint16(40000 + i)
+	}
+	h := newHome(t, ports...)
+	for _, port := range ports {
+		m := h.match(port)
+		h.p.RecordInstall(&m, 1500)
+	}
+	h.p.PollOnce() // idle: every latency waits
+	for _, port := range ports {
+		h.send(port, 1)
+	}
+	h.clk.Advance(time.Second)
+	h.p.PollOnce()
+	res, err := h.db.Query("SELECT install_us FROM FlowPerf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reported := 0
+	for _, row := range res.Rows {
+		if row[0].Int > 0 {
+			reported++
+		}
+	}
+	if len(res.Rows) != flows || reported != flows {
+		t.Errorf("%d FlowPerf rows, %d with an install latency; want %d and %d", len(res.Rows), reported, flows, flows)
+	}
+}

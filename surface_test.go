@@ -286,8 +286,9 @@ var unreadExports = []string{
 	// bench/hwbench/hwbench_test.go reads where the rig placed each host,
 	// and the harness is pinned.
 	"netsim.Host.Pos",
-	// The wire reply TestStatsViewMatchesWire holds the measurement plane's
-	// in-place port view to; no module asks the switch for port counters.
+	// The wire replies TestStatsViewMatchesWire holds the measurement
+	// plane's in-place view to; no module asks the switch over the wire.
+	"nox.Switch.FlowStats",
 	"nox.Switch.PortStats",
 	// The remote tests' worker kill and its proof of a real reconnect
 	// (TestChaosSoakRemote, TestRemoteFleetConcurrency32Homes,
