@@ -1,6 +1,7 @@
 package datapath
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
@@ -72,58 +73,89 @@ func TestRunChargesMatchPerFrame(t *testing.T) {
 	}
 }
 
-// A sink that re-enters ReceiveBatch for the flow it is sending opens a
-// nested run, which commits before the outer run resumes; the outer run's
-// frames after it commit when the outer call ends. The sums are exact, and
-// the entry's last use is the nested call's later clock reading: a commit
-// never moves it back.
-func TestNestedRunChargesExactly(t *testing.T) {
-	const outer, inner = 6, 4
+// A sink that answers with a batch of the flow it is sending does not
+// re-enter the datapath: the answer waits in the inbox and leaves after the
+// span that caused it and before the next span, on the call's run. The sums
+// are exact, and the entry's last use is the answer's later clock reading,
+// though the span after it was received at the call's earlier one: a run's
+// stamp, like a commit, never moves back.
+func TestSinkAnswerLeavesAfterItsSpan(t *testing.T) {
+	const first, answer, second = 6, 4, 2
 	r := newPathRig(t)
 	rng := rand.New(rand.NewSource(12))
-	frame := randomFlowFrame(rng, 0)
+	frame, reply := randomFlowFrame(rng, 0), randomFlowFrame(rng, 0) // one flow, two payloads
 	r.add(exactMatchFor(t, frame, 1), 10, []openflow.Action{output(2)})
 	p2, _ := r.dp.Port(2)
 	sink := p2.Out
-	nested := false
+	answered := false
 	t0 := r.clk.Now()
 	p2.SetOut(func(f []byte) {
 		sink(f)
-		if nested {
+		if answered {
 			return
 		}
-		nested = true
+		answered = true
 		r.clk.Advance(time.Second)
 		var fb packet.FrameBatch
-		for i := 0; i < inner; i++ {
-			fb.Append(frame)
+		for i := 0; i < answer; i++ {
+			fb.Append(reply)
 		}
 		r.dp.ReceiveBatch(1, &fb)
+		if len(r.sent) != 1 {
+			t.Errorf("%d frames left inside the sink's call, want only the one it was handed", len(r.sent))
+		}
 	})
 	var fb packet.FrameBatch
-	fb.Append(frame)
-	for i := 1; i < outer; i++ {
-		fb.Repeat()
+	var want [][]byte
+	for _, s := range []struct {
+		frame []byte
+		n     int
+	}{{frame, first}, {reply, answer}, {frame, second}} {
+		if !bytes.Equal(s.frame, reply) {
+			fb.Append(s.frame)
+			for i := 1; i < s.n; i++ {
+				fb.Repeat()
+			}
+		}
+		for i := 0; i < s.n; i++ {
+			want = append(want, s.frame)
+		}
 	}
 	r.dp.ReceiveBatch(1, &fb)
 
-	n, size := uint64(outer+inner), uint64(len(frame))
+	if len(r.sent) != len(want) {
+		t.Fatalf("%d frames left, want %d", len(r.sent), len(want))
+	}
+	for i, s := range r.sent {
+		if s.port != 2 || !bytes.Equal(s.frame, want[i]) {
+			t.Fatalf("frame %d left port %d as the %s, want port 2 and the %s", i, s.port, which(s.frame, reply), which(want[i], reply))
+		}
+	}
+	n, size := uint64(len(want)), uint64((first+second)*len(frame)+answer*len(reply))
 	e := r.entries[0]
-	if e.PacketCount() != n || e.ByteCount() != n*size {
-		t.Errorf("entry charged %d packets, %d bytes; want %d, %d", e.PacketCount(), e.ByteCount(), n, n*size)
+	if e.PacketCount() != n || e.ByteCount() != size {
+		t.Errorf("entry charged %d packets, %d bytes; want %d, %d", e.PacketCount(), e.ByteCount(), n, size)
 	}
 	if last, _ := lastUsed(e); !last.Equal(t0.Add(time.Second)) {
-		t.Errorf("entry last used at %v, want the nested call's reading %v", last, t0.Add(time.Second))
+		t.Errorf("entry last used at %v, want the answer's reading %v", last, t0.Add(time.Second))
 	}
 	if lookups, matched := r.dp.table.Counters(); lookups != n || matched != n {
 		t.Errorf("table counted %d lookups, %d matches; want %d each", lookups, matched, n)
 	}
-	if s := p2.Stats(); s.TxPackets != n || s.TxBytes != n*size {
-		t.Errorf("port 2 sent %d packets, %d bytes; want %d, %d", s.TxPackets, s.TxBytes, n, n*size)
+	if s := p2.Stats(); s.TxPackets != n || s.TxBytes != size {
+		t.Errorf("port 2 sent %d packets, %d bytes; want %d, %d", s.TxPackets, s.TxBytes, n, size)
 	}
-	if len(r.sent) != int(n) {
-		t.Errorf("%d frames left, want %d", len(r.sent), n)
+	if s := r.ports[0].Stats(); s.RxPackets != n || s.RxBytes != size {
+		t.Errorf("port 1 received %d packets, %d bytes; want %d, %d", s.RxPackets, s.RxBytes, n, size)
 	}
+}
+
+// which names a frame of TestSinkAnswerLeavesAfterItsSpan.
+func which(f, reply []byte) string {
+	if bytes.Equal(f, reply) {
+		return "answer"
+	}
+	return "batch's frame"
 }
 
 // A flow-mod DELETE that arrives during a batch is handled in the drain

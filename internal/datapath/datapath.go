@@ -21,7 +21,8 @@ import (
 // frame is the sink's for the call only: its bytes sit in a scratch buffer
 // or a hold-queue chunk the next frame, of any home, overwrites, so a sink
 // that keeps a frame copies it. A sink never writes the frame: the same
-// bytes go out again as the next copy of a repeated frame (batchRun).
+// bytes go out again as the next copy of a repeated frame (batchRun). A
+// sink's answers to Receive or ReceiveBatch wait in the inbox (inbox.go).
 type Port struct {
 	No     uint16
 	Name   string
@@ -42,13 +43,6 @@ func (p *Port) Stats() openflow.PortStats {
 	return s
 }
 
-func (p *Port) countRx(n int) {
-	p.mu.Lock()
-	p.stats.RxPackets++
-	p.stats.RxBytes += uint64(n)
-	p.mu.Unlock()
-}
-
 // countRxN charges a whole batch of received frames in one lock
 // acquisition.
 func (p *Port) countRxN(frames, bytes int) {
@@ -56,17 +50,6 @@ func (p *Port) countRxN(frames, bytes int) {
 	p.stats.RxPackets += uint64(frames)
 	p.stats.RxBytes += uint64(bytes)
 	p.mu.Unlock()
-}
-
-// countTx charges one transmitted frame and returns the sink to hand it to:
-// a frame sent without a run (a flood).
-func (p *Port) countTx(n int) func(frame []byte) {
-	p.mu.Lock()
-	p.stats.TxPackets++
-	p.stats.TxBytes += uint64(n)
-	out := p.Out
-	p.mu.Unlock()
-	return out
 }
 
 // countTxN charges the frames a run sent out of the port, in one lock
@@ -141,26 +124,32 @@ type Datapath struct {
 
 	connMu sync.Mutex
 	tr     oftransport.Transport
-	// in is what the controller has sent and the datapath has not handled
-	// yet; the outermost call drains it.
-	in inbox
+	in     inbox // what the datapath has been handed and not handled yet
 
-	// bufMu guards the packet-in buffer. buffers holds every punt the
-	// controller has not referenced yet, by buffer id; byKey finds the
-	// latest table-miss punt of a flow, so that further misses of the flow
-	// at the same clock reading queue behind it instead of punting again
-	// (docs/CONTROL_PLANE.md, P2). Ids are handed out in sequence and
-	// oldest trails the lowest id still buffered: a full buffer reclaims
-	// its slots oldest-first. heldFrames counts the frames queued behind
-	// all punts, bounded by nBuffers like the slots themselves.
-	bufMu      sync.Mutex
+	// The fields from here to spare are the executing call's alone (inbox.go:
+	// one call executes frames at a time), so they need no lock.
+	//
+	// buffers holds every punt the controller has not referenced yet, by
+	// buffer id; byKey finds the latest table-miss punt of a flow, so that
+	// further misses of the flow at the same clock reading queue behind it
+	// instead of punting again (docs/CONTROL_PLANE.md, P2). Ids are handed
+	// out in sequence and oldest trails the lowest id still buffered: a full
+	// buffer reclaims its slots oldest-first. heldFrames counts the frames
+	// queued behind all punts, bounded by nBuffers like the slots
+	// themselves.
 	buffers    map[uint32]*puntBuffer
 	byKey      map[openflow.Match]uint32
 	nextBuf    uint32
 	oldest     uint32
 	heldFrames int
 	nBuffers   int
-	freePunts  []*puntBuffer // taken buffers for the next punts (freeLocked)
+	freePunts  []*puntBuffer // taken buffers for the next punts (free)
+	// scratch is what a SET_DL_SRC/SET_DL_DST rewrite copies the frame into
+	// before it patches the MACs in place (batchRun.scratch).
+	scratch []byte
+	// spare is the second entry of the pair newEntry last allocated, until
+	// a flow-mod installs it.
+	spare *FlowEntry
 
 	missSendLen atomic.Uint32
 	configFlags atomic.Uint32
@@ -182,25 +171,7 @@ type Datapath struct {
 	// (nil when tracing is disabled; every trace method is nil-safe).
 	tracer *trace.Tracer
 
-	// scratchMu guards a bounded free-list of action-execution scratch
-	// buffers: a SET_DL_SRC/SET_DL_DST rewrite copies the frame once into a
-	// reused buffer and patches the MACs in place. A free-list (not a single
-	// buffer) keeps nested executions safe: delivering a frame can trigger
-	// another receive inside the same call stack.
-	scratchMu   sync.Mutex
-	scratchFree []*execScratch
-
-	// spare is the second entry of the pair newEntry last allocated, until
-	// a flow-mod installs it. Only handle reaches newEntry, and the inbox's
-	// one drainer serializes handle, so it needs no lock.
-	spare *FlowEntry
-
 	onRemoved func(m *openflow.Match, packets, bytes uint64) // the stats reader's (StatsView.OnRemoved)
-}
-
-// execScratch is one borrowed action-execution working set.
-type execScratch struct {
-	buf []byte
 }
 
 // New creates a datapath with no ports attached.
@@ -309,72 +280,75 @@ func (dp *Datapath) sortedPorts() []*Port {
 // Receive processes one frame arriving on a port: the datapath's data-plane
 // entry point. Matching entries forward; a miss punts the frame to the
 // controller as a packet-in (the paper's mechanism for making every new
-// flow visible). The outermost such call handles the controller's answers
-// as it returns.
+// flow visible). The frame is copied into the inbox and taken from there,
+// at once when no call is in the datapath (inbox.go).
 func (dp *Datapath) Receive(inPort uint16, frame []byte) {
-	dp.enter()
-	defer dp.leave()
-	p, ok := dp.Port(inPort)
-	if !ok || p.Config&openflow.PortConfigDown != 0 || p.Config&openflow.PortConfigNoRecv != 0 {
-		return
-	}
-	p.countRx(len(frame))
-
-	var (
-		d   packet.Decoded
-		run batchRun
-	)
-	if err := d.Decode(frame); err != nil {
-		return
-	}
-	key := openflow.MatchFromFrame(&d, inPort)
-	dp.receiveDecoded(p, inPort, frame, &key, dp.clk.Now(), &run)
-	run.done(dp)
+	dp.in.queue(inPort, nil, frame)
+	dp.take()
 }
 
 // ReceiveBatch processes a whole batch of frames arriving on one port in
 // a single call: the port lookup, receive accounting, clock read and the
 // frame-decode state are amortized across the batch instead of paid per
-// packet, and a run of frames of one flow shares its table lookup, its
-// scratch buffer and its output port (batchRun). A span of one frame
-// repeated (packet.FrameBatch.Repeat) is decoded once and, while the table
-// and the ports stay as they were, matched and executed once: its further
-// copies are charged and sent as the first left. Frames in the batch may
-// alias the caller's reused buffers; the datapath copies anything it
-// retains (punt buffers, packet-in data). The controller's answers to the
-// batch's punts are handled after its last frame, never between two: a
-// flow's later frames in the batch wait behind its punt, and leave with it.
+// packet, and a run of frames of one flow shares its table lookup and its
+// output port (batchRun). A span of one frame repeated
+// (packet.FrameBatch.Repeat) is decoded once and, while the table and the
+// ports stay as they were, matched and executed once: its further copies are
+// charged and sent as the first left. Frames in the batch may alias the
+// caller's reused buffers; the datapath copies anything it retains. The
+// controller's answers to the batch's punts are handled after its last
+// frame, never between two: a flow's later frames in the batch wait behind
+// its punt, and leave with it. A batch handed in while a call is in the
+// datapath, by a sink or from another goroutine, is copied into the inbox
+// for that call to take.
 func (dp *Datapath) ReceiveBatch(inPort uint16, fb *packet.FrameBatch) {
-	n := fb.Len()
-	if n == 0 {
+	if fb.Len() == 0 {
 		return
 	}
-	dp.enter()
+	if !dp.enterIdle() {
+		dp.in.queue(inPort, fb, nil)
+		dp.take()
+		return
+	}
 	defer dp.leave()
-	p, ok := dp.Port(inPort)
-	if !ok || p.Config&openflow.PortConfigDown != 0 || p.Config&openflow.PortConfigNoRecv != 0 {
-		return
-	}
-	p.countRxN(n, fb.TotalBytes())
-	now := dp.clk.Now()
 	var (
-		d   packet.Decoded
-		run batchRun
+		d          packet.Decoded
+		run, taken batchRun // the batch's, and the frames taken after its spans'
 	)
-	for i := 0; i < fb.Spans(); i++ {
-		// A span's copies are its first frame's bytes: they share its decode
-		// and key, and are dropped with it if it does not decode.
-		frame, copies := fb.Span(i)
-		if d.Decode(frame) != nil {
-			continue
-		}
-		key := openflow.MatchFromFrame(&d, inPort)
-		dp.receiveDecoded(p, inPort, frame, &key, now, &run)
-		for ; copies > 1; copies-- {
-			dp.receiveCopy(p, inPort, frame, &key, now, &run)
+	if p := dp.receiving(inPort, fb.Len(), fb.TotalBytes()); p != nil {
+		now := dp.clk.Now()
+		for i := 0; i < fb.Spans(); i++ {
+			frame, copies := fb.Span(i)
+			dp.receiveSpan(p, frame, copies, now, &d, &run)
+			dp.takeQueued(&taken)
 		}
 	}
 	run.done(dp)
+	taken.done(dp)
+}
+
+// receiving returns the port frames arrive on, charged with them, or nil if
+// it does not receive.
+func (dp *Datapath) receiving(inPort uint16, frames, bytes int) *Port {
+	p, ok := dp.Port(inPort)
+	if !ok || p.Config&openflow.PortConfigDown != 0 || p.Config&openflow.PortConfigNoRecv != 0 {
+		return nil
+	}
+	p.countRxN(frames, bytes)
+	return p
+}
+
+// receiveSpan handles a frame and its further copies, which share its
+// decode and key and are dropped with it if it does not decode.
+func (dp *Datapath) receiveSpan(p *Port, frame []byte, copies int, now time.Time, d *packet.Decoded, run *batchRun) {
+	if d.Decode(frame) != nil {
+		return
+	}
+	key := openflow.MatchFromFrame(d, p.No)
+	dp.receiveDecoded(p, p.No, frame, &key, now, run)
+	for ; copies > 1; copies-- {
+		dp.receiveCopy(p, p.No, frame, &key, now, run)
+	}
 }
 
 // batchRun is what one caller carries from a frame to the next so that
@@ -393,10 +367,9 @@ func (dp *Datapath) ReceiveBatch(inPort uint16, fb *packet.FrameBatch) {
 //     matches what that one matched, provided the table has not changed.
 //     tableGen is read before the lookup it vouches for, so a change that
 //     lands during or after the lookup reads as a change.
-//   - The scratch buffer MAC rewrites copy the frame into, borrowed at the
-//     first rewrite and handed back by done. A sink has a frame for the
-//     call only (Port), so the next frame may overwrite it; a sink that
-//     re-enters the datapath does so under a run of its own.
+//   - The scratch buffer MAC rewrites copy the frame into, the datapath's
+//     one (dp.scratch). A sink has a frame for the call only (Port), so the
+//     next frame may overwrite it.
 //   - The port the previous frame left by, and its sink, while no port has
 //     been added or removed.
 //   - What the previous frame's action list did, when it was the common
@@ -408,17 +381,20 @@ func (dp *Datapath) ReceiveBatch(inPort uint16, fb *packet.FrameBatch) {
 //     the sink as left, without a lookup, an execute or a dispatch. This
 //     needs sinks to leave frames as they found them (Port).
 //
-// A run belongs to one call on one goroutine; the zero value is ready.
+// A run belongs to the executing call, which takes the frame queue on a run
+// of its own: answers go to other ports than what caused them. The zero
+// value is ready.
 type batchRun struct {
 	key      openflow.Match
 	entry    *FlowEntry // nil: the previous frame missed, or there was none
 	tableGen uint64
 	// hits and hitBytes are the frames matched to entry without a lookup and
-	// not yet charged, the latest at clock reading hitAt (UnixNano).
+	// not yet charged, the latest at clock reading hitAt (UnixNano): the
+	// latest, not the last, as frames taken from the inbox read the clock
+	// after the call did.
 	hits, hitBytes uint64
 	hitAt          int64
 
-	sc *execScratch
 	// left is the bytes the previous frame's one output sent out of out,
 	// when its list was rewrites then that output; nil otherwise.
 	left []byte
@@ -450,7 +426,7 @@ func (run *batchRun) port(dp *Datapath, no uint16) (*Port, func(frame []byte), b
 func (run *batchRun) chargeEntry(t *FlowTable) {
 	if run.hits > 0 {
 		t.charge(run.entry, run.hits, run.hitBytes, run.hitAt)
-		run.hits, run.hitBytes = 0, 0
+		run.hits, run.hitBytes, run.hitAt = 0, 0, 0
 	}
 }
 
@@ -462,23 +438,16 @@ func (run *batchRun) chargePort() {
 	}
 }
 
-// scratch returns the run's scratch buffer holding a copy of frame.
+// scratch returns the datapath's scratch buffer holding a copy of frame.
 func (run *batchRun) scratch(dp *Datapath, frame []byte) []byte {
-	if run.sc == nil {
-		run.sc = dp.getScratch()
-	}
-	run.sc.buf = append(run.sc.buf[:0], frame...)
-	return run.sc.buf
+	dp.scratch = append(dp.scratch[:0], frame...)
+	return dp.scratch
 }
 
-// done commits what the run owes and hands back what it borrowed.
+// done commits what the run owes.
 func (run *batchRun) done(dp *Datapath) {
 	run.chargeEntry(dp.table)
 	run.chargePort()
-	if run.sc != nil {
-		dp.putScratch(run.sc)
-		run.sc = nil
-	}
 }
 
 // receiveDecoded looks a decoded frame up in the flow table by its
@@ -493,16 +462,15 @@ func (dp *Datapath) receiveDecoded(p *Port, inPort uint16, frame []byte, key *op
 	if entry != nil && run.tableGen == gen && run.key == *key {
 		run.hits++
 		run.hitBytes += uint64(len(frame))
-		run.hitAt = nanos
+		run.hitAt = max(run.hitAt, nanos)
 	} else {
 		run.chargeEntry(dp.table)
 		entry = dp.table.lookup(key, len(frame), nanos)
 		run.key, run.entry, run.tableGen = *key, entry, gen
 	}
 	if entry == nil {
-		if entry = dp.miss(p, frame, key, nanos); entry == nil {
-			return
-		}
+		dp.miss(p, frame, key, nanos)
+		return
 	}
 	dp.execute(inPort, frame, entry.Actions, run)
 }
@@ -521,7 +489,7 @@ func (dp *Datapath) receiveCopy(p *Port, inPort uint16, frame []byte, key *openf
 	}
 	run.hits++
 	run.hitBytes += uint64(len(frame))
-	run.hitAt = now.UnixNano()
+	run.hitAt = max(run.hitAt, now.UnixNano())
 	run.sent++
 	run.sentBytes += uint64(len(run.left))
 	if run.sink != nil {
@@ -582,7 +550,7 @@ func (dp *Datapath) dispatch(inPort uint16, frame []byte, pn, maxLen uint16, run
 	case openflow.PortController:
 		dp.punt(inPort, frame, maxLen)
 	case openflow.PortFlood, openflow.PortAll:
-		dp.flood(inPort, frame, pn == openflow.PortAll)
+		dp.flood(inPort, frame, pn == openflow.PortAll, run)
 	case openflow.PortInPort:
 		return dp.transmit(inPort, frame, run)
 	case openflow.PortTable, openflow.PortNone:
@@ -590,7 +558,7 @@ func (dp *Datapath) dispatch(inPort uint16, frame []byte, pn, maxLen uint16, run
 	case openflow.PortNormal:
 		// NORMAL would be the legacy L2 pipeline; the Homework router
 		// never uses it (all forwarding is explicit), so flood instead.
-		dp.flood(inPort, frame, false)
+		dp.flood(inPort, frame, false, run)
 	case openflow.PortLocal:
 		// The local stack is modelled as port LOCAL being absent.
 	default:
@@ -599,42 +567,10 @@ func (dp *Datapath) dispatch(inPort uint16, frame []byte, pn, maxLen uint16, run
 	return false
 }
 
-// getScratch borrows an execution scratch buffer off the free-list.
-func (dp *Datapath) getScratch() *execScratch {
-	dp.scratchMu.Lock()
-	if n := len(dp.scratchFree); n > 0 {
-		sc := dp.scratchFree[n-1]
-		dp.scratchFree = dp.scratchFree[:n-1]
-		dp.scratchMu.Unlock()
-		return sc
-	}
-	dp.scratchMu.Unlock()
-	return &execScratch{buf: make([]byte, 0, 2048)}
-}
-
-// putScratch returns an execution scratch buffer; the free-list is
-// bounded.
-func (dp *Datapath) putScratch(sc *execScratch) {
-	dp.scratchMu.Lock()
-	if len(dp.scratchFree) < 8 {
-		dp.scratchFree = append(dp.scratchFree, sc)
-	}
-	dp.scratchMu.Unlock()
-}
-
-// transmit sends a frame out of a port. A run, when the caller has one,
-// remembers the port for the next frame and charges the frame to it, and
-// transmit reports whether the frame left that way; a frame sent without
-// one is charged as it goes.
+// transmit sends a frame out of a port. The run remembers the port for the
+// next frame and charges the frame to it, and transmit reports whether the
+// frame left.
 func (dp *Datapath) transmit(portNo uint16, frame []byte, run *batchRun) bool {
-	if run == nil {
-		if p, ok := dp.Port(portNo); ok && p.forwards() {
-			if out := p.countTx(len(frame)); out != nil {
-				out(frame)
-			}
-		}
-		return false
-	}
 	p, out, ok := run.port(dp, portNo)
 	if !ok || !p.forwards() {
 		return false
@@ -648,7 +584,7 @@ func (dp *Datapath) transmit(portNo uint16, frame []byte, run *batchRun) bool {
 }
 
 // flood transmits a frame out of every port but inPort, in port order.
-func (dp *Datapath) flood(inPort uint16, frame []byte, includeNoFlood bool) {
+func (dp *Datapath) flood(inPort uint16, frame []byte, includeNoFlood bool, run *batchRun) {
 	for _, p := range dp.sortedPorts() {
 		if p.No == inPort {
 			continue
@@ -656,7 +592,7 @@ func (dp *Datapath) flood(inPort uint16, frame []byte, includeNoFlood bool) {
 		if !includeNoFlood && p.Config&openflow.PortConfigNoFlood != 0 {
 			continue
 		}
-		dp.transmit(p.No, frame, nil)
+		dp.transmit(p.No, frame, run)
 	}
 }
 
@@ -694,11 +630,10 @@ const (
 	maxKeptBigHead = 2 << 10
 )
 
-// puntLocked buffers a copy of frame under the next buffer id, in a buffer
+// newPunt buffers a copy of frame under the next buffer id, in a buffer
 // off the free list, and returns the buffer and the packet-in to send for
 // it: a pooled one carrying its own copy of up to maxLen bytes of the frame.
-// The caller holds bufMu and sends the packet-in after letting go of it.
-func (dp *Datapath) puntLocked(frame []byte, inPort uint16, reason uint8, maxLen int) (*puntBuffer, *openflow.PacketIn) {
+func (dp *Datapath) newPunt(frame []byte, inPort uint16, reason uint8, maxLen int) (*puntBuffer, *openflow.PacketIn) {
 	var b *puntBuffer
 	if n := len(dp.freePunts); n > 0 {
 		b = dp.freePunts[n-1]
@@ -716,7 +651,7 @@ func (dp *Datapath) puntLocked(frame []byte, inPort uint16, reason uint8, maxLen
 		b.head = b.big
 	}
 	pi := openflow.NewPacketIn(openflow.PacketIn{
-		BufferID: dp.bufferLocked(b),
+		BufferID: dp.buffer(b),
 		TotalLen: uint16(len(frame)),
 		InPort:   inPort,
 		Reason:   reason,
@@ -725,10 +660,9 @@ func (dp *Datapath) puntLocked(frame []byte, inPort uint16, reason uint8, maxLen
 	return b, pi
 }
 
-// freeLocked puts a taken punt buffer back on the free list, handing its
-// hold queue's chunks back. Nothing may read its head any more. The caller
-// holds bufMu.
-func (dp *Datapath) freeLocked(b *puntBuffer) {
+// free puts a taken punt buffer back on the free list, handing its hold
+// queue's chunks back. Nothing may read its head any more.
+func (dp *Datapath) free(b *puntBuffer) {
 	b.held.drop()
 	if len(dp.freePunts) == maxFreePunts {
 		return
@@ -739,13 +673,6 @@ func (dp *Datapath) freeLocked(b *puntBuffer) {
 	// What puntLocked does not set: an action punt's key stays zero.
 	b.key, b.at, b.head = openflow.Match{}, 0, nil
 	dp.freePunts = append(dp.freePunts, b)
-}
-
-// free is freeLocked for a caller that does not hold bufMu.
-func (dp *Datapath) free(b *puntBuffer) {
-	dp.bufMu.Lock()
-	dp.freeLocked(b)
-	dp.bufMu.Unlock()
 }
 
 // holdQueue is the frames held behind one punt, in arrival order: a list
@@ -853,35 +780,23 @@ func (c *holdNode) recycle() {
 // unanswered, are copied into its hold queue and leave when the
 // controller's answer references the buffer. A frame that arrives after
 // the clock has moved punts afresh, which is what heals a lost answer.
-// miss returns an entry only when the flow's rule landed between the
-// caller's lookup and here; the caller executes it.
-func (dp *Datapath) miss(p *Port, frame []byte, key *openflow.Match, nanos int64) *FlowEntry {
+// Rules land only between frames of the executing call, so none can land
+// between the caller's lookup and here.
+func (dp *Datapath) miss(p *Port, frame []byte, key *openflow.Match, nanos int64) {
 	if p.Config&openflow.PortConfigNoPacketIn != 0 {
-		return nil
+		return
 	}
-	dp.bufMu.Lock()
 	if id, ok := dp.byKey[*key]; ok && dp.heldFrames < dp.nBuffers {
 		if b := dp.buffers[id]; b.at == nanos {
 			b.held.push(frame)
 			dp.heldFrames++
-			dp.bufMu.Unlock()
-			return nil
+			return
 		}
 	}
-	// A flow-mod installs its entry before it takes the buffer, so with no
-	// punt of this flow left to queue behind, the entry is visible if it
-	// exists. Without this second look a frame caught between the lookup
-	// and the release would punt a flow that already has its rule.
-	if e := dp.table.match(key, len(frame), nanos); e != nil {
-		dp.bufMu.Unlock()
-		return e
-	}
-	b, pi := dp.puntLocked(frame, key.InPort, openflow.PacketInReasonNoMatch, int(dp.missSendLen.Load()))
+	b, pi := dp.newPunt(frame, key.InPort, openflow.PacketInReasonNoMatch, int(dp.missSendLen.Load()))
 	b.key, b.at = *key, nanos
 	dp.byKey[*key] = pi.BufferID
-	dp.bufMu.Unlock()
 	dp.sendPacketIn(pi)
-	return nil
 }
 
 // punt sends the controller a frame that matched an OUTPUT:CONTROLLER
@@ -897,9 +812,7 @@ func (dp *Datapath) punt(inPort uint16, frame []byte, maxLen uint16) {
 	if n == 0 {
 		n = int(dp.missSendLen.Load())
 	}
-	dp.bufMu.Lock()
-	_, pi := dp.puntLocked(frame, inPort, openflow.PacketInReasonAction, n)
-	dp.bufMu.Unlock()
+	_, pi := dp.newPunt(frame, inPort, openflow.PacketInReasonAction, n)
 	dp.sendPacketIn(pi)
 }
 
@@ -914,16 +827,16 @@ func (dp *Datapath) sendPacketIn(pi *openflow.PacketIn) {
 // PuntCount returns how many packet-ins have been sent to the controller.
 func (dp *Datapath) PuntCount() uint64 { return dp.punted.Load() }
 
-// bufferLocked stores a punt under the next buffer id and returns the id. A
+// buffer stores a punt under the next buffer id and returns the id. A
 // full buffer gives up its oldest punts first, to the free list, so a
 // controller that never references some ids (or whose answers are lost)
 // cannot exhaust it; a late answer to a reclaimed id simply misses in
-// takeLocked.
-func (dp *Datapath) bufferLocked(b *puntBuffer) uint32 {
+// takePunt.
+func (dp *Datapath) buffer(b *puntBuffer) uint32 {
 	for len(dp.buffers) >= dp.nBuffers {
 		dp.oldest++
-		if old, ok := dp.takeLocked(dp.oldest); ok {
-			dp.freeLocked(old)
+		if old, ok := dp.takePunt(dp.oldest); ok {
+			dp.free(old)
 		}
 	}
 	dp.nextBuf++
@@ -931,9 +844,8 @@ func (dp *Datapath) bufferLocked(b *puntBuffer) uint32 {
 	return dp.nextBuf
 }
 
-// takeLocked removes a punt from the buffer, with the frames held behind
-// it.
-func (dp *Datapath) takeLocked(id uint32) (*puntBuffer, bool) {
+// takePunt removes a punt from the buffer, with the frames held behind it.
+func (dp *Datapath) takePunt(id uint32) (*puntBuffer, bool) {
 	b, ok := dp.buffers[id]
 	if !ok {
 		return nil, false
@@ -951,20 +863,22 @@ func (dp *Datapath) takeLocked(id uint32) (*puntBuffer, bool) {
 // releaseAll answers a buffered punt with an action list (a flow-mod that
 // references the buffer): the punted frame, then every frame held behind
 // it, in arrival order. Like the punted frame itself, the held frames were
-// misses when they arrived, so they are not charged to the new entry.
+// misses when they arrived, so they are not charged to the new entry. What
+// sinks answer to a released frame is taken before the next one leaves.
 func (dp *Datapath) releaseAll(id uint32, actions []openflow.Action) {
-	dp.bufMu.Lock()
-	b, ok := dp.takeLocked(id)
-	dp.bufMu.Unlock()
+	b, ok := dp.takePunt(id)
 	if !ok {
 		return
 	}
-	var run batchRun
+	var run, taken batchRun
 	dp.execute(b.inPort, b.head, actions, &run)
+	dp.takeQueued(&taken)
 	for b.held.n > 0 {
 		dp.execute(b.inPort, b.held.pop(), actions, &run)
+		dp.takeQueued(&taken)
 	}
 	run.done(dp)
+	taken.done(dp)
 	dp.free(b)
 }
 
@@ -973,23 +887,19 @@ func (dp *Datapath) releaseAll(id uint32, actions []openflow.Action) {
 // frame: the caller executes it and then frees the buffer. A packet-out
 // decides nothing about the flow's later frames, so they go back down the
 // miss path: the oldest is punted under a new buffer id with the rest still
-// held behind it, in the same critical section, so a frame of the flow
-// arriving meanwhile queues behind them and not ahead.
+// held behind it, so a frame of the flow arriving later queues behind them
+// and not ahead.
 //
 // The re-homed punt is another buffer, never the one it replaces, whose
 // head is still to be executed, and the new head is copied out of its
 // chunk, which the next pop may hand to another flow.
 func (dp *Datapath) releaseHead(id uint32) *puntBuffer {
-	dp.bufMu.Lock()
-	b, ok := dp.takeLocked(id)
+	b, ok := dp.takePunt(id)
 	if !ok {
-		dp.bufMu.Unlock()
 		return nil
 	}
-	var pi *openflow.PacketIn
 	if b.held.n > 0 {
-		var next *puntBuffer
-		next, pi = dp.puntLocked(b.held.pop(), b.inPort, openflow.PacketInReasonNoMatch, int(dp.missSendLen.Load()))
+		next, pi := dp.newPunt(b.held.pop(), b.inPort, openflow.PacketInReasonNoMatch, int(dp.missSendLen.Load()))
 		next.key, next.at = b.key, dp.clk.Now().UnixNano()
 		next.held, b.held = b.held, holdQueue{}
 		dp.byKey[next.key] = pi.BufferID
@@ -997,9 +907,6 @@ func (dp *Datapath) releaseHead(id uint32) *puntBuffer {
 		if next.held.n == 0 {
 			next.held.drop()
 		}
-	}
-	dp.bufMu.Unlock()
-	if pi != nil {
 		dp.sendPacketIn(pi)
 	}
 	return b

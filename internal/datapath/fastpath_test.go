@@ -25,7 +25,7 @@ func slowReceive(dp *Datapath, inPort uint16, frame []byte) {
 	if !ok {
 		return
 	}
-	p.countRx(len(frame))
+	p.countRxN(1, len(frame))
 	var d packet.Decoded
 	if err := d.Decode(frame); err != nil {
 		return
@@ -34,13 +34,14 @@ func slowReceive(dp *Datapath, inPort uint16, frame []byte) {
 	nanos := dp.clk.Now().UnixNano()
 	entry := dp.table.lookup(&key, len(frame), nanos)
 	if entry == nil {
-		if entry = dp.miss(p, frame, &key, nanos); entry == nil {
-			return
-		}
+		dp.miss(p, frame, &key, nanos)
+		return
 	}
+	var run batchRun // this frame's only
 	applyActions(frame, entry.Actions, func(pn, maxLen uint16, out []byte) {
-		dp.dispatch(inPort, out, pn, maxLen, nil)
+		dp.dispatch(inPort, out, pn, maxLen, &run)
 	})
+	run.done(dp)
 }
 
 // eachFrame calls fn for every frame of fb in order, each copy of a

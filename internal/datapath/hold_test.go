@@ -67,13 +67,16 @@ func (r *holdRig) send(msg openflow.Message) {
 	}
 }
 
-// receive hands the frames to the datapath as one batch on port 1.
+// receive hands the frames to the datapath as one batch on port 1 and
+// returns once they have been executed: by this call, or by the read loop's
+// when it held the datapath and so took them from the inbox.
 func (r *holdRig) receive(frames ...[]byte) {
 	var fb packet.FrameBatch
 	for _, f := range frames {
 		fb.Append(f)
 	}
 	r.dp.ReceiveBatch(1, &fb)
+	holding(r.dp, func() {})
 }
 
 // sync round-trips a barrier and returns the packet-ins that arrived
@@ -106,19 +109,30 @@ func (r *holdRig) sent() []sentFrame {
 	return out
 }
 
+// holding runs fn as the one call in the datapath, once no other call is in
+// it, so fn may read what the executing call owns: the punt buffers.
+func holding(dp *Datapath, fn func()) {
+	for !dp.enterIdle() {
+		runtime.Gosched()
+	}
+	defer dp.leave()
+	fn()
+}
+
 // buffered reports the punts still buffered and the frames held behind
 // them.
 func (r *holdRig) buffered() (punts, held int) {
-	r.dp.bufMu.Lock()
-	defer r.dp.bufMu.Unlock()
-	queued := 0
-	for _, b := range r.dp.buffers {
-		queued += b.held.n
-	}
-	if queued != r.dp.heldFrames {
-		r.t.Errorf("heldFrames = %d, queues hold %d", r.dp.heldFrames, queued)
-	}
-	return len(r.dp.buffers), r.dp.heldFrames
+	holding(r.dp, func() {
+		queued := 0
+		for _, b := range r.dp.buffers {
+			queued += b.held.n
+		}
+		if queued != r.dp.heldFrames {
+			r.t.Errorf("heldFrames = %d, queues hold %d", r.dp.heldFrames, queued)
+		}
+		punts, held = len(r.dp.buffers), r.dp.heldFrames
+	})
+	return punts, held
 }
 
 func (r *holdRig) lookups() (lookups, matched uint64) { return r.dp.Table().Counters() }
@@ -240,18 +254,26 @@ func TestHoldFlowModReleasesInOrder(t *testing.T) {
 }
 
 // An answer that reaches the datapath while a call is in it waits for the
-// call to return, over a queued channel as on a direct one (P2). Inside one
-// Batch the flow's first frame punts and the controller answers with a
-// flow-mod naming the buffer; the flow's second frame, handed in after the
-// flow-mod has reached the datapath, is held behind the punt rather than
-// matched against the new rule, and leaves with the head, uncharged, when
-// the call returns.
+// call to return, over a queued channel as on a direct one (P2). The flow's
+// first frame punts; a frame of another flow, whose rule sends it out of
+// port 3, runs the rest inside the same call from port 3's sink: the
+// controller answers with a flow-mod naming the buffer, and the flow's
+// second frame, handed in after the flow-mod has reached the datapath, is
+// held behind the punt rather than matched against the new rule, and
+// leaves with the head, uncharged, when the call returns.
 func TestHoldAnswerWaitsForTheCall(t *testing.T) {
 	r := newHoldRig(t, 0)
 	a := flowFrames(1, 0, 2)
 	m := exactMatchFor(t, a[0], 1)
-	r.dp.Batch(func() {
-		r.dp.Receive(1, a[0])
+	b := flowFrame(2, 0)
+	r.send(addFlow(exactMatchFor(t, b, 1), openflow.NoBuffer, output(3)))
+	r.sync()
+	// Once the read loop has left, nothing wakes it until the sink below
+	// answers, so the batch runs on this goroutine and the read loop is free
+	// to hand the answer in.
+	holding(r.dp, func() {})
+	p3, _ := r.dp.Port(3)
+	p3.SetOut(func([]byte) {
 		msg, err := r.ctl.Recv()
 		if err != nil {
 			t.Fatal(err)
@@ -263,7 +285,7 @@ func TestHoldAnswerWaitsForTheCall(t *testing.T) {
 		r.send(addFlow(m, pi.BufferID, output(2)))
 		// The flow-mod has reached the datapath once it waits in the inbox
 		// or its rule is in the table.
-		for deadline := time.Now().Add(5 * time.Second); r.dp.in.queued.Load() == 0 && r.dp.Table().Len() == 0; {
+		for deadline := time.Now().Add(5 * time.Second); r.dp.in.queued.Load() == 0 && r.dp.Table().Len() == 1; {
 			if time.Now().After(deadline) {
 				t.Fatal("the flow-mod never reached the datapath")
 			}
@@ -271,6 +293,7 @@ func TestHoldAnswerWaitsForTheCall(t *testing.T) {
 		}
 		r.dp.Receive(1, a[1])
 	})
+	r.receive(a[0], b)
 
 	entry := r.dp.Table().Entries(&m, openflow.PortNone)[0]
 	if n := entry.PacketCount(); n != 0 {
@@ -637,21 +660,21 @@ var raceEnabled bool
 
 // chunksOf lists the hold-queue chunks of every buffered punt.
 func (r *holdRig) chunksOf() []*holdNode {
-	r.dp.bufMu.Lock()
-	defer r.dp.bufMu.Unlock()
 	var cs []*holdNode
-	for _, b := range r.dp.buffers {
-		for c := b.held.head; c != nil; c = c.next {
-			cs = append(cs, c)
+	holding(r.dp, func() {
+		for _, b := range r.dp.buffers {
+			for c := b.held.head; c != nil; c = c.next {
+				cs = append(cs, c)
+			}
 		}
-	}
+	})
 	return cs
 }
 
 // The recycling differential: forty flows, each a burst that fills several
-// chunks, each answered while the next flow's burst is being held, so the
-// datapath's goroutine hands a flow's chunks back while this one takes
-// chunks for the next. Later flows must be seen holding chunks earlier
+// chunks, each answered while the next flow's burst is handed in, so one
+// call hands a flow's chunks back and the same call or the next, on either
+// goroutine, takes chunks for the next flow. Later flows must be seen holding chunks earlier
 // flows held, and every frame must still leave as it leaves the
 // punt-every-miss model, which copies nothing and shares nothing.
 func TestHoldRecyclesChunksAcrossFlows(t *testing.T) {
@@ -690,7 +713,7 @@ func TestHoldRecyclesChunksAcrossFlows(t *testing.T) {
 		received += len(frames)
 		ref.batch(t, frames, script)
 
-		answer() // no barrier: the release runs while the next burst arrives
+		answer() // no barrier: the release and the next burst race for the datapath
 		r.receive(frames...)
 		collect()
 		for _, c := range r.chunksOf() {
@@ -794,12 +817,12 @@ func TestReclaimHandsChunksBack(t *testing.T) {
 	if punts, held := r.buffered(); len(first) != 4 || punts != 4 || held != 4 {
 		t.Fatalf("%d packet-ins, buffered %d punts, %d held; want 4 each", len(first), punts, held)
 	}
-	r.dp.bufMu.Lock()
 	var old []*puntBuffer
-	for _, pi := range first {
-		old = append(old, r.dp.buffers[pi.BufferID])
-	}
-	r.dp.bufMu.Unlock()
+	holding(r.dp, func() {
+		for _, pi := range first {
+			old = append(old, r.dp.buffers[pi.BufferID])
+		}
+	})
 
 	for flow := byte(5); flow <= 12; flow++ { // eight more punts than there are slots left
 		r.receive(flowFrame(flow, 0))

@@ -1,7 +1,11 @@
 package datapath
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/clock"
@@ -117,5 +121,116 @@ func TestDrainReadsDispatchesBeforePunts(t *testing.T) {
 	})
 	if punted != 2 || dispatched != 1 || !busy {
 		t.Fatalf("Drain read %d punted, %d dispatched, busy %v; want 2, 1 and busy", punted, dispatched, busy)
+	}
+}
+
+// Sinks that answer each other's frames forever are a bug: each answer joins
+// the frame queue behind the frame that caused it, a round later, and the
+// queue panics after maxDrainRounds rounds rather than spin.
+func TestSinkPingPongPanicsAtTheRoundBound(t *testing.T) {
+	r := newPathRig(t)
+	rng := rand.New(rand.NewSource(3))
+	ping, pong := randomFlowFrame(rng, 0), randomFlowFrame(rng, 4)
+	r.add(exactMatchFor(t, ping, 1), 10, []openflow.Action{output(2)})
+	r.add(exactMatchFor(t, pong, 2), 10, []openflow.Action{output(1)})
+	answers := 0
+	r.ports[1].SetOut(func([]byte) { answers++; r.dp.Receive(2, pong) })
+	r.ports[0].SetOut(func([]byte) { answers++; r.dp.Receive(1, ping) })
+	defer func() {
+		msg := recover()
+		if msg == nil {
+			t.Fatal("the exchange ended")
+		}
+		if !strings.Contains(fmt.Sprint(msg), "without end") {
+			t.Fatalf("panicked with %v, want the frame queue's bound", msg)
+		}
+		if answers != maxDrainRounds {
+			t.Errorf("%d answers before the panic, want one a round, %d", answers, maxDrainRounds)
+		}
+	}()
+	r.dp.Receive(1, ping)
+}
+
+// Frames handed in from another goroutine while a call holds the datapath
+// are queued, not executed there: the call in progress executes each of
+// them once, at its span boundaries, before it returns, and counts them
+// exactly. The other goroutine's calls race the call's takes of the queue.
+func TestFramesFromAnotherGoroutineJoinTheCall(t *testing.T) {
+	const spans, batches, perBatch = 64, 16, 5
+	r := newPathRig(t)
+	rng := rand.New(rand.NewSource(5))
+	mine := randomFlowFrame(rng, 0)
+	theirs := make([][]byte, batches*perBatch) // one flow, a payload each
+	for i := range theirs {
+		theirs[i] = randomFlowFrame(rng, 4)
+	}
+	r.add(exactMatchFor(t, mine, 1), 10, []openflow.Action{output(2)})
+	r.add(exactMatchFor(t, theirs[0], 3), 10, []openflow.Action{output(4)})
+	var (
+		wg       sync.WaitGroup
+		mineSent int
+		returned atomic.Bool
+		late     atomic.Int32 // theirs frames sent after the call returned
+		got      = map[string]int{}
+	)
+	r.ports[3].SetOut(func(f []byte) {
+		if returned.Load() {
+			late.Add(1)
+		}
+		got[string(f)]++
+	})
+	r.ports[1].SetOut(func([]byte) {
+		mineSent++
+		switch mineSent {
+		case 1:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for b := 0; b < batches; b++ {
+					var fb packet.FrameBatch
+					for _, f := range theirs[b*perBatch : (b+1)*perBatch] {
+						fb.Append(f)
+					}
+					r.dp.ReceiveBatch(3, &fb)
+				}
+			}()
+		case spans:
+			wg.Wait() // every batch is handed in while the call holds the datapath
+		}
+	})
+	var fb packet.FrameBatch
+	for i := 0; i < spans; i++ {
+		fb.Append(mine)
+	}
+	r.dp.ReceiveBatch(1, &fb)
+	returned.Store(true)
+
+	if late.Load() != 0 {
+		t.Errorf("%d frames left after the call returned", late.Load())
+	}
+	for i, f := range theirs {
+		if got[string(f)] != 1 {
+			t.Errorf("frame %d of the other goroutine left %d times, want once", i, got[string(f)])
+		}
+	}
+	n := uint64(len(theirs))
+	var size uint64
+	for _, f := range theirs {
+		size += uint64(len(f))
+	}
+	if e := r.entries[1]; e.PacketCount() != n || e.ByteCount() != size {
+		t.Errorf("their entry charged %d packets, %d bytes; want %d, %d", e.PacketCount(), e.ByteCount(), n, size)
+	}
+	if s := r.ports[2].Stats(); s.RxPackets != n || s.RxBytes != size {
+		t.Errorf("port 3 received %d packets, %d bytes; want %d, %d", s.RxPackets, s.RxBytes, n, size)
+	}
+	if s := r.ports[3].Stats(); s.TxPackets != n || s.TxBytes != size {
+		t.Errorf("port 4 sent %d packets, %d bytes; want %d, %d", s.TxPackets, s.TxBytes, n, size)
+	}
+	if lookups, matched := r.dp.table.Counters(); lookups != spans+n || matched != spans+n {
+		t.Errorf("table counted %d lookups, %d matches; want %d each", lookups, matched, spans+n)
+	}
+	if r.dp.in.waiting.Load() {
+		t.Error("the frame queue still holds a batch")
 	}
 }

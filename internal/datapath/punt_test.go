@@ -38,13 +38,13 @@ func TestInlineHeadBoundary(t *testing.T) {
 			ref.batch(t, frames, script)
 			r.receive(frames...)
 
-			r.dp.bufMu.Lock()
-			for id, b := range r.dp.buffers {
-				if inline := &b.head[0] == &b.small[0]; inline != (size <= inlineHead) {
-					t.Errorf("buffer %d: a %d-byte head inline = %v", id, size, inline)
+			holding(r.dp, func() {
+				for id, b := range r.dp.buffers {
+					if inline := &b.head[0] == &b.small[0]; inline != (size <= inlineHead) {
+						t.Errorf("buffer %d: a %d-byte head inline = %v", id, size, inline)
+					}
 				}
-			}
-			r.dp.bufMu.Unlock()
+			})
 
 			got := map[byte][]sentFrame{}
 			for pis := r.sync(); len(pis) > 0; pis = r.sync() {

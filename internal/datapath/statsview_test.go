@@ -96,7 +96,7 @@ func TestDeltaWalkRacesCommitsAndRemovals(t *testing.T) {
 		r.dp.ReceiveBatch(1, &fb)
 		if i%7 == 3 { // one flow's entry deleted and installed afresh
 			m := matches[i%flows]
-			r.dp.Batch(func() {
+			holding(r.dp, func() {
 				r.dp.handleFlowMod(&openflow.FlowMod{Match: m, Command: openflow.FlowModDeleteStrict, Priority: 10, BufferID: openflow.NoBuffer, OutPort: openflow.PortNone})
 				r.dp.handleFlowMod(&openflow.FlowMod{Match: m, Command: openflow.FlowModAdd, Priority: 10, BufferID: openflow.NoBuffer, Actions: []openflow.Action{output(2)}})
 			})

@@ -88,9 +88,9 @@ func (e *FlowEntry) take() (packets, bytes uint64) {
 
 // charge adds matched packets to the entry's counters, the last of them
 // matched at clock reading nanos. lastUsed only moves forward: a charge
-// committed after a later one (a run that outlived a nested call, or a
-// call on another port) keeps the later reading, so that the table's due
-// bound stays early, never late.
+// committed after a later one (a call's run, behind the run of the frames
+// it took from the inbox, which read the clock later) keeps the later
+// reading, so that the table's due bound stays early, never late.
 func (e *FlowEntry) charge(packets, bytes uint64, nanos int64) {
 	e.packets.Add(packets)
 	e.bytes.Add(bytes)

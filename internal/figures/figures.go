@@ -250,13 +250,10 @@ func Figure3() (string, error) {
 	_ = ctl.DragTo(macs[2], "denied")
 
 	// Permitted devices retry and get leases; the denied one is NAKed.
-	for i, m := range macs[:3] {
-		mac := packet.MustMAC(m)
-		if host, ok := h.rt.Net.Host(mac); ok {
-			host.StartDHCP()
+	for _, m := range macs[:3] {
+		if host, ok := h.rt.Net.Host(packet.MustMAC(m)); ok {
 			_ = h.rt.JoinHost(host)
 		}
-		_ = i
 	}
 	sb.WriteString("\nAfter drag-to-permit/deny:\n")
 	after, err := ctl.Render()

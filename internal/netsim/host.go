@@ -46,12 +46,11 @@ type Host struct {
 	nextPort uint16
 	apps     []*App
 
-	// txFree is a bounded free-list of transmit scratch buffers. Frame
-	// builds on the hot path borrow a buffer, serialize in one pass, hand
-	// the frame to the network synchronously and return the buffer, so
-	// steady-state sends do not allocate. The list (rather than a single
-	// buffer) keeps nested sends safe: delivering a frame can trigger a
-	// reply from inside the send call stack.
+	// txFree is a bounded free-list of transmit scratch buffers. A send
+	// outside a step borrows a buffer, serializes in one pass, hands the
+	// frame to the network and returns the buffer, so it does not allocate.
+	// The datapath copies what it is handed, but in the direct-L2 ablation a
+	// peer is handed the frame itself and may answer inside the send.
 	txFree [][]byte
 	// batch, when non-nil, is the frame batch Network.Step lends the host
 	// while its apps step: application traffic is serialized into it and
@@ -125,7 +124,11 @@ func (h *Host) MoveTo(p Pos) {
 }
 
 // send transmits a frame out of the host's interface.
-func (h *Host) send(frame []byte) { h.net.fromHost(h, frame) }
+func (h *Host) send(frame []byte) {
+	if h.net.admit(h, frame) {
+		h.net.dp.Receive(h.port, frame)
+	}
+}
 
 // SendRaw transmits a prebuilt frame (tests and special probes).
 func (h *Host) SendRaw(frame []byte) { h.send(frame) }

@@ -213,9 +213,12 @@ func (n *Network) SetDirectL2(on bool) {
 	n.mu.Unlock()
 }
 
-// fromHost carries a host transmission onto its switch port, applying the
-// wireless model on station uplinks.
-func (n *Network) fromHost(h *Host, frame []byte) {
+// admit takes a host transmission's draws on its way to the switch port —
+// the wireless model on station uplinks, the link fault, the direct-L2
+// ablation's delivery to a peer — and reports whether it reaches the port.
+// A frame lost on the way is counted on the port's rx-drop counter.
+func (n *Network) admit(h *Host, frame []byte) bool {
+	lost := false
 	if h.Wireless {
 		rssi := n.wireless.RSSI(h.Pos().dist(n.routerAt))
 		retries, delivered := n.wireless.Retries(rssi, n.maxRetry)
@@ -229,18 +232,13 @@ func (n *Network) fromHost(h *Host, frame []byte) {
 		li.Retries += retries
 		li.Rate = n.wireless.Rate(rssi)
 		n.mu.Unlock()
-		if !delivered {
-			if p, ok := n.dp.Port(h.port); ok {
-				p.CountRxDrop()
-			}
-			return
-		}
+		lost = !delivered
 	}
-	if n.linkFaultDrop() {
+	if lost || n.linkFaultDrop() {
 		if p, ok := n.dp.Port(h.port); ok {
 			p.CountRxDrop()
 		}
-		return
+		return false
 	}
 
 	// Conventional-switch shortcut (ablation): unicast frames between
@@ -248,30 +246,23 @@ func (n *Network) fromHost(h *Host, frame []byte) {
 	n.mu.Lock()
 	direct := n.directL2
 	n.mu.Unlock()
-	if direct {
-		var e packet.Ethernet
-		if err := e.DecodeFromBytes(frame); err == nil && !e.Dst.IsBroadcast() && !e.Dst.IsMulticast() {
-			if peer, ok := n.Host(e.Dst); ok && peer != h {
-				peer.Deliver(frame)
-				return
-			}
-		}
-		// Broadcasts reach every host on the segment as well as the router.
-		if err := e.DecodeFromBytes(frame); err == nil && e.Dst.IsBroadcast() {
+	var e packet.Ethernet
+	if direct && e.DecodeFromBytes(frame) == nil {
+		switch {
+		case e.Dst.IsBroadcast(): // to every host on the segment as well as the router
 			for _, peer := range n.Hosts() {
 				if peer != h {
 					peer.Deliver(frame)
 				}
 			}
+		case !e.Dst.IsMulticast():
+			if peer, ok := n.Host(e.Dst); ok && peer != h {
+				peer.Deliver(frame)
+				return false
+			}
 		}
 	}
-	n.dp.Receive(h.port, frame)
-}
-
-// fromUpstreamBatch carries a batch of upstream transmissions onto the
-// uplink port in one datapath call.
-func (n *Network) fromUpstreamBatch(u *Upstream, fb *packet.FrameBatch) {
-	n.dp.ReceiveBatch(u.port, fb)
+	return true
 }
 
 // AppendLinkInfos appends the wireless link state of every station to dst,
@@ -380,11 +371,10 @@ func (n *Network) orderedHosts() []*Host {
 	return n.ordered
 }
 
-// deliverBatch injects one host's per-step batch into the datapath. Wired
-// hosts on the plain fabric take the batched fast path; wireless hosts
-// (per-frame loss model) and the direct-L2 ablation fall back to the
-// frame-by-frame path, which is still one datapath call (Datapath.Batch):
-// the controller's answers land after the batch, as for a wired host's.
+// deliverBatch injects one host's per-step batch into the datapath in one
+// call. A wireless host (per-frame loss model), a faulty link and the
+// direct-L2 ablation first take each frame's draws (admit), in order, and
+// drop the frames that do not reach the port from the batch.
 func (n *Network) deliverBatch(h *Host, fb *packet.FrameBatch) {
 	defer fb.Reset()
 	if fb.Len() == 0 {
@@ -395,15 +385,7 @@ func (n *Network) deliverBatch(h *Host, fb *packet.FrameBatch) {
 	faulty := n.faultNum > 0 && n.faultDen > 0
 	n.mu.Unlock()
 	if h.Wireless || direct || faulty {
-		n.dp.Batch(func() {
-			for i := 0; i < fb.Spans(); i++ {
-				frame, copies := fb.Span(i)
-				for ; copies > 0; copies-- {
-					n.fromHost(h, frame)
-				}
-			}
-		})
-		return
+		fb.Keep(func(frame []byte) bool { return n.admit(h, frame) })
 	}
 	n.dp.ReceiveBatch(h.port, fb)
 }

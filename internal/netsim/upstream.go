@@ -23,7 +23,7 @@ const fillerSum = 0
 // transport flows addressed to any of its server addresses with a
 // service-dependent volume of reply traffic. Replies to one delivered
 // frame are serialized into a reused batch and handed to the datapath in
-// a single call.
+// a single call, which queues them behind the frame being executed.
 type Upstream struct {
 	MAC     packet.MAC
 	IP      packet.IP4 // next-hop address on the WAN side
@@ -41,14 +41,11 @@ type Upstream struct {
 	rxBytes  uint64
 	txBytes  uint64
 	queries  uint64
-	txFree   []*upstreamTx // bounded free-list of reply batches
-}
 
-// upstreamTx is the per-delivery working set: a decode buffer and the
-// reply batch. A free-list (rather than a single instance) keeps nested
-// deliveries safe: a reply can traverse the datapath and come back before
-// the outer deliver returns.
-type upstreamTx struct {
+	// d and fb are deliver's working set: the delivered frame's decode and
+	// the reply batch. Only the datapath's executing call delivers, one
+	// frame at a time, and its ReceiveBatch copies the replies, so one of
+	// each serves every delivery.
 	d  packet.Decoded
 	fb packet.FrameBatch
 }
@@ -82,7 +79,6 @@ func NewUpstream() *Upstream {
 			8883: 0.25, // iot telemetry acks
 			53:   2,    // dns
 		},
-		txFree: make([]*upstreamTx, 0, 4),
 	}
 	for name, ip := range u.zone {
 		u.indexLocked(name, ip)
@@ -166,30 +162,6 @@ func (u *Upstream) Counters() (rx, tx, queries uint64) {
 	return u.rxBytes, u.txBytes, u.queries
 }
 
-// getTx borrows a working set off the free-list.
-func (u *Upstream) getTx() *upstreamTx {
-	u.mu.Lock()
-	if n := len(u.txFree); n > 0 {
-		tx := u.txFree[n-1]
-		u.txFree = u.txFree[:n-1]
-		u.mu.Unlock()
-		return tx
-	}
-	u.mu.Unlock()
-	return &upstreamTx{}
-}
-
-// putTx returns a working set; the free-list is bounded by its
-// preallocated capacity.
-func (u *Upstream) putTx(tx *upstreamTx) {
-	tx.fb.Reset()
-	u.mu.Lock()
-	if len(u.txFree) < cap(u.txFree) {
-		u.txFree = append(u.txFree, tx)
-	}
-	u.mu.Unlock()
-}
-
 // deliver processes a frame forwarded out of the home, emitting any reply
 // traffic as one batch.
 func (u *Upstream) deliver(frame []byte) {
@@ -197,12 +169,10 @@ func (u *Upstream) deliver(frame []byte) {
 	u.rxBytes += uint64(len(frame))
 	u.mu.Unlock()
 
-	tx := u.getTx()
-	defer u.putTx(tx)
-	if err := tx.d.Decode(frame); err != nil {
+	d, fb := &u.d, &u.fb
+	if err := d.Decode(frame); err != nil {
 		return
 	}
-	d, fb := &tx.d, &tx.fb
 	switch {
 	case d.HasARP && d.ARP.Op == packet.ARPRequest:
 		// The upstream is the next hop for everything beyond the home —
@@ -222,19 +192,13 @@ func (u *Upstream) deliver(frame []byte) {
 	case d.HasUDP:
 		u.serveUDP(d, fb)
 	}
-	u.flush(fb)
-}
-
-// flush hands the accumulated replies to the datapath in one call.
-func (u *Upstream) flush(fb *packet.FrameBatch) {
-	if fb.Len() == 0 {
-		return
+	if fb.Len() > 0 {
+		u.mu.Lock()
+		u.txBytes += uint64(fb.TotalBytes())
+		u.mu.Unlock()
+		u.net.dp.ReceiveBatch(u.port, fb)
+		fb.Reset()
 	}
-	u.mu.Lock()
-	u.txBytes += uint64(fb.TotalBytes())
-	u.mu.Unlock()
-	u.net.fromUpstreamBatch(u, fb)
-	fb.Reset()
 }
 
 func (u *Upstream) serveDNS(d *packet.Decoded, fb *packet.FrameBatch) {

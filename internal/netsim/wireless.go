@@ -10,13 +10,13 @@
 // through switch ports, so the OpenFlow pipeline, the NOX modules and the
 // measurement plane all run exactly as they would against hardware.
 //
-// Concurrency: drive Step from one goroutine at a time; frames also
-// re-enter concurrently from the control plane (a packet-out handled on a
-// wire channel's read loop while no step is in the datapath), so per-host
-// and network-wide state are mutex-guarded. Host stacks respond to deliveries synchronously on the
-// delivering goroutine — a DHCP OFFER produces its REQUEST before
-// Deliver returns — which is the property the control plane's
-// quiescence protocol relies on (docs/CONTROL_PLANE.md).
+// Concurrency: drive Step from one goroutine at a time. Frames are also
+// delivered on the control plane's goroutine (a packet-out handled on a wire
+// channel's read loop), so per-host and network-wide state are
+// mutex-guarded. A host hands its answer to a delivery (a DHCP OFFER's
+// REQUEST) to the datapath before Deliver returns, which executes it before
+// the next controller message: the control plane's quiescence protocol
+// relies on that (docs/CONTROL_PLANE.md).
 package netsim
 
 import (

@@ -76,6 +76,17 @@ func (fb *FrameBatch) Append(frame []byte) {
 	fb.Commit(append(fb.buf, frame...))
 }
 
+// AppendBatch copies every frame of src into the batch, in src's spans.
+func (fb *FrameBatch) AppendBatch(src *FrameBatch) {
+	base := len(fb.buf)
+	fb.buf = append(fb.buf, src.buf...)
+	for _, s := range src.spans {
+		fb.spans = append(fb.spans, span{base + s.end, s.n})
+	}
+	fb.frames += src.frames
+	fb.total += src.total
+}
+
 // Repeat commits the last committed frame once more — the batch must hold
 // one — without copying it: the last span goes one more time.
 func (fb *FrameBatch) Repeat() {
@@ -83,6 +94,31 @@ func (fb *FrameBatch) Repeat() {
 	fb.spans[len(fb.spans)-1].n++
 	fb.frames++
 	fb.total += len(frame)
+}
+
+// Keep drops from the batch, in place, every frame keep reports false for.
+// keep sees each frame in order, every copy of a repeated frame included,
+// for the call only. Nothing is allocated.
+func (fb *FrameBatch) Keep(keep func(frame []byte) bool) {
+	start, w, spans := 0, 0, fb.spans[:0]
+	fb.frames, fb.total = 0, 0
+	for _, s := range fb.spans {
+		frame := fb.buf[start:s.end:s.end]
+		start = s.end
+		k := 0
+		for n := s.n; n > 0; n-- {
+			if keep(frame) {
+				k++
+			}
+		}
+		if k > 0 { // w is at most the frame's start: the move overwrites what was read
+			w += copy(fb.buf[w:], frame)
+			spans = append(spans, span{w, k})
+			fb.frames += k
+			fb.total += k * len(frame)
+		}
+	}
+	fb.buf, fb.spans = fb.buf[:w], spans
 }
 
 // Reset forgets all frames, retaining the backing buffer for reuse.
