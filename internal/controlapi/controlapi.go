@@ -62,17 +62,26 @@ type API struct {
 	// nil answers 404.
 	Replay func(table string, from, to time.Time) (string, error)
 
-	mux *http.ServeMux
+	mux *http.ServeMux // built by handler, on first use
 	srv *http.Server
 	ln  net.Listener
 }
 
-// New builds the API around the DHCP server and policy engine.
+// New builds the API around the DHCP server and policy engine. Its routes
+// are built when it first serves (ListenAndServe): a home whose API never
+// serves pays for none of them.
 func New(dhcpSrv *dhcp.Server, eng *policy.Engine, routerIP packet.IP4) *API {
-	a := &API{DHCP: dhcpSrv, Policy: eng, RouterIP: routerIP}
-	a.mux = http.NewServeMux()
-	a.routes()
-	return a
+	return &API{DHCP: dhcpSrv, Policy: eng, RouterIP: routerIP}
+}
+
+// handler returns the API's routes, building them on the first call. It is
+// called before anything serves, so it needs no lock.
+func (a *API) handler() http.Handler {
+	if a.mux == nil {
+		a.mux = http.NewServeMux()
+		a.routes()
+	}
+	return a.mux
 }
 
 // Name implements nox.Component.
@@ -89,7 +98,7 @@ func (a *API) ListenAndServe(addr string) error {
 		return err
 	}
 	a.ln = ln
-	a.srv = &http.Server{Handler: a.mux, ReadHeaderTimeout: 5 * time.Second}
+	a.srv = &http.Server{Handler: a.handler(), ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = a.srv.Serve(ln) }()
 	return nil
 }

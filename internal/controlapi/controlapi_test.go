@@ -27,7 +27,7 @@ func testAPI(t *testing.T) (*API, *dhcp.Server, *policy.Engine, *httptest.Server
 	})
 	eng := policy.NewEngine(clk)
 	api := New(srv, eng, packet.MustIP4("192.168.1.1"))
-	ts := httptest.NewServer(api.mux)
+	ts := httptest.NewServer(api.handler())
 	t.Cleanup(ts.Close)
 	return api, srv, eng, ts
 }

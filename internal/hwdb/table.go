@@ -18,26 +18,32 @@ const DefaultRingSize = 65536
 
 // pageRows is how many rows a ring page holds: a ring grows one page at a
 // time. The last page of a ring whose capacity is not a multiple of it is
-// short, so a ring never holds more slots than its capacity.
+// short, so a ring never holds more slots than its capacity. A ring's
+// first page starts shorter still, at firstRows (or the capacity, if
+// smaller): most rings of a home hold a few rows.
 const (
 	pageShift = 8
 	pageRows  = 1 << pageShift
 	pageMask  = pageRows - 1
+	firstRows = 16
 )
 
 // Table is one ephemeral event stream: a schema plus a ring buffer of
 // timestamped rows. The capacity is fixed at construction; the memory
 // behind it is not: the ring holds min(rows inserted, capacity) slots
-// rounded up to a page (never more than the capacity), so an idle table
-// costs nothing but its header and "fixed-memory" is the ceiling, not the
-// floor.
+// rounded up to firstRows until that many rows have come and to a page
+// after (never more than the capacity), so an idle table costs nothing but
+// its header, a table of a few rows a sixteenth of a page, and
+// "fixed-memory" is the ceiling, not the floor.
 //
 // The ring is a list of pages, each a flat rowBlock of pageRows slots: a
 // slot is 1 + len(schema.Cols) eight-byte cells and nothing else, so a
 // table without string columns holds no pointers for the collector to
-// follow, an insert allocates nothing but the page it opens, and growing
-// appends a page and never copies a row. Ring position s is row s&pageMask
-// of page s>>pageShift.
+// follow, and an insert allocates nothing but the page it opens. The first
+// page opens with firstRows slots; when they fill, a full page holding
+// them replaces it, the one time a ring copies rows (at most firstRows of
+// them, under the write lock). After that growing appends a page and never
+// copies a row. Ring position s is row s&pageMask of page s>>pageShift.
 //
 // Rows are assumed to arrive in non-decreasing timestamp order (every
 // insert is stamped from one clock): RANGE windows and rowsBetween binary
@@ -130,14 +136,26 @@ func (t *Table) Insert(ts time.Time, vals []Value) error {
 	return nil
 }
 
-// grow appends a page to a full ring that is still below capacity: the
-// rows already held stay where they are, and the next insert goes into the
-// new page. The page is sized so the ring lands exactly on the capacity and
+// grow adds room to a full ring that is still below capacity, and the next
+// insert goes into it. An empty ring opens a first page of firstRows slots;
+// a full short first page is replaced by a full page holding its rows;
+// otherwise a page is appended and the rows already held stay where they
+// are. Every page is sized so the ring lands exactly on the capacity and
 // never past it. The caller holds the write lock.
 func (t *Table) grow() {
-	n := min(pageRows, t.capacity-t.slots)
-	t.pages = append(t.pages, newRowBlock(t.schema.shape, n))
-	t.slots += n
+	switch {
+	case t.slots == 0:
+		t.slots = min(firstRows, t.capacity)
+		t.pages = append(t.pages, newRowBlock(t.schema.shape, t.slots))
+	case t.slots < pageRows:
+		page := newRowBlock(t.schema.shape, min(pageRows, t.capacity))
+		page.copyFrom(0, &t.pages[0], 0, t.slots)
+		t.pages[0], t.slots = page, min(pageRows, t.capacity)
+	default:
+		n := min(pageRows, t.capacity-t.slots)
+		t.pages = append(t.pages, newRowBlock(t.schema.shape, n))
+		t.slots += n
+	}
 	t.head = t.count // not yet wrapped: the insert that filled the ring moved head to 0
 }
 

@@ -450,8 +450,12 @@ func TestIntegerInRealColumn(t *testing.T) {
 }
 
 // wantSlots is the memory contract: min(rows inserted, capacity) slots
-// rounded up to a page, and never more than the capacity.
+// rounded up to the first page's firstRows until that many rows have been
+// inserted and to a page after, and never more than the capacity.
 func wantSlots(inserted, capacity int) int {
+	if inserted <= firstRows {
+		return min((inserted+firstRows-1)/firstRows*firstRows, capacity)
+	}
 	return min((inserted+pageRows-1)/pageRows*pageRows, capacity)
 }
 

@@ -125,7 +125,7 @@ func (h *Host) MoveTo(p Pos) {
 
 // send transmits a frame out of the host's interface.
 func (h *Host) send(frame []byte) {
-	if h.net.admit(h, frame) {
+	if h.net.admit(h, frame, h.net.directL2On()) {
 		h.net.dp.Receive(h.port, frame)
 	}
 }

@@ -84,18 +84,13 @@ func (n *Network) SetLinkFault(num, den int) {
 }
 
 // linkFaultDrop advances the fault pattern by one frame and reports
-// whether that frame is dropped.
+// whether that frame is dropped. The caller holds n.mu.
 func (n *Network) linkFaultDrop() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.faultNum <= 0 || n.faultDen <= 0 {
 		return false
 	}
 	n.faultCtr++
-	if int(n.faultCtr%uint64(n.faultDen)) < n.faultNum {
-		return true
-	}
-	return false
+	return int(n.faultCtr%uint64(n.faultDen)) < n.faultNum
 }
 
 // AddHost creates a host, attaches it to a fresh datapath port, and
@@ -213,16 +208,30 @@ func (n *Network) SetDirectL2(on bool) {
 	n.mu.Unlock()
 }
 
+// directL2On reports whether the direct-L2 ablation is on.
+func (n *Network) directL2On() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.directL2
+}
+
 // admit takes a host transmission's draws on its way to the switch port —
 // the wireless model on station uplinks, the link fault, the direct-L2
-// ablation's delivery to a peer — and reports whether it reaches the port.
-// A frame lost on the way is counted on the port's rx-drop counter.
-func (n *Network) admit(h *Host, frame []byte) bool {
+// ablation's delivery to a peer (direct is the ablation's setting, read
+// once by the caller) — and reports whether it reaches the port. The link
+// update and the fault pattern share one lock section. A frame lost on the
+// way is counted on the port's rx-drop counter.
+func (n *Network) admit(h *Host, frame []byte, direct bool) bool {
 	lost := false
+	var rssi, retries int
 	if h.Wireless {
-		rssi := n.wireless.RSSI(h.Pos().dist(n.routerAt))
-		retries, delivered := n.wireless.Retries(rssi, n.maxRetry)
-		n.mu.Lock()
+		rssi = n.wireless.RSSI(h.Pos().dist(n.routerAt))
+		var delivered bool
+		retries, delivered = n.wireless.Retries(rssi, n.maxRetry)
+		lost = !delivered
+	}
+	n.mu.Lock()
+	if h.Wireless {
 		li := n.links[h.MAC]
 		if li == nil {
 			li = &LinkInfo{MAC: h.MAC}
@@ -231,10 +240,10 @@ func (n *Network) admit(h *Host, frame []byte) bool {
 		li.RSSI = rssi
 		li.Retries += retries
 		li.Rate = n.wireless.Rate(rssi)
-		n.mu.Unlock()
-		lost = !delivered
 	}
-	if lost || n.linkFaultDrop() {
+	lost = lost || n.linkFaultDrop() // a frame the radio lost does not advance the fault
+	n.mu.Unlock()
+	if lost {
 		if p, ok := n.dp.Port(h.port); ok {
 			p.CountRxDrop()
 		}
@@ -243,9 +252,6 @@ func (n *Network) admit(h *Host, frame []byte) bool {
 
 	// Conventional-switch shortcut (ablation): unicast frames between
 	// hosts never reach the router.
-	n.mu.Lock()
-	direct := n.directL2
-	n.mu.Unlock()
 	var e packet.Ethernet
 	if direct && e.DecodeFromBytes(frame) == nil {
 		switch {
@@ -385,7 +391,7 @@ func (n *Network) deliverBatch(h *Host, fb *packet.FrameBatch) {
 	faulty := n.faultNum > 0 && n.faultDen > 0
 	n.mu.Unlock()
 	if h.Wireless || direct || faulty {
-		fb.Keep(func(frame []byte) bool { return n.admit(h, frame) })
+		fb.Keep(func(frame []byte) bool { return n.admit(h, frame, direct) })
 	}
 	n.dp.ReceiveBatch(h.port, fb)
 }

@@ -38,7 +38,10 @@ func (p Pos) dist(q Pos) float64 {
 //
 //	RSSI(d) = TxPower - (PL0 + 10·n·log10(d/D0)) + N(0, Shadow)
 //
-// mapped onto delivery probability and 802.11g rate tiers.
+// mapped onto delivery probability and 802.11g rate tiers. The model keeps
+// its seed and makes its generator at the first RSSI or Retries draw, so
+// a home without wireless stations pays for none; the draws are those of
+// a generator made at construction.
 type Wireless struct {
 	TxPower  float64 // dBm at the antenna
 	PL0      float64 // path loss at reference distance, dB
@@ -47,11 +50,13 @@ type Wireless struct {
 	Shadow   float64 // shadowing stddev, dB
 
 	mu           sync.Mutex
-	rng          *rand.Rand
-	interference float64 // extra attenuation, dB (chaos episodes)
+	seed         int64
+	rng          *rand.Rand // nil until the first draw
+	interference float64    // extra attenuation, dB (chaos episodes)
 }
 
-// DefaultWireless returns parameters typical of a 2.4 GHz home deployment.
+// DefaultWireless returns parameters typical of a 2.4 GHz home deployment,
+// drawing from seed.
 func DefaultWireless(seed int64) *Wireless {
 	return &Wireless{
 		TxPower:  20,
@@ -59,8 +64,17 @@ func DefaultWireless(seed int64) *Wireless {
 		Exponent: 3.0, // indoor with walls
 		D0:       1,
 		Shadow:   2.0,
-		rng:      rand.New(rand.NewSource(seed)),
+		seed:     seed,
 	}
+}
+
+// rand returns the model's generator, making it on the first draw. The
+// caller holds w.mu.
+func (w *Wireless) rand() *rand.Rand {
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(w.seed))
+	}
+	return w.rng
 }
 
 // SetInterference adds db decibels of attenuation to every subsequent
@@ -79,7 +93,7 @@ func (w *Wireless) RSSI(d float64) int {
 	}
 	pl := w.PL0 + 10*w.Exponent*math.Log10(d/w.D0)
 	w.mu.Lock()
-	shadow := w.rng.NormFloat64()*w.Shadow - w.interference
+	shadow := w.rand().NormFloat64()*w.Shadow - w.interference
 	w.mu.Unlock()
 	return int(math.Round(w.TxPower - pl + shadow))
 }
@@ -97,8 +111,9 @@ func (w *Wireless) Retries(rssi int, max int) (retries int, delivered bool) {
 	p := w.deliveryProb(rssi)
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	rng := w.rand()
 	for i := 0; i <= max; i++ {
-		if w.rng.Float64() < p {
+		if rng.Float64() < p {
 			return i, true
 		}
 	}

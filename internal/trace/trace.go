@@ -1,16 +1,21 @@
 // Package trace is the always-on punt-lifecycle observability layer: every
 // packet-in a datapath punts gets a span whose monotonic timestamps are
 // stamped at each control-plane contract stage — punt, dispatch, emit,
-// credit, barrier (docs/CONTROL_PLANE.md) — into a fixed-size lock-free
-// ring that overwrites oldest, and folded as it is stamped into
-// log-bucketed per-stage latency histograms with p50/p99/max.
+// credit, barrier (docs/CONTROL_PLANE.md) — into a lock-free ring, and
+// folded as it is stamped into log-bucketed per-stage latency histograms
+// with p50/p99/max. The ring starts at initialSlots and grows with the
+// spans in flight: Punt doubles it when the next span would land on one
+// the barrier has not passed, up to the tracer's cap, and at the cap it
+// overwrites oldest.
 //
 // Concurrency contract: every method is safe for concurrent use and every
 // method is nil-receiver-safe (a nil *Tracer is a disabled tracer; callers
 // stamp unconditionally). The span-record path — Punt, BeginDispatch,
-// EndDispatch, Credit — allocates nothing: slots are pre-sized atomics,
-// histogram folds are atomic adds, and timestamps come from a monotonic
-// package epoch (never the simulated clock — stage latency is real time).
+// EndDispatch, Credit — allocates nothing once the ring holds the spans in
+// flight (a growth allocates the doubled ring, at most log2(cap/16) times
+// in a tracer's life): slots are atomics, histogram folds are atomic adds,
+// and timestamps come from a monotonic package epoch (never the simulated
+// clock — stage latency is real time).
 // Correlation is by FIFO order, the same assumption the settle protocol's
 // punt and dispatch counts rest on: the n-th punt the datapath counts is the n-th packet-in its
 // controller dispatches, one at a time, so the consumer side keeps
@@ -18,6 +23,16 @@
 // wire. A span still being stamped when its ring slot is recycled is
 // dropped from the histograms and counted in Overwritten, never blocked
 // on; readers validate the slot sequence before and after reading.
+//
+// Growth has one writer: Punt has one caller at a time (the datapath
+// executes one call at a time). It freezes the old ring, copies its live
+// slots into the doubled one and publishes that through an atomic pointer.
+// A stamp that lands on a frozen ring — possible only when the consumer
+// runs on another goroutine, as over TCP — is dropped and counted in
+// Overwritten like a stamp on a recycled slot; on a direct channel the
+// punt and its stamps run on one goroutine and nothing races. Concurrent
+// Punts stay memory-safe, but a span punted during another's growth may be
+// lost, and is counted in Overwritten when it is stamped.
 package trace
 
 import (
@@ -64,10 +79,16 @@ var transitionNames = [numTransitions]string{
 	"punt->barrier",
 }
 
-// DefaultRingSize is the per-tracer span-ring capacity when New is given
-// zero: enough to hold every in-flight span of a busy home between
-// barriers while staying a few tens of KB per home at fleet scale.
+// DefaultRingSize is the per-tracer span-ring cap when New is given zero:
+// the most slots a ring grows to, enough for every in-flight span of a
+// wedged home between barriers. A ring starts at initialSlots and reaches
+// the cap only when that many spans are in flight at once.
 const DefaultRingSize = 1024
+
+// initialSlots is the slots a ring starts with (or its cap, if smaller):
+// a home's spans in flight between barriers are one to three when its
+// control path keeps up.
+const initialSlots = 16
 
 // epoch anchors the monotonic timestamp source. time.Since reads the
 // monotonic clock and allocates nothing, and an anchored epoch keeps the
@@ -75,6 +96,17 @@ const DefaultRingSize = 1024
 var epoch = time.Now()
 
 func nowNS() int64 { return int64(time.Since(epoch)) }
+
+// ring is one generation of the span ring. frozen is set before a growth
+// copies the ring: a stamp that lands after it may be missing from the
+// copy, so the stamper drops it.
+type ring struct {
+	mask   uint64
+	frozen atomic.Bool
+	slots  []slot
+}
+
+func newRing(n int) *ring { return &ring{mask: uint64(n - 1), slots: make([]slot, n)} }
 
 // slot is one ring entry: the span's sequence number plus its five stage
 // timestamps. seq is stored last on reuse (and zeroed first), so a stage
@@ -90,8 +122,8 @@ type slot struct {
 // BeginDispatch/EndDispatch and Credit per packet-in; whoever round-trips a
 // barrier calls BarrierReply, and so does a drain on a direct channel.
 type Tracer struct {
-	mask  uint64
-	slots []slot
+	ring  atomic.Pointer[ring]
+	limit int // the most slots the ring grows to; a power of two
 
 	punt     atomic.Uint64 // producer: spans opened
 	dispatch atomic.Uint64 // consumer: spans dispatched
@@ -104,8 +136,9 @@ type Tracer struct {
 	hist [numTransitions]hist
 }
 
-// New creates a tracer with the given span-ring capacity (rounded up to a
-// power of two; <= 0 means DefaultRingSize).
+// New creates a tracer whose span ring grows to at most ringSize slots
+// (rounded up to a power of two; <= 0 means DefaultRingSize). The ring
+// starts at initialSlots, or at the cap if that is smaller.
 func New(ringSize int) *Tracer {
 	if ringSize <= 0 {
 		ringSize = DefaultRingSize
@@ -114,18 +147,25 @@ func New(ringSize int) *Tracer {
 	for n < ringSize {
 		n <<= 1
 	}
-	return &Tracer{mask: uint64(n - 1), slots: make([]slot, n)}
+	t := &Tracer{limit: n}
+	t.ring.Store(newRing(min(n, initialSlots)))
+	return t
 }
 
 // Punt opens the next span and stamps its punt stage. Call it where the
 // datapath counts the punt: after it is counted, before the packet-in is
-// handed to the transport. Zero allocations.
+// handed to the transport. Zero allocations, but for the doubled ring when
+// the next span's slot still holds one the barrier has not passed.
 func (t *Tracer) Punt() {
 	if t == nil {
 		return
 	}
 	seq := t.punt.Add(1)
-	s := &t.slots[seq&t.mask]
+	r := t.ring.Load()
+	if seq > t.barrier.Load()+uint64(len(r.slots)) && len(r.slots) < t.limit {
+		r = t.grow(r, seq)
+	}
+	s := &r.slots[seq&r.mask]
 	s.seq.Store(0) // invalidate while the slot is reinitialized
 	for k := StageDispatch; k < numStages; k++ {
 		s.ts[k].Store(0)
@@ -134,18 +174,51 @@ func (t *Tracer) Punt() {
 	s.seq.Store(seq)
 }
 
-// stamp writes stage st's timestamp into span seq's slot and returns the
-// previous stage's timestamp. ok is false when the slot was recycled for
-// a newer span (the stamp is dropped and counted) or the previous stage
-// never landed.
-func (t *Tracer) stamp(seq uint64, st Stage, now int64) (prev int64, ok bool) {
-	s := &t.slots[seq&t.mask]
+// grow replaces old, which the span seq is about to lap before the barrier
+// has passed it, with a ring twice as large (or more, up to the cap, should
+// more spans be in flight) holding old's live spans, and returns it. Only
+// Punt calls it. old is frozen before the copy, so a stamp that lands on it
+// afterwards is dropped rather than lost silently.
+func (t *Tracer) grow(old *ring, seq uint64) *ring {
+	lo, n := t.barrier.Load(), 2*len(old.slots)
+	for seq > lo+uint64(n) && n < t.limit {
+		n *= 2
+	}
+	r := newRing(min(n, t.limit))
+	old.frozen.Store(true)
+	// The live spans are those after the barrier, and old holds only the
+	// newest len(old.slots) of them.
+	from := max(lo+1, seq-uint64(len(old.slots)))
+	for q := from; q < seq; q++ {
+		src, dst := &old.slots[q&old.mask], &r.slots[q&r.mask]
+		if src.seq.Load() != q {
+			continue
+		}
+		for k := range src.ts {
+			dst.ts[k].Store(src.ts[k].Load())
+		}
+		dst.seq.Store(q)
+	}
+	t.ring.Store(r)
+	return r
+}
+
+// stamp writes stage st's timestamp into span seq's slot of r and returns
+// the previous stage's timestamp. ok is false when the slot was recycled
+// for a newer span or r was frozen by a growth (the stamp is dropped and
+// counted), or the previous stage never landed.
+func (t *Tracer) stamp(r *ring, seq uint64, st Stage, now int64) (prev int64, ok bool) {
+	s := &r.slots[seq&r.mask]
 	if s.seq.Load() != seq {
 		t.overwritten.Add(1)
 		return 0, false
 	}
 	s.ts[st].Store(now)
 	prev = s.ts[st-1].Load()
+	if r.frozen.Load() {
+		t.overwritten.Add(1)
+		return 0, false
+	}
 	if prev == 0 || s.seq.Load() != seq {
 		return 0, false
 	}
@@ -161,7 +234,7 @@ func (t *Tracer) BeginDispatch() {
 	}
 	seq := t.dispatch.Add(1)
 	now := nowNS()
-	if prev, ok := t.stamp(seq, StageDispatch, now); ok {
+	if prev, ok := t.stamp(t.ring.Load(), seq, StageDispatch, now); ok {
 		t.hist[tPuntDispatch].observe(now - prev)
 	}
 }
@@ -175,7 +248,7 @@ func (t *Tracer) EndDispatch() {
 	}
 	seq := t.dispatch.Load()
 	now := nowNS()
-	if prev, ok := t.stamp(seq, StageEmit, now); ok {
+	if prev, ok := t.stamp(t.ring.Load(), seq, StageEmit, now); ok {
 		t.hist[tDispatchEmit].observe(now - prev)
 	}
 }
@@ -189,8 +262,9 @@ func (t *Tracer) Credit(n int) {
 	}
 	now := nowNS()
 	lo := t.credit.Load()
+	r := t.ring.Load()
 	for i := uint64(1); i <= uint64(n); i++ {
-		if prev, ok := t.stamp(lo+i, StageCredit, now); ok {
+		if prev, ok := t.stamp(r, lo+i, StageCredit, now); ok {
 			t.hist[tEmitCredit].observe(now - prev)
 		}
 	}
@@ -213,18 +287,19 @@ func (t *Tracer) BarrierReply() {
 		return
 	}
 	// Spans older than the ring are gone regardless; skip, don't scan.
-	if hi-lo > uint64(len(t.slots)) {
-		t.overwritten.Add(hi - lo - uint64(len(t.slots)))
-		lo = hi - uint64(len(t.slots))
+	r := t.ring.Load()
+	if held := uint64(len(r.slots)); hi-lo > held {
+		t.overwritten.Add(hi - lo - held)
+		lo = hi - held
 	}
 	now := nowNS()
 	for seq := lo + 1; seq <= hi; seq++ {
-		prev, ok := t.stamp(seq, StageBarrier, now)
+		prev, ok := t.stamp(r, seq, StageBarrier, now)
 		if !ok {
 			continue
 		}
 		t.hist[tCreditBarrier].observe(now - prev)
-		s := &t.slots[seq&t.mask]
+		s := &r.slots[seq&r.mask]
 		if p := s.ts[StagePunt].Load(); p != 0 && s.seq.Load() == seq {
 			t.hist[tPuntBarrier].observe(now - p)
 		}
@@ -244,7 +319,8 @@ func (t *Tracer) DispatchLatencyNS() int64 {
 	if seq == 0 {
 		return 0
 	}
-	s := &t.slots[seq&t.mask]
+	r := t.ring.Load()
+	s := &r.slots[seq&r.mask]
 	if s.seq.Load() != seq {
 		return 0
 	}

@@ -1,8 +1,11 @@
 package trace
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // drive runs n spans through the full lifecycle: punt, dispatch, emit,
@@ -215,5 +218,104 @@ func BenchmarkPuntStamp(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Punt()
+	}
+}
+
+// A home whose control path keeps up has one to three spans in flight
+// between barriers, and its tracer holds initialSlots slots, not the
+// DefaultRingSize it may grow to: building one and running a thousand
+// spans, three at a time, allocates the tracer and sixteen slots.
+func TestFewSpansInFlightHoldSixteenSlots(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := New(DefaultRingSize)
+	for i := 0; i < 1000; i += 3 {
+		drive(tr, 3)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	// Room for the tracer, a ring header and twice the slots it should hold,
+	// so size-class rounding cannot fail it; 1024 slots are 49 KB.
+	limit := uint64(unsafe.Sizeof(Tracer{}) + 64 + 32*unsafe.Sizeof(slot{}))
+	if got > limit {
+		t.Fatalf("a tracer with 3 spans in flight allocated %d B, want at most %d (16 slots of %d B)", got, limit, unsafe.Sizeof(slot{}))
+	}
+	if _, _, _, _, overwritten := tr.Counts(); overwritten != 0 {
+		t.Fatalf("overwritten = %d, want 0", overwritten)
+	}
+}
+
+// A wedged home's spans pile up unbarriered: the ring doubles under them
+// instead of lapping, so every span reaches the barrier whole.
+func TestUnbarrieredSpansGrowTheRing(t *testing.T) {
+	const n = 600
+	tr := New(DefaultRingSize)
+	for i := 0; i < n; i++ {
+		tr.Punt()
+		tr.BeginDispatch()
+		if tr.DispatchLatencyNS() <= 0 {
+			t.Fatalf("span %d: no dispatch latency", i+1)
+		}
+		tr.EndDispatch()
+		tr.Credit(1)
+	}
+	tr.BarrierReply()
+	if got := len(tr.ring.Load().slots); got != 1024 {
+		t.Fatalf("ring holds %d slots after %d spans in flight, want 1024", got, n)
+	}
+	_, _, _, barriered, overwritten := tr.Counts()
+	if overwritten != 0 || barriered != n {
+		t.Fatalf("overwritten = %d, barriered = %d, want 0 and %d", overwritten, barriered, n)
+	}
+	s := tr.Snapshot()
+	for i, h := range s.Hists {
+		if h.Count != n {
+			t.Errorf("%s folded %d samples, want %d", transitionNames[i], h.Count, n)
+		}
+	}
+}
+
+// The consumer stamps from its own goroutine, as it does over TCP, while
+// the producer's punts grow the ring under it: a stamp that lands on a
+// frozen ring is dropped and counted, never lost silently, and the race
+// detector sees every slot access as atomic.
+func TestConsumerStampsRaceGrowth(t *testing.T) {
+	const n = 600
+	tr := New(DefaultRingSize)
+	var sent atomic.Uint64 // packet-ins handed over: a span is dispatched only after its Punt returns
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			tr.Punt()
+			sent.Add(1)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := uint64(1); i <= n; i++ {
+			for sent.Load() < i {
+				runtime.Gosched()
+			}
+			tr.BeginDispatch()
+			_ = tr.DispatchLatencyNS()
+			tr.EndDispatch()
+			tr.Credit(1)
+		}
+	}()
+	wg.Wait()
+	tr.BarrierReply()
+	punted, dispatched, credited, barriered, overwritten := tr.Counts()
+	if punted != n || dispatched != n || credited != n || barriered != n {
+		t.Fatalf("counts = %d/%d/%d/%d, want %d each", punted, dispatched, credited, barriered, n)
+	}
+	if got := len(tr.ring.Load().slots); got != 1024 {
+		t.Fatalf("ring holds %d slots, want 1024", got)
+	}
+	// Every dispatch stamp was either folded or dropped and counted.
+	s := tr.Snapshot()
+	if pd := s.Hists[tPuntDispatch].Count; pd > n || pd+overwritten < n {
+		t.Fatalf("punt->dispatch folded %d, overwritten %d: %d dispatch stamps unaccounted", pd, overwritten, int64(n)-int64(pd+overwritten))
 	}
 }

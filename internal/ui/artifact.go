@@ -68,10 +68,18 @@ var (
 	recentRetries = mustSelect("SELECT avg(retries) AS r FROM Links [ROWS 20]")
 )
 
-// NewArtifact builds an artifact display. Register its DHCP interest with
-// WatchLeases to animate mode 3 from lease events.
+// NewArtifact builds an artifact display, with the mode-1 read for mac
+// parsed. Register its DHCP interest with WatchLeases to animate mode 3
+// from lease events.
 func NewArtifact(db *hwdb.DB, mac packet.MAC) *Artifact {
-	return &Artifact{DB: db, MAC: mac, NumLEDs: 8, RetryFlashThreshold: 3, mode: ModeSignal}
+	return &Artifact{DB: db, MAC: mac, NumLEDs: 8, RetryFlashThreshold: 3, mode: ModeSignal,
+		rssiSel: rssiSelect(mac), rssiFor: mac}
+}
+
+// rssiSelect parses the mode-1 read for the artifact with hardware address
+// mac. A MAC always renders as a literal the parser takes.
+func rssiSelect(mac packet.MAC) *hwdb.SelectStmt {
+	return mustSelect(fmt.Sprintf("SELECT rssi FROM Links [ROWS 200] WHERE mac = %s", mac))
 }
 
 // SetMode switches the artifact's behaviour.
@@ -108,8 +116,7 @@ func (a *Artifact) WatchLeases() {
 func (a *Artifact) rssi() (int, bool) {
 	a.mu.Lock()
 	if a.rssiSel == nil || a.rssiFor != a.MAC {
-		// A MAC always renders as a literal the parser takes.
-		a.rssiSel, a.rssiFor = mustSelect(fmt.Sprintf("SELECT rssi FROM Links [ROWS 200] WHERE mac = %s", a.MAC)), a.MAC
+		a.rssiSel, a.rssiFor = rssiSelect(a.MAC), a.MAC
 	}
 	sel := a.rssiSel
 	a.mu.Unlock()

@@ -73,9 +73,26 @@ func mustSelect(cql string) *hwdb.SelectStmt {
 
 var leaseNames = mustSelect("SELECT mac, hostname, action FROM Leases")
 
-// NewBandwidthView builds a view over db.
+// NewBandwidthView builds a view over db, with the Figure-1 read for the
+// default window parsed.
 func NewBandwidthView(db *hwdb.DB) *BandwidthView {
-	return &BandwidthView{DB: db, Window: 10 * time.Second}
+	v := &BandwidthView{DB: db, Window: 10 * time.Second}
+	if err := v.parseFlows(v.Window); err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// parseFlows parses the Figure-1 read for a window of the given length.
+func (v *BandwidthView) parseFlows(window time.Duration) error {
+	sel, err := hwdb.ParseSelect(fmt.Sprintf(
+		"SELECT mac, proto, dport, sport, sum(bytes) AS bytes FROM Flows [RANGE %g SECONDS] GROUP BY mac, proto, dport, sport",
+		window.Seconds()))
+	if err != nil {
+		return err
+	}
+	v.flows, v.flowsFor = sel, window
+	return nil
 }
 
 // hostnames keeps v.names as MAC -> latest hostname from the Leases table.
@@ -116,13 +133,9 @@ func (v *BandwidthView) Rows() ([]BandwidthRow, error) {
 	}
 	secs := window.Seconds()
 	if v.flows == nil || v.flowsFor != window {
-		sel, err := hwdb.ParseSelect(fmt.Sprintf(
-			"SELECT mac, proto, dport, sport, sum(bytes) AS bytes FROM Flows [RANGE %g SECONDS] GROUP BY mac, proto, dport, sport",
-			secs))
-		if err != nil {
+		if err := v.parseFlows(window); err != nil {
 			return nil, err
 		}
-		v.flows, v.flowsFor = sel, window
 	}
 	if v.agg == nil {
 		v.agg, v.totals, v.names = map[serviceKey]uint64{}, map[packet.MAC]uint64{}, map[packet.MAC]string{}
