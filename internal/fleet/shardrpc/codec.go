@@ -429,8 +429,8 @@ func (c *coder) books(b *Books) {
 // A batch is its books (seq, sent rows, sent lost), its delta count, the
 // room all its deltas' rows take (rows, cells, strings, runs: the totals
 // hwdb.RoomFor counts) and then each delta: home, table name, lost and its
-// rows in the hwdb.AppendRows layout — every row's cells as the ring holds
-// them, each delta's shape once. The decoder reads the whole batch into
+// rows in the hwdb.AppendRows layout — every row's cells as eight-byte
+// words, each delta's shape once. The decoder reads the whole batch into
 // one hwdb.RowBuilder sized by the totals, so a batch costs a fixed number
 // of allocations however many deltas it carries, and none for its rows or
 // deltas when it decodes into a batchBuf whose arrays have room.

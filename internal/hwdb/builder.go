@@ -9,7 +9,7 @@ import (
 	"unsafe"
 )
 
-// RowBuilder lays rows out outside a table, in the layout the rings keep:
+// RowBuilder lays rows out outside a table, packed as the rings keep them:
 // runs of rows — a run being one table's rows, or one shape's — whose cells,
 // strings, row views and headers are carved from four arrays, one of each
 // kind, rather than allocated run by run. A builder is told first what it
@@ -33,7 +33,8 @@ import (
 // not safe for concurrent use.
 type RowBuilder struct {
 	want, used Room
-	cells      arena[uint64]
+	bytes      int // cell bytes reserved and not yet taken: packed rows and slack
+	cells      arena[byte]
 	strs       arena[string]
 	rows       arena[Row]
 	runs       arena[rowBlock]
@@ -82,9 +83,9 @@ func (a *arena[E]) reset() {
 	a.off = 0
 }
 
-// Room counts what a RowBuilder holds: rows, their cells (a row's insert
-// time and one per column), their strings (one per string column) and the
-// runs they are grouped in.
+// Room counts what a RowBuilder holds: rows, their cells as the wire
+// carries them (eight-byte words: a row's insert time and one per column),
+// their strings (one per string column) and the runs they are grouped in.
 type Room struct {
 	Rows, Cells, Strs, Runs int
 }
@@ -100,13 +101,24 @@ func (r Room) fits(in Room) bool {
 
 // runRoom is the room one run of n rows of shape sh takes.
 func runRoom(sh *rowShape, n int) Room {
-	return Room{Rows: n, Cells: n * sh.stride, Strs: n * sh.nstr, Runs: 1}
+	return Room{Rows: n, Cells: n * sh.words(), Strs: n * sh.nstr, Runs: 1}
 }
 
+// runBytes is the room one run of n rows of shape sh takes in the cell
+// array: the packed rows and the shape's slack.
+func runBytes(sh *rowShape, n int) int { return n*sh.stride + sh.slack }
+
 // Reserve adds r to what the builder will hold. A run is taken only from
-// room reserved before it.
-func (b *RowBuilder) Reserve(r Room) {
-	b.want = b.want.Add(r)
+// room reserved before it. A packed row is no longer than its words, and a
+// shape's slack shorter than a word, so r's words bound its bytes.
+func (b *RowBuilder) Reserve(r Room) { b.reserve(r, 8*(r.Cells+r.Runs)) }
+
+// reserve adds r to what the builder will hold, bytes of it packed cells.
+func (b *RowBuilder) reserve(r Room, bytes int) { b.want, b.bytes = b.want.Add(r), b.bytes+bytes }
+
+// has reports whether the reservation has room for r, bytes of it cells.
+func (b *RowBuilder) has(r Room, bytes int) bool {
+	return b.used.Add(r).fits(b.want) && bytes <= b.bytes
 }
 
 // Left returns what was reserved and not yet taken.
@@ -118,6 +130,7 @@ func (b *RowBuilder) Left() Room {
 // invalid from here on. It keeps its arrays, less any above maxKeptArray.
 func (b *RowBuilder) Reset() {
 	b.want, b.used = Room{}, Room{}
+	b.bytes = 0
 	b.cells.reset()
 	b.strs.reset()
 	b.rows.reset()
@@ -134,8 +147,9 @@ func (b *RowBuilder) carveRuns(k int) []rowBlock {
 // fillRun makes run a run of n rows of shape sh, carving its cells and
 // strings. The caller has checked the room.
 func (b *RowBuilder) fillRun(run *rowBlock, sh *rowShape, n int) {
-	*run = rowBlock{shape: sh, cells: b.cells.carve(n*sh.stride, b.want.Cells-b.used.Cells)}
-	b.used.Cells += n * sh.stride
+	*run = rowBlock{shape: sh, cells: b.cells.carve(runBytes(sh, n), b.bytes)[:n*sh.stride]}
+	b.bytes -= runBytes(sh, n)
+	b.used.Cells += n * sh.words()
 	if sh.nstr > 0 {
 		run.strs = b.strs.carve(n*sh.nstr, b.want.Strs-b.used.Strs)
 		b.used.Strs += n * sh.nstr
@@ -160,7 +174,7 @@ func (b *RowBuilder) views(runs []rowBlock, n int) []Row {
 // take returns the next run of the builder, n rows of shape sh, and its row
 // views, or false when the reservation has no room for it.
 func (b *RowBuilder) take(sh *rowShape, n int) (*rowBlock, []Row, bool) {
-	if !b.used.Add(runRoom(sh, n)).fits(b.want) {
+	if !b.has(runRoom(sh, n), runBytes(sh, n)) {
 		return nil, nil, false
 	}
 	runs := b.carveRuns(1)
@@ -178,7 +192,7 @@ func (b *RowBuilder) ReserveTail(t *Table, after uint64) (upto uint64) {
 	upto = t.inserts
 	t.mu.RUnlock()
 	if hi > lo {
-		b.Reserve(runRoom(t.schema.shape, hi-lo))
+		b.reserve(runRoom(t.schema.shape, hi-lo), runBytes(t.schema.shape, hi-lo))
 	}
 	return upto
 }
@@ -204,23 +218,29 @@ func (b *RowBuilder) Tail(t *Table, after, upto uint64) (rows []Row, lost uint64
 }
 
 // Copy reserves room for rows and copies them into the builder, each
-// maximal run of one shape as a run of its own, and returns the copies:
-// what a consumer that keeps rows lent to it for a call keeps instead.
+// maximal run of one layout as a run of its own (Flows rows of a table and
+// off the wire share a shape, not a layout), and returns the copies: what a
+// consumer that keeps rows lent to it for a call keeps instead.
 func (b *RowBuilder) Copy(rows []Row) []Row {
 	if len(rows) == 0 {
 		return nil
 	}
-	room := RoomFor(rows)
-	b.Reserve(room)
+	var room Room
+	bytes := 0
+	for i, j := 0, 0; i < len(rows); i = j {
+		j = runEnd(rows, i, sameLayout)
+		room, bytes = room.Add(runRoom(rows[i].shape(), j-i)), bytes+runBytes(rows[i].shape(), j-i)
+	}
+	b.reserve(room, bytes)
 	runs := b.carveRuns(room.Runs)
 	for r, i := 0, 0; i < len(rows); r++ {
-		j := runEnd(rows, i)
+		j := runEnd(rows, i, sameLayout)
 		sh := rows[i].shape()
 		run := &runs[r]
 		b.fillRun(run, sh, j-i)
 		for k, row := range rows[i:j] {
 			if row.b == nil { // the zero row: time 0, no columns
-				run.cells[k] = 0
+				clear(run.cells[k*sh.stride : (k+1)*sh.stride])
 				continue
 			}
 			copy(run.cells[k*sh.stride:(k+1)*sh.stride], row.b.cells[row.i*sh.stride:])
@@ -237,10 +257,11 @@ func (b *RowBuilder) Copy(rows []Row) []Row {
 // and AppendRows and ReadRows write and read: the number of runs (a
 // uvarint); then, for each maximal run of consecutive rows of one shape,
 // its column count (uvarint) and one type byte per column, its row count
-// (uvarint), its rows × (1 + columns) cells as eight-byte little-endian
-// words, exactly as a ring holds them, and its strings row by row, each a
-// uvarint length and its bytes. Two consecutive runs never share a shape,
-// and no run is empty, so a sequence of rows has exactly one encoding.
+// (uvarint), its rows × (1 + columns) cells, each widened from its packed
+// width to an eight-byte little-endian word, and its strings row by row,
+// each a uvarint length and its bytes. Two consecutive runs never share a
+// shape (column types: widths do not show), and no run is empty, so a
+// sequence of rows has exactly one encoding.
 
 // errWire wraps every ReadRows failure.
 var errWire = errors.New("hwdb: bad row encoding")
@@ -251,7 +272,7 @@ func wireErr(format string, args ...any) error {
 
 // zeroShape is the shape of the zero Row: no columns. Its one cell, the
 // time, goes on the wire as 0.
-var zeroShape = &rowShape{stride: 1}
+var zeroShape = &rowShape{stride: 8}
 
 func (r Row) shape() *rowShape {
 	if r.b == nil {
@@ -276,10 +297,14 @@ func sameShape(a, b *rowShape) bool {
 	return true
 }
 
-// runEnd returns where the run of rows that starts at rows[i] ends.
-func runEnd(rows []Row, i int) int {
+// sameLayout reports whether two shapes also pack their cells alike, so
+// that their rows can share a block.
+func sameLayout(a, b *rowShape) bool { return a == b || slices.Equal(a.cols, b.cols) }
+
+// runEnd returns where the run of rows that starts at rows[i], by same, ends.
+func runEnd(rows []Row, i int, same func(a, b *rowShape) bool) int {
 	sh, j := rows[i].shape(), i+1
-	for j < len(rows) && sameShape(rows[j].shape(), sh) {
+	for j < len(rows) && same(rows[j].shape(), sh) {
 		j++
 	}
 	return j
@@ -290,7 +315,7 @@ func runEnd(rows []Row, i int) int {
 func RoomFor(rows []Row) Room {
 	var r Room
 	for i := 0; i < len(rows); {
-		j := runEnd(rows, i)
+		j := runEnd(rows, i, sameShape)
 		r = r.Add(runRoom(rows[i].shape(), j-i))
 		i = j
 	}
@@ -301,21 +326,22 @@ func RoomFor(rows []Row) Room {
 func AppendRows(dst []byte, rows []Row) []byte {
 	dst = binary.AppendUvarint(dst, uint64(RoomFor(rows).Runs))
 	for i := 0; i < len(rows); {
-		j := runEnd(rows, i)
+		j := runEnd(rows, i, sameShape)
 		sh := rows[i].shape()
 		dst = binary.AppendUvarint(dst, uint64(len(sh.cols)))
 		for _, c := range sh.cols {
 			dst = append(dst, byte(c.typ))
 		}
 		dst = binary.AppendUvarint(dst, uint64(j-i))
-		dst = slices.Grow(dst, (j-i)*sh.stride*8)
+		dst = slices.Grow(dst, (j-i)*sh.words()*8)
 		for _, r := range rows[i:j] {
 			if r.b == nil {
 				dst = binary.LittleEndian.AppendUint64(dst, 0)
 				continue
 			}
-			for _, c := range r.b.cells[r.i*sh.stride : (r.i+1)*sh.stride] {
-				dst = binary.LittleEndian.AppendUint64(dst, c)
+			dst = binary.LittleEndian.AppendUint64(dst, r.nanos())
+			for c := range r.b.shape.cols {
+				dst = binary.LittleEndian.AppendUint64(dst, r.cell(c))
 			}
 		}
 		if sh.nstr > 0 {
@@ -334,8 +360,9 @@ func AppendRows(dst []byte, rows []Row) []byte {
 // ReadRows reads one AppendRows encoding from the front of src into the
 // builder and returns its rows and the number of bytes it took. It is
 // strict: a truncated or empty run, an unknown type byte, two consecutive
-// runs of one shape, or rows the reservation has no room for are errors,
-// and no count is trusted further than the bytes behind it.
+// runs of one shape, a cell wider than its column, or rows the reservation
+// has no room for are errors, and no count is trusted further than the
+// bytes behind it.
 func (b *RowBuilder) ReadRows(src []byte) (rows []Row, n int, err error) {
 	off := 0
 	uvarint := func() (uint64, error) {
@@ -380,19 +407,27 @@ func (b *RowBuilder) ReadRows(src []byte) (rows []Row, n int, err error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		if nrows == 0 || nrows > uint64(len(src)-off)/uint64(sh.stride*8) {
-			return nil, 0, wireErr("%d rows of %d cells in %d bytes", nrows, sh.stride, len(src)-off)
+		if nrows == 0 || nrows > uint64(len(src)-off)/uint64(sh.words()*8) {
+			return nil, 0, wireErr("%d rows of %d cells in %d bytes", nrows, sh.words(), len(src)-off)
 		}
 		room := runRoom(sh, int(nrows))
 		total += room.Rows
-		if !b.used.Add(Room{Rows: total, Cells: room.Cells, Strs: room.Strs}).fits(b.want) {
+		if !b.has(Room{Rows: total, Cells: room.Cells, Strs: room.Strs}, runBytes(sh, room.Rows)) {
 			return nil, 0, wireErr("%d rows past the builder's reservation", nrows)
 		}
 		run := &runs[r]
 		b.fillRun(run, sh, room.Rows)
-		for i := range run.cells {
-			run.cells[i] = binary.LittleEndian.Uint64(src[off:])
+		for row := run.cells; len(row) > 0; row = row[sh.stride:] {
+			binary.LittleEndian.PutUint64(row, binary.LittleEndian.Uint64(src[off:]))
 			off += 8
+			for _, col := range sh.cols {
+				w := binary.LittleEndian.Uint64(src[off:])
+				if w&^col.mask != 0 {
+					return nil, 0, wireErr("%#x in a %d-byte %s cell", w, col.width, col.typ)
+				}
+				putCell(row[col.off:], col.width, w)
+				off += 8
+			}
 		}
 		for i := range run.strs {
 			l, err := uvarint()
@@ -441,7 +476,7 @@ func internShape(tags []byte) *rowShape {
 	if sh, ok := internedShapes.m[string(tags)]; ok {
 		return sh
 	}
-	sh := newRowShape(len(tags), func(i int) ColType { return ColType(tags[i]) })
+	sh := newRowShape(len(tags), func(i int) ColType { return ColType(tags[i]) }, nil)
 	if len(internedShapes.m) < maxInternedShapes {
 		if internedShapes.m == nil {
 			internedShapes.m = make(map[string]*rowShape)

@@ -11,8 +11,8 @@ import (
 )
 
 // TestFullFlowsRingRetainsItsCells pins the memory contract of a ring of
-// flat pages: a Flows table filled to 4 096 slots retains 4 096 strides of
-// 9 eight-byte cells and next to nothing else — sixteen page headers.
+// packed pages: a Flows table filled to 4 096 slots retains its sixteen
+// pages of 256 packed rows and next to nothing else — their headers.
 func TestFullFlowsRingRetainsItsCells(t *testing.T) {
 	const slots = 4096
 	heap := func() uint64 {
@@ -37,11 +37,17 @@ func TestFullFlowsRingRetainsItsCells(t *testing.T) {
 	if flows.Len() != slots {
 		t.Fatalf("Flows holds %d rows, want a full ring of %d", flows.Len(), slots)
 	}
-	want := uint64(slots * (1 + len(schema.Cols)) * 8)
+	// A row is 43 B — the time, a MAC, two IPv4 addresses, a one-byte
+	// protocol, two two-byte ports and two counters — and needs no slack, so
+	// a page is 11 008 B, which the allocator serves from its 12 288 B class.
+	if sh := schema.shape; sh.stride != 43 || sh.slack != 0 {
+		t.Fatalf("a Flows row packs into %d B with %d B of slack, want 43 and 0", sh.stride, sh.slack)
+	}
+	want := uint64(slots / pageRows * 12288)
 	got := after - before
-	t.Logf("a full %d-slot Flows ring retains %d B; its cells are %d B", slots, got, want)
+	t.Logf("a full %d-slot Flows ring retains %d B; its pages are %d B", slots, got, want)
 	if got < want || got > want+want/10 {
-		t.Errorf("retained %d B, want within 10%% above the %d B of cells", got, want)
+		t.Errorf("retained %d B, want within 10%% above the %d B of pages", got, want)
 	}
 	runtime.KeepAlive(flows)
 }

@@ -22,6 +22,7 @@
 package hwdb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -245,9 +246,13 @@ type Schema struct {
 }
 
 // NewSchema builds a schema from columns, indexing names case-insensitively.
-func NewSchema(cols ...Column) *Schema {
+func NewSchema(cols ...Column) *Schema { return newSchema(cols, nil) }
+
+// newSchema is NewSchema with column i's cell narrowed to narrow[i] bytes
+// where that is nonzero (see newRowShape).
+func newSchema(cols []Column, narrow []int) *Schema {
 	s := &Schema{Cols: cols, idx: make(map[string]int, len(cols))}
-	s.shape = newRowShape(len(cols), func(i int) ColType { return cols[i].Type })
+	s.shape = newRowShape(len(cols), func(i int) ColType { return cols[i].Type }, narrow)
 	s.star = make([]string, 1, 1+len(cols))
 	s.star[0] = "timestamp"
 	for i, c := range cols {
@@ -284,46 +289,71 @@ type Row struct {
 	i int
 }
 
-// rowBlock is a run of rows in the flat layout the rings store: stride
-// eight-byte cells per row — cell 0 the insert time in Unix nanoseconds,
-// cell 1+c column c in the encoding its type fixes (the Int of an integer,
-// bool, MAC, IP or timestamp value; math.Float64bits of a real; unused for
-// a string) — and, for shapes with string columns, nstr strings per row
-// beside them. Pointer-free unless the shape has strings.
+// rowBlock is a run of rows packed as the rings store them: stride bytes
+// per row — the insert time in Unix nanoseconds, then each column's cell at
+// its shape's offset and width, little-endian, in the encoding its type
+// fixes (the Int of an integer, bool, MAC, IP or timestamp value;
+// math.Float64bits of a real; nothing for a string) — then the shape's
+// slack, and, for shapes with string columns, nstr strings per row beside
+// them. Pointer-free unless the shape has strings.
 type rowBlock struct {
 	shape *rowShape
-	cells []uint64
+	cells []byte
 	strs  []string
 }
 
 // rowShape is what a block knows of its columns.
 type rowShape struct {
 	cols   []shapeCol
-	stride int // cells per row: 1 + len(cols)
+	stride int // bytes per row: 8 for the insert time and every cell's width
+	slack  int // bytes past a block's last row that a cell's load reaches
 	nstr   int // string columns per row
 }
 
 type shapeCol struct {
-	typ ColType
-	str int32 // a string column's position among the row's strings
+	typ   ColType
+	width uint8  // bytes of the cell
+	off   int32  // the cell's offset in its row
+	str   int32  // a string column's position among the row's strings
+	mask  uint64 // the cell's width as a mask of a word's low bytes
 }
 
-// newRowShape lays out rows of n columns whose types typ(i) names.
-func newRowShape(n int, typ func(i int) ColType) *rowShape {
-	sh := &rowShape{cols: make([]shapeCol, n), stride: 1 + n}
+// cellWidths is how many bytes a cell of each type takes. A string's value
+// is kept beside the cells.
+var cellWidths = [256]int{TInt: 8, TReal: 8, TTime: 8, TMAC: 6, TIP: 4, TBool: 1}
+
+// newRowShape packs rows of n columns of the types typ(i) names, in order,
+// each cell at its type's width or, where nonzero, narrow[i]: a narrowed
+// integer column holds only the unsigned values of its width (Validate).
+func newRowShape(n int, typ func(i int) ColType, narrow []int) *rowShape {
+	sh := &rowShape{cols: make([]shapeCol, n), stride: 8}
+	reach := 8 // the furthest a cell's eight-byte load reads
 	for i := range sh.cols {
-		sh.cols[i].typ = typ(i)
-		if sh.cols[i].typ == TString {
-			sh.cols[i].str = int32(sh.nstr)
+		c, w := &sh.cols[i], cellWidths[typ(i)]
+		if i < len(narrow) && narrow[i] > 0 {
+			w = narrow[i]
+		}
+		c.typ, c.width, c.mask = typ(i), uint8(w), 1<<(8*w)-1
+		if w > 0 { // an empty cell loads the row's first word, masked to nothing
+			c.off = int32(sh.stride)
+			reach = max(reach, sh.stride+8)
+		}
+		if c.typ == TString {
+			c.str = int32(sh.nstr)
 			sh.nstr++
 		}
+		sh.stride += w
 	}
+	sh.slack = reach - sh.stride
 	return sh
 }
 
+// words is how many eight-byte words a row takes on the wire.
+func (sh *rowShape) words() int { return 1 + len(sh.cols) }
+
 // newRowBlock allocates an all-zero block of n rows.
 func newRowBlock(sh *rowShape, n int) rowBlock {
-	b := rowBlock{shape: sh, cells: make([]uint64, n*sh.stride)}
+	b := rowBlock{shape: sh, cells: make([]byte, n*sh.stride+sh.slack)[:n*sh.stride]}
 	if sh.nstr > 0 {
 		b.strs = make([]string, n*sh.nstr)
 	}
@@ -335,17 +365,34 @@ func newRowBlock(sh *rowShape, n int) rowBlock {
 // everything stored in a real column is a real.
 func (b *rowBlock) put(i int, ts time.Time, vals []Value) {
 	sh := b.shape
-	cells := b.cells[i*sh.stride : (i+1)*sh.stride]
-	cells[0] = uint64(ts.UnixNano())
-	for c, v := range vals {
-		switch col := sh.cols[c]; col.typ {
+	row := b.cells[i*sh.stride : (i+1)*sh.stride]
+	binary.LittleEndian.PutUint64(row, uint64(ts.UnixNano()))
+	for c := range vals {
+		v, col, x := &vals[c], &sh.cols[c], uint64(vals[c].Int)
+		switch col.typ {
 		case TString:
-			cells[1+c] = 0
 			b.strs[i*sh.nstr+int(col.str)] = v.Str
+			continue
 		case TReal:
-			cells[1+c] = math.Float64bits(v.AsFloat())
-		default:
-			cells[1+c] = uint64(v.Int)
+			x = math.Float64bits(v.AsFloat())
+		}
+		putCell(row[col.off:], col.width, x)
+	}
+}
+
+// putCell writes the w low bytes of x to the front of b, and nothing past
+// them.
+func putCell(b []byte, w uint8, x uint64) {
+	switch w {
+	case 8:
+		binary.LittleEndian.PutUint64(b, x)
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(x))
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(x))
+	default:
+		for k := range b[:w] {
+			b[k] = byte(x >> (8 * k))
 		}
 	}
 }
@@ -374,8 +421,10 @@ func (r Row) Time() time.Time {
 	if r.b == nil {
 		return time.Time{}
 	}
-	return time.Unix(0, int64(r.b.cells[r.i*r.b.shape.stride]))
+	return time.Unix(0, int64(r.nanos()))
 }
+
+func (r Row) nanos() uint64 { return binary.LittleEndian.Uint64(r.b.cells[r.i*r.b.shape.stride:]) }
 
 // NumCols returns how many columns the row has.
 func (r Row) NumCols() int {
@@ -385,7 +434,14 @@ func (r Row) NumCols() int {
 	return len(r.b.shape.cols)
 }
 
-func (r Row) cell(c int) uint64 { return r.b.cells[r.i*r.b.shape.stride+1+c] }
+// cell returns column c's cell as a word: one eight-byte load, masked to the
+// cell's width. Every narrower cell holds an unsigned value.
+func (r Row) cell(c int) uint64 {
+	sh := r.b.shape
+	col := &sh.cols[c]
+	off := r.i*sh.stride + int(col.off)
+	return binary.LittleEndian.Uint64(r.b.cells[off:off+8]) & col.mask
+}
 
 // Int returns column c of an integer, bool, MAC, IP or timestamp column as
 // Value.Int holds it. It is undefined for real and string columns.
@@ -430,6 +486,11 @@ func NewRow(ts time.Time, vals ...Value) Row {
 		tags[i] = byte(v.Type)
 	}
 	sh := internShape(tags)
+	for i := range vals {
+		if !sh.cols[i].holds(&vals[i]) {
+			panic(fmt.Sprintf("hwdb: NewRow: %v does not fit its cell", vals[i]))
+		}
+	}
 	var b RowBuilder
 	b.Reserve(runRoom(sh, 1))
 	run, rows, _ := b.take(sh, 1)
@@ -442,16 +503,19 @@ func (s *Schema) Validate(vals []Value) error {
 	if len(vals) != len(s.Cols) {
 		return fmt.Errorf("hwdb: %d values for %d columns", len(vals), len(s.Cols))
 	}
-	for i, v := range vals {
-		want := s.Cols[i].Type
-		if v.Type == want {
-			continue
-		}
+	for i := range vals {
+		v, col := &vals[i], &s.shape.cols[i]
 		// Ints widen to reals; everything else must match exactly.
-		if want == TReal && v.Type == TInt {
-			continue
+		if v.Type != col.typ && (col.typ != TReal || v.Type != TInt) {
+			return fmt.Errorf("hwdb: column %s wants %s, got %s", s.Cols[i].Name, col.typ, v.Type)
 		}
-		return fmt.Errorf("hwdb: column %s wants %s, got %s", s.Cols[i].Name, want, v.Type)
+		if !col.holds(v) {
+			return fmt.Errorf("hwdb: column %s holds %d bytes: %d does not fit", s.Cols[i].Name, col.width, v.Int)
+		}
 	}
 	return nil
 }
+
+// holds reports whether the cell stores v whole, as it must: one narrower
+// than a word holds only the unsigned values of its width.
+func (c *shapeCol) holds(v *Value) bool { return c.typ == TString || uint64(v.Int)&^c.mask == 0 }

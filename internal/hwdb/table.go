@@ -36,10 +36,9 @@ const (
 // its header, a table of a few rows a sixteenth of a page, and
 // "fixed-memory" is the ceiling, not the floor.
 //
-// The ring is a list of pages, each a flat rowBlock of pageRows slots: a
-// slot is 1 + len(schema.Cols) eight-byte cells and nothing else, so a
-// table without string columns holds no pointers for the collector to
-// follow, and an insert allocates nothing but the page it opens. The first
+// The ring is a list of pages, each a rowBlock of pageRows slots: a slot
+// is the row packed at its columns' widths and nothing else, so a table
+// without string columns holds no pointers for the collector to follow, and an insert allocates nothing but the page it opens. The first
 // page opens with firstRows slots; when they fill, a full page holding
 // them replaces it, the one time a ring copies rows (at most firstRows of
 // them, under the write lock). After that growing appends a page and never
@@ -522,12 +521,13 @@ var (
 )
 
 // flowSchema lays out a Flows or FlowPerf table: a row leads with the
-// device and its five-tuple.
+// device and its five-tuple, whose protocol and ports are stored at the
+// widths of the packet fields they are copied from.
 func flowSchema(cols ...Column) *Schema {
-	return NewSchema(append([]Column{
+	return newSchema(append([]Column{
 		{"mac", TMAC}, {"saddr", TIP}, {"daddr", TIP},
 		{"proto", TInt}, {"sport", TInt}, {"dport", TInt},
-	}, cols...)...)
+	}, cols...), []int{3: 1, 4: 2, 5: 2})
 }
 
 // InsertFlow records one observation of an active five-tuple attributed to

@@ -53,6 +53,23 @@ func TestWirelessRateTiers(t *testing.T) {
 	}
 }
 
+// TestUplinkDrawsAsRSSIThenRetries: a station frame's draws in one lock
+// section are the draws RSSI and then Retries make, in that order, at
+// every distance from the router's doorstep to the edge of delivery.
+func TestUplinkDrawsAsRSSIThenRetries(t *testing.T) {
+	one, two := DefaultWireless(7), DefaultWireless(7)
+	for i := range 2000 {
+		d := 0.5 + float64(i%80)
+		rssi, retries, delivered := one.uplink(d, 4)
+		wantRSSI := two.RSSI(d)
+		wantRetries, wantDelivered := two.Retries(wantRSSI, 4)
+		if rssi != wantRSSI || retries != wantRetries || delivered != wantDelivered {
+			t.Fatalf("frame %d at %gm: uplink drew %d dBm, %d retries, %v; RSSI then Retries %d, %d, %v",
+				i, d, rssi, retries, delivered, wantRSSI, wantRetries, wantDelivered)
+		}
+	}
+}
+
 func TestWirelessRetriesDistribution(t *testing.T) {
 	w := DefaultWireless(42)
 	// At strong signal nearly everything delivers on the first attempt.

@@ -225,9 +225,8 @@ func (n *Network) admit(h *Host, frame []byte, direct bool) bool {
 	lost := false
 	var rssi, retries int
 	if h.Wireless {
-		rssi = n.wireless.RSSI(h.Pos().dist(n.routerAt))
 		var delivered bool
-		retries, delivered = n.wireless.Retries(rssi, n.maxRetry)
+		rssi, retries, delivered = n.wireless.uplink(h.Pos().dist(n.routerAt), n.maxRetry)
 		lost = !delivered
 	}
 	n.mu.Lock()

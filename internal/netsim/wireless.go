@@ -88,13 +88,29 @@ func (w *Wireless) SetInterference(db float64) {
 
 // RSSI returns the received signal strength in dBm at distance d metres.
 func (w *Wireless) RSSI(d float64) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.rssi(d)
+}
+
+// uplink draws one station frame's channel at distance d in one lock
+// section: the RSSI, then the retries the frame needs at it, capped at max
+// — the draws RSSI and then Retries would make.
+func (w *Wireless) uplink(d float64, max int) (rssi, retries int, delivered bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	rssi = w.rssi(d)
+	retries, delivered = w.retries(rssi, max)
+	return rssi, retries, delivered
+}
+
+// rssi is RSSI. The caller holds w.mu.
+func (w *Wireless) rssi(d float64) int {
 	if d < w.D0 {
 		d = w.D0
 	}
 	pl := w.PL0 + 10*w.Exponent*math.Log10(d/w.D0)
-	w.mu.Lock()
 	shadow := w.rand().NormFloat64()*w.Shadow - w.interference
-	w.mu.Unlock()
 	return int(math.Round(w.TxPower - pl + shadow))
 }
 
@@ -108,9 +124,14 @@ func (w *Wireless) deliveryProb(rssi int) float64 {
 // Retries samples how many retransmissions a frame needs at the given RSSI
 // before success (capped at max; the frame is lost if the cap is hit).
 func (w *Wireless) Retries(rssi int, max int) (retries int, delivered bool) {
-	p := w.deliveryProb(rssi)
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.retries(rssi, max)
+}
+
+// retries is Retries. The caller holds w.mu.
+func (w *Wireless) retries(rssi int, max int) (int, bool) {
+	p := w.deliveryProb(rssi)
 	rng := w.rand()
 	for i := 0; i <= max; i++ {
 		if rng.Float64() < p {

@@ -304,6 +304,10 @@ func TestFleetTickAllocatesNothing(t *testing.T) {
 	var ms runtime.MemStats
 	move(0)
 	tick() // the first write to a full eight-entry map grows it
+	// Mallocs counts the whole process: run the loop on one P, as
+	// AllocsPerRun runs the unchanged one, so no other goroutine's work
+	// lands between the two reads.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var moved uint64
 	const n = 100
 	for i := range n {
