@@ -54,14 +54,24 @@ func startHome(mutate func(*core.Config)) (*home, error) {
 
 func (h *home) stop() { h.rt.Stop() }
 
-// join adds and DHCP-binds a device. A device that does not bind is
-// detached from the network again.
-func (h *home) join(name, mac string, wireless bool, pos netsim.Pos) (*netsim.Host, error) {
+// request adds a device and has it ask for a lease, which a router that
+// does not permit it yet leaves pending. The host is nil only when it
+// could not be added.
+func (h *home) request(name, mac string, wireless bool, pos netsim.Pos) (*netsim.Host, error) {
 	host, err := h.rt.AddHost(name, mac, wireless, pos)
 	if err != nil {
 		return nil, err
 	}
-	err = h.rt.JoinHost(host)
+	return host, h.rt.JoinHost(host)
+}
+
+// join adds and DHCP-binds a device. A device that does not bind is
+// detached from the network again.
+func (h *home) join(name, mac string, wireless bool, pos netsim.Pos) (*netsim.Host, error) {
+	host, err := h.request(name, mac, wireless, pos)
+	if host == nil {
+		return nil, err
+	}
 	if err == nil && !host.Bound() {
 		err = fmt.Errorf("figures: %s did not bind", name)
 	}
@@ -227,11 +237,7 @@ func Figure3() (string, error) {
 	macs := []string{"02:bb:00:00:00:01", "02:bb:00:00:00:02", "02:bb:00:00:00:03", "02:bb:00:00:00:04"}
 	names := []string{"new-phone", "smart-tv", "neighbours-laptop", "e-reader"}
 	for i, m := range macs {
-		host, err := h.rt.AddHost(names[i], m, true, netsim.Pos{X: float64(2 + i)})
-		if err != nil {
-			return "", err
-		}
-		if err := h.rt.JoinHost(host); err != nil {
+		if _, err := h.request(names[i], m, true, netsim.Pos{X: float64(2 + i)}); err != nil {
 			return "", err
 		}
 	}

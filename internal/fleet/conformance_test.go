@@ -300,7 +300,7 @@ func deltaText(d telemetry.Delta) []string {
 			if d.Source.Table == hwdb.TableFlowPerf && c == r.NumCols()-1 { // install_us
 				v.Int = 0
 			}
-			fmt.Fprintf(&line, " %d:%d:%x:%q", v.Type, v.Int, v.Real, v.Str)
+			fmt.Fprintf(&line, " %d:%d:%q", v.Type, v.Int, v.Str)
 		}
 		out = append(out, line.String())
 	}

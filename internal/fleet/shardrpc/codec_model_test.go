@@ -421,7 +421,7 @@ func sameResponseBits(got, want *Response) bool {
 			}
 			for c, v := range row.vals {
 				o := other.vals[c]
-				if v.Type != o.Type || v.Int != o.Int || v.Str != o.Str || math.Float64bits(v.Real) != math.Float64bits(o.Real) {
+				if v != o {
 					return false
 				}
 			}

@@ -556,7 +556,7 @@ func TestWatchedTablesRoundTrip(t *testing.T) {
 		for r := range d.Rows {
 			for c := 0; c < want[r].NumCols(); c++ {
 				g, w := d.Rows[r].Value(c), want[r].Value(c)
-				if g.Type != w.Type || g.Int != w.Int || math.Float64bits(g.Real) != math.Float64bits(w.Real) || g.Str != w.Str {
+				if g != w {
 					t.Fatalf("%s row %d column %d: got %+v, want %+v", d.Source.Table, r, c, g, w)
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -429,7 +430,7 @@ func (s *selectSet) finish(sink rowSink, schema *Schema, sel *SelectStmt) ([][]V
 // is copied: the rows are cut from the accumulator's chunks as they stand,
 // and the set goes with the result.
 func (s *selectSet) result(heads [][]Value, schema *Schema, sel *SelectStmt) *Result {
-	w := s.acc.width
+	w := s.acc.vis
 	cols := resultCols(schema, sel)
 	if cols == nil {
 		cols = appendCols(make([]string, 0, w), schema, sel)
@@ -496,11 +497,12 @@ func (s *selectSet) orderRows(heads [][]Value, schema *Schema, sel *SelectStmt) 
 // cells handed out of chunks that double in size and never move. Chunk k
 // holds 1<<(shift+k) rows, so n rows cost about log2(n) chunk allocations,
 // and nothing is copied when the next chunk arrives — a grown slice would
-// copy every 40-byte cell it already held at each doubling. A pooled slab
+// copy every 32-byte cell it already held at each doubling. A pooled slab
 // keeps its chunks, every cell zero, for the next select: chunk k is
 // reused whenever it has room for that select's chunk k.
 type rowSlab struct {
 	width  int
+	vis    int        // a row's first vis cells are the result's, the rest its sink's
 	shift  uint       // chunk 0 holds 1<<shift rows
 	n      int        // rows handed out
 	chunks [][]Value  // in use; chunks[len:cap] are kept from earlier selects
@@ -512,8 +514,11 @@ type rowSlab struct {
 // holds 64.
 const slabShift = 2
 
-// start readies an empty slab for rows of width cells.
-func (s *rowSlab) start(width int, shift uint) { s.width, s.shift = width, shift }
+// start readies an empty slab for rows of vis result cells and hidden
+// cells after them.
+func (s *rowSlab) start(vis, hidden int, shift uint) {
+	s.width, s.vis, s.shift = vis+hidden, vis, shift
+}
 
 // locate finds row i: its chunk and its position among that chunk's rows.
 func (s *rowSlab) locate(i int) (k, at int) {
@@ -547,11 +552,12 @@ func (s *rowSlab) take() []Value {
 	return s.row(s.n - 1)
 }
 
-// appendRows appends the rows handed out, in order, to heads.
+// appendRows appends the rows handed out, in order, to heads, each cut to
+// its result cells.
 func (s *rowSlab) appendRows(heads [][]Value) [][]Value {
 	heads = slices.Grow(heads, s.n)
 	for i := 0; i < s.n; i++ {
-		heads = append(heads, s.row(i))
+		heads = append(heads, s.row(i)[:s.vis:s.vis])
 	}
 	return heads
 }
@@ -601,7 +607,7 @@ func (s *selectSet) project(schema *Schema, sel *SelectStmt) (*projection, error
 		}
 		p.refs = append(p.refs, i)
 	}
-	s.acc.start(n, slabShift)
+	s.acc.start(n, 0, slabShift)
 	p.out = &s.acc
 	return p, nil
 }
@@ -693,10 +699,12 @@ func (x *groupIndex) reset() {
 }
 
 // aggregation is the rowSink of GROUP BY and aggregate select items. A
-// group is its result row and nothing else: GROUP BY cells are written
-// into the row when the group is first seen, and an aggregate accumulates
-// in its own cell — count in Int, sum in Real, avg in both, min and max as
-// the value so far — which finish then stamps with its type.
+// group is its result row: GROUP BY cells are written into the row when
+// the group is first seen, and an aggregate accumulates in its own cell —
+// count in Int, sum and avg as the real so far in Int's bits, min and max
+// as the value so far — which finish then stamps with its type. A
+// statement with an avg keeps the group's row count in one hidden cell
+// after the items.
 type aggregation struct {
 	sel      *SelectStmt
 	resolved []int // backs groupIdx and src
@@ -743,7 +751,11 @@ func (s *selectSet) aggregate(schema *Schema, sel *SelectStmt) (*aggregation, er
 		shift = slabShift
 		a.keyBuf = slices.Grow(a.keyBuf[:0], 8*ng)
 	}
-	s.acc.start(len(sel.Items), shift)
+	hidden := 0
+	if slices.ContainsFunc(sel.Items, func(it SelectItem) bool { return it.Agg == AggAvg }) {
+		hidden = 1
+	}
+	s.acc.start(len(sel.Items), hidden, shift)
 	a.out = &s.acc
 	return a, nil
 }
@@ -783,11 +795,8 @@ func (a *aggregation) add(row Row) {
 			}
 		case AggCount:
 			cell.Int++
-		case AggSum:
-			cell.Real += row.Real(a.src[i])
-		case AggAvg:
-			cell.Int++
-			cell.Real += row.Real(a.src[i])
+		case AggSum, AggAvg: // the real so far, in Int's bits; a fresh cell's are 0's
+			cell.Int = int64(math.Float64bits(math.Float64frombits(uint64(cell.Int)) + row.Real(a.src[i])))
 		case AggMin:
 			if v := row.Value(a.src[i]); fresh || v.less(*cell) {
 				*cell = v
@@ -797,6 +806,9 @@ func (a *aggregation) add(row Row) {
 				*cell = v
 			}
 		}
+	}
+	if n := len(a.sel.Items); len(out) > n {
+		out[n].Int++ // the group's rows, which avg divides by
 	}
 }
 
@@ -814,12 +826,11 @@ func (a *aggregation) finish() {
 			case AggCount:
 				*cell = Int64(cell.Int)
 			case AggSum:
-				*cell = Float(cell.Real)
+				cell.Type = TReal
 			case AggAvg:
-				if cell.Int == 0 {
-					*cell = Float(0)
-				} else {
-					*cell = Float(cell.Real / float64(cell.Int))
+				cell.Type = TReal
+				if n := out[len(sel.Items)].Int; n > 0 {
+					*cell = Float(cell.AsFloat() / float64(n))
 				}
 			}
 		}

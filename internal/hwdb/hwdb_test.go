@@ -365,7 +365,7 @@ func TestInsertStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0].Int != 3 || res.Rows[0][1].Real != 24.5 {
+	if len(res.Rows) != 1 || res.Rows[0][0].Int != 3 || res.Rows[0][1].AsFloat() != 24.5 {
 		t.Errorf("rows = %v", res.Rows)
 	}
 }

@@ -88,7 +88,7 @@ func (m *modelBlock) value(i, c int) Value {
 	case TString:
 		return Value{Type: TString, Str: m.str(i, c)}
 	case TReal:
-		return Value{Type: TReal, Real: m.real(i, c)}
+		return Float(m.real(i, c))
 	default:
 		return Value{Type: t, Int: int64(m.cell(i, c))}
 	}
@@ -134,7 +134,7 @@ func sameAsModel(t *testing.T, what string, rows []Row, m *modelBlock) {
 			if got, want := r.Str(c), m.str(i, c); got != want {
 				t.Fatalf("%s row %d col %d: Str %q, model %q", what, i, c, got, want)
 			}
-			if got, want := r.Value(c), m.value(i, c); got != want && !(got.Type == TReal && math.Float64bits(got.Real) == math.Float64bits(want.Real)) {
+			if got, want := r.Value(c), m.value(i, c); got != want {
 				t.Fatalf("%s row %d col %d: Value %+v, model %+v", what, i, c, got, want)
 			}
 		}

@@ -678,7 +678,7 @@ func (p *parser) parseLiteral() (Value, error) {
 			case TInt:
 				v.Int = -v.Int
 			case TReal:
-				v.Real = -v.Real
+				v = Float(-v.AsFloat())
 			default:
 				return Value{}, fmt.Errorf("hwdb: cannot negate %s", v.Type)
 			}

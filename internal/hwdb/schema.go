@@ -88,12 +88,14 @@ func parseColType(s string) (ColType, error) {
 	return 0, fmt.Errorf("hwdb: unknown column type %q", s)
 }
 
-// Value is a single typed cell. Numeric kinds (including MAC, IP, time and
-// bool) live in Int/Real so rows stay compact and comparable.
+// Value is a single typed cell: a type tag, one word and a string. Every
+// kind but a string lives in Int — a real as its math.Float64bits, so read
+// a real with AsFloat, never Int. == on two Values compares reals bit for
+// bit (0.0 and -0.0 differ, a NaN equals its own bits); a query compares
+// them as numbers.
 type Value struct {
 	Type ColType
 	Int  int64
-	Real float64
 	Str  string
 }
 
@@ -101,7 +103,7 @@ type Value struct {
 func Int64(v int64) Value { return Value{Type: TInt, Int: v} }
 
 // Float builds a real value.
-func Float(v float64) Value { return Value{Type: TReal, Real: v} }
+func Float(v float64) Value { return Value{Type: TReal, Int: int64(math.Float64bits(v))} }
 
 // String builds a string value.
 func Str(v string) Value { return Value{Type: TString, Str: v} }
@@ -150,7 +152,7 @@ func (v Value) Time() time.Time { return time.Unix(0, v.Int) }
 // AsFloat returns a numeric view of the value for aggregation.
 func (v Value) AsFloat() float64 {
 	if v.Type == TReal {
-		return v.Real
+		return math.Float64frombits(uint64(v.Int))
 	}
 	return float64(v.Int)
 }
@@ -200,7 +202,7 @@ func (v Value) appendText(b []byte) []byte {
 	case TInt:
 		return strconv.AppendInt(b, v.Int, 10)
 	case TReal:
-		return strconv.AppendFloat(b, v.Real, 'g', -1, 64)
+		return strconv.AppendFloat(b, v.AsFloat(), 'g', -1, 64)
 	case TString:
 		return append(b, v.Str...)
 	case TBool:
@@ -443,8 +445,9 @@ func (r Row) cell(c int) uint64 {
 	return binary.LittleEndian.Uint64(r.b.cells[off:off+8]) & col.mask
 }
 
-// Int returns column c of an integer, bool, MAC, IP or timestamp column as
-// Value.Int holds it. It is undefined for real and string columns.
+// Int returns column c as Value.Int holds it: the integer of an integer,
+// bool, MAC, IP or timestamp column, the bits of a real. It is undefined
+// for string columns.
 func (r Row) Int(c int) int64 { return int64(r.cell(c)) }
 
 // Real returns a numeric view of column c, as Value.AsFloat does: the
@@ -470,8 +473,6 @@ func (r Row) Value(c int) Value {
 	switch typ := r.b.shape.cols[c].typ; typ {
 	case TString:
 		return Value{Type: TString, Str: r.Str(c)}
-	case TReal:
-		return Value{Type: TReal, Real: math.Float64frombits(r.cell(c))}
 	default:
 		return Value{Type: typ, Int: int64(r.cell(c))}
 	}

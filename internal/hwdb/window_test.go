@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/clock"
 	"repro/internal/packet"
@@ -89,14 +90,9 @@ func windowRef(rows []modelRow, w Window, now time.Time) []modelRow {
 	return rows
 }
 
-// sameCell reports whether two cells agree in every field, the sign of a
-// zero included.
-func sameCell(a, b Value) bool {
-	return a.Type == b.Type && a.Int == b.Int && math.Float64bits(a.Real) == math.Float64bits(b.Real) && a.Str == b.Str
-}
-
 // sameRows compares rows a table handed out with the model's, cell by
-// cell, through Value and through the typed accessors.
+// cell, through Value and through the typed accessors. Cells compare with
+// ==, which compares a real's bits: the sign of a zero counts.
 func sameRows(got []Row, want []modelRow) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d rows, want %d", len(got), len(want))
@@ -107,7 +103,7 @@ func sameRows(got []Row, want []modelRow) error {
 			return fmt.Errorf("row %d = %d cells @%v, want %d @%v", i, r.NumCols(), r.Time(), len(w.vals), w.ts)
 		}
 		for c, wv := range w.vals {
-			if !sameCell(r.Value(c), wv) {
+			if r.Value(c) != wv {
 				return fmt.Errorf("row %d cell %d = %v, want %v", i, c, r.Value(c), wv)
 			}
 			ok := r.Real(c) == wv.AsFloat() || wv.Type == TString
@@ -147,7 +143,7 @@ func sameModel(got, want []modelRow) error {
 			return fmt.Errorf("row %d @%v, want @%v", i, got[i].ts, want[i].ts)
 		}
 		for c := range got[i].vals {
-			if !sameCell(got[i].vals[c], want[i].vals[c]) {
+			if got[i].vals[c] != want[i].vals[c] {
 				return fmt.Errorf("row %d cell %d = %v, want %v", i, c, got[i].vals[c], want[i].vals[c])
 			}
 		}
@@ -642,7 +638,8 @@ func groupByRef(t *testing.T, schema *Schema, sel *SelectStmt, rows []modelRow) 
 	return out
 }
 
-// sameResult compares result rows with the reference's, cell by cell.
+// sameResult compares result rows with the reference's, cell by cell, as
+// sameRows does.
 func sameResult(got, want [][]Value) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d rows, want %d", len(got), len(want))
@@ -652,8 +649,8 @@ func sameResult(got, want [][]Value) error {
 			return fmt.Errorf("row %d has %d cells, want %d", i, len(got[i]), len(want[i]))
 		}
 		for j := range want[i] {
-			if !sameCell(got[i][j], want[i][j]) {
-				return fmt.Errorf("row %d cell %d = %#v, want %#v", i, j, got[i][j], want[i][j])
+			if g, w := got[i][j], want[i][j]; g != w {
+				return fmt.Errorf("row %d cell %d = %s %v, want %s %v", i, j, g.Type, g, w.Type, w)
 			}
 		}
 	}
@@ -972,11 +969,19 @@ func TestAggregateAllocsFollowGroupsNotRows(t *testing.T) {
 	}
 }
 
+// TestValueIsThirtyTwoBytes pins a cell at a type tag, one word and a
+// string, the size of every result cell and group cell a select builds.
+func TestValueIsThirtyTwoBytes(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Fatalf("a Value is %d bytes, want 32", n)
+	}
+}
+
 // TestFigure1SelectAllocatesItsResult pins what a warm select allocates:
 // its result and nothing else — Result, one block of exactly 30 × 5 cells
-// and the 30 row headers, about 6 960 B. Its Cols are the statement's,
-// fixed by the parser. The sink, the index, the key buffer and the
-// accumulator come from a pooled working set.
+// and the 30 row headers, 5 680 B. Its Cols are the statement's, fixed by
+// the parser. The sink, the index, the key buffer and the accumulator come
+// from a pooled working set.
 func TestFigure1SelectAllocatesItsResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
@@ -993,8 +998,8 @@ func TestFigure1SelectAllocatesItsResult(t *testing.T) {
 	}
 	allocs, bytes := testing.AllocsPerRun(100, run), bytesPerRun(100, run)
 	t.Logf("Figure-1 select: %.0f allocations, %d B", allocs, bytes)
-	if allocs > 3 || bytes > 7500 {
-		t.Errorf("Figure-1 select allocates %.0f times and %d B, want at most 3 and 7 500 B: its result", allocs, bytes)
+	if allocs > 3 || bytes > 6000 {
+		t.Errorf("Figure-1 select allocates %.0f times and %d B, want at most 3 and 6 000 B: its result", allocs, bytes)
 	}
 }
 
@@ -1013,7 +1018,7 @@ func TestFigure1SelectFuncAllocatesNothing(t *testing.T) {
 	var total float64
 	run := func() {
 		n := 0
-		if err := db.SelectFunc(sel, func(row []Value) { n, total = n+1, total+row[4].Real }); err != nil || n != 30 {
+		if err := db.SelectFunc(sel, func(row []Value) { n, total = n+1, total+row[4].AsFloat() }); err != nil || n != 30 {
 			t.Fatalf("SelectFunc: %d rows, %v", n, err)
 		}
 	}

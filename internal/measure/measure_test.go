@@ -41,7 +41,7 @@ func TestPollLinksFillsTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][1].Int != -55 || res.Rows[0][3].Real != 48 {
+	if len(res.Rows) != 1 || res.Rows[0][1].Int != -55 || res.Rows[0][3].AsFloat() != 48 {
 		t.Errorf("rows = %v", res.Rows)
 	}
 }

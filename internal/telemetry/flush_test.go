@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -56,7 +55,7 @@ func sameRows(got, want []hwdb.Row) string {
 		}
 		for c := 0; c < got[i].NumCols(); c++ {
 			g, w := got[i].Value(c), want[i].Value(c)
-			if g.Type != w.Type || g.Int != w.Int || math.Float64bits(g.Real) != math.Float64bits(w.Real) || g.Str != w.Str {
+			if g != w {
 				return fmt.Sprintf("row %d column %d: %+v, want %+v", i, c, g, w)
 			}
 		}
