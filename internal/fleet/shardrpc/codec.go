@@ -476,7 +476,7 @@ func (c *coder) batch(b *Batch) {
 		c.uvarint(&d.Source.Home)
 		c.str(&d.Source.Table)
 		c.uvarint(&d.Lost)
-		c.rows(rows, i, &d.Rows)
+		c.rows(rows, i, d)
 	}
 	if left := rows.Left(); c.dec && c.err == nil && left != (hwdb.Room{}) {
 		c.fail("batch totals exceed its deltas' rows by %+v", left)
@@ -531,10 +531,11 @@ func (c *coder) str(s *string) {
 }
 
 // rows runs delta i's rows in the hwdb.AppendRows layout, decoding them
-// into the batch's one builder.
-func (c *coder) rows(b *hwdb.RowBuilder, i int, rows *[]hwdb.Row) {
+// into the batch's one builder, packed as the Homework table the delta
+// names packs them (hwdb.HomeworkSchema).
+func (c *coder) rows(b *hwdb.RowBuilder, i int, d *telemetry.Delta) {
 	if !c.dec {
-		c.b = hwdb.AppendRows(c.b, *rows)
+		c.b = hwdb.AppendRows(c.b, d.Rows)
 		return
 	}
 	if c.err != nil {
@@ -542,7 +543,7 @@ func (c *coder) rows(b *hwdb.RowBuilder, i int, rows *[]hwdb.Row) {
 	}
 	var k int
 	var err error
-	if *rows, k, err = b.ReadRows(c.b[c.off:]); err != nil {
+	if d.Rows, k, err = b.ReadRows(c.b[c.off:], hwdb.HomeworkSchema(d.Source.Table)); err != nil {
 		c.fail("delta %d: %v", i, err)
 		return
 	}

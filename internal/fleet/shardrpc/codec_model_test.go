@@ -245,7 +245,7 @@ func decodeBatchRef(d *refDec) (*Batch, error) {
 			return nil, err
 		}
 		var k int
-		if delta.Rows, k, err = rows.ReadRows(d.b[d.off:]); err != nil {
+		if delta.Rows, k, err = rows.ReadRows(d.b[d.off:], hwdb.HomeworkSchema(delta.Source.Table)); err != nil {
 			return nil, frameErr("delta %d: %v", i, err)
 		}
 		d.off += k

@@ -15,8 +15,9 @@ import (
 // kind, rather than allocated run by run. A builder is told first what it
 // will hold and filled after:
 //
-//   - the telemetry hub copies a whole flush into one builder: ReserveTail
-//     for every dirty table, then Tail for each;
+//   - the telemetry hub copies a flush into one builder a pass at a time:
+//     ReserveTail for each dirty table, in order, while the pass's byte
+//     bound has room, then Tail for each;
 //   - the shard protocol reads a whole batch off the wire into one: Reserve
 //     the totals the batch declares, then ReadRows for each delta;
 //   - a consumer that keeps rows lent to it copies them into one with Copy,
@@ -42,8 +43,10 @@ type RowBuilder struct {
 
 // maxKeptArray is the size, in bytes, above which Reset drops an array
 // instead of keeping it for the next fill — as maxPooledSet bounds a pooled
-// select set — so that one large fill (a home's first flush of its
-// pre-filled rings) is not retained for good.
+// select set — so that one large fill is not retained for good. The hub
+// bounds its drain passes by it (ReserveTail), so that a home's first
+// flush of its pre-filled rings reuses one set of arrays pass after pass
+// instead of filling one array the size of every ring.
 const maxKeptArray = 64 << 10
 
 // arena is one of a builder's arrays: runs are carved from buf[off:].
@@ -183,18 +186,44 @@ func (b *RowBuilder) take(sh *rowShape, n int) (*rowBlock, []Row, bool) {
 }
 
 // ReserveTail reserves room for the rows inserted into t after the first
-// `after` inserts, and returns t's insert count: the bound a later Tail
-// copies up to, so that rows inserted in between wait for the next read
-// instead of overrunning the reservation.
-func (b *RowBuilder) ReserveTail(t *Table, after uint64) (upto uint64) {
+// `after` inserts — as many of the oldest of them as keep each of the
+// builder's arrays within bound bytes, counting what it holds already —
+// and returns the insert count of the last row it reserved room for: the
+// bound a later Tail copies up to, so that rows past it (inserted in
+// between, or left for a later fill) wait for the next read instead of
+// overrunning the reservation. Rows that wrapped out of the ring before
+// the first reserved one fall below that count, for Tail to report lost.
+// A builder that holds nothing reserves at least one row, so that a fill
+// always moves.
+func (b *RowBuilder) ReserveTail(t *Table, after uint64, bound int) (upto uint64) {
+	sh := t.schema.shape
 	t.mu.RLock()
 	lo, hi, _ := t.tailRange(after, t.inserts)
-	upto = t.inserts
+	n := min(hi-lo, b.fit(sh, bound))
+	upto = t.inserts - uint64(hi-lo-n) // the range ends at the newest row
 	t.mu.RUnlock()
-	if hi > lo {
-		b.reserve(runRoom(t.schema.shape, hi-lo), runBytes(t.schema.shape, hi-lo))
+	if n > 0 {
+		b.reserve(runRoom(sh, n), runBytes(sh, n))
 	}
 	return upto
+}
+
+// fit returns how many rows of shape sh, as one more run, the builder can
+// reserve room for before one of its arrays passes bound bytes: at least
+// one if it holds nothing yet.
+func (b *RowBuilder) fit(sh *rowShape, bound int) int {
+	const rowSize, strSize, runSize = int(unsafe.Sizeof(Row{})), int(unsafe.Sizeof("")), int(unsafe.Sizeof(rowBlock{}))
+	n := min((bound-b.bytes-sh.slack)/sh.stride, bound/rowSize-b.want.Rows)
+	if sh.nstr > 0 {
+		n = min(n, (bound/strSize-b.want.Strs)/sh.nstr)
+	}
+	if (b.want.Runs+1)*runSize > bound {
+		n = 0
+	}
+	if b.want == (Room{}) {
+		return max(n, 1)
+	}
+	return max(n, 0)
 }
 
 // Tail copies into the builder, as one run, the retained rows inserted into
@@ -358,12 +387,16 @@ func AppendRows(dst []byte, rows []Row) []byte {
 }
 
 // ReadRows reads one AppendRows encoding from the front of src into the
-// builder and returns its rows and the number of bytes it took. It is
-// strict: a truncated or empty run, an unknown type byte, two consecutive
-// runs of one shape, a cell wider than its column, or rows the reservation
-// has no room for are errors, and no count is trusted further than the
-// bytes behind it.
-func (b *RowBuilder) ReadRows(src []byte) (rows []Row, n int, err error) {
+// builder and returns its rows and the number of bytes it took. schema is
+// that of the table the rows were read from, if known (nil if not): a run
+// whose column types are the schema's is laid out as the table lays it
+// out, so a Flows row read off the wire is packed as tightly as in its
+// ring; any other run, at its column types' widths. It is strict: a
+// truncated or empty run, an unknown type byte, two consecutive runs of
+// one shape, a cell wider than its column, or rows the reservation has no
+// room for are errors, and no count is trusted further than the bytes
+// behind it.
+func (b *RowBuilder) ReadRows(src []byte, schema *Schema) (rows []Row, n int, err error) {
 	off := 0
 	uvarint := func() (uint64, error) {
 		v, k := binary.Uvarint(src[off:])
@@ -394,7 +427,7 @@ func (b *RowBuilder) ReadRows(src []byte) (rows []Row, n int, err error) {
 		if ncols > uint64(len(src)-off) {
 			return nil, 0, wireErr("%d columns in %d bytes", ncols, len(src)-off)
 		}
-		sh, err := wireShape(src[off : off+int(ncols)])
+		sh, err := wireShape(src[off:off+int(ncols)], schema)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -458,9 +491,13 @@ var internedShapes struct {
 	m map[string]*rowShape
 }
 
-// wireShape returns the shape whose column types are tags, which must all
-// name a type.
-func wireShape(tags []byte) (*rowShape, error) {
+// wireShape returns the shape of a run read off the wire whose column
+// types are tags, which must all name a type: schema's own, if schema is
+// not nil and its column types are tags.
+func wireShape(tags []byte, schema *Schema) (*rowShape, error) {
+	if schema != nil && slices.EqualFunc(schema.shape.cols, tags, func(c shapeCol, t byte) bool { return c.typ == ColType(t) }) {
+		return schema.shape, nil
+	}
 	for _, t := range tags {
 		if ColType(t) < TInt || ColType(t) > TTime {
 			return nil, wireErr("bad column type %d", t)

@@ -45,7 +45,7 @@ func TestBuilderTailStopsAtItsCount(t *testing.T) {
 		tbl = NewTable("T", NewSchema(Column{"v", TInt}), 8)
 		insert(0, tc.before)
 		var b RowBuilder
-		upto := b.ReserveTail(tbl, tc.cursor)
+		upto := b.ReserveTail(tbl, tc.cursor, maxKeptArray)
 		if upto != uint64(tc.before) {
 			t.Fatalf("%s: ReserveTail returned %d, want %d", tc.name, upto, tc.before)
 		}
@@ -81,7 +81,7 @@ func TestBuilderLaysRunsSideBySide(t *testing.T) {
 	links, _ := db.Table(TableLinks)
 	leases, _ := db.Table(TableLeases)
 	var b RowBuilder
-	uLinks, uLeases := b.ReserveTail(links, 1), b.ReserveTail(leases, 0)
+	uLinks, uLeases := b.ReserveTail(links, 1, maxKeptArray), b.ReserveTail(leases, 0, maxKeptArray)
 	if want := (Room{Rows: 5, Cells: 2*5 + 3*5, Strs: 3 * 2, Runs: 2}); b.Left() != want {
 		t.Fatalf("reserved %+v, want %+v", b.Left(), want)
 	}
@@ -165,8 +165,8 @@ func TestBuilderCopyOutlivesItsSource(t *testing.T) {
 	links, _ := db.Table(TableLinks)
 	leases, _ := db.Table(TableLeases)
 	var src RowBuilder
-	lr, _ := src.Tail(links, 0, src.ReserveTail(links, 0))
-	sr, _ := src.Tail(leases, 0, src.ReserveTail(leases, 0))
+	lr, _ := src.Tail(links, 0, src.ReserveTail(links, 0, maxKeptArray))
+	sr, _ := src.Tail(leases, 0, src.ReserveTail(leases, 0, maxKeptArray))
 	orig := append(append(append([]Row(nil), lr...), Row{}), sr...)
 	want := make([]string, len(orig))
 	for i, r := range orig {
@@ -179,7 +179,7 @@ func TestBuilderCopyOutlivesItsSource(t *testing.T) {
 		t.Fatalf("copies take %+v, originals %+v", got, RoomFor(orig))
 	}
 	src.Reset()
-	src.Tail(links, 0, src.ReserveTail(links, 0))
+	src.Tail(links, 0, src.ReserveTail(links, 0, maxKeptArray))
 	for i, r := range copies {
 		if got := rowText(r); got != want[i] {
 			t.Fatalf("copy %d reads %s, want %s", i, got, want[i])

@@ -639,6 +639,32 @@ func BenchmarkInsertFlow(b *testing.B) {
 	}
 }
 
+// BenchmarkInsertRow times the typed inserts the measurement plane makes,
+// one table each, stamped by the simulated clock the fleet runs on: the
+// insert path alone, without BenchmarkInsertFlow's wall-clock read.
+func BenchmarkInsertRow(b *testing.B) {
+	mac := packet.MAC{2}
+	ft := packet.FiveTuple{Src: packet.IP4{10, 0, 0, 2}, Dst: packet.IP4{93, 184, 216, 34}, Proto: packet.ProtoTCP, SrcPort: 40000, DstPort: 443}
+	for _, bc := range []struct {
+		table  string
+		insert func(db *DB) error
+	}{
+		{TableFlows, func(db *DB) error { return db.InsertFlow(mac, ft, 1, 1500) }},
+		{TableFlowPerf, func(db *DB) error { return db.InsertFlowPerf(mac, ft, 10, 15000, 9, 13500, 1, 1.2e5, 0) }},
+		{TableLinks, func(db *DB) error { return db.InsertLink(mac, -50, 1, 54) }},
+	} {
+		b.Run(bc.table, func(b *testing.B) {
+			db := NewHomework(clock.NewSimulated(), DefaultRingSize)
+			b.ReportAllocs()
+			for range b.N {
+				if err := bc.insert(db); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkGroupByQuery(b *testing.B) {
 	db := NewHomework(clock.Real{}, DefaultRingSize)
 	for i := 0; i < 10000; i++ {

@@ -251,29 +251,40 @@ func FuzzRowLayout(f *testing.F) {
 		if want := m.appendRows(nil); !bytes.Equal(enc, want) {
 			t.Fatalf("AppendRows wrote\n%x\nthe model\n%x", enc, want)
 		}
-		var b RowBuilder
-		b.Reserve(RoomFor(rows))
-		back, n, err := b.ReadRows(enc)
-		if err != nil || n != len(enc) || b.Left() != (Room{}) {
-			t.Fatalf("ReadRows: %v after %d of %d bytes, %+v left", err, n, len(enc), b.Left())
-		}
-		sameAsModel(t, "wire", back, m)
-		if again := AppendRows(nil, back); !bytes.Equal(again, enc) {
-			t.Fatalf("rows read off the wire re-encode as\n%x\nnot\n%x", again, enc)
+		// Read back without a schema, each cell at its type's width, and
+		// with the table's, each at the table's.
+		for _, sch := range []*Schema{nil, schema} {
+			var b RowBuilder
+			b.Reserve(RoomFor(rows))
+			back, n, err := b.ReadRows(enc, sch)
+			if err != nil || n != len(enc) || b.Left() != (Room{}) {
+				t.Fatalf("ReadRows: %v after %d of %d bytes, %+v left", err, n, len(enc), b.Left())
+			}
+			if sch != nil && back[0].b.shape != schema.shape {
+				t.Fatal("rows read with their table's schema are not laid out as the table lays them out")
+			}
+			sameAsModel(t, "wire", back, m)
+			if again := AppendRows(nil, back); !bytes.Equal(again, enc) {
+				t.Fatalf("rows read off the wire re-encode as\n%x\nnot\n%x", again, enc)
+			}
 		}
 		// A byte past a wire cell's width: the cell's type fixes the width
-		// on the wire, whatever a table narrowed.
+		// on the wire, and the table's schema, where it narrows the cell,
+		// the width it is read at.
 		head := len(enc) - len(m.cells)*8
 		for _, s := range m.strs {
 			head -= len(s) + len(binary.AppendUvarint(nil, uint64(len(s))))
 		}
 		for c, typ := range types {
-			if w := cellWidths[typ]; w < 8 {
+			for sch, w := range map[*Schema]int{nil: cellWidths[typ], schema: width(c)} {
+				if w == 8 {
+					continue
+				}
 				bad := bytes.Clone(enc)
 				bad[head+(1+c)*8+w] = 1
 				var b RowBuilder
 				b.Reserve(RoomFor(rows))
-				if _, _, err := b.ReadRows(bad); err == nil {
+				if _, _, err := b.ReadRows(bad, sch); err == nil {
 					t.Fatalf("ReadRows took byte %d of a %d-byte %s cell", w, w, typ)
 				}
 			}
@@ -300,7 +311,7 @@ func TestCopyAndAppendMixLayouts(t *testing.T) {
 	table := flows.Snapshot()
 	var wire RowBuilder
 	wire.Reserve(RoomFor(table))
-	read, _, err := wire.ReadRows(AppendRows(nil, table))
+	read, _, err := wire.ReadRows(AppendRows(nil, table), nil) // no schema: a word per integer cell
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -363,6 +364,11 @@ type DB struct {
 	exact   map[string]*Table // by the name as created: Table's no-fold path
 	clk     clock.Clock
 	history HistorySource
+
+	// homework holds the standard Homework tables, by homeworkTables
+	// index, from the moment CreateTable makes them: the typed inserts
+	// reach their table without a name lookup or the DB lock.
+	homework [len(homeworkTables)]atomic.Pointer[Table]
 }
 
 // New creates an empty database using clk for RANGE windows and insertion
@@ -409,6 +415,9 @@ func (db *DB) CreateTable(name string, schema *Schema, ringSize int) (*Table, er
 	}
 	t := NewTable(name, schema, ringSize)
 	db.tables[key], db.exact[name] = t, t
+	if i := homeworkIndex(name); i >= 0 {
+		db.homework[i].Store(t)
+	}
 	return t, nil
 }
 
@@ -454,12 +463,43 @@ const (
 	TableFlowPerf = "FlowPerf"
 )
 
+// homeworkTables lists the standard Homework tables, in creation order,
+// with their schemas: a table's index here is its slot in DB.homework.
+var homeworkTables = [...]struct {
+	name   string
+	schema *Schema
+}{
+	{TableFlows, flowsSchema},
+	{TableLinks, linksSchema},
+	{TableLeases, leasesSchema},
+	{TableFlowPerf, flowPerfSchema},
+}
+
+// Indexes into homeworkTables.
+const (
+	hwFlows = iota
+	hwLinks
+	hwLeases
+	hwFlowPerf
+)
+
+// homeworkIndex returns the homeworkTables index of the standard table
+// named table, matched case-insensitively as DB.Table matches, or -1.
+func homeworkIndex(table string) int {
+	for i, hw := range homeworkTables {
+		if strings.EqualFold(table, hw.name) {
+			return i
+		}
+	}
+	return -1
+}
+
 // NewHomework creates a database with the four standard Homework tables,
 // each laid out by HomeworkSchema.
 func NewHomework(clk clock.Clock, ringSize int) *DB {
 	db := New(clk)
-	for _, name := range []string{TableFlows, TableLinks, TableLeases, TableFlowPerf} {
-		if _, err := db.CreateTable(name, HomeworkSchema(name), ringSize); err != nil {
+	for _, hw := range homeworkTables {
+		if _, err := db.CreateTable(hw.name, hw.schema, ringSize); err != nil {
 			panic(err)
 		}
 	}
@@ -479,15 +519,8 @@ func NewHomework(clk clock.Clock, ringSize int) *DB {
 //	          attributed loss, windowed throughput (bits/s over the actual
 //	          clock-measured poll window) and rule-install latency (µs)
 func HomeworkSchema(table string) *Schema {
-	switch {
-	case strings.EqualFold(table, TableFlows):
-		return flowsSchema
-	case strings.EqualFold(table, TableLinks):
-		return linksSchema
-	case strings.EqualFold(table, TableLeases):
-		return leasesSchema
-	case strings.EqualFold(table, TableFlowPerf):
-		return flowPerfSchema
+	if i := homeworkIndex(table); i >= 0 {
+		return homeworkTables[i].schema
 	}
 	return nil
 }
@@ -520,6 +553,16 @@ var (
 	)
 )
 
+// insertHomework is Insert into the standard table at homeworkTables
+// index i, reached through DB.homework: no name lookup, no DB lock.
+func (db *DB) insertHomework(i int, vals ...Value) error {
+	t := db.homework[i].Load()
+	if t == nil {
+		return fmt.Errorf("hwdb: no such table %s", homeworkTables[i].name)
+	}
+	return t.Insert(db.clk.Now(), vals)
+}
+
 // flowSchema lays out a Flows or FlowPerf table: a row leads with the
 // device and its five-tuple, whose protocol and ports are stored at the
 // widths of the packet fields they are copied from.
@@ -533,7 +576,7 @@ func flowSchema(cols ...Column) *Schema {
 // InsertFlow records one observation of an active five-tuple attributed to
 // the device with hardware address mac.
 func (db *DB) InsertFlow(mac packet.MAC, ft packet.FiveTuple, packets, bytes uint64) error {
-	return db.Insert(TableFlows,
+	return db.insertHomework(hwFlows,
 		MACVal(mac), IPVal(ft.Src), IPVal(ft.Dst), Int64(int64(ft.Proto)),
 		Int64(int64(ft.SrcPort)), Int64(int64(ft.DstPort)),
 		Int64(int64(packets)), Int64(int64(bytes)))
@@ -541,7 +584,7 @@ func (db *DB) InsertFlow(mac packet.MAC, ft packet.FiveTuple, packets, bytes uin
 
 // InsertLink records a link-layer observation for a station.
 func (db *DB) InsertLink(mac packet.MAC, rssi, retries int, rate float64) error {
-	return db.Insert(TableLinks, MACVal(mac), Int64(int64(rssi)), Int64(int64(retries)), Float(rate))
+	return db.insertHomework(hwLinks, MACVal(mac), Int64(int64(rssi)), Int64(int64(retries)), Float(rate))
 }
 
 // InsertFlowPerf records one interval of a flow's performance seen from
@@ -550,7 +593,7 @@ func (db *DB) InsertLink(mac packet.MAC, rssi, retries int, rate float64) error 
 // bits/s, and — on the row that first observes the flow — the punt-to-
 // flow-mod rule-install latency in microseconds (0 = not measured).
 func (db *DB) InsertFlowPerf(mac packet.MAC, ft packet.FiveTuple, txPkts, txBytes, rxPkts, rxBytes, lostPkts uint64, bps float64, installUS int64) error {
-	return db.Insert(TableFlowPerf,
+	return db.insertHomework(hwFlowPerf,
 		MACVal(mac), IPVal(ft.Src), IPVal(ft.Dst), Int64(int64(ft.Proto)),
 		Int64(int64(ft.SrcPort)), Int64(int64(ft.DstPort)),
 		Int64(int64(txPkts)), Int64(int64(txBytes)),
@@ -560,5 +603,5 @@ func (db *DB) InsertFlowPerf(mac packet.MAC, ft packet.FiveTuple, txPkts, txByte
 
 // InsertLease records a DHCP lease event ("add", "del" or "upd").
 func (db *DB) InsertLease(action string, mac packet.MAC, ip packet.IP4, hostname string) error {
-	return db.Insert(TableLeases, Str(action), MACVal(mac), IPVal(ip), Str(hostname))
+	return db.insertHomework(hwLeases, Str(action), MACVal(mac), IPVal(ip), Str(hostname))
 }

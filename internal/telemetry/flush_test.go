@@ -19,7 +19,7 @@ var raceEnabled bool
 var watchedTables = []string{hwdb.TableFlowPerf, hwdb.TableFlows, hwdb.TableLeases, hwdb.TableLinks}
 
 // insertRandom puts n rows of random content into one of a home's tables.
-func insertRandom(t *testing.T, rng *rand.Rand, db *hwdb.DB, table string, n int) {
+func insertRandom(t testing.TB, rng *rand.Rand, db *hwdb.DB, table string, n int) {
 	t.Helper()
 	for range n {
 		mac := packet.MAC{2, 0, 0, 0, 0, byte(rng.Intn(8))}

@@ -92,8 +92,9 @@ type FolderConfig struct {
 // registers itself as a synchronous hub handler, so after Hub.Flush its
 // reads reflect every row inserted before the flush.
 type Folder struct {
-	clk  clock.Clock
-	view *hwdb.DB
+	clk       clock.Clock
+	view      *hwdb.DB
+	viewTable *hwdb.Table // the view's FleetStats table, which Commit inserts into
 
 	// Standard-schema column indexes, resolved once.
 	fMAC, fPkts, fBytes    int
@@ -159,7 +160,7 @@ func NewFolder(hub *Hub, cfg FolderConfig) *Folder {
 		cfg.Clock = clock.Real{}
 	}
 	view := hwdb.New(cfg.Clock)
-	_, err := view.CreateTable(ViewTable, hwdb.NewSchema(
+	viewTable, err := view.CreateTable(ViewTable, hwdb.NewSchema(
 		hwdb.Column{Name: "home", Type: hwdb.TInt},
 		hwdb.Column{Name: "hosts", Type: hwdb.TInt},
 		hwdb.Column{Name: "devices", Type: hwdb.TInt},
@@ -175,10 +176,11 @@ func NewFolder(hub *Hub, cfg FolderConfig) *Folder {
 		panic(err) // fresh DB, fixed name: cannot collide
 	}
 	f := &Folder{
-		clk:   cfg.Clock,
-		view:  view,
-		homes: make(map[uint64]*homeAcc),
-		rate:  newRateRing(),
+		clk:       cfg.Clock,
+		view:      view,
+		viewTable: viewTable,
+		homes:     make(map[uint64]*homeAcc),
+		rate:      newRateRing(),
 	}
 	// The standard Homework schemas are fixed; resolve the column
 	// indexes the fold needs once.
@@ -346,7 +348,7 @@ func (f *Folder) Commit() int {
 		if c.links > 0 {
 			mean = c.rssiSum / float64(c.links)
 		}
-		_ = f.view.Insert(ViewTable,
+		_ = f.viewTable.Insert(now, []hwdb.Value{
 			hwdb.Int64(int64(id)),
 			hwdb.Int64(int64(h.hostsNow)),
 			hwdb.Int64(int64(len(c.devices))),
@@ -356,7 +358,8 @@ func (f *Folder) Commit() int {
 			hwdb.Int64(int64(c.links)),
 			hwdb.Float(mean),
 			hwdb.Float(h.rate.rate(now).BytesPerSec),
-			hwdb.Int64(int64(c.lost)))
+			hwdb.Int64(int64(c.lost)),
+		})
 		c.reset()
 		rows++
 	}

@@ -11,10 +11,12 @@
 // The hub inverts the polling design the fleet layer started with: rather
 // than every reader re-scanning every home's rings, each hwdb insert sets
 // a per-source dirty flag (no allocation, never blocking the inserter),
-// and each Flush is one drain pass that batch-reads every dirty table
-// forward from its cursor into the one hwdb.RowBuilder the hub keeps and
-// hands the row deltas to every consumer function registered with
-// SubscribeFunc, inside the pass. A delta's rows are lent for that call
+// and each Flush batch-reads every dirty table forward from its cursor
+// into the one hwdb.RowBuilder the hub keeps and hands the row deltas to
+// every consumer function registered with SubscribeFunc, inside the
+// drain. A drain goes in passes that each fill at most 64 KB of every
+// builder array, so a source far behind reaches consumers as several
+// deltas, in order, and a flush's transient memory is bounded. A delta's rows are lent for that call
 // only: the next pass writes over them, so a consumer that keeps rows
 // copies them (hwdb.RowBuilder.Copy) before it returns. A hub starts no
 // goroutine: deltas move only when its owner flushes it. A hub can also be
@@ -98,6 +100,7 @@ type source struct {
 
 	// pumpMu-guarded:
 	cursor    uint64
+	end       uint64 // the insert count a drain reads up to: the table's at its start
 	upto      uint64 // the insert count a drain pass reads up to
 	delivered uint64
 	lost      uint64
@@ -229,7 +232,9 @@ func (h *Hub) SubscribeFunc(fn func(Delta)) {
 // resulting delta has been handed to every consumer. The insert hook sets the dirty flag before
 // Insert returns, so after a Flush, reads of any SubscribeFunc consumer
 // reflect all rows whose Insert returned before Flush was called — and
-// idle sources cost one atomic load each, not a Tail lock acquisition.
+// idle sources cost one atomic load each, not a Tail lock acquisition. A
+// source with more new rows than one drain pass holds reaches consumers
+// as several deltas, in order.
 func (h *Hub) Flush() {
 	h.pumpMu.Lock()
 	h.drain()
@@ -263,33 +268,70 @@ func (h *Hub) Close() {
 	}
 }
 
-// drain is one drain pass over every dirty source, in three steps: take
-// each dirty flag and size the hub's row builder for every source's new
-// rows (as of its insert count then); copy each source up to that count
-// into the builder; and only then fan the deltas out, in source order. The
-// builder is reset after the fan-out and kept for the next pass, so a pass
-// allocates nothing unless it copies more than any pass before it (and
-// then one array of each kind the builder carves), however many sources it
-// drains. Callers hold pumpMu.
+// passBytes bounds what one drain pass reserves of each of the builder's
+// arrays: hwdb.RowBuilder keeps an array up to this size for its next
+// fill, so a drain that takes many passes carves them all from one set of
+// arrays.
+const passBytes = 64 << 10
+
+// drain drains every dirty source up to its insert count as of the drain's
+// start, in passes: each pass sizes the hub's row builder for the new rows
+// of the next sources in order (ReserveTail), as far as passBytes lets it,
+// copies them into the builder (Tail), fans their deltas out and resets
+// the builder. A source that is far behind — a home's pre-filled rings —
+// is copied over several passes, a delta each, and the sources after it
+// wait for the passes that reach them. The builder keeps its arrays for
+// the next drain, so a drain of one pass allocates nothing unless it
+// copies more than any pass before it (and then one array of each kind the
+// builder carves), however many sources it drains; a drain that took more
+// passes than one drops them, so a catch-up is not retained. Callers hold
+// pumpMu.
 func (h *Hub) drain() {
-	rows := &h.rows
 	srcs := h.snapshot()
 	for _, s := range srcs {
-		s.upto = s.cursor
+		s.end = s.cursor
 		if !s.gone.Load() && s.dirty.Swap(0) != 0 {
-			s.upto = rows.ReserveTail(s.table, s.cursor)
+			s.end, _ = s.table.Stats()
+		}
+	}
+	passes := 0
+	for next := 0; next < len(srcs); passes++ {
+		next += h.pass(srcs[next:])
+	}
+	if passes > 1 {
+		h.rows = hwdb.RowBuilder{}
+	}
+}
+
+// pass is one drain pass over srcs, in order, and returns how many of them
+// it finished: the next pass starts at the first it did not, which it may
+// have read part of. Callers hold pumpMu.
+func (h *Hub) pass(srcs []*source) int {
+	rows := &h.rows
+	for _, s := range srcs {
+		s.upto = s.cursor
+		if s.cursor == s.end { // clean, or dirty with nothing inserted since
+			continue
+		}
+		s.upto = min(rows.ReserveTail(s.table, s.cursor, passBytes), s.end)
+		if s.upto < s.end { // the builder is full
+			break
 		}
 	}
 	deltas := h.deltas[:0]
+	done := 0
 	for _, s := range srcs {
-		if s.upto == s.cursor { // clean, or dirty with nothing inserted since
-			continue
+		if s.upto != s.cursor {
+			got, lost := rows.Tail(s.table, s.cursor, s.upto)
+			s.cursor = s.upto
+			s.delivered += uint64(len(got))
+			s.lost += lost
+			deltas = append(deltas, Delta{Source: s.id, Rows: got, Lost: lost})
 		}
-		got, lost := rows.Tail(s.table, s.cursor, s.upto)
-		s.cursor = s.upto
-		s.delivered += uint64(len(got))
-		s.lost += lost
-		deltas = append(deltas, Delta{Source: s.id, Rows: got, Lost: lost})
+		if s.cursor != s.end {
+			break
+		}
+		done++
 	}
 	h.fanOut(deltas...)
 	// The deltas' rows were lent for the fan-out: keep the scratch and the
@@ -297,6 +339,7 @@ func (h *Hub) drain() {
 	clear(deltas)
 	h.deltas = deltas[:0]
 	rows.Reset()
+	return done
 }
 
 // fanOut hands each delta, in order, to every consumer. Callers hold
